@@ -1,21 +1,15 @@
-// Command benchcheck guards the committed benchmark baselines: it parses
-// `go test -bench` output and compares every benchmark that appears in a
-// baseline JSON file (BENCH_ingest.json, BENCH_stream.json), failing when
-// a tracked metric regresses beyond the tolerance. Checks are
-// direction-aware — ns/op regresses upward, rows/s regresses downward —
-// and improvements always pass (refresh the baseline to lock them in).
-//
-// A baseline may also declare "ceilings": absolute upper bounds enforced
-// with no tolerance, for metrics that are budgets rather than measured
-// baselines (BENCH_selfobs.json caps the self-telemetry overhead_pct at
-// 3). A measured value above its ceiling fails regardless of any prior
-// run's value. "floors" are the mirror image — absolute lower bounds for
-// metrics where higher is better (BENCH_ingest.json pins the direct-path
-// rows_per_sec to at least 2x the staged-pipeline baseline).
+// Command benchcheck enforces the two absolute budgets that the pipeline
+// benchmark under bench/ does not measure: it parses `go test -bench`
+// output and checks it against the "ceilings" (upper bounds) and "floors"
+// (lower bounds) declared in a budget file. BENCH_selfobs.json caps the
+// self-telemetry overhead_pct at 3; BENCH_fidelity.json demands a 10x row
+// reduction and caps the idle controller's overhead_pct at 10. A bound is
+// a budget, not a drifting baseline: there is no tolerance. Performance
+// regressions against a parent commit are bench/'s job (BENCHMARK.json).
 //
 // Usage:
 //
-//	benchcheck --input bench_output.txt [--tolerance 0.20] BENCH_ingest.json [BENCH_selfobs.json ...]
+//	benchcheck --input bench_output.txt BENCH_selfobs.json [BENCH_fidelity.json ...]
 package main
 
 import (
@@ -28,95 +22,20 @@ import (
 	"strings"
 )
 
-// baseline mirrors the committed BENCH_*.json layout. Metric keys not
-// listed in checkedMetrics (rows, bytes_per_op) are informational and
-// never gate.
-type baseline struct {
-	Date       string                        `json:"date"`
-	Corpus     string                        `json:"corpus"`
-	Command    string                        `json:"command"`
-	CPU        string                        `json:"cpu"`
-	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
-	// Ceilings are absolute upper bounds per benchmark/metric, enforced
-	// without tolerance — a budget, not a drifting baseline. Floors are
-	// the symmetric absolute lower bounds.
+// budget is the gated part of a committed BENCH_*.json: per benchmark,
+// per reported unit, an absolute bound. Every other field of the file is
+// documentation.
+type budget struct {
 	Ceilings map[string]map[string]float64 `json:"ceilings"`
 	Floors   map[string]map[string]float64 `json:"floors"`
-	Headline string                        `json:"headline"`
 }
 
-// UnmarshalJSON tolerates non-numeric fields (like "notes") inside each
-// benchmark entry by decoding loosely and keeping only the numbers.
-func (b *baseline) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		Date       string                            `json:"date"`
-		Corpus     string                            `json:"corpus"`
-		Command    string                            `json:"command"`
-		CPU        string                            `json:"cpu"`
-		Benchmarks map[string]map[string]interface{} `json:"benchmarks"`
-		Ceilings   map[string]map[string]float64     `json:"ceilings"`
-		Floors     map[string]map[string]float64     `json:"floors"`
-		Headline   string                            `json:"headline"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	b.Date, b.Corpus, b.Command, b.CPU, b.Headline = raw.Date, raw.Corpus, raw.Command, raw.CPU, raw.Headline
-	b.Ceilings = raw.Ceilings
-	b.Floors = raw.Floors
-	b.Benchmarks = map[string]map[string]float64{}
-	for name, metrics := range raw.Benchmarks {
-		b.Benchmarks[name] = map[string]float64{}
-		for k, v := range metrics {
-			if f, ok := v.(float64); ok {
-				b.Benchmarks[name][k] = f
-			}
-		}
-	}
-	return nil
-}
-
-// checkedMetrics maps a baseline metric key to its direction: true means
-// lower is better (time), false means higher is better (throughput).
-var checkedMetrics = map[string]bool{
-	"ns_per_op":             true,
-	"allocs_per_op":         true,
-	"rows_per_sec":          false,
-	"wire_bytes_per_row":    true,
-	"bytes_on_disk_per_row": true,
-	"speedup_x":             false,
-}
-
-// unitToKey maps a `go test -bench` unit to the baseline metric key.
-var unitToKey = map[string]string{
-	"ns/op":           "ns_per_op",
-	"rows/s":          "rows_per_sec",
-	"wire_B/row":      "wire_bytes_per_row",
-	"rows":            "rows",
-	"B/op":            "bytes_per_op",
-	"allocs/op":       "allocs_per_op",
-	"overhead_pct":    "overhead_pct",
-	"reduction_x":     "reduction_x",
-	"disabled_ns":     "disabled_ns",
-	"instrumented_ns": "instrumented_ns",
-	"ns/line":         "ns_per_line",
-	"B/line":          "bytes_per_line",
-	"allocs/line":     "allocs_per_line",
-	"disk_B/row":      "bytes_on_disk_per_row",
-	"gob_B/row":       "gob_bytes_per_row",
-	"gob_over_seg_x":  "gob_over_seg_x",
-	"speedup_x":       "speedup_x",
-	"segments":        "segments",
-	"segs_scanned/op": "segs_scanned_per_op",
-	"segs_pruned/op":  "segs_pruned_per_op",
-}
-
-// parseBenchOutput extracts value/unit pairs from benchmark result lines:
+// parseBenchOutput extracts value/unit pairs from benchmark result lines,
+// keyed by the unit as printed:
 //
-//	BenchmarkIngestBatch-4   3   1944027762 ns/op   36406 rows   18727 rows/s ...
+//	BenchmarkSelfObsOverhead-4   3   4000000000 ns/op   1.750 overhead_pct ...
 //
-// The -N GOMAXPROCS suffix is stripped so baselines are CPU-count
-// agnostic.
+// The -N GOMAXPROCS suffix is stripped so budgets are CPU-count agnostic.
 func parseBenchOutput(r *bufio.Scanner) (map[string]map[string]float64, error) {
 	out := map[string]map[string]float64{}
 	for r.Scan() {
@@ -132,96 +51,44 @@ func parseBenchOutput(r *bufio.Scanner) (map[string]map[string]float64, error) {
 		}
 		metrics := map[string]float64{}
 		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			if key, ok := unitToKey[fields[i+1]]; ok {
-				metrics[key] = v
+			if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
+				metrics[fields[i+1]] = v
 			}
 		}
-		if len(metrics) > 0 {
-			out[name] = metrics
-		}
+		out[name] = metrics
 	}
 	return out, r.Err()
 }
 
-// check compares one baseline against measured results and returns the
-// regression messages (empty = pass). Benchmarks missing from the run are
-// an error: a silently-skipped benchmark would let a deleted or renamed
-// benchmark pass forever.
-func check(base baseline, got map[string]map[string]float64, tol float64) []string {
+// check compares measured results against one budget and returns the
+// violations (empty = pass). A benchmark or metric missing from the run is
+// a violation: a deleted or renamed benchmark must not pass forever.
+func check(b budget, got map[string]map[string]float64) []string {
 	var fails []string
-	for name, want := range base.Benchmarks {
-		m, ok := got[name]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("%s: missing from bench output", name))
-			continue
-		}
-		for key, baseVal := range want {
-			lowerBetter, tracked := checkedMetrics[key]
-			if !tracked || baseVal == 0 {
-				continue
-			}
-			gotVal, ok := m[key]
+	bound := func(bounds map[string]map[string]float64, kind string, broken func(v, limit float64) bool) {
+		for name, limits := range bounds {
+			m, ok := got[name]
 			if !ok {
-				fails = append(fails, fmt.Sprintf("%s: metric %s missing from bench output", name, key))
+				fails = append(fails, fmt.Sprintf("%s: missing from bench output", name))
 				continue
 			}
-			ratio := gotVal / baseVal
-			if lowerBetter && ratio > 1+tol {
-				fails = append(fails, fmt.Sprintf("%s: %s regressed %.1f%% (%.0f -> %.0f, tolerance %.0f%%)",
-					name, key, (ratio-1)*100, baseVal, gotVal, tol*100))
-			}
-			if !lowerBetter && ratio < 1-tol {
-				fails = append(fails, fmt.Sprintf("%s: %s regressed %.1f%% (%.0f -> %.0f, tolerance %.0f%%)",
-					name, key, (1-ratio)*100, baseVal, gotVal, tol*100))
+			for key, limit := range limits {
+				v, ok := m[key]
+				if !ok {
+					fails = append(fails, fmt.Sprintf("%s: metric %s missing from bench output", name, key))
+				} else if broken(v, limit) {
+					fails = append(fails, fmt.Sprintf("%s: %s = %.2f breaks absolute %s %.2f", name, key, v, kind, limit))
+				}
 			}
 		}
 	}
-	for name, bounds := range base.Ceilings {
-		m, ok := got[name]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("%s: missing from bench output", name))
-			continue
-		}
-		for key, ceil := range bounds {
-			gotVal, ok := m[key]
-			if !ok {
-				fails = append(fails, fmt.Sprintf("%s: metric %s missing from bench output", name, key))
-				continue
-			}
-			if gotVal > ceil {
-				fails = append(fails, fmt.Sprintf("%s: %s = %.2f exceeds absolute ceiling %.2f",
-					name, key, gotVal, ceil))
-			}
-		}
-	}
-	for name, bounds := range base.Floors {
-		m, ok := got[name]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("%s: missing from bench output", name))
-			continue
-		}
-		for key, floor := range bounds {
-			gotVal, ok := m[key]
-			if !ok {
-				fails = append(fails, fmt.Sprintf("%s: metric %s missing from bench output", name, key))
-				continue
-			}
-			if gotVal < floor {
-				fails = append(fails, fmt.Sprintf("%s: %s = %.2f below absolute floor %.2f",
-					name, key, gotVal, floor))
-			}
-		}
-	}
+	bound(b.Ceilings, "ceiling", func(v, limit float64) bool { return v > limit })
+	bound(b.Floors, "floor", func(v, limit float64) bool { return v < limit })
 	return fails
 }
 
 func run() error {
 	input := flag.String("input", "bench_output.txt", "`go test -bench` output to check")
-	tol := flag.Float64("tolerance", 0.20, "allowed fractional regression per metric")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		return fmt.Errorf("usage: benchcheck [--input bench_output.txt] BENCH_x.json [...]")
@@ -243,14 +110,16 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		var base baseline
-		if err := json.Unmarshal(data, &base); err != nil {
+		var b budget
+		if err := json.Unmarshal(data, &b); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		fails := check(base, got, *tol)
+		if len(b.Ceilings)+len(b.Floors) == 0 {
+			return fmt.Errorf("%s: declares no ceilings or floors", path)
+		}
+		fails := check(b, got)
 		if len(fails) == 0 {
-			fmt.Printf("benchcheck: %s OK (%d benchmarks within %.0f%%)\n",
-				path, len(base.Benchmarks), *tol*100)
+			fmt.Printf("benchcheck: %s OK (%d bounds hold)\n", path, len(b.Ceilings)+len(b.Floors))
 			continue
 		}
 		failed = true
@@ -259,7 +128,7 @@ func run() error {
 		}
 	}
 	if failed {
-		return fmt.Errorf("benchmark regression against committed baseline")
+		return fmt.Errorf("benchmark outside its committed budget")
 	}
 	return nil
 }

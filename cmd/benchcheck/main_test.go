@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -10,8 +11,7 @@ const sampleOutput = `goos: linux
 goarch: amd64
 pkg: github.com/gt-elba/milliscope
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkIngestBatch-4    	       3	2000000000 ns/op	     36406 rows	     18000 rows/s	602993525 B/op	14823200 allocs/op
-BenchmarkIngestParallel   	       3	1000000000 ns/op	     36406 rows	     36000 rows/s
+BenchmarkFidelityReduction-4	       3	2000000000 ns/op	       119.1 reduction_x	     36406 full_rows
 BenchmarkSelfObsOverhead-4	       3	4000000000 ns/op	         1.750 overhead_pct	1950000000 disabled_ns	1990000000 instrumented_ns
 PASS
 ok  	github.com/gt-elba/milliscope	20.847s
@@ -28,157 +28,16 @@ func parse(t *testing.T) map[string]map[string]float64 {
 
 func TestParseBenchOutput(t *testing.T) {
 	got := parse(t)
-	if len(got) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3", len(got))
+	if len(got) != 2 {
+		t.Fatalf("parsed %d benchmarks, want 2", len(got))
 	}
-	if pct := got["BenchmarkSelfObsOverhead"]["overhead_pct"]; pct != 1.75 {
-		t.Errorf("overhead_pct = %v, want 1.75", pct)
-	}
-	// The -4 GOMAXPROCS suffix must be stripped.
-	batch, ok := got["BenchmarkIngestBatch"]
+	// The -4 GOMAXPROCS suffix must be stripped; units key the metrics.
+	m, ok := got["BenchmarkSelfObsOverhead"]
 	if !ok {
-		t.Fatalf("BenchmarkIngestBatch missing: %v", got)
+		t.Fatalf("BenchmarkSelfObsOverhead missing: %v", got)
 	}
 	for key, want := range map[string]float64{
-		"ns_per_op": 2000000000, "rows": 36406, "rows_per_sec": 18000,
-		"bytes_per_op": 602993525, "allocs_per_op": 14823200,
-	} {
-		if batch[key] != want {
-			t.Errorf("batch %s = %v, want %v", key, batch[key], want)
-		}
-	}
-}
-
-func mkBaseline(ns, rps float64) baseline {
-	return baseline{Benchmarks: map[string]map[string]float64{
-		"BenchmarkIngestBatch": {"ns_per_op": ns, "rows_per_sec": rps, "rows": 36406},
-	}}
-}
-
-func TestCheckDirections(t *testing.T) {
-	got := parse(t)
-	cases := []struct {
-		name  string
-		base  baseline
-		fails int
-	}{
-		{"within tolerance", mkBaseline(1900000000, 19000), 0},
-		{"big improvement passes", mkBaseline(9000000000, 1000), 0},
-		{"ns regression fails", mkBaseline(1000000000, 18000), 1},
-		{"throughput regression fails", mkBaseline(2000000000, 40000), 1},
-		{"both regress", mkBaseline(1000000000, 40000), 2},
-	}
-	for _, tc := range cases {
-		if n := len(check(tc.base, got, 0.20)); n != tc.fails {
-			t.Errorf("%s: %d failures, want %d: %v", tc.name, n, tc.fails, check(tc.base, got, 0.20))
-		}
-	}
-}
-
-func TestCheckMissingBenchmarkFails(t *testing.T) {
-	base := baseline{Benchmarks: map[string]map[string]float64{
-		"BenchmarkGone": {"ns_per_op": 1},
-	}}
-	if n := len(check(base, parse(t), 0.20)); n != 1 {
-		t.Fatalf("missing benchmark produced %d failures, want 1", n)
-	}
-}
-
-func TestCheckUntrackedMetricsIgnored(t *testing.T) {
-	// rows / B/op drift must never gate.
-	base := baseline{Benchmarks: map[string]map[string]float64{
-		"BenchmarkIngestBatch": {
-			"ns_per_op": 2000000000, "rows_per_sec": 18000,
-			"rows": 1, "bytes_per_op": 1,
-		},
-	}}
-	if fails := check(base, parse(t), 0.20); len(fails) != 0 {
-		t.Fatalf("untracked metrics gated the check: %v", fails)
-	}
-}
-
-func TestCheckAllocsDirection(t *testing.T) {
-	// allocs_per_op is tracked with lower-is-better direction: growth past
-	// the tolerance fails, shrinkage always passes.
-	got := parse(t)
-	mk := func(allocs float64) baseline {
-		return baseline{Benchmarks: map[string]map[string]float64{
-			"BenchmarkIngestBatch": {"allocs_per_op": allocs},
-		}}
-	}
-	if fails := check(mk(14823200/2), got, 0.20); len(fails) != 1 {
-		t.Errorf("alloc regression passed: %v", fails)
-	}
-	if fails := check(mk(14823200*2), got, 0.20); len(fails) != 0 {
-		t.Errorf("alloc improvement gated: %v", fails)
-	}
-}
-
-func TestCheckCeilings(t *testing.T) {
-	got := parse(t)
-	mk := func(bench, key string, ceil float64) baseline {
-		return baseline{Ceilings: map[string]map[string]float64{bench: {key: ceil}}}
-	}
-	cases := []struct {
-		name  string
-		base  baseline
-		fails int
-	}{
-		{"under ceiling passes", mk("BenchmarkSelfObsOverhead", "overhead_pct", 3.0), 0},
-		{"exact ceiling passes", mk("BenchmarkSelfObsOverhead", "overhead_pct", 1.75), 0},
-		{"over ceiling fails", mk("BenchmarkSelfObsOverhead", "overhead_pct", 1.0), 1},
-		{"missing benchmark fails", mk("BenchmarkGone", "overhead_pct", 3.0), 1},
-		{"missing metric fails", mk("BenchmarkSelfObsOverhead", "nope", 3.0), 1},
-	}
-	for _, tc := range cases {
-		if fails := check(tc.base, got, 0.20); len(fails) != tc.fails {
-			t.Errorf("%s: %d failures, want %d: %v", tc.name, len(fails), tc.fails, fails)
-		}
-	}
-	// Ceilings are absolute: tolerance must not loosen them.
-	if fails := check(mk("BenchmarkSelfObsOverhead", "overhead_pct", 1.0), got, 10.0); len(fails) != 1 {
-		t.Errorf("tolerance loosened a ceiling: %v", fails)
-	}
-}
-
-func TestCheckFloors(t *testing.T) {
-	got := parse(t)
-	mk := func(bench, key string, floor float64) baseline {
-		return baseline{Floors: map[string]map[string]float64{bench: {key: floor}}}
-	}
-	cases := []struct {
-		name  string
-		base  baseline
-		fails int
-	}{
-		{"above floor passes", mk("BenchmarkIngestBatch", "rows_per_sec", 17000), 0},
-		{"exact floor passes", mk("BenchmarkIngestBatch", "rows_per_sec", 18000), 0},
-		{"below floor fails", mk("BenchmarkIngestBatch", "rows_per_sec", 27124), 1},
-		{"missing benchmark fails", mk("BenchmarkGone", "rows_per_sec", 1), 1},
-		{"missing metric fails", mk("BenchmarkIngestBatch", "nope", 1), 1},
-	}
-	for _, tc := range cases {
-		if fails := check(tc.base, got, 0.20); len(fails) != tc.fails {
-			t.Errorf("%s: %d failures, want %d: %v", tc.name, len(fails), tc.fails, fails)
-		}
-	}
-	// Floors are absolute: tolerance must not loosen them.
-	if fails := check(mk("BenchmarkIngestBatch", "rows_per_sec", 27124), got, 10.0); len(fails) != 1 {
-		t.Errorf("tolerance loosened a floor: %v", fails)
-	}
-}
-
-func TestParsePerLineUnits(t *testing.T) {
-	out := `BenchmarkParseLine/apache_access-4  1000  812.5 ns/line  96.00 B/line  2.000 allocs/line
-PASS
-`
-	got, err := parseBenchOutput(bufio.NewScanner(strings.NewReader(out)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := got["BenchmarkParseLine/apache_access"]
-	for key, want := range map[string]float64{
-		"ns_per_line": 812.5, "bytes_per_line": 96, "allocs_per_line": 2,
+		"ns/op": 4000000000, "overhead_pct": 1.75, "disabled_ns": 1950000000,
 	} {
 		if m[key] != want {
 			t.Errorf("%s = %v, want %v", key, m[key], want)
@@ -186,27 +45,50 @@ PASS
 	}
 }
 
-func TestBaselineUnmarshalCeilings(t *testing.T) {
-	var b baseline
-	blob := `{"ceilings":{"BenchmarkSelfObsOverhead":{"overhead_pct":3.0}}}`
-	if err := b.UnmarshalJSON([]byte(blob)); err != nil {
-		t.Fatal(err)
+func TestCheckBounds(t *testing.T) {
+	got := parse(t)
+	ceil := func(bench, key string, v float64) budget {
+		return budget{Ceilings: map[string]map[string]float64{bench: {key: v}}}
 	}
-	if b.Ceilings["BenchmarkSelfObsOverhead"]["overhead_pct"] != 3.0 {
-		t.Fatalf("ceilings lost: %v", b.Ceilings)
+	floor := func(bench, key string, v float64) budget {
+		return budget{Floors: map[string]map[string]float64{bench: {key: v}}}
+	}
+	cases := []struct {
+		name  string
+		b     budget
+		fails int
+	}{
+		{"under ceiling passes", ceil("BenchmarkSelfObsOverhead", "overhead_pct", 3.0), 0},
+		{"exact ceiling passes", ceil("BenchmarkSelfObsOverhead", "overhead_pct", 1.75), 0},
+		{"over ceiling fails", ceil("BenchmarkSelfObsOverhead", "overhead_pct", 1.0), 1},
+		{"ceiling: missing benchmark fails", ceil("BenchmarkGone", "overhead_pct", 3.0), 1},
+		{"ceiling: missing metric fails", ceil("BenchmarkSelfObsOverhead", "nope", 3.0), 1},
+		{"above floor passes", floor("BenchmarkFidelityReduction", "reduction_x", 10), 0},
+		{"exact floor passes", floor("BenchmarkFidelityReduction", "reduction_x", 119.1), 0},
+		{"below floor fails", floor("BenchmarkFidelityReduction", "reduction_x", 200), 1},
+		{"floor: missing benchmark fails", floor("BenchmarkGone", "reduction_x", 1), 1},
+		{"floor: missing metric fails", floor("BenchmarkFidelityReduction", "nope", 1), 1},
+	}
+	for _, tc := range cases {
+		if fails := check(tc.b, got); len(fails) != tc.fails {
+			t.Errorf("%s: %d failures, want %d: %v", tc.name, len(fails), tc.fails, fails)
+		}
 	}
 }
 
-func TestBaselineUnmarshalSkipsNotes(t *testing.T) {
-	var b baseline
-	blob := `{"date":"2026-08-05","benchmarks":{"BenchmarkX":{"ns_per_op":5,"notes":"free text"}}}`
-	if err := b.UnmarshalJSON([]byte(blob)); err != nil {
+// TestBudgetUnmarshal: the committed files carry documentation fields
+// (date, corpus, per-benchmark notes) next to the bounds; only the bounds
+// are read.
+func TestBudgetUnmarshal(t *testing.T) {
+	var b budget
+	blob := `{"date":"2026-08-05","benchmarks":{"BenchmarkX":{"notes":"free text"}},
+		"ceilings":{"BenchmarkSelfObsOverhead":{"overhead_pct":3.0}},
+		"floors":{"BenchmarkFidelityReduction":{"reduction_x":10}}}`
+	if err := json.Unmarshal([]byte(blob), &b); err != nil {
 		t.Fatal(err)
 	}
-	if b.Benchmarks["BenchmarkX"]["ns_per_op"] != 5 {
-		t.Fatalf("numeric metric lost: %v", b.Benchmarks)
-	}
-	if _, ok := b.Benchmarks["BenchmarkX"]["notes"]; ok {
-		t.Fatal("non-numeric field leaked into metrics")
+	if b.Ceilings["BenchmarkSelfObsOverhead"]["overhead_pct"] != 3.0 ||
+		b.Floors["BenchmarkFidelityReduction"]["reduction_x"] != 10 {
+		t.Fatalf("bounds lost: %+v", b)
 	}
 }

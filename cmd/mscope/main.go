@@ -269,7 +269,7 @@ func cmdPlan(args []string) error {
 func cmdIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ContinueOnError)
 	logs := fs.String("logs", "", "log directory (required)")
-	work := fs.String("work", "", "work directory for XML/CSV stages (required)")
+	work := fs.String("work", "", "work directory: quarantine sinks and --materialize artifacts (required)")
 	dbPath := fs.String("db", "", "output warehouse file (required unless --spill-dir is set)")
 	spillDir := fs.String("spill-dir", "",
 		"segment-store directory: stream full segments to disk during ingest instead of keeping all rows in memory (resumable across runs)")
@@ -278,9 +278,9 @@ func cmdIngest(args []string) error {
 	budget := fs.Float64("budget", 0, "quarantine error budget (corrupt-line ratio per file; 0 = default 5%)")
 	qdir := fs.String("quarantine", "", "quarantine sink directory (default: WORK/quarantine)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
-		"parallel ingest workers (1 = serial; output is identical either way)")
+		"ingest workers (1 = one worker, no sharding; output identical either way)")
 	materialize := fs.Bool("materialize", false,
-		"write staged XML/CSV artifacts to WORK instead of streaming parser output straight to the warehouse")
+		"also write the staged XML/CSV artifacts to WORK")
 	selfLog := fs.String("self-log", "",
 		"write milliScope's own span telemetry to this file (or directory) as an ingestable log")
 	if err := fs.Parse(args); err != nil {

@@ -276,24 +276,6 @@ func (a *Agent) run() {
 
 var errRejected = fmt.Errorf("agentd: handshake rejected")
 
-// countingConn counts raw bytes both ways for the wire metrics.
-type countingConn struct {
-	net.Conn
-	tx, rx *atomic.Int64
-}
-
-func (c countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.rx.Add(int64(n))
-	return n, err
-}
-
-func (c countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.tx.Add(int64(n))
-	return n, err
-}
-
 // session drives one connection from handshake to drain or death. All
 // per-source state (tailers, parser pipes, pending records) is scoped to
 // the session: a reconnect rebuilds everything from the collector's
@@ -321,7 +303,7 @@ type session struct {
 func (a *Agent) session(nc net.Conn) error {
 	a.conn.Store(nc)
 	defer nc.Close()
-	c := wire.NewConn(countingConn{Conn: nc, tx: &a.wireTx, rx: &a.wireRx})
+	c := wire.NewConn(wire.CountingConn{Conn: nc, Tx: &a.wireTx, Rx: &a.wireRx})
 	if err := c.Write(wire.TypeHello, wire.EncodeHello(wire.Hello{
 		Version: wire.Version, AgentID: a.cfg.ID, Token: a.cfg.Token,
 	})); err != nil {
@@ -1149,22 +1131,7 @@ func (a *Agent) Handler() http.Handler {
 			"wire":    st.Connected,
 			"running": !stopped,
 		}
-		writeHealth(w, probes, st.Connected && !stopped)
+		promfmt.WriteHealth(w, probes, st.Connected && !stopped)
 	})
 	return mux
-}
-
-// writeHealth renders one readiness body: every probe with its state,
-// HTTP 200 iff all hold.
-func writeHealth(w http.ResponseWriter, probes map[string]bool, ok bool) {
-	w.Header().Set("Content-Type", "application/json")
-	if !ok {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(struct {
-		OK     bool            `json:"ok"`
-		Probes map[string]bool `json:"probes"`
-	}{OK: ok, Probes: probes})
 }

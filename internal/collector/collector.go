@@ -288,7 +288,7 @@ func (col *Collector) acceptLoop() {
 		c := &conn{
 			col:     col,
 			nc:      nc,
-			c:       wire.NewConn(countingConn{Conn: nc, tx: &col.wireTx, rx: &col.wireRx}),
+			c:       wire.NewConn(wire.CountingConn{Conn: nc, Tx: &col.wireTx, Rx: &col.wireRx}),
 			sources: make(map[uint32]*connSource),
 		}
 		c.cond = sync.NewCond(&c.mu)
@@ -367,24 +367,6 @@ func (col *Collector) releaseOwner(keys []string, c *conn) {
 			delete(col.owners, k)
 		}
 	}
-}
-
-// countingConn counts raw bytes both ways for the wire metrics.
-type countingConn struct {
-	net.Conn
-	tx, rx *atomic.Int64
-}
-
-func (c countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.rx.Add(int64(n))
-	return n, err
-}
-
-func (c countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.tx.Add(int64(n))
-	return n, err
 }
 
 // outFrame is one queued collector→agent frame.
@@ -793,25 +775,10 @@ func (col *Collector) Handler() http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		listening := !col.stopping() && col.ln != nil
 		running := col.pipe.Status().Running
-		writeHealth(w, map[string]bool{
+		promfmt.WriteHealth(w, map[string]bool{
 			"wire":   listening,
 			"engine": running,
 		}, listening && running)
 	})
 	return mux
-}
-
-// writeHealth renders one readiness body: every probe with its
-// state, HTTP 200 iff all hold.
-func writeHealth(w http.ResponseWriter, probes map[string]bool, ok bool) {
-	w.Header().Set("Content-Type", "application/json")
-	if !ok {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(struct {
-		OK     bool            `json:"ok"`
-		Probes map[string]bool `json:"probes"`
-	}{OK: ok, Probes: probes})
 }

@@ -1,7 +1,9 @@
 // Package importer implements the mScope Data Importer: the last pipeline
-// stage, which creates warehouse tables from inferred schemas and
-// bulk-loads the converter's CSV files, recording provenance in the
-// mscope_ingests static table.
+// stage, which attaches tables to the warehouse and records provenance in
+// the mscope_ingests static table. The batch ingest builds its tables in
+// memory and calls Install; LoadFile, which bulk-loads the converter's CSV
+// files, is the independent reader half that tests re-load exported
+// artifacts through.
 package importer
 
 import (
@@ -10,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/simtime"
@@ -27,18 +28,17 @@ type Loaded struct {
 // The CSV header must match the schema's column order exactly — the
 // converter wrote both, so a mismatch means the files are unrelated.
 func LoadFile(db *mscopedb.DB, csvPath, schemaPath string) (Loaded, error) {
-	var out Loaded
-	tbl, err := BuildTable(csvPath, schemaPath)
+	tbl, err := buildTable(csvPath, schemaPath)
 	if err != nil {
-		return out, err
+		return Loaded{}, err
 	}
 	return Install(db, tbl, csvPath)
 }
 
-// Install attaches a worker-built table to db and records its provenance:
-// the sequenced half of LoadFile. The parallel ingest calls BuildTable
-// from concurrent workers and Install from the single in-order appender,
-// so the warehouse and its ledger mutate exactly as under serial LoadFile.
+// Install attaches a built table to db and records its provenance. The
+// batch ingest builds tables on concurrent workers and calls Install from
+// its single in-order appender, so the warehouse and its ledger mutate in
+// sorted-file order whatever the worker count.
 func Install(db *mscopedb.DB, tbl *mscopedb.Table, csvPath string) (Loaded, error) {
 	var out Loaded
 	if err := db.Install(tbl); err != nil {
@@ -46,17 +46,17 @@ func Install(db *mscopedb.DB, tbl *mscopedb.Table, csvPath string) (Loaded, erro
 	}
 	out.Table = tbl.Name()
 	out.Rows = tbl.Rows()
-	if err := db.RecordIngest(tbl.Name(), csvPath, out.Rows, loadStamp()); err != nil {
+	// Loads are stamped with the simulation epoch, not the wall clock: the
+	// warehouse must be reproducible byte for byte across runs.
+	if err := db.RecordIngest(tbl.Name(), csvPath, out.Rows, simtime.Epoch); err != nil {
 		return out, fmt.Errorf("importer: record ingest: %w", err)
 	}
 	return out, nil
 }
 
-// BuildTable loads the converter's CSV into a standalone table built from
-// the schema, touching no warehouse. It is the worker half of the parallel
-// ingest's batched append path: concurrent workers call BuildTable, the
-// sequenced appender calls DB.Install with the result.
-func BuildTable(csvPath, schemaPath string) (*mscopedb.Table, error) {
+// buildTable loads the converter's CSV into a standalone table built from
+// the schema, touching no warehouse.
+func buildTable(csvPath, schemaPath string) (*mscopedb.Table, error) {
 	schema, cols, err := xmlcsv.ReadSchema(schemaPath)
 	if err != nil {
 		return nil, err
@@ -103,8 +103,3 @@ func BuildTable(csvPath, schemaPath string) (*mscopedb.Table, error) {
 	}
 	return tbl, nil
 }
-
-// loadStamp returns the provenance timestamp. The warehouse content must
-// be reproducible byte-for-byte across runs, so loads are stamped with the
-// simulation epoch rather than the host's wall clock.
-func loadStamp() time.Time { return simtime.Epoch }

@@ -4,7 +4,8 @@ package mscopedb
 // costs (encode + spill throughput, bytes per row vs the legacy gob
 // image) and what zone-map pruning buys (a 1-second window query over a
 // multi-segment corpus against a scan that decodes every segment).
-// BENCH_db.json pins the headline numbers; `make bench-check` gates them.
+// bench/ gates the same quantities end to end: stored_bytes_per_row on every
+// workload, and the mscopedb.* per-layer metrics (bench/README.md).
 
 import (
 	"fmt"
@@ -51,7 +52,7 @@ func fillBenchEvents(b *testing.B, tbl *Table, n int) {
 
 // segmentBytes sums the on-disk size of the store's committed segment
 // files (seg-*.seg), excluding the manifest and tail snapshots — the
-// per-row encoding cost BENCH_db.json budgets.
+// per-row encoding cost (bench/'s mscopedb.disk_bytes_per_row).
 func segmentBytes(b *testing.B, dir string) int64 {
 	b.Helper()
 	entries, err := os.ReadDir(dir)

@@ -97,10 +97,9 @@ func (db *DB) Create(name string, cols []Column) (*Table, error) {
 }
 
 // Install attaches a fully built table under its name; the name must be
-// new. It is the batched append path of the parallel ingest: workers build
-// tables off to the side and the single sequenced appender installs each
-// one whole, so the warehouse mutates in exactly the order a serial
-// Create+Append ingest would produce.
+// new. It is the batch ingest's append path: workers build tables off to
+// the side and the single sequenced appender installs each one whole, so
+// the warehouse mutates in sorted-file order whatever the worker count.
 func (db *DB) Install(t *Table) error {
 	if t == nil {
 		return fmt.Errorf("mscopedb: install nil table")

@@ -86,9 +86,8 @@ func benchFormats() []benchFormat {
 
 // BenchmarkParseLine measures every DefaultPlan format through its real
 // parser, reporting per-input-line cost. The emit sink releases entries
-// like the direct ingest path does, so the field pool is in play exactly
-// as in production. Gated by BENCH_parsers.json ceilings via
-// `make bench-check`.
+// like the batch ingest does, so the field pool is in play exactly as in
+// production. bench/ reports the same cost as parsers.<format>_ns_per_line.
 func BenchmarkParseLine(b *testing.B) {
 	for _, f := range benchFormats() {
 		f := f

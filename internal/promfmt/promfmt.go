@@ -4,14 +4,32 @@
 // conventions the conformance tests pin: every family name carries the
 // mscope_ prefix, every family emits exactly one # HELP and one # TYPE
 // line immediately before its samples, and families never interleave.
+// The same surfaces share their /healthz body through WriteHealth.
 package promfmt
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// WriteHealth renders the readiness body every daemon's /healthz serves:
+// each probe with its state, HTTP 200 iff ok.
+func WriteHealth(w http.ResponseWriter, probes map[string]bool, ok bool) {
+	w.Header().Set("Content-Type", "application/json")
+	if !ok {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	_ = enc.Encode(struct {
+		OK     bool            `json:"ok"`
+		Probes map[string]bool `json:"probes"`
+	}{OK: ok, Probes: probes})
+}
 
 // Writer accumulates one exposition body. The zero value is ready to
 // use.

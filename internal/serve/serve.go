@@ -491,16 +491,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		probes["warehouse"] = s.cfg.DB != nil
 		ok = s.cfg.DB != nil
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if !ok {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(struct {
-		OK     bool            `json:"ok"`
-		Probes map[string]bool `json:"probes"`
-	}{OK: ok, Probes: probes})
+	promfmt.WriteHealth(w, probes, ok)
 }
 
 // MetricsText renders the serve surface's own families through the

@@ -19,8 +19,8 @@ func benchGet(b *testing.B, s *Server, path string) {
 
 // BenchmarkQueryWindow measures the /api/window endpoint end to end —
 // predicate pruning through the sorted time index plus the vectorized
-// window aggregation — over the full-size dbio warehouse. Gated by
-// BENCH_query.json under `make bench-check`.
+// window aggregation — over the full-size dbio warehouse. bench/'s
+// query-mix workload gates the latency (serve.window_*_ms_p50).
 func BenchmarkQueryWindow(b *testing.B) {
 	s := smokeServer(b)
 	path := "/api/window?table=apache_event&value=rt_us&fn=p99&window=50ms"

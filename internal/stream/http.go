@@ -238,25 +238,10 @@ func (p *Pipeline) Healthz(w http.ResponseWriter, r *http.Request) {
 	p.mu.Lock()
 	running := p.running && !p.stopped
 	p.mu.Unlock()
-	writeHealth(w, map[string]bool{
+	promfmt.WriteHealth(w, map[string]bool{
 		"warehouse": p.db != nil,
 		"detector":  running,
 	}, running && p.db != nil)
-}
-
-// writeHealth renders one readiness body: every probe with its state,
-// HTTP 200 iff all hold.
-func writeHealth(w http.ResponseWriter, probes map[string]bool, ok bool) {
-	w.Header().Set("Content-Type", "application/json")
-	if !ok {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(struct {
-		OK     bool            `json:"ok"`
-		Probes map[string]bool `json:"probes"`
-	}{OK: ok, Probes: probes})
 }
 
 // Handler serves the live endpoints: /status and /alerts as JSON,

@@ -1,0 +1,320 @@
+package transform
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/gt-elba/milliscope/internal/importer"
+	"github.com/gt-elba/milliscope/internal/logfmt"
+	"github.com/gt-elba/milliscope/internal/mscopedb"
+	"github.com/gt-elba/milliscope/internal/mxml"
+	"github.com/gt-elba/milliscope/internal/parsers"
+	"github.com/gt-elba/milliscope/internal/selfobs"
+	"github.com/gt-elba/milliscope/internal/simtime"
+	"github.com/gt-elba/milliscope/internal/xmlcsv"
+)
+
+// writeNastyDir stages bytes that make the XML and CSV round trips of the
+// exported artifacts non-trivial: invalid UTF-8, XML-illegal control
+// characters, and multi-byte runes inside URL fields. What the engine
+// loads must equal what re-reading its export gives.
+func writeNastyDir(t *testing.T) string {
+	t.Helper()
+	nasty := []string{
+		"/p\x80q",            // lone continuation byte
+		"/a\xff\xfeb",        // invalid lead bytes
+		"/bell\x01end",       // XML-illegal control char
+		"/del\x7fok",         // legal control-adjacent byte
+		"/caf\xc3\xa9/日",     // valid multi-byte runes
+		"/truncated\xe6\x97", // truncated multi-byte rune
+	}
+	var b strings.Builder
+	for i, u := range nasty {
+		ua := simtime.Epoch.Add(time.Duration(i) * 3 * time.Millisecond)
+		ud := ua.Add(time.Duration(i+1) * time.Millisecond)
+		ds := ua.Add(500 * time.Microsecond)
+		b.WriteString(logfmt.ApacheAccess("10.0.0.9", "GET", u, 200, 1000+i, ua, ud, ds, ud))
+		b.WriteByte('\n')
+	}
+	return writeLogDir(t, map[string]string{"nasty_access.log": b.String()})
+}
+
+// engineRun is one IngestDirWithOptions into a fresh warehouse.
+type engineRun struct {
+	db    *mscopedb.DB
+	rep   Report
+	err   error
+	sinks map[string]string
+}
+
+func runEngine(t *testing.T, logDir, workDir string, opts Options) engineRun {
+	t.Helper()
+	opts.QuarantineDir = filepath.Join(t.TempDir(), "q")
+	r := engineRun{db: mscopedb.Open()}
+	r.rep, r.err = IngestDirWithOptions(r.db, logDir, workDir, DefaultPlan(), opts)
+	r.sinks = readDirContents(t, opts.QuarantineDir)
+	return r
+}
+
+// assertRunsEqual is half (a) of the suite: error, report, quarantine
+// sinks, ledger offsets and the byte-exact warehouse dump do not depend on
+// the worker count (or on whether the artifacts were exported).
+func assertRunsEqual(t *testing.T, logDir string, want, got engineRun) {
+	t.Helper()
+	if (want.err == nil) != (got.err == nil) || (want.err != nil && want.err.Error() != got.err.Error()) {
+		t.Fatalf("ingest errors differ:\nwant %v\ngot  %v", want.err, got.err)
+	}
+	reportsEqual(t, want.rep, got.rep)
+	if fmt.Sprintf("%v", want.sinks) != fmt.Sprintf("%v", got.sinks) {
+		t.Errorf("quarantine sinks differ:\nwant %v\ngot  %v", want.sinks, got.sinks)
+	}
+	names, err := os.ReadDir(logDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range names {
+		full := filepath.Join(logDir, e.Name())
+		offW, okW := want.db.LatestIngestOffset(full)
+		offG, okG := got.db.LatestIngestOffset(full)
+		if offW != offG || okW != okG {
+			t.Errorf("ledger offset for %s: want %d/%v got %d/%v", e.Name(), offW, okW, offG, okG)
+		}
+	}
+	if dw, dg := dumpBytes(t, want.db), dumpBytes(t, got.db); !bytes.Equal(dw, dg) {
+		t.Errorf("warehouse dumps differ: want %d bytes, got %d bytes", len(dw), len(dg))
+	}
+}
+
+// assertSameBytes fails unless the exported artifact equals its reference.
+func assertSameBytes(t *testing.T, exported, reference string) {
+	t.Helper()
+	got, err := os.ReadFile(exported)
+	if err != nil {
+		t.Fatalf("exported artifact missing: %v", err)
+	}
+	want, err := os.ReadFile(reference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from reference %s (%d vs %d bytes)", exported, reference, len(got), len(want))
+	}
+}
+
+// assertExportReloads is half (b): the reader half of §III-B is the
+// oracle. Every file the engine loaded exported an annotated-XML document;
+// xmlcsv.ConvertFile over it must rewrite the exported CSV and schema byte
+// for byte, and importer.LoadFile of those must give the table the engine
+// installed, cell for cell.
+func assertExportReloads(t *testing.T, workDir string, r engineRun) {
+	t.Helper()
+	oracleDir := t.TempDir()
+	oracle := mscopedb.Open()
+	for _, fr := range r.rep.Files {
+		if fr.MXMLPath == "" {
+			t.Fatalf("%s: materialized run exported no document", fr.Input)
+		}
+		conv, err := xmlcsv.ConvertFile(fr.MXMLPath, oracleDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range [][2]string{
+			{filepath.Join(workDir, fr.Table+".csv"), conv.CSVPath},
+			{filepath.Join(workDir, fr.Table+".schema.json"), conv.SchemaPath},
+		} {
+			assertSameBytes(t, pair[0], pair[1])
+		}
+		tbl, err := r.db.Table(fr.Table)
+		if err != nil {
+			// A later fail-fast abort can leave an accepted file unloaded.
+			continue
+		}
+		if _, err := importer.LoadFile(oracle, conv.CSVPath, conv.SchemaPath); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := oracle.Table(fr.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(tbl.Columns()) != fmt.Sprint(ref.Columns()) || tbl.Rows() != ref.Rows() {
+			t.Fatalf("%s: engine %v x %d rows, oracle %v x %d rows",
+				fr.Table, tbl.Columns(), tbl.Rows(), ref.Columns(), ref.Rows())
+		}
+		for c := range tbl.Columns() {
+			for row := 0; row < tbl.Rows(); row++ {
+				if g, w := tbl.Value(c, row), ref.Value(c, row); g != w {
+					t.Fatalf("%s[%d][%d]: engine %v, oracle %v", fr.Table, row, c, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestEngineMatchesOracle is the one equivalence suite of the batch
+// ingest: each case runs with one worker (every file streamed whole) as
+// the reference, with four workers and 64-byte chunks (every chunkable
+// file sharded and stitched), and again with the staged artifacts
+// exported, which are then re-loaded through the independent reader half.
+func TestEngineMatchesOracle(t *testing.T) {
+	abortDir := writeLogDir(t, map[string]string{
+		// The first file loads; the second aborts a fail-fast ingest and
+		// leaves a partial warehouse behind.
+		"apache_access.log": string(apacheCorpus(120, 0)),
+		"mysql_slow.log":    string(mysqlCorpus(60, 6)),
+	})
+	cases := []struct {
+		name   string
+		logDir string
+		budget float64
+	}{
+		{"clean", writeSyntheticDir(t, false), 0},
+		{"corrupted", writeSyntheticDir(t, true), 0.5},
+		{"nasty-bytes", writeNastyDir(t), 0},
+		{"tight-budget", writeSyntheticDir(t, true), 0.01},
+		{"fail-fast-abort", abortDir, 0.5},
+	}
+	for _, tc := range cases {
+		for _, policy := range []Policy{FailFast, Quarantine} {
+			t.Run(tc.name+"/"+policy.String(), func(t *testing.T) {
+				// One work dir: ledger rows embed artifact paths under it.
+				workDir := t.TempDir()
+				base := Options{Policy: policy, ErrorBudget: tc.budget}
+				one, four := base, base
+				one.Workers = 1
+				four.Workers, four.ChunkSize = 4, 64
+
+				ref := runEngine(t, tc.logDir, workDir, one)
+				assertRunsEqual(t, tc.logDir, ref, runEngine(t, tc.logDir, workDir, four))
+				for _, o := range []Options{one, four} {
+					o.Materialize = true
+					exp := runEngine(t, tc.logDir, workDir, o)
+					for i := range exp.rep.Files {
+						if want := filepath.Join(workDir, exp.rep.Files[i].Table+".mxml"); exp.rep.Files[i].MXMLPath != want {
+							t.Errorf("exported document at %q, want %q", exp.rep.Files[i].MXMLPath, want)
+						}
+					}
+					assertExportReloads(t, workDir, exp)
+					for i := range exp.rep.Files {
+						exp.rep.Files[i].MXMLPath = "" // only an exporting run reports one
+					}
+					assertRunsEqual(t, tc.logDir, ref, exp)
+				}
+			})
+		}
+	}
+}
+
+// referenceMXML is the writer half of the staged pipeline as the seed ran
+// it — the bound parser emitting straight into an mxml.Writer — kept as
+// the oracle for the exported document's bytes.
+func referenceMXML(t *testing.T, path string, b Binding, dir string) string {
+	t.Helper()
+	p, err := parsers.Get(b.Parser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	host := HostOf(path, b)
+	out := filepath.Join(dir, host+"_"+b.TableSuffix+".mxml")
+	f, err := os.Create(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w := mxml.NewWriter(f)
+	if err := w.Open(mxml.Meta{Source: b.Source, Host: host, Table: host + "_" + b.TableSuffix}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Parse(in, b.Instructions, w.WriteEntry); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestMaterializeArtifactsGolden pins --materialize to the staged
+// pipeline's outputs: the XML, CSV and schema artifacts the engine exports
+// must be byte-identical to what the parser writing an mxml document and
+// ConvertFile reading it produce for the same inputs — on the synthetic
+// directory (whole and sharded) and on every committed golden input.
+func TestMaterializeArtifactsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		logDir string
+		opts   Options
+	}{
+		{"synthetic", writeSyntheticDir(t, false), Options{Materialize: true}},
+		{"synthetic-sharded", writeSyntheticDir(t, false), Options{Materialize: true, Workers: 4, ChunkSize: 2 << 10}},
+		{"golden-inputs", goldenDir, Options{Materialize: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ingWork := t.TempDir()
+			rep, err := IngestDirWithOptions(mscopedb.Open(), tc.logDir, ingWork, DefaultPlan(), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Files) == 0 {
+				t.Fatal("materialized ingest transformed nothing")
+			}
+			refWork := t.TempDir()
+			for _, fr := range rep.Files {
+				b, ok := DefaultPlan().Find(fr.Input)
+				if !ok {
+					t.Fatalf("no binding for %s", fr.Input)
+				}
+				refMXML := referenceMXML(t, fr.Input, b, refWork)
+				conv, err := xmlcsv.ConvertFile(refMXML, refWork)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, pair := range [][2]string{
+					{fr.MXMLPath, refMXML},
+					{filepath.Join(ingWork, fr.Table+".csv"), conv.CSVPath},
+					{filepath.Join(ingWork, fr.Table+".schema.json"), conv.SchemaPath},
+				} {
+					assertSameBytes(t, pair[0], pair[1])
+				}
+			}
+		})
+	}
+}
+
+// TestOneWorkerNeverShards pins the shard decision, and with it the
+// allocation profile the benchmark gates: a file of many chunks ingested
+// with one worker streams whole (no chunkparse span), with four it shards.
+func TestOneWorkerNeverShards(t *testing.T) {
+	logDir := writeSyntheticDir(t, false) // apache_access.log is ~80 KB
+	for _, tc := range []struct {
+		workers int
+		sharded bool
+	}{{0, false}, {1, false}, {4, true}} {
+		c := selfobs.Enable("shard-decision", time.Unix(0, 0).UTC())
+		_, err := IngestDirWithOptions(mscopedb.Open(), logDir, t.TempDir(), DefaultPlan(),
+			Options{Workers: tc.workers, ChunkSize: 2 << 10})
+		selfobs.Disable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if _, err := c.WriteLog(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(sb.String(), "stage=chunkparse"); got != tc.sharded {
+			t.Errorf("workers=%d: chunkparse span present = %v, want %v", tc.workers, got, tc.sharded)
+		}
+		if !strings.Contains(sb.String(), "stage=build") {
+			t.Errorf("workers=%d: ingest was not observed at all", tc.workers)
+		}
+	}
+}

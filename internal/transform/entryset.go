@@ -1,26 +1,19 @@
 package transform
 
-// direct.go is the default ingest path since the direct-path rework: the
-// parser's entries flow straight into schema inference and a columnar
-// table build, fusing the staged pipeline's annotated-XML write, XML
-// re-read, CSV write and CSV re-read into one in-memory pass. The staged
-// artifacts remain available behind Options.Materialize, and the
-// differential conformance suite proves both paths produce byte-identical
-// warehouses.
-//
-// Byte identity is not free: the staged path round-trips every field name
-// and value through xml.EscapeText → xml.Decoder and then through
-// encoding/csv. Those round trips are not the identity function on
-// arbitrary bytes (invalid UTF-8 and XML-illegal runes become U+FFFD;
-// CR LF inside a quoted CSV cell collapses to LF), so the direct path
-// applies the same normalizations in memory — normalizeXML and
-// csvRoundTrip below — instead of paying two encode/decode cycles per
-// record to get them for free.
+// The parser's entries flow straight into schema inference and a columnar
+// table build, in memory. The annotated-XML and CSV files of §III-B are an
+// export of that entry set (Options.Materialize), and the warehouse must
+// equal what re-loading those files would give. The file round trips are
+// not the identity on arbitrary bytes — xml.EscapeText → xml.Decoder turns
+// invalid UTF-8 and XML-illegal runes into U+FFFD; encoding/csv collapses
+// CR LF inside a quoted cell to LF — so the same normalizations are applied
+// in memory: normalizeXML and csvRoundTrip below.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"unicode/utf8"
 
@@ -90,8 +83,8 @@ type entrySet struct {
 	// ends[i] is the arena offset one past entry i's last field.
 	ends []int
 	inf  *xmlcsv.Inference
-	// emptyName records that some field had an empty name, which the
-	// staged path rejects when re-reading the document.
+	// emptyName records that some field had an empty name, which reading
+	// the exported document back rejects.
 	emptyName bool
 }
 
@@ -100,21 +93,13 @@ func newEntrySet() *entrySet { return &entrySet{inf: xmlcsv.NewInference()} }
 func (s *entrySet) len() int { return len(s.ends) }
 
 // reserve pre-sizes the arena for entries records totalling fields
-// fields. Callers that already hold the parsed records (the sharded
-// path's stitch) know both counts exactly; reserving once replaces the
-// append doubling chain — and its large-block clear+copy cost, the top
-// CPU item in the parallel-ingest profile — with a single allocation.
+// fields. The sharded parse's stitch holds the parsed records and knows
+// both counts exactly; reserving once replaces the append doubling chain
+// — and its large-block clear+copy cost, the top CPU item in the
+// sharded-ingest profile — with a single allocation.
 func (s *entrySet) reserve(entries, fields int) {
-	if cap(s.fields)-len(s.fields) < fields {
-		grown := make([]mxml.Field, len(s.fields), len(s.fields)+fields)
-		copy(grown, s.fields)
-		s.fields = grown
-	}
-	if cap(s.ends)-len(s.ends) < entries {
-		grown := make([]int, len(s.ends), len(s.ends)+entries)
-		copy(grown, s.ends)
-		s.ends = grown
-	}
+	s.fields = slices.Grow(s.fields, fields)
+	s.ends = slices.Grow(s.ends, entries)
 }
 
 // add is the parser's Emit sink: normalize, copy into the arena, observe,
@@ -135,9 +120,31 @@ func (s *entrySet) add(e mxml.Entry) error {
 	return nil
 }
 
+// replay feeds a stitched sharded parse — malformed regions, then entries,
+// each already in whole-file order — through the sinks a streamed parse
+// calls as it goes, so both leave the same sink bytes and the same set.
+func (s *entrySet) replay(entries []mxml.Entry, regions []parsers.Malformed, rec parsers.Recover) error {
+	for _, m := range regions {
+		if err := rec(m); err != nil {
+			return err
+		}
+	}
+	nf := 0
+	for _, e := range entries {
+		nf += len(e.Fields)
+	}
+	s.reserve(len(entries), nf)
+	for _, e := range entries {
+		if err := s.add(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // columns finalizes schema inference, reproducing the converter's failure
 // modes (and exact errors) for degenerate documents. mxmlPath is the path
-// the staged pipeline would have written — reported, never created.
+// an export writes the document to — reported, not necessarily created.
 func (s *entrySet) columns(mxmlPath string) ([]mscopedb.Column, error) {
 	if s.emptyName {
 		return nil, fmt.Errorf("xmlcsv: read %s: mxml: field without name", mxmlPath)
@@ -152,8 +159,8 @@ func (s *entrySet) columns(mxmlPath string) ([]mscopedb.Column, error) {
 // buildTable materializes the collected entries as a columnar table:
 // preallocated to the known row count, cells rendered in schema order
 // with the converter's last-value-wins rule for duplicate field names.
-// csvPath is the path the staged pipeline would have written — used only
-// in error messages and ledger rows.
+// csvPath is the path an export writes the CSV to — used only in error
+// messages and ledger rows.
 func (s *entrySet) buildTable(table string, cols []mscopedb.Column, csvPath string) (*mscopedb.Table, error) {
 	tbl, err := mscopedb.NewTable(table, cols)
 	if err != nil {
@@ -181,67 +188,42 @@ func (s *entrySet) buildTable(table string, cols []mscopedb.Column, csvPath stri
 	return tbl, nil
 }
 
-// directParse runs stage 2 for the direct path: parse one file into an
-// entrySet under the active policy. It mirrors TransformFile /
-// transformFileDegraded — same side effects (quarantine sinks), same
-// policy decisions, same error strings — minus the annotated-XML file.
-func directParse(path string, b Binding, workDir string, opts Options, set *entrySet) (FileResult, error) {
-	var out FileResult
-	p, err := parsers.Get(b.Parser)
-	if err != nil {
-		return out, err
-	}
-	if err := os.MkdirAll(workDir, 0o755); err != nil {
-		return out, fmt.Errorf("transform: create work dir: %w", err)
-	}
-	table := hostOf(path, b) + "_" + b.TableSuffix
-
-	if opts.Policy != Quarantine {
-		return directParseStrict(path, p, b, table, set)
-	}
-	dp, degradable := p.(parsers.DegradedParser)
-	if !degradable {
-		// Customized parsers without a degraded mode keep strict semantics;
-		// under Quarantine their failure costs the file, not the ingest.
-		fr, err := directParseStrict(path, p, b, table, set)
-		if err != nil {
-			return out, fmt.Errorf("transform: %s: %w: parser %q has no degraded mode: %v",
-				path, ErrFileRejected, b.Parser, err)
+// each yields the collected entries in file order.
+func (s *entrySet) each(yield func(mxml.Entry) error) error {
+	start := 0
+	for _, end := range s.ends {
+		if err := yield(mxml.Entry{Fields: s.fields[start:end]}); err != nil {
+			return err
 		}
-		return fr, nil
+		start = end
 	}
-
-	in, err := os.Open(path)
-	if err != nil {
-		return out, fmt.Errorf("transform: open %s: %w", path, err)
-	}
-	defer in.Close()
-	sink := &quarantineSink{dir: opts.quarantineDir(workDir), base: filepath.Base(path)}
-	parseErr := dp.ParseDegraded(in, b.Instructions, set.add, sink.record)
-	if cerr := sink.close(); cerr != nil && parseErr == nil {
-		parseErr = cerr
-	}
-	if parseErr != nil {
-		return out, fmt.Errorf("transform: %s: %w", path, parseErr)
-	}
-	out = FileResult{Input: path, Parser: b.Parser, Table: table, Entries: set.len(),
-		Quarantined: sink.count(), QuarantinePath: sink.path()}
-	if err := opts.checkBudget(out, path); err != nil {
-		return out, err
-	}
-	return out, nil
+	return nil
 }
 
-// directParseStrict is the fail-fast half of directParse.
-func directParseStrict(path string, p parsers.Parser, b Binding, table string, set *entrySet) (FileResult, error) {
-	var out FileResult
-	in, err := os.Open(path)
+// export writes the staged artifacts of §III-B for this entry set —
+// <table>.mxml, <table>.schema.json and <table>.csv in workDir — and
+// returns the document's path. xmlcsv.ConvertFile over that document
+// rewrites the other two byte for byte.
+func (s *entrySet) export(workDir string, meta mxml.Meta, cols []mscopedb.Column) (string, error) {
+	mxmlPath := filepath.Join(workDir, meta.Table+".mxml")
+	f, err := os.Create(mxmlPath)
 	if err != nil {
-		return out, fmt.Errorf("transform: open %s: %w", path, err)
+		return "", fmt.Errorf("transform: create %s: %w", mxmlPath, err)
 	}
-	defer in.Close()
-	if err := p.Parse(in, b.Instructions, set.add); err != nil {
-		return out, fmt.Errorf("transform: %s: %w", path, err)
+	defer f.Close()
+	doc := mxml.NewWriter(f)
+	if err := doc.Open(meta); err != nil {
+		return "", err
 	}
-	return FileResult{Input: path, Parser: b.Parser, Table: table, Entries: set.len()}, nil
+	if err := s.each(doc.WriteEntry); err != nil {
+		return "", err
+	}
+	if err := doc.Close(); err != nil {
+		return "", err
+	}
+	if err := f.Close(); err != nil {
+		return "", fmt.Errorf("transform: close %s: %w", mxmlPath, err)
+	}
+	_, err = xmlcsv.WriteTable(workDir, meta, cols, s.each)
+	return mxmlPath, err
 }

@@ -14,8 +14,8 @@ import (
 // record torn at a cut, no line dropped or duplicated, no header row
 // double-counted, same malformed regions in degraded mode, and the same
 // first error in fail-fast mode. It extends the PR 1 parser fuzz targets
-// one layer up: those prove the parsers never crash; this proves the
-// parallel engine cannot change what they produce.
+// one layer up: those prove the parsers never crash; this proves
+// sharding cannot change what they produce.
 func FuzzShardedParseEquivalence(f *testing.F) {
 	f.Add(uint8(0), apacheCorpus(40, 0), uint16(256))
 	f.Add(uint8(0), apacheCorpus(40, 7), uint16(1))

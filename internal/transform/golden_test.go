@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/logfmt"
+	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/resources"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/simtime"
@@ -120,12 +121,12 @@ func goldenInputs() map[string]string {
 	}
 }
 
-// renderConverted projects one converted file into the golden text form:
+// renderExported projects one exported table into the golden text form:
 // the table name, the inferred schema, and the CSV rows bound for the
 // warehouse.
-func renderConverted(t *testing.T, conv xmlcsv.Converted) string {
+func renderExported(t *testing.T, workDir, table string) string {
 	t.Helper()
-	schema, cols, err := xmlcsv.ReadSchema(conv.SchemaPath)
+	schema, cols, err := xmlcsv.ReadSchema(filepath.Join(workDir, table+".schema.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func renderConverted(t *testing.T, conv xmlcsv.Converted) string {
 		fmt.Fprintf(&b, "column %s %s\n", c.Name, c.Type)
 	}
 	b.WriteString("rows\n")
-	data, err := os.ReadFile(conv.CSVPath)
+	data, err := os.ReadFile(filepath.Join(workDir, table+".csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,23 +170,24 @@ func TestGoldenFormats(t *testing.T) {
 		t.Fatalf("found %d committed inputs, want %d", len(inputs), len(goldenInputs()))
 	}
 
-	plan := DefaultPlan()
+	// One materializing ingest of the whole directory; each input's
+	// exported schema and CSV are what the golden pins.
+	workDir := t.TempDir()
+	rep, err := IngestDirWithOptions(mscopedb.Open(), goldenDir, workDir, DefaultPlan(), Options{Materialize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[string]string{}
+	for _, fr := range rep.Files {
+		tables[filepath.Base(fr.Input)] = fr.Table
+	}
 	for _, name := range inputs {
 		t.Run(name, func(t *testing.T) {
-			b, ok := plan.Find(name)
+			table, ok := tables[name]
 			if !ok {
-				t.Fatalf("no binding for committed input %s", name)
+				t.Fatalf("committed input %s was not ingested (skipped: %v)", name, rep.Skipped)
 			}
-			workDir := t.TempDir()
-			fr, err := TransformFile(filepath.Join(goldenDir, name), b, workDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conv, err := xmlcsv.ConvertFile(fr.MXMLPath, workDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := renderConverted(t, conv)
+			got := renderExported(t, workDir, table)
 			goldenPath := filepath.Join(goldenDir, name+".golden")
 			if *updateGolden {
 				if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {

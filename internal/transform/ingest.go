@@ -1,0 +1,316 @@
+package transform
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"sync"
+
+	"github.com/gt-elba/milliscope/internal/importer"
+	"github.com/gt-elba/milliscope/internal/mscopedb"
+	"github.com/gt-elba/milliscope/internal/mxml"
+	"github.com/gt-elba/milliscope/internal/parsers"
+	"github.com/gt-elba/milliscope/internal/selfobs"
+	"github.com/gt-elba/milliscope/internal/simtime"
+)
+
+// semaphore bounds the number of concurrently executing work units (file
+// pipelines and shard parses share one pool) to Options.Workers.
+type semaphore chan struct{}
+
+func (s semaphore) release() { <-s }
+
+// acquireCtx acquires a slot unless the ingest has been aborted.
+func (s semaphore) acquireCtx(ctx context.Context) bool {
+	select {
+	case s <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// fileAction is the planning decision for one directory entry.
+type fileAction int
+
+const (
+	actSkip      fileAction = iota // no binding in the plan
+	actUnchanged                   // ledger offset equals current size
+	actProcess                     // parse, infer, build, install
+)
+
+// fileJob carries one directory entry through the ingest: the planning
+// decision, the worker's output channel, and everything the sequencer
+// needs to apply side effects in sorted-name order.
+type fileJob struct {
+	name    string
+	full    string
+	binding Binding
+	size    int64
+	action  fileAction
+	// rebuild names the table to drop before install when the ledger shows
+	// the source changed since it was loaded.
+	rebuild string
+	// preErr is a planning-stage failure (stat); the sequencer surfaces it
+	// when — and only when — every earlier file has been dealt with.
+	preErr error
+	out    chan fileOutcome
+}
+
+// fileOutcome is everything a worker produced for one file.
+type fileOutcome struct {
+	fr      FileResult
+	tbl     *mscopedb.Table
+	csvPath string
+	err     error
+}
+
+// IngestDirWithOptions is the batch ingest engine. A planner decides per
+// directory entry whether it is skipped, unchanged or processed; a pool of
+// Options.Workers slots runs processFile for the latter; and a single
+// sequenced appender — the only goroutine that touches db or the report —
+// walks the files in sorted-name order and applies every warehouse side
+// effect (drop-for-rebuild, table install, both ledger rows, report
+// entries, policy decisions). The result is therefore the same for every
+// worker count: byte-identical warehouse dumps, reports and quarantine
+// sinks, and the same first error under FailFast.
+//
+// Under Quarantine, per-file rejections land in Report.Failed and the
+// ingest continues; infrastructure errors (unreadable directory, schema or
+// warehouse-load failures on accepted records) are fatal under both
+// policies.
+func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, opts Options) (Report, error) {
+	var rep Report
+	entries, err := os.ReadDir(logDir)
+	if err != nil {
+		return rep, fmt.Errorf("transform: read log dir: %w", err)
+	}
+	names := make([]string, 0, len(entries))
+	for _, e := range entries {
+		if !e.IsDir() {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names) // deterministic ingest order
+
+	// Plan every file before spawning workers. Ledger reads are safe to
+	// hoist: this ingest's own ledger writes are keyed by source path, and
+	// each path occurs once per directory scan.
+	jobs := make([]*fileJob, 0, len(names))
+	for _, name := range names {
+		full := filepath.Join(logDir, name)
+		b, ok := plan.Find(name)
+		if !ok {
+			jobs = append(jobs, &fileJob{name: name, action: actSkip})
+			continue
+		}
+		j := &fileJob{name: name, full: full, binding: b, action: actProcess,
+			out: make(chan fileOutcome, 1)}
+		jobs = append(jobs, j)
+		info, err := os.Stat(full)
+		if err != nil {
+			j.preErr = fmt.Errorf("transform: stat %s: %w", full, err)
+			continue
+		}
+		j.size = info.Size()
+		if off, known := db.LatestIngestOffset(full); known {
+			if off == j.size {
+				// Fully loaded by a previous ingest of this warehouse —
+				// skipping keeps re-ingest idempotent.
+				j.action = actUnchanged
+			} else {
+				// The file changed since it was loaded (grew, or was
+				// rewritten by rotation): rebuild its table from scratch
+				// rather than appending duplicates on top of stale rows.
+				j.rebuild = HostOf(full, b) + "_" + b.TableSuffix
+			}
+		}
+	}
+
+	if opts.Workers < 1 {
+		opts.Workers = 1
+	}
+	// No worker outlives the ingest: an early return cancels the ones still
+	// queued for a slot and waits for the ones mid-file, so nothing is
+	// written under workDir after IngestDirWithOptions returns.
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sem := make(semaphore, opts.Workers)
+	for _, j := range jobs {
+		if j.action != actProcess || j.preErr != nil {
+			continue
+		}
+		wg.Add(1)
+		go func(j *fileJob) {
+			defer wg.Done()
+			j.out <- processFile(ctx, sem, j, workDir, opts)
+		}(j)
+	}
+
+	obs := selfobs.NewBuf()
+	defer obs.Close()
+	for _, j := range jobs {
+		switch {
+		case j.action == actSkip:
+			rep.Skipped = append(rep.Skipped, j.name)
+			continue
+		case j.preErr != nil:
+			return rep, j.preErr
+		case j.action == actUnchanged:
+			rep.Unchanged = append(rep.Unchanged, j.name)
+			continue
+		}
+		o := <-j.out
+		if j.rebuild != "" && db.HasTable(j.rebuild) {
+			// The stale table goes even when the file then fails or is
+			// rejected: its rows no longer describe the source.
+			if err := db.Drop(j.rebuild); err != nil {
+				return rep, fmt.Errorf("transform: rebuild %s: %w", j.rebuild, err)
+			}
+		}
+		if o.err != nil {
+			if opts.Policy == Quarantine && errors.Is(o.err, ErrFileRejected) {
+				rep.Failed = append(rep.Failed, FileFailure{Input: j.full, Err: o.err})
+				continue
+			}
+			return rep, o.err
+		}
+		rep.Files = append(rep.Files, o.fr)
+		sp := obs.Begin(selfobs.PipeIngest, "append", "seq", j.name)
+		loaded, err := importer.Install(db, o.tbl, o.csvPath)
+		if err != nil {
+			return rep, err
+		}
+		// Ledger the source file at its consumed size so a re-ingest of
+		// the same directory into this warehouse skips it.
+		if err := db.RecordIngestAt(loaded.Table, j.full, loaded.Rows, j.size, simtime.Epoch); err != nil {
+			return rep, err
+		}
+		// Commit the spill store (no-op in memory): table rows and their
+		// ledger entry become durable together, per file, so a killed
+		// ingest resumes from completed files instead of from scratch.
+		if err := db.Checkpoint(); err != nil {
+			return rep, err
+		}
+		sp.End(int64(loaded.Rows), 0)
+		rep.Loads = append(rep.Loads, loaded)
+	}
+	rep.sortDeterministic()
+	return rep, nil
+}
+
+// processFile is the per-file pipeline of §III-B, run on the worker pool:
+// parse the file into an entrySet (streamed whole, or sharded and
+// stitched), infer the schema bottom-up, export the staged artifacts when
+// asked, and build the typed table. It performs no warehouse writes.
+func processFile(ctx context.Context, sem semaphore, j *fileJob, workDir string, opts Options) fileOutcome {
+	b := j.binding
+	// One span buffer per file worker: every stage span of this file is
+	// appended goroutine-locally and flushed once when the worker returns.
+	obs := selfobs.NewBuf()
+	defer obs.Close()
+	p, err := parsers.Get(b.Parser)
+	if err != nil {
+		return fileOutcome{err: err}
+	}
+	if err := os.MkdirAll(workDir, 0o755); err != nil {
+		return fileOutcome{err: fmt.Errorf("transform: create work dir: %w", err)}
+	}
+	meta := mxml.Meta{Source: b.Source, Host: HostOf(j.full, b)}
+	meta.Table = meta.Host + "_" + b.TableSuffix
+	fr := FileResult{Input: j.full, Parser: b.Parser, Table: meta.Table}
+
+	// The ingest policy reaches the parser as its Recover, the convention
+	// every parser's inner loop follows: nil fails on the first malformed
+	// region, the quarantine sink diverts it and parsing resumes. Customized
+	// parsers without a degraded mode keep strict semantics; under
+	// Quarantine their failure costs the file, not the ingest.
+	sink := &quarantineSink{dir: opts.quarantineDir(workDir), base: filepath.Base(j.full)}
+	var rec parsers.Recover
+	if _, degradable := p.(parsers.DegradedParser); degradable && opts.Policy == Quarantine {
+		rec = sink.record
+	}
+
+	set := newEntrySet()
+	var entries []mxml.Entry
+	var regions []parsers.Malformed
+	var parseErr error
+	chunk := opts.chunkSize()
+	cp, bnd, sharded := shardable(p, b.Instructions, j.size, opts.Workers, chunk)
+	if sharded {
+		// Shards take pool slots of their own; the file worker takes its
+		// slot once they are stitched.
+		entries, regions, parseErr = parseFileSharded(ctx, sem, j, cp, bnd, chunk, rec != nil, obs)
+	}
+	if !sem.acquireCtx(ctx) {
+		return fileOutcome{err: ctx.Err()}
+	}
+	defer sem.release()
+	if sharded && parseErr == nil {
+		parseErr = set.replay(entries, regions, rec)
+	} else if !sharded {
+		sp := obs.Begin(selfobs.PipeIngest, "parse", "whole", j.name)
+		if parseErr = parseStream(p, j.full, b.Instructions, set.add, rec); parseErr == nil {
+			sp.End(int64(set.len()), int64(sink.count()))
+		}
+	}
+	if cerr := sink.close(); cerr != nil && parseErr == nil {
+		parseErr = cerr
+	}
+	if parseErr != nil {
+		parseErr = fmt.Errorf("transform: %s: %w", j.full, parseErr)
+		if opts.Policy == Quarantine && rec == nil {
+			parseErr = fmt.Errorf("transform: %s: %w: parser %q has no degraded mode: %v",
+				j.full, ErrFileRejected, b.Parser, parseErr)
+		}
+		return fileOutcome{err: parseErr}
+	}
+	fr.Entries, fr.Quarantined, fr.QuarantinePath = set.len(), sink.count(), sink.path()
+	if rec != nil {
+		if err := opts.checkBudget(fr, j.full); err != nil {
+			return fileOutcome{fr: fr, err: err}
+		}
+	}
+
+	sp := obs.Begin(selfobs.PipeIngest, "convert", "whole", j.name)
+	cols, err := set.columns(filepath.Join(workDir, fr.Table+".mxml"))
+	if err != nil {
+		return fileOutcome{err: err}
+	}
+	sp.End(int64(fr.Entries), 0)
+	if opts.Materialize {
+		sp = obs.Begin(selfobs.PipeIngest, "export", "whole", j.name)
+		if fr.MXMLPath, err = set.export(workDir, meta, cols); err != nil {
+			return fileOutcome{err: err}
+		}
+		sp.End(int64(fr.Entries), 0)
+	}
+	sp = obs.Begin(selfobs.PipeIngest, "build", "whole", j.name)
+	csvPath := filepath.Join(workDir, fr.Table+".csv")
+	tbl, err := set.buildTable(fr.Table, cols, csvPath)
+	if err != nil {
+		return fileOutcome{err: err}
+	}
+	sp.End(int64(tbl.Rows()), 0)
+	return fileOutcome{fr: fr, tbl: tbl, csvPath: csvPath}
+}
+
+// parseStream parses one whole file as a stream. This is the one place the
+// policy picks the parser's entry point: a nil rec is a fail-fast Parse,
+// anything else a degraded parse diverting malformed regions to rec.
+func parseStream(p parsers.Parser, path string, instr parsers.Instructions, emit parsers.Emit, rec parsers.Recover) error {
+	in, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	if rec == nil {
+		return p.Parse(in, instr, emit)
+	}
+	return p.(parsers.DegradedParser).ParseDegraded(in, instr, emit, rec)
+}

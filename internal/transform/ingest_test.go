@@ -109,62 +109,11 @@ func reportsEqual(t *testing.T, serial, parallel Report) {
 	}
 }
 
-// runDifferential ingests logDir twice — serial and parallel with an
-// aggressively small chunk size — into fresh warehouses sharing one work
-// directory, and asserts byte-identical dumps plus identical reports,
-// quarantine sinks, and errors.
-func runDifferential(t *testing.T, logDir string, opts Options) {
-	t.Helper()
-	workDir := t.TempDir()
-	qS, qP := filepath.Join(t.TempDir(), "qs"), filepath.Join(t.TempDir(), "qp")
-
-	optsS := opts
-	optsS.Workers = 1
-	optsS.QuarantineDir = qS
-	dbS := mscopedb.Open()
-	repS, errS := IngestDirWithOptions(dbS, logDir, workDir, DefaultPlan(), optsS)
-
-	optsP := opts
-	optsP.Workers = 4
-	optsP.ChunkSize = 2 << 10
-	optsP.QuarantineDir = qP
-	dbP := mscopedb.Open()
-	repP, errP := IngestDirWithOptions(dbP, logDir, workDir, DefaultPlan(), optsP)
-
-	if (errS == nil) != (errP == nil) || (errS != nil && errS.Error() != errP.Error()) {
-		t.Fatalf("ingest errors differ:\nserial   %v\nparallel %v", errS, errP)
-	}
-	reportsEqual(t, repS, repP)
-	sinkS, sinkP := readDirContents(t, qS), readDirContents(t, qP)
-	if fmt.Sprintf("%v", sinkS) != fmt.Sprintf("%v", sinkP) {
-		t.Errorf("quarantine sinks differ:\nserial   %v\nparallel %v", sinkS, sinkP)
-	}
-	if ds, dp := dumpBytes(t, dbS), dumpBytes(t, dbP); string(ds) != string(dp) {
-		t.Errorf("warehouse dumps differ: serial %d bytes, parallel %d bytes", len(ds), len(dp))
-	}
-}
-
-func TestParallelIngestMatchesSerialClean(t *testing.T) {
-	logDir := writeSyntheticDir(t, false)
-	runDifferential(t, logDir, Options{})
-	runDifferential(t, logDir, Options{Policy: Quarantine})
-}
-
-func TestParallelIngestMatchesSerialCorrupted(t *testing.T) {
-	logDir := writeSyntheticDir(t, true)
-	// Generous budget: damage quarantines but files stay accepted.
-	runDifferential(t, logDir, Options{Policy: Quarantine, ErrorBudget: 0.5})
-	// Tight budget: some files are rejected; Failed lists must agree.
-	runDifferential(t, logDir, Options{Policy: Quarantine, ErrorBudget: 0.01})
-	// FailFast: both engines must abort with the identical first error and
-	// an identical (partial) warehouse.
-	runDifferential(t, logDir, Options{})
-}
-
-// TestParallelIngestLedgerEquivalence drives the restart-resume paths: an
+// TestIngestLedgerEquivalence drives the restart-resume paths: an
 // unchanged re-ingest must skip every file, and a grown file must be
-// rebuilt — identically under both engines, with identical ledger offsets.
-func TestParallelIngestLedgerEquivalence(t *testing.T) {
+// rebuilt — identically at one worker and at four, with identical ledger
+// offsets.
+func TestIngestLedgerEquivalence(t *testing.T) {
 	logDir := writeSyntheticDir(t, false)
 	workDir := t.TempDir()
 	run := func(workers int) (*mscopedb.DB, []Report) {
@@ -205,7 +154,7 @@ func TestParallelIngestLedgerEquivalence(t *testing.T) {
 		t.Error("warehouse dumps differ after re-ingest")
 	}
 
-	// Grow one source file; both engines must drop and rebuild its table.
+	// Grow one source file; both runs must drop and rebuild its table.
 	f, err := os.OpenFile(filepath.Join(logDir, "mysql_slow.log"), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)

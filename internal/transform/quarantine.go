@@ -9,14 +9,8 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/gt-elba/milliscope/internal/importer"
-	"github.com/gt-elba/milliscope/internal/mscopedb"
-	"github.com/gt-elba/milliscope/internal/mxml"
 	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/retry"
-	"github.com/gt-elba/milliscope/internal/selfobs"
-	"github.com/gt-elba/milliscope/internal/simtime"
-	"github.com/gt-elba/milliscope/internal/xmlcsv"
 )
 
 // Policy selects how the ingest pipeline treats malformed input.
@@ -73,19 +67,18 @@ type Options struct {
 	// QuarantineDir receives the per-file quarantine sinks; empty means
 	// "<workDir>/quarantine".
 	QuarantineDir string
-	// Workers caps ingest concurrency. 0 and 1 select the serial pipeline;
-	// >1 selects the parallel sharded engine, which is proven row-for-row
-	// equivalent to serial by the differential conformance suite.
+	// Workers caps ingest concurrency: how many files and shards are parsed
+	// at once. 0 and 1 mean one worker. The warehouse, report and sinks are
+	// identical for every value (the engine-vs-oracle suite proves it).
 	Workers int
 	// ChunkSize is the target shard size in bytes when splitting one large
 	// file across workers; zero means DefaultChunkSize. Files smaller than
-	// two chunks are parsed whole.
+	// two chunks, and every file when there is one worker, are parsed whole.
 	ChunkSize int
-	// Materialize restores the staged pipeline: annotated-XML and CSV
-	// artifacts are written to workDir between stages instead of streaming
-	// entries from parser to warehouse in memory. The warehouse contents
-	// are identical either way (the differential suite proves it); the
-	// staged artifacts only matter when they are wanted for inspection.
+	// Materialize also exports each loaded file's annotated-XML, CSV and
+	// schema artifacts to workDir, for inspection or for re-loading through
+	// xmlcsv.ConvertFile and importer.LoadFile. The warehouse is identical
+	// either way.
 	Materialize bool
 }
 
@@ -120,10 +113,9 @@ func (o Options) quarantineDir(workDir string) string {
 
 // quarantineSink lazily creates "<dir>/<base>.quarantine" and records each
 // diverted region as a located comment line followed by the raw text. The
-// mutex makes record safe to call from concurrent parsers (the parallel
-// ingest re-parses torn shards while neighbors are still running); entries
-// stay whole, though cross-goroutine interleaving order is up to the
-// caller to control where byte-identical sinks matter.
+// mutex makes record safe to call from concurrent parsers; entries stay
+// whole, though cross-goroutine interleaving order is up to the caller to
+// control where byte-identical sinks matter.
 type quarantineSink struct {
 	dir  string
 	base string
@@ -135,7 +127,7 @@ type quarantineSink struct {
 }
 
 // Quarantine sink creation retries transient fs failures (EMFILE under the
-// parallel ingest's fan-out, a dir briefly missing mid-rotation) instead of
+// ingest's fan-out, a dir briefly missing mid-rotation) instead of
 // surfacing them as a lost malformed region. Package vars so tests inject a
 // flaky fs and a recording sleep.
 var (
@@ -200,75 +192,9 @@ func (q *quarantineSink) close() error {
 	return q.f.Close()
 }
 
-// transformFileDegraded runs stage 2 under the Quarantine policy: parse in
-// degraded mode, divert malformed regions to the sink, and reject the file
-// (wrapping ErrFileRejected) when the error budget is breached or no
-// records survive.
-func transformFileDegraded(path string, b Binding, workDir string, opts Options) (FileResult, error) {
-	var out FileResult
-	p, err := parsers.Get(b.Parser)
-	if err != nil {
-		return out, err
-	}
-	if err := os.MkdirAll(workDir, 0o755); err != nil {
-		return out, fmt.Errorf("transform: create work dir: %w", err)
-	}
-	host := hostOf(path, b)
-	table := host + "_" + b.TableSuffix
-	base := filepath.Base(path)
-
-	dp, degradable := p.(parsers.DegradedParser)
-	if !degradable {
-		// Customized parsers without a degraded mode keep strict semantics;
-		// under Quarantine their failure costs the file, not the ingest.
-		fr, err := TransformFile(path, b, workDir)
-		if err != nil {
-			return out, fmt.Errorf("transform: %s: %w: parser %q has no degraded mode: %v",
-				path, ErrFileRejected, b.Parser, err)
-		}
-		return fr, nil
-	}
-
-	in, err := os.Open(path)
-	if err != nil {
-		return out, fmt.Errorf("transform: open %s: %w", path, err)
-	}
-	defer in.Close()
-
-	mxmlPath := filepath.Join(workDir, table+".mxml")
-	outF, err := os.Create(mxmlPath)
-	if err != nil {
-		return out, fmt.Errorf("transform: create %s: %w", mxmlPath, err)
-	}
-	defer outF.Close()
-	w := mxml.NewWriter(outF)
-	if err := w.Open(mxml.Meta{Source: b.Source, Host: host, Table: table}); err != nil {
-		return out, err
-	}
-	sink := &quarantineSink{dir: opts.quarantineDir(workDir), base: base}
-	parseErr := dp.ParseDegraded(in, b.Instructions, w.WriteEntry, sink.record)
-	if cerr := sink.close(); cerr != nil && parseErr == nil {
-		parseErr = cerr
-	}
-	if parseErr != nil {
-		return out, fmt.Errorf("transform: %s: %w", path, parseErr)
-	}
-	if err := w.Close(); err != nil {
-		return out, err
-	}
-	out = FileResult{Input: path, Parser: b.Parser, Table: table,
-		MXMLPath: mxmlPath, Entries: w.Entries(),
-		Quarantined: sink.count(), QuarantinePath: sink.path()}
-	if err := opts.checkBudget(out, path); err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-// checkBudget applies the quarantine-mode acceptance tests to a transformed
+// checkBudget applies the quarantine-mode acceptance tests to a parsed
 // file: reject (wrapping ErrFileRejected) when nothing survived or the
-// corrupt-region ratio exceeds the error budget. Shared by the serial and
-// parallel pipelines so both reject with byte-identical errors.
+// corrupt-region ratio exceeds the error budget.
 func (o Options) checkBudget(out FileResult, path string) error {
 	if out.Entries == 0 {
 		return fmt.Errorf("transform: %s: %w: no records survived (%d quarantined)",
@@ -280,135 +206,6 @@ func (o Options) checkBudget(out FileResult, path string) error {
 			path, ErrFileRejected, ratio, o.budget(), out.Quarantined, total)
 	}
 	return nil
-}
-
-// IngestDirWithOptions is the policy-aware ingest. Under FailFast it is
-// exactly IngestDir. Under Quarantine, per-file rejections land in
-// Report.Failed and the ingest continues; infrastructure errors (unreadable
-// directory, conversion or warehouse-load failures on accepted records)
-// remain fatal under both policies.
-func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, opts Options) (Report, error) {
-	if opts.Workers > 1 {
-		return ingestDirParallel(db, logDir, workDir, plan, opts)
-	}
-	var rep Report
-	entries, err := os.ReadDir(logDir)
-	if err != nil {
-		return rep, fmt.Errorf("transform: read log dir: %w", err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names) // deterministic ingest order
-	obs := selfobs.NewBuf()
-	defer obs.Close()
-	for _, name := range names {
-		full := filepath.Join(logDir, name)
-		b, ok := plan.Find(name)
-		if !ok {
-			rep.Skipped = append(rep.Skipped, name)
-			continue
-		}
-		info, err := os.Stat(full)
-		if err != nil {
-			return rep, fmt.Errorf("transform: stat %s: %w", full, err)
-		}
-		if off, known := db.LatestIngestOffset(full); known {
-			if off == info.Size() {
-				// Fully loaded by a previous ingest of this warehouse —
-				// skipping keeps re-ingest idempotent.
-				rep.Unchanged = append(rep.Unchanged, name)
-				continue
-			}
-			// The file changed since it was loaded (grew, or was rewritten
-			// by rotation): rebuild its table from scratch rather than
-			// appending duplicates on top of stale rows.
-			table := hostOf(full, b) + "_" + b.TableSuffix
-			if db.HasTable(table) {
-				if err := db.Drop(table); err != nil {
-					return rep, fmt.Errorf("transform: rebuild %s: %w", table, err)
-				}
-			}
-		}
-		var fr FileResult
-		var loaded importer.Loaded
-		sp := obs.Begin(selfobs.PipeIngest, "parse", "serial", name)
-		if opts.Materialize {
-			if opts.Policy == Quarantine {
-				fr, err = transformFileDegraded(full, b, workDir, opts)
-				if err != nil {
-					if errors.Is(err, ErrFileRejected) {
-						rep.Failed = append(rep.Failed, FileFailure{Input: full, Err: err})
-						continue
-					}
-					return rep, err
-				}
-			} else {
-				fr, err = TransformFile(full, b, workDir)
-				if err != nil {
-					return rep, err
-				}
-			}
-			sp.End(int64(fr.Entries), int64(fr.Quarantined))
-			rep.Files = append(rep.Files, fr)
-			sp = obs.Begin(selfobs.PipeIngest, "convert", "serial", name)
-			conv, err := xmlcsv.ConvertFile(fr.MXMLPath, workDir)
-			if err != nil {
-				return rep, err
-			}
-			sp.End(int64(fr.Entries), 0)
-			sp = obs.Begin(selfobs.PipeIngest, "append", "serial", name)
-			loaded, err = importer.LoadFile(db, conv.CSVPath, conv.SchemaPath)
-			if err != nil {
-				return rep, err
-			}
-		} else {
-			set := newEntrySet()
-			fr, err = directParse(full, b, workDir, opts, set)
-			if err != nil {
-				if opts.Policy == Quarantine && errors.Is(err, ErrFileRejected) {
-					rep.Failed = append(rep.Failed, FileFailure{Input: full, Err: err})
-					continue
-				}
-				return rep, err
-			}
-			sp.End(int64(fr.Entries), int64(fr.Quarantined))
-			rep.Files = append(rep.Files, fr)
-			sp = obs.Begin(selfobs.PipeIngest, "convert", "serial", name)
-			cols, err := set.columns(filepath.Join(workDir, fr.Table+".mxml"))
-			if err != nil {
-				return rep, err
-			}
-			sp.End(int64(fr.Entries), 0)
-			sp = obs.Begin(selfobs.PipeIngest, "append", "serial", name)
-			csvPath := filepath.Join(workDir, fr.Table+".csv")
-			tbl, err := set.buildTable(fr.Table, cols, csvPath)
-			if err != nil {
-				return rep, err
-			}
-			loaded, err = importer.Install(db, tbl, csvPath)
-			if err != nil {
-				return rep, err
-			}
-		}
-		// Ledger the source file at its consumed size so a re-ingest of
-		// the same directory into this warehouse skips it.
-		if err := db.RecordIngestAt(loaded.Table, full, loaded.Rows, info.Size(), simtime.Epoch); err != nil {
-			return rep, err
-		}
-		// Same per-file durability as the parallel appender: rows and
-		// ledger commit together (no-op for in-memory warehouses).
-		if err := db.Checkpoint(); err != nil {
-			return rep, err
-		}
-		sp.End(int64(loaded.Rows), 0)
-		rep.Loads = append(rep.Loads, loaded)
-	}
-	rep.sortDeterministic()
-	return rep, nil
 }
 
 // sortDeterministic orders every report slice by input name so callers and

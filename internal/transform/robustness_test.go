@@ -114,12 +114,12 @@ func TestIngestDuplicateTableCollision(t *testing.T) {
 	}
 }
 
-// TestTransformFileBadParserName surfaces registry misconfiguration.
-func TestTransformFileBadParserName(t *testing.T) {
+// TestIngestBadParserName surfaces registry misconfiguration in a plan
+// built in code (LoadPlan rejects it up front for plans read from disk).
+func TestIngestBadParserName(t *testing.T) {
 	dir := writeLogDir(t, map[string]string{"x.log": "data\n"})
-	_, err := TransformFile(filepath.Join(dir, "x.log"),
-		Binding{Glob: "*", Parser: "nope", TableSuffix: "t"}, t.TempDir())
-	if err == nil {
+	plan := &Plan{Bindings: []Binding{{Glob: "*", Parser: "nope", TableSuffix: "t"}}}
+	if _, err := IngestDir(mscopedb.Open(), dir, t.TempDir(), plan); err == nil {
 		t.Fatal("unknown parser accepted")
 	}
 }

@@ -12,10 +12,10 @@ import (
 	"github.com/gt-elba/milliscope/internal/selfobs"
 )
 
-// TestInstrumentedIngestMatchesDisabled extends the differential
-// conformance suite with the self-observability axis: a parallel ingest
+// TestInstrumentedIngestMatchesDisabled extends the engine-vs-oracle
+// suite with the self-observability axis: a four-worker sharded ingest
 // with span instrumentation ENABLED must produce a warehouse
-// byte-identical to the uninstrumented serial ingest. Telemetry observes
+// byte-identical to the uninstrumented one-worker ingest. Telemetry observes
 // the pipeline; it must never perturb it.
 func TestInstrumentedIngestMatchesDisabled(t *testing.T) {
 	for _, tc := range []struct {

@@ -31,7 +31,7 @@ func projectRegions(ms []parsers.Malformed) []region {
 	return out
 }
 
-// serialParse is the reference: the whole-file parse the serial pipeline
+// serialParse is the reference: the whole-file parse a one-worker ingest
 // runs, observed the same way parseSharded reports its results.
 func serialParse(p parsers.Parser, data []byte, instr parsers.Instructions, degraded bool) ([]mxml.Entry, []parsers.Malformed, error) {
 	var entries []mxml.Entry
@@ -60,7 +60,7 @@ func shardedParse(t testing.TB, cp parsers.ChunkParser, data []byte, instr parse
 		t.Fatalf("parser %s not chunkable", cp.Name())
 	}
 	shards := planShards(data, bnd, chunkSize)
-	return parseSharded(context.Background(), newSemaphore(4), cp, shards, instr, degraded, nil, "")
+	return parseSharded(context.Background(), make(semaphore, 4), cp, shards, instr, degraded, nil, "")
 }
 
 // assertParseEquivalent fails unless the sharded parse produced exactly

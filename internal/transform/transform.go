@@ -18,7 +18,6 @@ import (
 
 	"github.com/gt-elba/milliscope/internal/importer"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
-	"github.com/gt-elba/milliscope/internal/mxml"
 	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/simtime"
 )
@@ -71,20 +70,38 @@ func DefaultPlan() *Plan {
 	}}
 }
 
-// Find returns the first binding matching the file's base name.
+// Find returns the first binding matching the file's base name. A
+// malformed glob matches nothing; validate reports it.
 func (p *Plan) Find(filename string) (Binding, bool) {
 	base := filepath.Base(filename)
 	for _, b := range p.Bindings {
-		ok, err := filepath.Match(b.Glob, base)
-		if err == nil && ok {
+		if ok, _ := filepath.Match(b.Glob, base); ok {
 			return b, true
 		}
 	}
 	return Binding{}, false
 }
 
+// validate rejects declarations that can never work: a glob
+// filepath.Match cannot compile would silently match no file, and an
+// unregistered parser name would only surface per file, mid-ingest.
+func (p *Plan) validate() error {
+	for i, b := range p.Bindings {
+		if _, err := filepath.Match(b.Glob, ""); err != nil {
+			return fmt.Errorf("binding %d: glob %q: %w", i, b.Glob, err)
+		}
+		if _, err := parsers.Get(b.Parser); err != nil {
+			return fmt.Errorf("binding %d: parser %q: %w", i, b.Parser, err)
+		}
+	}
+	return nil
+}
+
 // Save writes the plan as JSON — the declaration is data, not code.
 func (p *Plan) Save(path string) error {
+	if err := p.validate(); err != nil {
+		return fmt.Errorf("transform: save plan: %w", err)
+	}
 	data, err := json.MarshalIndent(p, "", " ")
 	if err != nil {
 		return fmt.Errorf("transform: marshal plan: %w", err)
@@ -108,17 +125,17 @@ func LoadPlan(path string) (*Plan, error) {
 	if len(p.Bindings) == 0 {
 		return nil, fmt.Errorf("transform: plan %s has no bindings", path)
 	}
+	if err := p.validate(); err != nil {
+		return nil, fmt.Errorf("transform: plan %s: %w", path, err)
+	}
 	return &p, nil
 }
 
-// HostOf derives the warehouse host for a file under a binding — shared
-// with the streaming pipeline, which names tables the same way the batch
-// ingest does so both load the same warehouse shape.
-func HostOf(filename string, b Binding) string { return hostOf(filename, b) }
-
-// hostOf derives the host from a log file name: "mysql_collectl.csv" →
-// "mysql".
-func hostOf(filename string, b Binding) string {
+// HostOf derives the warehouse host for a file under a binding: the
+// binding's fixed host, or else the stem of the file name before the first
+// underscore ("mysql_collectl.csv" → "mysql"). The streaming pipeline names
+// tables the same way so both load the same warehouse shape.
+func HostOf(filename string, b Binding) string {
 	if b.Host != "" {
 		return b.Host
 	}
@@ -129,7 +146,7 @@ func hostOf(filename string, b Binding) string {
 	return strings.TrimSuffix(base, filepath.Ext(base))
 }
 
-// FileResult reports one stage-2 execution.
+// FileResult reports one file the ingest accepted.
 type FileResult struct {
 	Input    string
 	Parser   string
@@ -142,46 +159,6 @@ type FileResult struct {
 	// QuarantinePath is the sink file holding the diverted regions; empty
 	// when nothing was quarantined.
 	QuarantinePath string
-}
-
-// TransformFile runs stage 2 on one file: parse the raw log into an
-// annotated-XML document in workDir.
-func TransformFile(path string, b Binding, workDir string) (FileResult, error) {
-	var out FileResult
-	p, err := parsers.Get(b.Parser)
-	if err != nil {
-		return out, err
-	}
-	if err := os.MkdirAll(workDir, 0o755); err != nil {
-		return out, fmt.Errorf("transform: create work dir: %w", err)
-	}
-	host := hostOf(path, b)
-	table := host + "_" + b.TableSuffix
-	in, err := os.Open(path)
-	if err != nil {
-		return out, fmt.Errorf("transform: open %s: %w", path, err)
-	}
-	defer in.Close()
-
-	mxmlPath := filepath.Join(workDir, table+".mxml")
-	outF, err := os.Create(mxmlPath)
-	if err != nil {
-		return out, fmt.Errorf("transform: create %s: %w", mxmlPath, err)
-	}
-	defer outF.Close()
-	w := mxml.NewWriter(outF)
-	if err := w.Open(mxml.Meta{Source: b.Source, Host: host, Table: table}); err != nil {
-		return out, err
-	}
-	if err := p.Parse(in, b.Instructions, w.WriteEntry); err != nil {
-		return out, fmt.Errorf("transform: %s: %w", path, err)
-	}
-	if err := w.Close(); err != nil {
-		return out, err
-	}
-	out = FileResult{Input: path, Parser: b.Parser, Table: table,
-		MXMLPath: mxmlPath, Entries: w.Entries()}
-	return out, nil
 }
 
 // Report summarizes a full directory ingest. All slices are sorted by

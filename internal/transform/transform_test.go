@@ -1,7 +1,9 @@
 package transform
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,13 +43,13 @@ func TestDefaultPlanFinds(t *testing.T) {
 }
 
 func TestHostDerivation(t *testing.T) {
-	if h := hostOf("/logs/mysql_collectl.csv", Binding{}); h != "mysql" {
+	if h := HostOf("/logs/mysql_collectl.csv", Binding{}); h != "mysql" {
 		t.Fatalf("host %q", h)
 	}
-	if h := hostOf("/logs/standalone.log", Binding{}); h != "standalone" {
+	if h := HostOf("/logs/standalone.log", Binding{}); h != "standalone" {
 		t.Fatalf("host %q", h)
 	}
-	if h := hostOf("/logs/x_y.log", Binding{Host: "fixed"}); h != "fixed" {
+	if h := HostOf("/logs/x_y.log", Binding{Host: "fixed"}); h != "fixed" {
 		t.Fatalf("host %q", h)
 	}
 }
@@ -80,6 +82,26 @@ func TestLoadPlanErrors(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := LoadPlan(filepath.Join(dir, "nope.json")); err == nil {
 		t.Fatal("missing plan accepted")
+	}
+	// Declarations that can never work are rejected up front, naming the
+	// binding and the field at fault.
+	for name, tc := range map[string]struct{ plan, want string }{
+		"malformed glob": {
+			`{"bindings":[{"glob":"*_slow.log","parser":"mysql-slow","table_suffix":"event"},
+			 {"glob":"[_access.log","parser":"token","table_suffix":"event"}]}`,
+			`binding 1: glob "[_access.log"`},
+		"unknown parser": {
+			`{"bindings":[{"glob":"*_access.log","parser":"tokn","table_suffix":"event"}]}`,
+			`binding 0: parser "tokn"`},
+	} {
+		path := filepath.Join(dir, "bad.json")
+		if err := os.WriteFile(path, []byte(tc.plan), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadPlan(path)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadPlan error %v, want one containing %q", name, err, tc.want)
+		}
 	}
 }
 

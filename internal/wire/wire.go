@@ -25,6 +25,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
+	"sync/atomic"
 )
 
 // Version is the protocol revision; a Hello carrying a different version
@@ -465,6 +467,25 @@ func DecodeGoodbye(b []byte) (Goodbye, error) {
 type Conn struct {
 	r *bufio.Reader
 	w *bufio.Writer
+}
+
+// CountingConn counts raw bytes both ways for the wire metrics of
+// whichever daemon owns the connection.
+type CountingConn struct {
+	net.Conn
+	Tx, Rx *atomic.Int64
+}
+
+func (c CountingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.Rx.Add(int64(n))
+	return n, err
+}
+
+func (c CountingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.Tx.Add(int64(n))
+	return n, err
 }
 
 // NewConn buffers rw for frame I/O.

@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
@@ -27,9 +26,6 @@ import (
 
 // Converted describes one conversion's outputs.
 type Converted struct {
-	Table      string
-	Source     string
-	Host       string
 	CSVPath    string
 	SchemaPath string
 	Rows       int
@@ -117,63 +113,50 @@ func toDBType(s inferState) mscopedb.Type {
 // <table>.schema.json in outDir. The document is read twice: pass one
 // infers the schema bottom-up, pass two emits rows in schema order.
 func ConvertFile(mxmlPath, outDir string) (Converted, error) {
-	var out Converted
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return out, fmt.Errorf("xmlcsv: create out dir: %w", err)
-	}
-
-	// Pass 1: union of columns (first-appearance order) + type inference.
-	var colOrder []string
-	states := make(map[string]inferState)
+	inf := NewInference()
 	meta, err := scanDoc(mxmlPath, func(e mxml.Entry) error {
-		for _, f := range e.Fields {
-			if _, seen := states[f.Name]; !seen {
-				colOrder = append(colOrder, f.Name)
-				states[f.Name] = stUnknown
-			}
-			states[f.Name] = merge(states[f.Name], classify(f.Value, f.Hint))
-		}
+		inf.Observe(e)
 		return nil
 	})
 	if err != nil {
-		return out, err
+		return Converted{}, err
 	}
-	if len(colOrder) == 0 {
-		return out, fmt.Errorf("xmlcsv: %s: document has no fields", mxmlPath)
+	cols := inf.Columns()
+	if cols == nil {
+		return Converted{}, fmt.Errorf("xmlcsv: %s: document has no fields", mxmlPath)
 	}
+	return WriteTable(outDir, meta, cols, func(yield func(mxml.Entry) error) error {
+		_, err := scanDoc(mxmlPath, yield)
+		return err
+	})
+}
 
-	cols := make([]mscopedb.Column, len(colOrder))
-	for i, name := range colOrder {
-		cols[i] = mscopedb.Column{Name: name, Type: toDBType(states[name])}
+// WriteTable writes one table's load-ready pair — the <table>.schema.json
+// sidecar and <table>.csv, rows in schema order — from the entries each
+// yields. ConvertFile feeds it from an mxml document and the batch
+// ingest's --materialize export from the entries it loaded, so both
+// produce the same bytes.
+func WriteTable(outDir string, meta mxml.Meta, cols []mscopedb.Column, each func(yield func(mxml.Entry) error) error) (Converted, error) {
+	out := Converted{Columns: cols,
+		CSVPath:    filepath.Join(outDir, meta.Table+".csv"),
+		SchemaPath: filepath.Join(outDir, meta.Table+".schema.json")}
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return out, fmt.Errorf("xmlcsv: create out dir: %w", err)
 	}
-
-	out.Table = meta.Table
-	out.Source = meta.Source
-	out.Host = meta.Host
-	out.Columns = cols
-	out.CSVPath = filepath.Join(outDir, meta.Table+".csv")
-	out.SchemaPath = filepath.Join(outDir, meta.Table+".schema.json")
-
-	// Write schema sidecar.
 	schema := Schema{Table: meta.Table, Source: meta.Source, Host: meta.Host}
-	for _, c := range cols {
+	header := make([]string, len(cols))
+	for i, c := range cols {
 		schema.Columns = append(schema.Columns, SchemaColumn{Name: c.Name, Type: c.Type.String()})
+		header[i] = c.Name
 	}
-	sf, err := os.Create(out.SchemaPath)
+	sidecar, err := json.MarshalIndent(schema, "", " ")
 	if err != nil {
-		return out, fmt.Errorf("xmlcsv: create schema: %w", err)
-	}
-	enc := json.NewEncoder(sf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(schema); err != nil {
-		sf.Close()
 		return out, fmt.Errorf("xmlcsv: write schema: %w", err)
 	}
-	if err := sf.Close(); err != nil {
-		return out, fmt.Errorf("xmlcsv: close schema: %w", err)
+	if err := os.WriteFile(out.SchemaPath, append(sidecar, '\n'), 0o644); err != nil {
+		return out, fmt.Errorf("xmlcsv: write schema: %w", err)
 	}
 
-	// Pass 2: emit CSV rows in schema order.
 	cf, err := os.Create(out.CSVPath)
 	if err != nil {
 		return out, fmt.Errorf("xmlcsv: create csv: %w", err)
@@ -181,25 +164,14 @@ func ConvertFile(mxmlPath, outDir string) (Converted, error) {
 	defer cf.Close()
 	bw := bufio.NewWriterSize(cf, 1<<16)
 	w := csv.NewWriter(bw)
-	header := make([]string, len(cols))
-	for i, c := range cols {
-		header[i] = c.Name
-	}
 	if err := w.Write(header); err != nil {
 		return out, fmt.Errorf("xmlcsv: write header: %w", err)
 	}
-	colPos := make(map[string]int, len(cols))
-	for i, c := range cols {
-		colPos[c.Name] = i
-	}
+	pos := positions(cols)
 	row := make([]string, len(cols))
-	_, err = scanDoc(mxmlPath, func(e mxml.Entry) error {
-		for i := range row {
-			row[i] = ""
-		}
-		for _, f := range e.Fields {
-			row[colPos[f.Name]] = f.Value
-		}
+	err = each(func(e mxml.Entry) error {
+		clear(row)
+		place(row, pos, e)
 		out.Rows++
 		return w.Write(row)
 	})
@@ -212,6 +184,9 @@ func ConvertFile(mxmlPath, outDir string) (Converted, error) {
 	}
 	if err := bw.Flush(); err != nil {
 		return out, fmt.Errorf("xmlcsv: flush: %w", err)
+	}
+	if err := cf.Close(); err != nil {
+		return out, fmt.Errorf("xmlcsv: close csv: %w", err)
 	}
 	return out, nil
 }
@@ -254,16 +229,10 @@ func ReadSchema(path string) (Schema, []mscopedb.Column, error) {
 	return s, cols, nil
 }
 
-// SchemaPathFor returns the sidecar path convention for a CSV path.
-func SchemaPathFor(csvPath string) string {
-	return strings.TrimSuffix(csvPath, ".csv") + ".schema.json"
-}
-
 // Inference is the bottom-up schema-inference state exposed for
 // incremental use: the streaming ingest (internal/stream) observes entries
 // one at a time and asks for the column set once enough records have been
-// buffered, instead of scanning a completed mxml document twice. The
-// lattice is identical to ConvertFile's.
+// buffered, instead of scanning a completed mxml document twice.
 type Inference struct {
 	order  []string
 	states map[string]inferState
@@ -322,18 +291,28 @@ func WidenFor(cur mscopedb.Type, value, hint string) mscopedb.Type {
 }
 
 // Row renders one entry as a cell row in schema order: absent fields are
-// empty cells, duplicate field names keep the last value (the same rule
-// ConvertFile applies).
+// empty cells, duplicate field names keep the last value.
 func Row(e mxml.Entry, cols []mscopedb.Column) []string {
+	row := make([]string, len(cols))
+	place(row, positions(cols), e)
+	return row
+}
+
+// positions indexes the schema by column name.
+func positions(cols []mscopedb.Column) map[string]int {
 	pos := make(map[string]int, len(cols))
 	for i, c := range cols {
 		pos[c.Name] = i
 	}
-	row := make([]string, len(cols))
+	return pos
+}
+
+// place is the one cell rule of the converter: each field lands in its
+// column's cell, a later duplicate overwriting an earlier one.
+func place(row []string, pos map[string]int, e mxml.Entry) {
 	for _, f := range e.Fields {
 		if i, ok := pos[f.Name]; ok {
 			row[i] = f.Value
 		}
 	}
-	return row
 }

@@ -185,9 +185,6 @@ func TestSchemaSidecarRoundTrip(t *testing.T) {
 	if len(cols) != 1 || cols[0] != (mscopedb.Column{Name: "user", Type: mscopedb.TFloat}) {
 		t.Fatalf("schema cols %+v", cols)
 	}
-	if SchemaPathFor(conv.CSVPath) != conv.SchemaPath {
-		t.Fatal("schema path convention mismatch")
-	}
 }
 
 func TestMergeLattice(t *testing.T) {
