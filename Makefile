@@ -122,8 +122,9 @@ cover:
 	$(GO) test -short -cover ./...
 
 # Short fuzz pass over the event-log parsers (native go fuzzing), plus
-# the shard-planner equivalence property one layer up and the scenario
-# spec decoder (malformed catalogue entries must error, never panic).
+# the shard-planner equivalence property one layer up, the scenario
+# spec decoder (malformed catalogue entries must error, never panic) and
+# the cell typer against the strconv/time cascade it replaced.
 fuzz:
 	$(GO) test -fuzz FuzzApacheAccessLog -fuzztime 30s ./internal/parsers/
 	$(GO) test -fuzz FuzzMySQLSlowLog -fuzztime 30s ./internal/parsers/
@@ -131,6 +132,7 @@ fuzz:
 	$(GO) test -fuzz FuzzShardedParseEquivalence -fuzztime 30s ./internal/transform/
 	$(GO) test -fuzz FuzzWireFrameDecode -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzScenarioConfigDecode -fuzztime 30s ./internal/scenario/
+	$(GO) test -fuzz FuzzCellTyperEquivalence -fuzztime 30s ./internal/xmlcsv/
 
 # End-to-end chaos drill: run a trial, corrupt its logs deterministically,
 # ingest the damage under the quarantine policy, and diagnose anyway.

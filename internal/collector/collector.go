@@ -245,19 +245,9 @@ func (col *Collector) shipSelfTrace() error {
 		rs.Suspend()
 		return err
 	}
-	if len(entries) > 0 {
-		done := make(chan struct{})
-		var left atomic.Int64
-		left.Store(int64(len(entries)))
-		for _, e := range entries {
-			rs.Append(e, func() {
-				if left.Add(-1) == 0 {
-					close(done)
-				}
-			})
-		}
-		<-done
-	}
+	done := make(chan struct{})
+	rs.AppendBatch(entries, func() { close(done) })
+	<-done
 	rs.SetCommitted(int64(len(data)))
 	rs.Suspend()
 	return nil
@@ -594,10 +584,11 @@ func (c *conn) handleBatch(b *wire.Batch) bool {
 	sp := c.col.obs.Begin(selfobs.PipeCollector, "ingest", c.agentID, "")
 	c.col.batchesIn.Add(1)
 	obsBatchesIn.Add(1)
-	st := &batchState{seq: b.Seq, offset: b.Offset, quarantined: b.Quarantined}
-	st.remaining.Store(int64(b.Records()))
+	n := b.Records()
+	st := &batchState{seq: b.Seq, offset: b.Offset, quarantined: b.Quarantined, records: int64(n)}
+	st.inFlight.Store(n > 0)
 	cs.push(st)
-	if st.remaining.Load() == 0 {
+	if n == 0 {
 		// Offset- or quarantine-only update: complete at queue position.
 		// The reader is this source's only feeder, so no record of this
 		// source is concurrently in flight once the queue ahead is empty —
@@ -606,14 +597,13 @@ func (c *conn) handleBatch(b *wire.Batch) bool {
 		sp.End(0, 0)
 		return true
 	}
-	n := 0
-	b.EachEntry(func(e mxml.Entry) {
-		n++
-		cs.rs.Append(e, func() {
-			if st.remaining.Add(-1) == 0 {
-				cs.drain()
-			}
-		})
+	// The whole batch crosses to the loader in one call, and comes back in
+	// one: the loader runs done once, after the last record.
+	entries := make([]mxml.Entry, 0, n)
+	b.EachEntry(func(e mxml.Entry) { entries = append(entries, e) })
+	cs.rs.AppendBatch(entries, func() {
+		st.inFlight.Store(false)
+		cs.drain()
 	})
 	c.col.recordsIn.Add(int64(n))
 	obsRecordsIn.Add(int64(n))
@@ -652,13 +642,13 @@ type batchState struct {
 	seq         uint64
 	offset      int64
 	quarantined int64
-	remaining   atomic.Int64
 	records     int64
-	next        *batchState
+	// inFlight is set while the loader still holds the batch's records.
+	inFlight atomic.Bool
+	next     *batchState
 }
 
 func (cs *connSource) push(st *batchState) {
-	st.records = st.remaining.Load()
 	cs.qmu.Lock()
 	if cs.tail == nil {
 		cs.head, cs.tail = st, st
@@ -671,12 +661,12 @@ func (cs *connSource) push(st *batchState) {
 
 // drain applies every completed batch at the queue head: commit the
 // offset, fold the quarantine count, ack with returned credits. Called
-// from the loader (a record's done callback) or the reader (an empty
+// from the loader (a batch's done callback) or the reader (an empty
 // batch); the queue mutex serializes the two.
 func (cs *connSource) drain() {
 	cs.qmu.Lock()
 	defer cs.qmu.Unlock()
-	for cs.head != nil && cs.head.remaining.Load() == 0 {
+	for cs.head != nil && !cs.head.inFlight.Load() {
 		st := cs.head
 		cs.head = st.next
 		if cs.head == nil {

@@ -205,26 +205,11 @@ func (sp *sealedPart) dropCache() {
 
 // --- spill ---
 
-// maybeSpill carves one full segment off the tail when it reaches the
-// seal threshold; the append paths call it after every row. Single
-// writer: only the goroutine that owns appends to this table may call it
-// (the sequenced appender, the live loader, or a batch builder).
-func (t *Table) maybeSpill() error {
-	sp := t.seal
-	if sp == nil {
-		return nil
-	}
-	sp.mu.RLock()
-	full := t.rows-sp.rows >= sp.store.opts.SealRows
-	sp.mu.RUnlock()
-	if !full {
-		return nil
-	}
-	return t.spillChunk(sp.store.opts.SealRows)
-}
-
-// spillFull carves every remaining full chunk (Checkpoint's pre-pass;
-// Install's carve of a bulk-built table).
+// spillFull carves every full segment off the tail. The append path calls
+// it after every call, and so do Checkpoint's pre-pass and Install's carve
+// of a bulk-built table. Single writer: only the goroutine that owns
+// appends to this table may call it (the sequenced appender, the live
+// loader, or a batch builder).
 func (t *Table) spillFull() error {
 	sp := t.seal
 	if sp == nil {

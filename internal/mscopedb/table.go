@@ -97,6 +97,9 @@ type Table struct {
 	data   []colData
 	rows   int
 
+	// rowBuf is the reused typed row of the one-row appends.
+	rowBuf []Value
+
 	// idx caches sorted-order permutations per column for range scans;
 	// guarded by idxMu, invalidated by staleness checks against rows.
 	idxMu sync.Mutex
@@ -193,90 +196,135 @@ func growSlice[E any](s []E, n int) []E {
 	return ns
 }
 
+// Value is one typed cell on its way into a table: the narrowest type that
+// stores its text, and the text read under that type. The zero Type is the
+// empty cell, which loads as the zero value of whatever column receives it.
+type Value struct {
+	Type Type
+	// Int is the TInt value, or the TTime microsecond epoch.
+	Int int64
+	// Float is the TFloat value; a TInt cell carries its text read as a
+	// float ("-0" is the int 0 but the float -0.0), which is what a float
+	// column stores for it.
+	Float float64
+	// Str is the cell's text, which is what a string column stores.
+	Str string
+}
+
+// fits reports whether a column of type col stores the cell without a
+// schema change.
+func (v *Value) fits(col Type) bool {
+	return v.Type == 0 || v.Type == col || col == TString || (col == TFloat && v.Type == TInt)
+}
+
+// AppendRows is the append path: cells holds whole rows in schema order,
+// one after another, and every cell must already fit its column (the
+// caller widens first). Nothing is appended when a cell does not. Segment
+// boundaries of a spill-backed table fall every SealRows rows regardless of
+// how the rows were grouped into calls.
+func (t *Table) AppendRows(cells []Value) error {
+	nc := len(t.cols)
+	if len(cells)%nc != 0 {
+		return fmt.Errorf("mscopedb: %s: %d cells do not make rows of %d columns", t.name, len(cells), nc)
+	}
+	for row := 0; row < len(cells); row += nc {
+		for ci, c := range t.cols {
+			if v := &cells[row+ci]; !v.fits(c.Type) {
+				return fmt.Errorf("mscopedb: %s.%s: %v cell %q does not fit a %v column",
+					t.name, c.Name, v.Type, v.Str, c.Type)
+			}
+		}
+	}
+	for ci := range t.cols {
+		d := &t.data[ci]
+		switch t.cols[ci].Type {
+		case TInt:
+			for i := ci; i < len(cells); i += nc {
+				d.Ints = append(d.Ints, cells[i].Int)
+			}
+		case TFloat:
+			for i := ci; i < len(cells); i += nc {
+				d.Floats = append(d.Floats, cells[i].Float)
+			}
+		case TTime:
+			for i := ci; i < len(cells); i += nc {
+				d.Times = append(d.Times, cells[i].Int)
+			}
+		case TString:
+			for i := ci; i < len(cells); i += nc {
+				d.Strs = append(d.Strs, d.internStr(cells[i].Str))
+			}
+		}
+	}
+	t.rows += len(cells) / nc
+	return t.spillFull()
+}
+
 // Append adds one row; values must match the schema positionally with Go
 // types int64, float64, time.Time and string.
 func (t *Table) Append(values ...any) error {
 	if len(values) != len(t.cols) {
 		return fmt.Errorf("mscopedb: %s: %d values for %d columns", t.name, len(values), len(t.cols))
 	}
+	row := t.rowBuf[:0]
 	for i, v := range values {
-		switch t.cols[i].Type {
+		cell := Value{Type: t.cols[i].Type}
+		ok := false
+		switch cell.Type {
 		case TInt:
-			x, ok := v.(int64)
-			if !ok {
-				return fmt.Errorf("mscopedb: %s.%s: %T is not int64", t.name, t.cols[i].Name, v)
-			}
-			t.data[i].Ints = append(t.data[i].Ints, x)
+			cell.Int, ok = v.(int64)
 		case TFloat:
-			x, ok := v.(float64)
-			if !ok {
-				return fmt.Errorf("mscopedb: %s.%s: %T is not float64", t.name, t.cols[i].Name, v)
-			}
-			t.data[i].Floats = append(t.data[i].Floats, x)
+			cell.Float, ok = v.(float64)
 		case TTime:
-			x, ok := v.(time.Time)
-			if !ok {
-				return fmt.Errorf("mscopedb: %s.%s: %T is not time.Time", t.name, t.cols[i].Name, v)
+			var ts time.Time
+			if ts, ok = v.(time.Time); ok {
+				cell.Int = ts.UnixMicro()
 			}
-			t.data[i].Times = append(t.data[i].Times, x.UnixMicro())
 		case TString:
-			x, ok := v.(string)
-			if !ok {
-				return fmt.Errorf("mscopedb: %s.%s: %T is not string", t.name, t.cols[i].Name, v)
-			}
-			t.data[i].Strs = append(t.data[i].Strs, x)
+			cell.Str, ok = v.(string)
 		}
+		if !ok {
+			return fmt.Errorf("mscopedb: %s.%s: %T is not a %v value", t.name, t.cols[i].Name, v, cell.Type)
+		}
+		row = append(row, cell)
 	}
-	t.rows++
-	return t.maybeSpill()
+	t.rowBuf = row
+	return t.AppendRows(row)
 }
 
 // AppendStrings parses one CSV-shaped row against the schema (the import
-// path). Empty cells load as the column's zero value except strings, which
-// load as the empty string.
+// path) and appends it. Empty cells load as the column's zero value except
+// strings, which load as the empty string.
 func (t *Table) AppendStrings(raw []string) error {
 	if len(raw) != len(t.cols) {
 		return fmt.Errorf("mscopedb: %s: %d cells for %d columns", t.name, len(raw), len(t.cols))
 	}
+	row := t.rowBuf[:0]
 	for i, s := range raw {
-		switch t.cols[i].Type {
-		case TInt:
-			var x int64
-			if s != "" {
-				var err error
-				x, err = strconv.ParseInt(s, 10, 64)
-				if err != nil {
+		v := Value{Str: s}
+		if s != "" {
+			var err error
+			switch v.Type = t.cols[i].Type; v.Type {
+			case TInt:
+				if v.Int, err = strconv.ParseInt(s, 10, 64); err != nil {
 					return fmt.Errorf("mscopedb: %s.%s: parse int %q: %w", t.name, t.cols[i].Name, s, err)
 				}
-			}
-			t.data[i].Ints = append(t.data[i].Ints, x)
-		case TFloat:
-			var x float64
-			if s != "" {
-				var err error
-				x, err = strconv.ParseFloat(s, 64)
-				if err != nil {
+			case TFloat:
+				if v.Float, err = strconv.ParseFloat(s, 64); err != nil {
 					return fmt.Errorf("mscopedb: %s.%s: parse float %q: %w", t.name, t.cols[i].Name, s, err)
 				}
-			}
-			t.data[i].Floats = append(t.data[i].Floats, x)
-		case TTime:
-			var x int64
-			if s != "" {
+			case TTime:
 				ts, err := time.Parse(mxml.TimeLayout, s)
 				if err != nil {
 					return fmt.Errorf("mscopedb: %s.%s: parse time %q: %w", t.name, t.cols[i].Name, s, err)
 				}
-				x = ts.UnixMicro()
+				v.Int = ts.UnixMicro()
 			}
-			t.data[i].Times = append(t.data[i].Times, x)
-		case TString:
-			d := &t.data[i]
-			d.Strs = append(d.Strs, d.internStr(s))
 		}
+		row = append(row, v)
 	}
-	t.rows++
-	return t.maybeSpill()
+	t.rowBuf = row
+	return t.AppendRows(row)
 }
 
 // internStr returns a shared copy of s for low-cardinality columns. The
@@ -378,20 +426,53 @@ func (t *Table) AddColumn(c Column) error {
 	if err := t.unspill(); err != nil {
 		return err
 	}
-	var d colData
-	switch c.Type {
-	case TInt:
-		d.Ints = make([]int64, t.rows)
-	case TFloat:
-		d.Floats = make([]float64, t.rows)
-	case TTime:
-		d.Times = make([]int64, t.rows)
-	case TString:
-		d.Strs = make([]string, t.rows)
-	}
 	t.colIdx[c.Name] = len(t.cols)
 	t.cols = append(t.cols, c)
-	t.data = append(t.data, d)
+	t.data = append(t.data, zeroColumn(c.Type, t.rows))
+	return nil
+}
+
+// zeroColumn is n empty cells of one type.
+func zeroColumn(typ Type, n int) colData {
+	var d colData
+	switch typ {
+	case TInt:
+		d.Ints = make([]int64, n)
+	case TFloat:
+		d.Floats = make([]float64, n)
+	case TTime:
+		d.Times = make([]int64, n)
+	case TString:
+		d.Strs = make([]string, n)
+	}
+	return d
+}
+
+// Retype gives a string column that holds only empty cells the type of the
+// first value it is about to receive. The streaming ingest creates a column
+// whose first cell is empty as a string column, because it cannot know
+// better yet; an empty cell is every type's zero value, so the column is
+// rebuilt as zeros — what whole-file inference, which skips empty cells,
+// would have loaded.
+func (t *Table) Retype(col string, to Type) error {
+	ci := t.ColIndex(col)
+	if ci < 0 {
+		return fmt.Errorf("mscopedb: %s: no column %q", t.name, col)
+	}
+	if t.cols[ci].Type != TString || to < TInt || to >= TString {
+		return fmt.Errorf("mscopedb: %s.%s: cannot retype %v to %v", t.name, col, t.cols[ci].Type, to)
+	}
+	if err := t.unspill(); err != nil {
+		return err
+	}
+	for _, s := range t.data[ci].Strs {
+		if s != "" {
+			return fmt.Errorf("mscopedb: %s.%s: retype to %v: column holds %q", t.name, col, to, s)
+		}
+	}
+	t.data[ci] = zeroColumn(to, t.rows)
+	t.cols[ci].Type = to
+	t.dropIndex(ci)
 	return nil
 }
 

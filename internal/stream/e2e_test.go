@@ -88,7 +88,8 @@ func batchBaseline(t *testing.T) (*mscopedb.DB, *core.Diagnosis) {
 }
 
 // compareRows asserts every streamed table holds exactly the rows the batch
-// ingest of the same logs produced — nothing lost, nothing duplicated.
+// ingest of the same logs produced — nothing lost, nothing duplicated, same
+// schema, same cells.
 func compareRows(t *testing.T, live, batch *mscopedb.DB) {
 	t.Helper()
 	compared := 0
@@ -107,7 +108,9 @@ func compareRows(t *testing.T, live, batch *mscopedb.DB) {
 		}
 		if lt.Rows() != bt.Rows() {
 			t.Errorf("table %s: live %d rows, batch %d", name, lt.Rows(), bt.Rows())
+			continue
 		}
+		sameTable(t, lt, bt)
 		compared++
 	}
 	if compared < 8 {

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"sort"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -166,7 +165,7 @@ func (p *Pipeline) evalPressure() {
 		return
 	}
 	var pr fidelity.Pressure
-	pr.Queue = float64(len(p.recs)) / float64(cap(p.recs))
+	pr.Queue = p.QueueFill()
 	if low, ok := p.wm.Low(); ok && low != finalLow {
 		if maxF := p.wm.MaxFrontier(); maxF > low {
 			pr.Lag = float64(maxF-low) / float64(f.opts.LagBudget.Microseconds())
@@ -184,8 +183,8 @@ func (p *Pipeline) evalPressure() {
 // degrade handles one timestamped record while below full fidelity: fold
 // it into the rollup accumulators, and either retain it in the source's
 // ring (AGGREGATE) or count it shed (SHED). Loader-owned.
-func (f *fidelityRun) degrade(s *source, e *mxml.Entry, usEvent int64, st fidelity.State) {
-	f.rollup(s, e, usEvent)
+func (f *fidelityRun) degrade(s *source, e *mxml.Entry, vals []mscopedb.Value, usEvent int64, st fidelity.State) {
+	f.rollup(s, e, vals, usEvent)
 	if st == fidelity.Aggregate {
 		r := f.rings[s]
 		if r == nil {
@@ -207,7 +206,7 @@ func (f *fidelityRun) degrade(s *source, e *mxml.Entry, usEvent int64, st fideli
 
 // rollup folds one record's curated metrics into the open accumulator
 // cells for its rollup window.
-func (f *fidelityRun) rollup(s *source, e *mxml.Entry, usEvent int64) {
+func (f *fidelityRun) rollup(s *source, e *mxml.Entry, vals []mscopedb.Value, usEvent int64) {
 	win := usEvent - modUS(usEvent, f.opts.RollupWindow.Microseconds())
 	fold := func(metric string, v float64) {
 		k := aggKey{table: s.table, metric: metric, winUS: win}
@@ -227,16 +226,16 @@ func (f *fidelityRun) rollup(s *source, e *mxml.Entry, usEvent int64) {
 		c.sum += v
 	}
 	if s.binding.TableSuffix == "event" {
-		if ua, ok1 := intField(e, "ua"); ok1 {
-			if ud, ok2 := intField(e, "ud"); ok2 {
+		if ua, ok1 := intField(e, vals, "ua"); ok1 {
+			if ud, ok2 := intField(e, vals, "ud"); ok2 {
 				fold("rt_us", float64(ud-ua))
 			}
 		}
 	} else {
 		// The collectl gauges the diagnosis correlates against.
 		for _, m := range [...]string{"dsk_util", "cpu_user", "cpu_sys", "mem_dirty", "cpu_mhz"} {
-			if v, ok := floatField(e, m); ok {
-				fold(m, v)
+			if v := typedField(e, vals, m); v.Type == mscopedb.TInt || v.Type == mscopedb.TFloat {
+				fold(m, v.Float)
 			}
 		}
 	}
@@ -338,15 +337,23 @@ func (p *Pipeline) promoteNeighbourhood(loUS, hiUS int64) {
 		if s.app == nil {
 			s.app = newAppender(p.db, s.table)
 		}
+		var err error
 		for i := range rows {
-			if err := s.app.append(rows[i]); err != nil {
-				p.recordLoadErr(err)
+			p.vals = typeFields(&rows[i], p.vals)
+			if err = s.app.add(&rows[i], p.vals); err != nil {
 				break
 			}
-			promoted++
-			s.rows.Add(1)
-			p.rowsTotal.Add(1)
 		}
+		if err == nil {
+			err = s.app.flush()
+		}
+		if err != nil {
+			p.recordLoadErr(err)
+			continue
+		}
+		promoted += int64(len(rows))
+		s.rows.Add(int64(len(rows)))
+		p.rowsTotal.Add(int64(len(rows)))
 	}
 	if promoted > 0 {
 		f.promoted.Add(promoted)
@@ -383,22 +390,4 @@ func (p *Pipeline) recordLoadErr(err error) {
 		p.loadErr = err
 	}
 	p.mu.Unlock()
-}
-
-func intField(e *mxml.Entry, name string) (int64, bool) {
-	v, ok := e.Get(name)
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	return n, err == nil
-}
-
-func floatField(e *mxml.Entry, name string) (float64, bool) {
-	v, ok := e.Get(name)
-	if !ok {
-		return 0, false
-	}
-	x, err := strconv.ParseFloat(v, 64)
-	return x, err == nil
 }

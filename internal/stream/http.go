@@ -38,7 +38,7 @@ type Status struct {
 	Quarantined int64   `json:"quarantined"`
 	Alerts      int     `json:"alerts"`
 	// Stalls counts backpressure stall events: a parser finding the
-	// record channel full and having to wait for the loader.
+	// record queue full and having to wait for the loader.
 	Stalls   int64           `json:"backpressure_stalls"`
 	Fidelity *FidelityStatus `json:"fidelity,omitempty"`
 	Sources  []SourceStatus  `json:"sources"`
@@ -81,7 +81,7 @@ func (p *Pipeline) Status() Status {
 		StartedWall: started,
 		WindowMS:    float64(p.cfg.Window.Microseconds()) / 1000,
 		Rows:        p.rowsTotal.Load(),
-		Queued:      len(p.recs),
+		Queued:      int(p.queued.Load()),
 		Alerts:      alerts,
 		Stalls:      p.stalls.Load(),
 	}

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,9 +21,11 @@ import (
 	"github.com/gt-elba/milliscope/internal/transform"
 )
 
-// Self-telemetry counters for the per-record loader stages, where even a
-// buffered span per row would dominate the work being measured. They
-// no-op unless a selfobs collector is enabled.
+// Self-telemetry of the loader. A span per record would dominate the work
+// being measured; a span per batch does not, so each batch the loader
+// takes is one live/append/batch span (items: rows appended, errs: rows
+// degraded or skipped) and one Add on the row counter. They no-op unless a
+// selfobs collector is enabled.
 var (
 	obsRowsAppended   = selfobs.NewCounter(selfobs.PipeLive, "append", "rows_appended")
 	obsWatermarkMoves = selfobs.NewCounter(selfobs.PipeLive, "watermark", "advances")
@@ -54,10 +55,13 @@ type Config struct {
 	// Grace delays classification past the watermark (default 2s); see
 	// DefaultGrace.
 	Grace time.Duration
-	// ChannelCap bounds the record channel (default 256). Backpressure:
-	// when the loader lags, parsers block here, their pipes fill, and the
-	// tailers stop reading — nothing buffers without bound. Stall events
-	// (a parser finding the channel full) are counted and exported.
+	// ChannelCap bounds the records in flight between the parsers and the
+	// loader (default 256): a batch is admitted while fewer than this many
+	// are queued, so the queue never holds more than ChannelCap plus one
+	// batch. Backpressure: when the loader lags, parsers block here, their
+	// pipes fill, and the tailers stop reading — nothing buffers without
+	// bound. Stall events (a parser finding the queue full) are counted
+	// and exported.
 	ChannelCap int
 	// Fidelity configures load-aware degradation; the zero value keeps
 	// full fidelity unconditionally.
@@ -73,7 +77,7 @@ type Config struct {
 	// remote marks an engine fed over the network instead of by the tail
 	// loop (set by NewRemote): no LogDir, no file discovery, no parsers —
 	// sources are registered with OpenRemote and records injected with
-	// RemoteSource.Append.
+	// RemoteSource.AppendBatch.
 	remote bool
 }
 
@@ -114,14 +118,20 @@ func (c *Config) withDefaults() (Config, error) {
 	return out, nil
 }
 
-// rec is one parsed record in flight from a parser to the loader. done,
-// when set, is invoked by the loader after the record is fully processed —
-// the remote ingest path hangs ack and flow-control accounting off it.
+// rec is the unit that crosses from a parser (or a decoded wire batch) to
+// the loader: up to batchCap consecutive records of one source. done, when
+// set, is invoked by the loader after the whole batch is processed — the
+// remote ingest path hangs ack and flow-control accounting off it.
 type rec struct {
-	src   *source
-	entry mxml.Entry
-	done  func()
+	src     *source
+	entries []mxml.Entry
+	done    func()
 }
+
+// batchCap bounds a rec. A parser fills one between two reads of its pipe,
+// so under light load a batch is what one poll appended to the log; only a
+// parser working through a backlog fills batches to the cap.
+const batchCap = 64
 
 // Pipeline is the live ingest-and-detect engine. Start launches the tail
 // loop (file discovery + polling), one parser goroutine per source, and
@@ -136,7 +146,13 @@ type Pipeline struct {
 	det *detector
 	fid *fidelityRun // nil when fidelity is off
 
-	recs     chan rec
+	recs chan rec
+	// queued counts the records in recs (a batch counts for what it holds);
+	// send blocks on qcond while it is at ChannelCap. Written under qmu.
+	qmu    sync.Mutex
+	qcond  *sync.Cond
+	queued atomic.Int64
+
 	dbReqs   chan func(*mscopedb.DB)
 	stopCh   chan struct{}
 	loadDone chan struct{}
@@ -149,6 +165,8 @@ type Pipeline struct {
 	// promotion path (called from the detector, on the loader) can record
 	// spans without allocating a buffer per promotion.
 	loaderObs *selfobs.Buf
+	// vals is the loader's reused typed view of the record in hand.
+	vals []mscopedb.Value
 
 	mu      sync.Mutex
 	sources []*source
@@ -177,6 +195,7 @@ func New(cfg Config) (*Pipeline, error) {
 		loadDone: make(chan struct{}),
 		byPath:   make(map[string]*source),
 	}
+	p.qcond = sync.NewCond(&p.qmu)
 	if c.Fidelity.enabled() {
 		p.fid = newFidelityRun(c.Fidelity)
 		// The detector promotes the anomaly neighbourhood out of the rings
@@ -194,7 +213,7 @@ func (p *Pipeline) DB() *mscopedb.DB { return p.db }
 
 // WithDB runs fn with exclusive access to the warehouse and blocks
 // until it returns. While the pipeline runs, fn executes on the loader
-// goroutine between records — ingest pauses for exactly the query's
+// goroutine between batches — ingest pauses for exactly the query's
 // duration, and fn sees a consistent snapshot with no appender racing
 // it. After the loader exits (Stop, or a remote drain) fn runs on the
 // caller. This is what lets `mscope serve` query a live warehouse.
@@ -455,6 +474,39 @@ func isClosedPipe(err error) bool {
 	return err == io.ErrClosedPipe
 }
 
+// send hands one batch to the loader. A queue at capacity is a
+// backpressure stall — counted, then waited out. The wait is the pressure
+// edge that stops the tailers, so the stall counter is exactly "times a
+// feeder caught the loader behind".
+func (p *Pipeline) send(r rec) {
+	p.qmu.Lock()
+	if p.queued.Load() >= int64(p.cfg.ChannelCap) {
+		p.stalls.Add(1)
+		obsStalls.Add(1)
+		for p.queued.Load() >= int64(p.cfg.ChannelCap) {
+			p.qcond.Wait()
+		}
+	}
+	p.queued.Add(int64(len(r.entries)))
+	p.qmu.Unlock()
+	// Never blocks: fewer than ChannelCap records were queued on admission,
+	// and every queued batch holds at least one.
+	p.recs <- r
+}
+
+// flushingReader flushes a parser's batch before each read of its pipe: a
+// read is the only place the parser can block, so no record ever waits in a
+// half-full batch for bytes that have not been written yet.
+type flushingReader struct {
+	r     io.Reader
+	flush func()
+}
+
+func (f flushingReader) Read(b []byte) (int, error) {
+	f.flush()
+	return f.r.Read(b)
+}
+
 // runParser feeds one source's pipe through its mScopeParser — degraded
 // mode when the parser supports it, so malformed regions are counted and
 // skipped with the same record-boundary resync the batch quarantine uses.
@@ -463,36 +515,40 @@ func (p *Pipeline) runParser(s *source, pr *io.PipeReader) {
 	obs := selfobs.NewBuf()
 	defer obs.Close()
 	var emitted int64
-	emit := func(e mxml.Entry) error {
-		r := rec{src: s, entry: e}
-		// Try the fast path first; a full channel is a backpressure stall —
-		// counted, then waited out. The blocking send is the pressure edge
-		// that stops the tailers, so the stall counter is exactly "times a
-		// parser caught the loader behind".
-		select {
-		case p.recs <- r:
-		default:
-			p.stalls.Add(1)
-			obsStalls.Add(1)
-			p.recs <- r
+	var batch []mxml.Entry
+	flush := func() {
+		if len(batch) > 0 {
+			p.send(rec{src: s, entries: batch})
+			batch = nil
 		}
+	}
+	emit := func(e mxml.Entry) error {
+		if batch == nil {
+			batch = make([]mxml.Entry, 0, batchCap)
+		}
+		batch = append(batch, e)
 		emitted++
+		if len(batch) == batchCap {
+			flush()
+		}
 		return nil
 	}
 	sink := func(parsers.Malformed) error {
 		s.quarantined.Add(1)
 		return nil
 	}
+	in := flushingReader{r: pr, flush: flush}
 	// One span covers the source's whole parse: its duration is the
 	// source's lifetime (the parser blocks on the pipe between polls), so
 	// the interesting fields are the record and quarantine totals.
 	sp := obs.Begin(selfobs.PipeLive, "parse", "source", s.name)
 	var err error
 	if dp, ok := s.parser.(parsers.DegradedParser); ok {
-		err = dp.ParseDegraded(pr, s.binding.Instructions, emit, sink)
+		err = dp.ParseDegraded(in, s.binding.Instructions, emit, sink)
 	} else {
-		err = s.parser.Parse(pr, s.binding.Instructions, emit)
+		err = s.parser.Parse(in, s.binding.Instructions, emit)
 	}
+	flush()
 	sp.End(emitted, s.quarantined.Load())
 	if err != nil {
 		s.parseErrs.Add(1)
@@ -526,12 +582,16 @@ load:
 			if !ok {
 				break load
 			}
-			p.processRec(r, obs, &lastLow)
+			p.qmu.Lock()
+			p.queued.Add(-int64(len(r.entries)))
+			p.qmu.Unlock()
+			p.qcond.Broadcast()
+			p.processBatch(r, obs, &lastLow)
 			if r.done != nil {
 				r.done()
 			}
 		case fn := <-p.dbReqs:
-			// A WithDB caller borrows the warehouse between records.
+			// A WithDB caller borrows the warehouse between batches.
 			fn(p.db)
 		}
 	}
@@ -555,49 +615,77 @@ load:
 	sp.End(int64(p.rowsTotal.Load()), 0)
 }
 
-// processRec is the loader's per-record work: append (or degrade) the row,
-// advance frontiers, enforce the error budget, drive the fidelity
-// controller, and run the detector as the watermark moves.
-func (p *Pipeline) processRec(r rec, obs *selfobs.Buf, lastLow *int64) {
+// processBatch is the loader's work on one batch. Per record: type each
+// cell once, read the event time and the front tier's PIT observation off
+// the typed cells, and stage the row (or degrade it). Per batch: the
+// source's status, the resume skip, the table append, the counters, the
+// watermark, the error budget, the fidelity controller and the detector
+// trigger.
+func (p *Pipeline) processBatch(r rec, obs *selfobs.Buf, lastLow *int64) {
+	s, n := r.src, int64(len(r.entries))
 	if p.cfg.ConsumerDelay > 0 {
-		time.Sleep(p.cfg.ConsumerDelay)
+		time.Sleep(time.Duration(n) * p.cfg.ConsumerDelay)
 	}
-	s := r.src
 	if st, _ := s.status(); st == StateRejected {
 		return
 	}
-	s.consumed.Add(1)
-	us, hasTS := s.eventTimeUS(&r.entry)
-	if s.skipEntries.Load() > 0 {
-		s.skipEntries.Add(-1)
-	} else {
-		s.processed.Add(1)
-		if s.host == "apache" && s.binding.TableSuffix == "event" {
-			p.observeFront(&r.entry)
-		}
-		if st := p.fidState(); st == fidelity.Full || !hasTS {
-			// Full fidelity — and the degraded modes' fallback for the
-			// rare record with no usable clock, which neither the ring
-			// nor the rollup grid could place.
-			if s.app == nil {
-				s.app = newAppender(p.db, s.table)
-			}
-			if err := s.app.append(r.entry); err != nil {
-				s.setState(StateFailed, err)
-				p.wm.Finish(s.path)
-				p.recordLoadErr(err)
-				return
-			}
-			s.rows.Add(1)
-			p.rowsTotal.Add(1)
-			obsRowsAppended.Add(1)
-		} else {
-			p.fid.degrade(s, &r.entry, us, st)
-		}
+	sp := obs.Begin(selfobs.PipeLive, "append", "batch", s.name)
+	s.consumed.Add(n)
+	// The first skip records are a resume's re-read of what an earlier
+	// session (or connection) already consumed; the window may end inside
+	// the batch.
+	skip := min(s.skipEntries.Load(), n)
+	s.skipEntries.Add(-skip)
+	s.processed.Add(n - skip)
+	if s.app == nil {
+		s.app = newAppender(p.db, s.table)
 	}
-	if hasTS {
-		p.wm.Observe(s.path, us)
-		s.frontierUS.Store(us)
+	front := s.host == "apache" && s.binding.TableSuffix == "event"
+	fid := p.fidState()
+	var appended, frontier int64
+	var err error
+	for i := range r.entries {
+		e := &r.entries[i]
+		p.vals = typeFields(e, p.vals)
+		us, hasTS := s.eventTimeUS(e, p.vals)
+		if hasTS {
+			frontier = max(frontier, us)
+		}
+		if int64(i) < skip {
+			continue
+		}
+		if front {
+			p.observeFront(e, p.vals)
+		}
+		if fid != fidelity.Full && hasTS {
+			p.fid.degrade(s, e, p.vals, us, fid)
+			continue
+		}
+		// Full fidelity — and the degraded modes' fallback for the rare
+		// record with no usable clock, which neither the ring nor the
+		// rollup grid could place.
+		if err = s.app.add(e, p.vals); err != nil {
+			break
+		}
+		appended++
+		e.Release() // the table keeps the strings, not the field storage
+	}
+	if err == nil {
+		err = s.app.flush()
+	}
+	if err != nil {
+		s.setState(StateFailed, err)
+		p.wm.Finish(s.path)
+		p.recordLoadErr(err)
+		return
+	}
+	s.rows.Add(appended)
+	p.rowsTotal.Add(appended)
+	obsRowsAppended.Add(appended)
+	sp.End(appended, n-appended)
+	if frontier > 0 {
+		p.wm.Observe(s.path, frontier)
+		s.frontierUS.Store(frontier)
 	}
 	if q := s.quarantined.Load(); q > 0 {
 		total := s.processed.Load() + q
@@ -609,7 +697,7 @@ func (p *Pipeline) processRec(r rec, obs *selfobs.Buf, lastLow *int64) {
 		}
 	}
 	if p.fid != nil {
-		p.fid.sinceEval++
+		p.fid.sinceEval += int(n)
 		if p.fid.sinceEval >= p.fid.opts.EvalEvery {
 			p.fid.sinceEval = 0
 			p.evalPressure()
@@ -629,18 +717,12 @@ func (p *Pipeline) processRec(r rec, obs *selfobs.Buf, lastLow *int64) {
 }
 
 // observeFront folds a front-tier event into the online PIT statistic.
-func (p *Pipeline) observeFront(e *mxml.Entry) {
-	uaS, ok1 := e.Get("ua")
-	udS, ok2 := e.Get("ud")
-	if !ok1 || !ok2 {
-		return
+func (p *Pipeline) observeFront(e *mxml.Entry, vals []mscopedb.Value) {
+	ua, ok1 := intField(e, vals, "ua")
+	ud, ok2 := intField(e, vals, "ud")
+	if ok1 && ok2 {
+		p.det.observe(ua, ud)
 	}
-	ua, err1 := strconv.ParseInt(uaS, 10, 64)
-	ud, err2 := strconv.ParseInt(udS, 10, 64)
-	if err1 != nil || err2 != nil {
-		return
-	}
-	p.det.observe(ua, ud)
 }
 
 // raise records new alerts and notifies the callback.

@@ -18,7 +18,7 @@ const ResumeDenied int64 = -1
 // NewRemote builds a pipeline fed over the network instead of by the tail
 // loop: no LogDir, no file discovery, no parsers. The collector registers
 // sources with OpenRemote and injects already-parsed records with
-// RemoteSource.Append; everything downstream — appenders, watermark,
+// RemoteSource.AppendBatch; everything downstream — appenders, watermark,
 // fidelity controller, online detector, ledger checkpoint — is the exact
 // single-process engine, which is what makes the distributed deployment
 // byte-equal to local ingest.
@@ -134,30 +134,36 @@ func (r *RemoteSource) Key() string { return r.s.path }
 // Table returns the warehouse table the source feeds.
 func (r *RemoteSource) Table() string { return r.s.table }
 
-// Append injects one parsed record. It blocks when the record channel is
-// full — the same backpressure edge the local parsers hit, counted the
-// same way — and invokes done from the loader goroutine once the record
-// has been fully processed.
-func (r *RemoteSource) Append(e mxml.Entry, done func()) {
-	r.s.pending.Add(1)
-	rc := rec{src: r.s, entry: e, done: func() {
+// AppendBatch injects consecutive parsed records — a decoded wire batch —
+// whose entries the engine then owns. They cross to the loader batchCap at
+// a time: each send blocks while the record queue is full, the same
+// backpressure edge the local parsers hit, counted the same way. done is
+// invoked from the loader goroutine once the last record has been fully
+// processed (at once, on the caller's, for an empty batch).
+func (r *RemoteSource) AppendBatch(entries []mxml.Entry, done func()) {
+	n := int64(len(entries))
+	if n == 0 {
 		if done != nil {
 			done()
 		}
-		r.s.pending.Add(-1)
-	}}
-	select {
-	case r.p.recs <- rc:
-	default:
-		r.p.stalls.Add(1)
-		obsStalls.Add(1)
-		r.p.recs <- rc
+		return
 	}
+	r.s.pending.Add(n)
+	for len(entries) > batchCap {
+		r.p.send(rec{src: r.s, entries: entries[:batchCap]})
+		entries = entries[batchCap:]
+	}
+	r.p.send(rec{src: r.s, entries: entries, done: func() {
+		if done != nil {
+			done()
+		}
+		r.s.pending.Add(-n)
+	}})
 }
 
 // SetCommitted records that every record up to the agent's byte offset has
 // been handed to the loader — the durable resume point a reconnect gets.
-// Call it from the final record's done callback (or with nothing in
+// Call it from a batch's done callback (or with nothing in
 // flight): the rows stamp must count exactly the records behind off. A
 // non-advancing offset is ignored: a batch split mid-cycle re-stamps the
 // previous offset, whose record count was captured when it first applied.
@@ -195,8 +201,10 @@ func (r *RemoteSource) Suspend() { r.p.wm.Finish(r.s.path) }
 // agents so a pressured central store degrades shipping at the edge.
 func (p *Pipeline) FidelityState() fidelity.State { return p.fidState() }
 
-// QueueFill is the record channel's fill fraction — the rawest of the
-// pressure signals, exported for the collector's Control frames.
+// QueueFill is the fill fraction of the record queue — the rawest of the
+// pressure signals, the fidelity controller's and the collector's Control
+// frames'. The one batch admitted past ChannelCap does not read as more
+// than full.
 func (p *Pipeline) QueueFill() float64 {
-	return float64(len(p.recs)) / float64(cap(p.recs))
+	return min(1, float64(p.queued.Load())/float64(p.cfg.ChannelCap))
 }

@@ -3,10 +3,8 @@ package stream
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mxml"
@@ -137,79 +135,177 @@ func (s *source) rotationCount() int64 {
 	return 0
 }
 
+// typeFields types each field of an entry once, into vals[i] for
+// e.Fields[i]. Everything the loader then wants from the record — its event
+// time, the front tier's ua/ud, the rolled-up gauges, the cells appended —
+// reads these values, never the text again.
+func typeFields(e *mxml.Entry, vals []mscopedb.Value) []mscopedb.Value {
+	vals = vals[:0]
+	for _, f := range e.Fields {
+		vals = append(vals, xmlcsv.TypeCell(f.Value, f.Hint))
+	}
+	return vals
+}
+
+// typedField returns the typed value of the first field with the name.
+func typedField(e *mxml.Entry, vals []mscopedb.Value, name string) (v mscopedb.Value) {
+	for i := range e.Fields {
+		if e.Fields[i].Name == name {
+			return vals[i]
+		}
+	}
+	return v
+}
+
+// intField is a field that reads as an integer.
+func intField(e *mxml.Entry, vals []mscopedb.Value, name string) (int64, bool) {
+	v := typedField(e, vals, name)
+	return v.Int, v.Type == mscopedb.TInt
+}
+
 // eventTimeUS extracts the record's event time: departure (ud) for event
 // tables, sample timestamp (ts) for collectl CSVs. False means the record
 // carries no usable clock — it still loads, but cannot advance the
 // watermark.
-func (s *source) eventTimeUS(e *mxml.Entry) (int64, bool) {
+func (s *source) eventTimeUS(e *mxml.Entry, vals []mscopedb.Value) (int64, bool) {
 	if s.binding.TableSuffix == "event" {
-		v, ok := e.Get("ud")
-		if !ok {
-			return 0, false
-		}
-		us, err := strconv.ParseInt(v, 10, 64)
-		return us, err == nil
+		return intField(e, vals, "ud")
 	}
-	v, ok := e.Get("ts")
-	if !ok {
-		return 0, false
-	}
-	ts, err := time.Parse(mxml.TimeLayout, v)
-	if err != nil {
-		return 0, false
-	}
-	return ts.UnixMicro(), true
+	v := typedField(e, vals, "ts")
+	return v.Int, v.Type == mscopedb.TTime
 }
 
 // appender maintains one warehouse table incrementally: the table is
-// created from the first record's inferred schema, and later records that
-// contradict it widen columns or add new ones in place — converging on
-// the same schema the batch converter's whole-file inference would have
-// produced.
+// created from the first record's types, and later records that contradict
+// the schema widen columns or add new ones in place — converging on the
+// schema the batch converter's whole-file inference would have produced.
+// Rows are staged typed and reach the table a batch at a time; a schema
+// change first flushes the rows staged under the old schema.
 type appender struct {
 	db    *mscopedb.DB
 	name  string
 	table *mscopedb.Table
+
+	// cols caches the table's schema, and unset marks the columns that have
+	// held only empty cells: created as string columns for want of
+	// anything better, and still free to take the type of their first value
+	// — as whole-file inference, which ignores empty cells, types them.
+	cols  []mscopedb.Column
+	unset []bool
+
+	cells  []mscopedb.Value // staged rows, in schema order, row after row
+	staged int
+	pos    []int // column of each field of the row being staged
 }
 
 func newAppender(db *mscopedb.DB, name string) *appender {
 	a := &appender{db: db, name: name}
 	if db.HasTable(name) {
 		a.table, _ = db.Table(name) // resume: append to the existing table
+		a.cols = a.table.Columns()
+		a.unset = make([]bool, len(a.cols))
+		for ci, c := range a.cols {
+			a.unset[ci] = c.Type == mscopedb.TString && allEmpty(a.table, ci)
+		}
 	}
 	return a
 }
 
-func (a *appender) append(e mxml.Entry) error {
+// allEmpty reports whether a string column holds only empty cells; it stops
+// at the first that is not, which in a column that ever had a value is
+// almost always the first.
+func allEmpty(t *mscopedb.Table, ci int) bool {
+	for r := 0; r < t.Rows(); r++ {
+		if t.Str(ci, r) != "" {
+			return false
+		}
+	}
+	return true
+}
+
+// columnFor is the column an empty table or a new field starts with.
+func columnFor(name string, v mscopedb.Type) mscopedb.Column {
+	if v == 0 {
+		v = mscopedb.TString
+	}
+	return mscopedb.Column{Name: name, Type: v}
+}
+
+// add stages one record, vals being its typed fields: absent fields are
+// empty cells, a duplicate field name keeps its last value.
+func (a *appender) add(e *mxml.Entry, vals []mscopedb.Value) error {
 	if a.table == nil {
-		inf := xmlcsv.NewInference()
-		inf.Observe(e)
-		cols := inf.Columns()
-		if cols == nil {
+		// The first field of the first record makes the table; the loop
+		// below adds the rest like any field the table has not seen.
+		if len(e.Fields) == 0 {
 			return fmt.Errorf("stream: %s: record with no fields", a.name)
 		}
-		t, err := a.db.Create(a.name, cols)
+		t, err := a.db.Create(a.name, []mscopedb.Column{columnFor(e.Fields[0].Name, vals[0].Type)})
 		if err != nil {
 			return err
 		}
-		a.table = t
+		a.table, a.cols, a.unset = t, t.Columns(), []bool{vals[0].Type == 0}
 	}
-	for _, f := range e.Fields {
+	a.pos = a.pos[:0]
+	for i, f := range e.Fields {
 		ci := a.table.ColIndex(f.Name)
-		if ci < 0 {
-			inf := xmlcsv.NewInference()
-			inf.Observe(mxml.Entry{Fields: []mxml.Field{f}})
-			if err := a.table.AddColumn(inf.Columns()[0]); err != nil {
+		switch v := vals[i].Type; {
+		case ci < 0:
+			ci = len(a.cols)
+			if err := a.alter(func() error { return a.table.AddColumn(columnFor(f.Name, v)) }); err != nil {
 				return err
 			}
-			continue
-		}
-		cur := a.table.Columns()[ci].Type
-		if want := xmlcsv.WidenFor(cur, f.Value, f.Hint); want != cur {
-			if err := a.table.Widen(f.Name, want); err != nil {
-				return err
+			a.unset = append(a.unset, v == 0)
+		case v == 0:
+		case a.unset[ci]:
+			a.unset[ci] = false
+			if v != mscopedb.TString {
+				if err := a.alter(func() error { return a.table.Retype(f.Name, v) }); err != nil {
+					return err
+				}
+			}
+		default:
+			if want := xmlcsv.Widen(a.cols[ci].Type, v); want != a.cols[ci].Type {
+				if err := a.alter(func() error { return a.table.Widen(f.Name, want) }); err != nil {
+					return err
+				}
 			}
 		}
+		a.pos = append(a.pos, ci)
 	}
-	return a.table.AppendStrings(xmlcsv.Row(e, a.table.Columns()))
+	nc := len(a.cols)
+	base := a.staged * nc
+	if base+nc > len(a.cells) {
+		a.cells = append(a.cells[:base], make([]mscopedb.Value, max(nc, len(a.cells)))...)
+	}
+	row := a.cells[base : base+nc]
+	clear(row)
+	for i, ci := range a.pos {
+		row[ci] = vals[i]
+	}
+	a.staged++
+	return nil
+}
+
+// alter changes the table's schema: the rows staged under the old one go in
+// first, and the cached schema is read back after.
+func (a *appender) alter(change func() error) error {
+	if err := a.flush(); err != nil {
+		return err
+	}
+	if err := change(); err != nil {
+		return err
+	}
+	a.cols = a.table.Columns()
+	return nil
+}
+
+// flush appends the staged rows to the table.
+func (a *appender) flush() error {
+	if a.staged == 0 {
+		return nil
+	}
+	n := a.staged * len(a.cols)
+	a.staged = 0
+	return a.table.AppendRows(a.cells[:n])
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -175,5 +176,117 @@ func TestTailerCommittedExcludesPartial(t *testing.T) {
 	}
 	if c := tail.Committed(); c != int64(len("done\npart")) {
 		t.Fatalf("committed after flush = %d, want %d", c, len("done\npart"))
+	}
+}
+
+// TestTailerChunkedCatchUp: a poll reads what the file held when it was
+// stat'ed, a chunk at a time, whatever happens to the file meanwhile.
+func TestTailerChunkedCatchUp(t *testing.T) {
+	line := func(i int) string { return fmt.Sprintf("record %06d %s\n", i, strings.Repeat("x", 100)) }
+	var big strings.Builder
+	for i := 0; big.Len() < 5*tailChunk; i++ {
+		big.WriteString(line(i))
+	}
+	long := "short 1\n" + strings.Repeat("L", 2*tailChunk+17) + "\nshort 2\n"
+	appendTo := func(path, data string) {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteString(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name    string
+		content string
+		// during runs inside the first emit of the first poll: the file
+		// changes under a catch-up in progress.
+		during func(path string)
+		// first and second are what the first and second polls emit;
+		// minEmits is how many chunks the first poll must take.
+		first, second string
+		minEmits      int
+		rotations     int64
+	}{
+		{
+			name:    "file larger than several chunks",
+			content: big.String() + "partial",
+			first:   big.String(), minEmits: 5,
+		},
+		{
+			name:    "line longer than a chunk",
+			content: long,
+			first:   long, minEmits: 2,
+		},
+		{
+			name:    "growth between stat and read waits for the next poll",
+			content: big.String(),
+			during:  func(path string) { appendTo(path, "late 1\nlate 2\n") },
+			first:   big.String(), second: "late 1\nlate 2\n", minEmits: 5,
+		},
+		{
+			name:    "truncation mid catch-up",
+			content: big.String(),
+			during: func(path string) {
+				if err := os.WriteFile(path, []byte("reborn 1\nreborn 2\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			// The old incarnation's first chunk is out already; nothing
+			// else of it can be read, and the new one starts from zero.
+			first: big.String()[:strings.LastIndexByte(big.String()[:tailChunk], '\n')+1], second: "reborn 1\nreborn 2\n",
+			minEmits: 1, rotations: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "mon.log")
+			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tail := NewTailer(path, 0)
+			var got strings.Builder
+			emits, maxEmit := 0, 0
+			emit := func(b []byte) error {
+				got.Write(b)
+				emits++
+				maxEmit = max(maxEmit, len(b))
+				if emits == 1 && tc.during != nil {
+					tc.during(path)
+				}
+				return nil
+			}
+			n, err := tail.Poll(emit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != tc.first {
+				t.Fatalf("first poll emitted %d bytes, want %d", got.Len(), len(tc.first))
+			}
+			if emits < tc.minEmits {
+				t.Errorf("first poll emitted %d chunks, want at least %d", emits, tc.minEmits)
+			}
+			if tc.rotations == 0 && n != len(tc.content) {
+				t.Errorf("first poll consumed %d bytes, want the %d the file held when stat'ed", n, len(tc.content))
+			}
+			if c := tail.Committed(); c != int64(len(tc.first)) {
+				t.Errorf("committed %d after the first poll, want %d", c, len(tc.first))
+			}
+			if limit := len(long); maxEmit > limit {
+				t.Errorf("one emit carried %d bytes: reads are not bounded by a chunk plus the longest line", maxEmit)
+			}
+			got.Reset()
+			if _, err := tail.Poll(emit); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != tc.second {
+				t.Fatalf("second poll emitted %q, want %q", got.String(), tc.second)
+			}
+			if r := tail.Rotations(); r != tc.rotations {
+				t.Errorf("rotations = %d, want %d", r, tc.rotations)
+			}
+		})
 	}
 }

@@ -101,6 +101,12 @@ func goldenInputs() map[string]string {
 		Kind: "span", Pipeline: selfobs.PipeIngest, Stage: "append", Span: "-",
 		File: "apache_access.log", StartNS: 11_000_000, DurNS: 400_000, Items: 6004,
 	}) + "\n")
+	// The live loader's per-batch span: items are rows appended, errs rows
+	// degraded or skipped.
+	self.WriteString(selfobs.FormatLine(ep, "golden-batch", selfobs.Rec{
+		Kind: "span", Pipeline: selfobs.PipeLive, Stage: "append", Span: "batch",
+		File: "apache_access.log", StartNS: 11_500_000, DurNS: 150_000, Items: 61, Errs: 3,
+	}) + "\n")
 	self.WriteString(selfobs.FormatLine(ep, "golden-batch", selfobs.Rec{
 		Kind: "counter", Pipeline: selfobs.PipeLive, Stage: "watermark",
 		Span: "rows_advanced", StartNS: 12_000_000, Items: 6001,

@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"time"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mxml"
@@ -44,69 +42,6 @@ type Schema struct {
 type SchemaColumn struct {
 	Name string `json:"name"`
 	Type string `json:"type"`
-}
-
-// inferState tracks one column's narrowest-type lattice position.
-type inferState int
-
-const (
-	stUnknown inferState = iota
-	stInt
-	stFloat
-	stTime
-	stString
-)
-
-// merge widens the column state to accommodate a value state.
-func merge(cur, v inferState) inferState {
-	if cur == stUnknown {
-		return v
-	}
-	if v == stUnknown || cur == v {
-		return cur
-	}
-	// int ⊂ float; anything mixed with time (or string) degrades to string.
-	if (cur == stInt && v == stFloat) || (cur == stFloat && v == stInt) {
-		return stFloat
-	}
-	return stString
-}
-
-// classify returns a single value's narrowest type.
-func classify(value, hint string) inferState {
-	if value == "" {
-		return stUnknown
-	}
-	if hint == "time" {
-		if _, err := time.Parse(mxml.TimeLayout, value); err == nil {
-			return stTime
-		}
-		return stString
-	}
-	if _, err := strconv.ParseInt(value, 10, 64); err == nil {
-		return stInt
-	}
-	if _, err := strconv.ParseFloat(value, 64); err == nil {
-		return stFloat
-	}
-	if _, err := time.Parse(mxml.TimeLayout, value); err == nil {
-		return stTime
-	}
-	return stString
-}
-
-func toDBType(s inferState) mscopedb.Type {
-	switch s {
-	case stInt:
-		return mscopedb.TInt
-	case stFloat:
-		return mscopedb.TFloat
-	case stTime:
-		return mscopedb.TTime
-	default:
-		// Columns with no non-empty values load as strings.
-		return mscopedb.TString
-	}
 }
 
 // ConvertFile converts one mxml document into <table>.csv and
@@ -230,64 +165,50 @@ func ReadSchema(path string) (Schema, []mscopedb.Column, error) {
 }
 
 // Inference is the bottom-up schema-inference state exposed for
-// incremental use: the streaming ingest (internal/stream) observes entries
-// one at a time and asks for the column set once enough records have been
-// buffered, instead of scanning a completed mxml document twice.
+// incremental use: the batch ingest observes a file's entries as the parser
+// emits them and asks for the column set at the end, instead of scanning a
+// completed mxml document twice.
 type Inference struct {
-	order  []string
-	states map[string]inferState
+	// cols is the column set in first-appearance order; the zero type marks
+	// a column that has held only empty cells so far.
+	cols []mscopedb.Column
+	idx  map[string]int
 }
 
 // NewInference returns an empty inference.
 func NewInference() *Inference {
-	return &Inference{states: make(map[string]inferState)}
+	return &Inference{idx: make(map[string]int)}
 }
 
 // Observe folds one entry's fields into the inference.
 func (inf *Inference) Observe(e mxml.Entry) {
 	for _, f := range e.Fields {
-		if _, seen := inf.states[f.Name]; !seen {
-			inf.order = append(inf.order, f.Name)
-			inf.states[f.Name] = stUnknown
+		i, seen := inf.idx[f.Name]
+		if !seen {
+			i = len(inf.cols)
+			inf.idx[f.Name] = i
+			inf.cols = append(inf.cols, mscopedb.Column{Name: f.Name})
 		}
-		inf.states[f.Name] = merge(inf.states[f.Name], classify(f.Value, f.Hint))
+		c := &inf.cols[i]
+		c.Type = Widen(c.Type, TypeCell(f.Value, f.Hint).Type)
 	}
 }
 
 // Columns returns the inferred schema in first-appearance order; nil when
-// no fields were observed.
+// no fields were observed. Columns with no non-empty values load as
+// strings.
 func (inf *Inference) Columns() []mscopedb.Column {
-	if len(inf.order) == 0 {
+	if len(inf.cols) == 0 {
 		return nil
 	}
-	cols := make([]mscopedb.Column, len(inf.order))
-	for i, name := range inf.order {
-		cols[i] = mscopedb.Column{Name: name, Type: toDBType(inf.states[name])}
+	cols := make([]mscopedb.Column, len(inf.cols))
+	for i, c := range inf.cols {
+		if c.Type == 0 {
+			c.Type = mscopedb.TString
+		}
+		cols[i] = c
 	}
 	return cols
-}
-
-// WidenFor returns the column type needed to also store the given value:
-// the merge of the current type with the value's classification. Equal to
-// cur when the value already fits — the streaming ingest widens the live
-// table only when this differs.
-func WidenFor(cur mscopedb.Type, value, hint string) mscopedb.Type {
-	var st inferState
-	switch cur {
-	case mscopedb.TInt:
-		st = stInt
-	case mscopedb.TFloat:
-		st = stFloat
-	case mscopedb.TTime:
-		st = stTime
-	default:
-		st = stString
-	}
-	merged := merge(st, classify(value, hint))
-	if merged == stUnknown {
-		return cur
-	}
-	return toDBType(merged)
 }
 
 // Row renders one entry as a cell row in schema order: absent fields are

@@ -187,60 +187,59 @@ func TestSchemaSidecarRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMergeLattice(t *testing.T) {
+func TestWidenLattice(t *testing.T) {
+	const unknown = mscopedb.Type(0)
 	cases := []struct {
-		a, b, want inferState
+		a, b, want mscopedb.Type
 	}{
-		{stUnknown, stInt, stInt},
-		{stInt, stUnknown, stInt},
-		{stInt, stInt, stInt},
-		{stInt, stFloat, stFloat},
-		{stFloat, stInt, stFloat},
-		{stInt, stTime, stString},
-		{stTime, stFloat, stString},
-		{stTime, stTime, stTime},
-		{stString, stInt, stString},
+		{unknown, mscopedb.TInt, mscopedb.TInt},
+		{mscopedb.TInt, unknown, mscopedb.TInt},
+		{mscopedb.TInt, mscopedb.TInt, mscopedb.TInt},
+		{mscopedb.TInt, mscopedb.TFloat, mscopedb.TFloat},
+		{mscopedb.TFloat, mscopedb.TInt, mscopedb.TFloat},
+		{mscopedb.TInt, mscopedb.TTime, mscopedb.TString},
+		{mscopedb.TTime, mscopedb.TFloat, mscopedb.TString},
+		{mscopedb.TTime, mscopedb.TTime, mscopedb.TTime},
+		{mscopedb.TString, mscopedb.TInt, mscopedb.TString},
 	}
 	for _, c := range cases {
-		if got := merge(c.a, c.b); got != c.want {
-			t.Fatalf("merge(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
+		if got := Widen(c.a, c.b); got != c.want {
+			t.Fatalf("Widen(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
 
-// Property: merge is commutative and idempotent over the whole lattice.
-func TestMergeProperties(t *testing.T) {
-	states := []inferState{stUnknown, stInt, stFloat, stTime, stString}
+// Property: Widen is commutative and idempotent over the whole lattice.
+func TestWidenProperties(t *testing.T) {
+	states := []mscopedb.Type{0, mscopedb.TInt, mscopedb.TFloat, mscopedb.TTime, mscopedb.TString}
 	f := func(ai, bi uint8) bool {
 		a := states[int(ai)%len(states)]
 		b := states[int(bi)%len(states)]
-		if merge(a, b) != merge(b, a) {
-			return false
-		}
-		return merge(a, a) == a || a == stUnknown
+		return Widen(a, b) == Widen(b, a) && Widen(a, a) == a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestClassify(t *testing.T) {
+func TestTypeCell(t *testing.T) {
 	cases := []struct {
 		v, hint string
-		want    inferState
+		want    mscopedb.Type
 	}{
-		{"", "", stUnknown},
-		{"42", "", stInt},
-		{"-17", "", stInt},
-		{"3.5", "", stFloat},
-		{"2017-04-01T00:00:12.345Z", "time", stTime},
-		{"2017-04-01T00:00:12.345Z", "", stTime},
-		{"hello", "", stString},
-		{"not-a-time", "time", stString},
+		{"", "", 0},
+		{"42", "", mscopedb.TInt},
+		{"-17", "", mscopedb.TInt},
+		{"3.5", "", mscopedb.TFloat},
+		{"2017-04-01T00:00:12.345Z", "time", mscopedb.TTime},
+		{"2017-04-01T00:00:12.345Z", "", mscopedb.TTime},
+		{"hello", "", mscopedb.TString},
+		{"not-a-time", "time", mscopedb.TString},
+		{"42", "time", mscopedb.TString},
 	}
 	for _, c := range cases {
-		if got := classify(c.v, c.hint); got != c.want {
-			t.Fatalf("classify(%q,%q) = %v, want %v", c.v, c.hint, got, c.want)
+		if got := TypeCell(c.v, c.hint); got.Type != c.want || got.Str != c.v {
+			t.Fatalf("TypeCell(%q,%q) = %+v, want type %v", c.v, c.hint, got, c.want)
 		}
 	}
 }
