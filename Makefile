@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all fast full build vet selfobs-lint test test-short race race-short bench bench-smoke overhead-check fidelity-check overload-soak dist-soak scenario-soak db-soak serve-smoke profile-ingest cover fuzz chaos live-smoke experiment clean
+.PHONY: all fast full build vet selfobs-lint test test-short race race-short bench bench-smoke overhead-check fidelity-check overload-soak dist-soak scenario-soak db-soak serve-smoke profile-ingest cover fuzz fuzz-smoke chaos live-smoke experiment clean
 
 all: full
 
@@ -124,7 +124,9 @@ cover:
 # Short fuzz pass over the event-log parsers (native go fuzzing), plus
 # the shard-planner equivalence property one layer up, the scenario
 # spec decoder (malformed catalogue entries must error, never panic) and
-# the cell typer against the strconv/time cascade it replaced.
+# the cell typer against the strconv/time cascade it replaced; then the
+# three surfaces that take bytes from outside the process on the read side
+# (fuzz-smoke's targets, for longer).
 fuzz:
 	$(GO) test -fuzz FuzzApacheAccessLog -fuzztime 30s ./internal/parsers/
 	$(GO) test -fuzz FuzzMySQLSlowLog -fuzztime 30s ./internal/parsers/
@@ -133,6 +135,19 @@ fuzz:
 	$(GO) test -fuzz FuzzWireFrameDecode -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzScenarioConfigDecode -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzCellTyperEquivalence -fuzztime 30s ./internal/xmlcsv/
+	$(MAKE) fuzz-smoke FUZZTIME=30s
+
+# Ten seconds each on the read path's untrusted inputs, a CI step: segment
+# files (full and projected decode agree or both fail, never a panic or an
+# allocation sized by an unchecked field), MQL text (parses or errors;
+# what parses executes or errors), and /api/window's parameters (200, 400
+# or 404, never a 5xx). -run '^$$' skips the unit tests the plain -fuzz
+# form would rerun first; a short minimize budget keeps the time fuzzing.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/mscopedb/
+	$(GO) test -run '^$$' -fuzz FuzzMQLParse -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/mql/
+	$(GO) test -run '^$$' -fuzz FuzzServeWindowParams -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve/
 
 # End-to-end chaos drill: run a trial, corrupt its logs deterministically,
 # ingest the damage under the quarantine policy, and diagnose anyway.

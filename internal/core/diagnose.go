@@ -217,60 +217,94 @@ func BuildEvidence(db *mscopedb.DB, window time.Duration) (*Evidence, []string, 
 		NetLag:    make(map[string]*mscopedb.Series, len(Tiers)),
 	}
 	var missing []string
-	for _, tier := range Tiers {
-		if !db.HasTable(tier + "_event") {
+	// One pass per event table: the tier's queue, and both of its stamp
+	// columns for the lag links it takes part in. links[i] joins Tiers[i]
+	// to Tiers[i+1] and exists only when both tables do.
+	sp := selfobs.Begin(selfobs.PipeDiagnose, "evidence", "queues", "")
+	links := make([]*link, len(Tiers))
+	for i := 0; i+1 < len(Tiers); i++ {
+		if up, err := db.Table(Tiers[i] + "_event"); err == nil && db.HasTable(Tiers[i+1]+"_event") {
+			links[i] = newLink(up.Rows())
+		}
+	}
+	eventRows := 0
+	for i, tier := range Tiers {
+		tbl, err := db.Table(tier + "_event")
+		if err != nil {
 			missing = append(missing, tier+"_event")
 			continue
 		}
-		q, err := queueSeriesForTier(db, tier, window)
+		var q metrics.Queue
+		var up *link
+		if i > 0 {
+			up = links[i-1]
+		}
+		if err := scanEvents(tbl, &q, up, links[i]); err != nil {
+			return nil, missing, err
+		}
+		pts, err := q.Points(window)
 		if err != nil {
 			return nil, missing, err
 		}
-		ev.Queues[tier] = q
+		ev.Queues[tier] = metrics.PointsToSeries(pts)
+		eventRows += tbl.Rows()
 	}
+	sp.End(int64(eventRows), 0)
+	// One selection per resource table serves all seven of its series.
+	sp = selfobs.Begin(selfobs.PipeDiagnose, "evidence", "resources", "")
 	for _, tier := range Tiers {
-		if !db.HasTable(tier + "_collectlcsv") {
+		tbl, err := db.Table(tier + "_collectlcsv")
+		if err != nil {
 			missing = append(missing, tier+"_collectlcsv")
 			continue
 		}
-		disk, err := resourceSeriesForTier(db, tier, "dsk_util", window, mscopedb.AggMax)
+		res, err := tbl.Select().Rows()
+		if err != nil {
+			return nil, missing, err
+		}
+		series := func(col string, fn mscopedb.AggFn) (*mscopedb.Series, error) {
+			return res.WindowAgg("ts", window, col, fn)
+		}
+		disk, err := series("dsk_util", mscopedb.AggMax)
 		if err != nil {
 			return nil, missing, err
 		}
 		ev.Candidates = append(ev.Candidates, ResourceCandidate{
 			Name: tier + " disk", Tier: tier, Kind: CauseDiskIO, Series: disk})
-		user, err := resourceSeriesForTier(db, tier, "cpu_user", window, mscopedb.AggAvg)
+		user, err := series("cpu_user", mscopedb.AggAvg)
 		if err != nil {
 			return nil, missing, err
 		}
-		sys, err := resourceSeriesForTier(db, tier, "cpu_sys", window, mscopedb.AggAvg)
+		sys, err := series("cpu_sys", mscopedb.AggAvg)
 		if err != nil {
 			return nil, missing, err
 		}
 		ev.Candidates = append(ev.Candidates, ResourceCandidate{
 			Name: tier + " cpu", Tier: tier, Kind: CauseCPU, Series: addSeries(user, sys)})
-		if d, err := resourceSeriesForTier(db, tier, "mem_dirty", window, mscopedb.AggAvg); err == nil {
+		if d, err := series("mem_dirty", mscopedb.AggAvg); err == nil {
 			ev.Dirty[tier] = d
 		}
-		if f, err := resourceSeriesForTier(db, tier, "cpu_mhz", window, mscopedb.AggMin); err == nil {
+		if f, err := series("cpu_mhz", mscopedb.AggMin); err == nil {
 			ev.Freq[tier] = f
 		}
-		if r, err := resourceSeriesForTier(db, tier, "dsk_readkbtot", window, mscopedb.AggMax); err == nil {
+		if r, err := series("dsk_readkbtot", mscopedb.AggMax); err == nil {
 			ev.DiskRead[tier] = r
 		}
-		if w, err := resourceSeriesForTier(db, tier, "dsk_writekbtot", window, mscopedb.AggMax); err == nil {
+		if w, err := series("dsk_writekbtot", mscopedb.AggMax); err == nil {
 			ev.DiskWrite[tier] = w
 		}
 	}
-	for i := 0; i+1 < len(Tiers); i++ {
-		up, down := Tiers[i], Tiers[i+1]
-		if !db.HasTable(up+"_event") || !db.HasTable(down+"_event") {
+	sp.End(int64(len(ev.Candidates)), 0)
+	sp = selfobs.Begin(selfobs.PipeDiagnose, "evidence", "netlag", "")
+	for i, l := range links {
+		if l == nil {
 			continue
 		}
-		if lag, err := netLagSeries(db, up, down, window); err == nil && lag != nil {
-			ev.NetLag[down] = lag
+		if lag := l.series(window); lag != nil {
+			ev.NetLag[Tiers[i+1]] = lag
 		}
 	}
+	sp.End(int64(len(ev.NetLag)), 0)
 	if len(ev.Candidates) == 0 {
 		return nil, missing, fmt.Errorf("core: no resource-monitor tables in the warehouse (missing %v): diagnosis needs at least one tier's resource plane", missing)
 	}
@@ -513,13 +547,11 @@ func Diagnose(db *mscopedb.DB, window time.Duration) (*Diagnosis, error) {
 		return out, nil
 	}
 
-	sp = obs.Begin(selfobs.PipeDiagnose, "evidence", "-", "")
 	ev, missing, err := BuildEvidence(db, window)
 	out.MissingSources = missing
 	if err != nil {
 		return nil, err
 	}
-	sp.End(int64(len(ev.Candidates)), int64(len(missing)))
 	sp = obs.Begin(selfobs.PipeDiagnose, "classify", "-", "")
 	for _, w := range vlrts {
 		out.Windows = append(out.Windows, ClassifyWindow(ev, w))

@@ -1,49 +1,110 @@
 package core
 
 import (
-	"fmt"
+	"hash/maphash"
 	"sort"
-	"strconv"
 	"time"
 
+	"github.com/gt-elba/milliscope/internal/metrics"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 )
 
-// netLagSeries derives an inter-tier network-lag series from two adjacent
-// event tables: for every (reqid, seq) pair present in both, the lag is
-// the downstream Upstream-Arrival minus the upstream Downstream-Sending
-// timestamp — pure wire transit, since UA is stamped on message arrival
-// (before any queueing) and DS once the sender holds a connection. Lags
-// are bucketed by the upstream DS time and the per-bucket maximum is kept,
-// so a jitter episode stands out of the baseline. A per-request upstream
-// joins the seq-0 visit of a per-query downstream (its DS marks the first
-// query's send), which samples one lag per request — enough for a series.
-func netLagSeries(db *mscopedb.DB, up, down string, window time.Duration) (*mscopedb.Series, error) {
-	sends, err := eventStamps(db, up+"_event", "ds")
-	if err != nil {
-		return nil, err
+// link joins the event rows of two adjacent tiers by (reqid, seq) into an
+// inter-tier network-lag series: for every pair present on both sides, the
+// lag is the downstream Upstream-Arrival minus the upstream
+// Downstream-Sending timestamp — pure wire transit, since UA is stamped on
+// message arrival (before any queueing) and DS once the sender holds a
+// connection. A per-request upstream joins the seq-0 visit of a per-query
+// downstream (its DS marks the first query's send), which samples one lag
+// per request — enough for a series. Rows without the stamp are skipped
+// (leaf tiers log "-" for DS); of two rows with one key the later wins.
+type link struct {
+	// at maps the hash of a (reqid, seq) key to 1 + the position in stamps
+	// of the newest entry with that hash; entries that collide chain
+	// through prev. A map keyed by the struct itself takes the runtime's
+	// generic hash and equality path on every one of the ~10^5 probes an
+	// evidence build makes, which was most of its time.
+	seed   maphash.Seed
+	at     map[uint64]int32
+	stamps []linkStamps
+	// minSeq and maxSeq bound the seq of every send: an arrival outside
+	// them (a per-query downstream's later visits, under a per-request
+	// upstream) has no send to join.
+	minSeq, maxSeq int64
+	broken         bool // see fail
+}
+
+// linkStamps is one key's upstream send and, once the downstream table
+// has been read, its arrival (0 until then).
+type linkStamps struct {
+	id          string
+	seq, ds, ua int64
+	prev        int32
+}
+
+// newLink sizes a link for the rows of its upstream table.
+func newLink(sends int) *link {
+	return &link{seed: maphash.MakeSeed(), at: make(map[uint64]int32, sends), stamps: make([]linkStamps, 0, sends)}
+}
+
+// find returns the entry of a key (nil when it has none), the key's hash
+// and the head of that hash's chain.
+func (l *link) find(id string, seq int64) (st *linkStamps, h uint64, head int32) {
+	h = maphash.String(l.seed, id) ^ uint64(seq)*0x9e3779b97f4a7c15
+	head = l.at[h]
+	for i := head; i != 0; i = l.stamps[i-1].prev {
+		if st := &l.stamps[i-1]; st.id == id && st.seq == seq {
+			return st, h, head
+		}
 	}
-	arrivals, err := eventStamps(db, down+"_event", "ua")
-	if err != nil {
-		return nil, err
+	return nil, h, head
+}
+
+func (l *link) send(id string, seq, ds int64) {
+	st, h, head := l.find(id, seq)
+	if st != nil {
+		st.ds = ds
+		return
 	}
+	if len(l.stamps) == 0 || seq < l.minSeq {
+		l.minSeq = seq
+	}
+	if len(l.stamps) == 0 || seq > l.maxSeq {
+		l.maxSeq = seq
+	}
+	l.stamps = append(l.stamps, linkStamps{id: id, seq: seq, ds: ds, prev: head})
+	l.at[h] = int32(len(l.stamps))
+}
+
+func (l *link) arrive(id string, seq, ua int64) {
+	if seq < l.minSeq || seq > l.maxSeq {
+		return
+	}
+	if st, _, _ := l.find(id, seq); st != nil {
+		st.ua = ua
+	}
+}
+
+// series buckets the lags by the upstream DS time and keeps the per-bucket
+// maximum, so a jitter episode stands out of the baseline. Nil when no
+// pair joined.
+func (l *link) series(window time.Duration) *mscopedb.Series {
 	w := window.Microseconds()
-	if w <= 0 {
-		return nil, fmt.Errorf("core: non-positive netlag window %v", window)
+	if l.broken || w <= 0 {
+		return nil
 	}
 	buckets := make(map[int64]float64)
-	for key, ds := range sends {
-		ua, ok := arrivals[key]
-		if !ok || ds == 0 || ua < ds {
+	for _, st := range l.stamps {
+		if st.ua == 0 || st.ua < st.ds {
 			continue
 		}
-		b := ds - ds%w
-		if lag := float64(ua - ds); lag > buckets[b] {
+		b := st.ds - st.ds%w
+		if lag := float64(st.ua - st.ds); lag > buckets[b] {
 			buckets[b] = lag
 		}
 	}
 	if len(buckets) == 0 {
-		return nil, nil
+		return nil
 	}
 	s := &mscopedb.Series{
 		StartMicros: make([]int64, 0, len(buckets)),
@@ -56,63 +117,80 @@ func netLagSeries(db *mscopedb.DB, up, down string, window time.Duration) (*msco
 	for _, b := range s.StartMicros {
 		s.Values = append(s.Values, buckets[b])
 	}
-	return s, nil
+	return s
 }
 
-// eventStamps extracts one timestamp column of an event table keyed by
-// reqid#seq, skipping rows without the stamp (leaf tiers log "-" for DS).
-func eventStamps(db *mscopedb.DB, table, col string) (map[string]int64, error) {
-	tbl, err := db.Table(table)
-	if err != nil {
-		return nil, err
+// fail marks a link whose stamp columns a side could not supply; it then
+// contributes no series, like a link with no table. Nil-safe.
+func (l *link) fail() {
+	if l != nil {
+		l.broken = true
 	}
-	reqCI, tsCI, qCI := tbl.ColIndex("reqid"), tbl.ColIndex(col), tbl.ColIndex("q")
-	if reqCI < 0 || tsCI < 0 {
-		return nil, fmt.Errorf("core: %s lacks reqid/%s columns", table, col)
-	}
-	cols := tbl.Columns()
-	out := make(map[string]int64, tbl.Rows())
-	for r := 0; r < tbl.Rows(); r++ {
-		id := tbl.Str(reqCI, r)
-		if id == "" {
-			continue
-		}
-		ts, err := eventMicros(tbl, cols, tsCI, r)
-		if err != nil {
-			return nil, err
-		}
-		if ts == 0 {
-			continue
-		}
-		seq := int64(0)
-		if qCI >= 0 {
-			if seq, err = eventMicros(tbl, cols, qCI, r); err != nil {
-				return nil, err
+}
+
+// scanEvents reads one tier's event table once for everything the evidence
+// derives from it: its arrivals and departures into the tier's queue, its
+// DS stamps as the sends of the link below it (down) and its UA stamps as
+// the arrivals of the link above it (up). Either link may be nil. Only the
+// columns those need are decoded.
+func scanEvents(tbl *mscopedb.Table, q *metrics.Queue, up, down *link) error {
+	cols := []string{"ua", "ud"}
+	pos := map[string]int{} // where the link columns the table has sit in cols
+	if ci := tbl.ColIndex("reqid"); (up != nil || down != nil) && ci >= 0 && tbl.Columns()[ci].Type == mscopedb.TString {
+		for _, name := range []string{"reqid", "q", "ds"} {
+			if tbl.ColIndex(name) >= 0 {
+				pos[name] = len(cols)
+				cols = append(cols, name)
 			}
 		}
-		out[id+"#"+strconv.FormatInt(seq, 10)] = ts
+	} else {
+		up.fail()
+		down.fail()
 	}
-	return out, nil
-}
-
-// eventMicros reads a numeric event cell that schema inference may have
-// typed as int (pure numeric column) or string (column mixing numbers with
-// the "-" no-downstream marker).
-func eventMicros(tbl *mscopedb.Table, cols []mscopedb.Column, ci, row int) (int64, error) {
-	switch cols[ci].Type {
-	case mscopedb.TInt:
-		return tbl.Int(ci, row), nil
-	case mscopedb.TString:
-		s := tbl.Str(ci, row)
-		if s == "-" || s == "" {
-			return 0, nil
-		}
-		v, err := strconv.ParseInt(s, 10, 64)
+	if _, ok := pos["ds"]; !ok {
+		down.fail()
+	}
+	return tbl.Scan(cols, func(ch *mscopedb.Chunk) error {
+		ua, err := ch.Micros(0)
 		if err != nil {
-			return 0, fmt.Errorf("core: cell %q in %s.%s: %w", s, tbl.Name(), cols[ci].Name, err)
+			return err
 		}
-		return v, nil
-	default:
-		return 0, fmt.Errorf("core: %s.%s: unsupported type %v", tbl.Name(), cols[ci].Name, cols[ci].Type)
-	}
+		ud, err := ch.Micros(1)
+		if err != nil {
+			return err
+		}
+		q.Add(ua, ud)
+		if (up == nil || up.broken) && (down == nil || down.broken) {
+			return nil
+		}
+		var seq, ds []int64
+		if p, ok := pos["q"]; ok {
+			if seq, err = ch.Micros(p); err != nil {
+				up.fail()
+				down.fail()
+				return nil
+			}
+		}
+		if down != nil && !down.broken {
+			if ds, err = ch.Micros(pos["ds"]); err != nil {
+				down.fail()
+			}
+		}
+		for r, id := range ch.Strs(pos["reqid"]) {
+			if id == "" {
+				continue
+			}
+			s := int64(0)
+			if seq != nil {
+				s = seq[r]
+			}
+			if ds != nil && ds[r] != 0 {
+				down.send(id, s, ds[r])
+			}
+			if up != nil && ua[r] != 0 {
+				up.arrive(id, s, ua[r])
+			}
+		}
+		return nil
+	})
 }

@@ -81,18 +81,19 @@ func ValidateWarehouse(db *mscopedb.DB) (*ConsistencyReport, error) {
 }
 
 func reqIDSet(tbl *mscopedb.Table) (map[string]bool, error) {
-	ci := tbl.ColIndex("reqid")
-	if ci < 0 {
+	if tbl.ColIndex("reqid") < 0 {
 		return nil, fmt.Errorf("core: %s lacks reqid column", tbl.Name())
 	}
 	out := make(map[string]bool, tbl.Rows())
-	for r := 0; r < tbl.Rows(); r++ {
-		id := tbl.Str(ci, r)
-		if id != "" {
-			out[id] = true
+	err := tbl.Scan([]string{"reqid"}, func(ch *mscopedb.Chunk) error {
+		for _, id := range ch.Strs(0) {
+			if id != "" {
+				out[id] = true
+			}
 		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // Summary renders the report for CLI output.

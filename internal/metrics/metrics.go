@@ -6,7 +6,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -41,46 +41,69 @@ func (p *PITResult) PeakFactor() float64 {
 	return p.MaxUS / p.AvgUS
 }
 
+// scanSpans reads an event table's arrival and departure stamps (ua, ud)
+// chunk by chunk, decoding only those two columns.
+func scanSpans(tbl *mscopedb.Table, fn func(ua, ud []int64)) error {
+	return scanSpanRows(tbl, nil, func(_ *mscopedb.Chunk, ua, ud []int64) { fn(ua, ud) })
+}
+
+// scanSpanRows is scanSpans with further columns projected after ua and ud.
+func scanSpanRows(tbl *mscopedb.Table, more []string, fn func(ch *mscopedb.Chunk, ua, ud []int64)) error {
+	if tbl.ColIndex("ua") < 0 || tbl.ColIndex("ud") < 0 {
+		return fmt.Errorf("metrics: %s lacks ua/ud columns", tbl.Name())
+	}
+	return tbl.Scan(append([]string{"ua", "ud"}, more...), func(ch *mscopedb.Chunk) error {
+		ua, err := ch.Micros(0)
+		if err != nil {
+			return err
+		}
+		ud, err := ch.Micros(1)
+		if err != nil {
+			return err
+		}
+		fn(ch, ua, ud)
+		return nil
+	})
+}
+
 // PointInTimeRT computes the Point-in-Time response time from a front-tier
 // event table: per window of the given width, the maximum of (ud-ua);
 // requests are bucketed by completion time (ud).
 func PointInTimeRT(tbl *mscopedb.Table, window time.Duration) (*PITResult, error) {
-	uaCI, udCI := tbl.ColIndex("ua"), tbl.ColIndex("ud")
-	if uaCI < 0 || udCI < 0 {
-		return nil, fmt.Errorf("metrics: %s lacks ua/ud columns", tbl.Name())
-	}
-	cols := tbl.Columns()
-	if cols[uaCI].Type != mscopedb.TInt || cols[udCI].Type != mscopedb.TInt {
-		return nil, fmt.Errorf("metrics: %s ua/ud are not int micros", tbl.Name())
-	}
 	n := tbl.Rows()
-	if n == 0 {
-		return nil, fmt.Errorf("metrics: %s is empty", tbl.Name())
-	}
 	w := window.Microseconds()
 	if w <= 0 {
-		return nil, fmt.Errorf("metrics: non-positive window %v", window)
+		return nil, fmt.Errorf("metrics: window %v is below one microsecond", window)
 	}
 	buckets := make(map[int64]float64)
 	var lo, hi int64
 	var sum, max float64
-	for r := 0; r < n; r++ {
-		ua, ud := tbl.Int(uaCI, r), tbl.Int(udCI, r)
-		rt := float64(ud - ua)
-		sum += rt
-		if rt > max {
-			max = rt
+	first := true
+	err := scanSpans(tbl, func(uas, uds []int64) {
+		for r, ud := range uds {
+			rt := float64(ud - uas[r])
+			sum += rt
+			if rt > max {
+				max = rt
+			}
+			b := ud - mod(ud, w)
+			if rt > buckets[b] {
+				buckets[b] = rt
+			}
+			if first || b < lo {
+				lo = b
+			}
+			if first || b > hi {
+				hi = b
+			}
+			first = false
 		}
-		b := ud - mod(ud, w)
-		if rt > buckets[b] {
-			buckets[b] = rt
-		}
-		if r == 0 || b < lo {
-			lo = b
-		}
-		if r == 0 || b > hi {
-			hi = b
-		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("metrics: %s is empty", tbl.Name())
 	}
 	var s mscopedb.Series
 	for b := lo; b <= hi; b += w {
@@ -90,51 +113,48 @@ func PointInTimeRT(tbl *mscopedb.Table, window time.Duration) (*PITResult, error
 	return &PITResult{Series: &s, AvgUS: sum / float64(n), MaxUS: max, Requests: n}, nil
 }
 
-// QueueSeries computes the instantaneous number of resident requests at a
-// tier from its event table (arrival = ua, departure = ud), sampled every
-// step. This is the metric the paper derives from the event monitors
-// without sampling loss (Figures 6, 8b, 9).
-func QueueSeries(tbl *mscopedb.Table, step time.Duration) ([]Point, error) {
-	uaCI, udCI := tbl.ColIndex("ua"), tbl.ColIndex("ud")
-	if uaCI < 0 || udCI < 0 {
-		return nil, fmt.Errorf("metrics: %s lacks ua/ud columns", tbl.Name())
+// Queue accumulates the arrival and departure instants of a tier's event
+// rows, chunk by chunk, and samples them into the instantaneous number of
+// resident requests.
+type Queue struct {
+	arrivals, departures []int64
+}
+
+// Add takes the ua and ud columns of some event rows.
+func (q *Queue) Add(ua, ud []int64) {
+	q.arrivals = append(q.arrivals, ua...)
+	q.departures = append(q.departures, ud...)
+}
+
+// Points samples the queue length every step: at each instant, arrivals so
+// far less departures so far (an arrival and a departure at the same
+// instant cancel, whichever the log recorded first).
+func (q *Queue) Points(step time.Duration) ([]Point, error) {
+	stepUS := step.Microseconds()
+	if stepUS <= 0 {
+		return nil, fmt.Errorf("metrics: step %v is below one microsecond", step)
 	}
-	if step <= 0 {
-		return nil, fmt.Errorf("metrics: non-positive step %v", step)
-	}
-	n := tbl.Rows()
+	n := len(q.arrivals)
 	if n == 0 {
 		return nil, nil
 	}
-	type ev struct {
-		at int64
-		d  int
-	}
-	evs := make([]ev, 0, 2*n)
-	for r := 0; r < n; r++ {
-		evs = append(evs,
-			ev{tbl.Int(uaCI, r), +1},
-			ev{tbl.Int(udCI, r), -1})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].at != evs[j].at {
-			return evs[i].at < evs[j].at
-		}
-		return evs[i].d > evs[j].d
-	})
-	lo, hi := evs[0].at, evs[len(evs)-1].at
-	stepUS := step.Microseconds()
+	ua, ud := q.arrivals, q.departures
+	slices.Sort(ua)
+	slices.Sort(ud)
+	lo, hi := min(ua[0], ud[0]), max(ua[n-1], ud[n-1])
 	// Snap the first sample onto the step grid so queue samples share
 	// window timestamps with resource series (correlation aligns on them).
 	lo -= mod(lo, stepUS)
-	var out []Point
-	cur, k := 0, 0
+	out := make([]Point, 0, (hi-lo)/stepUS+2)
+	i, j := 0, 0
 	emit := func(at int64) {
-		for k < len(evs) && evs[k].at <= at {
-			cur += evs[k].d
-			k++
+		for i < n && ua[i] <= at {
+			i++
 		}
-		out = append(out, Point{AtMicros: at, N: cur})
+		for j < n && ud[j] <= at {
+			j++
+		}
+		out = append(out, Point{AtMicros: at, N: i - j})
 	}
 	at := lo
 	for ; at <= hi; at += stepUS {
@@ -146,6 +166,18 @@ func QueueSeries(tbl *mscopedb.Table, step time.Duration) ([]Point, error) {
 		emit(hi)
 	}
 	return out, nil
+}
+
+// QueueSeries computes the instantaneous number of resident requests at a
+// tier from its event table (arrival = ua, departure = ud), sampled every
+// step. This is the metric the paper derives from the event monitors
+// without sampling loss (Figures 6, 8b, 9).
+func QueueSeries(tbl *mscopedb.Table, step time.Duration) ([]Point, error) {
+	var q Queue
+	if err := scanSpans(tbl, q.Add); err != nil {
+		return nil, err
+	}
+	return q.Points(step)
 }
 
 // PointsToSeries converts a queue-point list into a Series for correlation
@@ -172,27 +204,29 @@ func ResourceSeries(tbl *mscopedb.Table, valCol string, window time.Duration, fn
 // VLRTRequests returns the request IDs whose response time exceeds
 // k × the table's average — the very long response time requests.
 func VLRTRequests(tbl *mscopedb.Table, k float64) ([]string, error) {
-	uaCI, udCI, reqCI := tbl.ColIndex("ua"), tbl.ColIndex("ud"), tbl.ColIndex("reqid")
-	if uaCI < 0 || udCI < 0 || reqCI < 0 {
+	if tbl.ColIndex("reqid") < 0 {
 		return nil, fmt.Errorf("metrics: %s lacks ua/ud/reqid columns", tbl.Name())
 	}
 	n := tbl.Rows()
-	if n == 0 {
-		return nil, nil
-	}
 	var sum float64
-	for r := 0; r < n; r++ {
-		sum += float64(tbl.Int(udCI, r) - tbl.Int(uaCI, r))
-	}
-	avg := sum / float64(n)
-	threshold := k * avg
-	var out []string
-	for r := 0; r < n; r++ {
-		if float64(tbl.Int(udCI, r)-tbl.Int(uaCI, r)) > threshold {
-			out = append(out, tbl.Str(reqCI, r))
+	err := scanSpans(tbl, func(ua, ud []int64) {
+		for r := range ua {
+			sum += float64(ud[r] - ua[r])
 		}
+	})
+	if err != nil || n == 0 {
+		return nil, err
 	}
-	return out, nil
+	threshold := k * sum / float64(n)
+	var out []string
+	err = scanSpanRows(tbl, []string{"reqid"}, func(ch *mscopedb.Chunk, ua, ud []int64) {
+		for r, id := range ch.Strs(2) {
+			if float64(ud[r]-ua[r]) > threshold {
+				out = append(out, id)
+			}
+		}
+	})
+	return out, err
 }
 
 // LittlesLawReport cross-checks an event table against Little's law:
@@ -212,25 +246,28 @@ type LittlesLawReport struct {
 
 // LittlesLaw computes the report from one tier's event table.
 func LittlesLaw(tbl *mscopedb.Table) (*LittlesLawReport, error) {
-	uaCI, udCI := tbl.ColIndex("ua"), tbl.ColIndex("ud")
-	if uaCI < 0 || udCI < 0 {
-		return nil, fmt.Errorf("metrics: %s lacks ua/ud columns", tbl.Name())
-	}
 	n := tbl.Rows()
+	var sumRes float64
+	var lo, hi int64
+	first := true
+	err := scanSpans(tbl, func(uas, uds []int64) {
+		for r, ua := range uas {
+			ud := uds[r]
+			sumRes += float64(ud - ua)
+			if first || ua < lo {
+				lo = ua
+			}
+			if first || ud > hi {
+				hi = ud
+			}
+			first = false
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 	if n == 0 {
 		return nil, fmt.Errorf("metrics: %s is empty", tbl.Name())
-	}
-	var sumRes float64
-	lo, hi := tbl.Int(uaCI, 0), tbl.Int(udCI, 0)
-	for r := 0; r < n; r++ {
-		ua, ud := tbl.Int(uaCI, r), tbl.Int(udCI, r)
-		sumRes += float64(ud - ua)
-		if ua < lo {
-			lo = ua
-		}
-		if ud > hi {
-			hi = ud
-		}
 	}
 	spanUS := float64(hi - lo)
 	if spanUS <= 0 {

@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -226,5 +229,85 @@ func TestResourceSeries(t *testing.T) {
 	}
 	if s.Values[5] != 99 || s.Values[0] != 10 {
 		t.Fatalf("values %+v", s.Values)
+	}
+}
+
+// queuePointsByEvents is the event sweep QueueSeries used to be: one +1 /
+// -1 event per row, sorted by instant with arrivals before departures,
+// swept at every step. Kept as the oracle of the two-sorted-columns form.
+func queuePointsByEvents(spans [][2]int64, stepUS int64) []Point {
+	type ev struct {
+		at int64
+		d  int
+	}
+	var evs []ev
+	for _, s := range spans {
+		evs = append(evs, ev{s[0], +1}, ev{s[1], -1})
+	}
+	sort.Slice(evs, func(i, j int) bool {
+		if evs[i].at != evs[j].at {
+			return evs[i].at < evs[j].at
+		}
+		return evs[i].d > evs[j].d
+	})
+	lo, hi := evs[0].at, evs[len(evs)-1].at
+	lo -= mod(lo, stepUS)
+	var out []Point
+	cur, k := 0, 0
+	emit := func(at int64) {
+		for k < len(evs) && evs[k].at <= at {
+			cur += evs[k].d
+			k++
+		}
+		out = append(out, Point{AtMicros: at, N: cur})
+	}
+	at := lo
+	for ; at <= hi; at += stepUS {
+		emit(at)
+	}
+	if at-stepUS != hi {
+		emit(hi)
+	}
+	return out
+}
+
+// TestQueueSeriesMatchesEventSweep: arrivals and departures that share an
+// instant — with each other and with a sample — give the series the event
+// sweep gave, on random spans too.
+func TestQueueSeriesMatchesEventSweep(t *testing.T) {
+	cases := [][][2]int64{
+		{{0, 100}, {100, 200}, {100, 100}, {50, 100}, {200, 350}},
+		{{-70, -70}, {-70, 30}, {30, 30}},
+		{{5, 5}},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for c := 0; c < 50; c++ {
+		var spans [][2]int64
+		for i := 0; i < 1+rng.Intn(40); i++ {
+			ua := int64(rng.Intn(2000)) - 500
+			spans = append(spans, [2]int64{ua, ua + int64(rng.Intn(5))*50})
+		}
+		cases = append(cases, spans)
+	}
+	for _, spans := range cases {
+		got, err := QueueSeries(eventTable(t, spans), 50*time.Microsecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := queuePointsByEvents(spans, 50); !reflect.DeepEqual(got, want) {
+			t.Fatalf("spans %v:\n got %v\nwant %v", spans, got, want)
+		}
+	}
+}
+
+// TestSubMicrosecondStepRejected: a step below the warehouse's resolution
+// used to loop forever on at += 0.
+func TestSubMicrosecondStepRejected(t *testing.T) {
+	tbl := eventTable(t, [][2]int64{{0, 10}})
+	if _, err := QueueSeries(tbl, time.Nanosecond); err == nil {
+		t.Fatal("1ns step accepted")
+	}
+	if _, err := PointInTimeRT(tbl, 999*time.Nanosecond); err == nil {
+		t.Fatal("999ns window accepted")
 	}
 }

@@ -45,9 +45,9 @@ func execJoin(db *mscopedb.DB, st *Statement) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	if lKey.typ != rKey.typ {
+	if lKey != rKey {
 		return nil, fmt.Errorf("mql: join column %q is %v in %s but %v in %s",
-			st.Join.OnCol, lKey.typ, st.Table, rKey.typ, st.Join.Table)
+			st.Join.OnCol, lKey, st.Table, rKey, st.Join.Table)
 	}
 
 	lAlias := st.BaseAlias
@@ -111,16 +111,18 @@ func execJoin(db *mscopedb.DB, st *Statement) (*Output, error) {
 		return nil, err
 	}
 
-	// Build hash on the (usually smaller, pre-filtered) right side.
+	// Build hash on the (usually smaller, pre-filtered) right side, keyed
+	// by the join cell's text.
+	rKeys, err := rRows.Render(st.Join.OnCol)
+	if err != nil {
+		return nil, err
+	}
 	build := make(map[string][]int)
-	rKeyIdx := right.ColIndex(st.Join.OnCol)
-	for i := 0; i < rRows.Len(); i++ {
-		row := rRows.Row(i)
-		k := renderCell(row[rKeyIdx])
+	for i, k := range rKeys {
 		build[k] = append(build[k], i)
 	}
 
-	// Output column resolution.
+	// Output column resolution: each is one side's column, rendered whole.
 	cols := st.Cols
 	if cols == nil {
 		for _, c := range left.Columns() {
@@ -131,8 +133,8 @@ func execJoin(db *mscopedb.DB, st *Statement) (*Output, error) {
 		}
 	}
 	type outCol struct {
-		left bool
-		idx  int
+		left  bool
+		cells []string
 	}
 	outs := make([]outCol, len(cols))
 	for i, qc := range cols {
@@ -140,38 +142,37 @@ func execJoin(db *mscopedb.DB, st *Statement) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
+		side, rows, name := left, lRows, st.Table
 		switch alias {
 		case lAlias:
-			ci := left.ColIndex(col)
-			if ci < 0 {
-				return nil, fmt.Errorf("mql: no column %q in %s", col, st.Table)
-			}
-			outs[i] = outCol{left: true, idx: ci}
 		case rAlias:
-			ci := right.ColIndex(col)
-			if ci < 0 {
-				return nil, fmt.Errorf("mql: no column %q in %s", col, st.Join.Table)
-			}
-			outs[i] = outCol{left: false, idx: ci}
+			side, rows, name = right, rRows, st.Join.Table
 		default:
 			return nil, fmt.Errorf("mql: select references unknown alias %q", alias)
+		}
+		if side.ColIndex(col) < 0 {
+			return nil, fmt.Errorf("mql: no column %q in %s", col, name)
+		}
+		outs[i].left = side == left
+		if outs[i].cells, err = rows.Render(col); err != nil {
+			return nil, err
 		}
 	}
 
 	// Probe.
 	out := &Output{Cols: cols}
-	lKeyIdx := left.ColIndex(st.Join.OnCol)
-	for i := 0; i < lRows.Len(); i++ {
-		lrow := lRows.Row(i)
-		k := renderCell(lrow[lKeyIdx])
-		for _, rIdx := range build[k] {
-			rrow := rRows.Row(rIdx)
+	lKeys, err := lRows.Render(st.Join.OnCol)
+	if err != nil {
+		return nil, err
+	}
+	for l, k := range lKeys {
+		for _, r := range build[k] {
 			cells := make([]string, len(outs))
 			for c, oc := range outs {
 				if oc.left {
-					cells[c] = renderCell(lrow[oc.idx])
+					cells[c] = oc.cells[l]
 				} else {
-					cells[c] = renderCell(rrow[oc.idx])
+					cells[c] = oc.cells[r]
 				}
 			}
 			out.Rows = append(out.Rows, cells)
@@ -183,17 +184,13 @@ func execJoin(db *mscopedb.DB, st *Statement) (*Output, error) {
 	return out, nil
 }
 
-type keyInfo struct {
-	idx int
-	typ mscopedb.Type
-}
-
-func keyColumn(t *mscopedb.Table, col string) (keyInfo, error) {
+// keyColumn returns the type of the join column in one table.
+func keyColumn(t *mscopedb.Table, col string) (mscopedb.Type, error) {
 	ci := t.ColIndex(col)
 	if ci < 0 {
-		return keyInfo{}, fmt.Errorf("mql: join column %q absent from %s", col, t.Name())
+		return 0, fmt.Errorf("mql: join column %q absent from %s", col, t.Name())
 	}
-	return keyInfo{idx: ci, typ: t.Columns()[ci].Type}, nil
+	return t.Columns()[ci].Type, nil
 }
 
 // splitQualified splits "alias.col" into its parts.

@@ -153,39 +153,23 @@ func Exec(db *mscopedb.DB, st *Statement) (*Output, error) {
 			cols = append(cols, c.Name)
 		}
 	}
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		ci := tbl.ColIndex(c)
-		if ci < 0 {
-			return nil, fmt.Errorf("mql: no column %q in %s", c, st.Table)
-		}
-		idx[i] = ci
-	}
 	out := &Output{Cols: cols}
 	for r := 0; r < res.Len(); r++ {
-		row := res.Row(r)
-		cells := make([]string, len(cols))
-		for i, ci := range idx {
-			cells[i] = renderCell(row[ci])
+		out.Rows = append(out.Rows, make([]string, len(cols)))
+	}
+	for i, c := range cols {
+		if tbl.ColIndex(c) < 0 {
+			return nil, fmt.Errorf("mql: no column %q in %s", c, st.Table)
 		}
-		out.Rows = append(out.Rows, cells)
+		cells, err := res.Render(c)
+		if err != nil {
+			return nil, err
+		}
+		for r, cell := range cells {
+			out.Rows[r][i] = cell
+		}
 	}
 	return out, nil
-}
-
-func renderCell(v any) string {
-	switch x := v.(type) {
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case time.Time:
-		return x.Format(mxml.TimeLayout)
-	case string:
-		return x
-	default:
-		return fmt.Sprintf("%v", x)
-	}
 }
 
 // coerce converts a literal to the column's Go type.

@@ -8,7 +8,7 @@ import (
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 )
 
-func testDB(t *testing.T) *mscopedb.DB {
+func testDB(t testing.TB) *mscopedb.DB {
 	t.Helper()
 	db := mscopedb.Open()
 	tbl, err := db.Create("apache_event", []mscopedb.Column{

@@ -154,11 +154,14 @@ func (t *Table) compactOnce() (bool, error) {
 	next = append(next, sp.segs[hi+1:]...) // starts unchanged: same total rows
 	sp.segs = next
 	sp.mu.Unlock()
-	for _, ss := range run {
-		st.orphans = append(st.orphans, ss.meta.File)
+	files := make([]string, len(run))
+	for i, ss := range run {
+		files[i] = ss.meta.File
 	}
+	st.orphans = append(st.orphans, files...)
 	st.mu.Unlock()
 	sp.dropCache()
+	st.lookups.drop(files)
 	return true, nil
 }
 

@@ -42,14 +42,10 @@ func indexTestTable(t *testing.T, rows int) *Table {
 func scanRows(t *testing.T, q *Query) []int {
 	t.Helper()
 	var idx []int
-scan:
 	for r := 0; r < q.t.rows; r++ {
-		for _, p := range q.preds {
-			if !p.match(q.t, r) {
-				continue scan
-			}
+		if matchRow(q.t.cols, q.t.data, r, q.preds) {
+			idx = append(idx, r)
 		}
-		idx = append(idx, r)
 	}
 	return idx
 }

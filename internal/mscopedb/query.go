@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"time"
+
+	"github.com/gt-elba/milliscope/internal/mxml"
 )
 
 // Op is a predicate comparison operator.
@@ -131,54 +134,57 @@ func (q *Query) Limit(n int) *Query {
 	return q
 }
 
-// Rows executes the scan. On a spill-backed table the matches are
-// materialized from disk into an ephemeral in-memory view (zone-map
-// pruned, segments scanned in parallel — see spilledScan), so the Result
-// behaves identically either way.
+// Rows executes the scan. On a spill-backed table the matches become an
+// ephemeral in-memory view whose columns are gathered from disk as the
+// Result's methods first touch them (zone-map pruned, late-materialized —
+// see spillScan), so the Result behaves identically either way.
 func (q *Query) Rows() (*Result, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
-	t := q.t
-	var idx []int
-	if t.SealedRows() > 0 {
-		view, err := q.spilledScan()
+	res := &Result{t: q.t}
+	if q.t.seal != nil {
+		sc, err := q.spilledScan()
 		if err != nil {
 			return nil, err
 		}
-		t = view
-		idx = make([]int, view.rows)
-		for i := range idx {
-			idx[i] = i
+		res.t, res.spill = sc.view, sc
+		res.idx = make([]int, sc.view.rows)
+		for i := range res.idx {
+			res.idx[i] = i
 		}
 	} else {
-		idx = q.candidates()
+		res.idx = q.candidates()
 	}
 	if q.sort >= 0 {
-		ci := q.sort
-		if t.cols[ci].Type == TString {
+		d, err := res.col(q.sort)
+		if err != nil {
+			return nil, err
+		}
+		idx, asc := res.idx, q.asc
+		if res.t.cols[q.sort].Type == TString {
 			sort.SliceStable(idx, func(i, j int) bool {
-				a, b := t.Str(ci, idx[i]), t.Str(ci, idx[j])
-				if q.asc {
+				a, b := d.Strs[idx[i]], d.Strs[idx[j]]
+				if asc {
 					return a < b
 				}
 				return a > b
 			})
 		} else {
+			num := d.numeric(res.t.cols[q.sort].Type)
 			sort.SliceStable(idx, func(i, j int) bool {
-				a, _ := t.numeric(ci, idx[i])
-				b, _ := t.numeric(ci, idx[j])
-				if q.asc {
+				a, b := num(idx[i]), num(idx[j])
+				if asc {
 					return a < b
 				}
 				return a > b
 			})
 		}
 	}
-	if q.limit >= 0 && len(idx) > q.limit {
-		idx = idx[:q.limit]
+	if q.limit >= 0 && len(res.idx) > q.limit {
+		res.idx = res.idx[:q.limit]
 	}
-	return &Result{t: t, idx: idx}, nil
+	return res, nil
 }
 
 // candidates returns the matching row numbers in table order. When the
@@ -195,14 +201,10 @@ func (q *Query) candidates() []int {
 		}
 	}
 	var idx []int
-scan:
 	for r := 0; r < t.rows; r++ {
-		for _, p := range q.preds {
-			if !p.match(t, r) {
-				continue scan
-			}
+		if matchRow(t.cols, t.data, r, q.preds) {
+			idx = append(idx, r)
 		}
-		idx = append(idx, r)
 	}
 	return idx
 }
@@ -241,71 +243,57 @@ func (q *Query) indexScan(ix *colIndex, lo, hi float64) []int {
 	}
 	sort.Ints(idx)
 	out := idx[:0]
-cand:
 	for _, r := range idx {
-		for _, p := range q.preds {
-			if !p.match(t, r) {
-				continue cand
-			}
+		if matchRow(t.cols, t.data, r, q.preds) {
+			out = append(out, r)
 		}
-		out = append(out, r)
 	}
 	return out
 }
 
-func (p pred) match(t *Table, row int) bool {
-	if p.isStr {
-		s := t.Str(p.col, row)
-		if p.op == OpEq {
-			return s == p.str
-		}
-		return s != p.str
-	}
-	v, ok := t.numeric(p.col, row)
-	if !ok {
-		return false
-	}
-	switch p.op {
-	case OpEq:
-		return v == p.num
-	case OpNe:
-		return v != p.num
-	case OpLt:
-		return v < p.num
-	case OpLe:
-		return v <= p.num
-	case OpGt:
-		return v > p.num
-	case OpGe:
-		return v >= p.num
-	default:
-		return false
-	}
-}
-
-// Result is a materialized row selection.
+// Result is a row selection. Its methods read whole typed columns; on a
+// spill-backed table a column is gathered from the segment images the
+// first time one of them touches it. Not safe for concurrent use.
 type Result struct {
-	t   *Table
-	idx []int
+	t     *Table
+	idx   []int
+	spill *spillScan // non-nil when t is the view of a spill-backed scan
 }
 
 // Len returns the selected row count.
 func (r *Result) Len() int { return len(r.idx) }
 
-// Table returns the underlying table.
-func (r *Result) Table() *Table { return r.t }
+// col returns column ci of the table idx indexes, gathered if need be.
+func (r *Result) col(ci int) (*colData, error) {
+	if r.spill != nil {
+		if err := r.spill.fill(ci); err != nil {
+			return nil, err
+		}
+	}
+	return &r.t.data[ci], nil
+}
+
+// numeric returns a reader of the column's cells coerced to float64, as
+// predicates and aggregation see them; times coerce to their microsecond
+// epoch.
+func (d *colData) numeric(typ Type) func(row int) float64 {
+	switch typ {
+	case TInt:
+		return func(row int) float64 { return float64(d.Ints[row]) }
+	case TFloat:
+		return func(row int) float64 { return d.Floats[row] }
+	default:
+		return func(row int) float64 { return float64(d.Times[row]) }
+	}
+}
 
 // Ints extracts an int column.
 func (r *Result) Ints(col string) ([]int64, error) {
-	ci, err := r.colOfType(col, TInt)
+	d, err := r.colOfType(col, TInt)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, len(r.idx))
-	for i, row := range r.idx {
-		out[i] = r.t.Int(ci, row)
-	}
-	return out, nil
+	return pick(d.Ints, r.idx), nil
 }
 
 // Floats extracts a numeric column coerced to float64 (int, float or time).
@@ -317,60 +305,82 @@ func (r *Result) Floats(col string) ([]float64, error) {
 	if r.t.cols[ci].Type == TString {
 		return nil, fmt.Errorf("mscopedb: %s.%s: string column is not numeric", r.t.name, col)
 	}
+	d, err := r.col(ci)
+	if err != nil {
+		return nil, err
+	}
+	num := d.numeric(r.t.cols[ci].Type)
 	out := make([]float64, len(r.idx))
 	for i, row := range r.idx {
-		v, _ := r.t.numeric(ci, row)
-		out[i] = v
+		out[i] = num(row)
 	}
 	return out, nil
 }
 
 // TimesMicros extracts a time column as microsecond epochs.
 func (r *Result) TimesMicros(col string) ([]int64, error) {
-	ci, err := r.colOfType(col, TTime)
+	d, err := r.colOfType(col, TTime)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, len(r.idx))
-	for i, row := range r.idx {
-		out[i] = r.t.TimeMicros(ci, row)
-	}
-	return out, nil
+	return pick(d.Times, r.idx), nil
 }
 
 // Strings extracts a string column.
 func (r *Result) Strings(col string) ([]string, error) {
-	ci, err := r.colOfType(col, TString)
+	d, err := r.colOfType(col, TString)
+	if err != nil {
+		return nil, err
+	}
+	return pick(d.Strs, r.idx), nil
+}
+
+// Render extracts a column of any type as text, the way the converter's
+// CSV writes it: ints in decimal, floats in their shortest form, times in
+// the mScope layout, strings as they are.
+func (r *Result) Render(col string) ([]string, error) {
+	ci := r.t.ColIndex(col)
+	if ci < 0 {
+		return nil, fmt.Errorf("mscopedb: %s: no column %q", r.t.name, col)
+	}
+	d, err := r.col(ci)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]string, len(r.idx))
 	for i, row := range r.idx {
-		out[i] = r.t.Str(ci, row)
+		switch r.t.cols[ci].Type {
+		case TInt:
+			out[i] = strconv.FormatInt(d.Ints[row], 10)
+		case TFloat:
+			out[i] = strconv.FormatFloat(d.Floats[row], 'g', -1, 64)
+		case TTime:
+			out[i] = time.UnixMicro(d.Times[row]).UTC().Format(mxml.TimeLayout)
+		case TString:
+			out[i] = d.Strs[row]
+		}
 	}
 	return out, nil
 }
 
-// Row returns row i's cells as any values, schema-ordered.
-func (r *Result) Row(i int) []any {
-	row := r.idx[i]
-	out := make([]any, len(r.t.cols))
-	for c := range r.t.cols {
-		out[c] = r.t.Value(c, row)
+func pick[E any](vals []E, idx []int) []E {
+	out := make([]E, len(idx))
+	for i, row := range idx {
+		out[i] = vals[row]
 	}
 	return out
 }
 
-func (r *Result) colOfType(col string, want Type) (int, error) {
+func (r *Result) colOfType(col string, want Type) (*colData, error) {
 	ci := r.t.ColIndex(col)
 	if ci < 0 {
-		return -1, fmt.Errorf("mscopedb: %s: no column %q", r.t.name, col)
+		return nil, fmt.Errorf("mscopedb: %s: no column %q", r.t.name, col)
 	}
 	if r.t.cols[ci].Type != want {
-		return -1, fmt.Errorf("mscopedb: %s.%s: is %v, want %v",
+		return nil, fmt.Errorf("mscopedb: %s.%s: is %v, want %v",
 			r.t.name, col, r.t.cols[ci].Type, want)
 	}
-	return ci, nil
+	return r.col(ci)
 }
 
 // AggFn is a window aggregation function.
@@ -433,13 +443,22 @@ type Series struct {
 	Values []float64
 }
 
+// maxGridBuckets caps the dense aggregation grid: it is laid out flat, one
+// slot per window between the first and last populated ones, so a fine
+// window over a long selection would otherwise allocate without bound.
+// 50 ms windows over a day-long trial are 1.7 million.
+const maxGridBuckets = 4 << 20
+
 // WindowAgg buckets the selection by a time-like column (TTime or TInt
 // microsecond epochs) into fixed windows and aggregates a value column in
 // each. Empty windows between the first and last populated ones yield 0
-// for count/sum and NaN-free carry of zero for the others.
+// for count/sum and NaN-free carry of zero for the others. A window below
+// the warehouse's microsecond resolution, or a grid of more than
+// maxGridBuckets windows, is an error.
 func (r *Result) WindowAgg(timeCol string, window time.Duration, valCol string, fn AggFn) (*Series, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("mscopedb: non-positive window %v", window)
+	w := window.Microseconds()
+	if w <= 0 {
+		return nil, fmt.Errorf("mscopedb: window %v is below one microsecond", window)
 	}
 	tci := r.t.ColIndex(timeCol)
 	if tci < 0 {
@@ -450,44 +469,51 @@ func (r *Result) WindowAgg(timeCol string, window time.Duration, valCol string, 
 	default:
 		return nil, fmt.Errorf("mscopedb: %s.%s: not a time-like column", r.t.name, timeCol)
 	}
-	vci := -1
+	val := func(int) float64 { return 0 }
 	if fn != AggCount {
-		vci = r.t.ColIndex(valCol)
+		vci := r.t.ColIndex(valCol)
 		if vci < 0 {
 			return nil, fmt.Errorf("mscopedb: %s: no column %q", r.t.name, valCol)
 		}
 		if r.t.cols[vci].Type == TString {
 			return nil, fmt.Errorf("mscopedb: %s.%s: cannot aggregate strings", r.t.name, valCol)
 		}
+		d, err := r.col(vci)
+		if err != nil {
+			return nil, err
+		}
+		val = d.numeric(r.t.cols[vci].Type)
 	}
 	if len(r.idx) == 0 {
 		return &Series{}, nil
 	}
-	w := window.Microseconds()
-	timeOf := func(row int) int64 {
-		if r.t.cols[tci].Type == TTime {
-			return r.t.TimeMicros(tci, row)
-		}
-		return r.t.Int(tci, row)
+	td, err := r.col(tci)
+	if err != nil {
+		return nil, err
+	}
+	times := td.Times
+	if r.t.cols[tci].Type == TInt {
+		times = td.Ints
 	}
 	// Bucket bounds first, so the grid can be laid out flat.
 	var lo, hi int64
-	first := true
-	for _, row := range r.idx {
-		b := timeOf(row) - mod(timeOf(row), w)
-		if first || b < lo {
+	for i, row := range r.idx {
+		b := times[row] - mod(times[row], w)
+		if i == 0 || b < lo {
 			lo = b
 		}
-		if first || b > hi {
+		if i == 0 || b > hi {
 			hi = b
 		}
-		first = false
 	}
 	// The output grid covers every window between the first and last
 	// populated buckets, so flat accumulators of the same length cost at
 	// most a small constant factor over the result itself.
-	n := (hi-lo)/w + 1
-	return r.windowAggDense(w, lo, n, fn, vci, timeOf), nil
+	if span := hi - lo; span < 0 || span/w >= maxGridBuckets {
+		return nil, fmt.Errorf("mscopedb: %v windows over %s.%s make a grid of more than %d buckets",
+			window, r.t.name, timeCol, maxGridBuckets)
+	}
+	return r.windowAggDense(w, lo, (hi-lo)/w+1, fn, times, val), nil
 }
 
 // windowAggDense is the vectorized aggregation path: one flat
@@ -495,7 +521,7 @@ func (r *Result) WindowAgg(timeCol string, window time.Duration, valCol string, 
 // selection (two for p99, which scatters values into per-bucket
 // segments of one backing array by counting-sort offsets). No per-row
 // map lookups or per-bucket slice growth.
-func (r *Result) windowAggDense(w, lo, n int64, fn AggFn, vci int, timeOf func(int) int64) *Series {
+func (r *Result) windowAggDense(w, lo, n int64, fn AggFn, times []int64, val func(int) float64) *Series {
 	counts := make([]int64, n)
 	var sums, exts []float64
 	switch fn {
@@ -511,15 +537,8 @@ func (r *Result) windowAggDense(w, lo, n int64, fn AggFn, vci int, timeOf func(i
 			exts[i] = init
 		}
 	}
-	val := func(row int) float64 {
-		if vci < 0 {
-			return 0
-		}
-		v, _ := r.t.numeric(vci, row)
-		return v
-	}
 	for _, row := range r.idx {
-		ts := timeOf(row)
+		ts := times[row]
 		i := (ts - mod(ts, w) - lo) / w
 		counts[i]++
 		switch fn {
@@ -545,7 +564,7 @@ func (r *Result) windowAggDense(w, lo, n int64, fn AggFn, vci int, timeOf func(i
 		flat = make([]float64, offs[n])
 		fill := make([]int64, n)
 		for _, row := range r.idx {
-			ts := timeOf(row)
+			ts := times[row]
 			i := (ts - mod(ts, w) - lo) / w
 			flat[offs[i]+fill[i]] = val(row)
 			fill[i]++
@@ -596,10 +615,14 @@ func (r *Result) WindowAggBy(timeCol string, window time.Duration, valCol string
 	if r.t.cols[bci].Type != TString {
 		return nil, fmt.Errorf("mscopedb: %s.%s: group-by requires a string column", r.t.name, byCol)
 	}
+	by, err := r.col(bci)
+	if err != nil {
+		return nil, err
+	}
 	groups := make(map[string][]int)
 	keys := make([]string, 0, 8)
 	for _, row := range r.idx {
-		k := r.t.Str(bci, row)
+		k := by.Strs[row]
 		if _, ok := groups[k]; !ok {
 			keys = append(keys, k)
 		}
@@ -608,7 +631,7 @@ func (r *Result) WindowAggBy(timeCol string, window time.Duration, valCol string
 	sort.Strings(keys)
 	out := make([]GroupSeries, 0, len(keys))
 	for _, k := range keys {
-		sub := &Result{t: r.t, idx: groups[k]}
+		sub := &Result{t: r.t, idx: groups[k], spill: r.spill}
 		s, err := sub.WindowAgg(timeCol, window, valCol, fn)
 		if err != nil {
 			return nil, err

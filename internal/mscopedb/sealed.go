@@ -47,8 +47,9 @@ type decodedSeg struct {
 // zone-map pruning. Monotonic; read both together via ScanStats.
 var statSegsScanned, statSegsPruned atomic.Int64
 
-// ScanStats returns the cumulative number of segments decoded by queries
-// and the number skipped by zone-map pruning.
+// ScanStats returns the cumulative number of segment images read (one per
+// segment a query, scan, lookup or per-cell miss opened) and the number of
+// segments a query skipped by zone-map pruning.
 func ScanStats() (scanned, pruned int64) {
 	return statSegsScanned.Load(), statSegsPruned.Load()
 }
@@ -180,7 +181,6 @@ func (sp *sealedPart) load(t *Table, row int) (*decodedSeg, error) {
 	if err != nil {
 		return nil, err
 	}
-	statSegsScanned.Add(1)
 	return &decodedSeg{file: ss.meta.File, start: ss.start, rows: ss.meta.Rows, data: data}, nil
 }
 
@@ -380,27 +380,22 @@ func appendCol(dst, src *colData, typ Type, rows []int32) {
 // an in-memory ingest of the same rows would hold, so the gob images
 // match byte for byte (the migration round-trip test pins this).
 func (t *Table) fullData() ([]colData, error) {
-	sp := t.seal
-	if sp == nil {
+	if t.seal == nil {
 		return t.data, nil
 	}
-	sp.mu.RLock()
-	defer sp.mu.RUnlock()
-	if len(sp.segs) == 0 {
-		return t.data, nil
+	names := make([]string, len(t.cols))
+	for i, c := range t.cols {
+		names[i] = c.Name
 	}
 	full := make([]colData, len(t.cols))
-	for _, ss := range sp.segs {
-		data, err := sp.store.readSegment(ss.meta, t.name, t.cols)
-		if err != nil {
-			return nil, fmt.Errorf("mscopedb: materialize %s: %w", t.name, err)
+	err := t.Scan(names, func(ch *Chunk) error {
+		for ci := range full {
+			appendCol(&full[ci], &ch.data[ci], t.cols[ci].Type, nil)
 		}
-		for ci := range t.cols {
-			appendCol(&full[ci], &data[ci], t.cols[ci].Type, nil)
-		}
-	}
-	for ci := range t.cols {
-		appendCol(&full[ci], &t.data[ci], t.cols[ci].Type, nil)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mscopedb: materialize %s: %w", t.name, err)
 	}
 	return full, nil
 }

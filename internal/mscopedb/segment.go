@@ -122,21 +122,53 @@ func encodeSegment(table string, cols []Column, data []colData, n int) ([]byte, 
 	return out.Bytes(), zones, nil
 }
 
-// decodeSegment parses a segment image, validates the checksum, and checks
-// the embedded schema against the expected one. It returns the decoded
-// column data and the row count.
-func decodeSegment(img []byte, wantTable string, wantCols []Column) ([]colData, int, error) {
+// SegmentError reports a committed segment file that could not be read
+// back: missing, torn, or failing its checksum or schema checks.
+type SegmentError struct {
+	File string
+	Err  error
+}
+
+func (e *SegmentError) Error() string { return "mscopedb: segment " + e.File + ": " + e.Err.Error() }
+func (e *SegmentError) Unwrap() error { return e.Err }
+
+// segImage is a verified segment file whose column blocks are located but
+// not decoded: the magic, checksum, table name and per-column schema were
+// checked against what the caller expects, and every block holds at least
+// one byte per row, so no later allocation is sized by a header field the
+// checks did not bound. Readers decode the columns they touch (column)
+// and skip the rest by their length prefix.
+type segImage struct {
+	cols   []Column
+	rows   int
+	encs   []byte
+	blocks [][]byte
+	buf    *[]byte // the pooled read buffer the blocks alias, if any
+}
+
+// release hands the image's read buffer back for the next segment. Decoded
+// columns are copies, so they outlive it; the image itself does not.
+func (s *segImage) release() {
+	if s.buf != nil {
+		segBufs.Put(s.buf)
+		s.buf, s.blocks = nil, nil
+	}
+}
+
+// parseSegment verifies a segment image against the expected table name
+// and schema and locates its column blocks.
+func parseSegment(img []byte, wantTable string, wantCols []Column) (*segImage, error) {
 	tail := len(segEndMagic) + 4
 	if len(img) < len(segMagic)+tail || !bytes.Equal(img[:len(segMagic)], segMagic) {
-		return nil, 0, fmt.Errorf("mscopedb: segment: bad or truncated magic")
+		return nil, fmt.Errorf("bad or truncated magic")
 	}
 	if !bytes.Equal(img[len(img)-len(segEndMagic):], segEndMagic) {
-		return nil, 0, fmt.Errorf("mscopedb: segment: missing end magic (torn write?)")
+		return nil, fmt.Errorf("missing end magic (torn write?)")
 	}
 	body := img[:len(img)-tail]
 	wantCRC := binary.LittleEndian.Uint32(img[len(img)-tail : len(img)-len(segEndMagic)])
 	if got := crc32.ChecksumIEEE(body); got != wantCRC {
-		return nil, 0, fmt.Errorf("mscopedb: segment: checksum mismatch (%08x != %08x)", got, wantCRC)
+		return nil, fmt.Errorf("checksum mismatch (%08x != %08x)", got, wantCRC)
 	}
 	r := &segReader{buf: body[len(segMagic):]}
 	hdrLen := r.uvarint()
@@ -144,53 +176,65 @@ func decodeSegment(img []byte, wantTable string, wantCols []Column) ([]colData, 
 	table := hdr.str()
 	rows := int(hdr.uvarint())
 	ncols := int(hdr.uvarint())
-	if r.err != nil || hdr.err != nil {
-		return nil, 0, fmt.Errorf("mscopedb: segment: corrupt header")
+	if r.err != nil || hdr.err != nil || rows <= 0 {
+		return nil, fmt.Errorf("corrupt header")
 	}
 	if table != wantTable {
-		return nil, 0, fmt.Errorf("mscopedb: segment: table %q, want %q", table, wantTable)
+		return nil, fmt.Errorf("table %q, want %q", table, wantTable)
 	}
 	if ncols != len(wantCols) {
-		return nil, 0, fmt.Errorf("mscopedb: segment %s: %d columns, want %d", table, ncols, len(wantCols))
+		return nil, fmt.Errorf("%d columns, want %d", ncols, len(wantCols))
 	}
-	encs := make([]byte, ncols)
+	s := &segImage{cols: wantCols, rows: rows, encs: make([]byte, ncols), blocks: make([][]byte, ncols)}
 	for i := 0; i < ncols; i++ {
 		name := hdr.str()
 		typ := Type(hdr.byte())
-		encs[i] = hdr.byte()
+		s.encs[i] = hdr.byte()
 		if hdr.byte() == 1 {
 			hdr.take(16) // zone min/max; the manifest is authoritative at read time
 		}
 		if hdr.err != nil {
-			return nil, 0, fmt.Errorf("mscopedb: segment %s: corrupt column header", table)
+			return nil, fmt.Errorf("corrupt column header")
 		}
 		if name != wantCols[i].Name || typ != wantCols[i].Type {
-			return nil, 0, fmt.Errorf("mscopedb: segment %s: column %d is %s:%v, want %s:%v",
-				table, i, name, typ, wantCols[i].Name, wantCols[i].Type)
+			return nil, fmt.Errorf("column %d is %s:%v, want %s:%v",
+				i, name, typ, wantCols[i].Name, wantCols[i].Type)
 		}
 	}
-	data := make([]colData, ncols)
-	for i := 0; i < ncols; i++ {
-		blk := r.take(int(r.uvarint()))
+	for i := range s.blocks {
+		s.blocks[i] = r.take(int(r.uvarint()))
 		if r.err != nil {
-			return nil, 0, fmt.Errorf("mscopedb: segment %s: truncated column block %d", table, i)
+			return nil, fmt.Errorf("truncated column block %d", i)
 		}
-		var err error
-		switch wantCols[i].Type {
-		case TInt:
-			data[i].Ints, err = decodeDelta(blk, rows)
-		case TTime:
-			data[i].Times, err = decodeDelta(blk, rows)
-		case TFloat:
-			data[i].Floats, err = decodeFloats(blk, rows)
-		case TString:
-			data[i].Strs, err = decodeStrings(blk, encs[i], rows)
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("mscopedb: segment %s.%s: %w", table, wantCols[i].Name, err)
+		// Every encoding spends at least one byte on a row.
+		if rows > len(s.blocks[i]) {
+			return nil, fmt.Errorf("column %s: %d-byte block cannot hold %d rows", wantCols[i].Name, len(s.blocks[i]), rows)
 		}
 	}
-	return data, rows, nil
+	return s, nil
+}
+
+// column decodes one column: every row when want is nil, else the rows
+// want lists in ascending order, the result aligned with want. A subset
+// walks the block only as far as its last row and allocates for the rows
+// it returns, not for the rows it passes.
+func (s *segImage) column(ci int, want []int32) (colData, error) {
+	var d colData
+	var err error
+	switch blk := s.blocks[ci]; s.cols[ci].Type {
+	case TInt:
+		d.Ints, err = decodeDelta(blk, s.rows, want)
+	case TTime:
+		d.Times, err = decodeDelta(blk, s.rows, want)
+	case TFloat:
+		d.Floats, err = decodeFloats(blk, s.rows, want)
+	case TString:
+		d.Strs, err = decodeStrings(blk, s.encs[ci], s.rows, want)
+	}
+	if err != nil {
+		return d, fmt.Errorf("column %s: %w", s.cols[ci].Name, err)
+	}
+	return d, nil
 }
 
 // --- block encoders ---
@@ -207,19 +251,29 @@ func encodeDelta(vals []int64) []byte {
 	return buf
 }
 
-func decodeDelta(blk []byte, rows int) ([]int64, error) {
-	out := make([]int64, rows)
+// decodeDelta decodes a delta block: every row when want is nil, else
+// only the rows want lists (ascending), stopping at the last of them.
+func decodeDelta(blk []byte, rows int, want []int32) ([]int64, error) {
+	n := rows
+	if want != nil {
+		n = len(want)
+	}
+	out := make([]int64, n)
 	prev := int64(0)
-	for i := 0; i < rows; i++ {
-		u, n := binary.Uvarint(blk)
-		if n <= 0 {
+	k := 0
+	for i := 0; k < n; i++ {
+		u, w := binary.Uvarint(blk)
+		if w <= 0 || i >= rows {
 			return nil, fmt.Errorf("truncated delta block at row %d", i)
 		}
-		blk = blk[n:]
+		blk = blk[w:]
 		prev += unzigzag(u)
-		out[i] = prev
+		if want == nil || int(want[k]) == i {
+			out[k] = prev
+			k++
+		}
 	}
-	if len(blk) != 0 {
+	if want == nil && len(blk) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes in delta block", len(blk))
 	}
 	return out, nil
@@ -233,13 +287,24 @@ func encodeFloats(vals []float64) []byte {
 	return buf
 }
 
-func decodeFloats(blk []byte, rows int) ([]float64, error) {
+func decodeFloats(blk []byte, rows int, want []int32) ([]float64, error) {
 	if len(blk) != rows*8 {
 		return nil, fmt.Errorf("float block is %d bytes for %d rows", len(blk), rows)
 	}
+	at := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(blk[i*8:])) }
+	if want != nil {
+		out := make([]float64, len(want))
+		for k, r := range want {
+			if int(r) >= rows {
+				return nil, fmt.Errorf("row %d of a %d-row float block", r, rows)
+			}
+			out[k] = at(int(r))
+		}
+		return out, nil
+	}
 	out := make([]float64, rows)
 	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(blk[i*8:]))
+		out[i] = at(i)
 	}
 	return out, nil
 }
@@ -276,41 +341,95 @@ func encodeStrings(vals []string) ([]byte, byte, error) {
 	return out.Bytes(), encDict, nil
 }
 
-// decodeStrings inverts encodeStrings. Dictionary entries are shared
-// across rows, so a decoded low-cardinality column costs one string per
-// distinct value — the on-disk dictionary doubles as the interner.
-func decodeStrings(blk []byte, enc byte, rows int) ([]string, error) {
-	r := &segReader{buf: blk}
-	out := make([]string, rows)
+// walkStrs calls fn with the bounds, within blk, of the cell of each
+// wanted row of a string block, in row order: every row when want is nil
+// (k is the row), else the rows want lists in ascending order (k indexes
+// want). It stops after the last wanted row and allocates nothing per row.
+func walkStrs(blk []byte, enc byte, rows int, want []int32, fn func(k, lo, hi int)) error {
+	off := 0
+	next := func() (lo, hi int, ok bool) { // the next length-prefixed cell
+		u, w := binary.Uvarint(blk[off:])
+		if w <= 0 || u > uint64(len(blk)-off-w) {
+			return 0, 0, false
+		}
+		lo = off + w
+		off = lo + int(u)
+		return lo, off, true
+	}
+	var dict [][2]int
 	switch enc {
 	case encStrRaw:
-		for i := 0; i < rows; i++ {
-			out[i] = r.str()
-		}
 	case encDict:
-		nd := int(r.uvarint())
-		if r.err != nil || nd < 0 || nd > segDictMaxCard {
-			return nil, fmt.Errorf("corrupt string dictionary")
+		nd, w := binary.Uvarint(blk)
+		if w <= 0 || nd > segDictMaxCard {
+			return fmt.Errorf("corrupt string dictionary")
 		}
-		dict := make([]string, nd)
+		off = w
+		dict = make([][2]int, nd)
 		for i := range dict {
-			dict[i] = r.str()
-		}
-		for i := 0; i < rows; i++ {
-			k := int(r.uvarint())
-			if r.err != nil || k >= nd {
-				return nil, fmt.Errorf("dictionary index out of range at row %d", i)
+			lo, hi, ok := next()
+			if !ok {
+				return fmt.Errorf("truncated string dictionary")
 			}
-			out[i] = dict[k]
+			dict[i] = [2]int{lo, hi}
 		}
 	default:
-		return nil, fmt.Errorf("unknown string encoding %d", enc)
+		return fmt.Errorf("unknown string encoding %d", enc)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("truncated string block")
+	n := rows
+	if want != nil {
+		n = len(want)
 	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes in string block", len(r.buf))
+	k := 0
+	for i := 0; k < n; i++ {
+		if i >= rows {
+			return fmt.Errorf("row %d of a %d-row string block", want[k], rows)
+		}
+		var lo, hi int
+		if enc == encDict {
+			u, w := binary.Uvarint(blk[off:])
+			if w <= 0 || u >= uint64(len(dict)) {
+				return fmt.Errorf("dictionary index out of range at row %d", i)
+			}
+			off += w
+			lo, hi = dict[u][0], dict[u][1]
+		} else {
+			var ok bool
+			if lo, hi, ok = next(); !ok {
+				return fmt.Errorf("truncated string block at row %d", i)
+			}
+		}
+		if want == nil || int(want[k]) == i {
+			fn(k, lo, hi)
+			k++
+		}
+	}
+	if want == nil && off != len(blk) {
+		return fmt.Errorf("%d trailing bytes in string block", len(blk)-off)
+	}
+	return nil
+}
+
+// decodeStrings inverts encodeStrings. A full decode (want nil), or a
+// subset of more than a quarter of the rows, copies the block into one
+// string and returns its cells as substrings: the column costs two
+// allocations whatever its row count, and rows that share a dictionary
+// entry share its bytes — the on-disk dictionary doubles as the interner.
+// A sparser subset (a lookup's few rows) allocates one string per cell
+// and pins nothing else.
+func decodeStrings(blk []byte, enc byte, rows int, want []int32) ([]string, error) {
+	n := rows
+	if want != nil {
+		n = len(want)
+	}
+	out := make([]string, n)
+	cell := func(k, lo, hi int) { out[k] = string(blk[lo:hi]) }
+	if n*4 > rows {
+		whole := string(blk)
+		cell = func(k, lo, hi int) { out[k] = whole[lo:hi] }
+	}
+	if err := walkStrs(blk, enc, rows, want, cell); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

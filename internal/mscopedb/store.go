@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -67,6 +70,8 @@ type Store struct {
 	mu       sync.Mutex // serializes checkpoint, compaction, manifest writes
 	tailFile string     // committed tail snapshot, "" before first checkpoint
 	orphans  []string   // superseded files, deleted after the next commit
+
+	lookups lookupCache // per-segment hash indexes behind Table.Lookup
 }
 
 // Dir returns the store directory.
@@ -364,19 +369,61 @@ func (s *Store) writeSegment(table string, img []byte) (string, error) {
 	return name, nil
 }
 
-// readSegment loads and decodes one segment file against the expected
-// schema.
+// segBufs recycles the buffers segment files are read into: a scan reads
+// every file of a table whole (the checksum covers all of it), and zeroing
+// a fresh buffer per file would cost as much as decoding it.
+var segBufs sync.Pool
+
+// openSegment reads one segment file and verifies it against the expected
+// schema and the manifest's row count, decoding nothing. Every failure is a
+// SegmentError naming the file. One image read is one count of ScanStats.
+// A caller that is done with the image before it returns calls release.
+func (s *Store) openSegment(sm segMeta, table string, cols []Column) (*segImage, error) {
+	f, err := os.Open(filepath.Join(s.dir, sm.File))
+	if err != nil {
+		var pe *fs.PathError // the error names the file already
+		if errors.As(err, &pe) {
+			err = pe.Err
+		}
+		return nil, &SegmentError{File: sm.File, Err: err}
+	}
+	defer f.Close()
+	buf, _ := segBufs.Get().(*[]byte)
+	if buf == nil || int64(cap(*buf)) < sm.Bytes {
+		b := make([]byte, 0, sm.Bytes+sm.Bytes/8)
+		buf = &b
+	}
+	// One byte past the manifest's size, so a file that grew is caught.
+	raw := (*buf)[:min(int64(cap(*buf)), sm.Bytes+1)]
+	n, err := io.ReadFull(f, raw)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return nil, &SegmentError{File: sm.File, Err: err}
+	}
+	img, err := parseSegment(raw[:n], table, cols)
+	if err == nil && img.rows != sm.Rows {
+		err = fmt.Errorf("%d rows, manifest says %d", img.rows, sm.Rows)
+	}
+	if err != nil {
+		return nil, &SegmentError{File: sm.File, Err: err}
+	}
+	img.buf = buf
+	statSegsScanned.Add(1)
+	ctrSegsDecoded.Add(1)
+	return img, nil
+}
+
+// readSegment loads one segment file and decodes every column.
 func (s *Store) readSegment(sm segMeta, table string, cols []Column) ([]colData, error) {
-	img, err := os.ReadFile(filepath.Join(s.dir, sm.File))
+	img, err := s.openSegment(sm, table, cols)
 	if err != nil {
 		return nil, err
 	}
-	data, rows, err := decodeSegment(img, table, cols)
-	if err != nil {
-		return nil, err
-	}
-	if rows != sm.Rows {
-		return nil, fmt.Errorf("mscopedb: segment %s: %d rows, manifest says %d", sm.File, rows, sm.Rows)
+	defer img.release()
+	data := make([]colData, len(cols))
+	for ci := range data {
+		if data[ci], err = img.column(ci, nil); err != nil {
+			return nil, &SegmentError{File: sm.File, Err: err}
+		}
 	}
 	return data, nil
 }
@@ -387,6 +434,7 @@ func (s *Store) addOrphans(files ...string) {
 	s.mu.Lock()
 	s.orphans = append(s.orphans, files...)
 	s.mu.Unlock()
+	s.lookups.drop(files)
 }
 
 // sweep deletes store-owned files the manifest does not reference: torn

@@ -540,18 +540,3 @@ func (t *Table) SizeBytes() int64 {
 	}
 	return total
 }
-
-// numeric returns a cell coerced to float64 for predicates and
-// aggregation; times coerce to their microsecond epoch.
-func (t *Table) numeric(col, row int) (float64, bool) {
-	switch t.cols[col].Type {
-	case TInt:
-		return float64(t.Int(col, row)), true
-	case TFloat:
-		return t.Float(col, row), true
-	case TTime:
-		return float64(t.TimeMicros(col, row)), true
-	default:
-		return 0, false
-	}
-}

@@ -67,7 +67,7 @@ func referenceWindowAgg(r *Result, w int64, fn AggFn) *Series {
 		b := ts - mod(ts, w)
 		var v float64
 		if fn != AggCount {
-			v, _ = r.t.numeric(1, row)
+			v = r.t.data[1].numeric(r.t.cols[1].Type)(row)
 		}
 		buckets[b] = append(buckets[b], v)
 		if first || b < lo {

@@ -43,6 +43,8 @@ const (
 	PipeTrace     = "trace"
 	PipeAgent     = "agent"
 	PipeCollector = "collector"
+	PipeDB        = "mscopedb"
+	PipeServe     = "serve"
 )
 
 // Rec is one self-telemetry record: a completed span or a counter

@@ -33,12 +33,8 @@ code{background:#f4f4f4;padding:1px 4px}
 	}
 	p(`</table>`)
 
-	if traces, err := s.buildTraces(); err == nil && len(traces) > 0 {
+	if ordered, err := s.slowest(10); err == nil && len(ordered) > 0 {
 		p(`<h2>Slowest requests</h2><table><tr><th>reqid</th><th>response</th><th>spans</th><th></th></tr>`)
-		ordered := slowestFirst(traces)
-		if len(ordered) > 10 {
-			ordered = ordered[:10]
-		}
 		for _, tr := range ordered {
 			id := html.EscapeString(tr.ReqID)
 			p(`<tr><td>%s</td><td>%.3f ms</td><td>%d</td>`+

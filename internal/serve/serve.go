@@ -9,9 +9,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -21,6 +21,7 @@ import (
 	"github.com/gt-elba/milliscope/internal/mql"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/promfmt"
+	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/stream"
 	"github.com/gt-elba/milliscope/internal/tracegraph"
 )
@@ -57,19 +58,42 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /{$}", s.handleIndex)
-	mux.HandleFunc("GET /api/tables", s.handleTables)
-	mux.HandleFunc("GET /api/query", s.handleQuery)
-	mux.HandleFunc("GET /api/window", s.handleWindow)
-	mux.HandleFunc("GET /api/traces", s.handleTraces)
-	mux.HandleFunc("GET /api/trace/{reqid}", s.handleTrace)
-	mux.HandleFunc("GET /api/flamegraph", s.handleFlameJSON)
-	mux.HandleFunc("GET /flamegraph.svg", s.handleFlameSVG)
-	mux.HandleFunc("GET /api/diagnosis", s.handleDiagnosis)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	// Every request is one serve/<endpoint> span of the self-telemetry:
+	// one item, and one error when the answer is a 4xx or 5xx.
+	route := func(pattern, endpoint string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			sp := selfobs.Begin(selfobs.PipeServe, endpoint, "-", "")
+			sw := &statusWriter{ResponseWriter: w}
+			h(sw, r)
+			sp.End(1, int64(sw.failed))
+		})
+	}
+	route("GET /{$}", "index", s.handleIndex)
+	route("GET /api/tables", "tables", s.handleTables)
+	route("GET /api/query", "query", s.handleQuery)
+	route("GET /api/window", "window", s.handleWindow)
+	route("GET /api/traces", "traces", s.handleTraces)
+	route("GET /api/trace/{reqid}", "trace", s.handleTrace)
+	route("GET /api/flamegraph", "flamegraph", s.handleFlameJSON)
+	route("GET /flamegraph.svg", "flamegraph", s.handleFlameSVG)
+	route("GET /api/diagnosis", "diagnosis", s.handleDiagnosis)
+	route("GET /healthz", "healthz", s.handleHealthz)
+	route("GET /metrics", "metrics", s.handleMetrics)
 	s.mux = mux
 	return s, nil
+}
+
+// statusWriter notes whether the handler answered with an error status.
+type statusWriter struct {
+	http.ResponseWriter
+	failed int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	if code >= 400 {
+		w.failed = 1
+	}
+	w.ResponseWriter.WriteHeader(code)
 }
 
 // Handler returns the service's routes.
@@ -90,6 +114,18 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	_ = enc.Encode(v)
+}
+
+// statusOf is the status an error from the warehouse is answered with: a
+// committed segment that cannot be read back is the server's fault (500);
+// anything else is the fallback the endpoint gives a request it cannot
+// serve.
+func statusOf(err error, fallback int) int {
+	var seg *mscopedb.SegmentError
+	if errors.As(err, &seg) {
+		return http.StatusInternalServerError
+	}
+	return fallback
 }
 
 // fail renders one JSON error body and counts it.
@@ -156,7 +192,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	)
 	s.withDB(func(db *mscopedb.DB) { out, err = mql.Run(db, q) })
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		s.fail(w, statusOf(err, http.StatusBadRequest), "%v", err)
 		return
 	}
 	writeJSON(w, queryResult{Cols: out.Cols, Rows: out.Rows})
@@ -202,8 +238,8 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	window := 50 * time.Millisecond
 	if ws := p.Get("window"); ws != "" {
 		window, err = time.ParseDuration(ws)
-		if err != nil || window <= 0 {
-			s.fail(w, http.StatusBadRequest, "bad window %q: want a positive duration like 50ms", ws)
+		if err != nil || window < time.Microsecond {
+			s.fail(w, http.StatusBadRequest, "bad window %q: want a duration of at least 1us, like 50ms", ws)
 			return
 		}
 	}
@@ -257,7 +293,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		s.fail(w, statusOf(err, http.StatusBadRequest), "%v", err)
 		return
 	}
 	writeJSON(w, queryResult{Cols: out.Cols, Rows: out.Rows})
@@ -265,21 +301,14 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 
 // --- traces and flamegraphs ------------------------------------------
 
-// buildTraces reconstructs every request's causal path from whichever
-// standard event tables the warehouse holds.
-func (s *Server) buildTraces() (map[string]*tracegraph.Trace, error) {
+// eventTables names the standard event tables, front tier first; the
+// trace readers tolerate the ones the warehouse lacks.
+func eventTables() []string {
 	tables := make([]string, len(core.Tiers))
 	for i, t := range core.Tiers {
 		tables[i] = t + "_event"
 	}
-	var (
-		traces map[string]*tracegraph.Trace
-		err    error
-	)
-	s.withDB(func(db *mscopedb.DB) {
-		traces, _, err = tracegraph.BuildPartial(db, tables)
-	})
-	return traces, err
+	return tables
 }
 
 type traceSummary struct {
@@ -290,21 +319,12 @@ type traceSummary struct {
 	Coverage float64 `json:"coverage"`
 }
 
-// slowestFirst flattens a trace set ordered by response time, slowest
-// first (ties broken by request ID for stable pagination).
-func slowestFirst(traces map[string]*tracegraph.Trace) []*tracegraph.Trace {
-	out := make([]*tracegraph.Trace, 0, len(traces))
-	for _, tr := range traces {
-		out = append(out, tr)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ri, rj := out[i].ResponseTime(), out[j].ResponseTime()
-		if ri != rj {
-			return ri > rj
-		}
-		return out[i].ReqID < out[j].ReqID
-	})
-	return out
+// slowest reconstructs the n slowest requests, slowest first (ties broken
+// by request ID for stable pagination): every request is ranked from one
+// projected pass, only the n are built.
+func (s *Server) slowest(n int) (traces []*tracegraph.Trace, err error) {
+	s.withDB(func(db *mscopedb.DB) { traces, err = tracegraph.Slowest(db, eventTables(), n) })
+	return traces, err
 }
 
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
@@ -318,14 +338,10 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	s.queries.Add(1)
-	traces, err := s.buildTraces()
+	ordered, err := s.slowest(limit)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, "%v", err)
 		return
-	}
-	ordered := slowestFirst(traces)
-	if len(ordered) > limit {
-		ordered = ordered[:limit]
 	}
 	out := make([]traceSummary, 0, len(ordered))
 	for _, tr := range ordered {
@@ -341,18 +357,25 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // flameFor resolves a request ID (empty means the slowest request) to
-// its renderable flame.
+// its renderable flame: a lookup of that one request's rows.
 func (s *Server) flameFor(reqid string) (*tracegraph.Flame, int, error) {
-	traces, err := s.buildTraces()
-	if err != nil {
-		return nil, http.StatusInternalServerError, err
-	}
 	if reqid == "" {
-		ordered := slowestFirst(traces)
+		ordered, err := s.slowest(1)
+		if err != nil {
+			return nil, http.StatusInternalServerError, err
+		}
 		if len(ordered) == 0 {
 			return nil, http.StatusNotFound, fmt.Errorf("no traces in the warehouse")
 		}
 		return tracegraph.BuildFlame(ordered[0]), 0, nil
+	}
+	var (
+		traces map[string]*tracegraph.Trace
+		err    error
+	)
+	s.withDB(func(db *mscopedb.DB) { traces, err = tracegraph.Lookup(db, eventTables(), reqid) })
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
 	}
 	tr, ok := traces[reqid]
 	if !ok {
@@ -465,7 +488,7 @@ func (s *Server) handleDiagnosis(w http.ResponseWriter, r *http.Request) {
 	)
 	s.withDB(func(db *mscopedb.DB) { d, err = core.Diagnose(db, s.cfg.Window) })
 	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, "diagnosis: %v", err)
+		s.fail(w, statusOf(err, http.StatusUnprocessableEntity), "diagnosis: %v", err)
 		return
 	}
 	tl := diagTimeline{Source: "batch", Entries: []diagEntry{}}
@@ -499,6 +522,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // both sides use promfmt, so the concatenation still lints.
 func (s *Server) MetricsText() string {
 	tables, rows := 0, 0
+	var indexBytes, indexEvictions int64
 	s.withDB(func(db *mscopedb.DB) {
 		for _, name := range db.TableNames() {
 			if t, err := db.Table(name); err == nil {
@@ -506,7 +530,9 @@ func (s *Server) MetricsText() string {
 				rows += t.Rows()
 			}
 		}
+		indexBytes, indexEvictions = db.IndexStats()
 	})
+	segsDecoded, _ := mscopedb.ScanStats()
 	var w promfmt.Writer
 	w.Counter(promfmt.Prefix+"serve_queries_total",
 		"query and render requests answered", float64(s.queries.Load()))
@@ -518,6 +544,12 @@ func (s *Server) MetricsText() string {
 		"tables in the attached warehouse", float64(tables))
 	w.Gauge(promfmt.Prefix+"serve_rows",
 		"rows across the attached warehouse", float64(rows))
+	w.Counter(promfmt.Prefix+"db_segments_decoded_total",
+		"segment files read and verified by queries, scans and lookups", float64(segsDecoded))
+	w.Gauge(promfmt.Prefix+"db_index_bytes",
+		"bytes of request-ID lookup indexes held in memory", float64(indexBytes))
+	w.Counter(promfmt.Prefix+"db_index_evictions_total",
+		"lookup indexes evicted to stay under the cap", float64(indexEvictions))
 	if p := s.cfg.Pipeline; p != nil {
 		return p.MetricsText() + w.String()
 	}

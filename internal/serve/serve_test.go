@@ -24,6 +24,17 @@ import (
 // the workload for sweep speed; 0 keeps the spec's own size.
 func scenarioWarehouse(t testing.TB, name string, users int) *mscopedb.DB {
 	t.Helper()
+	db := mscopedb.Open()
+	if _, err := transform.IngestDir(db, scenarioLogs(t, name, users), t.TempDir(), transform.DefaultPlan()); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// scenarioLogs runs one catalogue scenario's trial and returns the
+// directory holding the logs an ingest would read.
+func scenarioLogs(t testing.TB, name string, users int) string {
+	t.Helper()
 	spec, ok := scenario.ByName(name)
 	if !ok {
 		t.Fatalf("no catalogue scenario %q", name)
@@ -56,11 +67,7 @@ func scenarioWarehouse(t testing.TB, name string, users int) *mscopedb.DB {
 			t.Fatal(err)
 		}
 	}
-	db := mscopedb.Open()
-	if _, err := transform.IngestDir(db, srcDir, filepath.Join(work, "ingest"), transform.DefaultPlan()); err != nil {
-		t.Fatal(err)
-	}
-	return db
+	return srcDir
 }
 
 // The smoke suite shares one full-size dbio warehouse.

@@ -125,7 +125,10 @@ func (d *detector) advance(lowUS int64, final bool, window time.Duration, now fu
 	avg := d.sumRT / float64(d.count)
 	windows := analysis.DetectVLRTWindows(d.series(closedHi), avg, core.VLRTFactor, core.MaxVSBDuration)
 	padUS := core.ClassifyPad.Microseconds()
-	var out []Alert
+	// Promote the neighbourhood of every window this pass will classify,
+	// then build the evidence once for all of them: it is a function of
+	// the warehouse alone, and at shutdown every open window is due at once.
+	var due []analysis.Window
 	for _, w := range windows {
 		if !final && w.EndMicros+padUS+d.graceUS > lowUS {
 			continue // evidence around the window is still arriving
@@ -136,18 +139,24 @@ func (d *detector) advance(lowUS int64, final bool, window time.Duration, now fu
 		if d.promote != nil {
 			d.promote(w.StartMicros-(padUS+d.graceUS), w.EndMicros+padUS+d.graceUS)
 		}
-		ev, missing, err := core.BuildEvidence(d.db, window)
-		if err != nil || ev.Queues["apache"] == nil {
-			// Resource or front-tier tables not in the warehouse yet; the
-			// window stays unalerted and is retried on the next advance.
-			continue
-		}
-		wd := core.ClassifyWindow(ev, w)
+		due = append(due, w)
+	}
+	if len(due) == 0 {
+		return nil
+	}
+	ev, missing, err := core.BuildEvidence(d.db, window)
+	if err != nil || ev.Queues["apache"] == nil {
+		// Resource or front-tier tables not in the warehouse yet; the
+		// windows stay unalerted and are retried on the next advance.
+		return nil
+	}
+	out := make([]Alert, 0, len(due))
+	for _, w := range due {
 		d.alerted = append(d.alerted, w)
 		out = append(out, Alert{
 			Raised:      now(),
 			WatermarkUS: lowUS,
-			Diagnosis:   wd,
+			Diagnosis:   core.ClassifyWindow(ev, w),
 			Missing:     missing,
 		})
 	}

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -205,7 +206,7 @@ func newAppender(db *mscopedb.DB, name string) *appender {
 		a.cols = a.table.Columns()
 		a.unset = make([]bool, len(a.cols))
 		for ci, c := range a.cols {
-			a.unset[ci] = c.Type == mscopedb.TString && allEmpty(a.table, ci)
+			a.unset[ci] = c.Type == mscopedb.TString && allEmpty(a.table, c.Name)
 		}
 	}
 	return a
@@ -213,15 +214,21 @@ func newAppender(db *mscopedb.DB, name string) *appender {
 
 // allEmpty reports whether a string column holds only empty cells; it stops
 // at the first that is not, which in a column that ever had a value is
-// almost always the first.
-func allEmpty(t *mscopedb.Table, ci int) bool {
-	for r := 0; r < t.Rows(); r++ {
-		if t.Str(ci, r) != "" {
-			return false
+// almost always the first chunk's. A column that cannot be read counts as
+// holding a value: it keeps its type, and the read error surfaces to
+// whoever next queries the table.
+func allEmpty(t *mscopedb.Table, col string) bool {
+	return t.Scan([]string{col}, func(ch *mscopedb.Chunk) error {
+		for _, s := range ch.Strs(0) {
+			if s != "" {
+				return errNotEmpty
+			}
 		}
-	}
-	return true
+		return nil
+	}) == nil
 }
+
+var errNotEmpty = errors.New("stream: column holds a value")
 
 // columnFor is the column an empty table or a new field starts with.
 func columnFor(name string, v mscopedb.Type) mscopedb.Column {

@@ -9,8 +9,8 @@ package tracegraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
@@ -220,7 +220,11 @@ func Build(db *mscopedb.DB, eventTables []string) (map[string]*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := addTable(traces, tbl); err != nil {
+		sr, err := newSpanReader(tbl, "ds", "dr", "q")
+		if err == nil {
+			err = tbl.Scan(sr.cols, func(ch *mscopedb.Chunk) error { return sr.spans(ch, traces) })
+		}
+		if err != nil {
 			return nil, fmt.Errorf("tracegraph: %s: %w", name, err)
 		}
 	}
@@ -241,84 +245,81 @@ func tierOfTable(name string) string {
 	return name
 }
 
-func addTable(traces map[string]*Trace, tbl *mscopedb.Table) error {
-	tier := tierOfTable(tbl.Name())
+// spanReader turns the rows of one event table into spans: the projection
+// it needs read (reqid, ua, ud, then whichever of the optional columns the
+// caller wants and the table has) and where those sit in it.
+type spanReader struct {
+	tier      string
+	cols      []string
+	ds, dr, q int // position in cols, -1 when absent or not wanted
+}
+
+// newSpanReader projects reqid, ua, ud and those of ds, dr, q named in
+// optional.
+func newSpanReader(tbl *mscopedb.Table, optional ...string) (*spanReader, error) {
+	if tbl.ColIndex("ua") < 0 || tbl.ColIndex("ud") < 0 {
+		return nil, fmt.Errorf("missing ua/ud columns")
+	}
 	reqCI := tbl.ColIndex("reqid")
-	uaCI := tbl.ColIndex("ua")
-	udCI := tbl.ColIndex("ud")
-	if uaCI < 0 || udCI < 0 {
-		return fmt.Errorf("missing ua/ud columns")
-	}
 	if reqCI < 0 {
-		return fmt.Errorf("missing reqid column")
+		return nil, fmt.Errorf("missing reqid column")
 	}
-	dsCI := tbl.ColIndex("ds")
-	drCI := tbl.ColIndex("dr")
-	qCI := tbl.ColIndex("q")
-	cols := tbl.Columns()
-	for r := 0; r < tbl.Rows(); r++ {
-		if cols[reqCI].Type != mscopedb.TString {
-			return fmt.Errorf("reqid column is %v, want string", cols[reqCI].Type)
+	if typ := tbl.Columns()[reqCI].Type; typ != mscopedb.TString && tbl.Rows() > 0 {
+		return nil, fmt.Errorf("reqid column is %v, want string", typ)
+	}
+	sr := &spanReader{tier: tierOfTable(tbl.Name()), cols: []string{"reqid", "ua", "ud"}}
+	project := func(name string) int {
+		if tbl.ColIndex(name) < 0 || !slices.Contains(optional, name) {
+			return -1
 		}
-		id := tbl.Str(reqCI, r)
-		if id == "" {
+		sr.cols = append(sr.cols, name)
+		return len(sr.cols) - 1
+	}
+	sr.ds, sr.dr, sr.q = project("ds"), project("dr"), project("q")
+	return sr, nil
+}
+
+// each calls fn with the span of every row of the chunk that carries a
+// request ID. Numeric cells may be typed int (pure numeric column) or
+// string (a column mixing numbers with the "-" no-downstream marker);
+// Chunk.Micros reads both.
+func (sr *spanReader) each(ch *mscopedb.Chunk, fn func(id string, sp Span)) error {
+	var stamps [6][]int64 // by position in sr.cols; nil where absent
+	for _, i := range []int{1, 2, sr.ds, sr.dr, sr.q} {
+		if i < 0 {
 			continue
 		}
-		sp := Span{Tier: tier}
 		var err error
-		if sp.UA, err = microsCell(tbl, cols, uaCI, r); err != nil {
+		if stamps[i], err = ch.Micros(i); err != nil {
 			return err
 		}
-		if sp.UD, err = microsCell(tbl, cols, udCI, r); err != nil {
-			return err
+	}
+	at := func(i, r int) int64 {
+		if i < 0 {
+			return 0
 		}
-		if dsCI >= 0 {
-			if sp.DS, err = microsCell(tbl, cols, dsCI, r); err != nil {
-				return err
-			}
+		return stamps[i][r]
+	}
+	for r, id := range ch.Strs(0) {
+		if id != "" {
+			fn(id, Span{Tier: sr.tier, Seq: int(at(sr.q, r)),
+				UA: stamps[1][r], UD: stamps[2][r], DS: at(sr.ds, r), DR: at(sr.dr, r)})
 		}
-		if drCI >= 0 {
-			if sp.DR, err = microsCell(tbl, cols, drCI, r); err != nil {
-				return err
-			}
-		}
-		if qCI >= 0 {
-			q, err := microsCell(tbl, cols, qCI, r)
-			if err != nil {
-				return err
-			}
-			sp.Seq = int(q)
-		}
+	}
+	return nil
+}
+
+// spans appends the chunk's spans to their requests' traces, creating a
+// trace on first sight of its ID.
+func (sr *spanReader) spans(ch *mscopedb.Chunk, traces map[string]*Trace) error {
+	return sr.each(ch, func(id string, sp Span) {
 		tr := traces[id]
 		if tr == nil {
 			tr = &Trace{ReqID: id}
 			traces[id] = tr
 		}
 		tr.Spans = append(tr.Spans, sp)
-	}
-	return nil
-}
-
-// microsCell reads a numeric cell that schema inference may have typed as
-// int (pure numeric column) or string (column mixing numbers with the "-"
-// no-downstream marker).
-func microsCell(tbl *mscopedb.Table, cols []mscopedb.Column, ci, row int) (int64, error) {
-	switch cols[ci].Type {
-	case mscopedb.TInt:
-		return tbl.Int(ci, row), nil
-	case mscopedb.TString:
-		s := tbl.Str(ci, row)
-		if s == "-" || s == "" {
-			return 0, nil
-		}
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("cell %q in %s.%s: %w", s, tbl.Name(), cols[ci].Name, err)
-		}
-		return v, nil
-	default:
-		return 0, fmt.Errorf("%s.%s: unsupported type %v for micros", tbl.Name(), cols[ci].Name, cols[ci].Type)
-	}
+	})
 }
 
 // sortSpans keeps the tier insertion order (Build adds front tier first)

@@ -107,6 +107,20 @@ func goldenInputs() map[string]string {
 		Kind: "span", Pipeline: selfobs.PipeLive, Stage: "append", Span: "batch",
 		File: "apache_access.log", StartNS: 11_500_000, DurNS: 150_000, Items: 61, Errs: 3,
 	}) + "\n")
+	// The read path's spans, one per request, scan or lookup: a served
+	// trace (one item, no error), the lookup under it (rows returned) with
+	// a segment index it had to build first (rows indexed), a query scan
+	// (rows matched) and one of a diagnosis' evidence passes (event rows).
+	for i, r := range []selfobs.Rec{
+		{Pipeline: selfobs.PipeServe, Stage: "trace", Span: "-", DurNS: 1_900_000, Items: 1},
+		{Pipeline: selfobs.PipeDB, Stage: "index", Span: "-", File: "cjdbc_event", DurNS: 300_000, Items: 8192},
+		{Pipeline: selfobs.PipeDB, Stage: "lookup", Span: "-", File: "cjdbc_event", DurNS: 400_000, Items: 3},
+		{Pipeline: selfobs.PipeDB, Stage: "scan", Span: "query", File: "apache_event", DurNS: 650_000, Items: 512},
+		{Pipeline: selfobs.PipeDiagnose, Stage: "evidence", Span: "queues", DurNS: 21_000_000, Items: 123900},
+	} {
+		r.Kind, r.StartNS = "span", 11_600_000+int64(i)*50_000
+		self.WriteString(selfobs.FormatLine(ep, "golden-batch", r) + "\n")
+	}
 	self.WriteString(selfobs.FormatLine(ep, "golden-batch", selfobs.Rec{
 		Kind: "counter", Pipeline: selfobs.PipeLive, Stage: "watermark",
 		Span: "rows_advanced", StartNS: 12_000_000, Items: 6001,
