@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all fast full build vet selfobs-lint test test-short race race-short bench bench-smoke overhead-check fidelity-check overload-soak dist-soak scenario-soak db-soak serve-smoke profile-ingest cover fuzz fuzz-smoke chaos live-smoke experiment clean
+.PHONY: all fast full size build vet selfobs-lint test test-short race race-short bench bench-smoke overhead-check fidelity-check overload-soak dist-soak scenario-soak db-soak serve-smoke profile-ingest cover fuzz fuzz-smoke chaos live-smoke experiment clean
 
 all: full
 
@@ -15,6 +15,19 @@ fast: build vet selfobs-lint race-short bench-smoke
 # fast, then the full suite, the smokes and soaks, and the two absolute
 # budgets bench/ does not measure.
 full: fast test live-smoke serve-smoke overload-soak dist-soak scenario-soak db-soak overhead-check fidelity-check
+
+# The size numbers ROADMAP tracks per PR, each taken the one canonical way
+# (hand counts have disagreed): lines of non-test Go outside bench/; flag
+# definition sites in cmd/ (a flag registered once for several commands
+# counts once); exported identifiers, as top-level exported funcs, methods,
+# types, vars and consts (grouped ones when they carry a value) in the same
+# files. CI prints it after `make fast`.
+SIZE_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'
+size:
+	@printf 'non-test Go outside bench/:  %s lines\n' "$$($(SIZE_FILES) | xargs wc -l | tail -1 | awk '{print $$1}')"
+	@printf 'internal/agentd/agentd.go:   %s lines\n' "$$(wc -l < internal/agentd/agentd.go)"
+	@printf 'flag definitions:            %s\n' "$$(grep -rhoE 'fs\.(String|Int|Int64|Uint|Uint64|Bool|Float64|Duration)(Var)?\(' --include='*.go' cmd | wc -l)"
+	@printf 'exported identifiers:        %s\n' "$$($(SIZE_FILES) | xargs grep -hE '^(func (\([^)]+\) )?[A-Z]|type [A-Z]|(var|const) [A-Z]|	[A-Z][A-Za-z0-9]* += )' | wc -l)"
 
 build:
 	$(GO) build ./...

@@ -3,8 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -51,15 +49,9 @@ func cmdAgent(args []string) error {
 		return err
 	}
 
-	var srv *http.Server
-	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			return fmt.Errorf("agent: %w", err)
-		}
-		srv = &http.Server{Handler: a.Handler()}
-		go func() { _ = srv.Serve(ln) }()
-		fmt.Printf("serving /status /metrics /healthz on %s\n", ln.Addr())
+	srv, err := serveOn(*httpAddr, a.Handler(), "agent: %w", "serving /status /metrics /healthz on %s\n")
+	if err != nil {
+		return err
 	}
 
 	a.Start()
@@ -75,9 +67,7 @@ func cmdAgent(args []string) error {
 		// handshake) — surface it instead of hanging on the signal.
 	}
 	stopErr := a.Stop()
-	if srv != nil {
-		_ = srv.Close()
-	}
+	closeServers(srv)
 	st := a.Status()
 	fmt.Printf("agent session: %d records in %d batches shipped, %d acks, %d reconnects, %d quarantined\n",
 		st.RecordsSent, st.BatchesSent, st.AcksReceived, st.Reconnects, st.Quarantined)

@@ -3,13 +3,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"time"
 
 	"github.com/gt-elba/milliscope"
 )
@@ -24,60 +20,21 @@ func cmdCollector(args []string) error {
 	listen := fs.String("listen", ":9090", "listen endpoint for agents, host:port")
 	network := fs.String("network", "tcp", "listen network: tcp | unix")
 	token := fs.String("token", "", "shared authentication token")
-	dbPath := fs.String("db", "", "warehouse file: loaded if present (resume), saved on exit")
-	spillDir := fs.String("spill-dir", "",
-		"segment-store directory: spill full segments to disk during fleet ingest (resumes from its last checkpoint)")
-	window := fs.Duration("window", 50*time.Millisecond, "detector window width")
-	grace := fs.Duration("grace", 0, "classification grace past the watermark (default 2s)")
-	budget := fs.Float64("budget", 0, "quarantine error budget per source (0 = default 5%)")
+	wh := addWarehouseFlags(fs)
+	flags := addEngineFlags(fs)
 	credit := fs.Int64("credit", 0, "per-agent record credit window (default 4096)")
-	fidelity := fs.String("fidelity", "", "degradation mode: full | adaptive | aggregate (default full)")
-	httpAddr := fs.String("http", "", "serve /status /alerts /metrics /healthz on this address (e.g. :8080)")
-	serveAddr := fs.String("serve", "",
-		"additionally serve the full observability API (query, flamegraphs, diagnosis) over the fleet warehouse on this address")
 	selfTrace := fs.Bool("self-trace", false,
 		"ingest the collector's own span telemetry into the warehouse at drain time")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch *fidelity {
-	case "", milliscope.FidelityModeFull, milliscope.FidelityModeAdaptive,
-		milliscope.FidelityModeAggregate:
-	default:
-		return fmt.Errorf("collector: unknown --fidelity %q (full | adaptive | aggregate)", *fidelity)
+	db, err := wh.open(true)
+	if err != nil {
+		return err
 	}
-
-	var db *milliscope.DB
-	if *spillDir != "" {
-		var err error
-		db, err = milliscope.OpenDBDir(*spillDir, milliscope.StoreOptions{})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("spilling warehouse segments to %s\n", *spillDir)
-	} else if *dbPath != "" {
-		if _, statErr := os.Stat(*dbPath); statErr == nil {
-			var err error
-			db, err = milliscope.LoadDB(*dbPath)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("resuming warehouse %s\n", *dbPath)
-		}
-	}
-
-	engine := milliscope.LiveConfig{
-		DB:          db,
-		Window:      *window,
-		Grace:       *grace,
-		ErrorBudget: *budget,
-		Fidelity:    milliscope.LiveFidelityOptions{Mode: *fidelity},
-	}
-	engine.OnAlert = func(a milliscope.LiveAlert) {
-		fmt.Printf("ALERT @%s watermark=%dus window=[%d,%d]us: %s\n",
-			a.Raised.Format("15:04:05.000"), a.WatermarkUS,
-			a.Diagnosis.Window.StartMicros, a.Diagnosis.Window.EndMicros,
-			a.Diagnosis.Verdict)
+	engine, err := flags.config("collector", db)
+	if err != nil {
+		return err
 	}
 	col, err := milliscope.NewCollector(milliscope.CollectorConfig{
 		Token:     *token,
@@ -95,34 +52,13 @@ func cmdCollector(args []string) error {
 	}
 	fmt.Printf("collector listening on %s://%s\n", *network, col.Addr())
 
-	var srv *http.Server
-	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			return fmt.Errorf("collector: %w", err)
-		}
-		srv = &http.Server{Handler: col.Handler()}
-		go func() { _ = srv.Serve(ln) }()
-		fmt.Printf("serving /status /alerts /collector /metrics /healthz on %s\n", ln.Addr())
-	}
-	var obsSrv *http.Server
-	if *serveAddr != "" {
-		obs, err := milliscope.NewObservabilityServer(milliscope.ServeConfig{
-			Pipeline: col.Pipeline(), Window: *window,
-		})
-		if err != nil {
-			return err
-		}
-		ln, err := net.Listen("tcp", *serveAddr)
-		if err != nil {
-			return fmt.Errorf("collector: serve listener: %w", err)
-		}
-		// The collector's own surface claims the fleet endpoints; the
-		// observability API answers everything else.
-		obsSrv = &http.Server{Handler: mountServe(obs, col.Handler(),
-			"/status", "/alerts", "/collector", "/metrics", "/healthz")}
-		go func() { _ = obsSrv.Serve(ln) }()
-		fmt.Printf("serving the observability API on %s\n", ln.Addr())
+	// The collector's own surface claims the fleet endpoints; under --serve
+	// the observability API answers everything else.
+	closeListeners, err := flags.listen("collector", col.Pipeline(), col.Handler(),
+		"/status /alerts /collector /metrics /healthz",
+		"/status", "/alerts", "/collector", "/metrics", "/healthz")
+	if err != nil {
+		return err
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -130,35 +66,14 @@ func cmdCollector(args []string) error {
 	<-sig
 	fmt.Println("draining...")
 	stopErr := col.Stop()
-	if srv != nil {
-		_ = srv.Close()
-	}
-	if obsSrv != nil {
-		_ = obsSrv.Close()
-	}
+	closeListeners()
 
 	st := col.Status()
 	fmt.Printf("collector session: %d records in %d batches from %d connections, %d sources, %d acks\n",
 		st.RecordsIn, st.BatchesIn, st.ConnsTotal, st.Opens, st.AcksOut)
-	for _, a := range col.Pipeline().Alerts() {
-		extra := ""
-		if len(a.Missing) > 0 {
-			extra = " DEGRADED missing " + strings.Join(a.Missing, ",")
-		}
-		fmt.Printf("alert %d: %s%s\n", a.ID, a.Diagnosis.Verdict, extra)
-	}
-	if *spillDir != "" {
-		if err := col.DB().Checkpoint(); err != nil {
-			return err
-		}
-		fmt.Printf("warehouse committed to %s (%d segments on disk)\n",
-			*spillDir, totalSegments(col.DB()))
-	}
-	if *dbPath != "" {
-		if err := col.DB().Save(*dbPath); err != nil {
-			return err
-		}
-		fmt.Printf("warehouse saved to %s\n", *dbPath)
+	printAlerts(col.Pipeline().Alerts())
+	if err := wh.close(col.DB()); err != nil {
+		return err
 	}
 	return stopErr
 }

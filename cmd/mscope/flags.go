@@ -1,0 +1,174 @@
+// Flags more than one command takes are registered here, once, so their
+// names, defaults and help cannot drift between commands — and what the
+// commands then do with them is written here once too.
+package main
+
+import (
+	"flag"
+	"fmt"
+	"net"
+	"net/http"
+	"os"
+	"strings"
+	"time"
+
+	"github.com/gt-elba/milliscope"
+)
+
+// warehouseFlags are --db and --spill-dir of the commands that load a
+// warehouse: ingest, live and collector.
+type warehouseFlags struct{ dbPath, spillDir *string }
+
+func addWarehouseFlags(fs *flag.FlagSet) warehouseFlags {
+	return warehouseFlags{
+		dbPath: fs.String("db", "", "warehouse file: loaded if present (resume), saved on exit"),
+		spillDir: fs.String("spill-dir", "",
+			"segment-store directory: spill full segments to disk while loading instead of keeping all rows in memory (resumes from its last checkpoint)"),
+	}
+}
+
+// open returns the warehouse the command loads into: the segment store when
+// --spill-dir is set (its manifest, with the ingest ledger inside it, makes
+// re-runs resumable and idempotent), else the --db file when it exists (the
+// ledger skips what it already holds), else a fresh one. announce prints
+// which.
+func (w warehouseFlags) open(announce bool) (*milliscope.DB, error) {
+	say := func(format string, path string) {
+		if announce {
+			fmt.Printf(format, path)
+		}
+	}
+	if *w.spillDir != "" {
+		say("spilling warehouse segments to %s\n", *w.spillDir)
+		return milliscope.OpenDBDir(*w.spillDir, milliscope.StoreOptions{})
+	}
+	if *w.dbPath != "" {
+		if _, err := os.Stat(*w.dbPath); err == nil {
+			say("resuming warehouse %s\n", *w.dbPath)
+			return milliscope.LoadDB(*w.dbPath)
+		}
+	}
+	return milliscope.OpenDB(), nil
+}
+
+// close commits the loaded warehouse: a checkpoint of the segment store, a
+// save of the --db file, or both.
+func (w warehouseFlags) close(db *milliscope.DB) error {
+	if *w.spillDir != "" {
+		if err := db.Checkpoint(); err != nil {
+			return err
+		}
+		fmt.Printf("warehouse committed to %s (%d segments on disk)\n", *w.spillDir, totalSegments(db))
+	}
+	if *w.dbPath != "" {
+		if err := db.Save(*w.dbPath); err != nil {
+			return err
+		}
+		fmt.Printf("warehouse saved to %s\n", *w.dbPath)
+	}
+	return nil
+}
+
+// engineFlags configure the streaming engine and its listeners under live
+// and collector.
+type engineFlags struct {
+	window, grace       *time.Duration
+	budget              *float64
+	fidelity            *string
+	httpAddr, serveAddr *string
+}
+
+func addEngineFlags(fs *flag.FlagSet) engineFlags {
+	return engineFlags{
+		window:   fs.Duration("window", 50*time.Millisecond, "detector window width"),
+		grace:    fs.Duration("grace", 0, "classification grace past the watermark (default 2s)"),
+		budget:   fs.Float64("budget", 0, "quarantine error budget per source (0 = default 5%)"),
+		fidelity: fs.String("fidelity", "", "degradation mode: full | adaptive | aggregate (default full)"),
+		httpAddr: fs.String("http", "", "serve the engine's /status /alerts /metrics /healthz on this address (e.g. :8080)"),
+		serveAddr: fs.String("serve", "",
+			"serve the full observability API (query, flamegraphs, diagnosis) over the warehouse being loaded on this address"),
+	}
+}
+
+// config is the engine configuration the flags describe, alerts printed as
+// they fire; cmd prefixes the error for an unknown --fidelity.
+func (e engineFlags) config(cmd string, db *milliscope.DB) (milliscope.LiveConfig, error) {
+	switch *e.fidelity {
+	case "", milliscope.FidelityModeFull, milliscope.FidelityModeAdaptive,
+		milliscope.FidelityModeAggregate:
+	default:
+		return milliscope.LiveConfig{}, fmt.Errorf("%s: unknown --fidelity %q (full | adaptive | aggregate)", cmd, *e.fidelity)
+	}
+	return milliscope.LiveConfig{
+		DB:          db,
+		Window:      *e.window,
+		Grace:       *e.grace,
+		ErrorBudget: *e.budget,
+		Fidelity:    milliscope.LiveFidelityOptions{Mode: *e.fidelity},
+		OnAlert: func(a milliscope.LiveAlert) {
+			fmt.Printf("ALERT @%s watermark=%dus window=[%d,%d]us: %s\n",
+				a.Raised.Format("15:04:05.000"), a.WatermarkUS,
+				a.Diagnosis.Window.StartMicros, a.Diagnosis.Window.EndMicros,
+				a.Diagnosis.Verdict)
+		},
+	}, nil
+}
+
+// listen starts the --http and --serve listeners over a running engine:
+// surface is the command's own mux, paths what it answers, and claims the
+// paths it keeps when the observability API is mounted around it. The
+// returned func closes both.
+func (e engineFlags) listen(cmd string, pipe *milliscope.LivePipeline, surface http.Handler, paths string, claims ...string) (func(), error) {
+	srv, err := serveOn(*e.httpAddr, surface, cmd+": %w", "serving "+paths+" on %s\n")
+	if err != nil {
+		return nil, err
+	}
+	var obsSrv *http.Server
+	if *e.serveAddr != "" {
+		obs, err := milliscope.NewObservabilityServer(milliscope.ServeConfig{Pipeline: pipe, Window: *e.window})
+		if err == nil {
+			obsSrv, err = serveOn(*e.serveAddr, mountServe(obs, surface, claims...),
+				cmd+": serve listener: %w", "serving the observability API on %s\n")
+		}
+		if err != nil {
+			closeServers(srv)
+			return nil, err
+		}
+	}
+	return func() { closeServers(srv, obsSrv) }, nil
+}
+
+// serveOn serves h on addr in the background and prints banner with the
+// bound address; an empty addr is no server.
+func serveOn(addr string, h http.Handler, errFormat, banner string) (*http.Server, error) {
+	if addr == "" {
+		return nil, nil
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf(errFormat, err)
+	}
+	srv := &http.Server{Handler: h}
+	go func() { _ = srv.Serve(ln) }()
+	fmt.Printf(banner, ln.Addr())
+	return srv, nil
+}
+
+func closeServers(srvs ...*http.Server) {
+	for _, s := range srvs {
+		if s != nil {
+			_ = s.Close()
+		}
+	}
+}
+
+// printAlerts lists the alerts an engine raised, once it has stopped.
+func printAlerts(alerts []milliscope.LiveAlert) {
+	for _, a := range alerts {
+		extra := ""
+		if len(a.Missing) > 0 {
+			extra = " DEGRADED missing " + strings.Join(a.Missing, ",")
+		}
+		fmt.Printf("alert %d: %s%s\n", a.ID, a.Diagnosis.Verdict, extra)
+	}
+}

@@ -3,11 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"github.com/gt-elba/milliscope"
@@ -21,26 +17,18 @@ func cmdLive(args []string) error {
 	fs := flag.NewFlagSet("live", flag.ContinueOnError)
 	scenario := fs.String("scenario", "dbio", "dbio | dirtypage | jvmgc | dvfs | accuracy")
 	out := fs.String("out", "", "base directory for staged + live logs (required)")
-	dbPath := fs.String("db", "", "warehouse file: loaded if present (resume), saved on exit")
-	spillDir := fs.String("spill-dir", "",
-		"segment-store directory: spill full segments to disk while streaming (resumes from its last checkpoint)")
-	window := fs.Duration("window", 50*time.Millisecond, "detector window width")
+	wh := addWarehouseFlags(fs)
+	engine := addEngineFlags(fs)
 	speed := fs.Float64("speed", 8, "replay speed: trial seconds per wall second")
 	poll := fs.Duration("poll", 10*time.Millisecond, "tailer poll interval")
-	grace := fs.Duration("grace", 0, "classification grace past the watermark (default 2s)")
-	httpAddr := fs.String("http", "", "serve /status /alerts /metrics on this address (e.g. :8080)")
-	serveAddr := fs.String("serve", "",
-		"serve the full observability API (query, flamegraphs, diagnosis) over the live warehouse on this address")
 	debugAddr := fs.String("debug-addr", "",
 		"serve /debug/pprof and /debug/vars on this address (kept off the metrics listener)")
 	selfLog := fs.String("self-log", "",
 		"write milliScope's own span telemetry to this file (or directory) as an ingestable log")
 	chaosRate := fs.Float64("chaos-rate", 0, "per-line fault probability injected into the tailed stream")
 	chaosSeed := fs.Int64("chaos-seed", 1, "chaos corruption seed")
-	budget := fs.Float64("budget", 0, "quarantine error budget per source (0 = default 5%)")
 	expectAlert := fs.Bool("expect-alert", false, "exit nonzero unless at least one alert fired")
 	rotate := fs.Float64("rotate", 0, "rotate (truncate) event logs at this replay fraction, 0 = never")
-	fidelity := fs.String("fidelity", "", "degradation mode: full | adaptive | aggregate (default full)")
 	ringCap := fs.Int("ring-cap", 0, "per-source promotion ring capacity (default 8192)")
 	rollupWin := fs.Duration("rollup-window", 0, "aggregate rollup window (default 1s)")
 	overloadSpec := fs.String("overload", "",
@@ -73,21 +61,9 @@ func cmdLive(args []string) error {
 	}
 	fmt.Printf("staged experiment %s: %s\n", cfg.Name, res.Stats)
 
-	var db *milliscope.DB
-	if *spillDir != "" {
-		db, err = milliscope.OpenDBDir(*spillDir, milliscope.StoreOptions{})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("spilling warehouse segments to %s\n", *spillDir)
-	} else if *dbPath != "" {
-		if _, statErr := os.Stat(*dbPath); statErr == nil {
-			db, err = milliscope.LoadDB(*dbPath)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("resuming warehouse %s\n", *dbPath)
-		}
+	db, err := wh.open(true)
+	if err != nil {
+		return err
 	}
 
 	var overload *milliscope.Overload
@@ -98,11 +74,9 @@ func cmdLive(args []string) error {
 		}
 		overload = &o
 	}
-	switch *fidelity {
-	case "", milliscope.FidelityModeFull, milliscope.FidelityModeAdaptive,
-		milliscope.FidelityModeAggregate:
-	default:
-		return fmt.Errorf("live: unknown --fidelity %q (full | adaptive | aggregate)", *fidelity)
+	liveCfg, err := engine.config("live", db)
+	if err != nil {
+		return err
 	}
 
 	producer, err := milliscope.NewLiveProducer(milliscope.LiveProducerConfig{
@@ -121,82 +95,34 @@ func cmdLive(args []string) error {
 		fmt.Print(producer.ChaosReport.Summary())
 	}
 
-	liveCfg := milliscope.LiveConfig{
-		LogDir:      liveDir,
-		DB:          db,
-		Window:      *window,
-		Poll:        *poll,
-		Grace:       *grace,
-		ErrorBudget: *budget,
-		Fidelity: milliscope.LiveFidelityOptions{
-			Mode:         *fidelity,
-			RingCap:      *ringCap,
-			RollupWindow: *rollupWin,
-		},
-	}
+	liveCfg.LogDir = liveDir
+	liveCfg.Poll = *poll
+	liveCfg.Fidelity.RingCap = *ringCap
+	liveCfg.Fidelity.RollupWindow = *rollupWin
 	if overload != nil {
 		liveCfg.ConsumerDelay = overload.ConsumerDelay
-	}
-	liveCfg.OnAlert = func(a milliscope.LiveAlert) {
-		fmt.Printf("ALERT @%s watermark=%dus window=[%d,%d]us: %s\n",
-			a.Raised.Format("15:04:05.000"), a.WatermarkUS,
-			a.Diagnosis.Window.StartMicros, a.Diagnosis.Window.EndMicros,
-			a.Diagnosis.Verdict)
 	}
 	pipe, err := milliscope.NewLivePipeline(liveCfg)
 	if err != nil {
 		return err
 	}
 
-	var srv *http.Server
-	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			return fmt.Errorf("live: %w", err)
-		}
-		srv = &http.Server{Handler: pipe.Handler()}
-		go func() { _ = srv.Serve(ln) }()
-		fmt.Printf("serving /status /alerts /metrics on %s\n", ln.Addr())
+	closeListeners, err := engine.listen("live", pipe, pipe.Handler(), "/status /alerts /metrics", "/status", "/alerts")
+	if err != nil {
+		return err
 	}
-	var obsSrv *http.Server
-	if *serveAddr != "" {
-		obs, err := milliscope.NewObservabilityServer(milliscope.ServeConfig{
-			Pipeline: pipe, Window: *window,
-		})
-		if err != nil {
-			return err
-		}
-		ln, err := net.Listen("tcp", *serveAddr)
-		if err != nil {
-			return fmt.Errorf("live: serve listener: %w", err)
-		}
-		obsSrv = &http.Server{Handler: mountServe(obs, pipe.Handler(), "/status", "/alerts")}
-		go func() { _ = obsSrv.Serve(ln) }()
-		fmt.Printf("serving the observability API on %s\n", ln.Addr())
-	}
-	var dbgSrv *http.Server
-	if *debugAddr != "" {
-		ln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			return fmt.Errorf("live: debug listener: %w", err)
-		}
-		dbgSrv = &http.Server{Handler: milliscope.LiveDebugHandler(pipe)}
-		go func() { _ = dbgSrv.Serve(ln) }()
-		fmt.Printf("serving /debug/pprof /debug/vars on %s\n", ln.Addr())
+	dbgSrv, err := serveOn(*debugAddr, milliscope.LiveDebugHandler(pipe),
+		"live: debug listener: %w", "serving /debug/pprof /debug/vars on %s\n")
+	if err != nil {
+		closeListeners()
+		return err
 	}
 
 	pipe.Start()
 	replayErr := producer.Run()
 	stopErr := pipe.Stop()
-	if srv != nil {
-		_ = srv.Close()
-	}
-	if obsSrv != nil {
-		_ = obsSrv.Close()
-	}
-	if dbgSrv != nil {
-		_ = dbgSrv.Close()
-	}
+	closeListeners()
+	closeServers(dbgSrv)
 	if replayErr != nil {
 		return replayErr
 	}
@@ -223,25 +149,9 @@ func cmdLive(args []string) error {
 		}
 		fmt.Println(line)
 	}
-	for _, a := range pipe.Alerts() {
-		extra := ""
-		if len(a.Missing) > 0 {
-			extra = " DEGRADED missing " + strings.Join(a.Missing, ",")
-		}
-		fmt.Printf("alert %d: %s%s\n", a.ID, a.Diagnosis.Verdict, extra)
-	}
-	if *spillDir != "" {
-		if err := pipe.DB().Checkpoint(); err != nil {
-			return err
-		}
-		fmt.Printf("warehouse committed to %s (%d segments on disk)\n",
-			*spillDir, totalSegments(pipe.DB()))
-	}
-	if *dbPath != "" {
-		if err := pipe.DB().Save(*dbPath); err != nil {
-			return err
-		}
-		fmt.Printf("warehouse saved to %s\n", *dbPath)
+	printAlerts(pipe.Alerts())
+	if err := wh.close(pipe.DB()); err != nil {
+		return err
 	}
 	if *expectAlert && st.Alerts == 0 {
 		return fmt.Errorf("live: --expect-alert set but no alert fired")

@@ -270,9 +270,7 @@ func cmdIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ContinueOnError)
 	logs := fs.String("logs", "", "log directory (required)")
 	work := fs.String("work", "", "work directory: quarantine sinks and --materialize artifacts (required)")
-	dbPath := fs.String("db", "", "output warehouse file (required unless --spill-dir is set)")
-	spillDir := fs.String("spill-dir", "",
-		"segment-store directory: stream full segments to disk during ingest instead of keeping all rows in memory (resumable across runs)")
+	wh := addWarehouseFlags(fs)
 	planPath := fs.String("plan", "", "custom Parsing Declaration JSON (default: built-in)")
 	mode := fs.String("mode", "fail-fast", "malformed-input policy: fail-fast | quarantine")
 	budget := fs.Float64("budget", 0, "quarantine error budget (corrupt-line ratio per file; 0 = default 5%)")
@@ -286,7 +284,7 @@ func cmdIngest(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *logs == "" || *work == "" || (*dbPath == "" && *spillDir == "") {
+	if *logs == "" || *work == "" || (*wh.dbPath == "" && *wh.spillDir == "") {
 		return fmt.Errorf("ingest: --logs, --work and one of --db / --spill-dir are required")
 	}
 	if *selfLog != "" {
@@ -301,24 +299,9 @@ func cmdIngest(args []string) error {
 	}
 	opts := milliscope.IngestOptions{Policy: policy, ErrorBudget: *budget,
 		QuarantineDir: *qdir, Workers: *workers, Materialize: *materialize}
-	var db *milliscope.DB
-	if *spillDir != "" {
-		// Segment-store ingest: full segments spill to disk as they fill,
-		// and the on-disk manifest (plus the ingest ledger inside it)
-		// makes re-runs resumable and idempotent.
-		db, err = milliscope.OpenDBDir(*spillDir, milliscope.StoreOptions{})
-		if err != nil {
-			return err
-		}
-	} else if _, statErr := os.Stat(*dbPath); statErr == nil {
-		// Re-ingesting into an existing warehouse: the ingest ledger makes
-		// the operation idempotent (already-loaded files are skipped).
-		db, err = milliscope.LoadDB(*dbPath)
-		if err != nil {
-			return err
-		}
-	} else {
-		db = milliscope.OpenDB()
+	db, err := wh.open(false)
+	if err != nil {
+		return err
 	}
 	rep, err := ingestDir(db, *logs, *work, *planPath, opts)
 	if err != nil {
@@ -348,20 +331,7 @@ func cmdIngest(args []string) error {
 	if consistency, err := milliscope.ValidateWarehouse(db); err == nil {
 		fmt.Println(consistency.Summary())
 	}
-	if *spillDir != "" {
-		if err := db.Checkpoint(); err != nil {
-			return err
-		}
-		fmt.Printf("warehouse committed to %s (%d segments on disk)\n",
-			*spillDir, totalSegments(db))
-	}
-	if *dbPath != "" {
-		if err := db.Save(*dbPath); err != nil {
-			return err
-		}
-		fmt.Printf("warehouse saved to %s\n", *dbPath)
-	}
-	return nil
+	return wh.close(db)
 }
 
 func cmdTables(args []string) error {

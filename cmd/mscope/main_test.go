@@ -1,8 +1,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -254,6 +258,64 @@ func TestBuildFiguresAgainstWarehouse(t *testing.T) {
 		}
 		if len(figs) == 0 {
 			t.Fatalf("%s produced no figures", name)
+		}
+	}
+}
+
+// helpStanzas runs `mscope cmd -h` and returns each flag's usage stanza —
+// name, type, help and default, exactly as printed — by flag name.
+func helpStanzas(t *testing.T, cmd string) map[string]string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	runErr := run([]string{cmd, "-h"})
+	os.Stderr = stderr
+	w.Close()
+	text, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(runErr, flag.ErrHelp) {
+		t.Fatalf("%s -h: %v", cmd, runErr)
+	}
+	stanzas := make(map[string]string)
+	name := ""
+	for _, line := range strings.Split(string(text), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			name = strings.Fields(line)[0][1:]
+		}
+		if name != "" {
+			stanzas[name] += line + "\n"
+		}
+	}
+	return stanzas
+}
+
+// TestSharedFlagsCannotDrift: the flags more than one command takes read
+// the same — name, type, default, help — under every command that takes
+// them, and each of those commands does take them.
+func TestSharedFlagsCannotDrift(t *testing.T) {
+	for _, tc := range []struct {
+		flags []string
+		cmds  []string
+	}{
+		{[]string{"db", "spill-dir"}, []string{"ingest", "live", "collector"}},
+		{[]string{"window", "grace", "budget", "fidelity", "http", "serve"}, []string{"live", "collector"}},
+	} {
+		ref := helpStanzas(t, tc.cmds[0])
+		for _, cmd := range tc.cmds[1:] {
+			got := helpStanzas(t, cmd)
+			for _, f := range tc.flags {
+				if ref[f] == "" {
+					t.Errorf("%s has no --%s", tc.cmds[0], f)
+				} else if got[f] != ref[f] {
+					t.Errorf("--%s reads differently under %s and %s:\n%s%s", f, tc.cmds[0], cmd, ref[f], got[f])
+				}
+			}
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package agentd is the per-node half of the distributed deployment: one
-// agent process per monitored node tails that node's logs with the exact
-// machinery `mscope live` uses locally — the rotation-aware Tailer, the
-// tokenizing mScopeParsers, degraded-mode quarantine — and ships the
-// parsed records to the central collector as checkpointed column batches
-// over the wire protocol.
+// agent process per monitored node runs the source front end `mscope live`
+// runs locally (stream.FrontEnd: discovery, the rotation-aware Tailer, the
+// tokenizing mScopeParsers, degraded-mode quarantine, stamped batches) and
+// ships what it delivers to the central collector as checkpointed column
+// batches over the wire protocol.
 //
 // The agent holds no durable state of its own. The collector's applied
 // byte offset is the only checkpoint: every (re)connection opens each
@@ -17,22 +17,17 @@
 package agentd
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/mxml"
-	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/promfmt"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/stream"
@@ -133,11 +128,9 @@ type Agent struct {
 	killed   atomic.Bool
 	conn     atomic.Value // net.Conn of the live session, for Kill
 
-	// denied and failed are agent-lifetime source blocklists: the
-	// collector terminally rejected the source, or its parser died here.
-	bmu    sync.Mutex
-	denied map[string]bool
-	failed map[string]bool
+	// blocked is the agent-lifetime source blocklist (see owns).
+	bmu     sync.Mutex
+	blocked map[string]bool
 
 	mu       sync.Mutex
 	runErr   error // fatal (auth) error, surfaced by Stop
@@ -163,11 +156,10 @@ func New(cfg Config) (*Agent, error) {
 		return nil, err
 	}
 	a := &Agent{
-		cfg:    c,
-		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
-		denied: make(map[string]bool),
-		failed: make(map[string]bool),
+		cfg:     c,
+		stopCh:  make(chan struct{}),
+		doneCh:  make(chan struct{}),
+		blocked: make(map[string]bool),
 	}
 	if c.SelfTrace {
 		a.obs = selfobs.NewCollector(c.ID, time.Now())
@@ -276,13 +268,22 @@ func (a *Agent) run() {
 
 var errRejected = fmt.Errorf("agentd: handshake rejected")
 
-// session drives one connection from handshake to drain or death. All
-// per-source state (tailers, parser pipes, pending records) is scoped to
-// the session: a reconnect rebuilds everything from the collector's
-// resume offsets, which is what makes the crash story simple.
+// session drives one connection from handshake to drain or death. The
+// front end and every per-source counter are scoped to the session: a
+// reconnect rebuilds everything from the collector's resume offsets, which
+// is what makes the crash story simple.
 type session struct {
-	a *Agent
-	c *wire.Conn
+	a     *Agent
+	c     *wire.Conn
+	front *stream.FrontEnd
+
+	// sendMu serializes frames onto the connection: the front end's
+	// discovery goroutine opens sources, each source's parser goroutine
+	// ships its batches. It also guards nextID and the two tallies.
+	sendMu      sync.Mutex
+	nextID      uint32
+	sources     int64
+	quarantined int64
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -294,10 +295,6 @@ type session struct {
 	deadErr     error
 	deadCh      chan struct{}
 	resumes     map[uint32]chan int64
-
-	sources []*agentSource
-	byPath  map[string]*agentSource
-	nextID  uint32
 }
 
 func (a *Agent) session(nc net.Conn) error {
@@ -335,9 +332,16 @@ func (a *Agent) session(nc net.Conn) error {
 		credits: ack.Credit,
 		deadCh:  make(chan struct{}),
 		resumes: make(map[uint32]chan int64),
-		byPath:  make(map[string]*agentSource),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	// The front end is `mscope live`'s: the agent puts a credit window and
+	// a socket behind it where the live pipeline puts its loader. A batch is
+	// a frame, so the cap is the frame's.
+	s.front = stream.NewFrontEnd(stream.FrontConfig{
+		LogDir: a.cfg.LogDir, Plan: a.cfg.Plan, Poll: a.cfg.Poll,
+		BatchCap: a.cfg.MaxBatchRecords, Filter: a.owns, Open: s.open,
+		Pipe: selfobs.PipeAgent, Obs: a.obs,
+	})
 	a.creditsGauge.Store(ack.Credit)
 	readerDone := make(chan struct{})
 	go func() {
@@ -345,11 +349,29 @@ func (a *Agent) session(nc net.Conn) error {
 		s.reader()
 	}()
 	err = s.loop()
-	nc.Close() // unblocks the reader if the loop failed first
+	nc.Close() // unblocks the reader, and any parser mid-write, if the loop failed first
 	<-readerDone
-	s.teardown()
+	s.front.Abort() // a no-op after a drain
 	a.liveSources.Store(0)
 	return err
+}
+
+// owns is the discovery filter: the files this agent is configured to ship,
+// less the ones blocked for the life of the process — the collector
+// terminally rejected the source, or its parser died here.
+func (a *Agent) owns(name string) bool {
+	if a.cfg.Own != nil && !a.cfg.Own(name) {
+		return false
+	}
+	a.bmu.Lock()
+	defer a.bmu.Unlock()
+	return !a.blocked[filepath.Join(a.cfg.LogDir, name)]
+}
+
+func (a *Agent) block(path string) {
+	a.bmu.Lock()
+	a.blocked[path] = true
+	a.bmu.Unlock()
 }
 
 // fail marks the session dead and wakes every waiter.
@@ -417,7 +439,8 @@ func (s *session) reader() {
 }
 
 // acquire blocks until n record credits are available (or the session
-// dies). This is where collector pressure stops the tailers.
+// dies). This is where collector pressure stops the tailers: the parser
+// that called waits here, its pipe fills, and its file is read later.
 func (s *session) acquire(n int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -428,341 +451,146 @@ func (s *session) acquire(n int64) error {
 		return s.deadErr
 	}
 	s.credits -= n
+	s.outstanding++
 	s.a.creditsGauge.Store(s.credits)
 	return nil
 }
 
-// loop is the session's main cycle: discover sources, poll each tailer,
-// quiesce its parser, and ship what came out — until stop or death.
+// loop runs the front end until stop or death.
 func (s *session) loop() error {
-	ticker := time.NewTicker(s.a.cfg.Poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.a.stopCh:
-			if s.a.killed.Load() {
-				return fmt.Errorf("agentd: killed")
-			}
-			return s.drain()
-		case <-s.deadCh:
-			return s.deadErr
-		case <-ticker.C:
-			if err := s.scan(); err != nil {
-				return err
-			}
-			for _, src := range s.sources {
-				if err := s.cycle(src); err != nil {
-					return err
-				}
-			}
+	s.front.Start()
+	select {
+	case <-s.a.stopCh:
+		if s.a.killed.Load() {
+			return fmt.Errorf("agentd: killed")
 		}
+		return s.drain()
+	case <-s.deadCh:
+		return s.deadErr
 	}
 }
 
-// scan discovers newly appeared files this agent owns and opens them with
-// the collector, blocking on each Resume so tailing starts at the exact
-// applied offset.
-func (s *session) scan() error {
-	entries, err := os.ReadDir(s.a.cfg.LogDir)
-	if err != nil {
-		return nil // the directory may not exist yet
+// frame writes one frame and flushes it. Every frame is flushed before its
+// sender can next block in acquire: a frame parked in the write buffer is
+// one the collector cannot ack, and acks are the only source of fresh
+// credit — holding both is a deadlock.
+func (s *session) frame(typ byte, payload []byte) error {
+	if err := s.c.Write(typ, payload); err != nil {
+		return err
 	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		full := filepath.Join(s.a.cfg.LogDir, name)
-		if _, known := s.byPath[full]; known {
-			continue
-		}
-		if !stream.Streamable(s.a.cfg.Plan, name) {
-			continue
-		}
-		if s.a.cfg.Own != nil && !s.a.cfg.Own(name) {
-			continue
-		}
-		s.a.bmu.Lock()
-		blocked := s.a.denied[full] || s.a.failed[full]
-		s.a.bmu.Unlock()
-		if blocked {
-			continue
-		}
-		if err := s.open(full, name); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.c.Flush()
 }
 
-func (s *session) open(full, name string) error {
-	sp := s.a.obs.Begin(selfobs.PipeAgent, "open", s.a.cfg.ID, name)
-	s.nextID++
-	id := s.nextID
+// handshake announces a source under key and waits for the collector's
+// resume offset.
+func (s *session) handshake(key, name string) (id uint32, offset int64, err error) {
 	ch := make(chan int64, 1)
+	s.sendMu.Lock()
+	s.nextID++
+	id = s.nextID
 	s.mu.Lock()
 	s.resumes[id] = ch
 	s.mu.Unlock()
-	if err := s.c.Write(wire.TypeOpen, wire.EncodeOpen(wire.Open{
-		SourceID: id, Key: full, Name: name,
-	})); err != nil {
-		return err
+	err = s.frame(wire.TypeOpen, wire.EncodeOpen(wire.Open{SourceID: id, Key: key, Name: name}))
+	s.sendMu.Unlock()
+	if err != nil {
+		return id, 0, err
 	}
-	if err := s.c.Flush(); err != nil {
-		return err
-	}
-	var offset int64
 	select {
 	case offset = <-ch:
+		return id, offset, nil
 	case <-s.deadCh:
-		return s.deadErr
+		return id, 0, s.deadErr
 	case <-time.After(30 * time.Second):
-		return fmt.Errorf("agentd: %s: no Resume within 30s", name)
+		return id, 0, fmt.Errorf("agentd: %s: no Resume within 30s", name)
+	}
+}
+
+// send ships records as one batch frame, within the credit window. The
+// frame carries the batch's stamp; the entries are released.
+func (s *session) send(b wire.Batch, entries []mxml.Entry) error {
+	if err := s.acquire(int64(len(entries))); err != nil {
+		return err
+	}
+	b.AppendEntries(entries)
+	payload := wire.EncodeBatch(&b)
+	for i := range entries {
+		entries[i].Release()
+	}
+	s.a.batchesSent.Add(1)
+	s.a.recordsSent.Add(int64(len(entries)))
+	obsBatches.Add(1)
+	obsRecords.Add(int64(len(entries)))
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
+	return s.frame(wire.TypeBatch, payload)
+}
+
+// open is the front end's adoption hook: open the file with the collector
+// and start tailing at the exact applied offset it answers with.
+func (s *session) open(path, name string, _ transform.Binding) (stream.Sink, int64) {
+	sp := s.a.obs.Begin(selfobs.PipeAgent, "open", s.a.cfg.ID, name)
+	id, offset, err := s.handshake(path, name)
+	if err != nil {
+		s.fail(err)
+		return nil, 0
 	}
 	if offset == stream.ResumeDenied {
-		s.a.bmu.Lock()
-		s.a.denied[full] = true
-		s.a.bmu.Unlock()
+		s.a.block(path)
 		sp.End(0, 1)
-		return nil
+		return nil, 0
 	}
-	b, _ := s.a.cfg.Plan.Find(name)
-	parser, err := parsers.Get(b.Parser)
-	if err != nil {
-		return nil // a plan naming an unknown parser skips the file
-	}
-	src := &agentSource{
-		id:      id,
-		path:    full,
-		name:    name,
-		binding: b,
-		parser:  parser,
-		tail:    stream.NewTailer(full, offset),
-		lastOff: offset,
-		done:    make(chan struct{}),
-	}
-	pr, pw := io.Pipe()
-	src.pw = pw
-	src.mr = &meteredReader{r: pr}
-	go src.parse()
-	s.sources = append(s.sources, src)
-	s.byPath[full] = src
+	s.sendMu.Lock()
+	s.sources++
+	s.sendMu.Unlock()
 	s.a.liveSources.Add(1)
 	sp.End(1, 0)
-	return nil
+	var seq uint64
+	var lastQuar int64
+	return func(b stream.Batch) bool {
+		var span selfobs.Span
+		if len(b.Entries) > 0 {
+			span = s.a.obs.Begin(selfobs.PipeAgent, "ship", s.a.cfg.ID, name)
+		}
+		seq++
+		err := s.send(wire.Batch{SourceID: id, Seq: seq, Offset: b.Offset, Quarantined: b.Quarantined}, b.Entries)
+		if err == nil && b.Err != nil {
+			// The parser died: what it emitted has shipped, so report the
+			// failure, once — this is the file's last batch, and the
+			// blocklist keeps later sessions from reopening it.
+			s.a.block(path)
+			s.sendMu.Lock()
+			err = s.frame(wire.TypeSourceState, wire.EncodeSourceState(wire.SourceState{
+				SourceID: id, State: wire.SourceFailed, Error: b.Err.Error(),
+			}))
+			s.sendMu.Unlock()
+		}
+		if err != nil {
+			s.fail(err)
+			return false
+		}
+		span.End(int64(len(b.Entries)), b.Quarantined-lastQuar)
+		s.sendMu.Lock()
+		s.quarantined += b.Quarantined - lastQuar
+		s.a.quarantined.Store(s.quarantined)
+		s.sendMu.Unlock()
+		lastQuar = b.Quarantined
+		return true
+	}, offset
 }
 
-// cycle runs one poll for one source: move new bytes through the parser,
-// wait for it to go idle so the committed offset covers exactly the
-// records emitted, then ship them.
-func (s *session) cycle(src *agentSource) error {
-	if src.dead() {
-		return s.failSource(src)
-	}
-	n, err := src.tail.Poll(src.write)
-	if err != nil && err != io.ErrClosedPipe {
-		src.failErr(err)
-	}
-	if src.dead() {
-		return s.failSource(src)
-	}
-	offExact := true
-	if n > 0 {
-		offExact = src.waitIdle()
-	}
-	return s.ship(src, offExact)
-}
-
-// ship collects the source's emitted records and quarantine count and
-// sends them as one or more batch frames, respecting the credit window.
-// Only the cycle-final sub-batch carries the new byte offset: an earlier
-// sub-batch's records end mid-cycle, at no offset the tailer can name, so
-// a crash between sub-batches resumes from the previous stamp and the
-// collector drops the re-shipped overlap by count.
-func (s *session) ship(src *agentSource, offExact bool) error {
-	src.mu.Lock()
-	pending := src.pending
-	src.pending = nil
-	quar := src.quarantined
-	src.mu.Unlock()
-	off := src.tail.Committed()
-	if !offExact {
-		off = src.lastOff // parser never went idle; don't over-claim
-	}
-	if len(pending) == 0 && off == src.lastOff && quar == src.lastQuar {
-		return nil
-	}
-	var sp selfobs.Span
-	if len(pending) > 0 {
-		sp = s.a.obs.Begin(selfobs.PipeAgent, "ship", s.a.cfg.ID, src.name)
-	}
-	max := s.a.cfg.MaxBatchRecords
-	for start := 0; ; start += max {
-		end := start + max
-		if end > len(pending) {
-			end = len(pending)
-		}
-		chunk := pending[start:end]
-		lastChunk := end == len(pending)
-		if err := s.acquire(int64(len(chunk))); err != nil {
-			return err
-		}
-		src.seq++
-		b := wire.Batch{
-			SourceID:    src.id,
-			Seq:         src.seq,
-			Offset:      src.lastOff, // overwritten on the final sub-batch
-			Quarantined: quar,
-		}
-		if lastChunk {
-			b.Offset = off
-		}
-		b.AppendEntries(chunk)
-		payload := wire.EncodeBatch(&b)
-		for i := range chunk {
-			chunk[i].Release()
-		}
-		if err := s.c.Write(wire.TypeBatch, payload); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.outstanding++
-		s.mu.Unlock()
-		s.a.batchesSent.Add(1)
-		s.a.recordsSent.Add(int64(len(chunk)))
-		obsBatches.Add(1)
-		obsRecords.Add(int64(len(chunk)))
-		if lastChunk {
-			break
-		}
-		// Flush before the next acquire can block: a frame parked in the
-		// write buffer is one the collector cannot ack, and acks are the
-		// only source of fresh credit — holding both is a deadlock.
-		if err := s.c.Flush(); err != nil {
-			return err
-		}
-	}
-	sp.End(int64(len(pending)), quar-src.lastQuar)
-	src.lastOff = off
-	src.lastQuar = quar
-	s.a.quarantined.Store(s.totalQuarantined())
-	return s.c.Flush()
-}
-
-func (s *session) totalQuarantined() int64 {
-	var t int64
-	for _, src := range s.sources {
-		src.mu.Lock()
-		t += src.quarantined
-		src.mu.Unlock()
-	}
-	return t
-}
-
-// failSource finishes a source whose parser died: ship what it emitted
-// before dying, then report the failure. The local pipeline appends every
-// record a parser emitted before its error, so the agent must not drop
-// them — and the final batch carries tail.Committed(), the exact bytes fed
-// before death, so the ledger offset matches local ingest byte for byte.
-// The parser is gone, so there is nothing to quiesce: pending is final.
-func (s *session) failSource(src *agentSource) error {
-	if !src.reported {
-		if err := s.ship(src, true); err != nil {
-			return err
-		}
-	}
-	return s.reportFailed(src)
-}
-
-// reportFailed tells the collector a source's parser died, once.
-func (s *session) reportFailed(src *agentSource) error {
-	if src.reported {
-		return nil
-	}
-	src.reported = true
-	s.a.bmu.Lock()
-	s.a.failed[src.path] = true
-	s.a.bmu.Unlock()
-	msg := ""
-	if err := src.failure(); err != nil {
-		msg = err.Error()
-	}
-	if err := s.c.Write(wire.TypeSourceState, wire.EncodeSourceState(wire.SourceState{
-		SourceID: src.id, State: wire.SourceFailed, Error: msg,
-	})); err != nil {
-		return err
-	}
-	return s.c.Flush()
-}
-
-// drain is the clean shutdown: read every owned file to EOF, flush the
-// partial last lines, close the parsers so buffered trailing records
-// emit, ship the remainder, wait for every ack, and say Goodbye — the
-// exact mirror of the local pipeline's stop sequence.
+// drain is the clean shutdown: the front end reads every owned file to
+// EOF and joins its parsers, shipping as it goes; then the agent's own
+// telemetry, every ack, and Goodbye.
 func (s *session) drain() error {
 	sp := s.a.obs.Begin(selfobs.PipeAgent, "drain", s.a.cfg.ID, "")
-	if err := s.scan(); err != nil {
-		return err
-	}
-	for pass := 0; pass < 100; pass++ {
-		total := 0
-		for _, src := range s.sources {
-			if src.dead() {
-				continue
-			}
-			n, err := src.tail.Poll(src.write)
-			total += n
-			if err != nil && err != io.ErrClosedPipe {
-				src.failErr(err)
-			}
-		}
-		// Ship as we go so the credit window never wedges the drain.
-		for _, src := range s.sources {
-			if src.dead() {
-				if err := s.failSource(src); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := s.ship(src, src.waitIdle()); err != nil {
-				return err
-			}
-		}
-		if total == 0 {
-			break
-		}
-	}
-	for _, src := range s.sources {
-		if src.dead() {
-			continue
-		}
-		if err := src.tail.Flush(src.write); err != nil && err != io.ErrClosedPipe {
-			src.failErr(err)
-		}
-	}
-	// EOF the parsers and join them: a flushed partial line only becomes a
-	// record once the parser sees end of input.
-	for _, src := range s.sources {
-		src.pw.Close()
-		<-src.done
-	}
-	for _, src := range s.sources {
-		if src.dead() {
-			if err := s.failSource(src); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := s.ship(src, true); err != nil {
-			return err
-		}
-	}
+	s.front.Stop()
+	s.sendMu.Lock()
+	sources := s.sources
+	s.sendMu.Unlock()
 	// Close the drain span before rendering: the ship below carries every
 	// span recorded so far, including this one.
-	sp.End(int64(len(s.sources)), 0)
+	sp.End(sources, 0)
 	if err := s.shipSelfTrace(); err != nil {
 		return err
 	}
@@ -777,256 +605,43 @@ func (s *session) drain() error {
 	if dead {
 		return deadErr
 	}
-	if err := s.c.Write(wire.TypeGoodbye, wire.EncodeGoodbye(wire.Goodbye{Reason: "drained"})); err != nil {
-		return err
-	}
-	return s.c.Flush()
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
+	return s.frame(wire.TypeGoodbye, wire.EncodeGoodbye(wire.Goodbye{Reason: "drained"}))
 }
 
 // shipSelfTrace ships the agent's own telemetry as one final synthetic
-// source, after every real source has drained. The spans render through
-// the selfobs log format and re-parse with the registered selftrace
-// mScopeParser, so the shipped schema is exactly what a file ingest of
-// the same log would load. The synthetic key's base name starts with the
-// agent ID, which HostOf turns into the warehouse table prefix: spans
-// land in "<ID>_selftrace" and the fleet view attributes them to this
-// node. Best-effort: a collector that already holds bytes under this key
-// (an earlier agent generation reusing the ID) skips the ship rather
-// than splice two unrelated logs at a byte offset.
+// source, after every real source has drained. The synthetic key's base
+// name starts with the agent ID, which HostOf turns into the warehouse
+// table prefix: spans land in "<ID>_selftrace" and the fleet view
+// attributes them to this node. Best-effort: a collector that already
+// holds bytes under this key (an earlier agent generation reusing the ID)
+// skips the ship rather than splice two unrelated logs at a byte offset.
 func (s *session) shipSelfTrace() error {
-	obs := s.a.obs
-	if obs == nil {
+	if s.a.obs == nil {
 		return nil
 	}
 	name := s.a.cfg.ID + "_selftrace.log"
-	b, ok := s.a.cfg.Plan.Find(name)
-	if !ok {
-		return nil
-	}
-	parser, err := parsers.Get(b.Parser)
-	if err != nil {
-		return nil
-	}
-	var buf bytes.Buffer
-	if _, err := obs.WriteLog(&buf); err != nil {
+	entries, size, err := stream.SelfTraceEntries(s.a.obs, s.a.cfg.Plan, name)
+	if err != nil || len(entries) == 0 {
 		return err
 	}
-	data := buf.Bytes()
-	if len(data) == 0 {
-		return nil
+	id, offset, err := s.handshake(filepath.Join(s.a.cfg.LogDir, name), name)
+	if err != nil || offset != 0 {
+		return err // denied, or a prior generation's bytes: skip
 	}
-	full := filepath.Join(s.a.cfg.LogDir, name)
-	s.nextID++
-	id := s.nextID
-	ch := make(chan int64, 1)
-	s.mu.Lock()
-	s.resumes[id] = ch
-	s.mu.Unlock()
-	if err := s.c.Write(wire.TypeOpen, wire.EncodeOpen(wire.Open{
-		SourceID: id, Key: full, Name: name,
-	})); err != nil {
-		return err
-	}
-	if err := s.c.Flush(); err != nil {
-		return err
-	}
-	var offset int64
-	select {
-	case offset = <-ch:
-	case <-s.deadCh:
-		return s.deadErr
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("agentd: %s: no Resume within 30s", name)
-	}
-	if offset != 0 {
-		return nil // denied, or a prior generation's bytes: skip
-	}
-	var entries []mxml.Entry
-	emit := func(e mxml.Entry) error {
-		entries = append(entries, e)
-		return nil
-	}
-	if err := parser.Parse(bytes.NewReader(data), b.Instructions, emit); err != nil {
-		return err
-	}
-	max := s.a.cfg.MaxBatchRecords
-	var seq uint64
-	for start := 0; start < len(entries); start += max {
-		end := start + max
-		if end > len(entries) {
-			end = len(entries)
+	for seq := uint64(1); len(entries) > 0; seq++ {
+		n := min(len(entries), s.a.cfg.MaxBatchRecords)
+		b := wire.Batch{SourceID: id, Seq: seq}
+		if n == len(entries) {
+			b.Offset = size
 		}
-		chunk := entries[start:end]
-		if err := s.acquire(int64(len(chunk))); err != nil {
+		if err := s.send(b, entries[:n]); err != nil {
 			return err
 		}
-		seq++
-		bt := wire.Batch{SourceID: id, Seq: seq}
-		if end == len(entries) {
-			bt.Offset = int64(len(data))
-		}
-		bt.AppendEntries(chunk)
-		payload := wire.EncodeBatch(&bt)
-		for i := range chunk {
-			chunk[i].Release()
-		}
-		if err := s.c.Write(wire.TypeBatch, payload); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.outstanding++
-		s.mu.Unlock()
-		s.a.batchesSent.Add(1)
-		s.a.recordsSent.Add(int64(len(chunk)))
-		// Flush before the next acquire can block (see ship).
-		if err := s.c.Flush(); err != nil {
-			return err
-		}
+		entries = entries[n:]
 	}
 	return nil
-}
-
-// teardown closes the per-session source machinery after the connection
-// is gone; pending records are dropped — the resume offset re-reads them.
-func (s *session) teardown() {
-	for _, src := range s.sources {
-		src.pw.Close()
-		<-src.done
-		src.mu.Lock()
-		for i := range src.pending {
-			src.pending[i].Release()
-		}
-		src.pending = nil
-		src.mu.Unlock()
-	}
-}
-
-// agentSource is one tailed file within a session.
-type agentSource struct {
-	id      uint32
-	path    string
-	name    string
-	binding transform.Binding
-	parser  parsers.Parser
-	tail    *stream.Tailer
-	pw      *io.PipeWriter
-	mr      *meteredReader
-	done    chan struct{} // parser goroutine exited
-
-	seq      uint64
-	lastOff  int64
-	lastQuar int64
-	reported bool // SourceFailed sent
-	written  atomic.Int64
-
-	mu          sync.Mutex
-	pending     []mxml.Entry
-	quarantined int64
-	failed      bool
-	err         error
-}
-
-func (src *agentSource) write(b []byte) error {
-	n, err := src.pw.Write(b)
-	src.written.Add(int64(n))
-	return err
-}
-
-func (src *agentSource) dead() bool {
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	return src.failed
-}
-
-func (src *agentSource) failure() error {
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	return src.err
-}
-
-func (src *agentSource) failErr(err error) {
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	if !src.failed {
-		src.failed = true
-		src.err = err
-	}
-}
-
-// parse runs the source's mScopeParser over the pipe — degraded mode when
-// supported, so malformed regions are quarantined and counted exactly as
-// the local pipeline and the batch converter count them.
-func (src *agentSource) parse() {
-	defer close(src.done)
-	emit := func(e mxml.Entry) error {
-		src.mu.Lock()
-		src.pending = append(src.pending, e)
-		src.mu.Unlock()
-		return nil
-	}
-	sink := func(parsers.Malformed) error {
-		src.mu.Lock()
-		src.quarantined++
-		src.mu.Unlock()
-		return nil
-	}
-	var err error
-	if dp, ok := src.parser.(parsers.DegradedParser); ok {
-		err = dp.ParseDegraded(src.mr, src.binding.Instructions, emit, sink)
-	} else {
-		err = src.parser.Parse(src.mr, src.binding.Instructions, emit)
-	}
-	if err != nil && err != io.ErrClosedPipe {
-		src.failErr(err)
-	}
-	// Unblock any in-flight tailer write permanently.
-	if pr, ok := src.mr.r.(*io.PipeReader); ok {
-		pr.CloseWithError(io.ErrClosedPipe)
-	}
-}
-
-// waitIdle waits until the parser has consumed everything written and is
-// blocked on its next Read — the quiesce point where tail.Committed()
-// covers exactly the records in pending. False means the parser never
-// went idle (it died, or is wedged): the caller must not advance the
-// shipped offset this cycle.
-func (src *agentSource) waitIdle() bool {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		select {
-		case <-src.done:
-			return false
-		default:
-		}
-		if src.mr.waiting.Load() && src.mr.consumed.Load() == src.written.Load() {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-// meteredReader tracks whether its consumer is blocked in Read and how
-// many bytes it has consumed. "Blocked with everything consumed" is the
-// quiesce point: io.Pipe writes are synchronous, so once the parser is
-// back in Read having drained every written byte, every record those
-// bytes held has been emitted. The consumed count closes the race where
-// a pipe write has returned but the reader has not yet re-flagged
-// waiting — mid-gap, consumed < written keeps the caller spinning.
-type meteredReader struct {
-	r        io.Reader
-	waiting  atomic.Bool
-	consumed atomic.Int64
-}
-
-func (m *meteredReader) Read(p []byte) (int, error) {
-	m.waiting.Store(true)
-	n, err := m.r.Read(p)
-	m.consumed.Add(int64(n))
-	m.waiting.Store(false)
-	return n, err
 }
 
 // Status is a point-in-time agent snapshot for the CLI and /metrics.

@@ -23,7 +23,6 @@
 package collector
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -34,7 +33,6 @@ import (
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mxml"
-	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/promfmt"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/stream"
@@ -200,56 +198,31 @@ func (col *Collector) Stop() error {
 }
 
 // shipSelfTrace loads the collector's own spans into the warehouse
-// through the same remote-source path agent batches take: render the
-// selfobs log, re-parse it with the registered selftrace mScopeParser,
-// feed the entries to the loader, and commit the byte offset — so
-// "collector_selftrace" is indistinguishable from a table an agent
-// shipped. Called between connection teardown and engine drain: the
-// loader is still running, and no agent frames can interleave.
+// through the same remote-source path agent batches take, committed at the
+// rendered log's size — so "collector_selftrace" is indistinguishable from
+// a table an agent shipped. Called between connection teardown and engine
+// drain: the loader is still running, and no agent frames can interleave.
 func (col *Collector) shipSelfTrace() error {
-	var buf bytes.Buffer
-	if _, err := col.obs.WriteLog(&buf); err != nil {
-		return err
-	}
-	data := buf.Bytes()
-	if len(data) == 0 {
-		return nil
-	}
 	const name = "collector_selftrace.log"
 	plan := col.cfg.Engine.Plan
 	if plan == nil {
 		plan = transform.DefaultPlan()
 	}
-	b, ok := plan.Find(name)
-	if !ok {
-		return nil
-	}
-	parser, err := parsers.Get(b.Parser)
-	if err != nil {
-		return nil
+	entries, size, err := stream.SelfTraceEntries(col.obs, plan, name)
+	if err != nil || len(entries) == 0 {
+		return err
 	}
 	rs, offset, err := col.pipe.OpenRemote(name, name)
 	if err != nil || rs == nil {
 		return err
 	}
+	defer rs.Suspend()
 	if offset != 0 {
-		rs.Suspend()
 		return nil
-	}
-	var entries []mxml.Entry
-	emit := func(e mxml.Entry) error {
-		entries = append(entries, e)
-		return nil
-	}
-	if err := parser.Parse(bytes.NewReader(data), b.Instructions, emit); err != nil {
-		rs.Suspend()
-		return err
 	}
 	done := make(chan struct{})
-	rs.AppendBatch(entries, func() { close(done) })
+	rs.AppendBatch(stream.Batch{Entries: entries, Offset: size}, func() { close(done) })
 	<-done
-	rs.SetCommitted(int64(len(data)))
-	rs.Suspend()
 	return nil
 }
 
@@ -568,14 +541,18 @@ func (c *conn) handleOpen(o wire.Open) {
 	}
 	sp.End(1, 0)
 	c.col.opens.Add(1)
-	c.sources[o.SourceID] = &connSource{conn: c, id: o.SourceID, rs: rs}
+	c.sources[o.SourceID] = &connSource{id: o.SourceID, rs: rs}
 	c.enqueue(wire.TypeResume, wire.EncodeResume(wire.Resume{
 		SourceID: o.SourceID, Offset: offset,
 	}))
 }
 
 // handleBatch feeds one batch into the engine; false tears the
-// connection down (a batch for a source that was never opened).
+// connection down (a batch for a source that was never opened). The loader
+// applies the batch's stamp — offset, quarantine count — once its records
+// are counted, and then runs the ack: per source the engine is FIFO, so
+// acks, offsets and quarantine totals apply strictly in batch order, a
+// record-less stamp at its place in the queue.
 func (c *conn) handleBatch(b *wire.Batch) bool {
 	cs := c.sources[b.SourceID]
 	if cs == nil {
@@ -585,25 +562,13 @@ func (c *conn) handleBatch(b *wire.Batch) bool {
 	c.col.batchesIn.Add(1)
 	obsBatchesIn.Add(1)
 	n := b.Records()
-	st := &batchState{seq: b.Seq, offset: b.Offset, quarantined: b.Quarantined, records: int64(n)}
-	st.inFlight.Store(n > 0)
-	cs.push(st)
-	if n == 0 {
-		// Offset- or quarantine-only update: complete at queue position.
-		// The reader is this source's only feeder, so no record of this
-		// source is concurrently in flight once the queue ahead is empty —
-		// the drain below observes quiescent counters.
-		cs.drain()
-		sp.End(0, 0)
-		return true
-	}
-	// The whole batch crosses to the loader in one call, and comes back in
-	// one: the loader runs done once, after the last record.
 	entries := make([]mxml.Entry, 0, n)
 	b.EachEntry(func(e mxml.Entry) { entries = append(entries, e) })
-	cs.rs.AppendBatch(entries, func() {
-		st.inFlight.Store(false)
-		cs.drain()
+	ack := wire.EncodeAck(wire.Ack{SourceID: cs.id, Seq: b.Seq, Offset: b.Offset, Credit: int64(n)})
+	cs.rs.AppendBatch(stream.Batch{Entries: entries, Offset: b.Offset, Quarantined: b.Quarantined}, func() {
+		c.col.acksOut.Add(1)
+		obsAcksOut.Add(1)
+		c.enqueue(wire.TypeAck, ack)
 	})
 	c.col.recordsIn.Add(int64(n))
 	obsRecordsIn.Add(int64(n))
@@ -624,62 +589,10 @@ func (c *conn) handleSourceState(ss wire.SourceState) {
 	}
 }
 
-// connSource is one adopted source on one connection, with its FIFO
-// batch queue: acks, offsets, and quarantine totals apply strictly in
-// batch order, each only once every record of the batch (and of all
-// batches before it) has been fully processed by the loader.
+// connSource is one adopted source on one connection.
 type connSource struct {
-	conn *conn
-	id   uint32
-	rs   *stream.RemoteSource
-
-	qmu  sync.Mutex
-	head *batchState
-	tail *batchState
-}
-
-type batchState struct {
-	seq         uint64
-	offset      int64
-	quarantined int64
-	records     int64
-	// inFlight is set while the loader still holds the batch's records.
-	inFlight atomic.Bool
-	next     *batchState
-}
-
-func (cs *connSource) push(st *batchState) {
-	cs.qmu.Lock()
-	if cs.tail == nil {
-		cs.head, cs.tail = st, st
-	} else {
-		cs.tail.next = st
-		cs.tail = st
-	}
-	cs.qmu.Unlock()
-}
-
-// drain applies every completed batch at the queue head: commit the
-// offset, fold the quarantine count, ack with returned credits. Called
-// from the loader (a batch's done callback) or the reader (an empty
-// batch); the queue mutex serializes the two.
-func (cs *connSource) drain() {
-	cs.qmu.Lock()
-	defer cs.qmu.Unlock()
-	for cs.head != nil && !cs.head.inFlight.Load() {
-		st := cs.head
-		cs.head = st.next
-		if cs.head == nil {
-			cs.tail = nil
-		}
-		cs.rs.SetQuarantined(st.quarantined)
-		cs.rs.SetCommitted(st.offset)
-		cs.conn.col.acksOut.Add(1)
-		obsAcksOut.Add(1)
-		cs.conn.enqueue(wire.TypeAck, wire.EncodeAck(wire.Ack{
-			SourceID: cs.id, Seq: st.seq, Offset: st.offset, Credit: st.records,
-		}))
-	}
+	id uint32
+	rs *stream.RemoteSource
 }
 
 // Status is a point-in-time collector snapshot.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -428,5 +429,47 @@ func TestDistControlPropagation(t *testing.T) {
 	}
 	if err := col.Stop(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStopLeavesNoGoroutine: after a drained fleet stops, nothing of the
+// collector (accept loop, control broadcaster, per-connection readers and
+// writers, engine loader) or of its agents is left running.
+func TestStopLeavesNoGoroutine(t *testing.T) {
+	cfg := smallScenarios()["dbio"](t.TempDir())
+	cfg.Name = "dist-goroutines"
+	cfg.Ntier.Duration = 2 * time.Second
+	if _, err := core.RunExperiment(cfg); err != nil {
+		t.Fatal(err)
+	}
+	settle := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 100; i++ {
+			time.Sleep(5 * time.Millisecond)
+			if m := runtime.NumGoroutine(); m == n {
+				return n
+			} else {
+				n = m
+			}
+		}
+		return n
+	}
+	before := settle()
+	col := startCollector(t, Config{SelfTrace: true})
+	agents := []*agentd.Agent{
+		startAgent(t, col, cfg.LogDir, "apache", func(c *agentd.Config) { c.SelfTrace = true }),
+		startAgent(t, col, cfg.LogDir, "mysql", nil),
+	}
+	waitFor(t, 30*time.Second, "both agents' sources opened", func() bool {
+		return col.Status().Opens >= 2*sourcesPerHost
+	})
+	drainAll(t, col, agents)
+	if col.Status().RecordsIn == 0 {
+		t.Fatal("the fleet shipped nothing")
+	}
+	if after := settle(); after > before {
+		buf := make([]byte, 1<<16)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Fatalf("%d goroutines before, %d after the fleet stopped:\n%s", before, after, buf)
 	}
 }

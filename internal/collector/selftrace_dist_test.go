@@ -182,3 +182,34 @@ func TestDistSelfTraceAttribution(t *testing.T) {
 		}
 	}
 }
+
+// TestDistSelfTraceShowsAgentFrontEnd: the front end an agent runs records
+// the spans the live pipeline's does, under the agent's pipeline — one
+// parse span per shipped file, whose items are the records the ship spans
+// carried, and the poll cycles that moved bytes.
+func TestDistSelfTraceShowsAgentFrontEnd(t *testing.T) {
+	cfg := smallScenarios()["dbio"](t.TempDir())
+	cfg.Name = "dist-selftrace-frontend"
+	if _, err := core.RunExperiment(cfg); err != nil {
+		t.Fatal(err)
+	}
+	db := distSelfTraceWarehouse(t, cfg.LogDir, []string{"apache"}, stream.Config{})
+	ft, err := core.FleetSelfTraceBreakdown(db)
+	if err != nil || ft == nil {
+		t.Fatalf("fleet breakdown: %v %v", ft, err)
+	}
+	stages := make(map[string]core.FleetStage)
+	for _, st := range ft.Stages {
+		if st.Node == "agent-apache" && st.Pipeline == "agent" {
+			stages[st.Stage] = st
+		}
+	}
+	parse, ship, tail := stages["parse"], stages["ship"], stages["tail"]
+	if parse.Spans != sourcesPerHost || parse.Items == 0 || parse.Items != ship.Items {
+		t.Errorf("parse stage %+v against ship stage %+v: want %d spans carrying the shipped records",
+			parse, ship, sourcesPerHost)
+	}
+	if tail.Spans == 0 || tail.Items == 0 {
+		t.Errorf("tail stage %+v: want the poll cycles that moved bytes", tail)
+	}
+}

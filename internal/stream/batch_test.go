@@ -65,12 +65,13 @@ func fields(kv ...string) mxml.Entry {
 	return e
 }
 
-// appendRemote feeds entries to a remote engine as one wire batch and
-// waits for the loader to finish it. The engine owns the entries after.
-func appendRemote(t *testing.T, rs *RemoteSource, entries []mxml.Entry) {
+// appendRemote feeds entries to a remote engine as one wire batch stamped
+// with the byte offset off, and waits for the loader to finish it. The
+// engine owns the entries after.
+func appendRemote(t *testing.T, rs *RemoteSource, entries []mxml.Entry, off int64) {
 	t.Helper()
 	done := make(chan struct{})
-	rs.AppendBatch(append([]mxml.Entry(nil), entries...), func() { close(done) })
+	rs.AppendBatch(Batch{Entries: append([]mxml.Entry(nil), entries...), Offset: off}, func() { close(done) })
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
@@ -116,7 +117,7 @@ func TestEmptyFirstCellSettlesOnFirstValue(t *testing.T) {
 		// Record by record, so the empty cells are in the table (and, with
 		// a spill directory, in a segment) before the first value arrives.
 		for _, e := range entries {
-			appendRemote(t, rs, []mxml.Entry{e})
+			appendRemote(t, rs, []mxml.Entry{e}, 0)
 		}
 		if err := p.Stop(); err != nil {
 			t.Fatal(err)
@@ -148,7 +149,7 @@ func TestEmptyFirstCellResumes(t *testing.T) {
 		if err != nil || rs == nil {
 			t.Fatalf("OpenRemote: %v %v", rs, err)
 		}
-		appendRemote(t, rs, []mxml.Entry{e})
+		appendRemote(t, rs, []mxml.Entry{e}, 0)
 		if err := p.Stop(); err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +230,7 @@ func TestSchemaEvolvesInsideOneBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, rs := remoteEngine(t, db)
-	appendRemote(t, rs, entries)
+	appendRemote(t, rs, entries, 0)
 	if err := p.Stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +307,10 @@ func TestRemoteResumeSkipsInsideBatch(t *testing.T) {
 	db := mscopedb.Open()
 	p, rs := remoteEngine(t, db)
 	// 50 records committed at byte 5000, then 30 consumed but never
-	// committed: the connection dies before their offset is acknowledged.
-	appendRemote(t, rs, all[:50])
-	rs.SetCommitted(5000)
-	appendRemote(t, rs, all[50:80])
+	// committed: they end short of a line boundary the agent can name, so
+	// their batch re-stamps 5000, and the connection dies.
+	appendRemote(t, rs, all[:50], 5000)
+	appendRemote(t, rs, all[50:80], 5000)
 	rs2, off, err := p.OpenRemote("/node/apache_access.log", "apache_access.log")
 	if err != nil || rs2 == nil {
 		t.Fatalf("reopen: %v %v", rs2, err)
@@ -320,8 +321,7 @@ func TestRemoteResumeSkipsInsideBatch(t *testing.T) {
 	// The agent re-ships from byte 5000 in one wire batch: 30 duplicates,
 	// then 170 new records, split by the engine into loader batches of
 	// batchCap — the skip ends 30 records into the first.
-	appendRemote(t, rs2, all[50:])
-	rs2.SetCommitted(25000)
+	appendRemote(t, rs2, all[50:], 25000)
 	if err := p.Stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestStopLeavesNoGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, rs := remoteEngine(t, mscopedb.Open())
-	appendRemote(t, rs, []mxml.Entry{fields("ua", "1", "ud", "2")})
+	appendRemote(t, rs, []mxml.Entry{fields("ua", "1", "ud", "2")}, 0)
 	if err := p.Stop(); err != nil {
 		t.Fatal(err)
 	}

@@ -116,11 +116,11 @@ func (p *Pipeline) Status() Status {
 			File:        s.name,
 			Table:       s.table,
 			State:       state,
-			Offset:      s.committedOff(),
+			Offset:      s.off.Load(),
 			Rows:        s.rows.Load(),
 			Quarantined: s.quarantined.Load(),
 			ParseErrors: s.parseErrs.Load(),
-			Rotations:   s.rotationCount(),
+			Rotations:   s.rotations.Load(),
 			FrontierUS:  s.frontierUS.Load(),
 		}
 		if err != nil {

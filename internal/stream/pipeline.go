@@ -2,9 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,7 +12,6 @@ import (
 	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mxml"
-	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/simtime"
 	"github.com/gt-elba/milliscope/internal/transform"
@@ -119,13 +115,16 @@ func (c *Config) withDefaults() (Config, error) {
 }
 
 // rec is the unit that crosses from a parser (or a decoded wire batch) to
-// the loader: up to batchCap consecutive records of one source. done, when
-// set, is invoked by the loader after the whole batch is processed — the
-// remote ingest path hangs ack and flow-control accounting off it.
+// the loader: up to batchCap consecutive records of one source and their
+// stamp. more marks a leading piece of a wire batch split at batchCap: the
+// stamp belongs to the last piece. done, when set, is invoked by the loader
+// after the whole batch is processed — the remote ingest path hangs its ack
+// off it.
 type rec struct {
-	src     *source
-	entries []mxml.Entry
-	done    func()
+	src *source
+	Batch
+	more bool
+	done func()
 }
 
 // batchCap bounds a rec. A parser fills one between two reads of its pipe,
@@ -133,18 +132,19 @@ type rec struct {
 // parser working through a backlog fills batches to the cap.
 const batchCap = 64
 
-// Pipeline is the live ingest-and-detect engine. Start launches the tail
-// loop (file discovery + polling), one parser goroutine per source, and
+// Pipeline is the live ingest-and-detect engine. Start launches the source
+// front end (file discovery, tailers, one parser goroutine per source) and
 // the loader (append, watermark, detection). Stop drains everything —
 // remaining bytes are read to EOF, partial lines flushed, parsers joined,
 // final windows classified — and checkpoints per-source byte offsets in
 // the ingest ledger.
 type Pipeline struct {
-	cfg Config
-	db  *mscopedb.DB
-	wm  *Watermark
-	det *detector
-	fid *fidelityRun // nil when fidelity is off
+	cfg   Config
+	db    *mscopedb.DB
+	wm    *Watermark
+	det   *detector
+	fid   *fidelityRun // nil when fidelity is off
+	front *FrontEnd    // nil for a remote-fed engine
 
 	recs chan rec
 	// queued counts the records in recs (a batch counts for what it holds);
@@ -154,9 +154,7 @@ type Pipeline struct {
 	queued atomic.Int64
 
 	dbReqs   chan func(*mscopedb.DB)
-	stopCh   chan struct{}
 	loadDone chan struct{}
-	parserWG sync.WaitGroup
 
 	rowsTotal atomic.Int64
 	stalls    atomic.Int64 // backpressure stall events (channel found full)
@@ -191,11 +189,18 @@ func New(cfg Config) (*Pipeline, error) {
 		det:      newDetector(c.DB, c.Window, c.Grace),
 		recs:     make(chan rec, c.ChannelCap),
 		dbReqs:   make(chan func(*mscopedb.DB)),
-		stopCh:   make(chan struct{}),
 		loadDone: make(chan struct{}),
 		byPath:   make(map[string]*source),
 	}
 	p.qcond = sync.NewCond(&p.qmu)
+	if !c.remote {
+		p.front = NewFrontEnd(FrontConfig{LogDir: c.LogDir, Plan: c.Plan, Poll: c.Poll,
+			BatchCap: batchCap, Pipe: selfobs.PipeLive,
+			Open: func(path, name string, b transform.Binding) (Sink, int64) {
+				s := p.adopt(path, name, b)
+				return s.deliver, s.off.Load()
+			}})
+	}
 	if c.Fidelity.enabled() {
 		p.fid = newFidelityRun(c.Fidelity)
 		// The detector promotes the anomaly neighbourhood out of the rings
@@ -241,8 +246,8 @@ func (p *Pipeline) Start() {
 	p.running = true
 	p.started = time.Now()
 	p.mu.Unlock()
-	if !p.cfg.remote {
-		go p.tailLoop()
+	if p.front != nil {
+		p.front.Start()
 	}
 	go p.loader()
 }
@@ -260,13 +265,12 @@ func (p *Pipeline) Stop() error {
 	p.stopped = true
 	p.mu.Unlock()
 	if !already {
-		if p.cfg.remote {
-			// No tail loop owns the record channel in remote mode; the
-			// caller guarantees every feeder has quiesced before Stop.
-			close(p.recs)
-		} else {
-			close(p.stopCh)
+		// A remote engine's caller guarantees every feeder has quiesced
+		// before Stop; the local one's front end is drained here.
+		if p.front != nil {
+			p.front.Stop()
 		}
+		close(p.recs)
 	}
 	<-p.loadDone
 	p.mu.Lock()
@@ -281,71 +285,6 @@ func (p *Pipeline) Alerts() []Alert {
 	out := make([]Alert, len(p.alerts))
 	copy(out, p.alerts)
 	return out
-}
-
-// tailLoop discovers and polls sources until stopped, then performs the
-// shutdown drain: read every file to EOF, flush partial lines, close the
-// parser pipes, join the parsers, and close the record channel so the
-// loader can finish.
-func (p *Pipeline) tailLoop() {
-	obs := selfobs.NewBuf()
-	defer obs.Close()
-	ticker := time.NewTicker(p.cfg.Poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.stopCh:
-			p.scan()
-			// Drain to EOF: keep polling while bytes still arrive (a
-			// producer may race the shutdown), bounded so a still-live
-			// writer cannot pin us here forever.
-			for pass := 0; pass < 100; pass++ {
-				if p.pollAll() == 0 {
-					break
-				}
-			}
-			p.flushAll()
-			p.closePipes()
-			p.parserWG.Wait()
-			close(p.recs)
-			return
-		case <-ticker.C:
-			p.scan()
-			// The span is recorded only for cycles that moved bytes; an
-			// un-Ended span is discarded for free, so idle polls cost
-			// nothing in the telemetry either.
-			sp := obs.Begin(selfobs.PipeLive, "tail", "poll", "")
-			if n := p.pollAll(); n > 0 {
-				sp.End(int64(n), 0)
-			}
-		}
-	}
-}
-
-// scan discovers newly appeared streamable files — logs can show up after
-// startup (a monitor started late, a tier recovered).
-func (p *Pipeline) scan() {
-	entries, err := os.ReadDir(p.cfg.LogDir)
-	if err != nil {
-		return // the directory may not exist yet
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names) // deterministic discovery order
-	for _, name := range names {
-		full := filepath.Join(p.cfg.LogDir, name)
-		p.mu.Lock()
-		_, known := p.byPath[full]
-		p.mu.Unlock()
-		if known || !Streamable(p.cfg.Plan, name) {
-			continue
-		}
-		p.addSource(full, name)
-	}
 }
 
 // resumableAtOffset reports whether a binding's format can restart
@@ -394,35 +333,29 @@ func (p *Pipeline) resumePoint(s *source) int64 {
 	return 0
 }
 
-// addSource registers one file: resolve its binding, decide the resume
-// point from the ingest ledger, start its tailer and parser.
-func (p *Pipeline) addSource(full, name string) {
-	b, _ := p.cfg.Plan.Find(name)
-	parser, err := parsers.Get(b.Parser)
-	if err != nil {
-		return // a plan naming an unknown parser skips the file
-	}
-	host := transform.HostOf(full, b)
+// adopt registers a source the engine has not seen: resolve its table and
+// decide from the ingest ledger where reading resumes. That point is by
+// definition the last applied offset, and consumedBase the record count
+// behind it (zero for header formats, whose re-read recounts from scratch).
+func (p *Pipeline) adopt(key, name string, b transform.Binding) *source {
+	host := transform.HostOf(key, b)
 	s := &source{
-		path:    full,
+		p:       p,
+		path:    key,
 		name:    name,
 		binding: b,
 		table:   host + "_" + b.TableSuffix,
 		host:    host,
-		parser:  parser,
 		state:   StateActive,
 	}
-	offset := p.resumePoint(s)
-	s.tail = NewTailer(full, offset)
-	pr, pw := io.Pipe()
-	s.pw = pw
-	p.wm.Register(full)
-	p.parserWG.Add(1)
-	go p.runParser(s, pr)
+	s.off.Store(p.resumePoint(s))
+	s.offRows.Store(s.consumedBase.Load())
+	p.wm.Register(key)
 	p.mu.Lock()
 	p.sources = append(p.sources, s)
-	p.byPath[full] = s
+	p.byPath[key] = s
 	p.mu.Unlock()
+	return s
 }
 
 // snapshot returns the current source list.
@@ -432,46 +365,6 @@ func (p *Pipeline) snapshot() []*source {
 	out := make([]*source, len(p.sources))
 	copy(out, p.sources)
 	return out
-}
-
-// pollAll polls every active source once and returns total new bytes.
-func (p *Pipeline) pollAll() int {
-	total := 0
-	for _, s := range p.snapshot() {
-		if st, _ := s.status(); st != StateActive {
-			continue
-		}
-		n, err := s.tail.Poll(s.write)
-		total += n
-		if err != nil && !isClosedPipe(err) {
-			s.setState(StateFailed, err)
-			p.wm.Finish(s.path)
-		}
-	}
-	return total
-}
-
-// flushAll emits every buffered partial last line.
-func (p *Pipeline) flushAll() {
-	for _, s := range p.snapshot() {
-		if st, _ := s.status(); st != StateActive {
-			continue
-		}
-		if err := s.tail.Flush(s.write); err != nil && !isClosedPipe(err) {
-			s.setState(StateFailed, err)
-		}
-	}
-}
-
-// closePipes EOFs every parser.
-func (p *Pipeline) closePipes() {
-	for _, s := range p.snapshot() {
-		s.pw.Close()
-	}
-}
-
-func isClosedPipe(err error) bool {
-	return err == io.ErrClosedPipe
 }
 
 // send hands one batch to the loader. A queue at capacity is a
@@ -487,79 +380,11 @@ func (p *Pipeline) send(r rec) {
 			p.qcond.Wait()
 		}
 	}
-	p.queued.Add(int64(len(r.entries)))
+	p.queued.Add(int64(len(r.Entries)))
 	p.qmu.Unlock()
-	// Never blocks: fewer than ChannelCap records were queued on admission,
-	// and every queued batch holds at least one.
+	// Blocks only behind a run of empty batches (bare stamps): fewer than
+	// ChannelCap records were queued on admission.
 	p.recs <- r
-}
-
-// flushingReader flushes a parser's batch before each read of its pipe: a
-// read is the only place the parser can block, so no record ever waits in a
-// half-full batch for bytes that have not been written yet.
-type flushingReader struct {
-	r     io.Reader
-	flush func()
-}
-
-func (f flushingReader) Read(b []byte) (int, error) {
-	f.flush()
-	return f.r.Read(b)
-}
-
-// runParser feeds one source's pipe through its mScopeParser — degraded
-// mode when the parser supports it, so malformed regions are counted and
-// skipped with the same record-boundary resync the batch quarantine uses.
-func (p *Pipeline) runParser(s *source, pr *io.PipeReader) {
-	defer p.parserWG.Done()
-	obs := selfobs.NewBuf()
-	defer obs.Close()
-	var emitted int64
-	var batch []mxml.Entry
-	flush := func() {
-		if len(batch) > 0 {
-			p.send(rec{src: s, entries: batch})
-			batch = nil
-		}
-	}
-	emit := func(e mxml.Entry) error {
-		if batch == nil {
-			batch = make([]mxml.Entry, 0, batchCap)
-		}
-		batch = append(batch, e)
-		emitted++
-		if len(batch) == batchCap {
-			flush()
-		}
-		return nil
-	}
-	sink := func(parsers.Malformed) error {
-		s.quarantined.Add(1)
-		return nil
-	}
-	in := flushingReader{r: pr, flush: flush}
-	// One span covers the source's whole parse: its duration is the
-	// source's lifetime (the parser blocks on the pipe between polls), so
-	// the interesting fields are the record and quarantine totals.
-	sp := obs.Begin(selfobs.PipeLive, "parse", "source", s.name)
-	var err error
-	if dp, ok := s.parser.(parsers.DegradedParser); ok {
-		err = dp.ParseDegraded(in, s.binding.Instructions, emit, sink)
-	} else {
-		err = s.parser.Parse(in, s.binding.Instructions, emit)
-	}
-	flush()
-	sp.End(emitted, s.quarantined.Load())
-	if err != nil {
-		s.parseErrs.Add(1)
-		// A strict parser died; unblock the tailer permanently and stop
-		// counting this source against the watermark.
-		s.setState(StateFailed, err)
-		p.wm.Finish(s.path)
-		pr.CloseWithError(err)
-		return
-	}
-	pr.Close()
 }
 
 // loader is the single consumer: append (or degrade) rows, advance
@@ -583,7 +408,7 @@ load:
 				break load
 			}
 			p.qmu.Lock()
-			p.queued.Add(-int64(len(r.entries)))
+			p.queued.Add(-int64(len(r.Entries)))
 			p.qmu.Unlock()
 			p.qcond.Broadcast()
 			p.processBatch(r, obs, &lastLow)
@@ -615,77 +440,23 @@ load:
 	sp.End(int64(p.rowsTotal.Load()), 0)
 }
 
-// processBatch is the loader's work on one batch. Per record: type each
-// cell once, read the event time and the front tier's PIT observation off
-// the typed cells, and stage the row (or degrade it). Per batch: the
-// source's status, the resume skip, the table append, the counters, the
-// watermark, the error budget, the fidelity controller and the detector
-// trigger.
+// processBatch is the loader's work on one batch: load its records, take
+// its stamp, and then the per-batch bookkeeping — the error budget, the
+// fidelity controller and the detector trigger.
 func (p *Pipeline) processBatch(r rec, obs *selfobs.Buf, lastLow *int64) {
-	s, n := r.src, int64(len(r.entries))
+	s, n := r.src, int64(len(r.Entries))
 	if p.cfg.ConsumerDelay > 0 {
 		time.Sleep(time.Duration(n) * p.cfg.ConsumerDelay)
 	}
-	if st, _ := s.status(); st == StateRejected {
+	st, _ := s.status()
+	loaded := st != StateRejected && (n == 0 || p.load(r, obs))
+	// The stamp counts whatever the batch held, loaded or not: the offset
+	// says how far the file was read.
+	if !r.more {
+		s.stamp(r.Batch)
+	}
+	if !loaded {
 		return
-	}
-	sp := obs.Begin(selfobs.PipeLive, "append", "batch", s.name)
-	s.consumed.Add(n)
-	// The first skip records are a resume's re-read of what an earlier
-	// session (or connection) already consumed; the window may end inside
-	// the batch.
-	skip := min(s.skipEntries.Load(), n)
-	s.skipEntries.Add(-skip)
-	s.processed.Add(n - skip)
-	if s.app == nil {
-		s.app = newAppender(p.db, s.table)
-	}
-	front := s.host == "apache" && s.binding.TableSuffix == "event"
-	fid := p.fidState()
-	var appended, frontier int64
-	var err error
-	for i := range r.entries {
-		e := &r.entries[i]
-		p.vals = typeFields(e, p.vals)
-		us, hasTS := s.eventTimeUS(e, p.vals)
-		if hasTS {
-			frontier = max(frontier, us)
-		}
-		if int64(i) < skip {
-			continue
-		}
-		if front {
-			p.observeFront(e, p.vals)
-		}
-		if fid != fidelity.Full && hasTS {
-			p.fid.degrade(s, e, p.vals, us, fid)
-			continue
-		}
-		// Full fidelity — and the degraded modes' fallback for the rare
-		// record with no usable clock, which neither the ring nor the
-		// rollup grid could place.
-		if err = s.app.add(e, p.vals); err != nil {
-			break
-		}
-		appended++
-		e.Release() // the table keeps the strings, not the field storage
-	}
-	if err == nil {
-		err = s.app.flush()
-	}
-	if err != nil {
-		s.setState(StateFailed, err)
-		p.wm.Finish(s.path)
-		p.recordLoadErr(err)
-		return
-	}
-	s.rows.Add(appended)
-	p.rowsTotal.Add(appended)
-	obsRowsAppended.Add(appended)
-	sp.End(appended, n-appended)
-	if frontier > 0 {
-		p.wm.Observe(s.path, frontier)
-		s.frontierUS.Store(frontier)
 	}
 	if q := s.quarantined.Load(); q > 0 {
 		total := s.processed.Load() + q
@@ -714,6 +485,73 @@ func (p *Pipeline) processBatch(r rec, obs *selfobs.Buf, lastLow *int64) {
 		p.raise(alerts)
 		p.expireRings(low)
 	}
+}
+
+// load appends one batch's records. Per record: type each cell once, read
+// the event time and the front tier's PIT observation off the typed cells,
+// and stage the row (or degrade it). Per batch: the resume skip, the table
+// append, the counters and the watermark. False means the append failed and
+// the source with it.
+func (p *Pipeline) load(r rec, obs *selfobs.Buf) bool {
+	s, n := r.src, int64(len(r.Entries))
+	sp := obs.Begin(selfobs.PipeLive, "append", "batch", s.name)
+	s.consumed.Add(n)
+	// The first skip records are a resume's re-read of what an earlier
+	// session (or connection) already consumed; the window may end inside
+	// the batch.
+	skip := min(s.skipEntries.Load(), n)
+	s.skipEntries.Add(-skip)
+	s.processed.Add(n - skip)
+	if s.app == nil {
+		s.app = newAppender(p.db, s.table)
+	}
+	front := s.host == "apache" && s.binding.TableSuffix == "event"
+	fid := p.fidState()
+	var appended, frontier int64
+	var err error
+	for i := range r.Entries {
+		e := &r.Entries[i]
+		p.vals = typeFields(e, p.vals)
+		us, hasTS := s.eventTimeUS(e, p.vals)
+		if hasTS {
+			frontier = max(frontier, us)
+		}
+		if int64(i) < skip {
+			continue
+		}
+		if front {
+			p.observeFront(e, p.vals)
+		}
+		if fid != fidelity.Full && hasTS {
+			p.fid.degrade(s, e, p.vals, us, fid)
+			continue
+		}
+		// Full fidelity — and the degraded modes' fallback for the rare
+		// record with no usable clock, which neither the ring nor the
+		// rollup grid could place.
+		if err = s.app.add(e, p.vals); err != nil {
+			break
+		}
+		appended++
+		e.Release() // the table keeps the strings, not the field storage
+	}
+	if err == nil {
+		err = s.app.flush()
+	}
+	if err != nil {
+		s.fail(err)
+		p.recordLoadErr(err)
+		return false
+	}
+	s.rows.Add(appended)
+	p.rowsTotal.Add(appended)
+	obsRowsAppended.Add(appended)
+	sp.End(appended, n-appended)
+	if frontier > 0 {
+		p.wm.Observe(s.path, frontier)
+		s.frontierUS.Store(frontier)
+	}
+	return true
 }
 
 // observeFront folds a front-tier event into the online PIT statistic.
@@ -762,7 +600,7 @@ func (p *Pipeline) checkpoint() {
 			continue
 		}
 		if err := p.db.RecordIngestAt(s.table, s.path, int(consumed),
-			s.committedOff(), simtime.Epoch); err != nil {
+			s.off.Load(), simtime.Epoch); err != nil {
 			p.recordLoadErr(err)
 		}
 	}

@@ -1,12 +1,14 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/mxml"
 	"github.com/gt-elba/milliscope/internal/parsers"
+	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/transform"
 )
 
@@ -31,12 +33,7 @@ func NewRemote(cfg Config) (*Pipeline, error) {
 // value is handed out per (re)open — per agent connection — but all state
 // lives on the underlying source, so reconnects resume exactly.
 type RemoteSource struct {
-	p *Pipeline
 	s *source
-	// quarBase is the engine's quarantine total at adoption; the agent
-	// reports its own session-cumulative count on each batch, and the two
-	// compose additively across agent restarts.
-	quarBase int64
 }
 
 // OpenRemote registers (or re-adopts) an agent's source under key — the
@@ -63,27 +60,8 @@ func (p *Pipeline) OpenRemote(key, name string) (*RemoteSource, int64, error) {
 	if _, err := parsers.Get(b.Parser); err != nil {
 		return nil, 0, err
 	}
-	host := transform.HostOf(key, b)
-	s := &source{
-		path:    key,
-		name:    name,
-		binding: b,
-		table:   host + "_" + b.TableSuffix,
-		host:    host,
-		state:   StateActive,
-	}
-	offset := p.resumePoint(s)
-	// The resume point is by definition the last applied offset, and
-	// consumedBase the record count behind it (zero for header formats,
-	// whose re-read recounts from scratch).
-	s.remoteOff.Store(offset)
-	s.remoteRows.Store(s.consumedBase.Load())
-	p.wm.Register(key)
-	p.mu.Lock()
-	p.sources = append(p.sources, s)
-	p.byPath[key] = s
-	p.mu.Unlock()
-	return &RemoteSource{p: p, s: s}, offset, nil
+	s := p.adopt(key, name, b)
+	return &RemoteSource{s}, s.off.Load(), nil
 }
 
 // reopenRemote re-adopts a source after its agent reconnected. The resume
@@ -107,14 +85,14 @@ func (p *Pipeline) reopenRemote(s *source) (*RemoteSource, int64, error) {
 	total := s.consumedBase.Load() + s.consumed.Load()
 	var off, skip int64
 	if resumableAtOffset(s.binding) {
-		off = s.remoteOff.Load()
-		skip = total - s.remoteRows.Load()
+		off = s.off.Load()
+		skip = total - s.offRows.Load()
 	} else {
 		// Header-carrying formats re-read from byte zero; offsets restart.
 		off = 0
 		skip = total
-		s.remoteOff.Store(0)
-		s.remoteRows.Store(0)
+		s.off.Store(0)
+		s.offRows.Store(0)
 	}
 	if skip > 0 {
 		// Add, not Store: a rapid double-reconnect can reopen before an
@@ -123,9 +101,12 @@ func (p *Pipeline) reopenRemote(s *source) (*RemoteSource, int64, error) {
 		s.skipEntries.Add(skip)
 		s.consumedBase.Add(-skip)
 	}
+	// The agent reports its own session-cumulative quarantine count on each
+	// batch; the engine's total so far composes with it additively.
+	s.quarBase.Store(s.quarantined.Load())
 	p.wm.Reopen(s.path)
 	s.setState(StateActive, nil)
-	return &RemoteSource{p: p, s: s, quarBase: s.quarantined.Load()}, off, nil
+	return &RemoteSource{s}, off, nil
 }
 
 // Key returns the source's registry key — the agent-side file path.
@@ -134,67 +115,43 @@ func (r *RemoteSource) Key() string { return r.s.path }
 // Table returns the warehouse table the source feeds.
 func (r *RemoteSource) Table() string { return r.s.table }
 
-// AppendBatch injects consecutive parsed records — a decoded wire batch —
-// whose entries the engine then owns. They cross to the loader batchCap at
-// a time: each send blocks while the record queue is full, the same
-// backpressure edge the local parsers hit, counted the same way. done is
-// invoked from the loader goroutine once the last record has been fully
-// processed (at once, on the caller's, for an empty batch).
-func (r *RemoteSource) AppendBatch(entries []mxml.Entry, done func()) {
-	n := int64(len(entries))
-	if n == 0 {
+// AppendBatch injects a decoded wire batch, whose entries the engine then
+// owns: consecutive parsed records and the agent's stamp — the byte offset
+// they reach and its quarantine count, which the loader applies once the
+// records are counted, exactly as it does a locally parsed batch's. The
+// records cross to the loader batchCap at a time: each send blocks while
+// the record queue is full, the same backpressure edge the local parsers
+// hit, counted the same way. done is invoked from the loader goroutine once
+// the batch has been fully processed; batches of one source complete in the
+// order they were appended.
+func (r *RemoteSource) AppendBatch(b Batch, done func()) {
+	s := r.s
+	s.pending.Add(1)
+	rest := b
+	for len(rest.Entries) > batchCap {
+		head := rest
+		head.Entries, rest.Entries = rest.Entries[:batchCap], rest.Entries[batchCap:]
+		s.p.send(rec{src: s, Batch: head, more: true})
+	}
+	s.p.send(rec{src: s, Batch: rest, done: func() {
 		if done != nil {
 			done()
 		}
-		return
-	}
-	r.s.pending.Add(n)
-	for len(entries) > batchCap {
-		r.p.send(rec{src: r.s, entries: entries[:batchCap]})
-		entries = entries[batchCap:]
-	}
-	r.p.send(rec{src: r.s, entries: entries, done: func() {
-		if done != nil {
-			done()
-		}
-		r.s.pending.Add(-n)
+		s.pending.Add(-1)
 	}})
 }
 
-// SetCommitted records that every record up to the agent's byte offset has
-// been handed to the loader — the durable resume point a reconnect gets.
-// Call it from a batch's done callback (or with nothing in
-// flight): the rows stamp must count exactly the records behind off. A
-// non-advancing offset is ignored: a batch split mid-cycle re-stamps the
-// previous offset, whose record count was captured when it first applied.
-func (r *RemoteSource) SetCommitted(off int64) {
-	if off <= r.s.remoteOff.Load() {
-		return
-	}
-	r.s.remoteRows.Store(r.s.consumedBase.Load() + r.s.consumed.Load())
-	r.s.remoteOff.Store(off)
-}
-
-// SetQuarantined folds the agent's session-cumulative quarantine count
-// into the engine's view of the source; the error budget then applies
-// exactly as it does to a locally parsed file.
-func (r *RemoteSource) SetQuarantined(sessionTotal int64) {
-	r.s.quarantined.Store(r.quarBase + sessionTotal)
-}
-
 // Fail marks the source terminally failed (the agent's parser died or its
-// tailer hit an I/O error) — mirroring the local parse-failure path: the
-// table keeps its rows, the watermark stops waiting.
+// tailer hit an I/O error), as a local batch's Err does.
 func (r *RemoteSource) Fail(msg string) {
 	r.s.parseErrs.Add(1)
-	r.s.setState(StateFailed, fmt.Errorf("stream: %s: %s", r.s.name, msg))
-	r.p.wm.Finish(r.s.path)
+	r.s.fail(fmt.Errorf("stream: %s: %s", r.s.name, msg))
 }
 
 // Suspend releases the source's hold on the watermark without a terminal
 // state change: a cleanly departing agent (Goodbye) whose sources will
 // constrain window closure again if it reconnects and reopens them.
-func (r *RemoteSource) Suspend() { r.p.wm.Finish(r.s.path) }
+func (r *RemoteSource) Suspend() { r.s.p.wm.Finish(r.s.path) }
 
 // FidelityState is the pipeline's current fidelity level — Full when the
 // degradation subsystem is disabled. The collector broadcasts it to
@@ -207,4 +164,30 @@ func (p *Pipeline) FidelityState() fidelity.State { return p.fidState() }
 // than full.
 func (p *Pipeline) QueueFill() float64 {
 	return min(1, float64(p.queued.Load())/float64(p.cfg.ChannelCap))
+}
+
+// SelfTraceEntries renders a node's own spans through the selfobs log
+// format and re-parses them with the mScopeParser the plan binds to name, so
+// what an agent or the collector ships of itself has exactly the schema a
+// file ingest of the same log would load. size is the rendered log's, the
+// offset that covers the entries; no entries means nothing to ship (no
+// spans, or a plan that does not bind name).
+func SelfTraceEntries(obs *selfobs.Collector, plan *transform.Plan, name string) (entries []mxml.Entry, size int64, err error) {
+	b, ok := plan.Find(name)
+	if !ok {
+		return nil, 0, nil
+	}
+	parser, err := parsers.Get(b.Parser)
+	if err != nil {
+		return nil, 0, nil
+	}
+	var buf bytes.Buffer
+	if _, err := obs.WriteLog(&buf); err != nil {
+		return nil, 0, err
+	}
+	err = parser.Parse(bytes.NewReader(buf.Bytes()), b.Instructions, func(e mxml.Entry) error {
+		entries = append(entries, e)
+		return nil
+	})
+	return entries, int64(buf.Len()), err
 }

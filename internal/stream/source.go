@@ -3,13 +3,11 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mxml"
-	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/transform"
 	"github.com/gt-elba/milliscope/internal/xmlcsv"
 )
@@ -37,19 +35,16 @@ func Streamable(plan *transform.Plan, name string) bool {
 		b.TableSuffix == "selftrace"
 }
 
-// source is one tailed file: its tailer, parser, target table, and
-// counters. The tail loop owns the tailer, the parser goroutine owns the
-// parse, the loader owns the appender; cross-goroutine fields are atomic
-// or mutex-guarded.
+// source is one log as the loader sees it, tailed here or on an agent's
+// node: its target table, resume arithmetic and counters. The loader owns
+// the appender; cross-goroutine fields are atomic or mutex-guarded.
 type source struct {
+	p       *Pipeline
 	path    string
 	name    string // base name
 	binding transform.Binding
 	table   string
 	host    string
-	parser  parsers.Parser
-	tail    *Tailer
-	pw      *io.PipeWriter
 
 	// skipEntries > 0 means the parse restarts from byte zero (the format
 	// needs its header) and this many already-consumed records are dropped
@@ -58,20 +53,26 @@ type source struct {
 	// re-arms it while the loader owns the decrements.
 	skipEntries atomic.Int64
 	// consumedBase is the consumed-record count carried over from prior
-	// sessions when the tailer byte-resumes mid-file (re-read-from-zero
+	// sessions when the reader byte-resumes mid-file (re-read-from-zero
 	// resumes re-count naturally and leave it 0). consumed + consumedBase
 	// is what the checkpoint ledger records.
 	consumedBase atomic.Int64
 
-	// Remote sources (no tailer): the byte offset covered by every applied
-	// batch, and the consumed-record total at the moment that offset was
-	// stored — together they let a reconnecting agent resume mid-cycle
-	// with the re-shipped overlap skipped exactly.
-	remoteOff  atomic.Int64
-	remoteRows atomic.Int64
-	// pending counts this source's records sitting between a remote feeder
-	// and the loader; a reconnect's reopen waits for it to drain before
-	// touching the resume arithmetic.
+	// off is the byte offset stamped on the last applied batch, offRows the
+	// consumed-record total at the moment it was stored, rotations the
+	// reader's truncation count then. off is what the ledger checkpoints;
+	// with offRows it lets a reconnecting agent resume mid-file with the
+	// re-shipped overlap skipped exactly.
+	off       atomic.Int64
+	offRows   atomic.Int64
+	rotations atomic.Int64
+	// quarBase is the quarantine total when the current reader took over
+	// (a reconnected agent counts from zero again); batches carry the
+	// reader's own running count.
+	quarBase atomic.Int64
+	// pending counts this source's wire batches sitting between a remote
+	// feeder and the loader; a reconnect's reopen waits for it to drain
+	// before touching the resume arithmetic.
 	pending atomic.Int64
 
 	app *appender // loader-owned
@@ -93,13 +94,6 @@ type source struct {
 	err   error
 }
 
-// write feeds tailed bytes into the parser pipe; it blocks while the
-// parser (and transitively the loader) is busy — the backpressure edge.
-func (s *source) write(b []byte) error {
-	_, err := s.pw.Write(b)
-	return err
-}
-
 func (s *source) setState(state string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,22 +112,38 @@ func (s *source) status() (string, error) {
 	return s.state, s.err
 }
 
-// committedOff is the resumable byte offset: the tailer's committed
-// position locally, the last applied batch offset for a remote source.
-func (s *source) committedOff() int64 {
-	if s.tail != nil {
-		return s.tail.Committed()
-	}
-	return s.remoteOff.Load()
+// fail marks the source terminally failed: the table keeps its rows, the
+// watermark stops waiting.
+func (s *source) fail(err error) {
+	s.setState(StateFailed, err)
+	s.p.wm.Finish(s.path)
 }
 
-// rotationCount is tailer rotations; remote sources report their agent's
-// rotations out of band, not here.
-func (s *source) rotationCount() int64 {
-	if s.tail != nil {
-		return s.tail.Rotations()
+// deliver is a tailed file's Sink: the batch crosses to the loader, which
+// blocks while the record queue is full.
+func (s *source) deliver(b Batch) bool {
+	s.p.send(rec{src: s, Batch: b})
+	if b.Err != nil {
+		s.parseErrs.Add(1)
+		s.fail(b.Err)
 	}
-	return 0
+	st, _ := s.status()
+	return st == StateActive
+}
+
+// stamp applies what a batch says of its source once its records are
+// counted: the reader's quarantine total, and the offset its records reach.
+// The rows stamp must count exactly the records behind the offset, so an
+// offset that does not advance is ignored — a batch cut short of a line
+// boundary re-stamps the previous one, whose record count was captured when
+// it first applied — unless the file was truncated and offsets restarted.
+func (s *source) stamp(b Batch) {
+	s.quarantined.Store(s.quarBase.Load() + b.Quarantined)
+	if b.Offset > s.off.Load() || b.Rotations != s.rotations.Load() {
+		s.offRows.Store(s.consumedBase.Load() + s.consumed.Load())
+		s.off.Store(b.Offset)
+		s.rotations.Store(b.Rotations)
+	}
 }
 
 // typeFields types each field of an entry once, into vals[i] for

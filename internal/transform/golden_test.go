@@ -107,6 +107,17 @@ func goldenInputs() map[string]string {
 		Kind: "span", Pipeline: selfobs.PipeLive, Stage: "append", Span: "batch",
 		File: "apache_access.log", StartNS: 11_500_000, DurNS: 150_000, Items: 61, Errs: 3,
 	}) + "\n")
+	// The source front end's spans as an agent records them (the live
+	// pipeline's are the same two under PipeLive): a file's whole parse
+	// (records emitted, regions quarantined) and one poll cycle that moved
+	// bytes.
+	for i, r := range []selfobs.Rec{
+		{Stage: "parse", Span: "source", File: "apache_access.log", DurNS: 9_000_000, Items: 6004, Errs: 2},
+		{Stage: "tail", Span: "poll", DurNS: 700_000, Items: 65536},
+	} {
+		r.Kind, r.Pipeline, r.StartNS = "span", selfobs.PipeAgent, 11_550_000+int64(i)*20_000
+		self.WriteString(selfobs.FormatLine(ep, "golden-batch", r) + "\n")
+	}
 	// The read path's spans, one per request, scan or lookup: a served
 	// trace (one item, no error), the lookup under it (rows returned) with
 	// a segment index it had to build first (rows indexed), a query scan
