@@ -21,13 +21,16 @@ full: fast test live-smoke serve-smoke overload-soak dist-soak scenario-soak db-
 # definition sites in cmd/ (a flag registered once for several commands
 # counts once); exported identifiers, as top-level exported funcs, methods,
 # types, vars and consts (grouped ones when they carry a value) in the same
-# files. CI prints it after `make fast`.
+# files; and how many of those files import encoding/gob (one: the readers
+# of the two formats mscopedb no longer writes). CI prints it after
+# `make fast`.
 SIZE_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'
 size:
 	@printf 'non-test Go outside bench/:  %s lines\n' "$$($(SIZE_FILES) | xargs wc -l | tail -1 | awk '{print $$1}')"
 	@printf 'internal/agentd/agentd.go:   %s lines\n' "$$(wc -l < internal/agentd/agentd.go)"
 	@printf 'flag definitions:            %s\n' "$$(grep -rhoE 'fs\.(String|Int|Int64|Uint|Uint64|Bool|Float64|Duration)(Var)?\(' --include='*.go' cmd | wc -l)"
 	@printf 'exported identifiers:        %s\n' "$$($(SIZE_FILES) | xargs grep -hE '^(func (\([^)]+\) )?[A-Z]|type [A-Z]|(var|const) [A-Z]|	[A-Z][A-Za-z0-9]* += )' | wc -l)"
+	@printf 'files importing encoding/gob: %s\n' "$$($(SIZE_FILES) | xargs grep -l '"encoding/gob"' | wc -l)"
 
 build:
 	$(GO) build ./...
@@ -83,7 +86,7 @@ overload-soak:
 	$(GO) test -race -run TestOverloadSoak -v ./internal/stream/
 
 # Observability-service smoke under the race detector: every `mscope
-# serve` endpoint — tables, MQL query, index-pruned window aggregation,
+# serve` endpoint — tables, MQL query, zone-map-pruned window aggregation,
 # waterfall, flamegraph SVG, diagnosis timeline, healthz, metrics — is
 # driven against a real scenario warehouse, plus the live-attachment path
 # with concurrent queries during load.
@@ -107,7 +110,7 @@ scenario-soak:
 	$(GO) run -race ./cmd/mscope scenario verify --all --live
 
 # Durable-warehouse soak under the race detector: a 15s trial ingested
-# into a spill-enabled warehouse sized so every event table holds >= 10x
+# into a warehouse directory sized so every event table holds >= 10x
 # its RAM budget on disk, killed mid-ingest and mid-compaction, reopened,
 # resumed, compacted — and the result must stay cell-identical (and
 # diagnose-identical) to a pure in-memory ingest of the same logs.
@@ -169,8 +172,8 @@ chaos:
 	$(GO) run ./cmd/mscope run --scenario dbio --out /tmp/mscope-chaos/logs
 	$(GO) run ./cmd/mscope chaos --logs /tmp/mscope-chaos/logs --out /tmp/mscope-chaos/corrupted --seed 1 --rate 0.01
 	$(GO) run ./cmd/mscope ingest --logs /tmp/mscope-chaos/corrupted --work /tmp/mscope-chaos/work \
-		--db /tmp/mscope-chaos/w.db --mode quarantine --budget 0.25
-	$(GO) run ./cmd/mscope diagnose --db /tmp/mscope-chaos/w.db
+		--db /tmp/mscope-chaos/wh --mode quarantine --budget 0.25
+	$(GO) run ./cmd/mscope diagnose --db /tmp/mscope-chaos/wh
 
 # Live-monitoring smoke: replay the disk-IO trial through `mscope live`
 # under the race detector; --expect-alert fails the run unless the online

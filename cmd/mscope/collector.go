@@ -20,7 +20,7 @@ func cmdCollector(args []string) error {
 	listen := fs.String("listen", ":9090", "listen endpoint for agents, host:port")
 	network := fs.String("network", "tcp", "listen network: tcp | unix")
 	token := fs.String("token", "", "shared authentication token")
-	wh := addWarehouseFlags(fs)
+	dbPath := addDBFlag(fs)
 	flags := addEngineFlags(fs)
 	credit := fs.Int64("credit", 0, "per-agent record credit window (default 4096)")
 	selfTrace := fs.Bool("self-trace", false,
@@ -28,7 +28,7 @@ func cmdCollector(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	db, err := wh.open(true)
+	db, err := openForLoad(*dbPath)
 	if err != nil {
 		return err
 	}
@@ -72,7 +72,7 @@ func cmdCollector(args []string) error {
 	fmt.Printf("collector session: %d records in %d batches from %d connections, %d sources, %d acks\n",
 		st.RecordsIn, st.BatchesIn, st.ConnsTotal, st.Opens, st.AcksOut)
 	printAlerts(col.Pipeline().Alerts())
-	if err := wh.close(col.DB()); err != nil {
+	if err := commitLoaded(*dbPath, col.DB()); err != nil {
 		return err
 	}
 	return stopErr

@@ -1,29 +1,12 @@
-// Warehouse-opening helpers and the segment-store maintenance
-// subcommands (compact, migrate-db).
+// The segment-store maintenance subcommands (compact, migrate-db).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"github.com/gt-elba/milliscope"
 )
-
-// openWarehouse opens the --db target of a read/query command. A
-// directory is a segment-store warehouse (queries prune segments by
-// zone map before decoding them); a file is a gob snapshot loaded
-// fully into memory. Both answer every query identically.
-func openWarehouse(path string) (*milliscope.DB, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if st.IsDir() {
-		return milliscope.OpenDBDir(path, milliscope.StoreOptions{})
-	}
-	return milliscope.LoadDB(path)
-}
 
 // totalSegments counts on-disk segments across every table.
 func totalSegments(db *milliscope.DB) int {
@@ -38,14 +21,11 @@ func totalSegments(db *milliscope.DB) int {
 
 func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ContinueOnError)
-	dir := fs.String("spill-dir", "", "segment-store directory (required)")
+	dir := addDBFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dir == "" {
-		return fmt.Errorf("compact: --spill-dir is required")
-	}
-	db, err := milliscope.OpenDBDir(*dir, milliscope.StoreOptions{})
+	db, err := openWarehouse("compact", *dir)
 	if err != nil {
 		return err
 	}
@@ -59,13 +39,13 @@ func cmdCompact(args []string) error {
 
 func cmdMigrateDB(args []string) error {
 	fs := flag.NewFlagSet("migrate-db", flag.ContinueOnError)
-	dbPath := fs.String("db", "", "gob warehouse file to migrate (required)")
-	dir := fs.String("spill-dir", "", "target segment-store directory (required, must not already hold a warehouse)")
+	dbPath := fs.String("from", "", "gob warehouse file to migrate (required)")
+	dir := fs.String("db", "", "target warehouse directory (required, must not already hold a warehouse)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *dbPath == "" || *dir == "" {
-		return fmt.Errorf("migrate-db: --db and --spill-dir are required")
+		return fmt.Errorf("migrate-db: --from and --db are required")
 	}
 	db, err := milliscope.LoadDB(*dbPath)
 	if err != nil {

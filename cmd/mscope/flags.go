@@ -15,58 +15,54 @@ import (
 	"github.com/gt-elba/milliscope"
 )
 
-// warehouseFlags are --db and --spill-dir of the commands that load a
-// warehouse: ingest, live and collector.
-type warehouseFlags struct{ dbPath, spillDir *string }
-
-func addWarehouseFlags(fs *flag.FlagSet) warehouseFlags {
-	return warehouseFlags{
-		dbPath: fs.String("db", "", "warehouse file: loaded if present (resume), saved on exit"),
-		spillDir: fs.String("spill-dir", "",
-			"segment-store directory: spill full segments to disk while loading instead of keeping all rows in memory (resumes from its last checkpoint)"),
-	}
+// addDBFlag registers --db, the one way every command names a warehouse.
+func addDBFlag(fs *flag.FlagSet) *string {
+	return fs.String("db", "", "warehouse directory (a segment store): ingest, live and collector create it "+
+		"or resume from its last checkpoint, and commit to it on exit; every other command reads it")
 }
 
-// open returns the warehouse the command loads into: the segment store when
-// --spill-dir is set (its manifest, with the ingest ledger inside it, makes
-// re-runs resumable and idempotent), else the --db file when it exists (the
-// ledger skips what it already holds), else a fresh one. announce prints
-// which.
-func (w warehouseFlags) open(announce bool) (*milliscope.DB, error) {
-	say := func(format string, path string) {
-		if announce {
-			fmt.Printf(format, path)
-		}
+// openForLoad returns the warehouse a loading command appends to: the
+// store in --db, whose manifest, with the ingest ledger inside it, makes
+// re-runs resumable and idempotent; without --db, one held in memory only.
+func openForLoad(path string) (*milliscope.DB, error) {
+	if path == "" {
+		return milliscope.OpenDB(), nil
 	}
-	if *w.spillDir != "" {
-		say("spilling warehouse segments to %s\n", *w.spillDir)
-		return milliscope.OpenDBDir(*w.spillDir, milliscope.StoreOptions{})
-	}
-	if *w.dbPath != "" {
-		if _, err := os.Stat(*w.dbPath); err == nil {
-			say("resuming warehouse %s\n", *w.dbPath)
-			return milliscope.LoadDB(*w.dbPath)
-		}
-	}
-	return milliscope.OpenDB(), nil
+	return openStore(path, false)
 }
 
-// close commits the loaded warehouse: a checkpoint of the segment store, a
-// save of the --db file, or both.
-func (w warehouseFlags) close(db *milliscope.DB) error {
-	if *w.spillDir != "" {
-		if err := db.Checkpoint(); err != nil {
-			return err
-		}
-		fmt.Printf("warehouse committed to %s (%d segments on disk)\n", *w.spillDir, totalSegments(db))
+// commitLoaded commits what a loading command appended, if --db was given.
+func commitLoaded(path string, db *milliscope.DB) error {
+	if path == "" {
+		return nil
 	}
-	if *w.dbPath != "" {
-		if err := db.Save(*w.dbPath); err != nil {
-			return err
-		}
-		fmt.Printf("warehouse saved to %s\n", *w.dbPath)
+	if err := db.Checkpoint(); err != nil {
+		return err
 	}
+	fmt.Printf("warehouse committed to %s (%d segments on disk)\n", path, totalSegments(db))
 	return nil
+}
+
+// openWarehouse opens the --db of a command that needs one to be there.
+func openWarehouse(cmd, path string) (*milliscope.DB, error) {
+	if path == "" {
+		return nil, fmt.Errorf("%s: --db is required", cmd)
+	}
+	return openStore(path, true)
+}
+
+// openStore opens a store directory, creating it unless it mustExist. A
+// regular file there is a warehouse from before the segment store, which
+// only migrate-db reads.
+func openStore(path string, mustExist bool) (*milliscope.DB, error) {
+	st, err := os.Stat(path)
+	switch {
+	case err != nil && (mustExist || !os.IsNotExist(err)):
+		return nil, err
+	case err == nil && !st.IsDir():
+		return nil, fmt.Errorf("%s is a file, not a warehouse directory: if it is a gob warehouse, convert it with `mscope migrate-db --from %s --db DIR`", path, path)
+	}
+	return milliscope.OpenDBDir(path, milliscope.StoreOptions{})
 }
 
 // engineFlags configure the streaming engine and its listeners under live

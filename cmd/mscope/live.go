@@ -17,7 +17,7 @@ func cmdLive(args []string) error {
 	fs := flag.NewFlagSet("live", flag.ContinueOnError)
 	scenario := fs.String("scenario", "dbio", "dbio | dirtypage | jvmgc | dvfs | accuracy")
 	out := fs.String("out", "", "base directory for staged + live logs (required)")
-	wh := addWarehouseFlags(fs)
+	dbPath := addDBFlag(fs)
 	engine := addEngineFlags(fs)
 	speed := fs.Float64("speed", 8, "replay speed: trial seconds per wall second")
 	poll := fs.Duration("poll", 10*time.Millisecond, "tailer poll interval")
@@ -61,7 +61,7 @@ func cmdLive(args []string) error {
 	}
 	fmt.Printf("staged experiment %s: %s\n", cfg.Name, res.Stats)
 
-	db, err := wh.open(true)
+	db, err := openForLoad(*dbPath)
 	if err != nil {
 		return err
 	}
@@ -150,7 +150,7 @@ func cmdLive(args []string) error {
 		fmt.Println(line)
 	}
 	printAlerts(pipe.Alerts())
-	if err := wh.close(pipe.DB()); err != nil {
+	if err := commitLoaded(*dbPath, pipe.DB()); err != nil {
 		return err
 	}
 	if *expectAlert && st.Alerts == 0 {

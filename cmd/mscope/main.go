@@ -5,13 +5,13 @@
 // Usage:
 //
 //	mscope run --scenario dbio --out logs/            run a trial, write logs
-//	mscope ingest --logs logs/ --work work/ --db w.db transform + load
-//	mscope tables --db w.db                           list warehouse tables
-//	mscope query --db w.db 'SELECT ... FROM ...'      run an MQL query
-//	mscope report --db w.db --figure fig2             render a figure
+//	mscope ingest --logs logs/ --work work/ --db wh/  transform + load
+//	mscope tables --db wh/                            list warehouse tables
+//	mscope query --db wh/ 'SELECT ... FROM ...'       run an MQL query
+//	mscope report --db wh/ --figure fig2              render a figure
 //	mscope experiment --out exp/                      regenerate everything
-//	mscope serve --db w.db --listen :8080             query API + flamegraphs
-//	mscope collector --listen :9090 --db w.db         central ingest server
+//	mscope serve --db wh/ --listen :8080              query API + flamegraphs
+//	mscope collector --listen :9090 --db wh/          central ingest server
 //	mscope agent --id n1 --logs logs/ --addr host:9090 per-node log shipper
 //	mscope scenario verify --all --live               fault-catalogue soak
 package main
@@ -97,17 +97,16 @@ commands:
   collector  central ingest server: adopt agent sources, ack durable
              offsets, detect millibottlenecks online across the fleet
   chaos      copy a log directory injecting deterministic faults
-  ingest     transform a log directory and load it into a warehouse file
-             (--workers N shards files and parses them concurrently;
-             --spill-dir D streams full segments to an on-disk columnar
-             store instead of holding the whole warehouse in memory)
-  compact    merge small on-disk segments in a --spill-dir warehouse
-  migrate-db convert a gob warehouse file into a segment directory
-             (queries against either form return identical results)
+  ingest     transform a log directory and load it into the warehouse
+             directory --db DIR, an on-disk columnar segment store a
+             re-run resumes (--workers N parses files concurrently)
+  compact    merge small on-disk segments of the warehouse in --db DIR
+  migrate-db convert the gob warehouse file an older mscope wrote
+             (--from FILE) into a warehouse directory (--db DIR)
   plan       write the default Parsing Declaration as editable JSON
   tables     list warehouse tables
-  query      run an MQL query against a warehouse file
-  report     render a paper figure from a warehouse file
+  query      run an MQL query against a warehouse
+  report     render a paper figure from a warehouse
   diagnose   detect VLRT windows and name their root causes
   trace      render one request's causal path (Figure 5)
   selftrace  per-stage critical-path breakdown of milliScope's own
@@ -270,7 +269,7 @@ func cmdIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ContinueOnError)
 	logs := fs.String("logs", "", "log directory (required)")
 	work := fs.String("work", "", "work directory: quarantine sinks and --materialize artifacts (required)")
-	wh := addWarehouseFlags(fs)
+	dbPath := addDBFlag(fs)
 	planPath := fs.String("plan", "", "custom Parsing Declaration JSON (default: built-in)")
 	mode := fs.String("mode", "fail-fast", "malformed-input policy: fail-fast | quarantine")
 	budget := fs.Float64("budget", 0, "quarantine error budget (corrupt-line ratio per file; 0 = default 5%)")
@@ -284,8 +283,8 @@ func cmdIngest(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *logs == "" || *work == "" || (*wh.dbPath == "" && *wh.spillDir == "") {
-		return fmt.Errorf("ingest: --logs, --work and one of --db / --spill-dir are required")
+	if *logs == "" || *work == "" || *dbPath == "" {
+		return fmt.Errorf("ingest: --logs, --work and --db are required")
 	}
 	if *selfLog != "" {
 		defer startSelfObs("ingest", *selfLog)()
@@ -299,7 +298,7 @@ func cmdIngest(args []string) error {
 	}
 	opts := milliscope.IngestOptions{Policy: policy, ErrorBudget: *budget,
 		QuarantineDir: *qdir, Workers: *workers, Materialize: *materialize}
-	db, err := wh.open(false)
+	db, err := openForLoad(*dbPath)
 	if err != nil {
 		return err
 	}
@@ -331,19 +330,16 @@ func cmdIngest(args []string) error {
 	if consistency, err := milliscope.ValidateWarehouse(db); err == nil {
 		fmt.Println(consistency.Summary())
 	}
-	return wh.close(db)
+	return commitLoaded(*dbPath, db)
 }
 
 func cmdTables(args []string) error {
 	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
-	dbPath := fs.String("db", "", "warehouse file or segment directory (required)")
+	dbPath := addDBFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dbPath == "" {
-		return fmt.Errorf("tables: --db is required")
-	}
-	db, err := openWarehouse(*dbPath)
+	db, err := openWarehouse("tables", *dbPath)
 	if err != nil {
 		return err
 	}
@@ -363,14 +359,14 @@ func cmdTables(args []string) error {
 
 func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
-	dbPath := fs.String("db", "", "warehouse file or segment directory (required)")
+	dbPath := addDBFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dbPath == "" || fs.NArg() != 1 {
-		return fmt.Errorf("query: usage: mscope query --db FILE 'SELECT ...'")
+	if fs.NArg() != 1 {
+		return fmt.Errorf("query: usage: mscope query --db DIR 'SELECT ...'")
 	}
-	db, err := openWarehouse(*dbPath)
+	db, err := openWarehouse("query", *dbPath)
 	if err != nil {
 		return err
 	}
@@ -388,7 +384,7 @@ func cmdQuery(args []string) error {
 
 func cmdReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
-	dbPath := fs.String("db", "", "warehouse file or segment directory (required)")
+	dbPath := addDBFlag(fs)
 	figure := fs.String("figure", "fig2", "fig2 | fig4 | fig6 | fig7 | fig8 | fig9")
 	trace := fs.String("trace", "", "network trace CSV (required for fig9)")
 	window := fs.Duration("window", 50*time.Millisecond, "analysis window")
@@ -398,10 +394,7 @@ func cmdReport(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dbPath == "" {
-		return fmt.Errorf("report: --db is required")
-	}
-	db, err := openWarehouse(*dbPath)
+	db, err := openWarehouse("report", *dbPath)
 	if err != nil {
 		return err
 	}
@@ -430,15 +423,12 @@ func cmdReport(args []string) error {
 
 func cmdDiagnose(args []string) error {
 	fs := flag.NewFlagSet("diagnose", flag.ContinueOnError)
-	dbPath := fs.String("db", "", "warehouse file or segment directory (required)")
+	dbPath := addDBFlag(fs)
 	window := fs.Duration("window", 50*time.Millisecond, "analysis window")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dbPath == "" {
-		return fmt.Errorf("diagnose: --db is required")
-	}
-	db, err := openWarehouse(*dbPath)
+	db, err := openWarehouse("diagnose", *dbPath)
 	if err != nil {
 		return err
 	}
@@ -474,17 +464,14 @@ func cmdDiagnose(args []string) error {
 
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-	dbPath := fs.String("db", "", "warehouse file or segment directory (required)")
+	dbPath := addDBFlag(fs)
 	req := fs.String("req", "", "request ID; default: the slowest request")
 	width := fs.Int("width", 80, "swimlane width")
 	breakdown := fs.Bool("breakdown", false, "print the aggregate per-tier latency profile")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dbPath == "" {
-		return fmt.Errorf("trace: --db is required")
-	}
-	db, err := openWarehouse(*dbPath)
+	db, err := openWarehouse("trace", *dbPath)
 	if err != nil {
 		return err
 	}

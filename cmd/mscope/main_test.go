@@ -4,13 +4,17 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 )
 
 func TestScenarioConfigResolution(t *testing.T) {
@@ -170,7 +174,7 @@ func TestCLISelfTelemetryDogfood(t *testing.T) {
 		"--db", dbPath}); err != nil {
 		t.Fatalf("telemetry ingest: %v", err)
 	}
-	db, err := milliscope.LoadDB(dbPath)
+	db, err := milliscope.OpenDBDir(dbPath, milliscope.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +266,135 @@ func TestBuildFiguresAgainstWarehouse(t *testing.T) {
 	}
 }
 
+// legacyFixtures are the gob file and the version-1 store directory of one
+// small trial, written by the last tree that wrote either format.
+const legacyFixtures = "../../internal/mscopedb/testdata/legacy"
+
+// openDump opens a warehouse directory and returns its canonical dump.
+func openDump(t *testing.T, dir string) string {
+	t.Helper()
+	db, err := milliscope.OpenDBDir(dir, milliscope.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dbtest.Dump(t, db)
+}
+
+// TestCLIOneWarehouse: --db is one directory from the command that writes
+// it to every command that reads it, and the two older formats still come
+// in — a gob file through migrate-db, a version-1 directory by being
+// opened — to the same contents.
+func TestCLIOneWarehouse(t *testing.T) {
+	base := t.TempDir()
+	logs, wh := filepath.Join(base, "logs"), filepath.Join(base, "wh")
+	if err := run([]string{"run", "--scenario", "dbio", "--out", logs, "--users", "60", "--duration", "6s"}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, args := range [][]string{
+		{"ingest", "--logs", logs, "--work", filepath.Join(base, "work"), "--db", wh},
+		{"diagnose", "--db", wh},
+		{"compact", "--db", wh},
+		{"tables", "--db", wh},
+	} {
+		if err := run(args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	ents, err := os.ReadDir(wh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if n := e.Name(); n != "MANIFEST.json" && !strings.HasSuffix(n, ".seg") {
+			t.Errorf("the warehouse directory holds %s", n)
+		}
+	}
+
+	// serve answers over the same directory until it is interrupted.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- run([]string{"serve", "--db", wh, "--listen", addr}) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get("http://" + addr + "/api/tables")
+		if err == nil {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "apache_event") {
+				t.Errorf("/api/tables: %d %.200s", resp.StatusCode, body)
+			}
+			break
+		}
+		select {
+		case err := <-served:
+			t.Fatalf("serve exited: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("serve never answered: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+
+	// The gob file of an older tree: read commands refuse it by name of
+	// the command that converts it, and that command does.
+	gob := filepath.Join(legacyFixtures, "warehouse.gob")
+	if err := run([]string{"diagnose", "--db", gob}); err == nil || !strings.Contains(err.Error(), "mscope migrate-db") {
+		t.Fatalf("diagnose over a gob file: %v", err)
+	}
+	migrated := filepath.Join(base, "migrated")
+	if err := run([]string{"migrate-db", "--from", gob, "--db", migrated}); err != nil {
+		t.Fatalf("migrate-db: %v", err)
+	}
+	want := openDump(t, migrated)
+
+	// The version-1 directory of the same trial opens as it is, and the
+	// first commit (compact ends in one) leaves it version 2.
+	v1 := filepath.Join(base, "v1")
+	if err := os.Mkdir(v1, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := os.ReadDir(filepath.Join(legacyFixtures, "store-v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range fixture { // a copy: opening sweeps, committing rewrites
+		data, err := os.ReadFile(filepath.Join(legacyFixtures, "store-v1", e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(v1, e.Name()), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := run([]string{"tables", "--db", v1}); err != nil {
+		t.Fatalf("tables over a version-1 directory: %v", err)
+	}
+	dbtest.Same(t, "version-1 directory against the migrated gob file", want, openDump(t, v1))
+	if err := run([]string{"compact", "--db", v1}); err != nil {
+		t.Fatalf("compact over a version-1 directory: %v", err)
+	}
+	if gobs, _ := filepath.Glob(filepath.Join(v1, "*.gob")); len(gobs) != 0 {
+		t.Errorf("the commit left %v", gobs)
+	}
+	man, err := os.ReadFile(filepath.Join(v1, "MANIFEST.json"))
+	if err != nil || !strings.Contains(string(man), `"version": 2`) {
+		t.Errorf("manifest after the commit (%v): %.80s", err, man)
+	}
+	dbtest.Same(t, "version-2 rewrite against the migrated gob file", want, openDump(t, v1))
+}
+
 // helpStanzas runs `mscope cmd -h` and returns each flag's usage stanza —
 // name, type, help and default, exactly as printed — by flag name.
 func helpStanzas(t *testing.T, cmd string) map[string]string {
@@ -288,7 +421,7 @@ func helpStanzas(t *testing.T, cmd string) map[string]string {
 		if strings.HasPrefix(line, "  -") {
 			name = strings.Fields(line)[0][1:]
 		}
-		if name != "" {
+		if name != "" && line != "" {
 			stanzas[name] += line + "\n"
 		}
 	}
@@ -303,7 +436,7 @@ func TestSharedFlagsCannotDrift(t *testing.T) {
 		flags []string
 		cmds  []string
 	}{
-		{[]string{"db", "spill-dir"}, []string{"ingest", "live", "collector"}},
+		{[]string{"db"}, []string{"ingest", "live", "collector", "tables", "query", "report", "diagnose", "trace", "selftrace", "serve", "compact"}},
 		{[]string{"window", "grace", "budget", "fidelity", "http", "serve"}, []string{"live", "collector"}},
 	} {
 		ref := helpStanzas(t, tc.cmds[0])

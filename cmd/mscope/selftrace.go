@@ -47,16 +47,13 @@ func startSelfObs(pipeline, path string) func() {
 // cross-node critical path with node attribution.
 func cmdSelfTrace(args []string) error {
 	fs := flag.NewFlagSet("selftrace", flag.ContinueOnError)
-	dbPath := fs.String("db", "", "warehouse file or segment directory (required)")
+	dbPath := addDBFlag(fs)
 	fleet := fs.Bool("fleet", false,
 		"merge every node's telemetry into one cross-node critical path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dbPath == "" {
-		return fmt.Errorf("selftrace: --db is required")
-	}
-	db, err := openWarehouse(*dbPath)
+	db, err := openWarehouse("selftrace", *dbPath)
 	if err != nil {
 		return err
 	}

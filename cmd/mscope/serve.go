@@ -19,16 +19,13 @@ import (
 // `mscope live --serve` or `mscope collector --serve`.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	dbPath := fs.String("db", "", "warehouse file or segment directory (required)")
+	dbPath := addDBFlag(fs)
 	listen := fs.String("listen", ":8080", "listen address")
 	window := fs.Duration("window", 50*time.Millisecond, "diagnosis window width")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dbPath == "" {
-		return fmt.Errorf("serve: --db is required")
-	}
-	db, err := openWarehouse(*dbPath)
+	db, err := openWarehouse("serve", *dbPath)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,6 @@ package collector
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,6 +13,7 @@ import (
 	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/faults"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
+	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 	"github.com/gt-elba/milliscope/internal/stream"
 )
 
@@ -84,23 +84,6 @@ func smallScenarios() map[string]func(logDir string) core.ExperimentConfig {
 	}
 }
 
-// warehouseDump snapshots a warehouse through its deterministic gob
-// persistence (tables iterate in sorted order, ledger loads are
-// epoch-stamped), so byte equality means row-for-row, cell-for-cell
-// equality — data tables and ingest-ledger offsets both.
-func warehouseDump(t *testing.T, db *mscopedb.DB) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "w.db")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
-}
-
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -125,7 +108,7 @@ func localDump(t *testing.T, dir string, engine stream.Config) string {
 	if err := pipe.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	return warehouseDump(t, pipe.DB())
+	return dbtest.Dump(t, pipe.DB())
 }
 
 func startCollector(t *testing.T, cfg Config) *Collector {
@@ -179,15 +162,16 @@ func drainAll(t *testing.T, col *Collector, agents []*agentd.Agent) {
 	}
 }
 
-// distDump ingests dir through the full distributed path — one agent per
-// owner host shipping over loopback TCP to a central collector — and
-// returns the warehouse dump after a clean drain.
-func distDump(t *testing.T, dir string, owners []string, engine stream.Config) string {
+// distWarehouse ingests dir through the full distributed path — one agent
+// per owner host shipping over loopback TCP to a central collector — and
+// returns the warehouse after a clean drain. With selfTrace, each agent
+// also ships its own spans at drain and the collector loads its own at Stop.
+func distWarehouse(t *testing.T, dir string, owners []string, engine stream.Config, selfTrace bool) *mscopedb.DB {
 	t.Helper()
-	col := startCollector(t, Config{Engine: engine})
+	col := startCollector(t, Config{Engine: engine, SelfTrace: selfTrace})
 	agents := make([]*agentd.Agent, 0, len(owners))
 	for _, h := range owners {
-		agents = append(agents, startAgent(t, col, dir, h, nil))
+		agents = append(agents, startAgent(t, col, dir, h, func(c *agentd.Config) { c.SelfTrace = selfTrace }))
 	}
 	// An agent stopped before it ever dialed ships nothing at all: wait
 	// until every source has been adopted before draining.
@@ -196,7 +180,13 @@ func distDump(t *testing.T, dir string, owners []string, engine stream.Config) s
 		return col.Status().Opens >= want
 	})
 	drainAll(t, col, agents)
-	return warehouseDump(t, col.DB())
+	return col.DB()
+}
+
+// distDump is the canonical dump of distWarehouse without self-tracing.
+func distDump(t *testing.T, dir string, owners []string, engine stream.Config) string {
+	t.Helper()
+	return dbtest.Dump(t, distWarehouse(t, dir, owners, engine, false))
 }
 
 // TestDistDifferentialScenariosClean is the distributed generalization of
@@ -216,10 +206,7 @@ func TestDistDifferentialScenariosClean(t *testing.T) {
 			}
 			local := localDump(t, cfg.LogDir, stream.Config{})
 			dist := distDump(t, cfg.LogDir, hosts, stream.Config{})
-			if local != dist {
-				t.Errorf("distributed warehouse diverges from single-process ingest (local %d bytes, dist %d bytes)",
-					len(local), len(dist))
-			}
+			dbtest.Same(t, "distributed against single-process ingest", local, dist)
 		})
 	}
 }
@@ -259,10 +246,7 @@ func TestDistDifferentialChaosSeeds(t *testing.T) {
 			engine := stream.Config{ErrorBudget: 1.0}
 			local := localDump(t, corrupted, engine)
 			dist := distDump(t, corrupted, hosts, engine)
-			if local != dist {
-				t.Errorf("chaos warehouse diverges from single-process ingest (local %d bytes, dist %d bytes)",
-					len(local), len(dist))
-			}
+			dbtest.Same(t, "chaos: distributed against single-process ingest", local, dist)
 		})
 	}
 }
@@ -323,11 +307,9 @@ func TestDistSoak(t *testing.T) {
 	})
 	drainAll(t, col, agents)
 
-	got := warehouseDump(t, col.DB())
-	if got != want {
-		t.Errorf("kill/restart warehouse diverges from single-process ingest (dist %d bytes, local %d bytes): rows duplicated or lost across the resume",
-			len(got), len(want))
-	}
+	got := dbtest.Dump(t, col.DB())
+	// A difference here is rows duplicated or lost across the resume.
+	dbtest.Same(t, "kill/restart against single-process ingest", want, got)
 	verdict := false
 	for _, a := range col.Pipeline().Alerts() {
 		if a.Diagnosis.Kind == core.CauseDiskIO && a.Diagnosis.Node == "mysql" {

@@ -2,53 +2,13 @@ package collector
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"github.com/gt-elba/milliscope/internal/agentd"
 	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/stream"
 )
-
-// distSelfTraceWarehouse runs the distributed path with self-tracing on
-// everywhere — each agent ships its own spans at drain, the collector
-// loads its own at Stop — and returns the warehouse.
-func distSelfTraceWarehouse(t *testing.T, dir string, owners []string, engine stream.Config) *mscopedb.DB {
-	t.Helper()
-	col := startCollector(t, Config{Engine: engine, SelfTrace: true})
-	agents := make([]*agentd.Agent, 0, len(owners))
-	for _, h := range owners {
-		agents = append(agents, startAgent(t, col, dir, h, func(c *agentd.Config) {
-			c.SelfTrace = true
-		}))
-	}
-	want := int64(sourcesPerHost * len(owners))
-	waitFor(t, 30*time.Second, "all sources opened", func() bool {
-		return col.Status().Opens >= want
-	})
-	drainAll(t, col, agents)
-	return col.DB()
-}
-
-// reload round-trips a warehouse through its gob persistence so every
-// run-dependent field (in-memory load stamps) is normalized exactly as
-// warehouseDump normalizes it.
-func reload(t *testing.T, db *mscopedb.DB) *mscopedb.DB {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "n.db")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	out, err := mscopedb.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
 
 // filteredDump renders a deterministic snapshot of every non-telemetry
 // table: *_selftrace tables are skipped whole, and catalogue or ledger
@@ -97,16 +57,8 @@ func TestDistSelfTraceDifferential(t *testing.T) {
 	if _, err := core.RunExperiment(cfg); err != nil {
 		t.Fatal(err)
 	}
-	plainGob := distDump(t, cfg.LogDir, hosts, stream.Config{})
-	plainPath := filepath.Join(t.TempDir(), "plain.db")
-	if err := os.WriteFile(plainPath, []byte(plainGob), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	plain, err := mscopedb.Load(plainPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced := reload(t, distSelfTraceWarehouse(t, cfg.LogDir, hosts, stream.Config{}))
+	plain := distWarehouse(t, cfg.LogDir, hosts, stream.Config{}, false)
+	traced := distWarehouse(t, cfg.LogDir, hosts, stream.Config{}, true)
 
 	if got, want := filteredDump(t, traced), filteredDump(t, plain); got != want {
 		t.Errorf("self-tracing perturbed the data warehouse (plain %d bytes, traced %d bytes)",
@@ -135,7 +87,7 @@ func TestDistSelfTraceAttribution(t *testing.T) {
 	}
 	stage := stagedDBIO(t)
 	owners := []string{"apache", "tomcat", "mysql"}
-	db := distSelfTraceWarehouse(t, stage, owners, stream.Config{})
+	db := distWarehouse(t, stage, owners, stream.Config{}, true)
 
 	ft, err := core.FleetSelfTraceBreakdown(db)
 	if err != nil {
@@ -193,7 +145,7 @@ func TestDistSelfTraceShowsAgentFrontEnd(t *testing.T) {
 	if _, err := core.RunExperiment(cfg); err != nil {
 		t.Fatal(err)
 	}
-	db := distSelfTraceWarehouse(t, cfg.LogDir, []string{"apache"}, stream.Config{})
+	db := distWarehouse(t, cfg.LogDir, []string{"apache"}, stream.Config{}, true)
 	ft, err := core.FleetSelfTraceBreakdown(db)
 	if err != nil || ft == nil {
 		t.Fatalf("fleet breakdown: %v %v", ft, err)

@@ -8,6 +8,7 @@ import (
 
 	"github.com/gt-elba/milliscope/internal/faults"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
+	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 	"github.com/gt-elba/milliscope/internal/transform"
 )
 
@@ -29,22 +30,6 @@ func differentialScenarios() map[string]func(logDir string) ExperimentConfig {
 		"jvmgc":     shrink(ScenarioJVMGC),
 		"dvfs":      shrink(ScenarioDVFS),
 	}
-}
-
-// warehouseDump snapshots a warehouse through its deterministic gob
-// persistence (tables iterate in sorted order, loads are epoch-stamped),
-// so byte equality means row-for-row, cell-for-cell equality.
-func warehouseDump(t *testing.T, db *mscopedb.DB) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "w.db")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
 }
 
 func quarantineDirContents(t *testing.T, dir string) map[string]string {
@@ -127,9 +112,7 @@ func assertIngestEquivalent(t *testing.T, logDir string, opts transform.Options)
 				e.Name(), offS, okS, offP, okP)
 		}
 	}
-	if s, p := warehouseDump(t, dbS), warehouseDump(t, dbP); s != p {
-		t.Errorf("warehouse dumps diverge: serial %d bytes, parallel %d bytes", len(s), len(p))
-	}
+	dbtest.Same(t, "parallel against serial", dbtest.Dump(t, dbS), dbtest.Dump(t, dbP))
 }
 
 // TestDifferentialAllScenariosClean proves parallel ≡ serial on the clean

@@ -10,7 +10,6 @@ package mscopedb
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -76,13 +75,11 @@ func segmentBytes(b *testing.B, dir string) int64 {
 // BenchmarkSegmentSpill measures the durable ingest path: append rows
 // into a spill-enabled warehouse and checkpoint, timing the whole
 // encode+fsync pipeline. It reports the on-disk footprint per row of the
-// dictionary+delta segment encoding next to the legacy gob image of the
-// same warehouse — the segment store must beat gob for spilling to be
-// worth anything.
+// dictionary+delta segment encoding.
 func BenchmarkSegmentSpill(b *testing.B) {
 	const rows = 16384
 	const sealRows = 1024
-	var segB, gobB int64
+	var segB int64
 	var rowsLoaded int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -107,15 +104,6 @@ func BenchmarkSegmentSpill(b *testing.B) {
 		b.StopTimer()
 		segB = segmentBytes(b, dir)
 		rowsLoaded = tbl.Rows()
-		gobPath := filepath.Join(dir, "legacy.gob")
-		if err := db.Save(gobPath); err != nil {
-			b.Fatal(err)
-		}
-		if info, err := os.Stat(gobPath); err == nil {
-			gobB = info.Size()
-		} else {
-			b.Fatal(err)
-		}
 		os.RemoveAll(dir)
 		b.StartTimer()
 	}
@@ -124,8 +112,6 @@ func BenchmarkSegmentSpill(b *testing.B) {
 	}
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	b.ReportMetric(float64(segB)/float64(rows), "disk_B/row")
-	b.ReportMetric(float64(gobB)/float64(rows), "gob_B/row")
-	b.ReportMetric(float64(gobB)/float64(segB), "gob_over_seg_x")
 }
 
 // BenchmarkSpilledWindowQuery measures what zone maps buy: a 1-second

@@ -242,6 +242,26 @@ func (db *DB) RecordIngestAt(table, file string, rows int, offset int64, loaded 
 	return nil
 }
 
+// loadLedger finishes a warehouse rebuilt from disk: the static tables
+// must be there, and the latest-offset maps are refilled from the persisted
+// ledger. Rows are append-ordered, so the last row per file wins.
+func (db *DB) loadLedger() error {
+	for _, name := range []string{TableExperiments, TableNodes, TableMonitors, TableIngests} {
+		if db.tables[name] == nil {
+			return fmt.Errorf("static table %s missing", name)
+		}
+	}
+	db.ingestOff = make(map[string]int64)
+	db.ingestRows = make(map[string]int64)
+	return db.tables[TableIngests].Scan([]string{"file", "offset", "rows"}, func(c *Chunk) error {
+		for r, file := range c.Strs(0) {
+			db.ingestOff[file] = c.Ints(1)[r]
+			db.ingestRows[file] = c.Ints(2)[r]
+		}
+		return nil
+	})
+}
+
 // LatestIngestOffset returns the most recently recorded byte offset for a
 // source file, and whether the ledger has any entry for it. The ledger is
 // append-only and the last row for a file wins; the answer comes from a

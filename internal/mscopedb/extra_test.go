@@ -1,9 +1,11 @@
 package mscopedb
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestSizeBytes(t *testing.T) {
@@ -194,4 +196,82 @@ func TestOpString(t *testing.T) {
 			t.Fatalf("%d → %q, want %q", int(op), op.String(), want)
 		}
 	}
+}
+
+// TestStringInterning checks that low-cardinality columns share backing
+// strings and high-cardinality columns shut interning off.
+func TestStringInterning(t *testing.T) {
+	tbl, err := NewTable("intern", []Column{
+		{Name: "low", Type: TString},
+		{Name: "high", Type: TString},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := "tomcat 10.0.0.2 GET /item/1" // cells are substrings of one line
+	for i := 0; i < internCap+100; i++ {
+		if err := tbl.AppendStrings([]string{line[:6], fmt.Sprintf("req-%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lowCol := tbl.data[0].Strs
+	// All equal values must share one backing array, detached from the
+	// source line.
+	for i := 1; i < len(lowCol); i++ {
+		if lowCol[i] != "tomcat" {
+			t.Fatalf("row %d: %q", i, lowCol[i])
+		}
+		if unsafe.StringData(lowCol[i]) != unsafe.StringData(lowCol[0]) {
+			t.Fatalf("row %d not interned", i)
+		}
+	}
+	if unsafe.StringData(lowCol[0]) == unsafe.StringData(line) {
+		t.Fatal("interned value still pins the source line")
+	}
+	if tbl.data[0].internOff {
+		t.Fatal("low-cardinality column lost its intern map")
+	}
+	if !tbl.data[1].internOff {
+		t.Fatal("high-cardinality column kept interning past the cap")
+	}
+}
+
+// TestLatestIngestOffsetPersists checks the O(1) ledger map survives a
+// checkpoint and reopen with last-row-wins semantics.
+func TestLatestIngestOffsetPersists(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RecordIngestAt("t1", "/logs/a.log", 10, 100, time.Unix(0, 0).UTC()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RecordIngestAt("t1", "/logs/a.log", 25, 250, time.Unix(0, 0).UTC()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RecordIngest("t2", "/work/b.csv", 5, time.Unix(0, 0).UTC()); err != nil {
+		t.Fatal(err)
+	}
+	checkDB := func(d *DB, label string) {
+		t.Helper()
+		if off, ok := d.LatestIngestOffset("/logs/a.log"); !ok || off != 250 {
+			t.Fatalf("%s: a.log offset %d/%v, want 250/true", label, off, ok)
+		}
+		if off, ok := d.LatestIngestOffset("/work/b.csv"); !ok || off != 0 {
+			t.Fatalf("%s: b.csv offset %d/%v, want 0/true", label, off, ok)
+		}
+		if _, ok := d.LatestIngestOffset("/logs/never.log"); ok {
+			t.Fatalf("%s: phantom ledger entry", label)
+		}
+	}
+	checkDB(db, "live")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenDir(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDB(reopened, "reopened")
 }

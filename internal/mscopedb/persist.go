@@ -5,21 +5,13 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
-
-	"github.com/gt-elba/milliscope/internal/retry"
 )
 
-// saveRetry bounds the retries around the checkpoint file creation — the
-// one step of Save that fails transiently (EMFILE, a slow NFS mkdir
-// racing, an fs briefly read-only during rotation). Encoding errors are
-// not transient and are never retried. Tests swap the policy to inject a
-// flaky fs without wall-clock sleeps.
-var (
-	saveRetry  = retry.Default
-	createFile = os.Create
-)
-
-// snapshot types give gob a stable, exported surface.
+// The two formats mscopedb no longer writes and still reads, both gob
+// images of every table's schema and column data: the whole-warehouse file
+// older trees saved (Load, for `mscope migrate-db`), and the tail snapshot
+// beside a version-1 manifest (OpenDir, which rewrites the directory as
+// version 2 at its next checkpoint).
 
 type dbSnapshot struct {
 	Tables []tableSnapshot
@@ -32,53 +24,39 @@ type tableSnapshot struct {
 	Rows int
 }
 
-// Save serializes the warehouse so CLI stages (transform, load, query,
-// report) can compose across process boundaries.
-func (db *DB) Save(path string) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var snap dbSnapshot
-	for _, name := range db.TableNames() {
-		t := db.tables[name]
-		// Spill-backed tables materialize their segments, so the gob image
-		// is identical to one saved from an all-in-memory ingest.
-		data, err := t.fullData()
-		if err != nil {
-			return err
-		}
-		snap.Tables = append(snap.Tables, tableSnapshot{
-			Name: t.name, Cols: t.cols, Data: data, Rows: t.rows,
-		})
-	}
-	var f *os.File
-	if err := saveRetry.Do(func() error {
-		var cerr error
-		f, cerr = createFile(path)
-		return cerr
-	}); err != nil {
-		return fmt.Errorf("mscopedb: create %s: %w", path, err)
-	}
-	defer f.Close()
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := gob.NewEncoder(bw).Encode(snap); err != nil {
-		return fmt.Errorf("mscopedb: encode %s: %w", path, err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("mscopedb: flush %s: %w", path, err)
-	}
-	return nil
-}
-
-// Load deserializes a warehouse written by Save.
-func Load(path string) (*DB, error) {
+// readSnapshot decodes a gob image, checking that every column of every
+// table holds exactly the table's row count.
+func readSnapshot(path string) (*dbSnapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("mscopedb: open %s: %w", path, err)
+		return nil, err
 	}
 	defer f.Close()
 	var snap dbSnapshot
 	if err := gob.NewDecoder(bufio.NewReaderSize(f, 1<<20)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("mscopedb: decode %s: %w", path, err)
+		return nil, fmt.Errorf("decode %s: %w", path, err)
+	}
+	for _, ts := range snap.Tables {
+		if len(ts.Data) != len(ts.Cols) {
+			return nil, fmt.Errorf("%s: table %s has data for %d of %d columns", path, ts.Name, len(ts.Data), len(ts.Cols))
+		}
+		for i, cd := range ts.Data {
+			if n := len(cd.Ints) + len(cd.Floats) + len(cd.Times) + len(cd.Strs); n != ts.Rows {
+				return nil, fmt.Errorf("%s: table %s column %s has %d values for %d rows",
+					path, ts.Name, ts.Cols[i].Name, n, ts.Rows)
+			}
+		}
+	}
+	return &snap, nil
+}
+
+// Load reads a whole-warehouse gob file into memory. Nothing writes that
+// format any more: AttachStore and Checkpoint turn the result into a store
+// directory.
+func Load(path string) (*DB, error) {
+	snap, err := readSnapshot(path)
+	if err != nil {
+		return nil, fmt.Errorf("mscopedb: load: %w", err)
 	}
 	db := &DB{tables: make(map[string]*Table, len(snap.Tables))}
 	for _, ts := range snap.Tables {
@@ -86,38 +64,11 @@ func Load(path string) (*DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mscopedb: load %s: %w", path, err)
 		}
-		t.data = ts.Data
-		t.rows = ts.Rows
-		// Guard against truncated column data.
-		for i, cd := range t.data {
-			n := len(cd.Ints) + len(cd.Floats) + len(cd.Times) + len(cd.Strs)
-			if n != ts.Rows {
-				return nil, fmt.Errorf("mscopedb: load %s: table %s column %s has %d values for %d rows",
-					path, ts.Name, ts.Cols[i].Name, n, ts.Rows)
-			}
-		}
+		t.data, t.rows = ts.Data, ts.Rows
 		db.tables[ts.Name] = t
 	}
-	// A loaded warehouse must still have its static tables.
-	for _, name := range []string{TableExperiments, TableNodes, TableMonitors, TableIngests} {
-		if _, ok := db.tables[name]; !ok {
-			return nil, fmt.Errorf("mscopedb: load %s: static table %s missing", path, name)
-		}
-	}
-	// Rebuild the latest-offset and latest-rows maps from the persisted
-	// ledger: rows are append-ordered, so the last row per file wins.
-	db.ingestOff = make(map[string]int64)
-	db.ingestRows = make(map[string]int64)
-	if t := db.tables[TableIngests]; t != nil {
-		fi, oi, ri := t.ColIndex("file"), t.ColIndex("offset"), t.ColIndex("rows")
-		if fi >= 0 && oi >= 0 {
-			for r := 0; r < t.Rows(); r++ {
-				db.ingestOff[t.Str(fi, r)] = t.Int(oi, r)
-				if ri >= 0 {
-					db.ingestRows[t.Str(fi, r)] = t.Int(ri, r)
-				}
-			}
-		}
+	if err := db.loadLedger(); err != nil {
+		return nil, fmt.Errorf("mscopedb: load %s: %w", path, err)
 	}
 	return db, nil
 }

@@ -154,7 +154,11 @@ func (q *Query) Rows() (*Result, error) {
 			res.idx[i] = i
 		}
 	} else {
-		res.idx = q.candidates()
+		for r := 0; r < q.t.rows; r++ { // as matchRows filters a store's tail
+			if matchRow(q.t.cols, q.t.data, r, q.preds) {
+				res.idx = append(res.idx, r)
+			}
+		}
 	}
 	if q.sort >= 0 {
 		d, err := res.col(q.sort)
@@ -185,70 +189,6 @@ func (q *Query) Rows() (*Result, error) {
 		res.idx = res.idx[:q.limit]
 	}
 	return res, nil
-}
-
-// candidates returns the matching row numbers in table order. When the
-// predicates contain a lo <= col <= hi pair on an indexable column — the
-// shape Between and every window query produce — the sorted column index
-// narrows the scan to the candidate range by binary search; every
-// predicate is still applied to every candidate, so the result is exactly
-// the full scan's.
-func (q *Query) candidates() []int {
-	t := q.t
-	if ci, lo, hi, ok := q.rangePair(); ok {
-		if ix := t.sortedIndex(ci); ix != nil {
-			return q.indexScan(ix, lo, hi)
-		}
-	}
-	var idx []int
-	for r := 0; r < t.rows; r++ {
-		if matchRow(t.cols, t.data, r, q.preds) {
-			idx = append(idx, r)
-		}
-	}
-	return idx
-}
-
-// rangePair finds an OpGe + OpLe predicate pair on one int- or time-typed
-// column.
-func (q *Query) rangePair() (ci int, lo, hi float64, ok bool) {
-	for _, p := range q.preds {
-		if p.isStr || p.op != OpGe {
-			continue
-		}
-		switch q.t.cols[p.col].Type {
-		case TInt, TTime:
-		default:
-			continue
-		}
-		for _, p2 := range q.preds {
-			if !p2.isStr && p2.op == OpLe && p2.col == p.col {
-				return p.col, p.num, p2.num, true
-			}
-		}
-	}
-	return -1, 0, 0, false
-}
-
-// indexScan collects the rows inside [lo, hi] from the sorted index,
-// restores table order, and re-applies the full predicate list.
-func (q *Query) indexScan(ix *colIndex, lo, hi float64) []int {
-	t := q.t
-	var idx []int
-	for k := sort.SearchFloat64s(ix.vals, lo); k < len(ix.vals); k++ {
-		if ix.vals[k] > hi {
-			break
-		}
-		idx = append(idx, int(ix.perm[k]))
-	}
-	sort.Ints(idx)
-	out := idx[:0]
-	for _, r := range idx {
-		if matchRow(t.cols, t.data, r, q.preds) {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Result is a row selection. Its methods read whole typed columns; on a

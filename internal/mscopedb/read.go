@@ -34,6 +34,13 @@ func (c *Chunk) Rows() int { return c.rows }
 // Ints returns projected column i, which must be an int column.
 func (c *Chunk) Ints(i int) []int64 { return c.data[i].Ints }
 
+// Floats returns projected column i, which must be a float column.
+func (c *Chunk) Floats(i int) []float64 { return c.data[i].Floats }
+
+// Times returns projected column i, which must be a time column, as
+// microsecond epochs.
+func (c *Chunk) Times(i int) []int64 { return c.data[i].Times }
+
 // Strs returns projected column i, which must be a string column.
 func (c *Chunk) Strs(i int) []string { return c.data[i].Strs }
 
@@ -84,9 +91,9 @@ func (c *Chunk) gather(proj []int, data []colData, rows []int32) {
 	c.rows += len(rows)
 }
 
-// layout is one consistent snapshot of a spill-backed table's physical
-// layout: segment list, seal boundary and tail slice headers move together
-// under the seal lock.
+// layout is one consistent snapshot of a table's physical layout: segment
+// list, seal boundary and tail slice headers move together under the seal
+// lock. A table no store backs is all tail.
 type layout struct {
 	segs   []sealedSeg
 	sealed int
@@ -96,6 +103,9 @@ type layout struct {
 
 func (t *Table) layout() layout {
 	sp := t.seal
+	if sp == nil {
+		return layout{tail: t.data, rows: t.rows}
+	}
 	sp.mu.RLock()
 	defer sp.mu.RUnlock()
 	return layout{
@@ -129,9 +139,6 @@ func (t *Table) Scan(cols []string, fn func(*Chunk) error) error {
 		c.rows = hi - lo
 		delivered += c.rows
 		return fn(c)
-	}
-	if t.seal == nil {
-		return emit(t.data, 0, t.rows)
 	}
 	lay := t.layout()
 	segs, refreshed := lay.segs, false
@@ -321,17 +328,11 @@ func (t *Table) Lookup(col string, vals []string, cols []string) (*Chunk, error)
 	for _, v := range vals {
 		set[v] = true
 	}
-	var out *Chunk
-	var err error
-	if t.seal == nil {
-		var proj []int
-		if out, proj, err = t.newChunk(cols); err == nil {
-			out.gather(proj, t.data, matchStrs(t.data[ki].Strs[:t.rows], set))
-		}
-	} else if out, err = t.lookupSealed(ki, vals, set, cols); err != nil && errors.Is(err, fs.ErrNotExist) {
+	out, err := t.lookupOnce(ki, vals, set, cols)
+	if err != nil && errors.Is(err, fs.ErrNotExist) {
 		// A segment compacted away under the snapshot: once more, against
 		// the fresh list.
-		out, err = t.lookupSealed(ki, vals, set, cols)
+		out, err = t.lookupOnce(ki, vals, set, cols)
 	}
 	if err != nil {
 		return nil, err
@@ -340,18 +341,18 @@ func (t *Table) Lookup(col string, vals []string, cols []string) (*Chunk, error)
 	return out, nil
 }
 
-// lookupSealed is Lookup over one snapshot of a spill-backed table. Each
+// lookupOnce is Lookup over one snapshot of the table's layout. Each
 // segment index it has to build is a mscopedb/index span of its own, so
 // the self-trace tells a cold lookup from a warm one.
-func (t *Table) lookupSealed(ki int, vals []string, set map[string]bool, cols []string) (*Chunk, error) {
+func (t *Table) lookupOnce(ki int, vals []string, set map[string]bool, cols []string) (*Chunk, error) {
 	out, proj, err := t.newChunk(cols)
 	if err != nil {
 		return nil, err
 	}
-	st := t.seal.store
 	lay := t.layout()
 	var cand []int32
 	for _, ss := range lay.segs {
+		st := t.seal.store
 		var img *segImage
 		key := lookupKey{file: ss.meta.File, col: ki}
 		keys := st.lookups.get(key)

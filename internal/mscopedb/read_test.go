@@ -218,6 +218,18 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add(flip, byte(0b10000))
 	f.Add(img[:len(img)-3], byte(0b00001))
 	f.Add([]byte("MSEG1\x00"), byte(0))
+	// A tail file as a checkpoint builds it, two images in one buffer: the
+	// second image on its own is a segment, the file as a whole is not.
+	var tails bytes.Buffer
+	if _, err := appendSegment(&tails, "other", cols[:1], data[:1], 3); err != nil {
+		f.Fatal(err)
+	}
+	at := tails.Len()
+	if _, err := appendSegment(&tails, "ev", cols, data, 5); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tails.Bytes()[at:], byte(0b11111))
+	f.Add(tails.Bytes(), byte(0b00001))
 	f.Fuzz(func(t *testing.T, raw []byte, mask byte) {
 		for _, b := range [][]byte{raw, reseal(raw)} {
 			full, rows, fullErr := decodeSegment(b, "ev", cols)
@@ -461,7 +473,7 @@ func TestUnreadableSegmentIsAnErrorNamingTheFile(t *testing.T) {
 	if err := sdb.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	dir := sdb.SpillDir()
+	dir := sdb.store.dir
 	db, err := OpenDir(dir, tinyStore(64))
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,8 @@ var (
 // segments no zone map excludes) and records which rows matched; any other
 // column is gathered from the retained segment images, for the matching
 // rows only, the first time a Result method asks for it. The matches, in
-// global append order (sealed segments first, tail last — the order
-// candidates() yields on an in-memory table), are the rows of an ephemeral
+// global append order (sealed segments first, tail last — table order, as
+// on an in-memory table), are the rows of an ephemeral
 // in-memory view table, so everything downstream of Rows() runs on plain
 // typed slices.
 type spillScan struct {

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"github.com/gt-elba/milliscope/internal/selfobs"
 )
 
 // sealedPart is the on-disk half of a spill-enabled table: the ordered
@@ -235,6 +237,7 @@ func (t *Table) spillFull() error {
 // write lock so concurrent readers always see a consistent mapping.
 func (t *Table) spillChunk(n int) error {
 	sp := t.seal
+	obs := selfobs.Begin(selfobs.PipeDB, "seal", "-", t.name)
 	img, zones, err := encodeSegment(t.name, t.cols, t.data, n)
 	if err != nil {
 		return err
@@ -244,6 +247,8 @@ func (t *Table) spillChunk(n int) error {
 		return err
 	}
 	meta := segMeta{File: file, Rows: n, Bytes: int64(len(img)), Zones: zones}
+	ctrSegBytes.Add(meta.Bytes)
+	obs.End(int64(n), 0)
 
 	// Copy the tail remainder into fresh slices: re-slicing would pin the
 	// spilled prefix's backing array forever, defeating the memory bound.
@@ -268,7 +273,6 @@ func (t *Table) spillChunk(n int) error {
 	sp.rows += n
 	t.data = rest
 	sp.mu.Unlock()
-	t.dropAllIndexes()
 	return nil
 }
 
@@ -373,38 +377,4 @@ func appendCol(dst, src *colData, typ Type, rows []int32) {
 			}
 		}
 	}
-}
-
-// fullData materializes the complete column data — sealed segments plus
-// tail — for the legacy gob Save path. Value-for-value identical to what
-// an in-memory ingest of the same rows would hold, so the gob images
-// match byte for byte (the migration round-trip test pins this).
-func (t *Table) fullData() ([]colData, error) {
-	if t.seal == nil {
-		return t.data, nil
-	}
-	names := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		names[i] = c.Name
-	}
-	full := make([]colData, len(t.cols))
-	err := t.Scan(names, func(ch *Chunk) error {
-		for ci := range full {
-			appendCol(&full[ci], &ch.data[ci], t.cols[ci].Type, nil)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("mscopedb: materialize %s: %w", t.name, err)
-	}
-	return full, nil
-}
-
-// dropAllIndexes discards every cached sorted index (spill renumbers
-// nothing, but the index holds tail-relative coordinates only for
-// unsealed tables; sealed tables never index — see sortedIndex).
-func (t *Table) dropAllIndexes() {
-	t.idxMu.Lock()
-	t.idx = nil
-	t.idxMu.Unlock()
 }

@@ -59,8 +59,16 @@ type zoneMap struct {
 // encodeSegment serializes rows [0, n) of the given column data under the
 // schema and returns the file image plus the per-column zone maps.
 func encodeSegment(table string, cols []Column, data []colData, n int) ([]byte, []zoneMap, error) {
+	var out bytes.Buffer
+	zones, err := appendSegment(&out, table, cols, data, n)
+	return out.Bytes(), zones, err
+}
+
+// appendSegment is encodeSegment onto the end of out, which may already
+// hold other images: a tail file is several, one after another.
+func appendSegment(out *bytes.Buffer, table string, cols []Column, data []colData, n int) ([]zoneMap, error) {
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("mscopedb: segment of %s with %d rows", table, n)
+		return nil, fmt.Errorf("mscopedb: segment of %s with %d rows", table, n)
 	}
 	zones := make([]zoneMap, len(cols))
 	blocks := make([][]byte, len(cols))
@@ -83,7 +91,7 @@ func encodeSegment(table string, cols []Column, data []colData, n int) ([]byte, 
 		case TString:
 			blocks[i], encs[i], err = encodeStrings(data[i].Strs[:n])
 			if err != nil {
-				return nil, nil, fmt.Errorf("mscopedb: segment %s.%s: %w", table, c.Name, err)
+				return nil, fmt.Errorf("mscopedb: segment %s.%s: %w", table, c.Name, err)
 			}
 		}
 	}
@@ -107,19 +115,19 @@ func encodeSegment(table string, cols []Column, data []colData, n int) ([]byte, 
 		}
 	}
 
-	var out bytes.Buffer
+	start := out.Len()
 	out.Write(segMagic)
-	putUvarint(&out, uint64(hdr.Len()))
+	putUvarint(out, uint64(hdr.Len()))
 	out.Write(hdr.Bytes())
 	for _, blk := range blocks {
-		putUvarint(&out, uint64(len(blk)))
+		putUvarint(out, uint64(len(blk)))
 		out.Write(blk)
 	}
 	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(out.Bytes()))
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(out.Bytes()[start:]))
 	out.Write(crc[:])
 	out.Write(segEndMagic)
-	return out.Bytes(), zones, nil
+	return zones, nil
 }
 
 // SegmentError reports a committed segment file that could not be read

@@ -1,8 +1,7 @@
 package mscopedb
 
 import (
-	"bufio"
-	"encoding/gob"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,13 +15,17 @@ import (
 	"sync/atomic"
 
 	"github.com/gt-elba/milliscope/internal/retry"
+	"github.com/gt-elba/milliscope/internal/selfobs"
 )
 
 // The on-disk warehouse layout: a dedicated directory holding immutable
-// segment files (seg-<seq>-<table>.seg), one tail snapshot
-// (tail-<seq>.gob) with every table's unsealed suffix, and MANIFEST.json.
-// The manifest rename is the single commit point — it names the tail file
-// and every segment, all written at one consistent cut across all tables
+// segment files (seg-<seq>-<table>.seg), one tail file (tail-<seq>.seg: the
+// unsealed suffix of every table that has one, each as a segment image, one
+// after another in manifest order) and MANIFEST.json, which carries every
+// table's schema, segments and the size of its tail image. Every byte
+// outside the manifest lies inside a checksummed segment image. The
+// manifest rename is the single commit point — it names the tail file and
+// every segment, all written at one consistent cut across all tables
 // (including the mscope_ingests ledger), so a reopened warehouse never
 // sees data ahead of its provenance ledger or vice versa. Segments
 // spilled between checkpoints are durable but uncommitted; reopen deletes
@@ -30,7 +33,7 @@ import (
 // ledger re-drives the lost suffix.
 const (
 	manifestName    = "MANIFEST.json"
-	manifestVersion = 1
+	manifestVersion = 2
 )
 
 // StoreOptions tunes the segment store. Zero values take defaults.
@@ -59,8 +62,8 @@ func (o StoreOptions) withDefaults() StoreOptions {
 	return o
 }
 
-// Store is the on-disk half of a spill-enabled warehouse: it owns the
-// directory, allocates segment sequence numbers, and serializes the
+// Store is the on-disk half of a warehouse: it owns the directory,
+// allocates segment sequence numbers, and serializes the
 // checkpoint/compaction commit protocol.
 type Store struct {
 	dir  string
@@ -68,31 +71,35 @@ type Store struct {
 	seq  atomic.Uint64 // last allocated sequence number
 
 	mu       sync.Mutex // serializes checkpoint, compaction, manifest writes
-	tailFile string     // committed tail snapshot, "" before first checkpoint
+	tailFile string     // committed tail file, "" when no table had a tail
 	orphans  []string   // superseded files, deleted after the next commit
 
 	lookups lookupCache // per-segment hash indexes behind Table.Lookup
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // fsRetry bounds retries around the transient filesystem steps of the
 // commit protocol (create/rename during rotation, EMFILE). Swappable for
-// fault-injection tests, like persist.go's saveRetry.
+// fault-injection tests.
 var fsRetry = retry.Default
 
 // manifest is the committed snapshot descriptor.
 type manifest struct {
 	Version int        `json:"version"`
 	Seq     uint64     `json:"seq"`
-	Tail    string     `json:"tail"`
+	Tail    string     `json:"tail,omitempty"`
 	Tables  []manTable `json:"tables"`
 }
 
+// manTable is one table of the manifest. Its tail image is TailBytes long
+// and follows those of the tables before it in the tail file; a table with
+// no unsealed rows has none. A version-1 manifest has neither the schema
+// nor the tail fields: both come from its gob tail snapshot.
 type manTable struct {
-	Name     string    `json:"name"`
-	Segments []segMeta `json:"segments,omitempty"`
+	Name      string    `json:"name"`
+	Cols      []Column  `json:"cols"`
+	Segments  []segMeta `json:"segments,omitempty"`
+	TailRows  int       `json:"tail_rows,omitempty"`
+	TailBytes int       `json:"tail_bytes,omitempty"`
 }
 
 // segMeta describes one committed (or about-to-commit) segment file. The
@@ -105,22 +112,11 @@ type segMeta struct {
 	Zones []zoneMap `json:"zones"`
 }
 
-// Spilled reports whether the warehouse is backed by an on-disk store.
-func (db *DB) Spilled() bool { return db.store != nil }
-
-// SpillDir returns the store directory, or "" for an in-memory warehouse.
-func (db *DB) SpillDir() string {
-	if db.store == nil {
-		return ""
-	}
-	return db.store.dir
-}
-
-// OpenDir opens (or initializes) a spill-backed warehouse in dir: the
-// durable sibling of Open. A directory with a manifest reopens to exactly
-// its last checkpointed state — uncommitted segment files and torn temp
-// files from a crash are swept — and a fresh directory starts an empty
-// warehouse whose ingest paths spill sealed segments as they fill.
+// OpenDir opens (or initializes) the warehouse in dir. A directory with a
+// manifest reopens to exactly its last checkpointed state — uncommitted
+// segment files and torn temp files from a crash are swept — and a fresh
+// directory starts an empty warehouse whose ingest paths spill sealed
+// segments as they fill.
 func OpenDir(dir string, opts StoreOptions) (*DB, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -143,88 +139,107 @@ func OpenDir(dir string, opts StoreOptions) (*DB, error) {
 	if err := json.Unmarshal(raw, &man); err != nil {
 		return nil, fmt.Errorf("mscopedb: %s: corrupt manifest: %w", dir, err)
 	}
-	if man.Version != manifestVersion {
-		return nil, fmt.Errorf("mscopedb: %s: manifest version %d, want %d", dir, man.Version, manifestVersion)
+	var tails [][]colData // each manifest table's unsealed rows
+	switch man.Version {
+	case 1:
+		tails, err = st.readGobTail(&man)
+	case manifestVersion:
+		tails, err = st.readTails(&man)
+	default:
+		err = fmt.Errorf("manifest version %d, want %d", man.Version, manifestVersion)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("mscopedb: %s: %w", dir, err)
 	}
 	st.seq.Store(man.Seq)
 	st.tailFile = man.Tail
 
-	// The tail snapshot carries every table's schema and unsealed suffix.
-	tf, err := os.Open(filepath.Join(dir, man.Tail))
-	if err != nil {
-		return nil, fmt.Errorf("mscopedb: %s: tail snapshot: %w", dir, err)
-	}
-	var snap dbSnapshot
-	derr := gob.NewDecoder(bufio.NewReaderSize(tf, 1<<20)).Decode(&snap)
-	tf.Close()
-	if derr != nil {
-		return nil, fmt.Errorf("mscopedb: %s: decode tail %s: %w", dir, man.Tail, derr)
-	}
-
-	segsOf := make(map[string][]segMeta, len(man.Tables))
-	for _, mt := range man.Tables {
-		segsOf[mt.Name] = mt.Segments
-	}
-	db := &DB{
-		tables:     make(map[string]*Table, len(snap.Tables)),
-		ingestOff:  make(map[string]int64),
-		ingestRows: make(map[string]int64),
-	}
-	for _, ts := range snap.Tables {
-		t, err := NewTable(ts.Name, ts.Cols)
+	db := &DB{tables: make(map[string]*Table, len(man.Tables)), store: st}
+	for i, mt := range man.Tables {
+		t, err := NewTable(mt.Name, mt.Cols)
 		if err != nil {
 			return nil, fmt.Errorf("mscopedb: %s: %w", dir, err)
 		}
-		t.data = ts.Data
-		for i, cd := range t.data {
-			n := len(cd.Ints) + len(cd.Floats) + len(cd.Times) + len(cd.Strs)
-			if n != ts.Rows {
-				return nil, fmt.Errorf("mscopedb: %s: table %s column %s has %d tail values for %d rows",
-					dir, ts.Name, ts.Cols[i].Name, n, ts.Rows)
-			}
-		}
+		t.data = tails[i]
 		sp := &sealedPart{store: st}
-		start := 0
-		for _, sm := range segsOf[ts.Name] {
-			if len(sm.Zones) != len(ts.Cols) {
+		for _, sm := range mt.Segments {
+			if len(sm.Zones) != len(mt.Cols) {
 				return nil, fmt.Errorf("mscopedb: %s: segment %s has %d zones for %d columns",
-					dir, sm.File, len(sm.Zones), len(ts.Cols))
+					dir, sm.File, len(sm.Zones), len(mt.Cols))
 			}
-			sp.segs = append(sp.segs, sealedSeg{meta: sm, start: start})
-			start += sm.Rows
+			sp.segs = append(sp.segs, sealedSeg{meta: sm, start: sp.rows})
+			sp.rows += sm.Rows
 		}
-		sp.rows = start
 		t.seal = sp
-		t.rows = start + ts.Rows
-		db.tables[ts.Name] = t
-		delete(segsOf, ts.Name)
+		t.rows = sp.rows + mt.TailRows
+		db.tables[mt.Name] = t
 	}
-	for name := range segsOf {
-		return nil, fmt.Errorf("mscopedb: %s: manifest table %s missing from tail snapshot", dir, name)
-	}
-	for _, name := range []string{TableExperiments, TableNodes, TableMonitors, TableIngests} {
-		if _, ok := db.tables[name]; !ok {
-			return nil, fmt.Errorf("mscopedb: %s: static table %s missing", dir, name)
-		}
-	}
-	db.store = st
 	if err := st.sweep(&man); err != nil {
 		return nil, err
 	}
-	// Rebuild the latest-offset maps from the persisted ledger (reads
-	// through the seal-aware accessors; the last row per file wins).
-	if t := db.tables[TableIngests]; t != nil {
-		fi, oi, ri := t.ColIndex("file"), t.ColIndex("offset"), t.ColIndex("rows")
-		if fi >= 0 && oi >= 0 {
-			for r := 0; r < t.Rows(); r++ {
-				db.ingestOff[t.Str(fi, r)] = t.Int(oi, r)
-				if ri >= 0 {
-					db.ingestRows[t.Str(fi, r)] = t.Int(ri, r)
-				}
-			}
-		}
+	if err := db.loadLedger(); err != nil {
+		return nil, fmt.Errorf("mscopedb: %s: %w", dir, err)
 	}
 	return db, nil
+}
+
+// readTails decodes the tail file into each table's unsealed rows. Every
+// failure is a SegmentError naming the file: a tail image is read back
+// through the checks any segment is.
+func (s *Store) readTails(man *manifest) ([][]colData, error) {
+	var raw []byte
+	if man.Tail != "" {
+		var err error
+		if raw, err = os.ReadFile(filepath.Join(s.dir, man.Tail)); err != nil {
+			return nil, &SegmentError{File: man.Tail, Err: err}
+		}
+	}
+	tails := make([][]colData, len(man.Tables))
+	for i, mt := range man.Tables {
+		tails[i] = make([]colData, len(mt.Cols))
+		if mt.TailRows == 0 {
+			continue
+		}
+		// A size the file cannot hold leaves an image that fails its checks.
+		size := min(len(raw), max(mt.TailBytes, 0))
+		img, err := parseSegment(raw[:size], mt.Name, mt.Cols)
+		if err == nil && img.rows != mt.TailRows {
+			err = fmt.Errorf("%d tail rows of %s, manifest says %d", img.rows, mt.Name, mt.TailRows)
+		}
+		for ci := 0; err == nil && ci < len(mt.Cols); ci++ {
+			tails[i][ci], err = img.column(ci, nil)
+		}
+		if err != nil {
+			return nil, &SegmentError{File: man.Tail, Err: err}
+		}
+		raw = raw[size:]
+	}
+	if len(raw) != 0 {
+		return nil, &SegmentError{File: man.Tail, Err: fmt.Errorf("%d bytes past the last tail image", len(raw))}
+	}
+	return tails, nil
+}
+
+// readGobTail is readTails for a version-1 directory, whose tail snapshot
+// also carries the schemas: it fills them into the manifest. Both list
+// every table, in name order.
+func (s *Store) readGobTail(man *manifest) ([][]colData, error) {
+	snap, err := readSnapshot(filepath.Join(s.dir, man.Tail))
+	if err != nil {
+		return nil, fmt.Errorf("tail snapshot: %w", err)
+	}
+	if len(snap.Tables) != len(man.Tables) {
+		return nil, fmt.Errorf("tail snapshot %s holds %d tables, manifest %d", man.Tail, len(snap.Tables), len(man.Tables))
+	}
+	tails := make([][]colData, len(man.Tables))
+	for i, ts := range snap.Tables {
+		mt := &man.Tables[i]
+		if ts.Name != mt.Name {
+			return nil, fmt.Errorf("tail snapshot %s holds table %s where the manifest has %s", man.Tail, ts.Name, mt.Name)
+		}
+		mt.Cols, mt.TailRows, tails[i] = ts.Cols, ts.Rows, ts.Data
+	}
+	return tails, nil
 }
 
 // attach wires a store into a warehouse, sealing every existing table.
@@ -236,9 +251,9 @@ func (db *DB) attach(st *Store) {
 }
 
 // AttachStore converts an in-memory warehouse (Open or the legacy gob
-// Load) into a spill-backed one rooted at an empty directory — the
-// migration path of `mscope migrate-db`. The data is not written until
-// the first Checkpoint.
+// Load) into a stored one rooted at an empty directory — the migration
+// path of `mscope migrate-db`. The data is not written until the first
+// Checkpoint.
 func (db *DB) AttachStore(dir string, opts StoreOptions) error {
 	if db.store != nil {
 		return fmt.Errorf("mscopedb: warehouse already has a store at %s", db.store.dir)
@@ -256,10 +271,10 @@ func (db *DB) AttachStore(dir string, opts StoreOptions) error {
 }
 
 // Checkpoint commits the warehouse: full segments are carved from every
-// table's tail, the remaining tails are snapshotted, and the manifest is
-// atomically replaced. On return, a crash (or kill -9) loses nothing
-// recorded before the call. A no-op on in-memory warehouses, so ingest
-// paths call it unconditionally.
+// table's tail, the remaining tails are written as one file of segment
+// images, and the manifest is atomically replaced. On return, a crash (or
+// kill -9) loses nothing recorded before the call. A no-op on in-memory
+// warehouses, so ingest paths call it unconditionally.
 func (db *DB) Checkpoint() error {
 	if db.store == nil {
 		return nil
@@ -269,10 +284,18 @@ func (db *DB) Checkpoint() error {
 	return db.checkpointLocked()
 }
 
+// Self-telemetry of the write path: one span per commit and per segment
+// carved, and the bytes each put on disk.
+var (
+	ctrTailBytes = selfobs.NewCounter(selfobs.PipeDB, "checkpoint", "tail_bytes")
+	ctrSegBytes  = selfobs.NewCounter(selfobs.PipeDB, "seal", "segment_bytes")
+)
+
 // checkpointLocked is Checkpoint with store.mu held (compaction commits
 // through it too).
 func (db *DB) checkpointLocked() error {
 	st := db.store
+	obs := selfobs.Begin(selfobs.PipeDB, "checkpoint", "-", "-")
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	names := make([]string, 0, len(db.tables))
@@ -281,9 +304,10 @@ func (db *DB) checkpointLocked() error {
 	}
 	sort.Strings(names)
 
-	// Carve any full chunks still in memory, then snapshot the tails.
-	var snap dbSnapshot
-	man := manifest{Version: manifestVersion, Tail: ""}
+	// Carve any full chunks still in memory, then encode the tails.
+	var tails bytes.Buffer
+	tailRows := 0
+	man := manifest{Version: manifestVersion}
 	for _, name := range names {
 		t := db.tables[name]
 		if err := t.spillFull(); err != nil {
@@ -291,29 +315,30 @@ func (db *DB) checkpointLocked() error {
 		}
 		sp := t.seal
 		sp.mu.RLock()
-		tailRows := t.rows - sp.rows
-		snap.Tables = append(snap.Tables, tableSnapshot{
-			Name: t.name, Cols: t.cols, Data: t.data, Rows: tailRows,
-		})
-		mt := manTable{Name: t.name}
+		mt := manTable{Name: t.name, Cols: t.cols, TailRows: t.rows - sp.rows}
+		data := t.data
 		for _, ss := range sp.segs {
 			mt.Segments = append(mt.Segments, ss.meta)
 		}
 		sp.mu.RUnlock()
+		if mt.TailRows > 0 {
+			at := tails.Len()
+			if _, err := appendSegment(&tails, t.name, mt.Cols, data, mt.TailRows); err != nil {
+				return err
+			}
+			mt.TailBytes = tails.Len() - at
+			tailRows += mt.TailRows
+		}
 		man.Tables = append(man.Tables, mt)
 	}
 
-	tailName := fmt.Sprintf("tail-%08d.gob", st.seq.Add(1))
-	var buf strings.Builder
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(snap); err != nil {
-		return fmt.Errorf("mscopedb: encode tail snapshot: %w", err)
+	man.Seq = st.seq.Add(1)
+	if tails.Len() > 0 {
+		man.Tail = fmt.Sprintf("tail-%08d.seg", man.Seq)
+		if err := st.writeAtomic(man.Tail, tails.Bytes()); err != nil {
+			return err
+		}
 	}
-	if err := st.writeAtomic(tailName, []byte(buf.String())); err != nil {
-		return err
-	}
-	man.Seq = st.seq.Load()
-	man.Tail = tailName
 	mj, err := json.MarshalIndent(&man, "", " ")
 	if err != nil {
 		return fmt.Errorf("mscopedb: encode manifest: %w", err)
@@ -322,14 +347,16 @@ func (db *DB) checkpointLocked() error {
 		return err
 	}
 	// Committed: the previous tail and any superseded segments are garbage.
-	if st.tailFile != "" && st.tailFile != tailName {
+	if st.tailFile != "" {
 		st.orphans = append(st.orphans, st.tailFile)
 	}
-	st.tailFile = tailName
+	st.tailFile = man.Tail
 	for _, f := range st.orphans {
 		os.Remove(filepath.Join(st.dir, f))
 	}
 	st.orphans = nil
+	ctrTailBytes.Add(int64(tails.Len()))
+	obs.End(int64(tailRows), 0)
 	return nil
 }
 

@@ -1,14 +1,19 @@
 package mscopedb
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 	"unsafe"
+
+	"github.com/gt-elba/milliscope/internal/retry"
+	"github.com/gt-elba/milliscope/internal/selfobs"
 )
 
 // tinyStore returns options that force spilling after a handful of rows,
@@ -238,7 +243,7 @@ func TestTornTempFilesSwept(t *testing.T) {
 	}
 	// A crash mid-write leaves torn temp files and a half-written segment
 	// that no manifest references; reopen must sweep all of them.
-	for _, junk := range []string{"MANIFEST.json.tmp", "tail-99999999.gob.tmp", "seg-99999999-ev.seg"} {
+	for _, junk := range []string{"MANIFEST.json.tmp", "tail-99999999.seg.tmp", "tail-99999998.seg", "seg-99999999-ev.seg"} {
 		if err := os.WriteFile(filepath.Join(dir, junk), []byte("torn"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +252,7 @@ func TestTornTempFilesSwept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, junk := range []string{"MANIFEST.json.tmp", "tail-99999999.gob.tmp", "seg-99999999-ev.seg"} {
+	for _, junk := range []string{"MANIFEST.json.tmp", "tail-99999999.seg.tmp", "tail-99999998.seg", "seg-99999999-ev.seg"} {
 		if _, err := os.Stat(filepath.Join(dir, junk)); !os.IsNotExist(err) {
 			t.Fatalf("%s survived reopen", junk)
 		}
@@ -604,123 +609,177 @@ func TestWidenAndAddColumnUnspill(t *testing.T) {
 	assertTableEqual(t, tbl, got)
 }
 
-func TestSaveMaterializesSpilledTables(t *testing.T) {
-	dir := t.TempDir()
-	spilled, err := OpenDir(dir, tinyStore(8))
+// tailFiles lists the store's tail files.
+func tailFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "tail-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := Open()
-	for _, db := range []*DB{spilled, mem} {
-		fillEvents(t, db, "ev", 0, 100)
-		if err := db.RecordIngestAt("ev", "/logs/a.csv", 100, 512, time.Unix(42, 0).UTC()); err != nil {
+	return files
+}
+
+// TestTailCorruptionIsAnError: a flipped byte anywhere in the committed
+// tail file is a SegmentError naming it at reopen, never a warehouse.
+func TestTailCorruptionIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillEvents(t, db, "ev", 0, 300) // every table sits below SealRows
+	if err := db.RecordIngestAt("ev", "/logs/a.csv", 300, 4096, time.Unix(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*")); len(segs) != 0 {
+		t.Fatalf("%d segments; the test wants every row in the tail", len(segs))
+	}
+	tails := tailFiles(t, dir)
+	if len(tails) != 1 {
+		t.Fatalf("tail files %v, want one", tails)
+	}
+	clean, err := os.ReadFile(tails[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDir(dir, StoreOptions{}); err != nil {
+		t.Fatalf("clean reopen: %v", err)
+	}
+	for _, at := range []int{len(clean) / 3, len(clean) / 2, len(clean) - 7} {
+		bad := append([]byte(nil), clean...)
+		bad[at] ^= 0x01
+		if err := os.WriteFile(tails[0], bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		_, err := OpenDir(dir, StoreOptions{})
+		var seg *SegmentError
+		if !errors.As(err, &seg) || seg.File != filepath.Base(tails[0]) {
+			t.Fatalf("byte %d of %d flipped: reopen returned %v, want a SegmentError naming %s",
+				at, len(clean), err, filepath.Base(tails[0]))
+		}
 	}
-	if err := spilled.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	spillGob := filepath.Join(t.TempDir(), "spill.db")
-	memGob := filepath.Join(t.TempDir(), "mem.db")
-	if err := spilled.Save(spillGob); err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.Save(memGob); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(spillGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(memGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("gob from spilled warehouse differs from in-memory gob (%d vs %d bytes)", len(a), len(b))
+	// A tail that lost its last bytes, or gained some, is one too.
+	for _, bad := range [][]byte{clean[:len(clean)-1], append(append([]byte(nil), clean...), 0)} {
+		if err := os.WriteFile(tails[0], bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var seg *SegmentError
+		if _, err := OpenDir(dir, StoreOptions{}); !errors.As(err, &seg) {
+			t.Fatalf("%d-byte tail of %d: reopen returned %v", len(bad), len(clean), err)
+		}
 	}
 }
 
-func TestMigrateGobToSegments(t *testing.T) {
-	// Legacy path: an in-memory ingest saved with gob.
-	mem := Open()
-	fillEvents(t, mem, "ev", 0, 120)
-	if err := mem.RecordIngestAt("ev", "/logs/a.csv", 120, 2048, time.Unix(7, 0).UTC()); err != nil {
-		t.Fatal(err)
-	}
-	gobPath := filepath.Join(t.TempDir(), "w.db")
-	if err := mem.Save(gobPath); err != nil {
-		t.Fatal(err)
-	}
-
-	// Migration: Load + AttachStore + Checkpoint, then reopen from disk.
-	loaded, err := Load(gobPath)
+// TestCrashBetweenTailAndManifestReopensToPreviousCommit: the manifest
+// rename is the commit point, so a checkpoint that wrote its tail file and
+// then died leaves the previous commit, whole.
+func TestCrashBetweenTailAndManifestReopensToPreviousCommit(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir, tinyStore(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := loaded.AttachStore(dir, tinyStore(16)); err != nil {
+	fillEvents(t, db, "ev", 0, 40)
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.Checkpoint(); err != nil {
+	committed := tailFiles(t, dir)
+	// The manifest's temp file cannot be created, so the second checkpoint
+	// stops where a kill would: new tail durable, manifest untouched.
+	blocker := blockManifest(t, dir)
+	fillEvents(t, db, "ev", 40, 30)
+	if err := db.Checkpoint(); err == nil {
+		t.Fatal("checkpoint succeeded without a manifest")
+	}
+	if now := tailFiles(t, dir); len(now) != 2 {
+		t.Fatalf("tail files %v, want the committed one and the orphan", now)
+	}
+	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
 	}
 	re, err := OpenDir(dir, tinyStore(16))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, err := re.Table("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := Open()
+	assertTableEqual(t, fillEvents(t, mem, "ev", 0, 40), got)
+	if now := tailFiles(t, dir); !slices.Equal(now, committed) {
+		t.Fatalf("tail files after reopen %v, want %v", now, committed)
+	}
+}
 
-	// Byte-identical query surface: every cell matches, and saving the
-	// migrated store back to gob reproduces the original file exactly.
-	wantT, _ := mem.Table("ev")
-	gotT, err := re.Table("ev")
-	if err != nil {
+// blockManifest makes the next manifest write fail at its create, until
+// the returned path is removed.
+func blockManifest(t *testing.T, dir string) string {
+	t.Helper()
+	blocker := filepath.Join(dir, manifestName+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if gotT.Segments() < 7 {
-		t.Fatalf("migration produced only %d segments", gotT.Segments())
-	}
-	assertTableEqual(t, wantT, gotT)
-	back := filepath.Join(t.TempDir(), "back.db")
-	if err := re.Save(back); err != nil {
-		t.Fatal(err)
-	}
-	orig, err := os.ReadFile(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := os.ReadFile(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(orig, rt) {
-		t.Fatalf("migrated gob differs from original (%d vs %d bytes)", len(rt), len(orig))
-	}
+	return blocker
+}
 
-	// Dictionary + delta must beat gob's footprint on disk.
-	var segBytes int64
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "seg-") {
-			fi, _ := e.Info()
-			segBytes += fi.Size()
-		}
-	}
-	gi, err := os.Stat(gobPath)
+// TestCheckpointRetriesTransientCreate injects a flaky fs under Checkpoint:
+// the manifest's first create fails, the retry lands it, and the transient
+// error never surfaces.
+func TestCheckpointRetriesTransientCreate(t *testing.T) {
+	orig := fsRetry
+	defer func() { fsRetry = orig }()
+	dir := t.TempDir()
+	db, err := OpenDir(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if segBytes >= gi.Size() {
-		t.Fatalf("segments (%d B) not smaller than gob (%d B)", segBytes, gi.Size())
+	if err := db.RecordIngestAt("t", "f.log", 7, 99, time.Unix(0, 0)); err != nil {
+		t.Fatal(err)
 	}
+	blocker := blockManifest(t, dir)
+	slept := 0
+	fsRetry = retry.Policy{Attempts: 4, Base: time.Millisecond, Sleep: func(time.Duration) {
+		slept++
+		os.Remove(blocker) // the "transient" condition clears during the first backoff
+	}}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint with one transient failure: %v", err)
+	}
+	if slept != 1 {
+		t.Errorf("backed off %d times, want 1", slept)
+	}
+	re, err := OpenDir(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off, ok := re.LatestIngestOffset("f.log"); !ok || off != 99 {
+		t.Errorf("LatestIngestOffset = %d,%v after the retried checkpoint, want 99,true", off, ok)
+	}
+}
 
-	// AttachStore refuses to double-attach or clobber an existing store.
-	if err := re.AttachStore(t.TempDir(), StoreOptions{}); err == nil {
-		t.Fatal("double attach accepted")
+// TestCheckpointPersistentFailureSurfaces proves the budget is bounded: a
+// permanently failing fs exhausts the attempts and the last error comes
+// back wrapped.
+func TestCheckpointPersistentFailureSurfaces(t *testing.T) {
+	orig := fsRetry
+	defer func() { fsRetry = orig }()
+	dir := t.TempDir()
+	db, err := OpenDir(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	fresh := Open()
-	if err := fresh.AttachStore(dir, StoreOptions{}); err == nil {
-		t.Fatal("attach over an existing manifest accepted")
+	blockManifest(t, dir)
+	slept := 0
+	fsRetry = retry.Policy{Attempts: 3, Base: time.Millisecond, Sleep: func(time.Duration) { slept++ }}
+	if err := db.Checkpoint(); !errors.Is(err, syscall.EISDIR) {
+		t.Fatalf("checkpoint error %v does not wrap the fs failure", err)
+	}
+	if slept != 2 {
+		t.Errorf("backed off %d times, want 2 between the full 3 attempts", slept)
 	}
 }
 
@@ -750,5 +809,56 @@ func TestDropOrphansSegments(t *testing.T) {
 	}
 	if re.HasTable("ev") {
 		t.Fatal("dropped table resurrected after checkpoint")
+	}
+}
+
+// TestWritePathSpans: a commit is one mscopedb/checkpoint span whose items
+// are the tail rows it wrote, each segment carved one mscopedb/seal span of
+// its rows, and the two byte counters add up to the files on disk.
+func TestWritePathSpans(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir, tinyStore(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := selfobs.Enable("write-path", time.Unix(0, 0))
+	defer selfobs.Disable()
+	fillEvents(t, db, "ev", 0, 40)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var seals, sealed, commits, tailRows, tailBytes, segBytes int64
+	for _, r := range col.Snapshot() {
+		switch r.Pipeline + "/" + r.Stage + "/" + r.Span {
+		case "mscopedb/seal/-":
+			seals, sealed = seals+1, sealed+r.Items
+		case "mscopedb/checkpoint/-":
+			commits, tailRows = commits+1, tailRows+r.Items
+		case "mscopedb/checkpoint/tail_bytes":
+			tailBytes = r.Items
+		case "mscopedb/seal/segment_bytes":
+			segBytes = r.Items
+		}
+	}
+	if seals != 2 || sealed != 32 || commits != 1 || tailRows != 8 {
+		t.Errorf("%d seal spans of %d rows and %d checkpoint spans of %d tail rows; want 2 of 32 and 1 of 8",
+			seals, sealed, commits, tailRows)
+	}
+	var tailDisk, segDisk int64
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case strings.HasPrefix(e.Name(), "seg-"):
+			segDisk += fi.Size()
+		case strings.HasPrefix(e.Name(), "tail-"):
+			tailDisk += fi.Size()
+		}
+	}
+	if tailBytes != tailDisk || segBytes != segDisk || tailBytes == 0 || segBytes == 0 {
+		t.Errorf("counters say %d tail and %d segment bytes, the directory holds %d and %d", tailBytes, segBytes, tailDisk, segDisk)
 	}
 }

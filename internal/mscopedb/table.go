@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/mxml"
@@ -63,13 +62,13 @@ func ParseType(s string) (Type, error) {
 
 // Column describes one table column.
 type Column struct {
-	Name string
-	Type Type
+	Name string `json:"name"`
+	Type Type   `json:"type"`
 }
 
 // colData holds one column's values; exactly one slice is used, selected
 // by the column type. Times are microsecond epochs. The unexported intern
-// state is skipped by gob and rebuilt lazily after Load.
+// state is rebuilt lazily on a reopened table.
 type colData struct {
 	Ints   []int64
 	Floats []float64
@@ -99,11 +98,6 @@ type Table struct {
 
 	// rowBuf is the reused typed row of the one-row appends.
 	rowBuf []Value
-
-	// idx caches sorted-order permutations per column for range scans;
-	// guarded by idxMu, invalidated by staleness checks against rows.
-	idxMu sync.Mutex
-	idx   map[int]*colIndex
 
 	// seal, when non-nil, makes the table spill-backed: rows [0, seal.rows)
 	// live in immutable on-disk segments and data holds only the in-memory
@@ -404,7 +398,6 @@ func (t *Table) Widen(col string, to Type) error {
 		return fmt.Errorf("mscopedb: %s.%s: cannot widen %v to %v", t.name, col, from, to)
 	}
 	t.cols[ci].Type = to
-	t.dropIndex(ci)
 	return nil
 }
 
@@ -472,7 +465,6 @@ func (t *Table) Retype(col string, to Type) error {
 	}
 	t.data[ci] = zeroColumn(to, t.rows)
 	t.cols[ci].Type = to
-	t.dropIndex(ci)
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"github.com/gt-elba/milliscope/internal/importer"
 	"github.com/gt-elba/milliscope/internal/logfmt"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
+	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 	"github.com/gt-elba/milliscope/internal/mxml"
 	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/selfobs"
@@ -85,9 +86,7 @@ func assertRunsEqual(t *testing.T, logDir string, want, got engineRun) {
 			t.Errorf("ledger offset for %s: want %d/%v got %d/%v", e.Name(), offW, okW, offG, okG)
 		}
 	}
-	if dw, dg := dumpBytes(t, want.db), dumpBytes(t, got.db); !bytes.Equal(dw, dg) {
-		t.Errorf("warehouse dumps differ: want %d bytes, got %d bytes", len(dw), len(dg))
-	}
+	dbtest.Same(t, "warehouse", dbtest.Dump(t, want.db), dbtest.Dump(t, got.db))
 }
 
 // assertSameBytes fails unless the exported artifact equals its reference.

@@ -121,21 +121,29 @@ func goldenInputs() map[string]string {
 	// The read path's spans, one per request, scan or lookup: a served
 	// trace (one item, no error), the lookup under it (rows returned) with
 	// a segment index it had to build first (rows indexed), a query scan
-	// (rows matched) and one of a diagnosis' evidence passes (event rows).
+	// (rows matched) and one of a diagnosis' evidence passes (event rows);
+	// then the warehouse's write path: one segment carved (rows sealed) and
+	// the commit after it (tail rows written).
 	for i, r := range []selfobs.Rec{
 		{Pipeline: selfobs.PipeServe, Stage: "trace", Span: "-", DurNS: 1_900_000, Items: 1},
 		{Pipeline: selfobs.PipeDB, Stage: "index", Span: "-", File: "cjdbc_event", DurNS: 300_000, Items: 8192},
 		{Pipeline: selfobs.PipeDB, Stage: "lookup", Span: "-", File: "cjdbc_event", DurNS: 400_000, Items: 3},
 		{Pipeline: selfobs.PipeDB, Stage: "scan", Span: "query", File: "apache_event", DurNS: 650_000, Items: 512},
 		{Pipeline: selfobs.PipeDiagnose, Stage: "evidence", Span: "queues", DurNS: 21_000_000, Items: 123900},
+		{Pipeline: selfobs.PipeDB, Stage: "seal", Span: "-", File: "apache_event", DurNS: 4_100_000, Items: 8192},
+		{Pipeline: selfobs.PipeDB, Stage: "checkpoint", Span: "-", DurNS: 9_500_000, Items: 20411},
 	} {
 		r.Kind, r.StartNS = "span", 11_600_000+int64(i)*50_000
 		self.WriteString(selfobs.FormatLine(ep, "golden-batch", r) + "\n")
 	}
-	self.WriteString(selfobs.FormatLine(ep, "golden-batch", selfobs.Rec{
-		Kind: "counter", Pipeline: selfobs.PipeLive, Stage: "watermark",
-		Span: "rows_advanced", StartNS: 12_000_000, Items: 6001,
-	}) + "\n")
+	for _, r := range []selfobs.Rec{
+		{Pipeline: selfobs.PipeLive, Stage: "watermark", Span: "rows_advanced", Items: 6001},
+		{Pipeline: selfobs.PipeDB, Stage: "seal", Span: "segment_bytes", Items: 566_212},
+		{Pipeline: selfobs.PipeDB, Stage: "checkpoint", Span: "tail_bytes", Items: 1_961_342},
+	} {
+		r.Kind, r.StartNS = "counter", 12_000_000
+		self.WriteString(selfobs.FormatLine(ep, "golden-batch", r) + "\n")
+	}
 
 	return map[string]string{
 		"apache_access.log":    apache.String(),

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
+	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 	"github.com/gt-elba/milliscope/internal/parsers"
 )
 
@@ -34,20 +35,6 @@ func writeSyntheticDir(t *testing.T, corrupt bool) string {
 		}
 	}
 	return dir
-}
-
-// dumpBytes snapshots the warehouse via its deterministic gob persistence.
-func dumpBytes(t *testing.T, db *mscopedb.DB) []byte {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "dump.db")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // readDirContents maps file name → content for a quarantine directory;
@@ -150,9 +137,7 @@ func TestIngestLedgerEquivalence(t *testing.T) {
 			t.Fatalf("ledger offsets for %s differ: serial %d/%v parallel %d/%v", name, offS, okS, offP, okP)
 		}
 	}
-	if ds, dp := dumpBytes(t, dbS), dumpBytes(t, dbP); string(ds) != string(dp) {
-		t.Error("warehouse dumps differ after re-ingest")
-	}
+	dbtest.Same(t, "after re-ingest", dbtest.Dump(t, dbS), dbtest.Dump(t, dbP))
 
 	// Grow one source file; both runs must drop and rebuild its table.
 	f, err := os.OpenFile(filepath.Join(logDir, "mysql_slow.log"), os.O_APPEND|os.O_WRONLY, 0o644)
@@ -177,9 +162,7 @@ func TestIngestLedgerEquivalence(t *testing.T) {
 	if len(repS2.Loads) != 1 || repS2.Loads[0].Table != "mysql_event" {
 		t.Fatalf("expected only mysql_event rebuilt, got %+v", repS2.Loads)
 	}
-	if ds, dp := dumpBytes(t, dbS), dumpBytes(t, dbP); string(ds) != string(dp) {
-		t.Error("warehouse dumps differ after rebuild")
-	}
+	dbtest.Same(t, "after rebuild", dbtest.Dump(t, dbS), dbtest.Dump(t, dbP))
 }
 
 // TestQuarantineSinkConcurrentRecord hammers one sink from many

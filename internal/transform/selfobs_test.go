@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
+	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 	"github.com/gt-elba/milliscope/internal/mxml"
 	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/selfobs"
@@ -51,9 +52,7 @@ func TestInstrumentedIngestMatchesDisabled(t *testing.T) {
 				t.Fatalf("ingest errors differ:\ndisabled serial      %v\ninstrumented parallel %v", errS, errP)
 			}
 			reportsEqual(t, repS, repP)
-			if ds, dp := dumpBytes(t, dbS), dumpBytes(t, dbP); string(ds) != string(dp) {
-				t.Errorf("warehouse dumps differ: disabled %d bytes, instrumented %d bytes", len(ds), len(dp))
-			}
+			dbtest.Same(t, "instrumented against disabled", dbtest.Dump(t, dbS), dbtest.Dump(t, dbP))
 
 			// The run must actually have been observed, and its telemetry
 			// must round-trip through the registered selftrace parser.

@@ -212,16 +212,18 @@ func ParseFaultKinds(s string) ([]FaultKind, error) { return faults.ParseKinds(s
 // OpenDB returns an empty warehouse.
 func OpenDB() *DB { return mscopedb.Open() }
 
-// LoadDB reads a warehouse saved with (*DB).Save.
+// LoadDB reads a whole-warehouse gob file, a format older versions saved
+// and this one only migrates: AttachStore and Checkpoint turn the result
+// into a warehouse directory.
 func LoadDB(path string) (*DB, error) { return mscopedb.Load(path) }
 
 // StoreOptions tunes the on-disk segment store (spill threshold,
 // compaction policy). The zero value applies the defaults.
 type StoreOptions = mscopedb.StoreOptions
 
-// OpenDBDir opens (or creates) a warehouse backed by an on-disk
-// segment store in dir. Full segments spill to disk; queries prune
-// them by zone map before decoding.
+// OpenDBDir opens (or creates) the warehouse directory dir, an on-disk
+// segment store: full segments go to disk as they fill, Checkpoint
+// commits, and queries prune segments by zone map before decoding.
 func OpenDBDir(dir string, opts StoreOptions) (*DB, error) { return mscopedb.OpenDir(dir, opts) }
 
 // Query runs an MQL statement ("SELECT ... FROM ... [WHERE ...]",

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 )
 
 // TestPublicAPIEndToEnd walks the full public surface: run → ingest →
@@ -88,7 +89,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWarehousePersistenceAcrossAPI saves and reloads through the façade.
+// TestWarehousePersistenceAcrossAPI commits and reopens through the façade.
 func TestWarehousePersistenceAcrossAPI(t *testing.T) {
 	cfg := milliscope.ScenarioDBIO(t.TempDir())
 	cfg.Ntier.Users = 30
@@ -102,14 +103,18 @@ func TestWarehousePersistenceAcrossAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/w.db"
-	if err := db.Save(path); err != nil {
+	dir := t.TempDir()
+	if err := db.AttachStore(dir, milliscope.StoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := milliscope.LoadDB(path)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := milliscope.OpenDBDir(dir, milliscope.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dbtest.Same(t, "reopened against committed", dbtest.Dump(t, db), dbtest.Dump(t, db2))
 	o1, err := milliscope.Query(db, "SELECT WINDOW 1s COUNT() BY ud FROM apache_event")
 	if err != nil {
 		t.Fatal(err)
