@@ -114,9 +114,9 @@ func (db *DB) Install(t *Table) error {
 	}
 	db.tables[t.Name()] = t
 	db.mu.Unlock()
-	// Carve the bulk-built table's full chunks straight to disk, so a
-	// large install holds at most one seal's worth of rows in memory once
-	// the appender moves on.
+	// Carve the bulk-built table's full chunks straight to disk, in one
+	// pass, so a large install holds at most one seal's worth of rows in
+	// memory once the appender moves on.
 	return t.spillFull()
 }
 

@@ -220,16 +220,16 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte("MSEG1\x00"), byte(0))
 	// A tail file as a checkpoint builds it, two images in one buffer: the
 	// second image on its own is a segment, the file as a whole is not.
-	var tails bytes.Buffer
-	if _, err := appendSegment(&tails, "other", cols[:1], data[:1], 3); err != nil {
+	other, _, err := encodeSegment("other", cols[:1], data[:1], 3)
+	if err != nil {
 		f.Fatal(err)
 	}
-	at := tails.Len()
-	if _, err := appendSegment(&tails, "ev", cols, data, 5); err != nil {
+	second, _, err := encodeSegment("ev", cols, data, 5)
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(tails.Bytes()[at:], byte(0b11111))
-	f.Add(tails.Bytes(), byte(0b00001))
+	f.Add(second, byte(0b11111))
+	f.Add(append(other, second...), byte(0b00001))
 	f.Fuzz(func(t *testing.T, raw []byte, mask byte) {
 		for _, b := range [][]byte{raw, reseal(raw)} {
 			full, rows, fullErr := decodeSegment(b, "ev", cols)

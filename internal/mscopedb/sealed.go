@@ -212,65 +212,60 @@ func (sp *sealedPart) dropCache() {
 // of a bulk-built table. Single writer: only the goroutine that owns
 // appends to this table may call it (the sequenced appender, the live
 // loader, or a batch builder).
+//
+// Each segment's encode and file write run outside the seal lock (the tail
+// prefix is immutable to everyone but this, the single writer); its
+// segment-list append, boundary advance and tail swap commit together under
+// the write lock, so concurrent readers always see a consistent mapping.
+// The swapped-in tail is a re-slice past the segment, which pins the
+// spilled rows' backing arrays — defeating the memory bound — so once the
+// last segment is carved what remains is copied into fresh slices: one
+// copy, however many segments an installed table held.
 func (t *Table) spillFull() error {
 	sp := t.seal
 	if sp == nil {
 		return nil
 	}
-	for {
-		sp.mu.RLock()
-		tail := t.rows - sp.rows
-		sp.mu.RUnlock()
-		if tail < sp.store.opts.SealRows {
-			return nil
-		}
-		if err := t.spillChunk(sp.store.opts.SealRows); err != nil {
+	n := sp.store.opts.SealRows
+	sp.mu.RLock()
+	tail := t.rows - sp.rows
+	sp.mu.RUnlock()
+	if tail < n {
+		return nil
+	}
+	for ; tail >= n; tail -= n {
+		obs := selfobs.Begin(selfobs.PipeDB, "seal", "-", t.name)
+		img, zones, err := encodeSegment(t.name, t.cols, t.data, n)
+		if err != nil {
 			return err
 		}
-	}
-}
+		file, err := sp.store.writeSegment(t.name, img)
+		if err != nil {
+			return err
+		}
+		meta := segMeta{File: file, Rows: n, Bytes: int64(len(img)), Zones: zones}
+		ctrSegBytes.Add(meta.Bytes)
+		obs.End(int64(n), 0)
 
-// spillChunk seals the first n tail rows into an on-disk segment. The
-// encode and the file write run outside the seal lock (the tail prefix is
-// immutable to everyone but this, the single writer); the segment-list
-// append, boundary advance, and tail slice swap commit together under the
-// write lock so concurrent readers always see a consistent mapping.
-func (t *Table) spillChunk(n int) error {
-	sp := t.seal
-	obs := selfobs.Begin(selfobs.PipeDB, "seal", "-", t.name)
-	img, zones, err := encodeSegment(t.name, t.cols, t.data, n)
-	if err != nil {
-		return err
+		rest := make([]colData, len(t.cols))
+		for i := range t.data {
+			d := &t.data[i]
+			rest[i] = d.slice(t.cols[i].Type, n, tail)
+			rest[i].intern, rest[i].internOff = d.intern, d.internOff
+		}
+		sp.mu.Lock()
+		sp.segs = append(sp.segs, sealedSeg{meta: meta, start: sp.rows})
+		sp.rows += n
+		t.data = rest
+		t.tailImg = nil
+		sp.mu.Unlock()
 	}
-	file, err := sp.store.writeSegment(t.name, img)
-	if err != nil {
-		return err
-	}
-	meta := segMeta{File: file, Rows: n, Bytes: int64(len(img)), Zones: zones}
-	ctrSegBytes.Add(meta.Bytes)
-	obs.End(int64(n), 0)
-
-	// Copy the tail remainder into fresh slices: re-slicing would pin the
-	// spilled prefix's backing array forever, defeating the memory bound.
 	rest := make([]colData, len(t.cols))
 	for i := range t.data {
-		d := &t.data[i]
-		switch t.cols[i].Type {
-		case TInt:
-			rest[i].Ints = append([]int64(nil), d.Ints[n:]...)
-		case TFloat:
-			rest[i].Floats = append([]float64(nil), d.Floats[n:]...)
-		case TTime:
-			rest[i].Times = append([]int64(nil), d.Times[n:]...)
-		case TString:
-			rest[i].Strs = append([]string(nil), d.Strs[n:]...)
-		}
-		rest[i].intern = d.intern
-		rest[i].internOff = d.internOff
+		rest[i] = colData{intern: t.data[i].intern, internOff: t.data[i].internOff}
+		appendCol(&rest[i], &t.data[i], t.cols[i].Type, nil)
 	}
 	sp.mu.Lock()
-	sp.segs = append(sp.segs, sealedSeg{meta: meta, start: sp.rows})
-	sp.rows += n
 	t.data = rest
 	sp.mu.Unlock()
 	return nil
@@ -321,6 +316,7 @@ func (t *Table) unspill() error {
 		sp.segs = nil
 		sp.rows = 0
 		t.data = merged
+		t.tailImg = nil
 		sp.mu.Unlock()
 		sp.dropCache()
 		sp.store.addOrphans(files...)

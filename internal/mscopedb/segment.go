@@ -59,16 +59,8 @@ type zoneMap struct {
 // encodeSegment serializes rows [0, n) of the given column data under the
 // schema and returns the file image plus the per-column zone maps.
 func encodeSegment(table string, cols []Column, data []colData, n int) ([]byte, []zoneMap, error) {
-	var out bytes.Buffer
-	zones, err := appendSegment(&out, table, cols, data, n)
-	return out.Bytes(), zones, err
-}
-
-// appendSegment is encodeSegment onto the end of out, which may already
-// hold other images: a tail file is several, one after another.
-func appendSegment(out *bytes.Buffer, table string, cols []Column, data []colData, n int) ([]zoneMap, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("mscopedb: segment of %s with %d rows", table, n)
+		return nil, nil, fmt.Errorf("mscopedb: segment of %s with %d rows", table, n)
 	}
 	zones := make([]zoneMap, len(cols))
 	blocks := make([][]byte, len(cols))
@@ -91,7 +83,7 @@ func appendSegment(out *bytes.Buffer, table string, cols []Column, data []colDat
 		case TString:
 			blocks[i], encs[i], err = encodeStrings(data[i].Strs[:n])
 			if err != nil {
-				return nil, fmt.Errorf("mscopedb: segment %s.%s: %w", table, c.Name, err)
+				return nil, nil, fmt.Errorf("mscopedb: segment %s.%s: %w", table, c.Name, err)
 			}
 		}
 	}
@@ -115,7 +107,11 @@ func appendSegment(out *bytes.Buffer, table string, cols []Column, data []colDat
 		}
 	}
 
-	start := out.Len()
+	size := len(segMagic) + hdr.Len() + (1+len(blocks))*binary.MaxVarintLen64 + 4 + len(segEndMagic)
+	for _, blk := range blocks {
+		size += len(blk)
+	}
+	out := bytes.NewBuffer(make([]byte, 0, size)) // one allocation, not a doubling chain
 	out.Write(segMagic)
 	putUvarint(out, uint64(hdr.Len()))
 	out.Write(hdr.Bytes())
@@ -124,10 +120,10 @@ func appendSegment(out *bytes.Buffer, table string, cols []Column, data []colDat
 		out.Write(blk)
 	}
 	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(out.Bytes()[start:]))
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(out.Bytes()))
 	out.Write(crc[:])
 	out.Write(segEndMagic)
-	return zones, nil
+	return out.Bytes(), zones, nil
 }
 
 // SegmentError reports a committed segment file that could not be read

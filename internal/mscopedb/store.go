@@ -73,6 +73,10 @@ type Store struct {
 	mu       sync.Mutex // serializes checkpoint, compaction, manifest writes
 	tailFile string     // committed tail file, "" when no table had a tail
 	orphans  []string   // superseded files, deleted after the next commit
+	// committed is the manifest this process last wrote, less its sequence
+	// number and tail name: a commit that would write the same again, from
+	// the same tail images, has nothing to make durable.
+	committed []byte
 
 	lookups lookupCache // per-segment hash indexes behind Table.Lookup
 }
@@ -285,10 +289,12 @@ func (db *DB) Checkpoint() error {
 }
 
 // Self-telemetry of the write path: one span per commit and per segment
-// carved, and the bytes each put on disk.
+// carved, the bytes each put on disk, and how many of a commit's tail bytes
+// it had to encode rather than reuse.
 var (
-	ctrTailBytes = selfobs.NewCounter(selfobs.PipeDB, "checkpoint", "tail_bytes")
-	ctrSegBytes  = selfobs.NewCounter(selfobs.PipeDB, "seal", "segment_bytes")
+	ctrTailBytes   = selfobs.NewCounter(selfobs.PipeDB, "checkpoint", "tail_bytes")
+	ctrTailEncoded = selfobs.NewCounter(selfobs.PipeDB, "checkpoint", "tail_bytes_encoded")
+	ctrSegBytes    = selfobs.NewCounter(selfobs.PipeDB, "seal", "segment_bytes")
 )
 
 // checkpointLocked is Checkpoint with store.mu held (compaction commits
@@ -304,9 +310,10 @@ func (db *DB) checkpointLocked() error {
 	}
 	sort.Strings(names)
 
-	// Carve any full chunks still in memory, then encode the tails.
+	// Carve any full chunks still in memory, then gather the tail images,
+	// encoding only those a change dropped since the last commit.
 	var tails bytes.Buffer
-	tailRows := 0
+	tailRows, encoded := 0, 0
 	man := manifest{Version: manifestVersion}
 	for _, name := range names {
 		t := db.tables[name]
@@ -322,16 +329,29 @@ func (db *DB) checkpointLocked() error {
 		}
 		sp.mu.RUnlock()
 		if mt.TailRows > 0 {
-			at := tails.Len()
-			if _, err := appendSegment(&tails, t.name, mt.Cols, data, mt.TailRows); err != nil {
-				return err
+			if t.tailImg == nil {
+				img, _, err := encodeSegment(t.name, mt.Cols, data, mt.TailRows)
+				if err != nil {
+					return err
+				}
+				t.tailImg = img
+				encoded += len(img)
 			}
-			mt.TailBytes = tails.Len() - at
+			tails.Write(t.tailImg)
+			mt.TailBytes = len(t.tailImg)
 			tailRows += mt.TailRows
 		}
 		man.Tables = append(man.Tables, mt)
 	}
+	ctrTailEncoded.Add(int64(encoded))
 
+	body, err := json.Marshal(&man)
+	if err != nil {
+		return fmt.Errorf("mscopedb: encode manifest: %w", err)
+	}
+	if encoded == 0 && len(st.orphans) == 0 && bytes.Equal(body, st.committed) {
+		return nil // what is on disk already says exactly this
+	}
 	man.Seq = st.seq.Add(1)
 	if tails.Len() > 0 {
 		man.Tail = fmt.Sprintf("tail-%08d.seg", man.Seq)
@@ -346,6 +366,7 @@ func (db *DB) checkpointLocked() error {
 	if err := st.writeAtomic(manifestName, mj); err != nil {
 		return err
 	}
+	st.committed = body
 	// Committed: the previous tail and any superseded segments are garbage.
 	if st.tailFile != "" {
 		st.orphans = append(st.orphans, st.tailFile)

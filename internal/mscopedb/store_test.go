@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"syscall"
@@ -860,5 +861,39 @@ func TestWritePathSpans(t *testing.T) {
 	}
 	if tailBytes != tailDisk || segBytes != segDisk || tailBytes == 0 || segBytes == 0 {
 		t.Errorf("counters say %d tail and %d segment bytes, the directory holds %d and %d", tailBytes, segBytes, tailDisk, segDisk)
+	}
+}
+
+// TestInstallCarvesInOnePass: installing a bulk-built table of many chunks
+// allocates the segment images and one copy of what is left over — not a
+// fresh copy of the whole remaining tail per chunk, which for n rows copied
+// n²/(2·SealRows) row-cells (9.5 times a 20-chunk table).
+func TestInstallCarvesInOnePass(t *testing.T) {
+	const seal, chunks = 512, 20
+	mem := Open()
+	tbl := fillEvents(t, mem, "ev", 0, seal*chunks+seal/2)
+	if err := mem.Drop("ev"); err != nil {
+		t.Fatal(err)
+	}
+	want := fillEvents(t, Open(), "ev", 0, tbl.Rows())
+	size := tbl.SizeBytes()
+	db, err := OpenDir(t.TempDir(), tinyStore(seal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := db.Install(tbl); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if tbl.Segments() != chunks || tbl.SealedRows() != seal*chunks {
+		t.Fatalf("%d segments of %d rows, want %d of %d", tbl.Segments(), tbl.SealedRows(), chunks, seal*chunks)
+	}
+	assertTableEqual(t, want, tbl)
+	alloc := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("Install allocated %d bytes for a table of %d", alloc, size)
+	if alloc > size*3/2 {
+		t.Errorf("Install allocated %d bytes for a table of %d: over 1.5 times", alloc, size)
 	}
 }

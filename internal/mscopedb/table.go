@@ -103,6 +103,12 @@ type Table struct {
 	// live in immutable on-disk segments and data holds only the in-memory
 	// tail. Row numbers stay global; the accessors translate.
 	seal *sealedPart
+
+	// tailImg is the tail's segment image as the last checkpoint encoded
+	// it. Whatever changes the tail's rows or the schema drops it (AppendRows,
+	// Widen, Retype, AddColumn, a spill, an unspill), so a commit re-encodes
+	// only the tails that moved since the commit before.
+	tailImg []byte
 }
 
 // NewTable builds an empty table; column names must be unique and
@@ -135,6 +141,48 @@ func NewTable(name string, cols []Column) (*Table, error) {
 		colIdx: idx,
 		data:   make([]colData, len(cols)),
 	}, nil
+}
+
+// NewTableFrom builds a table around finished columns and adopts them:
+// data[i] holds column i's cells — []int64 for an int column and for a time
+// column (microsecond epochs), []float64, or []string — and every column
+// has the same length. String cells are interned as AppendRows interns
+// them. The batch ingest builds a file's columns while it parses and hands
+// them over whole.
+func NewTableFrom(name string, cols []Column, data []any) (*Table, error) {
+	t, err := NewTable(name, cols)
+	if err != nil {
+		return nil, err
+	}
+	if len(data) != len(cols) {
+		return nil, fmt.Errorf("mscopedb: %s: %d columns of data for %d columns", name, len(data), len(cols))
+	}
+	for i, c := range cols {
+		d, n, ok := &t.data[i], 0, false
+		switch c.Type {
+		case TInt:
+			d.Ints, ok = data[i].([]int64)
+			n = len(d.Ints)
+		case TFloat:
+			d.Floats, ok = data[i].([]float64)
+			n = len(d.Floats)
+		case TTime:
+			d.Times, ok = data[i].([]int64)
+			n = len(d.Times)
+		case TString:
+			d.Strs, ok = data[i].([]string)
+			n = len(d.Strs)
+			for r, s := range d.Strs {
+				d.Strs[r] = d.internStr(s)
+			}
+		}
+		if !ok || (i > 0 && n != t.rows) {
+			return nil, fmt.Errorf("mscopedb: %s.%s: column data is %T of %d cells, want %v cells like the %d before it",
+				name, c.Name, data[i], n, c.Type, t.rows)
+		}
+		t.rows = n
+	}
+	return t, nil
 }
 
 // Name returns the table name.
@@ -229,6 +277,7 @@ func (t *Table) AppendRows(cells []Value) error {
 			}
 		}
 	}
+	t.tailImg = nil
 	for ci := range t.cols {
 		d := &t.data[ci]
 		switch t.cols[ci].Type {
@@ -367,6 +416,7 @@ func (t *Table) Widen(col string, to Type) error {
 	if err := t.unspill(); err != nil {
 		return err
 	}
+	t.tailImg = nil
 	d := &t.data[ci]
 	switch {
 	case from == TInt && to == TFloat:
@@ -419,6 +469,7 @@ func (t *Table) AddColumn(c Column) error {
 	if err := t.unspill(); err != nil {
 		return err
 	}
+	t.tailImg = nil
 	t.colIdx[c.Name] = len(t.cols)
 	t.cols = append(t.cols, c)
 	t.data = append(t.data, zeroColumn(c.Type, t.rows))
@@ -463,6 +514,7 @@ func (t *Table) Retype(col string, to Type) error {
 			return fmt.Errorf("mscopedb: %s.%s: retype to %v: column holds %q", t.name, col, to, s)
 		}
 	}
+	t.tailImg = nil
 	t.data[ci] = zeroColumn(to, t.rows)
 	t.cols[ci].Type = to
 	return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -53,11 +54,11 @@ type engineRun struct {
 	sinks map[string]string
 }
 
-func runEngine(t *testing.T, logDir, workDir string, opts Options) engineRun {
+func runEngine(t *testing.T, logDir, workDir string, plan *Plan, opts Options) engineRun {
 	t.Helper()
 	opts.QuarantineDir = filepath.Join(t.TempDir(), "q")
 	r := engineRun{db: mscopedb.Open()}
-	r.rep, r.err = IngestDirWithOptions(r.db, logDir, workDir, DefaultPlan(), opts)
+	r.rep, r.err = IngestDirWithOptions(r.db, logDir, workDir, plan, opts)
 	r.sinks = readDirContents(t, opts.QuarantineDir)
 	return r
 }
@@ -154,6 +155,77 @@ func assertExportReloads(t *testing.T, workDir string, r engineRun) {
 	}
 }
 
+// adversarialPlan and writeAdversarialDir stage one log that takes schema
+// inference everywhere whole-file inference is easy and typing cells as they
+// arrive is not: columns that are ints, then floats, then strings — at the
+// second row, mid-file and at the last row — with the numbers whose text
+// their value does not give back (+1, 007, -0, 1e3, 1_000, NaN,
+// 9223372036854775808) in front of the cell that degrades them (0x10: a hex
+// float needs an exponent, so it is no number at all); a column of those
+// that stays float; unhinted times in every spelling the layout accepts
+// ahead of an int; a hinted time field that a Const of the same name
+// follows with an int in every record; a column empty for 9,000 rows; a
+// field only the last record has; and a derived duplicate of a field whose
+// own, earlier value alone makes the column a string.
+func adversarialPlan() *Plan {
+	return &Plan{Bindings: []Binding{{Glob: "*_adv.log", Parser: "token", Source: "adversarial", TableSuffix: "adv",
+		Instructions: parsers.Instructions{
+			Pattern: `^(?P<early>\S+) (?P<mid>\S+) (?P<last>\S+) (?P<f>\S+) (?P<tcol>\S+) (?P<h>\S+) (?P<hm>\S+) (?P<sparse>\S*) (?P<dup>\S+) (?P<rest>.*)$`,
+			Derive: []parsers.DeriveRule{
+				{Field: "rest", Pattern: `dup=(?P<dup>\S+)`, Optional: true},
+				{Field: "rest", Pattern: `late=(?P<late>\S+)`, Optional: true},
+			},
+			Times: []parsers.TimeRule{{Field: "h", Layout: time.RFC3339Nano}, {Field: "hm", Layout: time.RFC3339Nano}},
+			Const: map[string]string{"hm": "7"},
+		}}}}
+}
+
+func writeAdversarialDir(t *testing.T) string {
+	t.Helper()
+	rows := 10_000
+	if testing.Short() {
+		rows = 1_000 // 64-byte shards of the full log take a minute under the race detector
+	}
+	ints := []string{"+1", "007", "-0", "12"}
+	floats := []string{"1e3", "1_000", "0x1p4", "9223372036854775808", "NaN"}
+	numbers := append(append([]string(nil), ints...), floats[:4]...) // NaN != NaN, cell by cell
+	times := []string{"2017-04-01T00:00:12Z", "2017-04-01T00:00:12.5Z", "2017-04-01T00:00:12.500Z",
+		"2017-04-01T5:04:05Z", "2017-04-01T00:00:12+00:00", "2017-04-01T00:00:12.1234567Z"}
+	// walk is a column's cell at row i when it turns float at row float and
+	// string at row str.
+	walk := func(i, float, str int) string {
+		switch {
+		case i == str:
+			return "0x10"
+		case i > str:
+			return "after"
+		case i >= float:
+			return floats[i%5]
+		}
+		return ints[i%4]
+	}
+	var b strings.Builder
+	for i := 0; i < rows; i++ {
+		tcol, sparse, dup, rest := times[i%len(times)], "", strconv.Itoa(i), "-"
+		if i == rows/2 {
+			tcol = "12"
+		}
+		if i >= rows*9/10 {
+			sparse = strconv.Itoa(i)
+		}
+		if i%100 == 99 {
+			dup, rest = "x", "dup=5"
+		}
+		if i == rows-1 {
+			rest = "late=1e3"
+		}
+		stamp := simtime.Epoch.Add(time.Duration(i) * time.Millisecond).Format(time.RFC3339Nano)
+		fmt.Fprintf(&b, "%s %s %s %s %s %s %s %s %s %s\n", walk(i, 1, 2), walk(i, rows/2, rows/2+rows/10),
+			walk(i, rows-2, rows-1), numbers[i%8], tcol, stamp, stamp, sparse, dup, rest)
+	}
+	return writeLogDir(t, map[string]string{"trial_adv.log": b.String()})
+}
+
 // TestEngineMatchesOracle is the one equivalence suite of the batch
 // ingest: each case runs with one worker (every file streamed whole) as
 // the reference, with four workers and 64-byte chunks (every chunkable
@@ -169,13 +241,15 @@ func TestEngineMatchesOracle(t *testing.T) {
 	cases := []struct {
 		name   string
 		logDir string
+		plan   *Plan
 		budget float64
 	}{
-		{"clean", writeSyntheticDir(t, false), 0},
-		{"corrupted", writeSyntheticDir(t, true), 0.5},
-		{"nasty-bytes", writeNastyDir(t), 0},
-		{"tight-budget", writeSyntheticDir(t, true), 0.01},
-		{"fail-fast-abort", abortDir, 0.5},
+		{"clean", writeSyntheticDir(t, false), DefaultPlan(), 0},
+		{"corrupted", writeSyntheticDir(t, true), DefaultPlan(), 0.5},
+		{"nasty-bytes", writeNastyDir(t), DefaultPlan(), 0},
+		{"tight-budget", writeSyntheticDir(t, true), DefaultPlan(), 0.01},
+		{"fail-fast-abort", abortDir, DefaultPlan(), 0.5},
+		{"adversarial-typing", writeAdversarialDir(t), adversarialPlan(), 0},
 	}
 	for _, tc := range cases {
 		for _, policy := range []Policy{FailFast, Quarantine} {
@@ -187,11 +261,11 @@ func TestEngineMatchesOracle(t *testing.T) {
 				one.Workers = 1
 				four.Workers, four.ChunkSize = 4, 64
 
-				ref := runEngine(t, tc.logDir, workDir, one)
-				assertRunsEqual(t, tc.logDir, ref, runEngine(t, tc.logDir, workDir, four))
+				ref := runEngine(t, tc.logDir, workDir, tc.plan, one)
+				assertRunsEqual(t, tc.logDir, ref, runEngine(t, tc.logDir, workDir, tc.plan, four))
 				for _, o := range []Options{one, four} {
 					o.Materialize = true
-					exp := runEngine(t, tc.logDir, workDir, o)
+					exp := runEngine(t, tc.logDir, workDir, tc.plan, o)
 					for i := range exp.rep.Files {
 						if want := filepath.Join(workDir, exp.rep.Files[i].Table+".mxml"); exp.rep.Files[i].MXMLPath != want {
 							t.Errorf("exported document at %q, want %q", exp.rep.Files[i].MXMLPath, want)

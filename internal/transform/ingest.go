@@ -183,18 +183,19 @@ func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, o
 		rep.Files = append(rep.Files, o.fr)
 		sp := obs.Begin(selfobs.PipeIngest, "append", "seq", j.name)
 		loaded, err := importer.Install(db, o.tbl, o.csvPath)
+		if err == nil {
+			// Ledger the source file at its consumed size so a re-ingest of
+			// the same directory into this warehouse skips it.
+			err = db.RecordIngestAt(loaded.Table, j.full, loaded.Rows, j.size, simtime.Epoch)
+		}
+		if err == nil {
+			// Commit the spill store (no-op in memory): table rows and their
+			// ledger entry become durable together, per file, so a killed
+			// ingest resumes from completed files instead of from scratch.
+			err = db.Checkpoint()
+		}
 		if err != nil {
-			return rep, err
-		}
-		// Ledger the source file at its consumed size so a re-ingest of
-		// the same directory into this warehouse skips it.
-		if err := db.RecordIngestAt(loaded.Table, j.full, loaded.Rows, j.size, simtime.Epoch); err != nil {
-			return rep, err
-		}
-		// Commit the spill store (no-op in memory): table rows and their
-		// ledger entry become durable together, per file, so a killed
-		// ingest resumes from completed files instead of from scratch.
-		if err := db.Checkpoint(); err != nil {
+			sp.End(0, 1)
 			return rep, err
 		}
 		sp.End(int64(loaded.Rows), 0)
@@ -205,10 +206,11 @@ func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, o
 }
 
 // processFile is the per-file pipeline of §III-B, run on the worker pool:
-// parse the file into an entrySet (streamed whole, or sharded and
-// stitched), infer the schema bottom-up, export the staged artifacts when
-// asked, and build the typed table. It performs no warehouse writes.
-func processFile(ctx context.Context, sem semaphore, j *fileJob, workDir string, opts Options) fileOutcome {
+// parse the file (streamed whole, or sharded and stitched) into a
+// tableBuilder, which types and stores every cell as it arrives, settle the
+// schema, export the staged artifacts when asked, and hand over the typed
+// table. It performs no warehouse writes.
+func processFile(ctx context.Context, sem semaphore, j *fileJob, workDir string, opts Options) (out fileOutcome) {
 	b := j.binding
 	// One span buffer per file worker: every stage span of this file is
 	// appended goroutine-locally and flushed once when the worker returns.
@@ -236,7 +238,7 @@ func processFile(ctx context.Context, sem semaphore, j *fileJob, workDir string,
 		rec = sink.record
 	}
 
-	set := newEntrySet()
+	var tb tableBuilder
 	var entries []mxml.Entry
 	var regions []parsers.Malformed
 	var parseErr error
@@ -251,12 +253,24 @@ func processFile(ctx context.Context, sem semaphore, j *fileJob, workDir string,
 		return fileOutcome{err: ctx.Err()}
 	}
 	defer sem.release()
+	mxmlPath := filepath.Join(workDir, fr.Table+".mxml")
+	if opts.Materialize {
+		defer func() {
+			if out.err != nil && tb.docFile != nil { // a failed or rejected file exports nothing
+				tb.docFile.Close()
+				os.Remove(mxmlPath)
+			}
+		}()
+		if err := tb.openDoc(mxmlPath, meta); err != nil {
+			return fileOutcome{err: err}
+		}
+	}
 	if sharded && parseErr == nil {
-		parseErr = set.replay(entries, regions, rec)
+		parseErr = tb.replay(entries, regions, rec)
 	} else if !sharded {
 		sp := obs.Begin(selfobs.PipeIngest, "parse", "whole", j.name)
-		if parseErr = parseStream(p, j.full, b.Instructions, set.add, rec); parseErr == nil {
-			sp.End(int64(set.len()), int64(sink.count()))
+		if parseErr = parseStream(p, j.full, b.Instructions, tb.add, rec); parseErr == nil {
+			sp.End(int64(tb.rows), int64(sink.count()))
 		}
 	}
 	if cerr := sink.close(); cerr != nil && parseErr == nil {
@@ -270,7 +284,7 @@ func processFile(ctx context.Context, sem semaphore, j *fileJob, workDir string,
 		}
 		return fileOutcome{err: parseErr}
 	}
-	fr.Entries, fr.Quarantined, fr.QuarantinePath = set.len(), sink.count(), sink.path()
+	fr.Entries, fr.Quarantined, fr.QuarantinePath = tb.rows, sink.count(), sink.path()
 	if rec != nil {
 		if err := opts.checkBudget(fr, j.full); err != nil {
 			return fileOutcome{fr: fr, err: err}
@@ -278,26 +292,26 @@ func processFile(ctx context.Context, sem semaphore, j *fileJob, workDir string,
 	}
 
 	sp := obs.Begin(selfobs.PipeIngest, "convert", "whole", j.name)
-	cols, err := set.columns(filepath.Join(workDir, fr.Table+".mxml"))
+	cols, err := tb.schema(mxmlPath)
 	if err != nil {
 		return fileOutcome{err: err}
 	}
 	sp.End(int64(fr.Entries), 0)
 	if opts.Materialize {
 		sp = obs.Begin(selfobs.PipeIngest, "export", "whole", j.name)
-		if fr.MXMLPath, err = set.export(workDir, meta, cols); err != nil {
+		if err := tb.export(workDir); err != nil {
 			return fileOutcome{err: err}
 		}
+		fr.MXMLPath = mxmlPath
 		sp.End(int64(fr.Entries), 0)
 	}
 	sp = obs.Begin(selfobs.PipeIngest, "build", "whole", j.name)
-	csvPath := filepath.Join(workDir, fr.Table+".csv")
-	tbl, err := set.buildTable(fr.Table, cols, csvPath)
+	tbl, err := tb.table(fr.Table, cols)
 	if err != nil {
 		return fileOutcome{err: err}
 	}
 	sp.End(int64(tbl.Rows()), 0)
-	return fileOutcome{fr: fr, tbl: tbl, csvPath: csvPath}
+	return fileOutcome{fr: fr, tbl: tbl, csvPath: filepath.Join(workDir, fr.Table+".csv")}
 }
 
 // parseStream parses one whole file as a stream. This is the one place the

@@ -2,6 +2,8 @@ package transform
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -86,5 +88,37 @@ func TestInstrumentedIngestMatchesDisabled(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFailedCommitLeavesAnAppendSpan: the sequencer's append span covers a
+// file whose install, ledger row or commit fails too. A directory squatting
+// on the manifest's temp name (file modes do nothing for a root test run)
+// makes the first per-file commit fail: the ingest returns that error and
+// its self-trace holds one append span, errs 1.
+func TestFailedCommitLeavesAnAppendSpan(t *testing.T) {
+	dir := t.TempDir()
+	db, err := mscopedb.OpenDir(dir, mscopedb.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "MANIFEST.json.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c := selfobs.Enable("failed-commit", time.Unix(0, 0).UTC())
+	defer selfobs.Disable()
+	_, err = IngestDirWithOptions(db, writeSyntheticDir(t, false), t.TempDir(), DefaultPlan(), Options{})
+	selfobs.Disable()
+	if err == nil || !strings.Contains(err.Error(), "MANIFEST.json.tmp") {
+		t.Fatalf("ingest over a blocked manifest returned %v", err)
+	}
+	var appends []selfobs.Rec
+	for _, r := range c.Snapshot() {
+		if r.Pipeline == selfobs.PipeIngest && r.Stage == "append" {
+			appends = append(appends, r)
+		}
+	}
+	if len(appends) != 1 || appends[0].Errs != 1 || appends[0].File != "apache_access.log" {
+		t.Fatalf("append spans of the failed ingest: %+v, want one for apache_access.log with errs 1", appends)
 	}
 }

@@ -60,18 +60,6 @@ func ConvertFile(mxmlPath, outDir string) (Converted, error) {
 	if cols == nil {
 		return Converted{}, fmt.Errorf("xmlcsv: %s: document has no fields", mxmlPath)
 	}
-	return WriteTable(outDir, meta, cols, func(yield func(mxml.Entry) error) error {
-		_, err := scanDoc(mxmlPath, yield)
-		return err
-	})
-}
-
-// WriteTable writes one table's load-ready pair — the <table>.schema.json
-// sidecar and <table>.csv, rows in schema order — from the entries each
-// yields. ConvertFile feeds it from an mxml document and the batch
-// ingest's --materialize export from the entries it loaded, so both
-// produce the same bytes.
-func WriteTable(outDir string, meta mxml.Meta, cols []mscopedb.Column, each func(yield func(mxml.Entry) error) error) (Converted, error) {
 	out := Converted{Columns: cols,
 		CSVPath:    filepath.Join(outDir, meta.Table+".csv"),
 		SchemaPath: filepath.Join(outDir, meta.Table+".schema.json")}
@@ -104,7 +92,7 @@ func WriteTable(outDir string, meta mxml.Meta, cols []mscopedb.Column, each func
 	}
 	pos := positions(cols)
 	row := make([]string, len(cols))
-	err = each(func(e mxml.Entry) error {
+	_, err = scanDoc(mxmlPath, func(e mxml.Entry) error {
 		clear(row)
 		place(row, pos, e)
 		out.Rows++
@@ -164,10 +152,10 @@ func ReadSchema(path string) (Schema, []mscopedb.Column, error) {
 	return s, cols, nil
 }
 
-// Inference is the bottom-up schema-inference state exposed for
-// incremental use: the batch ingest observes a file's entries as the parser
-// emits them and asks for the column set at the end, instead of scanning a
-// completed mxml document twice.
+// Inference is the bottom-up schema-inference state: ConvertFile's first
+// pass folds a document's entries into it and asks for the column set at
+// the end. The batch ingest's table builder settles the same schema cell by
+// cell as it stores them, and is tested against this.
 type Inference struct {
 	// cols is the column set in first-appearance order; the zero type marks
 	// a column that has held only empty cells so far.
