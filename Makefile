@@ -21,9 +21,8 @@ full: fast test live-smoke serve-smoke overload-soak dist-soak scenario-soak db-
 # definition sites in cmd/ (a flag registered once for several commands
 # counts once); exported identifiers, as top-level exported funcs, methods,
 # types, vars and consts (grouped ones when they carry a value) in the same
-# files; and how many of those files import encoding/gob (one: the readers
-# of the two formats mscopedb no longer writes). CI prints it after
-# `make fast`.
+# files; how many of those files import encoding/gob; and the lines of Go
+# under bench/, tests included. CI prints it after `make fast`.
 SIZE_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'
 size:
 	@printf 'non-test Go outside bench/:  %s lines\n' "$$($(SIZE_FILES) | xargs wc -l | tail -1 | awk '{print $$1}')"
@@ -31,6 +30,7 @@ size:
 	@printf 'flag definitions:            %s\n' "$$(grep -rhoE 'fs\.(String|Int|Int64|Uint|Uint64|Bool|Float64|Duration)(Var)?\(' --include='*.go' cmd | wc -l)"
 	@printf 'exported identifiers:        %s\n' "$$($(SIZE_FILES) | xargs grep -hE '^(func (\([^)]+\) )?[A-Z]|type [A-Z]|(var|const) [A-Z]|	[A-Z][A-Za-z0-9]* += )' | wc -l)"
 	@printf 'files importing encoding/gob: %s\n' "$$($(SIZE_FILES) | xargs grep -l '"encoding/gob"' | wc -l)"
+	@printf 'Go under bench/:             %s lines\n' "$$(cat bench/*.go | wc -l)"
 
 build:
 	$(GO) build ./...
@@ -139,16 +139,14 @@ selfobs-lint:
 cover:
 	$(GO) test -short -cover ./...
 
-# Short fuzz pass over the event-log parsers (native go fuzzing), plus
-# the shard-planner equivalence property one layer up, the scenario
-# spec decoder (malformed catalogue entries must error, never panic) and
-# the cell typer against the strconv/time cascade it replaced; then
-# fuzz-smoke's targets, for longer.
+# Short fuzz pass over the event-log parsers (native go fuzzing), plus the
+# wire frame decoder, the scenario spec decoder (malformed catalogue entries
+# must error, never panic) and the cell typer against the strconv/time
+# cascade it replaced; then fuzz-smoke's targets, for longer.
 fuzz:
 	$(GO) test -fuzz FuzzApacheAccessLog -fuzztime 30s ./internal/parsers/
 	$(GO) test -fuzz FuzzMySQLSlowLog -fuzztime 30s ./internal/parsers/
 	$(GO) test -fuzz FuzzTokenizerEquivalence -fuzztime 30s ./internal/parsers/
-	$(GO) test -fuzz FuzzShardedParseEquivalence -fuzztime 30s ./internal/transform/
 	$(GO) test -fuzz FuzzWireFrameDecode -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzScenarioConfigDecode -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzCellTyperEquivalence -fuzztime 30s ./internal/xmlcsv/

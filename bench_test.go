@@ -755,9 +755,8 @@ func BenchmarkIngestBatch(b *testing.B) {
 
 // BenchmarkIngestWorkers draws the worker-count scaling curve of the one
 // ingest engine over the same corpus at --workers of 1, 2 and 4: w=1
-// streams every file whole through a single pool slot (the same work as
-// BenchmarkIngestBatch), w>1 parses files concurrently and shards those of
-// two chunks or more. The warehouse is identical at every point
+// parses one file at a time (the same work as BenchmarkIngestBatch), w>1
+// that many at once. The warehouse is identical at every point
 // (TestEngineMatchesOracle). With fewer cores than workers the curve is
 // expected flat: extra workers cannot add cycles, so its value is catching
 // coordination that makes w=4 slower than w=1. bench/ reports the ratio as

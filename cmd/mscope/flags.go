@@ -51,16 +51,14 @@ func openWarehouse(cmd, path string) (*milliscope.DB, error) {
 	return openStore(path, true)
 }
 
-// openStore opens a store directory, creating it unless it mustExist. A
-// regular file there is a warehouse from before the segment store, which
-// only migrate-db reads.
+// openStore opens a store directory, creating it unless it mustExist.
 func openStore(path string, mustExist bool) (*milliscope.DB, error) {
 	st, err := os.Stat(path)
 	switch {
 	case err != nil && (mustExist || !os.IsNotExist(err)):
 		return nil, err
 	case err == nil && !st.IsDir():
-		return nil, fmt.Errorf("%s is a file, not a warehouse directory: if it is a gob warehouse, convert it with `mscope migrate-db --from %s --db DIR`", path, path)
+		return nil, fmt.Errorf("%s is a file, not a warehouse directory", path)
 	}
 	return milliscope.OpenDBDir(path, milliscope.StoreOptions{})
 }

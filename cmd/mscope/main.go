@@ -69,8 +69,6 @@ func run(args []string) error {
 		return cmdSelfTrace(args[1:])
 	case "compact":
 		return cmdCompact(args[1:])
-	case "migrate-db":
-		return cmdMigrateDB(args[1:])
 	case "serve":
 		return cmdServe(args[1:])
 	case "scenario":
@@ -101,8 +99,6 @@ commands:
              directory --db DIR, an on-disk columnar segment store a
              re-run resumes (--workers N parses files concurrently)
   compact    merge small on-disk segments of the warehouse in --db DIR
-  migrate-db convert the gob warehouse file an older mscope wrote
-             (--from FILE) into a warehouse directory (--db DIR)
   plan       write the default Parsing Declaration as editable JSON
   tables     list warehouse tables
   query      run an MQL query against a warehouse
@@ -275,7 +271,7 @@ func cmdIngest(args []string) error {
 	budget := fs.Float64("budget", 0, "quarantine error budget (corrupt-line ratio per file; 0 = default 5%)")
 	qdir := fs.String("quarantine", "", "quarantine sink directory (default: WORK/quarantine)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
-		"ingest workers (1 = one worker, no sharding; output identical either way)")
+		"files parsed concurrently; output identical for every value")
 	materialize := fs.Bool("materialize", false,
 		"also write the staged XML/CSV artifacts to WORK")
 	selfLog := fs.String("self-log", "",

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/gt-elba/milliscope"
-	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 )
 
 func TestScenarioConfigResolution(t *testing.T) {
@@ -266,24 +265,9 @@ func TestBuildFiguresAgainstWarehouse(t *testing.T) {
 	}
 }
 
-// legacyFixtures are the gob file and the version-1 store directory of one
-// small trial, written by the last tree that wrote either format.
-const legacyFixtures = "../../internal/mscopedb/testdata/legacy"
-
-// openDump opens a warehouse directory and returns its canonical dump.
-func openDump(t *testing.T, dir string) string {
-	t.Helper()
-	db, err := milliscope.OpenDBDir(dir, milliscope.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dbtest.Dump(t, db)
-}
-
 // TestCLIOneWarehouse: --db is one directory from the command that writes
-// it to every command that reads it, and the two older formats still come
-// in — a gob file through migrate-db, a version-1 directory by being
-// opened — to the same contents.
+// it to every command that reads it; a regular file there is refused as not
+// being one.
 func TestCLIOneWarehouse(t *testing.T) {
 	base := t.TempDir()
 	logs, wh := filepath.Join(base, "logs"), filepath.Join(base, "wh")
@@ -347,52 +331,19 @@ func TestCLIOneWarehouse(t *testing.T) {
 		t.Fatalf("serve: %v", err)
 	}
 
-	// The gob file of an older tree: read commands refuse it by name of
-	// the command that converts it, and that command does.
-	gob := filepath.Join(legacyFixtures, "warehouse.gob")
-	if err := run([]string{"diagnose", "--db", gob}); err == nil || !strings.Contains(err.Error(), "mscope migrate-db") {
-		t.Fatalf("diagnose over a gob file: %v", err)
-	}
-	migrated := filepath.Join(base, "migrated")
-	if err := run([]string{"migrate-db", "--from", gob, "--db", migrated}); err != nil {
-		t.Fatalf("migrate-db: %v", err)
-	}
-	want := openDump(t, migrated)
-
-	// The version-1 directory of the same trial opens as it is, and the
-	// first commit (compact ends in one) leaves it version 2.
-	v1 := filepath.Join(base, "v1")
-	if err := os.Mkdir(v1, 0o755); err != nil {
+	// A regular file is not a warehouse, whatever it holds.
+	file := filepath.Join(base, "old.db")
+	if err := os.WriteFile(file, []byte("gob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fixture, err := os.ReadDir(filepath.Join(legacyFixtures, "store-v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range fixture { // a copy: opening sweeps, committing rewrites
-		data, err := os.ReadFile(filepath.Join(legacyFixtures, "store-v1", e.Name()))
-		if err == nil {
-			err = os.WriteFile(filepath.Join(v1, e.Name()), data, 0o644)
-		}
-		if err != nil {
-			t.Fatal(err)
+	for _, args := range [][]string{
+		{"diagnose", "--db", file},
+		{"ingest", "--logs", logs, "--work", filepath.Join(base, "work"), "--db", file},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "not a warehouse directory") {
+			t.Fatalf("%v over a regular file: %v", args, err)
 		}
 	}
-	if err := run([]string{"tables", "--db", v1}); err != nil {
-		t.Fatalf("tables over a version-1 directory: %v", err)
-	}
-	dbtest.Same(t, "version-1 directory against the migrated gob file", want, openDump(t, v1))
-	if err := run([]string{"compact", "--db", v1}); err != nil {
-		t.Fatalf("compact over a version-1 directory: %v", err)
-	}
-	if gobs, _ := filepath.Glob(filepath.Join(v1, "*.gob")); len(gobs) != 0 {
-		t.Errorf("the commit left %v", gobs)
-	}
-	man, err := os.ReadFile(filepath.Join(v1, "MANIFEST.json"))
-	if err != nil || !strings.Contains(string(man), `"version": 2`) {
-		t.Errorf("manifest after the commit (%v): %.80s", err, man)
-	}
-	dbtest.Same(t, "version-2 rewrite against the migrated gob file", want, openDump(t, v1))
 }
 
 // helpStanzas runs `mscope cmd -h` and returns each flag's usage stanza —

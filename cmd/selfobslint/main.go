@@ -1,8 +1,8 @@
 // Command selfobslint guards the self-observability contract on hot-path
 // packages (the per-record ingest and stream loops): a file there may use
 // internal/selfobs only through the no-op-able API — Buf/span creation,
-// counters, preallocated shard labels — so that when telemetry is
-// disabled the instrumentation costs zero allocations and no lock.
+// counters — so that when telemetry is disabled the instrumentation costs
+// zero allocations and no lock.
 //
 // Two classes of violation are reported:
 //
@@ -10,8 +10,8 @@
 //     (e.g. FormatLine, which allocates unconditionally);
 //  2. computing a span label at the call site — fmt/strconv/strings calls
 //     or string concatenation inside the arguments of a span Begin — which
-//     would allocate on every record even with telemetry off. Use the
-//     preallocated selfobs.Shard labels or string constants instead.
+//     would allocate on every record even with telemetry off. Use a
+//     string constant instead.
 //
 // Usage: selfobslint ./internal/transform ./internal/stream
 package main
@@ -35,7 +35,6 @@ var hotPathAllowed = map[string]bool{
 	"NewBuf":     true,
 	"Begin":      true,
 	"NewCounter": true,
-	"Shard":      true,
 	"Enabled":    true,
 }
 
@@ -73,12 +72,12 @@ func lintFile(fset *token.FileSet, f *ast.File) []finding {
 				switch x := n.(type) {
 				case *ast.BinaryExpr:
 					if x.Op == token.ADD {
-						report(x, "span label built with + in Begin arguments; use a constant or selfobs.Shard")
+						report(x, "span label built with + in Begin arguments; use a constant")
 					}
 				case *ast.CallExpr:
 					if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
 						if id, ok := sel.X.(*ast.Ident); ok && labelBuilders[id.Name] {
-							report(x, "span label built with %s.%s in Begin arguments; use a constant or selfobs.Shard",
+							report(x, "span label built with %s.%s in Begin arguments; use a constant",
 								id.Name, sel.Sel.Name)
 						}
 					}
@@ -98,7 +97,7 @@ func lintFile(fset *token.FileSet, f *ast.File) []finding {
 		}
 		if id, ok := sel.X.(*ast.Ident); ok && id.Name == alias && id.Obj == nil {
 			if !hotPathAllowed[sel.Sel.Name] {
-				report(call, "%s.%s is not part of the no-op-able hot-path API (allowed: NewBuf, Begin, NewCounter, Shard, Enabled)",
+				report(call, "%s.%s is not part of the no-op-able hot-path API (allowed: NewBuf, Begin, NewCounter, Enabled)",
 					alias, sel.Sel.Name)
 			}
 		}

@@ -29,12 +29,12 @@ var _ = strconv.Itoa
 
 func TestCleanHotPathUsagePasses(t *testing.T) {
 	src := header + `
-func f(i int, name string) {
+func f(name string) {
 	obs := selfobs.NewBuf()
 	defer obs.Close()
-	sp := obs.Begin(selfobs.PipeIngest, "chunkparse", selfobs.Shard(i), name)
+	sp := obs.Begin(selfobs.PipeIngest, "parse", "whole", name)
 	sp.End(1, 0)
-	sp2 := selfobs.Begin(selfobs.PipeIngest, "stitch", "whole", name)
+	sp2 := selfobs.Begin(selfobs.PipeIngest, "append", "seq", name)
 	sp2.End(0, 0)
 	c := selfobs.NewCounter(selfobs.PipeLive, "append", "rows")
 	c.Add(1)
@@ -65,7 +65,7 @@ func f() {
 func TestComputedLabelsFlagged(t *testing.T) {
 	src := header + `
 func f(i int, obs *selfobs.Buf, name string) {
-	sp := obs.Begin(selfobs.PipeIngest, "chunkparse", "s"+strconv.Itoa(i), name)
+	sp := obs.Begin(selfobs.PipeIngest, "parse", "w"+strconv.Itoa(i), name)
 	sp.End(0, 0)
 	sp2 := selfobs.Begin(selfobs.PipeIngest, "parse", fmt.Sprintf("f%d", i), name)
 	sp2.End(0, 0)

@@ -82,7 +82,7 @@ func assertIngestEquivalent(t *testing.T, logDir string, opts transform.Options)
 
 	optsS, optsP := opts, opts
 	optsS.Workers, optsS.QuarantineDir = 1, qS
-	optsP.Workers, optsP.ChunkSize, optsP.QuarantineDir = 4, 64<<10, qP
+	optsP.Workers, optsP.QuarantineDir = 4, qP
 
 	dbS := mscopedb.Open()
 	repS, errS := transform.IngestDirWithOptions(dbS, logDir, workDir, transform.DefaultPlan(), optsS)

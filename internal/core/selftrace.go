@@ -23,7 +23,7 @@ type SelfStage struct {
 	// Spans is the number of span records aggregated.
 	Spans int
 	// Items and Errs sum the spans' payload counters (records parsed,
-	// regions quarantined, cross-shard re-parses, ...).
+	// regions quarantined, ...).
 	Items int64
 	Errs  int64
 	// TotalUS sums span durations; with concurrent workers it exceeds
@@ -32,7 +32,7 @@ type SelfStage struct {
 	MaxUS   int64
 	// BusyUS is the union of the stage's span intervals — wall-clock time
 	// during which at least one span of this stage was open. Unlike
-	// TotalUS it does not double-count concurrent shards.
+	// TotalUS it does not double-count concurrent workers.
 	BusyUS int64
 	// Share is BusyUS over the batch's wall time: the fraction of the run
 	// during which this stage was active. Stages near 1.0 dominate the

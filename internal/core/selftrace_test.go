@@ -25,11 +25,11 @@ func TestSelfTraceBreakdown(t *testing.T) {
 		batch string
 		r     selfobs.Rec
 	}{
-		// Two chunkparse shards overlap 5ms: total 20ms, busy 15ms.
-		{"b1", selfobs.Rec{Kind: "span", Pipeline: "ingest", Stage: "chunkparse",
-			Span: "s0", File: "a.log", StartNS: 0, DurNS: 10 * ms, Items: 100}},
-		{"b1", selfobs.Rec{Kind: "span", Pipeline: "ingest", Stage: "chunkparse",
-			Span: "s1", File: "a.log", StartNS: 5 * ms, DurNS: 10 * ms, Items: 200, Errs: 1}},
+		// Two workers' parses overlap 5ms: total 20ms, busy 15ms.
+		{"b1", selfobs.Rec{Kind: "span", Pipeline: "ingest", Stage: "parse",
+			Span: "whole", File: "a.log", StartNS: 0, DurNS: 10 * ms, Items: 100}},
+		{"b1", selfobs.Rec{Kind: "span", Pipeline: "ingest", Stage: "parse",
+			Span: "whole", File: "b.log", StartNS: 5 * ms, DurNS: 10 * ms, Items: 200, Errs: 1}},
 		// Append runs after: busy 5ms; batch wall = 0..20ms.
 		{"b1", selfobs.Rec{Kind: "span", Pipeline: "ingest", Stage: "append",
 			Span: "seq", File: "a.log", StartNS: 15 * ms, DurNS: 5 * ms, Items: 300}},
@@ -73,17 +73,17 @@ func TestSelfTraceBreakdown(t *testing.T) {
 		t.Fatalf("b1 stages: %+v", b1.Stages)
 	}
 	cp := b1.Stages[0] // largest BusyUS first
-	if cp.Pipeline != "ingest" || cp.Stage != "chunkparse" {
+	if cp.Pipeline != "ingest" || cp.Stage != "parse" {
 		t.Fatalf("critical path stage %s/%s", cp.Pipeline, cp.Stage)
 	}
 	if cp.Spans != 2 || cp.Items != 300 || cp.Errs != 1 {
-		t.Fatalf("chunkparse agg %+v", cp)
+		t.Fatalf("parse agg %+v", cp)
 	}
 	if cp.TotalUS != 20000 || cp.BusyUS != 15000 || cp.MaxUS != 10000 {
-		t.Fatalf("chunkparse timing total=%d busy=%d max=%d", cp.TotalUS, cp.BusyUS, cp.MaxUS)
+		t.Fatalf("parse timing total=%d busy=%d max=%d", cp.TotalUS, cp.BusyUS, cp.MaxUS)
 	}
 	if cp.Share != 0.75 {
-		t.Fatalf("chunkparse share %v, want 0.75", cp.Share)
+		t.Fatalf("parse share %v, want 0.75", cp.Share)
 	}
 	ap := b1.Stages[1]
 	if ap.Stage != "append" || ap.BusyUS != 5000 || ap.Share != 0.25 {
@@ -104,7 +104,7 @@ func TestSelfTraceBreakdown(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"batch b1 (mscope_selftrace): 3 spans over 20.000ms wall",
-		"chunkparse", "75.0", "counter live/watermark advances = 42",
+		"parse", "75.0", "counter live/watermark advances = 42",
 		"batch b2",
 	} {
 		if !strings.Contains(out, want) {

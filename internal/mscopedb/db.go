@@ -30,8 +30,8 @@ type DB struct {
 	ingestRows map[string]int64
 
 	// store, when non-nil, backs the warehouse with the on-disk segment
-	// store (OpenDir / AttachStore): tables seal full segments to disk as
-	// they fill and Checkpoint commits consistent snapshots.
+	// store (OpenDir): tables seal full segments to disk as they fill and
+	// Checkpoint commits consistent snapshots.
 	store *Store
 }
 

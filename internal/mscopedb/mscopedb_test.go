@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -370,12 +369,6 @@ func TestDBCreateDropTable(t *testing.T) {
 	}
 	if err := db.Drop(TableExperiments); err == nil {
 		t.Fatal("static table drop accepted")
-	}
-}
-
-func TestLoadMissing(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

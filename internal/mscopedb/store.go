@@ -96,8 +96,7 @@ type manifest struct {
 
 // manTable is one table of the manifest. Its tail image is TailBytes long
 // and follows those of the tables before it in the tail file; a table with
-// no unsealed rows has none. A version-1 manifest has neither the schema
-// nor the tail fields: both come from its gob tail snapshot.
+// no unsealed rows has none.
 type manTable struct {
 	Name      string    `json:"name"`
 	Cols      []Column  `json:"cols"`
@@ -130,7 +129,10 @@ func OpenDir(dir string, opts StoreOptions) (*DB, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
 		db := Open()
-		db.attach(st)
+		db.store = st
+		for _, t := range db.tables {
+			t.seal = &sealedPart{store: st}
+		}
 		if err := st.sweep(nil); err != nil {
 			return nil, err
 		}
@@ -143,15 +145,10 @@ func OpenDir(dir string, opts StoreOptions) (*DB, error) {
 	if err := json.Unmarshal(raw, &man); err != nil {
 		return nil, fmt.Errorf("mscopedb: %s: corrupt manifest: %w", dir, err)
 	}
-	var tails [][]colData // each manifest table's unsealed rows
-	switch man.Version {
-	case 1:
-		tails, err = st.readGobTail(&man)
-	case manifestVersion:
-		tails, err = st.readTails(&man)
-	default:
-		err = fmt.Errorf("manifest version %d, want %d", man.Version, manifestVersion)
+	if man.Version != manifestVersion {
+		return nil, fmt.Errorf("mscopedb: %s: manifest version %d, want %d", dir, man.Version, manifestVersion)
 	}
+	tails, err := st.readTails(&man) // each manifest table's unsealed rows
 	if err != nil {
 		return nil, fmt.Errorf("mscopedb: %s: %w", dir, err)
 	}
@@ -222,56 +219,6 @@ func (s *Store) readTails(man *manifest) ([][]colData, error) {
 		return nil, &SegmentError{File: man.Tail, Err: fmt.Errorf("%d bytes past the last tail image", len(raw))}
 	}
 	return tails, nil
-}
-
-// readGobTail is readTails for a version-1 directory, whose tail snapshot
-// also carries the schemas: it fills them into the manifest. Both list
-// every table, in name order.
-func (s *Store) readGobTail(man *manifest) ([][]colData, error) {
-	snap, err := readSnapshot(filepath.Join(s.dir, man.Tail))
-	if err != nil {
-		return nil, fmt.Errorf("tail snapshot: %w", err)
-	}
-	if len(snap.Tables) != len(man.Tables) {
-		return nil, fmt.Errorf("tail snapshot %s holds %d tables, manifest %d", man.Tail, len(snap.Tables), len(man.Tables))
-	}
-	tails := make([][]colData, len(man.Tables))
-	for i, ts := range snap.Tables {
-		mt := &man.Tables[i]
-		if ts.Name != mt.Name {
-			return nil, fmt.Errorf("tail snapshot %s holds table %s where the manifest has %s", man.Tail, ts.Name, mt.Name)
-		}
-		mt.Cols, mt.TailRows, tails[i] = ts.Cols, ts.Rows, ts.Data
-	}
-	return tails, nil
-}
-
-// attach wires a store into a warehouse, sealing every existing table.
-func (db *DB) attach(st *Store) {
-	db.store = st
-	for _, t := range db.tables {
-		t.seal = &sealedPart{store: st}
-	}
-}
-
-// AttachStore converts an in-memory warehouse (Open or the legacy gob
-// Load) into a stored one rooted at an empty directory — the migration
-// path of `mscope migrate-db`. The data is not written until the first
-// Checkpoint.
-func (db *DB) AttachStore(dir string, opts StoreOptions) error {
-	if db.store != nil {
-		return fmt.Errorf("mscopedb: warehouse already has a store at %s", db.store.dir)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("mscopedb: attach store %s: %w", dir, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
-		return fmt.Errorf("mscopedb: %s already holds a warehouse (manifest present)", dir)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.attach(&Store{dir: dir, opts: opts.withDefaults()})
-	return nil
 }
 
 // Checkpoint commits the warehouse: full segments are carved from every

@@ -674,6 +674,27 @@ func TestTailCorruptionIsAnError(t *testing.T) {
 	}
 }
 
+// TestOtherManifestVersionRefusedByName: a directory whose manifest is not
+// version 2 (version 1, a gob tail beside it, is what earlier trees wrote)
+// is an error naming the version it holds, never decoded as if it were, and
+// opening it sweeps nothing.
+func TestOtherManifestVersionRefusedByName(t *testing.T) {
+	dir := t.TempDir()
+	old := `{"version": 1, "seq": 28, "tail": "tail-00000028.gob", "tables": [{"name": "ev"}]}`
+	for name, data := range map[string]string{manifestName: old, "tail-00000028.gob": "gob"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := OpenDir(dir, StoreOptions{})
+	if err == nil || !strings.Contains(err.Error(), "manifest version 1, want 2") {
+		t.Fatalf("version-1 directory opened: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "tail-00000028.gob")); err != nil {
+		t.Fatalf("the refused directory was swept: %v", err)
+	}
+}
+
 // TestCrashBetweenTailAndManifestReopensToPreviousCommit: the manifest
 // rename is the commit point, so a checkpoint that wrote its tail file and
 // then died leaves the previous commit, whole.

@@ -48,8 +48,7 @@ type Entry struct {
 var fieldPool = sync.Pool{
 	// Start at the widest schema any built-in monitor emits (collectl's 17
 	// columns): a pool miss then costs one allocation per record instead of
-	// a 1→2→4→8→16 doubling chain. Sharded parses retain every entry until
-	// the sequenced append, so misses are the common case there.
+	// a 1→2→4→8→16 doubling chain.
 	New: func() any { s := make([]Field, 0, 17); return &s },
 }
 

@@ -28,8 +28,7 @@ var _ DegradedParser = tokenParser{}
 func (tokenParser) Name() string { return "token" }
 
 func (tokenParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
-	_, err := tokenParser{}.parse(in, instr, 1, emit, nil)
-	return err
+	return tokenParser{}.parse(in, instr, emit, nil)
 }
 
 // ParseDegraded diverts unmatched and semantically invalid lines to rec
@@ -38,25 +37,21 @@ func (tokenParser) ParseDegraded(in io.Reader, instr Instructions, emit Emit, re
 	if rec == nil {
 		return fmt.Errorf("parsers: token degraded mode requires a Recover sink")
 	}
-	_, err := tokenParser{}.parse(in, instr, 1, emit, rec)
-	return err
+	return tokenParser{}.parse(in, instr, emit, rec)
 }
 
 // parse is the shared token loop; rec == nil selects fail-fast semantics.
-// startLine numbers the first input line so sharded parses report the
-// same diagnostics as whole-file parses. Records are single lines, so the
-// tail is always nil.
-func (tokenParser) parse(in io.Reader, instr Instructions, startLine int, emit Emit, rec Recover) ([]TailLine, error) {
+func (tokenParser) parse(in io.Reader, instr Instructions, emit Emit, rec Recover) error {
 	if instr.Pattern == "" {
-		return nil, fmt.Errorf("parsers: token mode requires a pattern")
+		return fmt.Errorf("parsers: token mode requires a pattern")
 	}
 	mt, err := compileMatcher(instr.Pattern)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sc := newScanner(in)
 	var scratch matchScratch
-	lineNo := startLine - 1
+	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
@@ -69,10 +64,10 @@ func (tokenParser) parse(in io.Reader, instr Instructions, startLine int, emit E
 			}
 			err := fmt.Errorf("parsers: line %d does not match token pattern: %q", lineNo, line)
 			if rec == nil {
-				return nil, err
+				return err
 			}
 			if rerr := rec(Malformed{Line: lineNo, Text: line, Err: err}); rerr != nil {
-				return nil, rerr
+				return rerr
 			}
 			continue
 		}
@@ -82,21 +77,21 @@ func (tokenParser) parse(in io.Reader, instr Instructions, startLine int, emit E
 			e.Release()
 			err = fmt.Errorf("parsers: line %d: %w", lineNo, err)
 			if rec == nil {
-				return nil, err
+				return err
 			}
 			if rerr := rec(Malformed{Line: lineNo, Text: line, Err: err}); rerr != nil {
-				return nil, rerr
+				return rerr
 			}
 			continue
 		}
 		if err := emit(e); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("parsers: scan: %w", err)
+		return fmt.Errorf("parsers: scan: %w", err)
 	}
-	return nil, nil
+	return nil
 }
 
 // linesParser is the generic fixed-size line-group parser ("the sequence
@@ -109,8 +104,7 @@ var _ DegradedParser = linesParser{}
 func (linesParser) Name() string { return "lines" }
 
 func (linesParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
-	_, err := linesParser{}.parse(in, instr, 1, false, emit, nil)
-	return err
+	return linesParser{}.parse(in, instr, emit, nil)
 }
 
 // ParseDegraded diverts malformed records to rec and resynchronizes at the
@@ -120,41 +114,35 @@ func (linesParser) ParseDegraded(in io.Reader, instr Instructions, emit Emit, re
 	if rec == nil {
 		return fmt.Errorf("parsers: lines degraded mode requires a Recover sink")
 	}
-	_, err := linesParser{}.parse(in, instr, 1, false, emit, rec)
-	return err
+	return linesParser{}.parse(in, instr, emit, rec)
 }
 
 // parse is the shared lines-mode loop; rec == nil selects fail-fast
-// semantics. startLine numbers the first input line. When mid is true the
-// input is a mid-file shard: an incomplete record at end of input is the
-// shard's tail — the serial parse would keep assembling it from the next
-// shard's lines — so it is returned instead of being treated as
-// truncation. Pending lines are always consecutive (nothing is skipped
-// once a record is open), so the tail can be re-fed verbatim ahead of the
-// next shard.
-func (linesParser) parse(in io.Reader, instr Instructions, startLine int, mid bool, emit Emit, rec Recover) ([]TailLine, error) {
+// semantics.
+func (linesParser) parse(in io.Reader, instr Instructions, emit Emit, rec Recover) error {
 	if len(instr.Group) == 0 {
-		return nil, fmt.Errorf("parsers: lines mode requires group rules")
+		return fmt.Errorf("parsers: lines mode requires group rules")
 	}
 	compiled := make([]*matcher, len(instr.Group))
 	for i, r := range instr.Group {
 		mt, err := compileMatcher(r.Pattern)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		compiled[i] = mt
 	}
 	sc := newScanner(in)
 	var scratch matchScratch
-	lineNo := startLine - 1
+	lineNo := 0
 	e := mxml.NewEntry()
-	var pending []TailLine
+	var pending []Malformed // the open record's lines, Err unset
 	idx := 0
 	// divert hands the current partial record to rec and resets the state.
 	// The partial entry was never emitted, so its storage is reused.
 	divert := func(cause error) error {
 		for _, p := range pending {
-			if rerr := rec(Malformed{Line: p.Line, Text: p.Text, Err: cause}); rerr != nil {
+			p.Err = cause
+			if rerr := rec(p); rerr != nil {
 				return rerr
 			}
 		}
@@ -178,37 +166,37 @@ func (linesParser) parse(in io.Reader, instr Instructions, startLine int, mid bo
 			err := fmt.Errorf("parsers: line %d does not match group rule %d (%q): %q",
 				lineNo, idx, instr.Group[idx].Pattern, line)
 			if rec == nil {
-				return nil, err
+				return err
 			}
 			if idx != 0 {
 				// Abandon the partial record, then re-test this line as a
 				// possible start of the next record.
 				if rerr := divert(err); rerr != nil {
-					return nil, rerr
+					return rerr
 				}
 				goto retry
 			}
 			if rerr := rec(Malformed{Line: lineNo, Text: line, Err: err}); rerr != nil {
-				return nil, rerr
+				return rerr
 			}
 			continue
 		}
 		addGroups(&e, mt, &scratch)
-		pending = append(pending, TailLine{Line: lineNo, Text: line})
+		pending = append(pending, Malformed{Line: lineNo, Text: line})
 		idx++
 		if idx == len(compiled) {
 			if err := applyCommon(&e, instr, &scratch); err != nil {
 				err = fmt.Errorf("parsers: record ending line %d: %w", lineNo, err)
 				if rec == nil {
-					return nil, err
+					return err
 				}
 				if rerr := divert(err); rerr != nil {
-					return nil, rerr
+					return rerr
 				}
 				continue
 			}
 			if err := emit(e); err != nil {
-				return nil, fmt.Errorf("parsers: record ending line %d: %w", lineNo, err)
+				return fmt.Errorf("parsers: record ending line %d: %w", lineNo, err)
 			}
 			e = mxml.NewEntry()
 			pending = pending[:0]
@@ -216,24 +204,17 @@ func (linesParser) parse(in io.Reader, instr Instructions, startLine int, mid bo
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("parsers: scan: %w", err)
+		return fmt.Errorf("parsers: scan: %w", err)
 	}
 	if idx != 0 {
-		if mid {
-			// The record may complete in the next shard; hand the pending
-			// lines back so the coordinator re-parses across the cut.
-			tail := make([]TailLine, len(pending))
-			copy(tail, pending)
-			return tail, nil
-		}
 		err := fmt.Errorf("parsers: truncated record at end of file (started line %d): got %d of %d lines",
 			pending[0].Line, idx, len(compiled))
 		if rec == nil {
-			return nil, err
+			return err
 		}
 		if rerr := divert(err); rerr != nil {
-			return nil, rerr
+			return rerr
 		}
 	}
-	return nil, nil
+	return nil
 }

@@ -43,8 +43,7 @@ func (mysqlSlowParser) Parse(in io.Reader, instr Instructions, emit Emit) error 
 	// User instructions may add Const fields; the record shape is fixed.
 	fixed := mysqlSlowInstr
 	fixed.Const = instr.Const
-	_, err := linesParser{}.parse(in, fixed, 1, false, finishSlowRecord(emit, nil), nil)
-	return err
+	return linesParser{}.parse(in, fixed, finishSlowRecord(emit, nil), nil)
 }
 
 // ParseDegraded quarantines malformed slow-log input: structural damage is
@@ -56,8 +55,7 @@ func (mysqlSlowParser) ParseDegraded(in io.Reader, instr Instructions, emit Emit
 	}
 	fixed := mysqlSlowInstr
 	fixed.Const = instr.Const
-	_, err := linesParser{}.parse(in, fixed, 1, false, finishSlowRecord(emit, rec), rec)
-	return err
+	return linesParser{}.parse(in, fixed, finishSlowRecord(emit, rec), rec)
 }
 
 // finishSlowRecord wraps emit with the slow-log semantic stage: compute the

@@ -201,8 +201,7 @@ func applyCommon(e *mxml.Entry, instr Instructions, sc *matchScratch) error {
 
 // matcher pairs the regexp compilation of a pattern with its byte-slice
 // tokenizer when the pattern fits the tokenizer dialect. The regexp is
-// always kept: chunk boundaries need it, and it is the semantic reference
-// the tokenizer must agree with.
+// always kept: it is the semantic reference the tokenizer must agree with.
 type matcher struct {
 	re    *regexp.Regexp
 	tok   *tokenizer // nil when the pattern falls outside the dialect
@@ -301,16 +300,6 @@ func equalNames(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// compile returns the cached regexp compilation of pattern (chunk-boundary
-// declarations match with regexp directly).
-func compile(pattern string) (*regexp.Regexp, error) {
-	m, err := compileMatcher(pattern)
-	if err != nil {
-		return nil, err
-	}
-	return m.re, nil
 }
 
 // matcherCache is populated lazily. The batch transformer parses files

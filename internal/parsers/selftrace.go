@@ -10,13 +10,11 @@ import (
 // span or counter snapshot. The format is fixed by the emitter, so —
 // like the slow-log parser — the parser carries its own instruction set
 // and honors only the caller's Const fields. It is a thin veneer over the
-// generic token machinery, which gives it degraded mode and sharded
-// parsing for free (every line is an independent record).
+// generic token machinery, which gives it degraded mode for free.
 type selftraceParser struct{}
 
 var _ Parser = selftraceParser{}
 var _ DegradedParser = selftraceParser{}
-var _ ChunkParser = selftraceParser{}
 
 // SelfTraceInstructions declares the self-telemetry log line. Exported so
 // tests and custom pipelines can reuse the grammar, mirroring
@@ -41,20 +39,9 @@ func (selftraceParser) fixed(instr Instructions) Instructions {
 }
 
 func (p selftraceParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
-	_, err := tokenParser{}.parse(in, p.fixed(instr), 1, emit, nil)
-	return err
+	return tokenParser{}.parse(in, p.fixed(instr), emit, nil)
 }
 
 func (p selftraceParser) ParseDegraded(in io.Reader, instr Instructions, emit Emit, rec Recover) error {
-	_, err := tokenParser{}.parse(in, p.fixed(instr), 1, emit, rec)
-	return err
-}
-
-// Chunkable: single-line records, any line boundary is a safe cut.
-func (selftraceParser) Chunkable(Instructions) (Boundary, bool) {
-	return Boundary{}, true
-}
-
-func (p selftraceParser) ParseChunk(in io.Reader, instr Instructions, startLine int, mid bool, emit Emit, rec Recover) ([]TailLine, error) {
-	return tokenParser{}.parse(in, p.fixed(instr), startLine, emit, rec)
+	return tokenParser{}.parse(in, p.fixed(instr), emit, rec)
 }

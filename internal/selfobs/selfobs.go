@@ -56,10 +56,9 @@ type Rec struct {
 	Kind string
 	// Pipeline is the instrumented subsystem (PipeIngest, PipeLive, ...).
 	Pipeline string
-	// Stage is the pipeline stage ("chunkparse", "append", "detect", ...).
+	// Stage is the pipeline stage ("parse", "append", "detect", ...).
 	Stage string
-	// Span labels the executor: a worker ("w3"), shard ("s2"), source, or
-	// counter name. Never empty in rendered output ("-" placeholder).
+	// Span labels the executor: a worker ("w3"), source, or counter name. Never empty in rendered output ("-" placeholder).
 	Span string
 	// File is the subject file's base name, when the span has one.
 	File string
@@ -303,28 +302,4 @@ func (c *Collector) snapshotCounters() []Rec {
 		})
 	}
 	return out
-}
-
-// shardLabels pre-renders the small shard/worker labels the parallel
-// ingest uses, so hot paths can label spans without formatting.
-var shardLabels = func() [64]string {
-	var a [64]string
-	digits := "0123456789"
-	for i := range a {
-		if i < 10 {
-			a[i] = "s" + digits[i:i+1]
-		} else {
-			a[i] = "s" + digits[i/10:i/10+1] + digits[i%10:i%10+1]
-		}
-	}
-	return a
-}()
-
-// Shard returns a preallocated "s<i>" label for shard or worker i; large
-// indexes collapse into "s+" rather than allocating.
-func Shard(i int) string {
-	if i >= 0 && i < len(shardLabels) {
-		return shardLabels[i]
-	}
-	return "s+"
 }

@@ -16,7 +16,7 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	Disable()
 	if n := testing.AllocsPerRun(1000, func() {
 		b := NewBuf()
-		s := b.Begin(PipeIngest, "chunkparse", Shard(3), "app_event.log")
+		s := b.Begin(PipeIngest, "parse", "whole", "app_event.log")
 		s.End(100, 0)
 		b.Close()
 	}); n != 0 {
@@ -45,7 +45,7 @@ func TestEnableDisableRoundTrip(t *testing.T) {
 	s := Begin(PipeDiagnose, "vlrt", "-", "")
 	s.End(7, 1)
 	b := NewBuf()
-	b.Begin(PipeIngest, "parse", Shard(0), "web_event.log").End(42, 0)
+	b.Begin(PipeIngest, "parse", "whole", "web_event.log").End(42, 0)
 	b.Close()
 	testCounter.Add(9)
 
@@ -64,7 +64,7 @@ func TestEnableDisableRoundTrip(t *testing.T) {
 	for _, want := range []string{
 		"mscope-self kind=span batch=b1 pipeline=diagnose stage=vlrt span=- file=- ",
 		"items=7 errs=1",
-		"kind=span batch=b1 pipeline=ingest stage=parse span=s0 file=web_event.log",
+		"kind=span batch=b1 pipeline=ingest stage=parse span=whole file=web_event.log",
 		"kind=counter batch=b1 pipeline=live stage=watermark span=rows_advanced file=- dur_us=0 items=9 errs=0",
 		"2026-01-02T03:04:05.",
 	} {
@@ -106,15 +106,6 @@ func TestTokenSanitizes(t *testing.T) {
 	}
 }
 
-func TestShardLabels(t *testing.T) {
-	if Shard(0) != "s0" || Shard(9) != "s9" || Shard(10) != "s10" || Shard(63) != "s63" {
-		t.Errorf("small labels wrong: %q %q %q %q", Shard(0), Shard(9), Shard(10), Shard(63))
-	}
-	if Shard(64) != "s+" || Shard(-1) != "s+" {
-		t.Errorf("out-of-range labels wrong: %q %q", Shard(64), Shard(-1))
-	}
-}
-
 // Hammer concurrent emission from many goroutines mixing Bufs, one-shot
 // spans, and counters; meant to run under -race (race-short does).
 func TestConcurrentEmissionHammer(t *testing.T) {
@@ -125,17 +116,17 @@ func TestConcurrentEmissionHammer(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			b := NewBuf()
 			for i := 0; i < spansEach; i++ {
-				s := b.Begin(PipeIngest, "chunkparse", Shard(g), "hammer.log")
+				s := b.Begin(PipeIngest, "parse", "whole", "hammer.log")
 				s.End(int64(i), 0)
 				testCounter.Add(1)
 			}
 			b.Close()
-			Begin(PipeIngest, "stitch", Shard(g), "hammer.log").End(1, 0)
-		}(g)
+			Begin(PipeIngest, "append", "seq", "hammer.log").End(1, 0)
+		}()
 	}
 	wg.Wait()
 	wantSpans := goroutines*spansEach + goroutines

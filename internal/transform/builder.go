@@ -20,7 +20,6 @@ import (
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mxml"
-	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/xmlcsv"
 )
 
@@ -314,23 +313,6 @@ func (b *tableBuilder) table(name string, cols []mscopedb.Column) (*mscopedb.Tab
 		return nil, fmt.Errorf("importer: create table: %w", err)
 	}
 	return tbl, nil
-}
-
-// replay feeds a stitched sharded parse — malformed regions, then entries,
-// each already in whole-file order — through the sinks a streamed parse
-// calls as it goes, so both leave the same sink bytes and the same table.
-func (b *tableBuilder) replay(entries []mxml.Entry, regions []parsers.Malformed, rec parsers.Recover) error {
-	for _, m := range regions {
-		if err := rec(m); err != nil {
-			return err
-		}
-	}
-	for _, e := range entries {
-		if err := b.add(e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // openDoc starts the annotated-XML document Options.Materialize exports.

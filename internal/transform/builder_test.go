@@ -303,29 +303,39 @@ func TestCanonicalCellsRenderBack(t *testing.T) {
 // first copied into a per-file arena of 48-byte mxml.Fields grown by
 // doubling. Measured on this log at the commit before the builder: 3,090
 // bytes and 3.005 to 3.009 mallocs a row (the first run of a process is the
-// high one); with it: 606 bytes and the same 3.005 to 3.009.
+// high one); with it: 606 bytes and the same 3.005 to 3.009. More workers
+// change neither number: a file is parsed once, by one of them (the sharded
+// parse four workers used to run allocated 1.8 times the bytes).
 func TestBatchIngestHoldsNoEntryArena(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-record ingest")
 	}
 	const records, parentBytes, parentMallocs = 100_000, 3090.0, 3.01
 	logDir := writeLogDir(t, map[string]string{"apache_access.log": string(apacheCorpus(records, 0))})
-	work := t.TempDir()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	rep, err := IngestDirWithOptions(mscopedb.Open(), logDir, work, DefaultPlan(), Options{})
-	runtime.ReadMemStats(&after)
-	if err != nil || rep.TotalRows() != records {
-		t.Fatalf("ingest loaded %d rows: %v", rep.TotalRows(), err)
+	measure := func(workers int) (bytesPerRow, mallocsPerRow float64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rep, err := IngestDirWithOptions(mscopedb.Open(), logDir, t.TempDir(), DefaultPlan(), Options{Workers: workers})
+		runtime.ReadMemStats(&after)
+		if err != nil || rep.TotalRows() != records {
+			t.Fatalf("ingest loaded %d rows: %v", rep.TotalRows(), err)
+		}
+		bytesPerRow = float64(after.TotalAlloc-before.TotalAlloc) / records
+		mallocsPerRow = float64(after.Mallocs-before.Mallocs) / records
+		t.Logf("workers %d: %.0f bytes and %.4f mallocs a row", workers, bytesPerRow, mallocsPerRow)
+		return bytesPerRow, mallocsPerRow
 	}
-	bytesPerRow := float64(after.TotalAlloc-before.TotalAlloc) / records
-	mallocsPerRow := float64(after.Mallocs-before.Mallocs) / records
-	t.Logf("%.0f bytes and %.4f mallocs a row", bytesPerRow, mallocsPerRow)
+	bytesPerRow, mallocsPerRow := measure(1)
 	if bytesPerRow > 0.6*parentBytes {
 		t.Errorf("%.0f bytes allocated a row, over 60%% of the %.0f of the entry arena", bytesPerRow, parentBytes)
 	}
 	if mallocsPerRow > parentMallocs {
 		t.Errorf("%.2f mallocs a row, above the %.2f of the entry arena", mallocsPerRow, parentMallocs)
+	}
+	bytes4, mallocs4 := measure(4)
+	if bytes4 > 1.05*bytesPerRow || mallocs4 > 1.05*mallocsPerRow {
+		t.Errorf("four workers allocate %.0f bytes and %.4f mallocs a row, over 5%% above one worker's %.0f and %.4f",
+			bytes4, mallocs4, bytesPerRow, mallocsPerRow)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -184,7 +186,7 @@ func writeAdversarialDir(t *testing.T) string {
 	t.Helper()
 	rows := 10_000
 	if testing.Short() {
-		rows = 1_000 // 64-byte shards of the full log take a minute under the race detector
+		rows = 1_000 // the full log takes half a minute under the race detector
 	}
 	ints := []string{"+1", "007", "-0", "12"}
 	floats := []string{"1e3", "1_000", "0x1p4", "9223372036854775808", "NaN"}
@@ -227,10 +229,9 @@ func writeAdversarialDir(t *testing.T) string {
 }
 
 // TestEngineMatchesOracle is the one equivalence suite of the batch
-// ingest: each case runs with one worker (every file streamed whole) as
-// the reference, with four workers and 64-byte chunks (every chunkable
-// file sharded and stitched), and again with the staged artifacts
-// exported, which are then re-loaded through the independent reader half.
+// ingest: each case runs with one worker as the reference, with two, four
+// and eight, and again with the staged artifacts exported, which are then
+// re-loaded through the independent reader half.
 func TestEngineMatchesOracle(t *testing.T) {
 	abortDir := writeLogDir(t, map[string]string{
 		// The first file loads; the second aborts a fail-fast ingest and
@@ -258,11 +259,14 @@ func TestEngineMatchesOracle(t *testing.T) {
 				workDir := t.TempDir()
 				base := Options{Policy: policy, ErrorBudget: tc.budget}
 				one, four := base, base
-				one.Workers = 1
-				four.Workers, four.ChunkSize = 4, 64
+				one.Workers, four.Workers = 1, 4
 
 				ref := runEngine(t, tc.logDir, workDir, tc.plan, one)
-				assertRunsEqual(t, tc.logDir, ref, runEngine(t, tc.logDir, workDir, tc.plan, four))
+				for _, workers := range []int{2, 4, 8} {
+					many := base
+					many.Workers = workers
+					assertRunsEqual(t, tc.logDir, ref, runEngine(t, tc.logDir, workDir, tc.plan, many))
+				}
 				for _, o := range []Options{one, four} {
 					o.Materialize = true
 					exp := runEngine(t, tc.logDir, workDir, tc.plan, o)
@@ -320,7 +324,7 @@ func referenceMXML(t *testing.T, path string, b Binding, dir string) string {
 // pipeline's outputs: the XML, CSV and schema artifacts the engine exports
 // must be byte-identical to what the parser writing an mxml document and
 // ConvertFile reading it produce for the same inputs — on the synthetic
-// directory (whole and sharded) and on every committed golden input.
+// directory (one worker and four) and on every committed golden input.
 func TestMaterializeArtifactsGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -328,7 +332,7 @@ func TestMaterializeArtifactsGolden(t *testing.T) {
 		opts   Options
 	}{
 		{"synthetic", writeSyntheticDir(t, false), Options{Materialize: true}},
-		{"synthetic-sharded", writeSyntheticDir(t, false), Options{Materialize: true, Workers: 4, ChunkSize: 2 << 10}},
+		{"synthetic-w4", writeSyntheticDir(t, false), Options{Materialize: true, Workers: 4}},
 		{"golden-inputs", goldenDir, Options{Materialize: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -363,31 +367,40 @@ func TestMaterializeArtifactsGolden(t *testing.T) {
 	}
 }
 
-// TestOneWorkerNeverShards pins the shard decision, and with it the
-// allocation profile the benchmark gates: a file of many chunks ingested
-// with one worker streams whole (no chunkparse span), with four it shards.
-func TestOneWorkerNeverShards(t *testing.T) {
-	logDir := writeSyntheticDir(t, false) // apache_access.log is ~80 KB
-	for _, tc := range []struct {
-		workers int
-		sharded bool
-	}{{0, false}, {1, false}, {4, true}} {
-		c := selfobs.Enable("shard-decision", time.Unix(0, 0).UTC())
-		_, err := IngestDirWithOptions(mscopedb.Open(), logDir, t.TempDir(), DefaultPlan(),
-			Options{Workers: tc.workers, ChunkSize: 2 << 10})
-		selfobs.Disable()
-		if err != nil {
-			t.Fatal(err)
+// TestWorkersStartFilesInSortedOrder: the workers take files in sorted-name
+// order, the order the sequencer installs them in, so it never waits on a
+// file that has not been started while later ones hold the workers. When
+// the file at sorted index i starts, the i before it have all been taken and
+// at most workers-1 of those have yet to start.
+func TestWorkersStartFilesInSortedOrder(t *testing.T) {
+	const workers = 2
+	corpus := string(apacheCorpus(300, 0))
+	files := map[string]string{}
+	var names []string // sorted
+	for i := range 8 {
+		names = append(names, fmt.Sprintf("n%d_access.log", i))
+		files[names[i]] = corpus
+	}
+	c := selfobs.Enable("start-order", time.Unix(0, 0).UTC())
+	defer selfobs.Disable()
+	_, err := IngestDirWithOptions(mscopedb.Open(), writeLogDir(t, files), t.TempDir(), DefaultPlan(), Options{Workers: workers})
+	selfobs.Disable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parses []selfobs.Rec
+	for _, r := range c.Snapshot() {
+		if r.Pipeline == selfobs.PipeIngest && r.Stage == "parse" && r.Span == "whole" {
+			parses = append(parses, r)
 		}
-		var sb strings.Builder
-		if _, err := c.WriteLog(&sb); err != nil {
-			t.Fatal(err)
-		}
-		if got := strings.Contains(sb.String(), "stage=chunkparse"); got != tc.sharded {
-			t.Errorf("workers=%d: chunkparse span present = %v, want %v", tc.workers, got, tc.sharded)
-		}
-		if !strings.Contains(sb.String(), "stage=build") {
-			t.Errorf("workers=%d: ingest was not observed at all", tc.workers)
+	}
+	if len(parses) != len(names) {
+		t.Fatalf("%d parse spans for %d files", len(parses), len(names))
+	}
+	sort.Slice(parses, func(a, b int) bool { return parses[a].StartNS < parses[b].StartNS })
+	for pos, r := range parses {
+		if i := slices.Index(names, r.File); i > pos+workers-1 {
+			t.Errorf("%s (sorted index %d) was parse number %d to start", r.File, i, pos)
 		}
 	}
 }

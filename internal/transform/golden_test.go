@@ -92,7 +92,7 @@ func goldenInputs() map[string]string {
 	for i := 0; i < 4; i++ {
 		self.WriteString(selfobs.FormatLine(ep, "golden-batch", selfobs.Rec{
 			Kind: "span", Pipeline: selfobs.PipeIngest, Stage: "chunkparse",
-			Span: selfobs.Shard(i), File: "apache_access.log",
+			Span: fmt.Sprintf("s%d", i), File: "apache_access.log",
 			StartNS: int64(i) * 2_500_000, DurNS: 1_200_000 + int64(i)*10_000,
 			Items: 1500 + int64(i), Errs: int64(i % 2),
 		}) + "\n")

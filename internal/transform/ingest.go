@@ -1,13 +1,13 @@
 package transform
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/gt-elba/milliscope/internal/importer"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
@@ -16,22 +16,6 @@ import (
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/simtime"
 )
-
-// semaphore bounds the number of concurrently executing work units (file
-// pipelines and shard parses share one pool) to Options.Workers.
-type semaphore chan struct{}
-
-func (s semaphore) release() { <-s }
-
-// acquireCtx acquires a slot unless the ingest has been aborted.
-func (s semaphore) acquireCtx(ctx context.Context) bool {
-	select {
-	case s <- struct{}{}:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
 
 // fileAction is the planning decision for one directory entry.
 type fileAction int
@@ -69,14 +53,14 @@ type fileOutcome struct {
 }
 
 // IngestDirWithOptions is the batch ingest engine. A planner decides per
-// directory entry whether it is skipped, unchanged or processed; a pool of
-// Options.Workers slots runs processFile for the latter; and a single
-// sequenced appender — the only goroutine that touches db or the report —
-// walks the files in sorted-name order and applies every warehouse side
-// effect (drop-for-rebuild, table install, both ledger rows, report
-// entries, policy decisions). The result is therefore the same for every
-// worker count: byte-identical warehouse dumps, reports and quarantine
-// sinks, and the same first error under FailFast.
+// directory entry whether it is skipped, unchanged or processed;
+// Options.Workers goroutines run processFile for the latter, taking files in
+// sorted-name order; and a single sequenced appender — the only goroutine
+// that touches db or the report — walks the files in the same order and
+// applies every warehouse side effect (drop-for-rebuild, table install, both
+// ledger rows, report entries, policy decisions). The result is therefore
+// the same for every worker count: byte-identical warehouse dumps, reports
+// and quarantine sinks, and the same first error under FailFast.
 //
 // Under Quarantine, per-file rejections land in Report.Failed and the
 // ingest continues; infrastructure errors (unreadable directory, schema or
@@ -130,26 +114,33 @@ func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, o
 		}
 	}
 
-	if opts.Workers < 1 {
-		opts.Workers = 1
+	// The workers take files in the order the sequencer below consumes them,
+	// so the file it waits for is always one already started.
+	work := make(chan *fileJob, len(jobs))
+	for _, j := range jobs {
+		if j.action == actProcess && j.preErr == nil {
+			work <- j
+		}
 	}
-	// No worker outlives the ingest: an early return cancels the ones still
-	// queued for a slot and waits for the ones mid-file, so nothing is
-	// written under workDir after IngestDirWithOptions returns.
+	close(work)
+	// No worker outlives the ingest: an early return stops them from taking
+	// another file and waits for the ones mid-file, so nothing is written
+	// under workDir after IngestDirWithOptions returns.
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sem := make(semaphore, opts.Workers)
-	for _, j := range jobs {
-		if j.action != actProcess || j.preErr != nil {
-			continue
-		}
+	var aborted atomic.Bool
+	defer aborted.Store(true)
+	for range min(max(opts.Workers, 1), len(work)) {
 		wg.Add(1)
-		go func(j *fileJob) {
+		go func() {
 			defer wg.Done()
-			j.out <- processFile(ctx, sem, j, workDir, opts)
-		}(j)
+			for j := range work {
+				if aborted.Load() {
+					return
+				}
+				j.out <- processFile(j, workDir, opts)
+			}
+		}()
 	}
 
 	obs := selfobs.NewBuf()
@@ -205,12 +196,11 @@ func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, o
 	return rep, nil
 }
 
-// processFile is the per-file pipeline of §III-B, run on the worker pool:
-// parse the file (streamed whole, or sharded and stitched) into a
-// tableBuilder, which types and stores every cell as it arrives, settle the
-// schema, export the staged artifacts when asked, and hand over the typed
-// table. It performs no warehouse writes.
-func processFile(ctx context.Context, sem semaphore, j *fileJob, workDir string, opts Options) (out fileOutcome) {
+// processFile is the per-file pipeline of §III-B, run by a worker: stream
+// the file through its parser into a tableBuilder, which types and stores
+// every cell as it arrives, settle the schema, export the staged artifacts
+// when asked, and hand over the typed table. It performs no warehouse writes.
+func processFile(j *fileJob, workDir string, opts Options) (out fileOutcome) {
 	b := j.binding
 	// One span buffer per file worker: every stage span of this file is
 	// appended goroutine-locally and flushed once when the worker returns.
@@ -239,20 +229,6 @@ func processFile(ctx context.Context, sem semaphore, j *fileJob, workDir string,
 	}
 
 	var tb tableBuilder
-	var entries []mxml.Entry
-	var regions []parsers.Malformed
-	var parseErr error
-	chunk := opts.chunkSize()
-	cp, bnd, sharded := shardable(p, b.Instructions, j.size, opts.Workers, chunk)
-	if sharded {
-		// Shards take pool slots of their own; the file worker takes its
-		// slot once they are stitched.
-		entries, regions, parseErr = parseFileSharded(ctx, sem, j, cp, bnd, chunk, rec != nil, obs)
-	}
-	if !sem.acquireCtx(ctx) {
-		return fileOutcome{err: ctx.Err()}
-	}
-	defer sem.release()
 	mxmlPath := filepath.Join(workDir, fr.Table+".mxml")
 	if opts.Materialize {
 		defer func() {
@@ -265,13 +241,10 @@ func processFile(ctx context.Context, sem semaphore, j *fileJob, workDir string,
 			return fileOutcome{err: err}
 		}
 	}
-	if sharded && parseErr == nil {
-		parseErr = tb.replay(entries, regions, rec)
-	} else if !sharded {
-		sp := obs.Begin(selfobs.PipeIngest, "parse", "whole", j.name)
-		if parseErr = parseStream(p, j.full, b.Instructions, tb.add, rec); parseErr == nil {
-			sp.End(int64(tb.rows), int64(sink.count()))
-		}
+	sp := obs.Begin(selfobs.PipeIngest, "parse", "whole", j.name)
+	parseErr := parseStream(p, j.full, b.Instructions, tb.add, rec)
+	if parseErr == nil {
+		sp.End(int64(tb.rows), int64(sink.count()))
 	}
 	if cerr := sink.close(); cerr != nil && parseErr == nil {
 		parseErr = cerr
@@ -291,7 +264,7 @@ func processFile(ctx context.Context, sem semaphore, j *fileJob, workDir string,
 		}
 	}
 
-	sp := obs.Begin(selfobs.PipeIngest, "convert", "whole", j.name)
+	sp = obs.Begin(selfobs.PipeIngest, "convert", "whole", j.name)
 	cols, err := tb.schema(mxmlPath)
 	if err != nil {
 		return fileOutcome{err: err}

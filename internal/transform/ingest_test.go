@@ -7,15 +7,63 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/gt-elba/milliscope/internal/logfmt"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 	"github.com/gt-elba/milliscope/internal/parsers"
+	"github.com/gt-elba/milliscope/internal/simtime"
 )
 
-// writeSyntheticDir stages a small log directory covering both chunkable
-// formats (token, mysql-slow), a whole-file format, an unbound artifact,
-// and — when corrupt — damage in each chunkable format.
+// apacheCorpus renders count access-log lines; every corruptEvery-th line
+// (when >0) is replaced with garbage the token pattern rejects.
+func apacheCorpus(count, corruptEvery int) []byte {
+	var b strings.Builder
+	for i := 0; i < count; i++ {
+		if corruptEvery > 0 && i%corruptEvery == corruptEvery-1 {
+			fmt.Fprintf(&b, "!! torn line %d ¡garbage¿\n", i)
+			continue
+		}
+		ua := simtime.Epoch.Add(time.Duration(i) * 3 * time.Millisecond)
+		ud := ua.Add(time.Duration(i%7+1) * time.Millisecond)
+		ds := ua.Add(500 * time.Microsecond)
+		b.WriteString(logfmt.ApacheAccess("10.0.0.2", "GET", fmt.Sprintf("/item/%d?rid=req-%d", i, i), 200, 1000+i, ua, ud, ds, ud))
+		b.WriteByte('\n')
+	}
+	return []byte(b.String())
+}
+
+// mysqlCorpus renders the slow-log preamble plus count records. Corruption
+// alternates between garbage inside a record and a record-opening
+// "# Time:" line whose timestamp cannot decode (a semantic failure with no
+// line number).
+func mysqlCorpus(count, corruptEvery int) []byte {
+	var b strings.Builder
+	b.WriteString(logfmt.MySQLHeader())
+	for i := 0; i < count; i++ {
+		ua := simtime.Epoch.Add(time.Duration(i) * 5 * time.Millisecond)
+		ud := ua.Add(time.Duration(i%5+1) * time.Millisecond)
+		rec := logfmt.MySQLSlowRecord(100+i, ua, ud, 3, 40,
+			"SELECT * FROM items WHERE id=7", fmt.Sprintf("req-%d", i), i%4)
+		if corruptEvery > 0 && i%corruptEvery == corruptEvery-1 {
+			if i%2 == 0 {
+				// Garbage line torn into the middle of the record.
+				lines := strings.SplitAfter(rec, "\n")
+				rec = strings.Join(lines[:2], "") + "@@corrupted@@\n" + strings.Join(lines[2:], "")
+			} else {
+				// A record-boundary lookalike that fails semantically.
+				rec = "# Time: not-a-timestamp\n" + rec[strings.Index(rec, "\n")+1:]
+			}
+		}
+		b.WriteString(rec)
+	}
+	return []byte(b.String())
+}
+
+// writeSyntheticDir stages a small log directory covering a single-line
+// format (token), a multi-line one (mysql-slow), an unbound artifact, and —
+// when corrupt — damage in each format.
 func writeSyntheticDir(t *testing.T, corrupt bool) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -106,7 +154,7 @@ func TestIngestLedgerEquivalence(t *testing.T) {
 	run := func(workers int) (*mscopedb.DB, []Report) {
 		db := mscopedb.Open()
 		var reps []Report
-		opts := Options{Workers: workers, ChunkSize: 2 << 10}
+		opts := Options{Workers: workers}
 		rep, err := IngestDirWithOptions(db, logDir, workDir, DefaultPlan(), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -153,8 +201,8 @@ func TestIngestLedgerEquivalence(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	repS2, errS := IngestDirWithOptions(dbS, logDir, workDir, DefaultPlan(), Options{Workers: 1, ChunkSize: 2 << 10})
-	repP2, errP := IngestDirWithOptions(dbP, logDir, workDir, DefaultPlan(), Options{Workers: 4, ChunkSize: 2 << 10})
+	repS2, errS := IngestDirWithOptions(dbS, logDir, workDir, DefaultPlan(), Options{Workers: 1})
+	repP2, errP := IngestDirWithOptions(dbP, logDir, workDir, DefaultPlan(), Options{Workers: 4})
 	if errS != nil || errP != nil {
 		t.Fatalf("rebuild ingests failed: serial %v parallel %v", errS, errP)
 	}

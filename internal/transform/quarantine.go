@@ -67,14 +67,10 @@ type Options struct {
 	// QuarantineDir receives the per-file quarantine sinks; empty means
 	// "<workDir>/quarantine".
 	QuarantineDir string
-	// Workers caps ingest concurrency: how many files and shards are parsed
-	// at once. 0 and 1 mean one worker. The warehouse, report and sinks are
-	// identical for every value (the engine-vs-oracle suite proves it).
+	// Workers is how many files are parsed at once. 0 and 1 mean one worker.
+	// The warehouse, report and sinks are identical for every value (the
+	// engine-vs-oracle suite proves it).
 	Workers int
-	// ChunkSize is the target shard size in bytes when splitting one large
-	// file across workers; zero means DefaultChunkSize. Files smaller than
-	// two chunks, and every file when there is one worker, are parsed whole.
-	ChunkSize int
 	// Materialize also exports each loaded file's annotated-XML, CSV and
 	// schema artifacts to workDir, for inspection or for re-loading through
 	// xmlcsv.ConvertFile and importer.LoadFile. The warehouse is identical

@@ -16,8 +16,8 @@ import (
 )
 
 // TestInstrumentedIngestMatchesDisabled extends the engine-vs-oracle
-// suite with the self-observability axis: a four-worker sharded ingest
-// with span instrumentation ENABLED must produce a warehouse
+// suite with the self-observability axis: a four-worker ingest with span
+// instrumentation ENABLED must produce a warehouse
 // byte-identical to the uninstrumented one-worker ingest. Telemetry observes
 // the pipeline; it must never perturb it.
 func TestInstrumentedIngestMatchesDisabled(t *testing.T) {
@@ -44,7 +44,6 @@ func TestInstrumentedIngestMatchesDisabled(t *testing.T) {
 			defer selfobs.Disable()
 			optsP := tc.opts
 			optsP.Workers = 4
-			optsP.ChunkSize = 2 << 10
 			optsP.QuarantineDir = t.TempDir()
 			dbP := mscopedb.Open()
 			repP, errP := IngestDirWithOptions(dbP, logDir, workDir, DefaultPlan(), optsP)
@@ -81,8 +80,8 @@ func TestInstrumentedIngestMatchesDisabled(t *testing.T) {
 			if parsed != lines {
 				t.Fatalf("parsed %d of %d self-telemetry lines", parsed, lines)
 			}
-			// Every instrumented parallel stage must be represented.
-			for _, stage := range []string{"chunkparse", "stitch", "append", "convert", "build"} {
+			// Every instrumented stage must be represented.
+			for _, stage := range []string{"parse", "append", "convert", "build"} {
 				if !strings.Contains(sb.String(), fmt.Sprintf("stage=%s", stage)) {
 					t.Errorf("telemetry missing stage %q", stage)
 				}

@@ -212,11 +212,6 @@ func ParseFaultKinds(s string) ([]FaultKind, error) { return faults.ParseKinds(s
 // OpenDB returns an empty warehouse.
 func OpenDB() *DB { return mscopedb.Open() }
 
-// LoadDB reads a whole-warehouse gob file, a format older versions saved
-// and this one only migrates: AttachStore and Checkpoint turn the result
-// into a warehouse directory.
-func LoadDB(path string) (*DB, error) { return mscopedb.Load(path) }
-
 // StoreOptions tunes the on-disk segment store (spill threshold,
 // compaction policy). The zero value applies the defaults.
 type StoreOptions = mscopedb.StoreOptions

@@ -99,12 +99,12 @@ func TestWarehousePersistenceAcrossAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, _, err := res.Ingest(t.TempDir())
+	dir := t.TempDir()
+	db, err := milliscope.OpenDBDir(dir, milliscope.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := db.AttachStore(dir, milliscope.StoreOptions{}); err != nil {
+	if _, err := milliscope.IngestDir(db, res.Config.LogDir, t.TempDir(), milliscope.DefaultPlan()); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Checkpoint(); err != nil {
