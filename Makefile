@@ -119,9 +119,10 @@ scenario-soak:
 db-soak:
 	MSCOPE_DB_SOAK=1 $(GO) test -race -run TestDBSoak -v -timeout 15m ./internal/scenario/
 
-# Profile the one-worker batch ingest: writes CPU and allocation profiles
-# of BenchmarkIngestBatch for `go tool pprof`. Start here before touching
-# the ingest hot path.
+# Profile the batch ingest as bench/'s batch-ingest workload runs it — a
+# fresh warehouse directory, default options, the closing checkpoint: writes
+# CPU and allocation profiles of BenchmarkIngestBatch for `go tool pprof`.
+# Start here before touching the ingest hot path.
 profile-ingest:
 	$(GO) test -run xxx -bench BenchmarkIngestBatch -benchtime 5x \
 		-cpuprofile ingest_cpu.pprof -memprofile ingest_mem.pprof .
@@ -134,15 +135,16 @@ profile-ingest:
 # counters), never through formatting helpers that would allocate when
 # telemetry is disabled.
 selfobs-lint:
-	$(GO) run ./cmd/selfobslint ./internal/transform ./internal/stream
+	$(GO) run ./cmd/selfobslint ./internal/parsers ./internal/transform ./internal/stream
 
 cover:
 	$(GO) test -short -cover ./...
 
 # Short fuzz pass over the event-log parsers (native go fuzzing), plus the
 # wire frame decoder, the scenario spec decoder (malformed catalogue entries
-# must error, never panic) and the cell typer against the strconv/time
-# cascade it replaced; then fuzz-smoke's targets, for longer.
+# must error, never panic) and the cell typer, over strings and over bytes,
+# against the strconv/time cascade it replaced; then fuzz-smoke's targets,
+# for longer.
 fuzz:
 	$(GO) test -fuzz FuzzApacheAccessLog -fuzztime 30s ./internal/parsers/
 	$(GO) test -fuzz FuzzMySQLSlowLog -fuzztime 30s ./internal/parsers/
@@ -156,16 +158,19 @@ fuzz:
 # files (full and projected decode agree or both fail, never a panic or an
 # allocation sized by an unchecked field), MQL text (parses or errors;
 # what parses executes or errors), and /api/window's parameters (200, 400
-# or 404, never a 5xx); and on the batch ingest's table builder against the
+# or 404, never a 5xx); on the batch ingest's table builder against the
 # two-pass construction it replaced (arbitrary records, same table or same
-# error). -run '^$$' skips the unit tests the plain -fuzz form would rerun
-# first; a short minimize budget keeps the time fuzzing.
+# error); and on the sar-xml byte scanner against the encoding/xml walk it
+# replaced (the same records, or an error). -run '^$$' skips the unit tests
+# the plain -fuzz form would rerun first; a short minimize budget keeps the
+# time fuzzing.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/mscopedb/
 	$(GO) test -run '^$$' -fuzz FuzzMQLParse -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/mql/
 	$(GO) test -run '^$$' -fuzz FuzzServeWindowParams -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzTableBuilderEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/transform/
+	$(GO) test -run '^$$' -fuzz FuzzSarXMLMatchesEncodingXML -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/parsers/
 
 # End-to-end chaos drill: run a trial, corrupt its logs deterministically,
 # ingest the damage under the quarantine policy, and diagnose anyway.

@@ -52,12 +52,19 @@ var fieldPool = sync.Pool{
 	New: func() any { s := make([]Field, 0, 17); return &s },
 }
 
+// boxPool recycles the pointers fieldPool's slices travel in, so that
+// neither taking an entry nor releasing one allocates.
+var boxPool sync.Pool
+
 // NewEntry returns an entry whose field storage may be recycled from a
 // previous entry's Release. Use it on hot paths; the zero Entry remains
 // valid everywhere else.
 func NewEntry() Entry {
 	p := fieldPool.Get().(*[]Field)
-	return Entry{Fields: (*p)[:0]}
+	e := Entry{Fields: (*p)[:0]}
+	*p = nil
+	boxPool.Put(p)
+	return e
 }
 
 // Release returns the entry's field storage to the pool and clears the
@@ -66,8 +73,12 @@ func (e *Entry) Release() {
 	if cap(e.Fields) == 0 {
 		return
 	}
-	s := e.Fields[:0]
-	fieldPool.Put(&s)
+	p, _ := boxPool.Get().(*[]Field)
+	if p == nil {
+		p = new([]Field)
+	}
+	*p = e.Fields[:0]
+	fieldPool.Put(p)
 	e.Fields = nil
 }
 

@@ -5,26 +5,21 @@ import (
 	"io"
 	"strings"
 	"time"
-
-	"github.com/gt-elba/milliscope/internal/mxml"
+	"unicode"
 )
 
 // collectlPlainParser handles collectl's brief terminal format: two '#'
 // banner lines followed by fixed-position sample rows. Rows carry only a
 // time of day; the date is supplied by the declaration's Const["date"]
 // (collectl is launched per trial, so the trial date is known).
-type collectlPlainParser struct{}
-
-var _ Parser = collectlPlainParser{}
+var collectlPlainParser = format{"collectl", parseCollectlPlain}
 
 // collectlPlainCols names the value columns after the timestamp.
 var collectlPlainCols = []string{
 	"user", "sys", "wait", "kbread", "reads", "kbwrit", "writes", "free", "dirty",
 }
 
-func (collectlPlainParser) Name() string { return "collectl" }
-
-func (collectlPlainParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
+func parseCollectlPlain(in io.Reader, instr Instructions, sink Sink, _ Recover) error {
 	dateStr := instr.Const["date"]
 	if dateStr == "" {
 		return fmt.Errorf("parsers: collectl plain requires Const[\"date\"]")
@@ -33,37 +28,36 @@ func (collectlPlainParser) Parse(in io.Reader, instr Instructions, emit Emit) er
 	if err != nil {
 		return fmt.Errorf("parsers: collectl date %q: %w", dateStr, err)
 	}
+	c, err := compile(instr, nil)
+	if err != nil {
+		return err
+	}
 	sc := newScanner(in)
-	var fieldBuf []string
-	var scratch matchScratch
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if strings.HasPrefix(line, "#") || strings.TrimSpace(line) == "" {
+	var r Record
+	fields := lineFields()
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := sc.Bytes()
+		if hasPrefix(line, "#") || blank(line) {
 			continue
 		}
-		fields := fieldsInto(line, fieldBuf)
-		fieldBuf = fields
+		fields = fieldsInto(line, fields)
 		if len(fields) != len(collectlPlainCols)+1 {
 			return fmt.Errorf("parsers: collectl line %d: %d fields, want %d",
 				lineNo, len(fields), len(collectlPlainCols)+1)
 		}
-		clock, err := time.Parse("15:04:05.000", fields[0])
+		ts, err := clockOn(date, fields[0])
 		if err != nil {
 			return fmt.Errorf("parsers: collectl line %d: timestamp %q: %w", lineNo, fields[0], err)
 		}
-		ts := time.Date(date.Year(), date.Month(), date.Day(),
-			clock.Hour(), clock.Minute(), clock.Second(), clock.Nanosecond(), time.UTC)
-		e := mxml.NewEntry()
-		e.AddTyped("ts", ts.Format(mxml.TimeLayout), "time")
-		for i, c := range collectlPlainCols {
-			e.Add(c, fields[i+1])
+		r.reset()
+		r.addTime("ts", ts)
+		for i, col := range collectlPlainCols {
+			r.add(col, fields[i+1])
 		}
-		if err := applyCommon(&e, instr, &scratch); err != nil {
+		if err := c.apply(&r); err != nil {
 			return fmt.Errorf("parsers: collectl line %d: %w", lineNo, err)
 		}
-		if err := emit(e); err != nil {
+		if err := sink(&r); err != nil {
 			return err
 		}
 	}
@@ -77,34 +71,30 @@ func (collectlPlainParser) Parse(in io.Reader, instr Instructions, emit Emit) er
 // carries bracketed subsystem column names ("[CPU]User%"), which are
 // normalized into warehouse-friendly identifiers ("cpu_user"). This is the
 // paper's "one-pass customized parser" example.
-type collectlCSVParser struct{}
+var collectlCSVParser = format{"collectl-csv", parseCollectlCSV}
 
-var _ Parser = collectlCSVParser{}
-
-func (collectlCSVParser) Name() string { return "collectl-csv" }
-
-func (collectlCSVParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
+func parseCollectlCSV(in io.Reader, instr Instructions, sink Sink, _ Recover) error {
+	c, err := compile(instr, nil)
+	if err != nil {
+		return err
+	}
 	sc := newScanner(in)
-	var fieldBuf []string
-	var scratch matchScratch
-	lineNo := 0
+	var r Record
+	fields := lineFields()
 	var cols []string
 	dateIdx, timeIdx := -1, -1
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if strings.TrimSpace(line) == "" {
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := sc.Bytes()
+		if blank(line) {
 			continue
 		}
 		if cols == nil {
-			if !strings.HasPrefix(line, "#") {
+			if !hasPrefix(line, "#") {
 				return fmt.Errorf("parsers: collectl-csv line %d: missing header", lineNo)
 			}
-			raw := strings.Split(strings.TrimPrefix(line, "#"), ",")
-			cols = make([]string, len(raw))
-			for i, c := range raw {
-				cols[i] = normalizeCollectlCol(c)
-				switch cols[i] {
+			cols = collectlCSVColumns(string(line[1:]))
+			for i, col := range cols {
+				switch col {
 				case "date":
 					dateIdx = i
 				case "time":
@@ -116,28 +106,27 @@ func (collectlCSVParser) Parse(in io.Reader, instr Instructions, emit Emit) erro
 			}
 			continue
 		}
-		fields := splitInto(line, ',', fieldBuf)
-		fieldBuf = fields
+		fields = splitInto(line, ',', fields)
 		if len(fields) != len(cols) {
 			return fmt.Errorf("parsers: collectl-csv line %d: %d fields, want %d",
 				lineNo, len(fields), len(cols))
 		}
-		ts, err := time.Parse("20060102 15:04:05.000", fields[dateIdx]+" "+fields[timeIdx])
+		var stamp [32]byte // "20060102 15:04:05.000" and room to be wrong in
+		ts, err := time.Parse("20060102 15:04:05.000", string(dateClock(stamp[:0], fields[dateIdx], fields[timeIdx])))
 		if err != nil {
 			return fmt.Errorf("parsers: collectl-csv line %d: timestamp: %w", lineNo, err)
 		}
-		e := mxml.NewEntry()
-		e.AddTyped("ts", ts.UTC().Format(mxml.TimeLayout), "time")
-		for i, c := range cols {
-			if i == dateIdx || i == timeIdx {
-				continue
+		r.reset()
+		r.addTime("ts", ts.UTC())
+		for i, col := range cols {
+			if i != dateIdx && i != timeIdx {
+				r.add(col, fields[i])
 			}
-			e.Add(c, fields[i])
 		}
-		if err := applyCommon(&e, instr, &scratch); err != nil {
+		if err := c.apply(&r); err != nil {
 			return fmt.Errorf("parsers: collectl-csv line %d: %w", lineNo, err)
 		}
-		if err := emit(e); err != nil {
+		if err := sink(&r); err != nil {
 			return err
 		}
 	}
@@ -150,11 +139,29 @@ func (collectlCSVParser) Parse(in io.Reader, instr Instructions, emit Emit) erro
 	return nil
 }
 
-// normalizeCollectlCol converts "[CPU]User%" to "cpu_user".
-func normalizeCollectlCol(c string) string {
-	c = strings.TrimSpace(c)
-	c = strings.ReplaceAll(c, "%", "")
-	c = strings.ReplaceAll(c, "[", "")
-	c = strings.ReplaceAll(c, "]", "_")
-	return strings.ToLower(c)
+// collectlCSVColumns converts a header's "[CPU]User%" names to "cpu_user":
+// trimmed, percent signs and opening brackets dropped, a closing bracket an
+// underscore, lower case. The names are slices of one string.
+func collectlCSVColumns(header string) []string {
+	raw := strings.Split(header, ",")
+	var all strings.Builder
+	all.Grow(len(header))
+	ends := make([]int, len(raw))
+	for i, c := range raw {
+		for _, r := range strings.TrimSpace(c) {
+			switch r {
+			case '%', '[':
+			case ']':
+				all.WriteByte('_')
+			default:
+				all.WriteRune(unicode.ToLower(r))
+			}
+		}
+		ends[i] = all.Len()
+	}
+	start := 0
+	for i, end := range ends {
+		raw[i], start = all.String()[start:end], end
+	}
+	return raw
 }

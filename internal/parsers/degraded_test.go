@@ -27,7 +27,7 @@ func collectDegraded(t *testing.T, p DegradedParser, input string, instr Instruc
 func TestTokenDegradedDivertsBadLines(t *testing.T) {
 	input := "alpha 1\n\x00garbage\nbeta 2\n"
 	instr := Instructions{Pattern: `^(?P<name>\w+) (?P<n>\d+)$`}
-	entries, diverted := collectDegraded(t, tokenParser{}, input, instr)
+	entries, diverted := collectDegraded(t, tokenParser, input, instr)
 	if len(entries) != 2 {
 		t.Fatalf("emitted %d entries, want 2", len(entries))
 	}
@@ -41,7 +41,7 @@ func TestTokenDegradedDivertsBadLines(t *testing.T) {
 
 // TestTokenDegradedRequiresSink: a nil Recover is a programming error.
 func TestTokenDegradedRequiresSink(t *testing.T) {
-	err := tokenParser{}.ParseDegraded(strings.NewReader("x\n"),
+	err := tokenParser.ParseDegraded(strings.NewReader("x\n"),
 		Instructions{Pattern: `^\d+$`},
 		func(mxml.Entry) error { return nil }, nil)
 	if err == nil {
@@ -52,7 +52,7 @@ func TestTokenDegradedRequiresSink(t *testing.T) {
 // TestTokenStrictUnchanged: with rec == nil the shared loop keeps the
 // historical fail-fast error shape.
 func TestTokenStrictUnchanged(t *testing.T) {
-	err := tokenParser{}.Parse(strings.NewReader("ok 1\nbad\n"),
+	err := tokenParser.Parse(strings.NewReader("ok 1\nbad\n"),
 		Instructions{Pattern: `^(?P<name>\w+) (?P<n>\d+)$`},
 		func(mxml.Entry) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
@@ -72,7 +72,7 @@ func TestLinesDegradedResyncsAtBoundary(t *testing.T) {
 	input := "BEGIN 1\nEND 10\n" +
 		"BEGIN 2\nOOPS\n" + // torn record: second line malformed
 		"BEGIN 3\nEND 30\n"
-	entries, diverted := collectDegraded(t, linesParser{}, input, twoLineInstr)
+	entries, diverted := collectDegraded(t, linesParser, input, twoLineInstr)
 	if len(entries) != 2 {
 		t.Fatalf("emitted %d entries, want 2 (records 1 and 3)", len(entries))
 	}
@@ -91,7 +91,7 @@ func TestLinesDegradedResyncsAtBoundary(t *testing.T) {
 func TestLinesDegradedResyncsOnRecordStart(t *testing.T) {
 	input := "BEGIN 1\n" + // truncated: END never arrives
 		"BEGIN 2\nEND 20\n"
-	entries, diverted := collectDegraded(t, linesParser{}, input, twoLineInstr)
+	entries, diverted := collectDegraded(t, linesParser, input, twoLineInstr)
 	if len(entries) != 1 {
 		t.Fatalf("emitted %d entries, want 1 (record 2)", len(entries))
 	}
@@ -107,7 +107,7 @@ func TestLinesDegradedResyncsOnRecordStart(t *testing.T) {
 // the truncation cause instead of failing the file.
 func TestLinesDegradedTruncatedAtEOF(t *testing.T) {
 	input := "BEGIN 1\nEND 10\nBEGIN 2\n"
-	entries, diverted := collectDegraded(t, linesParser{}, input, twoLineInstr)
+	entries, diverted := collectDegraded(t, linesParser, input, twoLineInstr)
 	if len(entries) != 1 {
 		t.Fatalf("emitted %d entries, want 1", len(entries))
 	}
@@ -119,7 +119,7 @@ func TestLinesDegradedTruncatedAtEOF(t *testing.T) {
 // TestLinesStrictTruncationCarriesStartLine: the fail-fast truncation
 // error now locates the record start (the satellite bugfix).
 func TestLinesStrictTruncationCarriesStartLine(t *testing.T) {
-	err := linesParser{}.Parse(strings.NewReader("BEGIN 1\nEND 10\nBEGIN 2\n"),
+	err := linesParser.Parse(strings.NewReader("BEGIN 1\nEND 10\nBEGIN 2\n"),
 		twoLineInstr, func(mxml.Entry) error { return nil })
 	if err == nil {
 		t.Fatal("truncated record accepted")
@@ -148,7 +148,7 @@ func TestMySQLSlowDegradedResync(t *testing.T) {
 	input := slowHeader + slowRecord(0) +
 		"# Time: 2017-04-01T00:00:01.000000Z\n\x00chaos\n" + // torn record
 		slowRecord(2)
-	entries, diverted := collectDegraded(t, mysqlSlowParser{}, input, Instructions{})
+	entries, diverted := collectDegraded(t, mysqlSlowParser, input, Instructions{})
 	if len(entries) != 2 {
 		t.Fatalf("emitted %d entries, want 2", len(entries))
 	}
@@ -163,7 +163,7 @@ func TestMySQLSlowDegradedTruncatedEOF(t *testing.T) {
 	input := slowHeader + slowRecord(0) +
 		"# Time: 2017-04-01T00:00:01.000000Z\n" +
 		"# User@Host: rubbos[rubbos] @ cjdbc [10.0.0.23]  Id:    45\n"
-	entries, diverted := collectDegraded(t, mysqlSlowParser{}, input, Instructions{})
+	entries, diverted := collectDegraded(t, mysqlSlowParser, input, Instructions{})
 	if len(entries) != 1 {
 		t.Fatalf("emitted %d entries, want 1", len(entries))
 	}
@@ -180,7 +180,7 @@ func TestMySQLSlowDegradedSemanticDivert(t *testing.T) {
 		"# Query_time: 0.001000  Lock_time: 0.000010 Rows_sent: 1  Rows_examined: 1\n" +
 		"SET timestamp=1491004800;\n" +
 		"SELECT 1;\n"
-	entries, diverted := collectDegraded(t, mysqlSlowParser{}, slowHeader+bad+slowRecord(1), Instructions{})
+	entries, diverted := collectDegraded(t, mysqlSlowParser, slowHeader+bad+slowRecord(1), Instructions{})
 	if len(entries) != 1 {
 		t.Fatalf("emitted %d entries, want 1", len(entries))
 	}
@@ -198,7 +198,7 @@ func TestMySQLSlowStrictSemanticErrorLocated(t *testing.T) {
 		"# Query_time: 0.001000  Lock_time: 0.000010 Rows_sent: 1  Rows_examined: 1\n" +
 		"SET timestamp=1491004800;\n" +
 		"SELECT 1;\n"
-	err := mysqlSlowParser{}.Parse(strings.NewReader(slowHeader+bad), Instructions{},
+	err := mysqlSlowParser.Parse(strings.NewReader(slowHeader+bad), Instructions{},
 		func(mxml.Entry) error { return nil })
 	if err == nil {
 		t.Fatal("bad timestamp accepted")

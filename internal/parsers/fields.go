@@ -1,10 +1,18 @@
 package parsers
 
-import "strings"
+import (
+	"bytes"
+	"time"
+)
 
 // fields.go holds the allocation-free replacements for strings.Fields and
 // strings.Split used by the customized parsers' per-line loops: the caller
-// keeps one buffer per file and the splitters refill it in place.
+// keeps one buffer per file (lineFields) and the splitters refill it in
+// place. The fields are slices of the line, valid as long as it is.
+
+// lineFields is a buffer with room for more fields than any built-in
+// format's line has, so a parse allocates it once.
+func lineFields() [][]byte { return make([][]byte, 0, 32) }
 
 // isASCIISpace mirrors the ASCII portion of unicode.IsSpace, which is what
 // strings.Fields tests for pure-ASCII input.
@@ -18,12 +26,12 @@ func isASCIISpace(b byte) bool {
 
 // fieldsInto splits s around runs of whitespace into buf, exactly like
 // strings.Fields. Inputs containing non-ASCII bytes fall back to
-// strings.Fields so Unicode spaces (U+00A0, U+2028, ...) keep their
+// bytes.Fields so Unicode spaces (U+00A0, U+2028, ...) keep their
 // rune-wise treatment.
-func fieldsInto(s string, buf []string) []string {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 0x80 {
-			return strings.Fields(s)
+func fieldsInto(s []byte, buf [][]byte) [][]byte {
+	for _, b := range s {
+		if b >= 0x80 {
+			return bytes.Fields(s)
 		}
 	}
 	buf = buf[:0]
@@ -47,14 +55,36 @@ func fieldsInto(s string, buf []string) []string {
 // splitInto splits s at every occurrence of sep into buf, exactly like
 // strings.Split(s, string(sep)) — byte separators need no Unicode
 // fallback.
-func splitInto(s string, sep byte, buf []string) []string {
+func splitInto(s []byte, sep byte, buf [][]byte) [][]byte {
 	buf = buf[:0]
 	for {
-		j := strings.IndexByte(s, sep)
+		j := bytes.IndexByte(s, sep)
 		if j < 0 {
 			return append(buf, s)
 		}
 		buf = append(buf, s[:j])
 		s = s[j+1:]
 	}
+}
+
+// hasPrefix is strings.HasPrefix over a line's bytes.
+func hasPrefix(line []byte, prefix string) bool {
+	return len(line) >= len(prefix) && string(line[:len(prefix)]) == prefix
+}
+
+// dateClock is a sample's date and clock as one text for time.Parse, built in
+// buf: the caller's stack, when they are as short as a stamp is.
+func dateClock(buf, date, clock []byte) []byte {
+	return append(append(append(buf, date...), ' '), clock...)
+}
+
+// clockOn stitches a row's "15:04:05.000" time of day onto the date its
+// file's banner or declaration gave, as sar, pidstat and collectl need.
+func clockOn(date time.Time, clock []byte) (time.Time, error) {
+	c, err := time.Parse("15:04:05.000", string(clock))
+	if err != nil {
+		return c, err
+	}
+	return time.Date(date.Year(), date.Month(), date.Day(),
+		c.Hour(), c.Minute(), c.Second(), c.Nanosecond(), time.UTC), nil
 }

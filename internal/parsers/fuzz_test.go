@@ -44,14 +44,14 @@ func FuzzApacheAccessLog(f *testing.F) {
 		content := nonBlankLines(input)
 
 		strict := 0
-		err := tokenParser{}.Parse(strings.NewReader(input), instr,
+		err := tokenParser.Parse(strings.NewReader(input), instr,
 			func(mxml.Entry) error { strict++; return nil })
 		if err == nil && strict != content {
 			t.Fatalf("strict parse succeeded with %d records for %d content lines", strict, content)
 		}
 
 		emitted, quarantined := 0, 0
-		err = tokenParser{}.ParseDegraded(strings.NewReader(input), instr,
+		err = tokenParser.ParseDegraded(strings.NewReader(input), instr,
 			func(mxml.Entry) error { emitted++; return nil },
 			func(Malformed) error { quarantined++; return nil })
 		if err != nil {
@@ -89,11 +89,11 @@ func FuzzMySQLSlowLog(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, input string) {
 		strict := 0
-		strictErr := mysqlSlowParser{}.Parse(strings.NewReader(input), Instructions{},
+		strictErr := mysqlSlowParser.Parse(strings.NewReader(input), Instructions{},
 			func(mxml.Entry) error { strict++; return nil })
 
 		emitted, quarantined := 0, 0
-		err := mysqlSlowParser{}.ParseDegraded(strings.NewReader(input), Instructions{},
+		err := mysqlSlowParser.ParseDegraded(strings.NewReader(input), Instructions{},
 			func(mxml.Entry) error { emitted++; return nil },
 			func(Malformed) error { quarantined++; return nil })
 		if err != nil {

@@ -2,12 +2,9 @@ package parsers
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-
-	"strings"
-
-	"github.com/gt-elba/milliscope/internal/mxml"
 )
 
 // scanner wraps bufio.Scanner with a generous line limit (SQL statements
@@ -18,30 +15,16 @@ func newScanner(in io.Reader) *bufio.Scanner {
 	return sc
 }
 
+// blank reports whether a line is empty or all white space.
+func blank(line []byte) bool { return len(bytes.TrimSpace(line)) == 0 }
+
 // tokenParser is the generic single-line regex parser ("specific string
-// tokens, expressed as regular expressions" in the paper).
-type tokenParser struct{}
+// tokens, expressed as regular expressions" in the paper). In degraded mode
+// unmatched and semantically invalid lines are diverted instead of failing
+// the file; every other line still gives a record.
+var tokenParser = degradable{format{"token", parseToken}}
 
-var _ Parser = tokenParser{}
-var _ DegradedParser = tokenParser{}
-
-func (tokenParser) Name() string { return "token" }
-
-func (tokenParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
-	return tokenParser{}.parse(in, instr, emit, nil)
-}
-
-// ParseDegraded diverts unmatched and semantically invalid lines to rec
-// instead of failing the file; every other line still emits a record.
-func (tokenParser) ParseDegraded(in io.Reader, instr Instructions, emit Emit, rec Recover) error {
-	if rec == nil {
-		return fmt.Errorf("parsers: token degraded mode requires a Recover sink")
-	}
-	return tokenParser{}.parse(in, instr, emit, rec)
-}
-
-// parse is the shared token loop; rec == nil selects fail-fast semantics.
-func (tokenParser) parse(in io.Reader, instr Instructions, emit Emit, rec Recover) error {
+func parseToken(in io.Reader, instr Instructions, sink Sink, rec Recover) error {
 	if instr.Pattern == "" {
 		return fmt.Errorf("parsers: token mode requires a pattern")
 	}
@@ -49,42 +32,39 @@ func (tokenParser) parse(in io.Reader, instr Instructions, emit Emit, rec Recove
 	if err != nil {
 		return err
 	}
+	c, err := compile(instr, mt.names)
+	if err != nil {
+		return err
+	}
 	sc := newScanner(in)
-	var scratch matchScratch
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if lineNo <= instr.HeaderLines || strings.TrimSpace(line) == "" {
+	var r Record
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := sc.Bytes()
+		if lineNo <= instr.HeaderLines || blank(line) {
 			continue
 		}
-		if !mt.match(line, &scratch) {
+		var bad error
+		if !mt.match(line, &c.sc) {
 			if instr.SkipUnmatched {
 				continue
 			}
-			err := fmt.Errorf("parsers: line %d does not match token pattern: %q", lineNo, line)
-			if rec == nil {
-				return err
+			bad = fmt.Errorf("parsers: line %d does not match token pattern: %q", lineNo, line)
+		} else {
+			r.reset()
+			r.addGroups(mt, line, c.sc.slots)
+			err := c.apply(&r)
+			if err == nil {
+				if err := sink(&r); err != nil {
+					return err
+				}
+				continue
 			}
-			if rerr := rec(Malformed{Line: lineNo, Text: line, Err: err}); rerr != nil {
-				return rerr
-			}
-			continue
+			bad = fmt.Errorf("parsers: line %d: %w", lineNo, err)
 		}
-		e := mxml.NewEntry()
-		addGroups(&e, mt, &scratch)
-		if err := applyCommon(&e, instr, &scratch); err != nil {
-			e.Release()
-			err = fmt.Errorf("parsers: line %d: %w", lineNo, err)
-			if rec == nil {
-				return err
-			}
-			if rerr := rec(Malformed{Line: lineNo, Text: line, Err: err}); rerr != nil {
-				return rerr
-			}
-			continue
+		if rec == nil {
+			return bad
 		}
-		if err := emit(e); err != nil {
+		if err := rec(Malformed{Line: lineNo, Text: string(line), Err: bad}); err != nil {
 			return err
 		}
 	}
@@ -95,74 +75,62 @@ func (tokenParser) parse(in io.Reader, instr Instructions, emit Emit, rec Recove
 }
 
 // linesParser is the generic fixed-size line-group parser ("the sequence
-// of lines in a file" instruction style).
-type linesParser struct{}
+// of lines in a file" instruction style). In degraded mode a malformed
+// record is diverted and the parser resynchronizes at the next line matching
+// the first group rule (the record boundary), so one torn or garbage line
+// costs only its enclosing record.
+var linesParser = degradable{format{"lines", parseLines}}
 
-var _ Parser = linesParser{}
-var _ DegradedParser = linesParser{}
-
-func (linesParser) Name() string { return "lines" }
-
-func (linesParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
-	return linesParser{}.parse(in, instr, emit, nil)
-}
-
-// ParseDegraded diverts malformed records to rec and resynchronizes at the
-// next line matching the first group rule (the record boundary), so one
-// torn or garbage line costs only its enclosing record.
-func (linesParser) ParseDegraded(in io.Reader, instr Instructions, emit Emit, rec Recover) error {
-	if rec == nil {
-		return fmt.Errorf("parsers: lines degraded mode requires a Recover sink")
-	}
-	return linesParser{}.parse(in, instr, emit, rec)
-}
-
-// parse is the shared lines-mode loop; rec == nil selects fail-fast
-// semantics.
-func (linesParser) parse(in io.Reader, instr Instructions, emit Emit, rec Recover) error {
+func parseLines(in io.Reader, instr Instructions, sink Sink, rec Recover) error {
 	if len(instr.Group) == 0 {
 		return fmt.Errorf("parsers: lines mode requires group rules")
 	}
-	compiled := make([]*matcher, len(instr.Group))
-	for i, r := range instr.Group {
-		mt, err := compileMatcher(r.Pattern)
+	rules := make([]*matcher, len(instr.Group))
+	var base []string
+	for i, g := range instr.Group {
+		mt, err := compileMatcher(g.Pattern)
 		if err != nil {
 			return err
 		}
-		compiled[i] = mt
+		rules[i] = mt
+		base = append(base, mt.names...)
+	}
+	c, err := compile(instr, base)
+	if err != nil {
+		return err
 	}
 	sc := newScanner(in)
-	var scratch matchScratch
-	lineNo := 0
-	e := mxml.NewEntry()
-	var pending []Malformed // the open record's lines, Err unset
-	idx := 0
-	// divert hands the current partial record to rec and resets the state.
-	// The partial entry was never emitted, so its storage is reused.
+	var r Record
+	// pending is the open record's lines, held in the record's buffer.
+	type heldLine struct {
+		no   int
+		text []byte
+	}
+	var pending []heldLine
+	// divert hands the open record's lines to rec and starts over.
 	divert := func(cause error) error {
 		for _, p := range pending {
-			p.Err = cause
-			if rerr := rec(p); rerr != nil {
-				return rerr
+			if err := rec(Malformed{Line: p.no, Text: string(p.text), Err: cause}); err != nil {
+				return err
 			}
 		}
 		pending = pending[:0]
-		e.Fields = e.Fields[:0]
-		idx = 0
 		return nil
 	}
+	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
+		line := sc.Bytes()
 		if lineNo <= instr.HeaderLines {
 			continue
 		}
 	retry:
-		if idx == 0 && strings.TrimSpace(line) == "" {
+		idx := len(pending)
+		if idx == 0 && blank(line) {
 			continue // blank separators between groups
 		}
-		mt := compiled[idx]
-		if !mt.match(line, &scratch) {
+		mt := rules[idx]
+		if !mt.match(line, &c.sc) {
 			err := fmt.Errorf("parsers: line %d does not match group rule %d (%q): %q",
 				lineNo, idx, instr.Group[idx].Pattern, line)
 			if rec == nil {
@@ -171,50 +139,50 @@ func (linesParser) parse(in io.Reader, instr Instructions, emit Emit, rec Recove
 			if idx != 0 {
 				// Abandon the partial record, then re-test this line as a
 				// possible start of the next record.
-				if rerr := divert(err); rerr != nil {
-					return rerr
+				if err := divert(err); err != nil {
+					return err
 				}
 				goto retry
 			}
-			if rerr := rec(Malformed{Line: lineNo, Text: line, Err: err}); rerr != nil {
-				return rerr
+			if err := rec(Malformed{Line: lineNo, Text: string(line), Err: err}); err != nil {
+				return err
 			}
 			continue
 		}
-		addGroups(&e, mt, &scratch)
-		pending = append(pending, Malformed{Line: lineNo, Text: line})
-		idx++
-		if idx == len(compiled) {
-			if err := applyCommon(&e, instr, &scratch); err != nil {
-				err = fmt.Errorf("parsers: record ending line %d: %w", lineNo, err)
-				if rec == nil {
-					return err
-				}
-				if rerr := divert(err); rerr != nil {
-					return rerr
-				}
-				continue
-			}
-			if err := emit(e); err != nil {
-				return fmt.Errorf("parsers: record ending line %d: %w", lineNo, err)
-			}
-			e = mxml.NewEntry()
-			pending = pending[:0]
-			idx = 0
+		if idx == 0 {
+			r.reset()
 		}
+		held := r.hold(line)
+		r.addGroups(mt, held, c.sc.slots)
+		pending = append(pending, heldLine{lineNo, held})
+		if len(pending) < len(rules) {
+			continue
+		}
+		if err := c.apply(&r); err != nil {
+			err = fmt.Errorf("parsers: record ending line %d: %w", lineNo, err)
+			if rec == nil {
+				return err
+			}
+			if err := divert(err); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := sink(&r); err != nil {
+			return fmt.Errorf("parsers: record ending line %d: %w", lineNo, err)
+		}
+		pending = pending[:0]
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("parsers: scan: %w", err)
 	}
-	if idx != 0 {
+	if len(pending) != 0 {
 		err := fmt.Errorf("parsers: truncated record at end of file (started line %d): got %d of %d lines",
-			pending[0].Line, idx, len(compiled))
+			pending[0].no, len(pending), len(rules))
 		if rec == nil {
 			return err
 		}
-		if rerr := divert(err); rerr != nil {
-			return rerr
-		}
+		return divert(err)
 	}
 	return nil
 }

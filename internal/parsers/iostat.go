@@ -1,21 +1,17 @@
 package parsers
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
 	"time"
-
-	"github.com/gt-elba/milliscope/internal/mxml"
 )
 
 // iostatParser handles `iostat -tx` output: repeated reports of a
 // timestamp line, an avg-cpu block, and a device table. One entry is
 // emitted per device row, carrying both the device metrics and the
 // report's CPU percentages.
-type iostatParser struct{}
-
-var _ Parser = iostatParser{}
+var iostatParser = format{"iostat", parseIostat}
 
 // iostat column names for the device table, matching the extended format.
 var iostatDevCols = []string{
@@ -23,57 +19,68 @@ var iostatDevCols = []string{
 	"avgrq_sz", "avgqu_sz", "await", "r_await", "w_await", "svctm", "util",
 }
 
-// iostat avg-cpu column names.
-var iostatCPUCols = []string{"user", "nice", "system", "iowait", "steal", "idle"}
+// iostat avg-cpu column names, as fields.
+var iostatCPUCols = []string{"cpu_user", "cpu_nice", "cpu_system", "cpu_iowait", "cpu_steal", "cpu_idle"}
 
-func (iostatParser) Name() string { return "iostat" }
-
-func (iostatParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
+func parseIostat(in io.Reader, instr Instructions, sink Sink, _ Recover) error {
+	c, err := compile(instr, nil)
+	if err != nil {
+		return err
+	}
 	sc := newScanner(in)
-	var fieldBuf []string
-	var scratch matchScratch
-	lineNo := 0
+	var r Record
+	fields, cpu := lineFields(), [][]byte(nil)
+	var cpuLine []byte // the report's avg-cpu values, kept past their line
 	var ts time.Time
 	haveTS := false
-	var cpu []string
 	expectCPU := false
 	inDevices := false
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		trimmed := strings.TrimSpace(line)
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := sc.Bytes()
+		trimmed := bytes.TrimSpace(line)
 		switch {
-		case trimmed == "":
+		case len(trimmed) == 0:
 			inDevices = false
-		case strings.HasPrefix(line, "Linux "):
+		case hasPrefix(line, "Linux "):
 			// banner; per-report timestamps carry their own date
-		case strings.HasPrefix(line, "avg-cpu:"):
+		case hasPrefix(line, "avg-cpu:"):
 			expectCPU = true
 		case expectCPU:
 			expectCPU = false
-			cpu = strings.Fields(trimmed)
+			cpuLine = append(cpuLine[:0], trimmed...)
+			cpu = fieldsInto(cpuLine, cpu)
 			if len(cpu) != len(iostatCPUCols) {
 				return fmt.Errorf("parsers: iostat line %d: avg-cpu has %d fields, want %d",
 					lineNo, len(cpu), len(iostatCPUCols))
 			}
-		case strings.HasPrefix(line, "Device:"):
+		case hasPrefix(line, "Device:"):
 			inDevices = true
 		case inDevices:
 			if !haveTS || cpu == nil {
 				return fmt.Errorf("parsers: iostat line %d: device row before timestamp/cpu", lineNo)
 			}
-			e, err := iostatDeviceRow(trimmed, ts, cpu, &fieldBuf)
-			if err != nil {
+			fields = fieldsInto(trimmed, fields)
+			if len(fields) != len(iostatDevCols)+1 {
+				return fmt.Errorf("parsers: iostat line %d: device row has %d fields, want %d: %q",
+					lineNo, len(fields), len(iostatDevCols)+1, trimmed)
+			}
+			r.reset()
+			r.addTime("ts", ts)
+			r.add("device", fields[0])
+			for i, col := range iostatDevCols {
+				r.add(col, fields[i+1])
+			}
+			for i, col := range iostatCPUCols {
+				r.add(col, cpu[i])
+			}
+			if err := c.apply(&r); err != nil {
 				return fmt.Errorf("parsers: iostat line %d: %w", lineNo, err)
 			}
-			if err := applyCommon(&e, instr, &scratch); err != nil {
-				return fmt.Errorf("parsers: iostat line %d: %w", lineNo, err)
-			}
-			if err := emit(e); err != nil {
+			if err := sink(&r); err != nil {
 				return err
 			}
 		default:
-			t, err := time.Parse("01/02/2006 15:04:05.000", trimmed)
+			t, err := time.Parse("01/02/2006 15:04:05.000", string(trimmed))
 			if err != nil {
 				return fmt.Errorf("parsers: iostat line %d: unrecognized line %q", lineNo, line)
 			}
@@ -85,24 +92,4 @@ func (iostatParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
 		return fmt.Errorf("parsers: scan: %w", err)
 	}
 	return nil
-}
-
-func iostatDeviceRow(line string, ts time.Time, cpu []string, buf *[]string) (mxml.Entry, error) {
-	var e mxml.Entry
-	fields := fieldsInto(line, *buf)
-	*buf = fields
-	if len(fields) != len(iostatDevCols)+1 {
-		return e, fmt.Errorf("device row has %d fields, want %d: %q",
-			len(fields), len(iostatDevCols)+1, line)
-	}
-	e = mxml.NewEntry()
-	e.AddTyped("ts", ts.Format(mxml.TimeLayout), "time")
-	e.Add("device", fields[0])
-	for i, c := range iostatDevCols {
-		e.Add(c, fields[i+1])
-	}
-	for i, c := range iostatCPUCols {
-		e.Add("cpu_"+c, cpu[i])
-	}
-	return e, nil
 }

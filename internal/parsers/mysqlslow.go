@@ -5,21 +5,16 @@ import (
 	"io"
 	"strconv"
 	"time"
-
-	"github.com/gt-elba/milliscope/internal/mxml"
 )
 
 // mysqlSlowParser specializes the generic lines parser for the MySQL
 // slow-query log: after extracting the five-line record it computes the
 // event-monitor boundary timestamps — ua from "# Time:" and ud as
 // ua + Query_time — so that MySQL records join the other tiers' event
-// tables on the same microsecond-epoch columns.
-type mysqlSlowParser struct{}
-
-var _ Parser = mysqlSlowParser{}
-var _ DegradedParser = mysqlSlowParser{}
-
-func (mysqlSlowParser) Name() string { return "mysql-slow" }
+// tables on the same microsecond-epoch columns. In degraded mode structural
+// damage is handled by the lines parser's record-boundary resync, and records
+// whose timestamps fail to decode are diverted as semantic failures.
+var mysqlSlowParser = degradable{format{"mysql-slow", parseMySQLSlow}}
 
 // mysqlSlowInstr is the fixed declaration for the slow-log record shape.
 var mysqlSlowInstr = Instructions{
@@ -39,62 +34,43 @@ var mysqlSlowInstr = Instructions{
 // mysqlTimeLayout parses the "# Time:" value.
 const mysqlTimeLayout = "2006-01-02T15:04:05.000000Z"
 
-func (mysqlSlowParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
+func parseMySQLSlow(in io.Reader, instr Instructions, sink Sink, rec Recover) error {
 	// User instructions may add Const fields; the record shape is fixed.
 	fixed := mysqlSlowInstr
 	fixed.Const = instr.Const
-	return linesParser{}.parse(in, fixed, finishSlowRecord(emit, nil), nil)
-}
-
-// ParseDegraded quarantines malformed slow-log input: structural damage is
-// handled by the lines parser's record-boundary resync, and records whose
-// timestamps fail to decode are diverted as semantic failures.
-func (mysqlSlowParser) ParseDegraded(in io.Reader, instr Instructions, emit Emit, rec Recover) error {
-	if rec == nil {
-		return fmt.Errorf("parsers: mysql-slow degraded mode requires a Recover sink")
-	}
-	fixed := mysqlSlowInstr
-	fixed.Const = instr.Const
-	return linesParser{}.parse(in, fixed, finishSlowRecord(emit, rec), rec)
-}
-
-// finishSlowRecord wraps emit with the slow-log semantic stage: compute the
-// event-monitor boundary timestamps from "# Time:" and Query_time. With a
-// non-nil rec, semantic failures are diverted instead of failing the file.
-func finishSlowRecord(emit Emit, rec Recover) Emit {
-	return func(e mxml.Entry) error {
-		err := slowRecordTimes(&e)
-		if err != nil {
+	return parseLines(in, fixed, func(r *Record) error {
+		if err := slowRecordTimes(r); err != nil {
 			if rec != nil {
 				return rec(Malformed{Err: err})
 			}
 			return err
 		}
-		return emit(e)
-	}
+		return sink(r)
+	}, rec)
 }
 
-// slowRecordTimes derives ua, ud and ts on a structurally complete record.
-func slowRecordTimes(e *mxml.Entry) error {
-	tRaw, ok := e.Get("time")
-	if !ok {
+// slowRecordTimes adds ua, ud and ts to a structurally complete record.
+func slowRecordTimes(r *Record) error {
+	c := r.find("time")
+	if c == nil {
 		return fmt.Errorf("parsers: mysql-slow record without time")
 	}
-	ua, err := time.Parse(mysqlTimeLayout, tRaw)
+	tRaw := r.text(c)
+	ua, err := time.Parse(mysqlTimeLayout, string(tRaw))
 	if err != nil {
 		return fmt.Errorf("parsers: mysql-slow time %q: %w", tRaw, err)
 	}
-	qtRaw, ok := e.Get("query_time")
-	if !ok {
+	if c = r.find("query_time"); c == nil {
 		return fmt.Errorf("parsers: mysql-slow record without query_time")
 	}
-	qt, err := strconv.ParseFloat(qtRaw, 64)
+	qtRaw := r.text(c)
+	qt, err := strconv.ParseFloat(string(qtRaw), 64)
 	if err != nil {
 		return fmt.Errorf("parsers: mysql-slow query_time %q: %w", qtRaw, err)
 	}
 	ud := ua.Add(time.Duration(qt * float64(time.Second)))
-	e.Add("ua", strconv.FormatInt(ua.UnixMicro(), 10))
-	e.Add("ud", strconv.FormatInt(ud.UnixMicro(), 10))
-	e.AddTyped("ts", ua.UTC().Format(mxml.TimeLayout), "time")
+	*r.next() = Cell{Name: "ua", Kind: CellInt, Int: ua.UnixMicro()}
+	*r.next() = Cell{Name: "ud", Kind: CellInt, Int: ud.UnixMicro()}
+	r.addTime("ts", ua)
 	return nil
 }

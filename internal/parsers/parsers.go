@@ -22,20 +22,24 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"sort"
 	"sync"
-	"time"
 
 	"github.com/gt-elba/milliscope/internal/mxml"
 )
 
-// Emit receives parsed entries; the transformer wires it to an mxml.Writer.
+// Emit receives parsed entries; see Entries for how they are built.
 type Emit func(mxml.Entry) error
 
-// Parser converts one raw log stream into annotated entries.
+// Parser converts one raw log stream into records.
 type Parser interface {
 	// Name returns the registry name.
 	Name() string
-	// Parse reads the log and emits one entry per record.
+	// ParseRecords reads the log and hands sink one record per log record;
+	// it is the one parse loop a format has. A nil rec fails on the first
+	// malformed region; a DegradedParser accepts a rec to divert them to.
+	ParseRecords(in io.Reader, instr Instructions, sink Sink, rec Recover) error
+	// Parse is ParseRecords, fail-fast, with each record turned into an entry.
 	Parse(in io.Reader, instr Instructions, emit Emit) error
 }
 
@@ -88,7 +92,8 @@ type Instructions struct {
 	Derive []DeriveRule
 	// Times normalizes named fields to the canonical mxml time encoding.
 	Times []TimeRule
-	// Const fields are injected into every entry (e.g. the host name).
+	// Const fields are injected into every record (e.g. the host name),
+	// after its own fields and in key order.
 	Const map[string]string
 }
 
@@ -119,83 +124,157 @@ type TimeRule struct {
 	Layout string
 }
 
+// format is a registered parser: a name and the format's parse loop.
+type format struct {
+	name  string
+	parse func(in io.Reader, instr Instructions, sink Sink, rec Recover) error
+}
+
+// degradable is a format whose loop honours a Recover.
+type degradable struct{ format }
+
+var registry = []Parser{
+	tokenParser, linesParser, mysqlSlowParser, sarParser, sarXMLParser,
+	iostatParser, collectlPlainParser, collectlCSVParser, pidstatParser, selftraceParser,
+}
+
 // Get returns the registered parser with the given name.
 func Get(name string) (Parser, error) {
-	switch name {
-	case "token":
-		return tokenParser{}, nil
-	case "lines":
-		return linesParser{}, nil
-	case "mysql-slow":
-		return mysqlSlowParser{}, nil
-	case "sar":
-		return sarParser{}, nil
-	case "sar-xml":
-		return sarXMLParser{}, nil
-	case "iostat":
-		return iostatParser{}, nil
-	case "collectl":
-		return collectlPlainParser{}, nil
-	case "collectl-csv":
-		return collectlCSVParser{}, nil
-	case "pidstat":
-		return pidstatParser{}, nil
-	case "selftrace":
-		return selftraceParser{}, nil
-	default:
-		return nil, fmt.Errorf("parsers: unknown parser %q", name)
+	for _, p := range registry {
+		if p.Name() == name {
+			return p, nil
+		}
 	}
+	return nil, fmt.Errorf("parsers: unknown parser %q", name)
 }
 
 // Names lists every registered parser.
 func Names() []string {
-	return []string{"token", "lines", "mysql-slow", "sar", "sar-xml",
-		"iostat", "collectl", "collectl-csv", "pidstat", "selftrace"}
+	names := make([]string, len(registry))
+	for i, p := range registry {
+		names[i] = p.Name()
+	}
+	return names
 }
 
-// applyCommon applies Derive rules, Times normalization and Const fields
-// to an entry, in that order. sc is the caller's reusable match scratch;
-// nil allocates one (convenient for one-shot callers).
-func applyCommon(e *mxml.Entry, instr Instructions, sc *matchScratch) error {
-	if sc == nil && len(instr.Derive) > 0 {
-		sc = &matchScratch{}
+func (f format) Name() string { return f.name }
+
+func (f format) ParseRecords(in io.Reader, instr Instructions, sink Sink, rec Recover) error {
+	if rec != nil {
+		return fmt.Errorf("parsers: %s has no degraded mode", f.name)
 	}
+	return f.parse(in, instr, sink, nil)
+}
+
+func (f format) Parse(in io.Reader, instr Instructions, emit Emit) error {
+	return f.parse(in, instr, entrySink(emit), nil)
+}
+
+func (d degradable) ParseRecords(in io.Reader, instr Instructions, sink Sink, rec Recover) error {
+	return d.parse(in, instr, sink, rec)
+}
+
+// ParseDegraded is ParseRecords with a Recover, each record turned into an
+// entry.
+func (d degradable) ParseDegraded(in io.Reader, instr Instructions, emit Emit, rec Recover) error {
+	if rec == nil {
+		return fmt.Errorf("parsers: %s degraded mode requires a Recover sink", d.name)
+	}
+	return d.parse(in, instr, entrySink(emit), rec)
+}
+
+// compiled is an instruction set resolved once per parse: the derive
+// matchers, where each Times rule finds its cells, and the constants in
+// key order (a map's order would differ from record to record).
+type compiled struct {
+	derive []deriveStep
+	times  []timeStep
+	consts []Cell
+	// base counts the cells every record of the parse opens with; times[i].at
+	// indexes them, and only the cells after them are searched by name.
+	base int
+	sc   matchScratch
+}
+
+type deriveStep struct {
+	DeriveRule
+	m *matcher
+}
+
+type timeStep struct {
+	TimeRule
+	at []int
+}
+
+// compile resolves instr for a format whose records all open with the cells
+// named base, in that order; nil when the format cannot promise any.
+func compile(instr Instructions, base []string) (*compiled, error) {
+	c := &compiled{base: len(base)}
 	for _, d := range instr.Derive {
-		src, ok := e.Get(d.Field)
-		if !ok {
+		m, err := compileMatcher(d.Pattern)
+		if err != nil {
+			return nil, err
+		}
+		c.derive = append(c.derive, deriveStep{d, m})
+	}
+	for _, tr := range instr.Times {
+		st := timeStep{TimeRule: tr}
+		for i, name := range base {
+			if name == tr.Field {
+				st.at = append(st.at, i)
+			}
+		}
+		c.times = append(c.times, st)
+	}
+	keys := make([]string, 0, len(instr.Const))
+	for k := range instr.Const {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		c.consts = append(c.consts, Cell{Name: k, Text: []byte(instr.Const[k])})
+	}
+	return c, nil
+}
+
+// apply runs the Derive rules, the Times normalization and the Const
+// fields over a record, in that order.
+func (c *compiled) apply(r *Record) error {
+	for i := range c.derive {
+		d := &c.derive[i]
+		src := r.find(d.Field)
+		if src == nil {
 			if d.Optional {
 				continue
 			}
 			return fmt.Errorf("parsers: derive source field %q absent", d.Field)
 		}
-		m, err := compileMatcher(d.Pattern)
-		if err != nil {
-			return err
-		}
-		if !m.match(src, sc) {
+		text := r.text(src)
+		if !d.m.match(text, &c.sc) {
 			if d.Optional {
 				continue
 			}
-			return fmt.Errorf("parsers: derive pattern %q did not match %q", d.Pattern, src)
+			return fmt.Errorf("parsers: derive pattern %q did not match %q", d.Pattern, text)
 		}
-		addGroups(e, m, sc)
+		r.addGroups(d.m, text, c.sc.slots)
 	}
-	for _, tr := range instr.Times {
-		for i := range e.Fields {
-			if e.Fields[i].Name != tr.Field {
+	for i := range c.times {
+		t := &c.times[i]
+		for _, k := range t.at {
+			if err := r.normalizeTime(&r.Cells[k], t.Layout); err != nil {
+				return err
+			}
+		}
+		for k := c.base; k < len(r.Cells); k++ {
+			if r.Cells[k].Name != t.Field {
 				continue
 			}
-			ts, err := time.Parse(tr.Layout, e.Fields[i].Value)
-			if err != nil {
-				return fmt.Errorf("parsers: normalize time field %q: %w", tr.Field, err)
+			if err := r.normalizeTime(&r.Cells[k], t.Layout); err != nil {
+				return err
 			}
-			e.Fields[i].Value = ts.UTC().Format(mxml.TimeLayout)
-			e.Fields[i].Hint = "time"
 		}
 	}
-	for k, v := range instr.Const {
-		e.Add(k, v)
-	}
+	r.Cells = append(r.Cells, c.consts...)
 	return nil
 }
 
@@ -210,41 +289,30 @@ type matcher struct {
 }
 
 // matchScratch holds per-caller reusable match state so the hot loop
-// performs no per-line allocation.
+// performs no per-line allocation: slots[2i:2i+2] bounds group i in the
+// matched text, both -1 for a group that took no part.
 type matchScratch struct {
 	slots []int
-	vals  []string
 }
 
-func (sc *matchScratch) grow(n int) {
-	if cap(sc.vals) < n {
-		sc.vals = make([]string, n)
-		sc.slots = make([]int, 2*n)
-	}
-	sc.vals = sc.vals[:n]
-	sc.slots = sc.slots[:2*n]
-}
-
-// match tests s and, on success, fills sc.vals with one value per
-// m.names. The tokenizer and regexp paths produce identical values
+// match tests s and, on success, fills sc.slots with the bounds of each of
+// m.names. The tokenizer and regexp paths produce identical bounds
 // (pinned by FuzzTokenizerEquivalence).
-func (m *matcher) match(s string, sc *matchScratch) bool {
-	sc.grow(len(m.names))
-	if m.tok != nil {
-		if !m.tok.find(s, sc.slots) {
-			return false
-		}
-		for i := range m.names {
-			sc.vals[i] = s[sc.slots[2*i]:sc.slots[2*i+1]]
-		}
-		return true
+func (m *matcher) match(s []byte, sc *matchScratch) bool {
+	if n := 2 * len(m.names); cap(sc.slots) < n {
+		sc.slots = make([]int, n)
+	} else {
+		sc.slots = sc.slots[:n]
 	}
-	g := m.re.FindStringSubmatch(s)
-	if g == nil {
+	if m.tok != nil {
+		return m.tok.find(s, sc.slots)
+	}
+	loc := m.re.FindSubmatchIndex(s)
+	if loc == nil {
 		return false
 	}
 	for i, gi := range m.idx {
-		sc.vals[i] = g[gi]
+		sc.slots[2*i], sc.slots[2*i+1] = loc[2*gi], loc[2*gi+1]
 	}
 	return true
 }
@@ -312,11 +380,3 @@ var (
 	matcherCacheMu sync.RWMutex
 	matcherCache   = make(map[string]*matcher)
 )
-
-// addGroups appends every named group of the scratch's current match to
-// the entry.
-func addGroups(e *mxml.Entry, m *matcher, sc *matchScratch) {
-	for i, name := range m.names {
-		e.Add(name, sc.vals[i])
-	}
-}

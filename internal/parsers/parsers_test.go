@@ -53,7 +53,7 @@ func TestTokenParser(t *testing.T) {
 		Pattern: `^(?P<name>\w+) (?P<n>\d+)$`,
 		Const:   map[string]string{"host": "web1"},
 	}
-	entries := collect(t, tokenParser{}, input, instr)
+	entries := collect(t, tokenParser, input, instr)
 	if len(entries) != 3 {
 		t.Fatalf("%d entries", len(entries))
 	}
@@ -67,12 +67,12 @@ func TestTokenParser(t *testing.T) {
 
 func TestTokenParserUnmatched(t *testing.T) {
 	instr := Instructions{Pattern: `^(?P<n>\d+)$`}
-	err := tokenParser{}.Parse(strings.NewReader("12\nxx\n"), instr, func(mxml.Entry) error { return nil })
+	err := tokenParser.Parse(strings.NewReader("12\nxx\n"), instr, func(mxml.Entry) error { return nil })
 	if err == nil {
 		t.Fatal("unmatched line accepted without SkipUnmatched")
 	}
 	instr.SkipUnmatched = true
-	entries := collect(t, tokenParser{}, "12\nxx\n34\n", instr)
+	entries := collect(t, tokenParser, "12\nxx\n34\n", instr)
 	if len(entries) != 2 {
 		t.Fatalf("%d entries with SkipUnmatched", len(entries))
 	}
@@ -80,7 +80,7 @@ func TestTokenParserUnmatched(t *testing.T) {
 
 func TestTokenParserHeaderLines(t *testing.T) {
 	instr := Instructions{Pattern: `^(?P<n>\d+)$`, HeaderLines: 2}
-	entries := collect(t, tokenParser{}, "header\nanother\n42\n", instr)
+	entries := collect(t, tokenParser, "header\nanother\n42\n", instr)
 	if len(entries) != 1 || get(t, entries[0], "n") != "42" {
 		t.Fatalf("header skipping broken: %+v", entries)
 	}
@@ -93,12 +93,12 @@ func TestTokenParserDerive(t *testing.T) {
 			{Field: "uri", Pattern: `ID=(?P<reqid>req-\d+)`},
 		},
 	}
-	entries := collect(t, tokenParser{}, "/x?ID=req-0000000007\n", instr)
+	entries := collect(t, tokenParser, "/x?ID=req-0000000007\n", instr)
 	if get(t, entries[0], "reqid") != "req-0000000007" {
 		t.Fatalf("derive failed: %+v", entries[0])
 	}
 	// Non-optional derive failure is an error.
-	err := tokenParser{}.Parse(strings.NewReader("/no-id\n"), instr, func(mxml.Entry) error { return nil })
+	err := tokenParser.Parse(strings.NewReader("/no-id\n"), instr, func(mxml.Entry) error { return nil })
 	if err == nil {
 		t.Fatal("failed derive accepted")
 	}
@@ -109,7 +109,7 @@ func TestTokenParserTimeNormalization(t *testing.T) {
 		Pattern: `^(?P<when>.+)\|(?P<v>\d+)$`,
 		Times:   []TimeRule{{Field: "when", Layout: "02/Jan/2006:15:04:05.000 -0700"}},
 	}
-	entries := collect(t, tokenParser{}, "01/Apr/2017:00:00:12.345 +0000|9\n", instr)
+	entries := collect(t, tokenParser, "01/Apr/2017:00:00:12.345 +0000|9\n", instr)
 	v := get(t, entries[0], "when")
 	if v != "2017-04-01T00:00:12.345Z" {
 		t.Fatalf("normalized time %q", v)
@@ -128,7 +128,7 @@ func TestLinesParser(t *testing.T) {
 			{Pattern: `^B (?P<b>\d+)$`},
 		},
 	}
-	entries := collect(t, linesParser{}, input, instr)
+	entries := collect(t, linesParser, input, instr)
 	if len(entries) != 2 {
 		t.Fatalf("%d entries", len(entries))
 	}
@@ -141,7 +141,7 @@ func TestLinesParserTruncated(t *testing.T) {
 	instr := Instructions{Group: []LineRule{
 		{Pattern: `^A$`}, {Pattern: `^B$`},
 	}}
-	err := linesParser{}.Parse(strings.NewReader("A\nB\nA\n"), instr, func(mxml.Entry) error { return nil })
+	err := linesParser.Parse(strings.NewReader("A\nB\nA\n"), instr, func(mxml.Entry) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("truncated record not detected: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestLinesParserTruncated(t *testing.T) {
 
 func TestLinesParserMismatch(t *testing.T) {
 	instr := Instructions{Group: []LineRule{{Pattern: `^A$`}}}
-	err := linesParser{}.Parse(strings.NewReader("X\n"), instr, func(mxml.Entry) error { return nil })
+	err := linesParser.Parse(strings.NewReader("X\n"), instr, func(mxml.Entry) error { return nil })
 	if err == nil {
 		t.Fatal("mismatched group line accepted")
 	}
@@ -168,7 +168,7 @@ var (
 func TestApacheRoundTrip(t *testing.T) {
 	line := logfmt.ApacheAccess("10.1.0.7", "GET", "/rubbos/ViewStory?ID=req-0000000123",
 		200, 18432, ua, ud, ds, dr)
-	entries := collect(t, tokenParser{}, line+"\n", ApacheInstructions())
+	entries := collect(t, tokenParser, line+"\n", ApacheInstructions())
 	if len(entries) != 1 {
 		t.Fatalf("%d entries", len(entries))
 	}
@@ -189,7 +189,7 @@ func TestApacheRoundTrip(t *testing.T) {
 
 func TestTomcatRoundTrip(t *testing.T) {
 	line := logfmt.TomcatLine(7, "req-0000000042", "/rubbos/Search", ua, ud, ds, dr)
-	entries := collect(t, tokenParser{}, line+"\n", TomcatInstructions())
+	entries := collect(t, tokenParser, line+"\n", TomcatInstructions())
 	e := entries[0]
 	if get(t, e, "reqid") != "req-0000000042" || get(t, e, "uri") != "/rubbos/Search" {
 		t.Fatalf("tomcat round trip: %+v", e)
@@ -201,7 +201,7 @@ func TestTomcatRoundTrip(t *testing.T) {
 
 func TestTomcatRoundTripNoDownstream(t *testing.T) {
 	line := logfmt.TomcatLine(7, "req-0000000042", "/rubbos/Search", ua, ud, time.Time{}, time.Time{})
-	entries := collect(t, tokenParser{}, line+"\n", TomcatInstructions())
+	entries := collect(t, tokenParser, line+"\n", TomcatInstructions())
 	if get(t, entries[0], "ds") != "-" {
 		t.Fatalf("dash ds lost: %+v", entries[0])
 	}
@@ -210,7 +210,7 @@ func TestTomcatRoundTripNoDownstream(t *testing.T) {
 func TestCJDBCRoundTrip(t *testing.T) {
 	line := logfmt.CJDBCLine("rubbos", "req-0000000042", 1, ua, ud, ds, dr,
 		"SELECT id FROM stories WHERE id=?")
-	entries := collect(t, tokenParser{}, line+"\n", CJDBCInstructions())
+	entries := collect(t, tokenParser, line+"\n", CJDBCInstructions())
 	e := entries[0]
 	if get(t, e, "reqid") != "req-0000000042" || get(t, e, "q") != "1" {
 		t.Fatalf("cjdbc round trip: %+v", e)
@@ -226,7 +226,7 @@ func TestMySQLSlowRoundTrip(t *testing.T) {
 			"SELECT id,title FROM stories WHERE id=?", "req-0000000123", 1) +
 		logfmt.MySQLSlowRecord(46, ua.Add(time.Millisecond), ud.Add(time.Millisecond), 1, 37,
 			"SELECT 1", "", 0)
-	entries := collect(t, mysqlSlowParser{}, input, Instructions{})
+	entries := collect(t, mysqlSlowParser, input, Instructions{})
 	if len(entries) != 2 {
 		t.Fatalf("%d entries", len(entries))
 	}
@@ -252,7 +252,7 @@ func TestSARRoundTrip(t *testing.T) {
 		logfmt.SARCPUColumns(ua) + "\n" +
 		logfmt.SARCPURow(ua, iv) + "\n" +
 		logfmt.SARCPURow(ua.Add(50*time.Millisecond), iv) + "\n"
-	entries := collect(t, sarParser{}, input, Instructions{})
+	entries := collect(t, sarParser, input, Instructions{})
 	if len(entries) != 2 {
 		t.Fatalf("%d entries", len(entries))
 	}
@@ -271,7 +271,7 @@ func TestSARXMLRoundTrip(t *testing.T) {
 		logfmt.SARXMLTimestamp(ua, iv) +
 		logfmt.SARXMLTimestamp(ua.Add(50*time.Millisecond), iv) +
 		logfmt.SARXMLClose()
-	entries := collect(t, sarXMLParser{}, input, Instructions{})
+	entries := collect(t, sarXMLParser, input, Instructions{})
 	if len(entries) != 2 {
 		t.Fatalf("%d entries", len(entries))
 	}
@@ -293,7 +293,7 @@ func TestIostatRoundTrip(t *testing.T) {
 	input := logfmt.IostatHeader("mysql", 8, ua) + "\n" +
 		logfmt.IostatReport(ua, "sda", iv) +
 		logfmt.IostatReport(ua.Add(100*time.Millisecond), "sda", iv)
-	entries := collect(t, iostatParser{}, input, Instructions{})
+	entries := collect(t, iostatParser, input, Instructions{})
 	if len(entries) != 2 {
 		t.Fatalf("%d entries", len(entries))
 	}
@@ -318,7 +318,7 @@ func TestCollectlPlainRoundTrip(t *testing.T) {
 	input := logfmt.CollectlPlainHeader() +
 		logfmt.CollectlPlainRow(ua, iv) + "\n"
 	instr := Instructions{Const: map[string]string{"date": "2017-04-01"}}
-	entries := collect(t, collectlPlainParser{}, input, instr)
+	entries := collect(t, collectlPlainParser, input, instr)
 	if len(entries) != 1 {
 		t.Fatalf("%d entries", len(entries))
 	}
@@ -332,7 +332,7 @@ func TestCollectlPlainRoundTrip(t *testing.T) {
 }
 
 func TestCollectlPlainRequiresDate(t *testing.T) {
-	err := collectlPlainParser{}.Parse(strings.NewReader(""), Instructions{},
+	err := collectlPlainParser.Parse(strings.NewReader(""), Instructions{},
 		func(mxml.Entry) error { return nil })
 	if err == nil {
 		t.Fatal("missing date accepted")
@@ -349,7 +349,7 @@ func TestCollectlCSVRoundTrip(t *testing.T) {
 	input := logfmt.CollectlCSVHeader() +
 		logfmt.CollectlCSVRow(ua, iv) + "\n" +
 		logfmt.CollectlCSVRow(ua.Add(50*time.Millisecond), iv) + "\n"
-	entries := collect(t, collectlCSVParser{}, input, Instructions{})
+	entries := collect(t, collectlCSVParser, input, Instructions{})
 	if len(entries) != 2 {
 		t.Fatalf("%d entries", len(entries))
 	}
@@ -370,7 +370,7 @@ func TestPidstatRoundTrip(t *testing.T) {
 		logfmt.PidstatColumns(ua) + "\n" +
 		logfmt.PidstatRow(ua, 48, 2817, 42.5, 3.2, 45.7, 0, "java") + "\n" +
 		logfmt.PidstatRow(ua, 0, 153, 0, 87.5, 87.5, 1, "kworker/u16:flush") + "\n"
-	entries := collect(t, pidstatParser{}, input, Instructions{})
+	entries := collect(t, pidstatParser, input, Instructions{})
 	if len(entries) != 2 {
 		t.Fatalf("%d entries", len(entries))
 	}
@@ -389,7 +389,7 @@ func TestPidstatRoundTrip(t *testing.T) {
 
 func TestPidstatDataBeforeHeaderFails(t *testing.T) {
 	input := logfmt.PidstatRow(ua, 0, 1, 0, 0, 0, 0, "x") + "\n"
-	err := pidstatParser{}.Parse(strings.NewReader(input), Instructions{},
+	err := pidstatParser.Parse(strings.NewReader(input), Instructions{},
 		func(mxml.Entry) error { return nil })
 	if err == nil {
 		t.Fatal("data before banner accepted")
@@ -404,7 +404,7 @@ func TestNormalizeCollectlCol(t *testing.T) {
 		"Date":            "date",
 	}
 	for in, want := range cases {
-		if got := normalizeCollectlCol(in); got != want {
+		if got := collectlCSVColumns("x," + in + " ,y")[1]; got != want {
 			t.Fatalf("normalize(%q) = %q, want %q", in, got, want)
 		}
 	}
@@ -423,7 +423,7 @@ func BenchmarkApacheParse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		err := tokenParser{}.Parse(strings.NewReader(input), instr, func(mxml.Entry) error {
+		err := tokenParser.Parse(strings.NewReader(input), instr, func(mxml.Entry) error {
 			n++
 			return nil
 		})

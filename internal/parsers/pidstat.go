@@ -1,60 +1,69 @@
 package parsers
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
 	"time"
-
-	"github.com/gt-elba/milliscope/internal/mxml"
 )
 
 // pidstatParser handles per-process CPU reports: a sysstat banner (the
 // date), periodically repeated column headers, and one row per process per
 // sample. Like the legacy SAR format, the date and the row clock must be
 // stitched together, so it is a customized parser.
-type pidstatParser struct{}
+var pidstatParser = format{"pidstat", parsePidstat}
 
-var _ Parser = pidstatParser{}
+// pidstatCols names the fields of a row,
+// "HH:MM:SS.mmm uid pid %usr %system %guest %cpu core cmd", after the
+// clock; %guest is not kept.
+var pidstatCols = []string{"uid", "pid", "usr", "system", "", "cpu", "core", "command"}
 
-func (pidstatParser) Name() string { return "pidstat" }
-
-func (pidstatParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
+func parsePidstat(in io.Reader, instr Instructions, sink Sink, _ Recover) error {
+	c, err := compile(instr, nil)
+	if err != nil {
+		return err
+	}
 	sc := newScanner(in)
-	var fieldBuf []string
-	var scratch matchScratch
+	var r Record
+	fields := lineFields()
 	var date time.Time
 	haveDate := false
 	sawHeader := false
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		trimmed := strings.TrimSpace(line)
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := sc.Bytes()
 		switch {
-		case trimmed == "":
-			continue
-		case strings.HasPrefix(line, "Linux "):
-			d, err := sarBannerDate(line)
-			if err != nil {
+		case blank(line):
+		case hasPrefix(line, "Linux "):
+			if date, err = sarBannerDate(string(line)); err != nil {
 				return fmt.Errorf("parsers: pidstat line %d: %w", lineNo, err)
 			}
-			date = d
 			haveDate = true
-		case strings.Contains(line, "%usr"):
+		case bytes.Contains(line, []byte("%usr")):
 			sawHeader = true
 		default:
 			if !haveDate || !sawHeader {
 				return fmt.Errorf("parsers: pidstat line %d: data before banner/header", lineNo)
 			}
-			e, err := pidstatRow(trimmed, date, &fieldBuf)
+			line = bytes.TrimSpace(line)
+			fields = fieldsInto(line, fields)
+			if len(fields) != len(pidstatCols)+1 {
+				return fmt.Errorf("parsers: pidstat line %d: row has %d fields, want 9: %q", lineNo, len(fields), line)
+			}
+			ts, err := clockOn(date, fields[0])
 			if err != nil {
+				return fmt.Errorf("parsers: pidstat line %d: row timestamp %q: %w", lineNo, fields[0], err)
+			}
+			r.reset()
+			r.addTime("ts", ts)
+			for i, col := range pidstatCols {
+				if col != "" {
+					r.add(col, fields[i+1])
+				}
+			}
+			if err := c.apply(&r); err != nil {
 				return fmt.Errorf("parsers: pidstat line %d: %w", lineNo, err)
 			}
-			if err := applyCommon(&e, instr, &scratch); err != nil {
-				return fmt.Errorf("parsers: pidstat line %d: %w", lineNo, err)
-			}
-			if err := emit(e); err != nil {
+			if err := sink(&r); err != nil {
 				return err
 			}
 		}
@@ -63,30 +72,4 @@ func (pidstatParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
 		return fmt.Errorf("parsers: scan: %w", err)
 	}
 	return nil
-}
-
-// pidstatRow parses "HH:MM:SS.mmm uid pid %usr %system %guest %cpu core cmd".
-func pidstatRow(line string, date time.Time, buf *[]string) (mxml.Entry, error) {
-	var e mxml.Entry
-	fields := fieldsInto(line, *buf)
-	*buf = fields
-	if len(fields) != 9 {
-		return e, fmt.Errorf("row has %d fields, want 9: %q", len(fields), line)
-	}
-	clock, err := time.Parse("15:04:05.000", fields[0])
-	if err != nil {
-		return e, fmt.Errorf("row timestamp %q: %w", fields[0], err)
-	}
-	ts := time.Date(date.Year(), date.Month(), date.Day(),
-		clock.Hour(), clock.Minute(), clock.Second(), clock.Nanosecond(), time.UTC)
-	e = mxml.NewEntry()
-	e.AddTyped("ts", ts.Format(mxml.TimeLayout), "time")
-	e.Add("uid", fields[1])
-	e.Add("pid", fields[2])
-	e.Add("usr", fields[3])
-	e.Add("system", fields[4])
-	e.Add("cpu", fields[6])
-	e.Add("core", fields[7])
-	e.Add("command", fields[8])
-	return e, nil
 }

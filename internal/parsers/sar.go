@@ -1,12 +1,11 @@
 package parsers
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
 	"time"
-
-	"github.com/gt-elba/milliscope/internal/mxml"
 )
 
 // sarParser is the customized legacy SAR text parser. The paper built a
@@ -15,36 +14,30 @@ import (
 // only in the banner line, the column set lives in periodically repeated
 // header rows, and data rows carry just a time-of-day. This parser stitches
 // the three together.
-type sarParser struct{}
+var sarParser = format{"sar", parseSAR}
 
-var _ Parser = sarParser{}
-
-func (sarParser) Name() string { return "sar" }
-
-func (sarParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
+func parseSAR(in io.Reader, instr Instructions, sink Sink, _ Recover) error {
+	c, err := compile(instr, nil)
+	if err != nil {
+		return err
+	}
 	sc := newScanner(in)
-	var fieldBuf []string
-	var scratch matchScratch
+	var r Record
+	fields := lineFields()
 	var date time.Time
 	haveDate := false
 	var cols []string // column names from the last header row, sans ts/CPU
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		trimmed := strings.TrimSpace(line)
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := sc.Bytes()
 		switch {
-		case trimmed == "":
-			continue
-		case strings.HasPrefix(line, "Linux "):
-			d, err := sarBannerDate(line)
-			if err != nil {
+		case blank(line):
+		case hasPrefix(line, "Linux "):
+			if date, err = sarBannerDate(string(line)); err != nil {
 				return fmt.Errorf("parsers: sar line %d: %w", lineNo, err)
 			}
-			date = d
 			haveDate = true
-		case strings.Contains(line, "%user"):
-			cols = sarHeaderColumns(line)
+		case bytes.Contains(line, []byte("%user")):
+			cols = sarHeaderColumns(string(line))
 		default:
 			if !haveDate {
 				return fmt.Errorf("parsers: sar line %d: data before banner", lineNo)
@@ -52,14 +45,25 @@ func (sarParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
 			if cols == nil {
 				return fmt.Errorf("parsers: sar line %d: data before column header", lineNo)
 			}
-			e, err := sarDataRow(line, date, cols, &fieldBuf)
+			// A row is "HH:MM:SS.mmm  all  v1 v2 ..." against the column set.
+			fields = fieldsInto(line, fields)
+			if len(fields) != len(cols)+2 {
+				return fmt.Errorf("parsers: sar line %d: row has %d fields, want %d: %q", lineNo, len(fields), len(cols)+2, line)
+			}
+			ts, err := clockOn(date, fields[0])
 			if err != nil {
+				return fmt.Errorf("parsers: sar line %d: row timestamp %q: %w", lineNo, fields[0], err)
+			}
+			r.reset()
+			r.addTime("ts", ts)
+			r.add("cpu", fields[1])
+			for i, col := range cols {
+				r.add(col, fields[i+2])
+			}
+			if err := c.apply(&r); err != nil {
 				return fmt.Errorf("parsers: sar line %d: %w", lineNo, err)
 			}
-			if err := applyCommon(&e, instr, &scratch); err != nil {
-				return fmt.Errorf("parsers: sar line %d: %w", lineNo, err)
-			}
-			if err := emit(e); err != nil {
+			if err := sink(&r); err != nil {
 				return err
 			}
 		}
@@ -73,6 +77,9 @@ func (sarParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
 // sarBannerDate extracts the date from "Linux ... (host) \tMM/DD/YYYY \t...".
 func sarBannerDate(line string) (time.Time, error) {
 	for _, tok := range strings.Fields(line) {
+		if len(tok) != len("01/02/2006") || tok[2] != '/' {
+			continue // nothing else reads as the layout
+		}
 		if t, err := time.Parse("01/02/2006", tok); err == nil {
 			return t, nil
 		}
@@ -91,27 +98,4 @@ func sarHeaderColumns(line string) []string {
 		}
 	}
 	return cols
-}
-
-// sarDataRow parses "HH:MM:SS.mmm  all  v1 v2 ..." against the column set.
-func sarDataRow(line string, date time.Time, cols []string, buf *[]string) (mxml.Entry, error) {
-	var e mxml.Entry
-	fields := fieldsInto(line, *buf)
-	*buf = fields
-	if len(fields) != len(cols)+2 {
-		return e, fmt.Errorf("row has %d fields, want %d: %q", len(fields), len(cols)+2, line)
-	}
-	clock, err := time.Parse("15:04:05.000", fields[0])
-	if err != nil {
-		return e, fmt.Errorf("row timestamp %q: %w", fields[0], err)
-	}
-	ts := time.Date(date.Year(), date.Month(), date.Day(),
-		clock.Hour(), clock.Minute(), clock.Second(), clock.Nanosecond(), time.UTC)
-	e = mxml.NewEntry()
-	e.AddTyped("ts", ts.Format(mxml.TimeLayout), "time")
-	e.Add("cpu", fields[1])
-	for i, c := range cols {
-		e.Add(c, fields[i+2])
-	}
-	return e, nil
 }

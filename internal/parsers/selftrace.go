@@ -9,12 +9,10 @@ import (
 // emits it, see selfobs.FormatLine): one space-separated token line per
 // span or counter snapshot. The format is fixed by the emitter, so —
 // like the slow-log parser — the parser carries its own instruction set
-// and honors only the caller's Const fields. It is a thin veneer over the
-// generic token machinery, which gives it degraded mode for free.
-type selftraceParser struct{}
-
-var _ Parser = selftraceParser{}
-var _ DegradedParser = selftraceParser{}
+// and honors only the caller's Const fields (the transformer injects the
+// host there). It is a thin veneer over the generic token machinery, which
+// gives it degraded mode for free.
+var selftraceParser = degradable{format{"selftrace", parseSelfTrace}}
 
 // SelfTraceInstructions declares the self-telemetry log line. Exported so
 // tests and custom pipelines can reuse the grammar, mirroring
@@ -28,20 +26,8 @@ func SelfTraceInstructions() Instructions {
 	}
 }
 
-func (selftraceParser) Name() string { return "selftrace" }
-
-// fixed returns the canonical instructions with the caller's Const fields
-// merged in (the transformer injects the host there).
-func (selftraceParser) fixed(instr Instructions) Instructions {
-	f := SelfTraceInstructions()
-	f.Const = instr.Const
-	return f
-}
-
-func (p selftraceParser) Parse(in io.Reader, instr Instructions, emit Emit) error {
-	return tokenParser{}.parse(in, p.fixed(instr), emit, nil)
-}
-
-func (p selftraceParser) ParseDegraded(in io.Reader, instr Instructions, emit Emit, rec Recover) error {
-	return tokenParser{}.parse(in, p.fixed(instr), emit, rec)
+func parseSelfTrace(in io.Reader, instr Instructions, sink Sink, rec Recover) error {
+	fixed := SelfTraceInstructions()
+	fixed.Const = instr.Const
+	return parseToken(in, fixed, sink, rec)
 }

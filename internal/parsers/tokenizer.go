@@ -48,8 +48,8 @@ type tokenizer struct {
 
 // find reports whether s matches and fills slots (2 per capture group,
 // start/end byte offsets) for the leftmost-first match, exactly as
-// regexp.FindStringSubmatchIndex would.
-func (t *tokenizer) find(s string, slots []int) bool {
+// regexp.FindSubmatchIndex would.
+func (t *tokenizer) find(s []byte, slots []int) bool {
 	if t.anchored {
 		return t.matchHere(s, 0, 0, slots)
 	}
@@ -65,7 +65,7 @@ func (t *tokenizer) find(s string, slots []int) bool {
 // repeat and alternation choice points, longest/first preference — the
 // same order a backtracking search (and thus Go's leftmost-first submatch
 // semantics) would explore.
-func (t *tokenizer) matchHere(s string, pos, ei int, slots []int) bool {
+func (t *tokenizer) matchHere(s []byte, pos, ei int, slots []int) bool {
 	for ei < len(t.elems) {
 		el := &t.elems[ei]
 		switch el.op {
@@ -73,15 +73,14 @@ func (t *tokenizer) matchHere(s string, pos, ei int, slots []int) bool {
 			slots[el.slot] = pos
 			ei++
 		case opLit:
-			if len(s)-pos < len(el.lit) || s[pos:pos+len(el.lit)] != el.lit {
+			if !hasPrefix(s[pos:], el.lit) {
 				return false
 			}
 			pos += len(el.lit)
 			ei++
 		case opAlt:
 			for _, a := range el.alts {
-				if len(s)-pos >= len(a) && s[pos:pos+len(a)] == a &&
-					t.matchHere(s, pos+len(a), ei+1, slots) {
+				if hasPrefix(s[pos:], a) && t.matchHere(s, pos+len(a), ei+1, slots) {
 					return true
 				}
 			}

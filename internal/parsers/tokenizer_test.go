@@ -46,9 +46,8 @@ func checkTokenizerAgainstRegexp(t *testing.T, pattern, input string) {
 	if err != nil || m.tok == nil {
 		t.Fatalf("pattern %q: matcher err=%v tok=%v", pattern, err, m)
 	}
-	var sc matchScratch
-	sc.grow(len(m.names))
-	tokOK := m.tok.find(input, sc.slots)
+	sc := matchScratch{slots: make([]int, 2*len(m.names))}
+	tokOK := m.tok.find([]byte(input), sc.slots)
 	g := m.re.FindStringSubmatch(input)
 	if tokOK != (g != nil) {
 		t.Fatalf("pattern %q input %q: tokenizer match=%v, regexp match=%v",
@@ -129,7 +128,7 @@ func FuzzTokenizerEquivalence(f *testing.F) {
 		}
 		re := regexp.MustCompile(pattern)
 		slots := make([]int, 2*len(tok.names))
-		tokOK := tok.find(input, slots)
+		tokOK := tok.find([]byte(input), slots)
 		g := re.FindStringSubmatch(input)
 		if tokOK != (g != nil) {
 			t.Fatalf("pattern %q input %q: tokenizer=%v regexp=%v", pattern, input, tokOK, g != nil)
@@ -170,7 +169,7 @@ func TestMatcherCacheEviction(t *testing.T) {
 					return
 				}
 				var sc matchScratch
-				if !m.match(fmt.Sprintf("flood-%d-%d 7", w, i), &sc) || sc.vals[0] != "7" {
+				if line := fmt.Sprintf("flood-%d-%d 7", w, i); !m.match([]byte(line), &sc) || line[sc.slots[0]:sc.slots[1]] != "7" {
 					t.Errorf("pattern %q: flood matcher misparsed", p)
 					return
 				}
@@ -189,7 +188,7 @@ func TestMatcherCacheEviction(t *testing.T) {
 					return
 				}
 				var sc matchScratch
-				if !m.match(line, &sc) || sc.vals[0] != "10.0.0.3" {
+				if !m.match([]byte(line), &sc) || line[sc.slots[0]:sc.slots[1]] != "10.0.0.3" {
 					t.Errorf("apache matcher misparsed under eviction pressure")
 					return
 				}
@@ -220,9 +219,9 @@ func TestFieldsIntoMatchesStringsFields(t *testing.T) {
 		"line separator x", // U+2028 likewise
 		"\xff raw high bytes \xfe",
 	}
-	var buf []string
+	var buf [][]byte
 	for _, in := range inputs {
-		got := fieldsInto(in, buf)
+		got := fieldsInto([]byte(in), buf)
 		buf = got
 		want := strings.Fields(in)
 		if len(got) != len(want) {
@@ -230,7 +229,7 @@ func TestFieldsIntoMatchesStringsFields(t *testing.T) {
 			continue
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if string(got[i]) != want[i] {
 				t.Errorf("fieldsInto(%q)[%d] = %q, want %q", in, i, got[i], want[i])
 			}
 		}
@@ -241,9 +240,9 @@ func TestFieldsIntoMatchesStringsFields(t *testing.T) {
 // strings.Split.
 func TestSplitIntoMatchesStringsSplit(t *testing.T) {
 	inputs := []string{"", ",", "a,b,c", ",a,,b,", "no separators", "tr\xc3\xa9s,bien"}
-	var buf []string
+	var buf [][]byte
 	for _, in := range inputs {
-		got := splitInto(in, ',', buf)
+		got := splitInto([]byte(in), ',', buf)
 		buf = got
 		want := strings.Split(in, ",")
 		if len(got) != len(want) {
@@ -251,7 +250,7 @@ func TestSplitIntoMatchesStringsSplit(t *testing.T) {
 			continue
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if string(got[i]) != want[i] {
 				t.Errorf("splitInto(%q)[%d] = %q, want %q", in, i, got[i], want[i])
 			}
 		}

@@ -1,16 +1,19 @@
 package transform
 
-// The parser's entries are typed and stored column by column as they
+// The parser's records are typed and stored column by column as they
 // arrive, in memory. The annotated-XML and CSV files of §III-B are an export
 // (Options.Materialize), and the warehouse must equal what loading those
 // files would give. The file round trips are not the identity on arbitrary
 // bytes — xml.EscapeText → xml.Decoder turns invalid UTF-8 and XML-illegal
 // runes into U+FFFD; encoding/csv collapses CR LF inside a quoted cell to
-// LF — so the same normalizations are applied in memory: normalizeXML and
-// csvRoundTrip below.
+// LF — so the same normalizations are applied in memory, to a cell's bytes:
+// normalizeXML and csvRoundTrip below.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -20,6 +23,7 @@ import (
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mxml"
+	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/xmlcsv"
 )
 
@@ -32,55 +36,53 @@ func xmlCharOK(r rune) bool {
 		(r >= 0x10000 && r <= 0x10FFFF)
 }
 
-// normalizeXML applies the annotated-XML write→read round trip to one
-// string: xml.EscapeText replaces invalid UTF-8 bytes and XML-illegal
-// runes with U+FFFD and escapes everything else reversibly (including
-// \t \n \r, which therefore dodge the XML parser's line-end and
-// attribute-value normalizations). Clean strings — the overwhelmingly
-// common case — are returned unchanged without allocating.
-func normalizeXML(s string) string {
-	clean := true
+// xmlClean reports whether the annotated-XML write→read round trip is the
+// identity on s: plain ASCII, the overwhelmingly common case.
+func xmlClean[S ~string | ~[]byte](s S) bool {
 	for i := 0; i < len(s); i++ {
-		b := s[i]
-		if b >= 0x80 || (b < 0x20 && b != '\t' && b != '\n' && b != '\r') {
-			clean = false
-			break
+		if b := s[i]; b >= 0x80 || (b < 0x20 && b != '\t' && b != '\n' && b != '\r') {
+			return false
 		}
 	}
-	if clean {
-		return s
-	}
-	var sb strings.Builder
-	sb.Grow(len(s))
+	return true
+}
+
+// normalizeXML appends to dst what the annotated-XML write→read round trip
+// makes of one text: xml.EscapeText replaces invalid UTF-8 bytes and
+// XML-illegal runes with U+FFFD and escapes everything else reversibly
+// (including \t \n \r, which therefore dodge the XML parser's line-end and
+// attribute-value normalizations). Text that is xmlClean needs none of it.
+func normalizeXML(dst, s []byte) []byte {
 	for i := 0; i < len(s); {
-		r, width := utf8.DecodeRuneInString(s[i:])
+		r, width := utf8.DecodeRune(s[i:])
 		if (r == utf8.RuneError && width == 1) || !xmlCharOK(r) {
-			sb.WriteRune(utf8.RuneError)
-		} else {
-			sb.WriteRune(r)
+			r = utf8.RuneError
 		}
+		dst = utf8.AppendRune(dst, r)
 		i += width
 	}
-	return sb.String()
+	return dst
 }
 
 // csvRoundTrip applies the converter-CSV write→read round trip: a cell
 // containing CR LF is quoted on write, and encoding/csv's reader treats a
 // carriage return followed by a newline inside a quoted cell as a single
 // newline. Every other cell the writer produces reads back verbatim.
-func csvRoundTrip(s string) string {
-	if !strings.Contains(s, "\r\n") {
+func csvRoundTrip(s []byte) []byte {
+	if !bytes.Contains(s, []byte("\r\n")) {
 		return s
 	}
-	return strings.ReplaceAll(s, "\r\n", "\n")
+	return bytes.ReplaceAll(s, []byte("\r\n"), []byte("\n"))
 }
 
 // tableBuilder is a file's table while the file is still parsing: the
-// parser's Emit sink types each cell once (xmlcsv.TypeCell) and stores the
-// value column-major, evolving the schema in place as the converter's
+// parser's record sink types each cell once, from the bytes the parser holds
+// (xmlcsv.TypeBytes) or not at all when the parser computed the value, and
+// stores it column-major, evolving the schema in place as the converter's
 // bottom-up inference would have settled it over the whole file — columns
 // in first-appearance order, types merged by xmlcsv.Widen — so the finished
-// table is the one loading the staged CSV gives.
+// table is the one loading the staged CSV gives. Text that must be kept is
+// copied into per-column arenas: a stored cell costs no allocation.
 type tableBuilder struct {
 	cols []column
 	idx  map[string]int
@@ -89,9 +91,18 @@ type tableBuilder struct {
 	// rejects.
 	emptyName bool
 	// doc, under Options.Materialize, is the annotated-XML document in
-	// docFile, written as the entries arrive.
+	// docFile, written as the records arrive.
 	doc     *mxml.Writer
 	docFile *os.File
+	entries parsers.Entries
+
+	colOf   []int  // the column of each cell of the record in hand
+	scratch []byte // one cell's normalized or rendered text
+	// src is the file being parsed, of size bytes: how far it has been read
+	// says how much further the columns will grow.
+	src  io.Seeker
+	size int64
+	err  error // a column outgrew its arena
 }
 
 // column is one column under construction. Cells [n, rows) are empty and
@@ -104,51 +115,154 @@ type column struct {
 	name   string
 	typ    mscopedb.Type
 	n      int
+	last   int // in the record in hand, the last cell of this column
 	ints   []int64
 	floats []float64
-	strs   []string
+	strs   texts
 	// odd keeps, in row order, the text of every cell of a numeric column
 	// that rendering the stored value would not give back: should the column
 	// degrade to string it must hold what the file said ("007", "1e3", and
 	// "" rather than 0 for an empty cell). An int or a time is canonical by
-	// a byte test; a float column keeps the text of every cell.
-	odd []oddCell
+	// a byte test; a float column keeps the text of every cell. oddRows[i]
+	// is the row of odd text i.
+	odd     texts
+	oddRows []uint32
 }
 
-type oddCell struct {
-	row  int
-	text string
+// texts is cell texts end to end in one arena, text i ending at ends[i]. The
+// arena is a strings.Builder so that a finished string column is slices of
+// one string that was never copied.
+type texts struct {
+	arena *strings.Builder
+	ends  []uint32
 }
 
-// add is the parser's Emit sink: type and store each field's cell, then
-// recycle the entry's field storage.
-func (b *tableBuilder) add(e mxml.Entry) error {
+func (t *texts) at(i int) string {
+	start := uint32(0)
+	if i > 0 {
+		start = t.ends[i-1]
+	}
+	return t.arena.String()[start:t.ends[i]]
+}
+
+// strings returns the texts as slices of the arena.
+func (t *texts) strings() []string {
+	out := make([]string, len(t.ends))
+	for i := range out {
+		out[i] = t.at(i)
+	}
+	return out
+}
+
+// addText appends one text to t.
+func (b *tableBuilder) addText(t *texts, s []byte) {
+	n := 0
+	if t.arena != nil {
+		n = t.arena.Len()
+	}
+	if n+len(s) > math.MaxUint32 {
+		b.err = fmt.Errorf("transform: a column's text exceeds %d bytes", uint32(math.MaxUint32))
+		return
+	}
+	if t.arena == nil || t.arena.Cap()-n < len(s) {
+		// A Builder grows itself by doubling at least; a fresh one takes the
+		// size it is told.
+		grown := new(strings.Builder)
+		grown.Grow(max(b.grown(n), n+len(s)))
+		if t.arena != nil {
+			grown.WriteString(t.arena.String())
+		}
+		t.arena = grown
+	}
+	t.arena.Write(s)
+	t.ends = append(room(b, t.ends), uint32(t.arena.Len()))
+}
+
+// add is the parser's record sink: type and store each cell. A cell that a
+// later cell of the same record shadows, by carrying the same name, is not
+// stored, though it widens the column as if it had been.
+func (b *tableBuilder) add(r *parsers.Record) error {
 	if b.doc != nil {
-		if err := b.doc.WriteEntry(e); err != nil {
+		e := b.entries.Entry(r)
+		err := b.doc.WriteEntry(e)
+		e.Release()
+		if err != nil {
 			return err
 		}
 	}
-	for k, f := range e.Fields {
-		name := normalizeXML(f.Name)
-		if name == "" {
-			b.emptyName = true
+	b.colOf = b.colOf[:0]
+	for k := range r.Cells {
+		// A file's records nearly always carry the same fields in the same
+		// order: the column at the cell's own position is tried first, and a
+		// name that equals a column's needs no normalizing.
+		name, i := r.Cells[k].Name, k
+		if k >= len(b.cols) || b.cols[k].name != name {
+			if !xmlClean(name) {
+				name = string(normalizeXML(nil, []byte(name)))
+			}
+			if i = -1; name == "" {
+				b.emptyName = true
+			} else {
+				i = b.column(name)
+			}
+		}
+		if i >= 0 {
+			b.cols[i].last = k
+		}
+		b.colOf = append(b.colOf, i)
+	}
+	for k, i := range b.colOf {
+		if i < 0 {
 			continue
 		}
-		// The hint needs no normalizing: no other text normalizes to "time".
-		b.column(name, k).put(b.rows, xmlcsv.TypeCell(normalizeXML(f.Value), f.Hint))
+		c := &b.cols[i]
+		v, text := b.value(&r.Cells[k], c)
+		if c.last == k {
+			b.put(c, b.rows, v, text)
+		} else if t := xmlcsv.Widen(c.typ, v.Type); t != c.typ {
+			b.retype(c, t)
+		}
 	}
 	b.rows++
-	e.Release()
-	return nil
+	return b.err
 }
 
-// column finds or creates the named column. A file's records nearly always
-// carry the same fields in the same order, so the column at the field's own
-// position is tried before the map.
-func (b *tableBuilder) column(name string, k int) *column {
-	if k < len(b.cols) && b.cols[k].name == name {
-		return &b.cols[k]
+// Times the layout reads back: years 0 to 9999.
+var minTime, maxTime = time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC).Unix(), time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
+
+// value types one cell bound for column c, and returns the text to keep
+// should the value not render back to it: nil when it does. A value the
+// parser computed is its own type — an int is an int, a time within the
+// layout's years and whole in microseconds is a time — and has no text
+// unless the column is, or now turns, of another type; then the text the
+// entry adapter would have rendered is typed like any other.
+func (b *tableBuilder) value(cell *parsers.Cell, c *column) (mscopedb.Value, []byte) {
+	var v mscopedb.Value
+	switch cell.Kind {
+	case parsers.CellText:
+		text := cell.Text
+		if !xmlClean(text) {
+			b.scratch = normalizeXML(b.scratch[:0], text)
+			text = b.scratch
+		}
+		// The hint needs no normalizing: no other text normalizes to "time".
+		return xmlcsv.TypeBytes(text, cell.Hint), text
+	case parsers.CellInt:
+		v = mscopedb.Value{Type: mscopedb.TInt, Int: cell.Int, Float: float64(cell.Int)}
+	case parsers.CellTime:
+		if cell.Int >= minTime && cell.Int < maxTime && cell.Nsec%1000 == 0 {
+			v = mscopedb.Value{Type: mscopedb.TTime, Int: cell.Int*1e6 + int64(cell.Nsec/1000)}
+		}
 	}
+	if v.Type != 0 && xmlcsv.Widen(c.typ, v.Type) == v.Type {
+		return v, nil
+	}
+	b.scratch = cell.AppendText(b.scratch[:0])
+	return xmlcsv.TypeBytes(b.scratch, cell.Hint), b.scratch
+}
+
+// column finds or creates the named column.
+func (b *tableBuilder) column(name string) int {
 	i, ok := b.idx[name]
 	if !ok {
 		if b.idx == nil {
@@ -158,86 +272,103 @@ func (b *tableBuilder) column(name string, k int) *column {
 		b.idx[name] = i
 		b.cols = append(b.cols, column{name: name})
 	}
-	return &b.cols[i]
+	return i
 }
 
-// put stores the cell of one row. A second field of the same name in one
-// record overwrites the first, though both have widened the column.
-func (c *column) put(row int, v mscopedb.Value) {
-	if c.n > row {
-		c.n = row
-		if k := len(c.odd) - 1; k >= 0 && c.odd[k].row == row {
-			c.odd = c.odd[:k]
-		}
-		switch c.typ {
-		case mscopedb.TString:
-			c.strs = c.strs[:row]
-		case mscopedb.TFloat:
-			c.floats = c.floats[:row]
-		default:
-			c.ints = c.ints[:row]
-		}
-	}
+// put stores the cell of one row: its value, and text when rendering the
+// value would not give the text back.
+func (b *tableBuilder) put(c *column, row int, v mscopedb.Value, text []byte) {
 	if t := xmlcsv.Widen(c.typ, v.Type); t != c.typ {
-		c.retype(t)
+		b.retype(c, t)
 	}
 	if c.typ == 0 {
 		return
 	}
 	for c.n < row {
-		c.put(c.n, mscopedb.Value{})
+		b.put(c, c.n, mscopedb.Value{}, nil)
 	}
 	c.n++
 	switch c.typ {
 	case mscopedb.TString:
-		c.strs = append(room(c.strs), csvRoundTrip(v.Str))
+		b.addText(&c.strs, csvRoundTrip(text))
+		return
 	case mscopedb.TFloat:
-		c.floats = append(room(c.floats), v.Float)
-		c.odd = append(room(c.odd), oddCell{row, v.Str})
+		c.floats = append(room(b, c.floats), v.Float)
 	default:
-		c.ints = append(room(c.ints), v.Int)
-		if !canonical(v) {
-			c.odd = append(room(c.odd), oddCell{row, v.Str})
+		c.ints = append(room(b, c.ints), v.Int)
+		if canonical(v.Type, text) {
+			return
 		}
 	}
+	c.oddRows = append(room(b, c.oddRows), uint32(row))
+	b.addText(&c.odd, text)
 }
 
-// room makes space for one more cell by doubling. Left to itself append
-// grows a large slice by a quarter, which copies a long column five times
-// over where doubling copies it once.
-func room[E any](s []E) []E {
+// room makes space for one more cell of a column: see grown.
+func room[E any](b *tableBuilder, s []E) []E {
 	if len(s) < cap(s) {
 		return s
 	}
-	return slices.Grow(s, max(len(s), 1024))
+	return slices.Grow(s, b.grown(len(s))-len(s))
+}
+
+// readAhead is how far past the last record the parser may have read its
+// file: the line scanner's and the XML scanner's buffers start at 64 KiB.
+const readAhead = 64 << 10
+
+// grown is the capacity for a full run of n cells, or bytes of them, to grow
+// to. Left to itself append grows a large slice by a quarter, which copies
+// a long column five times over; doubling copies it once; and once a file
+// is eight thousand rows in, how much of it has been read says where its
+// columns will end, to within the parser's read-ahead, and they are sized
+// once, for that.
+func (b *tableBuilder) grown(n int) int {
+	double := max(2*n, 1024)
+	if b.src == nil || b.rows < 8192 {
+		return double
+	}
+	done, err := b.src.Seek(0, io.SeekCurrent)
+	if err != nil || done < 2*readAhead {
+		return double
+	}
+	// At most twice too many, if all of the read-ahead is still unparsed.
+	done -= readAhead
+	return n + max(n/64, int(float64(n)*float64(b.size-done)/float64(done)))
 }
 
 // canonical reports whether rendering an int or time cell's value gives its
 // text back, as Table.Widen renders: an int without a plus sign, a leading
 // zero or "-0"; a time as mxml.TimeLayout formats one in UTC to the
-// microsecond (TypeCell read it under the layout, which leaves open a
-// one-digit hour, the fraction's separator and length, and the zone). The
-// empty cell is not: its value renders as "0".
-func canonical(v mscopedb.Value) bool {
-	s := v.Str
-	switch v.Type {
+// microsecond (TypeBytes read it under the layout, which leaves open a
+// one-digit hour, the fraction's separator and length, and the zone). A
+// value that came without text is one the parser computed, and renders as
+// the text it stands for. The empty cell is not canonical: its value
+// renders as "0".
+func canonical(typ mscopedb.Type, s []byte) bool {
+	switch typ {
 	case mscopedb.TInt:
+		if len(s) == 0 {
+			return true
+		}
 		if s[0] == '-' {
 			return s[1] != '0'
 		}
 		return s[0] != '+' && (s[0] != '0' || len(s) == 1)
 	case mscopedb.TTime:
+		if len(s) == 0 {
+			return true
+		}
 		if len(s) < 20 || s[13] != ':' || s[16] != ':' || s[len(s)-1] != 'Z' {
 			return false
 		}
 		frac := s[19 : len(s)-1]
-		return frac == "" || (frac[0] == '.' && len(frac) >= 2 && len(frac) <= 7 && frac[len(frac)-1] != '0')
+		return len(frac) == 0 || (frac[0] == '.' && len(frac) >= 2 && len(frac) <= 7 && frac[len(frac)-1] != '0')
 	}
 	return false
 }
 
 // retype moves the column to a wider type, converting the cells it holds.
-func (c *column) retype(to mscopedb.Type) {
+func (b *tableBuilder) retype(c *column, to mscopedb.Type) {
 	from := c.typ
 	c.typ = to
 	switch {
@@ -246,25 +377,28 @@ func (c *column) retype(to mscopedb.Type) {
 		for i, v := range c.ints {
 			c.floats[i] = float64(v)
 		}
-		for _, o := range c.odd {
-			if o.text != "" { // "-0" is the int 0 and the float -0.0
-				c.floats[o.row], _ = strconv.ParseFloat(o.text, 64)
+		for k, row := range c.oddRows {
+			if text := c.odd.at(k); text != "" { // "-0" is the int 0 and the float -0.0
+				c.floats[row], _ = strconv.ParseFloat(text, 64)
 			}
 		}
 	case from != 0 && to == mscopedb.TString:
-		c.strs = make([]string, c.n, max(cap(c.ints), cap(c.floats)))
-		odd := c.odd
-		for row := range c.strs {
+		c.strs.ends = make([]uint32, 0, max(cap(c.ints), cap(c.floats)))
+		k := 0
+		var cell []byte
+		for row := 0; row < c.n; row++ {
 			switch {
-			case len(odd) > 0 && odd[0].row == row:
-				c.strs[row], odd = odd[0].text, odd[1:]
+			case k < len(c.oddRows) && int(c.oddRows[k]) == row:
+				cell = append(cell[:0], c.odd.at(k)...)
+				k++
 			case from == mscopedb.TTime:
-				c.strs[row] = time.UnixMicro(c.ints[row]).UTC().Format(mxml.TimeLayout)
+				cell = time.UnixMicro(c.ints[row]).UTC().AppendFormat(cell[:0], mxml.TimeLayout)
 			default:
-				c.strs[row] = strconv.FormatInt(c.ints[row], 10)
+				cell = strconv.AppendInt(cell[:0], c.ints[row], 10)
 			}
+			b.addText(&c.strs, cell)
 		}
-		c.ints, c.floats, c.odd = nil, nil, nil
+		c.ints, c.floats, c.odd, c.oddRows = nil, nil, texts{}, nil
 	}
 }
 
@@ -297,11 +431,11 @@ func (b *tableBuilder) table(name string, cols []mscopedb.Column) (*mscopedb.Tab
 	for i := range b.cols {
 		c := &b.cols[i]
 		for c.n < b.rows {
-			c.put(c.n, mscopedb.Value{})
+			b.put(c, c.n, mscopedb.Value{}, nil)
 		}
 		switch c.typ {
 		case mscopedb.TString:
-			data[i] = c.strs
+			data[i] = c.strs.strings()
 		case mscopedb.TFloat:
 			data[i] = c.floats
 		default:

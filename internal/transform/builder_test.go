@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,6 +16,8 @@ import (
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 	"github.com/gt-elba/milliscope/internal/mxml"
+	"github.com/gt-elba/milliscope/internal/parsers"
+	"github.com/gt-elba/milliscope/internal/wire"
 	"github.com/gt-elba/milliscope/internal/xmlcsv"
 )
 
@@ -40,8 +43,8 @@ func TestCSVRoundTripMatchesEncodingCSV(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read back %q: %v", v, err)
 		}
-		if rec[0] != csvRoundTrip(v) {
-			t.Errorf("csvRoundTrip(%q) = %q, want %q", v, csvRoundTrip(v), rec[0])
+		if got := string(csvRoundTrip([]byte(v))); rec[0] != got {
+			t.Errorf("csvRoundTrip(%q) = %q, want %q", v, got, rec[0])
 		}
 	}
 }
@@ -100,25 +103,33 @@ func TestNormalizeXMLMatchesConverter(t *testing.T) {
 		byName[h] = cells[i]
 	}
 	for i, v := range vals {
-		want := csvRoundTrip(normalizeXML(v))
+		want := roundTrips(v)
 		if got := byName[fmt.Sprintf("c%02d", i)]; got != want {
 			t.Errorf("value %d (%q): converter produced %q, in-memory normalization %q", i, v, got, want)
 		}
 	}
 }
 
+// roundTrips is what a text reads back as after the annotated-XML and the
+// CSV round trips, as the builder applies them to the bytes of a cell.
+func roundTrips(s string) string {
+	return string(csvRoundTrip(normalizeXML(nil, []byte(s))))
+}
+
 // referenceTable is the two-pass construction tableBuilder replaced, kept
-// as its oracle: every entry, normalized, is folded into the converter's
-// whole-file inference (xmlcsv.Inference), and only then is each row
-// rendered in schema order, the last of duplicate fields winning, and typed
-// a second time by Table.AppendStrings.
-func referenceTable(table, mxmlPath string, entries []mxml.Entry) (*mscopedb.Table, error) {
+// as its oracle, over the entries the adapter makes of the records: every
+// entry, normalized, is folded into the converter's whole-file inference
+// (xmlcsv.Inference), and only then is each row rendered in schema order,
+// the last of duplicate fields winning, and typed a second time by
+// Table.AppendStrings.
+func referenceTable(table, mxmlPath string, recs []parsers.Record) (*mscopedb.Table, error) {
 	inf := xmlcsv.NewInference()
 	emptyName := false
-	norm := make([]mxml.Entry, len(entries))
-	for i, e := range entries {
-		for _, f := range e.Fields {
-			f = mxml.Field{Name: normalizeXML(f.Name), Value: normalizeXML(f.Value), Hint: normalizeXML(f.Hint)}
+	norm := make([]mxml.Entry, len(recs))
+	var adapter parsers.Entries
+	for i := range recs {
+		for _, f := range adapter.Entry(&recs[i]).Fields {
+			f.Name, f.Value = string(normalizeXML(nil, []byte(f.Name))), string(normalizeXML(nil, []byte(f.Value)))
 			emptyName = emptyName || f.Name == ""
 			norm[i].Fields = append(norm[i].Fields, f)
 		}
@@ -138,7 +149,7 @@ func referenceTable(table, mxmlPath string, entries []mxml.Entry) (*mscopedb.Tab
 	for _, e := range norm {
 		row := xmlcsv.Row(e, cols)
 		for i := range row {
-			row[i] = csvRoundTrip(row[i])
+			row[i] = string(csvRoundTrip([]byte(row[i])))
 		}
 		if err := tbl.AppendStrings(row); err != nil {
 			return nil, err
@@ -147,12 +158,11 @@ func referenceTable(table, mxmlPath string, entries []mxml.Entry) (*mscopedb.Tab
 	return tbl, nil
 }
 
-// builtTable runs the entries through a tableBuilder as processFile does.
-func builtTable(table, mxmlPath string, entries []mxml.Entry) (*mscopedb.Table, error) {
+// builtTable runs the records through a tableBuilder as processFile does.
+func builtTable(table, mxmlPath string, recs []parsers.Record) (*mscopedb.Table, error) {
 	var b tableBuilder
-	for _, e := range entries {
-		// add recycles the entry's field storage; the caller keeps its own.
-		if err := b.add(mxml.Entry{Fields: append([]mxml.Field(nil), e.Fields...)}); err != nil {
+	for i := range recs {
+		if err := b.add(&recs[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -166,10 +176,10 @@ func builtTable(table, mxmlPath string, entries []mxml.Entry) (*mscopedb.Table, 
 // sameAsReference fails unless the builder and the two-pass oracle agree on
 // the error or on the table: schema and every cell, floats by their bits'
 // rendering (-0 is not 0).
-func sameAsReference(t *testing.T, entries []mxml.Entry) {
+func sameAsReference(t *testing.T, recs []parsers.Record) {
 	t.Helper()
-	want, wantErr := referenceTable("t", "t.mxml", entries)
-	got, gotErr := builtTable("t", "t.mxml", entries)
+	want, wantErr := referenceTable("t", "t.mxml", recs)
+	got, gotErr := builtTable("t", "t.mxml", recs)
 	if wantErr != nil || gotErr != nil {
 		if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
 			t.Fatalf("builder error %v, two-pass error %v", gotErr, wantErr)
@@ -206,69 +216,109 @@ var typerCorpus = []string{
 	"crlf\r\npair", "a\xff\xfeb", "ctl\x01",
 }
 
-// fuzzEntries decodes a fuzz input into entries. shape is read three bytes
-// a field — which name, which value, and flags (bit 0 the "time" hint, bit
+// What a parser can compute: times with digits below the microsecond, in
+// year 0, in years the layout cannot read back, and ints at both ends.
+var (
+	computedTimes = []time.Time{
+		time.Date(2017, 4, 1, 0, 0, 12, 345678000, time.UTC),
+		time.Date(2017, 4, 1, 0, 0, 12, 345678900, time.UTC),
+		time.Date(2017, 4, 1, 0, 0, 12, 1, time.UTC),
+		time.Date(2017, 4, 1, 0, 0, 12, 0, time.UTC),
+		time.Date(2017, 4, 1, 0, 0, 12, 120000000, time.UTC),
+		time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(-1, 12, 31, 23, 59, 59, 999999000, time.UTC),
+		time.Date(9999, 12, 31, 23, 59, 59, 999999000, time.UTC),
+		time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+	}
+	computedInts = []int64{0, 7, -1, 1491004812345678, math.MaxInt64, math.MinInt64}
+)
+
+// fuzzRecords decodes a fuzz input into records. shape is read three bytes
+// a cell — which name, which value, and flags (bit 0 the "time" hint, bit
 // 1 take the value from texts rather than the typer corpus, bit 2 the
-// record ends after this field, bit 3 an empty record follows) — so the
-// fuzzer reaches late columns, missing fields, duplicate names in one
-// record and every order of widening.
-func fuzzEntries(shape []byte, texts string) []mxml.Entry {
-	names := []string{"a", "b", "c", "d", "n\x80sty", ""}
+// record ends after this cell, bit 3 an empty record follows, bit 4 the
+// value is one the parser computed: a time under the hint, else an int) —
+// so the fuzzer reaches late columns, missing fields, duplicate names in
+// one record and every order of widening.
+func fuzzRecords(shape []byte, texts string) []parsers.Record {
+	names := []string{"a", "b", "c", "d", "n\x80sty", "\x01", ""}
 	pool := strings.Split(texts, "\n")
-	var entries []mxml.Entry
-	var cur mxml.Entry
+	var recs []parsers.Record
+	var cur parsers.Record
 	for ; len(shape) >= 3; shape = shape[3:] {
-		f := mxml.Field{Name: names[int(shape[0])%len(names)], Value: typerCorpus[int(shape[1])%len(typerCorpus)]}
+		c := parsers.Cell{Name: names[int(shape[0])%len(names)], Text: []byte(typerCorpus[int(shape[1])%len(typerCorpus)])}
 		if shape[0] >= 250 {
-			f.Name = "late" // rare, so it tends to appear late
+			c.Name = "late" // rare, so it tends to appear late
 		}
 		flags := shape[2]
 		if flags&1 != 0 {
-			f.Hint = "time"
+			c.Hint = "time"
 		}
-		if flags&2 != 0 {
-			f.Value = pool[int(shape[1])%len(pool)]
+		switch {
+		case flags&16 != 0 && flags&1 != 0:
+			c = parsers.TimeCell(c.Name, computedTimes[int(shape[1])%len(computedTimes)])
+		case flags&16 != 0:
+			c.Kind, c.Text, c.Int = parsers.CellInt, nil, computedInts[int(shape[1])%len(computedInts)]
+		case flags&2 != 0:
+			c.Text = []byte(pool[int(shape[1])%len(pool)])
 		}
-		cur.Fields = append(cur.Fields, f)
+		cur.Cells = append(cur.Cells, c)
 		if flags&4 != 0 {
-			entries = append(entries, cur)
-			cur = mxml.Entry{}
+			recs = append(recs, cur)
+			cur = parsers.Record{}
 			if flags&8 != 0 {
-				entries = append(entries, mxml.Entry{})
+				recs = append(recs, parsers.Record{})
 			}
 		}
 	}
-	if len(cur.Fields) > 0 {
-		entries = append(entries, cur)
+	if len(cur.Cells) > 0 {
+		recs = append(recs, cur)
 	}
-	return entries
+	return recs
 }
 
-// FuzzTableBuilderEquivalence: for arbitrary records — names, values, hints
-// and shapes — the table the builder grows as the records arrive is the one
-// whole-file inference followed by a second typing pass gives, or both fail
-// with the same error.
+// FuzzTableBuilderEquivalence: for arbitrary records — names, values, hints,
+// computed cells and shapes — the table the builder grows from the cells'
+// bytes as the records arrive is the one whole-file inference followed by a
+// second typing pass gives over the entries made of the same records, or
+// both fail with the same error.
 func FuzzTableBuilderEquivalence(f *testing.F) {
+	corpus := func(v string) byte {
+		for i, c := range typerCorpus {
+			if c == v {
+				return byte(i)
+			}
+		}
+		panic("not in the typer corpus: " + v)
+	}
 	// One column walking int → float → string, with every non-canonical
 	// number in front of the cell that degrades it.
 	var walk []byte
 	for _, v := range []string{"+1", "007", "-0", "42", "", "1e3", "0x10", "NaN", "9223372036854775808", "1_000"} {
-		for i, c := range typerCorpus {
-			if c == v {
-				walk = append(walk, 0, byte(i), 4)
-			}
-		}
+		walk = append(walk, 0, corpus(v), 4)
 	}
 	f.Add(walk, "")
+	// A float column that degrades on its last row.
+	f.Add([]byte{1, corpus("3.5"), 4, 1, corpus("-0"), 4, 1, corpus("1e3"), 4, 1, corpus("hello"), 4}, "")
 	// Duplicate names in one record, a late column, an empty-named field,
 	// hinted and unhinted times, values from the free text.
-	f.Add([]byte{0, 1, 0, 0, 4, 4, 1, 60, 1, 1, 2, 5, 250, 3, 4, 5, 0, 4}, "")
+	f.Add([]byte{0, 1, 0, 0, 4, 4, 1, 60, 1, 1, 2, 5, 250, 3, 4, 6, 0, 4}, "")
 	f.Add([]byte{2, 0, 2, 2, 1, 6, 2, 2, 7, 3, 0, 12}, "12\n2017-04-01T00:00:12.500Z\nx\r\ny")
+	// Invalid UTF-8 and XML-illegal runes in names and values, a CR LF
+	// inside a cell.
+	f.Add([]byte{4, 0, 2, 5, 1, 2, 0, 2, 6, 4, 3, 6}, "a\xff\xfeb\nctl\x01\x0b\nc\r\nd\n\xed\xa0\x80")
 	for i := range typerCorpus {
 		f.Add([]byte{0, 2, 4, 0, byte(i), 5, 0, 3, 4, 1, byte(i), 4}, "")
 	}
+	// Every computed value into an empty column, then under each type a
+	// column can already have, then degraded by what follows it.
+	for i := range computedTimes {
+		for _, v := range []string{"", "42", "3.5", "hello", "2017-04-01T00:00:12.1Z"} {
+			f.Add([]byte{0, byte(i), 17 + 4, 0, corpus(v), 4, 0, byte(i), 17 + 4, 1, byte(i), 16 + 4, 1, corpus(v), 4, 1, byte(i), 16 + 4}, "")
+		}
+	}
 	f.Fuzz(func(t *testing.T, shape []byte, texts string) {
-		sameAsReference(t, fuzzEntries(shape, texts))
+		sameAsReference(t, fuzzRecords(shape, texts))
 	})
 }
 
@@ -286,12 +336,12 @@ func TestCanonicalCellsRenderBack(t *testing.T) {
 			case mscopedb.TTime:
 				rendered = time.UnixMicro(v.Int).UTC().Format(mxml.TimeLayout)
 			default:
-				if canonical(v) {
+				if canonical(v.Type, []byte(s)) {
 					t.Errorf("canonical(%q as %v): only ints and times can be", s, v.Type)
 				}
 				continue
 			}
-			if got := canonical(v); got != (rendered == s) {
+			if got := canonical(v.Type, []byte(s)); got != (rendered == s) {
 				t.Errorf("canonical(%q as %v) = %v, but it renders as %q", s, v.Type, got, rendered)
 			}
 		}
@@ -299,20 +349,20 @@ func TestCanonicalCellsRenderBack(t *testing.T) {
 }
 
 // TestBatchIngestHoldsNoEntryArena: an in-memory ingest of a 100k-record
-// apache log allocates a fraction of what it did while every field was
-// first copied into a per-file arena of 48-byte mxml.Fields grown by
-// doubling. Measured on this log at the commit before the builder: 3,090
-// bytes and 3.005 to 3.009 mallocs a row (the first run of a process is the
-// high one); with it: 606 bytes and the same 3.005 to 3.009. More workers
-// change neither number: a file is parsed once, by one of them (the sharded
-// parse four workers used to run allocated 1.8 times the bytes).
+// apache log allocates for the columns it builds and for nothing else — no
+// per-file arena of entries, no string a line, none a cell. Measured on this
+// log, bytes and mallocs a row: 3,090 and 3.01 with the entry arena; 606 and
+// 3.01 once the builder typed entries as they arrived; 216 and 0.01 now
+// that it types cells from the parser's bytes and sizes its columns by how
+// far the file has been read. More workers change neither number: a file is
+// parsed once, by one of them.
 func TestBatchIngestHoldsNoEntryArena(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-record ingest")
 	}
-	const records, parentBytes, parentMallocs = 100_000, 3090.0, 3.01
+	const records, maxBytes, maxMallocs = 100_000, 250.0, 0.5
 	logDir := writeLogDir(t, map[string]string{"apache_access.log": string(apacheCorpus(records, 0))})
-	measure := func(workers int) (bytesPerRow, mallocsPerRow float64) {
+	for _, workers := range []int{1, 4} {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -321,21 +371,52 @@ func TestBatchIngestHoldsNoEntryArena(t *testing.T) {
 		if err != nil || rep.TotalRows() != records {
 			t.Fatalf("ingest loaded %d rows: %v", rep.TotalRows(), err)
 		}
-		bytesPerRow = float64(after.TotalAlloc-before.TotalAlloc) / records
-		mallocsPerRow = float64(after.Mallocs-before.Mallocs) / records
+		bytesPerRow := float64(after.TotalAlloc-before.TotalAlloc) / records
+		mallocsPerRow := float64(after.Mallocs-before.Mallocs) / records
 		t.Logf("workers %d: %.0f bytes and %.4f mallocs a row", workers, bytesPerRow, mallocsPerRow)
-		return bytesPerRow, mallocsPerRow
+		if bytesPerRow > maxBytes || mallocsPerRow > maxMallocs {
+			t.Errorf("workers %d: %.0f bytes and %.2f mallocs a row, want at most %.0f and %.1f",
+				workers, bytesPerRow, mallocsPerRow, maxBytes, maxMallocs)
+		}
 	}
-	bytesPerRow, mallocsPerRow := measure(1)
-	if bytesPerRow > 0.6*parentBytes {
-		t.Errorf("%.0f bytes allocated a row, over 60%% of the %.0f of the entry arena", bytesPerRow, parentBytes)
+}
+
+// TestConstFieldsKeepOneOrder: a declaration's constants reach every record
+// in key order. Emitted in map order, as they were, three constants gave
+// each record one of six field orders: the builder's schema (columns in
+// first-appearance order) differed from run to run, and the agent's wire
+// batch started a new segment whenever the order flipped.
+func TestConstFieldsKeepOneOrder(t *testing.T) {
+	instr := parsers.Instructions{Pattern: `^(?P<n>\d+)$`,
+		Const: map[string]string{"zone": "z1", "host": "web1", "rack": "r7"}}
+	input := strings.Repeat("42\n", 500)
+	p, err := parsers.Get("token")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mallocsPerRow > parentMallocs {
-		t.Errorf("%.2f mallocs a row, above the %.2f of the entry arena", mallocsPerRow, parentMallocs)
-	}
-	bytes4, mallocs4 := measure(4)
-	if bytes4 > 1.05*bytesPerRow || mallocs4 > 1.05*mallocsPerRow {
-		t.Errorf("four workers allocate %.0f bytes and %.4f mallocs a row, over 5%% above one worker's %.0f and %.4f",
-			bytes4, mallocs4, bytesPerRow, mallocsPerRow)
+	for run := 0; run < 50; run++ {
+		var tb tableBuilder
+		if err := p.ParseRecords(strings.NewReader(input), instr, tb.add, nil); err != nil {
+			t.Fatal(err)
+		}
+		cols, err := tb.schema("t.mxml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, c := range cols {
+			names = append(names, c.Name)
+		}
+		if got := strings.Join(names, " "); got != "n host rack zone" || tb.rows != 500 {
+			t.Fatalf("parse %d: %d rows with columns %q, want 500 with the constants in key order", run, tb.rows, got)
+		}
+		var batch wire.Batch
+		err = p.Parse(strings.NewReader(input), instr, func(e mxml.Entry) error {
+			batch.AppendEntries([]mxml.Entry{e})
+			return nil
+		})
+		if err != nil || len(batch.Segments) != 1 {
+			t.Fatalf("parse %d: %d wire segments (err %v), want the 500 records in one", run, len(batch.Segments), err)
+		}
 	}
 }

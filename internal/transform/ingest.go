@@ -242,7 +242,13 @@ func processFile(j *fileJob, workDir string, opts Options) (out fileOutcome) {
 		}
 	}
 	sp := obs.Begin(selfobs.PipeIngest, "parse", "whole", j.name)
-	parseErr := parseStream(p, j.full, b.Instructions, tb.add, rec)
+	// The policy reaches the one parse loop as its Recover: nil is fail-fast.
+	in, parseErr := os.Open(j.full)
+	if parseErr == nil {
+		tb.src, tb.size = in, j.size
+		parseErr = p.ParseRecords(in, b.Instructions, tb.add, rec)
+		in.Close()
+	}
 	if parseErr == nil {
 		sp.End(int64(tb.rows), int64(sink.count()))
 	}
@@ -285,19 +291,4 @@ func processFile(j *fileJob, workDir string, opts Options) (out fileOutcome) {
 	}
 	sp.End(int64(tbl.Rows()), 0)
 	return fileOutcome{fr: fr, tbl: tbl, csvPath: filepath.Join(workDir, fr.Table+".csv")}
-}
-
-// parseStream parses one whole file as a stream. This is the one place the
-// policy picks the parser's entry point: a nil rec is a fail-fast Parse,
-// anything else a degraded parse diverting malformed regions to rec.
-func parseStream(p parsers.Parser, path string, instr parsers.Instructions, emit parsers.Emit, rec parsers.Recover) error {
-	in, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	if rec == nil {
-		return p.Parse(in, instr, emit)
-	}
-	return p.(parsers.DegradedParser).ParseDegraded(in, instr, emit, rec)
 }

@@ -69,6 +69,11 @@ func FuzzCellTyperEquivalence(f *testing.F) {
 		if got.Type != want.Type || got.Str != want.Str {
 			t.Fatalf("TypeCell(%q,%q) = %v %q, reference %v", value, hint, got.Type, got.Str, want.Type)
 		}
+		// The same rule over bytes: the same value, less the text.
+		asBytes := TypeBytes([]byte(value), hint)
+		if asBytes.Str = value; asBytes != got && !(math.IsNaN(got.Float) && math.IsNaN(asBytes.Float)) {
+			t.Fatalf("TypeBytes(%q,%q) = %+v, TypeCell %+v", value, hint, asBytes, got)
+		}
 		switch got.Type {
 		case mscopedb.TInt, mscopedb.TTime:
 			if got.Int != want.Int {
@@ -90,12 +95,18 @@ func FuzzCellTyperEquivalence(f *testing.F) {
 func TestTypeCellAllocatesNothing(t *testing.T) {
 	cells := []string{"", "42", "-", "GET", "/rubbos/ViewStory?id=7", "3.5", "10.0.0.1", "sda", "index.html",
 		"2017-04-01T00:00:12.345678Z", "200 OK", "HTTP/1.1"}
+	cellBytes := make([][]byte, len(cells))
+	for i, c := range cells {
+		cellBytes[i] = []byte(c)
+	}
 	if n := testing.AllocsPerRun(100, func() {
-		for _, c := range cells {
+		for i, c := range cells {
 			TypeCell(c, "")
 			TypeCell(c, "time")
+			TypeBytes(cellBytes[i], "")
+			TypeBytes(cellBytes[i], "time")
 		}
 	}); n != 0 {
-		t.Fatalf("TypeCell allocated %.1f times over %d cells", n, 2*len(cells))
+		t.Fatalf("TypeCell and TypeBytes allocated %.1f times over %d cells", n, 4*len(cells))
 	}
 }

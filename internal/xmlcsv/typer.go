@@ -10,6 +10,10 @@ import (
 	"github.com/gt-elba/milliscope/internal/mxml"
 )
 
+// text is a cell as its source had it: an entry's string, or bytes of a line
+// a parser still owns.
+type text interface{ ~string | ~[]byte }
+
 // TypeCell is the converter's one typing rule: a cell's type is the
 // narrowest of int, float, time and string that reads its text — the first
 // of strconv.ParseInt(value, 10, 64), strconv.ParseFloat(value, 64) and
@@ -22,30 +26,39 @@ import (
 // strconv or time is called at most once and only on text shaped like what
 // it accepts, so a cell that was never a number costs no error value.
 func TypeCell(value, hint string) mscopedb.Value {
-	v := mscopedb.Value{Str: value}
-	if value == "" {
+	v := typeCell(value, hint)
+	v.Str = value
+	return v
+}
+
+// TypeBytes is TypeCell over bytes the caller keeps: the value's Str stays
+// unset, and nothing is allocated unless the text is float- or time-shaped
+// and longer than 32 bytes.
+func TypeBytes(value []byte, hint string) mscopedb.Value { return typeCell(value, hint) }
+
+func typeCell[T text](value T, hint string) (v mscopedb.Value) {
+	if len(value) == 0 {
 		return v
 	}
 	v.Type = mscopedb.TString
 	switch {
 	case hint == "time":
-		typeTime(&v)
-	case typeInt(&v):
+		typeTime(&v, value)
+	case typeInt(&v, value):
 	case floatShaped(value):
-		if f, err := strconv.ParseFloat(value, 64); err == nil {
+		if f, err := strconv.ParseFloat(string(value), 64); err == nil {
 			v.Type, v.Float = mscopedb.TFloat, f
 		}
 	default:
 		// Nothing float-shaped is time-shaped: the arms are exclusive.
-		typeTime(&v)
+		typeTime(&v, value)
 	}
 	return v
 }
 
 // typeInt reads [+-]?[0-9]+ within int64, as strconv.ParseInt in base 10
 // does. An overflowing digit string is float-shaped and falls through.
-func typeInt(v *mscopedb.Value) bool {
-	s := v.Str
+func typeInt[T text](v *mscopedb.Value, s T) bool {
 	neg := s[0] == '-'
 	if neg || s[0] == '+' {
 		s = s[1:]
@@ -77,7 +90,7 @@ func typeInt(v *mscopedb.Value) bool {
 // [+-]?(digits[.digits]|.digits)([eE][+-]?digits)?, which it reads unless
 // out of range, or one of the shapes left to it to judge — infinities, NaN,
 // and anything with a hex prefix or an underscore.
-func floatShaped(s string) bool {
+func floatShaped[T text](s T) bool {
 	signed := s[0] == '+' || s[0] == '-'
 	if signed {
 		s = s[1:]
@@ -87,9 +100,9 @@ func floatShaped(s string) bool {
 	}
 	switch c := s[0] | 0x20; {
 	case c == 'i':
-		return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity")
+		return strings.EqualFold(string(s), "inf") || strings.EqualFold(string(s), "infinity")
 	case c == 'n':
-		return !signed && strings.EqualFold(s, "nan")
+		return !signed && strings.EqualFold(string(s), "nan")
 	case len(s) > 1 && s[0] == '0' && s[1]|0x20 == 'x':
 		return true
 	}
@@ -116,7 +129,12 @@ func floatShaped(s string) bool {
 		for ; i < len(s) && isDigit(s[i]); i++ {
 		}
 	}
-	return i == len(s) || strings.IndexByte(s, '_') >= 0
+	for j := i; j < len(s); j++ { // what came before i was digits, a point, an exponent
+		if s[j] == '_' {
+			return true
+		}
+	}
+	return i == len(s)
 }
 
 func isDigit(c byte) bool { return c-'0' <= 9 }
@@ -125,12 +143,11 @@ func isDigit(c byte) bool { return c-'0' <= 9 }
 // accepts opens "2006-01-02T" and is no shorter than "2006-01-02T5:04:05Z"
 // (time.Parse takes a one-digit hour); only text punctuated that way
 // reaches time.Parse.
-func typeTime(v *mscopedb.Value) {
-	s := v.Str
+func typeTime[T text](v *mscopedb.Value, s T) {
 	if len(s) < len("2006-01-02T5:04:05Z") || s[4] != '-' || s[7] != '-' || s[10] != 'T' {
 		return
 	}
-	if ts, err := time.Parse(mxml.TimeLayout, s); err == nil {
+	if ts, err := time.Parse(mxml.TimeLayout, string(s)); err == nil {
 		v.Type, v.Int = mscopedb.TTime, ts.UnixMicro()
 	}
 }
