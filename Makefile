@@ -184,7 +184,10 @@ chaos:
 
 # Live-monitoring smoke: replay the disk-IO trial through `mscope live`
 # under the race detector; --expect-alert fails the run unless the online
-# detector raised at least one millibottleneck alert and shut down cleanly.
+# detector raised at least one millibottleneck alert and shut down cleanly,
+# and unless the first alert fired sooner after its window than the 1 s pad
+# plus the whole --grace ceiling: the wait must follow the ~320 ms residence
+# of the flush (about 1.7 s in all), not the 2 s constant (3.1 s).
 live-smoke:
 	rm -rf /tmp/mscope-live-smoke
 	$(GO) run -race ./cmd/mscope live --scenario dbio --out /tmp/mscope-live-smoke \

@@ -75,7 +75,7 @@ type engineFlags struct {
 func addEngineFlags(fs *flag.FlagSet) engineFlags {
 	return engineFlags{
 		window:   fs.Duration("window", 50*time.Millisecond, "detector window width"),
-		grace:    fs.Duration("grace", 0, "classification grace past the watermark (default 2s)"),
+		grace:    fs.Duration("grace", 0, "ceiling on the classification grace past the watermark, which follows the response times observed (default 2s)"),
 		budget:   fs.Float64("budget", 0, "quarantine error budget per source (0 = default 5%)"),
 		fidelity: fs.String("fidelity", "", "degradation mode: full | adaptive | aggregate (default full)"),
 		httpAddr: fs.String("http", "", "serve the engine's /status /alerts /metrics /healthz on this address (e.g. :8080)"),
@@ -100,10 +100,10 @@ func (e engineFlags) config(cmd string, db *milliscope.DB) (milliscope.LiveConfi
 		ErrorBudget: *e.budget,
 		Fidelity:    milliscope.LiveFidelityOptions{Mode: *e.fidelity},
 		OnAlert: func(a milliscope.LiveAlert) {
-			fmt.Printf("ALERT @%s watermark=%dus window=[%d,%d]us: %s\n",
+			fmt.Printf("ALERT @%s watermark=%dus window=[%d,%d]us: %s [%s]\n",
 				a.Raised.Format("15:04:05.000"), a.WatermarkUS,
 				a.Diagnosis.Window.StartMicros, a.Diagnosis.Window.EndMicros,
-				a.Diagnosis.Verdict)
+				a.Diagnosis.Verdict, a.Waited())
 		},
 	}, nil
 }
@@ -163,6 +163,6 @@ func printAlerts(alerts []milliscope.LiveAlert) {
 		if len(a.Missing) > 0 {
 			extra = " DEGRADED missing " + strings.Join(a.Missing, ",")
 		}
-		fmt.Printf("alert %d: %s%s\n", a.ID, a.Diagnosis.Verdict, extra)
+		fmt.Printf("alert %d: %s%s [%s]\n", a.ID, a.Diagnosis.Verdict, extra, a.Waited())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/core"
 )
 
 // cmdLive runs the streaming mode: stage a scenario's logs with the DES
@@ -27,7 +28,7 @@ func cmdLive(args []string) error {
 		"write milliScope's own span telemetry to this file (or directory) as an ingestable log")
 	chaosRate := fs.Float64("chaos-rate", 0, "per-line fault probability injected into the tailed stream")
 	chaosSeed := fs.Int64("chaos-seed", 1, "chaos corruption seed")
-	expectAlert := fs.Bool("expect-alert", false, "exit nonzero unless at least one alert fired")
+	expectAlert := fs.Bool("expect-alert", false, "exit nonzero unless an alert fired and, if online, sooner after its window than pad + grace ceiling")
 	rotate := fs.Float64("rotate", 0, "rotate (truncate) event logs at this replay fraction, 0 = never")
 	ringCap := fs.Int("ring-cap", 0, "per-source promotion ring capacity (default 8192)")
 	rollupWin := fs.Duration("rollup-window", 0, "aggregate rollup window (default 1s)")
@@ -149,12 +150,17 @@ func cmdLive(args []string) error {
 		}
 		fmt.Println(line)
 	}
-	printAlerts(pipe.Alerts())
+	alerts := pipe.Alerts()
+	printAlerts(alerts)
 	if err := commitLoaded(*dbPath, pipe.DB()); err != nil {
 		return err
 	}
-	if *expectAlert && st.Alerts == 0 {
+	if *expectAlert && len(alerts) == 0 {
 		return fmt.Errorf("live: --expect-alert set but no alert fired")
+	}
+	// Held in CI: the grace follows the data, not the constant ceiling.
+	if *expectAlert && alerts[0].DelayUS >= core.ClassifyPad.Microseconds()+alerts[0].CeilingUS {
+		return fmt.Errorf("live: --expect-alert: first alert fired %s", alerts[0].Waited())
 	}
 	return nil
 }

@@ -156,7 +156,11 @@ func cmdScenarioVerify(args []string) error {
 		if out.LiveChecked {
 			timing += " batch + " + out.LiveElapsed.Round(time.Millisecond).String() + " live"
 		}
-		fmt.Printf("%-4s %-12s %-26s %s\n", status, out.Name, "("+timing+")", strings.Join(out.Verdicts, ", "))
+		line := fmt.Sprintf("%-4s %-12s %-26s %s", status, out.Name, "("+timing+")", strings.Join(out.Verdicts, ", "))
+		if len(out.Waits) > 0 {
+			line += "  live: " + strings.Join(out.Waits, "; ")
+		}
+		fmt.Println(line)
 		for _, p := range out.Problems {
 			fmt.Printf("       %s\n", p)
 		}

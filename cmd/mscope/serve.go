@@ -39,13 +39,13 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
+	// Installed before anything is answered: a caller may interrupt right after.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	srv := &http.Server{Handler: obs.Handler()}
 	go func() { _ = srv.Serve(ln) }()
 	fmt.Printf("serving %s on http://%s — open / for the index, /api/query for MQL,\n"+
 		"/flamegraph.svg for the slowest request's critical path\n", *dbPath, ln.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	return srv.Close()
 }

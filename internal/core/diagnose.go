@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -203,10 +204,14 @@ type Evidence struct {
 	NetLag map[string]*mscopedb.Series
 }
 
+// ErrNoResources is BuildEvidence's error for a warehouse with no
+// resource-monitor table: the one the live detector retries on in silence.
+var ErrNoResources = errors.New("core: no resource-monitor tables in the warehouse")
+
 // BuildEvidence assembles the classification evidence from an ingested
 // warehouse at the given window width, recording absent tables in missing
-// instead of failing. It errors only when no resource table exists at all:
-// with zero candidates there is nothing to correlate against.
+// instead of failing. Unreadable tables aside, it errors only when no resource
+// table exists: with zero candidates there is nothing to correlate against.
 func BuildEvidence(db *mscopedb.DB, window time.Duration) (*Evidence, []string, error) {
 	ev := &Evidence{
 		Queues:    make(map[string]*mscopedb.Series, len(Tiers)),
@@ -306,7 +311,7 @@ func BuildEvidence(db *mscopedb.DB, window time.Duration) (*Evidence, []string, 
 	}
 	sp.End(int64(len(ev.NetLag)), 0)
 	if len(ev.Candidates) == 0 {
-		return nil, missing, fmt.Errorf("core: no resource-monitor tables in the warehouse (missing %v): diagnosis needs at least one tier's resource plane", missing)
+		return nil, missing, fmt.Errorf("%w (missing %v): diagnosis needs at least one tier's resource plane", ErrNoResources, missing)
 	}
 	return ev, missing, nil
 }

@@ -14,6 +14,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
+	"time"
 )
 
 // WriteHealth renders the readiness body every daemon's /healthz serves:
@@ -106,6 +108,39 @@ func (f *Family) Label(key, value string, v float64) {
 	f.w.sample(f.name, key+"="+strconv.Quote(value), v)
 }
 
+// HistogramBounds are every mscope histogram's upper bucket bounds, in seconds:
+// a fixed 1-2-5 log scale, so a family scraped from several nodes sums by bucket.
+var HistogramBounds = [...]float64{.001, .002, .005, .01, .02, .05, .1, .2, .5, 1, 2, 5, 10, 20, 50}
+
+// Histogram counts durations into HistogramBounds; the zero value is ready.
+type Histogram struct {
+	counts [len(HistogramBounds) + 1]atomic.Int64 // the last is +Inf
+	sumUS  atomic.Int64
+}
+
+// Observe counts one duration; safe alongside a Writer rendering h.
+func (h *Histogram) Observe(d time.Duration) {
+	h.counts[sort.SearchFloat64s(HistogramBounds[:], d.Seconds())].Add(1)
+	h.sumUS.Add(d.Microseconds())
+}
+
+// Histogram emits a histogram family: cumulative le buckets, then the sum
+// in seconds and the count.
+func (w *Writer) Histogram(name, help string, h *Histogram) {
+	w.header(name, "histogram", help)
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+		le := "+Inf"
+		if i < len(HistogramBounds) {
+			le = strconv.FormatFloat(HistogramBounds[i], 'g', -1, 64)
+		}
+		w.sample(name+"_bucket", `le="`+le+`"`, float64(n))
+	}
+	w.sample(name+"_sum", "", float64(h.sumUS.Load())/1e6)
+	w.sample(name+"_count", "", float64(n))
+}
+
 // String returns the accumulated exposition body.
 func (w *Writer) String() string { return w.b.String() }
 
@@ -118,8 +153,8 @@ func (w *Writer) String() string { return w.b.String() }
 // different families never interleave.
 func Lint(text string) error {
 	type state struct {
-		help, typ bool
-		samples   int
+		help, typ, histogram bool
+		samples              int
 	}
 	seen := make(map[string]*state)
 	var current string // family whose block we are inside
@@ -141,7 +176,7 @@ func Lint(text string) error {
 			current = name
 		case strings.HasPrefix(line, "# TYPE "):
 			fields := strings.Fields(strings.TrimPrefix(line, "# TYPE "))
-			if len(fields) != 2 || (fields[1] != "gauge" && fields[1] != "counter") {
+			if len(fields) != 2 || (fields[1] != "gauge" && fields[1] != "counter" && fields[1] != "histogram") {
 				return fmt.Errorf("line %d: malformed TYPE: %q", ln+1, line)
 			}
 			name := fields[0]
@@ -149,7 +184,7 @@ func Lint(text string) error {
 			if st == nil || !st.help || st.typ || current != name {
 				return fmt.Errorf("line %d: TYPE for %s without immediately preceding HELP", ln+1, name)
 			}
-			st.typ = true
+			st.typ, st.histogram = true, fields[1] == "histogram"
 		case strings.HasPrefix(line, "#"):
 			return fmt.Errorf("line %d: unexpected comment: %q", ln+1, line)
 		default:
@@ -161,6 +196,10 @@ func Lint(text string) error {
 				return fmt.Errorf("line %d: sample %s lacks the %s prefix", ln+1, name, Prefix)
 			}
 			st := seen[name]
+			// A histogram's samples carry its name plus _bucket, _sum or _count.
+			if h := seen[current]; st == nil && h != nil && h.histogram && strings.HasPrefix(name, current+"_") {
+				name, st = current, h
+			}
 			if st == nil || !st.typ {
 				return fmt.Errorf("line %d: sample for undeclared family %s", ln+1, name)
 			}

@@ -47,8 +47,10 @@ type Outcome struct {
 	Pass bool
 	// Problems lists every mismatch, batch and live.
 	Problems []string
-	// Verdicts renders the diagnosed windows (batch).
+	// Verdicts renders the diagnosed windows (batch); Waits what each
+	// live alert waited for (stream.Alert.Waited), in raise order.
 	Verdicts []string
+	Waits    []string
 	// Degraded mirrors the batch diagnosis' partial-evidence flag.
 	Degraded bool
 	// Elapsed is the batch run+ingest+diagnose wall time; LiveElapsed the
@@ -160,6 +162,7 @@ func Verify(s *Spec, opts Options) (*Outcome, error) {
 		out.LiveChecked = true
 		var lobs []observed
 		for _, a := range alerts {
+			out.Waits = append(out.Waits, a.Waited())
 			lobs = append(lobs, observed{
 				kind: a.Diagnosis.Kind, node: a.Diagnosis.Node,
 				startUS:  a.Diagnosis.Window.StartMicros,

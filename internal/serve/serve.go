@@ -439,6 +439,7 @@ type diagEntry struct {
 	CrossTier   bool        `json:"cross_tier"`
 	Causes      []diagCause `json:"causes,omitempty"`
 	Missing     []string    `json:"missing,omitempty"`
+	stream.Wait             // of a live verdict; absent in batch mode
 }
 
 type diagTimeline struct {
@@ -476,6 +477,7 @@ func (s *Server) handleDiagnosis(w http.ResponseWriter, r *http.Request) {
 			e.Raised = &raised
 			e.WatermarkUS = a.WatermarkUS
 			e.Missing = a.Missing
+			e.Wait = a.Wait
 			tl.Entries = append(tl.Entries, e)
 		}
 		writeJSON(w, tl)

@@ -88,6 +88,15 @@ func TestServeLivePipeline(t *testing.T) {
 	if diag.Source != "live" {
 		t.Errorf("diagnosis source = %q, want live", diag.Source)
 	}
+	if len(diag.Entries) == 0 {
+		t.Error("live diagnosis has no entries for the dbio trial")
+	}
+	// Every live entry says what it waited for.
+	for _, e := range diag.Entries {
+		if e.CeilingUS != stream.DefaultGrace.Microseconds() || e.GraceUS <= 0 || e.GraceUS > e.CeilingUS || e.ResidenceUS < int64(e.PeakUS) {
+			t.Errorf("live entry %s: wait %+v with peak %.0f", e.Verdict, e.Wait, e.PeakUS)
+		}
+	}
 
 	// Live-mode /metrics concatenates the engine's families with the
 	// serve surface's own; the result must still lint as one exposition.

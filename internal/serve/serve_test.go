@@ -197,9 +197,14 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	var diag diagTimeline
-	get(t, h, "/api/diagnosis", 200, &diag)
+	raw := get(t, h, "/api/diagnosis", 200, &diag).Body.String()
 	if diag.Source != "batch" {
 		t.Errorf("diagnosis source = %q, want batch", diag.Source)
+	}
+	// A batch verdict waited for nothing: the live entries' wait fields
+	// must not appear (bench/'s query-mix compares these bytes).
+	if strings.Contains(raw, "grace") || strings.Contains(raw, "residence_us") || strings.Contains(raw, "delay_us") {
+		t.Errorf("snapshot-mode /api/diagnosis carries live wait fields: %s", raw)
 	}
 	if len(diag.Entries) == 0 {
 		t.Fatal("dbio scenario produced no diagnosis entries")

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mxml"
@@ -367,13 +368,14 @@ func (p *Pipeline) promoteNeighbourhood(loUS, hiUS int64) {
 // expireRings frees ring rows that can no longer be promoted: a window is
 // classified once it is pad+grace behind the watermark, and its promote
 // range reaches pad+grace before its start — so anything older than twice
-// that horizon (plus a window) is out of reach of any future promotion.
+// that horizon (plus a window), at the ceiling no grace exceeds, is out
+// of reach of any future promotion.
 func (p *Pipeline) expireRings(lowUS int64) {
 	f := p.fid
 	if f == nil {
 		return
 	}
-	horizon := 2*(p.det.graceUS+p.padUS()) + p.det.windowUS
+	horizon := 2*(p.det.ceilingUS+core.ClassifyPad.Microseconds()) + p.det.windowUS
 	cutoff := lowUS - horizon
 	for _, r := range f.rings {
 		if n := r.ExpireBefore(cutoff); n > 0 {

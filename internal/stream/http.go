@@ -39,9 +39,12 @@ type Status struct {
 	Alerts      int     `json:"alerts"`
 	// Stalls counts backpressure stall events: a parser finding the
 	// record queue full and having to wait for the loader.
-	Stalls   int64           `json:"backpressure_stalls"`
-	Fidelity *FidelityStatus `json:"fidelity,omitempty"`
-	Sources  []SourceStatus  `json:"sources"`
+	Stalls int64 `json:"backpressure_stalls"`
+	// Detector passes whose evidence could not be built, and the latest's why.
+	EvidenceErrors int64           `json:"detector_evidence_errors"`
+	EvidenceError  string          `json:"detector_evidence_error,omitempty"`
+	Fidelity       *FidelityStatus `json:"fidelity,omitempty"`
+	Sources        []SourceStatus  `json:"sources"`
 }
 
 // FidelityStatus is the degradation subsystem's live state; present in
@@ -74,16 +77,18 @@ func (p *Pipeline) Status() Status {
 	p.mu.Lock()
 	running := p.running && !p.stopped
 	started := p.started
-	alerts := len(p.alerts)
+	alerts, evidenceErrs, evidenceErr := len(p.alerts), p.evidenceErrs, p.evidenceErr
 	p.mu.Unlock()
 	st := Status{
-		Running:     running,
-		StartedWall: started,
-		WindowMS:    float64(p.cfg.Window.Microseconds()) / 1000,
-		Rows:        p.rowsTotal.Load(),
-		Queued:      int(p.queued.Load()),
-		Alerts:      alerts,
-		Stalls:      p.stalls.Load(),
+		Running:        running,
+		StartedWall:    started,
+		WindowMS:       float64(p.cfg.Window.Microseconds()) / 1000,
+		Rows:           p.rowsTotal.Load(),
+		Queued:         int(p.queued.Load()),
+		Alerts:         alerts,
+		Stalls:         p.stalls.Load(),
+		EvidenceErrors: evidenceErrs,
+		EvidenceError:  evidenceErr,
 	}
 	if f := p.fid; f != nil {
 		st.Fidelity = &FidelityStatus{
@@ -144,6 +149,7 @@ type alertView struct {
 	Node        string    `json:"node"`
 	Verdict     string    `json:"verdict"`
 	Missing     []string  `json:"missing,omitempty"`
+	Wait
 }
 
 func viewAlert(a Alert) alertView {
@@ -158,6 +164,7 @@ func viewAlert(a Alert) alertView {
 		Node:        a.Diagnosis.Node,
 		Verdict:     a.Diagnosis.Verdict,
 		Missing:     a.Missing,
+		Wait:        a.Wait,
 	}
 }
 
@@ -181,6 +188,9 @@ func (p *Pipeline) MetricsText() string {
 	}
 	c("backpressure_stalls_total", float64(st.Stalls),
 		"times a parser found the record channel full and waited for the loader")
+	c("detector_evidence_errors_total", float64(st.EvidenceErrors), "detector passes whose evidence could not be built")
+	w.Histogram(promfmt.Prefix+"detect_delay_seconds", "event time from a window's end to its alert, online alerts only", &p.delayHist)
+	w.Histogram(promfmt.Prefix+"detect_grace_seconds", "grace the detector applied past window end + pad, per online alert", &p.graceHist)
 	// Fidelity families are exported unconditionally (zero when the
 	// subsystem is off) so dashboards and the conformance test see a
 	// stable metric set.

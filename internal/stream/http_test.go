@@ -41,6 +41,7 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	helpSeen := map[string]int{}
 	typeSeen := map[string]int{}
 	samples := map[string]int{}
+	histograms := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		switch {
 		case strings.HasPrefix(line, "# HELP "):
@@ -52,6 +53,7 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		case strings.HasPrefix(line, "# TYPE "):
 			name := strings.Fields(line)[2]
 			typeSeen[name]++
+			histograms[name] = strings.Fields(line)[3] == "histogram"
 			if samples[name] > 0 {
 				t.Errorf("TYPE for %s appears after its samples", name)
 			}
@@ -61,6 +63,12 @@ func TestMetricsExpositionConformance(t *testing.T) {
 			name := line
 			if i := strings.IndexAny(name, "{ "); i >= 0 {
 				name = name[:i]
+			}
+			// A histogram's samples are its _bucket, _sum and _count series.
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base := strings.TrimSuffix(name, suffix); histograms[base] {
+					name = base
+				}
 			}
 			if helpSeen[name] == 0 || typeSeen[name] == 0 {
 				t.Errorf("sample for %s before its HELP/TYPE header: %q", name, line)
@@ -99,6 +107,7 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	// zero-valued when degradation is off — so scrapers see a stable set.
 	for _, fam := range []string{
 		"mscope_backpressure_stalls_total",
+		"mscope_detector_evidence_errors_total",
 		"mscope_fidelity_state",
 		"mscope_fidelity_transitions_total",
 		"mscope_rows_rolled_up_total",
@@ -110,6 +119,12 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	} {
 		if samples[fam] != 1 {
 			t.Errorf("%s has %d samples, want exactly 1", fam, samples[fam])
+		}
+	}
+	// The two histograms: every fixed bucket, +Inf, sum and count.
+	for _, fam := range []string{"mscope_detect_delay_seconds", "mscope_detect_grace_seconds"} {
+		if want := len(promfmt.HistogramBounds) + 3; samples[fam] != want {
+			t.Errorf("%s has %d samples, want %d", fam, samples[fam], want)
 		}
 	}
 }

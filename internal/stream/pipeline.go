@@ -7,11 +7,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/faults"
 	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mxml"
+	"github.com/gt-elba/milliscope/internal/promfmt"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/simtime"
 	"github.com/gt-elba/milliscope/internal/transform"
@@ -48,8 +48,9 @@ type Config struct {
 	// Skew is the clock-skew bound subtracted from the low watermark
 	// (default: the fault model's 2ms).
 	Skew time.Duration
-	// Grace delays classification past the watermark (default 2s); see
-	// DefaultGrace.
+	// Grace is the ceiling on how long classification waits past the
+	// watermark (default 2s, DefaultGrace); each window waits what the
+	// residence observed around it asks for, see graceFor.
 	Grace time.Duration
 	// ChannelCap bounds the records in flight between the parsers and the
 	// loader (default 256): a batch is admitted while fewer than this many
@@ -159,6 +160,9 @@ type Pipeline struct {
 	rowsTotal atomic.Int64
 	stalls    atomic.Int64 // backpressure stall events (channel found full)
 
+	// What each online alert waited: window end → raise, and its grace.
+	delayHist, graceHist promfmt.Histogram
+
 	// loaderObs is the loader goroutine's span buffer, exposed so the
 	// promotion path (called from the detector, on the loader) can record
 	// spans without allocating a buffer per promotion.
@@ -166,14 +170,16 @@ type Pipeline struct {
 	// vals is the loader's reused typed view of the record in hand.
 	vals []mscopedb.Value
 
-	mu      sync.Mutex
-	sources []*source
-	byPath  map[string]*source
-	alerts  []Alert
-	started time.Time
-	running bool
-	stopped bool
-	loadErr error
+	mu           sync.Mutex
+	sources      []*source
+	byPath       map[string]*source
+	alerts       []Alert
+	started      time.Time
+	running      bool
+	stopped      bool
+	loadErr      error
+	evidenceErrs int64  // detector passes whose evidence failed to build
+	evidenceErr  string // the latest's why
 }
 
 // New builds a pipeline; Start actually runs it.
@@ -186,7 +192,7 @@ func New(cfg Config) (*Pipeline, error) {
 		cfg:      c,
 		db:       c.DB,
 		wm:       NewWatermark(c.Skew.Microseconds()),
-		det:      newDetector(c.DB, c.Window, c.Grace),
+		det:      newDetector(c.DB, c.Window, c.Grace, c.Skew),
 		recs:     make(chan rec, c.ChannelCap),
 		dbReqs:   make(chan func(*mscopedb.DB)),
 		loadDone: make(chan struct{}),
@@ -424,12 +430,9 @@ load:
 	// the gating relaxed — all evidence has arrived — then flush the open
 	// rollup cells and checkpoint. Detection runs before the final flush
 	// so promotion still finds its ring rows.
-	sp := obs.Begin(selfobs.PipeLive, "detect", "final", "")
-	alerts := p.det.advance(finalLow, true, p.cfg.Window, time.Now)
-	sp.End(int64(len(alerts)), 0)
-	p.raise(alerts)
+	p.detect(obs, "final", finalLow)
 	p.flushRollup(finalLow, true)
-	sp = obs.Begin(selfobs.PipeLive, "checkpoint", "final", "")
+	sp := obs.Begin(selfobs.PipeLive, "checkpoint", "final", "")
 	p.checkpoint()
 	// With a spill-backed warehouse, commit the segment store at the same
 	// cut as the ledger rows just written; a crash after this point loses
@@ -479,10 +482,7 @@ func (p *Pipeline) processBatch(r rec, obs *selfobs.Buf, lastLow *int64) {
 		obsWatermarkMoves.Add(1)
 		p.evalPressure()
 		p.flushRollup(low, false)
-		sp := obs.Begin(selfobs.PipeLive, "detect", "advance", "")
-		alerts := p.det.advance(low, false, p.cfg.Window, time.Now)
-		sp.End(int64(len(alerts)), 0)
-		p.raise(alerts)
+		p.detect(obs, "advance", low)
 		p.expireRings(low)
 	}
 }
@@ -563,9 +563,23 @@ func (p *Pipeline) observeFront(e *mxml.Entry, vals []mscopedb.Value) {
 	}
 }
 
-// raise records new alerts and notifies the callback.
-func (p *Pipeline) raise(alerts []Alert) {
+// detect runs the detector against the watermark (finalLow at shutdown),
+// records new alerts and notifies the callback. An evidence failure is
+// counted and kept for /status; the next pass retries the due windows.
+func (p *Pipeline) detect(obs *selfobs.Buf, stage string, low int64) {
+	sp := obs.Begin(selfobs.PipeLive, "detect", stage, "")
+	alerts, err := p.det.advance(low)
+	if err != nil {
+		p.mu.Lock()
+		p.evidenceErrs, p.evidenceErr = p.evidenceErrs+1, err.Error()
+		p.mu.Unlock()
+	}
+	sp.End(int64(len(alerts)), 0)
 	for _, a := range alerts {
+		if a.DelayUS > 0 {
+			p.delayHist.Observe(time.Duration(a.DelayUS) * time.Microsecond)
+			p.graceHist.Observe(time.Duration(a.GraceUS) * time.Microsecond)
+		}
 		p.mu.Lock()
 		a.ID = len(p.alerts) + 1
 		p.alerts = append(p.alerts, a)
@@ -605,7 +619,3 @@ func (p *Pipeline) checkpoint() {
 		}
 	}
 }
-
-// padUS is the classification pad in microseconds — the slice margin the
-// verdict correlates over, and therefore half of the promotion horizon.
-func (p *Pipeline) padUS() int64 { return core.ClassifyPad.Microseconds() }
