@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all fast full size build vet selfobs-lint test test-short race race-short bench bench-smoke overhead-check fidelity-check overload-soak dist-soak scenario-soak db-soak serve-smoke profile-ingest cover fuzz fuzz-smoke chaos live-smoke experiment clean
+.PHONY: all fast full size fmt build vet selfobs-lint test test-short race race-short bench bench-smoke overhead-check fidelity-check overload-soak dist-soak scenario-soak db-soak serve-smoke profile-ingest cover fuzz fuzz-smoke chaos live-smoke experiment clean
 
 all: full
 
@@ -10,7 +10,7 @@ all: full
 # compiles and vets, the hot paths keep their telemetry discipline, the
 # quick suite is race-clean, and the pipeline benchmark still builds and
 # passes its oracle checks. Under 90 s on two cores.
-fast: build vet selfobs-lint race-short bench-smoke
+fast: fmt build vet selfobs-lint race-short bench-smoke
 
 # fast, then the full suite, the smokes and soaks, and the two absolute
 # budgets bench/ does not measure.
@@ -31,6 +31,10 @@ size:
 	@printf 'exported identifiers:        %s\n' "$$($(SIZE_FILES) | xargs grep -hE '^(func (\([^)]+\) )?[A-Z]|type [A-Z]|(var|const) [A-Z]|	[A-Z][A-Za-z0-9]* += )' | wc -l)"
 	@printf 'files importing encoding/gob: %s\n' "$$($(SIZE_FILES) | xargs grep -l '"encoding/gob"' | wc -l)"
 	@printf 'Go under bench/:             %s lines\n' "$$(cat bench/*.go | wc -l)"
+
+# gofmt reports nothing: every Go file is formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

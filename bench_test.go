@@ -21,14 +21,20 @@ import (
 	"time"
 
 	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/agentd"
 	"github.com/gt-elba/milliscope/internal/analysis"
+	"github.com/gt-elba/milliscope/internal/collector"
 	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/eventmon"
 	"github.com/gt-elba/milliscope/internal/importer"
+	"github.com/gt-elba/milliscope/internal/metrics"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/ntier"
+	"github.com/gt-elba/milliscope/internal/report"
 	"github.com/gt-elba/milliscope/internal/stream"
 	"github.com/gt-elba/milliscope/internal/sysviz"
+	"github.com/gt-elba/milliscope/internal/tracegraph"
+	"github.com/gt-elba/milliscope/internal/transform"
 	"github.com/gt-elba/milliscope/internal/xmlcsv"
 )
 
@@ -171,7 +177,7 @@ func sweep(b *testing.B) []milliscope.OverheadPoint {
 func BenchmarkFig2PointInTimeRT(b *testing.B) {
 	db := scenarioA(b)
 	b.ResetTimer()
-	var pit *milliscope.PITResult
+	var pit *metrics.PITResult
 	for i := 0; i < b.N; i++ {
 		var err error
 		_, pit, err = milliscope.Fig2PointInTime(db, 50*time.Millisecond)
@@ -189,7 +195,7 @@ func BenchmarkFig2PointInTimeRT(b *testing.B) {
 func BenchmarkFig4DiskUtilization(b *testing.B) {
 	db := scenarioA(b)
 	b.ResetTimer()
-	var series map[string]*milliscope.Series
+	var series map[string]*mscopedb.Series
 	for i := 0; i < b.N; i++ {
 		var err error
 		_, series, err = milliscope.Fig4DiskUtil(db, 100*time.Millisecond)
@@ -232,7 +238,7 @@ func BenchmarkFig5TraceReconstruction(b *testing.B) {
 		valid++
 	}
 	b.ReportMetric(float64(valid), "tracesReconstructed")
-	prof := milliscope.AggregateBreakdown(traces)
+	prof := tracegraph.AggregateBreakdown(traces)
 	b.ReportMetric(float64(prof["mysql"].P99Local.Microseconds())/1000, "mysqlP99Local_ms")
 }
 
@@ -240,7 +246,7 @@ func BenchmarkFig5TraceReconstruction(b *testing.B) {
 func BenchmarkFig6QueueLengths(b *testing.B) {
 	db := scenarioA(b)
 	b.ResetTimer()
-	var queues map[string]*milliscope.Series
+	var queues map[string]*mscopedb.Series
 	for i := 0; i < b.N; i++ {
 		var err error
 		_, queues, err = milliscope.Fig6QueueLengths(db, 50*time.Millisecond)
@@ -343,7 +349,7 @@ func BenchmarkFig9AccuracyVsSysViz(b *testing.B) {
 func BenchmarkFig10Overhead(b *testing.B) {
 	points := sweep(b)
 	b.ResetTimer()
-	var figs []*milliscope.Figure
+	var figs []*report.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
 		figs, err = milliscope.Fig10Overhead(points)
@@ -449,7 +455,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 	b.ReportMetric(sampledFactor, "sampled1sPeakFactor")
 }
 
-func peakOverMean(s *milliscope.Series) float64 {
+func peakOverMean(s *mscopedb.Series) float64 {
 	if len(s.Values) == 0 {
 		return 0
 	}
@@ -542,8 +548,8 @@ func BenchmarkAblationSchemaTyping(b *testing.B) {
 	// to export the CSV + schema files this ablation compares.
 	matWork := tmp(b, "ablation-mat")
 	defer os.RemoveAll(matWork)
-	if _, err := milliscope.IngestDirWithOptions(milliscope.OpenDB(), scenALogs, matWork,
-		milliscope.DefaultPlan(), milliscope.IngestOptions{Materialize: true}); err != nil {
+	if _, err := transform.IngestDirWithOptions(milliscope.OpenDB(), scenALogs, matWork,
+		milliscope.DefaultPlan(), transform.Options{Materialize: true}); err != nil {
 		b.Fatal(err)
 	}
 	csvPath := filepath.Join(matWork, "mysql_event.csv")
@@ -737,11 +743,11 @@ func BenchmarkIngestBatch(b *testing.B) {
 		b.StopTimer()
 		work, store := tmp(b, "batch-work"), tmp(b, "batch-db")
 		b.StartTimer()
-		db, err := milliscope.OpenDBDir(store, milliscope.StoreOptions{})
+		db, err := mscopedb.OpenDir(store, mscopedb.StoreOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := milliscope.IngestDirWithOptions(db, logs, work, milliscope.DefaultPlan(), milliscope.IngestOptions{})
+		rep, err := transform.IngestDirWithOptions(db, logs, work, milliscope.DefaultPlan(), transform.Options{})
 		if err == nil {
 			err = db.Checkpoint()
 		}
@@ -780,8 +786,8 @@ func BenchmarkIngestWorkers(b *testing.B) {
 				work := tmp(b, "workers-work")
 				b.StartTimer()
 				db := milliscope.OpenDB()
-				rep, err := milliscope.IngestDirWithOptions(db, logs, work, milliscope.DefaultPlan(),
-					milliscope.IngestOptions{Workers: workers})
+				rep, err := transform.IngestDirWithOptions(db, logs, work, milliscope.DefaultPlan(),
+					transform.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -808,7 +814,7 @@ func BenchmarkIngestStreaming(b *testing.B) {
 	var rows int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pipe, err := milliscope.NewLivePipeline(milliscope.LiveConfig{LogDir: logs})
+		pipe, err := stream.New(stream.Config{LogDir: logs})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -837,7 +843,7 @@ func BenchmarkIngestDistributed(b *testing.B) {
 	var rows, wireB int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col, err := milliscope.NewCollector(milliscope.CollectorConfig{
+		col, err := collector.New(collector.Config{
 			Network: "tcp", Addr: "127.0.0.1:0",
 		})
 		if err != nil {
@@ -846,10 +852,10 @@ func BenchmarkIngestDistributed(b *testing.B) {
 		if err := col.Start(); err != nil {
 			b.Fatal(err)
 		}
-		agents := make([]*milliscope.Agent, 0, len(hosts))
+		agents := make([]*agentd.Agent, 0, len(hosts))
 		for _, h := range hosts {
 			host := h
-			a, err := milliscope.NewAgent(milliscope.AgentConfig{
+			a, err := agentd.New(agentd.Config{
 				ID:     "bench-" + host,
 				Addr:   col.Addr().String(),
 				LogDir: logs,

@@ -8,7 +8,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/agentd"
 )
 
 // cmdAgent runs the per-node shipping daemon: tail this node's monitor
@@ -35,7 +35,7 @@ func cmdAgent(args []string) error {
 		return fmt.Errorf("agent: --id, --addr and --logs are required")
 	}
 
-	a, err := milliscope.NewAgent(milliscope.AgentConfig{
+	a, err := agentd.New(agentd.Config{
 		ID:              *id,
 		Token:           *token,
 		Network:         *network,

@@ -7,7 +7,7 @@ import (
 	"os/signal"
 	"syscall"
 
-	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/collector"
 )
 
 // cmdCollector runs the central ingest server: accept per-node agents,
@@ -28,15 +28,14 @@ func cmdCollector(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	db, err := openForLoad(*dbPath)
+	engine, err := flags.config("collector")
 	if err != nil {
 		return err
 	}
-	engine, err := flags.config("collector", db)
-	if err != nil {
+	if engine.DB, err = openForLoad(*dbPath); err != nil {
 		return err
 	}
-	col, err := milliscope.NewCollector(milliscope.CollectorConfig{
+	col, err := collector.New(collector.Config{
 		Token:     *token,
 		Network:   *network,
 		Addr:      *listen,

@@ -5,11 +5,11 @@ import (
 	"flag"
 	"fmt"
 
-	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/mscopedb"
 )
 
 // totalSegments counts on-disk segments across every table.
-func totalSegments(db *milliscope.DB) int {
+func totalSegments(db *mscopedb.DB) int {
 	n := 0
 	for _, name := range db.TableNames() {
 		if t, err := db.Table(name); err == nil {

@@ -7,42 +7,44 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/core"
+	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/netcap"
+	"github.com/gt-elba/milliscope/internal/report"
 	"github.com/gt-elba/milliscope/internal/transform"
 )
 
 // ingestDir pushes a log directory through the pipeline into db, using a
 // custom declaration file when given.
-func ingestDir(db *milliscope.DB, logs, work, planPath string, opts milliscope.IngestOptions) (milliscope.IngestReport, error) {
+func ingestDir(db *mscopedb.DB, logs, work, planPath string, opts transform.Options) (transform.Report, error) {
 	plan := transform.DefaultPlan()
 	if planPath != "" {
 		var err error
 		plan, err = transform.LoadPlan(planPath)
 		if err != nil {
-			return milliscope.IngestReport{}, err
+			return transform.Report{}, err
 		}
 	}
 	return transform.IngestDirWithOptions(db, logs, work, plan, opts)
 }
 
 // buildFigures resolves a figure name against a loaded warehouse.
-func buildFigures(db *milliscope.DB, figure, trace string, window time.Duration) ([]*milliscope.Figure, error) {
+func buildFigures(db *mscopedb.DB, figure, trace string, window time.Duration) ([]*report.Figure, error) {
 	switch figure {
 	case "fig2":
-		fig, _, err := milliscope.Fig2PointInTime(db, window)
-		return []*milliscope.Figure{fig}, err
+		fig, _, err := core.Fig2PointInTime(db, window)
+		return []*report.Figure{fig}, err
 	case "fig4":
-		fig, _, err := milliscope.Fig4DiskUtil(db, 2*window)
-		return []*milliscope.Figure{fig}, err
+		fig, _, err := core.Fig4DiskUtil(db, 2*window)
+		return []*report.Figure{fig}, err
 	case "fig6":
-		fig, _, err := milliscope.Fig6QueueLengths(db, window)
-		return []*milliscope.Figure{fig}, err
+		fig, _, err := core.Fig6QueueLengths(db, window)
+		return []*report.Figure{fig}, err
 	case "fig7":
-		fig, _, err := milliscope.Fig7Correlation(db, window, 0, math.MaxInt64)
-		return []*milliscope.Figure{fig}, err
+		fig, _, err := core.Fig7Correlation(db, window, 0, math.MaxInt64)
+		return []*report.Figure{fig}, err
 	case "fig8":
-		figs, _, err := milliscope.Fig8DirtyPage(db, window)
+		figs, _, err := core.Fig8DirtyPage(db, window)
 		return figs, err
 	case "fig9":
 		if trace == "" {
@@ -52,7 +54,7 @@ func buildFigures(db *milliscope.DB, figure, trace string, window time.Duration)
 		if err != nil {
 			return nil, err
 		}
-		figs, _, err := milliscope.Fig9Accuracy(db, msgs, 2*window)
+		figs, _, err := core.Fig9Accuracy(db, msgs, 2*window)
 		return figs, err
 	default:
 		return nil, fmt.Errorf("unknown figure %q", figure)
@@ -67,7 +69,7 @@ func regenerateAll(out string, scale float64, width, height int) error {
 	scaleDur := func(d time.Duration) time.Duration {
 		return time.Duration(float64(d) * scale)
 	}
-	render := func(figs ...*milliscope.Figure) error {
+	render := func(figs ...*report.Figure) error {
 		for _, f := range figs {
 			if err := f.Render(os.Stdout, width, height); err != nil {
 				return err
@@ -79,8 +81,8 @@ func regenerateAll(out string, scale float64, width, height int) error {
 
 	// Scenario A → Figures 2, 4, 6, 7.
 	fmt.Println("### Scenario A: database IO as the very short bottleneck")
-	cfgA := milliscope.ScenarioDBIO(filepath.Join(out, "dbio", "logs"))
-	resA, err := milliscope.RunExperiment(cfgA)
+	cfgA := core.ScenarioDBIO(filepath.Join(out, "dbio", "logs"))
+	resA, err := core.RunExperiment(cfgA)
 	if err != nil {
 		return err
 	}
@@ -89,19 +91,19 @@ func regenerateAll(out string, scale float64, width, height int) error {
 	if err != nil {
 		return err
 	}
-	fig2, pit, err := milliscope.Fig2PointInTime(dbA, 50*time.Millisecond)
+	fig2, pit, err := core.Fig2PointInTime(dbA, 50*time.Millisecond)
 	if err != nil {
 		return err
 	}
-	fig4, _, err := milliscope.Fig4DiskUtil(dbA, 100*time.Millisecond)
+	fig4, _, err := core.Fig4DiskUtil(dbA, 100*time.Millisecond)
 	if err != nil {
 		return err
 	}
-	fig6, _, err := milliscope.Fig6QueueLengths(dbA, 50*time.Millisecond)
+	fig6, _, err := core.Fig6QueueLengths(dbA, 50*time.Millisecond)
 	if err != nil {
 		return err
 	}
-	fig7, _, err := milliscope.Fig7Correlation(dbA, 50*time.Millisecond, 0, math.MaxInt64)
+	fig7, _, err := core.Fig7Correlation(dbA, 50*time.Millisecond, 0, math.MaxInt64)
 	if err != nil {
 		return err
 	}
@@ -112,8 +114,8 @@ func regenerateAll(out string, scale float64, width, height int) error {
 
 	// Scenario B → Figure 8.
 	fmt.Println("### Scenario B: memory dirty pages as the very short bottleneck")
-	cfgB := milliscope.ScenarioDirtyPage(filepath.Join(out, "dirtypage", "logs"))
-	resB, err := milliscope.RunExperiment(cfgB)
+	cfgB := core.ScenarioDirtyPage(filepath.Join(out, "dirtypage", "logs"))
+	resB, err := core.RunExperiment(cfgB)
 	if err != nil {
 		return err
 	}
@@ -122,7 +124,7 @@ func regenerateAll(out string, scale float64, width, height int) error {
 	if err != nil {
 		return err
 	}
-	figs8, _, err := milliscope.Fig8DirtyPage(dbB, 50*time.Millisecond)
+	figs8, _, err := core.Fig8DirtyPage(dbB, 50*time.Millisecond)
 	if err != nil {
 		return err
 	}
@@ -132,9 +134,9 @@ func regenerateAll(out string, scale float64, width, height int) error {
 
 	// Accuracy → Figure 9.
 	fmt.Println("### Accuracy validation against SysViz (workload 8000)")
-	cfgC := milliscope.ScenarioAccuracy(filepath.Join(out, "accuracy", "logs"),
+	cfgC := core.ScenarioAccuracy(filepath.Join(out, "accuracy", "logs"),
 		8000, scaleDur(20*time.Second))
-	resC, err := milliscope.RunExperiment(cfgC)
+	resC, err := core.RunExperiment(cfgC)
 	if err != nil {
 		return err
 	}
@@ -143,7 +145,7 @@ func regenerateAll(out string, scale float64, width, height int) error {
 	if err != nil {
 		return err
 	}
-	figs9, _, err := milliscope.Fig9Accuracy(dbC, resC.Capture.Messages(), 100*time.Millisecond)
+	figs9, _, err := core.Fig9Accuracy(dbC, resC.Capture.Messages(), 100*time.Millisecond)
 	if err != nil {
 		return err
 	}
@@ -153,18 +155,18 @@ func regenerateAll(out string, scale float64, width, height int) error {
 
 	// Overhead sweep → Figures 10, 11.
 	fmt.Println("### Overhead comparison (monitors on vs off)")
-	points, err := milliscope.MeasureOverheadSweep(
+	points, err := core.MeasureOverheadSweep(
 		[]int{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000},
 		scaleDur(8*time.Second),
 		func(name string) string { return filepath.Join(out, "overhead", name) })
 	if err != nil {
 		return err
 	}
-	figs10, err := milliscope.Fig10Overhead(points)
+	figs10, err := core.Fig10Overhead(points)
 	if err != nil {
 		return err
 	}
-	figs11, err := milliscope.Fig11ThroughputRT(points)
+	figs11, err := core.Fig11ThroughputRT(points)
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,10 @@ import (
 	"strings"
 	"time"
 
-	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/mscopedb"
+	"github.com/gt-elba/milliscope/internal/serve"
+	"github.com/gt-elba/milliscope/internal/stream"
+	"github.com/gt-elba/milliscope/internal/transform"
 )
 
 // addDBFlag registers --db, the one way every command names a warehouse.
@@ -24,15 +27,15 @@ func addDBFlag(fs *flag.FlagSet) *string {
 // openForLoad returns the warehouse a loading command appends to: the
 // store in --db, whose manifest, with the ingest ledger inside it, makes
 // re-runs resumable and idempotent; without --db, one held in memory only.
-func openForLoad(path string) (*milliscope.DB, error) {
+func openForLoad(path string) (*mscopedb.DB, error) {
 	if path == "" {
-		return milliscope.OpenDB(), nil
+		return mscopedb.Open(), nil
 	}
 	return openStore(path, false)
 }
 
 // commitLoaded commits what a loading command appended, if --db was given.
-func commitLoaded(path string, db *milliscope.DB) error {
+func commitLoaded(path string, db *mscopedb.DB) error {
 	if path == "" {
 		return nil
 	}
@@ -44,7 +47,7 @@ func commitLoaded(path string, db *milliscope.DB) error {
 }
 
 // openWarehouse opens the --db of a command that needs one to be there.
-func openWarehouse(cmd, path string) (*milliscope.DB, error) {
+func openWarehouse(cmd, path string) (*mscopedb.DB, error) {
 	if path == "" {
 		return nil, fmt.Errorf("%s: --db is required", cmd)
 	}
@@ -52,7 +55,7 @@ func openWarehouse(cmd, path string) (*milliscope.DB, error) {
 }
 
 // openStore opens a store directory, creating it unless it mustExist.
-func openStore(path string, mustExist bool) (*milliscope.DB, error) {
+func openStore(path string, mustExist bool) (*mscopedb.DB, error) {
 	st, err := os.Stat(path)
 	switch {
 	case err != nil && (mustExist || !os.IsNotExist(err)):
@@ -60,7 +63,7 @@ func openStore(path string, mustExist bool) (*milliscope.DB, error) {
 	case err == nil && !st.IsDir():
 		return nil, fmt.Errorf("%s is a file, not a warehouse directory", path)
 	}
-	return milliscope.OpenDBDir(path, milliscope.StoreOptions{})
+	return mscopedb.OpenDir(path, mscopedb.StoreOptions{})
 }
 
 // engineFlags configure the streaming engine and its listeners under live
@@ -85,21 +88,25 @@ func addEngineFlags(fs *flag.FlagSet) engineFlags {
 }
 
 // config is the engine configuration the flags describe, alerts printed as
-// they fire; cmd prefixes the error for an unknown --fidelity.
-func (e engineFlags) config(cmd string, db *milliscope.DB) (milliscope.LiveConfig, error) {
+// they fire; the caller sets DB. cmd prefixes the error for an unknown
+// --fidelity or an out-of-range --budget, both reported before anything
+// is run or opened.
+func (e engineFlags) config(cmd string) (stream.Config, error) {
 	switch *e.fidelity {
-	case "", milliscope.FidelityModeFull, milliscope.FidelityModeAdaptive,
-		milliscope.FidelityModeAggregate:
+	case "", stream.FidelityFull, stream.FidelityAdaptive,
+		stream.FidelityAggregate:
 	default:
-		return milliscope.LiveConfig{}, fmt.Errorf("%s: unknown --fidelity %q (full | adaptive | aggregate)", cmd, *e.fidelity)
+		return stream.Config{}, fmt.Errorf("%s: unknown --fidelity %q (full | adaptive | aggregate)", cmd, *e.fidelity)
 	}
-	return milliscope.LiveConfig{
-		DB:          db,
+	if err := transform.CheckBudget(*e.budget); err != nil {
+		return stream.Config{}, fmt.Errorf("%s: --budget: %w", cmd, err)
+	}
+	return stream.Config{
 		Window:      *e.window,
 		Grace:       *e.grace,
 		ErrorBudget: *e.budget,
-		Fidelity:    milliscope.LiveFidelityOptions{Mode: *e.fidelity},
-		OnAlert: func(a milliscope.LiveAlert) {
+		Fidelity:    stream.FidelityOptions{Mode: *e.fidelity},
+		OnAlert: func(a stream.Alert) {
 			fmt.Printf("ALERT @%s watermark=%dus window=[%d,%d]us: %s [%s]\n",
 				a.Raised.Format("15:04:05.000"), a.WatermarkUS,
 				a.Diagnosis.Window.StartMicros, a.Diagnosis.Window.EndMicros,
@@ -112,14 +119,14 @@ func (e engineFlags) config(cmd string, db *milliscope.DB) (milliscope.LiveConfi
 // surface is the command's own mux, paths what it answers, and claims the
 // paths it keeps when the observability API is mounted around it. The
 // returned func closes both.
-func (e engineFlags) listen(cmd string, pipe *milliscope.LivePipeline, surface http.Handler, paths string, claims ...string) (func(), error) {
+func (e engineFlags) listen(cmd string, pipe *stream.Pipeline, surface http.Handler, paths string, claims ...string) (func(), error) {
 	srv, err := serveOn(*e.httpAddr, surface, cmd+": %w", "serving "+paths+" on %s\n")
 	if err != nil {
 		return nil, err
 	}
 	var obsSrv *http.Server
 	if *e.serveAddr != "" {
-		obs, err := milliscope.NewObservabilityServer(milliscope.ServeConfig{Pipeline: pipe, Window: *e.window})
+		obs, err := serve.New(serve.Config{Pipeline: pipe, Window: *e.window})
 		if err == nil {
 			obsSrv, err = serveOn(*e.serveAddr, mountServe(obs, surface, claims...),
 				cmd+": serve listener: %w", "serving the observability API on %s\n")
@@ -157,7 +164,7 @@ func closeServers(srvs ...*http.Server) {
 }
 
 // printAlerts lists the alerts an engine raised, once it has stopped.
-func printAlerts(alerts []milliscope.LiveAlert) {
+func printAlerts(alerts []stream.Alert) {
 	for _, a := range alerts {
 		extra := ""
 		if len(a.Missing) > 0 {

@@ -6,8 +6,9 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/gt-elba/milliscope"
 	"github.com/gt-elba/milliscope/internal/core"
+	"github.com/gt-elba/milliscope/internal/faults"
+	"github.com/gt-elba/milliscope/internal/stream"
 )
 
 // cmdLive runs the streaming mode: stage a scenario's logs with the DES
@@ -46,6 +47,10 @@ func cmdLive(args []string) error {
 	if *speed <= 0 {
 		return fmt.Errorf("live: --speed must be positive")
 	}
+	liveCfg, err := engine.config("live")
+	if err != nil {
+		return err
+	}
 	if *selfLog != "" {
 		defer startSelfObs("live", *selfLog)()
 	}
@@ -56,31 +61,25 @@ func cmdLive(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := milliscope.RunExperiment(cfg)
+	res, err := core.RunExperiment(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("staged experiment %s: %s\n", cfg.Name, res.Stats)
 
-	db, err := openForLoad(*dbPath)
-	if err != nil {
+	if liveCfg.DB, err = openForLoad(*dbPath); err != nil {
 		return err
 	}
 
-	var overload *milliscope.Overload
+	var overload *faults.Overload
 	if *overloadSpec != "" {
-		o, err := milliscope.ParseOverload(*overloadSpec)
+		o, err := faults.ParseOverload(*overloadSpec)
 		if err != nil {
 			return fmt.Errorf("live: %w", err)
 		}
 		overload = &o
 	}
-	liveCfg, err := engine.config("live", db)
-	if err != nil {
-		return err
-	}
-
-	producer, err := milliscope.NewLiveProducer(milliscope.LiveProducerConfig{
+	producer, err := stream.NewProducer(stream.ProducerConfig{
 		SrcDir:    stageDir,
 		DstDir:    liveDir,
 		Duration:  time.Duration(float64(cfg.Ntier.Duration) / *speed),
@@ -103,7 +102,7 @@ func cmdLive(args []string) error {
 	if overload != nil {
 		liveCfg.ConsumerDelay = overload.ConsumerDelay
 	}
-	pipe, err := milliscope.NewLivePipeline(liveCfg)
+	pipe, err := stream.New(liveCfg)
 	if err != nil {
 		return err
 	}
@@ -112,7 +111,7 @@ func cmdLive(args []string) error {
 	if err != nil {
 		return err
 	}
-	dbgSrv, err := serveOn(*debugAddr, milliscope.LiveDebugHandler(pipe),
+	dbgSrv, err := serveOn(*debugAddr, stream.DebugHandler(pipe),
 		"live: debug listener: %w", "serving /debug/pprof /debug/vars on %s\n")
 	if err != nil {
 		closeListeners()

@@ -25,7 +25,13 @@ import (
 	"strings"
 	"time"
 
-	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/core"
+	"github.com/gt-elba/milliscope/internal/faults"
+	"github.com/gt-elba/milliscope/internal/mql"
+	"github.com/gt-elba/milliscope/internal/report"
+	"github.com/gt-elba/milliscope/internal/scenario"
+	"github.com/gt-elba/milliscope/internal/tracegraph"
+	"github.com/gt-elba/milliscope/internal/transform"
 )
 
 func main() {
@@ -118,17 +124,17 @@ commands:
 }
 
 // scenarioConfig builds the experiment for a named scenario.
-func scenarioConfig(name, out string, users int, duration time.Duration, seed int64) (milliscope.ExperimentConfig, error) {
-	var cfg milliscope.ExperimentConfig
+func scenarioConfig(name, out string, users int, duration time.Duration, seed int64) (core.ExperimentConfig, error) {
+	var cfg core.ExperimentConfig
 	switch name {
 	case "dbio":
-		cfg = milliscope.ScenarioDBIO(out)
+		cfg = core.ScenarioDBIO(out)
 	case "dirtypage":
-		cfg = milliscope.ScenarioDirtyPage(out)
+		cfg = core.ScenarioDirtyPage(out)
 	case "jvmgc":
-		cfg = milliscope.ScenarioJVMGC(out)
+		cfg = core.ScenarioJVMGC(out)
 	case "dvfs":
-		cfg = milliscope.ScenarioDVFS(out)
+		cfg = core.ScenarioDVFS(out)
 	case "accuracy":
 		if users == 0 {
 			users = 8000
@@ -136,15 +142,15 @@ func scenarioConfig(name, out string, users int, duration time.Duration, seed in
 		if duration == 0 {
 			duration = 20 * time.Second
 		}
-		cfg = milliscope.ScenarioAccuracy(out, users, duration)
+		cfg = core.ScenarioAccuracy(out, users, duration)
 	default:
 		// Fall back to the declarative catalogue, so every registered
 		// scenario is runnable through the plain `run` workflow too.
-		s, ok := milliscope.ScenarioByName(name)
+		s, ok := scenario.ByName(name)
 		if !ok {
 			return cfg, fmt.Errorf("unknown scenario %q (dbio, dirtypage, jvmgc, dvfs, accuracy, or a `scenario list` entry)", name)
 		}
-		built, err := milliscope.BuildScenario(s, out)
+		built, err := scenario.Build(s, out)
 		if err != nil {
 			return cfg, err
 		}
@@ -179,7 +185,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := milliscope.RunExperiment(cfg)
+	res, err := core.RunExperiment(cfg)
 	if err != nil {
 		return err
 	}
@@ -213,24 +219,24 @@ func cmdChaos(args []string) error {
 	if *logs == "" || *out == "" {
 		return fmt.Errorf("chaos: --logs and --out are required")
 	}
-	ks, err := milliscope.ParseFaultKinds(*kinds)
+	ks, err := faults.ParseKinds(*kinds)
 	if err != nil {
 		return err
 	}
-	cfg := milliscope.FaultConfig{
+	cfg := faults.Config{
 		Seed: *seed, Rate: *rate, Kinds: ks,
 		SkewMax: *skewMax, GapFraction: *gap,
 	}
 	if *deleteTiers != "" {
 		cfg.DeleteTiers = strings.Split(*deleteTiers, ",")
 	}
-	rep, err := milliscope.CorruptLogs(*logs, *out, cfg)
+	rep, err := faults.Corrupt(*logs, *out, cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Print(rep.Summary())
 	if *overloadSpec != "" {
-		o, err := milliscope.ParseOverload(*overloadSpec)
+		o, err := faults.ParseOverload(*overloadSpec)
 		if err != nil {
 			return fmt.Errorf("chaos: %w", err)
 		}
@@ -253,7 +259,7 @@ func cmdPlan(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("plan: --out is required")
 	}
-	if err := milliscope.DefaultPlan().Save(*out); err != nil {
+	if err := transform.DefaultPlan().Save(*out); err != nil {
 		return err
 	}
 	fmt.Printf("default Parsing Declaration written to %s — edit it and pass\n"+
@@ -288,11 +294,14 @@ func cmdIngest(args []string) error {
 	if *workers < 1 {
 		return fmt.Errorf("ingest: --workers must be >= 1")
 	}
-	policy, err := milliscope.ParseIngestPolicy(*mode)
+	if err := transform.CheckBudget(*budget); err != nil {
+		return fmt.Errorf("ingest: --budget: %w", err)
+	}
+	policy, err := transform.ParsePolicy(*mode)
 	if err != nil {
 		return err
 	}
-	opts := milliscope.IngestOptions{Policy: policy, ErrorBudget: *budget,
+	opts := transform.Options{Policy: policy, ErrorBudget: *budget,
 		QuarantineDir: *qdir, Workers: *workers, Materialize: *materialize}
 	db, err := openForLoad(*dbPath)
 	if err != nil {
@@ -323,7 +332,7 @@ func cmdIngest(args []string) error {
 	if n := rep.TotalQuarantined(); n > 0 || len(rep.Failed) > 0 {
 		fmt.Printf("degraded ingest: %d regions quarantined, %d files rejected\n", n, len(rep.Failed))
 	}
-	if consistency, err := milliscope.ValidateWarehouse(db); err == nil {
+	if consistency, err := core.ValidateWarehouse(db); err == nil {
 		fmt.Println(consistency.Summary())
 	}
 	return commitLoaded(*dbPath, db)
@@ -366,7 +375,7 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	out, err := milliscope.Query(db, fs.Arg(0))
+	out, err := mql.Run(db, fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -428,7 +437,7 @@ func cmdDiagnose(args []string) error {
 	if err != nil {
 		return err
 	}
-	diag, err := milliscope.Diagnose(db, *window)
+	diag, err := core.Diagnose(db, *window)
 	if err != nil {
 		return err
 	}
@@ -471,20 +480,26 @@ func cmdTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	traces, cov, err := milliscope.BuildTracesPartial(db)
+	// Join whichever standard event tables exist: traces that provably lack
+	// a missing tier are flagged instead of the whole build failing.
+	tables := make([]string, len(core.Tiers))
+	for i, t := range core.Tiers {
+		tables[i] = t + "_event"
+	}
+	traces, cov, err := tracegraph.BuildPartial(db, tables)
 	if err != nil {
 		return err
 	}
 	if cov.Degraded() {
-		if err := milliscope.RenderTraceCoverage(os.Stdout, cov); err != nil {
+		if err := report.RenderCoverage(os.Stdout, cov); err != nil {
 			return err
 		}
 	}
 	if *breakdown {
-		prof := milliscope.AggregateBreakdown(traces)
+		prof := tracegraph.AggregateBreakdown(traces)
 		fmt.Printf("per-tier latency profile over %d traces:\n", len(traces))
 		fmt.Println("  tier      visits   mean-local   p99-local    mean-residence")
-		for _, tier := range milliscope.Tiers {
+		for _, tier := range core.Tiers {
 			p, ok := prof[tier]
 			if !ok {
 				continue
@@ -498,7 +513,7 @@ func cmdTrace(args []string) error {
 	}
 	id := *req
 	if id == "" {
-		out, err := milliscope.Query(db,
+		out, err := mql.Run(db,
 			"SELECT reqid FROM apache_event ORDER BY rt_us DESC LIMIT 1")
 		if err != nil {
 			return err
@@ -512,7 +527,7 @@ func cmdTrace(args []string) error {
 	if !ok {
 		return fmt.Errorf("trace: no trace for request %q", id)
 	}
-	return milliscope.RenderTrace(os.Stdout, tr, *width)
+	return report.RenderTrace(os.Stdout, tr, *width)
 }
 
 func cmdExperiment(args []string) error {

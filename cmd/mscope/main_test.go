@@ -13,7 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/core"
+	"github.com/gt-elba/milliscope/internal/mscopedb"
 )
 
 func TestScenarioConfigResolution(t *testing.T) {
@@ -173,11 +174,11 @@ func TestCLISelfTelemetryDogfood(t *testing.T) {
 		"--db", dbPath}); err != nil {
 		t.Fatalf("telemetry ingest: %v", err)
 	}
-	db, err := milliscope.OpenDBDir(dbPath, milliscope.StoreOptions{})
+	db, err := mscopedb.OpenDir(dbPath, mscopedb.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches, err := milliscope.SelfTraceBreakdown(db)
+	batches, err := core.SelfTraceBreakdown(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +244,10 @@ func TestCLIAccuracyTraceRoundTrip(t *testing.T) {
 }
 
 func TestBuildFiguresAgainstWarehouse(t *testing.T) {
-	cfg := milliscope.ScenarioDBIO(t.TempDir())
+	cfg := core.ScenarioDBIO(t.TempDir())
 	cfg.Ntier.Users = 60
 	cfg.Ntier.Duration = 8 * time.Second
-	res, err := milliscope.RunExperiment(cfg)
+	res, err := core.RunExperiment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,6 +400,38 @@ func TestSharedFlagsCannotDrift(t *testing.T) {
 				} else if got[f] != ref[f] {
 					t.Errorf("--%s reads differently under %s and %s:\n%s%s", f, tc.cmds[0], cmd, ref[f], got[f])
 				}
+			}
+		}
+	}
+}
+
+// TestCLIBudgetRange: an out-of-range --budget is an error naming the
+// value, raised before --db is created, under ingest and under the engine
+// commands; 0 (the default), 0.05 and 1 are accepted.
+func TestCLIBudgetRange(t *testing.T) {
+	logs := t.TempDir()
+	for _, budget := range []string{"0", "0.05", "1"} {
+		db := filepath.Join(t.TempDir(), "wh")
+		if err := run([]string{"ingest", "--logs", logs, "--work", t.TempDir(), "--db", db,
+			"--mode", "quarantine", "--budget", budget}); err != nil {
+			t.Errorf("ingest --budget %s: %v", budget, err)
+		}
+	}
+	for _, budget := range []string{"NaN", "-0.1", "1.5"} {
+		for _, args := range [][]string{
+			{"ingest", "--logs", logs, "--work", t.TempDir(), "--mode", "quarantine"},
+			{"live", "--out", t.TempDir(), "--users", "10", "--duration", "1s", "--speed", "100"},
+			// An unknown network makes the collector fail fast should the
+			// budget ever get past the flags again.
+			{"collector", "--network", "bogus", "--listen", "127.0.0.1:0"},
+		} {
+			db := filepath.Join(t.TempDir(), "wh")
+			err := run(append(args, "--db", db, "--budget", budget))
+			if err == nil || !strings.Contains(err.Error(), "--budget: error budget "+budget) {
+				t.Errorf("%s --budget %s: err = %v, want one naming the value", args[0], budget, err)
+			}
+			if _, err := os.Stat(db); !os.IsNotExist(err) {
+				t.Errorf("%s --budget %s: --db touched before the flag was checked", args[0], budget)
 			}
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/scenario"
 )
 
 // cmdScenario drives the declarative fault catalogue: list the registry,
@@ -35,9 +35,9 @@ func cmdScenarioList(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	specs := milliscope.Scenarios()
+	specs := scenario.Scenarios()
 	if !*asJSON {
-		fmt.Print(milliscope.RenderScenarioList(specs))
+		fmt.Print(scenario.RenderList(specs))
 		return nil
 	}
 	for i := range specs {
@@ -51,12 +51,12 @@ func cmdScenarioList(args []string) error {
 }
 
 // loadScenario resolves --name against the registry or decodes --spec.
-func loadScenario(name, specPath string) (*milliscope.Scenario, error) {
+func loadScenario(name, specPath string) (*scenario.Spec, error) {
 	switch {
 	case name != "" && specPath != "":
 		return nil, fmt.Errorf("scenario: --name and --spec are mutually exclusive")
 	case name != "":
-		s, ok := milliscope.ScenarioByName(name)
+		s, ok := scenario.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("scenario: no catalogue entry %q (see `mscope scenario list`)", name)
 		}
@@ -66,7 +66,7 @@ func loadScenario(name, specPath string) (*milliscope.Scenario, error) {
 		if err != nil {
 			return nil, err
 		}
-		return milliscope.DecodeScenario(data)
+		return scenario.Decode(data)
 	default:
 		return nil, fmt.Errorf("scenario: --name or --spec is required")
 	}
@@ -88,7 +88,7 @@ func cmdScenarioRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	diag, srcDir, err := milliscope.RunScenario(s, milliscope.ScenarioOptions{
+	diag, srcDir, err := scenario.Run(s, scenario.Options{
 		WorkDir: *work, Window: *window,
 	})
 	if err != nil {
@@ -116,18 +116,18 @@ func cmdScenarioVerify(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var specs []milliscope.Scenario
+	var specs []scenario.Spec
 	if *all {
 		if *name != "" || *spec != "" {
 			return fmt.Errorf("scenario verify: --all excludes --name/--spec")
 		}
-		specs = milliscope.Scenarios()
+		specs = scenario.Scenarios()
 	} else {
 		s, err := loadScenario(*name, *spec)
 		if err != nil {
 			return err
 		}
-		specs = []milliscope.Scenario{*s}
+		specs = []scenario.Spec{*s}
 	}
 	workDir := *work
 	if workDir == "" {
@@ -138,12 +138,12 @@ func cmdScenarioVerify(args []string) error {
 		defer os.RemoveAll(dir)
 		workDir = dir
 	}
-	opts := milliscope.ScenarioOptions{
+	opts := scenario.Options{
 		WorkDir: workDir, Window: *window, Live: *live, LiveReplay: *replay,
 	}
 	failed := 0
 	for i := range specs {
-		out, err := milliscope.VerifyScenario(&specs[i], opts)
+		out, err := scenario.Verify(&specs[i], opts)
 		if err != nil {
 			return err
 		}

@@ -7,7 +7,8 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/core"
+	"github.com/gt-elba/milliscope/internal/selfobs"
 )
 
 // selfLogPath resolves the --self-log flag value: a directory (existing,
@@ -26,11 +27,11 @@ func selfLogPath(p string) string {
 func startSelfObs(pipeline, path string) func() {
 	now := time.Now().UTC()
 	batch := pipeline + "-" + now.Format("20060102T150405.000000000")
-	c := milliscope.SelfObsEnable(batch, now)
+	c := selfobs.Enable(batch, now)
 	return func() {
-		milliscope.SelfObsDisable()
+		selfobs.Disable()
 		dst := selfLogPath(path)
-		n, err := milliscope.WriteSelfLog(c, dst)
+		n, err := writeSelfLog(c, dst)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mscope: self-log: %v\n", err)
 			return
@@ -38,6 +39,21 @@ func startSelfObs(pipeline, path string) func() {
 		fmt.Printf("self-telemetry: %d spans in %s (batch %s)\n"+
 			"  ingest it and run `mscope selftrace` for the breakdown\n", n, dst, batch)
 	}
+}
+
+// writeSelfLog writes the collector's telemetry to path in the self-trace
+// log format the built-in Parsing Declaration routes (*_selftrace.log).
+// Returns the number of lines written.
+func writeSelfLog(c *selfobs.Collector, path string) (int, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	n, err := c.WriteLog(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return n, err
 }
 
 // cmdSelfTrace renders the per-batch critical-path breakdown of
@@ -58,7 +74,7 @@ func cmdSelfTrace(args []string) error {
 		return err
 	}
 	if *fleet {
-		ft, err := milliscope.FleetSelfTraceBreakdown(db)
+		ft, err := core.FleetSelfTraceBreakdown(db)
 		if err != nil {
 			return err
 		}
@@ -66,11 +82,11 @@ func cmdSelfTrace(args []string) error {
 			fmt.Println("no self-telemetry in the warehouse (run agents with --self-trace)")
 			return nil
 		}
-		return milliscope.RenderFleetSelfTrace(os.Stdout, ft)
+		return core.RenderFleetSelfTrace(os.Stdout, ft)
 	}
-	batches, err := milliscope.SelfTraceBreakdown(db)
+	batches, err := core.SelfTraceBreakdown(db)
 	if err != nil {
 		return err
 	}
-	return milliscope.RenderSelfTrace(os.Stdout, batches)
+	return core.RenderSelfTrace(os.Stdout, batches)
 }

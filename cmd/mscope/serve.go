@@ -10,7 +10,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/serve"
 )
 
 // cmdServe runs the observability service over a saved warehouse: the
@@ -29,7 +29,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	obs, err := milliscope.NewObservabilityServer(milliscope.ServeConfig{
+	obs, err := serve.New(serve.Config{
 		DB: db, Window: *window,
 	})
 	if err != nil {
@@ -52,7 +52,7 @@ func cmdServe(args []string) error {
 
 // mountServe wires the observability API under a live engine's surface:
 // the serve handler answers everything the engine mux doesn't claim.
-func mountServe(obs *milliscope.ObservabilityServer, engine http.Handler, claims ...string) http.Handler {
+func mountServe(obs *serve.Server, engine http.Handler, claims ...string) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", obs.Handler())
 	for _, path := range claims {

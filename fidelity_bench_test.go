@@ -72,9 +72,9 @@ func cleanCorpus(b *testing.B) string {
 
 // drainFidelity runs one complete static-file live session over the clean
 // corpus and returns its status.
-func drainFidelity(b *testing.B, logs string, opts milliscope.LiveFidelityOptions) (milliscope.LiveStatus, time.Duration) {
+func drainFidelity(b *testing.B, logs string, opts stream.FidelityOptions) (stream.Status, time.Duration) {
 	b.Helper()
-	pipe, err := milliscope.NewLivePipeline(milliscope.LiveConfig{LogDir: logs, Fidelity: opts})
+	pipe, err := stream.New(stream.Config{LogDir: logs, Fidelity: opts})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,9 +96,9 @@ func BenchmarkFidelityReduction(b *testing.B) {
 	var reduction float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		full, _ := drainFidelity(b, logs, milliscope.LiveFidelityOptions{})
+		full, _ := drainFidelity(b, logs, stream.FidelityOptions{})
 		agg, _ := drainFidelity(b, logs,
-			milliscope.LiveFidelityOptions{Mode: milliscope.FidelityModeAggregate})
+			stream.FidelityOptions{Mode: stream.FidelityAggregate})
 		if agg.Fidelity == nil {
 			b.Fatal("aggregate session reports no fidelity status")
 		}
@@ -125,19 +125,19 @@ func BenchmarkFidelityReduction(b *testing.B) {
 // pins its absolute ceiling.
 func BenchmarkFidelityOverhead(b *testing.B) {
 	logs := cleanCorpus(b)
-	idle := milliscope.LiveFidelityOptions{
-		Mode:            milliscope.FidelityModeAdaptive,
+	idle := stream.FidelityOptions{
+		Mode:            stream.FidelityAdaptive,
 		Enter:           1.01, // queue pressure saturates at 1.0
 		LagBudget:       time.Hour,
 		MaxRetainedRows: 1 << 40,
 	}
 	// One untimed pair primes the page cache for both arms.
-	drainFidelity(b, logs, milliscope.LiveFidelityOptions{})
+	drainFidelity(b, logs, stream.FidelityOptions{})
 	drainFidelity(b, logs, idle)
 	ratios := make([]float64, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		off, offDur := drainFidelity(b, logs, milliscope.LiveFidelityOptions{})
+		off, offDur := drainFidelity(b, logs, stream.FidelityOptions{})
 		on, onDur := drainFidelity(b, logs, idle)
 		if on.Rows != off.Rows {
 			b.Fatalf("adaptive-idle drain appended %d rows, full fidelity %d — controller degraded on clean traffic",

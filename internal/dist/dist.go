@@ -45,9 +45,6 @@ func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 // Int63 returns a non-negative 63-bit integer.
 func (s *Source) Int63() int64 { return s.rng.Int63() }
 
-// Perm returns a random permutation of [0,n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
 // Exp returns an exponential variate with the given mean.
 func (s *Source) Exp(mean time.Duration) time.Duration {
 	if mean <= 0 {

@@ -151,9 +151,6 @@ func (c *Controller) Transitions() []Transition {
 	return out
 }
 
-// Evals returns how many pressure samples have been evaluated.
-func (c *Controller) Evals() int64 { return c.seq }
-
 // Eval folds one pressure sample and returns the (possibly new) state and
 // whether this call committed a transition. A transition needs Dwell
 // consecutive samples pointing at the same adjacent state; any sample

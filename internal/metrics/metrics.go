@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
@@ -291,12 +290,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// FormatMicros renders a µs epoch for report output (seconds into the
-// trial, given the trial's first timestamp).
-func FormatMicros(us, baseUS int64) string {
-	return strconv.FormatFloat(float64(us-baseUS)/1e6, 'f', 3, 64) + "s"
 }
 
 func mod(a, b int64) int64 {

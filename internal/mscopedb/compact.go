@@ -1,10 +1,6 @@
 package mscopedb
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "fmt"
 
 // Segment consolidation. Per-file checkpoints and live seal thresholds
 // produce many small segments (the ledger especially: a few rows per
@@ -60,34 +56,6 @@ func (db *DB) Compact() error {
 			return db.Checkpoint()
 		}
 	}
-}
-
-// StartCompactor runs CompactOnce every interval on a background
-// goroutine until the returned stop function is called. Errors go to
-// onErr (may be nil). A no-op for in-memory warehouses.
-func (db *DB) StartCompactor(interval time.Duration, onErr func(error)) (stop func()) {
-	if db.store == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				if _, err := db.CompactOnce(); err != nil && onErr != nil {
-					onErr(err)
-				}
-			}
-		}
-	}()
-	return func() { close(done); wg.Wait() }
 }
 
 // compactOnce merges the table's first eligible run of small segments.

@@ -370,14 +370,18 @@ func TestSpilledQueryMatchesInMemory(t *testing.T) {
 
 	type mk func(*Table) *Query
 	cases := map[string]mk{
-		"all":        func(t *Table) *Query { return t.Select() },
-		"window":     func(t *Table) *Query { return t.Select().Between("ts", base.Add(200*time.Millisecond), base.Add(900*time.Millisecond)) },
-		"str-eq":     func(t *Table) *Query { return t.Select().Where("dev", OpEq, "dev1") },
-		"str-ne":     func(t *Table) *Query { return t.Select().Where("dev", OpNe, "dev0") },
-		"combo":      func(t *Table) *Query { return t.Select().Where("util", OpGe, 5.0).Where("dev", OpEq, "dev2") },
-		"order":      func(t *Table) *Query { return t.Select().OrderBy("rt_us", false).Limit(7) },
-		"order-str":  func(t *Table) *Query { return t.Select().OrderBy("dev", true).Limit(11) },
-		"everything": func(t *Table) *Query { return t.Select().Where("rt_us", OpGe, int64(1020)).Between("ts", base, base.Add(time.Second)).OrderBy("ts", false).Limit(13) },
+		"all": func(t *Table) *Query { return t.Select() },
+		"window": func(t *Table) *Query {
+			return t.Select().Between("ts", base.Add(200*time.Millisecond), base.Add(900*time.Millisecond))
+		},
+		"str-eq":    func(t *Table) *Query { return t.Select().Where("dev", OpEq, "dev1") },
+		"str-ne":    func(t *Table) *Query { return t.Select().Where("dev", OpNe, "dev0") },
+		"combo":     func(t *Table) *Query { return t.Select().Where("util", OpGe, 5.0).Where("dev", OpEq, "dev2") },
+		"order":     func(t *Table) *Query { return t.Select().OrderBy("rt_us", false).Limit(7) },
+		"order-str": func(t *Table) *Query { return t.Select().OrderBy("dev", true).Limit(11) },
+		"everything": func(t *Table) *Query {
+			return t.Select().Where("rt_us", OpGe, int64(1020)).Between("ts", base, base.Add(time.Second)).OrderBy("ts", false).Limit(13)
+		},
 	}
 	for name, make := range cases {
 		want, err := make(mt).Rows()

@@ -195,9 +195,6 @@ func (sys *System) ServerByName(name string) *Server {
 	return nil
 }
 
-// ClientNode returns the load-generator machine.
-func (sys *System) ClientNode() *resources.Node { return sys.client }
-
 // SetCapture installs the passive network tap (nil disables it).
 func (sys *System) SetCapture(o MessageObserver) { sys.capture = o }
 

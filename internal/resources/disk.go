@@ -50,9 +50,6 @@ func NewDisk(eng *des.Engine, name string, cfg DiskConfig) *Disk {
 // changes; the node accountant integrates iowait from it.
 func (d *Disk) OnChange(fn func()) { d.onChange = fn }
 
-// Busy reports whether the spindle is currently servicing an operation.
-func (d *Disk) Busy() bool { return d.res.InUse() > 0 }
-
 // QueueLen returns the number of queued (not yet serviced) operations.
 func (d *Disk) QueueLen() int { return d.res.QueueLen() }
 

@@ -2,8 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -323,5 +325,32 @@ func TestPipelineChaosQuarantine(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no disk-io@mysql verdict from the degraded stream; got %d alerts", len(pipe.Alerts()))
+	}
+}
+
+// TestConfigErrorBudgetRange: New refuses a budget outside [0, 1] by
+// value. A negative one used to reject a source on its first quarantined
+// record past the sample floor; NaN and one above 1 never rejected.
+func TestConfigErrorBudgetRange(t *testing.T) {
+	for _, tc := range []struct {
+		budget float64
+		bad    string
+	}{
+		{0, ""},
+		{0.05, ""},
+		{1, ""},
+		{-0.1, "-0.1"},
+		{1.5, "1.5"},
+		{math.NaN(), "NaN"},
+	} {
+		p, err := New(Config{LogDir: t.TempDir(), ErrorBudget: tc.budget})
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("budget %v: %v", tc.budget, err)
+		case tc.bad == "" && tc.budget == 0 && p.cfg.ErrorBudget != transform.DefaultErrorBudget:
+			t.Errorf("budget 0 became %v, want the default %v", p.cfg.ErrorBudget, transform.DefaultErrorBudget)
+		case tc.bad != "" && (err == nil || !strings.Contains(err.Error(), "error budget "+tc.bad)):
+			t.Errorf("budget %v: err = %v, want one naming %s", tc.budget, err, tc.bad)
+		}
 	}
 }

@@ -100,6 +100,9 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.Poll <= 0 {
 		out.Poll = 10 * time.Millisecond
 	}
+	if err := transform.CheckBudget(out.ErrorBudget); err != nil {
+		return out, fmt.Errorf("stream: Config.ErrorBudget: %w", err)
+	}
 	if out.ErrorBudget == 0 {
 		out.ErrorBudget = transform.DefaultErrorBudget
 	}

@@ -64,13 +64,6 @@ func (w *Watermark) Reopen(src string) {
 	delete(w.done, src)
 }
 
-// Frontier returns a source's current frontier.
-func (w *Watermark) Frontier(src string) int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.fronts[src]
-}
-
 // Low returns the low watermark and whether it is meaningful yet: false
 // while any live source has reported nothing (or none exist), MaxInt64
 // when every source has finished.

@@ -68,6 +68,9 @@ type fileOutcome struct {
 // policies.
 func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, opts Options) (Report, error) {
 	var rep Report
+	if err := CheckBudget(opts.ErrorBudget); err != nil {
+		return rep, fmt.Errorf("transform: %w", err)
+	}
 	entries, err := os.ReadDir(logDir)
 	if err != nil {
 		return rep, fmt.Errorf("transform: read log dir: %w", err)

@@ -91,6 +91,16 @@ type FileFailure struct {
 	Err error
 }
 
+// CheckBudget rejects an error budget outside [0, 1]: a negative one
+// rejects every file, one above 1 can never trip, and NaN disables the
+// check. Zero stays valid and means DefaultErrorBudget.
+func CheckBudget(b float64) error {
+	if !(b >= 0 && b <= 1) {
+		return fmt.Errorf("error budget %v outside [0, 1]", b)
+	}
+	return nil
+}
+
 // budget returns the effective error budget.
 func (o Options) budget() float64 {
 	if o.ErrorBudget == 0 {

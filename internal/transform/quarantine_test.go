@@ -3,6 +3,7 @@ package transform
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,6 +121,44 @@ func TestQuarantineErrorBudgetRejectsFile(t *testing.T) {
 	}
 	if _, err := db.Table("apache_event"); err == nil {
 		t.Error("rejected file's table was created anyway")
+	}
+}
+
+// TestErrorBudgetRange: a budget outside [0, 1] is an error naming it,
+// returned before anything is read or loaded; a negative one used to
+// reject every clean file, and NaN or one above 1 disabled the check.
+func TestErrorBudgetRange(t *testing.T) {
+	dir := writeLogDir(t, map[string]string{"apache_access.log": apacheLog(400)})
+	for _, tc := range []struct {
+		budget float64
+		bad    string // text the error must contain; empty means accepted
+	}{
+		{0, ""},
+		{0.05, ""},
+		{1, ""},
+		{-0.1, "-0.1"},
+		{1.5, "1.5"},
+		{math.NaN(), "NaN"},
+	} {
+		db := mscopedb.Open()
+		rep, err := IngestDirWithOptions(db, dir, t.TempDir(), DefaultPlan(),
+			Options{Policy: Quarantine, ErrorBudget: tc.budget})
+		if tc.bad != "" {
+			if err == nil || !strings.Contains(err.Error(), "error budget "+tc.bad) {
+				t.Errorf("budget %v: err = %v, want one naming %s", tc.budget, err, tc.bad)
+			}
+			if _, err := db.Table("apache_event"); err == nil {
+				t.Errorf("budget %v: rejected ingest loaded apache_event", tc.budget)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("budget %v: %v", tc.budget, err)
+			continue
+		}
+		if len(rep.Failed) != 0 || len(rep.Files) != 1 || rep.Files[0].Entries != 400 {
+			t.Errorf("budget %v: clean file not loaded whole: failed %+v, files %+v", tc.budget, rep.Failed, rep.Files)
+		}
 	}
 }
 

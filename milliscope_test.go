@@ -2,12 +2,20 @@ package milliscope_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/core"
+	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
+	"github.com/gt-elba/milliscope/internal/report"
 )
 
 // TestPublicAPIEndToEnd walks the full public surface: run → ingest →
@@ -51,7 +59,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("no trace for %s", out.Rows[0][0])
 	}
 	var buf bytes.Buffer
-	if err := milliscope.RenderTrace(&buf, tr, 60); err != nil {
+	if err := report.RenderTrace(&buf, tr, 60); err != nil {
 		t.Fatal(err)
 	}
 	for _, tier := range milliscope.Tiers {
@@ -68,7 +76,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if len(diag.Windows) == 0 {
 		t.Fatal("no VLRT window diagnosed")
 	}
-	if diag.Windows[0].Kind != milliscope.CauseDiskIO || diag.Windows[0].Node != "mysql" {
+	if diag.Windows[0].Kind != core.CauseDiskIO || diag.Windows[0].Node != "mysql" {
 		t.Fatalf("diagnosis %v@%s", diag.Windows[0].Kind, diag.Windows[0].Node)
 	}
 
@@ -100,7 +108,7 @@ func TestWarehousePersistenceAcrossAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	db, err := milliscope.OpenDBDir(dir, milliscope.StoreOptions{})
+	db, err := mscopedb.OpenDir(dir, mscopedb.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +118,7 @@ func TestWarehousePersistenceAcrossAPI(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := milliscope.OpenDBDir(dir, milliscope.StoreOptions{})
+	db2, err := mscopedb.OpenDir(dir, mscopedb.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,5 +170,90 @@ func TestDeterministicWarehouse(t *testing.T) {
 	}
 	if build() != build() {
 		t.Fatal("identical configs produced different warehouses")
+	}
+}
+
+// facadeSignatureTypes are the aliases the root package keeps so the
+// types in its exported signatures stay nameable, whether or not an
+// example spells them.
+var facadeSignatureTypes = map[string]bool{
+	"DB": true, "Plan": true, "Diagnosis": true,
+	"QueryOutput": true, "Trace": true, "OverheadPoint": true,
+}
+
+// TestFacadeIsExactlyWhatExamplesUse keeps the root package from growing
+// back into a re-export layer: every exported name in milliscope.go must
+// be referenced by some program under examples/ (or be one of the
+// signature-type aliases above), and the mscope command must reach the
+// internal packages directly instead of through this one.
+func TestFacadeIsExactlyWhatExamplesUse(t *testing.T) {
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	mains, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no examples found: %v", err)
+	}
+	for _, path := range mains {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == "milliscope" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	f, err := parser.ParseFile(fset, "milliscope.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				exported = append(exported, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					exported = append(exported, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						exported = append(exported, n.Name)
+					}
+				}
+			}
+		}
+	}
+	for _, name := range exported {
+		if ast.IsExported(name) && !used[name] && !facadeSignatureTypes[name] {
+			t.Errorf("milliscope.go exports %s, which no example uses: call the internal package instead", name)
+		}
+	}
+
+	err = filepath.WalkDir("cmd", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"github.com/gt-elba/milliscope"` {
+				t.Errorf("%s imports the root package: import the internal packages it drives", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"github.com/gt-elba/milliscope"
+	"github.com/gt-elba/milliscope/internal/selfobs"
+	"github.com/gt-elba/milliscope/internal/transform"
 )
 
 // BenchmarkSelfObsOverhead measures what the self-observability layer
@@ -23,13 +25,13 @@ func BenchmarkSelfObsOverhead(b *testing.B) {
 		work := tmp(b, "selfobs")
 		defer os.RemoveAll(work)
 		if instrumented {
-			milliscope.SelfObsEnable("bench", time.Now().UTC())
-			defer milliscope.SelfObsDisable()
+			selfobs.Enable("bench", time.Now().UTC())
+			defer selfobs.Disable()
 		}
 		db := milliscope.OpenDB()
 		start := time.Now()
-		rep, err := milliscope.IngestDirWithOptions(db, logs, work,
-			milliscope.DefaultPlan(), milliscope.IngestOptions{Workers: 4})
+		rep, err := transform.IngestDirWithOptions(db, logs, work,
+			milliscope.DefaultPlan(), transform.Options{Workers: 4})
 		elapsed := time.Since(start)
 		if err != nil {
 			b.Fatal(err)
