@@ -97,7 +97,7 @@ overload-soak:
 # driven against a real scenario warehouse, plus the live-attachment path
 # with concurrent queries during load.
 serve-smoke:
-	$(GO) test -race -run 'TestServeSmoke|TestServeLivePipeline' -v ./internal/serve/
+	$(GO) test -race -run 'TestServeSmoke|TestServeLivePipeline|TestSnapshotMemoSingleFlight' -v ./internal/serve/
 
 # Distributed kill/restart soak under the race detector: four agents ship
 # the disk-IO trial to a throttled collector, one is crashed mid-stream

@@ -49,7 +49,7 @@ code{background:#f4f4f4;padding:1px 4px}
 		{"/api/tables", "warehouse catalogue: tables, row counts, column types"},
 		{"/api/query?q=...", "run an MQL statement"},
 		{"/api/window?table=&amp;value=&amp;fn=&amp;window=&amp;from=&amp;to=&amp;by=", "vectorized window aggregation with index-pruned time bounds"},
-		{"/api/traces?limit=", "reconstructed requests, slowest first"},
+		{"/api/traces?limit=", fmt.Sprintf("reconstructed requests, slowest first (limit at most %d)", maxTraces)},
 		{"/api/trace/{reqid}", "one request's waterfall/flamegraph data"},
 		{"/flamegraph.svg?reqid=", "critical-path flamegraph (slowest request by default)"},
 		{"/api/diagnosis", "the verdict timeline with full evidence"},

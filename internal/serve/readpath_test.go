@@ -206,6 +206,12 @@ func TestSpilledReadPath(t *testing.T) {
 		if err := os.WriteFile(segs[0], raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// A fresh server: each endpoint's first read meets the damage.
+		s, err := New(Config{DB: db})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
 		for _, path := range []string{
 			"/api/trace/" + first.Rows[0][0],
 			"/api/traces?limit=3",

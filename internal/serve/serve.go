@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,7 +29,12 @@ import (
 
 // Config attaches the server to exactly one warehouse source.
 type Config struct {
-	// DB serves a saved warehouse snapshot (read-only, immutable).
+	// DB serves a saved warehouse snapshot (read-only, immutable), so the
+	// diagnosis timeline and the slowest-request ranking are computed by
+	// the first request that needs each and kept: an answer derived from
+	// bytes that verified once stays the answer for that snapshot, and a
+	// segment damaged after it was read is reported by the next request
+	// that reads that file, not by a kept product.
 	DB *mscopedb.DB
 	// Pipeline serves a live engine's warehouse; every query borrows it
 	// between records through the pipeline's WithDB gate, so readers
@@ -46,6 +52,32 @@ type Server struct {
 	renders atomic.Int64
 	errs    atomic.Int64
 	mux     *http.ServeMux
+	// A snapshot's slowest maxTraces request IDs and rendered diagnosis,
+	// each computed once; nil in live mode, whose warehouse grows.
+	ranking  *memo[[]string]
+	timeline *memo[[]diagEntry]
+}
+
+// memo holds one product of an immutable snapshot. The first get computes
+// it under the mutex, so concurrent first requests compute it once; an
+// error is returned and not kept, so the next get computes again.
+type memo[T any] struct {
+	mu   sync.Mutex
+	done bool
+	v    T
+}
+
+func (m *memo[T]) get(compute func() (T, error)) (T, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.done {
+		v, err := compute()
+		if err != nil {
+			return v, err
+		}
+		m.v, m.done = v, true
+	}
+	return m.v, nil
 }
 
 // New validates the config and builds the service.
@@ -57,6 +89,9 @@ func New(cfg Config) (*Server, error) {
 		cfg.Window = 50 * time.Millisecond
 	}
 	s := &Server{cfg: cfg}
+	if cfg.DB != nil {
+		s.ranking, s.timeline = new(memo[[]string]), new(memo[[]diagEntry])
+	}
 	mux := http.NewServeMux()
 	// Every request is one serve/<endpoint> span of the self-telemetry:
 	// one item, and one error when the answer is a 4xx or 5xx.
@@ -319,11 +354,33 @@ type traceSummary struct {
 	Coverage float64 `json:"coverage"`
 }
 
+// maxTraces caps /api/traces' limit, and is how deep a snapshot's ranking
+// of the slowest requests goes.
+const maxTraces = 1000
+
 // slowest reconstructs the n slowest requests, slowest first (ties broken
 // by request ID for stable pagination): every request is ranked from one
-// projected pass, only the n are built.
+// projected pass, only the n are built. A snapshot is ranked once, to
+// maxTraces deep; every request still looks up the rows it shows.
 func (s *Server) slowest(n int) (traces []*tracegraph.Trace, err error) {
-	s.withDB(func(db *mscopedb.DB) { traces, err = tracegraph.Slowest(db, eventTables(), n) })
+	s.withDB(func(db *mscopedb.DB) {
+		var ids []string
+		if s.ranking == nil {
+			ids, err = tracegraph.SlowestIDs(db, eventTables(), n)
+		} else {
+			ids, err = s.ranking.get(func() ([]string, error) {
+				ids, err := tracegraph.SlowestIDs(db, eventTables(), maxTraces)
+				for i := range ids {
+					ids[i] = strings.Clone(ids[i]) // keep no decoded segment block alive
+				}
+				return ids, err
+			})
+			ids = ids[:min(n, len(ids))]
+		}
+		if err == nil {
+			traces, err = tracegraph.LookupRanked(db, eventTables(), ids)
+		}
+	})
 	return traces, err
 }
 
@@ -331,8 +388,8 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	limit := 50
 	if ls := r.URL.Query().Get("limit"); ls != "" {
 		n, err := strconv.Atoi(ls)
-		if err != nil || n <= 0 {
-			s.fail(w, http.StatusBadRequest, "bad limit %q", ls)
+		if err != nil || n <= 0 || n > maxTraces {
+			s.fail(w, http.StatusBadRequest, "bad limit %q: want 1 to %d", ls, maxTraces)
 			return
 		}
 		limit = n
@@ -340,7 +397,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	s.queries.Add(1)
 	ordered, err := s.slowest(limit)
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "%v", err)
+		s.fail(w, statusOf(err, http.StatusNotFound), "%v", err)
 		return
 	}
 	out := make([]traceSummary, 0, len(ordered))
@@ -362,7 +419,7 @@ func (s *Server) flameFor(reqid string) (*tracegraph.Flame, int, error) {
 	if reqid == "" {
 		ordered, err := s.slowest(1)
 		if err != nil {
-			return nil, http.StatusInternalServerError, err
+			return nil, statusOf(err, http.StatusNotFound), err
 		}
 		if len(ordered) == 0 {
 			return nil, http.StatusNotFound, fmt.Errorf("no traces in the warehouse")
@@ -375,7 +432,7 @@ func (s *Server) flameFor(reqid string) (*tracegraph.Flame, int, error) {
 	)
 	s.withDB(func(db *mscopedb.DB) { traces, err = tracegraph.Lookup(db, eventTables(), reqid) })
 	if err != nil {
-		return nil, http.StatusInternalServerError, err
+		return nil, statusOf(err, http.StatusNotFound), err
 	}
 	tr, ok := traces[reqid]
 	if !ok {
@@ -483,23 +540,32 @@ func (s *Server) handleDiagnosis(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, tl)
 		return
 	}
-	// Snapshot mode: run the batch workflow at the configured width.
-	var (
-		d   *core.Diagnosis
-		err error
-	)
-	s.withDB(func(db *mscopedb.DB) { d, err = core.Diagnose(db, s.cfg.Window) })
+	// Snapshot mode: the batch workflow at the configured width, run by the
+	// first request.
+	entries, err := s.timeline.get(func() ([]diagEntry, error) {
+		d, err := core.Diagnose(s.cfg.DB, s.cfg.Window)
+		if err != nil {
+			return nil, err
+		}
+		return batchEntries(d), nil
+	})
 	if err != nil {
 		s.fail(w, statusOf(err, http.StatusUnprocessableEntity), "diagnosis: %v", err)
 		return
 	}
-	tl := diagTimeline{Source: "batch", Entries: []diagEntry{}}
+	writeJSON(w, diagTimeline{Source: "batch", Entries: entries})
+}
+
+// batchEntries renders a batch diagnosis's windows, each carrying the
+// sources the diagnosis lacked.
+func batchEntries(d *core.Diagnosis) []diagEntry {
+	entries := []diagEntry{}
 	for _, wd := range d.Windows {
 		e := diagFromWindow(wd)
 		e.Missing = d.MissingSources
-		tl.Entries = append(tl.Entries, e)
+		entries = append(entries, e)
 	}
-	writeJSON(w, tl)
+	return entries
 }
 
 // --- readiness and metrics -------------------------------------------

@@ -61,9 +61,42 @@ func BenchmarkQueryWindowPruned(b *testing.B) {
 	}
 }
 
+// benchColdWarm measures one request that reads the whole warehouse: cold
+// on a fresh Server per iteration, which computes it as every request did
+// before snapshots kept their products, and warm on one Server that has
+// answered it once.
+func benchColdWarm(b *testing.B, path string) {
+	b.Run("cold", func(b *testing.B) {
+		s := smokeServer(b)
+		benchGet(b, s, path) // surfaces handler errors before timing
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchGet(b, smokeServer(b), path)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		s := smokeServer(b)
+		benchGet(b, s, path)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchGet(b, s, path)
+		}
+	})
+}
+
+// BenchmarkDiagnosis measures /api/diagnosis: cold runs core.Diagnose over
+// every event and resource table, warm renders the kept timeline.
+func BenchmarkDiagnosis(b *testing.B) { benchColdWarm(b, "/api/diagnosis") }
+
+// BenchmarkTraces50 measures /api/traces?limit=50: cold ranks every
+// request, warm takes the kept ranking's head; both look up the 50.
+func BenchmarkTraces50(b *testing.B) { benchColdWarm(b, "/api/traces?limit=50") }
+
 // BenchmarkFlamegraphRender measures /flamegraph.svg end to end: trace
 // reconstruction across all four tiers, critical-path busy-interval
-// subtraction, and SVG emission for the slowest request.
+// subtraction, and SVG emission for the slowest request. The loop is warm:
+// the snapshot was ranked by the first request, so an iteration is the
+// lookup of the slowest request and the render.
 func BenchmarkFlamegraphRender(b *testing.B) {
 	s := smokeServer(b)
 	benchGet(b, s, "/flamegraph.svg")

@@ -46,6 +46,9 @@ func TestServeLivePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Handler()
+	if s.ranking != nil || s.timeline != nil {
+		t.Fatal("a live server keeps snapshot products; its warehouse grows between requests")
+	}
 
 	pipe.Start()
 	// Hammer the query API from several goroutines while the loader is

@@ -248,7 +248,7 @@ func TestServeSmoke(t *testing.T) {
 // never a 200 or a panic.
 func TestServeErrorPaths(t *testing.T) {
 	h := smokeServer(t).Handler()
-	fail := func(path string, want int) {
+	fail := func(path string, want int) string {
 		t.Helper()
 		var e struct {
 			Error string `json:"error"`
@@ -257,6 +257,7 @@ func TestServeErrorPaths(t *testing.T) {
 		if e.Error == "" {
 			t.Errorf("GET %s: %d with no error body", path, want)
 		}
+		return e.Error
 	}
 	fail("/api/query", 400)                         // no statement
 	fail("/api/query?q=SELEC+broken", 400)          // parse error
@@ -270,6 +271,9 @@ func TestServeErrorPaths(t *testing.T) {
 	fail("/api/window?table=apache_event&value=rt_us&time=ud&from=100&to=100", 400)
 	fail("/api/window?table=apache_event&value=rt_us&time=ud&by=rt_us", 400) // non-string group col
 	fail("/api/traces?limit=-3", 400)
+	if msg := fail("/api/traces?limit=1000000000", 400); !strings.Contains(msg, strconv.Itoa(maxTraces)) {
+		t.Errorf("a limit above the cap answers %q, which does not name it", msg)
+	}
 	fail("/api/trace/nope", 404)
 	fail("/flamegraph.svg?reqid=nope", 404)
 
@@ -279,6 +283,32 @@ func TestServeErrorPaths(t *testing.T) {
 	if !strings.Contains(s.MetricsText(), "mscope_serve_errors_total 1") {
 		t.Error("error counter did not advance")
 	}
+}
+
+// TestNoEventTablesIs404: a warehouse holding only resource tables has no
+// request to trace, and the trace endpoints say so with a 404, not a 500.
+func TestNoEventTablesIs404(t *testing.T) {
+	db := mscopedb.Open()
+	if _, err := db.Create("mysql_collectlcsv", []mscopedb.Column{
+		{Name: "time", Type: mscopedb.TTime}, {Name: "cpu_user", Type: mscopedb.TFloat},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, path := range []string{"/api/traces", "/api/trace/req-1", "/api/flamegraph", "/flamegraph.svg"} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		get(t, h, path, 404, &e)
+		if !strings.Contains(e.Error, "event tables") {
+			t.Errorf("GET %s: 404 body %q does not say why", path, e.Error)
+		}
+	}
+	get(t, h, "/", 200, nil)
 }
 
 func TestNewConfigValidation(t *testing.T) {

@@ -2,6 +2,7 @@ package tracegraph
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -45,6 +46,10 @@ type tierPlan struct {
 	missingTier   map[string]bool
 }
 
+// ErrNoEventTables is wrapped by every reader here when the warehouse holds
+// none of the event tables asked for: there is no request to reconstruct.
+var ErrNoEventTables = errors.New("tracegraph: none of the event tables exist")
+
 // planTiers resolves the event tables against the warehouse. At least one
 // must exist.
 func planTiers(db *mscopedb.DB, eventTables []string) (*tierPlan, error) {
@@ -59,7 +64,7 @@ func planTiers(db *mscopedb.DB, eventTables []string) (*tierPlan, error) {
 		}
 	}
 	if len(p.present) == 0 {
-		return nil, fmt.Errorf("tracegraph: none of the event tables %v exist", eventTables)
+		return nil, fmt.Errorf("%w: %v", ErrNoEventTables, eventTables)
 	}
 	return p, nil
 }
@@ -143,10 +148,21 @@ func Lookup(db *mscopedb.DB, eventTables []string, ids ...string) (map[string]*T
 
 // Slowest returns the n requests with the longest response time, slowest
 // first and ties by request ID — the head of BuildPartial's traces in that
-// order — without building the others: one projected pass over each
-// table's (reqid, ua, ud, q) ranks every request by the span that will
-// lead its trace, and only the n that rank first are looked up.
+// order — without building the others: SlowestIDs ranks every request and
+// LookupRanked builds the n that rank first.
 func Slowest(db *mscopedb.DB, eventTables []string, n int) ([]*Trace, error) {
+	ids, err := SlowestIDs(db, eventTables, n)
+	if err != nil {
+		return nil, err
+	}
+	return LookupRanked(db, eventTables, ids)
+}
+
+// SlowestIDs returns the IDs of the n requests with the longest response
+// time, slowest first and ties by request ID, and builds no trace: one
+// projected pass over each table's (reqid, ua, ud, q) ranks every request
+// by the span that will lead its trace.
+func SlowestIDs(db *mscopedb.DB, eventTables []string, n int) ([]string, error) {
 	plan, err := planTiers(db, eventTables)
 	if err != nil {
 		return nil, err
@@ -209,6 +225,13 @@ func Slowest(db *mscopedb.DB, eventTables []string, n int) ([]*Trace, error) {
 	for i, l := range leads {
 		ids[i] = l.id
 	}
+	return ids, nil
+}
+
+// LookupRanked reconstructs the traces of ids, in that order, through
+// Lookup. Every ID must be in the warehouse: they are what a ranking of it
+// returned.
+func LookupRanked(db *mscopedb.DB, eventTables []string, ids []string) ([]*Trace, error) {
 	traces, err := Lookup(db, eventTables, ids...)
 	if err != nil {
 		return nil, err
