@@ -139,7 +139,7 @@ profile-ingest:
 # counters), never through formatting helpers that would allocate when
 # telemetry is disabled.
 selfobs-lint:
-	$(GO) run ./cmd/selfobslint ./internal/parsers ./internal/transform ./internal/stream
+	$(GO) run ./cmd/selfobslint ./internal/parsers ./internal/transform ./internal/stream ./internal/wire ./internal/mscopedb
 
 cover:
 	$(GO) test -short -cover ./...
@@ -164,7 +164,9 @@ fuzz:
 # what parses executes or errors), and /api/window's parameters (200, 400
 # or 404, never a 5xx); on the batch ingest's table builder against the
 # two-pass construction it replaced (arbitrary records, same table or same
-# error); and on the sar-xml byte scanner against the encoding/xml walk it
+# error), and the same records merged into one table in blocks as the live
+# loader merges them (no panic; a column no block widens holds the same
+# cells); and on the sar-xml byte scanner against the encoding/xml walk it
 # replaced (the same records, or an error). -run '^$$' skips the unit tests
 # the plain -fuzz form would rerun first; a short minimize budget keeps the
 # time fuzzing.
@@ -174,6 +176,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMQLParse -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/mql/
 	$(GO) test -run '^$$' -fuzz FuzzServeWindowParams -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzTableBuilderEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/transform/
+	$(GO) test -run '^$$' -fuzz FuzzLiveMergeMatchesBatch -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/transform/
 	$(GO) test -run '^$$' -fuzz FuzzSarXMLMatchesEncodingXML -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/parsers/
 
 # End-to-end chaos drill: run a trial, corrupt its logs deterministically,

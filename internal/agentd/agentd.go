@@ -27,7 +27,7 @@ import (
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/fidelity"
-	"github.com/gt-elba/milliscope/internal/mxml"
+	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/promfmt"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/stream"
@@ -506,21 +506,17 @@ func (s *session) handshake(key, name string) (id uint32, offset int64, err erro
 	}
 }
 
-// send ships records as one batch frame, within the credit window. The
-// frame carries the batch's stamp; the entries are released.
-func (s *session) send(b wire.Batch, entries []mxml.Entry) error {
-	if err := s.acquire(int64(len(entries))); err != nil {
+// send ships a batch as one frame, within the credit window.
+func (s *session) send(b *wire.Batch) error {
+	n := int64(b.Records())
+	if err := s.acquire(n); err != nil {
 		return err
 	}
-	b.AppendEntries(entries)
-	payload := wire.EncodeBatch(&b)
-	for i := range entries {
-		entries[i].Release()
-	}
+	payload := wire.EncodeBatch(b)
 	s.a.batchesSent.Add(1)
-	s.a.recordsSent.Add(int64(len(entries)))
+	s.a.recordsSent.Add(n)
 	obsBatches.Add(1)
-	obsRecords.Add(int64(len(entries)))
+	obsRecords.Add(n)
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 	return s.frame(wire.TypeBatch, payload)
@@ -533,12 +529,12 @@ func (s *session) open(path, name string, _ transform.Binding) (stream.Sink, int
 	id, offset, err := s.handshake(path, name)
 	if err != nil {
 		s.fail(err)
-		return nil, 0
+		return stream.Sink{}, 0
 	}
 	if offset == stream.ResumeDenied {
 		s.a.block(path)
 		sp.End(0, 1)
-		return nil, 0
+		return stream.Sink{}, 0
 	}
 	s.sendMu.Lock()
 	s.sources++
@@ -547,13 +543,17 @@ func (s *session) open(path, name string, _ transform.Binding) (stream.Sink, int
 	sp.End(1, 0)
 	var seq uint64
 	var lastQuar int64
-	return func(b stream.Batch) bool {
+	// The front end's records go straight into the next frame's batch.
+	var pending wire.Batch
+	return stream.Sink{Record: pending.AppendRecord, Deliver: func(b stream.Batch) bool {
 		var span selfobs.Span
-		if len(b.Entries) > 0 {
+		if b.Records > 0 {
 			span = s.a.obs.Begin(selfobs.PipeAgent, "ship", s.a.cfg.ID, name)
 		}
 		seq++
-		err := s.send(wire.Batch{SourceID: id, Seq: seq, Offset: b.Offset, Quarantined: b.Quarantined}, b.Entries)
+		pending.SourceID, pending.Seq, pending.Offset, pending.Quarantined = id, seq, b.Offset, b.Quarantined
+		err := s.send(&pending)
+		pending = wire.Batch{}
 		if err == nil && b.Err != nil {
 			// The parser died: what it emitted has shipped, so report the
 			// failure, once — this is the file's last batch, and the
@@ -569,14 +569,14 @@ func (s *session) open(path, name string, _ transform.Binding) (stream.Sink, int
 			s.fail(err)
 			return false
 		}
-		span.End(int64(len(b.Entries)), b.Quarantined-lastQuar)
+		span.End(int64(b.Records), b.Quarantined-lastQuar)
 		s.sendMu.Lock()
 		s.quarantined += b.Quarantined - lastQuar
 		s.a.quarantined.Store(s.quarantined)
 		s.sendMu.Unlock()
 		lastQuar = b.Quarantined
 		return true
-	}, offset
+	}}, offset
 }
 
 // drain is the clean shutdown: the front end reads every owned file to
@@ -622,24 +622,30 @@ func (s *session) shipSelfTrace() error {
 		return nil
 	}
 	name := s.a.cfg.ID + "_selftrace.log"
-	entries, size, err := stream.SelfTraceEntries(s.a.obs, s.a.cfg.Plan, name)
-	if err != nil || len(entries) == 0 {
+	var batches []*wire.Batch // of MaxBatchRecords records, the last maybe fewer
+	n := 0
+	size, err := stream.SelfTrace(s.a.obs, s.a.cfg.Plan, name, func(r *parsers.Record) error {
+		if n%s.a.cfg.MaxBatchRecords == 0 {
+			batches = append(batches, new(wire.Batch))
+		}
+		n++
+		return batches[len(batches)-1].AppendRecord(r)
+	})
+	if err != nil || n == 0 {
 		return err
 	}
 	id, offset, err := s.handshake(filepath.Join(s.a.cfg.LogDir, name), name)
 	if err != nil || offset != 0 {
 		return err // denied, or a prior generation's bytes: skip
 	}
-	for seq := uint64(1); len(entries) > 0; seq++ {
-		n := min(len(entries), s.a.cfg.MaxBatchRecords)
-		b := wire.Batch{SourceID: id, Seq: seq}
-		if n == len(entries) {
+	for i, b := range batches {
+		b.SourceID, b.Seq = id, uint64(i+1)
+		if i == len(batches)-1 {
 			b.Offset = size
 		}
-		if err := s.send(b, entries[:n]); err != nil {
+		if err := s.send(b); err != nil {
 			return err
 		}
-		entries = entries[n:]
 	}
 	return nil
 }

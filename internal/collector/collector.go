@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
-	"github.com/gt-elba/milliscope/internal/mxml"
 	"github.com/gt-elba/milliscope/internal/promfmt"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/stream"
@@ -197,9 +196,9 @@ func (col *Collector) Stop() error {
 	return obsErr
 }
 
-// shipSelfTrace loads the collector's own spans into the warehouse
-// through the same remote-source path agent batches take, committed at the
-// rendered log's size — so "collector_selftrace" is indistinguishable from
+// shipSelfTrace loads the collector's own spans into the warehouse as one
+// wire batch, through the same remote-source path agent batches take,
+// committed at the rendered log's size — so "collector_selftrace" is indistinguishable from
 // a table an agent shipped. Called between connection teardown and engine
 // drain: the loader is still running, and no agent frames can interleave.
 func (col *Collector) shipSelfTrace() error {
@@ -208,8 +207,9 @@ func (col *Collector) shipSelfTrace() error {
 	if plan == nil {
 		plan = transform.DefaultPlan()
 	}
-	entries, size, err := stream.SelfTraceEntries(col.obs, plan, name)
-	if err != nil || len(entries) == 0 {
+	var b wire.Batch
+	size, err := stream.SelfTrace(col.obs, plan, name, b.AppendRecord)
+	if err != nil || b.Records() == 0 {
 		return err
 	}
 	rs, offset, err := col.pipe.OpenRemote(name, name)
@@ -221,7 +221,8 @@ func (col *Collector) shipSelfTrace() error {
 		return nil
 	}
 	done := make(chan struct{})
-	rs.AppendBatch(stream.Batch{Entries: entries, Offset: size}, func() { close(done) })
+	b.Offset = size
+	rs.AppendBatch(&b, func() { close(done) })
 	<-done
 	return nil
 }
@@ -562,10 +563,8 @@ func (c *conn) handleBatch(b *wire.Batch) bool {
 	c.col.batchesIn.Add(1)
 	obsBatchesIn.Add(1)
 	n := b.Records()
-	entries := make([]mxml.Entry, 0, n)
-	b.EachEntry(func(e mxml.Entry) { entries = append(entries, e) })
 	ack := wire.EncodeAck(wire.Ack{SourceID: cs.id, Seq: b.Seq, Offset: b.Offset, Credit: int64(n)})
-	cs.rs.AppendBatch(stream.Batch{Entries: entries, Offset: b.Offset, Quarantined: b.Quarantined}, func() {
+	cs.rs.AppendBatch(b, func() {
 		c.col.acksOut.Add(1)
 		obsAcksOut.Add(1)
 		c.enqueue(wire.TypeAck, ack)

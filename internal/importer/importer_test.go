@@ -26,7 +26,7 @@ func convertFixture(t *testing.T) (string, string) {
 	}
 	for i := 0; i < 5; i++ {
 		var e mxml.Entry
-		e.AddTyped("ts", "2017-04-01T00:00:12.345Z", "time")
+		e.Fields = append(e.Fields, mxml.Field{Name: "ts", Value: "2017-04-01T00:00:12.345Z", Hint: "time"})
 		e.Add("reqid", "req-0000000001")
 		e.Add("rt_us", "2123")
 		e.Add("util", "33.5")

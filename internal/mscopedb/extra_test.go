@@ -275,3 +275,54 @@ func TestLatestIngestOffsetPersists(t *testing.T) {
 	}
 	checkDB(reopened, "reopened")
 }
+
+// TestAppendColumns: blocks appended column by column land as rows,
+// empty columns fill with zero cells, string cells come from the arena
+// interned, an empty table adopts the slices it is given, segments of a
+// spill-backed table still fall every SealRows rows, and data of the wrong
+// shape or type appends nothing.
+func TestAppendColumns(t *testing.T) {
+	db, err := OpenDir(t.TempDir(), StoreOptions{SealRows: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.Create("t", []Column{{Name: "n", Type: TInt}, {Name: "f", Type: TFloat},
+		{Name: "ts", Type: TTime}, {Name: "s", Type: TString}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ints := []int64{1, 2, 3}
+	if err := tbl.AppendColumns(3, []ColumnData{{Ints: ints}, {Floats: []float64{0.5, 0, 2}}, {},
+		{Arena: "xGETyGET", Offsets: []uint32{1, 4, 5, 8}}}); err != nil {
+		t.Fatal(err)
+	}
+	if &tbl.data[0].Ints[0] != &ints[0] {
+		t.Error("an empty table copied the ints it could adopt")
+	}
+	if err := tbl.AppendColumns(2, []ColumnData{{}, {}, {Ints: []int64{7, 8}}, {}}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for r := 0; r < tbl.Rows(); r++ {
+		got = append(got, fmt.Sprintf("%d %g %d %q", tbl.Int(0, r), tbl.Float(1, r), tbl.TimeMicros(2, r), tbl.Str(3, r)))
+	}
+	if want := `[1 0.5 0 "GET" 2 0 0 "y" 3 2 0 "GET" 0 0 7 "" 0 0 8 ""]`; fmt.Sprint(got) != want {
+		t.Errorf("rows %q, want %q", fmt.Sprint(got), want)
+	}
+	if tbl.SealedRows() != 4 {
+		t.Errorf("%d rows sealed, want one segment of 4", tbl.SealedRows())
+	}
+	for _, bad := range [][]ColumnData{
+		{{Ints: []int64{1}}, {}, {}, {}},                        // 1 cell of 2
+		{{Floats: []float64{1, 2}}, {}, {}, {}},                 // floats for ints
+		{{}, {}, {}, {Arena: "ab", Offsets: []uint32{0, 1, 3}}}, // past the arena
+		{{}, {}, {}}, // a column short
+	} {
+		if err := tbl.AppendColumns(2, bad); err == nil {
+			t.Errorf("AppendColumns(%+v) accepted", bad)
+		}
+	}
+	if tbl.Rows() != 5 {
+		t.Errorf("%d rows after refused appends, want 5", tbl.Rows())
+	}
+}

@@ -11,6 +11,7 @@ package mscopedb
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -143,48 +144,6 @@ func NewTable(name string, cols []Column) (*Table, error) {
 	}, nil
 }
 
-// NewTableFrom builds a table around finished columns and adopts them:
-// data[i] holds column i's cells — []int64 for an int column and for a time
-// column (microsecond epochs), []float64, or []string — and every column
-// has the same length. String cells are interned as AppendRows interns
-// them. The batch ingest builds a file's columns while it parses and hands
-// them over whole.
-func NewTableFrom(name string, cols []Column, data []any) (*Table, error) {
-	t, err := NewTable(name, cols)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) != len(cols) {
-		return nil, fmt.Errorf("mscopedb: %s: %d columns of data for %d columns", name, len(data), len(cols))
-	}
-	for i, c := range cols {
-		d, n, ok := &t.data[i], 0, false
-		switch c.Type {
-		case TInt:
-			d.Ints, ok = data[i].([]int64)
-			n = len(d.Ints)
-		case TFloat:
-			d.Floats, ok = data[i].([]float64)
-			n = len(d.Floats)
-		case TTime:
-			d.Times, ok = data[i].([]int64)
-			n = len(d.Times)
-		case TString:
-			d.Strs, ok = data[i].([]string)
-			n = len(d.Strs)
-			for r, s := range d.Strs {
-				d.Strs[r] = d.internStr(s)
-			}
-		}
-		if !ok || (i > 0 && n != t.rows) {
-			return nil, fmt.Errorf("mscopedb: %s.%s: column data is %T of %d cells, want %v cells like the %d before it",
-				name, c.Name, data[i], n, c.Type, t.rows)
-		}
-		t.rows = n
-	}
-	return t, nil
-}
-
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
@@ -301,6 +260,86 @@ func (t *Table) AppendRows(cells []Value) error {
 	}
 	t.rows += len(cells) / nc
 	return t.spillFull()
+}
+
+// ColumnData is one column's cells for AppendColumns: Ints for an int
+// column and for a time column (microsecond epochs), Floats for a float
+// column, and for a string column the texts end to end in Arena, text i
+// being Arena[Offsets[i]:Offsets[i+1]]. A column given no cells holds empty
+// ones, the zero value of its type.
+type ColumnData struct {
+	Ints    []int64
+	Floats  []float64
+	Arena   string
+	Offsets []uint32
+}
+
+// AppendColumns appends rows rows given column by column, cols[i] being
+// column i's cells. String cells are interned as AppendRows interns them,
+// straight from the arena. A table with no rows adopts the Ints and Floats
+// it is given instead of copying them: the caller gives them up. Nothing is
+// appended when a column's cells are not rows cells of its type.
+func (t *Table) AppendColumns(rows int, cols []ColumnData) error {
+	if len(cols) != len(t.cols) {
+		return fmt.Errorf("mscopedb: %s: %d columns of data for %d columns", t.name, len(cols), len(t.cols))
+	}
+	for i, c := range t.cols {
+		d := &cols[i]
+		texts := max(len(d.Offsets)-1, 0)
+		n := texts
+		switch c.Type {
+		case TInt, TTime:
+			n = len(d.Ints)
+		case TFloat:
+			n = len(d.Floats)
+		}
+		if (n != rows && n != 0) || len(d.Ints)+len(d.Floats)+texts != n {
+			return fmt.Errorf("mscopedb: %s.%s: column data is %d ints, %d floats and %d texts, want %d %v cells",
+				t.name, c.Name, len(d.Ints), len(d.Floats), texts, rows, c.Type)
+		}
+		for k := 0; k < texts; k++ {
+			if d.Offsets[k] > d.Offsets[k+1] || int(d.Offsets[k+1]) > len(d.Arena) {
+				return fmt.Errorf("mscopedb: %s.%s: text %d at [%d:%d] of a %d-byte arena",
+					t.name, c.Name, k, d.Offsets[k], d.Offsets[k+1], len(d.Arena))
+			}
+		}
+	}
+	adopt := t.rows == 0
+	t.tailImg = nil
+	for i := range t.cols {
+		d, c := &t.data[i], &cols[i]
+		switch t.cols[i].Type {
+		case TInt:
+			d.Ints = appendCells(d.Ints, c.Ints, rows, adopt)
+		case TFloat:
+			d.Floats = appendCells(d.Floats, c.Floats, rows, adopt)
+		case TTime:
+			d.Times = appendCells(d.Times, c.Ints, rows, adopt)
+		case TString:
+			if len(c.Offsets) == 0 {
+				d.Strs = append(d.Strs, make([]string, rows)...)
+				continue
+			}
+			d.Strs = slices.Grow(d.Strs, rows)
+			for k := 0; k < rows; k++ {
+				d.Strs = append(d.Strs, d.internStr(c.Arena[c.Offsets[k]:c.Offsets[k+1]]))
+			}
+		}
+	}
+	t.rows += rows
+	return t.spillFull()
+}
+
+// appendCells appends src, or n empty cells when src is empty, to dst; an
+// empty dst may adopt src.
+func appendCells[E int64 | float64](dst, src []E, n int, adopt bool) []E {
+	switch {
+	case len(src) == 0:
+		return append(dst, make([]E, n)...)
+	case adopt && len(dst) == 0:
+		return src
+	}
+	return append(dst, src...)
 }
 
 // Append adds one row; values must match the schema positionally with Go

@@ -90,9 +90,11 @@ func TestCheckpointReusesUnchangedTails(t *testing.T) {
 		for i := range ints {
 			ints[i], strs[i] = int64(k*1000+i), fmt.Sprintf("req-%d-%d", k, i)
 		}
-		tbl, err := mscopedb.NewTableFrom(name, []mscopedb.Column{{Name: "n", Type: mscopedb.TInt}, {Name: "id", Type: mscopedb.TString}},
-			[]any{ints, strs})
+		tbl, err := mscopedb.NewTable(name, []mscopedb.Column{{Name: "n", Type: mscopedb.TInt}, {Name: "id", Type: mscopedb.TString}})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.AppendColumns(len(ints), []mscopedb.ColumnData{{Ints: ints}, textColumn(strs)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Install(tbl); err != nil {
@@ -223,4 +225,14 @@ func TestTailCacheNeverStale(t *testing.T) {
 			dbtest.Same(t, "final reopen", dbtest.Dump(t, db), dbtest.Dump(t, re))
 		})
 	}
+}
+
+// textColumn lays strings end to end as AppendColumns takes a string column.
+func textColumn(strs []string) mscopedb.ColumnData {
+	d := mscopedb.ColumnData{Offsets: []uint32{0}}
+	for _, s := range strs {
+		d.Arena += s
+		d.Offsets = append(d.Offsets, uint32(len(d.Arena)))
+	}
+	return d
 }

@@ -97,11 +97,6 @@ func (e *Entry) Add(name, value string) {
 	e.Fields = append(e.Fields, Field{Name: name, Value: value})
 }
 
-// AddTyped appends a field with a type hint.
-func (e *Entry) AddTyped(name, value, hint string) {
-	e.Fields = append(e.Fields, Field{Name: name, Value: value, Hint: hint})
-}
-
 // Meta describes the document: which monitor produced the log, on which
 // host, and the warehouse table it should load into.
 type Meta struct {

@@ -16,7 +16,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	var e1 Entry
 	e1.Add("reqid", "req-0000000123")
-	e1.AddTyped("ts", "2017-04-01T00:00:12.345678Z", "time")
+	e1.Fields = append(e1.Fields, Field{Name: "ts", Value: "2017-04-01T00:00:12.345678Z", Hint: "time"})
 	e1.Add("uri", "/rubbos/ViewStory?a=1&b=2")
 	if err := w.WriteEntry(e1); err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func BenchmarkWriteEntry(b *testing.B) {
 	}
 	var e Entry
 	e.Add("reqid", "req-0000000123")
-	e.AddTyped("ts", "2017-04-01T00:00:12.345678Z", "time")
+	e.Fields = append(e.Fields, Field{Name: "ts", Value: "2017-04-01T00:00:12.345678Z", Hint: "time"})
 	e.Add("ua", "1491004812345678")
 	e.Add("ud", "1491004812347801")
 	b.ResetTimer()

@@ -13,8 +13,8 @@ func collectDegraded(t *testing.T, p DegradedParser, input string, instr Instruc
 	t.Helper()
 	var entries []mxml.Entry
 	var diverted []Malformed
-	err := p.ParseDegraded(strings.NewReader(input), instr,
-		func(e mxml.Entry) error { entries = append(entries, e); return nil },
+	err := p.ParseRecords(strings.NewReader(input), instr,
+		entrySink(func(e mxml.Entry) error { entries = append(entries, e); return nil }),
 		func(m Malformed) error { diverted = append(diverted, m); return nil })
 	if err != nil {
 		t.Fatalf("degraded parse failed: %v", err)
@@ -39,11 +39,12 @@ func TestTokenDegradedDivertsBadLines(t *testing.T) {
 	}
 }
 
-// TestTokenDegradedRequiresSink: a nil Recover is a programming error.
+// TestTokenDegradedRequiresSink: without a Recover nothing is diverted —
+// the malformed line fails the parse.
 func TestTokenDegradedRequiresSink(t *testing.T) {
-	err := tokenParser.ParseDegraded(strings.NewReader("x\n"),
+	err := tokenParser.ParseRecords(strings.NewReader("x\n"),
 		Instructions{Pattern: `^\d+$`},
-		func(mxml.Entry) error { return nil }, nil)
+		func(*Record) error { return nil }, nil)
 	if err == nil {
 		t.Fatal("nil Recover accepted")
 	}

@@ -51,8 +51,8 @@ func FuzzApacheAccessLog(f *testing.F) {
 		}
 
 		emitted, quarantined := 0, 0
-		err = tokenParser.ParseDegraded(strings.NewReader(input), instr,
-			func(mxml.Entry) error { emitted++; return nil },
+		err = tokenParser.ParseRecords(strings.NewReader(input), instr,
+			func(*Record) error { emitted++; return nil },
 			func(Malformed) error { quarantined++; return nil })
 		if err != nil {
 			// The only legitimate degraded failure is scanner overflow on a
@@ -93,8 +93,8 @@ func FuzzMySQLSlowLog(f *testing.F) {
 			func(mxml.Entry) error { strict++; return nil })
 
 		emitted, quarantined := 0, 0
-		err := mysqlSlowParser.ParseDegraded(strings.NewReader(input), Instructions{},
-			func(mxml.Entry) error { emitted++; return nil },
+		err := mysqlSlowParser.ParseRecords(strings.NewReader(input), Instructions{},
+			func(*Record) error { emitted++; return nil },
 			func(Malformed) error { quarantined++; return nil })
 		if err != nil {
 			if !errors.Is(err, bufio.ErrTooLong) {

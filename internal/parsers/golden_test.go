@@ -34,10 +34,10 @@ func dumpEntry(sb *strings.Builder, e mxml.Entry) {
 	sb.WriteByte('\n')
 }
 
-// TestAdapterEntriesMatchGolden pins what Parse and ParseDegraded hand to an
-// Emit sink — names, values, hints, order, and under a 1% chaos copy the
-// diverted regions too — to what the tree emitted when every parser built
-// its entries field by field. The golden file holds, per format and mode,
+// TestAdapterEntriesMatchGolden pins what Parse, and ParseRecords under a
+// Recover, hand to an Emit sink through the entry adapter — names, values,
+// hints, order, and under a 1% chaos copy the diverted regions too — to
+// what the tree emitted when every parser built its entries field by field. The golden file holds, per format and mode,
 // the counts, the first entry in full and a digest of the whole dump; a
 // mismatch leaves the full dumps in a temporary directory for diffing.
 func TestAdapterEntriesMatchGolden(t *testing.T) {
@@ -86,7 +86,7 @@ func TestAdapterEntriesMatchGolden(t *testing.T) {
 		}
 		entries = nil
 		var diverted []Malformed
-		err = dp.ParseDegraded(strings.NewReader(string(bad)), f.instr, keep,
+		err = dp.ParseRecords(strings.NewReader(string(bad)), f.instr, entrySink(keep),
 			func(m Malformed) error { diverted = append(diverted, m); return nil })
 		if err != nil {
 			t.Fatalf("%s chaos: %v", f.name, err)

@@ -62,13 +62,14 @@ type Recover func(Malformed) error
 
 // DegradedParser is implemented by parsers that can quarantine malformed
 // input and resynchronize at the next record boundary instead of failing
-// the whole file. The transformer's Quarantine ingest policy requires it.
+// the whole file: given a Recover, their ParseRecords hands every parseable
+// record to the sink and each malformed region to the Recover, and fails
+// only on I/O-level errors (scanner overflow, sink failures) or when the
+// Recover asks it to abort. The transformer's Quarantine ingest policy
+// requires it.
 type DegradedParser interface {
 	Parser
-	// ParseDegraded emits every parseable record and hands each malformed
-	// region to rec. It fails only on I/O-level errors (scanner overflow,
-	// emit failures) or when rec asks it to abort.
-	ParseDegraded(in io.Reader, instr Instructions, emit Emit, rec Recover) error
+	degraded()
 }
 
 // Instructions is the declarative specification recorded by the Parsing
@@ -174,14 +175,7 @@ func (d degradable) ParseRecords(in io.Reader, instr Instructions, sink Sink, re
 	return d.parse(in, instr, sink, rec)
 }
 
-// ParseDegraded is ParseRecords with a Recover, each record turned into an
-// entry.
-func (d degradable) ParseDegraded(in io.Reader, instr Instructions, emit Emit, rec Recover) error {
-	if rec == nil {
-		return fmt.Errorf("parsers: %s degraded mode requires a Recover sink", d.name)
-	}
-	return d.parse(in, instr, entrySink(emit), rec)
-}
+func (degradable) degraded() {}
 
 // compiled is an instruction set resolved once per parse: the derive
 // matchers, where each Times rule finds its cells, and the constants in

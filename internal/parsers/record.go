@@ -31,8 +31,8 @@ type Cell struct {
 	Kind CellKind
 }
 
-// TimeCell is the cell of a time the parser computed.
-func TimeCell(name string, ts time.Time) Cell {
+// timeCell is the cell of a time the parser computed.
+func timeCell(name string, ts time.Time) Cell {
 	return Cell{Name: name, Hint: "time", Kind: CellTime, Int: ts.Unix(), Nsec: int32(ts.Nanosecond())}
 }
 
@@ -83,7 +83,7 @@ func (r *Record) add(name string, text []byte) {
 	c.Name, c.Hint, c.Text, c.Kind = name, "", text, CellText
 }
 
-func (r *Record) addTime(name string, ts time.Time) { *r.next() = TimeCell(name, ts) }
+func (r *Record) addTime(name string, ts time.Time) { *r.next() = timeCell(name, ts) }
 
 // addGroups adds a cell per named group of a match of m over s.
 func (r *Record) addGroups(m *matcher, s []byte, slots []int) {
@@ -130,14 +130,14 @@ func (r *Record) normalizeTime(c *Cell, layout string) error {
 	if err != nil {
 		return fmt.Errorf("parsers: normalize time field %q: %w", c.Name, err)
 	}
-	*c = TimeCell(c.Name, ts)
+	*c = timeCell(c.Name, ts)
 	return nil
 }
 
 // Entries builds the mxml.Entry of a record for the callers that still take
-// entries: the stream front end, the document of --materialize, the benchmark
-// harness. An entry's values are slices of one string made per record, so it
-// costs one allocation however many cells it has.
+// entries: the agent's wire batches, the document of --materialize, the
+// benchmark harness. An entry's values are slices of one string made per
+// record, so it costs one allocation however many cells it has.
 type Entries struct {
 	computed []byte // the text of one computed cell
 }
@@ -173,7 +173,7 @@ func (a *Entries) Entry(r *Record) mxml.Entry {
 	return e
 }
 
-// entrySink is the adapter behind Parse and ParseDegraded.
+// entrySink is the adapter behind Parse.
 func entrySink(emit Emit) Sink {
 	var a Entries
 	return func(r *Record) error { return emit(a.Entry(r)) }

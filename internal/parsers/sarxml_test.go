@@ -53,7 +53,7 @@ func sarXMLOracle(in io.Reader, emit Emit) error {
 					return fmt.Errorf("parsers: sar-xml timestamp %q %q: %w", date, clock, err)
 				}
 				cur = &mxml.Entry{}
-				cur.AddTyped("ts", ts.UTC().Format(mxml.TimeLayout), "time")
+				cur.Fields = append(cur.Fields, mxml.Field{Name: "ts", Value: ts.UTC().Format(mxml.TimeLayout), Hint: "time"})
 			case "cpu":
 				if cur == nil {
 					return fmt.Errorf("parsers: sar-xml: cpu element outside timestamp")

@@ -13,6 +13,7 @@ import (
 	"github.com/gt-elba/milliscope/internal/mxml"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/transform"
+	"github.com/gt-elba/milliscope/internal/wire"
 	"github.com/gt-elba/milliscope/internal/xmlcsv"
 )
 
@@ -66,12 +67,13 @@ func fields(kv ...string) mxml.Entry {
 }
 
 // appendRemote feeds entries to a remote engine as one wire batch stamped
-// with the byte offset off, and waits for the loader to finish it. The
-// engine owns the entries after.
+// with the byte offset off, and waits for the loader to finish it.
 func appendRemote(t *testing.T, rs *RemoteSource, entries []mxml.Entry, off int64) {
 	t.Helper()
 	done := make(chan struct{})
-	rs.AppendBatch(Batch{Entries: append([]mxml.Entry(nil), entries...), Offset: off}, func() { close(done) })
+	b := wire.Batch{Offset: off}
+	b.AppendEntries(entries)
+	rs.AppendBatch(&b, func() { close(done) })
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):

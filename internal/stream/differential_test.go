@@ -20,6 +20,7 @@ import (
 	"github.com/gt-elba/milliscope/internal/simtime"
 	"github.com/gt-elba/milliscope/internal/stream"
 	"github.com/gt-elba/milliscope/internal/transform"
+	"github.com/gt-elba/milliscope/internal/wire"
 )
 
 // These tests compare the online detector with the batch diagnosis of the
@@ -96,7 +97,9 @@ func lockstep(t *testing.T, dir string, trial time.Duration) []stream.Alert {
 				continue
 			}
 			wg.Add(1)
-			fd.src.AppendBatch(stream.Batch{Entries: fd.entries[fd.sent:upTo], Offset: int64(upTo)}, wg.Done)
+			b := wire.Batch{Offset: int64(upTo)}
+			b.AppendEntries(fd.entries[fd.sent:upTo])
+			fd.src.AppendBatch(&b, wg.Done)
 			fd.sent = upTo
 		}
 		wg.Wait()

@@ -42,7 +42,7 @@ func TestMain(m *testing.M) {
 
 // stagedDBIO runs the simulator's disk-IO scenario once and returns the
 // directory holding its monitor logs.
-func stagedDBIO(t *testing.T) string {
+func stagedDBIO(t testing.TB) string {
 	t.Helper()
 	stageOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "mscope-stream-dbio-")

@@ -8,8 +8,8 @@ import (
 	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
-	"github.com/gt-elba/milliscope/internal/mxml"
 	"github.com/gt-elba/milliscope/internal/selfobs"
+	"github.com/gt-elba/milliscope/internal/transform"
 )
 
 // Fidelity modes selectable in Config.Fidelity.Mode.
@@ -115,7 +115,7 @@ type fidelityRun struct {
 	ctrl   *fidelity.Controller // nil when mode is pinned
 	pinned bool
 
-	rings map[*source]*fidelity.Ring[mxml.Entry]
+	rings map[*source]*fidelity.Ring[blockRow]
 	cells map[aggKey]*aggCell
 
 	state       atomic.Int32
@@ -133,7 +133,7 @@ func newFidelityRun(opts FidelityOptions) *fidelityRun {
 	o := opts.withDefaults()
 	f := &fidelityRun{
 		opts:  o,
-		rings: make(map[*source]*fidelity.Ring[mxml.Entry]),
+		rings: make(map[*source]*fidelity.Ring[blockRow]),
 		cells: make(map[aggKey]*aggCell),
 	}
 	if o.Mode == FidelityAggregate {
@@ -181,33 +181,46 @@ func (p *Pipeline) evalPressure() {
 	}
 }
 
-// degrade handles one timestamped record while below full fidelity: fold
-// it into the rollup accumulators, and either retain it in the source's
-// ring (AGGREGATE) or count it shed (SHED). Loader-owned.
-func (f *fidelityRun) degrade(s *source, e *mxml.Entry, vals []mscopedb.Value, usEvent int64, st fidelity.State) {
-	f.rollup(s, e, vals, usEvent)
+// blockRow is a row of a block, held by a ring until it is promoted or
+// expires: the block is not filled again while a ring holds one of its rows.
+type blockRow struct {
+	blk *transform.Builder
+	row int
+}
+
+// rolledGauges are the collectl gauges the diagnosis correlates against,
+// which a rollup keeps of a degraded sample.
+var rolledGauges = [...]string{"dsk_util", "cpu_user", "cpu_sys", "mem_dirty", "cpu_mhz"}
+
+// degrade handles one timestamped row while below full fidelity: fold it
+// into the rollup accumulators, and either retain it in the source's ring
+// (AGGREGATE) or count it shed (SHED). True means a ring holds the row.
+// Loader-owned.
+func (f *fidelityRun) degrade(s *source, c *blockCells, blk *transform.Builder, row int, usEvent int64, st fidelity.State) bool {
+	f.rollup(s, c, row, usEvent)
 	if st == fidelity.Aggregate {
 		r := f.rings[s]
 		if r == nil {
-			r = fidelity.NewRing[mxml.Entry](f.opts.RingCap)
+			r = fidelity.NewRing[blockRow](f.opts.RingCap)
 			f.rings[s] = r
 		}
 		before := r.Len()
-		r.Push(usEvent, *e)
+		r.Push(usEvent, blockRow{blk, row})
 		if r.Len() > before {
 			f.ringRows.Add(1)
 		} else {
 			f.ringEvicted.Add(1)
 		}
-		return
+		return true
 	}
 	f.shedRows.Add(1)
 	obsRowsShed.Add(1)
+	return false
 }
 
-// rollup folds one record's curated metrics into the open accumulator
-// cells for its rollup window.
-func (f *fidelityRun) rollup(s *source, e *mxml.Entry, vals []mscopedb.Value, usEvent int64) {
+// rollup folds one row's curated metrics into the open accumulator cells
+// for its rollup window.
+func (f *fidelityRun) rollup(s *source, c *blockCells, row int, usEvent int64) {
 	win := usEvent - modUS(usEvent, f.opts.RollupWindow.Microseconds())
 	fold := func(metric string, v float64) {
 		k := aggKey{table: s.table, metric: metric, winUS: win}
@@ -226,17 +239,16 @@ func (f *fidelityRun) rollup(s *source, e *mxml.Entry, vals []mscopedb.Value, us
 		c.n++
 		c.sum += v
 	}
-	if s.binding.TableSuffix == "event" {
-		if ua, ok1 := intField(e, vals, "ua"); ok1 {
-			if ud, ok2 := intField(e, vals, "ud"); ok2 {
-				fold("rt_us", float64(ud-ua))
-			}
+	if c.event {
+		ua, ok1 := cell(c.ua, row, mscopedb.TInt)
+		ud, ok2 := cell(c.ud, row, mscopedb.TInt)
+		if ok1 && ok2 {
+			fold("rt_us", float64(ud-ua))
 		}
 	} else {
-		// The collectl gauges the diagnosis correlates against.
-		for _, m := range [...]string{"dsk_util", "cpu_user", "cpu_sys", "mem_dirty", "cpu_mhz"} {
-			if v := typedField(e, vals, m); v.Type == mscopedb.TInt || v.Type == mscopedb.TFloat {
-				fold(m, v.Float)
+		for i, m := range rolledGauges {
+			if col := c.gauges[i]; row < len(col) && (col[row].Type == mscopedb.TInt || col[row].Type == mscopedb.TFloat) {
+				fold(m, col[row].Float)
 			}
 		}
 	}
@@ -335,18 +347,15 @@ func (p *Pipeline) promoteNeighbourhood(loUS, hiUS int64) {
 		if len(rows) == 0 {
 			continue
 		}
-		if s.app == nil {
-			s.app = newAppender(p.db, s.table)
-		}
+		// Consecutive rows of one block merge as one range.
 		var err error
-		for i := range rows {
-			p.vals = typeFields(&rows[i], p.vals)
-			if err = s.app.add(&rows[i], p.vals); err != nil {
-				break
+		for i := 0; i < len(rows) && err == nil; {
+			j := i + 1
+			for j < len(rows) && rows[j].blk == rows[i].blk && rows[j].row == rows[j-1].row+1 {
+				j++
 			}
-		}
-		if err == nil {
-			err = s.app.flush()
+			err = s.tgt.Merge(rows[i].blk, rows[i].row, rows[j-1].row+1)
+			i = j
 		}
 		if err != nil {
 			p.recordLoadErr(err)

@@ -8,16 +8,16 @@ import (
 	"sync"
 	"time"
 
-	"github.com/gt-elba/milliscope/internal/mxml"
 	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/transform"
 )
 
-// Batch is what the front end hands its caller: consecutive records of one
-// file, and what is true of the file once they are counted.
+// Batch is what the front end hands its caller at each delivery: how many
+// records of one file the sink took since the last, and what is true of the
+// file once they are counted.
 type Batch struct {
-	Entries []mxml.Entry
+	Records int
 	// Offset is the byte offset that covers exactly the records delivered so
 	// far, this batch's included: a reader restarted there re-reads none of
 	// them and misses none. It is never ahead of its records; it stays behind
@@ -33,11 +33,17 @@ type Batch struct {
 	Err error
 }
 
-// Sink takes one file's batches, in order, on that file's parser goroutine.
-// Blocking in it is the backpressure edge: the parser stops, its pipe
-// fills, and the tailer reads the file later. False means the caller has no
-// further use for the file, which is then not read again.
-type Sink func(Batch) bool
+// Sink takes one file's records and batches, in order, on that file's
+// parser goroutine. Record takes each record as the parser hands it over;
+// the record and the bytes under it are the parser's again once it
+// returns, and an error ends the parse. Deliver takes each batch: blocking
+// in it is the backpressure edge — the parser stops, its pipe fills, and
+// the tailer reads the file later. False means the caller has no further
+// use for the file, which is then not read again.
+type Sink struct {
+	Record  parsers.Sink
+	Deliver func(Batch) bool
+}
 
 // FrontConfig parameterizes a FrontEnd. Every field but Filter and Obs is
 // required.
@@ -52,8 +58,8 @@ type FrontConfig struct {
 	Filter func(name string) bool
 	// Open adopts a newly appeared file: where tailing starts (the ingest
 	// ledger's offset locally, the collector's Resume frame on an agent) and
-	// who takes its batches. A nil Sink declines the file; it is offered
-	// again at the next scan unless Filter has come to exclude it.
+	// who takes its records. A Sink with no Deliver declines the file; it is
+	// offered again at the next scan unless Filter has come to exclude it.
 	Open func(path, name string, b transform.Binding) (Sink, int64)
 	// Pipe is the selfobs pipeline the tail/poll and parse/source spans are
 	// recorded under, on Obs when set and on the process's collector
@@ -178,7 +184,7 @@ func (fe *FrontEnd) scan() {
 			continue // a plan naming an unknown parser skips the file
 		}
 		sink, offset := fe.cfg.Open(path, name, b)
-		if sink == nil {
+		if sink.Deliver == nil {
 			continue
 		}
 		pr, pw := io.Pipe()
@@ -264,13 +270,13 @@ func (f *feed) check(err error) {
 }
 
 // parsing is one feed's parser goroutine: the reader the parser pulls from,
-// the emit and recover callbacks it pushes into, and the batch between
+// the record and recover callbacks it pushes into, and the batch between
 // them.
 type parsing struct {
 	f        *feed
 	pr       *io.PipeReader
 	cap      int
-	batch    []mxml.Entry
+	n        int // records the sink took since the last delivery
 	consumed int64
 	emitted  int64
 	quar     int64
@@ -289,13 +295,13 @@ func (ps *parsing) Read(b []byte) (int, error) {
 	return n, err
 }
 
-func (ps *parsing) emit(e mxml.Entry) error {
-	if ps.batch == nil {
-		ps.batch = make([]mxml.Entry, 0, ps.cap)
+func (ps *parsing) record(r *parsers.Record) error {
+	if err := ps.f.sink.Record(r); err != nil {
+		return err
 	}
-	ps.batch = append(ps.batch, e)
+	ps.n++
 	ps.emitted++
-	if len(ps.batch) == ps.cap {
+	if ps.n == ps.cap {
 		ps.deliver(false, nil)
 	}
 	return nil
@@ -312,7 +318,7 @@ func (ps *parsing) quarantine(parsers.Malformed) error {
 // that write's offset.
 func (ps *parsing) deliver(idle bool, err error) {
 	b := ps.sent
-	b.Entries, b.Quarantined, b.Err = ps.batch, ps.quar, err
+	b.Records, b.Quarantined, b.Err = ps.n, ps.quar, err
 	if idle {
 		ps.f.mu.Lock()
 		for _, m := range ps.f.marks {
@@ -322,14 +328,14 @@ func (ps *parsing) deliver(idle bool, err error) {
 		}
 		ps.f.mu.Unlock()
 	}
-	if len(b.Entries) == 0 && err == nil && b.Offset == ps.sent.Offset &&
+	if b.Records == 0 && err == nil && b.Offset == ps.sent.Offset &&
 		b.Rotations == ps.sent.Rotations && b.Quarantined == ps.sent.Quarantined {
 		return
 	}
-	ps.batch = nil
+	ps.n = 0
 	ps.sent = b
-	ps.sent.Entries = nil
-	if !ps.f.sink(b) {
+	ps.sent.Records = 0
+	if !ps.f.sink.Deliver(b) {
 		ps.f.mu.Lock()
 		ps.f.over = true
 		ps.f.mu.Unlock()
@@ -344,12 +350,11 @@ func (fe *FrontEnd) parse(f *feed, pr *io.PipeReader, offset int64) {
 	// lifetime (the parser blocks on the pipe between polls), so the
 	// interesting fields are the record and quarantine totals.
 	sp := fe.begin("parse", "source", f.name)
-	var err error
-	if dp, ok := f.parser.(parsers.DegradedParser); ok {
-		err = dp.ParseDegraded(ps, f.binding.Instructions, ps.emit, ps.quarantine)
-	} else {
-		err = f.parser.Parse(ps, f.binding.Instructions, ps.emit)
+	var rec parsers.Recover
+	if _, ok := f.parser.(parsers.DegradedParser); ok {
+		rec = ps.quarantine
 	}
+	err := f.parser.ParseRecords(ps, f.binding.Instructions, ps.record, rec)
 	// Unblock the tailer permanently: nothing reads the pipe again.
 	pr.CloseWithError(io.ErrClosedPipe)
 	f.mu.Lock()

@@ -10,7 +10,6 @@ import (
 	"github.com/gt-elba/milliscope/internal/faults"
 	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
-	"github.com/gt-elba/milliscope/internal/mxml"
 	"github.com/gt-elba/milliscope/internal/promfmt"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/simtime"
@@ -119,13 +118,14 @@ func (c *Config) withDefaults() (Config, error) {
 }
 
 // rec is the unit that crosses from a parser (or a decoded wire batch) to
-// the loader: up to batchCap consecutive records of one source and their
-// stamp. more marks a leading piece of a wire batch split at batchCap: the
-// stamp belongs to the last piece. done, when set, is invoked by the loader
-// after the whole batch is processed — the remote ingest path hangs its ack
-// off it.
+// the loader: a block of up to batchCap consecutive records of one source,
+// already typed on the feeding goroutine, and their stamp. more marks a
+// leading piece of a wire batch split at batchCap: the stamp belongs to the
+// last piece. done, when set, is invoked by the loader after the whole
+// batch is processed — the remote ingest path hangs its ack off it.
 type rec struct {
 	src *source
+	blk *transform.Builder // Records rows; nil when there are none
 	Batch
 	more bool
 	done func()
@@ -170,8 +170,8 @@ type Pipeline struct {
 	// promotion path (called from the detector, on the loader) can record
 	// spans without allocating a buffer per promotion.
 	loaderObs *selfobs.Buf
-	// vals is the loader's reused typed view of the record in hand.
-	vals []mscopedb.Value
+	// cells is the loader's reused view of the block in hand.
+	cells blockCells
 
 	mu           sync.Mutex
 	sources      []*source
@@ -207,7 +207,7 @@ func New(cfg Config) (*Pipeline, error) {
 			BatchCap: batchCap, Pipe: selfobs.PipeLive,
 			Open: func(path, name string, b transform.Binding) (Sink, int64) {
 				s := p.adopt(path, name, b)
-				return s.deliver, s.off.Load()
+				return Sink{Record: s.record, Deliver: s.deliver}, s.off.Load()
 			}})
 	}
 	if c.Fidelity.enabled() {
@@ -356,7 +356,9 @@ func (p *Pipeline) adopt(key, name string, b transform.Binding) *source {
 		table:   host + "_" + b.TableSuffix,
 		host:    host,
 		state:   StateActive,
+		free:    make(chan *transform.Builder, 8),
 	}
+	s.tgt = transform.Target{DB: p.db, Table: s.table}
 	s.off.Store(p.resumePoint(s))
 	s.offRows.Store(s.consumedBase.Load())
 	p.wm.Register(key)
@@ -389,7 +391,7 @@ func (p *Pipeline) send(r rec) {
 			p.qcond.Wait()
 		}
 	}
-	p.queued.Add(int64(len(r.Entries)))
+	p.queued.Add(int64(r.Records))
 	p.qmu.Unlock()
 	// Blocks only behind a run of empty batches (bare stamps): fewer than
 	// ChannelCap records were queued on admission.
@@ -417,7 +419,7 @@ load:
 				break load
 			}
 			p.qmu.Lock()
-			p.queued.Add(-int64(len(r.Entries)))
+			p.queued.Add(-int64(r.Records))
 			p.qmu.Unlock()
 			p.qcond.Broadcast()
 			p.processBatch(r, obs, &lastLow)
@@ -450,7 +452,7 @@ load:
 // its stamp, and then the per-batch bookkeeping — the error budget, the
 // fidelity controller and the detector trigger.
 func (p *Pipeline) processBatch(r rec, obs *selfobs.Buf, lastLow *int64) {
-	s, n := r.src, int64(len(r.Entries))
+	s, n := r.src, int64(r.Records)
 	if p.cfg.ConsumerDelay > 0 {
 		time.Sleep(time.Duration(n) * p.cfg.ConsumerDelay)
 	}
@@ -490,66 +492,67 @@ func (p *Pipeline) processBatch(r rec, obs *selfobs.Buf, lastLow *int64) {
 	}
 }
 
-// load appends one batch's records. Per record: type each cell once, read
-// the event time and the front tier's PIT observation off the typed cells,
-// and stage the row (or degrade it). Per batch: the resume skip, the table
-// append, the counters and the watermark. False means the append failed and
-// the source with it.
+// load appends one batch's block. Per row: read the event time and the
+// front tier's PIT observation off the block's typed columns, and below full
+// fidelity degrade the row if it has a clock. Per block: the resume skip of
+// leading rows, one merge of each run of rows left to load, the counters
+// and the watermark. False means the merge failed and the source with it.
 func (p *Pipeline) load(r rec, obs *selfobs.Buf) bool {
-	s, n := r.src, int64(len(r.Entries))
+	s, n := r.src, r.Records
 	sp := obs.Begin(selfobs.PipeLive, "append", "batch", s.name)
-	s.consumed.Add(n)
+	s.consumed.Add(int64(n))
 	// The first skip records are a resume's re-read of what an earlier
 	// session (or connection) already consumed; the window may end inside
 	// the batch.
-	skip := min(s.skipEntries.Load(), n)
-	s.skipEntries.Add(-skip)
-	s.processed.Add(n - skip)
-	if s.app == nil {
-		s.app = newAppender(p.db, s.table)
-	}
+	skip := int(min(s.skipEntries.Load(), int64(n)))
+	s.skipEntries.Add(int64(-skip))
+	s.processed.Add(int64(n - skip))
+	c := &p.cells
+	c.read(s, r.blk)
 	front := s.host == "apache" && s.binding.TableSuffix == "event"
 	fid := p.fidState()
-	var appended, frontier int64
+	var frontier int64
 	var err error
-	for i := range r.Entries {
-		e := &r.Entries[i]
-		p.vals = typeFields(e, p.vals)
-		us, hasTS := s.eventTimeUS(e, p.vals)
+	lo, appended, retained := skip, 0, false // rows [lo, row) are still to merge
+	for row := 0; row < n && err == nil; row++ {
+		us, hasTS := c.clock(row)
 		if hasTS {
 			frontier = max(frontier, us)
 		}
-		if int64(i) < skip {
+		if row < skip {
 			continue
 		}
 		if front {
-			p.observeFront(e, p.vals)
+			ua, ok1 := cell(c.ua, row, mscopedb.TInt)
+			ud, ok2 := cell(c.ud, row, mscopedb.TInt)
+			if ok1 && ok2 {
+				p.det.observe(ua, ud)
+			}
 		}
+		// Below full fidelity a row with a clock is degraded; the rare one
+		// without, which neither the ring nor the rollup grid could place,
+		// is appended.
 		if fid != fidelity.Full && hasTS {
-			p.fid.degrade(s, e, p.vals, us, fid)
-			continue
+			err, appended = s.tgt.Merge(r.blk, lo, row), appended+row-lo
+			retained = p.fid.degrade(s, c, r.blk, row, us, fid) || retained
+			lo = row + 1
 		}
-		// Full fidelity — and the degraded modes' fallback for the rare
-		// record with no usable clock, which neither the ring nor the
-		// rollup grid could place.
-		if err = s.app.add(e, p.vals); err != nil {
-			break
-		}
-		appended++
-		e.Release() // the table keeps the strings, not the field storage
 	}
 	if err == nil {
-		err = s.app.flush()
+		err, appended = s.tgt.Merge(r.blk, lo, n), appended+n-lo
 	}
 	if err != nil {
 		s.fail(err)
 		p.recordLoadErr(err)
 		return false
 	}
-	s.rows.Add(appended)
-	p.rowsTotal.Add(appended)
-	obsRowsAppended.Add(appended)
-	sp.End(appended, n-appended)
+	if !retained { // no ring holds a row of it: the feeder may fill it again
+		s.recycle(r.blk)
+	}
+	s.rows.Add(int64(appended))
+	p.rowsTotal.Add(int64(appended))
+	obsRowsAppended.Add(int64(appended))
+	sp.End(int64(appended), int64(n-appended))
 	if frontier > 0 {
 		p.wm.Observe(s.path, frontier)
 		s.frontierUS.Store(frontier)
@@ -557,13 +560,41 @@ func (p *Pipeline) load(r rec, obs *selfobs.Buf) bool {
 	return true
 }
 
-// observeFront folds a front-tier event into the online PIT statistic.
-func (p *Pipeline) observeFront(e *mxml.Entry, vals []mscopedb.Value) {
-	ua, ok1 := intField(e, vals, "ua")
-	ud, ok2 := intField(e, vals, "ud")
-	if ok1 && ok2 {
-		p.det.observe(ua, ud)
+// blockCells is the block's columns the loader reads, row by row: the event
+// time — departure (ud) for event tables, sample timestamp (ts) for collectl
+// CSVs —, the ua that with ud makes a response time, and the gauges a
+// rollup keeps. A row without a usable clock still loads, but cannot
+// advance the watermark.
+type blockCells struct {
+	event      bool
+	ts, ua, ud []mscopedb.Value
+	gauges     [len(rolledGauges)][]mscopedb.Value
+}
+
+func (c *blockCells) read(s *source, blk *transform.Builder) {
+	if c.event = s.binding.TableSuffix == "event"; c.event {
+		c.ua, c.ud = blk.Values("ua", c.ua), blk.Values("ud", c.ud)
+		return
 	}
+	c.ts = blk.Values("ts", c.ts)
+	for i, name := range rolledGauges {
+		c.gauges[i] = blk.Values(name, c.gauges[i])
+	}
+}
+
+func (c *blockCells) clock(row int) (int64, bool) {
+	if c.event {
+		return cell(c.ud, row, mscopedb.TInt)
+	}
+	return cell(c.ts, row, mscopedb.TTime)
+}
+
+// cell is a row's value of a column, when it is of type typ.
+func cell(col []mscopedb.Value, row int, typ mscopedb.Type) (int64, bool) {
+	if row >= len(col) || col[row].Type != typ {
+		return 0, false
+	}
+	return col[row].Int, true
 }
 
 // detect runs the detector against the watermark (finalLow at shutdown),

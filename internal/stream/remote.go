@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/fidelity"
-	"github.com/gt-elba/milliscope/internal/mxml"
 	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/transform"
+	"github.com/gt-elba/milliscope/internal/wire"
 )
 
 // ResumeDenied is the resume offset returned for a source the engine has
@@ -115,30 +115,41 @@ func (r *RemoteSource) Key() string { return r.s.path }
 // Table returns the warehouse table the source feeds.
 func (r *RemoteSource) Table() string { return r.s.table }
 
-// AppendBatch injects a decoded wire batch, whose entries the engine then
-// owns: consecutive parsed records and the agent's stamp — the byte offset
-// they reach and its quarantine count, which the loader applies once the
-// records are counted, exactly as it does a locally parsed batch's. The
-// records cross to the loader batchCap at a time: each send blocks while
-// the record queue is full, the same backpressure edge the local parsers
-// hit, counted the same way. done is invoked from the loader goroutine once
-// the batch has been fully processed; batches of one source complete in the
-// order they were appended.
-func (r *RemoteSource) AppendBatch(b Batch, done func()) {
+// AppendBatch injects a decoded wire batch: consecutive parsed records,
+// as text, and the agent's stamp — the byte offset they reach and its
+// quarantine count, which the loader applies once the records are counted,
+// exactly as it does a locally parsed batch's. The records are typed here,
+// on the caller's goroutine, into blocks of batchCap that cross to the
+// loader one at a time: each send blocks while the record queue is full,
+// the same backpressure edge the local parsers hit, counted the same way.
+// done is invoked from the loader goroutine once the batch has been fully
+// processed; batches of one source complete in the order they were
+// appended.
+func (r *RemoteSource) AppendBatch(b *wire.Batch, done func()) {
 	s := r.s
 	s.pending.Add(1)
-	rest := b
-	for len(rest.Entries) > batchCap {
-		head := rest
-		head.Entries, rest.Entries = rest.Entries[:batchCap], rest.Entries[batchCap:]
-		s.p.send(rec{src: s, Batch: head, more: true})
-	}
-	s.p.send(rec{src: s, Batch: rest, done: func() {
-		if done != nil {
-			done()
+	var blk *transform.Builder
+	n := 0
+	// A record the builder refuses leaves its error in the block, which the
+	// loader's merge reports and fails the source with.
+	_ = b.EachRecord(func(r *parsers.Record) error {
+		if n == batchCap {
+			s.p.send(rec{src: s, blk: blk, Batch: Batch{Records: n}, more: true})
+			blk, n = nil, 0
 		}
-		s.pending.Add(-1)
-	}})
+		if blk == nil {
+			blk = s.block()
+		}
+		n++
+		return blk.Add(r)
+	})
+	s.p.send(rec{src: s, blk: blk, Batch: Batch{Records: n, Offset: b.Offset, Quarantined: b.Quarantined},
+		done: func() {
+			if done != nil {
+				done()
+			}
+			s.pending.Add(-1)
+		}})
 }
 
 // Fail marks the source terminally failed (the agent's parser died or its
@@ -166,28 +177,24 @@ func (p *Pipeline) QueueFill() float64 {
 	return min(1, float64(p.queued.Load())/float64(p.cfg.ChannelCap))
 }
 
-// SelfTraceEntries renders a node's own spans through the selfobs log
-// format and re-parses them with the mScopeParser the plan binds to name, so
+// SelfTrace renders a node's own spans through the selfobs log format and
+// parses them into sink with the mScopeParser the plan binds to name, so
 // what an agent or the collector ships of itself has exactly the schema a
-// file ingest of the same log would load. size is the rendered log's, the
-// offset that covers the entries; no entries means nothing to ship (no
-// spans, or a plan that does not bind name).
-func SelfTraceEntries(obs *selfobs.Collector, plan *transform.Plan, name string) (entries []mxml.Entry, size int64, err error) {
+// file ingest of the same log would load. It returns the rendered log's
+// size, the offset that covers the records; a plan that does not bind
+// name hands sink nothing.
+func SelfTrace(obs *selfobs.Collector, plan *transform.Plan, name string, sink parsers.Sink) (int64, error) {
 	b, ok := plan.Find(name)
 	if !ok {
-		return nil, 0, nil
+		return 0, nil
 	}
 	parser, err := parsers.Get(b.Parser)
 	if err != nil {
-		return nil, 0, nil
+		return 0, nil
 	}
 	var buf bytes.Buffer
 	if _, err := obs.WriteLog(&buf); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	err = parser.Parse(bytes.NewReader(buf.Bytes()), b.Instructions, func(e mxml.Entry) error {
-		entries = append(entries, e)
-		return nil
-	})
-	return entries, int64(buf.Len()), err
+	return int64(buf.Len()), parser.ParseRecords(bytes.NewReader(buf.Bytes()), b.Instructions, sink, nil)
 }

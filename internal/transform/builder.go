@@ -12,9 +12,7 @@ package transform
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -75,34 +73,29 @@ func csvRoundTrip(s []byte) []byte {
 	return bytes.ReplaceAll(s, []byte("\r\n"), []byte("\n"))
 }
 
-// tableBuilder is a file's table while the file is still parsing: the
-// parser's record sink types each cell once, from the bytes the parser holds
-// (xmlcsv.TypeBytes) or not at all when the parser computed the value, and
-// stores it column-major, evolving the schema in place as the converter's
-// bottom-up inference would have settled it over the whole file — columns
-// in first-appearance order, types merged by xmlcsv.Widen — so the finished
-// table is the one loading the staged CSV gives. Text that must be kept is
-// copied into per-column arenas: a stored cell costs no allocation.
-type tableBuilder struct {
+// Builder is the one column builder: its record sink, Add, types each cell
+// once, from the bytes the parser holds (xmlcsv.TypeBytes) or not at all
+// when the parser computed the value, and stores it column-major, evolving
+// the schema in place as the converter's bottom-up inference would have
+// settled it over the same records — columns in first-appearance order,
+// types merged by xmlcsv.Widen. Text that must be kept is copied into
+// per-column arenas: a stored cell costs no allocation. The batch ingest
+// builds a whole file in one (tableBuilder); the live loader merges blocks
+// of a source's records into its table (Target.Merge), and Reset readies a
+// merged block for the next.
+type Builder struct {
 	cols []column
 	idx  map[string]int
 	rows int
-	// emptyName: some field had no name, which reading the document back
-	// rejects.
+	// emptyName: some field had no name, which no table can hold.
 	emptyName bool
-	// doc, under Options.Materialize, is the annotated-XML document in
-	// docFile, written as the records arrive.
-	doc     *mxml.Writer
-	docFile *os.File
-	entries parsers.Entries
 
 	colOf   []int  // the column of each cell of the record in hand
 	scratch []byte // one cell's normalized or rendered text
-	// src is the file being parsed, of size bytes: how far it has been read
-	// says how much further the columns will grow.
-	src  io.Seeker
-	size int64
-	err  error // a column outgrew its arena
+	err     error  // a column outgrew its arena
+	// grow, when set, is the capacity a full run of n cells, or bytes of
+	// them, grows to; unset, the run doubles.
+	grow func(n int) int
 }
 
 // column is one column under construction. Cells [n, rows) are empty and
@@ -115,7 +108,8 @@ type column struct {
 	name   string
 	typ    mscopedb.Type
 	n      int
-	last   int // in the record in hand, the last cell of this column
+	last   int  // in the record in hand, the last cell of this column
+	seen   bool // some record of the block has the field
 	ints   []int64
 	floats []float64
 	strs   texts
@@ -123,73 +117,70 @@ type column struct {
 	// that rendering the stored value would not give back: should the column
 	// degrade to string it must hold what the file said ("007", "1e3", and
 	// "" rather than 0 for an empty cell). An int or a time is canonical by
-	// a byte test; a float column keeps the text of every cell. oddRows[i]
-	// is the row of odd text i.
-	odd     texts
+	// a byte test; a float column keeps the text of every cell. Odd text k,
+	// the cell of row oddRows[k], ends at oddEnds[k]; the builder alone
+	// reads it, so its bytes are reused from block to block.
+	odd     []byte
+	oddEnds []uint32
 	oddRows []uint32
 }
 
-// texts is cell texts end to end in one arena, text i ending at ends[i]. The
-// arena is a strings.Builder so that a finished string column is slices of
-// one string that was never copied.
+// texts is cell texts end to end in one arena, text i being
+// arena[offs[i]:offs[i+1]]. The arena is a strings.Builder so that a
+// finished string column is slices of one string that was never copied.
+// A table that merged a block holds its texts, so they are never
+// overwritten: the next block's follow them in the arena, and only the
+// block's own move when it fills up.
 type texts struct {
 	arena *strings.Builder
-	ends  []uint32
+	offs  []uint32
+	hint  int // the last block's bytes
 }
 
-func (t *texts) at(i int) string {
-	start := uint32(0)
-	if i > 0 {
-		start = t.ends[i-1]
-	}
-	return t.arena.String()[start:t.ends[i]]
-}
-
-// strings returns the texts as slices of the arena.
-func (t *texts) strings() []string {
-	out := make([]string, len(t.ends))
-	for i := range out {
-		out[i] = t.at(i)
-	}
-	return out
-}
+func (t *texts) at(i int) string { return t.arena.String()[t.offs[i]:t.offs[i+1]] }
 
 // addText appends one text to t.
-func (b *tableBuilder) addText(t *texts, s []byte) {
-	n := 0
-	if t.arena != nil {
-		n = t.arena.Len()
+func (b *Builder) addText(t *texts, s []byte) {
+	if t.arena == nil {
+		t.arena = new(strings.Builder)
 	}
-	if n+len(s) > math.MaxUint32 {
+	if len(t.offs) == 0 {
+		t.offs = append(t.offs, uint32(t.arena.Len()))
+	}
+	if t.arena.Len()+len(s) > math.MaxUint32 {
 		b.err = fmt.Errorf("transform: a column's text exceeds %d bytes", uint32(math.MaxUint32))
 		return
 	}
-	if t.arena == nil || t.arena.Cap()-n < len(s) {
-		// A Builder grows itself by doubling at least; a fresh one takes the
-		// size it is told.
-		grown := new(strings.Builder)
-		grown.Grow(max(b.grown(n), n+len(s)))
-		if t.arena != nil {
-			grown.WriteString(t.arena.String())
+	if t.arena.Cap()-t.arena.Len() < len(s) {
+		// A Builder grows itself by doubling at least; an empty one takes
+		// the size it is told: what the block holds doubled, and room for
+		// four blocks like the last.
+		base := t.offs[0]
+		block := t.arena.String()[base:]
+		for i := range t.offs {
+			t.offs[i] -= base
 		}
-		t.arena = grown
+		t.arena.Reset()
+		t.arena.Grow(max(b.grown(len(block)), len(block)+len(s), 4*t.hint))
+		t.arena.WriteString(block)
 	}
 	t.arena.Write(s)
-	t.ends = append(room(b, t.ends), uint32(t.arena.Len()))
+	t.offs = append(room(b, t.offs), uint32(t.arena.Len()))
 }
 
-// add is the parser's record sink: type and store each cell. A cell that a
+// oddText is the kept text k of c.
+func (c *column) oddText(k int) []byte {
+	start := uint32(0)
+	if k > 0 {
+		start = c.oddEnds[k-1]
+	}
+	return c.odd[start:c.oddEnds[k]]
+}
+
+// Add is the parser's record sink: type and store each cell. A cell that a
 // later cell of the same record shadows, by carrying the same name, is not
 // stored, though it widens the column as if it had been.
-func (b *tableBuilder) add(r *parsers.Record) error {
-	if b.doc != nil {
-		e := b.entries.Entry(r)
-		err := b.doc.WriteEntry(e)
-		e.Release()
-		if err != nil {
-			return err
-		}
-	}
+func (b *Builder) Add(r *parsers.Record) error {
 	b.colOf = b.colOf[:0]
 	for k := range r.Cells {
 		// A file's records nearly always carry the same fields in the same
@@ -207,7 +198,7 @@ func (b *tableBuilder) add(r *parsers.Record) error {
 			}
 		}
 		if i >= 0 {
-			b.cols[i].last = k
+			b.cols[i].last, b.cols[i].seen = k, true
 		}
 		b.colOf = append(b.colOf, i)
 	}
@@ -227,6 +218,55 @@ func (b *tableBuilder) add(r *parsers.Record) error {
 	return b.err
 }
 
+// Reset empties the builder for the next block of the same source. The
+// columns keep their names and their storage, which the next block reuses;
+// their string arenas keep the texts the table the block merged into
+// holds.
+func (b *Builder) Reset() {
+	for i := range b.cols {
+		c := &b.cols[i]
+		c.typ, c.n, c.seen = 0, 0, false
+		c.ints, c.floats, c.odd, c.oddEnds, c.oddRows = c.ints[:0], c.floats[:0], c.odd[:0], c.oddEnds[:0], c.oddRows[:0]
+		if len(c.strs.offs) > 0 {
+			c.strs.hint = c.strs.arena.Len() - int(c.strs.offs[0])
+		}
+		c.strs.offs = c.strs.offs[:0]
+	}
+	b.rows, b.emptyName, b.err = 0, false, nil
+}
+
+// Values appends to dst[:0] the cells of the named column, row by row, and
+// returns it: an empty cell has no type, a string cell's Str is its text,
+// and an int cell's Float its value. A column the block lacks gives none.
+func (b *Builder) Values(name string, dst []mscopedb.Value) []mscopedb.Value {
+	dst = dst[:0]
+	i, ok := b.idx[name]
+	if !ok {
+		return dst
+	}
+	c, k := &b.cols[i], 0
+	for row := 0; row < b.rows; row++ {
+		var v mscopedb.Value
+		odd := k < len(c.oddRows) && int(c.oddRows[k]) == row
+		switch {
+		case row >= c.n || (odd && len(c.oddText(k)) == 0):
+		case c.typ == mscopedb.TString:
+			if v.Str = c.strs.at(row); v.Str != "" {
+				v.Type = mscopedb.TString
+			}
+		case c.typ == mscopedb.TFloat:
+			v = mscopedb.Value{Type: mscopedb.TFloat, Float: c.floats[row]}
+		default:
+			v = mscopedb.Value{Type: c.typ, Int: c.ints[row], Float: float64(c.ints[row])}
+		}
+		if odd {
+			k++
+		}
+		dst = append(dst, v)
+	}
+	return dst
+}
+
 // Times the layout reads back: years 0 to 9999.
 var minTime, maxTime = time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC).Unix(), time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
 
@@ -236,7 +276,7 @@ var minTime, maxTime = time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC).Unix(), time.Dat
 // layout's years and whole in microseconds is a time — and has no text
 // unless the column is, or now turns, of another type; then the text the
 // entry adapter would have rendered is typed like any other.
-func (b *tableBuilder) value(cell *parsers.Cell, c *column) (mscopedb.Value, []byte) {
+func (b *Builder) value(cell *parsers.Cell, c *column) (mscopedb.Value, []byte) {
 	var v mscopedb.Value
 	switch cell.Kind {
 	case parsers.CellText:
@@ -262,7 +302,7 @@ func (b *tableBuilder) value(cell *parsers.Cell, c *column) (mscopedb.Value, []b
 }
 
 // column finds or creates the named column.
-func (b *tableBuilder) column(name string) int {
+func (b *Builder) column(name string) int {
 	i, ok := b.idx[name]
 	if !ok {
 		if b.idx == nil {
@@ -277,7 +317,7 @@ func (b *tableBuilder) column(name string) int {
 
 // put stores the cell of one row: its value, and text when rendering the
 // value would not give the text back.
-func (b *tableBuilder) put(c *column, row int, v mscopedb.Value, text []byte) {
+func (b *Builder) put(c *column, row int, v mscopedb.Value, text []byte) {
 	if t := xmlcsv.Widen(c.typ, v.Type); t != c.typ {
 		b.retype(c, t)
 	}
@@ -301,39 +341,36 @@ func (b *tableBuilder) put(c *column, row int, v mscopedb.Value, text []byte) {
 		}
 	}
 	c.oddRows = append(room(b, c.oddRows), uint32(row))
-	b.addText(&c.odd, text)
+	c.odd = append(roomFor(b, c.odd, len(text)), text...)
+	c.oddEnds = append(room(b, c.oddEnds), uint32(len(c.odd)))
+}
+
+// fill back-fills the column's empty cells up to the row count.
+func (b *Builder) fill(c *column) {
+	for c.n < b.rows && c.typ != 0 {
+		b.put(c, c.n, mscopedb.Value{}, nil)
+	}
 }
 
 // room makes space for one more cell of a column: see grown.
-func room[E any](b *tableBuilder, s []E) []E {
-	if len(s) < cap(s) {
+func room[E any](b *Builder, s []E) []E { return roomFor(b, s, 1) }
+
+// roomFor makes space for n more cells, or bytes of them.
+func roomFor[E any](b *Builder, s []E, n int) []E {
+	if cap(s)-len(s) >= n {
 		return s
 	}
-	return slices.Grow(s, b.grown(len(s))-len(s))
+	return slices.Grow(s, max(b.grown(len(s)), len(s)+n)-len(s))
 }
-
-// readAhead is how far past the last record the parser may have read its
-// file: the line scanner's and the XML scanner's buffers start at 64 KiB.
-const readAhead = 64 << 10
 
 // grown is the capacity for a full run of n cells, or bytes of them, to grow
 // to. Left to itself append grows a large slice by a quarter, which copies
-// a long column five times over; doubling copies it once; and once a file
-// is eight thousand rows in, how much of it has been read says where its
-// columns will end, to within the parser's read-ahead, and they are sized
-// once, for that.
-func (b *tableBuilder) grown(n int) int {
-	double := max(2*n, 1024)
-	if b.src == nil || b.rows < 8192 {
-		return double
+// a long column five times over; doubling copies it once.
+func (b *Builder) grown(n int) int {
+	if b.grow != nil {
+		return b.grow(n)
 	}
-	done, err := b.src.Seek(0, io.SeekCurrent)
-	if err != nil || done < 2*readAhead {
-		return double
-	}
-	// At most twice too many, if all of the read-ahead is still unparsed.
-	done -= readAhead
-	return n + max(n/64, int(float64(n)*float64(b.size-done)/float64(done)))
+	return max(2*n, 64)
 }
 
 // canonical reports whether rendering an int or time cell's value gives its
@@ -368,28 +405,28 @@ func canonical(typ mscopedb.Type, s []byte) bool {
 }
 
 // retype moves the column to a wider type, converting the cells it holds.
-func (b *tableBuilder) retype(c *column, to mscopedb.Type) {
+func (b *Builder) retype(c *column, to mscopedb.Type) {
 	from := c.typ
 	c.typ = to
 	switch {
 	case from == mscopedb.TInt && to == mscopedb.TFloat:
-		c.floats = make([]float64, c.n, cap(c.ints))
+		c.floats = slices.Grow(c.floats[:0], cap(c.ints))[:c.n]
 		for i, v := range c.ints {
 			c.floats[i] = float64(v)
 		}
 		for k, row := range c.oddRows {
-			if text := c.odd.at(k); text != "" { // "-0" is the int 0 and the float -0.0
-				c.floats[row], _ = strconv.ParseFloat(text, 64)
+			if text := c.oddText(k); len(text) > 0 { // "-0" is the int 0 and the float -0.0
+				c.floats[row], _ = strconv.ParseFloat(string(text), 64)
 			}
 		}
 	case from != 0 && to == mscopedb.TString:
-		c.strs.ends = make([]uint32, 0, max(cap(c.ints), cap(c.floats)))
+		c.strs.offs = slices.Grow(c.strs.offs[:0], max(cap(c.ints), cap(c.floats))+1)
 		k := 0
 		var cell []byte
 		for row := 0; row < c.n; row++ {
 			switch {
 			case k < len(c.oddRows) && int(c.oddRows[k]) == row:
-				cell = append(cell[:0], c.odd.at(k)...)
+				cell = append(cell[:0], c.oddText(k)...)
 				k++
 			case from == mscopedb.TTime:
 				cell = time.UnixMicro(c.ints[row]).UTC().AppendFormat(cell[:0], mxml.TimeLayout)
@@ -398,76 +435,17 @@ func (b *tableBuilder) retype(c *column, to mscopedb.Type) {
 			}
 			b.addText(&c.strs, cell)
 		}
-		c.ints, c.floats, c.odd, c.oddRows = nil, nil, texts{}, nil
+		c.ints, c.floats, c.odd, c.oddEnds, c.oddRows = c.ints[:0], c.floats[:0], c.odd[:0], c.oddEnds[:0], c.oddRows[:0]
 	}
 }
 
-// schema settles the column set, reproducing the converter's failure modes
-// (and exact errors) for degenerate documents. mxmlPath is the path an
-// export writes the document to — reported, not necessarily created. A
-// column that held only empty cells loads as strings.
-func (b *tableBuilder) schema(mxmlPath string) ([]mscopedb.Column, error) {
-	if b.emptyName {
-		return nil, fmt.Errorf("xmlcsv: read %s: mxml: field without name", mxmlPath)
+// data is the column's cells of rows [lo, hi) as a table takes them.
+func (c *column) data(lo, hi int) mscopedb.ColumnData {
+	switch {
+	case c.typ == mscopedb.TString:
+		return mscopedb.ColumnData{Arena: c.strs.arena.String(), Offsets: c.strs.offs[lo : hi+1]}
+	case c.typ == mscopedb.TFloat:
+		return mscopedb.ColumnData{Floats: c.floats[lo:hi]}
 	}
-	if len(b.cols) == 0 {
-		return nil, fmt.Errorf("xmlcsv: %s: document has no fields", mxmlPath)
-	}
-	cols := make([]mscopedb.Column, len(b.cols))
-	for i := range b.cols {
-		c := &b.cols[i]
-		if c.typ == 0 {
-			c.typ = mscopedb.TString
-		}
-		cols[i] = mscopedb.Column{Name: c.name, Type: c.typ}
-	}
-	return cols, nil
-}
-
-// table back-fills every column to the row count and hands the columns to
-// a warehouse table.
-func (b *tableBuilder) table(name string, cols []mscopedb.Column) (*mscopedb.Table, error) {
-	data := make([]any, len(b.cols))
-	for i := range b.cols {
-		c := &b.cols[i]
-		for c.n < b.rows {
-			b.put(c, c.n, mscopedb.Value{}, nil)
-		}
-		switch c.typ {
-		case mscopedb.TString:
-			data[i] = c.strs.strings()
-		case mscopedb.TFloat:
-			data[i] = c.floats
-		default:
-			data[i] = c.ints
-		}
-	}
-	tbl, err := mscopedb.NewTableFrom(name, cols, data)
-	if err != nil {
-		return nil, fmt.Errorf("importer: create table: %w", err)
-	}
-	return tbl, nil
-}
-
-// openDoc starts the annotated-XML document Options.Materialize exports.
-func (b *tableBuilder) openDoc(path string, meta mxml.Meta) (err error) {
-	if b.docFile, err = os.Create(path); err != nil {
-		return fmt.Errorf("transform: create %s: %w", path, err)
-	}
-	b.doc = mxml.NewWriter(b.docFile)
-	return b.doc.Open(meta)
-}
-
-// export completes the staged artifacts of §III-B: it closes the document
-// and has the converter derive <table>.schema.json and <table>.csv from it,
-// as the staged pipeline did.
-func (b *tableBuilder) export(workDir string) error {
-	if err := b.doc.Close(); err != nil {
-		return err
-	}
-	if err := b.docFile.Close(); err != nil {
-		return fmt.Errorf("transform: close %s: %w", b.docFile.Name(), err)
-	}
-	_, err := xmlcsv.ConvertFile(b.docFile.Name(), workDir)
-	return err
+	return mscopedb.ColumnData{Ints: c.ints[lo:hi]}
 }

@@ -256,7 +256,8 @@ func fuzzRecords(shape []byte, texts string) []parsers.Record {
 		}
 		switch {
 		case flags&16 != 0 && flags&1 != 0:
-			c = parsers.TimeCell(c.Name, computedTimes[int(shape[1])%len(computedTimes)])
+			ts := computedTimes[int(shape[1])%len(computedTimes)]
+			c = parsers.Cell{Name: c.Name, Hint: "time", Kind: parsers.CellTime, Int: ts.Unix(), Nsec: int32(ts.Nanosecond())}
 		case flags&16 != 0:
 			c.Kind, c.Text, c.Int = parsers.CellInt, nil, computedInts[int(shape[1])%len(computedInts)]
 		case flags&2 != 0:
@@ -283,6 +284,14 @@ func fuzzRecords(shape []byte, texts string) []parsers.Record {
 // second typing pass gives over the entries made of the same records, or
 // both fail with the same error.
 func FuzzTableBuilderEquivalence(f *testing.F) {
+	builderSeeds(func(shape []byte, texts string) { f.Add(shape, texts) })
+	f.Fuzz(func(t *testing.T, shape []byte, texts string) {
+		sameAsReference(t, fuzzRecords(shape, texts))
+	})
+}
+
+// builderSeeds hands add the builder fuzz targets' seed inputs.
+func builderSeeds(add func(shape []byte, texts string)) {
 	corpus := func(v string) byte {
 		for i, c := range typerCorpus {
 			if c == v {
@@ -297,29 +306,26 @@ func FuzzTableBuilderEquivalence(f *testing.F) {
 	for _, v := range []string{"+1", "007", "-0", "42", "", "1e3", "0x10", "NaN", "9223372036854775808", "1_000"} {
 		walk = append(walk, 0, corpus(v), 4)
 	}
-	f.Add(walk, "")
+	add(walk, "")
 	// A float column that degrades on its last row.
-	f.Add([]byte{1, corpus("3.5"), 4, 1, corpus("-0"), 4, 1, corpus("1e3"), 4, 1, corpus("hello"), 4}, "")
+	add([]byte{1, corpus("3.5"), 4, 1, corpus("-0"), 4, 1, corpus("1e3"), 4, 1, corpus("hello"), 4}, "")
 	// Duplicate names in one record, a late column, an empty-named field,
 	// hinted and unhinted times, values from the free text.
-	f.Add([]byte{0, 1, 0, 0, 4, 4, 1, 60, 1, 1, 2, 5, 250, 3, 4, 6, 0, 4}, "")
-	f.Add([]byte{2, 0, 2, 2, 1, 6, 2, 2, 7, 3, 0, 12}, "12\n2017-04-01T00:00:12.500Z\nx\r\ny")
+	add([]byte{0, 1, 0, 0, 4, 4, 1, 60, 1, 1, 2, 5, 250, 3, 4, 6, 0, 4}, "")
+	add([]byte{2, 0, 2, 2, 1, 6, 2, 2, 7, 3, 0, 12}, "12\n2017-04-01T00:00:12.500Z\nx\r\ny")
 	// Invalid UTF-8 and XML-illegal runes in names and values, a CR LF
 	// inside a cell.
-	f.Add([]byte{4, 0, 2, 5, 1, 2, 0, 2, 6, 4, 3, 6}, "a\xff\xfeb\nctl\x01\x0b\nc\r\nd\n\xed\xa0\x80")
+	add([]byte{4, 0, 2, 5, 1, 2, 0, 2, 6, 4, 3, 6}, "a\xff\xfeb\nctl\x01\x0b\nc\r\nd\n\xed\xa0\x80")
 	for i := range typerCorpus {
-		f.Add([]byte{0, 2, 4, 0, byte(i), 5, 0, 3, 4, 1, byte(i), 4}, "")
+		add([]byte{0, 2, 4, 0, byte(i), 5, 0, 3, 4, 1, byte(i), 4}, "")
 	}
 	// Every computed value into an empty column, then under each type a
 	// column can already have, then degraded by what follows it.
 	for i := range computedTimes {
 		for _, v := range []string{"", "42", "3.5", "hello", "2017-04-01T00:00:12.1Z"} {
-			f.Add([]byte{0, byte(i), 17 + 4, 0, corpus(v), 4, 0, byte(i), 17 + 4, 1, byte(i), 16 + 4, 1, corpus(v), 4, 1, byte(i), 16 + 4}, "")
+			add([]byte{0, byte(i), 17 + 4, 0, corpus(v), 4, 0, byte(i), 17 + 4, 1, byte(i), 16 + 4, 1, corpus(v), 4, 1, byte(i), 16 + 4}, "")
 		}
 	}
-	f.Fuzz(func(t *testing.T, shape []byte, texts string) {
-		sameAsReference(t, fuzzRecords(shape, texts))
-	})
 }
 
 // TestCanonicalCellsRenderBack pins the byte tests behind the builder's
@@ -328,7 +334,7 @@ func FuzzTableBuilderEquivalence(f *testing.F) {
 func TestCanonicalCellsRenderBack(t *testing.T) {
 	for _, s := range typerCorpus {
 		for _, hint := range []string{"", "time"} {
-			v := xmlcsv.TypeCell(s, hint)
+			v := xmlcsv.TypeBytes([]byte(s), hint)
 			var rendered string
 			switch v.Type {
 			case mscopedb.TInt:

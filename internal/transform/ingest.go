@@ -3,6 +3,7 @@ package transform
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,6 +16,7 @@ import (
 	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/simtime"
+	"github.com/gt-elba/milliscope/internal/xmlcsv"
 )
 
 // fileAction is the planning decision for one directory entry.
@@ -248,7 +250,7 @@ func processFile(j *fileJob, workDir string, opts Options) (out fileOutcome) {
 	// The policy reaches the one parse loop as its Recover: nil is fail-fast.
 	in, parseErr := os.Open(j.full)
 	if parseErr == nil {
-		tb.src, tb.size = in, j.size
+		tb.src, tb.size, tb.grow = in, j.size, tb.grown
 		parseErr = p.ParseRecords(in, b.Instructions, tb.add, rec)
 		in.Close()
 	}
@@ -294,4 +296,119 @@ func processFile(j *fileJob, workDir string, opts Options) (out fileOutcome) {
 	}
 	sp.End(int64(tbl.Rows()), 0)
 	return fileOutcome{fr: fr, tbl: tbl, csvPath: filepath.Join(workDir, fr.Table+".csv")}
+}
+
+// tableBuilder is a file's table while the file is still parsing: the
+// whole file goes into one Builder, and the finished table is the one
+// loading the staged CSV gives. What is the batch ingest's own is what it
+// knows of a whole file: how far the file has been read, which sizes the
+// columns; the annotated-XML document Options.Materialize exports; and the
+// converter's errors for a degenerate document.
+type tableBuilder struct {
+	Builder
+	// doc, under Options.Materialize, is the annotated-XML document in
+	// docFile, written as the records arrive.
+	doc     *mxml.Writer
+	docFile *os.File
+	entries parsers.Entries
+	// src is the file being parsed, of size bytes: how far it has been read
+	// says how much further the columns will grow.
+	src  io.Seeker
+	size int64
+}
+
+// add is the parser's record sink.
+func (b *tableBuilder) add(r *parsers.Record) error {
+	if b.doc != nil {
+		e := b.entries.Entry(r)
+		err := b.doc.WriteEntry(e)
+		e.Release()
+		if err != nil {
+			return err
+		}
+	}
+	return b.Add(r)
+}
+
+// readAhead is how far past the last record the parser may have read its
+// file: the line scanner's and the XML scanner's buffers start at 64 KiB.
+const readAhead = 64 << 10
+
+// grown is Builder.grow for a file: once the file is eight thousand rows
+// in, how much of it has been read says where its columns will end, to
+// within the parser's read-ahead, and they are sized once, for that.
+func (b *tableBuilder) grown(n int) int {
+	double := max(2*n, 1024)
+	if b.src == nil || b.rows < 8192 {
+		return double
+	}
+	done, err := b.src.Seek(0, io.SeekCurrent)
+	if err != nil || done < 2*readAhead {
+		return double
+	}
+	// At most twice too many, if all of the read-ahead is still unparsed.
+	done -= readAhead
+	return n + max(n/64, int(float64(n)*float64(b.size-done)/float64(done)))
+}
+
+// schema settles the column set, reproducing the converter's failure modes
+// (and exact errors) for degenerate documents. mxmlPath is the path an
+// export writes the document to — reported, not necessarily created. A
+// column that held only empty cells loads as strings.
+func (b *tableBuilder) schema(mxmlPath string) ([]mscopedb.Column, error) {
+	if b.emptyName {
+		return nil, fmt.Errorf("xmlcsv: read %s: mxml: field without name", mxmlPath)
+	}
+	if len(b.cols) == 0 {
+		return nil, fmt.Errorf("xmlcsv: %s: document has no fields", mxmlPath)
+	}
+	cols := make([]mscopedb.Column, len(b.cols))
+	for i := range b.cols {
+		c := &b.cols[i]
+		c.typ = settled(c.typ)
+		cols[i] = mscopedb.Column{Name: c.name, Type: c.typ}
+	}
+	return cols, nil
+}
+
+// table back-fills every column to the row count and hands the columns to
+// a warehouse table.
+func (b *tableBuilder) table(name string, cols []mscopedb.Column) (*mscopedb.Table, error) {
+	data := make([]mscopedb.ColumnData, len(b.cols))
+	for i := range b.cols {
+		c := &b.cols[i]
+		b.fill(c)
+		data[i] = c.data(0, b.rows)
+	}
+	tbl, err := mscopedb.NewTable(name, cols)
+	if err == nil {
+		err = tbl.AppendColumns(b.rows, data)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("importer: create table: %w", err)
+	}
+	return tbl, nil
+}
+
+// openDoc starts the annotated-XML document Options.Materialize exports.
+func (b *tableBuilder) openDoc(path string, meta mxml.Meta) (err error) {
+	if b.docFile, err = os.Create(path); err != nil {
+		return fmt.Errorf("transform: create %s: %w", path, err)
+	}
+	b.doc = mxml.NewWriter(b.docFile)
+	return b.doc.Open(meta)
+}
+
+// export completes the staged artifacts of §III-B: it closes the document
+// and has the converter derive <table>.schema.json and <table>.csv from it,
+// as the staged pipeline did.
+func (b *tableBuilder) export(workDir string) error {
+	if err := b.doc.Close(); err != nil {
+		return err
+	}
+	if err := b.docFile.Close(); err != nil {
+		return fmt.Errorf("transform: close %s: %w", b.docFile.Name(), err)
+	}
+	_, err := xmlcsv.ConvertFile(b.docFile.Name(), workDir)
+	return err
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/gt-elba/milliscope/internal/mxml"
+	"github.com/gt-elba/milliscope/internal/parsers"
 )
 
 // Segment is a run of consecutive records sharing one field shape (same
@@ -68,22 +69,43 @@ func sameShape(s *Segment, e *mxml.Entry) bool {
 	return true
 }
 
-// EachEntry reconstructs the batch's records in order. Entries are built
-// with pooled storage; the callback owns each entry (the live loader
-// retains them, so nothing here releases).
-func (b *Batch) EachEntry(fn func(mxml.Entry)) {
+// AppendRecord folds one parsed record onto the batch as AppendEntries
+// folds the entry the adapter makes of it: the same segments, the same
+// frame.
+func (b *Batch) AppendRecord(r *parsers.Record) error {
+	e := b.entries.Entry(r)
+	b.appendEntry(&e)
+	e.Release() // the segment keeps the values, not the field storage
+	return nil
+}
+
+// EachRecord hands fn the batch's records in order, as text cells, and
+// stops at fn's first error. The record and the bytes under its cells are
+// reused from row to row: valid only until fn returns.
+func (b *Batch) EachRecord(fn parsers.Sink) error {
+	r := parsers.Record{Cells: make([]parsers.Cell, 0, 32)}
+	buf := make([]byte, 0, 1024)
 	for si := range b.Segments {
 		seg := &b.Segments[si]
 		nf := len(seg.Fields)
-		for r := 0; r < seg.Rows; r++ {
-			e := mxml.NewEntry()
+		for row := 0; row < seg.Rows; row++ {
+			buf, r.Cells = buf[:0], r.Cells[:0]
 			for f := 0; f < nf; f++ {
-				fd := &seg.Fields[f]
-				e.AddTyped(fd.Name, seg.value(f, r), fd.Hint)
+				buf = append(buf, seg.value(f, row)...)
+				r.Cells = append(r.Cells, parsers.Cell{Name: seg.Fields[f].Name, Hint: seg.Fields[f].Hint})
 			}
-			fn(e)
+			start := 0
+			for f := range r.Cells {
+				end := start + len(seg.value(f, row))
+				r.Cells[f].Text = buf[start:end:end]
+				start = end
+			}
+			if err := fn(&r); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // value returns field f of record r in either layout.

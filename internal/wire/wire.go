@@ -27,6 +27,8 @@ import (
 	"io"
 	"net"
 	"sync/atomic"
+
+	"github.com/gt-elba/milliscope/internal/parsers"
 )
 
 // Version is the protocol revision; a Hello carrying a different version
@@ -110,6 +112,8 @@ type Batch struct {
 	Offset      int64
 	Quarantined int64
 	Segments    []Segment
+
+	entries parsers.Entries // AppendRecord's adapter
 }
 
 // Records counts the rows across the batch's segments.

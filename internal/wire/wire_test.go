@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/gt-elba/milliscope/internal/mxml"
+	"github.com/gt-elba/milliscope/internal/parsers"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -140,7 +141,10 @@ func TestBatchRoundTripPreservesEntries(t *testing.T) {
 		t.Fatalf("header mangled: %+v", dec)
 	}
 	var out []mxml.Entry
-	dec.EachEntry(func(e mxml.Entry) { out = append(out, e) })
+	var adapter parsers.Entries
+	if err := dec.EachRecord(func(r *parsers.Record) error { out = append(out, adapter.Entry(r)); return nil }); err != nil {
+		t.Fatal(err)
+	}
 	if len(out) != len(in) {
 		t.Fatalf("round-tripped %d entries, want %d", len(out), len(in))
 	}
@@ -148,6 +152,44 @@ func TestBatchRoundTripPreservesEntries(t *testing.T) {
 		if !reflect.DeepEqual(in[i].Fields, out[i].Fields) {
 			t.Errorf("entry %d: %+v != %+v", i, out[i].Fields, in[i].Fields)
 		}
+	}
+}
+
+// TestRecordsShipTheEntriesFrame: a batch built from parsed records is the
+// frame the entries the adapter makes of them give, and reading a decoded
+// batch back as records costs nothing a row.
+func TestRecordsShipTheEntriesFrame(t *testing.T) {
+	in := sampleEntries()
+	var recs []parsers.Record
+	for _, e := range in {
+		var r parsers.Record
+		for _, f := range e.Fields {
+			r.Cells = append(r.Cells, parsers.Cell{Name: f.Name, Hint: f.Hint, Text: []byte(f.Value)})
+		}
+		recs = append(recs, r)
+	}
+	entries, records := Batch{SourceID: 3, Seq: 9}, Batch{SourceID: 3, Seq: 9}
+	entries.AppendEntries(in)
+	for i := range recs {
+		if err := records.AppendRecord(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := EncodeBatch(&entries)
+	if !bytes.Equal(EncodeBatch(&records), frame) {
+		t.Fatal("records and their entries encode to different frames")
+	}
+	dec, err := DecodeBatch(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		dec.Segments = append(dec.Segments, dec.Segments[:3]...)
+	}
+	rows := 0
+	count := func(*parsers.Record) error { rows++; return nil }
+	if n := testing.AllocsPerRun(20, func() { dec.EachRecord(count) }); n > 10 {
+		t.Errorf("EachRecord allocated %.0f times a batch of %d records", n, dec.Records())
 	}
 }
 

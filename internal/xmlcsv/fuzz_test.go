@@ -11,7 +11,7 @@ import (
 )
 
 // referenceCell is the typing rule as the converter first spelled it: try
-// each reader in turn and keep the first that succeeds. TypeCell must agree
+// each reader in turn and keep the first that succeeds. typeText must agree
 // with it on every input.
 func referenceCell(value, hint string) mscopedb.Value {
 	v := mscopedb.Value{Str: value}
@@ -36,7 +36,7 @@ func referenceCell(value, hint string) mscopedb.Value {
 	return v
 }
 
-// FuzzCellTyperEquivalence: for arbitrary bytes and both hints, TypeCell's
+// FuzzCellTyperEquivalence: for arbitrary bytes and both hints, typeText's
 // type and value equal the reference cascade's, floats bit for bit.
 func FuzzCellTyperEquivalence(f *testing.F) {
 	for _, s := range []string{
@@ -65,25 +65,25 @@ func FuzzCellTyperEquivalence(f *testing.F) {
 		if timeHint {
 			hint = "time"
 		}
-		got, want := TypeCell(value, hint), referenceCell(value, hint)
+		got, want := typeText(value, hint), referenceCell(value, hint)
 		if got.Type != want.Type || got.Str != want.Str {
-			t.Fatalf("TypeCell(%q,%q) = %v %q, reference %v", value, hint, got.Type, got.Str, want.Type)
+			t.Fatalf("typeText(%q,%q) = %v %q, reference %v", value, hint, got.Type, got.Str, want.Type)
 		}
 		// The same rule over bytes: the same value, less the text.
 		asBytes := TypeBytes([]byte(value), hint)
 		if asBytes.Str = value; asBytes != got && !(math.IsNaN(got.Float) && math.IsNaN(asBytes.Float)) {
-			t.Fatalf("TypeBytes(%q,%q) = %+v, TypeCell %+v", value, hint, asBytes, got)
+			t.Fatalf("TypeBytes(%q,%q) = %+v, typeText %+v", value, hint, asBytes, got)
 		}
 		switch got.Type {
 		case mscopedb.TInt, mscopedb.TTime:
 			if got.Int != want.Int {
-				t.Fatalf("TypeCell(%q,%q) = %v %d, reference %d", value, hint, got.Type, got.Int, want.Int)
+				t.Fatalf("typeText(%q,%q) = %v %d, reference %d", value, hint, got.Type, got.Int, want.Int)
 			}
 		}
 		switch got.Type {
 		case mscopedb.TInt, mscopedb.TFloat:
 			if math.Float64bits(got.Float) != math.Float64bits(want.Float) {
-				t.Fatalf("TypeCell(%q,%q) = %v %v (%#x), reference %v (%#x)", value, hint, got.Type,
+				t.Fatalf("typeText(%q,%q) = %v %v (%#x), reference %v (%#x)", value, hint, got.Type,
 					got.Float, math.Float64bits(got.Float), want.Float, math.Float64bits(want.Float))
 			}
 		}
@@ -94,19 +94,20 @@ func FuzzCellTyperEquivalence(f *testing.F) {
 // that a cell that was never a number costs no error value.
 func TestTypeCellAllocatesNothing(t *testing.T) {
 	cells := []string{"", "42", "-", "GET", "/rubbos/ViewStory?id=7", "3.5", "10.0.0.1", "sda", "index.html",
-		"2017-04-01T00:00:12.345678Z", "200 OK", "HTTP/1.1"}
+		"2017-04-01T00:00:12.345678Z", "200 OK", "HTTP/1.1",
+		"INSERT INTO comments (story_id, body) VALUES (7, 'nice')", "not a number, and longer than 32 bytes"}
 	cellBytes := make([][]byte, len(cells))
 	for i, c := range cells {
 		cellBytes[i] = []byte(c)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		for i, c := range cells {
-			TypeCell(c, "")
-			TypeCell(c, "time")
+			typeText(c, "")
+			typeText(c, "time")
 			TypeBytes(cellBytes[i], "")
 			TypeBytes(cellBytes[i], "time")
 		}
 	}); n != 0 {
-		t.Fatalf("TypeCell and TypeBytes allocated %.1f times over %d cells", n, 4*len(cells))
+		t.Fatalf("typeText and TypeBytes allocated %.1f times over %d cells", n, 4*len(cells))
 	}
 }

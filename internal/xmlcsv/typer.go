@@ -14,7 +14,7 @@ import (
 // a parser still owns.
 type text interface{ ~string | ~[]byte }
 
-// TypeCell is the converter's one typing rule: a cell's type is the
+// typeText is the converter's one typing rule: a cell's type is the
 // narrowest of int, float, time and string that reads its text — the first
 // of strconv.ParseInt(value, 10, 64), strconv.ParseFloat(value, 64) and
 // time.Parse(mxml.TimeLayout, value) to succeed, else string — and a field
@@ -25,13 +25,13 @@ type text interface{ ~string | ~[]byte }
 // It decides by scanning the bytes: the int arm is read by hand, and
 // strconv or time is called at most once and only on text shaped like what
 // it accepts, so a cell that was never a number costs no error value.
-func TypeCell(value, hint string) mscopedb.Value {
+func typeText(value, hint string) mscopedb.Value {
 	v := typeCell(value, hint)
 	v.Str = value
 	return v
 }
 
-// TypeBytes is TypeCell over bytes the caller keeps: the value's Str stays
+// TypeBytes is typeText over bytes the caller keeps: the value's Str stays
 // unset, and nothing is allocated unless the text is float- or time-shaped
 // and longer than 32 bytes.
 func TypeBytes(value []byte, hint string) mscopedb.Value { return typeCell(value, hint) }
@@ -99,10 +99,12 @@ func floatShaped[T text](s T) bool {
 		return false
 	}
 	switch c := s[0] | 0x20; {
+	// The lengths first: copying bytes into a string to compare them
+	// allocates past 32 bytes (an SQL statement that starts with "I").
 	case c == 'i':
-		return strings.EqualFold(string(s), "inf") || strings.EqualFold(string(s), "infinity")
+		return (len(s) == 3 || len(s) == 8) && (strings.EqualFold(string(s), "inf") || strings.EqualFold(string(s), "infinity"))
 	case c == 'n':
-		return !signed && strings.EqualFold(string(s), "nan")
+		return !signed && len(s) == 3 && strings.EqualFold(string(s), "nan")
 	case len(s) > 1 && s[0] == '0' && s[1]|0x20 == 'x':
 		return true
 	}

@@ -178,7 +178,7 @@ func (inf *Inference) Observe(e mxml.Entry) {
 			inf.cols = append(inf.cols, mscopedb.Column{Name: f.Name})
 		}
 		c := &inf.cols[i]
-		c.Type = Widen(c.Type, TypeCell(f.Value, f.Hint).Type)
+		c.Type = Widen(c.Type, typeText(f.Value, f.Hint).Type)
 	}
 }
 

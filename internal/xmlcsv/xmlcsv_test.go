@@ -48,7 +48,7 @@ func entry(pairs ...string) mxml.Entry {
 func TestSchemaInferenceTypes(t *testing.T) {
 	dir := t.TempDir()
 	var timed mxml.Entry
-	timed.AddTyped("ts", "2017-04-01T00:00:12.345Z", "time")
+	timed.Fields = append(timed.Fields, mxml.Field{Name: "ts", Value: "2017-04-01T00:00:12.345Z", Hint: "time"})
 	timed.Add("n", "42")
 	timed.Add("f", "3.5")
 	timed.Add("s", "hello")
@@ -120,7 +120,7 @@ func TestColumnUnionAndMissingCells(t *testing.T) {
 func TestIntTimeMixDegradesToString(t *testing.T) {
 	dir := t.TempDir()
 	var e1, e2 mxml.Entry
-	e1.AddTyped("x", "2017-04-01T00:00:12.345Z", "time")
+	e1.Fields = append(e1.Fields, mxml.Field{Name: "x", Value: "2017-04-01T00:00:12.345Z", Hint: "time"})
 	e2.Add("x", "42")
 	path := writeDoc(t, dir, mxml.Meta{Table: "t3"}, []mxml.Entry{e1, e2})
 	conv, err := ConvertFile(path, dir)
@@ -238,8 +238,8 @@ func TestTypeCell(t *testing.T) {
 		{"42", "time", mscopedb.TString},
 	}
 	for _, c := range cases {
-		if got := TypeCell(c.v, c.hint); got.Type != c.want || got.Str != c.v {
-			t.Fatalf("TypeCell(%q,%q) = %+v, want type %v", c.v, c.hint, got, c.want)
+		if got := typeText(c.v, c.hint); got.Type != c.want || got.Str != c.v {
+			t.Fatalf("typeText(%q,%q) = %+v, want type %v", c.v, c.hint, got, c.want)
 		}
 	}
 }
