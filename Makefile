@@ -145,15 +145,13 @@ cover:
 	$(GO) test -short -cover ./...
 
 # Short fuzz pass over the event-log parsers (native go fuzzing), plus the
-# wire frame decoder, the scenario spec decoder (malformed catalogue entries
-# must error, never panic) and the cell typer, over strings and over bytes,
-# against the strconv/time cascade it replaced; then fuzz-smoke's targets,
-# for longer.
+# scenario spec decoder (malformed catalogue entries must error, never
+# panic) and the cell typer, over strings and over bytes, against the
+# strconv/time cascade it replaced; then fuzz-smoke's targets, for longer.
 fuzz:
 	$(GO) test -fuzz FuzzApacheAccessLog -fuzztime 30s ./internal/parsers/
 	$(GO) test -fuzz FuzzMySQLSlowLog -fuzztime 30s ./internal/parsers/
 	$(GO) test -fuzz FuzzTokenizerEquivalence -fuzztime 30s ./internal/parsers/
-	$(GO) test -fuzz FuzzWireFrameDecode -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzScenarioConfigDecode -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzCellTyperEquivalence -fuzztime 30s ./internal/xmlcsv/
 	$(MAKE) fuzz-smoke FUZZTIME=30s
@@ -162,8 +160,10 @@ fuzz:
 # files (full and projected decode agree or both fail, never a panic or an
 # allocation sized by an unchecked field), MQL text (parses or errors;
 # what parses executes or errors), and /api/window's parameters (200, 400
-# or 404, never a 5xx); on the batch ingest's table builder against the
-# two-pass construction it replaced (arbitrary records, same table or same
+# or 404, never a 5xx); on the wire frames a collector reads off the
+# network (never a panic; a batch that decodes, whose cells are spans of
+# the frame, re-encodes to the same content and bytes); on the batch
+# ingest's table builder against the two-pass construction it replaced (arbitrary records, same table or same
 # error), and the same records merged into one table in blocks as the live
 # loader merges them (no panic; a column no block widens holds the same
 # cells); and on the sar-xml byte scanner against the encoding/xml walk it
@@ -175,6 +175,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/mscopedb/
 	$(GO) test -run '^$$' -fuzz FuzzMQLParse -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/mql/
 	$(GO) test -run '^$$' -fuzz FuzzServeWindowParams -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzWireFrameDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzTableBuilderEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/transform/
 	$(GO) test -run '^$$' -fuzz FuzzLiveMergeMatchesBatch -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/transform/
 	$(GO) test -run '^$$' -fuzz FuzzSarXMLMatchesEncodingXML -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/parsers/

@@ -553,7 +553,7 @@ func (s *session) open(path, name string, _ transform.Binding) (stream.Sink, int
 		seq++
 		pending.SourceID, pending.Seq, pending.Offset, pending.Quarantined = id, seq, b.Offset, b.Quarantined
 		err := s.send(&pending)
-		pending = wire.Batch{}
+		pending.Reset() // the frame holds a copy; the next batch reuses the storage
 		if err == nil && b.Err != nil {
 			// The parser died: what it emitted has shipped, so report the
 			// failure, once — this is the file's last batch, and the

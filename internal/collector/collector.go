@@ -118,6 +118,7 @@ type Collector struct {
 	denials      atomic.Int64
 	wireRx       atomic.Int64
 	wireTx       atomic.Int64
+	frameErrors  atomic.Int64
 }
 
 // New builds the collector and its remote-fed engine; Start serves.
@@ -483,8 +484,15 @@ func (c *conn) handshake() bool {
 }
 
 // readLoop decodes agent frames until the connection dies or says
-// Goodbye; true means a clean Goodbye.
+// Goodbye; true means a clean Goodbye. A frame read whole but refused — it
+// does not decode, or an agent has no business sending its type — drops
+// the connection and counts as a frame error, which a network drop does
+// not.
 func (c *conn) readLoop() bool {
+	refuse := func() bool {
+		c.col.frameErrors.Add(1)
+		return false
+	}
 	for {
 		typ, payload, err := c.c.Read()
 		if err != nil {
@@ -494,13 +502,13 @@ func (c *conn) readLoop() bool {
 		case wire.TypeOpen:
 			o, err := wire.DecodeOpen(payload)
 			if err != nil {
-				return false
+				return refuse()
 			}
 			c.handleOpen(o)
 		case wire.TypeBatch:
 			b, err := wire.DecodeBatch(payload)
 			if err != nil {
-				return false
+				return refuse()
 			}
 			if !c.handleBatch(&b) {
 				return false
@@ -508,13 +516,13 @@ func (c *conn) readLoop() bool {
 		case wire.TypeSourceState:
 			ss, err := wire.DecodeSourceState(payload)
 			if err != nil {
-				return false
+				return refuse()
 			}
 			c.handleSourceState(ss)
 		case wire.TypeGoodbye:
 			return true
 		default:
-			return false // protocol violation
+			return refuse()
 		}
 	}
 }
@@ -606,6 +614,7 @@ type Status struct {
 	AcksOut      int64 `json:"acks_out"`
 	WireRxBytes  int64 `json:"wire_rx_bytes"`
 	WireTxBytes  int64 `json:"wire_tx_bytes"`
+	FrameErrors  int64 `json:"frame_errors"`
 }
 
 // Status snapshots the collector counters.
@@ -624,6 +633,7 @@ func (col *Collector) Status() Status {
 		AcksOut:      col.acksOut.Load(),
 		WireRxBytes:  col.wireRx.Load(),
 		WireTxBytes:  col.wireTx.Load(),
+		FrameErrors:  col.frameErrors.Load(),
 	}
 }
 
@@ -649,6 +659,7 @@ func (col *Collector) MetricsText() string {
 	c("acks_total", st.AcksOut, "batch acks sent")
 	c("wire_rx_bytes_total", st.WireRxBytes, "raw bytes read from agents")
 	c("wire_tx_bytes_total", st.WireTxBytes, "raw bytes written to agents")
+	c("frame_errors_total", st.FrameErrors, "agent frames refused, each dropping its connection")
 	return col.pipe.MetricsText() + w.String()
 }
 

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"runtime"
 	"strings"
@@ -14,7 +15,9 @@ import (
 	"github.com/gt-elba/milliscope/internal/faults"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
+	"github.com/gt-elba/milliscope/internal/promfmt"
 	"github.com/gt-elba/milliscope/internal/stream"
+	"github.com/gt-elba/milliscope/internal/wire"
 )
 
 // hosts are the four monitored tiers. Each agent in these tests plays one
@@ -386,6 +389,59 @@ func TestDistAuthReject(t *testing.T) {
 	}
 	if got := col.Status().Opens; got != 0 {
 		t.Errorf("collector adopted %d sources from an unauthenticated agent", got)
+	}
+	if err := col.Stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFrameErrorClosesConnection: a scripted agent that passes the
+// handshake and then sends a Batch frame that does not decode is dropped,
+// and the collector counts it as a frame error — in Status and on /metrics
+// — so refused frames are told apart from a network drop.
+func TestFrameErrorClosesConnection(t *testing.T) {
+	col := startCollector(t, Config{Token: "s3cret"})
+	nc, err := net.Dial("tcp", col.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	c := wire.NewConn(nc)
+	if err := c.Write(wire.TypeHello, wire.EncodeHello(wire.Hello{Version: wire.Version, AgentID: "scripted", Token: "s3cret"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if typ, p, err := c.Read(); err != nil || typ != wire.TypeHelloAck {
+		t.Fatalf("handshake: type %d, %v", typ, err)
+	} else if ack, err := wire.DecodeHelloAck(p); err != nil || !ack.OK {
+		t.Fatalf("handshake refused: %+v %v", ack, err)
+	}
+	if err := c.Write(wire.TypeBatch, []byte{0xff}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for {
+		if _, _, err = c.Read(); err != nil {
+			break
+		}
+	}
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("the collector kept the connection open after a corrupt frame")
+	}
+	if got := col.Status().FrameErrors; got != 1 {
+		t.Errorf("FrameErrors = %d, want 1", got)
+	}
+	text := col.MetricsText()
+	if !strings.Contains(text, "\nmscope_collector_frame_errors_total 1\n") {
+		t.Errorf("/metrics does not count the frame error:\n%s", text)
+	}
+	if err := promfmt.Lint(text); err != nil {
+		t.Error(err)
 	}
 	if err := col.Stop(); err != nil {
 		t.Fatal(err)

@@ -135,8 +135,7 @@ func (r *Record) normalizeTime(c *Cell, layout string) error {
 }
 
 // Entries builds the mxml.Entry of a record for the callers that still take
-// entries: the agent's wire batches, the document of --materialize, the
-// benchmark harness. An entry's values are slices of one string made per
+// entries: the document of --materialize and the benchmark harness. An entry's values are slices of one string made per
 // record, so it costs one allocation however many cells it has.
 type Entries struct {
 	computed []byte // the text of one computed cell

@@ -13,6 +13,7 @@ import (
 
 	"github.com/gt-elba/milliscope/internal/logfmt"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
+	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 	"github.com/gt-elba/milliscope/internal/mxml"
 	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/simtime"
@@ -308,6 +309,75 @@ func TestLiveAdversarialTypingLimit(t *testing.T) {
 			t.Errorf("%s: no cell re-rendered: the log no longer changes a column's type between blocks", run.name)
 		}
 	}
+}
+
+// TestRemoteCopiesTheFrame: a decoded frame's cells are spans of its
+// payload, so by the time AppendBatch returns every cell the warehouse will
+// hold must have been copied out of it. The payload is overwritten the
+// moment AppendBatch returns; the table must still be the batch ingest's
+// of the same records.
+func TestRemoteCopiesTheFrame(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(stagedDBIO(t), "apache_access.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	if len(lines) < 512 {
+		t.Fatalf("the trial has %d apache lines, want 512", len(lines))
+	}
+	data = bytes.Join(lines[:512], nil)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "apache_access.log"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	plan := transform.DefaultPlan()
+	batch := mscopedb.Open()
+	if _, err := transform.IngestDirWithOptions(batch, dir, t.TempDir(), plan, transform.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	bind, _ := plan.Find("apache_access.log")
+	parser, err := parsers.Get(bind.Parser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src wire.Batch
+	if err := parser.ParseRecords(bytes.NewReader(data), bind.Instructions, src.AppendRecord, nil); err != nil {
+		t.Fatal(err)
+	}
+	src.Offset = int64(len(data))
+	payload := wire.EncodeBatch(&src)
+	frame, err := wire.DecodeBatch(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := mscopedb.Open()
+	p, rs := remoteEngine(t, remote)
+	rs.AppendBatch(&frame, nil)
+	for i := range payload {
+		payload[i] = 0xff
+	}
+	if err := p.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if n := table(t, batch, "apache_event").Rows(); n != 512 {
+		t.Fatalf("batch ingest loaded %d rows, want 512", n)
+	}
+	dbtest.Same(t, "apache_event", tableDump(t, batch, "apache_event"), tableDump(t, remote, "apache_event"))
+}
+
+// tableDump is the named table's part of the warehouse's dbtest.Dump.
+func tableDump(t *testing.T, db *mscopedb.DB, name string) string {
+	t.Helper()
+	dump := dbtest.Dump(t, db)
+	i := strings.Index(dump, "== "+name+"\n")
+	if i < 0 {
+		t.Fatalf("no table %s", name)
+	}
+	dump = dump[i:]
+	if j := strings.Index(dump, "\n== "); j >= 0 {
+		dump = dump[:j+1]
+	}
+	return dump
 }
 
 // BenchmarkRemoteAppendBatch: the collector's hop into the engine — one

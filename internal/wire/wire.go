@@ -27,8 +27,6 @@ import (
 	"io"
 	"net"
 	"sync/atomic"
-
-	"github.com/gt-elba/milliscope/internal/parsers"
 )
 
 // Version is the protocol revision; a Hello carrying a different version
@@ -113,7 +111,8 @@ type Batch struct {
 	Quarantined int64
 	Segments    []Segment
 
-	entries parsers.Entries // AppendRecord's adapter
+	arena []byte   // the cells of a batch built here
+	spans []uint32 // their spans, all segments' end to end
 }
 
 // Records counts the rows across the batch's segments.
@@ -213,12 +212,13 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 // twenty bytes).
 type enc struct{ b []byte }
 
-func (e *enc) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *enc) uv(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) iv(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) byte(v byte)  { e.b = append(e.b, v) }
-func (e *enc) bool(v bool)  { e.b = append(e.b, b2u(v)) }
-func (e *enc) str(s string) { e.uv(uint64(len(s))); e.b = append(e.b, s...) }
+func (e *enc) u32(v uint32)   { e.b = binary.BigEndian.AppendUint32(e.b, v) }
+func (e *enc) uv(v uint64)    { e.b = binary.AppendUvarint(e.b, v) }
+func (e *enc) iv(v int64)     { e.b = binary.AppendVarint(e.b, v) }
+func (e *enc) byte(v byte)    { e.b = append(e.b, v) }
+func (e *enc) bool(v bool)    { e.b = append(e.b, b2u(v)) }
+func (e *enc) str(s string)   { e.uv(uint64(len(s))); e.b = append(e.b, s...) }
+func (e *enc) bytes(p []byte) { e.uv(uint64(len(p))); e.b = append(e.b, p...) }
 
 func b2u(v bool) byte {
 	if v {
@@ -288,19 +288,22 @@ func (d *dec) byte(what string) byte {
 
 func (d *dec) bool(what string) bool { return d.byte(what) != 0 }
 
-func (d *dec) str(what string) string {
+// bytes reads a length-prefixed value in place: a slice of the input.
+func (d *dec) bytes(what string) []byte {
 	n := d.uv(what)
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.b)) {
 		d.fail(what)
-		return ""
+		return nil
 	}
-	s := string(d.b[:n])
+	v := d.b[:n:n]
 	d.b = d.b[n:]
-	return s
+	return v
 }
+
+func (d *dec) str(what string) string { return string(d.bytes(what)) }
 
 func (d *dec) done(what string) error {
 	if d.err != nil {

@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/gt-elba/milliscope/internal/mxml"
@@ -188,9 +191,118 @@ func TestRecordsShipTheEntriesFrame(t *testing.T) {
 	}
 	rows := 0
 	count := func(*parsers.Record) error { rows++; return nil }
-	if n := testing.AllocsPerRun(20, func() { dec.EachRecord(count) }); n > 10 {
+	if n := testing.AllocsPerRun(20, func() { dec.EachRecord(count) }); n > 1 {
 		t.Errorf("EachRecord allocated %.0f times a batch of %d records", n, dec.Records())
 	}
+}
+
+// frameRecords makes n apache-like event records in three runs of two
+// shapes — the same one either side of a run that adds a computed time
+// cell — so they fold into a three-segment batch.
+func frameRecords(n int) []parsers.Record {
+	recs := make([]parsers.Record, n)
+	for i := range recs {
+		text := func(name, v string) parsers.Cell { return parsers.Cell{Name: name, Text: []byte(v)} }
+		r := &recs[i]
+		r.Cells = []parsers.Cell{
+			text("reqid", fmt.Sprintf("req-%010d", i)),
+			text("client", "10.0.0.9"),
+			text("method", "GET"),
+			text("uri", fmt.Sprintf("/rubbos/ViewStory?storyId=%d", i*7)),
+			text("status", "200"),
+			text("bytes", strconv.Itoa(1000+i)),
+			{Name: "ua", Kind: parsers.CellInt, Int: 1491004800000000 + int64(i)*300},
+			{Name: "ud", Kind: parsers.CellInt, Int: 1491004800000000 + int64(i)*300 + 4100},
+		}
+		if i >= n/3 && i < 2*n/3 {
+			r.Cells = append(r.Cells, parsers.Cell{Name: "ts", Hint: "time", Kind: parsers.CellTime, Int: 1491004800 + int64(i), Nsec: 250_000})
+		}
+	}
+	return recs
+}
+
+// TestBatchAllocations pins what a frame costs: building one on a Reset
+// batch nothing, encoding it one buffer, decoding it the segment table and
+// each segment's fields and spans — never a cell.
+func TestBatchAllocations(t *testing.T) {
+	recs := frameRecords(512)
+	var b Batch
+	build := func() {
+		b.Reset()
+		for i := range recs {
+			if err := b.AppendRecord(&recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	build()
+	if len(b.Segments) != 3 || b.Records() != len(recs) {
+		t.Fatalf("%d records in %d segments, want %d in 3", b.Records(), len(b.Segments), len(recs))
+	}
+	if n := testing.AllocsPerRun(20, build); n != 0 {
+		t.Errorf("AppendRecord on a Reset batch allocated %.0f times in %d records", n, len(recs))
+	}
+	if n := testing.AllocsPerRun(20, func() { EncodeBatch(&b) }); n != 1 {
+		t.Errorf("EncodeBatch allocated %.0f times, want 1", n)
+	}
+	frame := EncodeBatch(&b)
+	if n := testing.AllocsPerRun(20, func() { DecodeBatch(frame) }); n > 2*3+1 {
+		t.Errorf("DecodeBatch of %d records in 3 segments allocated %.0f times, want <= 7", len(recs), n)
+	}
+	// The reused batch still builds the frame a fresh one does.
+	var fresh Batch
+	for i := range recs {
+		fresh.AppendRecord(&recs[i])
+	}
+	if !bytes.Equal(EncodeBatch(&fresh), frame) {
+		t.Error("a Reset batch and a fresh one encode the same records differently")
+	}
+}
+
+// TestDecodeBatchConcurrently: each collector connection decodes on its own
+// goroutine, and all of them intern field names in one table.
+func TestDecodeBatchConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				name := fmt.Sprintf("field-%d-%d", g, i%10)
+				var b Batch
+				b.AppendEntries([]mxml.Entry{{Fields: []mxml.Field{{Name: name, Value: "v"}}}})
+				d, err := DecodeBatch(EncodeBatch(&b))
+				if err != nil || d.Segments[0].Fields[0].Name != name {
+					t.Errorf("decoded %+v, %v; want field %s", d.Segments, err, name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// BenchmarkWireFrame is one agent-to-collector hop of 512 records: build
+// the batch, encode it, decode the frame, read its records back.
+func BenchmarkWireFrame(bm *testing.B) {
+	recs := frameRecords(512)
+	var b Batch
+	cells := 0
+	count := func(r *parsers.Record) error { cells += len(r.Cells); return nil }
+	bm.ReportAllocs()
+	bm.ResetTimer()
+	for i := 0; i < bm.N; i++ {
+		b.Reset()
+		for j := range recs {
+			b.AppendRecord(&recs[j])
+		}
+		dec, err := DecodeBatch(EncodeBatch(&b))
+		if err != nil {
+			bm.Fatal(err)
+		}
+		dec.EachRecord(count)
+	}
+	bm.ReportMetric(float64(bm.Elapsed().Nanoseconds())/float64(bm.N*len(recs)), "ns/record")
 }
 
 func TestBatchDecodeRejectsCorruptCounts(t *testing.T) {
