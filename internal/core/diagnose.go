@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/analysis"
@@ -100,11 +101,16 @@ const (
 	// MaxVSBDuration excludes sustained overloads: a very short bottleneck
 	// is by definition short.
 	MaxVSBDuration = 3 * time.Second
+	// EpisodeGap is the longest dip below the VLRT threshold that does not
+	// end an episode (two 50 ms windows): a plateau barely above the
+	// threshold is one episode, not one per crossing.
+	EpisodeGap = 100 * time.Millisecond
 	// CorrelationFloor is the minimum resource–queue correlation for a
 	// candidate to be named the root cause.
 	CorrelationFloor = 0.3
 	// ClassifyPad widens the correlation slice around a VLRT window: the
-	// queue builds before the PIT spike lands.
+	// queue builds before the PIT spike lands. It is the whole lead-in and
+	// the cap on the trailing half, see ClassifySlice.
 	ClassifyPad = time.Second
 	// PushbackLeadIn extends the pushback window backwards — queues grow
 	// while the resource is held, the spike lands when requests complete.
@@ -316,6 +322,34 @@ func BuildEvidence(db *mscopedb.DB, window time.Duration) (*Evidence, []string, 
 	return ev, missing, nil
 }
 
+// ClassifySlice is the correlation slice [lo, hi] ClassifyWindow reads
+// around w, in µs: ClassifyPad of lead-in, where the queue builds, and
+// past the end the window's own Peak (at most ClassifyPad) — the requests
+// stuck in it drain within about the slowest one's residence, and that
+// drain is what the queue curve adds after the spike. The live detector
+// waits for the same hi.
+func ClassifySlice(w analysis.Window) (lo, hi int64) {
+	pad := ClassifyPad.Microseconds()
+	return w.StartMicros - pad, w.EndMicros + min(int64(w.Peak), pad)
+}
+
+// VLRTEpisodes is the one episode rule of the batch Diagnose and the live
+// detector: the PIT windows above VLRTFactor × avgUS, neighbours at most
+// EpisodeGap apart merged into one (Peak the larger), then every episode
+// longer than MaxVSBDuration dropped — after the merge, so a sustained
+// plateau cannot pass as short pieces.
+func VLRTEpisodes(pit *mscopedb.Series, avgUS float64) []analysis.Window {
+	var eps []analysis.Window
+	for _, w := range analysis.DetectAnomalies(pit, VLRTFactor*avgUS, 0) {
+		if n := len(eps) - 1; n >= 0 && w.StartMicros-eps[n].EndMicros <= EpisodeGap.Microseconds() {
+			eps[n].EndMicros, eps[n].Peak = w.EndMicros, max(eps[n].Peak, w.Peak)
+			continue
+		}
+		eps = append(eps, w)
+	}
+	return slices.DeleteFunc(eps, func(w analysis.Window) bool { return w.Duration() > MaxVSBDuration })
+}
+
 // ClassifyWindow names the root cause of one VLRT window from the
 // evidence: classify queue pushback, rank every candidate resource by
 // lag-adjusted correlation with the front-tier queue around the window,
@@ -330,8 +364,7 @@ func ClassifyWindow(ev *Evidence, w analysis.Window) WindowDiagnosis {
 	wide.StartMicros -= PushbackLeadIn.Microseconds()
 	wd.Pushback = analysis.DetectPushback(ev.Queues, Tiers, wide, PushbackGrowth)
 
-	pad := ClassifyPad.Microseconds()
-	lo, hi := w.StartMicros-pad, w.EndMicros+pad
+	lo, hi := ClassifySlice(w)
 	// The front tier's queue is the correlation reference; without it every
 	// candidate correlates 0 and only structural evidence can speak.
 	front := ev.Queues[Tiers[0]]
@@ -363,7 +396,7 @@ func ClassifyWindow(ev *Evidence, w analysis.Window) WindowDiagnosis {
 	// stuck, before their completions land the PIT spike: a software stall
 	// (lock convoy, exhausted pool, crash) has its signature there, not in
 	// the spike window where the drain burst floods every tier at once.
-	buildWin := analysis.Window{StartMicros: w.StartMicros - pad, EndMicros: w.StartMicros}
+	buildWin := analysis.Window{StartMicros: lo, EndMicros: w.StartMicros}
 	buildPB := analysis.DetectPushback(ev.Queues, Tiers, buildWin, PushbackGrowth)
 	sKind, sNode := structuralVerdict(ev, buildPB)
 	if sKind == CauseUnknown {
@@ -546,7 +579,7 @@ func Diagnose(db *mscopedb.DB, window time.Duration) (*Diagnosis, error) {
 	sp.End(int64(pit.Requests), 0)
 	out := &Diagnosis{PIT: pit}
 	sp = obs.Begin(selfobs.PipeDiagnose, "vlrt", "-", "")
-	vlrts := analysis.DetectVLRTWindows(pit.Series, pit.AvgUS, VLRTFactor, MaxVSBDuration)
+	vlrts := VLRTEpisodes(pit.Series, pit.AvgUS)
 	sp.End(int64(len(vlrts)), 0)
 	if len(vlrts) == 0 {
 		return out, nil

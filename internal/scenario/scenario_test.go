@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -166,6 +167,38 @@ func TestRenderListGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("scenario list drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestCatalogueVerdictsGolden pins the batch verdict line of every
+// catalogue entry — kind, node and window bounds, no timings — so a change
+// to detection or classification shows as a reviewed diff.
+func TestCatalogueVerdictsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("catalogue verdicts skipped in -short")
+	}
+	var b strings.Builder
+	opts := Options{WorkDir: t.TempDir()}
+	for _, s := range Scenarios() {
+		out, err := Verify(&s, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		fmt.Fprintf(&b, "%s %s\n", s.Name, strings.Join(out.Verdicts, ", "))
+	}
+	got := b.String()
+	path := filepath.Join(goldenDir, "scenario_verdicts.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("catalogue verdicts drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // DefaultGrace is the ceiling on how far behind the low watermark, past
-// the correlation pad, a VLRT window must be before the detector classifies
+// the correlation slice, a VLRT window must be before the detector classifies
 // it. Queue edges are learned at departure (a request's arrival edge
 // appears in the log only when it completes), so classification waits out
 // the residence of the requests around the window — otherwise the ones in
@@ -25,14 +25,12 @@ const DefaultGrace = 2 * time.Second
 // twice as long as the slowest one seen leaving.
 const graceSafety = 2
 
-// graceFor is the grace of a window with residenceUS observed around it
-// and flagged windows starting inside its correlation slice until tailUS
-// past its end (the episode is not over, nor its bounds settled, before):
+// graceFor is the grace of a window with residenceUS observed around it:
 // at least floorUS (one detector window plus the skew bound, when the
 // buckets read are closed), at most ceilingUS — which wins over the floor
 // too. Residence past the ceiling waits exactly what the constant did.
-func graceFor(residenceUS, tailUS, floorUS, ceilingUS int64) int64 {
-	return min(max(graceSafety*residenceUS+tailUS, floorUS), ceilingUS)
+func graceFor(residenceUS, floorUS, ceilingUS int64) int64 {
+	return min(max(graceSafety*residenceUS, floorUS), ceilingUS)
 }
 
 // Alert is one millibottleneck the online detector raised.
@@ -53,11 +51,13 @@ type Alert struct {
 	Wait
 }
 
-// Wait is what a verdict waited for, in event-time µs: the grace applied
-// past window end + pad, the front-tier residence it was derived from, the
-// ceiling (Config.Grace), and the delay WatermarkUS − Window.EndMicros it
-// fired at — zero at shutdown, when nothing is waited out.
+// Wait is what a verdict waited for, in event-time µs: the trailing half
+// of its correlation slice (core.ClassifySlice), the grace applied past
+// it, the front-tier residence the grace was derived from, the ceiling
+// (Config.Grace), and the delay WatermarkUS − Window.EndMicros it fired
+// at — zero at shutdown, when nothing is waited out.
 type Wait struct {
+	SliceUS     int64 `json:"slice_us"`
 	GraceUS     int64 `json:"grace_us,omitempty"`
 	ResidenceUS int64 `json:"residence_us,omitempty"`
 	CeilingUS   int64 `json:"grace_ceiling_us,omitempty"`
@@ -71,13 +71,13 @@ func (a Wait) Waited() string {
 	if a.DelayUS > 0 {
 		when = ms(a.DelayUS).String() + " after window end"
 	}
-	return fmt.Sprintf("%s: grace %v from %v resident, ceiling %v", when, ms(a.GraceUS), ms(a.ResidenceUS), ms(a.CeilingUS))
+	return fmt.Sprintf("%s: slice %v + grace %v from %v resident, ceiling %v", when, ms(a.SliceUS), ms(a.GraceUS), ms(a.ResidenceUS), ms(a.CeilingUS))
 }
 
 // detector folds front-tier events into online Point-in-Time buckets and,
 // as the low watermark advances, re-runs the shared VLRT detection over
-// the closed prefix. A window fully behind the watermark (plus correlation
-// pad plus the grace its residence asks for) is classified against the
+// the closed prefix. A window whose correlation slice, plus the grace its
+// residence asks for, is behind the watermark is classified against the
 // live warehouse with the same BuildEvidence/ClassifyWindow the batch
 // Diagnose uses — the verdict logic exists exactly once. The loader
 // goroutine owns all of it; nothing here is safe for concurrent use.
@@ -88,7 +88,7 @@ type detector struct {
 	floorUS, ceilingUS int64
 
 	// promote, when set, is called with a flagged window's anomaly
-	// neighbourhood [lo, hi] (window ± pad ± its grace, in event µs) before
+	// neighbourhood [lo, hi] (its slice ± its grace, in event µs) before
 	// evidence is built, so degraded-fidelity sessions can retroactively
 	// surface the ring-buffered rows the verdict will correlate against.
 	// Idempotent by contract — a window retried across advances re-calls
@@ -150,14 +150,14 @@ func (d *detector) series(hiUS int64) *mscopedb.Series {
 }
 
 // residence is the longest front-tier response time among the requests
-// that departed in the closed buckets of w's correlation slice [start − pad,
-// end + pad]: at least w.Peak, the window's own slowest. Every deeper
-// tier's residence nests inside the front tier's, so it bounds them all;
-// the grace floor has the slice closed, the value final, before w is due.
-func (d *detector) residence(w analysis.Window, closedHi, padUS int64) int64 {
+// that departed in the closed buckets of w's correlation slice [lo, hi]:
+// at least w.Peak, the window's own slowest. Every deeper tier's residence
+// nests inside the front tier's, so it bounds them all; the grace floor
+// has the slice closed, the value final, before w is due.
+func (d *detector) residence(w analysis.Window, lo, hi, closedHi int64) int64 {
 	r := w.Peak
-	lo := max(w.StartMicros-padUS, d.loB)
-	for b := lo - modUS(lo, d.windowUS); b <= min(w.EndMicros+padUS, closedHi); b += d.windowUS {
+	lo = max(lo, d.loB)
+	for b := lo - modUS(lo, d.windowUS); b <= min(hi, closedHi); b += d.windowUS {
 		r = max(r, d.buckets[b])
 	}
 	return int64(r)
@@ -181,32 +181,26 @@ func (d *detector) advance(lowUS int64) ([]Alert, error) {
 		return nil, nil
 	}
 	avg := d.sumRT / float64(d.count)
-	windows := analysis.DetectVLRTWindows(d.series(closedHi), avg, core.VLRTFactor, core.MaxVSBDuration)
-	padUS := core.ClassifyPad.Microseconds()
+	windows := core.VLRTEpisodes(d.series(closedHi), avg)
 	// Promote the neighbourhood of every window this pass will classify,
 	// then build the evidence once for all of them: it is a function of
 	// the warehouse alone, and at shutdown every open window is due at once.
 	var due []Alert
-	for i, w := range windows {
+	for _, w := range windows {
 		if d.overlapsAlerted(w) {
 			continue
 		}
-		var tailUS int64
-		for _, next := range windows[i+1:] { // in time order
-			if next.StartMicros <= w.EndMicros+padUS {
-				tailUS = next.EndMicros - w.EndMicros
-			}
-		}
-		a := Alert{WatermarkUS: lowUS, Wait: Wait{CeilingUS: d.ceilingUS, ResidenceUS: d.residence(w, closedHi, padUS)}}
-		a.GraceUS = graceFor(a.ResidenceUS, tailUS, d.floorUS, d.ceilingUS)
+		lo, hi := core.ClassifySlice(w)
+		a := Alert{WatermarkUS: lowUS, Wait: Wait{SliceUS: hi - w.EndMicros, CeilingUS: d.ceilingUS, ResidenceUS: d.residence(w, lo, hi, closedHi)}}
+		a.GraceUS = graceFor(a.ResidenceUS, d.floorUS, d.ceilingUS)
 		if !final {
-			if w.EndMicros+padUS+a.GraceUS > lowUS {
+			if hi+a.GraceUS > lowUS {
 				continue // evidence around the window is still arriving
 			}
 			a.DelayUS = lowUS - w.EndMicros
 		}
 		if d.promote != nil {
-			d.promote(w.StartMicros-(padUS+a.GraceUS), w.EndMicros+padUS+a.GraceUS)
+			d.promote(lo-a.GraceUS, hi+a.GraceUS)
 		}
 		a.Diagnosis.Window = w
 		due = append(due, a)

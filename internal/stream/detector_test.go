@@ -17,28 +17,26 @@ import (
 func TestGraceFor(t *testing.T) {
 	const floor, ceiling = 52_000, 2_000_000
 	for _, tc := range []struct {
-		name                                  string
-		residence, tail, floor, ceiling, want int64
+		name                            string
+		residence, floor, ceiling, want int64
 	}{
-		{"nothing observed: the floor", 0, 0, floor, ceiling, floor},
-		{"residence below half the floor: the floor", 20_000, 0, floor, ceiling, floor},
-		{"a 300 ms flush: twice its residence", 300_000, 0, floor, ceiling, 600_000},
-		{"windows still starting 400 ms on: that on top", 300_000, 400_000, floor, ceiling, 1_000_000},
-		{"residence of half the ceiling: the ceiling", 1_000_000, 0, floor, ceiling, ceiling},
-		{"residence at the ceiling: what the constant waited", ceiling, 0, floor, ceiling, ceiling},
-		{"a 3 s retransmission: what the constant waited", 3_000_000, 0, floor, ceiling, ceiling},
-		{"a long tail alone reaches the ceiling", 10_000, 5_000_000, floor, ceiling, ceiling},
-		{"--grace below the floor wins as the ceiling", 300_000, 0, floor, 10_000, 10_000},
-		{"--grace below the floor, nothing observed", 0, 0, floor, 10_000, 10_000},
+		{"nothing observed: the floor", 0, floor, ceiling, floor},
+		{"residence below half the floor: the floor", 20_000, floor, ceiling, floor},
+		{"a 300 ms flush: twice its residence", 300_000, floor, ceiling, 600_000},
+		{"residence of half the ceiling: the ceiling", 1_000_000, floor, ceiling, ceiling},
+		{"residence at the ceiling: what the constant waited", ceiling, floor, ceiling, ceiling},
+		{"a 3 s retransmission: what the constant waited", 3_000_000, floor, ceiling, ceiling},
+		{"--grace below the floor wins as the ceiling", 300_000, floor, 10_000, 10_000},
+		{"--grace below the floor, nothing observed", 0, floor, 10_000, 10_000},
 	} {
-		if got := graceFor(tc.residence, tc.tail, tc.floor, tc.ceiling); got != tc.want {
-			t.Errorf("%s: graceFor(%d, %d, %d, %d) = %d, want %d", tc.name, tc.residence, tc.tail, tc.floor, tc.ceiling, got, tc.want)
+		if got := graceFor(tc.residence, tc.floor, tc.ceiling); got != tc.want {
+			t.Errorf("%s: graceFor(%d, %d, %d) = %d, want %d", tc.name, tc.residence, tc.floor, tc.ceiling, got, tc.want)
 		}
 	}
 	for _, c := range []int64{10_000, floor, 500_000, ceiling} {
 		prev := int64(0)
 		for r := int64(0); r <= 3_000_000; r += 7_000 {
-			g := graceFor(r, 0, floor, c)
+			g := graceFor(r, floor, c)
 			switch {
 			case g < prev:
 				t.Fatalf("ceiling %d: grace falls from %d to %d as residence rises to %d", c, prev, g, r)
@@ -69,9 +67,9 @@ func spikeDetector(t *testing.T, db *mscopedb.DB, grace, residence time.Duration
 }
 
 // TestDueWatermark: a window is classified at the first watermark that has
-// end + pad + its grace behind it, and not one microsecond before — which
-// for an episode whose residence reaches the ceiling is the watermark the
-// constant grace classified it at.
+// end + min(Peak, pad) + its grace behind it, and not one microsecond
+// before — which for an episode whose residence reaches the ceiling (and
+// so the pad) is the watermark the constant grace classified it at.
 func TestDueWatermark(t *testing.T) {
 	db, _ := batchBaseline(t)
 	pad := core.ClassifyPad.Microseconds()
@@ -80,16 +78,16 @@ func TestDueWatermark(t *testing.T) {
 		grace, residence time.Duration
 		want             Wait
 	}{
-		{"peak past the ceiling waits the ceiling", DefaultGrace, 2500 * time.Millisecond,
-			Wait{GraceUS: 2_000_000, ResidenceUS: 2_500_000, CeilingUS: 2_000_000, DelayUS: pad + 2_000_000}},
-		{"peak at the ceiling waits the ceiling", DefaultGrace, DefaultGrace,
-			Wait{GraceUS: 2_000_000, ResidenceUS: 2_000_000, CeilingUS: 2_000_000, DelayUS: pad + 2_000_000}},
-		{"a 300 ms peak waits 600 ms", DefaultGrace, 300 * time.Millisecond,
-			Wait{GraceUS: 600_000, ResidenceUS: 300_000, CeilingUS: 2_000_000, DelayUS: pad + 600_000}},
-		{"a 60 ms peak waits 120 ms", DefaultGrace, 60 * time.Millisecond,
-			Wait{GraceUS: 120_000, ResidenceUS: 60_000, CeilingUS: 2_000_000, DelayUS: pad + 120_000}},
-		{"--grace 10ms, below the floor, is the wait", 10 * time.Millisecond, 300 * time.Millisecond,
-			Wait{GraceUS: 10_000, ResidenceUS: 300_000, CeilingUS: 10_000, DelayUS: pad + 10_000}},
+		{"peak past the ceiling waits the pad and the ceiling", DefaultGrace, 2500 * time.Millisecond,
+			Wait{SliceUS: pad, GraceUS: 2_000_000, ResidenceUS: 2_500_000, CeilingUS: 2_000_000, DelayUS: pad + 2_000_000}},
+		{"peak at the ceiling waits the pad and the ceiling", DefaultGrace, DefaultGrace,
+			Wait{SliceUS: pad, GraceUS: 2_000_000, ResidenceUS: 2_000_000, CeilingUS: 2_000_000, DelayUS: pad + 2_000_000}},
+		{"a 300 ms peak waits 300 + 600 ms", DefaultGrace, 300 * time.Millisecond,
+			Wait{SliceUS: 300_000, GraceUS: 600_000, ResidenceUS: 300_000, CeilingUS: 2_000_000, DelayUS: 300_000 + 600_000}},
+		{"a 60 ms peak waits 60 + 120 ms", DefaultGrace, 60 * time.Millisecond,
+			Wait{SliceUS: 60_000, GraceUS: 120_000, ResidenceUS: 60_000, CeilingUS: 2_000_000, DelayUS: 60_000 + 120_000}},
+		{"--grace 10ms, below the floor, is the grace", 10 * time.Millisecond, 300 * time.Millisecond,
+			Wait{SliceUS: 300_000, GraceUS: 10_000, ResidenceUS: 300_000, CeilingUS: 10_000, DelayUS: 300_000 + 10_000}},
 	} {
 		d, end := spikeDetector(t, db, tc.grace, tc.residence)
 		due := end + tc.want.DelayUS
@@ -117,27 +115,103 @@ func TestDueWatermark(t *testing.T) {
 	}
 }
 
-// TestTailHoldsAnEpisodeTogether: while flagged windows keep starting
-// inside a window's correlation slice the episode is not over, and the
-// window waits for the last of them to end as well.
-func TestTailHoldsAnEpisodeTogether(t *testing.T) {
+// TestDipDoesNotSplitAnEpisode: a second spike after a dip of at most
+// core.EpisodeGap is the same episode, raised once over both; after a
+// longer dip it is an episode of its own.
+func TestDipDoesNotSplitAnEpisode(t *testing.T) {
 	db, _ := batchBaseline(t)
-	d, end := spikeDetector(t, db, DefaultGrace, 300*time.Millisecond)
-	// A second spike 400 ms after the first window's end, inside its slice.
-	d.observe(end+410_000-300_000, end+410_000)
-	end2 := end + 450_000
-	pad := core.ClassifyPad.Microseconds()
-	if alerts, _ := d.advance(end + pad + 600_000); len(alerts) != 0 {
-		t.Fatalf("first window raised alone, %d alerts, with another starting in its slice", len(alerts))
-	}
-	alerts, err := d.advance(end2 + pad + 600_000)
-	if err != nil || len(alerts) != 2 {
-		t.Fatalf("%d alerts (err %v) once the second window is due, want both", len(alerts), err)
-	}
-	if got, want := alerts[0].GraceUS, int64(600_000+450_000); got != want {
-		t.Errorf("first window's grace %d, want its residence's plus the tail: %d", got, want)
+	const wait = 300_000 + 600_000 // a 300 ms peak's slice and grace
+	for _, tc := range []struct {
+		dip  int64
+		want int
+	}{{100_000, 1}, {150_000, 2}} {
+		d, end := spikeDetector(t, db, DefaultGrace, 300*time.Millisecond)
+		start := end - 50_000
+		// Another 300 ms request departs in the bucket after the dip.
+		end2 := end + tc.dip + 50_000
+		d.observe(end2-40_000-300_000, end2-40_000)
+		if tc.want == 1 {
+			if alerts, _ := d.advance(end + wait); len(alerts) != 0 {
+				t.Fatalf("dip %d µs: the first spike was raised alone", tc.dip)
+			}
+		}
+		var alerts []Alert
+		for _, low := range []int64{end + wait, end2 + wait} {
+			got, err := d.advance(low)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alerts = append(alerts, got...)
+		}
+		if len(alerts) != tc.want {
+			t.Fatalf("dip %d µs: %d alerts, want %d", tc.dip, len(alerts), tc.want)
+		}
+		if w := alerts[0].Diagnosis.Window; tc.want == 1 && (w.StartMicros != start || w.EndMicros != end2 || alerts[0].DelayUS != wait) {
+			t.Errorf("dip %d µs: alert over [%d, %d] after %d µs, want one over both spikes [%d, %d] after %d µs",
+				tc.dip, w.StartMicros, w.EndMicros, alerts[0].DelayUS, start, end2, wait)
+		}
 	}
 }
+
+// TestAdvanceRaisesVLRTEpisodes: the detector, fed a trial bucket by
+// bucket with the watermark following, raises exactly core.VLRTEpisodes of
+// the trial's PIT series: two spikes 100 ms apart as one, two 150 ms apart
+// as two, and a 3.7 s plateau with a 100 ms dip not at all.
+func TestAdvanceRaisesVLRTEpisodes(t *testing.T) {
+	db, _ := batchBaseline(t)
+	d := newDetector(db, 50*time.Millisecond, DefaultGrace, 2*time.Millisecond)
+	epoch := simtime.Epoch.UnixMicro()
+	slow := func(i int) bool {
+		for _, sp := range [][2]int{{60, 61}, {64, 65}, {120, 121}, {125, 126}, {160, 195}, {198, 233}} {
+			if i >= sp[0] && i <= sp[1] {
+				return true
+			}
+		}
+		return false
+	}
+	var pit mscopedb.Series
+	var sum float64
+	var n int
+	var alerts []Alert
+	advance := func(lowUS int64) {
+		got, err := d.advance(lowUS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alerts = append(alerts, got...)
+	}
+	for i := 0; i < 240; i++ {
+		b := epoch + int64(i)*50_000
+		peak := 4_999.0
+		for k := int64(1); k <= 10; k++ {
+			d.observe(b+k*5_000-5_000, b+k*5_000-1)
+			sum, n = sum+4_999, n+1
+		}
+		if slow(i) {
+			d.observe(b+10_000-300_000, b+10_000)
+			sum, n, peak = sum+300_000, n+1, 300_000
+		}
+		pit.StartMicros = append(pit.StartMicros, b)
+		pit.Values = append(pit.Values, peak)
+		advance(b + 50_000)
+	}
+	advance(finalLow)
+	want := core.VLRTEpisodes(&pit, sum/float64(n))
+	if len(want) != 3 {
+		t.Fatalf("the trial has %d episodes, want 3: %+v", len(want), want)
+	}
+	if len(alerts) != len(want) {
+		t.Fatalf("%d alerts, want one per episode: %+v", len(alerts), want)
+	}
+	for i, a := range alerts {
+		if a.Diagnosis.Window != want[i] || !online(a) {
+			t.Errorf("alert %d over %+v (online %v), want %+v raised online", i+1, a.Diagnosis.Window, online(a), want[i])
+		}
+	}
+}
+
+// online reports whether the watermark, not the shutdown pass, raised a.
+func online(a Alert) bool { return a.WatermarkUS != finalLow }
 
 // evidencePipeline is an unstarted pipeline over db whose detector has one
 // window due, and the watermark it is due at.
@@ -149,7 +223,7 @@ func evidencePipeline(t *testing.T, db *mscopedb.DB) (*Pipeline, int64) {
 	}
 	var end int64
 	p.det, end = spikeDetector(t, db, DefaultGrace, 300*time.Millisecond)
-	return p, end + core.ClassifyPad.Microseconds() + 600_000
+	return p, end + 300_000 + 600_000
 }
 
 // TestEvidenceNotThereYetIsNotAnError: with the front tier loaded and no

@@ -24,9 +24,8 @@ import (
 )
 
 // These tests compare the online detector with the batch diagnosis of the
-// same logs, and use nothing the detector did not have before its grace
-// was derived from the data: they pass unchanged at the commit before, so
-// what they pin is behaviour.
+// same logs, alert for window, with no wall clock involved: what they pin
+// is behaviour, not timing.
 
 const detectWindow = 50 * time.Millisecond
 
@@ -121,12 +120,11 @@ func render(wd core.WindowDiagnosis) string {
 	return fmt.Sprintf("%s@%s [%v – %v]", wd.Kind, wd.Node, at(wd.Window.StartMicros), at(wd.Window.EndMicros))
 }
 
-// sameVerdicts holds the alerts to the batch windows: every alert has the
-// kind and node of a batch window it lies inside (give or take one detector
-// window), and every batch window has an alert. Unless split is allowed the
-// pairing is one to one and the window ends agree within one detector
-// window as well.
-func sameVerdicts(t *testing.T, alerts []stream.Alert, batch []core.WindowDiagnosis, split bool) {
+// sameVerdicts holds the alerts to the batch windows one to one: every
+// alert has the kind and node of a batch window it lies inside, its end
+// within one detector window of the batch window's end, and every batch
+// window has an alert.
+func sameVerdicts(t *testing.T, alerts []stream.Alert, batch []core.WindowDiagnosis) {
 	t.Helper()
 	tol := detectWindow.Microseconds()
 	used := make([]bool, len(batch))
@@ -134,11 +132,11 @@ next:
 	for _, a := range alerts {
 		d := a.Diagnosis
 		for i, w := range batch {
-			if d.Kind != w.Kind || d.Node != w.Node || (used[i] && !split) {
+			if d.Kind != w.Kind || d.Node != w.Node || used[i] {
 				continue
 			}
 			inside := d.Window.StartMicros >= w.Window.StartMicros-tol && d.Window.EndMicros <= w.Window.EndMicros+tol
-			if inside && (split || d.Window.EndMicros >= w.Window.EndMicros-tol) {
+			if inside && d.Window.EndMicros >= w.Window.EndMicros-tol {
 				used[i] = true
 				continue next
 			}
@@ -152,29 +150,13 @@ next:
 	}
 }
 
-// splitEpisodes are the catalogue runs in which the detector raises one
-// long episode in pieces. Their response time sits on a plateau barely
-// above the VLRT threshold (net jitter: 180–230 ms against 10 × a 17 ms
-// mean), the online threshold follows the running mean, which the episode
-// itself has inflated and the traffic after it has not yet diluted, and so
-// a dip that the whole trial's mean leaves inside the window splits it
-// when the verdict is due. Each piece still carries the batch verdict.
-// Over ten seeds a scenario the commit before splits 7 of 90 runs at its
-// constant 2 s grace, this tree the same 7 and netjitter/60: it decides
-// 0.9 s of trial sooner there.
-var splitEpisodes = map[string]bool{
-	"dvfs/seed39":      true, // at the commit before as well
-	"stampede/seed53":  true, // at the commit before as well
-	"netjitter/seed60": true,
-}
-
 // TestLockstepMatchesBatchCatalogue: every catalogue scenario, at its own
-// seed and two more (under -short, dbio at its own), replayed in lockstep
-// at 1x: the detector's alerts are the batch diagnosis' windows (in pieces
-// for splitEpisodes), and every window that ends early enough in the trial
-// is raised by the watermark.
+// seed and nine more (under -short, dbio at its own), replayed in lockstep
+// at 1x: the detector's alerts are the batch diagnosis' windows, one to
+// one, and every window that ends early enough in the trial is raised by
+// the watermark.
 func TestLockstepMatchesBatchCatalogue(t *testing.T) {
-	seeds, specs := 3, scenario.Scenarios()
+	seeds, specs := 10, scenario.Scenarios()
 	if testing.Short() {
 		seeds, specs = 1, specs[:1]
 	}
@@ -189,12 +171,13 @@ func TestLockstepMatchesBatchCatalogue(t *testing.T) {
 					t.Fatal(err)
 				}
 				alerts := lockstep(t, dir, s.Duration.D())
-				sameVerdicts(t, alerts, diag.Windows, splitEpisodes[name])
-				// The longest any tree waits is pad + the 2 s ceiling; a
-				// window that leaves that much trial (and a tick of slack
-				// per second of it) must not be left to the shutdown pass.
-				horizon := (s.Duration.D() - core.ClassifyPad - stream.DefaultGrace - 500*time.Millisecond).Microseconds()
+				sameVerdicts(t, alerts, diag.Windows)
+				// The longest a window waits is its slice + the 2 s
+				// ceiling; a window that leaves that much trial (and a
+				// tick of slack per second of it) must not be left to the
+				// shutdown pass.
 				for _, a := range alerts {
+					horizon := s.Duration.D().Microseconds() - a.SliceUS - (stream.DefaultGrace + 500*time.Millisecond).Microseconds()
 					if end := a.Diagnosis.Window.EndMicros - simtime.Epoch.UnixMicro(); end < horizon && !online(a) {
 						t.Errorf("%s ended %v into a %v trial and was only raised at shutdown",
 							render(a.Diagnosis), at(a.Diagnosis.Window.EndMicros), s.Duration.D())
@@ -258,7 +241,7 @@ func TestPlantedStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 	alerts := lockstep(t, dir, spec.Duration.D())
-	sameVerdicts(t, alerts, diag.Windows, false)
+	sameVerdicts(t, alerts, diag.Windows)
 	// What both trees raise, pinned: the episode, then the straggler's own
 	// bucket, both online.
 	var got []string

@@ -157,9 +157,9 @@ func TestLiveMatchesBatchDBIO(t *testing.T) {
 		t.Errorf("first alert raised at %v, after the producer finished at %v — online detection must beat the experiment's end",
 			first.Raised, producerDone)
 	}
-	// The wait follows the flush's residence, not the 2 s ceiling: the
-	// alert is out within half of it past the pad.
-	if limit := (core.ClassifyPad + DefaultGrace/2).Microseconds(); first.DelayUS <= 0 || first.DelayUS >= limit {
+	// The wait follows the flush's residence, not the 2 s ceiling or the
+	// pad: the alert is out within half the ceiling past its own slice.
+	if limit := first.SliceUS + (DefaultGrace / 2).Microseconds(); first.SliceUS >= core.ClassifyPad.Microseconds() || first.DelayUS <= 0 || first.DelayUS >= limit {
 		t.Errorf("first alert fired %s; want it online and under %dus after its window", first.Waited(), limit)
 	}
 

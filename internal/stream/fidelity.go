@@ -375,10 +375,10 @@ func (p *Pipeline) promoteNeighbourhood(loUS, hiUS int64) {
 }
 
 // expireRings frees ring rows that can no longer be promoted: a window is
-// classified once it is pad+grace behind the watermark, and its promote
-// range reaches pad+grace before its start — so anything older than twice
-// that horizon (plus a window), at the ceiling no grace exceeds, is out
-// of reach of any future promotion.
+// classified once its slice + grace (at most pad+grace) is behind the
+// watermark, and its promote range reaches pad+grace before its start — so
+// anything older than twice that horizon (plus a window), at the ceiling no
+// grace exceeds, is out of reach of any future promotion.
 func (p *Pipeline) expireRings(lowUS int64) {
 	f := p.fid
 	if f == nil {
