@@ -21,8 +21,9 @@ full: fast test live-smoke serve-smoke overload-soak dist-soak scenario-soak db-
 # definition sites in cmd/ (a flag registered once for several commands
 # counts once); exported identifiers, as top-level exported funcs, methods,
 # types, vars and consts (grouped ones when they carry a value) in the same
-# files; how many of those files import encoding/gob; and the lines of Go
-# under bench/, tests included. CI prints it after `make fast`.
+# files; how many of those files import encoding/gob; the lines of Go
+# under bench/, tests included; and the lines of DESIGN.md. CI prints it
+# after `make fast`.
 SIZE_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'
 size:
 	@printf 'non-test Go outside bench/:  %s lines\n' "$$($(SIZE_FILES) | xargs wc -l | tail -1 | awk '{print $$1}')"
@@ -31,6 +32,7 @@ size:
 	@printf 'exported identifiers:        %s\n' "$$($(SIZE_FILES) | xargs grep -hE '^(func (\([^)]+\) )?[A-Z]|type [A-Z]|(var|const) [A-Z]|	[A-Z][A-Za-z0-9]* += )' | wc -l)"
 	@printf 'files importing encoding/gob: %s\n' "$$($(SIZE_FILES) | xargs grep -l '"encoding/gob"' | wc -l)"
 	@printf 'Go under bench/:             %s lines\n' "$$(cat bench/*.go | wc -l)"
+	@printf 'DESIGN.md:                   %s lines\n' "$$(wc -l < DESIGN.md)"
 
 # gofmt reports nothing: every Go file is formatted.
 fmt:

@@ -26,7 +26,6 @@ import (
 	"github.com/gt-elba/milliscope/internal/collector"
 	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/eventmon"
-	"github.com/gt-elba/milliscope/internal/importer"
 	"github.com/gt-elba/milliscope/internal/metrics"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/ntier"
@@ -259,7 +258,7 @@ func BenchmarkFig6QueueLengths(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	windows := analysis.DetectVLRTWindows(pit.Series, pit.AvgUS, 10, 2*time.Second)
+	windows := core.VLRTEpisodes(pit.Series, pit.AvgUS)
 	if len(windows) == 0 {
 		b.Fatal("no VLRT window")
 	}
@@ -282,7 +281,7 @@ func BenchmarkFig7Correlation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	windows := analysis.DetectVLRTWindows(pit.Series, pit.AvgUS, 10, 2*time.Second)
+	windows := core.VLRTEpisodes(pit.Series, pit.AvgUS)
 	if len(windows) == 0 {
 		b.Fatal("no VLRT window")
 	}
@@ -577,20 +576,11 @@ func BenchmarkAblationSchemaTyping(b *testing.B) {
 	var typedBytes, strBytes int64
 	var rows int
 	for i := 0; i < b.N; i++ {
-		dbT := mscopedb.Open()
-		loaded, err := importer.LoadFile(dbT, csvPath, schemaPath)
+		tblT, err := xmlcsv.LoadFile(csvPath, schemaPath)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tblT, err := dbT.Table(loaded.Table)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dbS := mscopedb.Open()
-		if _, err := importer.LoadFile(dbS, csvPath, strSchema); err != nil {
-			b.Fatal(err)
-		}
-		tblS, err := dbS.Table(loaded.Table)
+		tblS, err := xmlcsv.LoadFile(csvPath, strSchema)
 		if err != nil {
 			b.Fatal(err)
 		}

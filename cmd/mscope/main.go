@@ -328,7 +328,7 @@ func cmdIngest(args []string) error {
 	for _, f := range rep.Failed {
 		fmt.Printf("  %-28s REJECTED: %v\n", filepath.Base(f.Input), f.Err)
 	}
-	fmt.Printf("loaded %d rows into %d tables\n", rep.TotalRows(), len(rep.Loads))
+	fmt.Printf("loaded %d rows into %d tables\n", rep.TotalRows(), len(rep.Files))
 	if n := rep.TotalQuarantined(); n > 0 || len(rep.Failed) > 0 {
 		fmt.Printf("degraded ingest: %d regions quarantined, %d files rejected\n", n, len(rep.Failed))
 	}

@@ -78,10 +78,6 @@ func cmdSelfTrace(args []string) error {
 		if err != nil {
 			return err
 		}
-		if ft == nil {
-			fmt.Println("no self-telemetry in the warehouse (run agents with --self-trace)")
-			return nil
-		}
 		return core.RenderFleetSelfTrace(os.Stdout, ft)
 	}
 	batches, err := core.SelfTraceBreakdown(db)

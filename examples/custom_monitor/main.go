@@ -76,7 +76,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("ingested %d rows into %d tables (skipped: %v)\n",
-		rep.TotalRows(), len(rep.Loads), rep.Skipped)
+		rep.TotalRows(), len(rep.Files), rep.Skipped)
 
 	// 5. Query the custom table like any other.
 	out, err := milliscope.Query(db,

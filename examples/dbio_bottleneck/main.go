@@ -12,6 +12,7 @@ import (
 
 	"github.com/gt-elba/milliscope"
 	"github.com/gt-elba/milliscope/internal/analysis"
+	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 )
 
@@ -70,7 +71,7 @@ func run() error {
 	if err := fig6.Render(os.Stdout, 90, 12); err != nil {
 		return err
 	}
-	windows := analysis.DetectVLRTWindows(pit.Series, pit.AvgUS, 10, 2*time.Second)
+	windows := core.VLRTEpisodes(pit.Series, pit.AvgUS)
 	if len(windows) == 0 {
 		return fmt.Errorf("no VLRT window detected")
 	}

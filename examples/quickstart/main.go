@@ -47,7 +47,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ingested %d rows into %d tables\n\n", rep.TotalRows(), len(rep.Loads))
+	fmt.Printf("ingested %d rows into %d tables\n\n", rep.TotalRows(), len(rep.Files))
 
 	// 3. Query the warehouse with MQL: the five slowest requests.
 	out, err := milliscope.Query(db,

@@ -17,7 +17,6 @@
 package agentd
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -652,20 +651,20 @@ func (s *session) shipSelfTrace() error {
 
 // Status is a point-in-time agent snapshot for the CLI and /metrics.
 type Status struct {
-	ID            string `json:"id"`
-	Connected     bool   `json:"connected"`
-	Sources       int64  `json:"sources"`
-	BatchesSent   int64  `json:"batches_sent"`
-	RecordsSent   int64  `json:"records_sent"`
-	AcksReceived  int64  `json:"acks_received"`
-	Reconnects    int64  `json:"reconnects"`
-	DialErrors    int64  `json:"dial_errors"`
-	WireTxBytes   int64  `json:"wire_tx_bytes"`
-	WireRxBytes   int64  `json:"wire_rx_bytes"`
-	Quarantined   int64  `json:"quarantined"`
-	Credits       int64  `json:"credits"`
-	FidelityState string `json:"collector_fidelity"`
-	QueuePct      int    `json:"collector_queue_pct"`
+	ID            string         `json:"id"`
+	Connected     bool           `json:"connected"`
+	Sources       int64          `json:"sources"`
+	BatchesSent   int64          `json:"batches_sent"`
+	RecordsSent   int64          `json:"records_sent"`
+	AcksReceived  int64          `json:"acks_received"`
+	Reconnects    int64          `json:"reconnects"`
+	DialErrors    int64          `json:"dial_errors"`
+	WireTxBytes   int64          `json:"wire_tx_bytes"`
+	WireRxBytes   int64          `json:"wire_rx_bytes"`
+	Quarantined   int64          `json:"quarantined"`
+	Credits       int64          `json:"credits"`
+	FidelityState fidelity.State `json:"collector_fidelity"`
+	QueuePct      int            `json:"collector_queue_pct"`
 }
 
 // Status snapshots the agent counters.
@@ -687,7 +686,7 @@ func (a *Agent) Status() Status {
 		WireRxBytes:   a.wireRx.Load(),
 		Quarantined:   a.quarantined.Load(),
 		Credits:       a.creditsGauge.Load(),
-		FidelityState: st.String(),
+		FidelityState: st,
 		QueuePct:      int(ctl.QueuePct),
 	}
 }
@@ -713,14 +712,7 @@ func (a *Agent) MetricsText() string {
 	c("quarantined_total", st.Quarantined, "malformed regions diverted at this node")
 	g("sources", st.Sources, "sources currently open with the collector")
 	g("credits", st.Credits, "record credits currently held")
-	fidVal := int64(0)
-	switch st.FidelityState {
-	case "aggregate":
-		fidVal = 1
-	case "shed":
-		fidVal = 2
-	}
-	g("collector_fidelity_state", fidVal, "collector-pushed fidelity: 0 full, 1 aggregate, 2 shed")
+	g("collector_fidelity_state", int64(st.FidelityState), "collector-pushed fidelity: 0 full, 1 aggregate, 2 shed")
 	g("collector_queue_pct", int64(st.QueuePct), "collector record-channel fill percent")
 	return w.String()
 }
@@ -731,10 +723,7 @@ func (a *Agent) MetricsText() string {
 func (a *Agent) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		_ = enc.Encode(a.Status())
+		promfmt.WriteJSON(w, http.StatusOK, a.Status())
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

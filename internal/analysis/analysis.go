@@ -144,12 +144,6 @@ func DetectAnomalies(s *mscopedb.Series, threshold float64, maxDuration time.Dur
 	return out
 }
 
-// DetectVLRTWindows finds the windows where Point-in-Time response time
-// exceeds k × the average: the paper's very-long-response-time episodes.
-func DetectVLRTWindows(pit *mscopedb.Series, avgUS, k float64, maxDuration time.Duration) []Window {
-	return DetectAnomalies(pit, k*avgUS, maxDuration)
-}
-
 // SliceSeries restricts a series to [startUS, endUS].
 func SliceSeries(s *mscopedb.Series, startUS, endUS int64) *mscopedb.Series {
 	var out mscopedb.Series

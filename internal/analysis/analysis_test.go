@@ -217,9 +217,11 @@ func TestRankRootCauses(t *testing.T) {
 	}
 }
 
+// TestDetectVLRTWindows: VLRT windows are the runs above VLRTFactor (10)
+// times the mean; core.VLRTEpisodes adds the episode rule on top.
 func TestDetectVLRTWindows(t *testing.T) {
 	pit := series(0, 50_000, 5000, 6000, 120_000, 5500)
-	ws := DetectVLRTWindows(pit, 6000, 10, time.Second)
+	ws := DetectAnomalies(pit, 10*6000, time.Second)
 	if len(ws) != 1 || ws[0].Peak != 120_000 {
 		t.Fatalf("VLRT windows %+v", ws)
 	}

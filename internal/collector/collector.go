@@ -23,7 +23,6 @@
 package collector
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -669,17 +668,11 @@ func (col *Collector) MetricsText() string {
 // 200 while the listener accepts and the engine runs.
 func (col *Collector) Handler() http.Handler {
 	mux := http.NewServeMux()
-	writeJSON := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		_ = enc.Encode(v)
-	}
 	engine := col.pipe.Handler()
 	mux.Handle("/status", engine)
 	mux.Handle("/alerts", engine)
 	mux.HandleFunc("/collector", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, col.Status())
+		promfmt.WriteJSON(w, http.StatusOK, col.Status())
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

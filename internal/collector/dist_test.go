@@ -13,6 +13,7 @@ import (
 	"github.com/gt-elba/milliscope/internal/agentd"
 	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/faults"
+	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 	"github.com/gt-elba/milliscope/internal/promfmt"
@@ -460,7 +461,7 @@ func TestDistControlPropagation(t *testing.T) {
 	})
 	a := startAgent(t, col, t.TempDir(), "apache", nil)
 	waitFor(t, 10*time.Second, "fidelity state pushed to the agent", func() bool {
-		return a.Status().FidelityState == "aggregate"
+		return a.Status().FidelityState == fidelity.Aggregate
 	})
 	if err := a.Stop(); err != nil {
 		t.Fatal(err)

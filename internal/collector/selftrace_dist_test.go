@@ -150,7 +150,7 @@ func TestDistSelfTraceShowsAgentFrontEnd(t *testing.T) {
 	if err != nil || ft == nil {
 		t.Fatalf("fleet breakdown: %v %v", ft, err)
 	}
-	stages := make(map[string]core.FleetStage)
+	stages := make(map[string]core.SelfStage)
 	for _, st := range ft.Stages {
 		if st.Node == "agent-apache" && st.Pipeline == "agent" {
 			stages[st.Stage] = st

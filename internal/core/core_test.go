@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -84,7 +85,7 @@ func TestScenarioDBIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows := analysis.DetectVLRTWindows(pit.Series, pit.AvgUS, 10, 2*time.Second)
+	windows := VLRTEpisodes(pit.Series, pit.AvgUS)
 	if len(windows) == 0 {
 		t.Fatal("no VLRT windows detected")
 	}
@@ -146,6 +147,18 @@ func TestScenarioDirtyPage(t *testing.T) {
 	}
 	if len(stats.VLRTWindows) != 2 {
 		t.Fatalf("%d VLRT windows, want 2 (two dirty-page episodes)", len(stats.VLRTWindows))
+	}
+	// The figure flags the windows Diagnose classifies: one VLRT rule.
+	diag, err := Diagnose(db, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var diagWindows []analysis.Window
+	for _, wd := range diag.Windows {
+		diagWindows = append(diagWindows, wd.Window)
+	}
+	if !slices.Equal(stats.VLRTWindows, diagWindows) {
+		t.Fatalf("Fig8 windows %+v, Diagnose windows %+v", stats.VLRTWindows, diagWindows)
 	}
 	// Peak 1 (apache episode): apache queue grows, tomcat's does not.
 	pb1 := stats.Pushback[0]

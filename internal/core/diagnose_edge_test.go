@@ -204,7 +204,7 @@ func TestOverlappingVLRTWindows(t *testing.T) {
 			return 10_000
 		}
 	})
-	windows := analysis.DetectVLRTWindows(pit, 10_000, VLRTFactor, MaxVSBDuration)
+	windows := analysis.DetectAnomalies(pit, VLRTFactor*10_000, MaxVSBDuration)
 	if len(windows) != 2 {
 		t.Fatalf("%d VLRT windows, want 2 (windows: %+v)", len(windows), windows)
 	}

@@ -61,8 +61,8 @@ func renderReport(rep transform.Report) string {
 		}
 	}
 	var b []byte
-	b = fmt.Appendf(b, "files %+v\nloads %+v\nskipped %v\nunchanged %v\n",
-		rep.Files, rep.Loads, rep.Skipped, rep.Unchanged)
+	b = fmt.Appendf(b, "files %+v\nskipped %v\nunchanged %v\n",
+		rep.Files, rep.Skipped, rep.Unchanged)
 	for _, f := range rep.Failed {
 		b = fmt.Appendf(b, "failed %s: %v\n", f.Input, f.Err)
 	}

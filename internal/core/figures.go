@@ -245,7 +245,7 @@ func Fig8DirtyPage(db *mscopedb.DB, window time.Duration) ([]*report.Figure, *Fi
 	}
 
 	stats := &Fig8Stats{PIT: pit}
-	stats.VLRTWindows = analysis.DetectVLRTWindows(pit.Series, pit.AvgUS, 10, 3*time.Second)
+	stats.VLRTWindows = VLRTEpisodes(pit.Series, pit.AvgUS)
 	for _, w := range stats.VLRTWindows {
 		// Widen the inspection window slightly: queue growth brackets the
 		// response-time peak.

@@ -16,8 +16,11 @@ import (
 // fine-grained-timestamp methodology to itself.
 
 // SelfStage aggregates every span one (pipeline, stage) pair emitted
-// within a batch.
+// within a batch, or, in the fleet view, on one node.
 type SelfStage struct {
+	// Node is the emitting node in the fleet view (its table name minus
+	// "_selftrace"); empty in a per-batch breakdown.
+	Node     string
 	Pipeline string
 	Stage    string
 	// Spans is the number of span records aggregated.
@@ -34,9 +37,9 @@ type SelfStage struct {
 	// during which at least one span of this stage was open. Unlike
 	// TotalUS it does not double-count concurrent workers.
 	BusyUS int64
-	// Share is BusyUS over the batch's wall time: the fraction of the run
-	// during which this stage was active. Stages near 1.0 dominate the
-	// critical path.
+	// Share is BusyUS over the wall time of the batch (or of the fleet):
+	// the fraction of the run during which this stage was active. Stages
+	// near 1.0 dominate the critical path.
 	Share float64
 }
 
@@ -49,13 +52,19 @@ type SelfCounter struct {
 }
 
 // SelfBatch is one instrumented run (one Enable..Disable window) as
-// reconstructed from the warehouse.
+// reconstructed from the warehouse — or, in the fleet view, the
+// cross-node merge of every node's spans.
 type SelfBatch struct {
 	// Table is the warehouse table the batch was read from.
 	Table string
 	// Batch is the identifier passed to selfobs.Enable.
 	Batch string
-	// WallUS spans the earliest span start to the latest span end.
+	// Nodes, in the fleet view, are the contributing node names (table
+	// name minus the "_selftrace" suffix), sorted.
+	Nodes []string
+	// WallUS spans the earliest span start to the latest span end. In the
+	// fleet view spans from different machines compare on their rendered
+	// wall timestamps, so cross-node shares inherit their clock skew.
 	WallUS int64
 	// Spans counts span records across all stages.
 	Spans int
@@ -67,186 +76,127 @@ type SelfBatch struct {
 	startUS int64 // earliest span start, for stable batch ordering
 }
 
-// selfSpanRow is one decoded span record.
-type selfSpanRow struct {
-	startUS  int64
-	durUS    int64
-	items    int64
-	errs     int64
-	pipeline string
-	stage    string
+// selfRow is one record of a *_selftrace table.
+type selfRow struct {
+	kind, batch, pipeline, stage, name string
+	startUS, durUS, items, errs        int64
 }
 
-// SelfTraceBreakdown scans every *_selftrace table in the warehouse and
-// aggregates its span records into per-batch, per-stage critical-path
-// summaries. An empty slice (no error) means the warehouse holds no
-// self-telemetry.
-func SelfTraceBreakdown(db *mscopedb.DB) ([]SelfBatch, error) {
-	var out []SelfBatch
+// readSelfTrace calls fn with every record of every *_selftrace table in
+// the warehouse, table by table in name order, rows in table order.
+func readSelfTrace(db *mscopedb.DB, fn func(table string, r selfRow)) error {
 	for _, name := range db.TableNames() {
 		if !strings.HasSuffix(name, "_selftrace") {
 			continue
 		}
-		batches, err := breakdownTable(db, name)
-		if err != nil {
-			return nil, fmt.Errorf("selftrace: table %s: %w", name, err)
+		if err := readSelfTable(db, name, fn); err != nil {
+			return fmt.Errorf("selftrace: table %s: %w", name, err)
 		}
-		out = append(out, batches...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Table != out[j].Table {
-			return out[i].Table < out[j].Table
-		}
-		if out[i].startUS != out[j].startUS {
-			return out[i].startUS < out[j].startUS
-		}
-		return out[i].Batch < out[j].Batch
-	})
-	return out, nil
+	return nil
 }
 
-func breakdownTable(db *mscopedb.DB, name string) ([]SelfBatch, error) {
+func readSelfTable(db *mscopedb.DB, name string, fn func(table string, r selfRow)) error {
 	tbl, err := db.Table(name)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res, err := tbl.Select().Rows()
-	if err != nil {
-		return nil, err
-	}
-	if res.Len() == 0 {
-		return nil, nil
+	if err != nil || res.Len() == 0 {
+		return err
 	}
 	ltimes, err := res.TimesMicros("ltime")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var cols struct {
-		kind, batch, pipeline, stage, span []string
-		dur, items, errs                   []int64
-	}
-	for _, c := range []struct {
-		dst *[]string
-		col string
-	}{
-		{&cols.kind, "kind"}, {&cols.batch, "batch"},
-		{&cols.pipeline, "pipeline"}, {&cols.stage, "stage"}, {&cols.span, "span"},
-	} {
-		if *c.dst, err = res.Strings(c.col); err != nil {
-			return nil, err
+	var strs [5][]string
+	for i, col := range []string{"kind", "batch", "pipeline", "stage", "span"} {
+		if strs[i], err = res.Strings(col); err != nil {
+			return err
 		}
 	}
-	for _, c := range []struct {
-		dst *[]int64
-		col string
-	}{
-		{&cols.dur, "dur_us"}, {&cols.items, "items"}, {&cols.errs, "errs"},
-	} {
-		if *c.dst, err = res.Ints(c.col); err != nil {
-			return nil, err
+	var ints [3][]int64
+	for i, col := range []string{"dur_us", "items", "errs"} {
+		if ints[i], err = res.Ints(col); err != nil {
+			return err
 		}
 	}
-
-	spans := make(map[string][]selfSpanRow)
-	counters := make(map[string][]SelfCounter)
-	var order []string // batches in first-appearance order
-	seen := make(map[string]bool)
-	for i := 0; i < res.Len(); i++ {
-		b := cols.batch[i]
-		if !seen[b] {
-			seen[b] = true
-			order = append(order, b)
-		}
-		switch cols.kind[i] {
-		case "counter":
-			counters[b] = append(counters[b], SelfCounter{
-				Pipeline: cols.pipeline[i],
-				Stage:    cols.stage[i],
-				Name:     cols.span[i],
-				Value:    cols.items[i],
-			})
-		case "span":
-			spans[b] = append(spans[b], selfSpanRow{
-				startUS:  ltimes[i],
-				durUS:    cols.dur[i],
-				items:    cols.items[i],
-				errs:     cols.errs[i],
-				pipeline: cols.pipeline[i],
-				stage:    cols.stage[i],
-			})
-		}
+	for i := range res.Len() {
+		fn(name, selfRow{
+			kind: strs[0][i], batch: strs[1][i], pipeline: strs[2][i], stage: strs[3][i], name: strs[4][i],
+			startUS: ltimes[i], durUS: ints[0][i], items: ints[1][i], errs: ints[2][i],
+		})
 	}
-
-	var out []SelfBatch
-	for _, b := range order {
-		sb := buildBatch(name, b, spans[b], counters[b])
-		out = append(out, sb)
-	}
-	return out, nil
+	return nil
 }
 
-func buildBatch(table, batch string, rows []selfSpanRow, ctrs []SelfCounter) SelfBatch {
-	sb := SelfBatch{Table: table, Batch: batch, Spans: len(rows), Counters: ctrs}
-	sort.Slice(sb.Counters, func(i, j int) bool {
-		a, b := sb.Counters[i], sb.Counters[j]
-		if a.Pipeline != b.Pipeline {
-			return a.Pipeline < b.Pipeline
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		return a.Name < b.Name
-	})
-	if len(rows) == 0 {
-		return sb
-	}
+// stageAgg folds span records into stages keyed by (node, pipeline,
+// stage) and tracks the wall window the spans cover.
+type stageAgg struct {
+	stages map[stageKey]*stageSpans
+	spans  int
+	lo, hi int64 // earliest span start, latest span end
+}
 
-	minStart, maxEnd := rows[0].startUS, rows[0].startUS+rows[0].durUS
-	type key struct{ pipeline, stage string }
-	agg := make(map[key]*SelfStage)
-	intervals := make(map[key][][2]int64)
-	for _, r := range rows {
-		if r.startUS < minStart {
-			minStart = r.startUS
-		}
-		if end := r.startUS + r.durUS; end > maxEnd {
-			maxEnd = end
-		}
-		k := key{r.pipeline, r.stage}
-		st := agg[k]
-		if st == nil {
-			st = &SelfStage{Pipeline: r.pipeline, Stage: r.stage}
-			agg[k] = st
-		}
-		st.Spans++
-		st.Items += r.items
-		st.Errs += r.errs
-		st.TotalUS += r.durUS
-		if r.durUS > st.MaxUS {
-			st.MaxUS = r.durUS
-		}
-		intervals[k] = append(intervals[k], [2]int64{r.startUS, r.startUS + r.durUS})
+type stageKey struct{ node, pipeline, stage string }
+
+// stageSpans is one stage's running aggregate and its span intervals.
+type stageSpans struct {
+	SelfStage
+	intervals [][2]int64
+}
+
+func (a *stageAgg) add(node string, r selfRow) {
+	end := r.startUS + r.durUS
+	if a.spans == 0 || r.startUS < a.lo {
+		a.lo = r.startUS
 	}
-	sb.startUS = minStart
-	sb.WallUS = maxEnd - minStart
-	for k, st := range agg {
-		st.BusyUS = unionUS(intervals[k])
-		if sb.WallUS > 0 {
-			st.Share = float64(st.BusyUS) / float64(sb.WallUS)
-		}
-		sb.Stages = append(sb.Stages, *st)
+	if a.spans == 0 || end > a.hi {
+		a.hi = end
 	}
-	sort.Slice(sb.Stages, func(i, j int) bool {
-		a, b := sb.Stages[i], sb.Stages[j]
+	a.spans++
+	k := stageKey{node, r.pipeline, r.stage}
+	st := a.stages[k]
+	if st == nil {
+		if a.stages == nil {
+			a.stages = make(map[stageKey]*stageSpans)
+		}
+		st = &stageSpans{SelfStage: SelfStage{Node: node, Pipeline: r.pipeline, Stage: r.stage}}
+		a.stages[k] = st
+	}
+	st.Spans++
+	st.Items += r.items
+	st.Errs += r.errs
+	st.TotalUS += r.durUS
+	st.MaxUS = max(st.MaxUS, r.durUS)
+	st.intervals = append(st.intervals, [2]int64{r.startUS, end})
+}
+
+// finish returns the wall window and the stages, each with its busy time
+// and share of the window, critical path first.
+func (a *stageAgg) finish() (wallUS int64, stages []SelfStage) {
+	wallUS = a.hi - a.lo
+	for _, st := range a.stages {
+		st.BusyUS = unionUS(st.intervals)
+		if wallUS > 0 {
+			st.Share = float64(st.BusyUS) / float64(wallUS)
+		}
+		stages = append(stages, st.SelfStage)
+	}
+	sort.Slice(stages, func(i, j int) bool {
+		a, b := stages[i], stages[j]
 		if a.BusyUS != b.BusyUS {
 			return a.BusyUS > b.BusyUS
+		}
+		if a.Node != b.Node {
+			return a.Node < b.Node
 		}
 		if a.Pipeline != b.Pipeline {
 			return a.Pipeline < b.Pipeline
 		}
 		return a.Stage < b.Stage
 	})
-	return sb
+	return wallUS, stages
 }
 
 // unionUS is the total length of the union of the given [start, end]
@@ -269,169 +219,103 @@ func unionUS(iv [][2]int64) int64 {
 	return total
 }
 
-// FleetStage is one (node, pipeline, stage) aggregate in the fleet-wide
-// self-trace: the per-node tables a distributed deployment ships are
-// merged on absolute span time, so Share is measured against the whole
-// fleet's wall window — the cross-node critical path.
-type FleetStage struct {
-	Node     string
-	Pipeline string
-	Stage    string
-	Spans    int
-	Items    int64
-	Errs     int64
-	TotalUS  int64
-	MaxUS    int64
-	BusyUS   int64
-	Share    float64
-}
-
-// FleetSelfTrace is the cross-node merge of every *_selftrace table:
-// one wall window spanning the earliest span start to the latest span
-// end anywhere in the fleet, with per-node stage attribution.
-type FleetSelfTrace struct {
-	// Nodes are the contributing node names (table name minus the
-	// "_selftrace" suffix), sorted.
-	Nodes []string
-	// WallUS spans the whole fleet's telemetry window. Spans from
-	// different machines compare on their rendered wall timestamps, so
-	// cross-node shares inherit whatever clock skew the nodes have.
-	WallUS int64
-	Spans  int
-	// Stages are sorted by BusyUS descending — the fleet critical path.
-	Stages []FleetStage
-}
-
-// FleetSelfTraceBreakdown merges every *_selftrace table in the
-// warehouse — the agents' shipped telemetry plus the collector's own —
-// into one cross-node critical path. A nil result (no error) means the
-// warehouse holds no self-telemetry.
-func FleetSelfTraceBreakdown(db *mscopedb.DB) (*FleetSelfTrace, error) {
-	type key struct{ node, pipeline, stage string }
-	agg := make(map[key]*FleetStage)
-	intervals := make(map[key][][2]int64)
-	var minStart, maxEnd int64
-	total := 0
-	var nodes []string
-	for _, name := range db.TableNames() {
-		if !strings.HasSuffix(name, "_selftrace") {
-			continue
-		}
-		node := strings.TrimSuffix(name, "_selftrace")
-		tbl, err := db.Table(name)
-		if err != nil {
-			return nil, err
-		}
-		res, err := tbl.Select().Where("kind", mscopedb.OpEq, "span").Rows()
-		if err != nil {
-			return nil, fmt.Errorf("selftrace: table %s: %w", name, err)
-		}
-		if res.Len() == 0 {
-			continue
-		}
-		ltimes, err := res.TimesMicros("ltime")
-		if err != nil {
-			return nil, fmt.Errorf("selftrace: table %s: %w", name, err)
-		}
-		pipelines, err := res.Strings("pipeline")
-		if err != nil {
-			return nil, err
-		}
-		stages, err := res.Strings("stage")
-		if err != nil {
-			return nil, err
-		}
-		var durs, items, errs []int64
-		for _, c := range []struct {
-			dst *[]int64
-			col string
-		}{
-			{&durs, "dur_us"}, {&items, "items"}, {&errs, "errs"},
-		} {
-			if *c.dst, err = res.Ints(c.col); err != nil {
-				return nil, err
-			}
-		}
-		nodes = append(nodes, node)
-		for i := 0; i < res.Len(); i++ {
-			start, end := ltimes[i], ltimes[i]+durs[i]
-			if total == 0 || start < minStart {
-				minStart = start
-			}
-			if total == 0 || end > maxEnd {
-				maxEnd = end
-			}
-			total++
-			k := key{node, pipelines[i], stages[i]}
-			st := agg[k]
-			if st == nil {
-				st = &FleetStage{Node: node, Pipeline: pipelines[i], Stage: stages[i]}
-				agg[k] = st
-			}
-			st.Spans++
-			st.Items += items[i]
-			st.Errs += errs[i]
-			st.TotalUS += durs[i]
-			if durs[i] > st.MaxUS {
-				st.MaxUS = durs[i]
-			}
-			intervals[k] = append(intervals[k], [2]int64{start, end})
-		}
+// SelfTraceBreakdown aggregates the span records of every *_selftrace
+// table in the warehouse into per-batch, per-stage critical-path
+// summaries. An empty slice (no error) means the warehouse holds no
+// self-telemetry.
+func SelfTraceBreakdown(db *mscopedb.DB) ([]SelfBatch, error) {
+	type batchAgg struct {
+		SelfBatch
+		spans stageAgg
 	}
-	if total == 0 {
-		return nil, nil
+	var out []*batchAgg
+	byKey := make(map[[2]string]*batchAgg)
+	err := readSelfTrace(db, func(table string, r selfRow) {
+		b := byKey[[2]string{table, r.batch}]
+		if b == nil {
+			b = &batchAgg{SelfBatch: SelfBatch{Table: table, Batch: r.batch}}
+			byKey[[2]string{table, r.batch}] = b
+			out = append(out, b)
+		}
+		switch r.kind {
+		case "counter":
+			b.Counters = append(b.Counters, SelfCounter{Pipeline: r.pipeline, Stage: r.stage, Name: r.name, Value: r.items})
+		case "span":
+			b.spans.add("", r)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	batches := make([]SelfBatch, len(out))
+	for i, b := range out {
+		sort.Slice(b.Counters, func(i, j int) bool {
+			x, y := b.Counters[i], b.Counters[j]
+			if x.Pipeline != y.Pipeline {
+				return x.Pipeline < y.Pipeline
+			}
+			if x.Stage != y.Stage {
+				return x.Stage < y.Stage
+			}
+			return x.Name < y.Name
+		})
+		b.Spans, b.startUS = b.spans.spans, b.spans.lo
+		b.WallUS, b.Stages = b.spans.finish()
+		batches[i] = b.SelfBatch
+	}
+	sort.Slice(batches, func(i, j int) bool {
+		x, y := &batches[i], &batches[j]
+		if x.Table != y.Table {
+			return x.Table < y.Table
+		}
+		if x.startUS != y.startUS {
+			return x.startUS < y.startUS
+		}
+		return x.Batch < y.Batch
+	})
+	return batches, nil
+}
+
+// FleetSelfTraceBreakdown merges the spans of every *_selftrace table in
+// the warehouse — the agents' shipped telemetry plus the collector's own
+// — into one cross-node critical path, measured against the whole
+// fleet's wall window. A nil result (no error) means the warehouse holds
+// no self-telemetry.
+func FleetSelfTraceBreakdown(db *mscopedb.DB) (*SelfBatch, error) {
+	var agg stageAgg
+	var nodes []string
+	err := readSelfTrace(db, func(table string, r selfRow) {
+		if r.kind != "span" {
+			return
+		}
+		node := strings.TrimSuffix(table, "_selftrace")
+		if len(nodes) == 0 || nodes[len(nodes)-1] != node {
+			nodes = append(nodes, node)
+		}
+		agg.add(node, r)
+	})
+	if err != nil || agg.spans == 0 {
+		return nil, err
 	}
 	sort.Strings(nodes)
-	ft := &FleetSelfTrace{Nodes: nodes, WallUS: maxEnd - minStart, Spans: total}
-	for k, st := range agg {
-		st.BusyUS = unionUS(intervals[k])
-		if ft.WallUS > 0 {
-			st.Share = float64(st.BusyUS) / float64(ft.WallUS)
-		}
-		ft.Stages = append(ft.Stages, *st)
-	}
-	sort.Slice(ft.Stages, func(i, j int) bool {
-		a, b := ft.Stages[i], ft.Stages[j]
-		if a.BusyUS != b.BusyUS {
-			return a.BusyUS > b.BusyUS
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Pipeline != b.Pipeline {
-			return a.Pipeline < b.Pipeline
-		}
-		return a.Stage < b.Stage
-	})
+	ft := &SelfBatch{Nodes: nodes, Spans: agg.spans}
+	ft.WallUS, ft.Stages = agg.finish()
 	return ft, nil
 }
 
 // RenderFleetSelfTrace prints the cross-node critical path.
-func RenderFleetSelfTrace(w io.Writer, ft *FleetSelfTrace) error {
+func RenderFleetSelfTrace(w io.Writer, ft *SelfBatch) error {
 	if ft == nil || ft.Spans == 0 {
 		_, err := fmt.Fprintln(w, "no self-telemetry in warehouse "+
 			"(run agents and collector with self-tracing enabled)")
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "fleet: %d nodes (%s), %d spans over %.3fms wall\n",
-		len(ft.Nodes), strings.Join(ft.Nodes, ", "), ft.Spans,
-		float64(ft.WallUS)/1000); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  %-18s %-10s %-11s %6s %9s %6s %11s %11s %11s %6s\n",
-		"node", "pipeline", "stage", "spans", "items", "errs",
-		"total", "max", "busy", "path%"); err != nil {
-		return err
-	}
-	for _, st := range ft.Stages {
-		if _, err := fmt.Fprintf(w, "  %-18s %-10s %-11s %6d %9d %6d %9.3fms %9.3fms %9.3fms %6.1f\n",
-			st.Node, st.Pipeline, st.Stage, st.Spans, st.Items, st.Errs,
-			float64(st.TotalUS)/1000, float64(st.MaxUS)/1000,
-			float64(st.BusyUS)/1000, st.Share*100); err != nil {
-			return err
-		}
-	}
-	return nil
+	var b strings.Builder
+	fmt.Fprintf(&b, "fleet: %d nodes (%s), %d spans over %.3fms wall\n",
+		len(ft.Nodes), strings.Join(ft.Nodes, ", "), ft.Spans, float64(ft.WallUS)/1000)
+	writeStages(&b, true, ft.Stages)
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // RenderSelfTrace prints the per-batch critical-path tables.
@@ -441,37 +325,39 @@ func RenderSelfTrace(w io.Writer, batches []SelfBatch) error {
 			"(ingest a log produced with --self-log)")
 		return err
 	}
-	for bi, b := range batches {
+	var b strings.Builder
+	for bi, sb := range batches {
 		if bi > 0 {
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
+			b.WriteByte('\n')
 		}
-		if _, err := fmt.Fprintf(w, "batch %s (%s): %d spans over %.3fms wall\n",
-			b.Batch, b.Table, b.Spans, float64(b.WallUS)/1000); err != nil {
-			return err
-		}
-		if len(b.Stages) > 0 {
-			if _, err := fmt.Fprintf(w, "  %-9s %-11s %6s %9s %6s %11s %11s %11s %6s\n",
-				"pipeline", "stage", "spans", "items", "errs",
-				"total", "max", "busy", "path%"); err != nil {
-				return err
-			}
-		}
-		for _, st := range b.Stages {
-			if _, err := fmt.Fprintf(w, "  %-9s %-11s %6d %9d %6d %9.3fms %9.3fms %9.3fms %6.1f\n",
-				st.Pipeline, st.Stage, st.Spans, st.Items, st.Errs,
-				float64(st.TotalUS)/1000, float64(st.MaxUS)/1000,
-				float64(st.BusyUS)/1000, st.Share*100); err != nil {
-				return err
-			}
-		}
-		for _, c := range b.Counters {
-			if _, err := fmt.Fprintf(w, "  counter %s/%s %s = %d\n",
-				c.Pipeline, c.Stage, c.Name, c.Value); err != nil {
-				return err
-			}
+		fmt.Fprintf(&b, "batch %s (%s): %d spans over %.3fms wall\n",
+			sb.Batch, sb.Table, sb.Spans, float64(sb.WallUS)/1000)
+		writeStages(&b, false, sb.Stages)
+		for _, c := range sb.Counters {
+			fmt.Fprintf(&b, "  counter %s/%s %s = %d\n", c.Pipeline, c.Stage, c.Name, c.Value)
 		}
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// writeStages prints a stage table under its header, nothing when there
+// are no stages. The fleet view leads each row with the stage's node.
+func writeStages(b *strings.Builder, fleet bool, stages []SelfStage) {
+	if len(stages) == 0 {
+		return
+	}
+	lead := func(node, pipeline string) string {
+		if fleet {
+			return fmt.Sprintf("%-18s %-10s", node, pipeline)
+		}
+		return fmt.Sprintf("%-9s", pipeline)
+	}
+	fmt.Fprintf(b, "  %s %-11s %6s %9s %6s %11s %11s %11s %6s\n", lead("node", "pipeline"),
+		"stage", "spans", "items", "errs", "total", "max", "busy", "path%")
+	for _, st := range stages {
+		fmt.Fprintf(b, "  %s %-11s %6d %9d %6d %9.3fms %9.3fms %9.3fms %6.1f\n",
+			lead(st.Node, st.Pipeline), st.Stage, st.Spans, st.Items, st.Errs,
+			float64(st.TotalUS)/1000, float64(st.MaxUS)/1000, float64(st.BusyUS)/1000, st.Share*100)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,5 +124,101 @@ func TestSelfTraceBreakdown(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "no self-telemetry") {
 		t.Fatalf("empty render: %q", buf.String())
+	}
+}
+
+var updateSelfTrace = flag.Bool("update", false, "rewrite testdata/golden/selftrace_*.txt")
+
+// TestSelfTraceRenderGolden pins both self-trace renders byte for byte on a
+// two-node fixture with counters, concurrent spans of one stage, an
+// equal-busy tie and a counter-only batch. Run with -update to regenerate.
+func TestSelfTraceRenderGolden(t *testing.T) {
+	epoch := time.Date(2017, 4, 1, 0, 0, 0, 0, time.UTC)
+	ms, us := int64(time.Millisecond), int64(time.Microsecond)
+	type rec struct {
+		batch string
+		r     selfobs.Rec
+	}
+	logs := map[string][]rec{
+		"agent-a_selftrace.log": {
+			{"a1", selfobs.Rec{Kind: "span", Pipeline: "agent", Stage: "parse", Span: "f",
+				File: "x.log", StartNS: 1 * ms, DurNS: 4*ms + 250*us, Items: 120}},
+			{"a1", selfobs.Rec{Kind: "span", Pipeline: "agent", Stage: "parse", Span: "f",
+				File: "y.log", StartNS: 3 * ms, DurNS: 5 * ms, Items: 80, Errs: 2}},
+			{"a1", selfobs.Rec{Kind: "span", Pipeline: "agent", Stage: "ship", Span: "batch",
+				StartNS: 9 * ms, DurNS: 1*ms + 500*us, Items: 200}},
+			{"a1", selfobs.Rec{Kind: "span", Pipeline: "agent", Stage: "tail", Span: "poll",
+				StartNS: 0, DurNS: 1*ms + 500*us, Items: 3}},
+			{"a1", selfobs.Rec{Kind: "counter", Pipeline: "agent", Stage: "wire", Span: "reconnects",
+				StartNS: 11 * ms, Items: 1}},
+			{"a1", selfobs.Rec{Kind: "counter", Pipeline: "agent", Stage: "wire", Span: "batches",
+				StartNS: 11 * ms, Items: 4}},
+			{"a2", selfobs.Rec{Kind: "counter", Pipeline: "agent", Stage: "wire", Span: "batches",
+				StartNS: 40 * ms, Items: 0}},
+		},
+		"collector_selftrace.log": {
+			{"c1", selfobs.Rec{Kind: "span", Pipeline: "collector", Stage: "decode", Span: "frame",
+				StartNS: 10 * ms, DurNS: 2 * ms, Items: 200}},
+			{"c1", selfobs.Rec{Kind: "span", Pipeline: "collector", Stage: "append", Span: "block",
+				StartNS: 11 * ms, DurNS: 3 * ms, Items: 200}},
+			{"c1", selfobs.Rec{Kind: "span", Pipeline: "collector", Stage: "append", Span: "block",
+				StartNS: 12 * ms, DurNS: 1 * ms, Items: 50, Errs: 1}},
+			{"c1", selfobs.Rec{Kind: "span", Pipeline: "collector", Stage: "ack", Span: "-",
+				StartNS: 14 * ms, DurNS: 2 * ms, Items: 2}},
+			{"c1", selfobs.Rec{Kind: "counter", Pipeline: "collector", Stage: "conn", Span: "accepted",
+				StartNS: 16 * ms, Items: 2}},
+		},
+	}
+	dir := t.TempDir()
+	for name, recs := range logs {
+		var b strings.Builder
+		for _, x := range recs {
+			b.WriteString(selfobs.FormatLine(epoch, x.batch, x.r))
+			b.WriteByte('\n')
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := mscopedb.Open()
+	if _, err := transform.IngestDirWithOptions(db, dir, t.TempDir(),
+		transform.DefaultPlan(), transform.Options{}); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+
+	batches, err := SelfTraceBreakdown(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perBatch bytes.Buffer
+	if err := RenderSelfTrace(&perBatch, batches); err != nil {
+		t.Fatal(err)
+	}
+	ft, err := FleetSelfTraceBreakdown(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fleet bytes.Buffer
+	if err := RenderFleetSelfTrace(&fleet, ft); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]byte{
+		"selftrace_batches.txt": perBatch.Bytes(),
+		"selftrace_fleet.txt":   fleet.Bytes(),
+	} {
+		path := filepath.Join("testdata", "golden", name)
+		if *updateSelfTrace {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create)", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs:\n got:\n%s\nwant:\n%s", name, got, want)
+		}
 	}
 }

@@ -37,6 +37,10 @@ func FromByte(b uint8) (State, bool) {
 	return State(b), true
 }
 
+// MarshalText renders the state by name in JSON status bodies; its value
+// is the number the fidelity gauges export.
+func (s State) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 func (s State) String() string {
 	switch s {
 	case Full:

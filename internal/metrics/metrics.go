@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -65,51 +66,79 @@ func scanSpanRows(tbl *mscopedb.Table, more []string, fn func(ch *mscopedb.Chunk
 	})
 }
 
+// PIT accumulates the Point-in-Time response time one request at a time:
+// per window of fixed width on the absolute grid, the maximum of (ud-ua)
+// over the requests that departed in it, plus the mean and maximum over
+// all of them. PointInTimeRT (and so Diagnose and the figures) and the
+// live detector fold their rows through it. Not safe for concurrent use.
+type PIT struct {
+	widthUS  int64
+	buckets  map[int64]float64 // bucket start → max RT µs
+	lo, hi   int64             // first and last bucket start
+	sum, max float64
+	n        int
+}
+
+// NewPIT starts an empty accumulator of the given window width, which
+// must be at least one microsecond.
+func NewPIT(window time.Duration) *PIT {
+	return &PIT{widthUS: window.Microseconds(), buckets: make(map[int64]float64)}
+}
+
+// Observe folds in one completed request, bucketed by its departure.
+func (p *PIT) Observe(uaUS, udUS int64) {
+	rt := float64(udUS - uaUS)
+	p.sum += rt
+	p.max = max(p.max, rt)
+	b := udUS - mod(udUS, p.widthUS)
+	if rt > p.buckets[b] {
+		p.buckets[b] = rt
+	}
+	if p.n == 0 || b < p.lo {
+		p.lo = b
+	}
+	if p.n == 0 || b > p.hi {
+		p.hi = b
+	}
+	p.n++
+}
+
+// Result is the series from the first bucket through the last one that
+// starts at or before hiUS, empty buckets filled with zero, with the mean
+// and maximum over every request observed.
+func (p *PIT) Result(hiUS int64) *PITResult {
+	var s mscopedb.Series
+	for b := p.lo; p.n > 0 && b <= min(hiUS, p.hi); b += p.widthUS {
+		s.StartMicros = append(s.StartMicros, b)
+		s.Values = append(s.Values, p.buckets[b])
+	}
+	r := &PITResult{Series: &s, MaxUS: p.max, Requests: p.n}
+	if p.n > 0 {
+		r.AvgUS = p.sum / float64(p.n)
+	}
+	return r
+}
+
 // PointInTimeRT computes the Point-in-Time response time from a front-tier
 // event table: per window of the given width, the maximum of (ud-ua);
 // requests are bucketed by completion time (ud).
 func PointInTimeRT(tbl *mscopedb.Table, window time.Duration) (*PITResult, error) {
-	n := tbl.Rows()
-	w := window.Microseconds()
-	if w <= 0 {
+	if window.Microseconds() <= 0 {
 		return nil, fmt.Errorf("metrics: window %v is below one microsecond", window)
 	}
-	buckets := make(map[int64]float64)
-	var lo, hi int64
-	var sum, max float64
-	first := true
+	p := NewPIT(window)
 	err := scanSpans(tbl, func(uas, uds []int64) {
 		for r, ud := range uds {
-			rt := float64(ud - uas[r])
-			sum += rt
-			if rt > max {
-				max = rt
-			}
-			b := ud - mod(ud, w)
-			if rt > buckets[b] {
-				buckets[b] = rt
-			}
-			if first || b < lo {
-				lo = b
-			}
-			if first || b > hi {
-				hi = b
-			}
-			first = false
+			p.Observe(uas[r], ud)
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
+	if p.n == 0 {
 		return nil, fmt.Errorf("metrics: %s is empty", tbl.Name())
 	}
-	var s mscopedb.Series
-	for b := lo; b <= hi; b += w {
-		s.StartMicros = append(s.StartMicros, b)
-		s.Values = append(s.Values, buckets[b])
-	}
-	return &PITResult{Series: &s, AvgUS: sum / float64(n), MaxUS: max, Requests: n}, nil
+	return p.Result(math.MaxInt64), nil
 }
 
 // Queue accumulates the arrival and departure instants of a tier's event

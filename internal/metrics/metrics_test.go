@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -309,5 +310,71 @@ func TestSubMicrosecondStepRejected(t *testing.T) {
 	}
 	if _, err := PointInTimeRT(tbl, 999*time.Nanosecond); err == nil {
 		t.Fatal("999ns window accepted")
+	}
+}
+
+// TestPITObserveMatchesChunkedScan: folding rows one at a time through a
+// PIT gives the series, mean and maximum PointInTimeRT reads off a
+// store-backed table chunk by chunk — gaps of empty buckets, departures
+// out of order and a negative response time included.
+func TestPITObserveMatchesChunkedScan(t *testing.T) {
+	db, err := mscopedb.OpenDir(t.TempDir(), mscopedb.StoreOptions{SealRows: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.Create("apache_event", []mscopedb.Column{
+		{Name: "ua", Type: mscopedb.TInt}, {Name: "ud", Type: mscopedb.TInt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const epoch = 1_491_004_800_000_000
+	live := NewPIT(50 * time.Millisecond)
+	for i := range int64(1000) {
+		ud := epoch + i*3_000
+		if i%200 >= 150 {
+			ud += 400_000 // a run of buckets left empty before these
+		}
+		if i%97 == 0 {
+			ud -= 120_000 // departs before rows already seen
+		}
+		ua := ud - 1_000 - (i*7919)%40_000
+		if i == 500 {
+			ua = ud + 5 // clock skew: negative response time
+		}
+		if err := tbl.Append(ua, ud); err != nil {
+			t.Fatal(err)
+		}
+		live.Observe(ua, ud)
+	}
+	chunks := 0
+	if err := tbl.Scan([]string{"ua"}, func(*mscopedb.Chunk) error { chunks++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if chunks < 10 {
+		t.Fatalf("%d chunks: the scan is not chunked", chunks)
+	}
+	batch, err := PointInTimeRT(tbl, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := live.Result(math.MaxInt64)
+	if !reflect.DeepEqual(got, batch) {
+		t.Fatalf("per-row %+v\nscan %+v", got, batch)
+	}
+	empty := 0
+	for _, v := range batch.Series.Values {
+		if v == 0 {
+			empty++
+		}
+	}
+	if empty == 0 || batch.Requests != 1000 || batch.MaxUS <= batch.AvgUS {
+		t.Fatalf("fixture lacks empty buckets or spread: %d empty, %+v", empty, batch)
+	}
+	// A prefix stops at the last bucket starting at or before its bound.
+	s := batch.Series
+	prefix := live.Result(s.StartMicros[10] + 1).Series
+	if !reflect.DeepEqual(prefix.StartMicros, s.StartMicros[:11]) || !reflect.DeepEqual(prefix.Values, s.Values[:11]) {
+		t.Fatalf("prefix %+v, want the first 11 buckets of %+v", prefix, s)
 	}
 }

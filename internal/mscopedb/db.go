@@ -216,12 +216,6 @@ func (db *DB) RecordMonitor(experiment int64, node, kind, file string) error {
 	return t.Append(experiment, node, kind, file)
 }
 
-// RecordIngest appends one ingest provenance row with no byte offset
-// (stage files that are always rewritten whole, e.g. converter CSVs).
-func (db *DB) RecordIngest(table, file string, rows int, loaded time.Time) error {
-	return db.RecordIngestAt(table, file, rows, 0, loaded)
-}
-
 // RecordIngestAt appends one ingest provenance row carrying the byte
 // offset of the source file consumed so far. The ledger makes re-ingest
 // idempotent: a file whose recorded offset equals its current size is

@@ -250,7 +250,7 @@ func TestLatestIngestOffsetPersists(t *testing.T) {
 	if err := db.RecordIngestAt("t1", "/logs/a.log", 25, 250, time.Unix(0, 0).UTC()); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.RecordIngest("t2", "/work/b.csv", 5, time.Unix(0, 0).UTC()); err != nil {
+	if err := db.RecordIngestAt("t2", "/work/b.csv", 5, 0, time.Unix(0, 0).UTC()); err != nil {
 		t.Fatal(err)
 	}
 	checkDB := func(d *DB, label string) {

@@ -345,7 +345,7 @@ func TestDBStaticTables(t *testing.T) {
 	if err := db.RecordMonitor(id, "apache", "collectl-csv", "/x.csv"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.RecordIngest("apache_event", "/x.log", 100, time.Now().UTC()); err != nil {
+	if err := db.RecordIngestAt("apache_event", "/x.log", 100, 0, time.Now().UTC()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -435,5 +435,17 @@ func BenchmarkBetweenInMemory(b *testing.B) {
 		if err != nil || res.Len() == 0 {
 			b.Fatalf("err=%v len=%d", err, res.Len())
 		}
+	}
+}
+
+// TestInstallRefusesDuplicateTable: a built table cannot replace one the
+// warehouse already holds under its name.
+func TestInstallRefusesDuplicateTable(t *testing.T) {
+	db := Open()
+	if err := db.Install(sampleTable(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Install(sampleTable(t)); err == nil {
+		t.Fatal("duplicate install accepted")
 	}
 }

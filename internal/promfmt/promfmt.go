@@ -4,7 +4,8 @@
 // conventions the conformance tests pin: every family name carries the
 // mscope_ prefix, every family emits exactly one # HELP and one # TYPE
 // line immediately before its samples, and families never interleave.
-// The same surfaces share their /healthz body through WriteHealth.
+// The same surfaces share their JSON bodies through WriteJSON, and their
+// /healthz body through WriteHealth.
 package promfmt
 
 import (
@@ -18,16 +19,23 @@ import (
 	"time"
 )
 
+// WriteJSON answers with v as an indented JSON body under status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	_ = enc.Encode(v)
+}
+
 // WriteHealth renders the readiness body every daemon's /healthz serves:
 // each probe with its state, HTTP 200 iff ok.
 func WriteHealth(w http.ResponseWriter, probes map[string]bool, ok bool) {
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if !ok {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(struct {
+	WriteJSON(w, status, struct {
 		OK     bool            `json:"ok"`
 		Probes map[string]bool `json:"probes"`
 	}{OK: ok, Probes: probes})

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
+	"github.com/gt-elba/milliscope/internal/promfmt"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/tracegraph"
 	"github.com/gt-elba/milliscope/internal/transform"
@@ -60,7 +62,7 @@ func slowestFirstOracle(t *testing.T, db *mscopedb.DB) []*tracegraph.Trace {
 
 func jsonBody(v any) []byte {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, v)
+	promfmt.WriteJSON(rec, http.StatusOK, v)
 	return rec.Body.Bytes()
 }
 
@@ -237,3 +239,35 @@ func TestSpilledReadPath(t *testing.T) {
 }
 
 func itoa(n int) string { b, _ := json.Marshal(n); return string(b) }
+
+// TestWindowFnSpellings: /api/window takes the aggregate in any case, with
+// empty and "mean" meaning avg, and answers each spelling exactly as it
+// answers the canonical name; any other name is a 400.
+func TestWindowFnSpellings(t *testing.T) {
+	h := smokeServer(t).Handler()
+	body := func(fn string, want int) string {
+		path := "/api/window?table=apache_event&value=rt_us&time=ud&window=50ms&fn=" + url.QueryEscape(fn)
+		return get(t, h, path, want, nil).Body.String()
+	}
+	for canonical, spellings := range map[string][]string{
+		"avg":   {"", "AVG", "Avg", "mean", "MEAN", "Mean"},
+		"max":   {"MAX", "Max"},
+		"min":   {"MIN", "mIn"},
+		"sum":   {"SUM"},
+		"count": {"COUNT", "Count"},
+		"p99":   {"P99"},
+	} {
+		want := body(canonical, 200)
+		for _, fn := range spellings {
+			if got := body(fn, 200); got != want {
+				t.Errorf("fn=%q answered differently from fn=%s", fn, canonical)
+			}
+		}
+	}
+	if body("max", 200) == body("min", 200) {
+		t.Fatal("max and min answered alike: fn was ignored")
+	}
+	for _, fn := range []string{"median", "average", "p95", " avg", "avg ", "means"} {
+		body(fn, 400)
+	}
+}

@@ -144,13 +144,6 @@ func (s *Server) withDB(fn func(*mscopedb.DB)) {
 	fn(s.cfg.DB)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
-}
-
 // statusOf is the status an error from the warehouse is answered with: a
 // committed segment that cannot be read back is the server's fault (500);
 // anything else is the fallback the endpoint gives a request it cannot
@@ -204,7 +197,7 @@ func (s *Server) tableInfos() []tableInfo {
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	s.queries.Add(1)
-	writeJSON(w, s.tableInfos())
+	promfmt.WriteJSON(w, http.StatusOK, s.tableInfos())
 }
 
 // --- /api/query ------------------------------------------------------
@@ -230,29 +223,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, statusOf(err, http.StatusBadRequest), "%v", err)
 		return
 	}
-	writeJSON(w, queryResult{Cols: out.Cols, Rows: out.Rows})
+	promfmt.WriteJSON(w, http.StatusOK, queryResult{Cols: out.Cols, Rows: out.Rows})
 }
 
 // --- /api/window -----------------------------------------------------
-
-// parseAggFn resolves the fn parameter; empty means avg.
-func parseAggFn(name string) (mscopedb.AggFn, error) {
-	switch strings.ToLower(name) {
-	case "", "avg", "mean":
-		return mscopedb.AggAvg, nil
-	case "max":
-		return mscopedb.AggMax, nil
-	case "min":
-		return mscopedb.AggMin, nil
-	case "sum":
-		return mscopedb.AggSum, nil
-	case "count":
-		return mscopedb.AggCount, nil
-	case "p99":
-		return mscopedb.AggP99, nil
-	}
-	return 0, fmt.Errorf("unknown fn %q (want avg, max, min, sum, count, or p99)", name)
-}
 
 // handleWindow is the vectorized window-aggregation endpoint: it builds
 // the statement directly so the from/to bounds become time-column
@@ -265,9 +239,14 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "table and value parameters are required")
 		return
 	}
-	fn, err := parseAggFn(p.Get("fn"))
+	// The fn parameter is any case; empty and "mean" mean avg.
+	name := strings.ToLower(p.Get("fn"))
+	if name == "" || name == "mean" {
+		name = "avg"
+	}
+	fn, err := mscopedb.ParseAggFn(name)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		s.fail(w, http.StatusBadRequest, "unknown fn %q (want avg, max, min, sum, count, or p99)", p.Get("fn"))
 		return
 	}
 	window := 50 * time.Millisecond
@@ -331,7 +310,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, statusOf(err, http.StatusBadRequest), "%v", err)
 		return
 	}
-	writeJSON(w, queryResult{Cols: out.Cols, Rows: out.Rows})
+	promfmt.WriteJSON(w, http.StatusOK, queryResult{Cols: out.Cols, Rows: out.Rows})
 }
 
 // --- traces and flamegraphs ------------------------------------------
@@ -410,7 +389,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			Coverage: tr.Coverage(),
 		})
 	}
-	writeJSON(w, out)
+	promfmt.WriteJSON(w, http.StatusOK, out)
 }
 
 // flameFor resolves a request ID (empty means the slowest request) to
@@ -448,7 +427,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, f)
+	promfmt.WriteJSON(w, http.StatusOK, f)
 }
 
 func (s *Server) handleFlameJSON(w http.ResponseWriter, r *http.Request) {
@@ -458,7 +437,7 @@ func (s *Server) handleFlameJSON(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, f)
+	promfmt.WriteJSON(w, http.StatusOK, f)
 }
 
 func (s *Server) handleFlameSVG(w http.ResponseWriter, r *http.Request) {
@@ -537,7 +516,7 @@ func (s *Server) handleDiagnosis(w http.ResponseWriter, r *http.Request) {
 			e.Wait = a.Wait
 			tl.Entries = append(tl.Entries, e)
 		}
-		writeJSON(w, tl)
+		promfmt.WriteJSON(w, http.StatusOK, tl)
 		return
 	}
 	// Snapshot mode: the batch workflow at the configured width, run by the
@@ -553,7 +532,7 @@ func (s *Server) handleDiagnosis(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, statusOf(err, http.StatusUnprocessableEntity), "diagnosis: %v", err)
 		return
 	}
-	writeJSON(w, diagTimeline{Source: "batch", Entries: entries})
+	promfmt.WriteJSON(w, http.StatusOK, diagTimeline{Source: "batch", Entries: entries})
 }
 
 // batchEntries renders a batch diagnosis's windows, each carrying the

@@ -8,6 +8,7 @@ import (
 
 	"github.com/gt-elba/milliscope/internal/analysis"
 	"github.com/gt-elba/milliscope/internal/core"
+	"github.com/gt-elba/milliscope/internal/metrics"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 )
 
@@ -74,7 +75,7 @@ func (a Wait) Waited() string {
 	return fmt.Sprintf("%s: slice %v + grace %v from %v resident, ceiling %v", when, ms(a.SliceUS), ms(a.GraceUS), ms(a.ResidenceUS), ms(a.CeilingUS))
 }
 
-// detector folds front-tier events into online Point-in-Time buckets and,
+// detector folds front-tier events into the online Point-in-Time series and,
 // as the low watermark advances, re-runs the shared VLRT detection over
 // the closed prefix. A window whose correlation slice, plus the grace its
 // residence asks for, is behind the watermark is classified against the
@@ -95,12 +96,9 @@ type detector struct {
 	// it.
 	promote func(loUS, hiUS int64)
 
-	buckets  map[int64]float64 // bucket start → max RT µs
-	loB, hiB int64
-	haveB    bool
-	sumRT    float64
-	maxRT    float64
-	count    int
+	// pit is the front tier's Point-in-Time series, the one the batch
+	// Diagnose builds.
+	pit *metrics.PIT
 
 	alerted []analysis.Window
 }
@@ -111,54 +109,22 @@ func newDetector(db *mscopedb.DB, window, grace, skew time.Duration) *detector {
 		windowUS:  window.Microseconds(),
 		floorUS:   (window + skew).Microseconds(),
 		ceilingUS: grace.Microseconds(),
-		buckets:   make(map[int64]float64),
+		pit:       metrics.NewPIT(window),
 	}
-}
-
-// observe folds one completed front-tier request into the PIT buckets —
-// the same max(ud−ua) bucketed-by-departure statistic as the batch series.
-func (d *detector) observe(uaUS, udUS int64) {
-	rt := float64(udUS - uaUS)
-	d.sumRT += rt
-	d.count++
-	if rt > d.maxRT {
-		d.maxRT = rt
-	}
-	b := udUS - modUS(udUS, d.windowUS)
-	if rt > d.buckets[b] {
-		d.buckets[b] = rt
-	}
-	if !d.haveB || b < d.loB {
-		d.loB = b
-	}
-	if !d.haveB || b > d.hiB {
-		d.hiB = b
-	}
-	d.haveB = true
-}
-
-// series materializes the PIT buckets up to hiUS (inclusive bucket start)
-// on the absolute grid, empty buckets filled with zero — mirroring the
-// batch PointInTimeRT construction.
-func (d *detector) series(hiUS int64) *mscopedb.Series {
-	var s mscopedb.Series
-	for b := d.loB; b <= hiUS; b += d.windowUS {
-		s.StartMicros = append(s.StartMicros, b)
-		s.Values = append(s.Values, d.buckets[b])
-	}
-	return &s
 }
 
 // residence is the longest front-tier response time among the requests
-// that departed in the closed buckets of w's correlation slice [lo, hi]:
-// at least w.Peak, the window's own slowest. Every deeper tier's residence
-// nests inside the front tier's, so it bounds them all; the grace floor
-// has the slice closed, the value final, before w is due.
-func (d *detector) residence(w analysis.Window, lo, hi, closedHi int64) int64 {
+// that departed in the closed buckets (those of pit) overlapping w's
+// correlation slice [lo, hi]: at least w.Peak, the window's own slowest.
+// Every deeper tier's residence nests inside the front tier's, so it
+// bounds them all; the grace floor has the slice closed, the value final,
+// before w is due.
+func (d *detector) residence(w analysis.Window, lo, hi int64, pit *mscopedb.Series) int64 {
 	r := w.Peak
-	lo = max(lo, d.loB)
-	for b := lo - modUS(lo, d.windowUS); b <= min(hi, closedHi); b += d.windowUS {
-		r = max(r, d.buckets[b])
+	for i, b := range pit.StartMicros {
+		if b > lo-d.windowUS && b <= hi {
+			r = max(r, pit.Values[i])
+		}
 	}
 	return int64(r)
 }
@@ -169,19 +135,14 @@ func (d *detector) residence(w analysis.Window, lo, hi, closedHi int64) int64 {
 // windows could not be built (they stay due).
 func (d *detector) advance(lowUS int64) ([]Alert, error) {
 	final := lowUS == finalLow
-	if !d.haveB || d.count == 0 {
-		return nil, nil
-	}
-	// Buckets whose span [b, b+w) is fully behind the watermark are closed.
+	// Buckets whose span [b, b+w) is fully behind the watermark are
+	// closed; at shutdown lowUS − w is past every bucket.
 	closedHi := lowUS - d.windowUS
-	if closedHi > d.hiB || final {
-		closedHi = d.hiB
-	}
-	if closedHi < d.loB {
+	pit := d.pit.Result(closedHi)
+	if len(pit.Series.Values) == 0 {
 		return nil, nil
 	}
-	avg := d.sumRT / float64(d.count)
-	windows := core.VLRTEpisodes(d.series(closedHi), avg)
+	windows := core.VLRTEpisodes(pit.Series, pit.AvgUS)
 	// Promote the neighbourhood of every window this pass will classify,
 	// then build the evidence once for all of them: it is a function of
 	// the warehouse alone, and at shutdown every open window is due at once.
@@ -191,7 +152,7 @@ func (d *detector) advance(lowUS int64) ([]Alert, error) {
 			continue
 		}
 		lo, hi := core.ClassifySlice(w)
-		a := Alert{WatermarkUS: lowUS, Wait: Wait{SliceUS: hi - w.EndMicros, CeilingUS: d.ceilingUS, ResidenceUS: d.residence(w, lo, hi, closedHi)}}
+		a := Alert{WatermarkUS: lowUS, Wait: Wait{SliceUS: hi - w.EndMicros, CeilingUS: d.ceilingUS, ResidenceUS: d.residence(w, lo, hi, pit.Series)}}
 		a.GraceUS = graceFor(a.ResidenceUS, d.floorUS, d.ceilingUS)
 		if !final {
 			if hi+a.GraceUS > lowUS {

@@ -60,9 +60,9 @@ func spikeDetector(t *testing.T, db *mscopedb.DB, grace, residence time.Duration
 	d = newDetector(db, 50*time.Millisecond, grace, 2*time.Millisecond)
 	epoch := simtime.Epoch.UnixMicro()
 	for us := int64(10_000); us < 12_000_000; us += 5_000 {
-		d.observe(epoch+us-5_000, epoch+us)
+		d.pit.Observe(epoch+us-5_000, epoch+us)
 	}
-	d.observe(epoch+6_010_000-residence.Microseconds(), epoch+6_010_000)
+	d.pit.Observe(epoch+6_010_000-residence.Microseconds(), epoch+6_010_000)
 	return d, epoch + 6_050_000
 }
 
@@ -129,7 +129,7 @@ func TestDipDoesNotSplitAnEpisode(t *testing.T) {
 		start := end - 50_000
 		// Another 300 ms request departs in the bucket after the dip.
 		end2 := end + tc.dip + 50_000
-		d.observe(end2-40_000-300_000, end2-40_000)
+		d.pit.Observe(end2-40_000-300_000, end2-40_000)
 		if tc.want == 1 {
 			if alerts, _ := d.advance(end + wait); len(alerts) != 0 {
 				t.Fatalf("dip %d µs: the first spike was raised alone", tc.dip)
@@ -184,11 +184,11 @@ func TestAdvanceRaisesVLRTEpisodes(t *testing.T) {
 		b := epoch + int64(i)*50_000
 		peak := 4_999.0
 		for k := int64(1); k <= 10; k++ {
-			d.observe(b+k*5_000-5_000, b+k*5_000-1)
+			d.pit.Observe(b+k*5_000-5_000, b+k*5_000-1)
 			sum, n = sum+4_999, n+1
 		}
 		if slow(i) {
-			d.observe(b+10_000-300_000, b+10_000)
+			d.pit.Observe(b+10_000-300_000, b+10_000)
 			sum, n, peak = sum+300_000, n+1, 300_000
 		}
 		pit.StartMicros = append(pit.StartMicros, b)

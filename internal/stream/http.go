@@ -1,10 +1,10 @@
 package stream
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
+	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/promfmt"
 )
 
@@ -52,7 +52,7 @@ type Status struct {
 type FidelityStatus struct {
 	Mode string `json:"mode"`
 	// State is the current fidelity level: full, aggregate, or shed.
-	State string `json:"state"`
+	State fidelity.State `json:"state"`
 	// RowsRolledUp counts records folded into per-window aggregates
 	// instead of being appended at full fidelity.
 	RowsRolledUp int64 `json:"rows_rolled_up"`
@@ -93,7 +93,7 @@ func (p *Pipeline) Status() Status {
 	if f := p.fid; f != nil {
 		st.Fidelity = &FidelityStatus{
 			Mode:         f.opts.Mode,
-			State:        p.fidState().String(),
+			State:        p.fidState(),
 			RowsRolledUp: f.rolledUp.Load(),
 			RowsPromoted: f.promoted.Load(),
 			RowsShed:     f.shedRows.Load(),
@@ -198,14 +198,7 @@ func (p *Pipeline) MetricsText() string {
 	if st.Fidelity != nil {
 		fs = *st.Fidelity
 	}
-	stateVal := 0.0
-	switch fs.State {
-	case "aggregate":
-		stateVal = 1
-	case "shed":
-		stateVal = 2
-	}
-	g("fidelity_state", stateVal, "fidelity level: 0 full, 1 aggregate, 2 shed")
+	g("fidelity_state", float64(fs.State), "fidelity level: 0 full, 1 aggregate, 2 shed")
 	c("fidelity_transitions_total", float64(fs.Transitions), "committed fidelity state changes")
 	c("rows_rolled_up_total", float64(fs.RowsRolledUp), "records folded into per-window aggregates")
 	c("rows_promoted_total", float64(fs.RowsPromoted), "ring rows promoted around flagged windows")
@@ -258,14 +251,8 @@ func (p *Pipeline) Healthz(w http.ResponseWriter, r *http.Request) {
 // /metrics as Prometheus text.
 func (p *Pipeline) Handler() http.Handler {
 	mux := http.NewServeMux()
-	writeJSON := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		_ = enc.Encode(v)
-	}
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, p.Status())
+		promfmt.WriteJSON(w, http.StatusOK, p.Status())
 	})
 	mux.HandleFunc("/alerts", func(w http.ResponseWriter, r *http.Request) {
 		alerts := p.Alerts()
@@ -273,7 +260,7 @@ func (p *Pipeline) Handler() http.Handler {
 		for _, a := range alerts {
 			views = append(views, viewAlert(a))
 		}
-		writeJSON(w, views)
+		promfmt.WriteJSON(w, http.StatusOK, views)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/gt-elba/milliscope/internal/importer"
 	"github.com/gt-elba/milliscope/internal/logfmt"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
@@ -111,12 +110,11 @@ func assertSameBytes(t *testing.T, exported, reference string) {
 // assertExportReloads is half (b): the reader half of §III-B is the
 // oracle. Every file the engine loaded exported an annotated-XML document;
 // xmlcsv.ConvertFile over it must rewrite the exported CSV and schema byte
-// for byte, and importer.LoadFile of those must give the table the engine
+// for byte, and xmlcsv.LoadFile of those must give the table the engine
 // installed, cell for cell.
 func assertExportReloads(t *testing.T, workDir string, r engineRun) {
 	t.Helper()
 	oracleDir := t.TempDir()
-	oracle := mscopedb.Open()
 	for _, fr := range r.rep.Files {
 		if fr.MXMLPath == "" {
 			t.Fatalf("%s: materialized run exported no document", fr.Input)
@@ -136,10 +134,7 @@ func assertExportReloads(t *testing.T, workDir string, r engineRun) {
 			// A later fail-fast abort can leave an accepted file unloaded.
 			continue
 		}
-		if _, err := importer.LoadFile(oracle, conv.CSVPath, conv.SchemaPath); err != nil {
-			t.Fatal(err)
-		}
-		ref, err := oracle.Table(fr.Table)
+		ref, err := xmlcsv.LoadFile(conv.CSVPath, conv.SchemaPath)
 		if err != nil {
 			t.Fatal(err)
 		}

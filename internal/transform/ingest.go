@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/gt-elba/milliscope/internal/importer"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mxml"
 	"github.com/gt-elba/milliscope/internal/parsers"
@@ -48,10 +47,9 @@ type fileJob struct {
 
 // fileOutcome is everything a worker produced for one file.
 type fileOutcome struct {
-	fr      FileResult
-	tbl     *mscopedb.Table
-	csvPath string
-	err     error
+	fr  FileResult
+	tbl *mscopedb.Table
+	err error
 }
 
 // IngestDirWithOptions is the batch ingest engine. A planner decides per
@@ -178,11 +176,13 @@ func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, o
 		}
 		rep.Files = append(rep.Files, o.fr)
 		sp := obs.Begin(selfobs.PipeIngest, "append", "seq", j.name)
-		loaded, err := importer.Install(db, o.tbl, o.csvPath)
+		err := db.Install(o.tbl)
 		if err == nil {
-			// Ledger the source file at its consumed size so a re-ingest of
-			// the same directory into this warehouse skips it.
-			err = db.RecordIngestAt(loaded.Table, j.full, loaded.Rows, j.size, simtime.Epoch)
+			// One ledger row per source file, at its consumed size, so a
+			// re-ingest of the same directory into this warehouse skips it.
+			// It is stamped with the simulation epoch, not the wall clock:
+			// the warehouse must be reproducible byte for byte across runs.
+			err = db.RecordIngestAt(o.tbl.Name(), j.full, o.tbl.Rows(), j.size, simtime.Epoch)
 		}
 		if err == nil {
 			// Commit the spill store (no-op in memory): table rows and their
@@ -194,8 +194,7 @@ func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, o
 			sp.End(0, 1)
 			return rep, err
 		}
-		sp.End(int64(loaded.Rows), 0)
-		rep.Loads = append(rep.Loads, loaded)
+		sp.End(int64(o.tbl.Rows()), 0)
 	}
 	rep.sortDeterministic()
 	return rep, nil
@@ -295,7 +294,7 @@ func processFile(j *fileJob, workDir string, opts Options) (out fileOutcome) {
 		return fileOutcome{err: err}
 	}
 	sp.End(int64(tbl.Rows()), 0)
-	return fileOutcome{fr: fr, tbl: tbl, csvPath: filepath.Join(workDir, fr.Table+".csv")}
+	return fileOutcome{fr: fr, tbl: tbl}
 }
 
 // tableBuilder is a file's table while the file is still parsing: the
@@ -385,7 +384,7 @@ func (b *tableBuilder) table(name string, cols []mscopedb.Column) (*mscopedb.Tab
 		err = tbl.AppendColumns(b.rows, data)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("importer: create table: %w", err)
+		return nil, fmt.Errorf("transform: create table: %w", err)
 	}
 	return tbl, nil
 }

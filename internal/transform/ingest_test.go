@@ -125,9 +125,6 @@ func reportsEqual(t *testing.T, serial, parallel Report) {
 	if fmt.Sprintf("%+v", s.Files) != fmt.Sprintf("%+v", p.Files) {
 		t.Errorf("Files differ:\nserial   %+v\nparallel %+v", s.Files, p.Files)
 	}
-	if fmt.Sprintf("%+v", s.Loads) != fmt.Sprintf("%+v", p.Loads) {
-		t.Errorf("Loads differ:\nserial   %+v\nparallel %+v", s.Loads, p.Loads)
-	}
 	if fmt.Sprintf("%v", s.Skipped) != fmt.Sprintf("%v", p.Skipped) ||
 		fmt.Sprintf("%v", s.Unchanged) != fmt.Sprintf("%v", p.Unchanged) {
 		t.Errorf("Skipped/Unchanged differ: serial %v/%v parallel %v/%v",
@@ -207,8 +204,8 @@ func TestIngestLedgerEquivalence(t *testing.T) {
 		t.Fatalf("rebuild ingests failed: serial %v parallel %v", errS, errP)
 	}
 	reportsEqual(t, repS2, repP2)
-	if len(repS2.Loads) != 1 || repS2.Loads[0].Table != "mysql_event" {
-		t.Fatalf("expected only mysql_event rebuilt, got %+v", repS2.Loads)
+	if len(repS2.Files) != 1 || repS2.Files[0].Table != "mysql_event" {
+		t.Fatalf("expected only mysql_event rebuilt, got %+v", repS2.Files)
 	}
 	dbtest.Same(t, "after rebuild", dbtest.Dump(t, dbS), dbtest.Dump(t, dbP))
 }
@@ -259,6 +256,41 @@ func TestQuarantineSinkConcurrentRecord(t *testing.T) {
 		}
 		if !strings.HasPrefix(lines[i+1], "worker ") {
 			t.Fatalf("line %d is not a payload: %q", i+1, lines[i+1])
+		}
+	}
+}
+
+// TestLedgerOneRowPerFile: the ingest ledger holds exactly one row per
+// loaded source file — its own path, table, rows and consumed size — and
+// nothing for the staged artifacts --materialize exports.
+func TestLedgerOneRowPerFile(t *testing.T) {
+	logDir := writeSyntheticDir(t, false)
+	for _, materialize := range []bool{false, true} {
+		db := mscopedb.Open()
+		rep, err := IngestDirWithOptions(db, logDir, t.TempDir(), DefaultPlan(), Options{Materialize: materialize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger, err := db.Table(mscopedb.TableIngests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ledger.Rows() != len(rep.Files) || len(rep.Files) != 3 {
+			t.Fatalf("materialize=%v: %d ledger rows for %d files, want 3 each", materialize, ledger.Rows(), len(rep.Files))
+		}
+		for i, f := range rep.Files {
+			info, err := os.Stat(f.Input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []any
+			for _, col := range []string{"tbl", "file", "rows", "offset"} {
+				got = append(got, ledger.Value(ledger.ColIndex(col), i))
+			}
+			want := []any{f.Table, f.Input, int64(f.Entries), info.Size()}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("materialize=%v: ledger row %d = %v, want %v", materialize, i, got, want)
+			}
 		}
 	}
 }

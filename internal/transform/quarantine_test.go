@@ -116,8 +116,8 @@ func TestQuarantineErrorBudgetRejectsFile(t *testing.T) {
 		t.Errorf("rejection lacks budget cause: %v", rep.Failed[0].Err)
 	}
 	// Tomcat still made it into the warehouse.
-	if len(rep.Loads) != 1 || rep.Loads[0].Table != "tomcat_event" {
-		t.Errorf("loads: %+v", rep.Loads)
+	if len(rep.Files) != 1 || rep.Files[0].Table != "tomcat_event" {
+		t.Errorf("files: %+v", rep.Files)
 	}
 	if _, err := db.Table("apache_event"); err == nil {
 		t.Error("rejected file's table was created anyway")

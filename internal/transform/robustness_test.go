@@ -140,8 +140,8 @@ func TestCustomPlanBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Loads) != 1 || rep.Loads[0].Table != "node9_custom" {
-		t.Fatalf("loads %+v", rep.Loads)
+	if len(rep.Files) != 1 || rep.Files[0].Table != "node9_custom" {
+		t.Fatalf("files %+v", rep.Files)
 	}
 	tbl, err := db.Table("node9_custom")
 	if err != nil {

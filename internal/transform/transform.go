@@ -4,9 +4,9 @@
 //
 // Stage 1, Parsing Declaration, is a declarative registry (Plan) mapping
 // log-file patterns to a parser and its instructions. Stage 2 executes the
-// bound mScopeParser, enriching the raw log into annotated XML. Stage 3
-// hands the XML to the mScope XMLtoCSV Converter, and stage 4 to the
-// mScope Data Importer, which creates and populates mScopeDB tables.
+// bound mScopeParser, stage 3 types its cells into a table the way the
+// mScope XMLtoCSV Converter would, and stage 4, the mScope Data Importer,
+// installs the table and records one ingest-ledger row for its file.
 package transform
 
 import (
@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"github.com/gt-elba/milliscope/internal/importer"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/simtime"
@@ -162,10 +161,10 @@ type FileResult struct {
 }
 
 // Report summarizes a full directory ingest. All slices are sorted by
-// input name (Loads by table) so reports are deterministic.
+// input name so reports are deterministic.
 type Report struct {
+	// Files are the files loaded, one warehouse table each.
 	Files   []FileResult
-	Loads   []importer.Loaded
 	Skipped []string
 	// Unchanged lists files the ingest ledger proved fully loaded already
 	// (recorded byte offset equals current size): re-running an ingest
@@ -180,8 +179,8 @@ type Report struct {
 // TotalRows returns the number of warehouse rows loaded.
 func (r Report) TotalRows() int {
 	n := 0
-	for _, l := range r.Loads {
-		n += l.Rows
+	for _, f := range r.Files {
+		n += f.Entries
 	}
 	return n
 }

@@ -6,8 +6,7 @@
 // column set is the union of all field names across entries, and each
 // column's type is the narrowest type that can store every observed value
 // (int → float → string, with time as a parallel arm forced by parser
-// hints). The downstream mScope Data Importer consumes the CSV/schema pair
-// to create and populate warehouse tables.
+// hints). LoadFile reads the CSV/schema pair back into a table.
 package xmlcsv
 
 import (
@@ -15,6 +14,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -30,7 +30,7 @@ type Converted struct {
 	Columns    []mscopedb.Column
 }
 
-// Schema is the JSON sidecar the importer reads.
+// Schema is the JSON sidecar LoadFile reads.
 type Schema struct {
 	Table   string         `json:"table"`
 	Source  string         `json:"source"`
@@ -150,6 +150,55 @@ func ReadSchema(path string) (Schema, []mscopedb.Column, error) {
 		cols[i] = mscopedb.Column{Name: c.Name, Type: typ}
 	}
 	return s, cols, nil
+}
+
+// LoadFile reads a CSV and schema pair that ConvertFile wrote back into a
+// standalone table, touching no warehouse: the independent reader half of
+// §III-B, which tests hold the batch ingest's tables against. The CSV
+// header must match the schema's column order exactly — the converter
+// wrote both, so a mismatch means the files are unrelated.
+func LoadFile(csvPath, schemaPath string) (*mscopedb.Table, error) {
+	schema, cols, err := ReadSchema(schemaPath)
+	if err != nil {
+		return nil, err
+	}
+	tbl, err := mscopedb.NewTable(schema.Table, cols)
+	if err != nil {
+		return nil, fmt.Errorf("xmlcsv: create table: %w", err)
+	}
+	f, err := os.Open(csvPath)
+	if err != nil {
+		return nil, fmt.Errorf("xmlcsv: open %s: %w", csvPath, err)
+	}
+	defer f.Close()
+	r := csv.NewReader(bufio.NewReaderSize(f, 1<<16))
+	r.ReuseRecord = true
+	header, err := r.Read()
+	if err != nil {
+		return nil, fmt.Errorf("xmlcsv: read header of %s: %w", csvPath, err)
+	}
+	if len(header) != len(cols) {
+		return nil, fmt.Errorf("xmlcsv: %s: header has %d columns, schema has %d",
+			csvPath, len(header), len(cols))
+	}
+	for i, h := range header {
+		if h != cols[i].Name {
+			return nil, fmt.Errorf("xmlcsv: %s: header column %d is %q, schema says %q",
+				csvPath, i, h, cols[i].Name)
+		}
+	}
+	for {
+		rec, err := r.Read()
+		if err == io.EOF {
+			return tbl, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("xmlcsv: read %s: %w", csvPath, err)
+		}
+		if err := tbl.AppendStrings(rec); err != nil {
+			return nil, fmt.Errorf("xmlcsv: load %s row %d: %w", csvPath, tbl.Rows()+1, err)
+		}
+	}
 }
 
 // Inference is the bottom-up schema-inference state: ConvertFile's first
