@@ -147,14 +147,12 @@ cover:
 	$(GO) test -short -cover ./...
 
 # Short fuzz pass over the event-log parsers (native go fuzzing), plus the
-# scenario spec decoder (malformed catalogue entries must error, never
-# panic) and the cell typer, over strings and over bytes, against the
-# strconv/time cascade it replaced; then fuzz-smoke's targets, for longer.
+# cell typer, over strings and over bytes, against the strconv/time
+# cascade it replaced; then fuzz-smoke's targets, for longer.
 fuzz:
 	$(GO) test -fuzz FuzzApacheAccessLog -fuzztime 30s ./internal/parsers/
 	$(GO) test -fuzz FuzzMySQLSlowLog -fuzztime 30s ./internal/parsers/
 	$(GO) test -fuzz FuzzTokenizerEquivalence -fuzztime 30s ./internal/parsers/
-	$(GO) test -fuzz FuzzScenarioConfigDecode -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzCellTyperEquivalence -fuzztime 30s ./internal/xmlcsv/
 	$(MAKE) fuzz-smoke FUZZTIME=30s
 
@@ -168,10 +166,12 @@ fuzz:
 # ingest's table builder against the two-pass construction it replaced (arbitrary records, same table or same
 # error), and the same records merged into one table in blocks as the live
 # loader merges them (no panic; a column no block widens holds the same
-# cells); and on the sar-xml byte scanner against the encoding/xml walk it
-# replaced (the same records, or an error). -run '^$$' skips the unit tests
-# the plain -fuzz form would rerun first; a short minimize budget keeps the
-# time fuzzing.
+# cells); on the sar-xml byte scanner against the encoding/xml walk it
+# replaced (the same records, or an error); and on the --spec JSON `mscope
+# scenario run|verify` decodes (an error, never a panic; what decodes
+# re-encodes and decodes again). -run '^$$' skips the unit tests the plain
+# -fuzz form would rerun first; a short minimize budget keeps the time
+# fuzzing.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/mscopedb/
@@ -181,6 +181,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTableBuilderEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/transform/
 	$(GO) test -run '^$$' -fuzz FuzzLiveMergeMatchesBatch -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/transform/
 	$(GO) test -run '^$$' -fuzz FuzzSarXMLMatchesEncodingXML -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/parsers/
+	$(GO) test -run '^$$' -fuzz FuzzScenarioConfigDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/scenario/
 
 # End-to-end chaos drill: run a trial, corrupt its logs deterministically,
 # ingest the damage under the quarantine policy, and diagnose anyway.

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/serve"
 	"github.com/gt-elba/milliscope/internal/stream"
@@ -77,7 +78,7 @@ type engineFlags struct {
 
 func addEngineFlags(fs *flag.FlagSet) engineFlags {
 	return engineFlags{
-		window:   fs.Duration("window", 50*time.Millisecond, "detector window width"),
+		window:   fs.Duration("window", core.DefaultWindow, "detector window width"),
 		grace:    fs.Duration("grace", 0, "ceiling on the classification grace past the watermark, which follows the response times observed (default 2s)"),
 		budget:   fs.Float64("budget", 0, "quarantine error budget per source (0 = default 5%)"),
 		fidelity: fs.String("fidelity", "", "degradation mode: full | adaptive | aggregate (default full)"),

@@ -17,7 +17,7 @@ import (
 // pipeline — alerts fire while the "experiment" is still writing.
 func cmdLive(args []string) error {
 	fs := flag.NewFlagSet("live", flag.ContinueOnError)
-	scenario := fs.String("scenario", "dbio", "dbio | dirtypage | jvmgc | dvfs | accuracy")
+	scenario := fs.String("scenario", "dbio", scenarioChoices)
 	out := fs.String("out", "", "base directory for staged + live logs (required)")
 	dbPath := addDBFlag(fs)
 	engine := addEngineFlags(fs)

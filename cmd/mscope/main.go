@@ -29,7 +29,6 @@ import (
 	"github.com/gt-elba/milliscope/internal/faults"
 	"github.com/gt-elba/milliscope/internal/mql"
 	"github.com/gt-elba/milliscope/internal/report"
-	"github.com/gt-elba/milliscope/internal/scenario"
 	"github.com/gt-elba/milliscope/internal/tracegraph"
 	"github.com/gt-elba/milliscope/internal/transform"
 )
@@ -123,19 +122,14 @@ commands:
   experiment run + ingest + report for every paper figure`)
 }
 
+// scenarioChoices lists what --scenario accepts: every catalogue entry,
+// plus the Figure 9 accuracy trial.
+var scenarioChoices = strings.Join(append(core.ScenarioNames(), "accuracy"), " | ")
+
 // scenarioConfig builds the experiment for a named scenario.
 func scenarioConfig(name, out string, users int, duration time.Duration, seed int64) (core.ExperimentConfig, error) {
 	var cfg core.ExperimentConfig
-	switch name {
-	case "dbio":
-		cfg = core.ScenarioDBIO(out)
-	case "dirtypage":
-		cfg = core.ScenarioDirtyPage(out)
-	case "jvmgc":
-		cfg = core.ScenarioJVMGC(out)
-	case "dvfs":
-		cfg = core.ScenarioDVFS(out)
-	case "accuracy":
+	if name == "accuracy" {
 		if users == 0 {
 			users = 8000
 		}
@@ -143,14 +137,12 @@ func scenarioConfig(name, out string, users int, duration time.Duration, seed in
 			duration = 20 * time.Second
 		}
 		cfg = core.ScenarioAccuracy(out, users, duration)
-	default:
-		// Fall back to the declarative catalogue, so every registered
-		// scenario is runnable through the plain `run` workflow too.
-		s, ok := scenario.ByName(name)
+	} else {
+		s, ok := core.ScenarioByName(name)
 		if !ok {
-			return cfg, fmt.Errorf("unknown scenario %q (dbio, dirtypage, jvmgc, dvfs, accuracy, or a `scenario list` entry)", name)
+			return cfg, fmt.Errorf("unknown scenario %q (%s)", name, scenarioChoices)
 		}
-		built, err := scenario.Build(s, out)
+		built, err := s.Build(out)
 		if err != nil {
 			return cfg, err
 		}
@@ -170,7 +162,7 @@ func scenarioConfig(name, out string, users int, duration time.Duration, seed in
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	scenario := fs.String("scenario", "dbio", "dbio | dirtypage | jvmgc | dvfs | accuracy")
+	scenario := fs.String("scenario", "dbio", scenarioChoices)
 	out := fs.String("out", "", "log output directory (required)")
 	users := fs.Int("users", 0, "override concurrent users")
 	duration := fs.Duration("duration", 0, "override trial duration")
@@ -392,7 +384,7 @@ func cmdReport(args []string) error {
 	dbPath := addDBFlag(fs)
 	figure := fs.String("figure", "fig2", "fig2 | fig4 | fig6 | fig7 | fig8 | fig9")
 	trace := fs.String("trace", "", "network trace CSV (required for fig9)")
-	window := fs.Duration("window", 50*time.Millisecond, "analysis window")
+	window := fs.Duration("window", core.DefaultWindow, "analysis window")
 	width := fs.Int("width", 96, "chart width")
 	height := fs.Int("height", 16, "chart height")
 	format := fs.String("format", "chart", "chart | table | csv")
@@ -429,7 +421,7 @@ func cmdReport(args []string) error {
 func cmdDiagnose(args []string) error {
 	fs := flag.NewFlagSet("diagnose", flag.ContinueOnError)
 	dbPath := addDBFlag(fs)
-	window := fs.Duration("window", 50*time.Millisecond, "analysis window")
+	window := fs.Duration("window", core.DefaultWindow, "analysis window")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -482,11 +474,7 @@ func cmdTrace(args []string) error {
 	}
 	// Join whichever standard event tables exist: traces that provably lack
 	// a missing tier are flagged instead of the whole build failing.
-	tables := make([]string, len(core.Tiers))
-	for i, t := range core.Tiers {
-		tables[i] = t + "_event"
-	}
-	traces, cov, err := tracegraph.BuildPartial(db, tables)
+	traces, cov, err := tracegraph.BuildPartial(db, core.EventTables())
 	if err != nil {
 		return err
 	}

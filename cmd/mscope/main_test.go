@@ -22,7 +22,7 @@ func TestScenarioConfigResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Name != "dbio-vsb" || cfg.LogDir != "/tmp/x" {
+	if cfg.Name != "dbio" || cfg.LogDir != "/tmp/x" {
 		t.Fatalf("cfg %+v", cfg)
 	}
 	cfg, err = scenarioConfig("dirtypage", "/tmp/x", 500, 3*time.Second, 99)
@@ -48,8 +48,8 @@ func TestScenarioConfigResolution(t *testing.T) {
 			t.Fatalf("%s scenario has no injectors", name)
 		}
 	}
-	// Names outside the legacy switch fall back to the declarative
-	// catalogue, with the same override semantics.
+	// Every catalogue entry, not only the paper's four, takes the same
+	// overrides.
 	cfg, err = scenarioConfig("connpool", "/tmp/x", 0, 0, 77)
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +62,27 @@ func TestScenarioConfigResolution(t *testing.T) {
 	}
 	if _, err := scenarioConfig("nope", "/tmp/x", 0, 0, 0); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+}
+
+// TestScenarioConfigResolvesEveryName: --scenario accepts exactly the
+// catalogue's entries plus accuracy, each under its own name.
+func TestScenarioConfigResolvesEveryName(t *testing.T) {
+	for _, name := range append(core.ScenarioNames(), "accuracy", "nope") {
+		t.Run(name, func(t *testing.T) {
+			cfg, err := scenarioConfig(name, "/tmp/x", 0, time.Second, 0)
+			_, inCatalogue := core.ScenarioByName(name)
+			switch {
+			case !inCatalogue && name != "accuracy":
+				if err == nil {
+					t.Fatalf("unknown scenario %q accepted", name)
+				}
+			case err != nil:
+				t.Fatal(err)
+			case !strings.HasPrefix(cfg.Name, name) || cfg.LogDir != "/tmp/x" || cfg.Ntier.Duration != time.Second:
+				t.Fatalf("%s resolved to %+v", name, cfg)
+			}
+		})
 	}
 }
 

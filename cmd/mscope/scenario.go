@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/scenario"
 )
 
@@ -35,7 +36,7 @@ func cmdScenarioList(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	specs := scenario.Scenarios()
+	specs := core.Scenarios()
 	if !*asJSON {
 		fmt.Print(scenario.RenderList(specs))
 		return nil
@@ -51,12 +52,12 @@ func cmdScenarioList(args []string) error {
 }
 
 // loadScenario resolves --name against the registry or decodes --spec.
-func loadScenario(name, specPath string) (*scenario.Spec, error) {
+func loadScenario(name, specPath string) (*core.Spec, error) {
 	switch {
 	case name != "" && specPath != "":
 		return nil, fmt.Errorf("scenario: --name and --spec are mutually exclusive")
 	case name != "":
-		s, ok := scenario.ByName(name)
+		s, ok := core.ScenarioByName(name)
 		if !ok {
 			return nil, fmt.Errorf("scenario: no catalogue entry %q (see `mscope scenario list`)", name)
 		}
@@ -66,7 +67,7 @@ func loadScenario(name, specPath string) (*scenario.Spec, error) {
 		if err != nil {
 			return nil, err
 		}
-		return scenario.Decode(data)
+		return core.DecodeSpec(data)
 	default:
 		return nil, fmt.Errorf("scenario: --name or --spec is required")
 	}
@@ -116,18 +117,18 @@ func cmdScenarioVerify(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var specs []scenario.Spec
+	var specs []core.Spec
 	if *all {
 		if *name != "" || *spec != "" {
 			return fmt.Errorf("scenario verify: --all excludes --name/--spec")
 		}
-		specs = scenario.Scenarios()
+		specs = core.Scenarios()
 	} else {
 		s, err := loadScenario(*name, *spec)
 		if err != nil {
 			return err
 		}
-		specs = []scenario.Spec{*s}
+		specs = []core.Spec{*s}
 	}
 	workDir := *work
 	if workDir == "" {

@@ -8,8 +8,8 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
+	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/serve"
 )
 
@@ -21,7 +21,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	dbPath := addDBFlag(fs)
 	listen := fs.String("listen", ":8080", "listen address")
-	window := fs.Duration("window", 50*time.Millisecond, "diagnosis window width")
+	window := fs.Duration("window", core.DefaultWindow, "diagnosis window width")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

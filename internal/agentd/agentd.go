@@ -146,6 +146,8 @@ type Agent struct {
 	quarantined  atomic.Int64
 	liveSources  atomic.Int64
 	creditsGauge atomic.Int64
+	// connected holds from an accepted HelloAck until its session returns.
+	connected atomic.Bool
 }
 
 // New validates the config and builds an agent; Start runs it.
@@ -325,6 +327,8 @@ func (a *Agent) session(nc net.Conn) error {
 		a.mu.Unlock()
 		return errRejected
 	}
+	a.connected.Store(true)
+	defer a.connected.Store(false)
 	s := &session{
 		a:       a,
 		c:       c,
@@ -675,7 +679,7 @@ func (a *Agent) Status() Status {
 	st, _ := fidelity.FromByte(ctl.State)
 	return Status{
 		ID:            a.cfg.ID,
-		Connected:     a.liveSources.Load() > 0 || a.creditsGauge.Load() > 0,
+		Connected:     a.connected.Load(),
 		Sources:       a.liveSources.Load(),
 		BatchesSent:   a.batchesSent.Load(),
 		RecordsSent:   a.recordsSent.Load(),

@@ -1,9 +1,12 @@
 package agentd
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -455,4 +458,47 @@ func TestStopLeavesNoGoroutine(t *testing.T) {
 		buf = buf[:runtime.Stack(buf, true)]
 		t.Fatalf("%d goroutines before, %d after Stop and Kill:\n%s", before, after, buf)
 	}
+}
+
+// TestLostCollectorIsNotConnected: once the collector hangs up, the agent
+// reports itself disconnected — Status, and /healthz with 503 and a false
+// wire probe — for as long as it is redialling, although the credit the
+// lost session granted was never spent.
+func TestLostCollectorIsNotConnected(t *testing.T) {
+	fc := newFakeCollector()
+	a := startAgent(t, Config{LogDir: t.TempDir(), Dial: fc.dial,
+		ReconnectBase: time.Millisecond, ReconnectMax: time.Millisecond})
+	p := fc.accept(t, 4096)
+	deadline := time.Now().Add(10 * time.Second)
+	for !a.Status().Connected {
+		if time.Now().After(deadline) {
+			t.Fatal("agent never reported the session as connected")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p.nc.Close()
+	// The next dial means the lost session has returned; its Hello waits
+	// unread on the pipe, so the agent stays up and unconnected.
+	var next net.Conn
+	select {
+	case next = <-fc.conns:
+	case <-time.After(10 * time.Second):
+		t.Fatal("agent never redialled")
+	}
+	defer next.Close()
+	if a.Status().Connected {
+		t.Error("Status().Connected is true while redialling a lost collector")
+	}
+	rec := httptest.NewRecorder()
+	a.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	var body struct {
+		Probes map[string]bool `json:"probes"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusServiceUnavailable || body.Probes["wire"] {
+		t.Errorf("/healthz while redialling: %d %s, want 503 with wire false", rec.Code, rec.Body)
+	}
+	a.Kill()
 }

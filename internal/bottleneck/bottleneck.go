@@ -20,8 +20,6 @@ import (
 type Injector interface {
 	// Inject arms the fault on the system.
 	Inject(sys *ntier.System)
-	// Describe returns a human-readable summary for experiment records.
-	Describe() string
 }
 
 // DBLogFlush seizes the database disk with one long sequential redo-log
@@ -60,11 +58,6 @@ func (f DBLogFlush) Inject(sys *ntier.System) {
 	})
 }
 
-// Describe summarizes the fault.
-func (f DBLogFlush) Describe() string {
-	return fmt.Sprintf("db-log-flush at=%v dur=%v", time.Duration(f.At), f.Duration)
-}
-
 // PeriodicDBLogFlush schedules recurring redo-log flushes: the natural
 // behaviour the paper observed, where accumulated redo pages are flushed
 // every so often and each flush is a fresh very short bottleneck. Count
@@ -86,12 +79,6 @@ func (f PeriodicDBLogFlush) Inject(sys *ntier.System) {
 	for i := 0; i < f.Count; i++ {
 		DBLogFlush{At: f.Start + des.Time(i)*des.Time(f.Period), Duration: f.Duration}.Inject(sys)
 	}
-}
-
-// Describe summarizes the fault.
-func (f PeriodicDBLogFlush) Describe() string {
-	return fmt.Sprintf("periodic-db-log-flush start=%v period=%v dur=%v count=%d",
-		time.Duration(f.Start), f.Period, f.Duration, f.Count)
 }
 
 // DirtyPageSurge dirties a burst of page-cache pages on the named node at
@@ -127,12 +114,6 @@ func (s DirtyPageSurge) Inject(sys *ntier.System) {
 	})
 }
 
-// Describe summarizes the fault.
-func (s DirtyPageSurge) Describe() string {
-	return fmt.Sprintf("dirty-page-surge node=%s at=%v burst=%dKB",
-		s.Node, time.Duration(s.At), s.BurstKB)
-}
-
 // JVMGC models a stop-the-world garbage collection on the named (Java)
 // node: at time At it submits one system-mode task per core, each holding
 // its core for Pause, so application work queues behind the collector.
@@ -159,11 +140,6 @@ func (g JVMGC) Inject(sys *ntier.System) {
 			node.CPU.Exec(g.Pause, resources.ModeSystem, nil)
 		}
 	})
-}
-
-// Describe summarizes the fault.
-func (g JVMGC) Describe() string {
-	return fmt.Sprintf("jvm-gc node=%s at=%v pause=%v", g.Node, time.Duration(g.At), g.Pause)
 }
 
 // DVFS models dynamic voltage/frequency scaling mistakenly downclocking a
@@ -194,12 +170,6 @@ func (d DVFS) Inject(sys *ntier.System) {
 	sys.Eng.At(d.At+des.Time(d.Duration), func() { cpu.SetSpeed(1.0) })
 }
 
-// Describe summarizes the fault.
-func (d DVFS) Describe() string {
-	return fmt.Sprintf("dvfs node=%s at=%v dur=%v speed=%.2f",
-		d.Node, time.Duration(d.At), d.Duration, d.Speed)
-}
-
 // ConnPoolSeize leaks Held connections from the named tier's downstream
 // pool for [At, At+Duration): stuck backend connections (a mod_jk or JDBC
 // pool bleed). Requests needing a free connection block FIFO while still
@@ -223,12 +193,6 @@ func (c ConnPoolSeize) Inject(sys *ntier.System) {
 	sys.SeizeConns(c.Tier, c.Held, c.At, c.At+des.Time(c.Duration))
 }
 
-// Describe summarizes the fault.
-func (c ConnPoolSeize) Describe() string {
-	return fmt.Sprintf("conn-pool-seize tier=%s at=%v dur=%v held=%d",
-		c.Tier, time.Duration(c.At), c.Duration, c.Held)
-}
-
 // LockConvoy serializes every database query issued during [At,
 // At+Duration) behind a single row lock, each owner holding it ~Hold. The
 // DB tier's queue balloons and pushes back through every upstream tier
@@ -248,12 +212,6 @@ func (l LockConvoy) Inject(sys *ntier.System) {
 		panic(fmt.Sprintf("bottleneck: non-positive convoy duration %v", l.Duration))
 	}
 	sys.ArmLockConvoy(l.At, l.At+des.Time(l.Duration), l.Hold)
-}
-
-// Describe summarizes the fault.
-func (l LockConvoy) Describe() string {
-	return fmt.Sprintf("lock-convoy at=%v dur=%v hold=%v",
-		time.Duration(l.At), l.Duration, l.Hold)
 }
 
 // CacheStampede models a mass buffer-pool expiry: during [At, At+Duration)
@@ -277,12 +235,6 @@ func (c CacheStampede) Inject(sys *ntier.System) {
 	sys.ArmCacheExpiry(c.At, c.At+des.Time(c.Duration), c.MissProb, c.ReadKB)
 }
 
-// Describe summarizes the fault.
-func (c CacheStampede) Describe() string {
-	return fmt.Sprintf("cache-stampede at=%v dur=%v miss=%.2f read=%dKB",
-		time.Duration(c.At), c.Duration, c.MissProb, c.ReadKB)
-}
-
 // NetJitter adds ~Extra of one-way latency (both directions) to the
 // (Src, Dst) link during [At, At+Duration): a congested or flapping
 // switch. Requests slow down without any tier-local residence growing —
@@ -302,12 +254,6 @@ func (n NetJitter) Inject(sys *ntier.System) {
 		panic(fmt.Sprintf("bottleneck: non-positive jitter duration %v", n.Duration))
 	}
 	sys.ArmNetJitter(n.Src, n.Dst, n.At, n.At+des.Time(n.Duration), n.Extra)
-}
-
-// Describe summarizes the fault.
-func (n NetJitter) Describe() string {
-	return fmt.Sprintf("net-jitter link=%s-%s at=%v dur=%v extra=%v",
-		n.Src, n.Dst, time.Duration(n.At), n.Duration, n.Extra)
 }
 
 // CrashLoop stalls every worker of the named tier for Outage, repeating
@@ -340,12 +286,6 @@ func (c CrashLoop) Inject(sys *ntier.System) {
 		from := c.At + des.Time(i)*des.Time(c.Period)
 		sys.StallWorkers(c.Node, from, from+des.Time(c.Outage))
 	}
-}
-
-// Describe summarizes the fault.
-func (c CrashLoop) Describe() string {
-	return fmt.Sprintf("crash-loop node=%s at=%v outage=%v period=%v count=%d",
-		c.Node, time.Duration(c.At), c.Outage, c.Period, c.Count)
 }
 
 // InjectAll arms every injector on the system.

@@ -123,19 +123,6 @@ func TestInjectAll(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	for _, in := range []Injector{
-		DBLogFlush{At: 1, Duration: time.Millisecond},
-		DirtyPageSurge{Node: "apache", At: 1, BurstKB: 10},
-		JVMGC{Node: "tomcat", At: 1, Pause: time.Millisecond},
-		DVFS{Node: "mysql", At: 1, Duration: time.Millisecond, Speed: 0.5},
-	} {
-		if in.Describe() == "" {
-			t.Fatalf("%T has empty description", in)
-		}
-	}
-}
-
 func TestUnknownNodePanics(t *testing.T) {
 	sys := ntier.New(testConfig())
 	for _, in := range []Injector{

@@ -57,7 +57,7 @@ type Config struct {
 	// Listener overrides the endpoint — tests inject in-memory listeners.
 	Listener net.Listener
 	// Engine configures the remote-fed stream engine: DB, Plan, Window,
-	// Skew, Grace, ErrorBudget, ChannelCap, Fidelity, OnAlert all apply
+	// Grace, ErrorBudget, ChannelCap, Fidelity, OnAlert all apply
 	// exactly as in `mscope live`. LogDir must be empty.
 	Engine stream.Config
 	// Credit is the initial per-connection record credit window (default

@@ -9,6 +9,7 @@ import (
 
 	"github.com/gt-elba/milliscope/internal/analysis"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
+	"github.com/gt-elba/milliscope/internal/ntier"
 	"github.com/gt-elba/milliscope/internal/tracegraph"
 	"github.com/gt-elba/milliscope/internal/transform"
 )
@@ -367,7 +368,7 @@ func TestRunExperimentValidation(t *testing.T) {
 	if _, err := RunExperiment(ExperimentConfig{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	cfg := ExperimentConfig{Name: "x", Ntier: scenarioBase(1), EventMonitors: true}
+	cfg := ExperimentConfig{Name: "x", Ntier: ntier.DefaultConfig(), EventMonitors: true}
 	if _, err := RunExperiment(cfg); err == nil {
 		t.Fatal("monitors without log dir accepted")
 	}

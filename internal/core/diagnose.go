@@ -567,7 +567,7 @@ func structuralVerdict(ev *Evidence, pb analysis.PushbackResult) (CauseKind, str
 func Diagnose(db *mscopedb.DB, window time.Duration) (*Diagnosis, error) {
 	obs := selfobs.NewBuf()
 	defer obs.Close()
-	tbl, err := db.Table("apache_event")
+	tbl, err := db.Table(Tiers[0] + "_event")
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ var epochUS = simtime.Epoch.UnixMicro()
 // Fig2PointInTime regenerates Figure 2: the Point-in-Time response time
 // series whose peak dwarfs the average during the very short bottleneck.
 func Fig2PointInTime(db *mscopedb.DB, window time.Duration) (*report.Figure, *metrics.PITResult, error) {
-	tbl, err := db.Table("apache_event")
+	tbl, err := db.Table(Tiers[0] + "_event")
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,109 +4,25 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/gt-elba/milliscope/internal/bottleneck"
-	"github.com/gt-elba/milliscope/internal/des"
 	"github.com/gt-elba/milliscope/internal/ntier"
-	"github.com/gt-elba/milliscope/internal/resmon"
 )
 
 // Tiers lists the testbed tiers front to back, as named in warehouse
 // tables.
 var Tiers = []string{"apache", "tomcat", "cjdbc", "mysql"}
 
-// fineGrainedResmon samples collectl CSV plus SAR XML every 50 ms — the
-// millisecond-scale monitoring the paper's diagnosis depends on.
-func fineGrainedResmon() *resmon.Config {
-	cfg := resmon.DefaultConfig()
-	return &cfg
+// EventTables names the standard event tables, front tier first.
+func EventTables() []string {
+	tables := make([]string, len(Tiers))
+	for i, t := range Tiers {
+		tables[i] = t + "_event"
+	}
+	return tables
 }
 
-// scenarioBase is the shared trial shape of the two Section V scenarios: a
-// moderate closed-loop load where the system is healthy outside the
-// injected bottleneck.
-func scenarioBase(seed int64) ntier.Config {
-	cfg := ntier.DefaultConfig()
-	cfg.Users = 150
-	cfg.ThinkTime = 300 * time.Millisecond
-	cfg.Duration = 12 * time.Second
-	cfg.Seed = seed
-	return cfg
-}
-
-// ScenarioDBIO reproduces Section V-A: at t=6s the database flushes its
-// redo log, seizing the DB disk for ~350 ms. Figures 2, 4, 6 and 7 all
-// derive from this trial.
-func ScenarioDBIO(logDir string) ExperimentConfig {
-	return ExperimentConfig{
-		Name:          "dbio-vsb",
-		Ntier:         scenarioBase(17),
-		EventMonitors: true,
-		Resmon:        fineGrainedResmon(),
-		Injectors: []bottleneck.Injector{
-			bottleneck.DBLogFlush{At: des.Time(6 * time.Second), Duration: 350 * time.Millisecond},
-		},
-		LogDir: logDir,
-	}
-}
-
-// ScenarioDirtyPage reproduces Section V-B: dirty-page recycling saturates
-// the Apache node's CPU at t=4s and the Tomcat node's at t=6.5s, producing
-// the two look-alike response-time peaks of Figure 8.
-func ScenarioDirtyPage(logDir string) ExperimentConfig {
-	cfg := scenarioBase(23)
-	for _, spec := range []*ntier.TierSpec{&cfg.Web, &cfg.App} {
-		spec.Node.Memory.HighWaterKB = 400 * 1024
-		spec.Node.Memory.LowWaterKB = 8 * 1024
-		spec.Node.Memory.DrainKBps = 400 * 1024
-		spec.Node.Memory.FlushWorkers = spec.Node.Cores
-		spec.Node.Memory.FlushSlice = 2 * time.Millisecond
-	}
-	return ExperimentConfig{
-		Name:          "dirtypage-vsb",
-		Ntier:         cfg,
-		EventMonitors: true,
-		Resmon:        fineGrainedResmon(),
-		Injectors: []bottleneck.Injector{
-			bottleneck.DirtyPageSurge{Node: "apache", At: des.Time(4 * time.Second), BurstKB: 300 * 1024},
-			bottleneck.DirtyPageSurge{Node: "tomcat", At: des.Time(6500 * time.Millisecond), BurstKB: 300 * 1024},
-		},
-		LogDir: logDir,
-	}
-}
-
-// ScenarioJVMGC injects a stop-the-world garbage collection on the Tomcat
-// node at t=6s — one of the related-work VSB causes (Java GC at the system
-// software layer) the framework must also diagnose.
-func ScenarioJVMGC(logDir string) ExperimentConfig {
-	return ExperimentConfig{
-		Name:          "jvmgc-vsb",
-		Ntier:         scenarioBase(29),
-		EventMonitors: true,
-		Resmon:        fineGrainedResmon(),
-		Injectors: []bottleneck.Injector{
-			bottleneck.JVMGC{Node: "tomcat", At: des.Time(6 * time.Second), Pause: 300 * time.Millisecond},
-		},
-		LogDir: logDir,
-	}
-}
-
-// ScenarioDVFS injects a CPU downclock on the MySQL node between t=6s and
-// t=6.8s — the architectural-layer VSB cause (frequency scaling) from the
-// paper's related-work list. The frequency gauge in the collectl CSV lets
-// the diagnosis distinguish it from organic CPU saturation.
-func ScenarioDVFS(logDir string) ExperimentConfig {
-	return ExperimentConfig{
-		Name:          "dvfs-vsb",
-		Ntier:         scenarioBase(37),
-		EventMonitors: true,
-		Resmon:        fineGrainedResmon(),
-		Injectors: []bottleneck.Injector{
-			bottleneck.DVFS{Node: "mysql", At: des.Time(6 * time.Second),
-				Duration: 800 * time.Millisecond, Speed: 0.12},
-		},
-		LogDir: logDir,
-	}
-}
+// DefaultWindow is the PIT window width every surface defaults to: batch
+// diagnose, the live detector, the service and scenario verify.
+const DefaultWindow = 50 * time.Millisecond
 
 // ScenarioAccuracy reproduces the Figure 9 validation setup: the given
 // workload (the paper uses 8000 concurrent users) with both the event

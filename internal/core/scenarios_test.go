@@ -1,0 +1,69 @@
+package core
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestPaperTrialLogDigests pins the SHA-256 of every log file RunExperiment
+// writes for the four paper trials, so moving where a trial is declared
+// cannot change what it generates. Run with -update to regenerate.
+func TestPaperTrialLogDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four full trials")
+	}
+	var b strings.Builder
+	for _, tr := range []struct {
+		name string
+		mk   func(string) ExperimentConfig
+	}{
+		{"dbio", ScenarioDBIO},
+		{"dirtypage", ScenarioDirtyPage},
+		{"jvmgc", ScenarioJVMGC},
+		{"dvfs", ScenarioDVFS},
+	} {
+		dir := t.TempDir()
+		if _, err := RunExperiment(tr.mk(dir)); err != nil {
+			t.Fatalf("%s: %v", tr.name, err)
+		}
+		var files []string
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				files = append(files, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(files)
+		for _, path := range files {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, _ := filepath.Rel(dir, path)
+			fmt.Fprintf(&b, "%s/%s %x\n", tr.name, filepath.ToSlash(rel), sha256.Sum256(data))
+		}
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "golden", "trial_log_digests.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got != string(want) {
+		t.Errorf("trial logs differ:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}

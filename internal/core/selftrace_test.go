@@ -127,7 +127,7 @@ func TestSelfTraceBreakdown(t *testing.T) {
 	}
 }
 
-var updateSelfTrace = flag.Bool("update", false, "rewrite testdata/golden/selftrace_*.txt")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/golden")
 
 // TestSelfTraceRenderGolden pins both self-trace renders byte for byte on a
 // two-node fixture with counters, concurrent spans of one stage, an
@@ -207,7 +207,7 @@ func TestSelfTraceRenderGolden(t *testing.T) {
 		"selftrace_fleet.txt":   fleet.Bytes(),
 	} {
 		path := filepath.Join("testdata", "golden", name)
-		if *updateSelfTrace {
+		if *update {
 			if err := os.WriteFile(path, got, 0o644); err != nil {
 				t.Fatal(err)
 			}

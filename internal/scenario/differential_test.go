@@ -24,13 +24,13 @@ import (
 
 // stageTrial runs the scenario's trial (and its post-run tier deletion,
 // if any) and returns the directory whose logs both warehouses ingest.
-func stageTrial(t *testing.T, s *Spec, work string) string {
+func stageTrial(t *testing.T, s *core.Spec, work string) string {
 	t.Helper()
 	logDir := filepath.Join(work, s.Name, "logs")
 	if err := os.MkdirAll(logDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := Build(s, logDir)
+	cfg, err := s.Build(logDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestSpillDifferential(t *testing.T) {
 		t.Skip("spill differential skipped in -short")
 	}
 	work := t.TempDir()
-	for _, s := range Scenarios() {
+	for _, s := range core.Scenarios() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			srcDir := stageTrial(t, &s, work)
@@ -289,7 +289,7 @@ func TestDBSoak(t *testing.T) {
 		t.Skip("durable-warehouse soak: run via `make db-soak` (sets MSCOPE_DB_SOAK=1)")
 	}
 	work := t.TempDir()
-	spec, ok := ByName("dbio")
+	spec, ok := core.ScenarioByName("dbio")
 	if !ok {
 		t.Fatal("dbio scenario missing from catalogue")
 	}
@@ -298,7 +298,7 @@ func TestDBSoak(t *testing.T) {
 	if err := os.MkdirAll(logDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := Build(&s, logDir)
+	cfg, err := s.Build(logDir)
 	if err != nil {
 		t.Fatal(err)
 	}

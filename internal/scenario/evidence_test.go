@@ -243,7 +243,7 @@ func duplicateKeys(t *testing.T, db *mscopedb.DB) {
 
 func TestEvidenceMatchesRowLoopOracle(t *testing.T) {
 	work := t.TempDir()
-	for _, s := range Scenarios() {
+	for _, s := range core.Scenarios() {
 		s := s
 		s.Users = 40 // the structure of the evidence, not the verdict, is under test
 		t.Run(s.Name, func(t *testing.T) {

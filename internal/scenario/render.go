@@ -3,12 +3,14 @@ package scenario
 import (
 	"fmt"
 	"strings"
+
+	"github.com/gt-elba/milliscope/internal/core"
 )
 
 // RenderList formats the catalogue as the fixed-width table `mscope
 // scenario list` prints. The output is golden-pinned: catalogue drift must
 // show up as a reviewed diff.
-func RenderList(specs []Spec) string {
+func RenderList(specs []core.Spec) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %-24s %-28s %s\n", "SCENARIO", "FAMILY", "EXPECTED VERDICT", "DESCRIPTION")
 	for i := range specs {
@@ -20,7 +22,7 @@ func RenderList(specs []Spec) string {
 	return b.String()
 }
 
-func renderExpect(s *Spec) string {
+func renderExpect(s *core.Spec) string {
 	if len(s.Expect) == 0 {
 		return "(clean run)"
 	}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/gt-elba/milliscope/internal/core"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -18,7 +20,7 @@ const goldenDir = "testdata/golden"
 // validation a decoded user spec gets, and requires the ISSUE's diversity
 // floor: at least 7 scenarios covering at least 5 distinct families.
 func TestBuiltinSpecsValidate(t *testing.T) {
-	specs := Scenarios()
+	specs := core.Scenarios()
 	if len(specs) < 7 {
 		t.Fatalf("catalogue holds %d scenarios, want ≥ 7", len(specs))
 	}
@@ -40,8 +42,8 @@ func TestBuiltinSpecsValidate(t *testing.T) {
 		}
 		seeds[s.Seed] = s.Name
 		families[s.Family] = true
-		if got, ok := ByName(s.Name); !ok || got.Name != s.Name {
-			t.Errorf("ByName(%q) failed", s.Name)
+		if got, ok := core.ScenarioByName(s.Name); !ok || got.Name != s.Name {
+			t.Errorf("core.ScenarioByName(%q) failed", s.Name)
 		}
 	}
 	if len(families) < 4 {
@@ -49,15 +51,15 @@ func TestBuiltinSpecsValidate(t *testing.T) {
 	}
 }
 
-// TestSpecRoundTrip proves Encode/Decode loses nothing: the declarative
+// TestSpecRoundTrip proves Encode/DecodeSpec loses nothing: the declarative
 // form is the source of truth, so it must survive serialization.
 func TestSpecRoundTrip(t *testing.T) {
-	for _, s := range Scenarios() {
+	for _, s := range core.Scenarios() {
 		data, err := s.Encode()
 		if err != nil {
 			t.Fatalf("%s: encode: %v", s.Name, err)
 		}
-		back, err := Decode(data)
+		back, err := core.DecodeSpec(data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v\n%s", s.Name, err, data)
 		}
@@ -71,10 +73,10 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeRejects is the table of malformed specs Decode must refuse —
+// TestDecodeRejects is the table of malformed specs DecodeSpec must refuse —
 // with an error, never a panic (FuzzScenarioConfigDecode widens this).
 func TestDecodeRejects(t *testing.T) {
-	valid, err := Scenarios()[0].Encode()
+	valid, err := core.Scenarios()[0].Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := Decode([]byte(tc.data))
+			s, err := core.DecodeSpec([]byte(tc.data))
 			if err == nil {
 				t.Fatalf("decoded invalid spec %+v", s)
 			}
@@ -120,10 +122,10 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
-// FuzzScenarioConfigDecode requires Decode to reject arbitrary input with
+// FuzzScenarioConfigDecode requires DecodeSpec to reject arbitrary input with
 // an error, never a panic, and accepted specs to survive a round trip.
 func FuzzScenarioConfigDecode(f *testing.F) {
-	for _, s := range Scenarios() {
+	for _, s := range core.Scenarios() {
 		data, err := s.Encode()
 		if err != nil {
 			f.Fatal(err)
@@ -134,7 +136,7 @@ func FuzzScenarioConfigDecode(f *testing.F) {
 	f.Add([]byte(`{"injectors":[{"kind":"zzz"}]}`))
 	f.Add([]byte(`{"name":"x","description":"d","seed":1,"users":1,"duration":1000000}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Decode(data)
+		s, err := core.DecodeSpec(data)
 		if err != nil {
 			return
 		}
@@ -142,7 +144,7 @@ func FuzzScenarioConfigDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted spec failed to encode: %v", err)
 		}
-		if _, err := Decode(out); err != nil {
+		if _, err := core.DecodeSpec(out); err != nil {
 			t.Fatalf("accepted spec failed to re-decode: %v\n%s", err, out)
 		}
 	})
@@ -151,7 +153,7 @@ func FuzzScenarioConfigDecode(f *testing.F) {
 // TestRenderListGolden pins the `mscope scenario list` output: catalogue
 // drift must be a reviewed diff.
 func TestRenderListGolden(t *testing.T) {
-	got := RenderList(Scenarios())
+	got := RenderList(core.Scenarios())
 	path := filepath.Join(goldenDir, "scenario_list.txt")
 	if *updateGolden {
 		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
@@ -179,7 +181,7 @@ func TestCatalogueVerdictsGolden(t *testing.T) {
 	}
 	var b strings.Builder
 	opts := Options{WorkDir: t.TempDir()}
-	for _, s := range Scenarios() {
+	for _, s := range core.Scenarios() {
 		out, err := Verify(&s, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
@@ -210,7 +212,7 @@ func TestCatalogueVerify(t *testing.T) {
 		t.Skip("catalogue soak skipped in -short")
 	}
 	opts := Options{WorkDir: t.TempDir()}
-	for _, s := range Scenarios() {
+	for _, s := range core.Scenarios() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			out, err := Verify(&s, opts)
@@ -232,7 +234,7 @@ func TestRepeatRunDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism repeat-run skipped in -short")
 	}
-	spec, ok := ByName("lockconvoy")
+	spec, ok := core.ScenarioByName("lockconvoy")
 	if !ok {
 		t.Fatal("lockconvoy scenario missing from catalogue")
 	}

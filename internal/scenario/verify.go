@@ -1,3 +1,7 @@
+// Package scenario executes the fault catalogue (core.Scenarios): Run
+// generates, ingests and diagnoses one entry's trial, and Verify holds the
+// diagnosis — and, with Options.Live, the online detector — to the
+// entry's expected verdicts.
 package scenario
 
 import (
@@ -35,7 +39,7 @@ func (o *Options) window() time.Duration {
 	if o.Window > 0 {
 		return o.Window
 	}
-	return 50 * time.Millisecond
+	return core.DefaultWindow
 }
 
 // Outcome reports one scenario verification.
@@ -82,7 +86,7 @@ func (o observed) String() string {
 // returns the diagnosis plus the directory holding the (possibly
 // corrupted) logs the diagnosis consumed — the same files a live replay
 // must stream.
-func Run(s *Spec, opts Options) (*core.Diagnosis, string, error) {
+func Run(s *core.Spec, opts Options) (*core.Diagnosis, string, error) {
 	if opts.WorkDir == "" {
 		return nil, "", fmt.Errorf("scenario %s: no work dir", s.Name)
 	}
@@ -90,7 +94,7 @@ func Run(s *Spec, opts Options) (*core.Diagnosis, string, error) {
 	if err := os.MkdirAll(logDir, 0o755); err != nil {
 		return nil, "", err
 	}
-	cfg, err := Build(s, logDir)
+	cfg, err := s.Build(logDir)
 	if err != nil {
 		return nil, "", err
 	}
@@ -126,7 +130,7 @@ func Run(s *Spec, opts Options) (*core.Diagnosis, string, error) {
 // logs through the streaming pipeline and holds the online detector to the
 // same verdicts. Mismatches land in Outcome.Problems, not in the error —
 // an error means the scenario could not be executed at all.
-func Verify(s *Spec, opts Options) (*Outcome, error) {
+func Verify(s *core.Spec, opts Options) (*Outcome, error) {
 	out := &Outcome{Name: s.Name, Family: s.Family}
 	start := time.Now()
 	diag, srcDir, err := Run(s, opts)
@@ -182,7 +186,7 @@ func Verify(s *Spec, opts Options) (*Outcome, error) {
 
 // replayLive streams the scenario's logs at wall-clock pace through the
 // live pipeline and returns the alerts the online detector raised.
-func replayLive(s *Spec, srcDir string, opts Options) ([]stream.Alert, error) {
+func replayLive(s *core.Spec, srcDir string, opts Options) ([]stream.Alert, error) {
 	replay := opts.LiveReplay
 	if replay <= 0 {
 		replay = 3 * time.Second
@@ -214,14 +218,15 @@ func replayLive(s *Spec, srcDir string, opts Options) ([]stream.Alert, error) {
 // kind, node, overlap and degradation, and every observed window must
 // satisfy some expectation — a spurious contradicting verdict fails the
 // scenario. An empty expectation asserts a clean run (no windows).
-func matchExpect(s *Spec, obs []observed) []string {
+func matchExpect(s *core.Spec, obs []observed) []string {
 	epochUS := simtime.Epoch.UnixMicro()
 	var problems []string
 	matched := make([]bool, len(obs))
 	for i := range s.Expect {
 		e := &s.Expect[i]
 		kind, _ := core.ParseCauseKind(e.Kind)
-		lo, hi := e.expectWindow(epochUS)
+		lo := epochUS + (e.From - e.Tol).D().Microseconds()
+		hi := epochUS + (e.To + e.Tol).D().Microseconds()
 		found := false
 		for j, o := range obs {
 			if o.kind != kind || o.node != e.Node {

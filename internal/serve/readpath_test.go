@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/promfmt"
 	"github.com/gt-elba/milliscope/internal/selfobs"
@@ -42,7 +43,7 @@ func TestSubMicrosecondWindowIs400(t *testing.T) {
 // all of them sorted.
 func slowestFirstOracle(t *testing.T, db *mscopedb.DB) []*tracegraph.Trace {
 	t.Helper()
-	traces, _, err := tracegraph.BuildPartial(db, eventTables())
+	traces, _, err := tracegraph.BuildPartial(db, core.EventTables())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: attach exactly one of DB or Pipeline")
 	}
 	if cfg.Window <= 0 {
-		cfg.Window = 50 * time.Millisecond
+		cfg.Window = core.DefaultWindow
 	}
 	s := &Server{cfg: cfg}
 	if cfg.DB != nil {
@@ -249,7 +249,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "unknown fn %q (want avg, max, min, sum, count, or p99)", p.Get("fn"))
 		return
 	}
-	window := 50 * time.Millisecond
+	window := core.DefaultWindow
 	if ws := p.Get("window"); ws != "" {
 		window, err = time.ParseDuration(ws)
 		if err != nil || window < time.Microsecond {
@@ -315,16 +315,6 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 
 // --- traces and flamegraphs ------------------------------------------
 
-// eventTables names the standard event tables, front tier first; the
-// trace readers tolerate the ones the warehouse lacks.
-func eventTables() []string {
-	tables := make([]string, len(core.Tiers))
-	for i, t := range core.Tiers {
-		tables[i] = t + "_event"
-	}
-	return tables
-}
-
 type traceSummary struct {
 	ReqID    string  `json:"reqid"`
 	RTUS     int64   `json:"rt_us"`
@@ -345,10 +335,10 @@ func (s *Server) slowest(n int) (traces []*tracegraph.Trace, err error) {
 	s.withDB(func(db *mscopedb.DB) {
 		var ids []string
 		if s.ranking == nil {
-			ids, err = tracegraph.SlowestIDs(db, eventTables(), n)
+			ids, err = tracegraph.SlowestIDs(db, core.EventTables(), n)
 		} else {
 			ids, err = s.ranking.get(func() ([]string, error) {
-				ids, err := tracegraph.SlowestIDs(db, eventTables(), maxTraces)
+				ids, err := tracegraph.SlowestIDs(db, core.EventTables(), maxTraces)
 				for i := range ids {
 					ids[i] = strings.Clone(ids[i]) // keep no decoded segment block alive
 				}
@@ -357,7 +347,7 @@ func (s *Server) slowest(n int) (traces []*tracegraph.Trace, err error) {
 			ids = ids[:min(n, len(ids))]
 		}
 		if err == nil {
-			traces, err = tracegraph.LookupRanked(db, eventTables(), ids)
+			traces, err = tracegraph.LookupRanked(db, core.EventTables(), ids)
 		}
 	})
 	return traces, err
@@ -409,7 +399,7 @@ func (s *Server) flameFor(reqid string) (*tracegraph.Flame, int, error) {
 		traces map[string]*tracegraph.Trace
 		err    error
 	)
-	s.withDB(func(db *mscopedb.DB) { traces, err = tracegraph.Lookup(db, eventTables(), reqid) })
+	s.withDB(func(db *mscopedb.DB) { traces, err = tracegraph.Lookup(db, core.EventTables(), reqid) })
 	if err != nil {
 		return nil, statusOf(err, http.StatusNotFound), err
 	}

@@ -10,7 +10,6 @@ import (
 
 	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/promfmt"
-	"github.com/gt-elba/milliscope/internal/scenario"
 	"github.com/gt-elba/milliscope/internal/stream"
 )
 
@@ -19,7 +18,7 @@ import (
 // while records are still being appended, so this test doubles as the
 // -race proof that serving and loading never touch the DB concurrently.
 func TestServeLivePipeline(t *testing.T) {
-	spec, ok := scenario.ByName("dbio")
+	spec, ok := core.ScenarioByName("dbio")
 	if !ok {
 		t.Fatal("no dbio scenario")
 	}
@@ -29,7 +28,7 @@ func TestServeLivePipeline(t *testing.T) {
 	if err := os.MkdirAll(logDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := scenario.Build(&small, logDir)
+	cfg, err := small.Build(logDir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"github.com/gt-elba/milliscope/internal/faults"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/promfmt"
-	"github.com/gt-elba/milliscope/internal/scenario"
 	"github.com/gt-elba/milliscope/internal/transform"
 )
 
@@ -35,7 +34,7 @@ func scenarioWarehouse(t testing.TB, name string, users int) *mscopedb.DB {
 // directory holding the logs an ingest would read.
 func scenarioLogs(t testing.TB, name string, users int) string {
 	t.Helper()
-	spec, ok := scenario.ByName(name)
+	spec, ok := core.ScenarioByName(name)
 	if !ok {
 		t.Fatalf("no catalogue scenario %q", name)
 	}
@@ -48,7 +47,7 @@ func scenarioLogs(t testing.TB, name string, users int) string {
 	if err := os.MkdirAll(logDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := scenario.Build(&small, logDir)
+	cfg, err := small.Build(logDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +324,7 @@ func TestServeScenarioSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario sweep is the long gate")
 	}
-	for _, spec := range scenario.Scenarios() {
+	for _, spec := range core.Scenarios() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			db := scenarioWarehouse(t, spec.Name, 50)

@@ -170,7 +170,7 @@ func (d *detector) advance(lowUS int64) ([]Alert, error) {
 		return nil, nil
 	}
 	ev, missing, err := core.BuildEvidence(d.db, time.Duration(d.windowUS)*time.Microsecond)
-	if errors.Is(err, core.ErrNoResources) || (err == nil && ev.Queues["apache"] == nil) {
+	if errors.Is(err, core.ErrNoResources) || (err == nil && ev.Queues[core.Tiers[0]] == nil) {
 		// Resource or front-tier tables not in the warehouse yet; the
 		// windows stay unalerted and are retried on the next advance.
 		return nil, nil

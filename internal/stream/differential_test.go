@@ -156,7 +156,7 @@ next:
 // one, and every window that ends early enough in the trial is raised by
 // the watermark.
 func TestLockstepMatchesBatchCatalogue(t *testing.T) {
-	seeds, specs := 10, scenario.Scenarios()
+	seeds, specs := 10, core.Scenarios()
 	if testing.Short() {
 		seeds, specs = 1, specs[:1]
 	}
@@ -196,7 +196,7 @@ func TestLockstepMatchesBatchCatalogue(t *testing.T) {
 // episode's online verdict is the batch one, and the straggler's own
 // bucket is flagged and classified as batch classifies it.
 func TestPlantedStraggler(t *testing.T) {
-	spec, ok := scenario.ByName("dbio")
+	spec, ok := core.ScenarioByName("dbio")
 	if !ok {
 		t.Fatal("no dbio scenario")
 	}

@@ -50,14 +50,14 @@ type FidelityOptions struct {
 	// LagBudget normalizes the watermark-lag pressure signal (default 8s
 	// of event time).
 	LagBudget time.Duration
-	// Enter, Exit, ShedEnter, ShedExit, Dwell tune the controller; zero
-	// values take the fidelity package defaults.
-	Enter, Exit, ShedEnter, ShedExit float64
-	Dwell                            int
-	// EvalEvery is the controller evaluation cadence in records
-	// (default 64).
-	EvalEvery int
+	// Enter is the controller's FULL→AGGREGATE pressure threshold; zero
+	// takes the fidelity package default. The other thresholds and the
+	// dwell are always the package defaults.
+	Enter float64
 }
+
+// fidelityEvalEvery is the controller evaluation cadence in records.
+const fidelityEvalEvery = 64
 
 func (o FidelityOptions) enabled() bool {
 	return o.Mode == FidelityAdaptive || o.Mode == FidelityAggregate
@@ -75,9 +75,6 @@ func (o FidelityOptions) withDefaults() FidelityOptions {
 	}
 	if o.LagBudget <= 0 {
 		o.LagBudget = 8 * time.Second
-	}
-	if o.EvalEvery <= 0 {
-		o.EvalEvery = 64
 	}
 	return o
 }
@@ -140,10 +137,7 @@ func newFidelityRun(opts FidelityOptions) *fidelityRun {
 		f.pinned = true
 		f.state.Store(int32(fidelity.Aggregate))
 	} else {
-		f.ctrl = fidelity.NewController(fidelity.Config{
-			Enter: o.Enter, Exit: o.Exit,
-			ShedEnter: o.ShedEnter, ShedExit: o.ShedExit, Dwell: o.Dwell,
-		})
+		f.ctrl = fidelity.NewController(fidelity.Config{Enter: o.Enter})
 	}
 	return f
 }
@@ -157,9 +151,9 @@ func (p *Pipeline) fidState() fidelity.State {
 }
 
 // evalPressure samples the three load signals and folds them into the
-// controller. Called from the loader every EvalEvery records and on each
-// watermark advance; pinned modes skip the controller but keep the cadence
-// cheap to reason about.
+// controller. Called from the loader every fidelityEvalEvery records and on
+// each watermark advance; pinned modes skip the controller but keep the
+// cadence cheap to reason about.
 func (p *Pipeline) evalPressure() {
 	f := p.fid
 	if f == nil || f.pinned {

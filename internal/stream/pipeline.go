@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/faults"
 	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
@@ -44,9 +45,6 @@ type Config struct {
 	// source whose corrupt-record ratio exceeds it is rejected, exactly as
 	// the batch quarantine policy rejects a file.
 	ErrorBudget float64
-	// Skew is the clock-skew bound subtracted from the low watermark
-	// (default: the fault model's 2ms).
-	Skew time.Duration
 	// Grace is the ceiling on how long classification waits past the
 	// watermark (default 2s, DefaultGrace); each window waits what the
 	// residence observed around it asks for, see graceFor.
@@ -94,7 +92,7 @@ func (c *Config) withDefaults() (Config, error) {
 		out.Plan = transform.DefaultPlan()
 	}
 	if out.Window <= 0 {
-		out.Window = 50 * time.Millisecond
+		out.Window = core.DefaultWindow
 	}
 	if out.Poll <= 0 {
 		out.Poll = 10 * time.Millisecond
@@ -104,9 +102,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.ErrorBudget == 0 {
 		out.ErrorBudget = transform.DefaultErrorBudget
-	}
-	if out.Skew <= 0 {
-		out.Skew = faults.DefaultSkewMax
 	}
 	if out.Grace <= 0 {
 		out.Grace = DefaultGrace
@@ -194,8 +189,8 @@ func New(cfg Config) (*Pipeline, error) {
 	p := &Pipeline{
 		cfg:      c,
 		db:       c.DB,
-		wm:       NewWatermark(c.Skew.Microseconds()),
-		det:      newDetector(c.DB, c.Window, c.Grace, c.Skew),
+		wm:       NewWatermark(faults.DefaultSkewMax.Microseconds()),
+		det:      newDetector(c.DB, c.Window, c.Grace, faults.DefaultSkewMax),
 		recs:     make(chan rec, c.ChannelCap),
 		dbReqs:   make(chan func(*mscopedb.DB)),
 		loadDone: make(chan struct{}),
@@ -477,7 +472,7 @@ func (p *Pipeline) processBatch(r rec, obs *selfobs.Buf, lastLow *int64) {
 	}
 	if p.fid != nil {
 		p.fid.sinceEval += int(n)
-		if p.fid.sinceEval >= p.fid.opts.EvalEvery {
+		if p.fid.sinceEval >= fidelityEvalEvery {
 			p.fid.sinceEval = 0
 			p.evalPressure()
 		}
@@ -509,7 +504,7 @@ func (p *Pipeline) load(r rec, obs *selfobs.Buf) bool {
 	s.processed.Add(int64(n - skip))
 	c := &p.cells
 	c.read(s, r.blk)
-	front := s.host == "apache" && s.binding.TableSuffix == "event"
+	front := s.host == core.Tiers[0] && s.binding.TableSuffix == "event"
 	fid := p.fidState()
 	var frontier int64
 	var err error

@@ -8,7 +8,6 @@ import (
 
 	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
-	"github.com/gt-elba/milliscope/internal/scenario"
 	"github.com/gt-elba/milliscope/internal/tracegraph"
 	"github.com/gt-elba/milliscope/internal/transform"
 )
@@ -19,14 +18,14 @@ var eventTables = []string{"apache_event", "tomcat_event", "cjdbc_event", "mysql
 // log directory.
 func dbioLogs(t *testing.T) string {
 	t.Helper()
-	spec, ok := scenario.ByName("dbio")
+	spec, ok := core.ScenarioByName("dbio")
 	if !ok {
 		t.Fatal("no dbio scenario")
 	}
 	small := *spec
 	small.Users = 60
 	logs := filepath.Join(t.TempDir(), "logs")
-	cfg, err := scenario.Build(&small, logs)
+	cfg, err := small.Build(logs)
 	if err != nil {
 		t.Fatal(err)
 	}

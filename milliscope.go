@@ -131,11 +131,7 @@ func Query(db *DB, query string) (*QueryOutput, error) { return mql.Run(db, quer
 // BuildTraces joins the standard event tables into per-request causal
 // paths keyed by request ID.
 func BuildTraces(db *DB) (map[string]*Trace, error) {
-	tables := make([]string, len(Tiers))
-	for i, t := range Tiers {
-		tables[i] = t + "_event"
-	}
-	return tracegraph.Build(db, tables)
+	return tracegraph.Build(db, core.EventTables())
 }
 
 // Diagnose runs the full milliScope workflow over an ingested trial: VLRT
