@@ -160,7 +160,9 @@ fuzz:
 # files (full and projected decode agree or both fail, never a panic or an
 # allocation sized by an unchecked field), MQL text (parses or errors;
 # what parses executes or errors), and /api/window's parameters (200, 400
-# or 404, never a 5xx); on the wire frames a collector reads off the
+# or 404, never a 5xx); on filtered, ordered, limited queries over tiny
+# spilled segments (the rows of the in-memory table and of a naive
+# filter-sort-truncate oracle); on the wire frames a collector reads off the
 # network (never a panic; a batch that decodes, whose cells are spans of
 # the frame, re-encodes to the same content and bytes); on the batch
 # ingest's table builder against the two-pass construction it replaced (arbitrary records, same table or same
@@ -175,6 +177,7 @@ fuzz:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/mscopedb/
+	$(GO) test -run '^$$' -fuzz FuzzQueryOrderLimit -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/mscopedb/
 	$(GO) test -run '^$$' -fuzz FuzzMQLParse -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/mql/
 	$(GO) test -run '^$$' -fuzz FuzzServeWindowParams -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzWireFrameDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wire/

@@ -12,6 +12,11 @@
 // predicates, ordering, limits, and fixed-window aggregation. Request-path
 // joins have a dedicated API (internal/tracegraph) because they join on
 // propagated IDs across a known set of event tables.
+//
+// ORDER BY is a total order: numbers by value with NaN after every number
+// (so first under DESC; ±Inf are ordinary values), times by instant,
+// strings bytewise, and rows with equal keys in table order. LIMIT n keeps
+// the first n rows of that order, or of table order without ORDER BY.
 package mql
 
 import (
@@ -123,15 +128,19 @@ func Exec(db *mscopedb.DB, st *Statement) (*Output, error) {
 				return nil, err
 			}
 			out := &Output{Cols: []string{st.GroupCol, "window_start_us", fnName}, Groups: groups}
+			n := 0
+			for _, g := range groups {
+				n += len(g.StartMicros)
+			}
+			cells := make([]string, 0, 3*n)
 			for _, g := range groups {
 				for i := range g.StartMicros {
-					out.Rows = append(out.Rows, []string{
-						g.Key,
+					cells = append(cells, g.Key,
 						strconv.FormatInt(g.StartMicros[i], 10),
-						strconv.FormatFloat(g.Values[i], 'g', -1, 64),
-					})
+						strconv.FormatFloat(g.Values[i], 'g', -1, 64))
 				}
 			}
+			out.Rows = rowsOver(cells, 3)
 			return out, nil
 		}
 		s, err := res.WindowAgg(st.TimeCol, st.Window, st.AggCol, st.AggFn)
@@ -139,12 +148,13 @@ func Exec(db *mscopedb.DB, st *Statement) (*Output, error) {
 			return nil, err
 		}
 		out := &Output{Cols: []string{"window_start_us", fnName}, Series: s}
+		cells := make([]string, 0, 2*len(s.StartMicros))
 		for i := range s.StartMicros {
-			out.Rows = append(out.Rows, []string{
+			cells = append(cells,
 				strconv.FormatInt(s.StartMicros[i], 10),
-				strconv.FormatFloat(s.Values[i], 'g', -1, 64),
-			})
+				strconv.FormatFloat(s.Values[i], 'g', -1, 64))
 		}
+		out.Rows = rowsOver(cells, 2)
 		return out, nil
 	}
 	cols := st.Cols
@@ -154,22 +164,35 @@ func Exec(db *mscopedb.DB, st *Statement) (*Output, error) {
 		}
 	}
 	out := &Output{Cols: cols}
-	for r := 0; r < res.Len(); r++ {
-		out.Rows = append(out.Rows, make([]string, len(cols)))
-	}
+	cells := make([]string, res.Len()*len(cols))
 	for i, c := range cols {
 		if tbl.ColIndex(c) < 0 {
 			return nil, fmt.Errorf("mql: no column %q in %s", c, st.Table)
 		}
-		cells, err := res.Render(c)
+		col, err := res.Render(c)
 		if err != nil {
 			return nil, err
 		}
-		for r, cell := range cells {
-			out.Rows[r][i] = cell
+		for r, cell := range col {
+			cells[r*len(cols)+i] = cell
 		}
 	}
+	out.Rows = rowsOver(cells, len(cols))
 	return out, nil
+}
+
+// rowsOver cuts one backing slice of cells into rows of width cells each.
+// Every row is capacity-capped, so appending to one cannot overwrite the
+// next. No cells make no rows (nil, as an output with no match has).
+func rowsOver(cells []string, width int) [][]string {
+	if len(cells) == 0 || width == 0 {
+		return nil
+	}
+	rows := make([][]string, len(cells)/width)
+	for r := range rows {
+		rows[r] = cells[r*width : (r+1)*width : (r+1)*width]
+	}
+	return rows
 }
 
 // coerce converts a literal to the column's Go type.

@@ -3,6 +3,7 @@ package mscopedb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -113,7 +114,10 @@ func (q *Query) Between(col string, lo, hi any) *Query {
 	return q.Where(col, OpGe, lo).Where(col, OpLe, hi)
 }
 
-// OrderBy sorts the result by the column.
+// OrderBy sorts the result by the column. The order is total: numbers
+// by value, with NaN after every number (±Inf are ordinary values), and
+// strings bytewise; rows with equal keys keep table order, in both
+// directions.
 func (q *Query) OrderBy(col string, asc bool) *Query {
 	if q.err != nil {
 		return q
@@ -128,13 +132,14 @@ func (q *Query) OrderBy(col string, asc bool) *Query {
 	return q
 }
 
-// Limit caps the result size (applied after ordering).
+// Limit caps the result size (applied after ordering): the result is the
+// first n rows of the order, or of table order without one.
 func (q *Query) Limit(n int) *Query {
 	q.limit = n
 	return q
 }
 
-// Rows executes the scan. On a spill-backed table the matches become an
+// Rows executes the scan. On a spill-backed table the kept rows become an
 // ephemeral in-memory view whose columns are gathered from disk as the
 // Result's methods first touch them (zone-map pruned, late-materialized —
 // see spillScan), so the Result behaves identically either way.
@@ -142,53 +147,225 @@ func (q *Query) Rows() (*Result, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
-	res := &Result{t: q.t}
 	if q.t.seal != nil {
 		sc, err := q.spilledScan()
 		if err != nil {
 			return nil, err
 		}
-		res.t, res.spill = sc.view, sc
-		res.idx = make([]int, sc.view.rows)
-		for i := range res.idx {
-			res.idx[i] = i
-		}
+		return &Result{t: sc.view, idx: sc.idx, spill: sc}, nil
+	}
+	// As spilledScan filters a store's tail.
+	match := matchRows(q.t.cols, q.t.data, q.t.rows, q.preds)
+	res := &Result{t: q.t}
+	if rk := q.ranker(); rk != nil {
+		rk.offer(q.t.data, match, 0)
+		res.idx = rk.positions()
 	} else {
-		for r := 0; r < q.t.rows; r++ { // as matchRows filters a store's tail
-			if matchRow(q.t.cols, q.t.data, r, q.preds) {
-				res.idx = append(res.idx, r)
-			}
+		res.idx = make([]int, len(match))
+		for i, r := range match {
+			res.idx[i] = int(r)
 		}
-	}
-	if q.sort >= 0 {
-		d, err := res.col(q.sort)
-		if err != nil {
-			return nil, err
-		}
-		idx, asc := res.idx, q.asc
-		if res.t.cols[q.sort].Type == TString {
-			sort.SliceStable(idx, func(i, j int) bool {
-				a, b := d.Strs[idx[i]], d.Strs[idx[j]]
-				if asc {
-					return a < b
-				}
-				return a > b
-			})
-		} else {
-			num := d.numeric(res.t.cols[q.sort].Type)
-			sort.SliceStable(idx, func(i, j int) bool {
-				a, b := num(idx[i]), num(idx[j])
-				if asc {
-					return a < b
-				}
-				return a > b
-			})
-		}
-	}
-	if q.limit >= 0 && len(res.idx) > q.limit {
-		res.idx = res.idx[:q.limit]
 	}
 	return res, nil
+}
+
+// ranker returns the query's top-k, or nil when it neither orders nor
+// limits: then every match is the result, in table order.
+func (q *Query) ranker() *topK {
+	if q.sort < 0 && q.limit < 0 {
+		return nil
+	}
+	rk := &topK{col: q.sort, desc: !q.asc, k: q.limit}
+	if q.sort >= 0 {
+		rk.typ = q.t.cols[q.sort].Type
+	}
+	return rk
+}
+
+// topK selects a limited or ordered query's rows: the first k in the order
+// (key, table position), or all of them in that order when the query has
+// no limit. Rows are offered a part at a time — a segment's matches, or
+// the tail's — each with the table position of the part's first row. With
+// a limit it is a bounded heap whose root is the worst row kept; without
+// one it collects every row and sorts once.
+type topK struct {
+	col   int  // the ORDER BY column; -1 orders by table position alone
+	typ   Type // its type
+	desc  bool
+	k     int // rows to keep; < 0 keeps every row
+	items []ranked
+}
+
+// ranked is one row's sort key: a number mapped to a uint64 whose unsigned
+// order is the documented one (numKey, intKey), or a string; the other
+// half is zero.
+type ranked struct {
+	num uint64
+	str string
+	pos int
+}
+
+// before reports whether a comes before b in the result.
+func (r *topK) before(a, b ranked) bool {
+	switch {
+	case a.num != b.num:
+		return (a.num < b.num) != r.desc
+	case a.str != b.str:
+		return (a.str < b.str) != r.desc
+	}
+	return a.pos < b.pos
+}
+
+// offer considers rows (ascending local row numbers) of a part whose
+// columns are data and whose first row sits at table position base.
+func (r *topK) offer(data []colData, rows []int32, base int) {
+	for _, row := range rows {
+		it := ranked{pos: base + int(row)}
+		if r.col >= 0 {
+			switch d := &data[r.col]; r.typ {
+			case TInt:
+				it.num = intKey(d.Ints[row])
+			case TTime:
+				it.num = intKey(d.Times[row])
+			case TFloat:
+				it.num = numKey(d.Floats[row])
+			case TString:
+				it.str = d.Strs[row]
+			}
+		}
+		switch {
+		case r.k < 0:
+			r.items = append(r.items, it)
+		case len(r.items) < r.k:
+			r.items = append(r.items, it)
+			r.up(len(r.items) - 1)
+		case r.k > 0 && r.before(it, r.items[0]):
+			r.items[0] = it
+			r.down(0)
+		}
+	}
+}
+
+// up and down keep the heap property: no row comes before its parent.
+func (r *topK) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !r.before(r.items[p], r.items[i]) {
+			return
+		}
+		r.items[p], r.items[i] = r.items[i], r.items[p]
+		i = p
+	}
+}
+
+func (r *topK) down(i int) {
+	for {
+		w := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(r.items) && r.before(r.items[w], r.items[c]) {
+				w = c
+			}
+		}
+		if w == i {
+			return
+		}
+		r.items[w], r.items[i] = r.items[i], r.items[w]
+		i = w
+	}
+}
+
+// need is how many rows the next round of segments should hold: the rows
+// the selection still lacks, or all it keeps once full; -1 when it keeps
+// every row.
+func (r *topK) need() int {
+	if n := r.k - len(r.items); n > 0 && r.k > 0 {
+		return n
+	}
+	return max(r.k, -1)
+}
+
+// beyond is the stop rule of a limited scan: it reports that no row of the
+// segment can enter the selection. Without an ORDER BY column that is once
+// the selection is full and the segment starts after the worst row kept.
+// With one, once the segment's zone bound in the order's direction is
+// strictly worse than the worst key kept: a tie may hold an earlier row,
+// so it is still read. The zone is the cells' float64 coercion, which is
+// monotone, so a strictly worse bound proves every cell strictly worse.
+func (r *topK) beyond(ss sealedSeg) bool {
+	if r.k < 0 || len(r.items) < r.k {
+		return false
+	}
+	if r.k == 0 {
+		return true
+	}
+	worst := r.items[0]
+	if r.col < 0 {
+		return ss.start > worst.pos
+	}
+	z := ss.meta.Zones[r.col]
+	if !z.Has { // strings too
+		return false
+	}
+	kth := keyNum(r.typ, worst.num)
+	if r.desc {
+		return numLess(z.Max, kth)
+	}
+	return numLess(kth, z.Min)
+}
+
+// positions returns the selected table positions in result order.
+func (r *topK) positions() []int {
+	slices.SortFunc(r.items, func(a, b ranked) int {
+		if r.before(a, b) {
+			return -1
+		}
+		return 1 // positions are unique: never equal
+	})
+	out := make([]int, len(r.items))
+	for i, it := range r.items {
+		out[i] = it.pos
+	}
+	return out
+}
+
+// numKey maps a float to a uint64 whose unsigned order is the documented
+// one: numbers by value, -0 with +0, every NaN after +Inf.
+func numKey(f float64) uint64 {
+	switch {
+	case f != f:
+		return math.MaxUint64
+	case f == 0:
+		f = 0
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// intKey maps an int64 (an int or a time's microsecond epoch) to a uint64
+// of the same order.
+func intKey(v int64) uint64 { return uint64(v) ^ 1<<63 }
+
+// keyNum inverts the key maps onto the float64 line the zone maps use.
+func keyNum(typ Type, k uint64) float64 {
+	if typ != TFloat {
+		return float64(int64(k ^ 1<<63))
+	}
+	switch {
+	case k == math.MaxUint64:
+		return math.NaN()
+	case k>>63 != 0:
+		return math.Float64frombits(k &^ (1 << 63))
+	default:
+		return math.Float64frombits(^k)
+	}
+}
+
+// numLess is a < b in the documented order, where NaN follows every number.
+func numLess(a, b float64) bool {
+	return a < b || (b != b && a == a)
 }
 
 // Result is a row selection. Its methods read whole typed columns; on a
@@ -587,50 +764,4 @@ func mod(a, b int64) int64 {
 		m += b
 	}
 	return m
-}
-
-func aggregate(fn AggFn, vals []float64) float64 {
-	if fn == AggCount {
-		return float64(len(vals))
-	}
-	if len(vals) == 0 {
-		return 0
-	}
-	switch fn {
-	case AggAvg:
-		s := 0.0
-		for _, v := range vals {
-			s += v
-		}
-		return s / float64(len(vals))
-	case AggMax:
-		m := math.Inf(-1)
-		for _, v := range vals {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	case AggMin:
-		m := math.Inf(1)
-		for _, v := range vals {
-			if v < m {
-				m = v
-			}
-		}
-		return m
-	case AggSum:
-		s := 0.0
-		for _, v := range vals {
-			s += v
-		}
-		return s
-	case AggP99:
-		sorted := make([]float64, len(vals))
-		copy(sorted, vals)
-		sort.Float64s(sorted)
-		return sorted[len(sorted)*99/100]
-	default:
-		panic(fmt.Sprintf("mscopedb: unknown aggregate %v", fn))
-	}
 }

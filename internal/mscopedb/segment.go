@@ -49,7 +49,8 @@ const segDictMaxCard = 4096
 // zoneMap is one column's min/max summary, coerced to float64 exactly as
 // pred.match coerces cells, so pruning decisions and predicate evaluation
 // agree. Has is false for string columns and for float columns containing
-// NaN (where min/max would lie).
+// NaN (where min/max would lie) or ±Inf (which the manifest's JSON cannot
+// hold).
 type zoneMap struct {
 	Has bool    `json:"has"`
 	Min float64 `json:"min,omitempty"`
@@ -457,8 +458,8 @@ func intZone(vals []int64) zoneMap {
 func floatZone(vals []float64) zoneMap {
 	z := zoneMap{Has: true, Min: vals[0], Max: vals[0]}
 	for _, v := range vals {
-		if math.IsNaN(v) {
-			return zoneMap{} // NaN poisons ordering; never prune on this column
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return zoneMap{} // never prune on this column
 		}
 		if v < z.Min {
 			z.Min = v

@@ -2,7 +2,9 @@ package mscopedb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -214,5 +216,53 @@ func TestWindowAggBy(t *testing.T) {
 	}
 	if _, err := res.WindowAggBy("ts", time.Millisecond, "v", AggCount, "nope"); err == nil {
 		t.Fatal("unknown group-by column accepted")
+	}
+}
+
+// aggregate is the reference aggregation the window tests hold the dense
+// grid to: one bucket's values, aggregated the obvious way.
+func aggregate(fn AggFn, vals []float64) float64 {
+	if fn == AggCount {
+		return float64(len(vals))
+	}
+	if len(vals) == 0 {
+		return 0
+	}
+	switch fn {
+	case AggAvg:
+		s := 0.0
+		for _, v := range vals {
+			s += v
+		}
+		return s / float64(len(vals))
+	case AggMax:
+		m := math.Inf(-1)
+		for _, v := range vals {
+			if v > m {
+				m = v
+			}
+		}
+		return m
+	case AggMin:
+		m := math.Inf(1)
+		for _, v := range vals {
+			if v < m {
+				m = v
+			}
+		}
+		return m
+	case AggSum:
+		s := 0.0
+		for _, v := range vals {
+			s += v
+		}
+		return s
+	case AggP99:
+		sorted := make([]float64, len(vals))
+		copy(sorted, vals)
+		sort.Float64s(sorted)
+		return sorted[len(sorted)*99/100]
+	default:
+		panic(fmt.Sprintf("mscopedb: unknown aggregate %v", fn))
 	}
 }

@@ -43,9 +43,10 @@ type FidelityOptions struct {
 	// purpose; the detector's fine PIT statistic is fed per record and
 	// does not depend on retained rows).
 	RollupWindow time.Duration
-	// MaxRetainedRows is the memory-pressure budget: warehouse rows plus
-	// ring and rollup rows over this ratio drive the Mem signal
-	// (default 500000).
+	// MaxRetainedRows is the memory-pressure budget: the rows the loaded
+	// tables hold in memory (a store-backed table's unsealed tail, every
+	// row of an in-memory one) plus ring and rollup rows, over this
+	// budget, are the Mem signal (default 500000).
 	MaxRetainedRows int64
 	// LagBudget normalizes the watermark-lag pressure signal (default 8s
 	// of event time).
@@ -166,13 +167,39 @@ func (p *Pipeline) evalPressure() {
 			pr.Lag = float64(maxF-low) / float64(f.opts.LagBudget.Microseconds())
 		}
 	}
-	retained := p.rowsTotal.Load() + f.rollupRows.Load() + f.ringRows.Load()
+	retained := p.residentRows() + f.rollupRows.Load() + f.ringRows.Load()
 	pr.Mem = float64(retained) / float64(f.opts.MaxRetainedRows)
 	if _, changed := f.ctrl.Eval(pr); changed {
 		f.state.Store(int32(f.ctrl.State()))
 		f.transitions.Add(1)
 		obsTransitions.Add(1)
 	}
+}
+
+// residentRows counts the rows the loader's tables hold in memory: each
+// table's rows less those sealed into on-disk segments, once per table
+// however many sources feed it. A table no store backs seals nothing, so
+// in memory every row counts. Loader-owned.
+func (p *Pipeline) residentRows() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var n int64
+next:
+	for i, s := range p.sources {
+		for _, o := range p.sources[:i] {
+			if o.table == s.table {
+				continue next
+			}
+		}
+		if s.tbl == nil {
+			if !p.db.HasTable(s.table) {
+				continue
+			}
+			s.tbl, _ = p.db.Table(s.table)
+		}
+		n += int64(s.tbl.Rows() - s.tbl.SealedRows())
+	}
+	return n
 }
 
 // blockRow is a row of a block, held by a ring until it is promoted or

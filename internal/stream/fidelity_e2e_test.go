@@ -1,17 +1,22 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/faults"
+	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
+	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/transform"
+	"github.com/gt-elba/milliscope/internal/wire"
 )
 
 // runFidelitySession drains a complete static-file live session (Start
@@ -428,5 +433,95 @@ func TestFidelityRingEviction(t *testing.T) {
 			t.Errorf("table %s: %d promoted rows exceed the batch %d — duplicate promotion under eviction",
 				name, lt.Rows(), bt.Rows())
 		}
+	}
+}
+
+// TestAdaptiveMemCountsResidentRows: the memory signal counts the rows the
+// warehouse holds in memory, not every row a session appended, so a
+// store-backed adaptive session whose table seals as it grows stays FULL
+// through twice its row budget when nothing else presses on it. One source
+// fed a batch at a time keeps the watermark lag and the queue at rest.
+func TestAdaptiveMemCountsResidentRows(t *testing.T) {
+	const budget = 1000
+	stage := stagedDBIO(t)
+	plan := transform.DefaultPlan()
+	var name string
+	var bind transform.Binding
+	entries, err := os.ReadDir(stage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if b, ok := plan.Find(e.Name()); ok && Streamable(plan, e.Name()) &&
+			b.TableSuffix == "event" && strings.HasPrefix(e.Name(), core.Tiers[0]) {
+			name, bind = e.Name(), b
+			break
+		}
+	}
+	if name == "" {
+		t.Fatalf("no front-tier event log in %s", stage)
+	}
+	data, err := os.ReadFile(filepath.Join(stage, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parser, err := parsers.Get(bind.Parser)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := mscopedb.OpenDir(t.TempDir(), mscopedb.StoreOptions{SealRows: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := NewRemote(Config{DB: db, Fidelity: FidelityOptions{Mode: FidelityAdaptive, MaxRetainedRows: budget}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _, err := pipe.OpenRemote(filepath.Join(stage, name), name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe.Start()
+	var b wire.Batch
+	sent := 0
+	flush := func() {
+		done := make(chan struct{})
+		src.AppendBatch(&b, func() { close(done) })
+		<-done
+		b.Reset()
+	}
+	err = parser.ParseRecords(bytes.NewReader(data), bind.Instructions, func(r *parsers.Record) error {
+		if sent >= 2*budget {
+			return nil
+		}
+		if err := b.AppendRecord(r); err != nil {
+			return err
+		}
+		if sent++; sent%32 == 0 {
+			flush()
+		}
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flush()
+	if err := pipe.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if sent < 2*budget {
+		t.Fatalf("%s holds %d records, want %d", name, sent, 2*budget)
+	}
+	if f := pipe.Status().Fidelity; f.State != fidelity.Full || f.Transitions != 0 {
+		t.Errorf("after %d rows under a %d-row budget: state %v with %d transitions, want full with none",
+			sent, budget, f.State, f.Transitions)
+	}
+	tbl, err := db.Table(src.Table())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Rows() != sent || tbl.SealedRows() == 0 {
+		t.Errorf("%s: %d rows (%d sealed), want %d appended and some sealed", tbl.Name(), tbl.Rows(), tbl.SealedRows(), sent)
 	}
 }

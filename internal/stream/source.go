@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/transform"
 )
@@ -72,6 +73,7 @@ type source struct {
 	pending atomic.Int64
 
 	tgt transform.Target // loader-owned
+	tbl *mscopedb.Table  // the table tgt feeds, once it exists; loader-owned
 	// blk is the block a tailed file's parser goroutine is filling; free
 	// holds the ones the loader has merged, for the feeder to fill again.
 	blk  *transform.Builder
