@@ -59,7 +59,8 @@ race:
 race-short:
 	$(GO) test -race -short ./...
 
-# Regenerates every paper figure and ablation; writes bench_output.txt.
+# Every Go benchmark (the pipeline, fidelity and self-observability ones);
+# writes bench_output.txt. The paper's figures are `make experiment`.
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
@@ -208,7 +209,8 @@ live-smoke:
 	$(GO) run -race ./cmd/mscope live --scenario dbio --out /tmp/mscope-live-smoke \
 		--speed 8 --expect-alert
 
-# One-command reproduction of the whole evaluation (ASCII figures).
+# One-command reproduction of the whole evaluation: every figure as ASCII,
+# then the claims table (EXPERIMENTS.md); fails if a claim misses its bound.
 experiment:
 	$(GO) run ./cmd/mscope experiment --out /tmp/mscope-exp
 

@@ -9,7 +9,7 @@
 //	mscope tables --db wh/                            list warehouse tables
 //	mscope query --db wh/ 'SELECT ... FROM ...'       run an MQL query
 //	mscope report --db wh/ --figure fig2              render a figure
-//	mscope experiment --out exp/                      regenerate everything
+//	mscope experiment --out exp/                      every figure + claims gate
 //	mscope serve --db wh/ --listen :8080              query API + flamegraphs
 //	mscope collector --listen :9090 --db wh/          central ingest server
 //	mscope agent --id n1 --logs logs/ --addr host:9090 per-node log shipper
@@ -119,7 +119,9 @@ commands:
   scenario   declarative fault catalogue: list the registry, run one
              entry, or verify entries end to end against their expected
              verdicts (batch, and online with --live)
-  experiment run + ingest + report for every paper figure`)
+  experiment run every trial of the paper's evaluation once, render each
+             figure, print the claims table; exits 1 if a claim misses
+             its bound`)
 }
 
 // scenarioChoices lists what --scenario accepts: every catalogue entry,
@@ -521,7 +523,6 @@ func cmdTrace(args []string) error {
 func cmdExperiment(args []string) error {
 	fs := flag.NewFlagSet("experiment", flag.ContinueOnError)
 	out := fs.String("out", "", "base output directory (required)")
-	scale := fs.Float64("scale", 1.0, "duration scale factor for quick runs")
 	width := fs.Int("width", 96, "chart width")
 	height := fs.Int("height", 14, "chart height")
 	if err := fs.Parse(args); err != nil {
@@ -530,5 +531,9 @@ func cmdExperiment(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("experiment: --out is required")
 	}
-	return regenerateAll(*out, *scale, *width, *height)
+	ev, err := core.Evaluate(*out)
+	if err != nil {
+		return err
+	}
+	return printEvaluation(os.Stdout, ev, *width, *height)
 }

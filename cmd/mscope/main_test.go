@@ -15,6 +15,7 @@ import (
 
 	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
+	"github.com/gt-elba/milliscope/internal/report"
 )
 
 func TestScenarioConfigResolution(t *testing.T) {
@@ -284,6 +285,35 @@ func TestBuildFiguresAgainstWarehouse(t *testing.T) {
 		if len(figs) == 0 {
 			t.Fatalf("%s produced no figures", name)
 		}
+	}
+}
+
+// TestExperimentGatesOnClaims: the experiment prints every figure and the
+// claims table, and a claim outside its bound fails the command.
+func TestExperimentGatesOnClaims(t *testing.T) {
+	ev := &core.Evaluation{
+		Figures: []*report.Figure{{ID: "fig2", Title: "PIT", Notes: []string{"peak/avg factor 36.7x"}}},
+		Claims: []core.Claim{
+			{Figure: "Fig 2", Paper: "peak > 20x average", Metric: "peak/avg", Value: 36.7, Unit: "×", Op: "≥", Bound: 20},
+			{Figure: "Fig 11", Paper: "throughput unchanged", Metric: "delta", Value: 0.4, Unit: "%", Op: "≤", Bound: 2},
+		},
+	}
+	var out strings.Builder
+	if err := printEvaluation(&out, ev, 40, 6); err != nil {
+		t.Fatalf("every claim met, yet: %v", err)
+	}
+	for _, want := range []string{"fig2", "| Fig 2 | peak > 20x average | peak/avg | 36.7 × | ≥ 20 | ok |", "| 0.4 % | ≤ 2 | ok |"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	ev.Claims[1].Value = 2.5
+	out.Reset()
+	if err := printEvaluation(&out, ev, 40, 6); err == nil || !strings.Contains(err.Error(), "1 of 2 claims") {
+		t.Fatalf("a missed bound gave %v", err)
+	}
+	if !strings.Contains(out.String(), "| 2.5 % | ≤ 2 | MISSED |") {
+		t.Fatalf("the missed row is not marked:\n%s", out.String())
 	}
 }
 

@@ -29,8 +29,8 @@ func run() error {
 	}
 	defer os.RemoveAll(base)
 
-	// Workload 4000 over 10 s keeps the example quick; the benchmark
-	// harness runs the paper's workload 8000.
+	// Workload 4000 over 10 s keeps the example quick; `mscope experiment`
+	// runs the paper's workload 8000.
 	cfg := milliscope.ScenarioAccuracy(filepath.Join(base, "logs"), 4000, 10*time.Second)
 	fmt.Printf("running %q with event monitors AND a network tap...\n", cfg.Name)
 	res, err := milliscope.RunExperiment(cfg)
@@ -56,7 +56,7 @@ func run() error {
 	}
 	fmt.Println("per-tier agreement (event monitors vs SysViz):")
 	for _, tier := range milliscope.Tiers {
-		st := stats[tier]
+		st := stats.Tiers[tier]
 		fmt.Printf("  %-8s corr=%.3f  MAE=%.2f requests  (%d windows)\n",
 			tier, st.Correlation, st.MAE, st.Windows)
 	}

@@ -12,7 +12,6 @@ import (
 
 	"github.com/gt-elba/milliscope"
 	"github.com/gt-elba/milliscope/internal/analysis"
-	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 )
 
@@ -64,27 +63,21 @@ func run() error {
 	fmt.Println()
 
 	// Figure 6: cross-tier queue pushback.
-	fig6, queues, err := milliscope.Fig6QueueLengths(db, 50*time.Millisecond)
+	fig6, q, err := milliscope.Fig6QueueLengths(db, 50*time.Millisecond)
 	if err != nil {
 		return err
 	}
 	if err := fig6.Render(os.Stdout, 90, 12); err != nil {
 		return err
 	}
-	windows := core.VLRTEpisodes(pit.Series, pit.AvgUS)
-	if len(windows) == 0 {
+	if q.Window.Duration() == 0 {
 		return fmt.Errorf("no VLRT window detected")
 	}
-	w := windows[0]
-	w.StartMicros -= (400 * time.Millisecond).Microseconds()
-	pb := analysis.DetectPushback(queues, milliscope.Tiers, w, 3)
 	fmt.Printf("\n→ VLRT window of %v; queues grew at %v (cross-tier pushback: %v)\n\n",
-		windows[0].Duration().Round(time.Millisecond), pb.Grew, pb.CrossTier)
+		q.Window.Duration().Round(time.Millisecond), q.Pushback.Grew, q.Pushback.CrossTier)
 
 	// Figure 7: correlation names the DB disk as the very short bottleneck.
-	pad := time.Second.Microseconds()
-	fig7, corr, err := milliscope.Fig7Correlation(db, 50*time.Millisecond,
-		windows[0].StartMicros-pad, windows[0].EndMicros+pad)
+	fig7, corr, err := milliscope.Fig7Correlation(db, 50*time.Millisecond)
 	if err != nil {
 		return err
 	}
@@ -110,7 +103,7 @@ func run() error {
 		}
 		candidates[tier+" disk"] = s
 	}
-	causes := analysis.RankRootCauses(queues["apache"], candidates, windows[0])
+	causes := analysis.RankRootCauses(q.Queues["apache"], candidates, q.Window)
 	fmt.Println("\nroot-cause ranking (correlation with apache queue):")
 	for i, c := range causes {
 		fmt.Printf("  %d. %-12s r=%.3f peak-in-window=%.1f%%\n",

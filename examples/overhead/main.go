@@ -36,11 +36,11 @@ func run() error {
 		return err
 	}
 
-	figs10, err := milliscope.Fig10Overhead(points)
+	figs10, _, err := milliscope.Fig10Overhead(points)
 	if err != nil {
 		return err
 	}
-	figs11, err := milliscope.Fig11ThroughputRT(points)
+	figs11, _, err := milliscope.Fig11ThroughputRT(points)
 	if err != nil {
 		return err
 	}

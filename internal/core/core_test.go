@@ -59,30 +59,21 @@ func TestScenarioDBIO(t *testing.T) {
 	}
 
 	// Fig 4: only the DB tier's disk saturates.
-	_, diskSeries, err := Fig4DiskUtil(db, 100*time.Millisecond)
+	_, diskPeaks, err := Fig4DiskUtil(db, 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peak := func(tier string) float64 {
-		p := 0.0
-		for _, v := range diskSeries[tier].Values {
-			if v > p {
-				p = v
-			}
-		}
-		return p
-	}
-	if p := peak("mysql"); p < 95 {
+	if p := diskPeaks["mysql"]; p < 95 {
 		t.Fatalf("mysql disk peaked at %.1f%%, want saturation", p)
 	}
 	for _, tier := range []string{"tomcat", "cjdbc"} {
-		if p := peak(tier); p > 60 {
+		if p := diskPeaks[tier]; p > 60 {
 			t.Fatalf("%s disk peaked at %.1f%%, should stay low", tier, p)
 		}
 	}
 
 	// Fig 6: cross-tier pushback during the VLRT window.
-	_, queues, err := Fig6QueueLengths(db, 50*time.Millisecond)
+	_, fig6, err := Fig6QueueLengths(db, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +81,10 @@ func TestScenarioDBIO(t *testing.T) {
 	if len(windows) == 0 {
 		t.Fatal("no VLRT windows detected")
 	}
-	w := windows[0]
-	w.StartMicros -= (400 * time.Millisecond).Microseconds()
-	pb := analysis.DetectPushback(queues, Tiers, w, 2.5)
+	if fig6.Window != windows[0] {
+		t.Fatalf("Fig 6 window %+v, first VLRT episode %+v", fig6.Window, windows[0])
+	}
+	pb := fig6.Pushback
 	if !pb.CrossTier {
 		t.Fatalf("no cross-tier pushback: %+v", pb)
 	}
@@ -103,9 +95,7 @@ func TestScenarioDBIO(t *testing.T) {
 
 	// Fig 7: over the bottleneck neighbourhood the DB disk correlates
 	// strongly with the Apache queue.
-	pad := (time.Second).Microseconds()
-	_, corr, err := Fig7Correlation(db, 50*time.Millisecond,
-		windows[0].StartMicros-pad, windows[0].EndMicros+pad)
+	_, corr, err := Fig7Correlation(db, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +104,7 @@ func TestScenarioDBIO(t *testing.T) {
 	}
 
 	// Root-cause ranking puts the DB disk first among disk candidates.
-	apacheQ := queues["apache"]
+	apacheQ := fig6.Queues["apache"]
 	candidates := map[string]*mscopedb.Series{}
 	for _, tier := range Tiers {
 		s, err := resourceSeriesForTier(db, tier, "dsk_util", 50*time.Millisecond, mscopedb.AggMax)
@@ -241,7 +231,7 @@ func TestScenarioAccuracy(t *testing.T) {
 	if len(figs) != 4 {
 		t.Fatalf("%d tier figures", len(figs))
 	}
-	for tier, st := range stats {
+	for tier, st := range stats.Tiers {
 		if st.Windows < 20 {
 			t.Fatalf("%s: only %d overlapping windows", tier, st.Windows)
 		}
@@ -270,11 +260,11 @@ func TestOverheadSweep(t *testing.T) {
 	if len(points) != 4 {
 		t.Fatalf("%d points", len(points))
 	}
-	figs10, err := Fig10Overhead(points)
+	figs10, _, err := Fig10Overhead(points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	figs11, err := Fig11ThroughputRT(points)
+	figs11, _, err := Fig11ThroughputRT(points)
 	if err != nil {
 		t.Fatal(err)
 	}

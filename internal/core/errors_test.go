@@ -20,7 +20,7 @@ func TestFiguresFailWithoutTables(t *testing.T) {
 	if _, _, err := Fig6QueueLengths(db, time.Millisecond); err == nil {
 		t.Fatal("fig6 without event tables accepted")
 	}
-	if _, _, err := Fig7Correlation(db, time.Millisecond, 0, 1); err == nil {
+	if _, _, err := Fig7Correlation(db, time.Millisecond); err == nil {
 		t.Fatal("fig7 without tables accepted")
 	}
 	if _, _, err := Fig8DirtyPage(db, time.Millisecond); err == nil {
@@ -61,18 +61,18 @@ func TestDiagnoseWithoutResourceMonitors(t *testing.T) {
 
 // TestOverheadSweepValidation: malformed sweeps are rejected.
 func TestOverheadSweepValidation(t *testing.T) {
-	if _, err := Fig10Overhead(nil); err == nil {
+	if _, _, err := Fig10Overhead(nil); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
 	bad := []OverheadPoint{{Workload: 1000, Enabled: true}}
-	if _, err := Fig10Overhead(bad); err == nil {
+	if _, _, err := Fig10Overhead(bad); err == nil {
 		t.Fatal("unpaired sweep accepted")
 	}
 	mismatched := []OverheadPoint{
 		{Workload: 1000, Enabled: true},
 		{Workload: 2000, Enabled: false},
 	}
-	if _, err := Fig11ThroughputRT(mismatched); err == nil {
+	if _, _, err := Fig11ThroughputRT(mismatched); err == nil {
 		t.Fatal("mismatched workloads accepted")
 	}
 }
@@ -100,7 +100,7 @@ func TestFig9EmptyCapture(t *testing.T) {
 	if len(figs) != 4 {
 		t.Fatalf("%d figures", len(figs))
 	}
-	for tier, st := range stats {
+	for tier, st := range stats.Tiers {
 		if st.Windows != 0 {
 			t.Fatalf("%s: %d windows from empty capture", tier, st.Windows)
 		}

@@ -151,30 +151,3 @@ func (r *ExperimentResult) Ingest(workDir string) (*mscopedb.DB, transform.Repor
 	}
 	return db, rep, nil
 }
-
-// IOWaitPct returns a node's whole-run iowait as a percentage of total
-// CPU time (the Figure 10 metric).
-func IOWaitPct(s *ntier.Server, duration time.Duration) float64 {
-	snap := s.Node().Snap()
-	total := float64(duration.Nanoseconds()) * float64(s.Node().Config().Cores)
-	if total <= 0 {
-		return 0
-	}
-	return 100 * snap.CPU.IOWait / total
-}
-
-// CPUPct returns a node's whole-run CPU utilization percentage (user+sys).
-func CPUPct(s *ntier.Server, duration time.Duration) float64 {
-	snap := s.Node().Snap()
-	total := float64(duration.Nanoseconds()) * float64(s.Node().Config().Cores)
-	if total <= 0 {
-		return 0
-	}
-	return 100 * (snap.CPU.User + snap.CPU.System) / total
-}
-
-// DiskWriteKB returns a node's cumulative disk write volume.
-func DiskWriteKB(s *ntier.Server) float64 {
-	snap := s.Node().Snap()
-	return snap.DiskWriteKB
-}

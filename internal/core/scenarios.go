@@ -98,9 +98,12 @@ func MeasureOverheadSweep(workloads []int, duration time.Duration,
 				ExtraLogKB:  map[string]float64{},
 			}
 			for _, s := range res.Sys.Servers() {
-				pt.IOWaitPct[s.Name()] = IOWaitPct(s, cfg.Duration)
-				pt.CPUPct[s.Name()] = CPUPct(s, cfg.Duration)
-				pt.DiskWriteKB[s.Name()] = DiskWriteKB(s)
+				// Whole-run shares of the node's CPU time: the Figure 10 metrics.
+				snap := s.Node().Snap()
+				cpuNS := float64(cfg.Duration.Nanoseconds()) * float64(s.Node().Config().Cores)
+				pt.IOWaitPct[s.Name()] = 100 * snap.CPU.IOWait / cpuNS
+				pt.CPUPct[s.Name()] = 100 * (snap.CPU.User + snap.CPU.System) / cpuNS
+				pt.DiskWriteKB[s.Name()] = snap.DiskWriteKB
 				base, extra := s.LogVolumeKB()
 				pt.BaseLogKB[s.Name()] = base
 				pt.ExtraLogKB[s.Name()] = extra
