@@ -147,13 +147,11 @@ selfobs-lint:
 cover:
 	$(GO) test -short -cover ./...
 
-# Short fuzz pass over the event-log parsers (native go fuzzing), plus the
+# Short fuzz pass over the apache parser (native go fuzzing), plus the
 # cell typer, over strings and over bytes, against the strconv/time
 # cascade it replaced; then fuzz-smoke's targets, for longer.
 fuzz:
 	$(GO) test -fuzz FuzzApacheAccessLog -fuzztime 30s ./internal/parsers/
-	$(GO) test -fuzz FuzzMySQLSlowLog -fuzztime 30s ./internal/parsers/
-	$(GO) test -fuzz FuzzTokenizerEquivalence -fuzztime 30s ./internal/parsers/
 	$(GO) test -fuzz FuzzCellTyperEquivalence -fuzztime 30s ./internal/xmlcsv/
 	$(MAKE) fuzz-smoke FUZZTIME=30s
 
@@ -170,7 +168,11 @@ fuzz:
 # error), and the same records merged into one table in blocks as the live
 # loader merges them (no panic; a column no block widens holds the same
 # cells); on the sar-xml byte scanner against the encoding/xml walk it
-# replaced (the same records, or an error); and on the --spec JSON `mscope
+# replaced (the same records, or an error); on the compiled tokenizer
+# against regexp (the same match and groups), the mysql-slow parser (no
+# panic; degraded agrees with a clean strict parse) and its fixed-layout
+# "# Time:" decoder against time.Parse (the same instant, or it declines);
+# and on the --spec JSON `mscope
 # scenario run|verify` decodes (an error, never a panic; what decodes
 # re-encodes and decodes again). -run '^$$' skips the unit tests the plain
 # -fuzz form would rerun first; a short minimize budget keeps the time
@@ -185,6 +187,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTableBuilderEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/transform/
 	$(GO) test -run '^$$' -fuzz FuzzLiveMergeMatchesBatch -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/transform/
 	$(GO) test -run '^$$' -fuzz FuzzSarXMLMatchesEncodingXML -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/parsers/
+	$(GO) test -run '^$$' -fuzz FuzzTokenizerEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/parsers/
+	$(GO) test -run '^$$' -fuzz FuzzMySQLSlowLog -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/parsers/
+	$(GO) test -run '^$$' -fuzz FuzzMySQLTimeMatchesTimeParse -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/parsers/
 	$(GO) test -run '^$$' -fuzz FuzzScenarioConfigDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/scenario/
 
 # End-to-end chaos drill: run a trial, corrupt its logs deterministically,

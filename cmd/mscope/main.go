@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -102,7 +101,8 @@ commands:
   chaos      copy a log directory injecting deterministic faults
   ingest     transform a log directory and load it into the warehouse
              directory --db DIR, an on-disk columnar segment store a
-             re-run resumes (--workers N parses files concurrently)
+             re-run resumes (--workers N parses N files at once;
+             default one per CPU)
   compact    merge small on-disk segments of the warehouse in --db DIR
   plan       write the default Parsing Declaration as editable JSON
   tables     list warehouse tables
@@ -270,8 +270,8 @@ func cmdIngest(args []string) error {
 	mode := fs.String("mode", "fail-fast", "malformed-input policy: fail-fast | quarantine")
 	budget := fs.Float64("budget", 0, "quarantine error budget (corrupt-line ratio per file; 0 = default 5%)")
 	qdir := fs.String("quarantine", "", "quarantine sink directory (default: WORK/quarantine)")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
-		"files parsed concurrently; output identical for every value")
+	workers := fs.Int("workers", 0,
+		"files parsed concurrently, 0 = one per CPU; output identical for every value")
 	materialize := fs.Bool("materialize", false,
 		"also write the staged XML/CSV artifacts to WORK")
 	selfLog := fs.String("self-log", "",
@@ -285,8 +285,8 @@ func cmdIngest(args []string) error {
 	if *selfLog != "" {
 		defer startSelfObs("ingest", *selfLog)()
 	}
-	if *workers < 1 {
-		return fmt.Errorf("ingest: --workers must be >= 1")
+	if *workers < 0 {
+		return fmt.Errorf("ingest: --workers %d: must be >= 0 (0 = one per CPU)", *workers)
 	}
 	if err := transform.CheckBudget(*budget); err != nil {
 		return fmt.Errorf("ingest: --budget: %w", err)

@@ -487,3 +487,22 @@ func TestCLIBudgetRange(t *testing.T) {
 		}
 	}
 }
+
+// TestCLIWorkersRange: --workers 0, the default, is one worker per CPU; a
+// negative count is an error naming the flag and the value, raised before
+// --db is created.
+func TestCLIWorkersRange(t *testing.T) {
+	logs := t.TempDir()
+	if err := run([]string{"ingest", "--logs", logs, "--work", t.TempDir(),
+		"--db", filepath.Join(t.TempDir(), "wh"), "--workers", "0"}); err != nil {
+		t.Errorf("ingest --workers 0: %v", err)
+	}
+	db := filepath.Join(t.TempDir(), "wh")
+	err := run([]string{"ingest", "--logs", logs, "--work", t.TempDir(), "--db", db, "--workers", "-1"})
+	if err == nil || !strings.Contains(err.Error(), "--workers -1") {
+		t.Errorf("ingest --workers -1: err = %v, want one naming the flag and value", err)
+	}
+	if _, err := os.Stat(db); !os.IsNotExist(err) {
+		t.Errorf("ingest --workers -1: --db touched before the flag was checked")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/gt-elba/milliscope/internal/mxml"
 )
@@ -115,6 +116,49 @@ func FuzzMySQLSlowLog(f *testing.F) {
 			if emitted > boundaries {
 				t.Fatalf("degraded emitted %d records for %d boundaries", emitted, boundaries)
 			}
+		}
+	})
+}
+
+// FuzzMySQLTimeMatchesTimeParse pins the fixed-layout "# Time:" decoder to
+// time.Parse: what it decodes, time.Parse decodes to the same instant in
+// the same location; what it declines, slowRecordTimes hands to
+// time.Parse. It declines nothing written in exactly the layout.
+func FuzzMySQLTimeMatchesTimeParse(f *testing.F) {
+	for _, s := range []string{
+		"2017-04-01T00:00:12.345678Z",
+		"2016-02-29T00:00:00.000000Z", // a leap day
+		"2017-02-29T00:00:00.000000Z", // not one
+		"2017-01-31T12:00:00.000001Z",
+		"2017-04-31T12:00:00.000001Z", // April has 30
+		"2017-12-31T23:59:59.999999Z",
+		"2017-04-01T24:00:00.000000Z",
+		"2017-04-01T00:00:60.000000Z",
+		"2017-04-01T00:00:12.34567Z",   // five fraction digits
+		"2017-04-01T00:00:12.3456789Z", // seven
+		"2017-4-01T00:00:12.345678Z",
+		"2017-04-01T0:00:12.3456789Z", // one hour digit, same length
+		"2017-04-01T00:00:12,345678Z",
+		"2017-04-01T00:00:12.+12345Z",
+		"0000-01-01T00:00:00.000000Z",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, ok := mysqlTime([]byte(s))
+		want, err := time.Parse(mysqlTimeLayout, s)
+		if !ok {
+			if err == nil && want.Format(mysqlTimeLayout) == s {
+				t.Fatalf("%q is in the layout but was declined", s)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%q decoded to %v; time.Parse: %v", s, got, err)
+		}
+		if !got.Equal(want) || got.Location() != want.Location() {
+			t.Fatalf("%q decoded to %v, time.Parse gives %v", s, got, want)
 		}
 	})
 }

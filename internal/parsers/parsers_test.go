@@ -1,6 +1,7 @@
 package parsers
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -243,6 +244,51 @@ func TestMySQLSlowRoundTrip(t *testing.T) {
 	// Second record has no ID comment; reqid absent but record parsed.
 	if _, ok := entries[1].Get("reqid"); ok {
 		t.Fatal("reqid present on comment-free record")
+	}
+}
+
+// TestMySQLSlowQueryTimeExact: ud is ua plus Query_time to the
+// microsecond. Scaled as a float, 0.000065 s came out 64 µs, as did 34,142
+// of the two million six-decimal values up to 2 s.
+func TestMySQLSlowQueryTimeExact(t *testing.T) {
+	record := func(qt string) string {
+		return "# Time: 2017-04-01T00:00:12.345678Z\n" +
+			"# User@Host: rubbos[rubbos] @ cjdbc [10.0.0.23]  Id:    45\n" +
+			"# Query_time: " + qt + "  Lock_time: 0.000010 Rows_sent: 1  Rows_examined: 1\n" +
+			"SET timestamp=1491004812;\nSELECT 1;\n"
+	}
+	want := map[string]int64{"0.000065": 65, "1.000001": 1000001, "0.5": 500000, "7.": 7000000,
+		".25": 250000, "0.0000019": 1, "00000000000012.000000": 12000000}
+	input := logfmt.MySQLHeader()
+	var order []string
+	for qt := range want {
+		input += record(qt)
+		order = append(order, qt)
+	}
+	for i, e := range collect(t, mysqlSlowParser, input, Instructions{}) {
+		ua, _ := strconv.ParseInt(get(t, e, "ua"), 10, 64)
+		ud, _ := strconv.ParseInt(get(t, e, "ud"), 10, 64)
+		if qt := order[i]; ud-ua != want[qt] {
+			t.Errorf("Query_time %s: ud - ua = %d us, want %d", qt, ud-ua, want[qt])
+		}
+	}
+
+	var b []byte
+	for us := int64(1); us <= 2_000_000; us++ {
+		b = strconv.AppendInt(b[:0], us/1_000_000, 10)
+		b = append(b, '.')
+		for scale := int64(100_000); scale > 0; scale /= 10 {
+			b = append(b, byte('0'+us/scale%10))
+		}
+		if d, ok := decimalSeconds(b); !ok || d != time.Duration(us)*time.Microsecond {
+			t.Fatalf("%s s read as %v (%v)", b, d, ok)
+		}
+	}
+	// Not a decimal, or a billion seconds or more: strconv.ParseFloat decides.
+	for _, s := range []string{"", ".", "1.2.3", "1000000000", "1e3"} {
+		if d, ok := decimalSeconds([]byte(s)); ok {
+			t.Errorf("%q read as %v, want it declined", s, d)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package parsers
 // FuzzTokenizerEquivalence fuzzer pins both paths to identical submatches.
 
 import (
+	"bytes"
 	"strings"
 )
 
@@ -44,6 +45,9 @@ type tokenizer struct {
 	anchored bool // pattern began with ^
 	endAnch  bool // pattern ended with $
 	names    []string
+	// lead, for an unanchored pattern whose first consuming element is a
+	// literal, is that literal: no match starts anywhere else.
+	lead []byte
 }
 
 // find reports whether s matches and fills slots (2 per capture group,
@@ -54,6 +58,13 @@ func (t *tokenizer) find(s []byte, slots []int) bool {
 		return t.matchHere(s, 0, 0, slots)
 	}
 	for start := 0; start <= len(s); start++ {
+		if t.lead != nil {
+			i := bytes.Index(s[start:], t.lead)
+			if i < 0 {
+				return false
+			}
+			start += i
+		}
 		if t.matchHere(s, start, 0, slots) {
 			return true
 		}
@@ -158,6 +169,9 @@ func compileTokenizer(pattern string) *tokenizer {
 	tok.names = c.names
 	if !validTokenizer(tok) {
 		return nil
+	}
+	if first := nextConsuming(tok, 0); !tok.anchored && first != nil && first.op == opLit {
+		tok.lead = []byte(first.lit)
 	}
 	return tok
 }

@@ -120,6 +120,13 @@ func FuzzTokenizerEquivalence(f *testing.F) {
 	f.Add(uint8(3), `2026-07-21T09:15:02.113Z mscope-self kind=span batch=b1 pipeline=ingest stage=parse span=s1 file=f dur_us=10 items=-1 errs=0`)
 	f.Add(uint8(5), `# User@Host: a[b] @ c [d]  Id: 9`)
 	f.Add(uint8(9), "caf\xc3\xa9?ID=req-3")
+	// The ID comment's pattern begins with a literal, which the
+	// unanchored search jumps between: repeated, overlapping, at the very
+	// end, and absent.
+	f.Add(uint8(10), `/*ID=x /*ID=req-1 q=2*/ /*ID=req-3 q=4*/`)
+	f.Add(uint8(10), `/*/*ID=req-1 q=2*/`)
+	f.Add(uint8(10), `/*ID=req-1 q=2*//*ID=`)
+	f.Add(uint8(10), `SELECT 1 /* ID=req-1 q=2 */;`)
 	f.Fuzz(func(t *testing.T, which uint8, input string) {
 		pattern := planPatterns[int(which)%len(planPatterns)]
 		tok := compileTokenizer(pattern)
@@ -148,6 +155,21 @@ func FuzzTokenizerEquivalence(f *testing.F) {
 			gi++
 		}
 	})
+}
+
+// TestLeadingLiteralFound: an unanchored pattern that begins with a
+// literal searches for it instead of trying a match at every offset.
+func TestLeadingLiteralFound(t *testing.T) {
+	for _, tc := range []struct{ pattern, lead string }{
+		{`/\*ID=(?P<reqid>req-\d+) q=(?P<q>\d+)\*/`, "/*ID="},
+		{`(?P<a>x)yz`, "x"},
+		{`[?&]ID=(?P<reqid>req-\d+)`, ""},
+		{`^# Time: (?P<time>\S+)$`, ""},
+	} {
+		if tok := compileTokenizer(tc.pattern); tok == nil || string(tok.lead) != tc.lead {
+			t.Errorf("pattern %q: lead %q, want %q", tc.pattern, tok.lead, tc.lead)
+		}
+	}
 }
 
 // TestMatcherCacheEviction floods the cache far past its cap from several

@@ -399,3 +399,49 @@ func TestWorkersStartFilesInSortedOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreIngestSameFilesAtEveryWorkerCount: after its Checkpoint, a
+// store-backed ingest leaves the same directory — segment files, tail file
+// and MANIFEST.json, name for name and byte for byte — at one, two and four
+// workers and at the zero value, one per CPU.
+func TestStoreIngestSameFilesAtEveryWorkerCount(t *testing.T) {
+	logDir, workDir := writeSyntheticDir(t, true), t.TempDir()
+	var want map[string]string
+	for _, workers := range []int{1, 2, 4, 0} {
+		dir := t.TempDir()
+		db, err := mscopedb.OpenDir(dir, mscopedb.StoreOptions{SealRows: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Policy: Quarantine, ErrorBudget: 0.5, Workers: workers,
+			QuarantineDir: filepath.Join(t.TempDir(), "q")}
+		if _, err := IngestDirWithOptions(db, logDir, workDir, DefaultPlan(), opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		got := readDirContents(t, dir)
+		if want == nil {
+			segs := 0
+			for name := range got {
+				if strings.HasPrefix(name, "seg-") {
+					segs++
+				}
+			}
+			if segs < 2 || len(got) < segs+2 {
+				t.Fatalf("one worker left %d files, %d of them segments; want segments, a tail and a manifest", len(got), segs)
+			}
+			want = got
+			continue
+		}
+		if len(got) != len(want) {
+			t.Errorf("workers=%d: %d files, want %d", workers, len(got), len(want))
+		}
+		for name, data := range want {
+			if got[name] != data {
+				t.Errorf("workers=%d: %s differs from the one-worker ingest's", workers, name)
+			}
+		}
+	}
+}

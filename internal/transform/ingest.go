@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -133,7 +134,11 @@ func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, o
 	defer wg.Wait()
 	var aborted atomic.Bool
 	defer aborted.Store(true)
-	for range min(max(opts.Workers, 1), len(work)) {
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	for range min(workers, len(work)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

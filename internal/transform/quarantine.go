@@ -67,7 +67,8 @@ type Options struct {
 	// QuarantineDir receives the per-file quarantine sinks; empty means
 	// "<workDir>/quarantine".
 	QuarantineDir string
-	// Workers is how many files are parsed at once. 0 and 1 mean one worker.
+	// Workers is how many files are parsed at once; 0 means one per CPU
+	// (runtime.GOMAXPROCS).
 	// The warehouse, report and sinks are identical for every value (the
 	// engine-vs-oracle suite proves it).
 	Workers int
