@@ -11,25 +11,18 @@ import (
 )
 
 // TestPaperTrialLogDigests pins the SHA-256 of every log file RunExperiment
-// writes for the four paper trials, so moving where a trial is declared
-// cannot change what it generates. Run with -update to regenerate.
+// writes for each catalogue trial, so moving where a trial or a fault kind
+// is declared cannot change what it generates. Run with -update to
+// regenerate.
 func TestPaperTrialLogDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four full trials")
+		t.Skip("runs every catalogue trial")
 	}
 	var b strings.Builder
-	for _, tr := range []struct {
-		name string
-		mk   func(string) ExperimentConfig
-	}{
-		{"dbio", ScenarioDBIO},
-		{"dirtypage", ScenarioDirtyPage},
-		{"jvmgc", ScenarioJVMGC},
-		{"dvfs", ScenarioDVFS},
-	} {
+	for _, spec := range Scenarios() {
 		dir := t.TempDir()
-		if _, err := RunExperiment(tr.mk(dir)); err != nil {
-			t.Fatalf("%s: %v", tr.name, err)
+		if _, err := RunExperiment(catalogueTrial(spec.Name, dir)); err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
 		}
 		var files []string
 		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
@@ -48,7 +41,7 @@ func TestPaperTrialLogDigests(t *testing.T) {
 				t.Fatal(err)
 			}
 			rel, _ := filepath.Rel(dir, path)
-			fmt.Fprintf(&b, "%s/%s %x\n", tr.name, filepath.ToSlash(rel), sha256.Sum256(data))
+			fmt.Fprintf(&b, "%s/%s %x\n", spec.Name, filepath.ToSlash(rel), sha256.Sum256(data))
 		}
 	}
 	got := b.String()
