@@ -122,9 +122,14 @@ scenario-soak:
 # into a warehouse directory sized so every event table holds >= 10x
 # its RAM budget on disk, killed mid-ingest and mid-compaction, reopened,
 # resumed, compacted — and the result must stay cell-identical (and
-# diagnose-identical) to a pure in-memory ingest of the same logs.
+# diagnose-identical) to a pure in-memory ingest of the same logs. Then
+# fifty race-detector runs of readers, a widening writer and a free-running
+# compactor on one spilled table: the compactor once read a segment under
+# a schema a concurrent Widen had just changed, a failure seen only in
+# loaded full-suite runs; TestCompactionRacingWiden pins the fix.
 db-soak:
 	MSCOPE_DB_SOAK=1 $(GO) test -race -run TestDBSoak -v -timeout 15m ./internal/scenario/
+	$(GO) test -race -count=50 -run TestReadersUnderSpillCompactWiden ./internal/mscopedb/
 
 # Profile the batch ingest as bench/'s batch-ingest workload runs it — a
 # fresh warehouse directory, default options, the closing checkpoint: writes

@@ -96,7 +96,9 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		res.Capture = netcap.New()
 		sys.SetCapture(res.Capture)
 	}
-	bottleneck.InjectAll(sys, cfg.Injectors)
+	for _, in := range cfg.Injectors {
+		in.Inject(sys)
+	}
 
 	res.Driver = ntier.Run(sys)
 

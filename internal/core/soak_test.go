@@ -24,8 +24,8 @@ func TestSoakLongTrial(t *testing.T) {
 	cfg.Injectors = []bottleneck.Injector{
 		bottleneck.PeriodicDBLogFlush{Start: des.Time(8 * time.Second),
 			Period: 12 * time.Second, Duration: 300 * time.Millisecond, Count: 3},
-		bottleneck.JVMGC{Node: "tomcat", At: des.Time(14 * time.Second),
-			Pause: 250 * time.Millisecond},
+		InjectorSpec{Kind: "jvm-gc", Node: "tomcat", At: Duration(14 * time.Second),
+			Pause: Duration(250 * time.Millisecond)},
 	}
 	res, db := runScenario(t, cfg)
 

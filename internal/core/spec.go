@@ -48,9 +48,10 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// InjectorSpec is the declarative form of one bottleneck injector. Kind
-// selects the fault family; the remaining fields are consulted per kind
-// (injectorKinds declares what each kind requires).
+// InjectorSpec is the declarative form of one bottleneck injector, and the
+// injector itself (Inject). Kind selects the fault family; the remaining
+// fields are consulted per kind (injectorKinds declares what each kind
+// requires and how it arms the simulator).
 type InjectorSpec struct {
 	Kind string `json:"kind"`
 	// Node names the target node (dirty-page-surge, jvm-gc, dvfs,
@@ -178,7 +179,7 @@ func knownTier(name string) bool {
 }
 
 // Validate checks the spec is well-formed and buildable, so Build and the
-// injector constructors never panic on a validated spec.
+// ntier fault methods its injectors arm never panic on a validated spec.
 func (s *Spec) Validate() error {
 	if !validName(s.Name) {
 		return fmt.Errorf("scenario: invalid name %q (want kebab-case)", s.Name)
@@ -251,17 +252,18 @@ func (s *Spec) Validate() error {
 }
 
 // injectorKind declares one fault family: the InjectorSpec.Kind that
-// selects it, what a spec of that kind must hold, and the injector it
-// builds. injectorKinds is the only list of kinds; a new family is one row.
+// selects it, what a spec of that kind must hold, and how it arms the
+// simulator (one ntier.System method per family). injectorKinds is the
+// only list of kinds; a new family is one row.
 type injectorKind struct {
 	name     string
 	validate func(in *InjectorSpec) error
-	build    func(in *InjectorSpec) bottleneck.Injector
+	arm      func(in *InjectorSpec, sys *ntier.System)
 }
 
 var injectorKinds = []injectorKind{
-	{"db-log-flush", (*InjectorSpec).needWindow, func(in *InjectorSpec) bottleneck.Injector {
-		return bottleneck.DBLogFlush{At: des.Time(in.At), Duration: in.Duration.D()}
+	{"db-log-flush", (*InjectorSpec).needWindow, func(in *InjectorSpec, sys *ntier.System) {
+		sys.FlushRedoLog(in.from(), in.Duration.D())
 	}},
 	{"dirty-page-surge", func(in *InjectorSpec) error {
 		if !knownTier(in.Node) {
@@ -271,8 +273,8 @@ var injectorKinds = []injectorKind{
 			return fmt.Errorf("dirty-page-surge: at=%v burst=%dKB", in.At.D(), in.BurstKB)
 		}
 		return nil
-	}, func(in *InjectorSpec) bottleneck.Injector {
-		return bottleneck.DirtyPageSurge{Node: in.Node, At: des.Time(in.At), BurstKB: in.BurstKB}
+	}, func(in *InjectorSpec, sys *ntier.System) {
+		sys.SurgeDirtyPages(in.Node, in.from(), in.BurstKB)
 	}},
 	{"jvm-gc", func(in *InjectorSpec) error {
 		if !knownTier(in.Node) {
@@ -282,8 +284,8 @@ var injectorKinds = []injectorKind{
 			return fmt.Errorf("jvm-gc: at=%v pause=%v", in.At.D(), in.Pause.D())
 		}
 		return nil
-	}, func(in *InjectorSpec) bottleneck.Injector {
-		return bottleneck.JVMGC{Node: in.Node, At: des.Time(in.At), Pause: in.Pause.D()}
+	}, func(in *InjectorSpec, sys *ntier.System) {
+		sys.PauseGC(in.Node, in.from(), in.Pause.D())
 	}},
 	{"dvfs", func(in *InjectorSpec) error {
 		if !knownTier(in.Node) {
@@ -296,8 +298,8 @@ var injectorKinds = []injectorKind{
 			return fmt.Errorf("dvfs: speed %v outside (0, 1)", in.Speed)
 		}
 		return nil
-	}, func(in *InjectorSpec) bottleneck.Injector {
-		return bottleneck.DVFS{Node: in.Node, At: des.Time(in.At), Duration: in.Duration.D(), Speed: in.Speed}
+	}, func(in *InjectorSpec, sys *ntier.System) {
+		sys.Downclock(in.Node, in.Speed, in.from(), in.to())
 	}},
 	{"conn-pool-seize", func(in *InjectorSpec) error {
 		// The last tier has no downstream pool.
@@ -311,8 +313,8 @@ var injectorKinds = []injectorKind{
 			return fmt.Errorf("conn-pool-seize: held %d", in.Held)
 		}
 		return nil
-	}, func(in *InjectorSpec) bottleneck.Injector {
-		return bottleneck.ConnPoolSeize{Tier: in.Tier, At: des.Time(in.At), Duration: in.Duration.D(), Held: in.Held}
+	}, func(in *InjectorSpec, sys *ntier.System) {
+		sys.SeizeConns(in.Tier, in.Held, in.from(), in.to())
 	}},
 	{"lock-convoy", func(in *InjectorSpec) error {
 		if err := in.needWindow(); err != nil {
@@ -322,8 +324,8 @@ var injectorKinds = []injectorKind{
 			return fmt.Errorf("lock-convoy: hold %v", in.Hold.D())
 		}
 		return nil
-	}, func(in *InjectorSpec) bottleneck.Injector {
-		return bottleneck.LockConvoy{At: des.Time(in.At), Duration: in.Duration.D(), Hold: in.Hold.D()}
+	}, func(in *InjectorSpec, sys *ntier.System) {
+		sys.ArmLockConvoy(in.from(), in.to(), in.Hold.D())
 	}},
 	{"cache-stampede", func(in *InjectorSpec) error {
 		if err := in.needWindow(); err != nil {
@@ -336,9 +338,8 @@ var injectorKinds = []injectorKind{
 			return fmt.Errorf("cache-stampede: read %dKB", in.ReadKB)
 		}
 		return nil
-	}, func(in *InjectorSpec) bottleneck.Injector {
-		return bottleneck.CacheStampede{At: des.Time(in.At), Duration: in.Duration.D(),
-			MissProb: in.MissProb, ReadKB: in.ReadKB}
+	}, func(in *InjectorSpec, sys *ntier.System) {
+		sys.ArmCacheExpiry(in.from(), in.to(), in.MissProb, in.ReadKB)
 	}},
 	{"net-jitter", func(in *InjectorSpec) error {
 		for _, n := range []string{in.Src, in.Dst} {
@@ -353,9 +354,8 @@ var injectorKinds = []injectorKind{
 			return fmt.Errorf("net-jitter: extra %v", in.Extra.D())
 		}
 		return nil
-	}, func(in *InjectorSpec) bottleneck.Injector {
-		return bottleneck.NetJitter{Src: in.Src, Dst: in.Dst, At: des.Time(in.At), Duration: in.Duration.D(),
-			Extra: in.Extra.D()}
+	}, func(in *InjectorSpec, sys *ntier.System) {
+		sys.ArmNetJitter(in.Src, in.Dst, in.from(), in.to(), in.Extra.D())
 	}},
 	{"crash-loop", func(in *InjectorSpec) error {
 		if !knownTier(in.Node) {
@@ -368,11 +368,18 @@ var injectorKinds = []injectorKind{
 			return fmt.Errorf("crash-loop: period %v within outage %v", in.Period.D(), in.Outage.D())
 		}
 		return nil
-	}, func(in *InjectorSpec) bottleneck.Injector {
-		return bottleneck.CrashLoop{Node: in.Node, At: des.Time(in.At), Outage: in.Outage.D(),
-			Period: in.Period.D(), Count: in.Count}
+	}, func(in *InjectorSpec, sys *ntier.System) {
+		// One worker stall per restart, Period apart.
+		for i := 0; i < in.Count; i++ {
+			from := in.from() + des.Time(i)*des.Time(in.Period)
+			sys.StallWorkers(in.Node, from, from+des.Time(in.Outage))
+		}
 	}},
 }
+
+// from and to bound the episode [At, At+Duration) on the simulator clock.
+func (in *InjectorSpec) from() des.Time { return des.Time(in.At) }
+func (in *InjectorSpec) to() des.Time   { return des.Time(in.At + in.Duration) }
 
 // needWindow requires a non-negative start and a positive episode length.
 func (in *InjectorSpec) needWindow() error {
@@ -392,6 +399,17 @@ func (in *InjectorSpec) kind() (*injectorKind, error) {
 		names[i] = injectorKinds[i].name
 	}
 	return nil, fmt.Errorf("unknown injector kind %q (known: %v)", in.Kind, names)
+}
+
+// Inject arms the fault on the system through its kind's row, so a spec
+// is itself the injector an ExperimentConfig carries. It panics on a spec
+// Validate would refuse.
+func (in InjectorSpec) Inject(sys *ntier.System) {
+	k, err := in.kind()
+	if err != nil {
+		panic(err)
+	}
+	k.arm(&in, sys)
 }
 
 // Build turns a validated spec into a runnable experiment configuration
@@ -429,10 +447,9 @@ func (s *Spec) Build(logDir string) (ExperimentConfig, error) {
 			spec.Node.Memory.FlushSlice = tune.FlushSlice.D()
 		}
 	}
-	injectors := make([]bottleneck.Injector, 0, len(s.Injectors))
-	for i := range s.Injectors {
-		k, _ := s.Injectors[i].kind() // Validate checked every kind
-		injectors = append(injectors, k.build(&s.Injectors[i]))
+	injectors := make([]bottleneck.Injector, len(s.Injectors))
+	for i, in := range s.Injectors {
+		injectors[i] = in
 	}
 	rm := resmon.DefaultConfig()
 	return ExperimentConfig{

@@ -73,25 +73,6 @@ func (s *Source) Lognormal(median time.Duration, sigma float64) time.Duration {
 	return time.Duration(v)
 }
 
-// BoundedPareto returns a Pareto(alpha) variate truncated to [lo, hi].
-// Heavy-tailed object sizes and rare long queries use this distribution.
-func (s *Source) BoundedPareto(alpha float64, lo, hi float64) float64 {
-	if alpha <= 0 || lo <= 0 || hi <= lo {
-		return lo
-	}
-	u := s.rng.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-	if x < lo {
-		x = lo
-	}
-	if x > hi {
-		x = hi
-	}
-	return x
-}
-
 // Choice draws an index in [0,len(weights)) with probability proportional
 // to the weight. It panics on an empty or non-positive-total weight vector,
 // because a silent fallback would bias the workload mix.

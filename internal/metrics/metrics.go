@@ -44,15 +44,10 @@ func (p *PITResult) PeakFactor() float64 {
 // scanSpans reads an event table's arrival and departure stamps (ua, ud)
 // chunk by chunk, decoding only those two columns.
 func scanSpans(tbl *mscopedb.Table, fn func(ua, ud []int64)) error {
-	return scanSpanRows(tbl, nil, func(_ *mscopedb.Chunk, ua, ud []int64) { fn(ua, ud) })
-}
-
-// scanSpanRows is scanSpans with further columns projected after ua and ud.
-func scanSpanRows(tbl *mscopedb.Table, more []string, fn func(ch *mscopedb.Chunk, ua, ud []int64)) error {
 	if tbl.ColIndex("ua") < 0 || tbl.ColIndex("ud") < 0 {
 		return fmt.Errorf("metrics: %s lacks ua/ud columns", tbl.Name())
 	}
-	return tbl.Scan(append([]string{"ua", "ud"}, more...), func(ch *mscopedb.Chunk) error {
+	return tbl.Scan([]string{"ua", "ud"}, func(ch *mscopedb.Chunk) error {
 		ua, err := ch.Micros(0)
 		if err != nil {
 			return err
@@ -61,7 +56,7 @@ func scanSpanRows(tbl *mscopedb.Table, more []string, fn func(ch *mscopedb.Chunk
 		if err != nil {
 			return err
 		}
-		fn(ch, ua, ud)
+		fn(ua, ud)
 		return nil
 	})
 }
@@ -227,34 +222,6 @@ func ResourceSeries(tbl *mscopedb.Table, valCol string, window time.Duration, fn
 		return nil, err
 	}
 	return res.WindowAgg("ts", window, valCol, fn)
-}
-
-// VLRTRequests returns the request IDs whose response time exceeds
-// k × the table's average — the very long response time requests.
-func VLRTRequests(tbl *mscopedb.Table, k float64) ([]string, error) {
-	if tbl.ColIndex("reqid") < 0 {
-		return nil, fmt.Errorf("metrics: %s lacks ua/ud/reqid columns", tbl.Name())
-	}
-	n := tbl.Rows()
-	var sum float64
-	err := scanSpans(tbl, func(ua, ud []int64) {
-		for r := range ua {
-			sum += float64(ud[r] - ua[r])
-		}
-	})
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	threshold := k * sum / float64(n)
-	var out []string
-	err = scanSpanRows(tbl, []string{"reqid"}, func(ch *mscopedb.Chunk, ua, ud []int64) {
-		for r, id := range ch.Strs(2) {
-			if float64(ud[r]-ua[r]) > threshold {
-				out = append(out, id)
-			}
-		}
-	})
-	return out, err
 }
 
 // LittlesLawReport cross-checks an event table against Little's law:

@@ -148,24 +148,6 @@ func TestQueueSeriesInvariantProperty(t *testing.T) {
 	}
 }
 
-func TestVLRTRequests(t *testing.T) {
-	tbl := eventTable(t, [][2]int64{
-		{0, 5_000},
-		{10_000, 15_000},
-		{20_000, 25_000},
-		{30_000, 130_000}, // 100ms vs ~5ms avg
-	})
-	// With four samples the outlier lifts the average (~29ms), so the
-	// 100ms request is ~3.5x the mean.
-	ids, err := VLRTRequests(tbl, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 {
-		t.Fatalf("VLRTs: %v", ids)
-	}
-}
-
 func TestLittlesLawConsistent(t *testing.T) {
 	// A deterministic M/D/∞-ish table: 1000 requests arriving every 1ms,
 	// each resident 5ms → λ=1000/s (over span), W=5ms, L=λW≈5.

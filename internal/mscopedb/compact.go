@@ -15,10 +15,11 @@ import "fmt"
 // reopens to the last committed manifest, whose files all still exist —
 // at worst the merge is redone.
 
-// compactTestHook, when set (from tests via export_test.go), runs after
-// the merged segment file is written but before the in-memory swap — the
-// widest window a crash can hit.
-var compactTestHook func(table string)
+// compactTestHook, when set from tests, runs after the merged segment
+// file is written but before the in-memory swap — the widest window a
+// crash can hit. compactReadHook runs between the layout snapshot and the
+// first segment read, where a concurrent Widen or commit can land.
+var compactTestHook, compactReadHook func(table string)
 
 // CompactOnce merges at most one run of small adjacent segments per
 // table and reports whether anything was merged. The new layout becomes
@@ -65,29 +66,42 @@ func (t *Table) compactOnce() (bool, error) {
 		return false, nil
 	}
 	st := sp.store
+	// The schema is snapshot with the segment list: Widen, Retype and
+	// AddColumn change it under sp.mu after unspilling, so these columns
+	// are the ones every listed segment was encoded under.
 	sp.mu.RLock()
 	segs := append([]sealedSeg(nil), sp.segs...)
+	cols := append([]Column(nil), t.cols...)
 	sp.mu.RUnlock()
 	lo, hi, ok := findRun(segs, st.opts)
 	if !ok {
 		return false, nil
 	}
 	run := segs[lo : hi+1]
+	if compactReadHook != nil {
+		compactReadHook(t.name)
+	}
 
 	// Merge outside every lock: the inputs are immutable files.
-	data := make([]colData, len(t.cols))
+	data := make([]colData, len(cols))
 	rows := 0
 	for _, ss := range run {
-		part, err := st.readSegment(ss.meta, t.name, t.cols)
+		part, err := st.readSegment(ss.meta, t.name, cols)
 		if err != nil {
+			sp.mu.RLock()
+			gone := !runAt(sp.segs, lo, run)
+			sp.mu.RUnlock()
+			if gone { // an unspill took the run and a commit deleted its files
+				return false, nil
+			}
 			return false, err
 		}
-		for ci := range t.cols {
-			appendCol(&data[ci], &part[ci], t.cols[ci].Type, nil)
+		for ci := range cols {
+			appendCol(&data[ci], &part[ci], cols[ci].Type, nil)
 		}
 		rows += ss.meta.Rows
 	}
-	img, zones, err := encodeSegment(t.name, t.cols, data, rows)
+	img, zones, err := encodeSegment(t.name, cols, data, rows)
 	if err != nil {
 		return false, err
 	}
@@ -108,7 +122,7 @@ func (t *Table) compactOnce() (bool, error) {
 	// intact or the new one — never old names scheduled for deletion.
 	st.mu.Lock()
 	sp.mu.Lock()
-	if len(sp.segs) < hi+1 || !sameSegs(sp.segs[lo:hi+1], run) {
+	if !runAt(sp.segs, lo, run) {
 		// An unspill (or racing layout change) invalidated the run; the
 		// merged file was never referenced, drop it at the next commit.
 		sp.mu.Unlock()
@@ -131,6 +145,11 @@ func (t *Table) compactOnce() (bool, error) {
 	sp.dropCache()
 	st.lookups.drop(files)
 	return true, nil
+}
+
+// runAt reports whether segs still holds run at index lo.
+func runAt(segs []sealedSeg, lo int, run []sealedSeg) bool {
+	return len(segs) >= lo+len(run) && sameSegs(segs[lo:lo+len(run)], run)
 }
 
 // findRun locates the first adjacent run of at least CompactMinSegs

@@ -543,6 +543,62 @@ func TestCrashMidCompactionReopens(t *testing.T) {
 	}
 }
 
+// TestCompactionRacingWiden widens the column the compactor is about to
+// merge, between its layout snapshot and its first segment read, as a
+// concurrent Widen can: the merge must read each segment under the schema
+// it was written in — or, once a commit has deleted the unspilled files,
+// give the run up — and never fail or lose a row.
+func TestCompactionRacingWiden(t *testing.T) {
+	for _, commit := range []bool{false, true} {
+		db, err := OpenDir(t.TempDir(), tinyStore(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := db.Create("ev", []Column{{Name: "n", Type: TInt}, {Name: "w", Type: TInt}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const rows = 64
+		for i := 0; i < rows; i++ {
+			if err := tbl.AppendRows([]Value{{Type: TInt, Int: int64(i)}, {Type: TInt, Int: int64(3 * i)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		compactReadHook = func(string) {
+			compactReadHook = nil
+			if err := tbl.Widen("w", TFloat); err != nil {
+				t.Error(err)
+			}
+			if commit {
+				if err := db.Checkpoint(); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		did, err := db.CompactOnce()
+		compactReadHook = nil
+		if err != nil || did {
+			t.Fatalf("commit=%v: CompactOnce = %v, %v; want the run given up", commit, did, err)
+		}
+		next := 0
+		err = tbl.Scan([]string{"n", "w"}, func(ch *Chunk) error {
+			for r, n := range ch.Ints(0) {
+				if n != int64(next) || ch.Floats(1)[r] != float64(3*next) {
+					return fmt.Errorf("row %d holds n=%d w=%v", next, n, ch.Floats(1)[r])
+				}
+				next++
+			}
+			return nil
+		})
+		if err != nil || next != rows {
+			t.Fatalf("commit=%v: scan delivered %d of %d rows, err %v", commit, next, rows, err)
+		}
+	}
+}
+
 func TestCompactionAfterSwapBeforeCommitReopens(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDir(dir, tinyStore(8))

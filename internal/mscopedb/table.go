@@ -486,7 +486,7 @@ func (t *Table) Widen(col string, to Type) error {
 	default:
 		return fmt.Errorf("mscopedb: %s.%s: cannot widen %v to %v", t.name, col, from, to)
 	}
-	t.cols[ci].Type = to
+	t.alterSchema(func() { t.cols[ci].Type = to })
 	return nil
 }
 
@@ -510,9 +510,19 @@ func (t *Table) AddColumn(c Column) error {
 	}
 	t.tailImg = nil
 	t.colIdx[c.Name] = len(t.cols)
-	t.cols = append(t.cols, c)
+	t.alterSchema(func() { t.cols = append(t.cols, c) })
 	t.data = append(t.data, zeroColumn(c.Type, t.rows))
 	return nil
+}
+
+// alterSchema runs fn, which changes t.cols, under the seal lock, where
+// the compactor snapshots the columns with the segment list.
+func (t *Table) alterSchema(fn func()) {
+	if sp := t.seal; sp != nil {
+		sp.mu.Lock()
+		defer sp.mu.Unlock()
+	}
+	fn()
 }
 
 // zeroColumn is n empty cells of one type.
@@ -555,7 +565,7 @@ func (t *Table) Retype(col string, to Type) error {
 	}
 	t.tailImg = nil
 	t.data[ci] = zeroColumn(to, t.rows)
-	t.cols[ci].Type = to
+	t.alterSchema(func() { t.cols[ci].Type = to })
 	return nil
 }
 

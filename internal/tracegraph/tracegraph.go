@@ -80,15 +80,6 @@ func (t *Trace) ResponseTime() time.Duration {
 	return t.Spans[0].Residence()
 }
 
-// TierTime sums residence per tier.
-func (t *Trace) TierTime() map[string]time.Duration {
-	out := make(map[string]time.Duration)
-	for _, s := range t.Spans {
-		out[s.Tier] += s.Residence()
-	}
-	return out
-}
-
 // LocalTime sums tier-local (downstream-excluded) time per tier: the
 // per-server latency contribution.
 func (t *Trace) LocalTime() map[string]time.Duration {

@@ -86,10 +86,6 @@ func TestLocalTimeBreakdown(t *testing.T) {
 	if lt["tomcat"] != 600*time.Microsecond {
 		t.Fatalf("tomcat local %v", lt["tomcat"])
 	}
-	tt := traces["req-1"].TierTime()
-	if tt["apache"] != 800*time.Microsecond || tt["tomcat"] != 600*time.Microsecond {
-		t.Fatalf("tier time %v", tt)
-	}
 }
 
 func TestValidateHappensBefore(t *testing.T) {
