@@ -211,7 +211,7 @@ chaos:
 # under the race detector; --expect-alert fails the run unless the online
 # detector raised at least one millibottleneck alert and shut down cleanly,
 # and unless the first alert fired sooner after its window than its slice
-# plus the whole --grace ceiling: the wait must follow the ~320 ms residence
+# plus the whole 2 s grace ceiling: the wait must follow the ~320 ms residence
 # of the flush (about 1.0 s in all: 0.32 s slice + 0.64 s grace), not the
 # 1 s pad + the 2 s constant (3.1 s).
 live-smoke:

@@ -6,7 +6,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"github.com/gt-elba/milliscope/internal/agentd"
 )
@@ -23,8 +22,6 @@ func cmdAgent(args []string) error {
 	network := fs.String("network", "tcp", "collector network: tcp | unix")
 	token := fs.String("token", "", "shared authentication token")
 	logs := fs.String("logs", "", "directory this node's monitors write (required)")
-	poll := fs.Duration("poll", 10*time.Millisecond, "tailer poll interval")
-	batch := fs.Int("batch", 0, "max records per batch frame (default 512)")
 	httpAddr := fs.String("http", "", "serve /status /metrics /healthz on this address (e.g. :8081)")
 	selfTrace := fs.Bool("self-trace", false,
 		"ship this agent's own span telemetry to the collector at drain time")
@@ -36,14 +33,12 @@ func cmdAgent(args []string) error {
 	}
 
 	a, err := agentd.New(agentd.Config{
-		ID:              *id,
-		Token:           *token,
-		Network:         *network,
-		Addr:            *addr,
-		LogDir:          *logs,
-		Poll:            *poll,
-		MaxBatchRecords: *batch,
-		SelfTrace:       *selfTrace,
+		ID:        *id,
+		Token:     *token,
+		Network:   *network,
+		Addr:      *addr,
+		LogDir:    *logs,
+		SelfTrace: *selfTrace,
 	})
 	if err != nil {
 		return err

@@ -22,7 +22,6 @@ func cmdCollector(args []string) error {
 	token := fs.String("token", "", "shared authentication token")
 	dbPath := addDBFlag(fs)
 	flags := addEngineFlags(fs)
-	credit := fs.Int64("credit", 0, "per-agent record credit window (default 4096)")
 	selfTrace := fs.Bool("self-trace", false,
 		"ingest the collector's own span telemetry into the warehouse at drain time")
 	if err := fs.Parse(args); err != nil {
@@ -40,7 +39,6 @@ func cmdCollector(args []string) error {
 		Network:   *network,
 		Addr:      *listen,
 		Engine:    engine,
-		Credit:    *credit,
 		SelfTrace: *selfTrace,
 	})
 	if err != nil {

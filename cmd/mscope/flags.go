@@ -10,9 +10,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"time"
 
-	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/serve"
 	"github.com/gt-elba/milliscope/internal/stream"
@@ -70,7 +68,6 @@ func openStore(path string, mustExist bool) (*mscopedb.DB, error) {
 // engineFlags configure the streaming engine and its listeners under live
 // and collector.
 type engineFlags struct {
-	window, grace       *time.Duration
 	budget              *float64
 	fidelity            *string
 	httpAddr, serveAddr *string
@@ -78,8 +75,6 @@ type engineFlags struct {
 
 func addEngineFlags(fs *flag.FlagSet) engineFlags {
 	return engineFlags{
-		window:   fs.Duration("window", core.DefaultWindow, "detector window width"),
-		grace:    fs.Duration("grace", 0, "ceiling on the classification grace past the watermark, which follows the response times observed (default 2s)"),
 		budget:   fs.Float64("budget", 0, "quarantine error budget per source (0 = default 5%)"),
 		fidelity: fs.String("fidelity", "", "degradation mode: full | adaptive | aggregate (default full)"),
 		httpAddr: fs.String("http", "", "serve the engine's /status /alerts /metrics /healthz on this address (e.g. :8080)"),
@@ -103,8 +98,6 @@ func (e engineFlags) config(cmd string) (stream.Config, error) {
 		return stream.Config{}, fmt.Errorf("%s: --budget: %w", cmd, err)
 	}
 	return stream.Config{
-		Window:      *e.window,
-		Grace:       *e.grace,
 		ErrorBudget: *e.budget,
 		Fidelity:    stream.FidelityOptions{Mode: *e.fidelity},
 		OnAlert: func(a stream.Alert) {
@@ -114,6 +107,15 @@ func (e engineFlags) config(cmd string) (stream.Config, error) {
 				a.Diagnosis.Verdict, a.Waited())
 		},
 	}, nil
+}
+
+// checkRate refuses a probability flag outside [0, 1], NaN included, by
+// name, before the command does any work.
+func checkRate(cmd, flag string, p float64) error {
+	if !(p >= 0 && p <= 1) {
+		return fmt.Errorf("%s: --%s %v outside [0, 1]", cmd, flag, p)
+	}
+	return nil
 }
 
 // listen starts the --http and --serve listeners over a running engine:
@@ -127,7 +129,7 @@ func (e engineFlags) listen(cmd string, pipe *stream.Pipeline, surface http.Hand
 	}
 	var obsSrv *http.Server
 	if *e.serveAddr != "" {
-		obs, err := serve.New(serve.Config{Pipeline: pipe, Window: *e.window})
+		obs, err := serve.New(serve.Config{Pipeline: pipe})
 		if err == nil {
 			obsSrv, err = serveOn(*e.serveAddr, mountServe(obs, surface, claims...),
 				cmd+": serve listener: %w", "serving the observability API on %s\n")

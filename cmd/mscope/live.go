@@ -22,17 +22,14 @@ func cmdLive(args []string) error {
 	dbPath := addDBFlag(fs)
 	engine := addEngineFlags(fs)
 	speed := fs.Float64("speed", 8, "replay speed: trial seconds per wall second")
-	poll := fs.Duration("poll", 10*time.Millisecond, "tailer poll interval")
 	debugAddr := fs.String("debug-addr", "",
 		"serve /debug/pprof and /debug/vars on this address (kept off the metrics listener)")
 	selfLog := fs.String("self-log", "",
 		"write milliScope's own span telemetry to this file (or directory) as an ingestable log")
-	chaosRate := fs.Float64("chaos-rate", 0, "per-line fault probability injected into the tailed stream")
+	chaosRate := fs.Float64("chaos-rate", 0, "per-line fault probability in [0, 1] injected into the tailed stream")
 	chaosSeed := fs.Int64("chaos-seed", 1, "chaos corruption seed")
-	expectAlert := fs.Bool("expect-alert", false, "exit nonzero unless an alert fired and, if online, sooner after its window than its slice + grace ceiling")
-	rotate := fs.Float64("rotate", 0, "rotate (truncate) event logs at this replay fraction, 0 = never")
-	ringCap := fs.Int("ring-cap", 0, "per-source promotion ring capacity (default 8192)")
-	rollupWin := fs.Duration("rollup-window", 0, "aggregate rollup window (default 1s)")
+	expectAlert := fs.Bool("expect-alert", false, "exit nonzero unless an alert fired and, if online, sooner after its window than its slice + the 2s grace ceiling")
+	rotate := fs.Float64("rotate", 0, "rotate (truncate) event logs at this replay fraction in [0, 1), 0 = never")
 	overloadSpec := fs.String("overload", "",
 		"overload injector: at=F,until=F,factor=N[,delay=D] bursts the replay and throttles the consumer")
 	users := fs.Int("users", 0, "override concurrent users")
@@ -50,6 +47,20 @@ func cmdLive(args []string) error {
 	liveCfg, err := engine.config("live")
 	if err != nil {
 		return err
+	}
+	if err := checkRate("live", "chaos-rate", *chaosRate); err != nil {
+		return err
+	}
+	if !(*rotate >= 0 && *rotate < 1) {
+		return fmt.Errorf("live: --rotate %v outside [0, 1)", *rotate)
+	}
+	var overload *faults.Overload
+	if *overloadSpec != "" {
+		o, err := faults.ParseOverload(*overloadSpec)
+		if err != nil {
+			return fmt.Errorf("live: %w", err)
+		}
+		overload = &o
 	}
 	if *selfLog != "" {
 		defer startSelfObs("live", *selfLog)()
@@ -71,14 +82,6 @@ func cmdLive(args []string) error {
 		return err
 	}
 
-	var overload *faults.Overload
-	if *overloadSpec != "" {
-		o, err := faults.ParseOverload(*overloadSpec)
-		if err != nil {
-			return fmt.Errorf("live: %w", err)
-		}
-		overload = &o
-	}
 	producer, err := stream.NewProducer(stream.ProducerConfig{
 		SrcDir:    stageDir,
 		DstDir:    liveDir,
@@ -96,9 +99,6 @@ func cmdLive(args []string) error {
 	}
 
 	liveCfg.LogDir = liveDir
-	liveCfg.Poll = *poll
-	liveCfg.Fidelity.RingCap = *ringCap
-	liveCfg.Fidelity.RollupWindow = *rollupWin
 	if overload != nil {
 		liveCfg.ConsumerDelay = overload.ConsumerDelay
 	}

@@ -95,7 +95,8 @@ commands:
   run        run a monitored trial (writes monitor logs + network trace)
   live       replay a trial at wall pace and detect millibottlenecks online
   agent      per-node daemon: tail this node's logs, ship parsed batches
-             to the central collector, resume from acked offsets on restart
+             (frames of at most the collector's credit) to the central
+             collector, resume from acked offsets on restart
   collector  central ingest server: adopt agent sources, ack durable
              offsets, detect millibottlenecks online across the fleet
   chaos      copy a log directory injecting deterministic faults
@@ -108,7 +109,8 @@ commands:
   tables     list warehouse tables
   query      run an MQL query against a warehouse
   report     render a paper figure from a warehouse
-  diagnose   detect VLRT windows and name their root causes
+  diagnose   detect VLRT windows and name their root causes, at the
+             50 ms width every verdict in every command uses
   trace      render one request's causal path (Figure 5)
   selftrace  per-stage critical-path breakdown of milliScope's own
              telemetry (ingest a log produced with --self-log first);
@@ -200,10 +202,10 @@ func cmdChaos(args []string) error {
 	logs := fs.String("logs", "", "clean log directory (required)")
 	out := fs.String("out", "", "corrupted output directory (required)")
 	seed := fs.Int64("seed", 1, "corruption seed (same seed + input ⇒ identical output)")
-	rate := fs.Float64("rate", 0.005, "per-line fault probability on event logs")
+	rate := fs.Float64("rate", 0.005, "per-line fault probability in [0, 1] on event logs")
 	kinds := fs.String("kinds", "", "comma-separated fault kinds (default: garbage,torn,duplicate,truncate)")
 	skewMax := fs.Duration("skew-max", 0, "clock-skew bound for the skew kind (default 2ms)")
-	gap := fs.Float64("gap", 0, "resource-sample loss fraction for the gap kind (default 8%)")
+	gap := fs.Float64("gap", 0, "resource-sample loss fraction in [0, 1] for the gap kind (0 = default 8%)")
 	deleteTiers := fs.String("delete-tiers", "", "comma-separated tiers whose event logs the delete-tier kind removes")
 	overloadSpec := fs.String("overload", "",
 		"write an overload.json sidecar (at=F,until=F,factor=N[,delay=D]) so replays of the output burst")
@@ -212,6 +214,12 @@ func cmdChaos(args []string) error {
 	}
 	if *logs == "" || *out == "" {
 		return fmt.Errorf("chaos: --logs and --out are required")
+	}
+	if err := checkRate("chaos", "rate", *rate); err != nil {
+		return err
+	}
+	if err := checkRate("chaos", "gap", *gap); err != nil {
+		return err
 	}
 	ks, err := faults.ParseKinds(*kinds)
 	if err != nil {
@@ -423,7 +431,6 @@ func cmdReport(args []string) error {
 func cmdDiagnose(args []string) error {
 	fs := flag.NewFlagSet("diagnose", flag.ContinueOnError)
 	dbPath := addDBFlag(fs)
-	window := fs.Duration("window", core.DefaultWindow, "analysis window")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -431,7 +438,7 @@ func cmdDiagnose(args []string) error {
 	if err != nil {
 		return err
 	}
-	diag, err := core.Diagnose(db, *window)
+	diag, err := core.Diagnose(db, core.DefaultWindow)
 	if err != nil {
 		return err
 	}

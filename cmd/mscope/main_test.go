@@ -440,7 +440,7 @@ func TestSharedFlagsCannotDrift(t *testing.T) {
 		cmds  []string
 	}{
 		{[]string{"db"}, []string{"ingest", "live", "collector", "tables", "query", "report", "diagnose", "trace", "selftrace", "serve", "compact"}},
-		{[]string{"window", "grace", "budget", "fidelity", "http", "serve"}, []string{"live", "collector"}},
+		{[]string{"budget", "fidelity", "http", "serve"}, []string{"live", "collector"}},
 	} {
 		ref := helpStanzas(t, tc.cmds[0])
 		for _, cmd := range tc.cmds[1:] {
@@ -483,6 +483,41 @@ func TestCLIBudgetRange(t *testing.T) {
 			}
 			if _, err := os.Stat(db); !os.IsNotExist(err) {
 				t.Errorf("%s --budget %s: --db touched before the flag was checked", args[0], budget)
+			}
+		}
+	}
+}
+
+// TestCLIChaosRange: a fault probability outside [0, 1] (NaN too) under
+// chaos --rate and --gap and live --chaos-rate, or a live --rotate outside
+// [0, 1), is an error naming the flag and the value, raised before the
+// command writes anything; the ends of chaos's ranges are accepted.
+func TestCLIChaosRange(t *testing.T) {
+	logs := t.TempDir()
+	for _, args := range [][]string{{"--rate", "0"}, {"--rate", "1"}, {"--gap", "1"}} {
+		if err := run(append([]string{"chaos", "--logs", logs, "--out", t.TempDir()}, args...)); err != nil {
+			t.Errorf("chaos %s %s: %v", args[0], args[1], err)
+		}
+	}
+	for _, tc := range []struct{ cmd, flag, value string }{
+		{"chaos", "rate", "NaN"}, {"chaos", "rate", "-0.1"}, {"chaos", "rate", "1.5"},
+		{"chaos", "gap", "NaN"}, {"chaos", "gap", "2"},
+		{"live", "chaos-rate", "NaN"}, {"live", "chaos-rate", "-0.1"}, {"live", "chaos-rate", "1.5"},
+		{"live", "rotate", "NaN"}, {"live", "rotate", "-0.5"}, {"live", "rotate", "1"}, {"live", "rotate", "2"},
+	} {
+		out := filepath.Join(t.TempDir(), "out")
+		db := filepath.Join(t.TempDir(), "wh")
+		args := []string{"chaos", "--logs", logs, "--out", out}
+		if tc.cmd == "live" {
+			args = []string{"live", "--out", out, "--db", db, "--users", "10", "--duration", "1s", "--speed", "100"}
+		}
+		err := run(append(args, "--"+tc.flag, tc.value))
+		if want := "--" + tc.flag + " " + tc.value + " outside"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s --%s %s: err = %v, want one naming the flag and value", tc.cmd, tc.flag, tc.value, err)
+		}
+		for _, dir := range []string{out, db} {
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("%s --%s %s: %s written before the flag was checked", tc.cmd, tc.flag, tc.value, dir)
 			}
 		}
 	}

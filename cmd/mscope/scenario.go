@@ -78,7 +78,6 @@ func cmdScenarioRun(args []string) error {
 	name := fs.String("name", "", "catalogue entry to run")
 	spec := fs.String("spec", "", "path to a declarative scenario JSON instead of --name")
 	work := fs.String("work", "", "scratch directory for logs + warehouse (required)")
-	window := fs.Duration("window", 0, "diagnosis window width (default 50ms)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -89,9 +88,7 @@ func cmdScenarioRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	diag, srcDir, err := scenario.Run(s, scenario.Options{
-		WorkDir: *work, Window: *window,
-	})
+	diag, srcDir, err := scenario.Run(s, scenario.Options{WorkDir: *work})
 	if err != nil {
 		return err
 	}
@@ -111,7 +108,6 @@ func cmdScenarioVerify(args []string) error {
 	spec := fs.String("spec", "", "path to a declarative scenario JSON instead of --name")
 	all := fs.Bool("all", false, "verify every catalogue entry")
 	work := fs.String("work", "", "scratch directory (default: a temp dir, removed on success)")
-	window := fs.Duration("window", 0, "diagnosis window width (default 50ms)")
 	live := fs.Bool("live", false, "also replay through the streaming pipeline and require the online detector to agree")
 	replay := fs.Duration("replay", 0, "live replay duration (default 3s)")
 	if err := fs.Parse(args); err != nil {
@@ -140,7 +136,7 @@ func cmdScenarioVerify(args []string) error {
 		workDir = dir
 	}
 	opts := scenario.Options{
-		WorkDir: workDir, Window: *window, Live: *live, LiveReplay: *replay,
+		WorkDir: workDir, Live: *live, LiveReplay: *replay,
 	}
 	failed := 0
 	for i := range specs {

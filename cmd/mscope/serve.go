@@ -9,7 +9,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/serve"
 )
 
@@ -21,7 +20,6 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	dbPath := addDBFlag(fs)
 	listen := fs.String("listen", ":8080", "listen address")
-	window := fs.Duration("window", core.DefaultWindow, "diagnosis window width")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -29,9 +27,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	obs, err := serve.New(serve.Config{
-		DB: db, Window: *window,
-	})
+	obs, err := serve.New(serve.Config{DB: db})
 	if err != nil {
 		return err
 	}

@@ -63,10 +63,6 @@ type Config struct {
 	// In a real deployment each node only has its own logs; the tests use
 	// it to split one directory across N agents.
 	Own func(name string) bool
-	// MaxBatchRecords caps records per batch frame (default 512). It must
-	// stay at or below the collector's credit window or a large poll cycle
-	// could never acquire enough credits to ship.
-	MaxBatchRecords int
 	// ReconnectBase/ReconnectMax bound the dial backoff (50ms–2s default).
 	ReconnectBase, ReconnectMax time.Duration
 	// SelfTrace records this agent's own spans (opens, ships, drain) in a
@@ -96,9 +92,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.Poll <= 0 {
 		out.Poll = 10 * time.Millisecond
-	}
-	if out.MaxBatchRecords <= 0 {
-		out.MaxBatchRecords = 512
 	}
 	if out.ReconnectBase <= 0 {
 		out.ReconnectBase = 50 * time.Millisecond
@@ -132,7 +125,7 @@ type Agent struct {
 	blocked map[string]bool
 
 	mu       sync.Mutex
-	runErr   error // fatal (auth) error, surfaced by Stop
+	runErr   error // fatal handshake error, surfaced by Stop
 	lastCtrl wire.Control
 
 	// Counters exported as Prometheus families.
@@ -172,8 +165,8 @@ func New(cfg Config) (*Agent, error) {
 func (a *Agent) Start() { go a.run() }
 
 // Stop drains and disconnects; it returns the fatal session error, if
-// any (a rejected handshake). Transient connection failures are not
-// errors — surviving them is the job.
+// any (a rejected handshake, or one granting no credit). Transient
+// connection failures are not errors — surviving them is the job.
 func (a *Agent) Stop() error {
 	a.stopOnce.Do(func() { close(a.stopCh) })
 	<-a.doneCh
@@ -183,7 +176,7 @@ func (a *Agent) Stop() error {
 }
 
 // Done reports when the connect/ship loop has exited for good. It only
-// closes on Stop, Kill, or a fatal (auth) error — never on a transient
+// closes on Stop, Kill, or a fatal handshake error — never on a transient
 // disconnect, which the loop survives by reconnecting. Callers that
 // block on outside signals (the CLI) select on this too, so a rejected
 // handshake surfaces as an exit instead of a hang.
@@ -269,6 +262,11 @@ func (a *Agent) run() {
 
 var errRejected = fmt.Errorf("agentd: handshake rejected")
 
+// maxFrameRecords caps the records of one batch frame. A session's frames
+// are smaller still when the collector grants less credit than this: a
+// frame must fit the window, or its batch would wait for credit forever.
+const maxFrameRecords = 512
+
 // session drives one connection from handshake to drain or death. The
 // front end and every per-source counter are scoped to the session: a
 // reconnect rebuilds everything from the collector's resume offsets, which
@@ -277,6 +275,9 @@ type session struct {
 	a     *Agent
 	c     *wire.Conn
 	front *stream.FrontEnd
+	// frameCap caps the records of a batch frame: maxFrameRecords, or the
+	// credit the collector granted when that is less.
+	frameCap int
 
 	// sendMu serializes frames onto the connection: the front end's
 	// discovery goroutine opens sources, each source's parser goroutine
@@ -321,20 +322,29 @@ func (a *Agent) session(nc net.Conn) error {
 	if err != nil {
 		return err
 	}
-	if !ack.OK {
+	var fatal error
+	switch {
+	case !ack.OK:
+		fatal = fmt.Errorf("agentd: collector rejected handshake: %s", ack.Reason)
+	case ack.Credit < 1:
+		// No frame fits a window without credit: nothing could ever ship.
+		fatal = fmt.Errorf("agentd: collector granted credit %d, a frame needs at least 1", ack.Credit)
+	}
+	if fatal != nil {
 		a.mu.Lock()
-		a.runErr = fmt.Errorf("agentd: collector rejected handshake: %s", ack.Reason)
+		a.runErr = fatal
 		a.mu.Unlock()
 		return errRejected
 	}
 	a.connected.Store(true)
 	defer a.connected.Store(false)
 	s := &session{
-		a:       a,
-		c:       c,
-		credits: ack.Credit,
-		deadCh:  make(chan struct{}),
-		resumes: make(map[uint32]chan int64),
+		a:        a,
+		c:        c,
+		frameCap: int(min(maxFrameRecords, ack.Credit)),
+		credits:  ack.Credit,
+		deadCh:   make(chan struct{}),
+		resumes:  make(map[uint32]chan int64),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	// The front end is `mscope live`'s: the agent puts a credit window and
@@ -342,7 +352,7 @@ func (a *Agent) session(nc net.Conn) error {
 	// a frame, so the cap is the frame's.
 	s.front = stream.NewFrontEnd(stream.FrontConfig{
 		LogDir: a.cfg.LogDir, Plan: a.cfg.Plan, Poll: a.cfg.Poll,
-		BatchCap: a.cfg.MaxBatchRecords, Filter: a.owns, Open: s.open,
+		BatchCap: s.frameCap, Filter: a.owns, Open: s.open,
 		Pipe: selfobs.PipeAgent, Obs: a.obs,
 	})
 	a.creditsGauge.Store(ack.Credit)
@@ -625,10 +635,10 @@ func (s *session) shipSelfTrace() error {
 		return nil
 	}
 	name := s.a.cfg.ID + "_selftrace.log"
-	var batches []*wire.Batch // of MaxBatchRecords records, the last maybe fewer
+	var batches []*wire.Batch // of frameCap records, the last maybe fewer
 	n := 0
 	size, err := stream.SelfTrace(s.a.obs, s.a.cfg.Plan, name, func(r *parsers.Record) error {
-		if n%s.a.cfg.MaxBatchRecords == 0 {
+		if n%s.frameCap == 0 {
 			batches = append(batches, new(wire.Batch))
 		}
 		n++

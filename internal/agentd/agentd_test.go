@@ -83,7 +83,9 @@ func (p *peer) read() (byte, []byte) {
 	p.t.Helper()
 	p.nc.SetReadDeadline(time.Now().Add(20 * time.Second))
 	typ, payload, err := p.c.Read()
-	if err != nil {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		p.t.Fatal("peer read: the agent sent nothing for 20s")
+	} else if err != nil {
 		p.t.Fatalf("peer read: %v", err)
 	}
 	return typ, payload
@@ -181,18 +183,20 @@ func stopAsync(a *Agent) <-chan error {
 	return done
 }
 
-// TestCreditWindowAndFlushBeforeBlock: with a window smaller than the
-// backlog the agent never has more records in flight than credit (serve
-// fails the test on an overdraw), and every frame reaches the peer before
-// the agent waits for the credit its ack returns — a frame parked in the
-// write buffer would deadlock this test, since the peer acks only what it
-// has read.
+// TestCreditWindowAndFlushBeforeBlock: a default agent granted a window
+// smaller than its 512-record frame cap and than its backlog ships the
+// whole backlog in frames that fit the window, and drains. It never has more records in flight than credit
+// (serve fails the test on an overdraw), and every frame reaches the peer
+// before the agent waits for the credit its ack returns — a frame parked
+// in the write buffer would deadlock this test, since the peer acks only
+// what it has read. A frame larger than the window would wait for credit
+// forever: the peer's read deadline fails the test instead of hanging.
 func TestCreditWindowAndFlushBeforeBlock(t *testing.T) {
 	dir := t.TempDir()
-	const records, credit, frame = 1000, 100, 64
+	const records, credit = 1000, 100
 	writeLog(t, dir, "apache_access.log", apacheLines(records))
 	fc := newFakeCollector()
-	a := startAgent(t, Config{LogDir: dir, Dial: fc.dial, MaxBatchRecords: frame})
+	a := startAgent(t, Config{LogDir: dir, Dial: fc.dial})
 	p := fc.accept(t, credit)
 	var stopped <-chan error
 	s := p.serve(credit, fromZero, func(s *transcript) bool {
@@ -209,8 +213,8 @@ func TestCreditWindowAndFlushBeforeBlock(t *testing.T) {
 	}
 	var last int64
 	for _, b := range s.batches {
-		if b.Records() > frame {
-			t.Errorf("batch seq %d holds %d records, over the %d frame cap", b.Seq, b.Records(), frame)
+		if b.Records() > credit {
+			t.Errorf("batch seq %d holds %d records, over the %d-record credit window", b.Seq, b.Records(), credit)
 		}
 		if b.Offset < last {
 			t.Errorf("batch seq %d stamps offset %d after %d", b.Seq, b.Offset, last)
@@ -225,6 +229,28 @@ func TestCreditWindowAndFlushBeforeBlock(t *testing.T) {
 	}
 }
 
+// TestNoCreditEndsTheSession: a HelloAck granting no credit, or less,
+// leaves no frame that could ever ship. The agent ends on its own, with an
+// error naming the credit, instead of waiting for credit forever.
+func TestNoCreditEndsTheSession(t *testing.T) {
+	for _, credit := range []int64{0, -5} {
+		fc := newFakeCollector()
+		a := startAgent(t, Config{LogDir: t.TempDir(), Dial: fc.dial})
+		p := fc.accept(t, credit)
+		select {
+		case <-a.Done():
+		case <-time.After(10 * time.Second):
+			a.Kill()
+			t.Fatalf("credit %d: the agent is still waiting after 10s", credit)
+		}
+		p.nc.Close()
+		err := a.Stop()
+		if want := fmt.Sprintf("credit %d", credit); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("credit %d: Stop() = %v, want an error naming %q", credit, err, want)
+		}
+	}
+}
+
 // TestAgentCatchUpBoundsRecordsInFlight is the agent-side twin of stream's
 // TestStalledLoaderBoundsRecordsInFlight: against a collector that grants a
 // window and then never acks, an agent catching up on a large file ships
@@ -233,7 +259,7 @@ func TestCreditWindowAndFlushBeforeBlock(t *testing.T) {
 // neither shipped nor released are exactly what the heap keeps.
 func TestAgentCatchUpBoundsRecordsInFlight(t *testing.T) {
 	dir := t.TempDir()
-	const records, credit, frame = 60000, 256, 64
+	const records, credit = 60000, 256
 	writeLog(t, dir, "apache_access.log", apacheLines(records))
 	heap := func() uint64 {
 		runtime.GC()
@@ -243,7 +269,7 @@ func TestAgentCatchUpBoundsRecordsInFlight(t *testing.T) {
 	}
 	before := heap()
 	fc := newFakeCollector()
-	a := startAgent(t, Config{LogDir: dir, Dial: fc.dial, MaxBatchRecords: frame})
+	a := startAgent(t, Config{LogDir: dir, Dial: fc.dial})
 	defer a.Kill()
 	p := fc.accept(t, credit)
 	got := 0
@@ -279,8 +305,8 @@ func TestAgentCatchUpBoundsRecordsInFlight(t *testing.T) {
 	held := int64(heap()) - int64(before)
 	t.Logf("%d KB of heap held with the window spent", held>>10)
 	if held > bound {
-		t.Errorf("agent holds %d MB of heap while waiting for credit; it must hold one frame (%d records), not the %d-record backlog",
-			held>>20, frame, records)
+		t.Errorf("agent holds %d MB of heap while waiting for credit; it must hold one frame (at most %d records), not the %d-record backlog",
+			held>>20, credit, records)
 	}
 }
 
@@ -440,7 +466,7 @@ func TestStopLeavesNoGoroutine(t *testing.T) {
 
 	// A crash mid-stream: the window is spent and never refilled, so the
 	// parser is blocked waiting for credit when Kill lands.
-	a = startAgent(t, Config{LogDir: dir, Dial: fc.dial, MaxBatchRecords: 64})
+	a = startAgent(t, Config{LogDir: dir, Dial: fc.dial})
 	p = fc.accept(t, 128)
 	for got := 0; got < 128; {
 		typ, payload := p.read()

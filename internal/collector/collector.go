@@ -56,16 +56,18 @@ type Config struct {
 	Network, Addr string
 	// Listener overrides the endpoint — tests inject in-memory listeners.
 	Listener net.Listener
-	// Engine configures the remote-fed stream engine: DB, Plan, Window,
-	// Grace, ErrorBudget, ChannelCap, Fidelity, OnAlert all apply
-	// exactly as in `mscope live`. LogDir must be empty.
+	// Engine configures the remote-fed stream engine: DB, Plan,
+	// ErrorBudget, Fidelity, OnAlert all apply exactly as in `mscope
+	// live`. LogDir must be empty.
 	Engine stream.Config
-	// Credit is the initial per-connection record credit window (default
-	// 4096). It bounds each agent's unacked records in flight.
-	Credit int64
-	// ControlEvery is the fidelity/pressure broadcast cadence (default
-	// 250ms); state changes are pushed to every connected agent.
-	ControlEvery time.Duration
+	// credit is the initial per-connection record credit window (default
+	// 4096; only this package's tests set it). It bounds each agent's
+	// unacked records in flight, and an agent's frames fit inside it.
+	credit int64
+	// controlEvery is the fidelity/pressure broadcast cadence (default
+	// 250ms; only this package's tests set it); state changes are pushed
+	// to every connected agent.
+	controlEvery time.Duration
 	// SelfTrace records the collector's own spans (connections, opens,
 	// batch ingest) in a node-local selfobs collector and loads them into
 	// the warehouse at Stop under "collector_selftrace" — alongside the
@@ -78,11 +80,11 @@ func (c *Config) withDefaults() Config {
 	if out.Network == "" {
 		out.Network = "tcp"
 	}
-	if out.Credit <= 0 {
-		out.Credit = 4096
+	if out.credit <= 0 {
+		out.credit = 4096
 	}
-	if out.ControlEvery <= 0 {
-		out.ControlEvery = 250 * time.Millisecond
+	if out.controlEvery <= 0 {
+		out.controlEvery = 250 * time.Millisecond
 	}
 	return out
 }
@@ -271,7 +273,7 @@ func (col *Collector) acceptLoop() {
 // agent — on change, and at a slow heartbeat so late joiners converge.
 func (col *Collector) controlLoop() {
 	defer col.wg.Done()
-	ticker := time.NewTicker(col.cfg.ControlEvery)
+	ticker := time.NewTicker(col.cfg.controlEvery)
 	defer ticker.Stop()
 	var last wire.Control
 	beats := 0
@@ -475,7 +477,7 @@ func (c *conn) handshake() bool {
 	}
 	c.agentID = h.AgentID
 	if err := c.c.Write(wire.TypeHelloAck, wire.EncodeHelloAck(wire.HelloAck{
-		OK: true, Credit: c.col.cfg.Credit,
+		OK: true, Credit: c.col.cfg.credit,
 	})); err != nil {
 		return false
 	}
@@ -519,6 +521,9 @@ func (c *conn) readLoop() bool {
 			}
 			c.handleSourceState(ss)
 		case wire.TypeGoodbye:
+			if _, err := wire.DecodeGoodbye(payload); err != nil {
+				return refuse()
+			}
 			return true
 		default:
 			return refuse()

@@ -17,6 +17,7 @@ import (
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 	"github.com/gt-elba/milliscope/internal/promfmt"
+	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/stream"
 	"github.com/gt-elba/milliscope/internal/wire"
 )
@@ -272,11 +273,10 @@ func TestDistSoak(t *testing.T) {
 	// far from EOF long enough to kill one mid-stream.
 	col := startCollector(t, Config{
 		Engine: stream.Config{ConsumerDelay: 100 * time.Microsecond},
-		Credit: 512,
+		credit: 512,
 	})
 	tune := func(c *agentd.Config) {
 		c.Poll = time.Millisecond
-		c.MaxBatchRecords = 128
 		c.ReconnectBase = 10 * time.Millisecond
 	}
 	agents := make([]*agentd.Agent, 0, len(hosts))
@@ -402,38 +402,9 @@ func TestDistAuthReject(t *testing.T) {
 // — so refused frames are told apart from a network drop.
 func TestFrameErrorClosesConnection(t *testing.T) {
 	col := startCollector(t, Config{Token: "s3cret"})
-	nc, err := net.Dial("tcp", col.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	c := wire.NewConn(nc)
-	if err := c.Write(wire.TypeHello, wire.EncodeHello(wire.Hello{Version: wire.Version, AgentID: "scripted", Token: "s3cret"})); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if typ, p, err := c.Read(); err != nil || typ != wire.TypeHelloAck {
-		t.Fatalf("handshake: type %d, %v", typ, err)
-	} else if ack, err := wire.DecodeHelloAck(p); err != nil || !ack.OK {
-		t.Fatalf("handshake refused: %+v %v", ack, err)
-	}
-	if err := c.Write(wire.TypeBatch, []byte{0xff}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	for {
-		if _, _, err = c.Read(); err != nil {
-			break
-		}
-	}
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		t.Fatal("the collector kept the connection open after a corrupt frame")
-	}
+	sa := dialScripted(t, col)
+	sa.send(wire.TypeBatch, []byte{0xff})
+	sa.readToClose("a corrupt frame")
 	if got := col.Status().FrameErrors; got != 1 {
 		t.Errorf("FrameErrors = %d, want 1", got)
 	}
@@ -449,6 +420,100 @@ func TestFrameErrorClosesConnection(t *testing.T) {
 	}
 }
 
+// TestGoodbyeIsDecoded: a Goodbye is clean only if its payload decodes. A
+// malformed one is refused like any other frame — counted in frame_errors
+// — and its connection ends as a dead agent's does: the collector's own
+// conn span records the error, which a clean Goodbye's does not.
+func TestGoodbyeIsDecoded(t *testing.T) {
+	clean := wire.EncodeGoodbye(wire.Goodbye{Reason: "drained"})
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		errs    int64 // frame errors, and conn span errors
+	}{
+		{"clean", clean, 0},
+		{"trailing byte", append(append([]byte(nil), clean...), 0), 1},
+		{"torn length", []byte{0xff}, 1},
+	} {
+		col := startCollector(t, Config{Token: "s3cret", SelfTrace: true})
+		sa := dialScripted(t, col)
+		sa.send(wire.TypeGoodbye, tc.payload)
+		sa.readToClose("a Goodbye")
+		if got := col.Status().FrameErrors; got != tc.errs {
+			t.Errorf("%s: FrameErrors = %d, want %d", tc.name, got, tc.errs)
+		}
+		if err := col.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		ft, err := core.FleetSelfTraceBreakdown(col.DB())
+		if err != nil || ft == nil {
+			t.Fatalf("%s: no collector self-trace: %v", tc.name, err)
+		}
+		conns := 0
+		for _, st := range ft.Stages {
+			if st.Pipeline == selfobs.PipeCollector && st.Stage == "conn" {
+				conns++
+				if st.Errs != tc.errs {
+					t.Errorf("%s: conn span errs = %d, want %d", tc.name, st.Errs, tc.errs)
+				}
+			}
+		}
+		if conns != 1 {
+			t.Errorf("%s: %d collector conn stages, want 1", tc.name, conns)
+		}
+	}
+}
+
+// scripted is a hand-driven agent connection past its handshake.
+type scripted struct {
+	t  *testing.T
+	nc net.Conn
+	c  *wire.Conn
+}
+
+// dialScripted connects to col as agent "scripted" with col's token and
+// passes the handshake; the connection closes with the test.
+func dialScripted(t *testing.T, col *Collector) *scripted {
+	t.Helper()
+	nc, err := net.Dial("tcp", col.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	sa := &scripted{t: t, nc: nc, c: wire.NewConn(nc)}
+	sa.send(wire.TypeHello, wire.EncodeHello(wire.Hello{Version: wire.Version, AgentID: "scripted", Token: col.cfg.Token}))
+	if typ, p, err := sa.c.Read(); err != nil || typ != wire.TypeHelloAck {
+		t.Fatalf("handshake: type %d, %v", typ, err)
+	} else if ack, err := wire.DecodeHelloAck(p); err != nil || !ack.OK {
+		t.Fatalf("handshake refused: %+v %v", ack, err)
+	}
+	return sa
+}
+
+func (sa *scripted) send(typ byte, payload []byte) {
+	sa.t.Helper()
+	if err := sa.c.Write(typ, payload); err != nil {
+		sa.t.Fatal(err)
+	}
+	if err := sa.c.Flush(); err != nil {
+		sa.t.Fatal(err)
+	}
+}
+
+// readToClose reads until the collector drops the connection, which it
+// must do within 10s of what the test sent last.
+func (sa *scripted) readToClose(after string) {
+	sa.t.Helper()
+	sa.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var err error
+	for err == nil {
+		_, _, err = sa.c.Read()
+	}
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		sa.t.Fatalf("the collector kept the connection open after %s", after)
+	}
+}
+
 // TestDistControlPropagation: the collector's fidelity state reaches the
 // agent via Control frames — the hook that turns central overload into
 // degraded shipping at the edge.
@@ -457,7 +522,7 @@ func TestDistControlPropagation(t *testing.T) {
 		Engine: stream.Config{
 			Fidelity: stream.FidelityOptions{Mode: stream.FidelityAggregate},
 		},
-		ControlEvery: 5 * time.Millisecond,
+		controlEvery: 5 * time.Millisecond,
 	})
 	a := startAgent(t, col, t.TempDir(), "apache", nil)
 	waitFor(t, 10*time.Second, "fidelity state pushed to the agent", func() bool {

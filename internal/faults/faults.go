@@ -89,8 +89,8 @@ type Config struct {
 	// Seed drives every random choice; same seed + same input directory ⇒
 	// byte-identical output directory.
 	Seed int64
-	// Rate is the per-line probability of a line fault (garbage, torn,
-	// duplicate) on event logs.
+	// Rate is the per-line probability, in [0, 1], of a line fault
+	// (garbage, torn, duplicate) on event logs.
 	Rate float64
 	// Kinds enables fault classes; nil enables the line kinds plus
 	// truncation (the defaults a plain `mscope chaos` run injects).
@@ -98,8 +98,8 @@ type Config struct {
 	// SkewMax bounds the per-tier clock offset drawn for KindSkew; zero
 	// means the 2ms default.
 	SkewMax time.Duration
-	// GapFraction is the fraction of resource-monitor samples KindGap
-	// deletes; zero means the 8% default.
+	// GapFraction is the fraction, in [0, 1], of resource-monitor samples
+	// KindGap deletes; zero means the 8% default.
 	GapFraction float64
 	// DeleteTiers lists tiers whose event logs KindDeleteTier removes.
 	DeleteTiers []string
@@ -214,8 +214,15 @@ func tierOf(name string) string {
 
 // Corrupt copies srcDir into dstDir, injecting the configured faults, and
 // reports exactly what it injected where. dstDir is created; existing files
-// in it are overwritten.
+// in it are overwritten. A Rate or GapFraction outside [0, 1] is refused
+// before anything is read or written.
 func Corrupt(srcDir, dstDir string, cfg Config) (*Report, error) {
+	if !(cfg.Rate >= 0 && cfg.Rate <= 1) {
+		return nil, fmt.Errorf("faults: Config.Rate %v outside [0, 1]", cfg.Rate)
+	}
+	if !(cfg.GapFraction >= 0 && cfg.GapFraction <= 1) {
+		return nil, fmt.Errorf("faults: Config.GapFraction %v outside [0, 1]", cfg.GapFraction)
+	}
 	kinds := cfg.Kinds
 	if kinds == nil {
 		kinds = append(LineKinds(), KindTruncate)

@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -255,6 +256,28 @@ func TestPassthroughFiles(t *testing.T) {
 	got, orig := readAll(t, dst), readAll(t, src)
 	if !bytes.Equal(got["apache_sar.xml"], orig["apache_sar.xml"]) {
 		t.Error("sar XML was corrupted; structured files must pass through")
+	}
+}
+
+// TestCorruptRefusesOutOfRange: a Rate or GapFraction outside [0, 1], NaN
+// included, is an error naming the field, returned before dstDir exists.
+func TestCorruptRefusesOutOfRange(t *testing.T) {
+	src := writeDir(t, testFiles())
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Rate", Config{Rate: math.NaN()}}, {"Rate", Config{Rate: -0.1}}, {"Rate", Config{Rate: 1.5}},
+		{"GapFraction", Config{GapFraction: math.NaN()}}, {"GapFraction", Config{GapFraction: 2}},
+	} {
+		dst := filepath.Join(t.TempDir(), "out")
+		_, err := Corrupt(src, dst, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), "Config."+tc.field) {
+			t.Errorf("%+v: err = %v, want one naming Config.%s", tc.cfg, err, tc.field)
+		}
+		if _, err := os.Stat(dst); !os.IsNotExist(err) {
+			t.Errorf("%+v: output written before the config was checked", tc.cfg)
+		}
 	}
 }
 

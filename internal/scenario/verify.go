@@ -24,22 +24,12 @@ type Options struct {
 	// WorkDir is the scratch root; each scenario works in its own
 	// subdirectory. Required.
 	WorkDir string
-	// Window is the PIT/evidence window width (default 50ms, matching the
-	// batch diagnose and live detector defaults).
-	Window time.Duration
 	// Live additionally replays the trial's logs through the streaming
 	// pipeline and requires the online detector to reach the same
 	// conclusions as the batch diagnosis.
 	Live bool
 	// LiveReplay is the wall time the replay is spread over (default 3s).
 	LiveReplay time.Duration
-}
-
-func (o *Options) window() time.Duration {
-	if o.Window > 0 {
-		return o.Window
-	}
-	return core.DefaultWindow
 }
 
 // Outcome reports one scenario verification.
@@ -118,7 +108,7 @@ func Run(s *core.Spec, opts Options) (*core.Diagnosis, string, error) {
 	if _, err := transform.IngestDir(db, srcDir, ingestDir, transform.DefaultPlan()); err != nil {
 		return nil, "", fmt.Errorf("scenario %s: ingest: %w", s.Name, err)
 	}
-	diag, err := core.Diagnose(db, opts.window())
+	diag, err := core.Diagnose(db, core.DefaultWindow)
 	if err != nil {
 		return nil, "", fmt.Errorf("scenario %s: diagnose: %w", s.Name, err)
 	}
@@ -198,7 +188,7 @@ func replayLive(s *core.Spec, srcDir string, opts Options) ([]stream.Alert, erro
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: producer: %w", s.Name, err)
 	}
-	pipe, err := stream.New(stream.Config{LogDir: liveDir, Window: opts.window()})
+	pipe, err := stream.New(stream.Config{LogDir: liveDir})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: pipeline: %w", s.Name, err)
 	}

@@ -40,9 +40,6 @@ type Config struct {
 	// between records through the pipeline's WithDB gate, so readers
 	// never race the loader.
 	Pipeline *stream.Pipeline
-	// Window is the diagnosis window width for /api/diagnosis in
-	// snapshot mode; defaults to 50ms.
-	Window time.Duration
 }
 
 // Server is the observability service. Build with New, mount Handler.
@@ -84,9 +81,6 @@ func (m *memo[T]) get(compute func() (T, error)) (T, error) {
 func New(cfg Config) (*Server, error) {
 	if (cfg.DB == nil) == (cfg.Pipeline == nil) {
 		return nil, fmt.Errorf("serve: attach exactly one of DB or Pipeline")
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = core.DefaultWindow
 	}
 	s := &Server{cfg: cfg}
 	if cfg.DB != nil {
@@ -509,10 +503,10 @@ func (s *Server) handleDiagnosis(w http.ResponseWriter, r *http.Request) {
 		promfmt.WriteJSON(w, http.StatusOK, tl)
 		return
 	}
-	// Snapshot mode: the batch workflow at the configured width, run by the
+	// Snapshot mode: the batch workflow at the detector's width, run by the
 	// first request.
 	entries, err := s.timeline.get(func() ([]diagEntry, error) {
-		d, err := core.Diagnose(s.cfg.DB, s.cfg.Window)
+		d, err := core.Diagnose(s.cfg.DB, core.DefaultWindow)
 		if err != nil {
 			return nil, err
 		}

@@ -247,14 +247,14 @@ func TestSchemaEvolvesInsideOneBatch(t *testing.T) {
 }
 
 // TestStalledLoaderBoundsRecordsInFlight: with the loader held, what queues
-// between the parsers and it is ChannelCap records plus at most one batch —
+// between the parsers and it is channelCap records plus at most one batch —
 // counted in records by Status, QueueFill and the stall counter alike — and
 // everything still loads once it is released.
 func TestStalledLoaderBoundsRecordsInFlight(t *testing.T) {
 	stage := stagedDBIO(t)
 	bdb, _ := batchBaseline(t)
 	const channelCap = 100
-	pipe, err := New(Config{LogDir: stage, ChannelCap: channelCap})
+	pipe, err := New(Config{LogDir: stage, channelCap: channelCap})
 	if err != nil {
 		t.Fatal(err)
 	}

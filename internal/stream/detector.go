@@ -55,7 +55,7 @@ type Alert struct {
 // Wait is what a verdict waited for, in event-time µs: the trailing half
 // of its correlation slice (core.ClassifySlice), the grace applied past
 // it, the front-tier residence the grace was derived from, the ceiling
-// (Config.Grace), and the delay WatermarkUS − Window.EndMicros it fired
+// (DefaultGrace), and the delay WatermarkUS − Window.EndMicros it fired
 // at — zero at shutdown, when nothing is waited out.
 type Wait struct {
 	SliceUS     int64 `json:"slice_us"`

@@ -26,8 +26,8 @@ func TestGraceFor(t *testing.T) {
 		{"residence of half the ceiling: the ceiling", 1_000_000, floor, ceiling, ceiling},
 		{"residence at the ceiling: what the constant waited", ceiling, floor, ceiling, ceiling},
 		{"a 3 s retransmission: what the constant waited", 3_000_000, floor, ceiling, ceiling},
-		{"--grace below the floor wins as the ceiling", 300_000, floor, 10_000, 10_000},
-		{"--grace below the floor, nothing observed", 0, floor, 10_000, 10_000},
+		{"a ceiling below the floor wins", 300_000, floor, 10_000, 10_000},
+		{"a ceiling below the floor, nothing observed", 0, floor, 10_000, 10_000},
 	} {
 		if got := graceFor(tc.residence, tc.floor, tc.ceiling); got != tc.want {
 			t.Errorf("%s: graceFor(%d, %d, %d) = %d, want %d", tc.name, tc.residence, tc.floor, tc.ceiling, got, tc.want)
@@ -86,7 +86,7 @@ func TestDueWatermark(t *testing.T) {
 			Wait{SliceUS: 300_000, GraceUS: 600_000, ResidenceUS: 300_000, CeilingUS: 2_000_000, DelayUS: 300_000 + 600_000}},
 		{"a 60 ms peak waits 60 + 120 ms", DefaultGrace, 60 * time.Millisecond,
 			Wait{SliceUS: 60_000, GraceUS: 120_000, ResidenceUS: 60_000, CeilingUS: 2_000_000, DelayUS: 60_000 + 120_000}},
-		{"--grace 10ms, below the floor, is the grace", 10 * time.Millisecond, 300 * time.Millisecond,
+		{"a 10 ms ceiling, below the floor, is the grace", 10 * time.Millisecond, 300 * time.Millisecond,
 			Wait{SliceUS: 300_000, GraceUS: 10_000, ResidenceUS: 300_000, CeilingUS: 10_000, DelayUS: 300_000 + 10_000}},
 	} {
 		d, end := spikeDetector(t, db, tc.grace, tc.residence)

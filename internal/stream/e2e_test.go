@@ -272,6 +272,32 @@ func TestLiveRestartResume(t *testing.T) {
 	}
 }
 
+// TestProducerRefusesOutOfRange: a ChaosRate outside [0, 1] or a RotateAt
+// outside [0, 1), NaN included, is an error naming the field, returned
+// before the replay directory exists.
+func TestProducerRefusesOutOfRange(t *testing.T) {
+	src := t.TempDir()
+	for _, tc := range []struct {
+		field string
+		cfg   ProducerConfig
+	}{
+		{"ChaosRate", ProducerConfig{ChaosRate: math.NaN()}}, {"ChaosRate", ProducerConfig{ChaosRate: -0.1}},
+		{"ChaosRate", ProducerConfig{ChaosRate: 1.5}},
+		{"RotateAt", ProducerConfig{RotateAt: math.NaN()}}, {"RotateAt", ProducerConfig{RotateAt: -0.5}},
+		{"RotateAt", ProducerConfig{RotateAt: 1}}, {"RotateAt", ProducerConfig{RotateAt: 2}},
+	} {
+		dst := filepath.Join(t.TempDir(), "live")
+		tc.cfg.SrcDir, tc.cfg.DstDir, tc.cfg.Duration = src, dst, time.Second
+		_, err := NewProducer(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), "ProducerConfig."+tc.field) {
+			t.Errorf("%s: err = %v, want one naming ProducerConfig.%s", tc.field, err, tc.field)
+		}
+		if _, err := os.Stat(dst); !os.IsNotExist(err) {
+			t.Errorf("%s: replay directory written before the config was checked", tc.field)
+		}
+	}
+}
+
 // TestPipelineChaosQuarantine streams a corrupted replay: malformed regions
 // must be quarantined, a source over the error budget rejected, and the
 // disk-IO verdict still reached from the surviving evidence.

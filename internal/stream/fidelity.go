@@ -37,12 +37,9 @@ const TableRollup = "mscope_rollup"
 type FidelityOptions struct {
 	// Mode is FidelityFull, FidelityAdaptive, or FidelityAggregate.
 	Mode string
-	// RingCap bounds each source's retention ring (default 8192 rows).
-	RingCap int
-	// RollupWindow is the aggregate bucket width (default 1s — coarse on
-	// purpose; the detector's fine PIT statistic is fed per record and
-	// does not depend on retained rows).
-	RollupWindow time.Duration
+	// ringCap bounds each source's retention ring (default 8192 rows;
+	// only this package's tests set it).
+	ringCap int
 	// MaxRetainedRows is the memory-pressure budget: the rows the loaded
 	// tables hold in memory (a store-backed table's unsealed tail, every
 	// row of an in-memory one) plus ring and rollup rows, over this
@@ -60,16 +57,18 @@ type FidelityOptions struct {
 // fidelityEvalEvery is the controller evaluation cadence in records.
 const fidelityEvalEvery = 64
 
+// rollupWindowUS is the aggregate bucket width: coarse on purpose, since
+// the detector's fine PIT statistic is fed per record and does not depend
+// on retained rows.
+const rollupWindowUS = int64(time.Second / time.Microsecond)
+
 func (o FidelityOptions) enabled() bool {
 	return o.Mode == FidelityAdaptive || o.Mode == FidelityAggregate
 }
 
 func (o FidelityOptions) withDefaults() FidelityOptions {
-	if o.RingCap <= 0 {
-		o.RingCap = 8192
-	}
-	if o.RollupWindow <= 0 {
-		o.RollupWindow = time.Second
+	if o.ringCap <= 0 {
+		o.ringCap = 8192
 	}
 	if o.MaxRetainedRows <= 0 {
 		o.MaxRetainedRows = 500_000
@@ -222,7 +221,7 @@ func (f *fidelityRun) degrade(s *source, c *blockCells, blk *transform.Builder, 
 	if st == fidelity.Aggregate {
 		r := f.rings[s]
 		if r == nil {
-			r = fidelity.NewRing[blockRow](f.opts.RingCap)
+			r = fidelity.NewRing[blockRow](f.opts.ringCap)
 			f.rings[s] = r
 		}
 		before := r.Len()
@@ -242,7 +241,7 @@ func (f *fidelityRun) degrade(s *source, c *blockCells, blk *transform.Builder, 
 // rollup folds one row's curated metrics into the open accumulator cells
 // for its rollup window.
 func (f *fidelityRun) rollup(s *source, c *blockCells, row int, usEvent int64) {
-	win := usEvent - modUS(usEvent, f.opts.RollupWindow.Microseconds())
+	win := usEvent - modUS(usEvent, rollupWindowUS)
 	fold := func(metric string, v float64) {
 		k := aggKey{table: s.table, metric: metric, winUS: win}
 		c := f.cells[k]
@@ -285,10 +284,9 @@ func (p *Pipeline) flushRollup(lowUS int64, final bool) {
 	if f == nil || len(f.cells) == 0 {
 		return
 	}
-	winUS := f.opts.RollupWindow.Microseconds()
 	var keys []aggKey
 	for k := range f.cells {
-		if final || k.winUS+winUS <= lowUS {
+		if final || k.winUS+rollupWindowUS <= lowUS {
 			keys = append(keys, k)
 		}
 	}

@@ -209,7 +209,7 @@ func TestOverloadSoak(t *testing.T) {
 	pipe, err := New(Config{
 		LogDir:        liveDir,
 		ConsumerDelay: overload.ConsumerDelay,
-		Fidelity:      FidelityOptions{Mode: FidelityAdaptive, RingCap: ringCap},
+		Fidelity:      FidelityOptions{Mode: FidelityAdaptive, ringCap: ringCap},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +407,7 @@ func TestFidelityRestartResume(t *testing.T) {
 // neighbourhood the tiny ring kept; that is the documented trade.)
 func TestFidelityRingEviction(t *testing.T) {
 	stage := stagedDBIO(t)
-	pipe, err := New(Config{LogDir: stage, Fidelity: FidelityOptions{Mode: FidelityAggregate, RingCap: 64}})
+	pipe, err := New(Config{LogDir: stage, Fidelity: FidelityOptions{Mode: FidelityAggregate, ringCap: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}

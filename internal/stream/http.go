@@ -82,7 +82,7 @@ func (p *Pipeline) Status() Status {
 	st := Status{
 		Running:        running,
 		StartedWall:    started,
-		WindowMS:       float64(p.cfg.Window.Microseconds()) / 1000,
+		WindowMS:       float64(p.det.windowUS) / 1000,
 		Rows:           p.rowsTotal.Load(),
 		Queued:         int(p.queued.Load()),
 		Alerts:         alerts,

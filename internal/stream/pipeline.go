@@ -37,26 +37,18 @@ type Config struct {
 	DB *mscopedb.DB
 	// Plan is the Parsing Declaration; nil uses the default.
 	Plan *transform.Plan
-	// Window is the detector's PIT window width (default 50ms).
-	Window time.Duration
-	// Poll is the tailer poll interval (default 10ms).
-	Poll time.Duration
 	// ErrorBudget is the per-source quarantine budget (default 5%): a
 	// source whose corrupt-record ratio exceeds it is rejected, exactly as
 	// the batch quarantine policy rejects a file.
 	ErrorBudget float64
-	// Grace is the ceiling on how long classification waits past the
-	// watermark (default 2s, DefaultGrace); each window waits what the
-	// residence observed around it asks for, see graceFor.
-	Grace time.Duration
-	// ChannelCap bounds the records in flight between the parsers and the
-	// loader (default 256): a batch is admitted while fewer than this many
-	// are queued, so the queue never holds more than ChannelCap plus one
-	// batch. Backpressure: when the loader lags, parsers block here, their
-	// pipes fill, and the tailers stop reading — nothing buffers without
-	// bound. Stall events (a parser finding the queue full) are counted
-	// and exported.
-	ChannelCap int
+	// channelCap bounds the records in flight between the parsers and the
+	// loader (default 256; only this package's tests set it): a batch is
+	// admitted while fewer than this many are queued, so the queue never
+	// holds more than channelCap plus one batch. Backpressure: when the
+	// loader lags, parsers block here, their pipes fill, and the tailers
+	// stop reading — nothing buffers without bound. Stall events (a parser
+	// finding the queue full) are counted and exported.
+	channelCap int
 	// Fidelity configures load-aware degradation; the zero value keeps
 	// full fidelity unconditionally.
 	Fidelity FidelityOptions
@@ -91,23 +83,14 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.Plan == nil {
 		out.Plan = transform.DefaultPlan()
 	}
-	if out.Window <= 0 {
-		out.Window = core.DefaultWindow
-	}
-	if out.Poll <= 0 {
-		out.Poll = 10 * time.Millisecond
-	}
 	if err := transform.CheckBudget(out.ErrorBudget); err != nil {
 		return out, fmt.Errorf("stream: Config.ErrorBudget: %w", err)
 	}
 	if out.ErrorBudget == 0 {
 		out.ErrorBudget = transform.DefaultErrorBudget
 	}
-	if out.Grace <= 0 {
-		out.Grace = DefaultGrace
-	}
-	if out.ChannelCap <= 0 {
-		out.ChannelCap = 256
+	if out.channelCap <= 0 {
+		out.channelCap = 256
 	}
 	return out, nil
 }
@@ -131,6 +114,9 @@ type rec struct {
 // parser working through a backlog fills batches to the cap.
 const batchCap = 64
 
+// tailPoll is how often the tailers look for bytes appended to their logs.
+const tailPoll = 10 * time.Millisecond
+
 // Pipeline is the live ingest-and-detect engine. Start launches the source
 // front end (file discovery, tailers, one parser goroutine per source) and
 // the loader (append, watermark, detection). Stop drains everything —
@@ -147,7 +133,7 @@ type Pipeline struct {
 
 	recs chan rec
 	// queued counts the records in recs (a batch counts for what it holds);
-	// send blocks on qcond while it is at ChannelCap. Written under qmu.
+	// send blocks on qcond while it is at channelCap. Written under qmu.
 	qmu    sync.Mutex
 	qcond  *sync.Cond
 	queued atomic.Int64
@@ -190,15 +176,15 @@ func New(cfg Config) (*Pipeline, error) {
 		cfg:      c,
 		db:       c.DB,
 		wm:       NewWatermark(faults.DefaultSkewMax.Microseconds()),
-		det:      newDetector(c.DB, c.Window, c.Grace, faults.DefaultSkewMax),
-		recs:     make(chan rec, c.ChannelCap),
+		det:      newDetector(c.DB, core.DefaultWindow, DefaultGrace, faults.DefaultSkewMax),
+		recs:     make(chan rec, c.channelCap),
 		dbReqs:   make(chan func(*mscopedb.DB)),
 		loadDone: make(chan struct{}),
 		byPath:   make(map[string]*source),
 	}
 	p.qcond = sync.NewCond(&p.qmu)
 	if !c.remote {
-		p.front = NewFrontEnd(FrontConfig{LogDir: c.LogDir, Plan: c.Plan, Poll: c.Poll,
+		p.front = NewFrontEnd(FrontConfig{LogDir: c.LogDir, Plan: c.Plan, Poll: tailPoll,
 			BatchCap: batchCap, Pipe: selfobs.PipeLive,
 			Open: func(path, name string, b transform.Binding) (Sink, int64) {
 				s := p.adopt(path, name, b)
@@ -379,17 +365,17 @@ func (p *Pipeline) snapshot() []*source {
 // feeder caught the loader behind".
 func (p *Pipeline) send(r rec) {
 	p.qmu.Lock()
-	if p.queued.Load() >= int64(p.cfg.ChannelCap) {
+	if p.queued.Load() >= int64(p.cfg.channelCap) {
 		p.stalls.Add(1)
 		obsStalls.Add(1)
-		for p.queued.Load() >= int64(p.cfg.ChannelCap) {
+		for p.queued.Load() >= int64(p.cfg.channelCap) {
 			p.qcond.Wait()
 		}
 	}
 	p.queued.Add(int64(r.Records))
 	p.qmu.Unlock()
 	// Blocks only behind a run of empty batches (bare stamps): fewer than
-	// ChannelCap records were queued on admission.
+	// channelCap records were queued on admission.
 	p.recs <- r
 }
 

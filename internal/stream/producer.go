@@ -21,21 +21,21 @@ type ProducerConfig struct {
 	DstDir string
 	// Duration is the wall time over which the bytes are spread.
 	Duration time.Duration
-	// Tick is the write cadence (default 10ms).
-	Tick time.Duration
 	// Plan selects which files replay — only the streamable ones; nil uses
 	// the default declaration.
 	Plan *transform.Plan
-	// ChaosRate > 0 corrupts the staged logs with the fault-injection
-	// harness before replay (deterministic per ChaosSeed): garbage lines,
-	// torn writes and duplicated records then travel through the live
-	// pipeline, exercising the quarantine budget under streaming.
+	// ChaosRate, a per-line probability in [0,1], corrupts the staged logs
+	// with the fault-injection harness before replay when above 0
+	// (deterministic per ChaosSeed): garbage lines, torn writes and
+	// duplicated records then travel through the live pipeline, exercising
+	// the quarantine budget under streaming.
 	ChaosRate float64
 	// ChaosSeed seeds the corruptor (default 1).
 	ChaosSeed int64
 	// RotateAt, in (0,1), truncates every event log to zero bytes when the
-	// replay crosses that fraction — copytruncate-style rotation. Bytes the
-	// tailer has not read by then are lost, exactly as in production.
+	// replay crosses that fraction — copytruncate-style rotation; 0 never
+	// rotates. Bytes the tailer has not read by then are lost, exactly as
+	// in production.
 	RotateAt float64
 	// Overload, when non-nil, reshapes the byte schedule with a burst (the
 	// arrival-rate half of the overload injector; ConsumerDelay is applied
@@ -44,6 +44,9 @@ type ProducerConfig struct {
 	// own load profile.
 	Overload *faults.Overload
 }
+
+// replayTick is the replay's write cadence.
+const replayTick = 10 * time.Millisecond
 
 // replayFile is one file being progressively written.
 type replayFile struct {
@@ -76,8 +79,11 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("stream: producer needs a positive Duration")
 	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = 10 * time.Millisecond
+	if !(cfg.ChaosRate >= 0 && cfg.ChaosRate <= 1) {
+		return nil, fmt.Errorf("stream: ProducerConfig.ChaosRate %v outside [0, 1]", cfg.ChaosRate)
+	}
+	if !(cfg.RotateAt >= 0 && cfg.RotateAt < 1) {
+		return nil, fmt.Errorf("stream: ProducerConfig.RotateAt %v outside [0, 1)", cfg.RotateAt)
 	}
 	if cfg.Plan == nil {
 		cfg.Plan = transform.DefaultPlan()
@@ -161,7 +167,7 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 // written in proportion to elapsed wall time.
 func (p *Producer) Run() error {
 	start := time.Now()
-	ticker := time.NewTicker(p.cfg.Tick)
+	ticker := time.NewTicker(replayTick)
 	defer ticker.Stop()
 	for {
 		select {

@@ -171,10 +171,10 @@ func (p *Pipeline) FidelityState() fidelity.State { return p.fidState() }
 
 // QueueFill is the fill fraction of the record queue — the rawest of the
 // pressure signals, the fidelity controller's and the collector's Control
-// frames'. The one batch admitted past ChannelCap does not read as more
+// frames'. The one batch admitted past channelCap does not read as more
 // than full.
 func (p *Pipeline) QueueFill() float64 {
-	return min(1, float64(p.queued.Load())/float64(p.cfg.ChannelCap))
+	return min(1, float64(p.queued.Load())/float64(p.cfg.channelCap))
 }
 
 // SelfTrace renders a node's own spans through the selfobs log format and
