@@ -105,7 +105,7 @@ type evaluator struct {
 // derives every figure and claim from it: scenarios A and B at their
 // catalogue configs, the Figure 9 accuracy trial at workload 8000 for 15 s,
 // the Figures 10–11 sweep over 1000–8000 users at 6 s a trial, and the
-// ablations of DESIGN.md §4. The bounds hold at these lengths.
+// ablations of DESIGN.md §1. The bounds hold at these lengths.
 func Evaluate(dir string) (*Evaluation, error) {
 	e := &evaluator{dir: dir}
 	for _, part := range []func() error{e.scenarioA, e.scenarioB, e.accuracy, e.overhead,

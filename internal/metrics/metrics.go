@@ -133,6 +133,9 @@ func PointInTimeRT(tbl *mscopedb.Table, window time.Duration) (*PITResult, error
 	if p.n == 0 {
 		return nil, fmt.Errorf("metrics: %s is empty", tbl.Name())
 	}
+	if err := checkGrid(p.hi-p.lo, p.widthUS, tbl.Name()); err != nil {
+		return nil, err
+	}
 	return p.Result(math.MaxInt64), nil
 }
 
@@ -168,6 +171,9 @@ func (q *Queue) Points(step time.Duration) ([]Point, error) {
 	// Snap the first sample onto the step grid so queue samples share
 	// window timestamps with resource series (correlation aligns on them).
 	lo -= mod(lo, stepUS)
+	if err := checkGrid(hi-lo, stepUS, "a queue"); err != nil {
+		return nil, err
+	}
 	out := make([]Point, 0, (hi-lo)/stepUS+2)
 	i, j := 0, 0
 	emit := func(at int64) {
@@ -279,6 +285,17 @@ func LittlesLaw(tbl *mscopedb.Table) (*LittlesLawReport, error) {
 		rep.RelativeError = abs(rep.MeanQueue-lw) / rep.MeanQueue
 	}
 	return rep, nil
+}
+
+// checkGrid refuses a series of more than mscopedb.MaxGridBuckets
+// windows of widthUS over spanUS, the cap WindowAgg applies: both grids
+// are laid out flat, one slot per window.
+func checkGrid(spanUS, widthUS int64, what string) error {
+	if spanUS/widthUS >= mscopedb.MaxGridBuckets {
+		return fmt.Errorf("metrics: %v windows over %s make a grid of more than %d buckets",
+			time.Duration(widthUS)*time.Microsecond, what, mscopedb.MaxGridBuckets)
+	}
+	return nil
 }
 
 func abs(x float64) float64 {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -358,5 +359,26 @@ func TestPITObserveMatchesChunkedScan(t *testing.T) {
 	prefix := live.Result(s.StartMicros[10] + 1).Series
 	if !reflect.DeepEqual(prefix.StartMicros, s.StartMicros[:11]) || !reflect.DeepEqual(prefix.Values, s.Values[:11]) {
 		t.Fatalf("prefix %+v, want the first 11 buckets of %+v", prefix, s)
+	}
+}
+
+// TestGridsRefuseMoreThanTheCap pins the cap on the two dense series: a
+// 1 µs grid over a little more than mscopedb.MaxGridBuckets µs is an error
+// naming the cap, not millions of rows.
+func TestGridsRefuseMoreThanTheCap(t *testing.T) {
+	end := int64(mscopedb.MaxGridBuckets) + 100_000 // ~4.3 s
+	tbl := eventTable(t, [][2]int64{{0, 0}, {end, end}})
+	if _, err := PointInTimeRT(tbl, time.Microsecond); err == nil || !strings.Contains(err.Error(), "grid of more than") {
+		t.Fatalf("PointInTimeRT over %d 1us windows: err %v", end, err)
+	}
+	if _, err := QueueSeries(tbl, time.Microsecond); err == nil || !strings.Contains(err.Error(), "grid of more than") {
+		t.Fatalf("QueueSeries over %d 1us steps: err %v", end, err)
+	}
+	// The same span at 50 ms is 87 windows.
+	if _, err := PointInTimeRT(tbl, 50*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := QueueSeries(tbl, 50*time.Millisecond); err != nil {
+		t.Fatal(err)
 	}
 }

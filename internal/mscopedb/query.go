@@ -560,18 +560,19 @@ type Series struct {
 	Values []float64
 }
 
-// maxGridBuckets caps the dense aggregation grid: it is laid out flat, one
-// slot per window between the first and last populated ones, so a fine
-// window over a long selection would otherwise allocate without bound.
-// 50 ms windows over a day-long trial are 1.7 million.
-const maxGridBuckets = 4 << 20
+// MaxGridBuckets caps every dense time grid: WindowAgg's, and the
+// Point-in-Time and queue-length series of internal/metrics. Each is laid
+// out flat, one slot per window between the first and last populated
+// ones, so a fine window over a long selection would otherwise allocate
+// without bound. 50 ms windows over a day-long trial are 1.7 million.
+const MaxGridBuckets = 4 << 20
 
 // WindowAgg buckets the selection by a time-like column (TTime or TInt
 // microsecond epochs) into fixed windows and aggregates a value column in
 // each. Empty windows between the first and last populated ones yield 0
 // for count/sum and NaN-free carry of zero for the others. A window below
 // the warehouse's microsecond resolution, or a grid of more than
-// maxGridBuckets windows, is an error.
+// MaxGridBuckets windows, is an error.
 func (r *Result) WindowAgg(timeCol string, window time.Duration, valCol string, fn AggFn) (*Series, error) {
 	w := window.Microseconds()
 	if w <= 0 {
@@ -626,9 +627,9 @@ func (r *Result) WindowAgg(timeCol string, window time.Duration, valCol string, 
 	// The output grid covers every window between the first and last
 	// populated buckets, so flat accumulators of the same length cost at
 	// most a small constant factor over the result itself.
-	if span := hi - lo; span < 0 || span/w >= maxGridBuckets {
+	if span := hi - lo; span < 0 || span/w >= MaxGridBuckets {
 		return nil, fmt.Errorf("mscopedb: %v windows over %s.%s make a grid of more than %d buckets",
-			window, r.t.name, timeCol, maxGridBuckets)
+			window, r.t.name, timeCol, MaxGridBuckets)
 	}
 	return r.windowAggDense(w, lo, (hi-lo)/w+1, fn, times, val), nil
 }
