@@ -133,6 +133,9 @@ func cmdLive(args []string) error {
 	st := pipe.Status()
 	fmt.Printf("live session: %d rows (%.0f rows/sec), %d quarantined, %d alerts\n",
 		st.Rows, st.RowsPerSec, st.Quarantined, st.Alerts)
+	if st.EvidenceErrors > 0 {
+		fmt.Printf("detector: %d evidence errors, the last: %s\n", st.EvidenceErrors, st.EvidenceError)
+	}
 	if f := st.Fidelity; f != nil {
 		fmt.Printf("fidelity %s: state=%s rolled-up=%d promoted=%d shed=%d rollup-rows=%d ring-rows=%d transitions=%d stalls=%d\n",
 			f.Mode, f.State, f.RowsRolledUp, f.RowsPromoted, f.RowsShed,

@@ -105,45 +105,6 @@ func CrossCorrelate(a, b *mscopedb.Series, maxLag int) (best float64, bestLag in
 	return best, bestLag
 }
 
-// DetectAnomalies finds contiguous runs where the series exceeds
-// threshold. Runs longer than maxDuration are excluded when maxDuration is
-// positive (a VSB is by definition short; a sustained overload is a
-// different diagnosis).
-func DetectAnomalies(s *mscopedb.Series, threshold float64, maxDuration time.Duration) []Window {
-	var out []Window
-	var cur *Window
-	flush := func(endUS int64) {
-		if cur == nil {
-			return
-		}
-		cur.EndMicros = endUS
-		if maxDuration <= 0 || cur.Duration() <= maxDuration {
-			out = append(out, *cur)
-		}
-		cur = nil
-	}
-	width := int64(0)
-	if len(s.StartMicros) > 1 {
-		width = s.StartMicros[1] - s.StartMicros[0]
-	}
-	for i, t := range s.StartMicros {
-		v := s.Values[i]
-		if v > threshold {
-			if cur == nil {
-				cur = &Window{StartMicros: t, Peak: v}
-			} else if v > cur.Peak {
-				cur.Peak = v
-			}
-			continue
-		}
-		flush(t)
-	}
-	if cur != nil && len(s.StartMicros) > 0 {
-		flush(s.StartMicros[len(s.StartMicros)-1] + width)
-	}
-	return out
-}
-
 // SliceSeries restricts a series to [startUS, endUS].
 func SliceSeries(s *mscopedb.Series, startUS, endUS int64) *mscopedb.Series {
 	var out mscopedb.Series

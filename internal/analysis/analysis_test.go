@@ -112,40 +112,6 @@ func TestCrossCorrelateDegenerate(t *testing.T) {
 	_ = c
 }
 
-func TestDetectAnomalies(t *testing.T) {
-	s := series(0, 1000, 1, 1, 10, 12, 1, 1, 20, 1)
-	ws := DetectAnomalies(s, 5, 0)
-	if len(ws) != 2 {
-		t.Fatalf("windows %+v", ws)
-	}
-	if ws[0].StartMicros != 2000 || ws[0].EndMicros != 4000 || ws[0].Peak != 12 {
-		t.Fatalf("first window %+v", ws[0])
-	}
-	if ws[1].Peak != 20 {
-		t.Fatalf("second window %+v", ws[1])
-	}
-}
-
-func TestDetectAnomaliesMaxDuration(t *testing.T) {
-	s := series(0, 1_000_000, 10, 10, 10, 10, 1, 10, 1)
-	// First run spans 4s: excluded at maxDuration 2s; single-window run kept.
-	ws := DetectAnomalies(s, 5, 2*time.Second)
-	if len(ws) != 1 {
-		t.Fatalf("windows %+v", ws)
-	}
-	if ws[0].StartMicros != 5_000_000 {
-		t.Fatalf("window %+v", ws[0])
-	}
-}
-
-func TestDetectAnomaliesTrailingRun(t *testing.T) {
-	s := series(0, 1000, 1, 1, 9, 9)
-	ws := DetectAnomalies(s, 5, 0)
-	if len(ws) != 1 || ws[0].EndMicros != 4000 {
-		t.Fatalf("trailing run %+v", ws)
-	}
-}
-
 func TestSliceSeries(t *testing.T) {
 	s := series(0, 1000, 1, 2, 3, 4, 5)
 	sub := SliceSeries(s, 1000, 3000)
@@ -214,16 +180,6 @@ func TestRankRootCauses(t *testing.T) {
 	}
 	if causes[0].PeakInWindow != 99 {
 		t.Fatalf("peak %v", causes[0].PeakInWindow)
-	}
-}
-
-// TestDetectVLRTWindows: VLRT windows are the runs above VLRTFactor (10)
-// times the mean; core.VLRTEpisodes adds the episode rule on top.
-func TestDetectVLRTWindows(t *testing.T) {
-	pit := series(0, 50_000, 5000, 6000, 120_000, 5500)
-	ws := DetectAnomalies(pit, 10*6000, time.Second)
-	if len(ws) != 1 || ws[0].Peak != 120_000 {
-		t.Fatalf("VLRT windows %+v", ws)
 	}
 }
 

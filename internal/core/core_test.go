@@ -77,7 +77,10 @@ func TestScenarioDBIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows := VLRTEpisodes(pit.Series, pit.AvgUS)
+	_, windows, err := frontEpisodes(db, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(windows) == 0 {
 		t.Fatal("no VLRT windows detected")
 	}

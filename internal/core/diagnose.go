@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/analysis"
@@ -96,7 +96,7 @@ func ParseCauseKind(s string) (CauseKind, bool) {
 // verdict on the same data, so the knobs live in one place.
 const (
 	// VLRTFactor flags windows whose Point-in-Time response time exceeds
-	// this multiple of the average.
+	// this multiple of the baseline mean (see Episodes).
 	VLRTFactor = 10
 	// MaxVSBDuration excludes sustained overloads: a very short bottleneck
 	// is by definition short.
@@ -333,21 +333,82 @@ func ClassifySlice(w analysis.Window) (lo, hi int64) {
 	return w.StartMicros - pad, w.EndMicros + min(int64(w.Peak), pad)
 }
 
-// VLRTEpisodes is the one episode rule of the batch Diagnose and the live
-// detector: the PIT windows above VLRTFactor × avgUS, neighbours at most
-// EpisodeGap apart merged into one (Peak the larger), then every episode
-// longer than MaxVSBDuration dropped — after the merge, so a sustained
-// plateau cannot pass as short pieces.
-func VLRTEpisodes(pit *mscopedb.Series, avgUS float64) []analysis.Window {
-	var eps []analysis.Window
-	for _, w := range analysis.DetectAnomalies(pit, VLRTFactor*avgUS, 0) {
-		if n := len(eps) - 1; n >= 0 && w.StartMicros-eps[n].EndMicros <= EpisodeGap.Microseconds() {
-			eps[n].EndMicros, eps[n].Peak = w.EndMicros, max(eps[n].Peak, w.Peak)
-			continue
-		}
-		eps = append(eps, w)
+// Episodes is the one VLRT episode rule of the batch Diagnose, the figures
+// and the live detector, causal so that it runs the same online and
+// offline: a closed window of PIT is flagged when its maximum response
+// time exceeds VLRTFactor × the mean of the requests in the unflagged
+// windows before it (none before: never flagged); flagged windows at most
+// EpisodeGap apart are one episode, Peak the largest; an episode that
+// outgrows MaxVSBDuration is dropped and rejoins the baseline, so a load
+// step becomes the new normal. Not safe for concurrent use.
+type Episodes struct {
+	PIT *metrics.PIT // the front tier's accumulator
+
+	// The baseline's requests (every closed window outside a kept episode),
+	// and those of the open episode, held out until it outgrows MaxVSBDuration.
+	baseSum, heldSum float64
+	baseN, heldN     int
+	open             *analysis.Window
+	settled          []analysis.Window
+}
+
+// Advance closes every window that starts at or before hiUS and returns
+// the episodes this settles (once EpisodeGap of closed, unflagged windows
+// follows), each once and in order, and where the open one starts while it
+// may yet be kept (else math.MaxInt64). Advance(math.MaxInt64) is the
+// last: the open episode settles too.
+func (e *Episodes) Advance(hiUS int64) (settled []analysis.Window, openFrom int64) {
+	e.PIT.CloseTo(hiUS, e.close)
+	if hiUS == math.MaxInt64 && e.open != nil {
+		e.settle()
 	}
-	return slices.DeleteFunc(eps, func(w analysis.Window) bool { return w.Duration() > MaxVSBDuration })
+	settled, e.settled, openFrom = e.settled, nil, math.MaxInt64
+	if e.open != nil && e.open.Duration() <= MaxVSBDuration {
+		openFrom = e.open.StartMicros
+	}
+	return settled, openFrom
+}
+
+// close applies the rule to the next closed window [startUS, endUS).
+func (e *Episodes) close(startUS, endUS int64, maxUS, sumUS float64, n int) {
+	if e.baseN == 0 || maxUS <= VLRTFactor*e.baseSum/float64(e.baseN) {
+		e.baseSum, e.baseN = e.baseSum+sumUS, e.baseN+n
+		// The next window starts at endUS: past the gap, nothing merges.
+		if e.open != nil && endUS-e.open.EndMicros > EpisodeGap.Microseconds() {
+			e.settle()
+		}
+		return
+	}
+	if e.open == nil {
+		e.open = &analysis.Window{StartMicros: startUS}
+	}
+	e.open.EndMicros, e.open.Peak = endUS, max(e.open.Peak, maxUS)
+	e.heldSum, e.heldN = e.heldSum+sumUS, e.heldN+n
+	if e.open.Duration() > MaxVSBDuration {
+		e.baseSum, e.baseN, e.heldSum, e.heldN = e.baseSum+e.heldSum, e.baseN+e.heldN, 0, 0
+	}
+}
+
+// settle ends the open episode, kept unless it outgrew MaxVSBDuration.
+func (e *Episodes) settle() {
+	if e.open.Duration() <= MaxVSBDuration {
+		e.settled = append(e.settled, *e.open)
+	}
+	e.open, e.heldSum, e.heldN = nil, 0, 0
+}
+
+// frontEpisodes runs the rule over the front-tier event table to the end.
+func frontEpisodes(db *mscopedb.DB, window time.Duration) (*Episodes, []analysis.Window, error) {
+	e := &Episodes{}
+	tbl, err := db.Table(Tiers[0] + "_event")
+	if err == nil {
+		e.PIT, err = metrics.PointInTimeRT(tbl, window)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	eps, _ := e.Advance(math.MaxInt64)
+	return e, eps, nil
 }
 
 // ClassifyWindow names the root cause of one VLRT window from the
@@ -380,14 +441,8 @@ func ClassifyWindow(ev *Evidence, w analysis.Window) WindowDiagnosis {
 		// the stuck requests complete, typically just after the seized
 		// resource releases. The post-window tail is excluded — the drain
 		// burst busies every tier and would indict innocent gauges.
-		peak := 0.0
-		for _, v := range analysis.SliceSeries(c.Series, lo, w.EndMicros).Values {
-			if v > peak {
-				peak = v
-			}
-		}
 		wd.Causes = append(wd.Causes, analysis.Cause{
-			Name: c.Name, Correlation: corr, PeakInWindow: peak,
+			Name: c.Name, Correlation: corr, PeakInWindow: peakOf(analysis.SliceSeries(c.Series, lo, w.EndMicros)),
 		})
 		byName[c.Name] = c
 	}
@@ -473,24 +528,11 @@ func readsDominate(ev *Evidence, tier string, w analysis.Window) bool {
 	if !ok {
 		return false
 	}
-	readPeak := 0.0
-	for _, v := range analysis.SliceSeries(rd, w.StartMicros, w.EndMicros).Values {
-		if v > readPeak {
-			readPeak = v
-		}
-	}
-	if readPeak <= StampedeReadFloorKB {
-		return false
-	}
-	writePeak := 0.0
+	readPeak, writePeak := peakOf(analysis.SliceSeries(rd, w.StartMicros, w.EndMicros)), 0.0
 	if wr, ok := ev.DiskWrite[tier]; ok {
-		for _, v := range analysis.SliceSeries(wr, w.StartMicros, w.EndMicros).Values {
-			if v > writePeak {
-				writePeak = v
-			}
-		}
+		writePeak = peakOf(analysis.SliceSeries(wr, w.StartMicros, w.EndMicros))
 	}
-	return readPeak > StampedeReadFactor*writePeak
+	return readPeak > StampedeReadFloorKB && readPeak > StampedeReadFactor*writePeak
 }
 
 // netLagSpiked scans every instrumented link for an in-window lag rise
@@ -503,13 +545,7 @@ func netLagSpiked(ev *Evidence, lo, hi int64) (string, float64) {
 		if !ok {
 			continue
 		}
-		peak := 0.0
-		for _, v := range analysis.SliceSeries(lag, lo, hi).Values {
-			if v > peak {
-				peak = v
-			}
-		}
-		baseSum, baseN := 0.0, 0
+		peak, baseSum, baseN := peakOf(analysis.SliceSeries(lag, lo, hi)), 0.0, 0
 		for i, ts := range lag.StartMicros {
 			if ts < lo || ts > hi {
 				baseSum += lag.Values[i]
@@ -567,20 +603,13 @@ func structuralVerdict(ev *Evidence, pb analysis.PushbackResult) (CauseKind, str
 func Diagnose(db *mscopedb.DB, window time.Duration) (*Diagnosis, error) {
 	obs := selfobs.NewBuf()
 	defer obs.Close()
-	tbl, err := db.Table(Tiers[0] + "_event")
-	if err != nil {
-		return nil, err
-	}
 	sp := obs.Begin(selfobs.PipeDiagnose, "pit", "-", "")
-	pit, err := metrics.PointInTimeRT(tbl, window)
+	eps, vlrts, err := frontEpisodes(db, window)
 	if err != nil {
 		return nil, err
 	}
-	sp.End(int64(pit.Requests), 0)
-	out := &Diagnosis{PIT: pit}
-	sp = obs.Begin(selfobs.PipeDiagnose, "vlrt", "-", "")
-	vlrts := VLRTEpisodes(pit.Series, pit.AvgUS)
-	sp.End(int64(len(vlrts)), 0)
+	out := &Diagnosis{PIT: eps.PIT.Result(math.MinInt64, math.MaxInt64)}
+	sp.End(int64(out.PIT.Requests), 0)
 	if len(vlrts) == 0 {
 		return out, nil
 	}

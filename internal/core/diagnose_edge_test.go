@@ -189,33 +189,33 @@ func TestSortCausesTieBreak(t *testing.T) {
 	}
 }
 
-// TestOverlappingVLRTWindows: two spike clusters a single healthy bucket
-// apart yield two distinct VLRT windows whose padded classification slices
-// overlap; each must classify independently against the shared evidence and
-// reach the same disk verdict.
+// TestOverlappingVLRTWindows: two spike clusters three healthy buckets
+// apart, just past EpisodeGap, are two episodes whose padded
+// classification slices overlap; each must classify independently against
+// the shared evidence and reach the same disk verdict.
 func TestOverlappingVLRTWindows(t *testing.T) {
-	pit := synthSeries(func(i int) float64 {
+	windows := episodesOf(synthSeries(func(i int) float64 {
 		switch {
 		case i >= 20 && i <= 21:
 			return 500_000
-		case i >= 23 && i <= 24:
+		case i >= 25 && i <= 26:
 			return 800_000
 		default:
 			return 10_000
 		}
-	})
-	windows := analysis.DetectAnomalies(pit, VLRTFactor*10_000, MaxVSBDuration)
+	}))
 	if len(windows) != 2 {
 		t.Fatalf("%d VLRT windows, want 2 (windows: %+v)", len(windows), windows)
 	}
-	if windows[0].EndMicros > windows[1].StartMicros {
-		t.Fatalf("detector merged the clusters: %+v", windows)
+	_, hi := ClassifySlice(windows[0])
+	if lo, _ := ClassifySlice(windows[1]); hi < lo {
+		t.Fatalf("the slices do not overlap: %+v", windows)
 	}
 	ev := &Evidence{
-		Queues: map[string]*mscopedb.Series{"apache": synthSeries(spikeAt(3, 60, 18, 25))},
+		Queues: map[string]*mscopedb.Series{"apache": synthSeries(spikeAt(3, 60, 18, 27))},
 		Candidates: []ResourceCandidate{
 			{Name: "mysql disk", Tier: "mysql", Kind: CauseDiskIO,
-				Series: synthSeries(spikeAt(5, 100, 18, 25))},
+				Series: synthSeries(spikeAt(5, 100, 18, 27))},
 		},
 	}
 	for i, w := range windows {

@@ -28,10 +28,11 @@ func Fig2PointInTime(db *mscopedb.DB, window time.Duration) (*report.Figure, *me
 	if err != nil {
 		return nil, nil, err
 	}
-	pit, err := metrics.PointInTimeRT(tbl, window)
+	p, err := metrics.PointInTimeRT(tbl, window)
 	if err != nil {
 		return nil, nil, err
 	}
+	pit := p.Result(math.MinInt64, math.MaxInt64)
 	fig := &report.Figure{
 		ID:     "fig2",
 		Title:  "Point-in-Time response time",
@@ -149,24 +150,6 @@ func Fig5Traces(db *mscopedb.DB) (*report.Figure, *Fig5Stats, error) {
 	}, st, nil
 }
 
-// firstVLRT is the front tier's first VLRT episode at the given window
-// width; ok is false when the trial has none.
-func firstVLRT(db *mscopedb.DB, window time.Duration) (w analysis.Window, ok bool, err error) {
-	tbl, err := db.Table(Tiers[0] + "_event")
-	if err != nil {
-		return w, false, err
-	}
-	pit, err := metrics.PointInTimeRT(tbl, window)
-	if err != nil {
-		return w, false, err
-	}
-	eps := VLRTEpisodes(pit.Series, pit.AvgUS)
-	if len(eps) == 0 {
-		return w, false, nil
-	}
-	return eps[0], true, nil
-}
-
 // Fig6Stats is Figure 6's evidence: the per-tier queues, and the pushback
 // over the first VLRT window widened by PushbackLeadIn, as ClassifyWindow
 // reads it.
@@ -196,15 +179,16 @@ func Fig6QueueLengths(db *mscopedb.DB, step time.Duration) (*report.Figure, *Fig
 		fig.Series = append(fig.Series, report.FromDBSeries(tier, s, epochUS, 1))
 		fig.Notes = append(fig.Notes, fmt.Sprintf("%s peak queue %.0f", tier, peakOf(s)))
 	}
-	w, ok, err := firstVLRT(db, step)
+	_, eps, err := frontEpisodes(db, step)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !ok {
+	if len(eps) == 0 {
 		fig.Notes = append(fig.Notes, "no VLRT window")
 		return fig, st, nil
 	}
-	st.Window = w
+	st.Window = eps[0]
+	w := eps[0]
 	w.StartMicros -= PushbackLeadIn.Microseconds()
 	st.Pushback = analysis.DetectPushback(st.Queues, Tiers, w, PushbackGrowth)
 	fig.Notes = append(fig.Notes, fmt.Sprintf("VLRT window %.0f ms: grew=%v crossTier=%v",
@@ -232,15 +216,15 @@ func Fig7Correlation(db *mscopedb.DB, window time.Duration) (*report.Figure, flo
 		XLabel: "time (s)",
 		YLabel: "disk util (%) / queue",
 	}
-	w, ok, err := firstVLRT(db, window)
+	_, eps, err := frontEpisodes(db, window)
 	if err != nil {
 		return nil, 0, err
 	}
-	if !ok {
+	if len(eps) == 0 {
 		fig.Notes = []string{"no VLRT window"}
 		return fig, 0, nil
 	}
-	pad := ClassifyPad.Microseconds()
+	w, pad := eps[0], ClassifyPad.Microseconds()
 	disk = analysis.SliceSeries(disk, w.StartMicros-pad, w.EndMicros+pad)
 	queue = analysis.SliceSeries(queue, w.StartMicros-pad, w.EndMicros+pad)
 	corr, n := analysis.Correlate(disk, queue)
@@ -347,7 +331,9 @@ func Fig8DirtyPage(db *mscopedb.DB, window time.Duration) ([]*report.Figure, *Fi
 			tier, stats.DirtyPeakMB[tier], stats.DirtyAfterMB[tier]))
 	}
 
-	stats.VLRTWindows = VLRTEpisodes(pit.Series, pit.AvgUS)
+	if _, stats.VLRTWindows, err = frontEpisodes(db, window); err != nil {
+		return nil, nil, err
+	}
 	for _, w := range stats.VLRTWindows {
 		// Queue growth brackets the response-time peak: inspect the
 		// lead-in too, as ClassifyWindow does.
@@ -609,7 +595,9 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 func peakOf(s *mscopedb.Series) float64 {
 	p := 0.0
 	for _, v := range s.Values {
-		p = math.Max(p, v)
+		if v > p {
+			p = v
+		}
 	}
 	return p
 }

@@ -62,22 +62,29 @@ func scanSpans(tbl *mscopedb.Table, fn func(ua, ud []int64)) error {
 }
 
 // PIT accumulates the Point-in-Time response time one request at a time:
-// per window of fixed width on the absolute grid, the maximum of (ud-ua)
-// over the requests that departed in it, plus the mean and maximum over
-// all of them. PointInTimeRT (and so Diagnose and the figures) and the
-// live detector fold their rows through it. Not safe for concurrent use.
+// per window of fixed width on the absolute grid, the maximum, sum and
+// count of (ud-ua) over the requests that departed in it, and the mean and
+// maximum over all of them. PointInTimeRT (so Diagnose and the figures)
+// and the live detector fold their rows through it. Not safe for
+// concurrent use.
 type PIT struct {
 	widthUS  int64
-	buckets  map[int64]float64 // bucket start → max RT µs
-	lo, hi   int64             // first and last bucket start
+	buckets  map[int64]pitBucket // bucket start → its requests
+	lo, hi   int64               // first and last bucket start
+	next     int64               // first bucket CloseTo has not handed out
 	sum, max float64
+	n        int
+}
+
+type pitBucket struct {
+	max, sum float64
 	n        int
 }
 
 // NewPIT starts an empty accumulator of the given window width, which
 // must be at least one microsecond.
 func NewPIT(window time.Duration) *PIT {
-	return &PIT{widthUS: window.Microseconds(), buckets: make(map[int64]float64)}
+	return &PIT{widthUS: window.Microseconds(), buckets: make(map[int64]pitBucket), next: math.MinInt64}
 }
 
 // Observe folds in one completed request, bucketed by its departure.
@@ -86,9 +93,8 @@ func (p *PIT) Observe(uaUS, udUS int64) {
 	p.sum += rt
 	p.max = max(p.max, rt)
 	b := udUS - mod(udUS, p.widthUS)
-	if rt > p.buckets[b] {
-		p.buckets[b] = rt
-	}
+	bk := p.buckets[b]
+	p.buckets[b] = pitBucket{max(bk.max, rt), bk.sum + rt, bk.n + 1}
 	if p.n == 0 || b < p.lo {
 		p.lo = b
 	}
@@ -98,14 +104,29 @@ func (p *PIT) Observe(uaUS, udUS int64) {
 	p.n++
 }
 
-// Result is the series from the first bucket through the last one that
-// starts at or before hiUS, empty buckets filled with zero, with the mean
-// and maximum over every request observed.
-func (p *PIT) Result(hiUS int64) *PITResult {
+// CloseTo hands fn each window not handed out before, in order, through
+// the last starting at or before hiUS and no later than the last observed:
+// its span, the maximum and sum of its response times, and their count. A
+// request observed into a window already handed out counts in Result only.
+func (p *PIT) CloseTo(hiUS int64, fn func(startUS, endUS int64, maxUS, sumUS float64, n int)) {
+	if p.n == 0 {
+		return
+	}
+	for p.next = max(p.next, p.lo); p.next <= min(hiUS, p.hi); p.next += p.widthUS {
+		bk := p.buckets[p.next]
+		fn(p.next, p.next+p.widthUS, bk.max, bk.sum, bk.n)
+	}
+}
+
+// Result is the series of the windows that start in [loUS, hiUS], from
+// the first observed through the last, empty windows filled with zero,
+// with the mean and maximum over every request observed.
+func (p *PIT) Result(loUS, hiUS int64) *PITResult {
 	var s mscopedb.Series
-	for b := p.lo; p.n > 0 && b <= min(hiUS, p.hi); b += p.widthUS {
+	// The first grid point at or after loUS; a wrapped difference loses too.
+	for b := max(p.lo, loUS+mod(p.lo-loUS, p.widthUS)); p.n > 0 && b <= min(hiUS, p.hi); b += p.widthUS {
 		s.StartMicros = append(s.StartMicros, b)
-		s.Values = append(s.Values, p.buckets[b])
+		s.Values = append(s.Values, p.buckets[b].max)
 	}
 	r := &PITResult{Series: &s, MaxUS: p.max, Requests: p.n}
 	if p.n > 0 {
@@ -114,10 +135,11 @@ func (p *PIT) Result(hiUS int64) *PITResult {
 	return r
 }
 
-// PointInTimeRT computes the Point-in-Time response time from a front-tier
-// event table: per window of the given width, the maximum of (ud-ua);
-// requests are bucketed by completion time (ud).
-func PointInTimeRT(tbl *mscopedb.Table, window time.Duration) (*PITResult, error) {
+// PointInTimeRT folds a front-tier event table into a PIT of the given
+// window width: per window, the maximum of (ud-ua); requests are bucketed
+// by completion time (ud). An empty table and a span of more windows than
+// the grid cap are errors.
+func PointInTimeRT(tbl *mscopedb.Table, window time.Duration) (*PIT, error) {
 	if window.Microseconds() <= 0 {
 		return nil, fmt.Errorf("metrics: window %v is below one microsecond", window)
 	}
@@ -136,7 +158,7 @@ func PointInTimeRT(tbl *mscopedb.Table, window time.Duration) (*PITResult, error
 	if err := checkGrid(p.hi-p.lo, p.widthUS, tbl.Name()); err != nil {
 		return nil, err
 	}
-	return p.Result(math.MaxInt64), nil
+	return p, nil
 }
 
 // Queue accumulates the arrival and departure instants of a tier's event

@@ -40,10 +40,11 @@ func TestPointInTimeRT(t *testing.T) {
 		{60_000, 65_000},
 		{-30_000, 70_000}, // 100ms request
 	})
-	pit, err := PointInTimeRT(tbl, 50*time.Millisecond)
+	p, err := PointInTimeRT(tbl, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pit := p.Result(math.MinInt64, math.MaxInt64)
 	if pit.Requests != 4 {
 		t.Fatalf("requests %d", pit.Requests)
 	}
@@ -337,11 +338,12 @@ func TestPITObserveMatchesChunkedScan(t *testing.T) {
 	if chunks < 10 {
 		t.Fatalf("%d chunks: the scan is not chunked", chunks)
 	}
-	batch, err := PointInTimeRT(tbl, 50*time.Millisecond)
+	scanned, err := PointInTimeRT(tbl, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := live.Result(math.MaxInt64)
+	batch := scanned.Result(math.MinInt64, math.MaxInt64)
+	got := live.Result(math.MinInt64, math.MaxInt64)
 	if !reflect.DeepEqual(got, batch) {
 		t.Fatalf("per-row %+v\nscan %+v", got, batch)
 	}
@@ -356,7 +358,7 @@ func TestPITObserveMatchesChunkedScan(t *testing.T) {
 	}
 	// A prefix stops at the last bucket starting at or before its bound.
 	s := batch.Series
-	prefix := live.Result(s.StartMicros[10] + 1).Series
+	prefix := live.Result(math.MinInt64, s.StartMicros[10]+1).Series
 	if !reflect.DeepEqual(prefix.StartMicros, s.StartMicros[:11]) || !reflect.DeepEqual(prefix.Values, s.Values[:11]) {
 		t.Fatalf("prefix %+v, want the first 11 buckets of %+v", prefix, s)
 	}
@@ -380,5 +382,50 @@ func TestGridsRefuseMoreThanTheCap(t *testing.T) {
 	}
 	if _, err := QueueSeries(tbl, 50*time.Millisecond); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPITCloseToHandsEachWindowOnce: CloseTo hands out the windows from
+// the first observed in order, gaps included, each once, never past the
+// last observed; a request observed into a window already handed out
+// reaches Result only. Result over a range keeps the windows starting in
+// it.
+func TestPITCloseToHandsEachWindowOnce(t *testing.T) {
+	p := NewPIT(50 * time.Millisecond)
+	for _, r := range [][2]int64{{60_000, 70_000}, {50_000, 90_000}, {200_000, 210_000}, {150_000, 260_000}} {
+		p.Observe(r[0], r[1])
+	}
+	type win struct {
+		start, end int64
+		max, sum   float64
+		n          int
+	}
+	var got []win
+	closeTo := func(hi int64) {
+		p.CloseTo(hi, func(start, end int64, max, sum float64, n int) {
+			got = append(got, win{start, end, max, sum, n})
+		})
+	}
+	closeTo(100_000)
+	p.Observe(40_000, 99_000) // late, into a window handed out
+	closeTo(100_000)
+	closeTo(math.MaxInt64)
+	want := []win{
+		{50_000, 100_000, 40_000, 50_000, 2},
+		{100_000, 150_000, 0, 0, 0},
+		{150_000, 200_000, 0, 0, 0},
+		{200_000, 250_000, 10_000, 10_000, 1},
+		{250_000, 300_000, 110_000, 110_000, 1},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("handed out %+v, want %+v", got, want)
+	}
+	r := p.Result(60_000, 200_000)
+	if !reflect.DeepEqual(r.Series.StartMicros, []int64{100_000, 150_000, 200_000}) ||
+		!reflect.DeepEqual(r.Series.Values, []float64{0, 0, 10_000}) || r.Requests != 5 || r.MaxUS != 110_000 {
+		t.Fatalf("Result over [60ms, 200ms]: %+v %+v", r, r.Series)
+	}
+	if first := p.Result(math.MinInt64, 50_000).Series.Values; !reflect.DeepEqual(first, []float64{59_000}) {
+		t.Fatalf("the late request is not in Result: %v", first)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/analysis"
@@ -53,10 +54,10 @@ type Alert struct {
 }
 
 // Wait is what a verdict waited for, in event-time µs: the trailing half
-// of its correlation slice (core.ClassifySlice), the grace applied past
-// it, the front-tier residence the grace was derived from, the ceiling
-// (DefaultGrace), and the delay WatermarkUS − Window.EndMicros it fired
-// at — zero at shutdown, when nothing is waited out.
+// of its correlation slice (core.ClassifySlice), the grace applied past it,
+// the front-tier residence the grace was derived from, the ceiling
+// (DefaultGrace), and the delay WatermarkUS − Window.EndMicros it fired at:
+// zero at shutdown, past slice + grace when a later episode held it.
 type Wait struct {
 	SliceUS     int64 `json:"slice_us"`
 	GraceUS     int64 `json:"grace_us,omitempty"`
@@ -75,13 +76,13 @@ func (a Wait) Waited() string {
 	return fmt.Sprintf("%s: slice %v + grace %v from %v resident, ceiling %v", when, ms(a.SliceUS), ms(a.GraceUS), ms(a.ResidenceUS), ms(a.CeilingUS))
 }
 
-// detector folds front-tier events into the online Point-in-Time series and,
-// as the low watermark advances, re-runs the shared VLRT detection over
-// the closed prefix. A window whose correlation slice, plus the grace its
-// residence asks for, is behind the watermark is classified against the
-// live warehouse with the same BuildEvidence/ClassifyWindow the batch
-// Diagnose uses — the verdict logic exists exactly once. The loader
-// goroutine owns all of it; nothing here is safe for concurrent use.
+// detector runs the batch Diagnose's episode rule (core.Episodes) over the
+// front-tier events as the low watermark advances. A settled episode whose
+// correlation slice, plus the grace its residence asks for, is behind the
+// watermark is classified against the live warehouse with the same
+// BuildEvidence/ClassifyWindow — the verdict logic exists exactly once.
+// The loader goroutine owns all of it; nothing here is safe for
+// concurrent use.
 type detector struct {
 	db       *mscopedb.DB
 	windowUS int64
@@ -96,11 +97,8 @@ type detector struct {
 	// it.
 	promote func(loUS, hiUS int64)
 
-	// pit is the front tier's Point-in-Time series, the one the batch
-	// Diagnose builds.
-	pit *metrics.PIT
-
-	alerted []analysis.Window
+	eps     core.Episodes
+	pending []analysis.Window // settled, not classified yet
 }
 
 func newDetector(db *mscopedb.DB, window, grace, skew time.Duration) *detector {
@@ -109,22 +107,19 @@ func newDetector(db *mscopedb.DB, window, grace, skew time.Duration) *detector {
 		windowUS:  window.Microseconds(),
 		floorUS:   (window + skew).Microseconds(),
 		ceilingUS: grace.Microseconds(),
-		pit:       metrics.NewPIT(window),
+		eps:       core.Episodes{PIT: metrics.NewPIT(window)},
 	}
 }
 
 // residence is the longest front-tier response time among the requests
-// that departed in the closed buckets (those of pit) overlapping w's
-// correlation slice [lo, hi]: at least w.Peak, the window's own slowest.
-// Every deeper tier's residence nests inside the front tier's, so it
-// bounds them all; the grace floor has the slice closed, the value final,
-// before w is due.
-func (d *detector) residence(w analysis.Window, lo, hi int64, pit *mscopedb.Series) int64 {
+// that departed in the closed windows overlapping w's slice [lo, hi]: at
+// least w.Peak. Every deeper tier's residence nests inside the front
+// tier's, so it bounds them all; the grace floor has the slice closed, the
+// value final, before w is due.
+func (d *detector) residence(w analysis.Window, lo, hi int64) int64 {
 	r := w.Peak
-	for i, b := range pit.StartMicros {
-		if b > lo-d.windowUS && b <= hi {
-			r = max(r, pit.Values[i])
-		}
+	for _, v := range d.eps.PIT.Result(lo-d.windowUS+1, hi).Series.Values {
+		r = max(r, v)
 	}
 	return int64(r)
 }
@@ -132,71 +127,71 @@ func (d *detector) residence(w analysis.Window, lo, hi int64, pit *mscopedb.Seri
 // advance runs detection against the low watermark. finalLow relaxes the
 // gating: at shutdown every source has finished, so all windows close.
 // It returns the newly raised alerts, or why the evidence for the due
-// windows could not be built (they stay due).
+// windows could not be built (they stay due). Evidence not there yet (no
+// resource or front-tier table) is retried in silence, but at shutdown.
 func (d *detector) advance(lowUS int64) ([]Alert, error) {
 	final := lowUS == finalLow
-	// Buckets whose span [b, b+w) is fully behind the watermark are
-	// closed; at shutdown lowUS − w is past every bucket.
+	// Windows whose span [b, b+w) is fully behind the watermark are
+	// closed; at shutdown every one is.
 	closedHi := lowUS - d.windowUS
-	pit := d.pit.Result(closedHi)
-	if len(pit.Series.Values) == 0 {
-		return nil, nil
+	if final {
+		closedHi = math.MaxInt64
 	}
-	windows := core.VLRTEpisodes(pit.Series, pit.AvgUS)
-	// Promote the neighbourhood of every window this pass will classify,
-	// then build the evidence once for all of them: it is a function of
-	// the warehouse alone, and at shutdown every open window is due at once.
+	settled, blocked := d.eps.Advance(closedHi)
+	d.pending = append(d.pending, settled...)
+	// A window also waits for a later episode starting inside its slice to
+	// be due: the requests stuck across both leave with that one, and its
+	// queue baselines need the trial past it. So walk back from the open
+	// one, blocked by the earliest start of a later episode still waiting.
 	var due []Alert
-	for _, w := range windows {
-		if d.overlapsAlerted(w) {
-			continue
-		}
+	var waiting []analysis.Window
+	for i := len(d.pending) - 1; i >= 0; i-- {
+		w := d.pending[i]
 		lo, hi := core.ClassifySlice(w)
-		a := Alert{WatermarkUS: lowUS, Wait: Wait{SliceUS: hi - w.EndMicros, CeilingUS: d.ceilingUS, ResidenceUS: d.residence(w, lo, hi, pit.Series)}}
+		a := Alert{WatermarkUS: lowUS, Wait: Wait{SliceUS: hi - w.EndMicros, CeilingUS: d.ceilingUS, ResidenceUS: d.residence(w, lo, min(hi, closedHi))}}
 		a.GraceUS = graceFor(a.ResidenceUS, d.floorUS, d.ceilingUS)
 		if !final {
-			if hi+a.GraceUS > lowUS {
-				continue // evidence around the window is still arriving
+			if hi+a.GraceUS > lowUS || blocked < hi {
+				waiting, blocked = slices.Insert(waiting, 0, w), w.StartMicros // evidence around the window is still arriving
+				continue
 			}
 			a.DelayUS = lowUS - w.EndMicros
 		}
-		if d.promote != nil {
-			d.promote(lo-a.GraceUS, hi+a.GraceUS)
-		}
 		a.Diagnosis.Window = w
-		due = append(due, a)
+		due = slices.Insert(due, 0, a)
 	}
 	if len(due) == 0 {
 		return nil, nil
 	}
-	ev, missing, err := core.BuildEvidence(d.db, time.Duration(d.windowUS)*time.Microsecond)
-	if errors.Is(err, core.ErrNoResources) || (err == nil && ev.Queues[core.Tiers[0]] == nil) {
-		// Resource or front-tier tables not in the warehouse yet; the
-		// windows stay unalerted and are retried on the next advance.
-		return nil, nil
+	// Promote the neighbourhood of every window this pass will classify,
+	// then build the evidence once for all of them: it is a function of
+	// the warehouse alone.
+	for _, a := range due {
+		if d.promote != nil {
+			lo, hi := core.ClassifySlice(a.Diagnosis.Window)
+			d.promote(lo-a.GraceUS, hi+a.GraceUS)
+		}
 	}
-	if err != nil {
+	ev, missing, err := core.BuildEvidence(d.db, time.Duration(d.windowUS)*time.Microsecond)
+	notYet := errors.Is(err, core.ErrNoResources)
+	if err == nil && ev.Queues[core.Tiers[0]] == nil {
+		err, notYet = fmt.Errorf("no %s_event table", core.Tiers[0]), true
+	}
+	switch {
+	case notYet && !final:
+		return nil, nil // not in the warehouse yet: retried on the next advance
+	case notYet:
+		return nil, fmt.Errorf("stream: shutdown left %d VLRT windows unclassified: %w", len(due), err)
+	case err != nil:
 		return nil, err
 	}
+	d.pending = waiting
 	for i := range due {
 		a := &due[i]
-		d.alerted = append(d.alerted, a.Diagnosis.Window)
 		a.Raised, a.Missing = time.Now(), missing
 		a.Diagnosis = core.ClassifyWindow(ev, a.Diagnosis.Window)
 	}
 	return due, nil
-}
-
-// overlapsAlerted dedups re-detections: as the watermark advances the same
-// episode is found again each pass (its bounds can shift a bucket as the
-// running average evolves), so any overlap with an alerted window skips it.
-func (d *detector) overlapsAlerted(w analysis.Window) bool {
-	for _, a := range d.alerted {
-		if w.StartMicros <= a.EndMicros && a.StartMicros <= w.EndMicros {
-			return true
-		}
-	}
-	return false
 }
 
 // finalLow is the watermark value advance receives at shutdown.

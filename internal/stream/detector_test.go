@@ -1,13 +1,17 @@
 package stream
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/gt-elba/milliscope/internal/analysis"
 	"github.com/gt-elba/milliscope/internal/core"
+	"github.com/gt-elba/milliscope/internal/metrics"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/simtime"
@@ -60,9 +64,9 @@ func spikeDetector(t *testing.T, db *mscopedb.DB, grace, residence time.Duration
 	d = newDetector(db, 50*time.Millisecond, grace, 2*time.Millisecond)
 	epoch := simtime.Epoch.UnixMicro()
 	for us := int64(10_000); us < 12_000_000; us += 5_000 {
-		d.pit.Observe(epoch+us-5_000, epoch+us)
+		d.eps.PIT.Observe(epoch+us-5_000, epoch+us)
 	}
-	d.pit.Observe(epoch+6_010_000-residence.Microseconds(), epoch+6_010_000)
+	d.eps.PIT.Observe(epoch+6_010_000-residence.Microseconds(), epoch+6_010_000)
 	return d, epoch + 6_050_000
 }
 
@@ -129,7 +133,7 @@ func TestDipDoesNotSplitAnEpisode(t *testing.T) {
 		start := end - 50_000
 		// Another 300 ms request departs in the bucket after the dip.
 		end2 := end + tc.dip + 50_000
-		d.pit.Observe(end2-40_000-300_000, end2-40_000)
+		d.eps.PIT.Observe(end2-40_000-300_000, end2-40_000)
 		if tc.want == 1 {
 			if alerts, _ := d.advance(end + wait); len(alerts) != 0 {
 				t.Fatalf("dip %d µs: the first spike was raised alone", tc.dip)
@@ -154,12 +158,18 @@ func TestDipDoesNotSplitAnEpisode(t *testing.T) {
 }
 
 // TestAdvanceRaisesVLRTEpisodes: the detector, fed a trial bucket by
-// bucket with the watermark following, raises exactly core.VLRTEpisodes of
-// the trial's PIT series: two spikes 100 ms apart as one, two 150 ms apart
-// as two, and a 3.7 s plateau with a 100 ms dip not at all.
+// bucket with the watermark following, raises online exactly the episodes
+// the batch Diagnose finds in the same requests (the rule run to the end):
+// two spikes 100 ms apart as one, two 150 ms apart as two, and a 3.7 s
+// plateau with a 100 ms dip not at all.
 func TestAdvanceRaisesVLRTEpisodes(t *testing.T) {
 	db, _ := batchBaseline(t)
 	d := newDetector(db, 50*time.Millisecond, DefaultGrace, 2*time.Millisecond)
+	batch := core.Episodes{PIT: metrics.NewPIT(50 * time.Millisecond)}
+	observe := func(ua, ud int64) {
+		d.eps.PIT.Observe(ua, ud)
+		batch.PIT.Observe(ua, ud)
+	}
 	epoch := simtime.Epoch.UnixMicro()
 	slow := func(i int) bool {
 		for _, sp := range [][2]int{{60, 61}, {64, 65}, {120, 121}, {125, 126}, {160, 195}, {198, 233}} {
@@ -169,9 +179,6 @@ func TestAdvanceRaisesVLRTEpisodes(t *testing.T) {
 		}
 		return false
 	}
-	var pit mscopedb.Series
-	var sum float64
-	var n int
 	var alerts []Alert
 	advance := func(lowUS int64) {
 		got, err := d.advance(lowUS)
@@ -182,23 +189,21 @@ func TestAdvanceRaisesVLRTEpisodes(t *testing.T) {
 	}
 	for i := 0; i < 240; i++ {
 		b := epoch + int64(i)*50_000
-		peak := 4_999.0
 		for k := int64(1); k <= 10; k++ {
-			d.pit.Observe(b+k*5_000-5_000, b+k*5_000-1)
-			sum, n = sum+4_999, n+1
+			observe(b+k*5_000-5_000, b+k*5_000-1)
 		}
 		if slow(i) {
-			d.pit.Observe(b+10_000-300_000, b+10_000)
-			sum, n, peak = sum+300_000, n+1, 300_000
+			observe(b+10_000-300_000, b+10_000)
 		}
-		pit.StartMicros = append(pit.StartMicros, b)
-		pit.Values = append(pit.Values, peak)
 		advance(b + 50_000)
 	}
 	advance(finalLow)
-	want := core.VLRTEpisodes(&pit, sum/float64(n))
-	if len(want) != 3 {
-		t.Fatalf("the trial has %d episodes, want 3: %+v", len(want), want)
+	want, _ := batch.Advance(math.MaxInt64)
+	spike := func(from, to int) analysis.Window {
+		return analysis.Window{StartMicros: epoch + int64(from)*50_000, EndMicros: epoch + int64(to+1)*50_000, Peak: 300_000}
+	}
+	if exp := []analysis.Window{spike(60, 65), spike(120, 121), spike(125, 126)}; !reflect.DeepEqual(want, exp) {
+		t.Fatalf("the trial's episodes are %+v, want %+v", want, exp)
 	}
 	if len(alerts) != len(want) {
 		t.Fatalf("%d alerts, want one per episode: %+v", len(alerts), want)
@@ -210,8 +215,51 @@ func TestAdvanceRaisesVLRTEpisodes(t *testing.T) {
 	}
 }
 
+// TestWindowWaitsForALaterEpisodeInItsSlice: a lead-in episode whose
+// slice the next episode starts inside is raised with that one, when it is
+// due; 300 ms later, past the slice, the next one does not hold it back.
+func TestWindowWaitsForALaterEpisodeInItsSlice(t *testing.T) {
+	db, _ := batchBaseline(t)
+	epoch := simtime.Epoch.UnixMicro()
+	for _, tc := range []struct {
+		convoyAt    int64
+		leadRaiseAt int64 // the lead-in's watermark, in µs into the trial
+	}{
+		{6_350_000, 7_850_000}, // the convoy's end 6.95 s + its 300 ms slice + 600 ms grace
+		{6_650_000, 7_100_000}, // the lead-in's own end 6.2 s + 300 ms + 600 ms
+	} {
+		d := newDetector(db, 50*time.Millisecond, DefaultGrace, 2*time.Millisecond)
+		slow := func(ud int64) bool {
+			return ud >= 6_000_000 && ud < 6_200_000 || ud >= tc.convoyAt && ud < tc.convoyAt+600_000
+		}
+		var alerts []Alert
+		for ud := int64(5_000); ud < 12_000_000; ud += 5_000 {
+			rt := int64(5_000)
+			if slow(ud) && ud%50_000 == 10_000 {
+				rt = 300_000
+			}
+			d.eps.PIT.Observe(epoch+ud-rt, epoch+ud)
+			if ud%50_000 == 0 {
+				got, err := d.advance(epoch + ud)
+				if err != nil {
+					t.Fatal(err)
+				}
+				alerts = append(alerts, got...)
+			}
+		}
+		if len(alerts) != 2 || alerts[0].Diagnosis.Window.EndMicros != epoch+6_200_000 {
+			t.Fatalf("convoy at %v: %d alerts %+v, want the lead-in then the convoy", at(tc.convoyAt), len(alerts), alerts)
+		}
+		if got := alerts[0].WatermarkUS - epoch; got != tc.leadRaiseAt {
+			t.Errorf("convoy at %v: the lead-in was raised at %v, want %v", at(tc.convoyAt), at(got), at(tc.leadRaiseAt))
+		}
+	}
+}
+
 // online reports whether the watermark, not the shutdown pass, raised a.
 func online(a Alert) bool { return a.WatermarkUS != finalLow }
+
+func at(us int64) time.Duration { return time.Duration(us) * time.Microsecond }
 
 // evidencePipeline is an unstarted pipeline over db whose detector has one
 // window due, and the watermark it is due at.
@@ -226,9 +274,10 @@ func evidencePipeline(t *testing.T, db *mscopedb.DB) (*Pipeline, int64) {
 	return p, end + 300_000 + 600_000
 }
 
-// TestEvidenceNotThereYetIsNotAnError: with the front tier loaded and no
-// resource table yet, a due window waits for the next pass in silence.
-func TestEvidenceNotThereYetIsNotAnError(t *testing.T) {
+// frontOnlyDB is the dbio trial's front-tier access log ingested alone: no
+// resource table.
+func frontOnlyDB(t *testing.T) *mscopedb.DB {
+	t.Helper()
 	logs := t.TempDir()
 	data, err := os.ReadFile(filepath.Join(stagedDBIO(t), "apache_access.log"))
 	if err != nil {
@@ -241,14 +290,39 @@ func TestEvidenceNotThereYetIsNotAnError(t *testing.T) {
 	if _, err := transform.IngestDir(db, logs, t.TempDir(), transform.DefaultPlan()); err != nil {
 		t.Fatal(err)
 	}
-	p, due := evidencePipeline(t, db)
+	return db
+}
+
+// TestEvidenceNotThereYetIsNotAnError: with the front tier loaded and no
+// resource table yet, a due window waits for the next pass in silence.
+func TestEvidenceNotThereYetIsNotAnError(t *testing.T) {
+	p, due := evidencePipeline(t, frontOnlyDB(t))
 	p.detect(selfobs.NewBuf(), "advance", due)
 	if st := p.Status(); st.EvidenceErrors != 0 || st.EvidenceError != "" || st.Alerts != 0 {
 		t.Errorf("missing collectl tables: %d evidence errors (%q), %d alerts; want a silent retry",
 			st.EvidenceErrors, st.EvidenceError, st.Alerts)
 	}
-	if len(p.det.alerted) != 0 {
-		t.Error("the window was marked alerted with no evidence to classify it")
+	if len(p.det.pending) != 1 {
+		t.Errorf("%d windows pending after a pass with no evidence to classify them, want the one", len(p.det.pending))
+	}
+}
+
+// TestShutdownCountsUnclassifiedWindows: at shutdown no later pass will
+// retry, so evidence still not there leaves the window unclassified, and
+// that is counted, named on /status and counted on /metrics.
+func TestShutdownCountsUnclassifiedWindows(t *testing.T) {
+	p, _ := evidencePipeline(t, frontOnlyDB(t))
+	p.detect(selfobs.NewBuf(), "final", finalLow)
+	st := p.Status()
+	if st.EvidenceErrors != 1 || st.Alerts != 0 {
+		t.Fatalf("shutdown with no resource table: %d evidence errors, %d alerts; want the failure counted",
+			st.EvidenceErrors, st.Alerts)
+	}
+	if !strings.Contains(st.EvidenceError, "shutdown left 1 VLRT windows unclassified") || !strings.Contains(st.EvidenceError, "no resource-monitor tables") {
+		t.Errorf("/status says %q, want the unclassified window and why", st.EvidenceError)
+	}
+	if !strings.Contains(p.MetricsText(), "\nmscope_detector_evidence_errors_total 1\n") {
+		t.Errorf("/metrics does not count the failed shutdown pass:\n%s", p.MetricsText())
 	}
 }
 
@@ -297,7 +371,7 @@ func TestEvidenceFailureIsCountedAndShown(t *testing.T) {
 	if !strings.Contains(p.MetricsText(), "\nmscope_detector_evidence_errors_total 2\n") {
 		t.Errorf("/metrics does not count the two failed passes:\n%s", p.MetricsText())
 	}
-	if len(p.det.alerted) != 0 {
-		t.Error("the window was marked alerted though its evidence never built")
+	if len(p.det.pending) != 1 {
+		t.Errorf("%d windows pending after passes whose evidence never built, want the one", len(p.det.pending))
 	}
 }

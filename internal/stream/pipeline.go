@@ -507,7 +507,7 @@ func (p *Pipeline) load(r rec, obs *selfobs.Buf) bool {
 			ua, ok1 := cell(c.ua, row, mscopedb.TInt)
 			ud, ok2 := cell(c.ud, row, mscopedb.TInt)
 			if ok1 && ok2 {
-				p.det.pit.Observe(ua, ud)
+				p.det.eps.PIT.Observe(ua, ud)
 			}
 		}
 		// Below full fidelity a row with a clock is degraded; the rare one
