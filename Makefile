@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all fast full size fmt build vet selfobs-lint test test-short race race-short bench bench-smoke overhead-check fidelity-check overload-soak dist-soak scenario-soak db-soak serve-smoke profile-ingest cover fuzz fuzz-smoke chaos live-smoke experiment clean
+.PHONY: all fast full examples size fmt build vet selfobs-lint test test-short race race-short bench bench-smoke overhead-check fidelity-check overload-soak dist-soak scenario-soak db-soak serve-smoke profile-ingest cover fuzz fuzz-smoke chaos live-smoke experiment clean
 
 all: full
 
@@ -12,9 +12,14 @@ all: full
 # passes its oracle checks. Under 90 s on two cores.
 fast: fmt build vet selfobs-lint race-short bench-smoke
 
-# fast, then the full suite, the smokes and soaks, and the two absolute
-# budgets bench/ does not measure.
-full: fast test live-smoke serve-smoke overload-soak dist-soak scenario-soak db-soak overhead-check fidelity-check
+# fast, then the full suite, every example, the smokes and soaks, and the
+# two absolute budgets bench/ does not measure.
+full: fast test examples live-smoke serve-smoke overload-soak dist-soak scenario-soak db-soak overhead-check fidelity-check
+
+# Every program under examples/ runs to the end (about 7 s on 2 vCPUs): the
+# build proves they compile, this that the API still does what they say.
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # The size numbers ROADMAP tracks per PR, each taken the one canonical way
 # (hand counts have disagreed): lines of non-test Go outside bench/; flag
@@ -211,7 +216,8 @@ chaos:
 # under the race detector; --expect-alert fails the run unless the online
 # detector raised at least one millibottleneck alert and shut down cleanly,
 # and unless the first alert fired sooner after its window than its slice
-# plus the whole 2 s grace ceiling: the wait must follow the ~320 ms residence
+# plus the whole 2 s grace ceiling (plus its hold, when a later episode
+# started inside its slice): the wait must follow the ~320 ms residence
 # of the flush (about 1.0 s in all: 0.32 s slice + 0.64 s grace), not the
 # 1 s pad + the 2 s constant (3.1 s).
 live-smoke:

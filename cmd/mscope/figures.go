@@ -26,25 +26,10 @@ func ingestDir(db *mscopedb.DB, logs, work, planPath string, opts transform.Opti
 	return transform.IngestDirWithOptions(db, logs, work, plan, opts)
 }
 
-// buildFigures resolves a figure name against a loaded warehouse.
+// buildFigures resolves a figure name against a loaded warehouse: Figure 9
+// compares it with a tap capture, every other figure renders its diagnosis.
 func buildFigures(db *mscopedb.DB, figure, trace string, window time.Duration) ([]*report.Figure, error) {
-	switch figure {
-	case "fig2":
-		fig, _, err := core.Fig2PointInTime(db, window)
-		return []*report.Figure{fig}, err
-	case "fig4":
-		fig, _, err := core.Fig4DiskUtil(db, 2*window)
-		return []*report.Figure{fig}, err
-	case "fig6":
-		fig, _, err := core.Fig6QueueLengths(db, window)
-		return []*report.Figure{fig}, err
-	case "fig7":
-		fig, _, err := core.Fig7Correlation(db, window)
-		return []*report.Figure{fig}, err
-	case "fig8":
-		figs, _, err := core.Fig8DirtyPage(db, window)
-		return figs, err
-	case "fig9":
+	if figure == "fig9" {
 		if trace == "" {
 			return nil, fmt.Errorf("report: fig9 requires --trace")
 		}
@@ -54,9 +39,29 @@ func buildFigures(db *mscopedb.DB, figure, trace string, window time.Duration) (
 		}
 		figs, _, err := core.Fig9Accuracy(db, msgs, 2*window)
 		return figs, err
-	default:
-		return nil, fmt.Errorf("unknown figure %q", figure)
 	}
+	// Without a resource plane Diagnose still hands back what the event
+	// tables give, which is all Figures 2 and 6 draw.
+	d, err := core.Diagnose(db, window)
+	if d == nil {
+		return nil, err
+	}
+	switch figure {
+	case "fig2":
+		return []*report.Figure{core.Fig2PointInTime(d)}, nil
+	case "fig4":
+		fig, _, err := core.Fig4DiskUtil(d)
+		return []*report.Figure{fig}, err
+	case "fig6":
+		return []*report.Figure{core.Fig6QueueLengths(d)}, nil
+	case "fig7":
+		fig, _, err := core.Fig7Correlation(d)
+		return []*report.Figure{fig}, err
+	case "fig8":
+		figs, _, err := core.Fig8DirtyPage(d)
+		return figs, err
+	}
+	return nil, fmt.Errorf("unknown figure %q", figure)
 }
 
 // printEvaluation renders every figure of the evaluation, then its claims

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"github.com/gt-elba/milliscope"
-	"github.com/gt-elba/milliscope/internal/analysis"
-	"github.com/gt-elba/milliscope/internal/mscopedb"
 )
 
 func main() {
@@ -41,19 +39,25 @@ func run() error {
 		return err
 	}
 
-	// Figure 2: the Point-in-Time response time peak.
-	fig2, pit, err := milliscope.Fig2PointInTime(db, 50*time.Millisecond)
+	// One diagnosis of the trial; each figure renders a step of it.
+	d, err := milliscope.Diagnose(db, 50*time.Millisecond)
 	if err != nil {
 		return err
 	}
-	if err := fig2.Render(os.Stdout, 90, 14); err != nil {
+	if len(d.Windows) == 0 {
+		return fmt.Errorf("no VLRT window detected")
+	}
+	w := d.Windows[0]
+
+	// Figure 2: the Point-in-Time response time peak.
+	if err := milliscope.Fig2PointInTime(d).Render(os.Stdout, 90, 14); err != nil {
 		return err
 	}
 	fmt.Printf("\n→ maximum PIT response time is %.1fx the average (paper: >20x)\n\n",
-		pit.PeakFactor())
+		d.PIT.PeakFactor())
 
 	// Figure 4: disk utilization — only the DB tier saturates.
-	fig4, _, err := milliscope.Fig4DiskUtil(db, 100*time.Millisecond)
+	fig4, _, err := milliscope.Fig4DiskUtil(d)
 	if err != nil {
 		return err
 	}
@@ -63,52 +67,28 @@ func run() error {
 	fmt.Println()
 
 	// Figure 6: cross-tier queue pushback.
-	fig6, q, err := milliscope.Fig6QueueLengths(db, 50*time.Millisecond)
-	if err != nil {
+	if err := milliscope.Fig6QueueLengths(d).Render(os.Stdout, 90, 12); err != nil {
 		return err
-	}
-	if err := fig6.Render(os.Stdout, 90, 12); err != nil {
-		return err
-	}
-	if q.Window.Duration() == 0 {
-		return fmt.Errorf("no VLRT window detected")
 	}
 	fmt.Printf("\n→ VLRT window of %v; queues grew at %v (cross-tier pushback: %v)\n\n",
-		q.Window.Duration().Round(time.Millisecond), q.Pushback.Grew, q.Pushback.CrossTier)
+		w.Window.Duration().Round(time.Millisecond), w.Pushback.Grew, w.Pushback.CrossTier)
 
-	// Figure 7: correlation names the DB disk as the very short bottleneck.
-	fig7, corr, err := milliscope.Fig7Correlation(db, 50*time.Millisecond)
+	// Figure 7: the DB disk against the Apache queue over the window.
+	fig7, _, err := milliscope.Fig7Correlation(d)
 	if err != nil {
 		return err
 	}
 	if err := fig7.Render(os.Stdout, 90, 12); err != nil {
 		return err
 	}
-	fmt.Printf("\n→ DB disk utilization vs Apache queue: r = %.3f\n", corr)
 
-	// Root-cause ranking across every tier's disk.
-	candidates := map[string]*mscopedb.Series{}
-	for _, tier := range milliscope.Tiers {
-		tbl, err := db.Table(tier + "_collectlcsv")
-		if err != nil {
-			return err
-		}
-		resRows, err := tbl.Select().Rows()
-		if err != nil {
-			return err
-		}
-		s, err := resRows.WindowAgg("ts", 50*time.Millisecond, "dsk_util", mscopedb.AggMax)
-		if err != nil {
-			return err
-		}
-		candidates[tier+" disk"] = s
-	}
-	causes := analysis.RankRootCauses(q.Queues["apache"], candidates, q.Window)
-	fmt.Println("\nroot-cause ranking (correlation with apache queue):")
-	for i, c := range causes {
+	// The ranking the verdict was read from: every gauge by its
+	// correlation with the Apache queue around the window.
+	fmt.Println("\nroot-cause ranking (lag-adjusted correlation with apache queue):")
+	for i, c := range w.Causes {
 		fmt.Printf("  %d. %-12s r=%.3f peak-in-window=%.1f%%\n",
 			i+1, c.Name, c.Correlation, c.PeakInWindow)
 	}
-	fmt.Printf("\ndiagnosis: %s is the very short bottleneck\n", causes[0].Name)
+	fmt.Printf("\ndiagnosis: %s\n", w.Verdict)
 	return nil
 }

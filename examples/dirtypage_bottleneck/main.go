@@ -40,7 +40,11 @@ func run() error {
 		return err
 	}
 
-	figs, stats, err := milliscope.Fig8DirtyPage(db, 50*time.Millisecond)
+	d, err := milliscope.Diagnose(db, 50*time.Millisecond)
+	if err != nil {
+		return err
+	}
+	figs, _, err := milliscope.Fig8DirtyPage(d)
 	if err != nil {
 		return err
 	}
@@ -52,16 +56,10 @@ func run() error {
 	}
 
 	fmt.Printf("→ %d response-time peaks detected (avg RT %.1f ms, peak factor %.1fx)\n",
-		len(stats.VLRTWindows), stats.PIT.AvgUS/1000, stats.PIT.PeakFactor())
-	for i, pb := range stats.Pushback {
-		verdict := "single-tier (web node recycling)"
-		if pb.CrossTier {
-			verdict = "cross-tier pushback (app node recycling)"
-		}
-		fmt.Printf("  peak %d: queues grew at %v → %s\n", i+1, pb.Grew, verdict)
+		len(d.Windows), d.PIT.AvgUS/1000, d.PIT.PeakFactor())
+	for i, w := range d.Windows {
+		fmt.Printf("  peak %d: queues grew at %v (cross-tier: %v) → %s\n",
+			i+1, w.Pushback.Grew, w.Pushback.CrossTier, w.Verdict)
 	}
-	fmt.Println("\ndiagnosis: both peaks are dirty-page recycling episodes, on different nodes —")
-	fmt.Println("the same symptom (a ~1s PIT spike) with two distinct root causes, which is")
-	fmt.Println("exactly why the paper integrates event and resource monitors in one warehouse.")
 	return nil
 }

@@ -42,7 +42,7 @@ func run() error {
 	}
 	fmt.Println("trial:", res.Stats)
 
-	// 2. Ingest: declaration → parse → annotated XML → CSV → warehouse.
+	// 2. Ingest: declaration → parse → typed columns → warehouse.
 	db, rep, err := res.Ingest(filepath.Join(base, "work"))
 	if err != nil {
 		return err

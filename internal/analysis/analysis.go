@@ -6,7 +6,6 @@ package analysis
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
@@ -182,41 +181,10 @@ func DetectPushback(queues map[string]*mscopedb.Series, tierOrder []string, w Wi
 
 // Cause is one ranked root-cause candidate.
 type Cause struct {
-	// Name identifies the resource series ("mysql disk util", ...).
+	// Name identifies the resource series ("mysql disk", ...).
 	Name string
 	// Correlation with the front-tier queue over the analysis range.
 	Correlation float64
 	// PeakInWindow is the resource's peak value inside the anomaly window.
 	PeakInWindow float64
-}
-
-// RankRootCauses orders candidate resource series by their correlation
-// with the reference (front-tier queue) series, breaking ties by in-window
-// peak. This is the paper's final diagnostic step: the DB disk's
-// correlation with the Apache queue (Figure 7) identifies the VSB's cause.
-func RankRootCauses(reference *mscopedb.Series, candidates map[string]*mscopedb.Series, w Window) []Cause {
-	out := make([]Cause, 0, len(candidates))
-	for name, s := range candidates {
-		corr, n := Correlate(reference, s)
-		if n == 0 {
-			continue
-		}
-		peak := 0.0
-		for _, v := range SliceSeries(s, w.StartMicros, w.EndMicros).Values {
-			if v > peak {
-				peak = v
-			}
-		}
-		out = append(out, Cause{Name: name, Correlation: corr, PeakInWindow: peak})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Correlation != out[j].Correlation {
-			return out[i].Correlation > out[j].Correlation
-		}
-		if out[i].PeakInWindow != out[j].PeakInWindow {
-			return out[i].PeakInWindow > out[j].PeakInWindow
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }

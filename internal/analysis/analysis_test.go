@@ -159,30 +159,6 @@ func TestDetectPushback(t *testing.T) {
 	}
 }
 
-func TestRankRootCauses(t *testing.T) {
-	// Reference: apache queue spikes in window.
-	ref := series(0, 1000, 1, 1, 1, 50, 60, 50, 1, 1)
-	candidates := map[string]*mscopedb.Series{
-		"mysql disk util":  series(0, 1000, 10, 10, 10, 98, 99, 97, 10, 10),
-		"apache disk util": series(0, 1000, 5, 6, 5, 6, 5, 6, 5, 6),
-		"tomcat cpu":       series(0, 1000, 30, 31, 30, 32, 31, 30, 31, 30),
-	}
-	w := Window{StartMicros: 3000, EndMicros: 5000}
-	causes := RankRootCauses(ref, candidates, w)
-	if len(causes) != 3 {
-		t.Fatalf("causes %+v", causes)
-	}
-	if causes[0].Name != "mysql disk util" {
-		t.Fatalf("top cause %+v", causes[0])
-	}
-	if causes[0].Correlation < 0.9 {
-		t.Fatalf("top correlation %v", causes[0].Correlation)
-	}
-	if causes[0].PeakInWindow != 99 {
-		t.Fatalf("peak %v", causes[0].PeakInWindow)
-	}
-}
-
 func TestWindowDuration(t *testing.T) {
 	w := Window{StartMicros: 1000, EndMicros: 351_000}
 	if w.Duration() != 350*time.Millisecond {

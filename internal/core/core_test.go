@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,24 +36,23 @@ func runScenario(t *testing.T, cfg ExperimentConfig) (*ExperimentResult, *mscope
 // TestScenarioDBIO asserts the Section V-A diagnosis end to end: the DB
 // redo-log flush produces a >10x response-time peak (Fig 2), DB-only disk
 // saturation (Fig 4), cross-tier pushback (Fig 6), and a strong DB-disk /
-// Apache-queue correlation (Fig 7).
+// Apache-queue correlation (Fig 7) that ranks the DB disk first.
 func TestScenarioDBIO(t *testing.T) {
 	cfg := ScenarioDBIO(t.TempDir())
 	_, db := runScenario(t, cfg)
-
-	// Fig 2: the PIT peak dwarfs the average.
-	fig2, pit, err := Fig2PointInTime(db, 50*time.Millisecond)
+	d, err := Diagnose(db, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pit.PeakFactor() < 10 {
+
+	// Fig 2: the PIT peak dwarfs the average.
+	if pit := d.PIT; pit.PeakFactor() < 10 {
 		t.Fatalf("peak factor %.1f, want >10 (paper: >20x)", pit.PeakFactor())
-	}
-	if pit.AvgUS > 50_000 {
+	} else if pit.AvgUS > 50_000 {
 		t.Fatalf("avg RT %.1fms implausibly high for healthy baseline", pit.AvgUS/1000)
 	}
 	var buf bytes.Buffer
-	if err := fig2.Render(&buf, 72, 14); err != nil {
+	if err := Fig2PointInTime(d).Render(&buf, 72, 14); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
@@ -59,7 +60,7 @@ func TestScenarioDBIO(t *testing.T) {
 	}
 
 	// Fig 4: only the DB tier's disk saturates.
-	_, diskPeaks, err := Fig4DiskUtil(db, 100*time.Millisecond)
+	_, diskPeaks, err := Fig4DiskUtil(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,22 +73,11 @@ func TestScenarioDBIO(t *testing.T) {
 		}
 	}
 
-	// Fig 6: cross-tier pushback during the VLRT window.
-	_, fig6, err := Fig6QueueLengths(db, 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, windows, err := frontEpisodes(db, 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(windows) == 0 {
+	// Fig 6: cross-tier pushback during the first VLRT window.
+	if len(d.Windows) == 0 {
 		t.Fatal("no VLRT windows detected")
 	}
-	if fig6.Window != windows[0] {
-		t.Fatalf("Fig 6 window %+v, first VLRT episode %+v", fig6.Window, windows[0])
-	}
-	pb := fig6.Pushback
+	pb := d.Windows[0].Pushback
 	if !pb.CrossTier {
 		t.Fatalf("no cross-tier pushback: %+v", pb)
 	}
@@ -97,27 +87,25 @@ func TestScenarioDBIO(t *testing.T) {
 	}
 
 	// Fig 7: over the bottleneck neighbourhood the DB disk correlates
-	// strongly with the Apache queue.
-	_, corr, err := Fig7Correlation(db, 50*time.Millisecond)
+	// strongly with the Apache queue, and the figure's r is the one the
+	// verdict quotes: one number for the DB disk, not one per reader.
+	fig7, corr, err := Fig7Correlation(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if corr < 0.5 {
 		t.Fatalf("mysql-disk/apache-queue correlation %.3f, want high", corr)
 	}
-
-	// Root-cause ranking puts the DB disk first among disk candidates.
-	apacheQ := fig6.Queues["apache"]
-	candidates := map[string]*mscopedb.Series{}
-	for _, tier := range Tiers {
-		s, err := resourceSeriesForTier(db, tier, "dsk_util", 50*time.Millisecond, mscopedb.AggMax)
-		if err != nil {
-			t.Fatal(err)
-		}
-		candidates[tier+" disk"] = s
+	v := d.Windows[0].Verdict
+	if want := fmt.Sprintf("disk-io at mysql (r=%.2f,", corr); !strings.HasPrefix(v, want) {
+		t.Fatalf("Fig 7 r = %.4f, verdict %q", corr, v)
 	}
-	causes := analysis.RankRootCauses(apacheQ, candidates, windows[0])
-	if len(causes) == 0 || causes[0].Name != "mysql disk" {
+	if !slices.Contains(fig7.Notes, "verdict: "+v) {
+		t.Fatalf("Fig 7 notes %q do not quote the verdict %q", fig7.Notes, v)
+	}
+
+	// The ranking puts the DB disk first among every candidate.
+	if causes := d.Windows[0].Causes; len(causes) == 0 || causes[0].Name != "mysql disk" {
 		t.Fatalf("root cause ranking: %+v", causes)
 	}
 }
@@ -128,34 +116,33 @@ func TestScenarioDBIO(t *testing.T) {
 func TestScenarioDirtyPage(t *testing.T) {
 	cfg := ScenarioDirtyPage(t.TempDir())
 	_, db := runScenario(t, cfg)
+	d, err := Diagnose(db, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	figs, stats, err := Fig8DirtyPage(db, 50*time.Millisecond)
+	figs, _, err := Fig8DirtyPage(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(figs) != 4 {
 		t.Fatalf("%d subfigures", len(figs))
 	}
-	if stats.PIT.PeakFactor() < 10 {
-		t.Fatalf("peak factor %.1f", stats.PIT.PeakFactor())
+	if d.PIT.PeakFactor() < 10 {
+		t.Fatalf("peak factor %.1f", d.PIT.PeakFactor())
 	}
-	if len(stats.VLRTWindows) != 2 {
-		t.Fatalf("%d VLRT windows, want 2 (two dirty-page episodes)", len(stats.VLRTWindows))
+	if len(d.Windows) != 2 {
+		t.Fatalf("%d VLRT windows, want 2 (two dirty-page episodes)", len(d.Windows))
 	}
-	// The figure flags the windows Diagnose classifies: one VLRT rule.
-	diag, err := Diagnose(db, 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var diagWindows []analysis.Window
-	for _, wd := range diag.Windows {
-		diagWindows = append(diagWindows, wd.Window)
-	}
-	if !slices.Equal(stats.VLRTWindows, diagWindows) {
-		t.Fatalf("Fig8 windows %+v, Diagnose windows %+v", stats.VLRTWindows, diagWindows)
+	// Two look-alike peaks, two root causes: recycling on the web node,
+	// then on the app node.
+	for i, node := range []string{"apache", "tomcat"} {
+		if w := d.Windows[i]; w.Kind != CauseDirtyPage || w.Node != node {
+			t.Fatalf("peak %d: %s, want dirty-page recycling at %s", i+1, w.Verdict, node)
+		}
 	}
 	// Peak 1 (apache episode): apache queue grows, tomcat's does not.
-	pb1 := stats.Pushback[0]
+	pb1 := d.Windows[0].Pushback
 	if !contains(pb1.Grew, "apache") {
 		t.Fatalf("peak 1 did not grow apache queue: %+v", pb1)
 	}
@@ -163,7 +150,7 @@ func TestScenarioDirtyPage(t *testing.T) {
 		t.Fatalf("peak 1 grew tomcat queue: %+v (should be apache-only)", pb1)
 	}
 	// Peak 2 (tomcat episode): both apache and tomcat queues grow.
-	pb2 := stats.Pushback[1]
+	pb2 := d.Windows[1].Pushback
 	if !contains(pb2.Grew, "apache") || !contains(pb2.Grew, "tomcat") {
 		t.Fatalf("peak 2 pushback: %+v (want apache+tomcat)", pb2)
 	}
@@ -172,11 +159,8 @@ func TestScenarioDirtyPage(t *testing.T) {
 	}
 
 	// Fig 8c: CPU saturation on the affected nodes during their episodes.
-	apacheCPU, err := resourceSeriesForTier(db, "apache", "cpu_sys", 50*time.Millisecond, mscopedb.AggMax)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1 := stats.VLRTWindows[0]
+	apacheCPU := d.Evidence.candidate(CauseCPU, "apache")
+	w1 := d.Windows[0].Window
 	peakIn := func(s *mscopedb.Series, w analysis.Window, padUS int64) float64 {
 		p := 0.0
 		for _, v := range analysis.SliceSeries(s, w.StartMicros-padUS, w.EndMicros+padUS).Values {
@@ -188,14 +172,11 @@ func TestScenarioDirtyPage(t *testing.T) {
 	}
 	pad := (600 * time.Millisecond).Microseconds()
 	if p := peakIn(apacheCPU, w1, pad); p < 80 {
-		t.Fatalf("apache system CPU peaked at %.1f%% during episode 1, want saturation", p)
+		t.Fatalf("apache CPU peaked at %.1f%% during episode 1, want saturation", p)
 	}
 
 	// Fig 8d: apache dirty cache rises above 250MB then collapses.
-	apacheDirty, err := resourceSeriesForTier(db, "apache", "mem_dirty", 50*time.Millisecond, mscopedb.AggMax)
-	if err != nil {
-		t.Fatal(err)
-	}
+	apacheDirty := d.Evidence.Dirty["apache"]
 	maxDirty, endDirty := 0.0, 0.0
 	for i, v := range apacheDirty.Values {
 		if v > maxDirty {

@@ -156,10 +156,14 @@ type WindowDiagnosis struct {
 	Verdict string
 }
 
-// Diagnosis is the full analysis of one ingested trial.
+// Diagnosis is the full analysis of one ingested trial: the one reading
+// of it that the paper's figures 2, 4, 6, 7 and 8 render.
 type Diagnosis struct {
 	PIT     *metrics.PITResult
 	Windows []WindowDiagnosis
+	// Evidence is what the windows were classified against, read once
+	// per trial whether or not it has a window.
+	Evidence *Evidence
 	// MissingSources lists warehouse tables the diagnosis wanted but found
 	// absent (a tier's log lost or rejected by the ingest error budget).
 	// Their sensors are simply excluded; a nonzero list means the verdict
@@ -185,9 +189,10 @@ type ResourceCandidate struct {
 
 // Evidence is the sensor set a window classification consults: per-tier
 // queue series, ranked resource candidates, and the corroborating
-// dirty-page and CPU-frequency gauges. The batch Diagnose builds it from
-// warehouse tables; the streaming detector builds it incrementally from
-// closed windows — both hand it to the same ClassifyWindow.
+// dirty-page and CPU-frequency gauges. Diagnose builds it once per trial
+// and keeps it on the Diagnosis; the streaming detector builds it over the
+// whole warehouse on each pass that has a window due — both hand it to the
+// same ClassifyWindow.
 type Evidence struct {
 	// Queues maps tier → queue-length series (front tier required for a
 	// meaningful classification; missing tiers contribute nothing).
@@ -218,6 +223,7 @@ var ErrNoResources = errors.New("core: no resource-monitor tables in the warehou
 // warehouse at the given window width, recording absent tables in missing
 // instead of failing. Unreadable tables aside, it errors only when no resource
 // table exists: with zero candidates there is nothing to correlate against.
+// That error, ErrNoResources, still comes with what the event tables give.
 func BuildEvidence(db *mscopedb.DB, window time.Duration) (*Evidence, []string, error) {
 	ev := &Evidence{
 		Queues:    make(map[string]*mscopedb.Series, len(Tiers)),
@@ -317,9 +323,25 @@ func BuildEvidence(db *mscopedb.DB, window time.Duration) (*Evidence, []string, 
 	}
 	sp.End(int64(len(ev.NetLag)), 0)
 	if len(ev.Candidates) == 0 {
-		return nil, missing, fmt.Errorf("%w (missing %v): diagnosis needs at least one tier's resource plane", ErrNoResources, missing)
+		return ev, missing, fmt.Errorf("%w (missing %v): diagnosis needs at least one tier's resource plane", ErrNoResources, missing)
 	}
 	return ev, missing, nil
+}
+
+// addSeries sums two series defined on the same window grid (same table).
+func addSeries(a, b *mscopedb.Series) *mscopedb.Series {
+	out := &mscopedb.Series{}
+	bv := make(map[int64]float64, len(b.StartMicros))
+	for i, t := range b.StartMicros {
+		bv[t] = b.Values[i]
+	}
+	for i, t := range a.StartMicros {
+		if v, ok := bv[t]; ok {
+			out.StartMicros = append(out.StartMicros, t)
+			out.Values = append(out.Values, a.Values[i]+v)
+		}
+	}
+	return out
 }
 
 // ClassifySlice is the correlation slice [lo, hi] ClassifyWindow reads
@@ -333,8 +355,8 @@ func ClassifySlice(w analysis.Window) (lo, hi int64) {
 	return w.StartMicros - pad, w.EndMicros + min(int64(w.Peak), pad)
 }
 
-// Episodes is the one VLRT episode rule of the batch Diagnose, the figures
-// and the live detector, causal so that it runs the same online and
+// Episodes is the one VLRT episode rule of the batch Diagnose (so of the
+// figures) and the live detector, causal so that it runs the same online and
 // offline: a closed window of PIT is flagged when its maximum response
 // time exceeds VLRTFactor × the mean of the requests in the unflagged
 // windows before it (none before: never flagged); flagged windows at most
@@ -397,20 +419,6 @@ func (e *Episodes) settle() {
 	e.open, e.heldSum, e.heldN = nil, 0, 0
 }
 
-// frontEpisodes runs the rule over the front-tier event table to the end.
-func frontEpisodes(db *mscopedb.DB, window time.Duration) (*Episodes, []analysis.Window, error) {
-	e := &Episodes{}
-	tbl, err := db.Table(Tiers[0] + "_event")
-	if err == nil {
-		e.PIT, err = metrics.PointInTimeRT(tbl, window)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	eps, _ := e.Advance(math.MaxInt64)
-	return e, eps, nil
-}
-
 // ClassifyWindow names the root cause of one VLRT window from the
 // evidence: classify queue pushback, rank every candidate resource by
 // lag-adjusted correlation with the front-tier queue around the window,
@@ -418,12 +426,7 @@ func frontEpisodes(db *mscopedb.DB, window time.Duration) (*Episodes, []analysis
 // sensors. Both the batch Diagnose and the streaming online detector call
 // this — the verdict logic exists exactly once.
 func ClassifyWindow(ev *Evidence, w analysis.Window) WindowDiagnosis {
-	wd := WindowDiagnosis{Window: w}
-	// Queues build while the resource is held and the PIT spike lands
-	// when the stuck requests complete, so inspect the lead-in too.
-	wide := w
-	wide.StartMicros -= PushbackLeadIn.Microseconds()
-	wd.Pushback = analysis.DetectPushback(ev.Queues, Tiers, wide, PushbackGrowth)
+	wd := WindowDiagnosis{Window: w, Pushback: leadInPushback(ev.Queues, w)}
 
 	lo, hi := ClassifySlice(w)
 	// The front tier's queue is the correlation reference; without it every
@@ -521,6 +524,14 @@ func ClassifyWindow(ev *Evidence, w analysis.Window) WindowDiagnosis {
 	return wd
 }
 
+// leadInPushback is the queue pushback over w widened by PushbackLeadIn:
+// queues build while the resource is held and the PIT spike lands when the
+// stuck requests complete, so the lead-in is inspected too.
+func leadInPushback(queues map[string]*mscopedb.Series, w analysis.Window) analysis.PushbackResult {
+	w.StartMicros -= PushbackLeadIn.Microseconds()
+	return analysis.DetectPushback(queues, Tiers, w, PushbackGrowth)
+}
+
 // readsDominate reports whether in-window disk reads on the tier exceed
 // the stampede floor and dominate writes by the stampede factor.
 func readsDominate(ev *Evidence, tier string, w analysis.Window) bool {
@@ -591,37 +602,50 @@ func structuralVerdict(ev *Evidence, pb analysis.PushbackResult) (CauseKind, str
 }
 
 // Diagnose runs the paper's workflow over an ingested trial: find VLRT
-// windows in the Point-in-Time series, classify queue pushback, rank
-// resource candidates by correlation with the front-tier queue, and name
-// the root cause per window.
+// windows in the Point-in-Time series, read the evidence, classify queue
+// pushback, rank resource candidates by correlation with the front-tier
+// queue, and name the root cause per window.
 //
 // The front tier's event table is required — without it there is no
 // response-time series to diagnose. Every other source degrades: a tier
 // with no event table contributes no queue, a tier with no collectl table
 // contributes no resource candidates, and each absence is recorded in
-// Diagnosis.MissingSources instead of failing the run.
+// Diagnosis.MissingSources instead of failing the run. With no resource
+// table at all, a trial with a window to classify fails with
+// ErrNoResources, but the diagnosis still comes back holding what the event
+// tables give: the PIT, the queues, and each window with its pushback.
 func Diagnose(db *mscopedb.DB, window time.Duration) (*Diagnosis, error) {
 	obs := selfobs.NewBuf()
 	defer obs.Close()
 	sp := obs.Begin(selfobs.PipeDiagnose, "pit", "-", "")
-	eps, vlrts, err := frontEpisodes(db, window)
+	var eps Episodes
+	tbl, err := db.Table(Tiers[0] + "_event")
+	if err == nil {
+		eps.PIT, err = metrics.PointInTimeRT(tbl, window)
+	}
 	if err != nil {
 		return nil, err
 	}
+	vlrts, _ := eps.Advance(math.MaxInt64) // the rule run to the end
 	out := &Diagnosis{PIT: eps.PIT.Result(math.MinInt64, math.MaxInt64)}
 	sp.End(int64(out.PIT.Requests), 0)
-	if len(vlrts) == 0 {
-		return out, nil
-	}
 
-	ev, missing, err := BuildEvidence(db, window)
-	out.MissingSources = missing
+	out.Evidence, out.MissingSources, err = BuildEvidence(db, window)
+	if errors.Is(err, ErrNoResources) {
+		for _, w := range vlrts {
+			out.Windows = append(out.Windows, WindowDiagnosis{Window: w, Pushback: leadInPushback(out.Evidence.Queues, w)})
+		}
+		if len(vlrts) == 0 {
+			err = nil
+		}
+		return out, err
+	}
 	if err != nil {
 		return nil, err
 	}
 	sp = obs.Begin(selfobs.PipeDiagnose, "classify", "-", "")
 	for _, w := range vlrts {
-		out.Windows = append(out.Windows, ClassifyWindow(ev, w))
+		out.Windows = append(out.Windows, ClassifyWindow(out.Evidence, w))
 	}
 	sp.End(int64(len(out.Windows)), 0)
 	return out, nil

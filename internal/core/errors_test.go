@@ -1,39 +1,67 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 )
 
-// TestFiguresFailWithoutTables: figure builders against a warehouse
-// missing the needed tables surface clean errors, never panics.
+// TestFiguresFailWithoutTables: Diagnose refuses a warehouse without the
+// front tier's events, and the figures that need the resource plane refuse
+// a diagnosis without one with clean errors, never panics.
 func TestFiguresFailWithoutTables(t *testing.T) {
-	db := mscopedb.Open()
-	if _, _, err := Fig2PointInTime(db, time.Millisecond); err == nil {
-		t.Fatal("fig2 without apache_event accepted")
+	if _, err := Diagnose(mscopedb.Open(), time.Millisecond); err == nil {
+		t.Fatal("diagnose without tables accepted")
 	}
-	if _, _, err := Fig4DiskUtil(db, time.Millisecond); err == nil {
+	cfg := ScenarioDBIO(t.TempDir())
+	cfg.Resmon, cfg.Injectors = nil, nil // a clean trial, event monitors only
+	cfg.Ntier.Users = 20
+	cfg.Ntier.Duration = time.Second
+	res, err := RunExperiment(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, _, err := res.Ingest(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Diagnose(db, 50*time.Millisecond)
+	if err != nil {
+		t.Fatalf("a clean event-only trial: %v", err)
+	}
+	eventOnlyFigures(t, d)
+}
+
+// eventOnlyFigures checks a diagnosis without a resource plane: Figures 2
+// and 6 render it, 4, 7 and 8 refuse it.
+func eventOnlyFigures(t *testing.T, d *Diagnosis) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Fig2PointInTime(d).Render(&buf, 40, 6); err != nil {
+		t.Fatalf("fig2 on an event-only diagnosis: %v", err)
+	}
+	if err := Fig6QueueLengths(d).Render(&buf, 40, 6); err != nil {
+		t.Fatalf("fig6 on an event-only diagnosis: %v", err)
+	}
+	if _, _, err := Fig4DiskUtil(d); err == nil {
 		t.Fatal("fig4 without collectl tables accepted")
 	}
-	if _, _, err := Fig6QueueLengths(db, time.Millisecond); err == nil {
-		t.Fatal("fig6 without event tables accepted")
+	if _, _, err := Fig7Correlation(d); err == nil {
+		t.Fatal("fig7 without collectl tables accepted")
 	}
-	if _, _, err := Fig7Correlation(db, time.Millisecond); err == nil {
-		t.Fatal("fig7 without tables accepted")
-	}
-	if _, _, err := Fig8DirtyPage(db, time.Millisecond); err == nil {
-		t.Fatal("fig8 without tables accepted")
-	}
-	if _, err := Diagnose(db, time.Millisecond); err == nil {
-		t.Fatal("diagnose without tables accepted")
+	if _, _, err := Fig8DirtyPage(d); err == nil {
+		t.Fatal("fig8 without collectl tables accepted")
 	}
 }
 
 // TestDiagnoseWithoutResourceMonitors: an event-only warehouse (no
-// collectl tables) fails with a useful error — diagnosis needs the
-// resource plane, which is the paper's whole point.
+// collectl tables) with a window to classify fails with a useful error —
+// diagnosis needs the resource plane, which is the paper's whole point —
+// yet hands back what the event tables give, for the figures that need
+// nothing more.
 func TestDiagnoseWithoutResourceMonitors(t *testing.T) {
 	cfg := ScenarioDBIO(t.TempDir())
 	cfg.Resmon = nil // event monitors only
@@ -47,16 +75,14 @@ func TestDiagnoseWithoutResourceMonitors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Diagnose(db, 50*time.Millisecond); err == nil {
-		t.Fatal("diagnose without resource tables accepted")
+	d, err := Diagnose(db, 50*time.Millisecond)
+	if !errors.Is(err, ErrNoResources) {
+		t.Fatalf("diagnose without resource tables: %v, want ErrNoResources", err)
 	}
-	// But the event-only figures still work.
-	if _, _, err := Fig2PointInTime(db, 50*time.Millisecond); err != nil {
-		t.Fatalf("fig2 on event-only warehouse: %v", err)
+	if len(d.Windows) == 0 || len(d.Windows[0].Pushback.Grew) == 0 || d.Windows[0].Kind != CauseUnknown {
+		t.Fatalf("event-only windows %+v, want them with their pushback and unclassified", d.Windows)
 	}
-	if _, _, err := Fig6QueueLengths(db, 50*time.Millisecond); err != nil {
-		t.Fatalf("fig6 on event-only warehouse: %v", err)
-	}
+	eventOnlyFigures(t, d)
 }
 
 // TestOverheadSweepValidation: malformed sweeps are rejected.

@@ -135,11 +135,14 @@ func (e *evaluator) scenarioA() error {
 		return err
 	}
 	e.dbA, e.logsA = db, res.Config.LogDir
-	fig2, pit, err := Fig2PointInTime(db, DefaultWindow)
+	d, err := Diagnose(db, DefaultWindow)
 	if err != nil {
 		return err
 	}
-	fig4, disk, err := Fig4DiskUtil(db, 2*DefaultWindow)
+	if len(d.Windows) == 0 {
+		return fmt.Errorf("core: scenario A: no VLRT window")
+	}
+	fig4, disk, err := Fig4DiskUtil(d)
 	if err != nil {
 		return err
 	}
@@ -147,15 +150,12 @@ func (e *evaluator) scenarioA() error {
 	if err != nil {
 		return err
 	}
-	fig6, q, err := Fig6QueueLengths(db, DefaultWindow)
+	fig7, corr, err := Fig7Correlation(d)
 	if err != nil {
 		return err
 	}
-	fig7, corr, err := Fig7Correlation(db, DefaultWindow)
-	if err != nil {
-		return err
-	}
-	e.Figures = append(e.Figures, fig2, fig4, fig5, fig6, fig7)
+	e.Figures = append(e.Figures, Fig2PointInTime(d), fig4, fig5, Fig6QueueLengths(d), fig7)
+	pit, first := d.PIT, d.Windows[0]
 	e.Claims = append(e.Claims,
 		Claim{"Fig 2", "the PIT peak is more than twenty times the average", "PIT peak / average RT", pit.PeakFactor(), "×", "≥", 20},
 		Claim{"Fig 2", "the average response time stays low", "average RT", pit.AvgUS / 1000, "ms", "≤", 20},
@@ -169,9 +169,9 @@ func (e *evaluator) scenarioA() error {
 		Claim{"Fig 5", "each path keeps happens-before across the tiers", "traces within 1.5 ms skew", 100 * float64(tr.Valid) / float64(max(tr.Traces, 1)), "%", "≥", 100},
 		Claim{"Fig 5", "the per-tier breakdown names the server causing the VLRT requests", "slowest request local to mysql", tr.SlowestDBShare, "%", "≥", 50},
 		Claim{"Fig 5", "the VSB touches only a few requests", "mysql p99 local time", tr.DBP99Local, "ms", "≤", 20},
-		Claim{"Fig 6", "the bottleneck is very short", "first VLRT window", ms(q.Window.Duration()), "ms", "≤", 1000},
-		Claim{"Fig 6", "the DB queue rise propagates upstream", "cross-tier pushback (1 = yes)", oneIf(q.Pushback.CrossTier), "", "=", 1},
-		Claim{"Fig 6", "the DB queue rise propagates upstream", "tiers whose queue grew", float64(len(q.Pushback.Grew)), "", "≥", 3},
+		Claim{"Fig 6", "the bottleneck is very short", "first VLRT window", ms(first.Window.Duration()), "ms", "≤", 1000},
+		Claim{"Fig 6", "the DB queue rise propagates upstream", "cross-tier pushback (1 = yes)", oneIf(first.Pushback.CrossTier), "", "=", 1},
+		Claim{"Fig 6", "the DB queue rise propagates upstream", "tiers whose queue grew", float64(len(first.Pushback.Grew)), "", "≥", 3},
 		Claim{"Fig 7", "DB disk utilization and the Apache queue correlate highly", "lag-adjusted r", corr, "", "≥", 0.7})
 	return nil
 }
@@ -183,16 +183,20 @@ func (e *evaluator) scenarioB() error {
 	if err != nil {
 		return err
 	}
-	figs, st, err := Fig8DirtyPage(db, DefaultWindow)
+	d, err := Diagnose(db, DefaultWindow)
+	if err != nil {
+		return err
+	}
+	figs, st, err := Fig8DirtyPage(d)
 	if err != nil {
 		return err
 	}
 	e.Figures = append(e.Figures, figs...)
-	split := len(st.Pushback) == 2 && !st.Pushback[0].CrossTier && st.Pushback[1].CrossTier
+	split := len(d.Windows) == 2 && !d.Windows[0].Pushback.CrossTier && d.Windows[1].Pushback.CrossTier
 	e.Claims = append(e.Claims,
-		Claim{"Fig 8", "two PIT peaks", "VLRT windows", float64(len(st.VLRTWindows)), "", "=", 2},
-		Claim{"Fig 8", "each peak dwarfs the average", "PIT peak / average RT", st.PIT.PeakFactor(), "×", "≥", VLRTFactor},
-		Claim{"Fig 8", "the average stays low (under 20 ms on the paper's testbed)", "average RT", st.PIT.AvgUS / 1000, "ms", "≤", 50},
+		Claim{"Fig 8", "two PIT peaks", "VLRT windows", float64(len(d.Windows)), "", "=", 2},
+		Claim{"Fig 8", "each peak dwarfs the average", "PIT peak / average RT", d.PIT.PeakFactor(), "×", "≥", VLRTFactor},
+		Claim{"Fig 8", "the average stays low (under 20 ms on the paper's testbed)", "average RT", d.PIT.AvgUS / 1000, "ms", "≤", 50},
 		Claim{"Fig 8", "peak 1 grows the Apache queue only, peak 2 Apache's and Tomcat's", "peak 1 single-tier, peak 2 cross-tier (1 = yes)", oneIf(split), "", "=", 1})
 	for _, node := range []string{"apache", "tomcat"} {
 		e.Claims = append(e.Claims,

@@ -21,21 +21,19 @@ import (
 // epochUS anchors relative-seconds axes.
 var epochUS = simtime.Epoch.UnixMicro()
 
-// Fig2PointInTime regenerates Figure 2: the Point-in-Time response time
-// series whose peak dwarfs the average during the very short bottleneck.
-func Fig2PointInTime(db *mscopedb.DB, window time.Duration) (*report.Figure, *metrics.PITResult, error) {
-	tbl, err := db.Table(Tiers[0] + "_event")
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := metrics.PointInTimeRT(tbl, window)
-	if err != nil {
-		return nil, nil, err
-	}
-	pit := p.Result(math.MinInt64, math.MaxInt64)
-	fig := &report.Figure{
-		ID:     "fig2",
-		Title:  "Point-in-Time response time",
+// Fig2PointInTime renders Figure 2 from a diagnosis: the Point-in-Time
+// response time series whose peak dwarfs the average during the very short
+// bottleneck.
+func Fig2PointInTime(d *Diagnosis) *report.Figure {
+	return pitFigure("fig2", "Point-in-Time response time", d.PIT)
+}
+
+// pitFigure plots a Point-in-Time series with its average, maximum and
+// their ratio.
+func pitFigure(id, title string, pit *metrics.PITResult) *report.Figure {
+	return &report.Figure{
+		ID:     id,
+		Title:  title,
 		XLabel: "time (s)",
 		YLabel: "response time (ms)",
 		Series: []report.Series{
@@ -47,36 +45,24 @@ func Fig2PointInTime(db *mscopedb.DB, window time.Duration) (*report.Figure, *me
 			fmt.Sprintf("peak/avg factor %.1fx", pit.PeakFactor()),
 		},
 	}
-	return fig, pit, nil
 }
 
-// resourceSeriesForTier windows one column of a tier's collectl CSV table.
-func resourceSeriesForTier(db *mscopedb.DB, tier, col string, window time.Duration, fn mscopedb.AggFn) (*mscopedb.Series, error) {
-	tbl, err := db.Table(tier + "_collectlcsv")
-	if err != nil {
-		return nil, err
+// candidate is the series of the resource candidate of the given kind
+// sampled on tier, nil when the evidence has none.
+func (ev *Evidence) candidate(kind CauseKind, tier string) *mscopedb.Series {
+	for _, c := range ev.Candidates {
+		if c.Kind == kind && c.Tier == tier {
+			return c.Series
+		}
 	}
-	return metrics.ResourceSeries(tbl, col, window, fn)
+	return nil
 }
 
-// queueSeriesForTier derives a tier's queue-length series from its event
-// table.
-func queueSeriesForTier(db *mscopedb.DB, tier string, step time.Duration) (*mscopedb.Series, error) {
-	tbl, err := db.Table(tier + "_event")
-	if err != nil {
-		return nil, err
-	}
-	pts, err := metrics.QueueSeries(tbl, step)
-	if err != nil {
-		return nil, err
-	}
-	return metrics.PointsToSeries(pts), nil
-}
-
-// Fig4DiskUtil regenerates Figure 4: disk utilization per tier from the
-// collectl monitors; only the DB tier's disk saturates during the VSB. It
-// returns each tier's peak utilization (%).
-func Fig4DiskUtil(db *mscopedb.DB, window time.Duration) (*report.Figure, map[string]float64, error) {
+// Fig4DiskUtil renders Figure 4 from a diagnosis: disk utilization per
+// tier from the collectl monitors; only the DB tier's disk saturates during
+// the VSB. It returns each tier's peak utilization (%), and fails when the
+// diagnosis has no disk gauge.
+func Fig4DiskUtil(d *Diagnosis) (*report.Figure, map[string]float64, error) {
 	fig := &report.Figure{
 		ID:     "fig4",
 		Title:  "Disk utilization across tiers (collectl)",
@@ -85,13 +71,16 @@ func Fig4DiskUtil(db *mscopedb.DB, window time.Duration) (*report.Figure, map[st
 	}
 	peaks := make(map[string]float64, len(Tiers))
 	for _, tier := range Tiers {
-		s, err := resourceSeriesForTier(db, tier, "dsk_util", window, mscopedb.AggMax)
-		if err != nil {
-			return nil, nil, err
+		s := d.Evidence.candidate(CauseDiskIO, tier)
+		if s == nil {
+			continue
 		}
 		peaks[tier] = peakOf(s)
 		fig.Series = append(fig.Series, report.FromDBSeries(tier, s, epochUS, 1))
 		fig.Notes = append(fig.Notes, fmt.Sprintf("%s peak %.1f%%", tier, peaks[tier]))
+	}
+	if len(peaks) == 0 {
+		return nil, nil, fmt.Errorf("core: fig4: the diagnosis has no disk gauge (missing %v)", d.MissingSources)
 	}
 	return fig, peaks, nil
 }
@@ -150,65 +139,45 @@ func Fig5Traces(db *mscopedb.DB) (*report.Figure, *Fig5Stats, error) {
 	}, st, nil
 }
 
-// Fig6Stats is Figure 6's evidence: the per-tier queues, and the pushback
-// over the first VLRT window widened by PushbackLeadIn, as ClassifyWindow
-// reads it.
-type Fig6Stats struct {
-	Queues map[string]*mscopedb.Series
-	// Window is the first VLRT window; zero when the trial has none.
-	Window   analysis.Window
-	Pushback analysis.PushbackResult
-}
-
-// Fig6QueueLengths regenerates Figure 6: per-tier instantaneous queue
-// lengths from the event monitors, exhibiting cross-tier pushback.
-func Fig6QueueLengths(db *mscopedb.DB, step time.Duration) (*report.Figure, *Fig6Stats, error) {
-	fig := &report.Figure{
-		ID:     "fig6",
-		Title:  "Request queue length per tier (event monitors)",
-		XLabel: "time (s)",
-		YLabel: "queued requests",
-	}
-	st := &Fig6Stats{Queues: make(map[string]*mscopedb.Series, len(Tiers))}
-	for _, tier := range Tiers {
-		s, err := queueSeriesForTier(db, tier, step)
-		if err != nil {
-			return nil, nil, err
-		}
-		st.Queues[tier] = s
-		fig.Series = append(fig.Series, report.FromDBSeries(tier, s, epochUS, 1))
-		fig.Notes = append(fig.Notes, fmt.Sprintf("%s peak queue %.0f", tier, peakOf(s)))
-	}
-	_, eps, err := frontEpisodes(db, step)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(eps) == 0 {
+// Fig6QueueLengths renders Figure 6 from a diagnosis: per-tier
+// instantaneous queue lengths from the event monitors, and the cross-tier
+// pushback ClassifyWindow found around the first VLRT window.
+func Fig6QueueLengths(d *Diagnosis) *report.Figure {
+	fig := queueFigure("fig6", "Request queue length per tier (event monitors)", d)
+	if len(d.Windows) == 0 {
 		fig.Notes = append(fig.Notes, "no VLRT window")
-		return fig, st, nil
+		return fig
 	}
-	st.Window = eps[0]
-	w := eps[0]
-	w.StartMicros -= PushbackLeadIn.Microseconds()
-	st.Pushback = analysis.DetectPushback(st.Queues, Tiers, w, PushbackGrowth)
+	w := d.Windows[0]
 	fig.Notes = append(fig.Notes, fmt.Sprintf("VLRT window %.0f ms: grew=%v crossTier=%v",
-		ms(st.Window.Duration()), st.Pushback.Grew, st.Pushback.CrossTier))
-	return fig, st, nil
+		ms(w.Window.Duration()), w.Pushback.Grew, w.Pushback.CrossTier))
+	return fig
 }
 
-// Fig7Correlation regenerates Figure 7: the DB tier's disk utilization
-// against the Apache queue length over the first VLRT window ±
-// ClassifyPad (the paper's figure zooms into the VSB period), whose high
-// correlation identifies disk IO as the very short bottleneck. A trial
-// without a VLRT window correlates 0 over no series.
-func Fig7Correlation(db *mscopedb.DB, window time.Duration) (*report.Figure, float64, error) {
-	disk, err := resourceSeriesForTier(db, "mysql", "dsk_util", window, mscopedb.AggMax)
-	if err != nil {
-		return nil, 0, err
+// queueFigure plots the diagnosis's per-tier queues with their peaks.
+func queueFigure(id, title string, d *Diagnosis) *report.Figure {
+	fig := &report.Figure{ID: id, Title: title, XLabel: "time (s)", YLabel: "queued requests"}
+	for _, tier := range Tiers {
+		if s, ok := d.Evidence.Queues[tier]; ok {
+			fig.Series = append(fig.Series, report.FromDBSeries(tier, s, epochUS, 1))
+			fig.Notes = append(fig.Notes, fmt.Sprintf("%s peak queue %.0f", tier, peakOf(s)))
+		}
 	}
-	queue, err := queueSeriesForTier(db, "apache", window)
-	if err != nil {
-		return nil, 0, err
+	return fig
+}
+
+// Fig7Correlation renders Figure 7 from a diagnosis: the DB tier's disk
+// utilization against the front-tier queue over the first VLRT window's
+// ClassifySlice (the paper's figure zooms into the VSB period). The
+// correlation it returns is the one ClassifyWindow ranked the DB disk by,
+// so the one its verdict quotes when the disk is named. A trial without a
+// VLRT window correlates 0 over no series; one without the DB disk gauge
+// fails.
+func Fig7Correlation(d *Diagnosis) (*report.Figure, float64, error) {
+	dbTier := Tiers[len(Tiers)-1]
+	disk := d.Evidence.candidate(CauseDiskIO, dbTier)
+	if disk == nil {
+		return nil, 0, fmt.Errorf("core: fig7: the diagnosis has no %s disk gauge (missing %v)", dbTier, d.MissingSources)
 	}
 	fig := &report.Figure{
 		ID:     "fig7",
@@ -216,85 +185,44 @@ func Fig7Correlation(db *mscopedb.DB, window time.Duration) (*report.Figure, flo
 		XLabel: "time (s)",
 		YLabel: "disk util (%) / queue",
 	}
-	_, eps, err := frontEpisodes(db, window)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(eps) == 0 {
+	if len(d.Windows) == 0 {
 		fig.Notes = []string{"no VLRT window"}
 		return fig, 0, nil
 	}
-	w, pad := eps[0], ClassifyPad.Microseconds()
-	disk = analysis.SliceSeries(disk, w.StartMicros-pad, w.EndMicros+pad)
-	queue = analysis.SliceSeries(queue, w.StartMicros-pad, w.EndMicros+pad)
-	corr, n := analysis.Correlate(disk, queue)
-	// The queue responds to the disk seizure with a short delay; the
-	// lag-adjusted coefficient is the figure's headline number.
-	lagCorr, lag := analysis.CrossCorrelate(disk, queue, CorrelationMaxLag)
+	w := d.Windows[0]
+	rank := slices.IndexFunc(w.Causes, func(c analysis.Cause) bool { return c.Name == dbTier+" disk" })
+	if rank < 0 {
+		return nil, 0, fmt.Errorf("core: fig7: the first VLRT window ranks no %s disk", dbTier)
+	}
+	front := d.Evidence.Queues[Tiers[0]] // Diagnose requires the front tier's events
+	lo, hi := ClassifySlice(w.Window)
+	corr := w.Causes[rank].Correlation
 	fig.Series = []report.Series{
-		report.FromDBSeries("mysql disk util", disk, epochUS, 1),
-		report.FromDBSeries("apache queue", queue, epochUS, 1),
+		report.FromDBSeries(dbTier+" disk util", analysis.SliceSeries(disk, lo, hi), epochUS, 1),
+		report.FromDBSeries(Tiers[0]+" queue", analysis.SliceSeries(front, lo, hi), epochUS, 1),
 	}
 	fig.Notes = []string{
-		fmt.Sprintf("Pearson correlation %.3f over %d windows", corr, n),
-		fmt.Sprintf("lag-adjusted correlation %.3f at +%d windows", lagCorr, lag),
+		fmt.Sprintf("lag-adjusted correlation %.3f, candidate %d of %d", corr, rank+1, len(w.Causes)),
+		"verdict: " + w.Verdict,
 	}
-	return fig, max(corr, lagCorr), nil
+	return fig, corr, nil
 }
 
-// addSeries sums two series defined on the same window grid (same table).
-func addSeries(a, b *mscopedb.Series) *mscopedb.Series {
-	out := &mscopedb.Series{}
-	bv := make(map[int64]float64, len(b.StartMicros))
-	for i, t := range b.StartMicros {
-		bv[t] = b.Values[i]
-	}
-	for i, t := range a.StartMicros {
-		if v, ok := bv[t]; ok {
-			out.StartMicros = append(out.StartMicros, t)
-			out.Values = append(out.Values, a.Values[i]+v)
-		}
-	}
-	return out
-}
-
-// Fig8Stats summarizes the dirty-page scenario for assertions.
+// Fig8Stats is what Figure 8 derives beyond the diagnosis: per affected
+// node (apache, tomcat), the peak CPU (user+sys, %), the peak dirty page
+// cache (MB) and the least it holds after that peak — the abrupt drop of
+// Figure 8d.
 type Fig8Stats struct {
-	PIT         *metrics.PITResult
-	VLRTWindows []analysis.Window
-	// Pushback per VLRT window, in window order.
-	Pushback []analysis.PushbackResult
-	// Per affected node (apache, tomcat): the peak CPU (user+sys, %), the
-	// peak dirty page cache (MB) and the least it holds after that peak —
-	// the abrupt drop of Figure 8d.
 	CPUPeak, DirtyPeakMB, DirtyAfterMB map[string]float64
 }
 
-// Fig8DirtyPage regenerates Figure 8 (a–d): the two response-time peaks,
-// the differing queue growth, the CPU saturation on the affected node, and
-// the abrupt dirty-page drops.
-func Fig8DirtyPage(db *mscopedb.DB, window time.Duration) ([]*report.Figure, *Fig8Stats, error) {
-	figA, pit, err := Fig2PointInTime(db, window)
-	if err != nil {
-		return nil, nil, err
-	}
-	figA.ID = "fig8a"
-	figA.Title = "Point-in-Time response time (dirty-page scenario)"
-
-	figB := &report.Figure{
-		ID: "fig8b", Title: "Queue length per tier (dirty-page scenario)",
-		XLabel: "time (s)", YLabel: "queued requests",
-	}
-	queues := make(map[string]*mscopedb.Series, len(Tiers))
-	for _, tier := range Tiers {
-		s, err := queueSeriesForTier(db, tier, window)
-		if err != nil {
-			return nil, nil, err
-		}
-		queues[tier] = s
-		figB.Series = append(figB.Series, report.FromDBSeries(tier, s, epochUS, 1))
-	}
-
+// Fig8DirtyPage renders Figure 8 (a–d) from a diagnosis: the two
+// response-time peaks, the differing queue growth, the CPU saturation on
+// the affected node, and the abrupt dirty-page drops. It fails when the
+// diagnosis lacks the web or app node's CPU or dirty-page gauge.
+func Fig8DirtyPage(d *Diagnosis) ([]*report.Figure, *Fig8Stats, error) {
+	figA := pitFigure("fig8a", "Point-in-Time response time (dirty-page scenario)", d.PIT)
+	figB := queueFigure("fig8b", "Queue length per tier (dirty-page scenario)", d)
 	figC := &report.Figure{
 		ID: "fig8c", Title: "CPU utilization (collectl)",
 		XLabel: "time (s)", YLabel: "cpu util (%)",
@@ -303,22 +231,13 @@ func Fig8DirtyPage(db *mscopedb.DB, window time.Duration) ([]*report.Figure, *Fi
 		ID: "fig8d", Title: "Dirty page cache size (collectl memory)",
 		XLabel: "time (s)", YLabel: "dirty (MB)",
 	}
-	stats := &Fig8Stats{PIT: pit, CPUPeak: map[string]float64{},
+	stats := &Fig8Stats{CPUPeak: map[string]float64{},
 		DirtyPeakMB: map[string]float64{}, DirtyAfterMB: map[string]float64{}}
 	for _, tier := range []string{"apache", "tomcat"} {
-		user, err := resourceSeriesForTier(db, tier, "cpu_user", window, mscopedb.AggAvg)
-		if err != nil {
-			return nil, nil, err
+		cpu, dirty := d.Evidence.candidate(CauseCPU, tier), d.Evidence.Dirty[tier]
+		if cpu == nil || dirty == nil {
+			return nil, nil, fmt.Errorf("core: fig8: the diagnosis has no %s cpu or dirty-page gauge (missing %v)", tier, d.MissingSources)
 		}
-		sys, err := resourceSeriesForTier(db, tier, "cpu_sys", window, mscopedb.AggAvg)
-		if err != nil {
-			return nil, nil, err
-		}
-		dirty, err := resourceSeriesForTier(db, tier, "mem_dirty", window, mscopedb.AggAvg)
-		if err != nil {
-			return nil, nil, err
-		}
-		cpu := addSeries(user, sys)
 		stats.CPUPeak[tier] = peakOf(cpu)
 		if v := dirty.Values; len(v) > 0 {
 			top := slices.Index(v, slices.Max(v))
@@ -330,20 +249,10 @@ func Fig8DirtyPage(db *mscopedb.DB, window time.Duration) ([]*report.Figure, *Fi
 		figD.Notes = append(figD.Notes, fmt.Sprintf("%s dirty peak %.0f MB, then down to %.1f MB",
 			tier, stats.DirtyPeakMB[tier], stats.DirtyAfterMB[tier]))
 	}
-
-	if _, stats.VLRTWindows, err = frontEpisodes(db, window); err != nil {
-		return nil, nil, err
-	}
-	for _, w := range stats.VLRTWindows {
-		// Queue growth brackets the response-time peak: inspect the
-		// lead-in too, as ClassifyWindow does.
-		w.StartMicros -= PushbackLeadIn.Microseconds()
-		stats.Pushback = append(stats.Pushback, analysis.DetectPushback(queues, Tiers, w, PushbackGrowth))
-	}
-	figB.Notes = append(figB.Notes, fmt.Sprintf("%d VLRT windows detected", len(stats.VLRTWindows)))
-	for i, pb := range stats.Pushback {
+	figB.Notes = append(figB.Notes, fmt.Sprintf("%d VLRT windows detected", len(d.Windows)))
+	for i, w := range d.Windows {
 		figB.Notes = append(figB.Notes,
-			fmt.Sprintf("peak %d: grew=%v crossTier=%v", i+1, pb.Grew, pb.CrossTier))
+			fmt.Sprintf("peak %d: grew=%v crossTier=%v", i+1, w.Pushback.Grew, w.Pushback.CrossTier))
 	}
 	return []*report.Figure{figA, figB, figC, figD}, stats, nil
 }
@@ -374,10 +283,15 @@ func Fig9Accuracy(db *mscopedb.DB, msgs []ntier.Message, step time.Duration) ([]
 	stats := &Fig9Stats{Tiers: make(map[string]Fig9Stat, len(Tiers)), MinCorrelation: 1}
 	var figs []*report.Figure
 	for _, tier := range Tiers {
-		ev, err := queueSeriesForTier(db, tier, step)
+		tbl, err := db.Table(tier + "_event")
 		if err != nil {
 			return nil, nil, err
 		}
+		pts, err := metrics.QueueSeries(tbl, step)
+		if err != nil {
+			return nil, nil, err
+		}
+		ev := metrics.PointsToSeries(pts)
 		svPts := sysviz.QueueSeries(txns, tier, des.Time(step))
 		sv := &mscopedb.Series{}
 		for _, p := range svPts {

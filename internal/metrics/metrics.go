@@ -64,8 +64,8 @@ func scanSpans(tbl *mscopedb.Table, fn func(ua, ud []int64)) error {
 // PIT accumulates the Point-in-Time response time one request at a time:
 // per window of fixed width on the absolute grid, the maximum, sum and
 // count of (ud-ua) over the requests that departed in it, and the mean and
-// maximum over all of them. PointInTimeRT (so Diagnose and the figures)
-// and the live detector fold their rows through it. Not safe for
+// maximum over all of them. PointInTimeRT (so Diagnose, whose PIT the
+// figures render) and the live detector fold their rows through it. Not safe for
 // concurrent use.
 type PIT struct {
 	widthUS  int64
@@ -222,7 +222,8 @@ func (q *Queue) Points(step time.Duration) ([]Point, error) {
 // QueueSeries computes the instantaneous number of resident requests at a
 // tier from its event table (arrival = ua, departure = ud), sampled every
 // step. This is the metric the paper derives from the event monitors
-// without sampling loss (Figures 6, 8b, 9).
+// without sampling loss; Figure 9 reads it, and core.BuildEvidence builds
+// the same series through Queue for the diagnosis Figures 6 and 8b render.
 func QueueSeries(tbl *mscopedb.Table, step time.Duration) ([]Point, error) {
 	var q Queue
 	if err := scanSpans(tbl, q.Add); err != nil {
@@ -240,16 +241,6 @@ func PointsToSeries(pts []Point) *mscopedb.Series {
 		s.Values = append(s.Values, float64(p.N))
 	}
 	return &s
-}
-
-// ResourceSeries windows a resource table's numeric column by its ts
-// column: the collectl/SAR/iostat view of a node over time.
-func ResourceSeries(tbl *mscopedb.Table, valCol string, window time.Duration, fn mscopedb.AggFn) (*mscopedb.Series, error) {
-	res, err := tbl.Select().Rows()
-	if err != nil {
-		return nil, err
-	}
-	return res.WindowAgg("ts", window, valCol, fn)
 }
 
 // LittlesLawReport cross-checks an event table against Little's law:

@@ -187,36 +187,6 @@ func TestPointsToSeries(t *testing.T) {
 	}
 }
 
-func TestResourceSeries(t *testing.T) {
-	tbl, err := mscopedb.NewTable("mysql_collectlcsv", []mscopedb.Column{
-		{Name: "ts", Type: mscopedb.TTime},
-		{Name: "dsk_util", Type: mscopedb.TFloat},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := time.Date(2017, 4, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 20; i++ {
-		util := 10.0
-		if i >= 10 && i < 14 {
-			util = 99.0
-		}
-		if err := tbl.Append(base.Add(time.Duration(i)*50*time.Millisecond), util); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := ResourceSeries(tbl, "dsk_util", 100*time.Millisecond, mscopedb.AggAvg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Values) != 10 {
-		t.Fatalf("windows %d", len(s.Values))
-	}
-	if s.Values[5] != 99 || s.Values[0] != 10 {
-		t.Fatalf("values %+v", s.Values)
-	}
-}
-
 // queuePointsByEvents is the event sweep QueueSeries used to be: one +1 /
 // -1 event per row, sorted by instant with arrivals before departures,
 // swept at every step. Kept as the oracle of the two-sorted-columns form.

@@ -57,6 +57,42 @@ func TestWindowAggDenseMatchesSparse(t *testing.T) {
 	}
 }
 
+// TestWindowAggTimeColumn windows a resource table's gauge by its
+// time-typed ts column, the way the diagnosis reads a collectl table.
+func TestWindowAggTimeColumn(t *testing.T) {
+	tbl, err := NewTable("mysql_collectlcsv", []Column{
+		{Name: "ts", Type: TTime},
+		{Name: "dsk_util", Type: TFloat},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2017, 4, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 20; i++ {
+		util := 10.0
+		if i >= 10 && i < 14 {
+			util = 99.0
+		}
+		if err := tbl.Append(base.Add(time.Duration(i)*50*time.Millisecond), util); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := tbl.Select().Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := res.WindowAgg("ts", 100*time.Millisecond, "dsk_util", AggAvg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Values) != 10 {
+		t.Fatalf("windows %d", len(s.Values))
+	}
+	if s.Values[5] != 99 || s.Values[0] != 10 {
+		t.Fatalf("values %+v", s.Values)
+	}
+}
+
 // referenceWindowAgg is the pre-vectorization per-bucket-slice
 // implementation, kept as the differential oracle for the flat-grid
 // path. Column layout: ts at 0, v at 1.

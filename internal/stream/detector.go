@@ -56,13 +56,17 @@ type Alert struct {
 // Wait is what a verdict waited for, in event-time µs: the trailing half
 // of its correlation slice (core.ClassifySlice), the grace applied past it,
 // the front-tier residence the grace was derived from, the ceiling
-// (DefaultGrace), and the delay WatermarkUS − Window.EndMicros it fired at:
-// zero at shutdown, past slice + grace when a later episode held it.
+// (DefaultGrace), the hold, and the delay WatermarkUS − Window.EndMicros it
+// fired at: zero at shutdown, else slice + grace + hold, give or take a
+// watermark step. A window an earlier pass already found due on its own was
+// held — by a later episode starting inside its slice, or by evidence not
+// in the warehouse yet — from end + slice + grace until it fired.
 type Wait struct {
 	SliceUS     int64 `json:"slice_us"`
 	GraceUS     int64 `json:"grace_us,omitempty"`
 	ResidenceUS int64 `json:"residence_us,omitempty"`
 	CeilingUS   int64 `json:"grace_ceiling_us,omitempty"`
+	HoldUS      int64 `json:"hold_us,omitempty"`
 	DelayUS     int64 `json:"delay_us,omitempty"`
 }
 
@@ -73,7 +77,11 @@ func (a Wait) Waited() string {
 	if a.DelayUS > 0 {
 		when = ms(a.DelayUS).String() + " after window end"
 	}
-	return fmt.Sprintf("%s: slice %v + grace %v from %v resident, ceiling %v", when, ms(a.SliceUS), ms(a.GraceUS), ms(a.ResidenceUS), ms(a.CeilingUS))
+	out := fmt.Sprintf("%s: slice %v + grace %v from %v resident, ceiling %v", when, ms(a.SliceUS), ms(a.GraceUS), ms(a.ResidenceUS), ms(a.CeilingUS))
+	if a.HoldUS > 0 {
+		out += fmt.Sprintf(", then held %v", ms(a.HoldUS))
+	}
+	return out
 }
 
 // detector runs the batch Diagnose's episode rule (core.Episodes) over the
@@ -99,6 +107,7 @@ type detector struct {
 
 	eps     core.Episodes
 	pending []analysis.Window // settled, not classified yet
+	lastUS  int64             // the previous pass's watermark
 }
 
 func newDetector(db *mscopedb.DB, window, grace, skew time.Duration) *detector {
@@ -156,10 +165,14 @@ func (d *detector) advance(lowUS int64) ([]Alert, error) {
 				continue
 			}
 			a.DelayUS = lowUS - w.EndMicros
+			if hi+a.GraceUS <= d.lastUS {
+				a.HoldUS = lowUS - (hi + a.GraceUS) // due at an earlier pass already
+			}
 		}
 		a.Diagnosis.Window = w
 		due = slices.Insert(due, 0, a)
 	}
+	d.lastUS = lowUS
 	if len(due) == 0 {
 		return nil, nil
 	}

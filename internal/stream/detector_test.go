@@ -217,16 +217,18 @@ func TestAdvanceRaisesVLRTEpisodes(t *testing.T) {
 
 // TestWindowWaitsForALaterEpisodeInItsSlice: a lead-in episode whose
 // slice the next episode starts inside is raised with that one, when it is
-// due; 300 ms later, past the slice, the next one does not hold it back.
+// due, and names the hold that makes up its delay past slice + grace;
+// 300 ms later, past the slice, the next one does not hold it back.
 func TestWindowWaitsForALaterEpisodeInItsSlice(t *testing.T) {
 	db, _ := batchBaseline(t)
 	epoch := simtime.Epoch.UnixMicro()
 	for _, tc := range []struct {
 		convoyAt    int64
 		leadRaiseAt int64 // the lead-in's watermark, in µs into the trial
+		hold        int64
 	}{
-		{6_350_000, 7_850_000}, // the convoy's end 6.95 s + its 300 ms slice + 600 ms grace
-		{6_650_000, 7_100_000}, // the lead-in's own end 6.2 s + 300 ms + 600 ms
+		{6_350_000, 7_850_000, 750_000}, // the convoy's end 6.95 s + its 300 ms slice + 600 ms grace; due on its own at 7.1 s
+		{6_650_000, 7_100_000, 0},       // the lead-in's own end 6.2 s + 300 ms + 600 ms
 	} {
 		d := newDetector(db, 50*time.Millisecond, DefaultGrace, 2*time.Millisecond)
 		slow := func(ud int64) bool {
@@ -252,6 +254,10 @@ func TestWindowWaitsForALaterEpisodeInItsSlice(t *testing.T) {
 		}
 		if got := alerts[0].WatermarkUS - epoch; got != tc.leadRaiseAt {
 			t.Errorf("convoy at %v: the lead-in was raised at %v, want %v", at(tc.convoyAt), at(got), at(tc.leadRaiseAt))
+		}
+		if a := alerts[0]; a.HoldUS != tc.hold || a.DelayUS != a.SliceUS+a.GraceUS+a.HoldUS ||
+			strings.Contains(a.Waited(), "held "+at(tc.hold).String()) != (tc.hold > 0) {
+			t.Errorf("convoy at %v: the lead-in waited %s (%+v), want a hold of %v making up its delay past slice + grace", at(tc.convoyAt), a.Waited(), a.Wait, at(tc.hold))
 		}
 	}
 }

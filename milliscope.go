@@ -11,8 +11,9 @@
 //     each component's native log, propagating a fixed-width request ID;
 //   - resource mScopeMonitors (simulated SAR, iostat, collectl) sample
 //     node counters at millisecond timescales into their native formats;
-//   - mScopeDataTransformer unifies those heterogeneous logs through a
-//     declarative parse → annotated-XML → CSV pipeline;
+//   - mScopeDataTransformer unifies those heterogeneous logs: declared
+//     parsers read each native format straight into typed warehouse
+//     columns (annotated XML and CSV are only the --materialize export);
 //   - mScopeDB stores the result in dynamically created tables served by
 //     a scan/window-aggregate engine and a small query language.
 //
@@ -28,8 +29,9 @@
 //	// ...
 //	db, _, err := res.Ingest(workDir)
 //	// ...
-//	fig, pit, err := milliscope.Fig2PointInTime(db, 50*time.Millisecond)
-//	fig.Render(os.Stdout, 80, 16)
+//	d, err := milliscope.Diagnose(db, 50*time.Millisecond)
+//	// ... d.Windows[0].Verdict names the root cause; the figures render d:
+//	milliscope.Fig2PointInTime(d).Render(os.Stdout, 80, 16)
 //	out, err := milliscope.Query(db, "SELECT reqid, rt_us FROM apache_event ORDER BY rt_us DESC LIMIT 5")
 package milliscope
 
@@ -141,7 +143,7 @@ func Diagnose(db *DB, window time.Duration) (*Diagnosis, error) {
 	return core.Diagnose(db, window)
 }
 
-// Figure builders (one per paper figure).
+// Figure builders, one per paper figure; 2, 4, 6, 7 and 8 render a Diagnosis.
 var (
 	// Fig2PointInTime regenerates Figure 2.
 	Fig2PointInTime = core.Fig2PointInTime

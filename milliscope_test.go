@@ -80,16 +80,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("diagnosis %v@%s", diag.Windows[0].Kind, diag.Windows[0].Node)
 	}
 
-	// Figures render.
-	fig, pit, err := milliscope.Fig2PointInTime(db, 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pit.PeakFactor() < 10 {
-		t.Fatalf("peak factor %.1f", pit.PeakFactor())
+	// Figures render the diagnosis.
+	if diag.PIT.PeakFactor() < 10 {
+		t.Fatalf("peak factor %.1f", diag.PIT.PeakFactor())
 	}
 	buf.Reset()
-	if err := fig.Render(&buf, 60, 10); err != nil {
+	if err := milliscope.Fig2PointInTime(diag).Render(&buf, 60, 10); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "fig2") {
