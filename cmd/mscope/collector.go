@@ -51,9 +51,8 @@ func cmdCollector(args []string) error {
 
 	// The collector's own surface claims the fleet endpoints; under --serve
 	// the observability API answers everything else.
-	closeListeners, err := flags.listen("collector", col.Pipeline(), col.Handler(),
-		"/status /alerts /collector /metrics /healthz",
-		"/status", "/alerts", "/collector", "/metrics", "/healthz")
+	closeListeners, err := flags.listen("collector", col.Pipeline(), col.Handler(), col.MetricsText,
+		"/status", "/alerts", "/collector")
 	if err != nil {
 		return err
 	}

@@ -37,7 +37,7 @@ func buildFigures(db *mscopedb.DB, figure, trace string, window time.Duration) (
 		if err != nil {
 			return nil, err
 		}
-		figs, _, err := core.Fig9Accuracy(db, msgs, 2*window)
+		figs, _, err := core.Fig9Accuracy(db, msgs, window)
 		return figs, err
 	}
 	// Without a resource plane Diagnose still hands back what the event

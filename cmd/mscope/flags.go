@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 
 	"github.com/gt-elba/milliscope/internal/mscopedb"
@@ -79,7 +80,8 @@ func addEngineFlags(fs *flag.FlagSet) engineFlags {
 		fidelity: fs.String("fidelity", "", "degradation mode: full | adaptive | aggregate (default full)"),
 		httpAddr: fs.String("http", "", "serve the engine's /status /alerts /metrics /healthz on this address (e.g. :8080)"),
 		serveAddr: fs.String("serve", "",
-			"serve the full observability API (query, flamegraphs, diagnosis) over the warehouse being loaded on this address"),
+			"serve the full observability API (query, flamegraphs, diagnosis) over the warehouse being loaded on this address, "+
+				"with the same /metrics and /healthz as --http"),
 	}
 }
 
@@ -118,28 +120,63 @@ func checkRate(cmd, flag string, p float64) error {
 	return nil
 }
 
-// listen starts the --http and --serve listeners over a running engine:
-// surface is the command's own mux, paths what it answers, and claims the
-// paths it keeps when the observability API is mounted around it. The
-// returned func closes both.
-func (e engineFlags) listen(cmd string, pipe *stream.Pipeline, surface http.Handler, paths string, claims ...string) (func(), error) {
-	srv, err := serveOn(*e.httpAddr, surface, cmd+": %w", "serving "+paths+" on %s\n")
+// listen starts the --http and --serve listeners over a running engine
+// (see handlers). The returned func closes both.
+func (e engineFlags) listen(cmd string, pipe *stream.Pipeline, surface http.Handler, metrics func() string, claims ...string) (func(), error) {
+	httpH, serveH, err := e.handlers(pipe, surface, metrics, claims...)
 	if err != nil {
 		return nil, err
 	}
-	var obsSrv *http.Server
-	if *e.serveAddr != "" {
-		obs, err := serve.New(serve.Config{Pipeline: pipe})
-		if err == nil {
-			obsSrv, err = serveOn(*e.serveAddr, mountServe(obs, surface, claims...),
-				cmd+": serve listener: %w", "serving the observability API on %s\n")
-		}
-		if err != nil {
-			closeServers(srv)
-			return nil, err
-		}
+	paths := strings.Join(claims, " ") + " /healthz /metrics"
+	srv, err := serveOn(*e.httpAddr, httpH, cmd+": %w", "serving "+paths+" on %s\n")
+	if err != nil {
+		return nil, err
+	}
+	obsSrv, err := serveOn(*e.serveAddr, serveH, cmd+": serve listener: %w", "serving the observability API on %s\n")
+	if err != nil {
+		closeServers(srv)
+		return nil, err
 	}
 	return func() { closeServers(srv, obsSrv) }, nil
+}
+
+// handlers composes what the --http and --serve listeners answer; this is
+// the one place that knows every surface of the process. surface is the
+// command's own mux, answering the claims and /healthz, and metrics
+// renders its Prometheus families. --http answers the surface; --serve
+// (serveH nil without it) answers the claims and /healthz from the
+// surface and everything else from the observability API over the
+// engine's warehouse. Both answer /metrics with the same exposition: the
+// surface's families, then, under --serve, the API's.
+func (e engineFlags) handlers(pipe *stream.Pipeline, surface http.Handler, metrics func() string, claims ...string) (httpH, serveH http.Handler, err error) {
+	var obs *serve.Server
+	if *e.serveAddr != "" {
+		if obs, err = serve.New(serve.Config{Pipeline: pipe}); err != nil {
+			return nil, nil, err
+		}
+	}
+	exposition := func(w http.ResponseWriter, r *http.Request) {
+		text := metrics()
+		if obs != nil {
+			text += obs.MetricsText()
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		_, _ = w.Write([]byte(text))
+	}
+	mux := func(rest http.Handler, paths ...string) http.Handler {
+		m := http.NewServeMux()
+		m.Handle("/", rest)
+		for _, path := range paths {
+			m.Handle(path, surface)
+		}
+		m.HandleFunc("/metrics", exposition)
+		return m
+	}
+	httpH = mux(surface)
+	if obs != nil {
+		serveH = mux(obs.Handler(), append(slices.Clip(claims), "/healthz")...)
+	}
+	return httpH, serveH, nil
 }
 
 // serveOn serves h on addr in the background and prints banner with the

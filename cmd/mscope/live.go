@@ -1,8 +1,11 @@
 package main
 
 import (
+	"expvar"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/pprof"
 	"path/filepath"
 	"time"
 
@@ -23,7 +26,7 @@ func cmdLive(args []string) error {
 	engine := addEngineFlags(fs)
 	speed := fs.Float64("speed", 8, "replay speed: trial seconds per wall second")
 	debugAddr := fs.String("debug-addr", "",
-		"serve /debug/pprof and /debug/vars on this address (kept off the metrics listener)")
+		"serve /debug/pprof and /debug/vars (Go's memstats and cmdline) on this address, kept off the metrics listener")
 	selfLog := fs.String("self-log", "",
 		"write milliScope's own span telemetry to this file (or directory) as an ingestable log")
 	chaosRate := fs.Float64("chaos-rate", 0, "per-line fault probability in [0, 1] injected into the tailed stream")
@@ -107,11 +110,11 @@ func cmdLive(args []string) error {
 		return err
 	}
 
-	closeListeners, err := engine.listen("live", pipe, pipe.Handler(), "/status /alerts /metrics", "/status", "/alerts")
+	closeListeners, err := engine.listen("live", pipe, pipe.Handler(), pipe.MetricsText, "/status", "/alerts")
 	if err != nil {
 		return err
 	}
-	dbgSrv, err := serveOn(*debugAddr, stream.DebugHandler(pipe),
+	dbgSrv, err := serveOn(*debugAddr, debugHandler(),
 		"live: debug listener: %w", "serving /debug/pprof /debug/vars on %s\n")
 	if err != nil {
 		closeListeners()
@@ -166,4 +169,18 @@ func cmdLive(args []string) error {
 		return fmt.Errorf("live: --expect-alert: first alert fired %s", alerts[0].Waited())
 	}
 	return nil
+}
+
+// debugHandler serves /debug/pprof/* and /debug/vars, the Go runtime's
+// profiles, memstats and cmdline. Serve it on its own listener: profiling
+// can stall the process, so it is never mounted where operators scrape.
+func debugHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/vars", expvar.Handler())
+	return mux
 }

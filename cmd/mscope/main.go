@@ -99,6 +99,9 @@ commands:
              collector, resume from acked offsets on restart
   collector  central ingest server: adopt agent sources, ack durable
              offsets, detect millibottlenecks online across the fleet
+             (live and collector: --http serves /status /alerts /healthz
+             /metrics; --serve the same /metrics and /healthz plus the
+             query API)
   chaos      copy a log directory injecting deterministic faults
   ingest     transform a log directory and load it into the warehouse
              directory --db DIR, an on-disk columnar segment store a
@@ -207,8 +210,6 @@ func cmdChaos(args []string) error {
 	skewMax := fs.Duration("skew-max", 0, "clock-skew bound for the skew kind (default 2ms)")
 	gap := fs.Float64("gap", 0, "resource-sample loss fraction in [0, 1] for the gap kind (0 = default 8%)")
 	deleteTiers := fs.String("delete-tiers", "", "comma-separated tiers whose event logs the delete-tier kind removes")
-	overloadSpec := fs.String("overload", "",
-		"write an overload.json sidecar (at=F,until=F,factor=N[,delay=D]) so replays of the output burst")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -237,17 +238,6 @@ func cmdChaos(args []string) error {
 		return err
 	}
 	fmt.Print(rep.Summary())
-	if *overloadSpec != "" {
-		o, err := faults.ParseOverload(*overloadSpec)
-		if err != nil {
-			return fmt.Errorf("chaos: %w", err)
-		}
-		if err := o.WriteSidecar(*out); err != nil {
-			return err
-		}
-		fmt.Printf("overload sidecar written — `mscope live` replays of %s will burst %.0fx over [%.0f%%,%.0f%%]\n",
-			*out, o.BurstFactor, o.BurstAt*100, o.BurstUntil*100)
-	}
 	fmt.Printf("corrupted copy in %s — ingest it with --mode quarantine\n", *out)
 	return nil
 }
@@ -394,7 +384,8 @@ func cmdReport(args []string) error {
 	dbPath := addDBFlag(fs)
 	figure := fs.String("figure", "fig2", "fig2 | fig4 | fig6 | fig7 | fig8 | fig9")
 	trace := fs.String("trace", "", "network trace CSV (required for fig9)")
-	window := fs.Duration("window", core.DefaultWindow, "analysis window")
+	window := fs.Duration("window", core.DefaultWindow,
+		"analysis window every figure is drawn at, fig9 included (mscope experiment draws Fig 9 at 100ms)")
 	width := fs.Int("width", 96, "chart width")
 	height := fs.Int("height", 16, "chart height")
 	format := fs.String("format", "chart", "chart | table | csv")

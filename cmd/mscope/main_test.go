@@ -4,10 +4,12 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -263,6 +265,36 @@ func TestCLIAccuracyTraceRoundTrip(t *testing.T) {
 		"--trace", trace, "--width", "40", "--height", "6"}); err != nil {
 		t.Fatalf("fig9 report: %v", err)
 	}
+	// --window is the width Figure 9 draws, not half of it.
+	csv, err := captured(t, &os.Stdout, "report", "--db", dbPath, "--figure", "fig9",
+		"--trace", trace, "--format", "csv", "--window", "50ms")
+	if err != nil {
+		t.Fatalf("fig9 csv: %v", err)
+	}
+	var xs []float64
+	for _, line := range strings.Split(csv, "\n") {
+		if rest, ok := strings.CutPrefix(line, "mScope events,"); ok {
+			x, err := strconv.ParseFloat(strings.Split(rest, ",")[0], 64)
+			if err != nil {
+				t.Fatalf("csv row %q: %v", line, err)
+			}
+			xs = append(xs, x)
+		}
+	}
+	// The commonest step between rows, in µs (a tier's last row may sit
+	// off the grid, and each new tier starts again from 0).
+	steps := map[int64]int{}
+	var step int64
+	for i := 1; i < len(xs); i++ {
+		if d := int64(math.Round((xs[i] - xs[i-1]) * 1e6)); d > 0 {
+			if steps[d]++; steps[d] > steps[step] {
+				step = d
+			}
+		}
+	}
+	if step != 50_000 {
+		t.Errorf("fig9 --window 50ms steps %dµs over %d rows, want 50000µs", step, len(xs))
+	}
 }
 
 func TestBuildFiguresAgainstWarehouse(t *testing.T) {
@@ -398,29 +430,49 @@ func TestCLIOneWarehouse(t *testing.T) {
 	}
 }
 
-// helpStanzas runs `mscope cmd -h` and returns each flag's usage stanza —
-// name, type, help and default, exactly as printed — by flag name.
-func helpStanzas(t *testing.T, cmd string) map[string]string {
+// captured runs `mscope args…` with *stream (os.Stdout or os.Stderr)
+// redirected, and returns what it wrote there.
+func captured(t *testing.T, stream **os.File, args ...string) (string, error) {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	stderr := os.Stderr
-	os.Stderr = w
-	runErr := run([]string{cmd, "-h"})
-	os.Stderr = stderr
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	saved := *stream
+	*stream = w
+	runErr := run(args)
+	*stream = saved
 	w.Close()
-	text, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
+	return string(<-read), runErr
+}
+
+// helpStanzas runs `mscope cmd… -h` and returns each flag's usage stanza —
+// name, type, help and default, exactly as printed — by flag name.
+func helpStanzas(t *testing.T, cmd ...string) map[string]string {
+	t.Helper()
+	stanzas, ok := flagsOf(t, cmd...)
+	if !ok {
+		t.Fatalf("%s -h does not print flag help", strings.Join(cmd, " "))
 	}
+	return stanzas
+}
+
+// flagsOf is helpStanzas for a command that may not exist: ok is false
+// when `mscope cmd… -h` is not a flag set's help.
+func flagsOf(t *testing.T, cmd ...string) (stanzas map[string]string, ok bool) {
+	t.Helper()
+	text, runErr := captured(t, &os.Stderr, append(cmd, "-h")...)
 	if !errors.Is(runErr, flag.ErrHelp) {
-		t.Fatalf("%s -h: %v", cmd, runErr)
+		return nil, false
 	}
-	stanzas := make(map[string]string)
+	stanzas = make(map[string]string)
 	name := ""
-	for _, line := range strings.Split(string(text), "\n") {
+	for _, line := range strings.Split(text, "\n") {
 		if strings.HasPrefix(line, "  -") {
 			name = strings.Fields(line)[0][1:]
 		}
@@ -428,7 +480,7 @@ func helpStanzas(t *testing.T, cmd string) map[string]string {
 			stanzas[name] += line + "\n"
 		}
 	}
-	return stanzas
+	return stanzas, true
 }
 
 // TestSharedFlagsCannotDrift: the flags more than one command takes read

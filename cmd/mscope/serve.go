@@ -45,14 +45,3 @@ func cmdServe(args []string) error {
 	<-sig
 	return srv.Close()
 }
-
-// mountServe wires the observability API under a live engine's surface:
-// the serve handler answers everything the engine mux doesn't claim.
-func mountServe(obs *serve.Server, engine http.Handler, claims ...string) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", obs.Handler())
-	for _, path := range claims {
-		mux.Handle(path, engine)
-	}
-	return mux
-}

@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/promfmt"
 	"github.com/gt-elba/milliscope/internal/selfobs"
@@ -124,9 +123,8 @@ type Agent struct {
 	bmu     sync.Mutex
 	blocked map[string]bool
 
-	mu       sync.Mutex
-	runErr   error // fatal handshake error, surfaced by Stop
-	lastCtrl wire.Control
+	mu     sync.Mutex
+	runErr error // fatal handshake error, surfaced by Stop
 
 	// Counters exported as Prometheus families.
 	batchesSent  atomic.Int64
@@ -401,7 +399,7 @@ func (s *session) fail(err error) {
 }
 
 // reader dispatches collector frames: acks return credits, resumes
-// answer opens, controls carry the fidelity state downstream.
+// answer opens.
 func (s *session) reader() {
 	for {
 		typ, payload, err := s.c.Read()
@@ -435,15 +433,6 @@ func (s *session) reader() {
 			if ch != nil {
 				ch <- r.Offset
 			}
-		case wire.TypeControl:
-			ctl, err := wire.DecodeControl(payload)
-			if err != nil {
-				s.fail(err)
-				return
-			}
-			s.a.mu.Lock()
-			s.a.lastCtrl = ctl
-			s.a.mu.Unlock()
 		default:
 			s.fail(fmt.Errorf("agentd: unexpected frame type %d from collector", typ))
 			return
@@ -665,43 +654,35 @@ func (s *session) shipSelfTrace() error {
 
 // Status is a point-in-time agent snapshot for the CLI and /metrics.
 type Status struct {
-	ID            string         `json:"id"`
-	Connected     bool           `json:"connected"`
-	Sources       int64          `json:"sources"`
-	BatchesSent   int64          `json:"batches_sent"`
-	RecordsSent   int64          `json:"records_sent"`
-	AcksReceived  int64          `json:"acks_received"`
-	Reconnects    int64          `json:"reconnects"`
-	DialErrors    int64          `json:"dial_errors"`
-	WireTxBytes   int64          `json:"wire_tx_bytes"`
-	WireRxBytes   int64          `json:"wire_rx_bytes"`
-	Quarantined   int64          `json:"quarantined"`
-	Credits       int64          `json:"credits"`
-	FidelityState fidelity.State `json:"collector_fidelity"`
-	QueuePct      int            `json:"collector_queue_pct"`
+	ID           string `json:"id"`
+	Connected    bool   `json:"connected"`
+	Sources      int64  `json:"sources"`
+	BatchesSent  int64  `json:"batches_sent"`
+	RecordsSent  int64  `json:"records_sent"`
+	AcksReceived int64  `json:"acks_received"`
+	Reconnects   int64  `json:"reconnects"`
+	DialErrors   int64  `json:"dial_errors"`
+	WireTxBytes  int64  `json:"wire_tx_bytes"`
+	WireRxBytes  int64  `json:"wire_rx_bytes"`
+	Quarantined  int64  `json:"quarantined"`
+	Credits      int64  `json:"credits"`
 }
 
 // Status snapshots the agent counters.
 func (a *Agent) Status() Status {
-	a.mu.Lock()
-	ctl := a.lastCtrl
-	a.mu.Unlock()
-	st, _ := fidelity.FromByte(ctl.State)
 	return Status{
-		ID:            a.cfg.ID,
-		Connected:     a.connected.Load(),
-		Sources:       a.liveSources.Load(),
-		BatchesSent:   a.batchesSent.Load(),
-		RecordsSent:   a.recordsSent.Load(),
-		AcksReceived:  a.acksReceived.Load(),
-		Reconnects:    a.reconnects.Load(),
-		DialErrors:    a.dialErrors.Load(),
-		WireTxBytes:   a.wireTx.Load(),
-		WireRxBytes:   a.wireRx.Load(),
-		Quarantined:   a.quarantined.Load(),
-		Credits:       a.creditsGauge.Load(),
-		FidelityState: st,
-		QueuePct:      int(ctl.QueuePct),
+		ID:           a.cfg.ID,
+		Connected:    a.connected.Load(),
+		Sources:      a.liveSources.Load(),
+		BatchesSent:  a.batchesSent.Load(),
+		RecordsSent:  a.recordsSent.Load(),
+		AcksReceived: a.acksReceived.Load(),
+		Reconnects:   a.reconnects.Load(),
+		DialErrors:   a.dialErrors.Load(),
+		WireTxBytes:  a.wireTx.Load(),
+		WireRxBytes:  a.wireRx.Load(),
+		Quarantined:  a.quarantined.Load(),
+		Credits:      a.creditsGauge.Load(),
 	}
 }
 
@@ -726,8 +707,6 @@ func (a *Agent) MetricsText() string {
 	c("quarantined_total", st.Quarantined, "malformed regions diverted at this node")
 	g("sources", st.Sources, "sources currently open with the collector")
 	g("credits", st.Credits, "record credits currently held")
-	g("collector_fidelity_state", int64(st.FidelityState), "collector-pushed fidelity: 0 full, 1 aggregate, 2 shed")
-	g("collector_queue_pct", int64(st.QueuePct), "collector record-channel fill percent")
 	return w.String()
 }
 

@@ -15,14 +15,17 @@
 //   - The loader never blocks on a socket. Acks are queued per
 //     connection and written by a dedicated goroutine, so one stalled
 //     agent link cannot wedge ingest for everyone else.
-//   - Flow control composes with fidelity. Credits bound the records in
-//     flight end-to-end; the engine's fidelity state (driven by the same
-//     queue/lag/mem pressure as `mscope live`) is pushed to agents in
-//     Control frames, so a pressured collector degrades the deployment
-//     to AGGREGATE instead of buffering without bound.
+//   - Flow control bounds memory. Credits bound the records in flight
+//     end-to-end, so a slow collector stalls the agents' tailers instead
+//     of buffering without bound. The engine's fidelity state (driven by
+//     the same queue/lag/mem pressure as `mscope live`) degrades what
+//     this process retains; the collector publishes it on its own
+//     /status and /metrics and sends none of it to agents, whose
+//     backpressure shows as their credits gauge.
 package collector
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -52,10 +55,8 @@ type Config struct {
 	// rejected. Empty means no authentication.
 	Token string
 	// Network and Addr name the listen endpoint ("tcp" host:port or
-	// "unix" socket path). Ignored when Listener is set.
+	// "unix" socket path).
 	Network, Addr string
-	// Listener overrides the endpoint — tests inject in-memory listeners.
-	Listener net.Listener
 	// Engine configures the remote-fed stream engine: DB, Plan,
 	// ErrorBudget, Fidelity, OnAlert all apply exactly as in `mscope
 	// live`. LogDir must be empty.
@@ -64,10 +65,6 @@ type Config struct {
 	// 4096; only this package's tests set it). It bounds each agent's
 	// unacked records in flight, and an agent's frames fit inside it.
 	credit int64
-	// controlEvery is the fidelity/pressure broadcast cadence (default
-	// 250ms; only this package's tests set it); state changes are pushed
-	// to every connected agent.
-	controlEvery time.Duration
 	// SelfTrace records the collector's own spans (connections, opens,
 	// batch ingest) in a node-local selfobs collector and loads them into
 	// the warehouse at Stop under "collector_selftrace" — alongside the
@@ -82,9 +79,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.credit <= 0 {
 		out.credit = 4096
-	}
-	if out.controlEvery <= 0 {
-		out.controlEvery = 250 * time.Millisecond
 	}
 	return out
 }
@@ -103,7 +97,7 @@ type Collector struct {
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
-	wg       sync.WaitGroup // accept loop + control broadcaster
+	wg       sync.WaitGroup // accept loop
 	connWG   sync.WaitGroup // per-connection readers and writers
 
 	mu     sync.Mutex
@@ -152,22 +146,16 @@ func (col *Collector) Pipeline() *stream.Pipeline { return col.pipe }
 // DB returns the engine's warehouse. Only touch it after Stop.
 func (col *Collector) DB() *mscopedb.DB { return col.pipe.DB() }
 
-// Start opens the listener and launches the engine, accept loop, and
-// control broadcaster.
+// Start opens the listener and launches the engine and the accept loop.
 func (col *Collector) Start() error {
-	ln := col.cfg.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen(col.cfg.Network, col.cfg.Addr)
-		if err != nil {
-			return err
-		}
+	ln, err := net.Listen(col.cfg.Network, col.cfg.Addr)
+	if err != nil {
+		return err
 	}
 	col.ln = ln
 	col.pipe.Start()
-	col.wg.Add(2)
+	col.wg.Add(1)
 	go col.acceptLoop()
-	go col.controlLoop()
 	return nil
 }
 
@@ -269,38 +257,6 @@ func (col *Collector) acceptLoop() {
 	}
 }
 
-// controlLoop pushes the engine's fidelity state and queue fill to every
-// agent — on change, and at a slow heartbeat so late joiners converge.
-func (col *Collector) controlLoop() {
-	defer col.wg.Done()
-	ticker := time.NewTicker(col.cfg.controlEvery)
-	defer ticker.Stop()
-	var last wire.Control
-	beats := 0
-	for {
-		select {
-		case <-col.stopCh:
-			return
-		case <-ticker.C:
-			ctl := wire.Control{
-				State:    uint8(col.pipe.FidelityState()),
-				QueuePct: uint8(col.pipe.QueueFill() * 100),
-			}
-			beats++
-			if ctl == last && beats%8 != 0 {
-				continue
-			}
-			last = ctl
-			payload := wire.EncodeControl(ctl)
-			col.mu.Lock()
-			for c := range col.conns {
-				c.enqueue(wire.TypeControl, payload)
-			}
-			col.mu.Unlock()
-		}
-	}
-}
-
 // claimOwner takes exclusive ownership of a source key for c, waiting out
 // a previous connection that is still releasing (an agent restart races
 // the server noticing the old socket died — this side closes the stale
@@ -343,7 +299,7 @@ type outFrame struct {
 
 // conn is one agent connection: a reader goroutine (this file's serve)
 // that decodes frames and feeds the engine, and a writer goroutine that
-// drains the ack/control queue so the loader never blocks on the socket.
+// drains the resume/ack queue so the loader never blocks on the socket.
 type conn struct {
 	col     *Collector
 	nc      net.Conn
@@ -485,10 +441,10 @@ func (c *conn) handshake() bool {
 }
 
 // readLoop decodes agent frames until the connection dies or says
-// Goodbye; true means a clean Goodbye. A frame read whole but refused — it
-// does not decode, or an agent has no business sending its type — drops
-// the connection and counts as a frame error, which a network drop does
-// not.
+// Goodbye; true means a clean Goodbye. A frame refused — its header names
+// no frame type or too long a payload, its payload does not decode, or an
+// agent has no business sending its type — drops the connection and
+// counts as a frame error, which a network drop does not.
 func (c *conn) readLoop() bool {
 	refuse := func() bool {
 		c.col.frameErrors.Add(1)
@@ -496,6 +452,9 @@ func (c *conn) readLoop() bool {
 	}
 	for {
 		typ, payload, err := c.c.Read()
+		if errors.Is(err, wire.ErrRefused) {
+			return refuse()
+		}
 		if err != nil {
 			return false
 		}
@@ -641,9 +600,10 @@ func (col *Collector) Status() Status {
 	}
 }
 
-// MetricsText renders the collector counters in Prometheus exposition
-// format, appended to the engine's own families — both sides rendered
-// through the shared promfmt writer, so the concatenation still lints.
+// MetricsText renders the engine's families followed by the collector
+// counters in Prometheus exposition format — both through the shared
+// promfmt writer, so the concatenation still lints. It is the collector
+// process's part of the /metrics its command composes.
 func (col *Collector) MetricsText() string {
 	st := col.Status()
 	var w promfmt.Writer
@@ -668,9 +628,8 @@ func (col *Collector) MetricsText() string {
 }
 
 // Handler serves the collector's observability endpoints: the engine's
-// /status and /alerts, /collector as the collector's own counters,
-// /metrics as the combined Prometheus families, and /healthz holding
-// 200 while the listener accepts and the engine runs.
+// /status and /alerts, /collector as the collector's own counters, and
+// /healthz holding 200 while the listener accepts and the engine runs.
 func (col *Collector) Handler() http.Handler {
 	mux := http.NewServeMux()
 	engine := col.pipe.Handler()
@@ -678,10 +637,6 @@ func (col *Collector) Handler() http.Handler {
 	mux.Handle("/alerts", engine)
 	mux.HandleFunc("/collector", func(w http.ResponseWriter, r *http.Request) {
 		promfmt.WriteJSON(w, http.StatusOK, col.Status())
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_, _ = w.Write([]byte(col.MetricsText()))
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		listening := !col.stopping() && col.ln != nil

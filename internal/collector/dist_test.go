@@ -13,7 +13,6 @@ import (
 	"github.com/gt-elba/milliscope/internal/agentd"
 	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/faults"
-	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/mscopedb"
 	"github.com/gt-elba/milliscope/internal/mscopedb/dbtest"
 	"github.com/gt-elba/milliscope/internal/promfmt"
@@ -118,7 +117,7 @@ func localDump(t *testing.T, dir string, engine stream.Config) string {
 
 func startCollector(t *testing.T, cfg Config) *Collector {
 	t.Helper()
-	if cfg.Addr == "" && cfg.Listener == nil {
+	if cfg.Addr == "" {
 		cfg.Network, cfg.Addr = "tcp", "127.0.0.1:0"
 	}
 	col, err := New(cfg)
@@ -397,26 +396,38 @@ func TestDistAuthReject(t *testing.T) {
 }
 
 // TestFrameErrorClosesConnection: a scripted agent that passes the
-// handshake and then sends a Batch frame that does not decode is dropped,
-// and the collector counts it as a frame error — in Status and on /metrics
-// — so refused frames are told apart from a network drop.
+// handshake and then sends a frame the collector refuses is dropped, and
+// the collector counts it as a frame error — in Status and on /metrics —
+// so refused frames are told apart from a network drop. Refused are a Batch
+// that does not decode, a frame of type 7 (protocol version 1's Control,
+// now unassigned), and one an agent must not send.
 func TestFrameErrorClosesConnection(t *testing.T) {
-	col := startCollector(t, Config{Token: "s3cret"})
-	sa := dialScripted(t, col)
-	sa.send(wire.TypeBatch, []byte{0xff})
-	sa.readToClose("a corrupt frame")
-	if got := col.Status().FrameErrors; got != 1 {
-		t.Errorf("FrameErrors = %d, want 1", got)
-	}
-	text := col.MetricsText()
-	if !strings.Contains(text, "\nmscope_collector_frame_errors_total 1\n") {
-		t.Errorf("/metrics does not count the frame error:\n%s", text)
-	}
-	if err := promfmt.Lint(text); err != nil {
-		t.Error(err)
-	}
-	if err := col.Stop(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		typ     byte
+		payload []byte
+	}{
+		{"corrupt batch", wire.TypeBatch, []byte{0xff}},
+		{"type 7", 7, []byte{1, 50}},
+		{"collector-only type", wire.TypeAck, wire.EncodeAck(wire.Ack{SourceID: 1})},
+	} {
+		col := startCollector(t, Config{Token: "s3cret"})
+		sa := dialScripted(t, col)
+		sa.send(tc.typ, tc.payload)
+		sa.readToClose(tc.name)
+		if got := col.Status().FrameErrors; got != 1 {
+			t.Errorf("%s: FrameErrors = %d, want 1", tc.name, got)
+		}
+		text := col.MetricsText()
+		if !strings.Contains(text, "\nmscope_collector_frame_errors_total 1\n") {
+			t.Errorf("%s: /metrics does not count the frame error:\n%s", tc.name, text)
+		}
+		if err := promfmt.Lint(text); err != nil {
+			t.Error(err)
+		}
+		if err := col.Stop(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -514,22 +525,27 @@ func (sa *scripted) readToClose(after string) {
 	}
 }
 
-// TestDistControlPropagation: the collector's fidelity state reaches the
-// agent via Control frames — the hook that turns central overload into
-// degraded shipping at the edge.
-func TestDistControlPropagation(t *testing.T) {
-	col := startCollector(t, Config{
-		Engine: stream.Config{
-			Fidelity: stream.FidelityOptions{Mode: stream.FidelityAggregate},
-		},
-		controlEvery: 5 * time.Millisecond,
-	})
-	a := startAgent(t, col, t.TempDir(), "apache", nil)
-	waitFor(t, 10*time.Second, "fidelity state pushed to the agent", func() bool {
-		return a.Status().FidelityState == fidelity.Aggregate
-	})
-	if err := a.Stop(); err != nil {
+// TestOldProtocolRefused: a peer speaking protocol version 1 (which had
+// the Control frame) is refused at the handshake, by version.
+func TestOldProtocolRefused(t *testing.T) {
+	col := startCollector(t, Config{})
+	nc, err := net.Dial("tcp", col.Addr().String())
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer nc.Close()
+	sa := &scripted{t: t, nc: nc, c: wire.NewConn(nc)}
+	sa.send(wire.TypeHello, wire.EncodeHello(wire.Hello{Version: 1, AgentID: "old"}))
+	typ, p, err := sa.c.Read()
+	if err != nil || typ != wire.TypeHelloAck {
+		t.Fatalf("handshake: type %d, %v", typ, err)
+	}
+	ack, err := wire.DecodeHelloAck(p)
+	if err != nil || ack.OK || ack.Reason != "protocol version 1, want 2" {
+		t.Errorf("HelloAck = %+v (%v), want refused with \"protocol version 1, want 2\"", ack, err)
+	}
+	if got := col.Status().AuthFailures; got != 1 {
+		t.Errorf("AuthFailures = %d, want 1", got)
 	}
 	if err := col.Stop(); err != nil {
 		t.Fatal(err)
@@ -537,8 +553,8 @@ func TestDistControlPropagation(t *testing.T) {
 }
 
 // TestStopLeavesNoGoroutine: after a drained fleet stops, nothing of the
-// collector (accept loop, control broadcaster, per-connection readers and
-// writers, engine loader) or of its agents is left running.
+// collector (accept loop, per-connection readers and writers, engine
+// loader) or of its agents is left running.
 func TestStopLeavesNoGoroutine(t *testing.T) {
 	cfg := smallScenarios()["dbio"](t.TempDir())
 	cfg.Name = "dist-goroutines"

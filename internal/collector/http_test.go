@@ -12,12 +12,13 @@ import (
 	"github.com/gt-elba/milliscope/internal/stream"
 )
 
-// TestCrossSurfaceMetricsConformance holds every Prometheus surface —
-// the collector (which concatenates the engine's families with its own)
-// and the agent — to the shared exposition discipline: mscope_-prefixed
-// families, one HELP and one TYPE line each, headers before samples,
-// no interleaving. The stream surface is linted in its own package; the
-// three together cover every /metrics endpoint mscope exposes.
+// TestCrossSurfaceMetricsConformance holds the collector's and the
+// agent's Prometheus text to the shared exposition discipline:
+// mscope_-prefixed families, one HELP and one TYPE line each, headers
+// before samples, no interleaving. The collector's text (the engine's
+// families, then its own) is what `mscope collector` composes its one
+// /metrics from, with serve's families under --serve; cmd/mscope's
+// TestOneSurfacePerProcess lints that composition on both listeners.
 func TestCrossSurfaceMetricsConformance(t *testing.T) {
 	dir := stagedDBIO(t)
 	col := startCollector(t, Config{Engine: stream.Config{}})
@@ -43,8 +44,8 @@ func TestCrossSurfaceMetricsConformance(t *testing.T) {
 			t.Errorf("%s surface exposes no %s* families", surface.name, want)
 		}
 	}
-	// The collector's combined text must include the engine families too —
-	// the concatenation is what a scraper actually sees.
+	// The collector's text must include the engine families too: one
+	// process, one exposition.
 	if text := col.MetricsText(); !strings.Contains(text, "mscope_rows_total") {
 		t.Error("collector /metrics is missing the engine's families")
 	}

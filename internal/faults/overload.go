@@ -1,10 +1,7 @@
 package faults
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -19,15 +16,15 @@ import (
 type Overload struct {
 	// BurstAt and BurstUntil bound the burst as fractions of the replay's
 	// wall-clock duration, 0 ≤ BurstAt < BurstUntil ≤ 1.
-	BurstAt    float64 `json:"burst_at"`
-	BurstUntil float64 `json:"burst_until"`
+	BurstAt    float64
+	BurstUntil float64
 	// BurstFactor multiplies the byte rate inside the burst relative to
 	// the rate outside it (a 10× surge replays ten seconds of trial per
 	// baseline second).
-	BurstFactor float64 `json:"burst_factor"`
+	BurstFactor float64
 	// ConsumerDelay throttles the pipeline loader by this much per
 	// record — the slow-consumer half of the overload.
-	ConsumerDelay time.Duration `json:"consumer_delay_ns"`
+	ConsumerDelay time.Duration
 }
 
 // Validate rejects malformed specs.
@@ -111,38 +108,4 @@ func ParseOverload(spec string) (Overload, error) {
 		}
 	}
 	return o, o.Validate()
-}
-
-// OverloadSidecar is the file name `mscope chaos --overload` drops next to
-// a corrupted log directory; the replay producer picks it up automatically
-// so a staged chaos directory carries its own load profile.
-const OverloadSidecar = "overload.json"
-
-// WriteSidecar persists the spec into dir.
-func (o Overload) WriteSidecar(dir string) error {
-	if err := o.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(o, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, OverloadSidecar), append(data, '\n'), 0o644)
-}
-
-// LoadOverloadSidecar reads dir's overload spec; ok is false when the
-// sidecar does not exist.
-func LoadOverloadSidecar(dir string) (Overload, bool, error) {
-	data, err := os.ReadFile(filepath.Join(dir, OverloadSidecar))
-	if os.IsNotExist(err) {
-		return Overload{}, false, nil
-	}
-	if err != nil {
-		return Overload{}, false, err
-	}
-	var o Overload
-	if err := json.Unmarshal(data, &o); err != nil {
-		return Overload{}, false, fmt.Errorf("faults: %s: %v", OverloadSidecar, err)
-	}
-	return o, true, o.Validate()
 }

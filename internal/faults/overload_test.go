@@ -62,21 +62,3 @@ func TestParseOverload(t *testing.T) {
 		}
 	}
 }
-
-func TestOverloadSidecarRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	if _, ok, err := LoadOverloadSidecar(dir); err != nil || ok {
-		t.Fatalf("empty dir: ok=%v err=%v, want absent sidecar", ok, err)
-	}
-	want := Overload{BurstAt: 0.1, BurstUntil: 0.4, BurstFactor: 16, ConsumerDelay: time.Millisecond}
-	if err := want.WriteSidecar(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := LoadOverloadSidecar(dir)
-	if err != nil || !ok {
-		t.Fatalf("load: ok=%v err=%v", ok, err)
-	}
-	if got != want {
-		t.Errorf("round trip %+v, want %+v", got, want)
-	}
-}

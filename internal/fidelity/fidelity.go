@@ -28,15 +28,6 @@ const (
 	Shed
 )
 
-// FromByte decodes a state shipped as a single wire byte (the collector's
-// Control frames); false for values outside the known range.
-func FromByte(b uint8) (State, bool) {
-	if b > uint8(Shed) {
-		return Full, false
-	}
-	return State(b), true
-}
-
 // MarshalText renders the state by name in JSON status bodies; its value
 // is the number the fidelity gauges export.
 func (s State) MarshalText() ([]byte, error) { return []byte(s.String()), nil }

@@ -52,7 +52,7 @@ type Server struct {
 	// A snapshot's slowest maxTraces request IDs and rendered diagnosis,
 	// each computed once; nil in live mode, whose warehouse grows.
 	ranking  *memo[[]string]
-	timeline *memo[[]diagEntry]
+	timeline *memo[[]stream.Alert]
 }
 
 // memo holds one product of an immutable snapshot. The first get computes
@@ -84,7 +84,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg}
 	if cfg.DB != nil {
-		s.ranking, s.timeline = new(memo[[]string]), new(memo[[]diagEntry])
+		s.ranking, s.timeline = new(memo[[]string]), new(memo[[]stream.Alert])
 	}
 	mux := http.NewServeMux()
 	// Every request is one serve/<endpoint> span of the self-telemetry:
@@ -437,75 +437,25 @@ func (s *Server) handleFlameSVG(w http.ResponseWriter, r *http.Request) {
 
 // --- /api/diagnosis --------------------------------------------------
 
-type diagCause struct {
-	Name         string  `json:"name"`
-	Correlation  float64 `json:"correlation"`
-	PeakInWindow float64 `json:"peak_in_window"`
-}
-
-// diagEntry is one verdict with its full evidence: the window, the
-// cross-tier pushback signature, and every ranked resource candidate —
-// not just the winning kind.
-type diagEntry struct {
-	Raised      *time.Time  `json:"raised,omitempty"`
-	WatermarkUS int64       `json:"watermark_us,omitempty"`
-	StartUS     int64       `json:"window_start_us"`
-	EndUS       int64       `json:"window_end_us"`
-	PeakUS      float64     `json:"peak_rt_us"`
-	Kind        string      `json:"kind"`
-	Node        string      `json:"node"`
-	Verdict     string      `json:"verdict"`
-	QueuesGrew  []string    `json:"queues_grew,omitempty"`
-	CrossTier   bool        `json:"cross_tier"`
-	Causes      []diagCause `json:"causes,omitempty"`
-	Missing     []string    `json:"missing,omitempty"`
-	stream.Wait             // of a live verdict; absent in batch mode
-}
-
+// diagTimeline is the diagnosis timeline: each verdict with its full
+// evidence — the window, the cross-tier pushback signature and every
+// ranked resource candidate — rendered by stream.Alert's MarshalJSON, the
+// same form /alerts serves.
 type diagTimeline struct {
-	Source  string      `json:"source"`
-	Entries []diagEntry `json:"entries"`
-}
-
-func diagFromWindow(wd core.WindowDiagnosis) diagEntry {
-	e := diagEntry{
-		StartUS:    wd.Window.StartMicros,
-		EndUS:      wd.Window.EndMicros,
-		PeakUS:     wd.Window.Peak,
-		Kind:       wd.Kind.String(),
-		Node:       wd.Node,
-		Verdict:    wd.Verdict,
-		QueuesGrew: wd.Pushback.Grew,
-		CrossTier:  wd.Pushback.CrossTier,
-	}
-	for _, c := range wd.Causes {
-		e.Causes = append(e.Causes, diagCause{
-			Name: c.Name, Correlation: c.Correlation, PeakInWindow: c.PeakInWindow,
-		})
-	}
-	return e
+	Source  string         `json:"source"`
+	Entries []stream.Alert `json:"entries"`
 }
 
 func (s *Server) handleDiagnosis(w http.ResponseWriter, r *http.Request) {
 	s.queries.Add(1)
 	if p := s.cfg.Pipeline; p != nil {
 		// Live mode: the online detector's alerts, evidence included.
-		tl := diagTimeline{Source: "live", Entries: []diagEntry{}}
-		for _, a := range p.Alerts() {
-			e := diagFromWindow(a.Diagnosis)
-			raised := a.Raised
-			e.Raised = &raised
-			e.WatermarkUS = a.WatermarkUS
-			e.Missing = a.Missing
-			e.Wait = a.Wait
-			tl.Entries = append(tl.Entries, e)
-		}
-		promfmt.WriteJSON(w, http.StatusOK, tl)
+		promfmt.WriteJSON(w, http.StatusOK, diagTimeline{Source: "live", Entries: p.Alerts()})
 		return
 	}
 	// Snapshot mode: the batch workflow at the detector's width, run by the
 	// first request.
-	entries, err := s.timeline.get(func() ([]diagEntry, error) {
+	entries, err := s.timeline.get(func() ([]stream.Alert, error) {
 		d, err := core.Diagnose(s.cfg.DB, core.DefaultWindow)
 		if err != nil {
 			return nil, err
@@ -519,38 +469,28 @@ func (s *Server) handleDiagnosis(w http.ResponseWriter, r *http.Request) {
 	promfmt.WriteJSON(w, http.StatusOK, diagTimeline{Source: "batch", Entries: entries})
 }
 
-// batchEntries renders a batch diagnosis's windows, each carrying the
-// sources the diagnosis lacked.
-func batchEntries(d *core.Diagnosis) []diagEntry {
-	entries := []diagEntry{}
+// batchEntries are a batch diagnosis's windows as verdicts that were never
+// raised, each carrying the sources the diagnosis lacked.
+func batchEntries(d *core.Diagnosis) []stream.Alert {
+	entries := make([]stream.Alert, 0, len(d.Windows))
 	for _, wd := range d.Windows {
-		e := diagFromWindow(wd)
-		e.Missing = d.MissingSources
-		entries = append(entries, e)
+		entries = append(entries, stream.Alert{Diagnosis: wd, Missing: d.MissingSources})
 	}
 	return entries
 }
 
 // --- readiness and metrics -------------------------------------------
 
+// handleHealthz answers 200: a built server always holds its warehouse.
+// Attached to a live engine, the command serves the engine's /healthz
+// in its place.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	probes := map[string]bool{}
-	ok := true
-	if p := s.cfg.Pipeline; p != nil {
-		st := p.Status()
-		probes["warehouse"] = true
-		probes["detector"] = st.Running
-		ok = st.Running
-	} else {
-		probes["warehouse"] = s.cfg.DB != nil
-		ok = s.cfg.DB != nil
-	}
-	promfmt.WriteHealth(w, probes, ok)
+	promfmt.WriteHealth(w, map[string]bool{"warehouse": true}, true)
 }
 
 // MetricsText renders the serve surface's own families through the
-// shared promfmt writer. In live mode the engine's families come first —
-// both sides use promfmt, so the concatenation still lints.
+// shared promfmt writer. Attached to a live engine, the command appends
+// them to the engine's on its one /metrics.
 func (s *Server) MetricsText() string {
 	tables, rows := 0, 0
 	var indexBytes, indexEvictions int64
@@ -581,9 +521,6 @@ func (s *Server) MetricsText() string {
 		"bytes of request-ID lookup indexes held in memory", float64(indexBytes))
 	w.Counter(promfmt.Prefix+"db_index_evictions_total",
 		"lookup indexes evicted to stay under the cap", float64(indexEvictions))
-	if p := s.cfg.Pipeline; p != nil {
-		return p.MetricsText() + w.String()
-	}
 	return w.String()
 }
 

@@ -248,7 +248,7 @@ func TestSchemaEvolvesInsideOneBatch(t *testing.T) {
 
 // TestStalledLoaderBoundsRecordsInFlight: with the loader held, what queues
 // between the parsers and it is channelCap records plus at most one batch —
-// counted in records by Status, QueueFill and the stall counter alike — and
+// counted in records by Status, queueFill and the stall counter alike — and
 // everything still loads once it is released.
 func TestStalledLoaderBoundsRecordsInFlight(t *testing.T) {
 	stage := stagedDBIO(t)
@@ -271,8 +271,8 @@ func TestStalledLoaderBoundsRecordsInFlight(t *testing.T) {
 	maxQueued := 0
 	for i := 0; i < 50; i++ {
 		q := pipe.Status().Queued
-		if f := pipe.QueueFill(); f > 1 || f < min(1, float64(q)/channelCap) {
-			t.Fatalf("QueueFill %v with %d of %d records queued", f, q, channelCap)
+		if f := pipe.queueFill(); f > 1 || f < min(1, float64(q)/channelCap) {
+			t.Fatalf("queueFill %v with %d of %d records queued", f, q, channelCap)
 		}
 		maxQueued = max(maxQueued, q)
 		time.Sleep(time.Millisecond)

@@ -150,6 +150,13 @@ func (p *Pipeline) fidState() fidelity.State {
 	return fidelity.State(p.fid.state.Load())
 }
 
+// queueFill is the fill fraction of the record queue — the rawest of the
+// pressure signals. The one batch admitted past channelCap does not read
+// as more than full.
+func (p *Pipeline) queueFill() float64 {
+	return min(1, float64(p.queued.Load())/float64(p.cfg.channelCap))
+}
+
 // evalPressure samples the three load signals and folds them into the
 // controller. Called from the loader every fidelityEvalEvery records and on
 // each watermark advance; pinned modes skip the controller but keep the
@@ -160,7 +167,7 @@ func (p *Pipeline) evalPressure() {
 		return
 	}
 	var pr fidelity.Pressure
-	pr.Queue = p.QueueFill()
+	pr.Queue = p.queueFill()
 	if low, ok := p.wm.Low(); ok && low != finalLow {
 		if maxF := p.wm.MaxFrontier(); maxF > low {
 			pr.Lag = float64(maxF-low) / float64(f.opts.LagBudget.Microseconds())

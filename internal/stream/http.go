@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/json"
 	"net/http"
 	"time"
 
@@ -137,35 +138,55 @@ func (p *Pipeline) Status() Status {
 	return st
 }
 
-// alertView flattens an Alert for JSON: CauseKind renders as its name.
-type alertView struct {
-	ID          int       `json:"id"`
-	Raised      time.Time `json:"raised"`
-	WatermarkUS int64     `json:"watermark_us"`
-	StartUS     int64     `json:"window_start_us"`
-	EndUS       int64     `json:"window_end_us"`
-	PeakUS      float64   `json:"peak_rt_us"`
-	Kind        string    `json:"kind"`
-	Node        string    `json:"node"`
-	Verdict     string    `json:"verdict"`
-	Missing     []string  `json:"missing,omitempty"`
-	Wait
-}
-
-func viewAlert(a Alert) alertView {
-	return alertView{
-		ID:          a.ID,
-		Raised:      a.Raised,
-		WatermarkUS: a.WatermarkUS,
-		StartUS:     a.Diagnosis.Window.StartMicros,
-		EndUS:       a.Diagnosis.Window.EndMicros,
-		PeakUS:      a.Diagnosis.Window.Peak,
-		Kind:        a.Diagnosis.Kind.String(),
-		Node:        a.Diagnosis.Node,
-		Verdict:     a.Diagnosis.Verdict,
-		Missing:     a.Missing,
-		Wait:        a.Wait,
+// MarshalJSON renders a verdict: the one JSON form /alerts and
+// /api/diagnosis serve, live or batch. A raised alert (ID from 1) leads
+// with its id, raise time and watermark and ends with its Wait; a batch
+// window — an Alert with only Diagnosis and Missing set — has neither.
+// CauseKind renders as its name, and every ranked cause comes along.
+func (a Alert) MarshalJSON() ([]byte, error) {
+	type raise struct {
+		ID          int       `json:"id"`
+		Raised      time.Time `json:"raised"`
+		WatermarkUS int64     `json:"watermark_us"`
 	}
+	type cause struct {
+		Name         string  `json:"name"`
+		Correlation  float64 `json:"correlation"`
+		PeakInWindow float64 `json:"peak_in_window"`
+	}
+	d := a.Diagnosis
+	v := struct {
+		*raise
+		StartUS    int64    `json:"window_start_us"`
+		EndUS      int64    `json:"window_end_us"`
+		PeakUS     float64  `json:"peak_rt_us"`
+		Kind       string   `json:"kind"`
+		Node       string   `json:"node"`
+		Verdict    string   `json:"verdict"`
+		QueuesGrew []string `json:"queues_grew,omitempty"`
+		CrossTier  bool     `json:"cross_tier"`
+		Causes     []cause  `json:"causes,omitempty"`
+		Missing    []string `json:"missing,omitempty"`
+		*Wait
+	}{
+		StartUS:    d.Window.StartMicros,
+		EndUS:      d.Window.EndMicros,
+		PeakUS:     d.Window.Peak,
+		Kind:       d.Kind.String(),
+		Node:       d.Node,
+		Verdict:    d.Verdict,
+		QueuesGrew: d.Pushback.Grew,
+		CrossTier:  d.Pushback.CrossTier,
+		Missing:    a.Missing,
+	}
+	for _, c := range d.Causes {
+		v.Causes = append(v.Causes, cause(c))
+	}
+	if a.ID != 0 {
+		v.raise = &raise{ID: a.ID, Raised: a.Raised, WatermarkUS: a.WatermarkUS}
+		v.Wait = &a.Wait
+	}
+	return json.Marshal(v)
 }
 
 // MetricsText renders the pipeline gauges in Prometheus exposition
@@ -234,10 +255,10 @@ func (p *Pipeline) MetricsText() string {
 	return w.String()
 }
 
-// Healthz writes the pipeline's readiness: 200 while the engine is
+// healthz writes the pipeline's readiness: 200 while the engine is
 // running (warehouse attached, detector live), 503 once stopped or
 // before Start. The body is JSON so callers can see which probe failed.
-func (p *Pipeline) Healthz(w http.ResponseWriter, r *http.Request) {
+func (p *Pipeline) healthz(w http.ResponseWriter, r *http.Request) {
 	p.mu.Lock()
 	running := p.running && !p.stopped
 	p.mu.Unlock()
@@ -247,25 +268,17 @@ func (p *Pipeline) Healthz(w http.ResponseWriter, r *http.Request) {
 	}, running && p.db != nil)
 }
 
-// Handler serves the live endpoints: /status and /alerts as JSON,
-// /metrics as Prometheus text.
+// Handler serves the live endpoints: /status and /alerts as JSON, and
+// /healthz. MetricsText is the engine's part of the process's /metrics,
+// which the command composes with its other surfaces'.
 func (p *Pipeline) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		promfmt.WriteJSON(w, http.StatusOK, p.Status())
 	})
 	mux.HandleFunc("/alerts", func(w http.ResponseWriter, r *http.Request) {
-		alerts := p.Alerts()
-		views := make([]alertView, 0, len(alerts))
-		for _, a := range alerts {
-			views = append(views, viewAlert(a))
-		}
-		promfmt.WriteJSON(w, http.StatusOK, views)
+		promfmt.WriteJSON(w, http.StatusOK, p.Alerts())
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_, _ = w.Write([]byte(p.MetricsText()))
-	})
-	mux.HandleFunc("/healthz", p.Healthz)
+	mux.HandleFunc("/healthz", p.healthz)
 	return mux
 }

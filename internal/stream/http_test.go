@@ -1,10 +1,14 @@
 package stream
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/gt-elba/milliscope/internal/analysis"
+	"github.com/gt-elba/milliscope/internal/core"
 	"github.com/gt-elba/milliscope/internal/promfmt"
 )
 
@@ -163,37 +167,59 @@ func TestHealthzReadiness(t *testing.T) {
 	}
 }
 
-// TestDebugHandlerSeparation checks the opt-in debug surface: pprof and
-// expvar are served by DebugHandler, and are NOT reachable through the
-// metrics/status handler, so --debug-addr is the only way to expose them.
-func TestDebugHandlerSeparation(t *testing.T) {
-	p := drainedPipeline(t)
-	dbg := DebugHandler(p)
-
-	rec := httptest.NewRecorder()
-	dbg.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/debug/vars: %d", rec.Code)
+// TestAlertRendering pins the one JSON form of a verdict, which /alerts
+// and both modes of /api/diagnosis serve: a raised alert leads with its
+// id, raise time and watermark and ends with its six wait keys; a batch
+// window (an Alert with only Diagnosis and Missing set) has neither.
+func TestAlertRendering(t *testing.T) {
+	wd := core.WindowDiagnosis{
+		Window:   analysis.Window{StartMicros: 1000, EndMicros: 51000, Peak: 420000},
+		Pushback: analysis.PushbackResult{Grew: []string{"apache", "tomcat"}, CrossTier: true},
+		Causes:   []analysis.Cause{{Name: "mysql disk", Correlation: 0.85, PeakInWindow: 100}},
+		Kind:     core.CauseDiskIO,
+		Node:     "mysql",
+		Verdict:  "disk-io at mysql",
 	}
-	body := rec.Body.String()
-	for _, v := range []string{"mscope_live_rows", "mscope_live_alerts", "mscope_live_sources"} {
-		if !strings.Contains(body, v) {
-			t.Errorf("/debug/vars missing %s", v)
+	// keys lists a rendering's top-level keys in order.
+	keys := func(a Alert) string {
+		b, err := json.Marshal(a)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	rec = httptest.NewRecorder()
-	dbg.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "goroutine") {
-		t.Errorf("/debug/pprof/ index: code %d", rec.Code)
-	}
-
-	// The metrics handler must not expose the debug surface.
-	for _, path := range []string{"/debug/vars", "/debug/pprof/"} {
-		rec = httptest.NewRecorder()
-		p.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code == 200 {
-			t.Errorf("metrics handler serves %s; debug endpoints must stay on their own listener", path)
+		dec := json.NewDecoder(strings.NewReader(string(b)))
+		if _, err := dec.Token(); err != nil {
+			t.Fatal(err)
 		}
+		var out []string
+		for dec.More() {
+			k, err := dec.Token()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var value json.RawMessage
+			if err := dec.Decode(&value); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, k.(string))
+		}
+		return strings.Join(out, " ")
+	}
+	raised := Alert{ID: 3, Raised: time.Unix(1, 0).UTC(), WatermarkUS: 2_000_000, Diagnosis: wd,
+		Missing: []string{"cjdbc_event"},
+		Wait:    Wait{SliceUS: 319_000, GraceUS: 639_000, ResidenceUS: 319_000, CeilingUS: 2_000_000, HoldUS: 1, DelayUS: 986_000}}
+	if got, want := keys(raised), "id raised watermark_us window_start_us window_end_us peak_rt_us kind node verdict "+
+		"queues_grew cross_tier causes missing slice_us grace_us residence_us grace_ceiling_us hold_us delay_us"; got != want {
+		t.Errorf("raised alert keys:\n got %s\nwant %s", got, want)
+	}
+	batch := Alert{Diagnosis: wd}
+	if got, want := keys(batch), "window_start_us window_end_us peak_rt_us kind node verdict queues_grew cross_tier causes"; got != want {
+		t.Errorf("batch window keys:\n got %s\nwant %s", got, want)
+	}
+	b, _ := json.Marshal(batch)
+	if want := `"kind":"disk-io"`; !strings.Contains(string(b), want) {
+		t.Errorf("batch window %s lacks %s", b, want)
+	}
+	if want := `"causes":[{"name":"mysql disk","correlation":0.85,"peak_in_window":100}]`; !strings.Contains(string(b), want) {
+		t.Errorf("batch window %s lacks %s", b, want)
 	}
 }

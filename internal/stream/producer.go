@@ -39,9 +39,7 @@ type ProducerConfig struct {
 	RotateAt float64
 	// Overload, when non-nil, reshapes the byte schedule with a burst (the
 	// arrival-rate half of the overload injector; ConsumerDelay is applied
-	// by the pipeline, not here). Nil auto-loads an overload.json sidecar
-	// from SrcDir when one exists, so chaos-staged directories carry their
-	// own load profile.
+	// by the pipeline, not here).
 	Overload *faults.Overload
 }
 
@@ -87,13 +85,6 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 	}
 	if cfg.Plan == nil {
 		cfg.Plan = transform.DefaultPlan()
-	}
-	if cfg.Overload == nil {
-		if o, ok, err := faults.LoadOverloadSidecar(cfg.SrcDir); err != nil {
-			return nil, err
-		} else if ok {
-			cfg.Overload = &o
-		}
 	}
 	if cfg.Overload != nil {
 		if err := cfg.Overload.Validate(); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/gt-elba/milliscope/internal/fidelity"
 	"github.com/gt-elba/milliscope/internal/parsers"
 	"github.com/gt-elba/milliscope/internal/selfobs"
 	"github.com/gt-elba/milliscope/internal/transform"
@@ -163,19 +162,6 @@ func (r *RemoteSource) Fail(msg string) {
 // state change: a cleanly departing agent (Goodbye) whose sources will
 // constrain window closure again if it reconnects and reopens them.
 func (r *RemoteSource) Suspend() { r.s.p.wm.Finish(r.s.path) }
-
-// FidelityState is the pipeline's current fidelity level — Full when the
-// degradation subsystem is disabled. The collector broadcasts it to
-// agents so a pressured central store degrades shipping at the edge.
-func (p *Pipeline) FidelityState() fidelity.State { return p.fidState() }
-
-// QueueFill is the fill fraction of the record queue — the rawest of the
-// pressure signals, the fidelity controller's and the collector's Control
-// frames'. The one batch admitted past channelCap does not read as more
-// than full.
-func (p *Pipeline) QueueFill() float64 {
-	return min(1, float64(p.queued.Load())/float64(p.cfg.channelCap))
-}
 
 // SelfTrace renders a node's own spans through the selfobs log format and
 // parses them into sink with the mScopeParser the plan binds to name, so

@@ -15,14 +15,16 @@
 //     (the PR 2/PR 6 ledger, generalized to (agent, source) keys);
 //   - each Ack returns record credits, bounding the records in flight
 //     end-to-end — a slow collector stops the agent's tailers instead of
-//     growing an unbounded buffer;
-//   - Control frames push the collector's fidelity state to agents, so a
-//     degraded deployment is visible (and exportable) at every node.
+//     growing an unbounded buffer.
+//
+// The collector's fidelity state is its own: it publishes it on its
+// /status and /metrics, and sends nothing of it to agents.
 package wire
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -31,36 +33,33 @@ import (
 
 // Version is the protocol revision; a Hello carrying a different version
 // is rejected at handshake.
-const Version = 1
+const Version = 2
 
 // MaxFrame bounds a frame payload. A length prefix beyond it is a
 // protocol error — the decoder must never allocate attacker-controlled
 // amounts of memory.
 const MaxFrame = 16 << 20
 
-// Frame types.
+// Frame types. Each keeps the byte it had in protocol version 1; 7 (that
+// version's Control) is unassigned, and ReadFrame refuses it.
 const (
 	// TypeHello opens a connection: agent → collector.
-	TypeHello = byte(iota + 1)
+	TypeHello byte = 1
 	// TypeHelloAck accepts or rejects the handshake: collector → agent.
-	TypeHelloAck
+	TypeHelloAck byte = 2
 	// TypeOpen announces one source the agent will ship: agent → collector.
-	TypeOpen
+	TypeOpen byte = 3
 	// TypeResume answers an Open with the offset to tail from: collector → agent.
-	TypeResume
+	TypeResume byte = 4
 	// TypeBatch ships a checkpointed column batch of records: agent → collector.
-	TypeBatch
+	TypeBatch byte = 5
 	// TypeAck confirms a batch is applied and returns credits: collector → agent.
-	TypeAck
-	// TypeControl pushes fidelity state and backoff hints: collector → agent.
-	TypeControl
+	TypeAck byte = 6
 	// TypeSourceState reports a terminal source condition (a failed
 	// parser): agent → collector.
-	TypeSourceState
+	TypeSourceState byte = 8
 	// TypeGoodbye ends a session cleanly after all acks arrived: agent → collector.
-	TypeGoodbye
-
-	maxType = TypeGoodbye
+	TypeGoodbye byte = 9
 )
 
 // Hello is the handshake: protocol version, the agent's stable identity,
@@ -133,14 +132,6 @@ type Ack struct {
 	Credit   int64
 }
 
-// Control pushes the collector's fidelity state (a fidelity.State value)
-// to every agent whenever it changes. Queue is the collector's record
-// channel fill in percent — a backoff hint agents export.
-type Control struct {
-	State    uint8
-	QueuePct uint8
-}
-
 // Source terminal states shipped in SourceState.
 const (
 	SourceFailed = uint8(1)
@@ -176,6 +167,11 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
+// ErrRefused is wrapped by ReadFrame's error for a frame whose header
+// it refuses — an unassigned type or a length beyond MaxFrame — which is
+// the peer's fault, where an I/O error is the network's.
+var ErrRefused = errors.New("frame refused")
+
 // ReadFrame decodes one frame from r. It returns io.EOF only at a clean
 // frame boundary; a truncated frame is io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
@@ -192,10 +188,10 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	n := binary.BigEndian.Uint32(hdr[:4])
 	typ = hdr[4]
 	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("wire: frame length %d exceeds max %d", n, MaxFrame)
+		return 0, nil, fmt.Errorf("wire: frame length %d exceeds max %d: %w", n, MaxFrame, ErrRefused)
 	}
-	if typ == 0 || typ > maxType {
-		return 0, nil, fmt.Errorf("wire: unknown frame type %d", typ)
+	if typ == 0 || typ == 7 || typ > TypeGoodbye {
+		return 0, nil, fmt.Errorf("wire: unknown frame type %d: %w", typ, ErrRefused)
 	}
 	payload = make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -413,24 +409,6 @@ func DecodeAck(b []byte) (Ack, error) {
 		Credit:   d.iv("ack credit"),
 	}
 	return a, d.done("ack")
-}
-
-// EncodeControl serializes a Control payload.
-func EncodeControl(c Control) []byte {
-	var e enc
-	e.byte(c.State)
-	e.byte(c.QueuePct)
-	return e.b
-}
-
-// DecodeControl parses a Control payload.
-func DecodeControl(b []byte) (Control, error) {
-	d := dec{b: b}
-	c := Control{
-		State:    d.byte("control state"),
-		QueuePct: d.byte("control queue"),
-	}
-	return c, d.done("control")
 }
 
 // EncodeSourceState serializes a SourceState payload.

@@ -66,6 +66,25 @@ func TestFrameRejectsOversizeAndUnknownType(t *testing.T) {
 	}
 }
 
+// TestFrameTypeBytes pins each frame type's byte across protocol
+// revisions, and that version 1's Control byte (7) is refused like any
+// unassigned one.
+func TestFrameTypeBytes(t *testing.T) {
+	want := map[byte]byte{TypeHello: 1, TypeHelloAck: 2, TypeOpen: 3, TypeResume: 4,
+		TypeBatch: 5, TypeAck: 6, TypeSourceState: 8, TypeGoodbye: 9}
+	for typ, b := range want {
+		if typ != b {
+			t.Errorf("type byte %d, want %d", typ, b)
+		}
+	}
+	for typ := 0; typ < 256; typ++ {
+		_, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0, byte(typ)}))
+		if _, known := want[byte(typ)]; known != (err == nil) {
+			t.Errorf("type %d: known %v, read error %v", typ, known, err)
+		}
+	}
+}
+
 func TestMessageRoundTrips(t *testing.T) {
 	h := Hello{Version: Version, AgentID: "node-3", Token: "s3cret"}
 	if got, err := DecodeHello(EncodeHello(h)); err != nil || got != h {
@@ -86,10 +105,6 @@ func TestMessageRoundTrips(t *testing.T) {
 	a := Ack{SourceID: 7, Seq: 42, Offset: 1 << 40, Credit: 512}
 	if got, err := DecodeAck(EncodeAck(a)); err != nil || got != a {
 		t.Fatalf("ack: %+v %v", got, err)
-	}
-	c := Control{State: 1, QueuePct: 88}
-	if got, err := DecodeControl(EncodeControl(c)); err != nil || got != c {
-		t.Fatalf("control: %+v %v", got, err)
 	}
 	ss := SourceState{SourceID: 9, State: SourceFailed, Error: "parser died"}
 	if got, err := DecodeSourceState(EncodeSourceState(ss)); err != nil || got != ss {
@@ -337,17 +352,17 @@ func TestConnFrameStream(t *testing.T) {
 		io.Reader
 		io.Writer
 	}{&buf, &buf})
-	if err := c.Write(TypeControl, EncodeControl(Control{State: 2})); err != nil {
+	if err := c.Write(TypeAck, EncodeAck(Ack{SourceID: 2, Seq: 1, Credit: 64})); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	typ, p, err := c.Read()
-	if err != nil || typ != TypeControl {
+	if err != nil || typ != TypeAck {
 		t.Fatalf("read: %d %v", typ, err)
 	}
-	if got, err := DecodeControl(p); err != nil || got.State != 2 {
-		t.Fatalf("control: %+v %v", got, err)
+	if got, err := DecodeAck(p); err != nil || got.SourceID != 2 || got.Credit != 64 {
+		t.Fatalf("ack: %+v %v", got, err)
 	}
 }
