@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/gt-elba/milliscope/internal/analysis"
@@ -190,8 +191,9 @@ type ResourceCandidate struct {
 // Evidence is the sensor set a window classification consults: per-tier
 // queue series, ranked resource candidates, and the corroborating
 // dirty-page and CPU-frequency gauges. Diagnose builds it once per trial
-// and keeps it on the Diagnosis; the streaming detector builds it over the
-// whole warehouse on each pass that has a window due — both hand it to the
+// and keeps it on the Diagnosis; the streaming detector keeps an
+// EvidenceFold and builds it on each pass that has a window due, reading
+// only the event rows appended since — the same evidence, handed to the
 // same ClassifyWindow.
 type Evidence struct {
 	// Queues maps tier → queue-length series (front tier required for a
@@ -224,7 +226,69 @@ var ErrNoResources = errors.New("core: no resource-monitor tables in the warehou
 // instead of failing. Unreadable tables aside, it errors only when no resource
 // table exists: with zero candidates there is nothing to correlate against.
 // That error, ErrNoResources, still comes with what the event tables give.
+// It is a fresh EvidenceFold built once.
 func BuildEvidence(db *mscopedb.DB, window time.Duration) (*Evidence, []string, error) {
+	return NewEvidenceFold(window).Build(db)
+}
+
+// EvidenceFold builds the evidence of a warehouse that grows between
+// builds, as the live detector reads it. Its event-table half is a fold:
+// each tier's queue and the links between adjacent tiers are kept across
+// builds, and a build reads only the event rows appended since the last.
+// The resource tables are read whole each time, so their averages sum in
+// row order. Every Build gives what BuildEvidence gives on the same
+// warehouse at that moment. Not safe for concurrent use.
+type EvidenceFold struct {
+	window time.Duration
+	tables []foldedTable // per tier, as folded; nil before the first Build
+	links  []*link       // links[i] joins Tiers[i] to Tiers[i+1]
+}
+
+// foldedTable is a tier's event table as folded: the table (nil when
+// absent), its schema then, the rows read and the queue they make.
+type foldedTable struct {
+	tbl  *mscopedb.Table
+	cols []mscopedb.Column
+	rows int
+	q    *metrics.Queue
+}
+
+// NewEvidenceFold starts an empty fold at the given window width.
+func NewEvidenceFold(window time.Duration) *EvidenceFold {
+	return &EvidenceFold{window: window}
+}
+
+// sync restarts the fold from row 0 unless the tiers' event tables are the
+// ones folded: none appeared, went or was replaced, none changed schema
+// (Widen, Retype, AddColumn) and none holds fewer rows than were read.
+func (f *EvidenceFold) sync(db *mscopedb.DB) {
+	tbls := make([]*mscopedb.Table, len(Tiers))
+	same := f.tables != nil
+	for i, tier := range Tiers {
+		tbls[i], _ = db.Table(tier + "_event")
+		if ft := f.tables; same {
+			same = ft[i].tbl == tbls[i] && (tbls[i] == nil ||
+				tbls[i].Rows() >= ft[i].rows && slices.Equal(ft[i].cols, tbls[i].Columns()))
+		}
+	}
+	if same {
+		return
+	}
+	f.tables, f.links = make([]foldedTable, len(Tiers)), make([]*link, len(Tiers))
+	for i, tbl := range tbls {
+		if tbl == nil {
+			continue
+		}
+		f.tables[i] = foldedTable{tbl: tbl, cols: tbl.Columns(), q: metrics.NewQueue(f.window)}
+		if up := i - 1; up >= 0 && tbls[up] != nil {
+			f.links[up] = newLink(tbls[up].Rows(), tbls[up].ColIndex("q") >= 0, f.window)
+		}
+	}
+}
+
+// Build folds in the event rows appended since the last Build and returns
+// the evidence of the warehouse as it stands, as BuildEvidence does.
+func (f *EvidenceFold) Build(db *mscopedb.DB) (*Evidence, []string, error) {
 	ev := &Evidence{
 		Queues:    make(map[string]*mscopedb.Series, len(Tiers)),
 		Dirty:     make(map[string]*mscopedb.Series, len(Tiers)),
@@ -234,39 +298,35 @@ func BuildEvidence(db *mscopedb.DB, window time.Duration) (*Evidence, []string, 
 		NetLag:    make(map[string]*mscopedb.Series, len(Tiers)),
 	}
 	var missing []string
-	// One pass per event table: the tier's queue, and both of its stamp
-	// columns for the lag links it takes part in. links[i] joins Tiers[i]
-	// to Tiers[i+1] and exists only when both tables do.
+	// One read per event table of its new rows: the tier's queue, and both
+	// of its stamp columns for the lag links it takes part in.
 	sp := selfobs.Begin(selfobs.PipeDiagnose, "evidence", "queues", "")
-	links := make([]*link, len(Tiers))
-	for i := 0; i+1 < len(Tiers); i++ {
-		if up, err := db.Table(Tiers[i] + "_event"); err == nil && db.HasTable(Tiers[i+1]+"_event") {
-			links[i] = newLink(up.Rows())
-		}
-	}
-	eventRows := 0
+	f.sync(db)
+	folded := 0
 	for i, tier := range Tiers {
-		tbl, err := db.Table(tier + "_event")
-		if err != nil {
+		ft := &f.tables[i]
+		if ft.tbl == nil {
 			missing = append(missing, tier+"_event")
 			continue
 		}
-		var q metrics.Queue
 		var up *link
 		if i > 0 {
-			up = links[i-1]
+			up = f.links[i-1]
 		}
-		if err := scanEvents(tbl, &q, up, links[i]); err != nil {
+		n, err := scanEvents(ft.tbl, ft.rows, ft.q, up, f.links[i])
+		ft.rows += n
+		folded += n
+		if err != nil {
+			f.tables = nil // read in part: the next Build starts over
 			return nil, missing, err
 		}
-		pts, err := q.Points(window)
+		pts, err := ft.q.Points()
 		if err != nil {
 			return nil, missing, err
 		}
 		ev.Queues[tier] = metrics.PointsToSeries(pts)
-		eventRows += tbl.Rows()
 	}
-	sp.End(int64(eventRows), 0)
+	sp.End(int64(folded), 0)
 	// One selection per resource table serves all seven of its series.
 	sp = selfobs.Begin(selfobs.PipeDiagnose, "evidence", "resources", "")
 	for _, tier := range Tiers {
@@ -280,7 +340,7 @@ func BuildEvidence(db *mscopedb.DB, window time.Duration) (*Evidence, []string, 
 			return nil, missing, err
 		}
 		series := func(col string, fn mscopedb.AggFn) (*mscopedb.Series, error) {
-			return res.WindowAgg("ts", window, col, fn)
+			return res.WindowAgg("ts", f.window, col, fn)
 		}
 		disk, err := series("dsk_util", mscopedb.AggMax)
 		if err != nil {
@@ -313,11 +373,11 @@ func BuildEvidence(db *mscopedb.DB, window time.Duration) (*Evidence, []string, 
 	}
 	sp.End(int64(len(ev.Candidates)), 0)
 	sp = selfobs.Begin(selfobs.PipeDiagnose, "evidence", "netlag", "")
-	for i, l := range links {
+	for i, l := range f.links {
 		if l == nil {
 			continue
 		}
-		if lag := l.series(window); lag != nil {
+		if lag := l.series(); lag != nil {
 			ev.NetLag[Tiers[i+1]] = lag
 		}
 	}

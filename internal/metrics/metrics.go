@@ -161,60 +161,93 @@ func PointInTimeRT(tbl *mscopedb.Table, window time.Duration) (*PIT, error) {
 	return p, nil
 }
 
-// Queue accumulates the arrival and departure instants of a tier's event
-// rows, chunk by chunk, and samples them into the instantaneous number of
-// resident requests.
+// Queue counts the arrival and departure instants of a tier's event rows,
+// chunk by chunk, per step of an absolute grid fixed at construction, and
+// samples them into the instantaneous number of resident requests. The
+// counts are the same whatever order the rows come in, so rows fold in
+// between samplings, and a sampling costs the steps spanned, not the rows.
+// Not safe for concurrent use.
 type Queue struct {
-	arrivals, departures []int64
+	step   time.Duration
+	stepUS int64
+	n      int
+	lo, hi int64 // the earliest and latest instant folded
+	// net[k] is the arrivals less the departures at the instants t with
+	// (base+k-1)·step < t ≤ (base+k)·step: what a sample at (base+k)·step
+	// sees that the one before it did not.
+	base int64
+	net  []int
+}
+
+// NewQueue starts an empty queue sampled every step.
+func NewQueue(step time.Duration) *Queue {
+	return &Queue{step: step, stepUS: step.Microseconds()}
 }
 
 // Add takes the ua and ud columns of some event rows.
 func (q *Queue) Add(ua, ud []int64) {
-	q.arrivals = append(q.arrivals, ua...)
-	q.departures = append(q.departures, ud...)
+	if len(ua) == 0 || q.stepUS <= 0 {
+		return
+	}
+	lo, hi := min(slices.Min(ua), slices.Min(ud)), max(slices.Max(ua), slices.Max(ud))
+	if q.n > 0 {
+		lo, hi = min(lo, q.lo), max(hi, q.hi)
+	}
+	q.n, q.lo, q.hi = q.n+len(ua), lo, hi
+	if (hi-q.first())/q.stepUS >= mscopedb.MaxGridBuckets {
+		q.net = nil // Points refuses the grid
+		return
+	}
+	first := q.first() / q.stepUS
+	if len(q.net) == 0 {
+		q.base = first
+	}
+	if first < q.base {
+		q.net = append(make([]int, q.base-first, q.base-first+int64(len(q.net))), q.net...)
+		q.base = first
+	}
+	if need := q.slot(hi) - q.base + 1; need > int64(len(q.net)) {
+		q.net = append(q.net, make([]int, need-int64(len(q.net)))...)
+	}
+	for r := range ua {
+		q.net[q.slot(ua[r])-q.base]++
+		q.net[q.slot(ud[r])-q.base]--
+	}
 }
+
+// first is the first sample: the grid point at or before the earliest
+// instant, so queue samples share window timestamps with resource series
+// (correlation aligns on them).
+func (q *Queue) first() int64 { return q.lo - mod(q.lo, q.stepUS) }
+
+// slot is the grid index of the first sample that sees instant t.
+func (q *Queue) slot(t int64) int64 { return (t + mod(-t, q.stepUS)) / q.stepUS }
 
 // Points samples the queue length every step: at each instant, arrivals so
 // far less departures so far (an arrival and a departure at the same
-// instant cancel, whichever the log recorded first).
-func (q *Queue) Points(step time.Duration) ([]Point, error) {
-	stepUS := step.Microseconds()
-	if stepUS <= 0 {
-		return nil, fmt.Errorf("metrics: step %v is below one microsecond", step)
+// instant cancel, whichever the log recorded first). The last sample is
+// the final instant, after the last departure (queue back at its residual
+// level).
+func (q *Queue) Points() ([]Point, error) {
+	if q.stepUS <= 0 {
+		return nil, fmt.Errorf("metrics: step %v is below one microsecond", q.step)
 	}
-	n := len(q.arrivals)
-	if n == 0 {
+	if q.n == 0 {
 		return nil, nil
 	}
-	ua, ud := q.arrivals, q.departures
-	slices.Sort(ua)
-	slices.Sort(ud)
-	lo, hi := min(ua[0], ud[0]), max(ua[n-1], ud[n-1])
-	// Snap the first sample onto the step grid so queue samples share
-	// window timestamps with resource series (correlation aligns on them).
-	lo -= mod(lo, stepUS)
-	if err := checkGrid(hi-lo, stepUS, "a queue"); err != nil {
+	first := q.first()
+	if err := checkGrid(q.hi-first, q.stepUS, "a queue"); err != nil {
 		return nil, err
 	}
-	out := make([]Point, 0, (hi-lo)/stepUS+2)
-	i, j := 0, 0
-	emit := func(at int64) {
-		for i < n && ua[i] <= at {
-			i++
-		}
-		for j < n && ud[j] <= at {
-			j++
-		}
-		out = append(out, Point{AtMicros: at, N: i - j})
+	out := make([]Point, 0, (q.hi-first)/q.stepUS+2)
+	n, k := 0, first/q.stepUS-q.base
+	at := first
+	for ; at <= q.hi; at, k = at+q.stepUS, k+1 {
+		n += q.net[k]
+		out = append(out, Point{AtMicros: at, N: n})
 	}
-	at := lo
-	for ; at <= hi; at += stepUS {
-		emit(at)
-	}
-	// Always sample the final instant so the series ends after the last
-	// departure (queue back at its residual level).
-	if at-stepUS != hi {
-		emit(hi)
+	if at-q.stepUS != q.hi {
+		out = append(out, Point{AtMicros: q.hi, N: 0}) // every row has arrived and departed
 	}
 	return out, nil
 }
@@ -225,11 +258,11 @@ func (q *Queue) Points(step time.Duration) ([]Point, error) {
 // without sampling loss; Figure 9 reads it, and core.BuildEvidence builds
 // the same series through Queue for the diagnosis Figures 6 and 8b render.
 func QueueSeries(tbl *mscopedb.Table, step time.Duration) ([]Point, error) {
-	var q Queue
+	q := NewQueue(step)
 	if err := scanSpans(tbl, q.Add); err != nil {
 		return nil, err
 	}
-	return q.Points(step)
+	return q.Points()
 }
 
 // PointsToSeries converts a queue-point list into a Series for correlation

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -251,6 +252,82 @@ func TestQueueSeriesMatchesEventSweep(t *testing.T) {
 		}
 		if want := queuePointsByEvents(spans, 50); !reflect.DeepEqual(got, want) {
 			t.Fatalf("spans %v:\n got %v\nwant %v", spans, got, want)
+		}
+	}
+}
+
+// queuePointsBySorting is Queue.Points as it was before the counts: both
+// stamp columns sorted, then swept at every step. Kept as the oracle of
+// the counted form.
+func queuePointsBySorting(ua, ud []int64, stepUS int64) []Point {
+	n := len(ua)
+	if n == 0 {
+		return nil
+	}
+	ua, ud = slices.Clone(ua), slices.Clone(ud)
+	slices.Sort(ua)
+	slices.Sort(ud)
+	lo, hi := min(ua[0], ud[0]), max(ua[n-1], ud[n-1])
+	lo -= mod(lo, stepUS)
+	var out []Point
+	i, j := 0, 0
+	emit := func(at int64) {
+		for i < n && ua[i] <= at {
+			i++
+		}
+		for j < n && ud[j] <= at {
+			j++
+		}
+		out = append(out, Point{AtMicros: at, N: i - j})
+	}
+	at := lo
+	for ; at <= hi; at += stepUS {
+		emit(at)
+	}
+	if at-stepUS != hi {
+		emit(hi)
+	}
+	return out
+}
+
+// TestQueueCountsMatchSorting: the counted queue samples what sorting the
+// stamps sampled, after every chunk it is given — instants shared by
+// several rows, rows that arrive and leave at once, a step that does not
+// divide the span, and chunks earlier than the ones already folded.
+func TestQueueCountsMatchSorting(t *testing.T) {
+	cases := []struct {
+		name   string
+		stepUS int64
+		chunks [][][2]int64 // (ua, ud) rows, one slice per Add
+	}{
+		{"duplicate instants", 50, [][][2]int64{{{100, 200}, {100, 200}, {150, 200}, {200, 250}}}},
+		{"ua == ud", 50, [][][2]int64{{{100, 100}, {150, 150}, {150, 160}}, {{160, 160}}}},
+		{"step does not divide the span", 30, [][][2]int64{{{7, 95}, {40, 41}}, {{41, 101}}}},
+		{"negative instants", 40, [][][2]int64{{{-130, -5}, {-5, 0}}, {{-200, -130}}}},
+		{"earlier chunks", 50, [][][2]int64{
+			{{10_000, 10_400}, {10_100, 10_120}},
+			{{9_000, 9_700}, {9_650, 10_050}},
+			{{100, 200}},
+			{{10_450, 10_500}, {150, 10_450}},
+		}},
+	}
+	for _, c := range cases {
+		q := NewQueue(time.Duration(c.stepUS) * time.Microsecond)
+		var ua, ud []int64
+		for k, chunk := range c.chunks {
+			var cu, cd []int64
+			for _, r := range chunk {
+				cu, cd = append(cu, r[0]), append(cd, r[1])
+			}
+			q.Add(cu, cd)
+			ua, ud = append(ua, cu...), append(ud, cd...)
+			got, err := q.Points()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := queuePointsBySorting(ua, ud, c.stepUS); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, after chunk %d:\n got %v\nwant %v", c.name, k, got, want)
+			}
 		}
 	}
 }

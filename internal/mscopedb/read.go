@@ -122,6 +122,13 @@ func (t *Table) layout() layout {
 // the others are skipped by their length prefix. An unreadable segment is
 // a SegmentError; an error from fn stops the scan and is returned as is.
 func (t *Table) Scan(cols []string, fn func(*Chunk) error) error {
+	return t.ScanFrom(0, cols, fn)
+}
+
+// ScanFrom is Scan of the rows from row on: a reader that keeps a cursor
+// reads only what was appended since. The segment holding row is decoded
+// whole and handed out from row on; a row past the end yields nothing.
+func (t *Table) ScanFrom(row int, cols []string, fn func(*Chunk) error) error {
 	c, proj, err := t.newChunk(cols)
 	if err != nil {
 		return err
@@ -143,7 +150,7 @@ func (t *Table) Scan(cols []string, fn func(*Chunk) error) error {
 	lay := t.layout()
 	segs, refreshed := lay.segs, false
 	decoded := make([]colData, len(t.cols))
-	for next := 0; next < lay.sealed; {
+	for next := max(row, 0); next < lay.sealed; {
 		ss, ok := findSeg(segs, next)
 		if !ok {
 			return fmt.Errorf("mscopedb: scan %s: no segment holds row %d (schema change during the scan?)", t.name, next)
@@ -172,7 +179,7 @@ func (t *Table) Scan(cols []string, fn func(*Chunk) error) error {
 		}
 		next = end
 	}
-	return emit(lay.tail, 0, lay.rows-lay.sealed)
+	return emit(lay.tail, max(row-lay.sealed, 0), lay.rows-lay.sealed)
 }
 
 // slice is rows [lo, hi) of one column.

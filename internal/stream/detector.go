@@ -88,7 +88,9 @@ func (a Wait) Waited() string {
 // front-tier events as the low watermark advances. A settled episode whose
 // correlation slice, plus the grace its residence asks for, is behind the
 // watermark is classified against the live warehouse with the same
-// BuildEvidence/ClassifyWindow — the verdict logic exists exactly once.
+// evidence and ClassifyWindow as batch — the verdict logic exists exactly
+// once. The evidence is a core.EvidenceFold kept across passes, so a pass
+// reads only the event rows appended since the last one that built it.
 // The loader goroutine owns all of it; nothing here is safe for
 // concurrent use.
 type detector struct {
@@ -106,8 +108,13 @@ type detector struct {
 	promote func(loUS, hiUS int64)
 
 	eps     core.Episodes
+	fold    *core.EvidenceFold
 	pending []analysis.Window // settled, not classified yet
 	lastUS  int64             // the previous pass's watermark
+
+	// checkEvidence, set by tests only, sees every evidence a pass builds
+	// with the warehouse it was built from.
+	checkEvidence func(*mscopedb.DB, *core.Evidence, []string, error)
 }
 
 func newDetector(db *mscopedb.DB, window, grace, skew time.Duration) *detector {
@@ -117,6 +124,7 @@ func newDetector(db *mscopedb.DB, window, grace, skew time.Duration) *detector {
 		floorUS:   (window + skew).Microseconds(),
 		ceilingUS: grace.Microseconds(),
 		eps:       core.Episodes{PIT: metrics.NewPIT(window)},
+		fold:      core.NewEvidenceFold(window),
 	}
 }
 
@@ -178,14 +186,17 @@ func (d *detector) advance(lowUS int64) ([]Alert, error) {
 	}
 	// Promote the neighbourhood of every window this pass will classify,
 	// then build the evidence once for all of them: it is a function of
-	// the warehouse alone.
+	// the warehouse alone, whatever the fold read at earlier passes.
 	for _, a := range due {
 		if d.promote != nil {
 			lo, hi := core.ClassifySlice(a.Diagnosis.Window)
 			d.promote(lo-a.GraceUS, hi+a.GraceUS)
 		}
 	}
-	ev, missing, err := core.BuildEvidence(d.db, time.Duration(d.windowUS)*time.Microsecond)
+	ev, missing, err := d.fold.Build(d.db)
+	if d.checkEvidence != nil {
+		d.checkEvidence(d.db, ev, missing, err)
+	}
 	notYet := errors.Is(err, core.ErrNoResources)
 	if err == nil && ev.Queues[core.Tiers[0]] == nil {
 		err, notYet = fmt.Errorf("no %s_event table", core.Tiers[0]), true

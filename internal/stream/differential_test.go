@@ -6,9 +6,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,8 +41,11 @@ const lockstepTick = 10 * time.Millisecond
 // detector run before the next begins: the engine is never shown event
 // time ahead of what a 1x tail that keeps up delivers, and nothing depends
 // on the machine's speed. Records are paced by count as stream.Producer
-// paces bytes. It returns the alerts, the shutdown pass's included.
-func lockstep(t *testing.T, dir string, trial time.Duration) []stream.Alert {
+// paces bytes. Every evidence a detector pass builds must be what
+// core.BuildEvidence gives on the warehouse at that moment. It returns the
+// alerts, the shutdown pass's included, and the number of passes whose
+// evidence was checked.
+func lockstep(t *testing.T, dir string, trial time.Duration) ([]stream.Alert, int64) {
 	t.Helper()
 	plan := transform.DefaultPlan()
 	files, err := os.ReadDir(dir)
@@ -51,6 +56,15 @@ func lockstep(t *testing.T, dir string, trial time.Duration) []stream.Alert {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var checked atomic.Int64
+	pipe.CheckEvidence(func(db *mscopedb.DB, ev *core.Evidence, missing []string, err error) {
+		checked.Add(1)
+		want, wantMissing, wantErr := core.BuildEvidence(db, detectWindow)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(missing, wantMissing) || !reflect.DeepEqual(ev, want) {
+			t.Errorf("pass %d: the fold's evidence (missing %v, err %v) is not a rebuild's (missing %v, err %v)",
+				checked.Load(), missing, err, wantMissing, wantErr)
+		}
+	})
 	type feed struct {
 		src     *stream.RemoteSource
 		entries []mxml.Entry
@@ -106,7 +120,7 @@ func lockstep(t *testing.T, dir string, trial time.Duration) []stream.Alert {
 	if err := pipe.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	return pipe.Alerts()
+	return pipe.Alerts(), checked.Load()
 }
 
 // online reports whether the watermark, not the shutdown pass, raised a.
@@ -149,8 +163,15 @@ next:
 // are the batch diagnosis' windows, one to one, and every window that ends
 // early enough in the trial is raised by the watermark. Under -short it
 // runs dbio at its own seed, and lockconvoy/seed52, whose lead-in episode
-// starts 150 ms before the convoy's, inside its correlation slice.
+// starts 150 ms before the convoy's, inside its correlation slice. Every
+// detector pass's evidence equals a rebuild (see lockstep).
 func TestLockstepMatchesBatchCatalogue(t *testing.T) {
+	var checked int64
+	defer func() {
+		if checked == 0 {
+			t.Error("no detector pass built evidence: the fold went unchecked")
+		}
+	}()
 	for _, spec := range core.Scenarios() {
 		for i := range int64(10) {
 			s := spec
@@ -164,7 +185,8 @@ func TestLockstepMatchesBatchCatalogue(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				alerts := lockstep(t, dir, s.Duration.D())
+				alerts, passes := lockstep(t, dir, s.Duration.D())
+				checked += passes
 				sameVerdicts(t, alerts, diag.Windows)
 				// The longest a window waits is its slice + the 2 s
 				// ceiling; a window that leaves that much trial (and a
@@ -235,7 +257,7 @@ func plantedDBIO(t *testing.T, reqs ...[2]int64) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alerts := lockstep(t, dir, spec.Duration.D())
+	alerts, _ := lockstep(t, dir, spec.Duration.D())
 	sameVerdicts(t, alerts, diag.Windows)
 	var got []string
 	for _, a := range alerts {
