@@ -35,7 +35,6 @@ var hotPathAllowed = map[string]bool{
 	"NewBuf":     true,
 	"Begin":      true,
 	"NewCounter": true,
-	"Enabled":    true,
 }
 
 // labelBuilders are packages whose calls inside span-Begin arguments mean
@@ -97,7 +96,7 @@ func lintFile(fset *token.FileSet, f *ast.File) []finding {
 		}
 		if id, ok := sel.X.(*ast.Ident); ok && id.Name == alias && id.Obj == nil {
 			if !hotPathAllowed[sel.Sel.Name] {
-				report(call, "%s.%s is not part of the no-op-able hot-path API (allowed: NewBuf, Begin, NewCounter, Enabled)",
+				report(call, "%s.%s is not part of the no-op-able hot-path API (allowed: NewBuf, Begin, NewCounter)",
 					alias, sel.Sel.Name)
 			}
 		}

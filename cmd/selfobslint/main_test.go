@@ -38,7 +38,6 @@ func f(name string) {
 	sp2.End(0, 0)
 	c := selfobs.NewCounter(selfobs.PipeLive, "append", "rows")
 	c.Add(1)
-	_ = selfobs.Enabled()
 }
 `
 	if got := lintSource(t, src); len(got) != 0 {

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -44,10 +45,13 @@ func (p *pkgDecls) hasMember(typ, member string, depth int) bool {
 // module parses every Go file of the module once: the declarations of each
 // library package's non-test files (package main has none a document can
 // name), the flag names defined under cmd/ and bench/, and every comment.
+// It keeps every file's syntax tree for the internal surface check.
 type module struct {
 	pkgs     map[string]*pkgDecls
 	flags    map[string]bool
 	comments map[string][]string // file → comment texts
+	fset     *token.FileSet
+	files    map[string]*ast.File // slash-separated path → syntax tree
 }
 
 var flagDefs = map[string]int{ // flag-defining method → index of its name argument
@@ -57,10 +61,26 @@ var flagDefs = map[string]int{ // flag-defining method → index of its name arg
 	"BoolVar": 1, "Float64Var": 1, "DurationVar": 1, "Var": 1, "TextVar": 1,
 }
 
+var (
+	moduleOnce   sync.Once
+	parsedModule *module
+	parseErr     error
+)
+
+// parseModule returns the module, parsed on the first call.
 func parseModule(t *testing.T) *module {
 	t.Helper()
-	m := &module{pkgs: map[string]*pkgDecls{}, flags: map[string]bool{}, comments: map[string][]string{}}
+	moduleOnce.Do(func() { parsedModule, parseErr = walkModule() })
+	if parseErr != nil {
+		t.Fatal(parseErr)
+	}
+	return parsedModule
+}
+
+func walkModule() (*module, error) {
 	fset := token.NewFileSet()
+	m := &module{pkgs: map[string]*pkgDecls{}, flags: map[string]bool{}, comments: map[string][]string{},
+		fset: fset, files: map[string]*ast.File{}}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -81,6 +101,7 @@ func parseModule(t *testing.T) *module {
 		for _, g := range f.Comments {
 			m.comments[path] = append(m.comments[path], g.Text())
 		}
+		m.files[filepath.ToSlash(path)] = f
 		if strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
@@ -92,10 +113,7 @@ func parseModule(t *testing.T) *module {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return m, err
 }
 
 func (m *module) addDecls(f *ast.File) {

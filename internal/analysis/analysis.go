@@ -23,11 +23,11 @@ func (w Window) Duration() time.Duration {
 	return time.Duration(w.EndMicros-w.StartMicros) * time.Microsecond
 }
 
-// Pearson computes the correlation coefficient of two equal-length
+// pearson computes the correlation coefficient of two equal-length
 // vectors. It returns 0 when either vector is constant.
-func Pearson(a, b []float64) float64 {
+func pearson(a, b []float64) float64 {
 	if len(a) != len(b) {
-		panic(fmt.Sprintf("analysis: Pearson over %d vs %d points", len(a), len(b)))
+		panic(fmt.Sprintf("analysis: pearson over %d vs %d points", len(a), len(b)))
 	}
 	n := float64(len(a))
 	if n == 0 {
@@ -74,7 +74,7 @@ func Align(a, b *mscopedb.Series) (x, y []float64) {
 // the number of overlapping windows.
 func Correlate(a, b *mscopedb.Series) (float64, int) {
 	x, y := Align(a, b)
-	return Pearson(x, y), len(x)
+	return pearson(x, y), len(x)
 }
 
 // CrossCorrelate computes the Pearson correlation at integer window lags

@@ -21,20 +21,20 @@ func series(startUS, stepUS int64, vals ...float64) *mscopedb.Series {
 func TestPearsonPerfect(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	b := []float64{2, 4, 6, 8}
-	if r := Pearson(a, b); math.Abs(r-1) > 1e-12 {
+	if r := pearson(a, b); math.Abs(r-1) > 1e-12 {
 		t.Fatalf("r = %v", r)
 	}
 	c := []float64{8, 6, 4, 2}
-	if r := Pearson(a, c); math.Abs(r+1) > 1e-12 {
+	if r := pearson(a, c); math.Abs(r+1) > 1e-12 {
 		t.Fatalf("r = %v", r)
 	}
 }
 
 func TestPearsonConstant(t *testing.T) {
-	if r := Pearson([]float64{1, 1, 1}, []float64{2, 3, 4}); r != 0 {
+	if r := pearson([]float64{1, 1, 1}, []float64{2, 3, 4}); r != 0 {
 		t.Fatalf("constant vector r = %v", r)
 	}
-	if r := Pearson(nil, nil); r != 0 {
+	if r := pearson(nil, nil); r != 0 {
 		t.Fatalf("empty r = %v", r)
 	}
 }
@@ -45,10 +45,10 @@ func TestPearsonLengthMismatchPanics(t *testing.T) {
 			t.Fatal("length mismatch did not panic")
 		}
 	}()
-	Pearson([]float64{1}, []float64{1, 2})
+	pearson([]float64{1}, []float64{1, 2})
 }
 
-// Property: Pearson is symmetric and bounded in [-1, 1].
+// Property: pearson is symmetric and bounded in [-1, 1].
 func TestPearsonProperties(t *testing.T) {
 	f := func(raw []int8) bool {
 		if len(raw) < 4 {
@@ -61,7 +61,7 @@ func TestPearsonProperties(t *testing.T) {
 			a[i] = float64(raw[i])
 			b[i] = float64(raw[n+i])
 		}
-		r1, r2 := Pearson(a, b), Pearson(b, a)
+		r1, r2 := pearson(a, b), pearson(b, a)
 		if math.Abs(r1-r2) > 1e-9 {
 			return false
 		}

@@ -14,7 +14,14 @@ import (
 // The runs of VLRT windows are found by core.Episodes; these cases pin
 // its run rule in terms of analysis.Window.
 
-const bucketUS = 50_000
+const (
+	bucketUS = 50_000
+	// core's thresholds the cases sit on: a window is VLRT above
+	// vlrtFactor times the baseline mean, and a run longer than maxVSB is
+	// a sustained overload, not a very short bottleneck.
+	vlrtFactor = 10
+	maxVSB     = 3 * time.Second
+)
 
 // runsOf is core.Episodes run to the end over one request per 50 ms
 // bucket from 0, resident vals[i] µs and departing mid-bucket.
@@ -54,10 +61,10 @@ func TestDetectAnomalies(t *testing.T) {
 	}
 }
 
-// TestDetectAnomaliesMaxDuration: a run longer than MaxVSBDuration is
+// TestDetectAnomaliesMaxDuration: a run longer than maxVSB is
 // dropped; a one-bucket run after it, above the raised baseline, is kept.
 func TestDetectAnomaliesMaxDuration(t *testing.T) {
-	long := int(core.MaxVSBDuration.Microseconds()/bucketUS) + 2
+	long := int(maxVSB.Microseconds()/bucketUS) + 2
 	vals := append(buckets(20, 5_000), buckets(long, 500_000)...)
 	vals = append(append(vals, buckets(100-len(vals), 5_000)...), 5_000_000)
 	ws := runsOf(append(vals, buckets(4, 5_000)...)...)
@@ -79,12 +86,12 @@ func TestDetectAnomaliesTrailingRun(t *testing.T) {
 }
 
 // TestDetectVLRTWindows: VLRT windows are the buckets strictly above
-// VLRTFactor (10) times the baseline mean; one exactly at it is not.
+// vlrtFactor times the baseline mean; one exactly at it is not.
 func TestDetectVLRTWindows(t *testing.T) {
-	vals := append(buckets(20, 5_000), core.VLRTFactor*5_000+1)
-	vals = append(append(vals, buckets(9, 5_000)...), core.VLRTFactor*5_000)
+	vals := append(buckets(20, 5_000), vlrtFactor*5_000+1)
+	vals = append(append(vals, buckets(9, 5_000)...), vlrtFactor*5_000)
 	ws := runsOf(append(vals, buckets(4, 5_000)...)...)
-	want := []analysis.Window{{StartMicros: 1_000_000, EndMicros: 1_050_000, Peak: core.VLRTFactor*5_000 + 1}}
+	want := []analysis.Window{{StartMicros: 1_000_000, EndMicros: 1_050_000, Peak: vlrtFactor*5_000 + 1}}
 	if !reflect.DeepEqual(ws, want) {
 		t.Fatalf("VLRT windows %+v, want %+v", ws, want)
 	}

@@ -20,17 +20,6 @@ type Injector interface {
 	Inject(sys *ntier.System)
 }
 
-// DBLogFlush seizes the database disk with one long sequential redo-log
-// write starting at At and lasting approximately Duration
-// (ntier.System.FlushRedoLog).
-type DBLogFlush struct {
-	At       des.Time
-	Duration time.Duration
-}
-
-// Inject arms the flush.
-func (f DBLogFlush) Inject(sys *ntier.System) { sys.FlushRedoLog(f.At, f.Duration) }
-
 // PeriodicDBLogFlush schedules recurring redo-log flushes: the natural
 // behaviour the paper observed, where accumulated redo pages are flushed
 // every so often and each flush is a fresh very short bottleneck. Count

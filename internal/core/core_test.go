@@ -360,14 +360,14 @@ func TestIngestRecordsMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := db.Table(mscopedb.TableNodes)
+	nodes, err := db.Table("mscope_nodes")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nodes.Rows() != 4 {
 		t.Fatalf("node metadata rows %d", nodes.Rows())
 	}
-	mons, err := db.Table(mscopedb.TableMonitors)
+	mons, err := db.Table("mscope_monitors")
 	if err != nil {
 		t.Fatal(err)
 	}

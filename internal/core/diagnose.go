@@ -96,51 +96,51 @@ func ParseCauseKind(s string) (CauseKind, bool) {
 // streaming online detector (internal/stream): both must reach the same
 // verdict on the same data, so the knobs live in one place.
 const (
-	// VLRTFactor flags windows whose Point-in-Time response time exceeds
+	// vlrtFactor flags windows whose Point-in-Time response time exceeds
 	// this multiple of the baseline mean (see Episodes).
-	VLRTFactor = 10
-	// MaxVSBDuration excludes sustained overloads: a very short bottleneck
+	vlrtFactor = 10
+	// maxVSBDuration excludes sustained overloads: a very short bottleneck
 	// is by definition short.
-	MaxVSBDuration = 3 * time.Second
-	// EpisodeGap is the longest dip below the VLRT threshold that does not
+	maxVSBDuration = 3 * time.Second
+	// episodeGap is the longest dip below the VLRT threshold that does not
 	// end an episode (two 50 ms windows): a plateau barely above the
 	// threshold is one episode, not one per crossing.
-	EpisodeGap = 100 * time.Millisecond
-	// CorrelationFloor is the minimum resource–queue correlation for a
+	episodeGap = 100 * time.Millisecond
+	// correlationFloor is the minimum resource–queue correlation for a
 	// candidate to be named the root cause.
-	CorrelationFloor = 0.3
+	correlationFloor = 0.3
 	// ClassifyPad widens the correlation slice around a VLRT window: the
 	// queue builds before the PIT spike lands. It is the whole lead-in and
 	// the cap on the trailing half, see ClassifySlice.
 	ClassifyPad = time.Second
-	// PushbackLeadIn extends the pushback window backwards — queues grow
+	// pushbackLeadIn extends the pushback window backwards — queues grow
 	// while the resource is held, the spike lands when requests complete.
-	PushbackLeadIn = 400 * time.Millisecond
-	// PushbackGrowth is the in-window/out-of-window queue growth factor
+	pushbackLeadIn = 400 * time.Millisecond
+	// pushbackGrowth is the in-window/out-of-window queue growth factor
 	// that counts a tier as pushed back.
-	PushbackGrowth = 2.5
-	// CorrelationMaxLag bounds the cross-correlation lag search, in
+	pushbackGrowth = 2.5
+	// correlationMaxLag bounds the cross-correlation lag search, in
 	// windows.
-	CorrelationMaxLag = 8
-	// NetLagSpikeUS is the inter-tier lag rise (in-window peak over
+	correlationMaxLag = 8
+	// netLagSpikeUS is the inter-tier lag rise (in-window peak over
 	// out-of-window mean, µs) that names network jitter. An absolute delta,
 	// not a ratio: per-node clock offsets shift each link's lag baseline.
-	NetLagSpikeUS = 1500.0
-	// StampedeReadFactor and StampedeReadFloorKB refine a disk verdict to a
+	netLagSpikeUS = 1500.0
+	// stampedeReadFactor and stampedeReadFloorKB refine a disk verdict to a
 	// cache stampede: in-window disk reads must exceed the floor and
 	// dominate writes by the factor.
-	StampedeReadFactor  = 2.0
-	StampedeReadFloorKB = 256.0
-	// SaturationFloorPct is the minimum in-window peak (both disk util and
+	stampedeReadFactor  = 2.0
+	stampedeReadFloorKB = 256.0
+	// saturationFloorPct is the minimum in-window peak (both disk util and
 	// CPU series are percent scales) for a correlated gauge to be blamed: a
 	// resource that never got busy cannot have caused the stall, however
 	// well its noise tracks the queue.
-	SaturationFloorPct = 50.0
-	// StrongCorrelation marks a gauge verdict unambiguous. Structural
+	saturationFloorPct = 50.0
+	// strongCorrelation marks a gauge verdict unambiguous. Structural
 	// crash-loop evidence — a tier that stopped logging behind the queue
 	// growth front — overrides gauge verdicts weaker than this (e.g. the
 	// post-restart drain burst that busies the surviving tiers).
-	StrongCorrelation = 0.6
+	strongCorrelation = 0.6
 )
 
 // WindowDiagnosis explains one VLRT window.
@@ -418,16 +418,16 @@ func ClassifySlice(w analysis.Window) (lo, hi int64) {
 // Episodes is the one VLRT episode rule of the batch Diagnose (so of the
 // figures) and the live detector, causal so that it runs the same online and
 // offline: a closed window of PIT is flagged when its maximum response
-// time exceeds VLRTFactor × the mean of the requests in the unflagged
+// time exceeds vlrtFactor × the mean of the requests in the unflagged
 // windows before it (none before: never flagged); flagged windows at most
-// EpisodeGap apart are one episode, Peak the largest; an episode that
-// outgrows MaxVSBDuration is dropped and rejoins the baseline, so a load
+// episodeGap apart are one episode, Peak the largest; an episode that
+// outgrows maxVSBDuration is dropped and rejoins the baseline, so a load
 // step becomes the new normal. Not safe for concurrent use.
 type Episodes struct {
 	PIT *metrics.PIT // the front tier's accumulator
 
 	// The baseline's requests (every closed window outside a kept episode),
-	// and those of the open episode, held out until it outgrows MaxVSBDuration.
+	// and those of the open episode, held out until it outgrows maxVSBDuration.
 	baseSum, heldSum float64
 	baseN, heldN     int
 	open             *analysis.Window
@@ -435,7 +435,7 @@ type Episodes struct {
 }
 
 // Advance closes every window that starts at or before hiUS and returns
-// the episodes this settles (once EpisodeGap of closed, unflagged windows
+// the episodes this settles (once episodeGap of closed, unflagged windows
 // follows), each once and in order, and where the open one starts while it
 // may yet be kept (else math.MaxInt64). Advance(math.MaxInt64) is the
 // last: the open episode settles too.
@@ -445,7 +445,7 @@ func (e *Episodes) Advance(hiUS int64) (settled []analysis.Window, openFrom int6
 		e.settle()
 	}
 	settled, e.settled, openFrom = e.settled, nil, math.MaxInt64
-	if e.open != nil && e.open.Duration() <= MaxVSBDuration {
+	if e.open != nil && e.open.Duration() <= maxVSBDuration {
 		openFrom = e.open.StartMicros
 	}
 	return settled, openFrom
@@ -453,10 +453,10 @@ func (e *Episodes) Advance(hiUS int64) (settled []analysis.Window, openFrom int6
 
 // close applies the rule to the next closed window [startUS, endUS).
 func (e *Episodes) close(startUS, endUS int64, maxUS, sumUS float64, n int) {
-	if e.baseN == 0 || maxUS <= VLRTFactor*e.baseSum/float64(e.baseN) {
+	if e.baseN == 0 || maxUS <= vlrtFactor*e.baseSum/float64(e.baseN) {
 		e.baseSum, e.baseN = e.baseSum+sumUS, e.baseN+n
 		// The next window starts at endUS: past the gap, nothing merges.
-		if e.open != nil && endUS-e.open.EndMicros > EpisodeGap.Microseconds() {
+		if e.open != nil && endUS-e.open.EndMicros > episodeGap.Microseconds() {
 			e.settle()
 		}
 		return
@@ -466,14 +466,14 @@ func (e *Episodes) close(startUS, endUS int64, maxUS, sumUS float64, n int) {
 	}
 	e.open.EndMicros, e.open.Peak = endUS, max(e.open.Peak, maxUS)
 	e.heldSum, e.heldN = e.heldSum+sumUS, e.heldN+n
-	if e.open.Duration() > MaxVSBDuration {
+	if e.open.Duration() > maxVSBDuration {
 		e.baseSum, e.baseN, e.heldSum, e.heldN = e.baseSum+e.heldSum, e.baseN+e.heldN, 0, 0
 	}
 }
 
-// settle ends the open episode, kept unless it outgrew MaxVSBDuration.
+// settle ends the open episode, kept unless it outgrew maxVSBDuration.
 func (e *Episodes) settle() {
-	if e.open.Duration() <= MaxVSBDuration {
+	if e.open.Duration() <= maxVSBDuration {
 		e.settled = append(e.settled, *e.open)
 	}
 	e.open, e.heldSum, e.heldN = nil, 0, 0
@@ -499,7 +499,7 @@ func ClassifyWindow(ev *Evidence, w analysis.Window) WindowDiagnosis {
 	byName := make(map[string]ResourceCandidate, len(ev.Candidates))
 	for _, c := range ev.Candidates {
 		sliced := analysis.SliceSeries(c.Series, lo, hi)
-		corr, _ := analysis.CrossCorrelate(sliced, ref, CorrelationMaxLag)
+		corr, _ := analysis.CrossCorrelate(sliced, ref, correlationMaxLag)
 		// Peak over the lead-in plus the window itself: the spike lands as
 		// the stuck requests complete, typically just after the seized
 		// resource releases. The post-window tail is excluded — the drain
@@ -515,7 +515,7 @@ func ClassifyWindow(ev *Evidence, w analysis.Window) WindowDiagnosis {
 	// (lock convoy, exhausted pool, crash) has its signature there, not in
 	// the spike window where the drain burst floods every tier at once.
 	buildWin := analysis.Window{StartMicros: lo, EndMicros: w.StartMicros}
-	buildPB := analysis.DetectPushback(ev.Queues, Tiers, buildWin, PushbackGrowth)
+	buildPB := analysis.DetectPushback(ev.Queues, Tiers, buildWin, pushbackGrowth)
 	sKind, sNode := structuralVerdict(ev, buildPB)
 	if sKind == CauseUnknown {
 		// A spike window early in the stall has a mostly-healthy build-up
@@ -526,7 +526,7 @@ func ClassifyWindow(ev *Evidence, w analysis.Window) WindowDiagnosis {
 	var top *analysis.Cause
 	for i := range wd.Causes {
 		c := &wd.Causes[i]
-		if c.Correlation > CorrelationFloor && c.PeakInWindow >= SaturationFloorPct {
+		if c.Correlation > correlationFloor && c.PeakInWindow >= saturationFloorPct {
 			top = c
 			break
 		}
@@ -538,7 +538,7 @@ func ClassifyWindow(ev *Evidence, w analysis.Window) WindowDiagnosis {
 	// still wins — the lag rise is direct evidence, the silence is
 	// circumstantial.
 	if sKind == CauseCrashLoop && netTier == "" &&
-		(top == nil || top.Correlation < StrongCorrelation) {
+		(top == nil || top.Correlation < strongCorrelation) {
 		wd.Kind, wd.Node = sKind, sNode
 		wd.Verdict = fmt.Sprintf("%s at %s (structural: queues grew at %v, no evidence from %s)",
 			wd.Kind, wd.Node, buildPB.Grew, sNode)
@@ -584,12 +584,12 @@ func ClassifyWindow(ev *Evidence, w analysis.Window) WindowDiagnosis {
 	return wd
 }
 
-// leadInPushback is the queue pushback over w widened by PushbackLeadIn:
+// leadInPushback is the queue pushback over w widened by pushbackLeadIn:
 // queues build while the resource is held and the PIT spike lands when the
 // stuck requests complete, so the lead-in is inspected too.
 func leadInPushback(queues map[string]*mscopedb.Series, w analysis.Window) analysis.PushbackResult {
-	w.StartMicros -= PushbackLeadIn.Microseconds()
-	return analysis.DetectPushback(queues, Tiers, w, PushbackGrowth)
+	w.StartMicros -= pushbackLeadIn.Microseconds()
+	return analysis.DetectPushback(queues, Tiers, w, pushbackGrowth)
 }
 
 // readsDominate reports whether in-window disk reads on the tier exceed
@@ -603,11 +603,11 @@ func readsDominate(ev *Evidence, tier string, w analysis.Window) bool {
 	if wr, ok := ev.DiskWrite[tier]; ok {
 		writePeak = peakOf(analysis.SliceSeries(wr, w.StartMicros, w.EndMicros))
 	}
-	return readPeak > StampedeReadFloorKB && readPeak > StampedeReadFactor*writePeak
+	return readPeak > stampedeReadFloorKB && readPeak > stampedeReadFactor*writePeak
 }
 
 // netLagSpiked scans every instrumented link for an in-window lag rise
-// above NetLagSpikeUS over the link's out-of-window baseline, returning
+// above netLagSpikeUS over the link's out-of-window baseline, returning
 // the receiving tier of the worst offender.
 func netLagSpiked(ev *Evidence, lo, hi int64) (string, float64) {
 	bestTier, bestRise := "", 0.0
@@ -626,7 +626,7 @@ func netLagSpiked(ev *Evidence, lo, hi int64) (string, float64) {
 		if baseN == 0 {
 			continue
 		}
-		if rise := peak - baseSum/float64(baseN); rise > NetLagSpikeUS && rise > bestRise {
+		if rise := peak - baseSum/float64(baseN); rise > netLagSpikeUS && rise > bestRise {
 			bestTier, bestRise = tier, rise
 		}
 	}

@@ -190,7 +190,7 @@ func TestSortCausesTieBreak(t *testing.T) {
 }
 
 // TestOverlappingVLRTWindows: two spike clusters three healthy buckets
-// apart, just past EpisodeGap, are two episodes whose padded
+// apart, just past episodeGap, are two episodes whose padded
 // classification slices overlap; each must classify independently against
 // the shared evidence and reach the same disk verdict.
 func TestOverlappingVLRTWindows(t *testing.T) {

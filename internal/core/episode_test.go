@@ -47,9 +47,9 @@ func episodesOf(s *mscopedb.Series) []analysis.Window {
 }
 
 // TestVLRTEpisodes: a bucket is never flagged with no request before it;
-// a dip of at most EpisodeGap is inside the episode, a longer one ends it;
+// a dip of at most episodeGap is inside the episode, a longer one ends it;
 // a merged episode peaks at the higher part; and one longer than
-// MaxVSBDuration is dropped whole, not kept as its pieces. The threshold
+// maxVSBDuration is dropped whole, not kept as its pieces. The threshold
 // and trailing-run cases are in internal/analysis's episode_test.go.
 func TestVLRTEpisodes(t *testing.T) {
 	for _, tc := range []struct {
@@ -94,7 +94,7 @@ func TestVLRTEpisodes(t *testing.T) {
 
 // TestEpisodesAreFinalOnce: advanced one closed bucket at a time, the rule
 // returns what it returns run to the end, each episode once, in order,
-// never before EpisodeGap has closed behind it, and one running to the
+// never before episodeGap has closed behind it, and one running to the
 // last bucket only at the end.
 func TestEpisodesAreFinalOnce(t *testing.T) {
 	s := pitSeries(200, 5_000, 500_000, [2]int{20, 21}, [2]int{24, 25}, [2]int{60, 61},
@@ -108,7 +108,7 @@ func TestEpisodesAreFinalOnce(t *testing.T) {
 	for _, b := range s.StartMicros {
 		settled, _ := e.Advance(b)
 		for _, w := range settled {
-			if b < w.EndMicros+EpisodeGap.Microseconds() {
+			if b < w.EndMicros+episodeGap.Microseconds() {
 				t.Errorf("%+v returned with bucket %d closed, before its gap", w, b)
 			}
 			got = append(got, w)
@@ -121,7 +121,7 @@ func TestEpisodesAreFinalOnce(t *testing.T) {
 }
 
 // TestLoadStepBecomesTheBaseline: a load step ten times the old response
-// time is flagged until it outgrows MaxVSBDuration, then dropped; its
+// time is flagged until it outgrows maxVSBDuration, then dropped; its
 // requests rejoin the baseline, so the new level is not flagged again and
 // a very short bottleneck on top of it is.
 func TestLoadStepBecomesTheBaseline(t *testing.T) {
@@ -150,7 +150,7 @@ func TestLoadStepBecomesTheBaseline(t *testing.T) {
 
 // TestAdvanceReportsTheOpenEpisode: Advance returns, besides the episodes
 // it settles, where the one still open starts while it may be kept, and
-// math.MaxInt64 once it has outgrown MaxVSBDuration.
+// math.MaxInt64 once it has outgrown maxVSBDuration.
 func TestAdvanceReportsTheOpenEpisode(t *testing.T) {
 	e := observeSeries(pitSeries(200, 5_000, 300_000, [2]int{20, 23}, [2]int{27, 38}, [2]int{100, 170}))
 	settled, openFrom := e.Advance(30 * edgeBucketUS)
@@ -162,7 +162,7 @@ func TestAdvanceReportsTheOpenEpisode(t *testing.T) {
 		t.Fatalf("settled %+v, open from %d: want the convoy settled and the plateau open", settled, openFrom)
 	}
 	if _, openFrom = e.Advance(165 * edgeBucketUS); openFrom != math.MaxInt64 {
-		t.Fatalf("open from %d past MaxVSBDuration, want none", openFrom)
+		t.Fatalf("open from %d past maxVSBDuration, want none", openFrom)
 	}
 }
 

@@ -146,7 +146,7 @@ func (e *evaluator) scenarioA() error {
 	if err != nil {
 		return err
 	}
-	fig5, tr, err := Fig5Traces(db)
+	fig5, tr, err := fig5Traces(db)
 	if err != nil {
 		return err
 	}
@@ -195,7 +195,7 @@ func (e *evaluator) scenarioB() error {
 	split := len(d.Windows) == 2 && !d.Windows[0].Pushback.CrossTier && d.Windows[1].Pushback.CrossTier
 	e.Claims = append(e.Claims,
 		Claim{"Fig 8", "two PIT peaks", "VLRT windows", float64(len(d.Windows)), "", "=", 2},
-		Claim{"Fig 8", "each peak dwarfs the average", "PIT peak / average RT", d.PIT.PeakFactor(), "×", "≥", VLRTFactor},
+		Claim{"Fig 8", "each peak dwarfs the average", "PIT peak / average RT", d.PIT.PeakFactor(), "×", "≥", vlrtFactor},
 		Claim{"Fig 8", "the average stays low (under 20 ms on the paper's testbed)", "average RT", d.PIT.AvgUS / 1000, "ms", "≤", 50},
 		Claim{"Fig 8", "peak 1 grows the Apache queue only, peak 2 Apache's and Tomcat's", "peak 1 single-tier, peak 2 cross-tier (1 = yes)", oneIf(split), "", "=", 1})
 	for _, node := range []string{"apache", "tomcat"} {
@@ -280,7 +280,7 @@ func (e *evaluator) ablateSampling() error {
 		return err
 	}
 	e.Claims = append(e.Claims,
-		Claim{"Ablation 1", "full tracing keeps the VSB", "50 ms max RT, peak / mean", peakOverMean(full), "×", "≥", VLRTFactor},
+		Claim{"Ablation 1", "full tracing keeps the VSB", "50 ms max RT, peak / mean", peakOverMean(full), "×", "≥", vlrtFactor},
 		Claim{"Ablation 1", "1 s sampling misses it", "1 s mean RT, peak / mean", peakOverMean(coarse), "×", "≤", 2})
 	return nil
 }

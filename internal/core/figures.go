@@ -85,8 +85,8 @@ func Fig4DiskUtil(d *Diagnosis) (*report.Figure, map[string]float64, error) {
 	return fig, peaks, nil
 }
 
-// Fig5Stats summarises Figure 5 over every reconstructed request.
-type Fig5Stats struct {
+// fig5Stats summarises Figure 5 over every reconstructed request.
+type fig5Stats struct {
 	// Traces counts the requests joined by ID into causal paths, Valid
 	// those that keep happens-before within traceSkew.
 	Traces, Valid int
@@ -99,16 +99,16 @@ type Fig5Stats struct {
 // ±240 µs node clock offsets plus wire latency.
 const traceSkew = 1500 * time.Microsecond
 
-// Fig5Traces regenerates Figure 5's substance: every request's
+// fig5Traces regenerates Figure 5's substance: every request's
 // four-timestamp records joined across the tiers by propagated ID into a
 // causal path, validated for happens-before, and the per-tier local time
 // that points at the server holding the slowest requests.
-func Fig5Traces(db *mscopedb.DB) (*report.Figure, *Fig5Stats, error) {
+func fig5Traces(db *mscopedb.DB) (*report.Figure, *fig5Stats, error) {
 	traces, err := tracegraph.Build(db, EventTables())
 	if err != nil {
 		return nil, nil, err
 	}
-	st := &Fig5Stats{Traces: len(traces)}
+	st := &fig5Stats{Traces: len(traces)}
 	dbTier := Tiers[len(Tiers)-1]
 	var slowest time.Duration
 	for _, tr := range traces {

@@ -24,10 +24,10 @@ import (
 // Standard log file names; the transform pipeline's Parsing Declaration
 // stage binds parsers to these patterns.
 const (
-	ApacheLogName = "apache_access.log"
-	TomcatLogName = "tomcat_mscope.log"
-	CJDBCLogName  = "cjdbc_ctrl.log"
-	MySQLLogName  = "mysql_slow.log"
+	apacheLogName = "apache_access.log"
+	tomcatLogName = "tomcat_mscope.log"
+	cjdbcLogName  = "cjdbc_ctrl.log"
+	mysqlLogName  = "mysql_slow.log"
 )
 
 // Overhead models the cost of writing one monitor record on a tier.
@@ -73,12 +73,6 @@ type Set struct {
 	records uint64
 }
 
-// Attach instruments every tier of the system with default overheads,
-// writing log files into dir.
-func Attach(sys *ntier.System, dir string) (*Set, error) {
-	return AttachWithConfig(sys, dir, DefaultConfig())
-}
-
 // AttachWithConfig instruments every tier with explicit overheads.
 func AttachWithConfig(sys *ntier.System, dir string, cfg Config) (*Set, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -97,21 +91,21 @@ func AttachWithConfig(sys *ntier.System, dir string, cfg Config) (*Set, error) {
 		return w, p, nil
 	}
 
-	apacheW, apachePath, err := open(ApacheLogName)
+	apacheW, apachePath, err := open(apacheLogName)
 	if err != nil {
 		return nil, err
 	}
-	tomcatW, tomcatPath, err := open(TomcatLogName)
-	if err != nil {
-		set.Close()
-		return nil, err
-	}
-	cjdbcW, cjdbcPath, err := open(CJDBCLogName)
+	tomcatW, tomcatPath, err := open(tomcatLogName)
 	if err != nil {
 		set.Close()
 		return nil, err
 	}
-	mysqlW, mysqlPath, err := open(MySQLLogName)
+	cjdbcW, cjdbcPath, err := open(cjdbcLogName)
+	if err != nil {
+		set.Close()
+		return nil, err
+	}
+	mysqlW, mysqlPath, err := open(mysqlLogName)
 	if err != nil {
 		set.Close()
 		return nil, err

@@ -22,7 +22,7 @@ func runInstrumented(t *testing.T, cfgMod func(*ntier.Config)) (*ntier.System, *
 	}
 	sys := ntier.New(cfg)
 	dir := t.TempDir()
-	set, err := Attach(sys, dir)
+	set, err := AttachWithConfig(sys, dir, DefaultConfig())
 	if err != nil {
 		t.Fatalf("attach: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestMonitorsWriteAllFourLogs(t *testing.T) {
 		}
 	}
 	// Visit counts must equal log record counts.
-	apache, err := os.ReadFile(filepath.Join(dir, ApacheLogName))
+	apache, err := os.ReadFile(filepath.Join(dir, apacheLogName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestMonitorsWriteAllFourLogs(t *testing.T) {
 func TestRequestIDPropagation(t *testing.T) {
 	_, d, _, dir := runInstrumented(t, nil)
 	id := d.Completed[0].ID()
-	for _, name := range []string{ApacheLogName, TomcatLogName, CJDBCLogName} {
+	for _, name := range []string{apacheLogName, tomcatLogName, cjdbcLogName} {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +71,7 @@ func TestRequestIDPropagation(t *testing.T) {
 		}
 	}
 	// MySQL carries it in a comment only for query-issuing interactions.
-	data, err := os.ReadFile(filepath.Join(dir, MySQLLogName))
+	data, err := os.ReadFile(filepath.Join(dir, mysqlLogName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRequestIDPropagation(t *testing.T) {
 
 func TestMySQLLogHasHeader(t *testing.T) {
 	_, _, _, dir := runInstrumented(t, nil)
-	data, err := os.ReadFile(filepath.Join(dir, MySQLLogName))
+	data, err := os.ReadFile(filepath.Join(dir, mysqlLogName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestTimestampsUseSkewedClocks(t *testing.T) {
 	// The apache node's clock is +180µs: its UA micros must not equal the
 	// tomcat node's for corresponding records; just sanity-check the logs
 	// parse as µs-epoch values in 2017.
-	data, err := os.ReadFile(filepath.Join(dir, ApacheLogName))
+	data, err := os.ReadFile(filepath.Join(dir, apacheLogName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestAttachBadDir(t *testing.T) {
 	if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Attach(sys, f); err == nil {
+	if _, err := AttachWithConfig(sys, f, DefaultConfig()); err == nil {
 		t.Fatal("attach into a file path did not error")
 	}
 }

@@ -35,7 +35,7 @@ func TestVerbosePhaseDetailWritesExtraRecords(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PhaseDetail = 3
 	sys, dir := runWithConfig(t, cfg)
-	data, err := os.ReadFile(filepath.Join(dir, TomcatLogName))
+	data, err := os.ReadFile(filepath.Join(dir, tomcatLogName))
 	if err != nil {
 		t.Fatal(err)
 	}

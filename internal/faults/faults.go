@@ -57,8 +57,8 @@ const (
 // LineKinds are the per-line faults governed by Config.Rate.
 func LineKinds() []Kind { return []Kind{KindGarbage, KindTorn, KindDuplicate} }
 
-// AllKinds lists every fault class.
-func AllKinds() []Kind {
+// allKinds lists every fault class.
+func allKinds() []Kind {
 	return []Kind{KindGarbage, KindTorn, KindDuplicate, KindTruncate,
 		KindSkew, KindGap, KindDeleteTier}
 }
@@ -70,7 +70,7 @@ func ParseKinds(s string) ([]Kind, error) {
 		return nil, nil
 	}
 	known := make(map[Kind]bool)
-	for _, k := range AllKinds() {
+	for _, k := range allKinds() {
 		known[k] = true
 	}
 	var out []Kind
@@ -108,9 +108,9 @@ type Config struct {
 // DefaultSkewMax bounds per-tier clock skew when Config.SkewMax is zero.
 const DefaultSkewMax = 2 * time.Millisecond
 
-// DefaultGapFraction is the resource-monitor sample loss when
+// defaultGapFraction is the resource-monitor sample loss when
 // Config.GapFraction is zero.
-const DefaultGapFraction = 0.08
+const defaultGapFraction = 0.08
 
 // FileReport records what happened to one input file.
 type FileReport struct {
@@ -151,7 +151,7 @@ func (r *Report) Summary() string {
 			continue
 		}
 		var parts []string
-		for _, k := range AllKinds() {
+		for _, k := range allKinds() {
 			if n := f.Injected[k]; n > 0 {
 				parts = append(parts, fmt.Sprintf("%s=%d", k, n))
 			}
@@ -237,7 +237,7 @@ func Corrupt(srcDir, dstDir string, cfg Config) (*Report, error) {
 	}
 	gapFrac := cfg.GapFraction
 	if gapFrac == 0 {
-		gapFrac = DefaultGapFraction
+		gapFrac = defaultGapFraction
 	}
 	deleteTier := make(map[string]bool, len(cfg.DeleteTiers))
 	for _, t := range cfg.DeleteTiers {

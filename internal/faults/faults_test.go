@@ -85,7 +85,7 @@ func readAll(t *testing.T, dir string) map[string][]byte {
 // input produce byte-identical output directories.
 func TestCorruptDeterministic(t *testing.T) {
 	src := writeDir(t, testFiles())
-	cfg := Config{Seed: 42, Rate: 0.05, Kinds: AllKinds(),
+	cfg := Config{Seed: 42, Rate: 0.05, Kinds: allKinds(),
 		DeleteTiers: []string{"tomcat"}}
 	dst1, dst2 := t.TempDir(), t.TempDir()
 	rep1, err := Corrupt(src, dst1, cfg)
@@ -105,7 +105,7 @@ func TestCorruptDeterministic(t *testing.T) {
 			t.Errorf("%s differs between identical passes", name)
 		}
 	}
-	for _, k := range AllKinds() {
+	for _, k := range allKinds() {
 		if rep1.Total(k) != rep2.Total(k) {
 			t.Errorf("kind %s: injected %d vs %d", k, rep1.Total(k), rep2.Total(k))
 		}
@@ -250,7 +250,7 @@ func TestSkewBounded(t *testing.T) {
 func TestPassthroughFiles(t *testing.T) {
 	src := writeDir(t, testFiles())
 	dst := t.TempDir()
-	if _, err := Corrupt(src, dst, Config{Seed: 9, Rate: 0.5, Kinds: AllKinds()}); err != nil {
+	if _, err := Corrupt(src, dst, Config{Seed: 9, Rate: 0.5, Kinds: allKinds()}); err != nil {
 		t.Fatal(err)
 	}
 	got, orig := readAll(t, dst), readAll(t, src)

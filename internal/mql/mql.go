@@ -16,7 +16,9 @@
 // ORDER BY is a total order: numbers by value with NaN after every number
 // (so first under DESC; ±Inf are ordinary values), times by instant,
 // strings bytewise, and rows with equal keys in table order. LIMIT n keeps
-// the first n rows of that order, or of table order without ORDER BY.
+// the first n rows of that order, or of table order without ORDER BY. A
+// WINDOW aggregation takes neither clause: its series is the whole time
+// grid, in grid order.
 package mql
 
 import (
@@ -432,10 +434,13 @@ func (p *parser) statement() (*Statement, error) {
 		}
 	}
 	// A window aggregation emits on the time grid; arbitrary row order
-	// would contradict the series, so reject it outright instead of
-	// silently ignoring the clause.
+	// would contradict the series and a row limit would cut it, so reject
+	// either clause outright instead of silently ignoring it.
 	if st.Windowed && st.OrderCol != "" {
 		return nil, fmt.Errorf("ORDER BY cannot combine with WINDOW: the series is ordered by its time grid")
+	}
+	if st.Windowed && st.Limit >= 0 {
+		return nil, fmt.Errorf("LIMIT cannot combine with WINDOW: the series covers its whole time grid")
 	}
 	if st.GroupCol != "" && !st.Windowed {
 		return nil, fmt.Errorf("GROUP BY requires a WINDOW aggregation")

@@ -151,6 +151,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT WINDOW bogus MAX(rt_us) BY ud FROM apache_event",
 		"SELECT WINDOW 50ms NOPE(rt_us) BY ud FROM apache_event",
 		"SELECT WINDOW 50ms MAX rt_us BY ud FROM apache_event",
+		// A window series is its whole grid: no LIMIT cuts it.
+		"SELECT WINDOW 50ms MAX(rt_us) BY ts FROM apache_event LIMIT 1",
 		"SELECT * FROM apache_event alias trailing", // alias consumed, then junk
 		"SELECT 'unterminated FROM apache_event",
 	}

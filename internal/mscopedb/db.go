@@ -9,10 +9,10 @@ import (
 
 // Names of the four static metadata tables (paper Section III-C).
 const (
-	TableExperiments = "mscope_experiments"
-	TableNodes       = "mscope_nodes"
-	TableMonitors    = "mscope_monitors"
-	TableIngests     = "mscope_ingests"
+	tableExperiments = "mscope_experiments"
+	tableNodes       = "mscope_nodes"
+	tableMonitors    = "mscope_monitors"
+	tableIngests     = "mscope_ingests"
 )
 
 // DB is the warehouse: a catalog of static metadata tables plus
@@ -32,7 +32,7 @@ type DB struct {
 	// store, when non-nil, backs the warehouse with the on-disk segment
 	// store (OpenDir): tables seal full segments to disk as they fill and
 	// Checkpoint commits consistent snapshots.
-	store *Store
+	store *store
 }
 
 // Open creates an empty warehouse with the four static tables.
@@ -46,7 +46,7 @@ func Open() *DB {
 		}
 		db.tables[name] = t
 	}
-	mustCreate(TableExperiments, []Column{
+	mustCreate(tableExperiments, []Column{
 		{Name: "id", Type: TInt},
 		{Name: "name", Type: TString},
 		{Name: "started", Type: TTime},
@@ -55,20 +55,20 @@ func Open() *DB {
 		{Name: "duration_ms", Type: TInt},
 		{Name: "mix", Type: TString},
 	})
-	mustCreate(TableNodes, []Column{
+	mustCreate(tableNodes, []Column{
 		{Name: "experiment", Type: TInt},
 		{Name: "name", Type: TString},
 		{Name: "tier", Type: TString},
 		{Name: "cores", Type: TInt},
 		{Name: "workers", Type: TInt},
 	})
-	mustCreate(TableMonitors, []Column{
+	mustCreate(tableMonitors, []Column{
 		{Name: "experiment", Type: TInt},
 		{Name: "node", Type: TString},
 		{Name: "kind", Type: TString},
 		{Name: "file", Type: TString},
 	})
-	mustCreate(TableIngests, []Column{
+	mustCreate(tableIngests, []Column{
 		{Name: "tbl", Type: TString},
 		{Name: "file", Type: TString},
 		{Name: "rows", Type: TInt},
@@ -155,7 +155,7 @@ func (db *DB) TableNames() []string {
 // Drop removes a dynamic table. Static tables cannot be dropped.
 func (db *DB) Drop(name string) error {
 	switch name {
-	case TableExperiments, TableNodes, TableMonitors, TableIngests:
+	case tableExperiments, tableNodes, tableMonitors, tableIngests:
 		return fmt.Errorf("mscopedb: cannot drop static table %q", name)
 	}
 	db.mu.Lock()
@@ -187,7 +187,7 @@ func (db *DB) Drop(name string) error {
 
 // RecordExperiment appends one experiment row and returns its id.
 func (db *DB) RecordExperiment(name string, started time.Time, seed int64, users int, duration time.Duration, mix string) (int64, error) {
-	t, err := db.Table(TableExperiments)
+	t, err := db.Table(tableExperiments)
 	if err != nil {
 		return 0, err
 	}
@@ -200,7 +200,7 @@ func (db *DB) RecordExperiment(name string, started time.Time, seed int64, users
 
 // RecordNode appends one node row.
 func (db *DB) RecordNode(experiment int64, name, tier string, cores, workers int) error {
-	t, err := db.Table(TableNodes)
+	t, err := db.Table(tableNodes)
 	if err != nil {
 		return err
 	}
@@ -209,7 +209,7 @@ func (db *DB) RecordNode(experiment int64, name, tier string, cores, workers int
 
 // RecordMonitor appends one monitor row.
 func (db *DB) RecordMonitor(experiment int64, node, kind, file string) error {
-	t, err := db.Table(TableMonitors)
+	t, err := db.Table(tableMonitors)
 	if err != nil {
 		return err
 	}
@@ -222,7 +222,7 @@ func (db *DB) RecordMonitor(experiment int64, node, kind, file string) error {
 // already fully loaded, and a resumed streaming ingest starts tailing at
 // the recorded offset instead of re-reading history.
 func (db *DB) RecordIngestAt(table, file string, rows int, offset int64, loaded time.Time) error {
-	t, err := db.Table(TableIngests)
+	t, err := db.Table(tableIngests)
 	if err != nil {
 		return err
 	}
@@ -240,14 +240,14 @@ func (db *DB) RecordIngestAt(table, file string, rows int, offset int64, loaded 
 // must be there, and the latest-offset maps are refilled from the persisted
 // ledger. Rows are append-ordered, so the last row per file wins.
 func (db *DB) loadLedger() error {
-	for _, name := range []string{TableExperiments, TableNodes, TableMonitors, TableIngests} {
+	for _, name := range []string{tableExperiments, tableNodes, tableMonitors, tableIngests} {
 		if db.tables[name] == nil {
 			return fmt.Errorf("static table %s missing", name)
 		}
 	}
 	db.ingestOff = make(map[string]int64)
 	db.ingestRows = make(map[string]int64)
-	return db.tables[TableIngests].Scan([]string{"file", "offset", "rows"}, func(c *Chunk) error {
+	return db.tables[tableIngests].Scan([]string{"file", "offset", "rows"}, func(c *Chunk) error {
 		for r, file := range c.Strs(0) {
 			db.ingestOff[file] = c.Ints(1)[r]
 			db.ingestRows[file] = c.Ints(2)[r]

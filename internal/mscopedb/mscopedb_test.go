@@ -367,7 +367,7 @@ func TestDBCreateDropTable(t *testing.T) {
 	if _, err := db.Table("t1"); err == nil {
 		t.Fatal("dropped table still present")
 	}
-	if err := db.Drop(TableExperiments); err == nil {
+	if err := db.Drop(tableExperiments); err == nil {
 		t.Fatal("static table drop accepted")
 	}
 }

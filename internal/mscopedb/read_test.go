@@ -500,10 +500,10 @@ func TestUnreadableSegmentIsAnErrorNamingTheFile(t *testing.T) {
 			t.Fatalf("%s: error %v does not name segment %s", name, err, file)
 		}
 	}
-	if _, err := db.Table(TableIngests); err != nil {
+	if _, err := db.Table(tableIngests); err != nil {
 		t.Fatal(err)
 	}
-	ingests, _ := db.Table(TableIngests)
+	ingests, _ := db.Table(tableIngests)
 	if err := ingests.Scan([]string{"file"}, func(*Chunk) error { return nil }); err != nil {
 		t.Fatalf("an untouched table stopped reading: %v", err)
 	}

@@ -23,7 +23,7 @@ import (
 // sized for the sequential full-table scans the analysis code performs;
 // random access pays one segment decode per miss.
 type sealedPart struct {
-	store *Store
+	store *store
 
 	mu   sync.RWMutex
 	segs []sealedSeg

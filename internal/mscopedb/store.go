@@ -62,10 +62,10 @@ func (o StoreOptions) withDefaults() StoreOptions {
 	return o
 }
 
-// Store is the on-disk half of a warehouse: it owns the directory,
+// store is the on-disk half of a warehouse: it owns the directory,
 // allocates segment sequence numbers, and serializes the
 // checkpoint/compaction commit protocol.
-type Store struct {
+type store struct {
 	dir  string
 	opts StoreOptions
 	seq  atomic.Uint64 // last allocated sequence number
@@ -125,7 +125,7 @@ func OpenDir(dir string, opts StoreOptions) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("mscopedb: open store %s: %w", dir, err)
 	}
-	st := &Store{dir: dir, opts: opts}
+	st := &store{dir: dir, opts: opts}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
 		db := Open()
@@ -187,7 +187,7 @@ func OpenDir(dir string, opts StoreOptions) (*DB, error) {
 // readTails decodes the tail file into each table's unsealed rows. Every
 // failure is a SegmentError naming the file: a tail image is read back
 // through the checks any segment is.
-func (s *Store) readTails(man *manifest) ([][]colData, error) {
+func (s *store) readTails(man *manifest) ([][]colData, error) {
 	var raw []byte
 	if man.Tail != "" {
 		var err error
@@ -330,7 +330,7 @@ func (db *DB) checkpointLocked() error {
 
 // writeAtomic writes name via temp-file + rename, fsyncing before the
 // rename so the commit point is on stable storage.
-func (s *Store) writeAtomic(name string, data []byte) error {
+func (s *store) writeAtomic(name string, data []byte) error {
 	tmp := filepath.Join(s.dir, name+".tmp")
 	final := filepath.Join(s.dir, name)
 	return fsRetry.Do(func() error {
@@ -356,7 +356,7 @@ func (s *Store) writeAtomic(name string, data []byte) error {
 // writeSegment persists one encoded segment image and returns its
 // relative file name. Sequence allocation is atomic, so concurrent
 // spills from the appender and the compactor never collide.
-func (s *Store) writeSegment(table string, img []byte) (string, error) {
+func (s *store) writeSegment(table string, img []byte) (string, error) {
 	name := fmt.Sprintf("seg-%08d-%s.seg", s.seq.Add(1), fsSafe(table))
 	if err := s.writeAtomic(name, img); err != nil {
 		return "", fmt.Errorf("mscopedb: write segment %s: %w", name, err)
@@ -373,7 +373,7 @@ var segBufs sync.Pool
 // schema and the manifest's row count, decoding nothing. Every failure is a
 // SegmentError naming the file. One image read is one count of ScanStats.
 // A caller that is done with the image before it returns calls release.
-func (s *Store) openSegment(sm segMeta, table string, cols []Column) (*segImage, error) {
+func (s *store) openSegment(sm segMeta, table string, cols []Column) (*segImage, error) {
 	f, err := os.Open(filepath.Join(s.dir, sm.File))
 	if err != nil {
 		var pe *fs.PathError // the error names the file already
@@ -408,7 +408,7 @@ func (s *Store) openSegment(sm segMeta, table string, cols []Column) (*segImage,
 }
 
 // readSegment loads one segment file and decodes every column.
-func (s *Store) readSegment(sm segMeta, table string, cols []Column) ([]colData, error) {
+func (s *store) readSegment(sm segMeta, table string, cols []Column) ([]colData, error) {
 	img, err := s.openSegment(sm, table, cols)
 	if err != nil {
 		return nil, err
@@ -425,7 +425,7 @@ func (s *Store) readSegment(sm segMeta, table string, cols []Column) ([]colData,
 
 // addOrphans schedules superseded files for deletion after the next
 // commit; deleting earlier would tear the currently committed manifest.
-func (s *Store) addOrphans(files ...string) {
+func (s *store) addOrphans(files ...string) {
 	s.mu.Lock()
 	s.orphans = append(s.orphans, files...)
 	s.mu.Unlock()
@@ -435,7 +435,7 @@ func (s *Store) addOrphans(files ...string) {
 // sweep deletes store-owned files the manifest does not reference: torn
 // temp files and segments spilled after the last checkpoint. Run at open,
 // before anything new is written.
-func (s *Store) sweep(man *manifest) error {
+func (s *store) sweep(man *manifest) error {
 	keep := map[string]bool{manifestName: true}
 	if man != nil {
 		keep[man.Tail] = true

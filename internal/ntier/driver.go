@@ -24,8 +24,8 @@ type Driver struct {
 	issued    uint64
 }
 
-// NewDriver builds the user population for the system's configuration.
-func NewDriver(sys *System) *Driver {
+// newDriver builds the user population for the system's configuration.
+func newDriver(sys *System) *Driver {
 	root := dist.NewSource(sys.cfg.Seed)
 	d := &Driver{
 		sys:      sys,
@@ -123,7 +123,7 @@ func (s RunStats) String() string {
 // issue for cfg.Duration, then drain all in-flight work. It returns the
 // driver for stats inspection.
 func Run(sys *System) *Driver {
-	d := NewDriver(sys)
+	d := newDriver(sys)
 	sys.StartBackground(des.Time(sys.cfg.Duration))
 	d.Start()
 	sys.Eng.Run()

@@ -379,7 +379,7 @@ func TestQueueBuildsUnderDiskSeizure(t *testing.T) {
 	cfg.ThinkTime = 200 * time.Millisecond
 	cfg.Duration = 3 * time.Second
 	sys := New(cfg)
-	d := NewDriver(sys)
+	d := newDriver(sys)
 	sys.StartBackground(des.Time(cfg.Duration))
 	d.Start()
 

@@ -52,8 +52,8 @@ type Server struct {
 	baseLogKB  float64 // cumulative native log bytes
 }
 
-// NewServer builds a tier server; downstreamConns may be zero at the DB tier.
-func NewServer(eng *des.Engine, kind TierKind, spec TierSpec) *Server {
+// newServer builds a tier server; downstreamConns may be zero at the DB tier.
+func newServer(eng *des.Engine, kind TierKind, spec TierSpec) *Server {
 	if spec.Workers <= 0 {
 		panic(fmt.Sprintf("ntier: tier %v with %d workers", kind, spec.Workers))
 	}

@@ -164,10 +164,10 @@ func New(cfg Config) *System {
 		srcFault:   root.Derive("fault"),
 	}
 	sys.dbLock = des.NewResource(eng, "mysql/lock", 1)
-	sys.Web = NewServer(eng, TierWeb, cfg.Web)
-	sys.App = NewServer(eng, TierApp, cfg.App)
-	sys.Mid = NewServer(eng, TierMiddleware, cfg.Mid)
-	sys.DB = NewServer(eng, TierDB, cfg.DB)
+	sys.Web = newServer(eng, TierWeb, cfg.Web)
+	sys.App = newServer(eng, TierApp, cfg.App)
+	sys.Mid = newServer(eng, TierMiddleware, cfg.Mid)
+	sys.DB = newServer(eng, TierDB, cfg.DB)
 	sys.client = resources.NewNode(eng, resources.NodeConfig{
 		Name: "client", Cores: 64,
 		Disk:   resources.DefaultDiskConfig(),

@@ -149,15 +149,6 @@ func Get(name string) (Parser, error) {
 	return nil, fmt.Errorf("parsers: unknown parser %q", name)
 }
 
-// Names lists every registered parser.
-func Names() []string {
-	names := make([]string, len(registry))
-	for i, p := range registry {
-		names[i] = p.Name()
-	}
-	return names
-}
-
 func (f format) Name() string { return f.name }
 
 func (f format) ParseRecords(in io.Reader, instr Instructions, sink Sink, rec Recover) error {

@@ -34,7 +34,8 @@ func get(t *testing.T, e mxml.Entry, name string) string {
 }
 
 func TestGetRegistry(t *testing.T) {
-	for _, name := range Names() {
+	for _, r := range registry {
+		name := r.Name()
 		p, err := Get(name)
 		if err != nil {
 			t.Fatalf("Get(%s): %v", name, err)

@@ -14,10 +14,8 @@ import (
 // gives it degraded mode for free.
 var selftraceParser = degradable{format{"selftrace", parseSelfTrace}}
 
-// SelfTraceInstructions declares the self-telemetry log line. Exported so
-// tests and custom pipelines can reuse the grammar, mirroring
-// ApacheInstructions.
-func SelfTraceInstructions() Instructions {
+// selfTraceInstructions declares the self-telemetry log line.
+func selfTraceInstructions() Instructions {
 	return Instructions{
 		Pattern: `^(?P<ltime>\S+) mscope-self kind=(?P<kind>span|counter) batch=(?P<batch>\S+) pipeline=(?P<pipeline>\S+) stage=(?P<stage>\S+) span=(?P<span>\S+) file=(?P<file>\S+) dur_us=(?P<dur_us>\d+) items=(?P<items>-?\d+) errs=(?P<errs>\d+)$`,
 		Times: []TimeRule{
@@ -27,7 +25,7 @@ func SelfTraceInstructions() Instructions {
 }
 
 func parseSelfTrace(in io.Reader, instr Instructions, sink Sink, rec Recover) error {
-	fixed := SelfTraceInstructions()
+	fixed := selfTraceInstructions()
 	fixed.Const = instr.Const
 	return parseToken(in, fixed, sink, rec)
 }

@@ -16,7 +16,7 @@ var planPatterns = []string{
 	ApacheInstructions().Pattern,
 	TomcatInstructions().Pattern,
 	CJDBCInstructions().Pattern,
-	SelfTraceInstructions().Pattern,
+	selfTraceInstructions().Pattern,
 	`^# Time: (?P<time>\S+)$`,
 	`^# User@Host: \S+\[\S+\] @ (?P<caller>\S+) \[\S+\]  Id: +(?P<connid>\d+)$`,
 	`^# Query_time: (?P<query_time>[0-9.]+)  Lock_time: (?P<lock_time>[0-9.]+) Rows_sent: (?P<rows_sent>\d+)  Rows_examined: (?P<rows_examined>\d+)$`,

@@ -116,19 +116,19 @@ func (f *Family) Label(key, value string, v float64) {
 	f.w.sample(f.name, key+"="+strconv.Quote(value), v)
 }
 
-// HistogramBounds are every mscope histogram's upper bucket bounds, in seconds:
+// histogramBounds are every mscope histogram's upper bucket bounds, in seconds:
 // a fixed 1-2-5 log scale, so a family scraped from several nodes sums by bucket.
-var HistogramBounds = [...]float64{.001, .002, .005, .01, .02, .05, .1, .2, .5, 1, 2, 5, 10, 20, 50}
+var histogramBounds = [...]float64{.001, .002, .005, .01, .02, .05, .1, .2, .5, 1, 2, 5, 10, 20, 50}
 
-// Histogram counts durations into HistogramBounds; the zero value is ready.
+// Histogram counts durations into histogramBounds; the zero value is ready.
 type Histogram struct {
-	counts [len(HistogramBounds) + 1]atomic.Int64 // the last is +Inf
+	counts [len(histogramBounds) + 1]atomic.Int64 // the last is +Inf
 	sumUS  atomic.Int64
 }
 
 // Observe counts one duration; safe alongside a Writer rendering h.
 func (h *Histogram) Observe(d time.Duration) {
-	h.counts[sort.SearchFloat64s(HistogramBounds[:], d.Seconds())].Add(1)
+	h.counts[sort.SearchFloat64s(histogramBounds[:], d.Seconds())].Add(1)
 	h.sumUS.Add(d.Microseconds())
 }
 
@@ -140,8 +140,8 @@ func (w *Writer) Histogram(name, help string, h *Histogram) {
 	for i := range h.counts {
 		n += h.counts[i].Load()
 		le := "+Inf"
-		if i < len(HistogramBounds) {
-			le = strconv.FormatFloat(HistogramBounds[i], 'g', -1, 64)
+		if i < len(histogramBounds) {
+			le = strconv.FormatFloat(histogramBounds[i], 'g', -1, 64)
 		}
 		w.sample(name+"_bucket", `le="`+le+`"`, float64(n))
 	}

@@ -91,12 +91,12 @@ mscope_detect_delay_seconds_count 4
 	if err := Lint(out); err != nil {
 		t.Errorf("Lint rejects a body with histogram families: %v", err)
 	}
-	if got, want := strings.Count(out, "mscope_other_seconds_bucket{"), len(HistogramBounds)+1; got != want {
+	if got, want := strings.Count(out, "mscope_other_seconds_bucket{"), len(histogramBounds)+1; got != want {
 		t.Errorf("%d buckets, want the %d fixed bounds and +Inf", got, want-1)
 	}
-	for i := 1; i < len(HistogramBounds); i++ {
-		if r := HistogramBounds[i] / HistogramBounds[i-1]; r < 2 || r > 2.5 {
-			t.Errorf("bounds %g, %g are not a 1-2-5 log scale", HistogramBounds[i-1], HistogramBounds[i])
+	for i := 1; i < len(histogramBounds); i++ {
+		if r := histogramBounds[i] / histogramBounds[i-1]; r < 2 || r > 2.5 {
+			t.Errorf("bounds %g, %g are not a 1-2-5 log scale", histogramBounds[i-1], histogramBounds[i])
 		}
 	}
 }
@@ -118,7 +118,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		var w Writer
 		w.Histogram("mscope_h_seconds", "h", &h)
-		if strings.Count(w.String(), "\n") != len(HistogramBounds)+5 {
+		if strings.Count(w.String(), "\n") != len(histogramBounds)+5 {
 			t.Errorf("mid-run rendering has the wrong shape:\n%s", w.String())
 		}
 	}

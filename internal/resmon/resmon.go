@@ -64,9 +64,9 @@ func (k Kind) String() string {
 	}
 }
 
-// FileName returns the log file name for a node/kind pair; the transform
+// fileName returns the log file name for a node/kind pair; the transform
 // pipeline's declarations match on these suffixes.
-func FileName(node string, kind Kind) string {
+func fileName(node string, kind Kind) string {
 	switch kind {
 	case SARText:
 		return node + "_sar.log"
@@ -83,11 +83,6 @@ func FileName(node string, kind Kind) string {
 	default:
 		panic(fmt.Sprintf("resmon: unknown kind %d", int(kind)))
 	}
-}
-
-// AllKinds lists every supported monitor kind.
-func AllKinds() []Kind {
-	return []Kind{SARText, SARXML, Iostat, CollectlPlain, CollectlCSV, Pidstat}
 }
 
 // Config describes the monitoring deployment for one run.
@@ -134,7 +129,7 @@ func Start(sys *ntier.System, dir string, cfg Config, until des.Time) (*Set, err
 	set := &Set{Paths: make(map[string]string)}
 	for _, srv := range sys.Servers() {
 		for _, kind := range cfg.Kinds {
-			p := filepath.Join(dir, FileName(srv.Name(), kind))
+			p := filepath.Join(dir, fileName(srv.Name(), kind))
 			f, err := os.Create(p)
 			if err != nil {
 				set.Close()

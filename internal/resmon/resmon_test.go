@@ -11,6 +11,9 @@ import (
 	"github.com/gt-elba/milliscope/internal/ntier"
 )
 
+// allKinds is every supported monitor kind.
+var allKinds = []Kind{SARText, SARXML, Iostat, CollectlPlain, CollectlCSV, Pidstat}
+
 func runMonitored(t *testing.T, cfg Config) (*ntier.System, *Set) {
 	t.Helper()
 	ncfg := ntier.DefaultConfig()
@@ -31,11 +34,11 @@ func runMonitored(t *testing.T, cfg Config) (*ntier.System, *Set) {
 }
 
 func TestAllKindsProduceFiles(t *testing.T) {
-	cfg := Config{Interval: 100 * time.Millisecond, Kinds: AllKinds(),
+	cfg := Config{Interval: 100 * time.Millisecond, Kinds: allKinds,
 		CPUPerSample: 20 * time.Microsecond}
 	_, set := runMonitored(t, cfg)
-	if len(set.Paths) != 4*len(AllKinds()) {
-		t.Fatalf("%d files, want %d", len(set.Paths), 4*len(AllKinds()))
+	if len(set.Paths) != 4*len(allKinds) {
+		t.Fatalf("%d files, want %d", len(set.Paths), 4*len(allKinds))
 	}
 	for key, path := range set.Paths {
 		data, err := os.ReadFile(path)
@@ -152,7 +155,7 @@ func TestIostatReports(t *testing.T) {
 
 func TestBadConfigs(t *testing.T) {
 	sys := ntier.New(ntier.DefaultConfig())
-	if _, err := Start(sys, t.TempDir(), Config{Interval: 0, Kinds: AllKinds()}, 1); err == nil {
+	if _, err := Start(sys, t.TempDir(), Config{Interval: 0, Kinds: allKinds}, 1); err == nil {
 		t.Fatal("zero interval accepted")
 	}
 	if _, err := Start(sys, t.TempDir(), Config{Interval: time.Second}, 1); err == nil {
@@ -169,8 +172,8 @@ func TestFileNameMapping(t *testing.T) {
 		CollectlCSV:   "db1_collectl.csv",
 	}
 	for kind, want := range cases {
-		if got := FileName("db1", kind); got != want {
-			t.Fatalf("FileName(db1,%v) = %q, want %q", kind, got, want)
+		if got := fileName("db1", kind); got != want {
+			t.Fatalf("fileName(db1,%v) = %q, want %q", kind, got, want)
 		}
 	}
 }

@@ -47,8 +47,8 @@ type CPU struct {
 	onChange func()
 }
 
-// NewCPU returns a CPU with the given core count.
-func NewCPU(eng *des.Engine, name string, cores int) *CPU {
+// newCPU returns a CPU with the given core count.
+func newCPU(eng *des.Engine, name string, cores int) *CPU {
 	if cores <= 0 {
 		panic(fmt.Sprintf("resources: cpu %q with %d cores", name, cores))
 	}

@@ -38,8 +38,8 @@ type Disk struct {
 	onChange func()
 }
 
-// NewDisk returns a disk with the given service-time model.
-func NewDisk(eng *des.Engine, name string, cfg DiskConfig) *Disk {
+// newDisk returns a disk with the given service-time model.
+func newDisk(eng *des.Engine, name string, cfg DiskConfig) *Disk {
 	if cfg.SeekTime < 0 || cfg.BandwidthMBps <= 0 {
 		panic(fmt.Sprintf("resources: invalid disk config %+v", cfg))
 	}

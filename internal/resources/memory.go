@@ -69,8 +69,8 @@ type Memory struct {
 	OnFlushEnd   func(now des.Time, dirtyKB float64)
 }
 
-// NewMemory returns a memory subsystem bound to the node's CPU and disk.
-func NewMemory(eng *des.Engine, name string, cfg MemoryConfig, cpu *CPU, disk *Disk) *Memory {
+// newMemory returns a memory subsystem bound to the node's CPU and disk.
+func newMemory(eng *des.Engine, name string, cfg MemoryConfig, cpu *CPU, disk *Disk) *Memory {
 	if cfg.TotalKB <= 0 || cfg.HighWaterKB <= cfg.LowWaterKB || cfg.LowWaterKB < 0 {
 		panic(fmt.Sprintf("resources: invalid memory config %+v", cfg))
 	}

@@ -44,9 +44,9 @@ func NewNode(eng *des.Engine, cfg NodeConfig) *Node {
 		panic("resources: node with empty name")
 	}
 	n := &Node{eng: eng, cfg: cfg}
-	n.CPU = NewCPU(eng, cfg.Name+"/cpu", cfg.Cores)
-	n.Disk = NewDisk(eng, cfg.Name+"/disk", cfg.Disk)
-	n.Mem = NewMemory(eng, cfg.Name+"/mem", cfg.Memory, n.CPU, n.Disk)
+	n.CPU = newCPU(eng, cfg.Name+"/cpu", cfg.Cores)
+	n.Disk = newDisk(eng, cfg.Name+"/disk", cfg.Disk)
+	n.Mem = newMemory(eng, cfg.Name+"/mem", cfg.Memory, n.CPU, n.Disk)
 	n.CPU.OnChange(n.account)
 	n.Disk.OnChange(n.account)
 	return n

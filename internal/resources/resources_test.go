@@ -20,7 +20,7 @@ func testNode(eng *des.Engine, cores int) *Node {
 
 func TestCPUExecCompletesAfterDemand(t *testing.T) {
 	eng := des.NewEngine()
-	cpu := NewCPU(eng, "cpu", 2)
+	cpu := newCPU(eng, "cpu", 2)
 	var doneAt des.Time
 	cpu.Exec(10*time.Millisecond, ModeUser, func() { doneAt = eng.Now() })
 	eng.Run()
@@ -31,7 +31,7 @@ func TestCPUExecCompletesAfterDemand(t *testing.T) {
 
 func TestCPUContentionQueues(t *testing.T) {
 	eng := des.NewEngine()
-	cpu := NewCPU(eng, "cpu", 1)
+	cpu := newCPU(eng, "cpu", 1)
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
@@ -53,7 +53,7 @@ func TestCPUContentionQueues(t *testing.T) {
 
 func TestCPUSpeedScalesDemand(t *testing.T) {
 	eng := des.NewEngine()
-	cpu := NewCPU(eng, "cpu", 1)
+	cpu := newCPU(eng, "cpu", 1)
 	cpu.SetSpeed(0.5) // DVFS: half frequency
 	var doneAt des.Time
 	cpu.Exec(10*time.Millisecond, ModeUser, func() { doneAt = eng.Now() })
@@ -65,7 +65,7 @@ func TestCPUSpeedScalesDemand(t *testing.T) {
 
 func TestCPUModeAccounting(t *testing.T) {
 	eng := des.NewEngine()
-	cpu := NewCPU(eng, "cpu", 4)
+	cpu := newCPU(eng, "cpu", 4)
 	cpu.Exec(10*time.Millisecond, ModeUser, nil)
 	cpu.Exec(30*time.Millisecond, ModeSystem, nil)
 	cpu.Exec(5*time.Millisecond, ModeFlusher, nil)
@@ -84,7 +84,7 @@ func TestCPUModeAccounting(t *testing.T) {
 
 func TestDiskServiceTime(t *testing.T) {
 	eng := des.NewEngine()
-	d := NewDisk(eng, "sda", DiskConfig{SeekTime: 4 * time.Millisecond, BandwidthMBps: 100})
+	d := newDisk(eng, "sda", DiskConfig{SeekTime: 4 * time.Millisecond, BandwidthMBps: 100})
 	var doneAt des.Time
 	d.Write(1_000_000, func() { doneAt = eng.Now() }) // 1MB at 100MB/s = 10ms + 4ms seek
 	eng.Run()
@@ -102,7 +102,7 @@ func TestDiskServiceTime(t *testing.T) {
 
 func TestDiskFIFOAndUtilization(t *testing.T) {
 	eng := des.NewEngine()
-	d := NewDisk(eng, "sda", DiskConfig{SeekTime: 10 * time.Millisecond, BandwidthMBps: 1000})
+	d := newDisk(eng, "sda", DiskConfig{SeekTime: 10 * time.Millisecond, BandwidthMBps: 1000})
 	for i := 0; i < 5; i++ {
 		d.WriteAsync(0)
 	}
@@ -116,14 +116,14 @@ func TestDiskFIFOAndUtilization(t *testing.T) {
 
 func TestMemoryFlushTriggersAtHighWater(t *testing.T) {
 	eng := des.NewEngine()
-	cpu := NewCPU(eng, "cpu", 2)
-	disk := NewDisk(eng, "sda", DefaultDiskConfig())
+	cpu := newCPU(eng, "cpu", 2)
+	disk := newDisk(eng, "sda", DefaultDiskConfig())
 	cfg := MemoryConfig{
 		TotalKB: 1024 * 1024, HighWaterKB: 1000, LowWaterKB: 100,
 		DrainKBps: 100 * 1024, FlushWorkers: 2, FlushSlice: time.Millisecond,
 		WritebackFraction: 0.25,
 	}
-	m := NewMemory(eng, "mem", cfg, cpu, disk)
+	m := newMemory(eng, "mem", cfg, cpu, disk)
 	var started, ended des.Time
 	m.OnFlushStart = func(now des.Time, _ float64) { started = now }
 	m.OnFlushEnd = func(now des.Time, _ float64) { ended = now }
@@ -175,14 +175,14 @@ func TestMemoryFlushSaturatesCPU(t *testing.T) {
 
 func TestMemoryThrottleWriteBlocksDuringFlush(t *testing.T) {
 	eng := des.NewEngine()
-	cpu := NewCPU(eng, "cpu", 2)
-	disk := NewDisk(eng, "sda", DefaultDiskConfig())
+	cpu := newCPU(eng, "cpu", 2)
+	disk := newDisk(eng, "sda", DefaultDiskConfig())
 	cfg := MemoryConfig{
 		TotalKB: 1024 * 1024, HighWaterKB: 1000, LowWaterKB: 100,
 		DrainKBps: 100 * 1024, FlushWorkers: 1, FlushSlice: time.Millisecond,
 		WritebackFraction: 0,
 	}
-	m := NewMemory(eng, "mem", cfg, cpu, disk)
+	m := newMemory(eng, "mem", cfg, cpu, disk)
 	var ranAt des.Time
 	var flushEnd des.Time
 	m.OnFlushEnd = func(now des.Time, _ float64) { flushEnd = now }
@@ -332,7 +332,7 @@ func TestCPUTimeClassesSumProperty(t *testing.T) {
 
 func BenchmarkCPUExec(b *testing.B) {
 	eng := des.NewEngine()
-	cpu := NewCPU(eng, "cpu", 8)
+	cpu := newCPU(eng, "cpu", 8)
 	for i := 0; i < b.N; i++ {
 		eng.At(des.Time(i*100), func() { cpu.Exec(time.Microsecond*50, ModeUser, nil) })
 	}

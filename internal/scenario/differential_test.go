@@ -122,8 +122,8 @@ func assertSameWarehouse(t *testing.T, want, got *mscopedb.DB) {
 		t.Fatalf("table sets differ:\n  want %v\n  got  %v", wn, gn)
 	}
 	static := map[string]bool{
-		mscopedb.TableExperiments: true, mscopedb.TableNodes: true,
-		mscopedb.TableMonitors: true, mscopedb.TableIngests: true,
+		"mscope_experiments": true, "mscope_nodes": true,
+		"mscope_monitors": true, "mscope_ingests": true,
 	}
 	for _, name := range wn {
 		wt, err := want.Table(name)

@@ -9,25 +9,25 @@ import (
 	"time"
 )
 
-// TimeLayout is the fixed-width wall-clock layout of self-telemetry
+// timeLayout is the fixed-width wall-clock layout of self-telemetry
 // timestamps: RFC 3339 with exactly nine fractional digits, UTC. The
 // fixed width keeps the log byte-stable for golden tests and lets the
 // registered "selftrace" parser use the stock RFC3339Nano time rule.
-const TimeLayout = "2006-01-02T15:04:05.000000000Z07:00"
+const timeLayout = "2006-01-02T15:04:05.000000000Z07:00"
 
 // FormatLine renders one record as a milliScope-native timestamped token
 // line:
 //
 //	<ts> mscope-self kind=<span|counter> batch=<id> pipeline=<p> stage=<s> span=<label> file=<name|-> dur_us=<n> items=<n> errs=<n>
 //
-// ts is epoch+StartNS in TimeLayout (UTC); dur_us is DurNS rounded down
+// ts is epoch+StartNS in timeLayout (UTC); dur_us is DurNS rounded down
 // to microseconds, the warehouse's native resolution. Empty Span/File
 // fields render as "-", and embedded whitespace is squashed to "_" so
 // every line stays a single space-separated token sequence.
 func FormatLine(epoch time.Time, batch string, r Rec) string {
 	var b strings.Builder
 	b.Grow(160)
-	b.WriteString(epoch.Add(time.Duration(r.StartNS)).UTC().Format(TimeLayout))
+	b.WriteString(epoch.Add(time.Duration(r.StartNS)).UTC().Format(timeLayout))
 	b.WriteString(" mscope-self kind=")
 	b.WriteString(token(r.Kind))
 	b.WriteString(" batch=")

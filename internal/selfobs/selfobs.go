@@ -131,9 +131,6 @@ func (c *Collector) Begin(pipeline, stage, span, file string) Span {
 	}}
 }
 
-// Enabled reports whether a collector is installed.
-func Enabled() bool { return active.Load() != nil }
-
 // Batch returns the session label given to Enable.
 func (c *Collector) Batch() string { return c.batch }
 

@@ -39,8 +39,8 @@ func TestEnableDisableRoundTrip(t *testing.T) {
 	epoch := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	c := Enable("b1", epoch)
 	defer Disable()
-	if !Enabled() {
-		t.Fatal("Enabled() = false after Enable")
+	if active.Load() != c {
+		t.Fatal("Enable installed no collector")
 	}
 	s := Begin(PipeDiagnose, "vlrt", "-", "")
 	s.End(7, 1)

@@ -20,15 +20,6 @@ func Wall(t time.Duration, nodeOffset time.Duration) time.Time {
 	return Epoch.Add(t + nodeOffset)
 }
 
-// Virtual converts a wall-clock instant back to a virtual offset, inverting
-// Wall for a node with the given clock offset.
-func Virtual(w time.Time, nodeOffset time.Duration) time.Duration {
-	return w.Sub(Epoch) - nodeOffset
-}
-
 // Micros returns the microsecond epoch representation used by the extended
 // Apache log fields (UA/UD/DS/DR).
 func Micros(w time.Time) int64 { return w.UnixMicro() }
-
-// FromMicros inverts Micros.
-func FromMicros(us int64) time.Time { return time.UnixMicro(us).UTC() }

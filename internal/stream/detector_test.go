@@ -120,8 +120,8 @@ func TestDueWatermark(t *testing.T) {
 }
 
 // TestDipDoesNotSplitAnEpisode: a second spike after a dip of at most
-// core.EpisodeGap is the same episode, raised once over both; after a
-// longer dip it is an episode of its own.
+// core's episode gap (100 ms) is the same episode, raised once over both;
+// after a longer dip it is an episode of its own.
 func TestDipDoesNotSplitAnEpisode(t *testing.T) {
 	db, _ := batchBaseline(t)
 	const wait = 300_000 + 600_000 // a 300 ms peak's slice and grace

@@ -96,7 +96,7 @@ func compareRows(t *testing.T, live, batch *mscopedb.DB) {
 	t.Helper()
 	compared := 0
 	for _, name := range live.TableNames() {
-		if name == mscopedb.TableIngests {
+		if name == "mscope_ingests" {
 			continue
 		}
 		lt, err := live.Table(name)
@@ -335,7 +335,7 @@ func TestPipelineChaosQuarantine(t *testing.T) {
 	}
 	rejected := false
 	for _, s := range st.Sources {
-		if s.State == StateRejected {
+		if s.State == stateRejected {
 			rejected = true
 		}
 	}

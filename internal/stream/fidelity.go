@@ -26,11 +26,11 @@ const (
 	FidelityAggregate = "aggregate"
 )
 
-// TableRollup is the coarse per-window aggregate table degraded modes fold
+// tableRollup is the coarse per-window aggregate table degraded modes fold
 // rows into: one row per (source table, metric, rollup window) carrying
 // count/sum/min/max — enough for capacity trending while full fidelity is
 // suspended outside anomaly neighbourhoods.
-const TableRollup = "mscope_rollup"
+const tableRollup = "mscope_rollup"
 
 // FidelityOptions parameterizes the degradation subsystem. The zero value
 // disables it.
@@ -96,7 +96,7 @@ type aggKey struct {
 	winUS  int64
 }
 
-// aggCell is one open accumulator; cells flush to TableRollup once their
+// aggCell is one open accumulator; cells flush to tableRollup once their
 // window closes behind the low watermark.
 type aggCell struct {
 	n        int64
@@ -119,7 +119,7 @@ type fidelityRun struct {
 	rolledUp    atomic.Int64 // records folded into rollup cells
 	promoted    atomic.Int64 // ring rows appended retroactively
 	shedRows    atomic.Int64 // records dropped with no ring retention
-	rollupRows  atomic.Int64 // rows flushed into TableRollup
+	rollupRows  atomic.Int64 // rows flushed into tableRollup
 	ringRows    atomic.Int64 // rows currently live across all rings
 	ringEvicted atomic.Int64
 	transitions atomic.Int64
@@ -284,7 +284,7 @@ func (f *fidelityRun) rollup(s *source, c *blockCells, row int, usEvent int64) {
 }
 
 // flushRollup appends every accumulator cell whose window has fully closed
-// behind the low watermark to TableRollup, in deterministic key order.
+// behind the low watermark to tableRollup, in deterministic key order.
 // final flushes everything.
 func (p *Pipeline) flushRollup(lowUS int64, final bool) {
 	f := p.fid
@@ -334,10 +334,10 @@ func (p *Pipeline) flushRollup(lowUS int64, final bool) {
 }
 
 func (p *Pipeline) rollupTable() (*mscopedb.Table, error) {
-	if p.db.HasTable(TableRollup) {
-		return p.db.Table(TableRollup)
+	if p.db.HasTable(tableRollup) {
+		return p.db.Table(tableRollup)
 	}
-	return p.db.Create(TableRollup, []mscopedb.Column{
+	return p.db.Create(tableRollup, []mscopedb.Column{
 		{Name: "tbl", Type: mscopedb.TString},
 		{Name: "metric", Type: mscopedb.TString},
 		{Name: "win_us", Type: mscopedb.TInt},

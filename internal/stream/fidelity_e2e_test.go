@@ -41,8 +41,8 @@ func retainedRows(db *mscopedb.DB) int64 {
 	var total int64
 	for _, name := range db.TableNames() {
 		switch name {
-		case mscopedb.TableExperiments, mscopedb.TableNodes,
-			mscopedb.TableMonitors, mscopedb.TableIngests:
+		case "mscope_experiments", "mscope_nodes",
+			"mscope_monitors", "mscope_ingests":
 			continue
 		}
 		if t, err := db.Table(name); err == nil {
@@ -345,7 +345,7 @@ func TestFidelityRestartResume(t *testing.T) {
 	// rolled-up records would re-promote the anomaly neighbourhood and
 	// overshoot.
 	for _, name := range db.TableNames() {
-		if name == mscopedb.TableIngests || name == TableRollup {
+		if name == "mscope_ingests" || name == tableRollup {
 			continue
 		}
 		lt, err := db.Table(name)
@@ -367,7 +367,7 @@ func TestFidelityRestartResume(t *testing.T) {
 
 	// Rollup windows must not be re-flushed: at most one duplicate key per
 	// (table, metric) — the single window each boundary can straddle.
-	rt, err := db.Table(TableRollup)
+	rt, err := db.Table(tableRollup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestFidelityRingEviction(t *testing.T) {
 	}
 	bdb, _ := batchBaseline(t)
 	for _, name := range pipe.DB().TableNames() {
-		if name == mscopedb.TableIngests || name == TableRollup || !bdb.HasTable(name) {
+		if name == "mscope_ingests" || name == tableRollup || !bdb.HasTable(name) {
 			continue
 		}
 		lt, _ := pipe.DB().Table(name)

@@ -126,7 +126,7 @@ const tailPoll = 10 * time.Millisecond
 type Pipeline struct {
 	cfg   Config
 	db    *mscopedb.DB
-	wm    *Watermark
+	wm    *watermark
 	det   *detector
 	fid   *fidelityRun // nil when fidelity is off
 	front *FrontEnd    // nil for a remote-fed engine
@@ -175,7 +175,7 @@ func New(cfg Config) (*Pipeline, error) {
 	p := &Pipeline{
 		cfg:      c,
 		db:       c.DB,
-		wm:       NewWatermark(faults.DefaultSkewMax.Microseconds()),
+		wm:       newWatermark(faults.DefaultSkewMax.Microseconds()),
 		det:      newDetector(c.DB, core.DefaultWindow, DefaultGrace, faults.DefaultSkewMax),
 		recs:     make(chan rec, c.channelCap),
 		dbReqs:   make(chan func(*mscopedb.DB)),
@@ -336,7 +336,7 @@ func (p *Pipeline) adopt(key, name string, b transform.Binding) *source {
 		binding: b,
 		table:   host + "_" + b.TableSuffix,
 		host:    host,
-		state:   StateActive,
+		state:   stateActive,
 		free:    make(chan *transform.Builder, 8),
 	}
 	s.tgt = transform.Target{DB: p.db, Table: s.table}
@@ -438,7 +438,7 @@ func (p *Pipeline) processBatch(r rec, obs *selfobs.Buf, lastLow *int64) {
 		time.Sleep(time.Duration(n) * p.cfg.ConsumerDelay)
 	}
 	st, _ := s.status()
-	loaded := st != StateRejected && (n == 0 || p.load(r, obs))
+	loaded := st != stateRejected && (n == 0 || p.load(r, obs))
 	// The stamp counts whatever the batch held, loaded or not: the offset
 	// says how far the file was read.
 	if !r.more {
@@ -450,7 +450,7 @@ func (p *Pipeline) processBatch(r rec, obs *selfobs.Buf, lastLow *int64) {
 	if q := s.quarantined.Load(); q > 0 {
 		total := s.processed.Load() + q
 		if total >= minBudgetSamples && float64(q)/float64(total) > p.cfg.ErrorBudget {
-			s.setState(StateRejected, fmt.Errorf(
+			s.setState(stateRejected, fmt.Errorf(
 				"stream: %s: corrupt-record ratio %.4f exceeds error budget %.4f (%d of %d)",
 				s.name, float64(q)/float64(total), p.cfg.ErrorBudget, q, total))
 			p.wm.Finish(s.path)
@@ -623,7 +623,7 @@ func (p *Pipeline) checkpoint() {
 	snap := p.snapshot()
 	sort.Slice(snap, func(i, j int) bool { return snap[i].path < snap[j].path })
 	for _, s := range snap {
-		s.setState(StateDone, nil)
+		s.setState(stateDone, nil)
 		consumed := s.consumedBase.Load() + s.consumed.Load()
 		if !p.db.HasTable(s.table) && consumed == 0 {
 			continue

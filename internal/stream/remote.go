@@ -70,7 +70,7 @@ func (p *Pipeline) OpenRemote(key, name string) (*RemoteSource, int64, error) {
 // dropped by count — with the consumed base rolled back equally, so the
 // final ledger totals match a never-interrupted session.
 func (p *Pipeline) reopenRemote(s *source) (*RemoteSource, int64, error) {
-	if st, _ := s.status(); st == StateFailed || st == StateRejected {
+	if st, _ := s.status(); st == stateFailed || st == stateRejected {
 		return nil, ResumeDenied, nil
 	}
 	// Quiesce: the dead connection's records may still sit in the channel;
@@ -104,7 +104,7 @@ func (p *Pipeline) reopenRemote(s *source) (*RemoteSource, int64, error) {
 	// batch; the engine's total so far composes with it additively.
 	s.quarBase.Store(s.quarantined.Load())
 	p.wm.Reopen(s.path)
-	s.setState(StateActive, nil)
+	s.setState(stateActive, nil)
 	return &RemoteSource{s}, off, nil
 }
 

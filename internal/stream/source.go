@@ -11,10 +11,10 @@ import (
 
 // Source states reported in Status.
 const (
-	StateActive   = "active"
-	StateFailed   = "failed"   // strict parser or I/O error; table keeps its rows
-	StateRejected = "rejected" // quarantine error budget breached
-	StateDone     = "done"     // drained cleanly at shutdown
+	stateActive   = "active"
+	stateFailed   = "failed"   // strict parser or I/O error; table keeps its rows
+	stateRejected = "rejected" // quarantine error budget breached
+	stateDone     = "done"     // drained cleanly at shutdown
 )
 
 // Streamable reports whether the live pipeline tails a file: it must have
@@ -101,7 +101,7 @@ func (s *source) setState(state string, err error) {
 	defer s.mu.Unlock()
 	// Terminal states stick: a budget rejection is not overwritten by the
 	// shutdown drain marking everything done.
-	if s.state == StateFailed || s.state == StateRejected {
+	if s.state == stateFailed || s.state == stateRejected {
 		return
 	}
 	s.state = state
@@ -117,7 +117,7 @@ func (s *source) status() (string, error) {
 // fail marks the source terminally failed: the table keeps its rows, the
 // watermark stops waiting.
 func (s *source) fail(err error) {
-	s.setState(StateFailed, err)
+	s.setState(stateFailed, err)
 	s.p.wm.Finish(s.path)
 }
 
@@ -160,7 +160,7 @@ func (s *source) deliver(b Batch) bool {
 		s.fail(b.Err)
 	}
 	st, _ := s.status()
-	return st == StateActive
+	return st == stateActive
 }
 
 // stamp applies what a batch says of its source once its records are

@@ -5,22 +5,22 @@ import (
 	"sync"
 )
 
-// Watermark tracks per-source event-time frontiers and derives the low
+// watermark tracks per-source event-time frontiers and derives the low
 // watermark: the event time below which every live source has reported,
 // minus the clock-skew bound of the fault model. Windows close — and the
 // detector classifies — only behind the low watermark, so a verdict never
 // rests on a tier whose log simply had not caught up yet.
-type Watermark struct {
+type watermark struct {
 	mu     sync.Mutex
 	skewUS int64
 	fronts map[string]int64
 	done   map[string]bool
 }
 
-// NewWatermark builds a tracker with the given clock-skew bound in
+// newWatermark builds a tracker with the given clock-skew bound in
 // microseconds (the PR-1 fault model skews tier clocks by up to ±skew).
-func NewWatermark(skewUS int64) *Watermark {
-	return &Watermark{
+func newWatermark(skewUS int64) *watermark {
+	return &watermark{
 		skewUS: skewUS,
 		fronts: make(map[string]int64),
 		done:   make(map[string]bool),
@@ -30,7 +30,7 @@ func NewWatermark(skewUS int64) *Watermark {
 // Register adds a source with no data yet. An unregistered source never
 // holds the watermark back; a registered silent one does — by design, a
 // tier that exists but has not reported must block window closure.
-func (w *Watermark) Register(src string) {
+func (w *watermark) Register(src string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if _, ok := w.fronts[src]; !ok {
@@ -39,7 +39,7 @@ func (w *Watermark) Register(src string) {
 }
 
 // Observe advances a source's frontier to the given event time (µs).
-func (w *Watermark) Observe(src string, us int64) {
+func (w *watermark) Observe(src string, us int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if us > w.fronts[src] {
@@ -49,7 +49,7 @@ func (w *Watermark) Observe(src string, us int64) {
 
 // Finish marks a source complete (EOF at shutdown, budget rejection, or
 // parser failure): it stops constraining the low watermark.
-func (w *Watermark) Finish(src string) {
+func (w *watermark) Finish(src string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.done[src] = true
@@ -58,7 +58,7 @@ func (w *Watermark) Finish(src string) {
 // Reopen clears a source's done mark: a remote agent that disconnected
 // mid-stream (its sources finished so the watermark could advance) has
 // come back and will constrain window closure again.
-func (w *Watermark) Reopen(src string) {
+func (w *watermark) Reopen(src string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	delete(w.done, src)
@@ -67,7 +67,7 @@ func (w *Watermark) Reopen(src string) {
 // Low returns the low watermark and whether it is meaningful yet: false
 // while any live source has reported nothing (or none exist), MaxInt64
 // when every source has finished.
-func (w *Watermark) Low() (int64, bool) {
+func (w *watermark) Low() (int64, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if len(w.fronts) == 0 {
@@ -95,7 +95,7 @@ func (w *Watermark) Low() (int64, bool) {
 
 // MaxFrontier returns the most advanced frontier — the live edge. The gap
 // between it and the low watermark is the pipeline's event-time lag.
-func (w *Watermark) MaxFrontier() int64 {
+func (w *watermark) MaxFrontier() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var max int64

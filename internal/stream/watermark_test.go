@@ -6,7 +6,7 @@ import (
 )
 
 func TestWatermarkLow(t *testing.T) {
-	w := NewWatermark(2000) // 2ms skew bound
+	w := newWatermark(2000) // 2ms skew bound
 
 	if _, ok := w.Low(); ok {
 		t.Fatal("empty watermark must not be meaningful")
@@ -57,7 +57,7 @@ func TestWatermarkLow(t *testing.T) {
 }
 
 func TestWatermarkLateRegistrationHolds(t *testing.T) {
-	w := NewWatermark(0)
+	w := newWatermark(0)
 	w.Register("a")
 	w.Observe("a", 5_000_000)
 	if low, ok := w.Low(); !ok || low != 5_000_000 {

@@ -44,7 +44,7 @@ func ingest(t *testing.T, db *mscopedb.DB, logs string) *mscopedb.DB {
 }
 
 // slowestFirst is the ordering /api/traces has always had, applied to a
-// whole reconstruction: the oracle of Slowest.
+// whole reconstruction: the oracle of SlowestIDs + LookupRanked.
 func slowestFirst(traces map[string]*tracegraph.Trace) []*tracegraph.Trace {
 	out := make([]*tracegraph.Trace, 0, len(traces))
 	for _, tr := range traces {
@@ -61,7 +61,8 @@ func slowestFirst(traces map[string]*tracegraph.Trace) []*tracegraph.Trace {
 }
 
 // checkAgainstBuild holds Lookup, for every request ID of the warehouse,
-// and Slowest, at several depths, to the whole-warehouse reconstruction.
+// and SlowestIDs + LookupRanked, at several depths, to the whole-warehouse
+// reconstruction.
 func checkAgainstBuild(t *testing.T, db *mscopedb.DB) {
 	t.Helper()
 	want, _, err := tracegraph.BuildPartial(db, eventTables)
@@ -105,14 +106,26 @@ func checkAgainstBuild(t *testing.T, db *mscopedb.DB) {
 	}
 	ordered := slowestFirst(want)
 	for _, n := range []int{1, 7, 50, len(ordered), len(ordered) + 5} {
-		got, err := tracegraph.Slowest(db, eventTables, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ordered[:min(n, len(ordered))]) {
+		if got := slowest(t, db, n); !reflect.DeepEqual(got, ordered[:min(n, len(ordered))]) {
 			t.Fatalf("slowest %d differ from the head of the sorted build", n)
 		}
 	}
+}
+
+// slowest builds the n slowest requests as serve's /api/traces does:
+// SlowestIDs ranks every request and LookupRanked builds the n that rank
+// first.
+func slowest(t *testing.T, db *mscopedb.DB, n int) []*tracegraph.Trace {
+	t.Helper()
+	ids, err := tracegraph.SlowestIDs(db, eventTables, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := tracegraph.LookupRanked(db, eventTables, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return traces
 }
 
 // TestLookupMatchesBuild: the one-request lookup and the slowest-N ranking
@@ -143,7 +156,7 @@ func TestLookupMatchesBuild(t *testing.T) {
 		db := ingest(t, mscopedb.Open(), logs)
 		plant(db)
 		checkAgainstBuild(t, db)
-		if got, _ := tracegraph.Slowest(db, eventTables, 3); got[0].ReqID != "zz-orphan" || got[1].ReqID != "tie-a" || got[2].ReqID != "tie-b" {
+		if got := slowest(t, db, 3); got[0].ReqID != "zz-orphan" || got[1].ReqID != "tie-a" || got[2].ReqID != "tie-b" {
 			t.Fatalf("planted requests rank %s, %s, %s", got[0].ReqID, got[1].ReqID, got[2].ReqID)
 		}
 	})

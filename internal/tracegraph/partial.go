@@ -46,9 +46,9 @@ type tierPlan struct {
 	missingTier   map[string]bool
 }
 
-// ErrNoEventTables is wrapped by every reader here when the warehouse holds
+// errNoEventTables is wrapped by every reader here when the warehouse holds
 // none of the event tables asked for: there is no request to reconstruct.
-var ErrNoEventTables = errors.New("tracegraph: none of the event tables exist")
+var errNoEventTables = errors.New("tracegraph: none of the event tables exist")
 
 // planTiers resolves the event tables against the warehouse. At least one
 // must exist.
@@ -64,7 +64,7 @@ func planTiers(db *mscopedb.DB, eventTables []string) (*tierPlan, error) {
 		}
 	}
 	if len(p.present) == 0 {
-		return nil, fmt.Errorf("%w: %v", ErrNoEventTables, eventTables)
+		return nil, fmt.Errorf("%w: %v", errNoEventTables, eventTables)
 	}
 	return p, nil
 }
@@ -76,7 +76,7 @@ func planTiers(db *mscopedb.DB, eventTables []string) (*tierPlan, error) {
 // provably lack, instead of the whole reconstruction failing. At least one
 // requested table must exist. It reads every row of every table: the
 // whole-warehouse reconstruction behind `mscope trace`, and the oracle
-// Lookup and Slowest are held to.
+// Lookup, SlowestIDs and LookupRanked are held to.
 func BuildPartial(db *mscopedb.DB, eventTables []string) (map[string]*Trace, *BuildReport, error) {
 	plan, err := planTiers(db, eventTables)
 	if err != nil {
@@ -144,18 +144,6 @@ func Lookup(db *mscopedb.DB, eventTables []string, ids ...string) (map[string]*T
 		markMissingTiers(tr, plan.fullOrder, plan.missingTier)
 	}
 	return traces, nil
-}
-
-// Slowest returns the n requests with the longest response time, slowest
-// first and ties by request ID — the head of BuildPartial's traces in that
-// order — without building the others: SlowestIDs ranks every request and
-// LookupRanked builds the n that rank first.
-func Slowest(db *mscopedb.DB, eventTables []string, n int) ([]*Trace, error) {
-	ids, err := SlowestIDs(db, eventTables, n)
-	if err != nil {
-		return nil, err
-	}
-	return LookupRanked(db, eventTables, ids)
 }
 
 // SlowestIDs returns the IDs of the n requests with the longest response

@@ -173,7 +173,7 @@ func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, o
 			}
 		}
 		if o.err != nil {
-			if opts.Policy == Quarantine && errors.Is(o.err, ErrFileRejected) {
+			if opts.Policy == Quarantine && errors.Is(o.err, errFileRejected) {
 				rep.Failed = append(rep.Failed, FileFailure{Input: j.full, Err: o.err})
 				continue
 			}
@@ -268,7 +268,7 @@ func processFile(j *fileJob, workDir string, opts Options) (out fileOutcome) {
 		parseErr = fmt.Errorf("transform: %s: %w", j.full, parseErr)
 		if opts.Policy == Quarantine && rec == nil {
 			parseErr = fmt.Errorf("transform: %s: %w: parser %q has no degraded mode: %v",
-				j.full, ErrFileRejected, b.Parser, parseErr)
+				j.full, errFileRejected, b.Parser, parseErr)
 		}
 		return fileOutcome{err: parseErr}
 	}

@@ -271,7 +271,7 @@ func TestLedgerOneRowPerFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ledger, err := db.Table(mscopedb.TableIngests)
+		ledger, err := db.Table("mscope_ingests")
 		if err != nil {
 			t.Fatal(err)
 		}

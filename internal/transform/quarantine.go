@@ -79,16 +79,16 @@ type Options struct {
 	Materialize bool
 }
 
-// ErrFileRejected marks a per-file quarantine-mode rejection: the file's
+// errFileRejected marks a per-file quarantine-mode rejection: the file's
 // damage exceeded the error budget (or nothing parsed at all). IngestDir
 // records these in Report.Failed and continues with the remaining files.
-var ErrFileRejected = errors.New("file rejected")
+var errFileRejected = errors.New("file rejected")
 
 // FileFailure records one rejected file in a quarantine-mode ingest.
 type FileFailure struct {
 	// Input is the source file path.
 	Input string
-	// Err wraps ErrFileRejected with the rejection cause.
+	// Err wraps errFileRejected with the rejection cause.
 	Err error
 }
 
@@ -200,17 +200,17 @@ func (q *quarantineSink) close() error {
 }
 
 // checkBudget applies the quarantine-mode acceptance tests to a parsed
-// file: reject (wrapping ErrFileRejected) when nothing survived or the
+// file: reject (wrapping errFileRejected) when nothing survived or the
 // corrupt-region ratio exceeds the error budget.
 func (o Options) checkBudget(out FileResult, path string) error {
 	if out.Entries == 0 {
 		return fmt.Errorf("transform: %s: %w: no records survived (%d quarantined)",
-			path, ErrFileRejected, out.Quarantined)
+			path, errFileRejected, out.Quarantined)
 	}
 	total := out.Entries + out.Quarantined
 	if ratio := float64(out.Quarantined) / float64(total); ratio > o.budget() {
 		return fmt.Errorf("transform: %s: %w: corrupt-line ratio %.4f exceeds error budget %.4f (%d of %d regions quarantined)",
-			path, ErrFileRejected, ratio, o.budget(), out.Quarantined, total)
+			path, errFileRejected, ratio, o.budget(), out.Quarantined, total)
 	}
 	return nil
 }

@@ -109,8 +109,8 @@ func TestQuarantineErrorBudgetRejectsFile(t *testing.T) {
 	if len(rep.Failed) != 1 {
 		t.Fatalf("failed: %+v", rep.Failed)
 	}
-	if !errors.Is(rep.Failed[0].Err, ErrFileRejected) {
-		t.Errorf("rejection does not wrap ErrFileRejected: %v", rep.Failed[0].Err)
+	if !errors.Is(rep.Failed[0].Err, errFileRejected) {
+		t.Errorf("rejection does not wrap errFileRejected: %v", rep.Failed[0].Err)
 	}
 	if !strings.Contains(rep.Failed[0].Err.Error(), "error budget") {
 		t.Errorf("rejection lacks budget cause: %v", rep.Failed[0].Err)
@@ -172,7 +172,7 @@ func TestQuarantineEmptyFileRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Failed) != 1 || !errors.Is(rep.Failed[0].Err, ErrFileRejected) {
+	if len(rep.Failed) != 1 || !errors.Is(rep.Failed[0].Err, errFileRejected) {
 		t.Fatalf("failed: %+v", rep.Failed)
 	}
 }

@@ -26,7 +26,7 @@ import (
 type Binding struct {
 	// Glob matches the file's base name (path.Match syntax).
 	Glob string `json:"glob"`
-	// Parser is the registry name (see parsers.Names).
+	// Parser is the registry name (see parsers.Get).
 	Parser string `json:"parser"`
 	// Instructions govern how the parser injects semantics.
 	Instructions parsers.Instructions `json:"instructions"`

@@ -117,13 +117,13 @@ func TestIngestDirEndToEnd(t *testing.T) {
 	cfg.Seed = 9
 	sys := ntier.New(cfg)
 	logDir := t.TempDir()
-	ev, err := eventmon.Attach(sys, logDir)
+	ev, err := eventmon.AttachWithConfig(sys, logDir, eventmon.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rm, err := resmon.Start(sys, logDir, resmon.Config{
 		Interval: 100 * time.Millisecond,
-		Kinds:    resmon.AllKinds(),
+		Kinds:    []resmon.Kind{resmon.SARText, resmon.SARXML, resmon.Iostat, resmon.CollectlPlain, resmon.CollectlCSV, resmon.Pidstat},
 	}, des.Time(cfg.Duration))
 	if err != nil {
 		t.Fatal(err)

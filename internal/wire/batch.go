@@ -19,7 +19,7 @@ import (
 // In memory a cell is a span of data: the arena of a batch built here, the
 // payload of a decoded one. spans holds a start and an end per cell, record
 // by record, so no cell is ever a string of its own. A frame is at most
-// MaxFrame bytes, so uint32 offsets reach any cell a frame can carry.
+// maxFrame bytes, so uint32 offsets reach any cell a frame can carry.
 type Segment struct {
 	Fields []mxml.Field // Name and Hint set; Value empty
 	Rows   int

@@ -14,7 +14,7 @@ import (
 // frameBytes encodes one frame to raw bytes for the seed corpus.
 func frameBytes(typ byte, payload []byte) []byte {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, typ, payload); err != nil {
+	if err := writeFrame(&buf, typ, payload); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -60,7 +60,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
-			typ, payload, err := ReadFrame(r)
+			typ, payload, err := readFrame(r)
 			if err != nil {
 				if err != io.EOF && err != io.ErrUnexpectedEOF && err.Error() == "" {
 					t.Fatalf("empty error")
@@ -130,7 +130,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 					}
 				}
 			default:
-				t.Fatalf("ReadFrame returned unassigned type %d", typ)
+				t.Fatalf("readFrame returned unassigned type %d", typ)
 			}
 		}
 	})

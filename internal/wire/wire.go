@@ -35,13 +35,13 @@ import (
 // is rejected at handshake.
 const Version = 2
 
-// MaxFrame bounds a frame payload. A length prefix beyond it is a
+// maxFrame bounds a frame payload. A length prefix beyond it is a
 // protocol error — the decoder must never allocate attacker-controlled
 // amounts of memory.
-const MaxFrame = 16 << 20
+const maxFrame = 16 << 20
 
 // Frame types. Each keeps the byte it had in protocol version 1; 7 (that
-// version's Control) is unassigned, and ReadFrame refuses it.
+// version's Control) is unassigned, and readFrame refuses it.
 const (
 	// TypeHello opens a connection: agent → collector.
 	TypeHello byte = 1
@@ -152,10 +152,10 @@ type Goodbye struct {
 	Reason string
 }
 
-// WriteFrame encodes one frame — length, type, payload — to w.
-func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame payload %d exceeds max %d", len(payload), MaxFrame)
+// writeFrame encodes one frame — length, type, payload — to w.
+func writeFrame(w io.Writer, typ byte, payload []byte) error {
+	if len(payload) > maxFrame {
+		return fmt.Errorf("wire: frame payload %d exceeds max %d", len(payload), maxFrame)
 	}
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
@@ -167,14 +167,14 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// ErrRefused is wrapped by ReadFrame's error for a frame whose header
-// it refuses — an unassigned type or a length beyond MaxFrame — which is
+// ErrRefused is wrapped by readFrame's error for a frame whose header
+// it refuses — an unassigned type or a length beyond maxFrame — which is
 // the peer's fault, where an I/O error is the network's.
 var ErrRefused = errors.New("frame refused")
 
-// ReadFrame decodes one frame from r. It returns io.EOF only at a clean
+// readFrame decodes one frame from r. It returns io.EOF only at a clean
 // frame boundary; a truncated frame is io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
+func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return 0, nil, err
@@ -187,8 +187,8 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
 	typ = hdr[4]
-	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("wire: frame length %d exceeds max %d: %w", n, MaxFrame, ErrRefused)
+	if n > maxFrame {
+		return 0, nil, fmt.Errorf("wire: frame length %d exceeds max %d: %w", n, maxFrame, ErrRefused)
 	}
 	if typ == 0 || typ == 7 || typ > TypeGoodbye {
 		return 0, nil, fmt.Errorf("wire: unknown frame type %d: %w", typ, ErrRefused)
@@ -479,10 +479,10 @@ func NewConn(rw io.ReadWriter) *Conn {
 }
 
 // Read decodes the next frame.
-func (c *Conn) Read() (byte, []byte, error) { return ReadFrame(c.r) }
+func (c *Conn) Read() (byte, []byte, error) { return readFrame(c.r) }
 
 // Write encodes one frame; call Flush to push it to the peer.
-func (c *Conn) Write(typ byte, payload []byte) error { return WriteFrame(c.w, typ, payload) }
+func (c *Conn) Write(typ byte, payload []byte) error { return writeFrame(c.w, typ, payload) }
 
 // Flush pushes buffered frames to the peer.
 func (c *Conn) Flush() error { return c.w.Flush() }

@@ -17,10 +17,10 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frame")
-	if err := WriteFrame(&buf, TypeHello, payload); err != nil {
+	if err := writeFrame(&buf, TypeHello, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := ReadFrame(&buf)
+	typ, got, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,19 +28,19 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("got type %d payload %q", typ, got)
 	}
 	// A clean boundary reads io.EOF, not ErrUnexpectedEOF.
-	if _, _, err := ReadFrame(&buf); err != io.EOF {
+	if _, _, err := readFrame(&buf); err != io.EOF {
 		t.Fatalf("at boundary: %v", err)
 	}
 }
 
 func TestFrameTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeAck, []byte("payload")); err != nil {
+	if err := writeFrame(&buf, TypeAck, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
 	for cut := 1; cut < len(whole); cut++ {
-		_, _, err := ReadFrame(bytes.NewReader(whole[:cut]))
+		_, _, err := readFrame(bytes.NewReader(whole[:cut]))
 		if err == nil {
 			t.Fatalf("cut at %d decoded", cut)
 		}
@@ -52,16 +52,16 @@ func TestFrameTruncation(t *testing.T) {
 
 func TestFrameRejectsOversizeAndUnknownType(t *testing.T) {
 	oversize := []byte{0xff, 0xff, 0xff, 0xff, TypeHello}
-	if _, _, err := ReadFrame(bytes.NewReader(append(oversize, 0))); err == nil ||
+	if _, _, err := readFrame(bytes.NewReader(append(oversize, 0))); err == nil ||
 		!strings.Contains(err.Error(), "exceeds max") {
 		t.Fatalf("oversize length: %v", err)
 	}
 	bad := []byte{0, 0, 0, 0, 99}
-	if _, _, err := ReadFrame(bytes.NewReader(bad)); err == nil ||
+	if _, _, err := readFrame(bytes.NewReader(bad)); err == nil ||
 		!strings.Contains(err.Error(), "unknown frame type") {
 		t.Fatalf("unknown type: %v", err)
 	}
-	if err := WriteFrame(io.Discard, TypeBatch, make([]byte, MaxFrame+1)); err == nil {
+	if err := writeFrame(io.Discard, TypeBatch, make([]byte, maxFrame+1)); err == nil {
 		t.Fatal("oversize write accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestFrameTypeBytes(t *testing.T) {
 		}
 	}
 	for typ := 0; typ < 256; typ++ {
-		_, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0, byte(typ)}))
+		_, _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0, byte(typ)}))
 		if _, known := want[byte(typ)]; known != (err == nil) {
 			t.Errorf("type %d: known %v, read error %v", typ, known, err)
 		}
