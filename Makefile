@@ -105,9 +105,10 @@ overload-soak:
 # serve` endpoint — tables, MQL query, zone-map-pruned window aggregation,
 # waterfall, flamegraph SVG, diagnosis timeline, healthz, metrics — is
 # driven against a real scenario warehouse, plus the live-attachment path
-# with concurrent queries during load.
+# with concurrent queries during load, and a segment damaged under warm
+# per-file caches still answering 500 until it is repaired.
 serve-smoke:
-	$(GO) test -race -run 'TestServeSmoke|TestServeLivePipeline|TestSnapshotMemoSingleFlight' -v ./internal/serve/
+	$(GO) test -race -run 'TestServeSmoke|TestServeLivePipeline|TestSnapshotMemoSingleFlight|TestVerificationSurvivesWarmCaches' -v ./internal/serve/
 
 # Distributed kill/restart soak under the race detector: four agents ship
 # the disk-IO trial to a throttled collector, one is crashed mid-stream
@@ -168,8 +169,8 @@ fuzz:
 	$(MAKE) fuzz-smoke FUZZTIME=30s
 
 # Ten seconds each, a CI step, on the read path's untrusted inputs: segment
-# files (full and projected decode agree or both fail, never a panic or an
-# allocation sized by an unchecked field), MQL text (parses or errors;
+# files (full, projected and restart-point decodes agree or both fail, never
+# a panic or an allocation sized by an unchecked field), MQL text (parses or errors;
 # what parses executes or errors), and /api/window's parameters (200, 400
 # or 404, never a 5xx); on filtered, ordered, limited queries over tiny
 # spilled segments (the rows of the in-memory table and of a naive

@@ -342,22 +342,21 @@ func (f *EvidenceFold) Build(db *mscopedb.DB) (*Evidence, []string, error) {
 		series := func(col string, fn mscopedb.AggFn) (*mscopedb.Series, error) {
 			return res.WindowAgg("ts", f.window, col, fn)
 		}
+		var user, sys *mscopedb.Series
 		disk, err := series("dsk_util", mscopedb.AggMax)
+		if err == nil {
+			user, err = series("cpu_user", mscopedb.AggAvg)
+		}
+		if err == nil {
+			sys, err = series("cpu_sys", mscopedb.AggAvg)
+		}
 		if err != nil {
+			res.Release()
 			return nil, missing, err
 		}
-		ev.Candidates = append(ev.Candidates, ResourceCandidate{
-			Name: tier + " disk", Tier: tier, Kind: CauseDiskIO, Series: disk})
-		user, err := series("cpu_user", mscopedb.AggAvg)
-		if err != nil {
-			return nil, missing, err
-		}
-		sys, err := series("cpu_sys", mscopedb.AggAvg)
-		if err != nil {
-			return nil, missing, err
-		}
-		ev.Candidates = append(ev.Candidates, ResourceCandidate{
-			Name: tier + " cpu", Tier: tier, Kind: CauseCPU, Series: addSeries(user, sys)})
+		ev.Candidates = append(ev.Candidates,
+			ResourceCandidate{Name: tier + " disk", Tier: tier, Kind: CauseDiskIO, Series: disk},
+			ResourceCandidate{Name: tier + " cpu", Tier: tier, Kind: CauseCPU, Series: addSeries(user, sys)})
 		if d, err := series("mem_dirty", mscopedb.AggAvg); err == nil {
 			ev.Dirty[tier] = d
 		}
@@ -370,6 +369,7 @@ func (f *EvidenceFold) Build(db *mscopedb.DB) (*Evidence, []string, error) {
 		if w, err := series("dsk_writekbtot", mscopedb.AggMax); err == nil {
 			ev.DiskWrite[tier] = w
 		}
+		res.Release()
 	}
 	sp.End(int64(len(ev.Candidates)), 0)
 	sp = selfobs.Begin(selfobs.PipeDiagnose, "evidence", "netlag", "")

@@ -271,6 +271,7 @@ func (e *evaluator) ablateSampling() error {
 	if err != nil {
 		return err
 	}
+	defer rows.Release()
 	full, err := rows.WindowAgg("ud", DefaultWindow, "rt_us", mscopedb.AggMax)
 	if err != nil {
 		return err

@@ -105,6 +105,7 @@ func readSelfTable(db *mscopedb.DB, name string, fn func(table string, r selfRow
 	if err != nil || res.Len() == 0 {
 		return err
 	}
+	defer res.Release()
 	ltimes, err := res.TimesMicros("ltime")
 	if err != nil {
 		return err

@@ -106,10 +106,12 @@ func execJoin(db *mscopedb.DB, st *Statement) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer lRows.Release()
 	rRows, err := rq.Rows()
 	if err != nil {
 		return nil, err
 	}
+	defer rRows.Release()
 
 	// Build hash on the (usually smaller, pre-filtered) right side, keyed
 	// by the join cell's text.

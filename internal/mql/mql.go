@@ -122,6 +122,7 @@ func Exec(db *mscopedb.DB, st *Statement) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer res.Release()
 	if st.Windowed {
 		fnName := strings.ToLower(st.AggFn.String())
 		if st.GroupCol != "" {

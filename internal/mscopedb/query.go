@@ -380,6 +380,15 @@ type Result struct {
 // Len returns the selected row count.
 func (r *Result) Len() int { return len(r.idx) }
 
+// Release hands a spilled Result's segment read buffers back for the next
+// read to reuse; call it once done. After it, a method that needs a column
+// no earlier call gathered is an error. A no-op on an in-memory Result.
+func (r *Result) Release() {
+	if r.spill != nil {
+		r.spill.release()
+	}
+}
+
 // col returns column ci of the table idx indexes, gathered if need be.
 func (r *Result) col(ci int) (*colData, error) {
 	if r.spill != nil {

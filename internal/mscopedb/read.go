@@ -127,7 +127,8 @@ func (t *Table) Scan(cols []string, fn func(*Chunk) error) error {
 
 // ScanFrom is Scan of the rows from row on: a reader that keeps a cursor
 // reads only what was appended since. The segment holding row is decoded
-// whole and handed out from row on; a row past the end yields nothing.
+// from the restart point at or before it, and handed out from row on; a
+// row past the end yields nothing.
 func (t *Table) ScanFrom(row int, cols []string, fn func(*Chunk) error) error {
 	c, proj, err := t.newChunk(cols)
 	if err != nil {
@@ -167,14 +168,24 @@ func (t *Table) ScanFrom(row int, cols []string, fn func(*Chunk) error) error {
 			return err
 		}
 		refreshed = false
+		end := min(ss.start+ss.meta.Rows, lay.sealed)
+		lo, hi := next-ss.start, end-ss.start
+		var want []int32 // every row, unless the cursor is inside the segment
+		if lo > 0 {
+			want = make([]int32, 0, hi-lo)
+			for r := lo; r < hi; r++ {
+				want = append(want, int32(r))
+			}
+			lo, hi = 0, hi-lo
+		}
 		for _, ci := range proj {
-			if decoded[ci], err = img.column(ci, nil); err != nil {
+			if decoded[ci], err = img.column(ci, want); err != nil {
+				img.release()
 				return &SegmentError{File: ss.meta.File, Err: err}
 			}
 		}
 		img.release()
-		end := min(ss.start+ss.meta.Rows, lay.sealed)
-		if err := emit(decoded, next-ss.start, end-ss.start); err != nil {
+		if err := emit(decoded, lo, hi); err != nil {
 			return err
 		}
 		next = end
@@ -198,7 +209,8 @@ func (d *colData) slice(typ Type, lo, hi int) colData {
 
 // --- equality lookup ---
 
-// lookupIndexCap bounds the bytes of lookup indexes a store retains.
+// lookupIndexCap bounds the bytes of lookup indexes and restart points a
+// store retains.
 const lookupIndexCap = 64 << 20
 
 // lookupHash is the index's hash (FNV-1a); candidates it yields are always
@@ -212,19 +224,21 @@ func lookupHash[T ~string | ~[]byte](s T) uint32 {
 	return h
 }
 
-// lookupKey names one string column of one immutable segment file.
+// lookupKey names what a store derives once from one column of one
+// immutable segment file: its lookup index, or its restart points.
 type lookupKey struct {
-	file string
-	col  int
+	file     string
+	col      int
+	restarts bool
 }
 
-// lookupCache holds the lookup indexes of a store, the least recently used
-// dropped once their bytes pass the cap. An index is hash<<32 | local row
-// for every row of a segment column, sorted, so the rows of one hash are a
-// contiguous ascending run. Indexes are built on first use and never
-// written to disk (6 B a row would be +4.5% on event rows); a segment file
-// is immutable and uniquely named, so an entry stays valid until its file
-// is orphaned.
+// lookupCache holds the lookup indexes and restart points of a store, the
+// least recently used dropped once their bytes pass the cap. An index is
+// hash<<32 | local row for every row of a segment column, sorted, so the
+// rows of one hash are a contiguous ascending run. Both are built on first
+// use and never written to disk (6 B a row of index would be +4.5% on
+// event rows); a segment file is immutable and uniquely named, so an entry
+// stays valid until its file is orphaned.
 type lookupCache struct {
 	mu        sync.Mutex
 	cap       int64 // 0 means lookupIndexCap
@@ -235,34 +249,39 @@ type lookupCache struct {
 }
 
 type lookupEntry struct {
-	keys []uint64
+	keys []uint64 // an index
+	rs   restarts // or restart points
 	used int64
 }
 
-func (c *lookupCache) get(k lookupKey) []uint64 {
+func (e *lookupEntry) size() int64 {
+	return int64(len(e.keys)+len(e.rs.off)+len(e.rs.val)+2*len(e.rs.dict)) * 8
+}
+
+func (c *lookupCache) get(k lookupKey) *lookupEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.byKey[k]
-	if e == nil {
-		return nil
+	if e != nil {
+		c.clock++
+		e.used = c.clock
 	}
-	c.clock++
-	e.used = c.clock
-	return e.keys
+	return e
 }
 
-func (c *lookupCache) put(k lookupKey, keys []uint64) {
+func (c *lookupCache) put(k lookupKey, e *lookupEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.byKey[k] != nil {
-		return // a concurrent reader built the same index first
+		return // a concurrent reader built the same first
 	}
 	if c.byKey == nil {
 		c.byKey = make(map[lookupKey]*lookupEntry)
 	}
 	c.clock++
-	c.byKey[k] = &lookupEntry{keys: keys, used: c.clock}
-	c.bytes += int64(len(keys)) * 8
+	e.used = c.clock
+	c.byKey[k] = e
+	c.bytes += e.size()
 	limit := c.cap
 	if limit == 0 {
 		limit = lookupIndexCap
@@ -280,11 +299,11 @@ func (c *lookupCache) put(k lookupKey, keys []uint64) {
 }
 
 func (c *lookupCache) remove(k lookupKey) {
-	c.bytes -= int64(len(c.byKey[k].keys)) * 8
+	c.bytes -= c.byKey[k].size()
 	delete(c.byKey, k)
 }
 
-// drop forgets the indexes of orphaned segment files.
+// drop forgets what was derived from orphaned segment files.
 func (c *lookupCache) drop(files []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -295,8 +314,9 @@ func (c *lookupCache) drop(files []string) {
 	}
 }
 
-// IndexStats returns the bytes of lookup indexes the warehouse's store
-// holds and how many it has evicted to stay under its cap.
+// IndexStats returns the bytes of lookup indexes and restart points the
+// warehouse's store holds, and how many entries it has evicted to stay
+// under its cap.
 func (db *DB) IndexStats() (bytes, evictions int64) {
 	if db.store == nil {
 		return 0, 0
@@ -307,39 +327,28 @@ func (db *DB) IndexStats() (bytes, evictions int64) {
 	return c.bytes, c.evictions
 }
 
-// matchStrs lists the rows of a string column whose cell is in the set.
-func matchStrs(strs []string, set map[string]bool) []int32 {
-	out := make([]int32, 0) // never nil: a nil row list means every row
-	for r, v := range strs {
-		if set[v] {
-			out = append(out, int32(r))
-		}
-	}
-	return out
-}
-
 // Lookup returns the rows whose cell in the string column col equals one
 // of vals, in table order, with the named columns gathered. Sealed
 // segments answer from a hash index of the column, built from a projected
 // decode the first time a segment is asked and retained with it; only
 // segments holding a candidate are read, candidates are verified against
-// the stored bytes, and the gather walks each block to the selected rows
-// only. The unsealed tail is compared directly.
+// the stored bytes, and the candidate check and the gather decode each
+// selected row from its restart point. The unsealed tail is compared
+// directly, every cell by a binary search of the sorted vals.
 func (t *Table) Lookup(col string, vals []string, cols []string) (*Chunk, error) {
 	ki := t.ColIndex(col)
 	if ki < 0 || t.cols[ki].Type != TString {
 		return nil, fmt.Errorf("mscopedb: %s: lookup needs a string column, not %q", t.name, col)
 	}
 	obs := selfobs.Begin(selfobs.PipeDB, "lookup", "-", t.name)
-	set := make(map[string]bool, len(vals))
-	for _, v := range vals {
-		set[v] = true
-	}
-	out, err := t.lookupOnce(ki, vals, set, cols)
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	out, err := t.lookupOnce(ki, sorted, cols)
 	if err != nil && errors.Is(err, fs.ErrNotExist) {
 		// A segment compacted away under the snapshot: once more, against
 		// the fresh list.
-		out, err = t.lookupOnce(ki, vals, set, cols)
+		out, err = t.lookupOnce(ki, sorted, cols)
 	}
 	if err != nil {
 		return nil, err
@@ -348,10 +357,11 @@ func (t *Table) Lookup(col string, vals []string, cols []string) (*Chunk, error)
 	return out, nil
 }
 
-// lookupOnce is Lookup over one snapshot of the table's layout. Each
-// segment index it has to build is a mscopedb/index span of its own, so
-// the self-trace tells a cold lookup from a warm one.
-func (t *Table) lookupOnce(ki int, vals []string, set map[string]bool, cols []string) (*Chunk, error) {
+// lookupOnce is Lookup of the sorted, duplicate-free vals over one
+// snapshot of the table's layout. Each segment index it has to build is a
+// mscopedb/index span of its own, so the self-trace tells a cold lookup
+// from a warm one.
+func (t *Table) lookupOnce(ki int, vals []string, cols []string) (*Chunk, error) {
 	out, proj, err := t.newChunk(cols)
 	if err != nil {
 		return nil, err
@@ -361,23 +371,26 @@ func (t *Table) lookupOnce(ki int, vals []string, set map[string]bool, cols []st
 	for _, ss := range lay.segs {
 		st := t.seal.store
 		var img *segImage
+		var keys []uint64
 		key := lookupKey{file: ss.meta.File, col: ki}
-		keys := st.lookups.get(key)
-		if keys == nil {
+		if e := st.lookups.get(key); e != nil {
+			keys = e.keys
+		} else {
 			obs := selfobs.Begin(selfobs.PipeDB, "index", "-", t.name)
 			if img, err = st.openSegment(ss.meta, t.name, t.cols); err != nil {
 				return nil, err
 			}
-			blk := img.blocks[ki]
 			keys = make([]uint64, img.rows)
-			err = walkStrs(blk, img.encs[ki], img.rows, nil, func(k, lo, hi int) {
+			blk := img.blocks[ki]
+			_, err = img.record(ki, func(k, lo, hi int) {
 				keys[k] = uint64(lookupHash(blk[lo:hi]))<<32 | uint64(k)
 			})
 			if err != nil {
+				img.release()
 				return nil, &SegmentError{File: ss.meta.File, Err: err}
 			}
 			slices.Sort(keys)
-			st.lookups.put(key, keys)
+			st.lookups.put(key, &lookupEntry{keys: keys})
 			obs.End(int64(img.rows), 0)
 		}
 		cand = cand[:0]
@@ -388,17 +401,17 @@ func (t *Table) lookupOnce(ki int, vals []string, set map[string]bool, cols []st
 				cand = append(cand, int32(uint32(keys[i])))
 			}
 		}
-		if len(cand) > 0 && img == nil {
-			if img, err = st.openSegment(ss.meta, t.name, t.cols); err != nil {
-				return nil, err
-			}
-		}
 		if len(cand) > 0 {
+			if img == nil {
+				if img, err = st.openSegment(ss.meta, t.name, t.cols); err != nil {
+					return nil, err
+				}
+			}
 			slices.Sort(cand)
 			cand = slices.Compact(cand)
 			blk, hit := img.blocks[ki], cand[:0]
-			err = walkStrs(blk, img.encs[ki], img.rows, cand, func(k, lo, hi int) {
-				if set[string(blk[lo:hi])] { // a map probe by converted bytes does not allocate
+			err = img.walk(ki, cand, nil, nil, func(k, lo, hi int) {
+				if _, ok := slices.BinarySearch(vals, string(blk[lo:hi])); ok {
 					hit = append(hit, cand[k])
 				}
 			})
@@ -408,15 +421,21 @@ func (t *Table) lookupOnce(ki int, vals []string, set map[string]bool, cols []st
 					appendCol(&out.data[i], &d, out.cols[i].Type, nil)
 				}
 			}
-			if err != nil {
-				return nil, &SegmentError{File: ss.meta.File, Err: err}
-			}
 			out.rows += len(hit)
 		}
 		if img != nil {
 			img.release()
 		}
+		if err != nil {
+			return nil, &SegmentError{File: ss.meta.File, Err: err}
+		}
 	}
-	out.gather(proj, lay.tail, matchStrs(lay.tail[ki].Strs[:lay.rows-lay.sealed], set))
+	tail, hit := lay.tail[ki].Strs[:lay.rows-lay.sealed], make([]int32, 0)
+	for r, v := range tail {
+		if _, ok := slices.BinarySearch(vals, v); ok {
+			hit = append(hit, int32(r))
+		}
+	}
+	out.gather(proj, lay.tail, hit)
 	return out, nil
 }

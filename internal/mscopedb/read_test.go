@@ -201,7 +201,10 @@ func rawStringImage(t testing.TB, table string, cols []Column, data []colData, n
 // bytes, as given and with the checksum repaired: neither panics nor
 // allocates by an unchecked header field; when the full decode succeeds so
 // does every projection, with equal columns; when it fails, a projection
-// succeeds only if the damage sits in a column it skipped.
+// succeeds only if the damage sits in a column it skipped. A decode of
+// ascending rows (every step-th from first, both from stride), which starts
+// each row at its restart point, equals the column's full decode at those
+// rows, or both fail.
 func FuzzSegmentDecode(f *testing.F) {
 	// Small seeds: the coverage-guided engine minimizes every interesting
 	// input byte by byte, and crawls on images of a few kilobytes.
@@ -210,14 +213,14 @@ func FuzzSegmentDecode(f *testing.F) {
 	if got, _, err := decodeSegment(raw, "ev", cols); err != nil || !reflect.DeepEqual(got[4].Strs, data[4].Strs) {
 		f.Fatalf("hand-assembled raw-string image: %v", err)
 	}
-	f.Add(img, byte(0b11111))
-	f.Add(img, byte(0b00101))
-	f.Add(raw, byte(0b11000))
+	f.Add(img, byte(0b11111), uint16(0x0300))
+	f.Add(img, byte(0b00101), uint16(0x0102))
+	f.Add(raw, byte(0b11000), uint16(0x0204))
 	flip := append([]byte(nil), img...)
 	flip[len(flip)/2] ^= 0xff
-	f.Add(flip, byte(0b10000))
-	f.Add(img[:len(img)-3], byte(0b00001))
-	f.Add([]byte("MSEG1\x00"), byte(0))
+	f.Add(flip, byte(0b10000), uint16(0))
+	f.Add(img[:len(img)-3], byte(0b00001), uint16(0))
+	f.Add([]byte("MSEG1\x00"), byte(0), uint16(0))
 	// A tail file as a checkpoint builds it, two images in one buffer: the
 	// second image on its own is a segment, the file as a whole is not.
 	other, _, err := encodeSegment("other", cols[:1], data[:1], 3)
@@ -228,9 +231,14 @@ func FuzzSegmentDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(second, byte(0b11111))
-	f.Add(append(other, second...), byte(0b00001))
-	f.Fuzz(func(t *testing.T, raw []byte, mask byte) {
+	f.Add(second, byte(0b11111), uint16(0x0101))
+	f.Add(append(other, second...), byte(0b00001), uint16(0))
+	// Past restartEvery rows, so a decode of later rows starts at a later
+	// restart point: every column, and raw strings too.
+	_, longData, long := goldenSegment(f, 2*restartEvery+44)
+	f.Add(long, byte(0b11111), uint16(0x7f05))
+	f.Add(rawStringImage(f, "ev", cols, longData, 2*restartEvery+44), byte(0b10000), uint16(0x8003))
+	f.Fuzz(func(t *testing.T, raw []byte, mask byte, stride uint16) {
 		for _, b := range [][]byte{raw, reseal(raw)} {
 			full, rows, fullErr := decodeSegment(b, "ev", cols)
 			img, err := parseSegment(b, "ev", cols)
@@ -241,8 +249,22 @@ func FuzzSegmentDecode(f *testing.F) {
 				continue
 			}
 			skippedFails := false
+			var want []int32
+			for r := int(stride >> 8); r < img.rows; r += int(stride&0xff) + 1 {
+				want = append(want, int32(r))
+			}
 			for ci := range cols {
 				got, err := img.column(ci, nil)
+				if want != nil {
+					sub, subErr := img.column(ci, want)
+					var exp colData
+					if err == nil {
+						appendCol(&exp, &got, cols[ci].Type, want)
+					}
+					if (err == nil) != (subErr == nil) || err == nil && !sameCol(sub, exp) {
+						t.Fatalf("rows %v of %s: %v, full decode %v", want, cols[ci].Name, subErr, err)
+					}
+				}
 				if mask&(1<<ci) == 0 {
 					skippedFails = skippedFails || err != nil
 					continue

@@ -36,6 +36,7 @@ type spillScan struct {
 	tail      []colData // snapshotted tail slice headers
 	tailMatch []int32   // kept tail rows; nil means every row
 	have      []bool
+	released  bool // the parts' images went back with Result.Release
 }
 
 // scanPart is one opened segment with at least one kept row.
@@ -306,6 +307,9 @@ func (sc *spillScan) fill(ci int) error {
 	if sc.have[ci] {
 		return nil
 	}
+	if sc.released {
+		return fmt.Errorf("mscopedb: %s.%s: read after Result.Release", sc.view.name, sc.view.cols[ci].Name)
+	}
 	typ := sc.view.cols[ci].Type
 	dst := &sc.view.data[ci]
 	for _, p := range sc.parts {
@@ -318,6 +322,14 @@ func (sc *spillScan) fill(ci int) error {
 	appendCol(dst, &sc.tail[ci], typ, sc.tailMatch)
 	sc.have[ci] = true
 	return nil
+}
+
+// release hands every part's image back.
+func (sc *spillScan) release() {
+	for _, p := range sc.parts {
+		p.img.release()
+	}
+	sc.parts, sc.released = nil, true
 }
 
 // matchRows applies the predicate list to raw column data and returns the

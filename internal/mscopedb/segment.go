@@ -148,14 +148,16 @@ type segImage struct {
 	rows   int
 	encs   []byte
 	blocks [][]byte
-	buf    *[]byte // the pooled read buffer the blocks alias, if any
+	buf    *[]byte // the read buffer the blocks alias, if any
+	file   string  // a committed segment file's name, and the store that
+	st     *store  // read it and keeps its restart points; nil for others
 }
 
 // release hands the image's read buffer back for the next segment. Decoded
 // columns are copies, so they outlive it; the image itself does not.
 func (s *segImage) release() {
 	if s.buf != nil {
-		segBufs.Put(s.buf)
+		s.st.bufs.put(s.buf)
 		s.buf, s.blocks = nil, nil
 	}
 }
@@ -221,25 +223,191 @@ func parseSegment(img []byte, wantTable string, wantCols []Column) (*segImage, e
 
 // column decodes one column: every row when want is nil, else the rows
 // want lists in ascending order, the result aligned with want. A subset
-// walks the block only as far as its last row and allocates for the rows
-// it returns, not for the rows it passes.
+// decodes each row from the restart point at or before it and allocates
+// for the rows it returns, not for the rows it passes.
+//
+// A string column of a full decode, of more than a quarter of the rows or
+// of a run of at least restartEvery consecutive rows (a scan from a
+// cursor) is one copy of the block with its cells as substrings: two
+// allocations whatever the row count, and rows that share a dictionary
+// entry share its bytes — the on-disk dictionary doubles as the interner.
+// Any other subset (a lookup's few rows, adjacent or not) allocates one
+// string per cell and pins nothing else.
 func (s *segImage) column(ci int, want []int32) (colData, error) {
 	var d colData
 	var err error
-	switch blk := s.blocks[ci]; s.cols[ci].Type {
-	case TInt:
-		d.Ints, err = decodeDelta(blk, s.rows, want)
-	case TTime:
-		d.Times, err = decodeDelta(blk, s.rows, want)
-	case TFloat:
+	n, typ, blk := s.rows, s.cols[ci].Type, s.blocks[ci]
+	if want != nil {
+		n = len(want)
+	}
+	switch {
+	case typ == TFloat:
 		d.Floats, err = decodeFloats(blk, s.rows, want)
-	case TString:
-		d.Strs, err = decodeStrings(blk, s.encs[ci], s.rows, want)
+	case typ == TString:
+		d.Strs = make([]string, n)
+		cell := func(k, lo, hi int) { d.Strs[k] = string(blk[lo:hi]) }
+		if n*4 > s.rows || n >= restartEvery && int(want[n-1]-want[0]) == n-1 {
+			whole := string(blk)
+			cell = func(k, lo, hi int) { d.Strs[k] = whole[lo:hi] }
+		}
+		err = s.walk(ci, want, nil, nil, cell)
+	default:
+		vals := make([]int64, n)
+		err = s.walk(ci, want, nil, vals, nil)
+		if typ == TInt {
+			d.Ints = vals
+		} else {
+			d.Times = vals
+		}
 	}
 	if err != nil {
-		return d, fmt.Errorf("column %s: %w", s.cols[ci].Name, err)
+		return colData{}, fmt.Errorf("column %s: %w", s.cols[ci].Name, err)
 	}
 	return d, nil
+}
+
+// restartEvery is the row interval of a block's restart points.
+const restartEvery = 128
+
+// restarts are one delta or string block's restart points: for every row
+// p*restartEvery, the byte offset of its cell and the running value a
+// delta adds to, plus a dictionary block's cell bounds. One full walk of a
+// verified image builds them, checking the whole block; a committed file
+// is immutable and checksummed on every read, so they hold for each later
+// image of it, and a walk takes them only for a block of their length n.
+type restarts struct {
+	n    int
+	off  []int
+	val  []int64
+	dict [][2]int
+}
+
+// restarts returns the restart points of delta or string column ci: for a
+// committed segment file those in the store's cache, built and cached by
+// the first read that asks; for any other image built afresh.
+func (s *segImage) restarts(ci int) (*restarts, error) {
+	if s.st != nil {
+		if e := s.st.lookups.get(lookupKey{file: s.file, col: ci, restarts: true}); e != nil {
+			return &e.rs, nil
+		}
+	}
+	return s.record(ci, nil)
+}
+
+// record walks all of delta or string column ci, calling fn with each
+// string cell's bounds when given, and builds its restart points on the
+// way, cached for a committed segment file: a reader that needs every cell
+// anyway (a lookup index's build) leaves them behind for free.
+func (s *segImage) record(ci int, fn func(k, lo, hi int)) (*restarts, error) {
+	np := (s.rows + restartEvery - 1) / restartEvery
+	e := &lookupEntry{rs: restarts{n: len(s.blocks[ci]), off: make([]int, 0, np), val: make([]int64, 0, np)}}
+	if err := s.walk(ci, nil, &e.rs, nil, fn); err != nil {
+		return nil, err
+	}
+	if s.st != nil {
+		s.st.lookups.put(lookupKey{file: s.file, col: ci, restarts: true}, e)
+	}
+	return &e.rs, nil
+}
+
+// walk steps through delta or string column ci and, for each wanted row,
+// stores a delta block's value in vals[k] or calls fn with the bounds of a
+// string block's cell, when given: every row when want is nil (k is the
+// row), else the rows want lists in ascending order (k indexes want), each
+// from the restart point at or before it. A full walk requires the block
+// to end at its last row and records its restart points (and dictionary)
+// in rec, when given. It allocates nothing per row.
+func (s *segImage) walk(ci int, want []int32, rec *restarts, vals []int64, fn func(k, lo, hi int)) error {
+	blk, enc := s.blocks[ci], s.encs[ci]
+	if s.cols[ci].Type != TString {
+		enc = encDelta
+	} else if enc != encDict && enc != encStrRaw {
+		return fmt.Errorf("unknown string encoding %d", enc)
+	}
+	var rs *restarts
+	n := s.rows
+	if want != nil {
+		var err error
+		if rs, err = s.restarts(ci); err != nil {
+			return err
+		}
+		n = len(want)
+	}
+	dict, off, err := blockStart(blk, enc, rs)
+	if err != nil {
+		return err
+	}
+	prev, lo, hi := int64(0), 0, 0
+	for row, k := 0, 0; k < n; row++ { // row is the next row, at off
+		r := row
+		if want != nil {
+			if r = int(want[k]); r < row || r >= s.rows {
+				return fmt.Errorf("row %d out of order or past a %d-row block", r, s.rows)
+			}
+			if p := r / restartEvery; rs != nil && p*restartEvery > row {
+				if p >= len(rs.off) {
+					return fmt.Errorf("no restart point for row %d", r)
+				}
+				row, off, prev = p*restartEvery, rs.off[p], rs.val[p]
+			}
+		}
+		if rec != nil && row%restartEvery == 0 {
+			rec.off, rec.val, rec.dict = append(rec.off, off), append(rec.val, prev), dict
+		}
+		u, w := binary.Uvarint(blk[off:])
+		switch {
+		case w > 0 && enc == encDelta:
+			prev += unzigzag(u)
+		case w > 0 && enc == encDict && u < uint64(len(dict)):
+			lo, hi = dict[u][0], dict[u][1]
+		case w > 0 && enc == encStrRaw && u <= uint64(len(blk)-off-w):
+			lo, hi = off+w, off+w+int(u)
+			w += int(u)
+		default:
+			return fmt.Errorf("corrupt block at row %d", row)
+		}
+		off += w
+		if row < r {
+			continue
+		}
+		if vals != nil {
+			vals[k] = prev
+		} else if fn != nil {
+			fn(k, lo, hi)
+		}
+		k++
+	}
+	if want == nil && off != len(blk) {
+		return fmt.Errorf("%d trailing bytes in block", len(blk)-off)
+	}
+	return nil
+}
+
+// blockStart returns where a block's row 0 begins and a dictionary block's
+// cell bounds, from the restart points when they are given.
+func blockStart(blk []byte, enc byte, rs *restarts) (dict [][2]int, off int, err error) {
+	switch {
+	case rs != nil && (rs.n != len(blk) || len(rs.off) == 0):
+		return nil, 0, fmt.Errorf("restart points of a %d-byte block for one of %d bytes", rs.n, len(blk))
+	case rs != nil:
+		return rs.dict, rs.off[0], nil
+	case enc != encDict:
+		return nil, 0, nil
+	}
+	nd, off := binary.Uvarint(blk)
+	if off <= 0 || nd > segDictMaxCard {
+		return nil, 0, fmt.Errorf("corrupt string dictionary")
+	}
+	dict = make([][2]int, nd)
+	for i := range dict {
+		u, w := binary.Uvarint(blk[off:])
+		if w <= 0 || u > uint64(len(blk)-off-w) {
+			return nil, 0, fmt.Errorf("truncated string dictionary")
+		}
+		dict[i] = [2]int{off + w, off + w + int(u)}
+		off += w + int(u)
+	}
+	return dict, off, nil
 }
 
 // --- block encoders ---
@@ -256,34 +424,6 @@ func encodeDelta(vals []int64) []byte {
 	return buf
 }
 
-// decodeDelta decodes a delta block: every row when want is nil, else
-// only the rows want lists (ascending), stopping at the last of them.
-func decodeDelta(blk []byte, rows int, want []int32) ([]int64, error) {
-	n := rows
-	if want != nil {
-		n = len(want)
-	}
-	out := make([]int64, n)
-	prev := int64(0)
-	k := 0
-	for i := 0; k < n; i++ {
-		u, w := binary.Uvarint(blk)
-		if w <= 0 || i >= rows {
-			return nil, fmt.Errorf("truncated delta block at row %d", i)
-		}
-		blk = blk[w:]
-		prev += unzigzag(u)
-		if want == nil || int(want[k]) == i {
-			out[k] = prev
-			k++
-		}
-	}
-	if want == nil && len(blk) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes in delta block", len(blk))
-	}
-	return out, nil
-}
-
 func encodeFloats(vals []float64) []byte {
 	buf := make([]byte, len(vals)*8)
 	for i, v := range vals {
@@ -296,20 +436,19 @@ func decodeFloats(blk []byte, rows int, want []int32) ([]float64, error) {
 	if len(blk) != rows*8 {
 		return nil, fmt.Errorf("float block is %d bytes for %d rows", len(blk), rows)
 	}
-	at := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(blk[i*8:])) }
+	n := rows
 	if want != nil {
-		out := make([]float64, len(want))
-		for k, r := range want {
-			if int(r) >= rows {
+		n = len(want)
+	}
+	out := make([]float64, n)
+	for k := range out {
+		r := k
+		if want != nil {
+			if r = int(want[k]); r >= rows {
 				return nil, fmt.Errorf("row %d of a %d-row float block", r, rows)
 			}
-			out[k] = at(int(r))
 		}
-		return out, nil
-	}
-	out := make([]float64, rows)
-	for i := range out {
-		out[i] = at(i)
+		out[k] = math.Float64frombits(binary.LittleEndian.Uint64(blk[r*8:]))
 	}
 	return out, nil
 }
@@ -344,99 +483,6 @@ func encodeStrings(vals []string) ([]byte, byte, error) {
 		putUvarint(&out, uint64(dict[s]))
 	}
 	return out.Bytes(), encDict, nil
-}
-
-// walkStrs calls fn with the bounds, within blk, of the cell of each
-// wanted row of a string block, in row order: every row when want is nil
-// (k is the row), else the rows want lists in ascending order (k indexes
-// want). It stops after the last wanted row and allocates nothing per row.
-func walkStrs(blk []byte, enc byte, rows int, want []int32, fn func(k, lo, hi int)) error {
-	off := 0
-	next := func() (lo, hi int, ok bool) { // the next length-prefixed cell
-		u, w := binary.Uvarint(blk[off:])
-		if w <= 0 || u > uint64(len(blk)-off-w) {
-			return 0, 0, false
-		}
-		lo = off + w
-		off = lo + int(u)
-		return lo, off, true
-	}
-	var dict [][2]int
-	switch enc {
-	case encStrRaw:
-	case encDict:
-		nd, w := binary.Uvarint(blk)
-		if w <= 0 || nd > segDictMaxCard {
-			return fmt.Errorf("corrupt string dictionary")
-		}
-		off = w
-		dict = make([][2]int, nd)
-		for i := range dict {
-			lo, hi, ok := next()
-			if !ok {
-				return fmt.Errorf("truncated string dictionary")
-			}
-			dict[i] = [2]int{lo, hi}
-		}
-	default:
-		return fmt.Errorf("unknown string encoding %d", enc)
-	}
-	n := rows
-	if want != nil {
-		n = len(want)
-	}
-	k := 0
-	for i := 0; k < n; i++ {
-		if i >= rows {
-			return fmt.Errorf("row %d of a %d-row string block", want[k], rows)
-		}
-		var lo, hi int
-		if enc == encDict {
-			u, w := binary.Uvarint(blk[off:])
-			if w <= 0 || u >= uint64(len(dict)) {
-				return fmt.Errorf("dictionary index out of range at row %d", i)
-			}
-			off += w
-			lo, hi = dict[u][0], dict[u][1]
-		} else {
-			var ok bool
-			if lo, hi, ok = next(); !ok {
-				return fmt.Errorf("truncated string block at row %d", i)
-			}
-		}
-		if want == nil || int(want[k]) == i {
-			fn(k, lo, hi)
-			k++
-		}
-	}
-	if want == nil && off != len(blk) {
-		return fmt.Errorf("%d trailing bytes in string block", len(blk)-off)
-	}
-	return nil
-}
-
-// decodeStrings inverts encodeStrings. A full decode (want nil), or a
-// subset of more than a quarter of the rows, copies the block into one
-// string and returns its cells as substrings: the column costs two
-// allocations whatever its row count, and rows that share a dictionary
-// entry share its bytes — the on-disk dictionary doubles as the interner.
-// A sparser subset (a lookup's few rows) allocates one string per cell
-// and pins nothing else.
-func decodeStrings(blk []byte, enc byte, rows int, want []int32) ([]string, error) {
-	n := rows
-	if want != nil {
-		n = len(want)
-	}
-	out := make([]string, n)
-	cell := func(k, lo, hi int) { out[k] = string(blk[lo:hi]) }
-	if n*4 > rows {
-		whole := string(blk)
-		cell = func(k, lo, hi int) { out[k] = whole[lo:hi] }
-	}
-	if err := walkStrs(blk, enc, rows, want, cell); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // --- zone maps ---

@@ -9,6 +9,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -78,7 +80,8 @@ type store struct {
 	// the same tail images, has nothing to make durable.
 	committed []byte
 
-	lookups lookupCache // per-segment hash indexes behind Table.Lookup
+	lookups lookupCache // per-segment hash indexes and restart points
+	bufs    bufList     // the buffers segment files are read into
 }
 
 // fsRetry bounds retries around the transient filesystem steps of the
@@ -364,10 +367,46 @@ func (s *store) writeSegment(table string, img []byte) (string, error) {
 	return name, nil
 }
 
-// segBufs recycles the buffers segment files are read into: a scan reads
-// every file of a table whole (the checksum covers all of it), and zeroing
-// a fresh buffer per file would cost as much as decoding it.
-var segBufs sync.Pool
+// bufList is a store's free list of the buffers segment files are read
+// into: every read takes the whole file (the checksum covers all of it),
+// and zeroing a fresh buffer per file would cost as much as decoding it. A
+// reader hands its buffer back when done with the image (segImage.release,
+// or Result.Release for a spilled query's). Unlike a sync.Pool it outlives
+// a garbage collection, so it keeps no more buffers than a scan has
+// segment reads in flight at once, one per GOMAXPROCS slot: each buffer is
+// one file's size, so the list holds at most what those reads hold anyway.
+// A buffer past that goes to the collector.
+type bufList struct {
+	mu   sync.Mutex
+	free []*[]byte
+}
+
+// max is the most buffers the list keeps.
+func (l *bufList) max() int { return runtime.GOMAXPROCS(0) }
+
+// get takes the first buffer that holds size bytes, or makes one.
+func (l *bufList) get(size int64) *[]byte {
+	l.mu.Lock()
+	for i, b := range l.free {
+		if int64(cap(*b)) >= size {
+			l.free = slices.Delete(l.free, i, i+1)
+			l.mu.Unlock()
+			return b
+		}
+	}
+	l.mu.Unlock()
+	b := make([]byte, 0, size+size/8)
+	return &b
+}
+
+// put keeps b for the next read while the list has room.
+func (l *bufList) put(b *[]byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < l.max() {
+		l.free = append(l.free, b)
+	}
+}
 
 // openSegment reads one segment file and verifies it against the expected
 // schema and the manifest's row count, decoding nothing. Every failure is a
@@ -383,15 +422,12 @@ func (s *store) openSegment(sm segMeta, table string, cols []Column) (*segImage,
 		return nil, &SegmentError{File: sm.File, Err: err}
 	}
 	defer f.Close()
-	buf, _ := segBufs.Get().(*[]byte)
-	if buf == nil || int64(cap(*buf)) < sm.Bytes {
-		b := make([]byte, 0, sm.Bytes+sm.Bytes/8)
-		buf = &b
-	}
+	buf := s.bufs.get(sm.Bytes + 1)
 	// One byte past the manifest's size, so a file that grew is caught.
-	raw := (*buf)[:min(int64(cap(*buf)), sm.Bytes+1)]
+	raw := (*buf)[:sm.Bytes+1]
 	n, err := io.ReadFull(f, raw)
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		s.bufs.put(buf)
 		return nil, &SegmentError{File: sm.File, Err: err}
 	}
 	img, err := parseSegment(raw[:n], table, cols)
@@ -399,9 +435,10 @@ func (s *store) openSegment(sm segMeta, table string, cols []Column) (*segImage,
 		err = fmt.Errorf("%d rows, manifest says %d", img.rows, sm.Rows)
 	}
 	if err != nil {
+		s.bufs.put(buf)
 		return nil, &SegmentError{File: sm.File, Err: err}
 	}
-	img.buf = buf
+	img.buf, img.file, img.st = buf, sm.File, s
 	statSegsScanned.Add(1)
 	ctrSegsDecoded.Add(1)
 	return img, nil

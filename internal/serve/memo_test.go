@@ -2,9 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +24,7 @@ import (
 // whose tables seal segments, and reopens it from disk: the snapshot
 // `mscope serve --db` attaches. It returns the reopened warehouse and its
 // directory.
-func spilledWarehouse(t *testing.T) (*mscopedb.DB, string) {
+func spilledWarehouse(t testing.TB) (*mscopedb.DB, string) {
 	t.Helper()
 	dir := t.TempDir()
 	opts := mscopedb.StoreOptions{SealRows: 2048}
@@ -166,5 +171,107 @@ func TestSnapshotMemoNeverCachesErrors(t *testing.T) {
 	}
 	if got := get(t, h, "/api/traces?limit=10", 200, nil).Body.Bytes(); !bytes.Equal(got, jsonBody(wantTraces)) {
 		t.Fatalf("/api/traces after the repair:\n%s\nwant\n%s", got, jsonBody(wantTraces))
+	}
+}
+
+// TestVerificationSurvivesWarmCaches: what a snapshot keeps per segment
+// file (the request-ID index and the restart points of the columns a trace
+// reads) never stands in for reading the file. With both warm, a flipped
+// byte in the segment holding the request makes the same /api/trace a 500
+// that names the file; once the byte is back it answers what it did.
+func TestVerificationSurvivesWarmCaches(t *testing.T) {
+	db, dir := spilledWarehouse(t)
+	s, err := New(Config{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	apache, err := db.Table("apache_event")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Row 2100 of 2048-row segments lies in the second one; seq numbers are
+	// zero-padded, so the names sort in table order.
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*-apache_event.seg"))
+	if err != nil || len(segs) < 2 || apache.SealedRows() < 2*2048 {
+		t.Fatalf("want 2 apache_event segments, have %d (%v)", len(segs), err)
+	}
+	sort.Strings(segs)
+	path := "/api/trace/" + apache.Str(apache.ColIndex("reqid"), 2100)
+	want := get(t, h, path, 200, nil).Body.Bytes()
+	if !bytes.Equal(get(t, h, path, 200, nil).Body.Bytes(), want) {
+		t.Fatal("a warm /api/trace answered other bytes than the cold one")
+	}
+	if bytes, _ := db.IndexStats(); bytes == 0 {
+		t.Fatal("the trace left no index or restart points to keep")
+	}
+	raw, err := os.ReadFile(segs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(raw)
+	flipped[len(flipped)/3] ^= 0x10
+	if err := os.WriteFile(segs[1], flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	body := get(t, h, path, 500, nil).Body.String()
+	if name := filepath.Base(segs[1]); !strings.Contains(body, name) || !strings.Contains(body, "checksum mismatch") {
+		t.Fatalf("500 body does not name %s: %s", name, body)
+	}
+	if err := os.WriteFile(segs[1], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := get(t, h, path, 200, nil).Body.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("after the repair:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestWarmWindowQueriesReuseReadBuffers: a segment read takes a buffer the
+// size of the file, and a window query over a spilled table hands its
+// buffers back when it has answered, so the next query reads into them: a
+// warm query allocates less than one segment file, on average.
+func TestWarmWindowQueriesReuseReadBuffers(t *testing.T) {
+	db, dir := spilledWarehouse(t)
+	s, err := New(Config{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*-apache_event.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no apache_event segment files (%v)", err)
+	}
+	smallest := int64(math.MaxInt64)
+	for _, f := range segs {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		smallest = min(smallest, fi.Size())
+	}
+	var probe struct {
+		Rows [][]string `json:"rows"`
+	}
+	get(t, h, "/api/window?table=apache_event&value=rt_us&fn=p99&window=50ms", 200, &probe)
+	start, err := strconv.ParseInt(probe.Rows[0][0], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queries = 20
+	paths := make([]string, queries)
+	for i := range paths { // one second each, across the trial
+		from := start + int64(i%10)*1_000_000
+		paths[i] = "/api/window?table=apache_event&value=rt_us&fn=p99&window=50ms" +
+			"&from=" + strconv.FormatInt(from, 10) + "&to=" + strconv.FormatInt(from+1_000_000, 10)
+	}
+	get(t, h, paths[0], 200, nil) // warm
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range paths {
+		get(t, h, p, 200, nil)
+	}
+	runtime.ReadMemStats(&after)
+	if per := int64(after.TotalAlloc-before.TotalAlloc) / queries; per >= smallest {
+		t.Fatalf("a warm window query allocates %d bytes; a segment file is %d", per, smallest)
 	}
 }

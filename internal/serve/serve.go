@@ -34,7 +34,10 @@ type Config struct {
 	// the first request that needs each and kept: an answer derived from
 	// bytes that verified once stays the answer for that snapshot, and a
 	// segment damaged after it was read is reported by the next request
-	// that reads that file, not by a kept product.
+	// that reads that file, not by a kept product. What the warehouse
+	// keeps per segment file (lookup indexes, restart points) only says
+	// where to decode: every request that reads a file reads and
+	// checksums all of it again.
 	DB *mscopedb.DB
 	// Pipeline serves a live engine's warehouse; every query borrows it
 	// between records through the pipeline's WithDB gate, so readers
