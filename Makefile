@@ -105,10 +105,11 @@ overload-soak:
 # serve` endpoint — tables, MQL query, zone-map-pruned window aggregation,
 # waterfall, flamegraph SVG, diagnosis timeline, healthz, metrics — is
 # driven against a real scenario warehouse, plus the live-attachment path
-# with concurrent queries during load, and a segment damaged under warm
-# per-file caches still answering 500 until it is repaired.
+# with concurrent queries during load, a segment damaged under warm
+# per-file caches still answering 500 until it is repaired, and a warm
+# trace between window queries reading into kept buffers.
 serve-smoke:
-	$(GO) test -race -run 'TestServeSmoke|TestServeLivePipeline|TestSnapshotMemoSingleFlight|TestVerificationSurvivesWarmCaches' -v ./internal/serve/
+	$(GO) test -race -run 'TestServeSmoke|TestServeLivePipeline|TestSnapshotMemoSingleFlight|TestVerificationSurvivesWarmCaches|TestWarmTraceReusesReadBuffers' -v ./internal/serve/
 
 # Distributed kill/restart soak under the race detector: four agents ship
 # the disk-IO trial to a throttled collector, one is crashed mid-stream

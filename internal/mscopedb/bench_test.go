@@ -179,3 +179,55 @@ func BenchmarkSpilledWindowQuery(b *testing.B) {
 	b.ReportMetric(float64(pruned)/float64(b.N), "segs_pruned/op")
 	b.ReportMetric(fullNS/(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "speedup_x")
 }
+
+// BenchmarkColumnDecode measures one segment image's column decode, 8192
+// rows of a committed file: the timestamp (a delta block), the request ID (a
+// raw string block) and the tier (a dictionary block), each decoded whole
+// and at 64 rows spread over the segment, each of those from its restart
+// point (cached, as for any committed file after its first read).
+func BenchmarkColumnDecode(b *testing.B) {
+	const rows = 8192
+	db, err := OpenDir(b.TempDir(), StoreOptions{SealRows: rows})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbl, err := db.Create("bench_event", benchEventCols())
+	if err != nil {
+		b.Fatal(err)
+	}
+	fillBenchEvents(b, tbl, rows)
+	if tbl.Segments() != 1 {
+		b.Fatalf("%d segments, want 1", tbl.Segments())
+	}
+	img, err := db.store.openSegment(tbl.seal.segs[0].meta, tbl.name, tbl.cols)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer img.release()
+	var spread []int32
+	for r := 37; r < rows; r += rows / 64 {
+		spread = append(spread, int32(r))
+	}
+	for _, c := range []struct {
+		name string
+		ci   int
+	}{{"delta", 0}, {"string", 1}, {"dict", 2}} {
+		for _, w := range []struct {
+			name string
+			want []int32
+		}{{"full", nil}, {"restart", spread}} {
+			b.Run(c.name+"/"+w.name, func(b *testing.B) {
+				if _, err := img.column(c.ci, w.want); err != nil { // builds the restart points
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := img.column(c.ci, w.want); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -99,7 +99,9 @@ func (db *DB) Create(name string, cols []Column) (*Table, error) {
 // Install attaches a fully built table under its name; the name must be
 // new. It is the batch ingest's append path: workers build tables off to
 // the side and the single sequenced appender installs each one whole, so
-// the warehouse mutates in sorted-file order whatever the worker count.
+// the warehouse mutates in sorted-file order whatever the worker count. A
+// table DB.Encode has encoded for this warehouse's segment size has its
+// images written as they are; any other is encoded here.
 func (db *DB) Install(t *Table) error {
 	if t == nil {
 		return fmt.Errorf("mscopedb: install nil table")
@@ -108,6 +110,9 @@ func (db *DB) Install(t *Table) error {
 	if _, exists := db.tables[t.Name()]; exists {
 		db.mu.Unlock()
 		return fmt.Errorf("mscopedb: table %q already exists", t.Name())
+	}
+	if db.store == nil || t.encRows != db.store.opts.SealRows {
+		t.changed()
 	}
 	if db.store != nil && t.seal == nil {
 		t.seal = &sealedPart{store: db.store}
@@ -118,6 +123,28 @@ func (db *DB) Install(t *Table) error {
 	// pass, so a large install holds at most one seal's worth of rows in
 	// memory once the appender moves on.
 	return t.spillFull()
+}
+
+// Encode encodes, off the warehouse, what Install and the next Checkpoint
+// would write for a table not yet installed: each full segment of the
+// warehouse's size and the rows past the last. It writes nothing and moves
+// no row, so the batch ingest's workers run it on the tables they build
+// and the sequenced appender only writes. Changing the table afterwards
+// drops the images. A no-op in memory.
+func (db *DB) Encode(t *Table) error {
+	if db.store == nil || t.seal != nil {
+		return nil
+	}
+	n := db.store.opts.SealRows
+	segs, tail, err := encodeTable(t.name, t.cols, t.data, t.rows, n, true)
+	if err != nil {
+		return err
+	}
+	if len(segs) == 0 {
+		segs = nil
+	}
+	t.segImgs, t.tailImg, t.tailNew, t.encRows = segs, tail, tail != nil, n
+	return nil
 }
 
 // Table returns the named table.

@@ -716,11 +716,63 @@ func (r *Result) windowAggDense(w, lo, n int64, fn AggFn, times []int64, val fun
 			s.Values[i] = exts[i]
 		case AggP99:
 			seg := flat[offs[i]:offs[i+1]]
-			sort.Float64s(seg)
-			s.Values[i] = seg[len(seg)*99/100]
+			s.Values[i] = selectRank(seg, len(seg)*99/100)
 		}
 	}
 	return s
+}
+
+// selectRank returns the value of rank k (0 is the least) among vals,
+// reordering them, under the order sort.Float64s sorts by (every NaN below
+// every number) with -0 below +0, so that the answer does not depend on the
+// order the values came in. It is a quickselect with a three-way partition,
+// so a run of equal values, common among response times, is one pass.
+func selectRank(vals []float64, k int) float64 {
+	lo, hi := 0, len(vals) // the rank-k value lies in vals[lo:hi]
+	for hi-lo > 12 {
+		a, b, c := rankKey(vals[lo]), rankKey(vals[lo+(hi-lo)/2]), rankKey(vals[hi-1])
+		pivot := max(min(a, b), min(max(a, b), c)) // the median of the three
+		lt, i, gt := lo, lo, hi                    // [lo,lt) < pivot = [lt,gt) < [gt,hi)
+		for i < gt {
+			switch key := rankKey(vals[i]); {
+			case key < pivot:
+				vals[lt], vals[i] = vals[i], vals[lt]
+				lt, i = lt+1, i+1
+			case key > pivot:
+				gt--
+				vals[gt], vals[i] = vals[i], vals[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return vals[k]
+		}
+	}
+	for i := lo + 1; i < hi; i++ { // insertion sort of the few left
+		for j := i; j > lo && rankKey(vals[j]) < rankKey(vals[j-1]); j-- {
+			vals[j], vals[j-1] = vals[j-1], vals[j]
+		}
+	}
+	return vals[k]
+}
+
+// rankKey maps a float to a uint64 whose unsigned order is selectRank's:
+// every NaN first, then numbers by value, -0 before +0.
+func rankKey(f float64) uint64 {
+	if f != f {
+		return 0
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // GroupSeries is one group's window-aggregated series, keyed by the

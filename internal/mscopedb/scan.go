@@ -302,7 +302,9 @@ func pruned(n int) {
 	ctrSegsPruned.Add(int64(n))
 }
 
-// fill gathers column ci of the view from the segment images and the tail.
+// fill gathers column ci of the view from the segment images and the tail:
+// each part decodes its kept rows straight into the view's column, sized
+// once for all of them.
 func (sc *spillScan) fill(ci int) error {
 	if sc.have[ci] {
 		return nil
@@ -311,15 +313,17 @@ func (sc *spillScan) fill(ci int) error {
 		return fmt.Errorf("mscopedb: %s.%s: read after Result.Release", sc.view.name, sc.view.cols[ci].Name)
 	}
 	typ := sc.view.cols[ci].Type
-	dst := &sc.view.data[ci]
+	d := zeroColumn(typ, sc.view.rows)
+	at := 0
 	for _, p := range sc.parts {
-		d, err := p.img.column(ci, p.match)
-		if err != nil {
+		if err := p.img.columnInto(ci, p.match, &d, at); err != nil {
 			return &SegmentError{File: p.file, Err: err}
 		}
-		appendCol(dst, &d, typ, nil)
+		at += p.kept()
 	}
-	appendCol(dst, &sc.tail[ci], typ, sc.tailMatch)
+	rest := d.slice(typ, at, at) // the tail's rows go into the room left
+	appendCol(&rest, &sc.tail[ci], typ, sc.tailMatch)
+	sc.view.data[ci] = d
 	sc.have[ci] = true
 	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"github.com/gt-elba/milliscope/internal/selfobs"
 )
 
 // sealedPart is the on-disk half of a spill-enabled table: the ordered
@@ -213,60 +211,58 @@ func (sp *sealedPart) dropCache() {
 // appends to this table may call it (the sequenced appender, the live
 // loader, or a batch builder).
 //
-// Each segment's encode and file write run outside the seal lock (the tail
-// prefix is immutable to everyone but this, the single writer); its
-// segment-list append, boundary advance and tail swap commit together under
-// the write lock, so concurrent readers always see a consistent mapping.
-// The swapped-in tail is a re-slice past the segment, which pins the
-// spilled rows' backing arrays — defeating the memory bound — so once the
-// last segment is carved what remains is copied into fresh slices: one
-// copy, however many segments an installed table held.
+// The segments are the images DB.Encode left on the table, or else
+// encodeTable's, and they are encoded and written outside the seal lock
+// (the tail prefix is immutable to everyone but this, the single writer).
+// Their segment-list appends, the boundary advance and the tail swap commit
+// together under the write lock, so concurrent readers always see a
+// consistent mapping. What remains of the tail is copied into fresh slices,
+// so the carved rows' backing arrays go: one copy, however many segments
+// an installed table held.
 func (t *Table) spillFull() error {
 	sp := t.seal
 	if sp == nil {
 		return nil
 	}
-	n := sp.store.opts.SealRows
 	sp.mu.RLock()
-	tail := t.rows - sp.rows
+	held := t.rows - sp.rows
 	sp.mu.RUnlock()
-	if tail < n {
-		return nil
+	segs := t.segImgs
+	if segs == nil {
+		if held < sp.store.opts.SealRows {
+			return nil
+		}
+		var err error
+		if segs, _, err = encodeTable(t.name, t.cols, t.data, held, sp.store.opts.SealRows, false); err != nil {
+			return err
+		}
 	}
-	for ; tail >= n; tail -= n {
-		obs := selfobs.Begin(selfobs.PipeDB, "seal", "-", t.name)
-		img, zones, err := encodeSegment(t.name, t.cols, t.data, n)
+	carved := make([]sealedSeg, len(segs))
+	rows := 0
+	for i, s := range segs {
+		file, err := sp.store.writeSegment(t.name, s.img)
 		if err != nil {
 			return err
 		}
-		file, err := sp.store.writeSegment(t.name, img)
-		if err != nil {
-			return err
-		}
-		meta := segMeta{File: file, Rows: n, Bytes: int64(len(img)), Zones: zones}
-		ctrSegBytes.Add(meta.Bytes)
-		obs.End(int64(n), 0)
-
-		rest := make([]colData, len(t.cols))
-		for i := range t.data {
-			d := &t.data[i]
-			rest[i] = d.slice(t.cols[i].Type, n, tail)
-			rest[i].intern, rest[i].internOff = d.intern, d.internOff
-		}
-		sp.mu.Lock()
-		sp.segs = append(sp.segs, sealedSeg{meta: meta, start: sp.rows})
-		sp.rows += n
-		t.data = rest
-		t.tailImg = nil
-		sp.mu.Unlock()
+		carved[i].meta = segMeta{File: file, Rows: s.rows, Bytes: int64(len(s.img)), Zones: s.zones}
+		ctrSegBytes.Add(carved[i].meta.Bytes)
+		rows += s.rows
 	}
 	rest := make([]colData, len(t.cols))
 	for i := range t.data {
-		rest[i] = colData{intern: t.data[i].intern, internOff: t.data[i].internOff}
-		appendCol(&rest[i], &t.data[i], t.cols[i].Type, nil)
+		d := &t.data[i]
+		left := d.slice(t.cols[i].Type, rows, held)
+		rest[i] = colData{intern: d.intern, internOff: d.internOff}
+		appendCol(&rest[i], &left, t.cols[i].Type, nil)
 	}
 	sp.mu.Lock()
+	for _, ss := range carved {
+		ss.start = sp.rows
+		sp.segs = append(sp.segs, ss)
+		sp.rows += ss.meta.Rows
+	}
 	t.data = rest
+	t.segImgs = nil
 	sp.mu.Unlock()
 	return nil
 }
@@ -316,7 +312,7 @@ func (t *Table) unspill() error {
 		sp.segs = nil
 		sp.rows = 0
 		t.data = merged
-		t.tailImg = nil
+		t.changed()
 		sp.mu.Unlock()
 		sp.dropCache()
 		sp.store.addOrphans(files...)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"github.com/gt-elba/milliscope/internal/selfobs"
 )
 
 // Segment file format (the on-disk unit of the columnar spill store):
@@ -127,6 +129,50 @@ func encodeSegment(table string, cols []Column, data []colData, n int) ([]byte, 
 	return out.Bytes(), zones, nil
 }
 
+// segImg is one full segment's image, encoded and not yet written.
+type segImg struct {
+	img   []byte
+	zones []zoneMap
+	rows  int
+}
+
+// encodeTable is the one encoder of a table's writes: it encodes the first
+// rows rows of data as full segments of n rows each, each in a "seal" span,
+// and, with tail, the rows past the last as the tail image (nil when none
+// are left). DB.Encode runs it on a batch table off the warehouse, and
+// spillFull on a table that arrives unencoded.
+func encodeTable(table string, cols []Column, data []colData, rows, n int, tail bool) ([]segImg, []byte, error) {
+	segs := make([]segImg, 0, rows/n)
+	var window []colData
+	from := func(at int) []colData { // rows [at, rows) of data
+		if at == 0 {
+			return data
+		}
+		if window == nil {
+			window = make([]colData, len(data))
+		}
+		for i := range data {
+			window[i] = data[i].slice(cols[i].Type, at, rows)
+		}
+		return window
+	}
+	at := 0
+	for ; rows-at >= n; at += n {
+		obs := selfobs.Begin(selfobs.PipeDB, "seal", "-", table)
+		img, zones, err := encodeSegment(table, cols, from(at), n)
+		if err != nil {
+			return nil, nil, err
+		}
+		segs = append(segs, segImg{img: img, zones: zones, rows: n})
+		obs.End(int64(n), 0)
+	}
+	if !tail || at == rows {
+		return segs, nil, nil
+	}
+	img, _, err := encodeSegment(table, cols, from(at), rows-at)
+	return segs, img, err
+}
+
 // SegmentError reports a committed segment file that could not be read
 // back: missing, torn, or failing its checksum or schema checks.
 type SegmentError struct {
@@ -234,36 +280,45 @@ func parseSegment(img []byte, wantTable string, wantCols []Column) (*segImage, e
 // Any other subset (a lookup's few rows, adjacent or not) allocates one
 // string per cell and pins nothing else.
 func (s *segImage) column(ci int, want []int32) (colData, error) {
-	var d colData
+	n := s.rows
+	if want != nil {
+		n = len(want)
+	}
+	d := zeroColumn(s.cols[ci].Type, n)
+	if err := s.columnInto(ci, want, &d, 0); err != nil {
+		return colData{}, err
+	}
+	return d, nil
+}
+
+// columnInto is column decoding into d's cells from index at on, which
+// must have room for them.
+func (s *segImage) columnInto(ci int, want []int32, d *colData, at int) error {
 	var err error
 	n, typ, blk := s.rows, s.cols[ci].Type, s.blocks[ci]
 	if want != nil {
 		n = len(want)
 	}
-	switch {
-	case typ == TFloat:
-		d.Floats, err = decodeFloats(blk, s.rows, want)
-	case typ == TString:
-		d.Strs = make([]string, n)
-		cell := func(k, lo, hi int) { d.Strs[k] = string(blk[lo:hi]) }
+	switch typ {
+	case TFloat:
+		err = decodeFloats(blk, s.rows, want, d.Floats[at:at+n])
+	case TString:
+		out := d.Strs[at : at+n]
+		cell := func(k, lo, hi int) { out[k] = string(blk[lo:hi]) }
 		if n*4 > s.rows || n >= restartEvery && int(want[n-1]-want[0]) == n-1 {
 			whole := string(blk)
-			cell = func(k, lo, hi int) { d.Strs[k] = whole[lo:hi] }
+			cell = func(k, lo, hi int) { out[k] = whole[lo:hi] }
 		}
 		err = s.walk(ci, want, nil, nil, cell)
+	case TInt:
+		err = s.walk(ci, want, nil, d.Ints[at:at+n], nil)
 	default:
-		vals := make([]int64, n)
-		err = s.walk(ci, want, nil, vals, nil)
-		if typ == TInt {
-			d.Ints = vals
-		} else {
-			d.Times = vals
-		}
+		err = s.walk(ci, want, nil, d.Times[at:at+n], nil)
 	}
 	if err != nil {
-		return colData{}, fmt.Errorf("column %s: %w", s.cols[ci].Name, err)
+		return fmt.Errorf("column %s: %w", s.cols[ci].Name, err)
 	}
-	return d, nil
+	return nil
 }
 
 // restartEvery is the row interval of a block's restart points.
@@ -317,6 +372,12 @@ func (s *segImage) record(ci int, fn func(k, lo, hi int)) (*restarts, error) {
 // from the restart point at or before it. A full walk requires the block
 // to end at its last row and records its restart points (and dictionary)
 // in rec, when given. It allocates nothing per row.
+//
+// Each pass of the outer loop settles the rows [row, end) to step through
+// and the first of them to hand out, emit: a full walk's next restartEvery
+// rows, from a restart point, or a wanted row and the rows before it back to
+// where the last pass stopped or to its restart point. The inner loops, one
+// per encoding, step through them with no other branch than that.
 func (s *segImage) walk(ci int, want []int32, rec *restarts, vals []int64, fn func(k, lo, hi int)) error {
 	blk, enc := s.blocks[ci], s.encs[ci]
 	if s.cols[ci].Type != TString {
@@ -325,57 +386,78 @@ func (s *segImage) walk(ci int, want []int32, rec *restarts, vals []int64, fn fu
 		return fmt.Errorf("unknown string encoding %d", enc)
 	}
 	var rs *restarts
-	n := s.rows
 	if want != nil {
 		var err error
 		if rs, err = s.restarts(ci); err != nil {
 			return err
 		}
-		n = len(want)
 	}
 	dict, off, err := blockStart(blk, enc, rs)
 	if err != nil {
 		return err
 	}
-	prev, lo, hi := int64(0), 0, 0
-	for row, k := 0, 0; k < n; row++ { // row is the next row, at off
-		r := row
-		if want != nil {
-			if r = int(want[k]); r < row || r >= s.rows {
+	silent := (enc == encDelta && vals == nil) || (enc != encDelta && fn == nil)
+	prev, row, k := int64(0), 0, 0 // row is the next row, at off; k the next slot
+	for want == nil && row < s.rows || want != nil && k < len(want) {
+		var end, emit int
+		if want == nil {
+			if rec != nil {
+				rec.off, rec.val, rec.dict = append(rec.off, off), append(rec.val, prev), dict
+			}
+			end, emit = min(row+restartEvery, s.rows), row
+			if silent {
+				emit = end
+			}
+		} else {
+			r := int(want[k])
+			if r < row || r >= s.rows {
 				return fmt.Errorf("row %d out of order or past a %d-row block", r, s.rows)
 			}
-			if p := r / restartEvery; rs != nil && p*restartEvery > row {
+			if p := r / restartEvery; p*restartEvery > row {
 				if p >= len(rs.off) {
 					return fmt.Errorf("no restart point for row %d", r)
 				}
 				row, off, prev = p*restartEvery, rs.off[p], rs.val[p]
 			}
+			end, emit = r+1, r
 		}
-		if rec != nil && row%restartEvery == 0 {
-			rec.off, rec.val, rec.dict = append(rec.off, off), append(rec.val, prev), dict
-		}
-		u, w := binary.Uvarint(blk[off:])
-		switch {
-		case w > 0 && enc == encDelta:
-			prev += unzigzag(u)
-		case w > 0 && enc == encDict && u < uint64(len(dict)):
-			lo, hi = dict[u][0], dict[u][1]
-		case w > 0 && enc == encStrRaw && u <= uint64(len(blk)-off-w):
-			lo, hi = off+w, off+w+int(u)
-			w += int(u)
+		switch enc {
+		case encDelta:
+			for ; row < end; row++ {
+				u, w := binary.Uvarint(blk[off:])
+				if w <= 0 {
+					return fmt.Errorf("corrupt block at row %d", row)
+				}
+				prev += unzigzag(u)
+				off += w
+				if row >= emit {
+					vals[k+row-emit] = prev
+				}
+			}
+		case encDict:
+			for ; row < end; row++ {
+				u, w := binary.Uvarint(blk[off:])
+				if w <= 0 || u >= uint64(len(dict)) {
+					return fmt.Errorf("corrupt block at row %d", row)
+				}
+				off += w
+				if row >= emit {
+					fn(k+row-emit, dict[u][0], dict[u][1])
+				}
+			}
 		default:
-			return fmt.Errorf("corrupt block at row %d", row)
+			for ; row < end; row++ {
+				u, w := binary.Uvarint(blk[off:])
+				if w <= 0 || u > uint64(len(blk)-off-w) {
+					return fmt.Errorf("corrupt block at row %d", row)
+				}
+				if row >= emit {
+					fn(k+row-emit, off+w, off+w+int(u))
+				}
+				off += w + int(u)
+			}
 		}
-		off += w
-		if row < r {
-			continue
-		}
-		if vals != nil {
-			vals[k] = prev
-		} else if fn != nil {
-			fn(k, lo, hi)
-		}
-		k++
+		k += end - emit
 	}
 	if want == nil && off != len(blk) {
 		return fmt.Errorf("%d trailing bytes in block", len(blk)-off)
@@ -432,25 +514,20 @@ func encodeFloats(vals []float64) []byte {
 	return buf
 }
 
-func decodeFloats(blk []byte, rows int, want []int32) ([]float64, error) {
+func decodeFloats(blk []byte, rows int, want []int32, out []float64) error {
 	if len(blk) != rows*8 {
-		return nil, fmt.Errorf("float block is %d bytes for %d rows", len(blk), rows)
+		return fmt.Errorf("float block is %d bytes for %d rows", len(blk), rows)
 	}
-	n := rows
-	if want != nil {
-		n = len(want)
-	}
-	out := make([]float64, n)
 	for k := range out {
 		r := k
 		if want != nil {
 			if r = int(want[k]); r >= rows {
-				return nil, fmt.Errorf("row %d of a %d-row float block", r, rows)
+				return fmt.Errorf("row %d of a %d-row float block", r, rows)
 			}
 		}
 		out[k] = math.Float64frombits(binary.LittleEndian.Uint64(blk[r*8:]))
 	}
-	return out, nil
+	return nil
 }
 
 // encodeStrings dictionary-encodes when the column is low-cardinality,

@@ -239,8 +239,8 @@ func (db *DB) Checkpoint() error {
 }
 
 // Self-telemetry of the write path: one span per commit and per segment
-// carved, the bytes each put on disk, and how many of a commit's tail bytes
-// it had to encode rather than reuse.
+// encoded, the bytes each put on disk, and how many of a commit's tail
+// bytes no commit had written before (encoded by it or by DB.Encode).
 var (
 	ctrTailBytes   = selfobs.NewCounter(selfobs.PipeDB, "checkpoint", "tail_bytes")
 	ctrTailEncoded = selfobs.NewCounter(selfobs.PipeDB, "checkpoint", "tail_bytes_encoded")
@@ -261,9 +261,10 @@ func (db *DB) checkpointLocked() error {
 	sort.Strings(names)
 
 	// Carve any full chunks still in memory, then gather the tail images,
-	// encoding only those a change dropped since the last commit.
+	// encoding only those a change dropped since the last commit and
+	// DB.Encode did not hand over.
 	var tails bytes.Buffer
-	tailRows, encoded := 0, 0
+	tailRows, fresh := 0, 0
 	man := manifest{Version: manifestVersion}
 	for _, name := range names {
 		t := db.tables[name]
@@ -284,8 +285,11 @@ func (db *DB) checkpointLocked() error {
 				if err != nil {
 					return err
 				}
-				t.tailImg = img
-				encoded += len(img)
+				t.tailImg, t.tailNew = img, true
+			}
+			if t.tailNew {
+				fresh += len(t.tailImg)
+				t.tailNew = false
 			}
 			tails.Write(t.tailImg)
 			mt.TailBytes = len(t.tailImg)
@@ -293,13 +297,13 @@ func (db *DB) checkpointLocked() error {
 		}
 		man.Tables = append(man.Tables, mt)
 	}
-	ctrTailEncoded.Add(int64(encoded))
+	ctrTailEncoded.Add(int64(fresh))
 
 	body, err := json.Marshal(&man)
 	if err != nil {
 		return fmt.Errorf("mscopedb: encode manifest: %w", err)
 	}
-	if encoded == 0 && len(st.orphans) == 0 && bytes.Equal(body, st.committed) {
+	if fresh == 0 && len(st.orphans) == 0 && bytes.Equal(body, st.committed) {
 		return nil // what is on disk already says exactly this
 	}
 	man.Seq = st.seq.Add(1)
@@ -375,7 +379,9 @@ func (s *store) writeSegment(table string, img []byte) (string, error) {
 // a garbage collection, so it keeps no more buffers than a scan has
 // segment reads in flight at once, one per GOMAXPROCS slot: each buffer is
 // one file's size, so the list holds at most what those reads hold anyway.
-// A buffer past that goes to the collector.
+// A read takes the smallest kept buffer that fits, and the list keeps the
+// largest buffers handed back: a table's small segments do not hold the
+// slots while every read of a larger table's makes a buffer of its own.
 type bufList struct {
 	mu   sync.Mutex
 	free []*[]byte
@@ -384,27 +390,43 @@ type bufList struct {
 // max is the most buffers the list keeps.
 func (l *bufList) max() int { return runtime.GOMAXPROCS(0) }
 
-// get takes the first buffer that holds size bytes, or makes one.
+// get takes the smallest kept buffer that holds size bytes, or makes one.
 func (l *bufList) get(size int64) *[]byte {
 	l.mu.Lock()
+	best := -1
 	for i, b := range l.free {
-		if int64(cap(*b)) >= size {
-			l.free = slices.Delete(l.free, i, i+1)
-			l.mu.Unlock()
-			return b
+		if c := cap(*b); int64(c) >= size && (best < 0 || c < cap(*l.free[best])) {
+			best = i
 		}
+	}
+	if best >= 0 {
+		b := l.free[best]
+		l.free = slices.Delete(l.free, best, best+1)
+		l.mu.Unlock()
+		return b
 	}
 	l.mu.Unlock()
 	b := make([]byte, 0, size+size/8)
 	return &b
 }
 
-// put keeps b for the next read while the list has room.
+// put keeps b for the next read: in a free slot, or else in place of the
+// smallest kept buffer when b is larger.
 func (l *bufList) put(b *[]byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.free) < l.max() {
 		l.free = append(l.free, b)
+		return
+	}
+	small := 0
+	for i, k := range l.free {
+		if cap(*k) < cap(*l.free[small]) {
+			small = i
+		}
+	}
+	if cap(*b) > cap(*l.free[small]) {
+		l.free[small] = b
 	}
 }
 

@@ -978,3 +978,121 @@ func TestInstallCarvesInOnePass(t *testing.T) {
 		t.Errorf("Install allocated %d bytes for a table of %d: over 1.5 times", alloc, size)
 	}
 }
+
+// TestEncodedInstallWritesTheSameFiles: a table DB.Encode encoded before
+// Install leaves, after the commit, the same files byte for byte as one
+// Install encodes itself, for a table of full segments and a tail, one of
+// full segments only and one of a tail only. Images that no longer match
+// the table are not written: the table grew after Encode, or was encoded
+// for another segment size.
+func TestEncodedInstallWritesTheSameFiles(t *testing.T) {
+	const seal = 16
+	sizes := []int{seal*3 + 5, seal * 2, seal - 3}
+	// commit installs one table of each size into a fresh warehouse, each
+	// first encoded for a warehouse of encodeSeal rows a segment (none when
+	// 0) and then given extra rows, and returns the files it committed.
+	commit := func(encodeSeal, extra int) map[string]string {
+		dir := t.TempDir()
+		db, err := OpenDir(dir, tinyStore(seal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range sizes {
+			mem := Open()
+			tbl := fillEvents(t, mem, fmt.Sprintf("ev%d", i), 0, n)
+			if encodeSeal > 0 {
+				enc, err := OpenDir(t.TempDir(), tinyStore(encodeSeal))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := enc.Encode(tbl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fillEvents(t, mem, tbl.Name(), n, extra)
+			if err := db.Install(tbl); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		files := map[string]string{}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(data)
+		}
+		return files
+	}
+	for _, tc := range []struct {
+		name              string
+		encodeSeal, extra int
+	}{
+		{"encoded", seal, 0},
+		{"grown-after-encode", seal, 7},
+		{"encoded-for-another-size", seal * 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, got := commit(0, tc.extra), commit(tc.encodeSeal, tc.extra)
+			if len(got) != len(want) {
+				t.Errorf("%d files, want %d", len(got), len(want))
+			}
+			for name, data := range want {
+				if got[name] != data {
+					t.Errorf("%s differs from the one Install encodes", name)
+				}
+			}
+		})
+	}
+}
+
+// TestEncodedTailIsCommitted: a tail image DB.Encode handed over counts as
+// new to the commit that writes it, even when the manifest it commits reads
+// the same as the last: a table dropped and installed again with other
+// rows of the same encoded size survives a reopen with the new rows.
+func TestEncodedTailIsCommitted(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir, tinyStore(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	install := func(from int) {
+		mem := Open()
+		tbl := fillEvents(t, mem, "ev", from, 10)
+		if err := db.Encode(tbl); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Install(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	install(0)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Drop("ev"); err != nil {
+		t.Fatal(err)
+	}
+	install(100) // the same row count; rt_us 1100.. in place of 1000..
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenDir(dir, tinyStore(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := back.Table("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Int(tbl.ColIndex("rt_us"), 0); got != 1100 {
+		t.Fatalf("reopened ev starts at rt_us %d, want 1100: the second install's tail was never committed", got)
+	}
+}

@@ -105,11 +105,22 @@ type Table struct {
 	// tail. Row numbers stay global; the accessors translate.
 	seal *sealedPart
 
-	// tailImg is the tail's segment image as the last checkpoint encoded
-	// it. Whatever changes the tail's rows or the schema drops it (AppendRows,
-	// Widen, Retype, AddColumn, a spill, an unspill), so a commit re-encodes
-	// only the tails that moved since the commit before.
+	// tailImg is the segment image of the rows past the table's last full
+	// segment, as DB.Encode or the last checkpoint encoded it; tailNew says
+	// no commit has written it yet. segImgs are the images DB.Encode made of
+	// the full segments before those rows, encRows rows each, for Install to
+	// write. Whatever changes the rows or the schema drops them all
+	// (changed), so a commit re-encodes only the tails that moved since the
+	// commit before.
 	tailImg []byte
+	tailNew bool
+	segImgs []segImg
+	encRows int
+}
+
+// changed drops the images encoded from the table's rows.
+func (t *Table) changed() {
+	t.tailImg, t.tailNew, t.segImgs, t.encRows = nil, false, nil, 0
 }
 
 // NewTable builds an empty table; column names must be unique and
@@ -236,7 +247,7 @@ func (t *Table) AppendRows(cells []Value) error {
 			}
 		}
 	}
-	t.tailImg = nil
+	t.changed()
 	for ci := range t.cols {
 		d := &t.data[ci]
 		switch t.cols[ci].Type {
@@ -305,7 +316,7 @@ func (t *Table) AppendColumns(rows int, cols []ColumnData) error {
 		}
 	}
 	adopt := t.rows == 0
-	t.tailImg = nil
+	t.changed()
 	for i := range t.cols {
 		d, c := &t.data[i], &cols[i]
 		switch t.cols[i].Type {
@@ -455,7 +466,7 @@ func (t *Table) Widen(col string, to Type) error {
 	if err := t.unspill(); err != nil {
 		return err
 	}
-	t.tailImg = nil
+	t.changed()
 	d := &t.data[ci]
 	switch {
 	case from == TInt && to == TFloat:
@@ -508,7 +519,7 @@ func (t *Table) AddColumn(c Column) error {
 	if err := t.unspill(); err != nil {
 		return err
 	}
-	t.tailImg = nil
+	t.changed()
 	t.colIdx[c.Name] = len(t.cols)
 	t.alterSchema(func() { t.cols = append(t.cols, c) })
 	t.data = append(t.data, zeroColumn(c.Type, t.rows))
@@ -563,7 +574,7 @@ func (t *Table) Retype(col string, to Type) error {
 			return fmt.Errorf("mscopedb: %s.%s: retype to %v: column holds %q", t.name, col, to, s)
 		}
 	}
-	t.tailImg = nil
+	t.changed()
 	t.data[ci] = zeroColumn(to, t.rows)
 	t.alterSchema(func() { t.cols[ci].Type = to })
 	return nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -300,5 +301,55 @@ func aggregate(fn AggFn, vals []float64) float64 {
 		return sorted[len(sorted)*99/100]
 	default:
 		panic(fmt.Sprintf("mscopedb: unknown aggregate %v", fn))
+	}
+}
+
+// TestP99SelectionMatchesSort: the p99 of a window is the value at rank
+// len*99/100 of the window sorted by sort.Float64s (NaN below every number),
+// with the zeros of that sort put -0 first: bit for bit, over random
+// windows of every small length and some long ones, drawn from few
+// distinct values (so with runs of duplicates), NaNs, infinities and both
+// zeros.
+func TestP99SelectionMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	pool := []float64{math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, -1.5, 2, 3, 1e9, -1e-9}
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + trial%64
+		if trial%10 == 0 {
+			n = 100 + rng.Intn(2000)
+		}
+		distinct := 1 + rng.Intn(8)
+		vals := make([]float64, n)
+		for i := range vals {
+			switch r := rng.Intn(4); {
+			case r == 0:
+				vals[i] = pool[rng.Intn(len(pool))]
+			case r == 1 && distinct > 1:
+				vals[i] = float64(rng.Intn(distinct)) * 10
+			default:
+				vals[i] = rng.NormFloat64() * 100
+			}
+		}
+		want := slices.Clone(vals)
+		sort.Float64s(want)
+		// sort.Float64s leaves the zeros in input order: put -0 first.
+		lo, hi, neg := sort.SearchFloat64s(want, 0), 0, 0
+		for hi = lo; hi < len(want) && want[hi] == 0; hi++ {
+			if math.Signbit(want[hi]) {
+				neg++
+			}
+		}
+		for i := lo; i < hi; i++ {
+			want[i] = 0
+			if i < lo+neg {
+				want[i] = math.Copysign(0, -1)
+			}
+		}
+		k := n * 99 / 100
+		got := selectRank(slices.Clone(vals), k)
+		if math.Float64bits(got) != math.Float64bits(want[k]) {
+			t.Fatalf("trial %d: rank %d of %d values is %v (bits %x), want %v (bits %x)\n%v",
+				trial, k, n, got, math.Float64bits(got), want[k], math.Float64bits(want[k]), vals)
+		}
 	}
 }

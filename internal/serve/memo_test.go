@@ -275,3 +275,67 @@ func TestWarmWindowQueriesReuseReadBuffers(t *testing.T) {
 		t.Fatalf("a warm window query allocates %d bytes; a segment file is %d", per, smallest)
 	}
 }
+
+// TestWarmTraceReusesReadBuffers: a warm /api/trace reads each segment it
+// hits into a buffer the store's free list kept, the smallest that fits,
+// and the list keeps the largest buffers handed back. So when window
+// queries over the table of the smallest segments come between the traces,
+// as in a served mix, their buffers do not hold the slots while each
+// trace's read of a larger table's segment makes a buffer of its own: a warm
+// trace allocates less than one segment file, on average.
+func TestWarmTraceReusesReadBuffers(t *testing.T) {
+	db, dir := spilledWarehouse(t)
+	s, err := New(Config{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment files (%v)", err)
+	}
+	smallest, small := int64(math.MaxInt64), ""
+	for _, f := range segs {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() < smallest { // seg-<seq>-<table>.seg
+			smallest, small = fi.Size(), strings.TrimSuffix(strings.SplitN(filepath.Base(f), "-", 3)[2], ".seg")
+		}
+	}
+	tbl, err := db.Table("apache_event")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	if err := tbl.Scan([]string{"reqid"}, func(ch *mscopedb.Chunk) error {
+		ids = append(ids, ch.Strs(0)...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const traces = 10
+	paths := make([]string, traces)
+	for i := range paths { // requests spread over the sealed rows
+		paths[i] = "/api/trace/" + ids[(2*i+1)*tbl.SealedRows()/(2*traces)]
+	}
+	window := "/api/window?table=" + small + "&time=ua&value=ud&fn=max&window=50ms"
+	for _, p := range paths { // warm: every segment's lookup index is built
+		get(t, h, p, 200, nil)
+	}
+	var before, after runtime.MemStats
+	total := uint64(0)
+	for _, p := range paths {
+		get(t, h, window, 200, nil)
+		runtime.ReadMemStats(&before)
+		get(t, h, p, 200, nil)
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	per := int64(total) / traces
+	t.Logf("a warm trace allocates %d bytes; the smallest segment file, of %s, is %d", per, small, smallest)
+	if per >= smallest {
+		t.Fatalf("a warm trace allocates %d bytes; a segment file is %d", per, smallest)
+	}
+}

@@ -2,6 +2,7 @@ package transform
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -362,20 +363,24 @@ func TestMaterializeArtifactsGolden(t *testing.T) {
 	}
 }
 
-// TestWorkersStartFilesInSortedOrder: the workers take files in sorted-name
-// order, the order the sequencer installs them in, so it never waits on a
-// file that has not been started while later ones hold the workers. When
-// the file at sorted index i starts, the i before it have all been taken and
-// at most workers-1 of those have yet to start.
-func TestWorkersStartFilesInSortedOrder(t *testing.T) {
+// TestWorkersStartCostliestFileFirst: the workers take files largest first,
+// whatever their names, and none waits on the sequencer, which installs in
+// name order. When the file of size rank i starts, the i larger ones have
+// all been taken and at most workers-1 of those have yet to start. n0, the
+// first in name order and many times the rest together, is the file the
+// sequencer waits on first; the other worker processes every other file
+// while n0 is still being processed.
+func TestWorkersStartCostliestFileFirst(t *testing.T) {
 	const workers = 2
-	corpus := string(apacheCorpus(300, 0))
+	records := []int{30000, 100, 700, 300, 600, 200, 500, 400}
 	files := map[string]string{}
-	var names []string // sorted
-	for i := range 8 {
-		names = append(names, fmt.Sprintf("n%d_access.log", i))
-		files[names[i]] = corpus
+	var names []string // largest first
+	for i, n := range records {
+		name := fmt.Sprintf("n%d_access.log", i)
+		files[name] = string(apacheCorpus(n, 0))
+		names = append(names, name)
 	}
+	slices.SortFunc(names, func(a, b string) int { return cmp.Compare(len(files[b]), len(files[a])) })
 	c := selfobs.Enable("start-order", time.Unix(0, 0).UTC())
 	defer selfobs.Disable()
 	_, err := IngestDirWithOptions(mscopedb.Open(), writeLogDir(t, files), t.TempDir(), DefaultPlan(), Options{Workers: workers})
@@ -384,18 +389,95 @@ func TestWorkersStartFilesInSortedOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var parses []selfobs.Rec
+	built := map[string]int64{} // file → when its worker finished building it
 	for _, r := range c.Snapshot() {
-		if r.Pipeline == selfobs.PipeIngest && r.Stage == "parse" && r.Span == "whole" {
+		if r.Pipeline != selfobs.PipeIngest || r.Span != "whole" {
+			continue
+		}
+		switch r.Stage {
+		case "parse":
 			parses = append(parses, r)
+		case "build":
+			built[r.File] = r.StartNS + r.DurNS
 		}
 	}
-	if len(parses) != len(names) {
-		t.Fatalf("%d parse spans for %d files", len(parses), len(names))
+	if len(parses) != len(names) || len(built) != len(names) {
+		t.Fatalf("%d parse and %d build spans for %d files", len(parses), len(built), len(names))
 	}
 	sort.Slice(parses, func(a, b int) bool { return parses[a].StartNS < parses[b].StartNS })
 	for pos, r := range parses {
 		if i := slices.Index(names, r.File); i > pos+workers-1 {
-			t.Errorf("%s (sorted index %d) was parse number %d to start", r.File, i, pos)
+			t.Errorf("%s (size rank %d) was parse number %d to start", r.File, i, pos)
+		}
+	}
+	for _, name := range names[1:] {
+		if built[name] > built[names[0]] {
+			t.Errorf("%s was built %v after %s: a worker idled while it was queued",
+				name, time.Duration(built[name]-built[names[0]]), names[0])
+		}
+	}
+}
+
+// TestWorkerEncodedFilesMatchInstall: the segment and tail files a
+// store-backed ingest writes from its workers' images are, name for name
+// and byte for byte, the ones DB.Install and Checkpoint write when they
+// encode the same tables themselves, installed in the same order with the
+// same ledger rows.
+func TestWorkerEncodedFilesMatchInstall(t *testing.T) {
+	logDir, workDir := writeSyntheticDir(t, false), t.TempDir()
+	store := mscopedb.StoreOptions{SealRows: 64}
+	dir := t.TempDir()
+	db, err := mscopedb.OpenDir(dir, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := IngestDirWithOptions(db, logDir, workDir, DefaultPlan(), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	refDir := t.TempDir()
+	ref, err := mscopedb.OpenDir(refDir, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fr := range rep.Files { // in name order
+		b, _ := DefaultPlan().Find(fr.Input)
+		info, err := os.Stat(fr.Input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := &fileJob{name: filepath.Base(fr.Input), full: fr.Input, binding: b, size: info.Size()}
+		o := processFile(mscopedb.Open(), j, workDir, Options{}) // in memory: nothing encoded
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if err := ref.Install(o.tbl); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.RecordIngestAt(o.tbl.Name(), fr.Input, o.tbl.Rows(), j.size, simtime.Epoch); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := readDirContents(t, dir), readDirContents(t, refDir)
+	segs := 0
+	for name := range want {
+		if strings.HasPrefix(name, "seg-") {
+			segs++
+		}
+	}
+	if segs < 2 || len(want) < segs+2 {
+		t.Fatalf("the reference left %d files, %d of them segments; want segments, a tail and a manifest", len(want), segs)
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d files, want %d", len(got), len(want))
+	}
+	for name, data := range want {
+		if got[name] != data {
+			t.Errorf("%s differs from the one Install and Checkpoint write", name)
 		}
 	}
 }

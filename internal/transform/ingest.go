@@ -1,12 +1,14 @@
 package transform
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,7 +32,8 @@ const (
 
 // fileJob carries one directory entry through the ingest: the planning
 // decision, the worker's output channel, and everything the sequencer
-// needs to apply side effects in sorted-name order.
+// needs to apply side effects in sorted-name order (size also orders the
+// workers' queue).
 type fileJob struct {
 	name    string
 	full    string
@@ -46,7 +49,8 @@ type fileJob struct {
 	out    chan fileOutcome
 }
 
-// fileOutcome is everything a worker produced for one file.
+// fileOutcome is everything a worker produced for one file: the table
+// comes with its segment and tail images encoded.
 type fileOutcome struct {
 	fr  FileResult
 	tbl *mscopedb.Table
@@ -55,13 +59,15 @@ type fileOutcome struct {
 
 // IngestDirWithOptions is the batch ingest engine. A planner decides per
 // directory entry whether it is skipped, unchanged or processed;
-// Options.Workers goroutines run processFile for the latter, taking files in
-// sorted-name order; and a single sequenced appender — the only goroutine
-// that touches db or the report — walks the files in the same order and
-// applies every warehouse side effect (drop-for-rebuild, table install, both
-// ledger rows, report entries, policy decisions). The result is therefore
-// the same for every worker count: byte-identical warehouse dumps, reports
-// and quarantine sinks, and the same first error under FailFast.
+// Options.Workers goroutines run processFile for the latter, taking the
+// costliest files first, and each worker also encodes its table's segment
+// and tail images (DB.Encode); and a single sequenced appender — the only
+// goroutine that touches db or the report — walks the files in sorted-name
+// order and applies every warehouse side effect (drop-for-rebuild, table
+// install, which only writes the images, the ledger row, the commit, report
+// entries, policy decisions). The result is therefore the same for every
+// worker count: byte-identical warehouse dumps, reports and quarantine
+// sinks, and the same first error under FailFast.
 //
 // Under Quarantine, per-file rejections land in Report.Failed and the
 // ingest continues; infrastructure errors (unreadable directory, schema or
@@ -118,13 +124,22 @@ func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, o
 		}
 	}
 
-	// The workers take files in the order the sequencer below consumes them,
-	// so the file it waits for is always one already started.
-	work := make(chan *fileJob, len(jobs))
+	// The workers take the costliest files first: the largest, by name among
+	// equals, so a large file late in name order does not parse alone at the
+	// end while the other workers idle. The sequencer below still consumes
+	// in name order. No worker waits on it (each job's out holds its one
+	// outcome), so every file it waits for is started as soon as a worker is
+	// free; a worker that waited for the sequencer could deadlock it.
+	queue := make([]*fileJob, 0, len(jobs))
 	for _, j := range jobs {
 		if j.action == actProcess && j.preErr == nil {
-			work <- j
+			queue = append(queue, j)
 		}
+	}
+	slices.SortStableFunc(queue, func(a, b *fileJob) int { return cmp.Compare(b.size, a.size) })
+	work := make(chan *fileJob, len(queue))
+	for _, j := range queue {
+		work <- j
 	}
 	close(work)
 	// No worker outlives the ingest: an early return stops them from taking
@@ -146,7 +161,7 @@ func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, o
 				if aborted.Load() {
 					return
 				}
-				j.out <- processFile(j, workDir, opts)
+				j.out <- processFile(db, j, workDir, opts)
 			}
 		}()
 	}
@@ -208,8 +223,9 @@ func IngestDirWithOptions(db *mscopedb.DB, logDir, workDir string, plan *Plan, o
 // processFile is the per-file pipeline of §III-B, run by a worker: stream
 // the file through its parser into a tableBuilder, which types and stores
 // every cell as it arrives, settle the schema, export the staged artifacts
-// when asked, and hand over the typed table. It performs no warehouse writes.
-func processFile(j *fileJob, workDir string, opts Options) (out fileOutcome) {
+// when asked, and hand over the typed table with its segment and tail
+// images encoded for db. It performs no warehouse writes.
+func processFile(db *mscopedb.DB, j *fileJob, workDir string, opts Options) (out fileOutcome) {
 	b := j.binding
 	// One span buffer per file worker: every stage span of this file is
 	// appended goroutine-locally and flushed once when the worker returns.
@@ -299,6 +315,9 @@ func processFile(j *fileJob, workDir string, opts Options) (out fileOutcome) {
 		return fileOutcome{err: err}
 	}
 	sp.End(int64(tbl.Rows()), 0)
+	if err := db.Encode(tbl); err != nil {
+		return fileOutcome{err: err}
+	}
 	return fileOutcome{fr: fr, tbl: tbl}
 }
 
