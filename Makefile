@@ -107,9 +107,10 @@ overload-soak:
 # driven against a real scenario warehouse, plus the live-attachment path
 # with concurrent queries during load, a segment damaged under warm
 # per-file caches still answering 500 until it is repaired, and a warm
-# trace between window queries reading into kept buffers.
+# trace between window queries reading into kept buffers, and a window
+# body whose allocations do not grow with its windows.
 serve-smoke:
-	$(GO) test -race -run 'TestServeSmoke|TestServeLivePipeline|TestSnapshotMemoSingleFlight|TestVerificationSurvivesWarmCaches|TestWarmTraceReusesReadBuffers' -v ./internal/serve/
+	$(GO) test -race -run 'TestServeSmoke|TestServeLivePipeline|TestSnapshotMemoSingleFlight|TestVerificationSurvivesWarmCaches|TestWarmTraceReusesReadBuffers|TestWindowBodyAllocsPerWindow' -v ./internal/serve/
 
 # Distributed kill/restart soak under the race detector: four agents ship
 # the disk-IO trial to a throttled collector, one is crashed mid-stream
@@ -173,7 +174,9 @@ fuzz:
 # files (full, projected and restart-point decodes agree or both fail, never
 # a panic or an allocation sized by an unchecked field), MQL text (parses or errors;
 # what parses executes or errors), and /api/window's parameters (200, 400
-# or 404, never a 5xx); on filtered, ordered, limited queries over tiny
+# or 404, never a 5xx) and the /api/query and /api/window body writer
+# (the bytes encoding/json writes for the same rows, whatever the cells);
+# on filtered, ordered, limited queries over tiny
 # spilled segments (the rows of the in-memory table and of a naive
 # filter-sort-truncate oracle); on the wire frames a collector reads off the
 # network (never a panic; a batch that decodes, whose cells are spans of
@@ -197,6 +200,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueryOrderLimit -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/mscopedb/
 	$(GO) test -run '^$$' -fuzz FuzzMQLParse -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/mql/
 	$(GO) test -run '^$$' -fuzz FuzzServeWindowParams -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzQueryBodyMatchesEncodingJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzWireFrameDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzTableBuilderEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/transform/
 	$(GO) test -run '^$$' -fuzz FuzzLiveMergeMatchesBatch -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/transform/

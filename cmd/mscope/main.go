@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -371,12 +372,21 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(strings.Join(out.Cols, "\t"))
-	for _, row := range out.Rows {
-		fmt.Println(strings.Join(row, "\t"))
+	w := bufio.NewWriter(os.Stdout)
+	fmt.Fprintln(w, strings.Join(out.Cols, "\t"))
+	var line []byte
+	for r := range out.Len() {
+		line = line[:0]
+		for c := range out.Cols {
+			if c > 0 {
+				line = append(line, '\t')
+			}
+			line = out.AppendCell(line, r, c)
+		}
+		w.Write(append(line, '\n'))
 	}
-	fmt.Printf("(%d rows)\n", len(out.Rows))
-	return nil
+	fmt.Fprintf(w, "(%d rows)\n", out.Len())
+	return w.Flush()
 }
 
 func cmdReport(args []string) error {

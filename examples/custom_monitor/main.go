@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"github.com/gt-elba/milliscope"
@@ -85,8 +84,8 @@ func run() error {
 		return err
 	}
 	fmt.Println("\nprobe max latency per second (ms):")
-	for _, row := range out.Rows {
-		fmt.Println("  " + strings.Join(row, "\t"))
+	for r := 0; r < out.Len(); r++ {
+		fmt.Printf("  %s\t%s\n", out.AppendCell(nil, r, 0), out.AppendCell(nil, r, 1))
 	}
 
 	// 6. And the cross-check the warehouse exists for: the probe's worst

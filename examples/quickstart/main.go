@@ -95,8 +95,8 @@ func run() error {
 		return err
 	}
 	fmt.Println("\nPoint-in-Time max RT per 250ms window (µs):")
-	for _, row := range pitOut.Rows {
-		fmt.Println("  " + strings.Join(row, "\t"))
+	for r := 0; r < pitOut.Len(); r++ {
+		fmt.Printf("  %s\t%s\n", pitOut.AppendCell(nil, r, 0), pitOut.AppendCell(nil, r, 1))
 	}
 	return nil
 }

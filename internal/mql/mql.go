@@ -23,6 +23,7 @@ package mql
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -62,14 +63,56 @@ type Pred struct {
 	Value string // raw literal; coerced against the column type at run time
 }
 
-// Output is a rendered result: either tabular rows or a series.
+// Output is a result: tabular rows, or a window aggregation's series.
+// Len and AppendCell read either, as Exec returns it, as rows of
+// len(Cols) cells of text.
 type Output struct {
-	Cols   []string
+	Cols []string
+	// Rows are a tabular result's cells, rendered; nil for a window
+	// aggregation, whose rows are its Series or Groups.
 	Rows   [][]string
 	Series *mscopedb.Series
 	// Groups carries the per-key series of a GROUP BY window
 	// aggregation; Series is nil in that case.
 	Groups []mscopedb.GroupSeries
+	ends   []int // each group's end among the rows, in order
+}
+
+// Len returns the output's row count.
+func (o *Output) Len() int {
+	switch {
+	case o.Series != nil:
+		return len(o.Series.StartMicros)
+	case len(o.ends) > 0:
+		return o.ends[len(o.ends)-1]
+	}
+	return len(o.Rows)
+}
+
+// AppendCell appends the text of row r's cell c to dst: a tabular cell as
+// rendered; of a window row, the group key as it is, the window start in
+// decimal microseconds and the value in the shortest form that parses
+// back to it, as the converter's CSV writes floats.
+func (o *Output) AppendCell(dst []byte, r, c int) []byte {
+	s := o.Series
+	switch {
+	case s != nil:
+	case o.Groups != nil:
+		g := sort.SearchInts(o.ends, r+1) // the first group ending past r
+		if g > 0 {
+			r -= o.ends[g-1]
+		}
+		if c == 0 {
+			return append(dst, o.Groups[g].Key...)
+		}
+		s, c = &o.Groups[g].Series, c-1
+	default:
+		return append(dst, o.Rows[r][c]...)
+	}
+	if c == 0 {
+		return strconv.AppendInt(dst, s.StartMicros[r], 10)
+	}
+	return strconv.AppendFloat(dst, s.Values[r], 'g', -1, 64)
 }
 
 // Run parses and executes a query against the warehouse.
@@ -131,34 +174,19 @@ func Exec(db *mscopedb.DB, st *Statement) (*Output, error) {
 				return nil, err
 			}
 			out := &Output{Cols: []string{st.GroupCol, "window_start_us", fnName}, Groups: groups}
+			out.ends = make([]int, len(groups))
 			n := 0
-			for _, g := range groups {
+			for i, g := range groups {
 				n += len(g.StartMicros)
+				out.ends[i] = n
 			}
-			cells := make([]string, 0, 3*n)
-			for _, g := range groups {
-				for i := range g.StartMicros {
-					cells = append(cells, g.Key,
-						strconv.FormatInt(g.StartMicros[i], 10),
-						strconv.FormatFloat(g.Values[i], 'g', -1, 64))
-				}
-			}
-			out.Rows = rowsOver(cells, 3)
 			return out, nil
 		}
 		s, err := res.WindowAgg(st.TimeCol, st.Window, st.AggCol, st.AggFn)
 		if err != nil {
 			return nil, err
 		}
-		out := &Output{Cols: []string{"window_start_us", fnName}, Series: s}
-		cells := make([]string, 0, 2*len(s.StartMicros))
-		for i := range s.StartMicros {
-			cells = append(cells,
-				strconv.FormatInt(s.StartMicros[i], 10),
-				strconv.FormatFloat(s.Values[i], 'g', -1, 64))
-		}
-		out.Rows = rowsOver(cells, 2)
-		return out, nil
+		return &Output{Cols: []string{"window_start_us", fnName}, Series: s}, nil
 	}
 	cols := st.Cols
 	if cols == nil {

@@ -60,10 +60,14 @@ func TestWindowGroupBy(t *testing.T) {
 	if total != 5 {
 		t.Fatalf("grouped counts sum to %g, want 5", total)
 	}
-	// Every rendered row leads with its group key.
-	for _, row := range out.Rows {
-		if row[0] != "apache" && row[0] != "tomcat" {
-			t.Fatalf("row %v lacks a group key", row)
+	// Every rendered row leads with its group key, and the rows are the
+	// groups' windows: no [][]string copy of them.
+	if out.Rows != nil || out.Len() != len(out.Groups[0].Values)+len(out.Groups[1].Values) {
+		t.Fatalf("%d rows, %d cell rows, for %d+%d windows", out.Len(), len(out.Rows), len(out.Groups[0].Values), len(out.Groups[1].Values))
+	}
+	for r := 0; r < out.Len(); r++ {
+		if key := string(out.AppendCell(nil, r, 0)); key != "apache" && key != "tomcat" {
+			t.Fatalf("row %d leads with %q, not a group key", r, key)
 		}
 	}
 }
@@ -76,8 +80,8 @@ func TestWindowEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty window: %v", err)
 	}
-	if len(out.Rows) != 0 || out.Series == nil || len(out.Series.Values) != 0 {
-		t.Fatalf("empty window: rows %v series %v, want empty", out.Rows, out.Series)
+	if out.Len() != 0 || out.Series == nil || len(out.Series.Values) != 0 {
+		t.Fatalf("empty window: %d rows, series %v, want empty", out.Len(), out.Series)
 	}
 
 	// A single-row selection yields exactly one window.
@@ -85,8 +89,8 @@ func TestWindowEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Rows) != 1 || out.Rows[0][1] != "900" {
-		t.Fatalf("single-row window: %v, want one row of 900", out.Rows)
+	if out.Len() != 1 || string(out.AppendCell(nil, 0, 1)) != "900" {
+		t.Fatalf("single-row window: %v, want one row of 900", out.Series)
 	}
 
 	// ORDER BY cannot combine with WINDOW: the output order is the grid.

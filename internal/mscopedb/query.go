@@ -399,20 +399,6 @@ func (r *Result) col(ci int) (*colData, error) {
 	return &r.t.data[ci], nil
 }
 
-// numeric returns a reader of the column's cells coerced to float64, as
-// predicates and aggregation see them; times coerce to their microsecond
-// epoch.
-func (d *colData) numeric(typ Type) func(row int) float64 {
-	switch typ {
-	case TInt:
-		return func(row int) float64 { return float64(d.Ints[row]) }
-	case TFloat:
-		return func(row int) float64 { return d.Floats[row] }
-	default:
-		return func(row int) float64 { return float64(d.Times[row]) }
-	}
-}
-
 // Ints extracts an int column.
 func (r *Result) Ints(col string) ([]int64, error) {
 	d, err := r.colOfType(col, TInt)
@@ -435,12 +421,14 @@ func (r *Result) Floats(col string) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	num := d.numeric(r.t.cols[ci].Type)
-	out := make([]float64, len(r.idx))
-	for i, row := range r.idx {
-		out[i] = num(row)
+	switch r.t.cols[ci].Type {
+	case TInt:
+		return pickFloats(d.Ints, r.idx), nil
+	case TTime:
+		return pickFloats(d.Times, r.idx), nil
+	default:
+		return pick(d.Floats, r.idx), nil
 	}
-	return out, nil
 }
 
 // TimesMicros extracts a time column as microsecond epochs.
@@ -493,6 +481,16 @@ func pick[E any](vals []E, idx []int) []E {
 	out := make([]E, len(idx))
 	for i, row := range idx {
 		out[i] = vals[row]
+	}
+	return out
+}
+
+// pickFloats is pick of an integer column coerced to float64, as
+// predicates and aggregation see it.
+func pickFloats(vals []int64, idx []int) []float64 {
+	out := make([]float64, len(idx))
+	for i, row := range idx {
+		out[i] = float64(vals[row])
 	}
 	return out
 }
@@ -596,20 +594,21 @@ func (r *Result) WindowAgg(timeCol string, window time.Duration, valCol string, 
 	default:
 		return nil, fmt.Errorf("mscopedb: %s.%s: not a time-like column", r.t.name, timeCol)
 	}
-	val := func(int) float64 { return 0 }
+	var vd *colData
+	var vtyp Type
 	if fn != AggCount {
 		vci := r.t.ColIndex(valCol)
 		if vci < 0 {
 			return nil, fmt.Errorf("mscopedb: %s: no column %q", r.t.name, valCol)
 		}
-		if r.t.cols[vci].Type == TString {
+		if vtyp = r.t.cols[vci].Type; vtyp == TString {
 			return nil, fmt.Errorf("mscopedb: %s.%s: cannot aggregate strings", r.t.name, valCol)
 		}
 		d, err := r.col(vci)
 		if err != nil {
 			return nil, err
 		}
-		val = d.numeric(r.t.cols[vci].Type)
+		vd = d
 	}
 	if len(r.idx) == 0 {
 		return &Series{}, nil
@@ -622,101 +621,122 @@ func (r *Result) WindowAgg(timeCol string, window time.Duration, valCol string, 
 	if r.t.cols[tci].Type == TInt {
 		times = td.Ints
 	}
-	// Bucket bounds first, so the grid can be laid out flat.
-	var lo, hi int64
-	for i, row := range r.idx {
-		b := times[row] - mod(times[row], w)
-		if i == 0 || b < lo {
-			lo = b
-		}
-		if i == 0 || b > hi {
-			hi = b
-		}
+	// Bucket bounds first, so the grid can be laid out flat: the floors of
+	// the least and greatest instants. A floor below the int64 range, a
+	// span past it and a grid past the cap are all refused.
+	mn, mx := times[r.idx[0]], times[r.idx[0]]
+	for _, row := range r.idx[1:] {
+		mn, mx = min(mn, times[row]), max(mx, times[row])
 	}
+	lo, hi := mn-mod(mn, w), mx-mod(mx, w)
 	// The output grid covers every window between the first and last
 	// populated buckets, so flat accumulators of the same length cost at
 	// most a small constant factor over the result itself.
-	if span := hi - lo; span < 0 || span/w >= MaxGridBuckets {
+	if span := hi - lo; lo > mn || span < 0 || span/w >= MaxGridBuckets {
 		return nil, fmt.Errorf("mscopedb: %v windows over %s.%s make a grid of more than %d buckets",
 			window, r.t.name, timeCol, MaxGridBuckets)
 	}
-	return r.windowAggDense(w, lo, (hi-lo)/w+1, fn, times, val), nil
+	g := grid{idx: r.idx, times: times, lo: lo, w: w, n: (hi-lo)/w + 1}
+	switch vtyp {
+	case TInt:
+		return windowAggDense(g, fn, vd.Ints), nil
+	case TTime:
+		return windowAggDense(g, fn, vd.Times), nil
+	case TFloat:
+		return windowAggDense(g, fn, vd.Floats), nil
+	default: // a count reads no values
+		return windowAggDense[float64](g, fn, nil), nil
+	}
 }
 
-// windowAggDense is the vectorized aggregation path: one flat
-// accumulator slot per grid bucket, filled in a single pass over the
-// selection (two for p99, which scatters values into per-bucket
-// segments of one backing array by counting-sort offsets). No per-row
-// map lookups or per-bucket slice growth.
-func (r *Result) windowAggDense(w, lo, n int64, fn AggFn, times []int64, val func(int) float64) *Series {
-	counts := make([]int64, n)
-	var sums, exts []float64
+// grid is a dense aggregation's layout: the selected rows, their instants,
+// and n windows of w microseconds from lo, the floor of the least instant.
+type grid struct {
+	idx   []int
+	times []int64
+	lo, w int64
+	n     int64
+}
+
+// bucket is the window of instant t: one unsigned division, exact because
+// lo is a floor-aligned lower bound, so t-lo lies in [0, n·w) and fits a
+// uint64 even when it does not fit an int64.
+func (g *grid) bucket(t int64) uint64 { return uint64(t-g.lo) / uint64(g.w) }
+
+// windowAggDense is the vectorized aggregation path: one flat accumulator
+// slot per grid bucket, filled by one closure-free pass over the selection
+// per aggregate and value type, in selection order (so a sum adds in the
+// order it always has). p99 keeps each row's bucket from its counting pass
+// and scatters the values into per-bucket runs of one backing array by
+// counting-sort offsets. No per-row map lookups or per-bucket slice growth.
+func windowAggDense[T int64 | float64](g grid, fn AggFn, vals []T) *Series {
+	s := &Series{StartMicros: make([]int64, g.n), Values: make([]float64, g.n)}
+	for i := range s.StartMicros {
+		s.StartMicros[i] = g.lo + int64(i)*g.w
+	}
+	out := s.Values
 	switch fn {
-	case AggAvg, AggSum:
-		sums = make([]float64, n)
+	case AggCount:
+		for _, row := range g.idx {
+			out[g.bucket(g.times[row])]++ // exact: a float64 counts to 2^53
+		}
+	case AggSum:
+		for _, row := range g.idx {
+			out[g.bucket(g.times[row])] += float64(vals[row])
+		}
+	case AggAvg:
+		counts := make([]int64, g.n)
+		for _, row := range g.idx {
+			i := g.bucket(g.times[row])
+			counts[i]++
+			out[i] += float64(vals[row])
+		}
+		for i, c := range counts {
+			if c > 0 {
+				out[i] /= float64(c)
+			}
+		}
 	case AggMax, AggMin:
-		exts = make([]float64, n)
+		// An empty window carries zero; a filled one its extreme, which
+		// starts at the infinity opposite, so a window of NaNs alone reads
+		// as that infinity (NaN never compares past it).
+		seen := make([]bool, g.n)
 		init := math.Inf(-1)
 		if fn == AggMin {
 			init = math.Inf(1)
 		}
-		for i := range exts {
-			exts[i] = init
-		}
-	}
-	for _, row := range r.idx {
-		ts := times[row]
-		i := (ts - mod(ts, w) - lo) / w
-		counts[i]++
-		switch fn {
-		case AggAvg, AggSum:
-			sums[i] += val(row)
-		case AggMax:
-			if v := val(row); v > exts[i] {
-				exts[i] = v
+		for _, row := range g.idx {
+			i := g.bucket(g.times[row])
+			if !seen[i] {
+				seen[i], out[i] = true, init
 			}
-		case AggMin:
-			if v := val(row); v < exts[i] {
-				exts[i] = v
+			if v := float64(vals[row]); fn == AggMax && v > out[i] || fn == AggMin && v < out[i] {
+				out[i] = v
 			}
 		}
-	}
-	var flat []float64
-	var offs []int64
-	if fn == AggP99 {
-		offs = make([]int64, n+1)
-		for i, c := range counts {
-			offs[i+1] = offs[i] + c
+	case AggP99:
+		at := make([]int64, g.n+1) // counts, then each bucket's run end
+		buckets := make([]uint32, len(g.idx))
+		for k, row := range g.idx {
+			i := g.bucket(g.times[row])
+			buckets[k] = uint32(i)
+			at[i+1]++
 		}
-		flat = make([]float64, offs[n])
-		fill := make([]int64, n)
-		for _, row := range r.idx {
-			ts := times[row]
-			i := (ts - mod(ts, w) - lo) / w
-			flat[offs[i]+fill[i]] = val(row)
-			fill[i]++
+		for i := int64(1); i <= g.n; i++ {
+			at[i] += at[i-1]
 		}
-	}
-	s := &Series{StartMicros: make([]int64, n), Values: make([]float64, n)}
-	for i := int64(0); i < n; i++ {
-		s.StartMicros[i] = lo + i*w
-		if fn == AggCount {
-			s.Values[i] = float64(counts[i])
-			continue
+		flat := make([]float64, len(g.idx))
+		for k, row := range g.idx {
+			i := buckets[k]
+			flat[at[i]] = float64(vals[row])
+			at[i]++
 		}
-		if counts[i] == 0 {
-			continue // zero carry for empty windows, as documented
-		}
-		switch fn {
-		case AggAvg:
-			s.Values[i] = sums[i] / float64(counts[i])
-		case AggSum:
-			s.Values[i] = sums[i]
-		case AggMax, AggMin:
-			s.Values[i] = exts[i]
-		case AggP99:
-			seg := flat[offs[i]:offs[i+1]]
-			s.Values[i] = selectRank(seg, len(seg)*99/100)
+		start := int64(0)
+		for i, end := range at[:g.n] {
+			if seg := flat[start:end]; len(seg) > 0 {
+				out[i] = selectRank(seg, len(seg)*99/100)
+			}
+			start = end
 		}
 	}
 	return s

@@ -334,7 +334,8 @@ func (db *DB) IndexStats() (bytes, evictions int64) {
 // segments holding a candidate are read, candidates are verified against
 // the stored bytes, and the candidate check and the gather decode each
 // selected row from its restart point. The unsealed tail is compared
-// directly, every cell by a binary search of the sorted vals.
+// directly: every cell by one comparison with the one val, or one hash
+// probe of the set of several.
 func (t *Table) Lookup(col string, vals []string, cols []string) (*Chunk, error) {
 	ki := t.ColIndex(col)
 	if ki < 0 || t.cols[ki].Type != TString {
@@ -430,10 +431,25 @@ func (t *Table) lookupOnce(ki int, vals []string, cols []string) (*Chunk, error)
 			return nil, &SegmentError{File: ss.meta.File, Err: err}
 		}
 	}
+	// The tail, cell by cell: one request's rows (the drill-down) by a
+	// string comparison, which tests lengths first; several requests' by
+	// one hash probe of their set.
 	tail, hit := lay.tail[ki].Strs[:lay.rows-lay.sealed], make([]int32, 0)
-	for r, v := range tail {
-		if _, ok := slices.BinarySearch(vals, v); ok {
-			hit = append(hit, int32(r))
+	if len(vals) == 1 {
+		for r, v := range tail {
+			if v == vals[0] {
+				hit = append(hit, int32(r))
+			}
+		}
+	} else {
+		want := make(map[string]struct{}, len(vals))
+		for _, v := range vals {
+			want[v] = struct{}{}
+		}
+		for r, v := range tail {
+			if _, ok := want[v]; ok {
+				hit = append(hit, int32(r))
+			}
 		}
 	}
 	out.gather(proj, lay.tail, hit)

@@ -337,57 +337,90 @@ func (sc *spillScan) release() {
 }
 
 // matchRows applies the predicate list to raw column data and returns the
-// matching row numbers.
+// matching row numbers, ascending. It filters one column at a time: each
+// predicate keeps, in place, the rows still kept that it accepts, in a
+// loop typed by its column. Numeric cells coerce to float64 (times to
+// their microsecond epoch), as the zone maps do; a predicate whose kind
+// does not match its column keeps no row.
 func matchRows(cols []Column, data []colData, nrows int, preds []pred) []int32 {
-	out := make([]int32, 0) // never nil: a nil row list means every row
-	for r := 0; r < nrows; r++ {
-		if matchRow(cols, data, r, preds) {
-			out = append(out, int32(r))
+	out := make([]int32, nrows) // never nil: a nil row list means every row
+	for r := range out {
+		out[r] = int32(r)
+	}
+	for _, p := range preds {
+		switch d, typ := &data[p.col], cols[p.col].Type; {
+		case p.isStr != (typ == TString):
+			return out[:0]
+		case p.isStr:
+			out = filterStrs(d.Strs, p.str, p.op != OpEq, out)
+		case typ == TInt:
+			out = filterNums(d.Ints, p.op, p.num, out)
+		case typ == TTime:
+			out = filterNums(d.Times, p.op, p.num, out)
+		case typ == TFloat:
+			out = filterNums(d.Floats, p.op, p.num, out)
+		default:
+			return out[:0]
 		}
 	}
 	return out
 }
 
-// matchRow applies the predicate list to one row; numeric cells coerce to
-// float64 (times to their microsecond epoch), as the zone maps do.
-func matchRow(cols []Column, data []colData, row int, preds []pred) bool {
-	for _, p := range preds {
-		d := &data[p.col]
-		if p.isStr {
-			if cols[p.col].Type != TString || (d.Strs[row] == p.str) != (p.op == OpEq) {
-				return false
+// filterNums keeps the rows of sel whose cell, as a float64, compares to
+// x under op, compacting sel in place: one loop per operator, so none
+// decides per row which comparison it makes. An unknown operator keeps
+// no row.
+func filterNums[T int64 | float64](vals []T, op Op, x float64, sel []int32) []int32 {
+	k := 0
+	switch op {
+	case OpEq:
+		for _, r := range sel {
+			if float64(vals[r]) == x {
+				sel[k], k = r, k+1
 			}
-			continue
 		}
-		var v float64
-		switch cols[p.col].Type {
-		case TInt:
-			v = float64(d.Ints[row])
-		case TFloat:
-			v = d.Floats[row]
-		case TTime:
-			v = float64(d.Times[row])
-		default:
-			return false
+	case OpNe:
+		for _, r := range sel {
+			if float64(vals[r]) != x {
+				sel[k], k = r, k+1
+			}
 		}
-		var ok bool
-		switch p.op {
-		case OpEq:
-			ok = v == p.num
-		case OpNe:
-			ok = v != p.num
-		case OpLt:
-			ok = v < p.num
-		case OpLe:
-			ok = v <= p.num
-		case OpGt:
-			ok = v > p.num
-		case OpGe:
-			ok = v >= p.num
+	case OpLt:
+		for _, r := range sel {
+			if float64(vals[r]) < x {
+				sel[k], k = r, k+1
+			}
 		}
-		if !ok {
-			return false
+	case OpLe:
+		for _, r := range sel {
+			if float64(vals[r]) <= x {
+				sel[k], k = r, k+1
+			}
+		}
+	case OpGt:
+		for _, r := range sel {
+			if float64(vals[r]) > x {
+				sel[k], k = r, k+1
+			}
+		}
+	case OpGe:
+		for _, r := range sel {
+			if float64(vals[r]) >= x {
+				sel[k], k = r, k+1
+			}
 		}
 	}
-	return true
+	return sel[:k]
+}
+
+// filterStrs is filterNums for a string equality, inverted when ne is
+// set.
+func filterStrs(vals []string, x string, ne bool, sel []int32) []int32 {
+	k := 0
+	for _, r := range sel {
+		if (vals[r] == x) != ne {
+			sel[k], k = r, k+1
+		}
+	}
+	return sel[:k]
 }

@@ -45,7 +45,7 @@ func TestWindowAggDenseMatchesSparse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", fn, err)
 		}
-		want := referenceWindowAgg(res, w.Microseconds(), fn)
+		want := referenceWindowAgg(res, "ts", w.Microseconds(), "v", fn)
 		if len(got.Values) != len(want.Values) {
 			t.Fatalf("%v: %d windows, want %d", fn, len(got.Values), len(want.Values))
 		}
@@ -95,18 +95,29 @@ func TestWindowAggTimeColumn(t *testing.T) {
 }
 
 // referenceWindowAgg is the pre-vectorization per-bucket-slice
-// implementation, kept as the differential oracle for the flat-grid
-// path. Column layout: ts at 0, v at 1.
-func referenceWindowAgg(r *Result, w int64, fn AggFn) *Series {
+// implementation, kept as the differential oracle for the flat-grid path:
+// a map of bucket floors to the values of the rows in them, numeric cells
+// coerced to float64. It reads an in-memory table's columns.
+func referenceWindowAgg(r *Result, timeCol string, w int64, valCol string, fn AggFn) *Series {
+	tci, vci := r.t.ColIndex(timeCol), r.t.ColIndex(valCol)
 	buckets := make(map[int64][]float64)
 	var lo, hi int64
 	first := true
 	for _, row := range r.idx {
-		ts := r.t.Int(0, row)
+		ts := r.t.data[tci].Ints[row]
+		if r.t.cols[tci].Type == TTime {
+			ts = r.t.data[tci].Times[row]
+		}
 		b := ts - mod(ts, w)
 		var v float64
-		if fn != AggCount {
-			v = r.t.data[1].numeric(r.t.cols[1].Type)(row)
+		switch d := &r.t.data[vci]; {
+		case fn == AggCount:
+		case r.t.cols[vci].Type == TInt:
+			v = float64(d.Ints[row])
+		case r.t.cols[vci].Type == TTime:
+			v = float64(d.Times[row])
+		default:
+			v = d.Floats[row]
 		}
 		buckets[b] = append(buckets[b], v)
 		if first || b < lo {
@@ -117,8 +128,8 @@ func referenceWindowAgg(r *Result, w int64, fn AggFn) *Series {
 		}
 		first = false
 	}
-	var s Series
-	for b := lo; b <= hi; b += w {
+	s := Series{StartMicros: []int64{}, Values: []float64{}}
+	for b := lo; !first && b <= hi; b += w {
 		s.StartMicros = append(s.StartMicros, b)
 		s.Values = append(s.Values, aggregate(fn, buckets[b]))
 	}

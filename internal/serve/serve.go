@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -199,9 +200,98 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 
 // --- /api/query ------------------------------------------------------
 
-type queryResult struct {
-	Cols []string   `json:"cols"`
-	Rows [][]string `json:"rows"`
+// writeQueryBody answers 200 with a query's output as the JSON object
+// {"cols": Cols, "rows": rows}, laid out as encoding/json indents it by one
+// space: rows are a tabular output's Rows as they are, or a window
+// aggregation's rows of cells as AppendCell renders them (null when there
+// are none). The body is appended into one buffer, sized up front for a
+// series: no [][]string copy of it is made, and each number is formatted
+// once.
+func writeQueryBody(w http.ResponseWriter, out *mql.Output) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(appendQueryBody(nil, out))
+}
+
+func appendQueryBody(b []byte, out *mql.Output) []byte {
+	window := out.Series != nil || out.Groups != nil
+	// A window's number cell is at most 24 bytes, 8 more lay it out.
+	b = slices.Grow(b, 64+out.Len()*(8+32*len(out.Cols)))
+	b = append(b, "{\n \"cols\": "...)
+	b = appendStrings(b, out.Cols, "\n  ")
+	b = append(b, ",\n \"rows\": "...)
+	switch n := out.Len(); {
+	case !window && out.Rows == nil, window && n == 0:
+		b = append(b, "null"...)
+	case n == 0:
+		b = append(b, "[]"...)
+	case !window:
+		b = append(b, '[')
+		for r, row := range out.Rows {
+			if r > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n  "...)
+			b = appendStrings(b, row, "\n   ")
+		}
+		b = append(b, "\n ]"...)
+	default:
+		var cell []byte
+		b = append(b, '[')
+		for r := range n {
+			if r > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n  ["...)
+			for c := range out.Cols {
+				if c > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, "\n   "...)
+				cell = out.AppendCell(cell[:0], r, c)
+				b = appendString(b, cell)
+			}
+			b = append(b, "\n  ]"...)
+		}
+		b = append(b, "\n ]"...)
+	}
+	return append(b, "\n}\n"...)
+}
+
+// appendStrings appends a JSON array of strings, each on a line of its
+// own after indent, and the closing bracket one level out; null for nil.
+func appendStrings(b []byte, ss []string, indent string) []byte {
+	switch {
+	case ss == nil:
+		return append(b, "null"...)
+	case len(ss) == 0:
+		return append(b, "[]"...)
+	}
+	b = append(b, '[')
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, indent...)
+		b = appendString(b, s)
+	}
+	b = append(b, indent[:len(indent)-1]...)
+	return append(b, ']')
+}
+
+// appendString appends s as a JSON string. Printable ASCII other than the
+// quote, the backslash and the HTML-sensitive <, > and & goes in as it is;
+// a string holding anything else is escaped by encoding/json itself.
+func appendString[T string | []byte](b []byte, s T) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(string(s))
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -220,7 +310,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, statusOf(err, http.StatusBadRequest), "%v", err)
 		return
 	}
-	promfmt.WriteJSON(w, http.StatusOK, queryResult{Cols: out.Cols, Rows: out.Rows})
+	writeQueryBody(w, out)
 }
 
 // --- /api/window -----------------------------------------------------
@@ -307,7 +397,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, statusOf(err, http.StatusBadRequest), "%v", err)
 		return
 	}
-	promfmt.WriteJSON(w, http.StatusOK, queryResult{Cols: out.Cols, Rows: out.Rows})
+	writeQueryBody(w, out)
 }
 
 // --- traces and flamegraphs ------------------------------------------

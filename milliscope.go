@@ -55,7 +55,8 @@ type (
 	OverheadPoint = core.OverheadPoint
 	// DB is the mScopeDB warehouse.
 	DB = mscopedb.DB
-	// QueryOutput is a rendered query result.
+	// QueryOutput is a query result: tabular rows or a window series, read
+	// as text cell by cell with Len and AppendCell.
 	QueryOutput = mql.Output
 	// Trace is one request's reconstructed causal path.
 	Trace = tracegraph.Trace

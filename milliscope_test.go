@@ -127,12 +127,12 @@ func TestWarehousePersistenceAcrossAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(o1.Rows) != len(o2.Rows) {
-		t.Fatalf("reloaded warehouse differs: %d vs %d windows", len(o1.Rows), len(o2.Rows))
+	if o1.Len() != o2.Len() {
+		t.Fatalf("reloaded warehouse differs: %d vs %d windows", o1.Len(), o2.Len())
 	}
-	for i := range o1.Rows {
-		if o1.Rows[i][1] != o2.Rows[i][1] {
-			t.Fatalf("window %d differs: %v vs %v", i, o1.Rows[i], o2.Rows[i])
+	for i := 0; i < o1.Len(); i++ {
+		if c1, c2 := o1.AppendCell(nil, i, 1), o2.AppendCell(nil, i, 1); string(c1) != string(c2) {
+			t.Fatalf("window %d differs: %s vs %s", i, c1, c2)
 		}
 	}
 }
